@@ -369,7 +369,7 @@ fn rns_comparison(config: &HarnessConfig) {
 /// by one kernel served through the traced engine so the latency
 /// histograms and the session metrics registry have real figures to show.
 fn trace_comparison(config: &HarnessConfig) {
-    use chehab_core::ExecOptions;
+    use chehab_core::{ExecHooks, ExecOptions};
     let params = config.params();
     println!(
         "== Trace: one traced request per kernel, dataflow scheduler at {} workers ({} host \
@@ -437,7 +437,14 @@ fn trace_comparison(config: &HarnessConfig) {
             .unwrap_or_else(|e| panic!("{}: session construction failed: {e}", benchmark.id())),
     );
     let sink = Arc::new(chehab_core::TraceSink::new());
-    let engine = session.serve_traced(&ExecOptions::sequential(), Some(Arc::clone(&sink)));
+    let hooks = ExecHooks {
+        trace: Some(Arc::clone(&sink)),
+        ..ExecHooks::default()
+    };
+    let engine = session
+        .serve_with(&ExecOptions::sequential(), &hooks)
+        .into_engine();
+    drop(hooks);
     let input_sets: Vec<std::collections::HashMap<String, i64>> = (0..config.requests.max(1))
         .map(|seed| {
             benchmark

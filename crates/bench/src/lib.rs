@@ -16,7 +16,7 @@ pub mod micro;
 use chehab_benchsuite::Benchmark;
 use chehab_core::{
     external_compile_stats, output_slots_of, select_rotation_keys, BatchPolicy, CompiledProgram,
-    Compiler, ExecOptions, ExecutionReport, FaultPlan,
+    Compiler, ExecHooks, ExecOptions, ExecutionReport, FaultPlan, TraceSink,
 };
 use chehab_fhe::{BfvParameters, FheError, SimdPolicy};
 use chehab_ir::{circuit_depth, multiplicative_depth, rotation_steps};
@@ -858,7 +858,7 @@ pub fn measure_chaos(
                 .outputs
         })
         .collect();
-    let engine = session.serve_resilient(&serve_options, None, None);
+    let engine = session.serve(&serve_options);
     let handles: Vec<_> = input_sets
         .iter()
         .map(|inputs| {
@@ -885,7 +885,11 @@ pub fn measure_chaos(
     let span = (session.schedule().instrs().len() * requests) as u64;
     let plan = FaultPlan::storm(seed, span.max(1), 2);
     plan.force_queue_full(2);
-    let engine = session.serve_resilient(&serve_options, None, Some(plan));
+    let hooks = ExecHooks {
+        faults: Some(plan),
+        ..ExecHooks::default()
+    };
+    let engine = session.serve_with(&serve_options, &hooks).into_engine();
     let handles: Vec<_> = input_sets
         .iter()
         .map(|inputs| {
@@ -1749,11 +1753,21 @@ pub fn measure_trace(
     let untraced = session
         .run_parallel(&inputs, &options)
         .unwrap_or_else(|e| panic!("{}: untraced run failed: {e}", benchmark.id()));
+    let sink = Arc::new(TraceSink::new());
+    let hooks = ExecHooks {
+        trace: Some(Arc::clone(&sink)),
+        ..ExecHooks::default()
+    };
     let started = Instant::now();
-    let (traced, trace) = session
-        .trace_request(&inputs, &options)
-        .unwrap_or_else(|e| panic!("{}: traced run failed: {e}", benchmark.id()));
+    let traced = session
+        .run_batched(std::slice::from_ref(&inputs), &options, &hooks)
+        .unwrap_or_else(|e| panic!("{}: traced run failed: {e}", benchmark.id()))
+        .remove(0);
     let request_ms = ms(started.elapsed());
+    drop(hooks);
+    let trace = Arc::try_unwrap(sink)
+        .expect("the hooks held the only other sink clone")
+        .into_trace();
 
     let got: Vec<u64> = traced
         .outputs
@@ -2314,7 +2328,7 @@ pub fn measure_batching(
         for run in 0..runs.max(1) {
             let started = Instant::now();
             let reports = session
-                .run_batched(&input_sets[..batch], &options)
+                .run_batched(&input_sets[..batch], &options, &ExecHooks::default())
                 .unwrap_or_else(|e| panic!("{}: batched run failed: {e}", benchmark.id()));
             walls.push(started.elapsed());
             if run == 0 {

@@ -7,14 +7,15 @@
 //! organized around long-lived serving state: [`CompiledProgram::session`]
 //! builds an [`FheSession`] **once** — FHE context, public/relin/Galois
 //! keys, and the leveled instruction [`Schedule`] — and every request after
-//! that only pays for encryption, wavefront evaluation and decryption
-//! ([`FheSession::run`] / [`FheSession::run_parallel`] /
-//! [`FheSession::run_batch`]). An `Arc`'d session feeds
-//! [`FheSession::serve`], the persistent request-queue front end backed by
-//! [`chehab_runtime::ServingEngine`]. The historical one-shot entry points
-//! ([`CompiledProgram::execute`], [`CompiledProgram::execute_parallel`],
-//! [`CompiledProgram::execute_batch`]) survive as thin convenience shims that
-//! build a throwaway session per call.
+//! that only pays for encryption, scheduled evaluation and decryption.
+//! There is one request path — bind → execute → scatter over `lanes` users
+//! sharing the ciphertexts ([`FheSession::run_batched`]) — and a solo
+//! request ([`FheSession::run`] / [`FheSession::run_parallel`]) is its
+//! `lanes = 1` case. An `Arc`'d session feeds [`FheSession::serve_with`],
+//! the persistent request-queue front end backed by
+//! [`chehab_runtime::ServingEngine`]. The one-shot
+//! [`CompiledProgram::execute`] survives as a thin convenience shim that
+//! builds a throwaway session per call.
 //!
 //! Plaintext-only subcircuits are computed on the client side (they never
 //! touch ciphertexts), and packed vector inputs are either packed by the
@@ -28,11 +29,11 @@ use chehab_fhe::{
 };
 use chehab_ir::{BinOp, CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, Ty};
 use chehab_runtime::{
-    data_kinds, default_workers, lane_geometry, BatchExecutor, BatchPolicy, CalibratedCostModel,
-    CancellationToken, CoalescerConfig, Counter, DataflowExecutor, ExecResources, FaultPlan, Gauge,
-    LaneGeometry, MetricsRegistry, Register, RequestCoalescer, ResilienceSnapshot, ResilienceStats,
-    Schedule, SchedulerKind, SchedulerMetrics, ServingConfig, ServingEngine, SpanEvent,
-    TimingBreakdown, Trace, TraceSink, WavefrontExecutor, WavefrontOutcome, DEFAULT_QUEUE_CAPACITY,
+    data_kinds, default_workers, lane_geometry, BatchPolicy, CalibratedCostModel,
+    CancellationToken, Counter, DataflowExecutor, ExecResources, FaultPlan, Gauge, LaneGeometry,
+    MetricsRegistry, Register, RequestCoalescer, ResilienceSnapshot, ResilienceStats, Schedule,
+    SchedulerKind, SchedulerMetrics, ServingConfig, ServingEngine, SpanEvent, TimingBreakdown,
+    TraceSink, WavefrontExecutor, WavefrontOutcome, DEFAULT_QUEUE_CAPACITY,
 };
 use coyote_baseline::LaneAssignment;
 use std::collections::HashMap;
@@ -61,40 +62,9 @@ pub struct CompileStats {
     pub summary_after: CircuitSummary,
 }
 
-/// Per-request parallelism options of [`CompiledProgram::execute_batch`].
-///
-/// Kept for source compatibility with the pre-session API; new code should
-/// use [`ExecOptions`], which carries the same two knobs plus the serving
-/// queue bound (`BatchOptions` converts losslessly via `From`).
-#[derive(Debug, Clone, Copy)]
-pub struct BatchOptions {
-    /// Worker threads at the request level (how many input sets execute
-    /// concurrently).
-    pub request_threads: usize,
-    /// Worker threads inside each request's wavefront execution.
-    ///
-    /// The useful total is `request_threads * threads_per_request <=`
-    /// available cores; deep, narrow circuits profit from request-level
-    /// workers, wide circuits from wavefront workers.
-    pub threads_per_request: usize,
-}
-
-impl Default for BatchOptions {
-    /// Request workers default to the host's
-    /// [`std::thread::available_parallelism`], clamped to `[1, 8]` (see
-    /// [`chehab_runtime::default_workers`]) — a 1-CPU host gets one worker
-    /// instead of four oversubscribed ones.
-    fn default() -> Self {
-        BatchOptions {
-            request_threads: default_workers(),
-            threads_per_request: 1,
-        }
-    }
-}
-
-/// Unified execution options of the session API: the two worker-count knobs
-/// that used to be scattered across `threads` parameters and
-/// [`BatchOptions`], plus the serving queue bound, behind one builder.
+/// Unified execution options of the session API — worker counts, the
+/// serving queue bound, the scheduling discipline, the batching policy and
+/// the serving deadline — behind one builder.
 ///
 /// ```
 /// use chehab_core::ExecOptions;
@@ -107,17 +77,17 @@ impl Default for BatchOptions {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Worker threads at the request level: the [`BatchExecutor`] pool of
-    /// [`FheSession::run_batch`] and the persistent worker threads of
-    /// [`FheSession::serve`]. Defaults to the host's
-    /// [`std::thread::available_parallelism`], clamped to `[1, 8]`.
+    /// Worker threads at the request level: the persistent worker threads
+    /// of [`FheSession::serve_with`]. Defaults to the host's
+    /// [`std::thread::available_parallelism`], clamped to `[1, 8]` (see
+    /// [`chehab_runtime::default_workers`]).
     pub request_threads: usize,
     /// Worker threads inside each request's scheduled execution (1 = run
     /// each request sequentially; more helps schedules with instruction-level
     /// parallelism).
     pub threads_per_request: usize,
-    /// Bound of the serving queue of [`FheSession::serve`]: `submit` blocks
-    /// while this many requests are already queued.
+    /// Bound of the serving queue of [`FheSession::serve_with`]: `submit`
+    /// blocks while this many requests are already queued.
     pub queue_capacity: usize,
     /// The intra-request scheduling discipline: barrier-free
     /// [`SchedulerKind::Dataflow`] (the default — instructions run the
@@ -128,19 +98,19 @@ pub struct ExecOptions {
     /// differ.
     pub scheduler: SchedulerKind,
     /// Cross-request SIMD batching policy of [`FheSession::run_batched`] and
-    /// [`FheSession::serve_batched`]: when set, compatible requests are
+    /// [`FheSession::serve_with`]: when set, compatible requests are
     /// coalesced into the slot lanes of shared ciphertexts and the program
     /// executes once per batch. `None` (the default) keeps every request in
-    /// its own ciphertext.
+    /// its own ciphertext — a batch of one.
     pub batching: Option<BatchPolicy>,
-    /// Per-request deadline of [`FheSession::serve`]: each submitted request
-    /// gets a [`CancellationToken`] armed with this budget, checked at every
-    /// instruction dispatch, so an expired request stops scheduling work
-    /// mid-flight and resolves with
+    /// Per-request deadline of [`FheSession::serve_with`]: each submitted
+    /// request gets a [`CancellationToken`] armed with this budget, checked
+    /// at every instruction dispatch, so an expired request stops scheduling
+    /// work mid-flight and resolves with
     /// [`FheError::DeadlineExceeded`](chehab_fhe::FheError::DeadlineExceeded).
     /// `None` (the default) lets every request run to completion.
     pub deadline: Option<Duration>,
-    /// Admission control of [`FheSession::serve`]: when `true` (and a
+    /// Admission control of [`FheSession::serve_with`]: when `true` (and a
     /// `deadline` is set), submissions whose deadline is provably infeasible
     /// given the queue depth and the calibrated per-request cost are shed at
     /// the door instead of wasting ciphertext work on a guaranteed miss.
@@ -151,12 +121,7 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             request_threads: default_workers(),
-            threads_per_request: 1,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            scheduler: SchedulerKind::default(),
-            batching: None,
-            deadline: None,
-            shed_infeasible: false,
+            ..ExecOptions::sequential()
         }
     }
 }
@@ -173,7 +138,11 @@ impl ExecOptions {
         ExecOptions {
             request_threads: 1,
             threads_per_request: 1,
-            ..ExecOptions::default()
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
+            scheduler: SchedulerKind::default(),
+            batching: None,
+            deadline: None,
+            shed_infeasible: false,
         }
     }
 
@@ -202,7 +171,7 @@ impl ExecOptions {
     }
 
     /// Enables cross-request SIMD batching under `policy` (see
-    /// [`FheSession::run_batched`] / [`FheSession::serve_batched`]).
+    /// [`FheSession::run_batched`] / [`FheSession::serve_with`]).
     pub fn with_batching(mut self, policy: BatchPolicy) -> Self {
         self.batching = Some(policy);
         self
@@ -223,14 +192,39 @@ impl ExecOptions {
     }
 }
 
-impl From<BatchOptions> for ExecOptions {
-    fn from(options: BatchOptions) -> Self {
-        ExecOptions {
-            request_threads: options.request_threads.max(1),
-            threads_per_request: options.threads_per_request.max(1),
-            ..ExecOptions::default()
-        }
-    }
+/// Per-call observation and control hooks of [`FheSession::run_batched`] and
+/// [`FheSession::serve_with`], as data: `ExecHooks::default()` hooks nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ExecHooks {
+    /// Span sink. [`FheSession::run_batched`] records the `bind` /
+    /// `execute` / `decrypt` phase spans of every chunk on one session track
+    /// plus instruction-level spans (operation label, instruction index,
+    /// queue wait, intra-op thread grant, steal provenance) on one track per
+    /// executor worker. [`FheSession::serve_with`] records one request-level
+    /// span per served job (with its queue wait) on one track per serving
+    /// worker — deliberately *not* instruction-level spans: each executor
+    /// run would allocate fresh worker tracks, unbounded over an open
+    /// request stream. Tracing only *observes* timings; reports are
+    /// bit-identical to an untraced run. Keep a clone of the `Arc` and, once
+    /// every other clone is dropped, export it with
+    /// [`TraceSink::into_trace`].
+    pub trace: Option<Arc<TraceSink>>,
+    /// External cancellation token of [`FheSession::run_batched`], checked
+    /// before binding and at **every instruction dispatch**: cancelling it —
+    /// or its deadline expiring — stops the executors from scheduling any
+    /// further instruction, releases the registers and arena buffers back
+    /// to the session pool, and returns
+    /// [`FheError::Cancelled`](chehab_fhe::FheError::Cancelled) /
+    /// [`FheError::DeadlineExceeded`](chehab_fhe::FheError::DeadlineExceeded).
+    /// Not consulted by [`FheSession::serve_with`], where every request
+    /// carries its own engine-minted token.
+    pub cancel: Option<CancellationToken>,
+    /// Deterministic fault plan: instruction-level faults (planned panics,
+    /// latency spikes, mid-flight cancellations) fire hermetically inside
+    /// the executors; on the serving path the engine also draws its
+    /// submission-side faults (forced queue-full rejections, worker kills)
+    /// from it.
+    pub faults: Option<FaultPlan>,
 }
 
 /// A compiled FHE program, ready to execute on the BFV backend.
@@ -362,55 +356,6 @@ impl CompiledProgram {
     ) -> Result<ExecutionReport, FheError> {
         self.session(params)?.run(inputs)
     }
-
-    /// Executes the program with `threads` workers running the schedule's
-    /// independent operations concurrently through the default (dataflow)
-    /// scheduler — an operation starts the instant its operands are written.
-    ///
-    /// The result is bit-identical to [`CompiledProgram::execute`]: every
-    /// homomorphic operation is a pure function of its operands, so only the
-    /// wall-clock changes.
-    ///
-    /// Convenience shim over [`FheSession::run_parallel`] (one throwaway
-    /// session per call).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CompiledProgram::execute`].
-    pub fn execute_parallel(
-        &self,
-        inputs: &HashMap<String, i64>,
-        params: &BfvParameters,
-        threads: usize,
-    ) -> Result<ExecutionReport, FheError> {
-        self.session(params)?.run_parallel(
-            inputs,
-            &ExecOptions::sequential().with_threads_per_request(threads),
-        )
-    }
-
-    /// Executes the program once per input set, in parallel across requests
-    /// (and, optionally, across each request's wavefront): the two-level
-    /// serving configuration. Keys, Galois keys and the instruction schedule
-    /// are generated once and shared by every request.
-    ///
-    /// Results are returned in input order.
-    ///
-    /// Convenience shim over [`FheSession::run_batch`] (one throwaway
-    /// session per call; the session outlives only this batch).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FheError`] any request hit.
-    pub fn execute_batch(
-        &self,
-        input_sets: &[HashMap<String, i64>],
-        params: &BfvParameters,
-        options: &BatchOptions,
-    ) -> Result<Vec<ExecutionReport>, FheError> {
-        self.session(params)?
-            .run_batch(input_sets, &ExecOptions::from(*options))
-    }
 }
 
 /// The serving alias of [`chehab_runtime::ServingEngine`]: requests are
@@ -430,7 +375,7 @@ pub struct SessionStats {
     /// instruction schedule.
     pub lowering_time: Duration,
     /// Requests served through this session so far (across `run`,
-    /// `run_parallel`, `run_batch` and the serving engine).
+    /// `run_parallel`, `run_batched` and the serving engines).
     pub requests_served: u64,
     /// Galois keys held by the session.
     pub galois_key_count: usize,
@@ -536,38 +481,16 @@ impl SessionMetrics {
     }
 }
 
-/// Appends one session-phase span (`bind` / `execute` / `decrypt`) to a
-/// request's trace.
-fn session_span(
-    sink: &TraceSink,
-    track: usize,
-    name: &'static str,
-    started: Instant,
-    dur: Duration,
-) {
-    sink.push(SpanEvent {
-        name,
-        cat: "session",
-        track,
-        start_ns: sink.offset_ns(started),
-        dur_ns: u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX),
-        instr: None,
-        queue_wait_ns: None,
-        grant: None,
-        stolen_from: None,
-    });
-}
-
 /// Everything one compiled program shares across executions under fixed
 /// parameters: FHE context, key material, the leveled schedule, and a
 /// cumulative timing calibration.
 ///
 /// A session is built **once** per `(program, parameters)` pair by
 /// [`CompiledProgram::session`]; every request served through it afterwards
-/// pays only for input encryption, wavefront evaluation and decryption —
+/// pays only for input encryption, scheduled evaluation and decryption —
 /// key generation and schedule lowering never rerun. Sessions are `Sync`:
-/// [`FheSession::run_batch`] shares one across a request pool, and
-/// [`FheSession::serve`] parks one behind a persistent request queue.
+/// [`FheSession::serve`] parks one behind a persistent request queue shared
+/// by every serving worker.
 ///
 /// ```
 /// use chehab_core::{Compiler, DslProgram};
@@ -727,65 +650,6 @@ impl FheSession {
         })
     }
 
-    /// Client-side phase: evaluates plaintext subcircuits and encrypts the
-    /// inputs, producing the initial register file (untimed). The encryptor
-    /// borrows a warm arena from the session pool, so steady-state input
-    /// encryption allocates no fresh buffers.
-    fn bind_registers(
-        &self,
-        inputs: &HashMap<String, i64>,
-    ) -> Result<Vec<Option<Register>>, FheError> {
-        let program = &self.program;
-        let mut encryptor = Encryptor::new(&self.ctx, &self.public_key);
-        encryptor.set_arena(self.arena_pool.checkout());
-        let t = self.ctx.plain_modulus() as i64;
-        let lookup = |name: &str| -> i64 { inputs.get(name).copied().unwrap_or(0).rem_euclid(t) };
-
-        let mut registers: Vec<Option<Register>> = vec![None; program.dag.len()];
-        let mut failure: Option<FheError> = None;
-        for (id, node) in program.dag.nodes().iter().enumerate() {
-            if !self.prebound[id] {
-                continue;
-            }
-            if self.kinds[id] == DataKind::Plaintext {
-                registers[id] = Some(Register::plain(plain_eval(node, &registers, &lookup, t)));
-            } else if let DagNode::CtVar(name) = node {
-                match encryptor.encrypt_values(&[lookup(name.as_str())]) {
-                    Ok(ct) => registers[id] = Some(Register::cipher(ct)),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            } else if let DagNode::Vec(elems) = node {
-                // Pack leaf-only vectors on the client before encryption.
-                let values: Vec<i64> = elems
-                    .iter()
-                    .map(|&e| match &program.dag.nodes()[e] {
-                        DagNode::CtVar(name) => lookup(name.as_str()),
-                        DagNode::PtVar(name) => lookup(name.as_str()),
-                        DagNode::Const(v) => *v,
-                        _ => unreachable!("leaf-only vector"),
-                    })
-                    .collect();
-                match encryptor.encrypt_values(&values) {
-                    Ok(ct) => registers[id] = Some(Register::cipher(ct)),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            } else {
-                unreachable!("pre-bound nodes are plaintext, inputs, or packed vectors")
-            }
-        }
-        self.arena_pool.restore(encryptor.take_arena());
-        match failure {
-            Some(error) => Err(error),
-            None => Ok(registers),
-        }
-    }
-
     /// Serves one request sequentially: client-side binding, the timed
     /// (leveled, single-worker) execution, and decryption. This is the
     /// stable measurement baseline; [`FheSession::run_parallel`] is
@@ -795,14 +659,18 @@ impl FheSession {
     ///
     /// Same contract as [`CompiledProgram::execute`].
     pub fn run(&self, inputs: &HashMap<String, i64>) -> Result<ExecutionReport, FheError> {
-        self.run_with_options(inputs, 1, SchedulerKind::Leveled, None, None, None)
+        self.run_parallel(
+            inputs,
+            &ExecOptions::sequential().with_scheduler(SchedulerKind::Leveled),
+        )
     }
 
     /// Serves one request with `options.threads_per_request` workers under
     /// `options.scheduler` — by default the barrier-free dataflow executor
     /// with critical-path priorities recomputed from the session's
     /// accumulated calibration. Results are bit-identical to
-    /// [`FheSession::run`] at every worker count and scheduler.
+    /// [`FheSession::run`] at every worker count and scheduler. A solo
+    /// request is a batch of one of [`FheSession::run_batched`].
     ///
     /// # Errors
     ///
@@ -812,226 +680,142 @@ impl FheSession {
         inputs: &HashMap<String, i64>,
         options: &ExecOptions,
     ) -> Result<ExecutionReport, FheError> {
-        self.run_with_options(
-            inputs,
-            options.threads_per_request,
-            options.scheduler,
-            None,
-            None,
-            None,
-        )
+        let reports =
+            self.run_batched(std::slice::from_ref(inputs), options, &ExecHooks::default())?;
+        Ok(reports.into_iter().next().expect("one report per user"))
     }
 
-    /// Serves one request like [`FheSession::run_parallel`] under an
-    /// external [`CancellationToken`] and an optional deterministic
-    /// [`FaultPlan`]: the token (and the plan's own faults) are checked at
-    /// **every instruction dispatch**, so cancelling the token — or its
-    /// deadline expiring — stops the executors from scheduling any further
-    /// instruction, releases the request's registers and arena buffers back
-    /// to the session pool, and returns
-    /// [`FheError::Cancelled`](chehab_fhe::FheError::Cancelled) /
-    /// [`FheError::DeadlineExceeded`](chehab_fhe::FheError::DeadlineExceeded).
-    ///
-    /// A cancelled or faulted request contributes **nothing** to the
-    /// session's cumulative calibration (partial timings would skew the
-    /// cost feedback loop).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CompiledProgram::execute`], plus the
-    /// cancellation/deadline/panic variants above.
-    pub fn run_resilient(
-        &self,
-        inputs: &HashMap<String, i64>,
-        options: &ExecOptions,
-        cancel: Option<&CancellationToken>,
-        faults: Option<&FaultPlan>,
-    ) -> Result<ExecutionReport, FheError> {
-        self.run_with_options(
-            inputs,
-            options.threads_per_request,
-            options.scheduler,
-            None,
-            cancel,
-            faults,
-        )
-    }
-
-    /// Serves one request exactly like [`FheSession::run_parallel`] while
-    /// capturing a full structured trace of it: one session track carrying
-    /// the `bind` / `execute` / `decrypt` phase spans plus one track per
-    /// executor worker carrying instruction-level spans (operation label,
-    /// instruction index, queue wait, intra-op thread grant, steal
-    /// provenance).
-    ///
-    /// Tracing only *observes* timings: the report — outputs, operation
-    /// stats, noise figures — is bit-identical to an untraced run. Export
-    /// the returned [`Trace`] with [`Trace::to_chrome_json`] and load it in
-    /// `chrome://tracing` or <https://ui.perfetto.dev>.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CompiledProgram::execute`].
-    pub fn trace_request(
-        &self,
-        inputs: &HashMap<String, i64>,
-        options: &ExecOptions,
-    ) -> Result<(ExecutionReport, Trace), FheError> {
-        let sink = TraceSink::new();
-        let report = self.run_with_options(
-            inputs,
-            options.threads_per_request,
-            options.scheduler,
-            Some(&sink),
-            None,
-            None,
-        )?;
-        Ok((report, sink.into_trace()))
-    }
-
-    /// Serves one closed batch of requests through this session:
-    /// `options.request_threads` pool workers, each request executing with
-    /// `options.threads_per_request` wavefront workers. Results are returned
-    /// in input order.
-    ///
-    /// For open-ended traffic (requests arriving over time), use
-    /// [`FheSession::serve`] instead.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FheError`] any request hit.
-    pub fn run_batch(
-        &self,
-        input_sets: &[HashMap<String, i64>],
-        options: &ExecOptions,
-    ) -> Result<Vec<ExecutionReport>, FheError> {
-        let pool = BatchExecutor::new(options.request_threads);
-        let reports = pool.run(input_sets.to_vec(), |_, inputs| {
-            self.run_with_options(
-                &inputs,
-                options.threads_per_request,
-                options.scheduler,
-                None,
-                None,
-                None,
-            )
-        });
-        reports.into_iter().collect()
-    }
-
-    /// Starts a persistent serving engine over this session: a bounded
-    /// request queue (`options.queue_capacity`) drained by
-    /// `options.request_threads` long-lived worker threads, each request
-    /// executing with `options.threads_per_request` workers under
-    /// `options.scheduler`.
-    ///
-    /// `submit` returns a [`chehab_runtime::RequestHandle`] immediately;
-    /// `wait`/`try_poll` retrieve that request's report, so callers observe
-    /// submission order even when completions are out of order. `shutdown`
-    /// drains in-flight work and reports queue/throughput stats; the
-    /// cumulative per-op timing lives in [`FheSession::stats`] on the shared
-    /// session. Each served request's scheduler counters (steals, queue
-    /// waits, reclaimed barrier slack) and measured per-operation-kind
-    /// latencies are recorded into the engine's [`SchedulerMetrics`] sink
-    /// and surface in [`chehab_runtime::ServingStats::scheduler`] and
-    /// [`chehab_runtime::ServingStats::latency`].
+    /// Starts a persistent serving engine over this session:
+    /// [`FheSession::serve_with`] without hooks, keeping only the
+    /// [`chehab_runtime::ServingEngine`] surface.
     pub fn serve(self: &Arc<Self>, options: &ExecOptions) -> FheServingEngine {
-        self.serve_traced(options, None)
+        self.serve_with(options, &ExecHooks::default())
+            .into_engine()
     }
 
-    /// Like [`FheSession::serve`], with an optional shared [`TraceSink`]:
-    /// when set, every serving worker records one request-level span per
-    /// served job (with its queue wait attached) on its own trace track, so
-    /// a whole serving run exports as a request timeline. Instruction-level
-    /// spans are deliberately *not* recorded here — each executor run would
-    /// allocate fresh worker tracks, unbounded over an open request stream;
-    /// use [`FheSession::trace_request`] for a per-request deep dive.
-    ///
-    /// The caller keeps a clone of the `Arc` and turns it into a
-    /// [`Trace`] (via [`TraceSink::into_trace`], after `shutdown` and
-    /// unwrapping the `Arc`) once the engine is done.
-    pub fn serve_traced(
+    /// Starts a lane-batching [`RequestCoalescer`] over this session:
+    /// [`FheSession::serve_with`] without hooks, under `options.batching`
+    /// (defaulting to [`BatchPolicy::default`] when unset) and — whatever
+    /// `options.request_threads` says — one engine worker, which keeps
+    /// batches maximal; intra-batch parallelism comes from
+    /// `options.threads_per_request`.
+    pub fn serve_batched(
         self: &Arc<Self>,
         options: &ExecOptions,
-        trace: Option<Arc<TraceSink>>,
-    ) -> FheServingEngine {
-        self.serve_resilient(options, trace, None)
+    ) -> RequestCoalescer<HashMap<String, i64>, Result<ExecutionReport, FheError>> {
+        let policy = options.batching.unwrap_or_default();
+        let options = options.with_request_threads(1).with_batching(policy);
+        self.serve_with(&options, &ExecHooks::default())
     }
 
-    /// Like [`FheSession::serve_traced`], with an optional deterministic
-    /// [`FaultPlan`]: submission-side faults (forced queue-full rejections,
-    /// worker kills) are drawn by the engine, and the same plan is threaded
-    /// into every request's executor run so instruction-level faults
-    /// (planned panics, latency spikes, mid-flight cancellations) fire
-    /// hermetically. Every request's [`CancellationToken`] — stamped with
-    /// `options.deadline` at enqueue — is checked at instruction dispatch,
-    /// so cancelled or expired requests stop scheduling work mid-flight and
-    /// resolve with
-    /// [`FheError::Cancelled`](chehab_fhe::FheError::Cancelled) /
-    /// [`FheError::DeadlineExceeded`](chehab_fhe::FheError::DeadlineExceeded).
+    /// Starts the persistent serving front end over this session: one
+    /// bounded request queue (`options.queue_capacity`) drained by
+    /// `options.request_threads` long-lived workers. Each worker gathers a
+    /// batch under `options.batching` — flushing on a full batch, the
+    /// linger bound, or a member's deadline; with batching unset every
+    /// request is a batch of one — executes it **once** through
+    /// [`FheSession::run_batched`] with `options.threads_per_request`
+    /// workers under `options.scheduler`, and scatters the per-user reports
+    /// to their [`chehab_runtime::RequestHandle`]s. The batch bound is
+    /// clamped to [`FheSession::batch_capacity`]; a batch-level
+    /// [`FheError`] is replicated to every member's handle.
     ///
-    /// Requests that fail for any reason (cancel, deadline, injected or
-    /// organic panic) never feed the session's cumulative calibration.
-    pub fn serve_resilient(
+    /// `submit` returns a handle immediately; `wait`/`try_poll` retrieve
+    /// that request's report, so callers observe submission order even when
+    /// completions are out of order. Every request's
+    /// [`CancellationToken`] is stamped with `options.deadline` at enqueue;
+    /// a batch of one executes under its member's own token, so a cancelled
+    /// or expired request stops scheduling work mid-flight and resolves
+    /// with [`FheError::Cancelled`](chehab_fhe::FheError::Cancelled) /
+    /// [`FheError::DeadlineExceeded`](chehab_fhe::FheError::DeadlineExceeded)
+    /// (the members of a larger batch share their ciphertexts, so none can
+    /// stop alone). With `options.shed_infeasible`, provably late
+    /// submissions are shed at the door. `hooks.trace` and `hooks.faults`
+    /// apply as documented on [`ExecHooks`].
+    ///
+    /// `shutdown` drains in-flight work and reports the batching counters;
+    /// [`RequestCoalescer::engine`] exposes queue, latency and resilience
+    /// stats, including each execution's scheduler counters (steals, queue
+    /// waits, reclaimed barrier slack) and measured per-operation-kind
+    /// latencies. Requests that fail for any reason (cancel, deadline,
+    /// injected or organic panic) never feed the session's cumulative
+    /// calibration, which lives in [`FheSession::stats`].
+    pub fn serve_with(
         self: &Arc<Self>,
         options: &ExecOptions,
-        trace: Option<Arc<TraceSink>>,
-        faults: Option<FaultPlan>,
-    ) -> FheServingEngine {
+        hooks: &ExecHooks,
+    ) -> RequestCoalescer<HashMap<String, i64>, Result<ExecutionReport, FheError>> {
+        let batching = options
+            .batching
+            .map(|policy| policy.with_max_batch(self.lanes.lanes.min(policy.max_batch)));
+        let policy = batching.unwrap_or_else(BatchPolicy::solo);
+        let exec = ExecOptions {
+            batching,
+            ..*options
+        };
         let session = Arc::clone(self);
-        let threads_per_request = options.threads_per_request;
-        let scheduler = options.scheduler;
+        let faults = hooks.faults.clone();
         let metrics = Arc::new(SchedulerMetrics::default());
         let sink = Arc::clone(&metrics);
-        let exec_faults = faults.clone();
-        let panic_stats = Arc::clone(&self.resilience);
-        ServingEngine::with_resilience(
+        RequestCoalescer::over(
             ServingConfig {
                 workers: options.request_threads,
                 queue_capacity: options.queue_capacity,
                 deadline: options.deadline,
                 shed_infeasible: options.shed_infeasible,
-                faults,
+                faults: hooks.faults.clone(),
+                scheduler: metrics,
+                trace: hooks.trace.clone(),
+                resilience: Arc::clone(&self.resilience),
             },
-            metrics,
-            trace,
-            Arc::clone(&self.resilience),
-            move |_, inputs: HashMap<String, i64>, token: &CancellationToken| {
-                let result = session.run_with_options(
-                    &inputs,
-                    threads_per_request,
-                    scheduler,
-                    None,
-                    Some(token),
-                    exec_faults.as_ref(),
-                );
-                // Instruction-level panics are isolated inside the executors
-                // and surface as a clean `Err` return, invisible to the
-                // engine's own handler-panic accounting — count them here.
-                if let Err(FheError::WorkerPanic { .. }) = &result {
-                    panic_stats.note_worker_panic();
+            policy,
+            policy.max_batch,
+            move |batch: Vec<(u64, HashMap<String, i64>)>, token: Option<&CancellationToken>| {
+                let inputs: Vec<HashMap<String, i64>> =
+                    batch.into_iter().map(|(_, inputs)| inputs).collect();
+                let hooks = ExecHooks {
+                    trace: None,
+                    cancel: token.cloned(),
+                    faults: faults.clone(),
+                };
+                match session.run_batched(&inputs, &exec, &hooks) {
+                    Ok(reports) => {
+                        // One execution, many users: every report carries
+                        // the same timing, recorded once.
+                        if let Some(report) = reports.first() {
+                            sink.record(
+                                report.timing.steals,
+                                report.timing.reclaimed_slack,
+                                &report.timing.queue_waits,
+                            );
+                            // Per-op-kind latency histograms: label every
+                            // measured instruction span with its schedule
+                            // operation. (The leveled scheduler reports no
+                            // per-instruction spans, so the zip is empty
+                            // there and only the dataflow path populates
+                            // the histograms.)
+                            sink.record_op_samples(
+                                session
+                                    .schedule
+                                    .instrs()
+                                    .iter()
+                                    .zip(report.timing.instr_times.iter().copied())
+                                    .map(|(si, time)| (si.instr.label(), time)),
+                            );
+                        }
+                        reports.into_iter().map(Ok).collect()
+                    }
+                    Err(error) => {
+                        // Instruction-level panics are isolated inside the
+                        // executors and surface as a clean `Err` return,
+                        // invisible to the engine's own handler-panic
+                        // accounting — count them here.
+                        if let FheError::WorkerPanic { .. } = &error {
+                            session.resilience.note_worker_panic();
+                        }
+                        inputs.iter().map(|_| Err(error.clone())).collect()
+                    }
                 }
-                if let Ok(report) = &result {
-                    sink.record(
-                        report.timing.steals,
-                        report.timing.reclaimed_slack,
-                        &report.timing.queue_waits,
-                    );
-                    // Per-op-kind latency histograms: label every measured
-                    // instruction span with its schedule operation. (The
-                    // leveled scheduler reports no per-instruction spans, so
-                    // the zip is empty there and only the dataflow path
-                    // populates the histograms.)
-                    sink.record_op_samples(
-                        session
-                            .schedule
-                            .instrs()
-                            .iter()
-                            .zip(report.timing.instr_times.iter().copied())
-                            .map(|(si, time)| (si.instr.label(), time)),
-                    );
-                }
-                result
             },
         )
     }
@@ -1136,121 +920,15 @@ impl FheSession {
         self.metrics().render_text()
     }
 
-    /// Runs one request: client-side binding, the timed scheduled execution
-    /// (leveled wavefront or barrier-free dataflow), and decryption, then
-    /// folds the request's measurements into the session's cumulative
-    /// calibration. With a [`TraceSink`] installed, the phases are recorded
-    /// as `session`-category spans and the executors record
-    /// instruction-level spans on per-worker tracks.
-    fn run_with_options(
-        &self,
-        inputs: &HashMap<String, i64>,
-        threads: usize,
-        scheduler: SchedulerKind,
-        trace: Option<&TraceSink>,
-        cancel: Option<&CancellationToken>,
-        faults: Option<&FaultPlan>,
-    ) -> Result<ExecutionReport, FheError> {
-        let program = &self.program;
-        let session_track = trace.map(|sink| sink.allocate_track("session"));
-
-        // Fail fast on a token that is already dead — before paying for
-        // input encryption.
-        if let Some(token) = cancel {
-            token.check()?;
-        }
-        let bind_started = Instant::now();
-        let registers = self.bind_registers(inputs)?;
-        if let (Some(sink), Some(track)) = (trace, session_track) {
-            session_span(sink, track, "bind", bind_started, bind_started.elapsed());
-        }
-        // --- server side: execute the scheduled operations (timed).
-        let started = Instant::now();
-        let outcome =
-            self.execute_schedule(registers, threads, scheduler, trace, None, cancel, faults)?;
-        let server_time = started.elapsed();
-        if let (Some(sink), Some(track)) = (trace, session_track) {
-            session_span(sink, track, "execute", started, server_time);
-        }
-
-        let decrypt_started = Instant::now();
-        let t = self.ctx.plain_modulus() as i64;
-        let (outputs, noise_consumed, decryption_ok) = match outcome.output {
-            Register::Cipher(ct) => {
-                let consumed = ct.noise_consumed_bits();
-                // Lean decryption: read the live output slots straight off
-                // the ciphertext (no Plaintext allocation), then recycle the
-                // output's buffers into the session pool.
-                let decrypted = match self.decryptor.decrypt_slots(&ct) {
-                    Ok(slots) => Ok((
-                        slots.iter().copied().take(program.output_slots).collect(),
-                        consumed,
-                        true,
-                    )),
-                    Err(FheError::NoiseBudgetExhausted { .. }) => Ok((Vec::new(), consumed, false)),
-                    Err(other) => Err(other),
-                };
-                if let Ok(ciphertext) = Arc::try_unwrap(ct) {
-                    self.arena_pool.recycle(ciphertext);
-                }
-                decrypted?
-            }
-            Register::Plain(values) => (
-                values
-                    .values()
-                    .iter()
-                    .map(|&v| v.rem_euclid(t) as u64)
-                    .take(program.output_slots)
-                    .collect(),
-                0.0,
-                true,
-            ),
-        };
-
-        if let (Some(sink), Some(track)) = (trace, session_track) {
-            session_span(
-                sink,
-                track,
-                "decrypt",
-                decrypt_started,
-                decrypt_started.elapsed(),
-            );
-        }
-
-        self.calibration
-            .lock()
-            .unwrap()
-            .merge(&outcome.timing.per_op);
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
-        self.metrics.requests.inc();
-        self.metrics.steals.add(outcome.timing.steals);
-
-        Ok(ExecutionReport {
-            outputs,
-            server_time,
-            noise_budget_consumed: noise_consumed,
-            noise_budget_remaining: (self.ctx.params().fresh_noise_budget_bits() - noise_consumed)
-                .max(0.0),
-            operation_stats: outcome.stats,
-            galois_key_count: self.galois_keys.key_count(),
-            decryption_ok,
-            timing: outcome.timing,
-        })
-    }
-
-    /// Runs the session schedule over an already-bound register file:
-    /// executor dispatch (leveled wavefront or dataflow with calibrated
-    /// critical-path priorities) shared by the unbatched and batched paths.
-    #[allow(clippy::too_many_arguments)]
+    /// Runs the session schedule over an already-bound register file of
+    /// `lanes.lanes` users: executor dispatch (leveled wavefront or dataflow
+    /// with calibrated critical-path priorities).
     fn execute_schedule(
         &self,
         registers: Vec<Option<Register>>,
-        threads: usize,
-        scheduler: SchedulerKind,
-        trace: Option<&TraceSink>,
-        lanes: Option<LaneGeometry>,
-        cancel: Option<&CancellationToken>,
-        faults: Option<&FaultPlan>,
+        options: &ExecOptions,
+        lanes: LaneGeometry,
+        hooks: &ExecHooks,
     ) -> Result<WavefrontOutcome, FheError> {
         let resources = ExecResources {
             ctx: &self.ctx,
@@ -1258,12 +936,13 @@ impl FheSession {
             galois_keys: &self.galois_keys,
             zero: self.zero.as_ref(),
             arenas: &self.arena_pool,
-            trace,
+            trace: hooks.trace.as_deref(),
             lanes,
-            cancel,
-            faults,
+            cancel: hooks.cancel.as_ref(),
+            faults: hooks.faults.as_ref(),
         };
-        match scheduler {
+        let threads = options.threads_per_request;
+        match options.scheduler {
             SchedulerKind::Leveled => {
                 WavefrontExecutor::new(threads).execute(&self.schedule, registers, &resources)
             }
@@ -1303,8 +982,10 @@ impl FheSession {
         self.lanes.lanes
     }
 
-    /// Client-side phase of a batched execution: binds `input_sets.len()`
-    /// users into **shared** registers, user `k` based at slot `k * stride`.
+    /// Client-side phase (untimed): binds `input_sets.len()` users into
+    /// **shared** registers, user `k` based at slot `k * stride`. The
+    /// encryptor borrows a warm arena from the session pool, so steady-state
+    /// input encryption allocates no fresh buffers.
     ///
     /// Plaintext subcircuits are evaluated per user on per-user scratch
     /// (plaintext semantics — `Vec` reads first slots, rotations
@@ -1312,13 +993,9 @@ impl FheSession {
     /// array), then the per-user results are flattened at the lane stride.
     /// Ciphertext inputs encrypt **once** per register with all users'
     /// values placed at their lane bases, which is where the batched
-    /// amortization comes from. With one input set this degenerates to
-    /// exactly the [`FheSession::bind_registers`] layout: same values, same
-    /// encryption call order, hence bit-identical ciphertexts.
-    fn bind_batched(
-        &self,
-        input_sets: &[&HashMap<String, i64>],
-    ) -> Result<Vec<Option<Register>>, FheError> {
+    /// amortization comes from. One input set is the plain single-user
+    /// layout: every value at its own slot, one encryption per input.
+    fn bind(&self, input_sets: &[HashMap<String, i64>]) -> Result<Vec<Option<Register>>, FheError> {
         let program = &self.program;
         let stride = self.lanes.stride;
         let users = input_sets.len();
@@ -1364,7 +1041,8 @@ impl FheSession {
                     }
                 }
             } else if let DagNode::Vec(elems) = node {
-                // Leaf-only vectors: every user's elements at its lane base.
+                // Leaf-only vectors, packed on the client before
+                // encryption: every user's elements at its lane base.
                 let mut flat = vec![0i64; (users - 1) * stride + elems.len().max(1)];
                 for (lane, inputs) in input_sets.iter().enumerate() {
                     for (i, &e) in elems.iter().enumerate() {
@@ -1394,65 +1072,98 @@ impl FheSession {
         }
     }
 
-    /// Serves a closed set of requests through **cross-request SIMD
-    /// batching**: up to `min(batch_capacity, policy.max_batch)` users are
-    /// packed into the slot lanes of shared ciphertexts and the program
-    /// executes *once* per chunk, amortizing every homomorphic operation
-    /// across the whole chunk. Per-user results are scattered back at
-    /// decrypt from each user's lane window, in input order.
+    /// The one request path: serves a closed set of requests, each chunk of
+    /// up to `min(batch_capacity, policy.max_batch)` users packed into the
+    /// slot lanes of shared ciphertexts — bind → execute → scatter, the
+    /// program executing *once* per chunk, so every homomorphic operation is
+    /// amortized across the whole chunk. Per-user results are scattered back
+    /// at decrypt from each user's lane window, in input order. Without
+    /// `options.batching` every request is a chunk of one: its own
+    /// ciphertexts, the plain single-user layout.
     ///
-    /// The policy comes from `options.batching` (defaulting to
-    /// [`BatchPolicy::default`] when unset). Outputs are bit-identical per
-    /// user to [`FheSession::run`]; each user's report carries the chunk's
-    /// shared server time and operation stats (the whole point: one
-    /// execution, many users).
+    /// Each chunk executes with `options.threads_per_request` workers under
+    /// `options.scheduler`. Outputs are bit-identical per user at every
+    /// chunk size, worker count and scheduler; each user's report carries
+    /// the chunk's shared server time and operation stats (the whole point:
+    /// one execution, many users). `hooks` trace, cancel or fault the call
+    /// as documented on [`ExecHooks`]; a cancelled or faulted chunk
+    /// contributes **nothing** to the session's cumulative calibration
+    /// (partial timings would skew the cost feedback loop).
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledProgram::execute`]; an error fails the
-    /// entire call.
+    /// Same contract as [`CompiledProgram::execute`], plus the
+    /// cancellation/deadline/panic variants; an error fails the entire call.
     pub fn run_batched(
         &self,
         input_sets: &[HashMap<String, i64>],
         options: &ExecOptions,
+        hooks: &ExecHooks,
     ) -> Result<Vec<ExecutionReport>, FheError> {
-        let policy = options.batching.unwrap_or_default();
         // The Coyote lane-assignment machinery validates the geometry and
         // owns the base/chunk math; the stride always fits by construction.
         let assignment =
             LaneAssignment::new(self.ctx.slot_count(), self.lanes.stride, self.lanes.stride)
                 .expect("session lane geometry is valid by construction");
-        let capacity = assignment.lane_count().min(policy.max_batch).max(1);
+        let capacity = options.batching.map_or(1, |policy| {
+            assignment.lane_count().min(policy.max_batch).max(1)
+        });
         let t = self.ctx.plain_modulus() as i64;
         let output_slots = self.program.output_slots;
+        let session_track = hooks
+            .trace
+            .as_deref()
+            .map(|sink| (sink, sink.allocate_track("session")));
+        let span = |name: &'static str, started: Instant, dur: Duration| {
+            if let Some((sink, track)) = session_track {
+                sink.push(SpanEvent {
+                    name,
+                    cat: "session",
+                    track,
+                    start_ns: sink.offset_ns(started),
+                    dur_ns: u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX),
+                    instr: None,
+                    queue_wait_ns: None,
+                    grant: None,
+                    stolen_from: None,
+                });
+            }
+        };
 
         let mut reports: Vec<ExecutionReport> = Vec::with_capacity(input_sets.len());
         for chunk in input_sets.chunks(capacity) {
-            let users: Vec<&HashMap<String, i64>> = chunk.iter().collect();
-            let registers = self.bind_batched(&users)?;
+            // Fail fast on a token that is already dead — before paying for
+            // input encryption.
+            if let Some(token) = &hooks.cancel {
+                token.check()?;
+            }
+            let users = chunk.len();
+            let bind_started = Instant::now();
+            let registers = self.bind(chunk)?;
+            span("bind", bind_started, bind_started.elapsed());
+
+            // --- server side: execute the scheduled operations (timed).
             let started = Instant::now();
-            let outcome = self.execute_schedule(
-                registers,
-                options.threads_per_request,
-                options.scheduler,
-                None,
-                Some(LaneGeometry {
-                    stride: self.lanes.stride,
-                    lanes: users.len(),
-                }),
-                None,
-                None,
-            )?;
+            let geometry = LaneGeometry {
+                stride: self.lanes.stride,
+                lanes: users,
+            };
+            let outcome = self.execute_schedule(registers, options, geometry, hooks)?;
             let server_time = started.elapsed();
+            span("execute", started, server_time);
 
             // Scatter: each user reads its own lane window of the shared
             // output.
+            let decrypt_started = Instant::now();
             let per_user: Vec<(Vec<u64>, f64, bool)> = match outcome.output {
                 Register::Cipher(ct) => {
                     let consumed = ct.noise_consumed_bits();
-                    let mut scattered = Vec::with_capacity(users.len());
+                    let mut scattered = Vec::with_capacity(users);
                     let mut decrypt_error = None;
-                    for lane in 0..users.len() {
+                    for lane in 0..users {
+                        // Lean decryption: read the live output slots
+                        // straight off the ciphertext (no Plaintext
+                        // allocation).
                         let base = assignment.base(lane);
                         let end = (base + output_slots).min(self.ctx.slot_count());
                         match self.decryptor.decrypt_slots_in(&ct, base..end) {
@@ -1466,6 +1177,7 @@ impl FheSession {
                             }
                         }
                     }
+                    // Recycle the output's buffers into the session pool.
                     if let Ok(ciphertext) = Arc::try_unwrap(ct) {
                         self.arena_pool.recycle(ciphertext);
                     }
@@ -1474,13 +1186,12 @@ impl FheSession {
                     }
                     scattered
                 }
-                Register::Plain(values) => (0..users.len())
+                Register::Plain(values) => (0..users)
                     .map(|lane| {
-                        let base = assignment.base(lane);
                         let window: Vec<u64> = values
                             .values()
                             .iter()
-                            .skip(base)
+                            .skip(assignment.base(lane))
                             .take(output_slots)
                             .map(|&v| v.rem_euclid(t) as u64)
                             .collect();
@@ -1488,18 +1199,22 @@ impl FheSession {
                     })
                     .collect(),
             };
+            span("decrypt", decrypt_started, decrypt_started.elapsed());
 
             self.calibration
                 .lock()
                 .unwrap()
                 .merge(&outcome.timing.per_op);
             self.requests_served
-                .fetch_add(users.len() as u64, Ordering::Relaxed);
-            self.metrics.requests.add(users.len() as u64);
-            self.metrics.batches.inc();
-            self.metrics
-                .lane_occupancy
-                .set(100.0 * users.len() as f64 / capacity as f64);
+                .fetch_add(users as u64, Ordering::Relaxed);
+            self.metrics.requests.add(users as u64);
+            self.metrics.steals.add(outcome.timing.steals);
+            if options.batching.is_some() {
+                self.metrics.batches.inc();
+                self.metrics
+                    .lane_occupancy
+                    .set(100.0 * users as f64 / capacity as f64);
+            }
 
             for (outputs, noise_consumed, decryption_ok) in per_user {
                 reports.push(ExecutionReport {
@@ -1517,44 +1232,6 @@ impl FheSession {
             }
         }
         Ok(reports)
-    }
-
-    /// Starts a [`RequestCoalescer`] over this session: submitted requests
-    /// gather under `options.batching` (defaulting to
-    /// [`BatchPolicy::default`]) — flushing on a full batch, the linger
-    /// bound, or a member's deadline — then execute **once** per batch
-    /// through [`FheSession::run_batched`] and scatter per-user reports to
-    /// their [`chehab_runtime::RequestHandle`]s.
-    ///
-    /// The coalescer's lane capacity is clamped to
-    /// [`FheSession::batch_capacity`]; a batch-level [`FheError`] is
-    /// replicated to every member's handle.
-    pub fn serve_batched(
-        self: &Arc<Self>,
-        options: &ExecOptions,
-    ) -> RequestCoalescer<HashMap<String, i64>, Result<ExecutionReport, FheError>> {
-        let policy = options.batching.unwrap_or_default();
-        let capacity = self.batch_capacity().min(policy.max_batch).max(1);
-        let session = Arc::clone(self);
-        let exec = *options;
-        RequestCoalescer::new(
-            CoalescerConfig {
-                policy,
-                // One gather worker keeps batches maximal; intra-batch
-                // parallelism comes from `threads_per_request`.
-                workers: 1,
-                queue_capacity: options.queue_capacity,
-                lane_capacity: capacity,
-            },
-            move |batch: Vec<(u64, HashMap<String, i64>)>| {
-                let inputs: Vec<HashMap<String, i64>> =
-                    batch.into_iter().map(|(_, inputs)| inputs).collect();
-                match session.run_batched(&inputs, &exec) {
-                    Ok(reports) => reports.into_iter().map(Ok).collect(),
-                    Err(error) => inputs.iter().map(|_| Err(error.clone())).collect(),
-                }
-            },
-        )
     }
 }
 
@@ -1822,10 +1499,11 @@ mod tests {
         .iter()
         .map(|(k, v)| (k.to_string(), *v))
         .collect();
-        let params = BfvParameters::insecure_test();
-        let sequential = program.execute(&inputs, &params).unwrap();
+        let session = program.session(&BfvParameters::insecure_test()).unwrap();
+        let sequential = session.run(&inputs).unwrap();
         for threads in [2, 4] {
-            let parallel = program.execute_parallel(&inputs, &params, threads).unwrap();
+            let options = ExecOptions::sequential().with_threads_per_request(threads);
+            let parallel = session.run_parallel(&inputs, &options).unwrap();
             assert_eq!(parallel.outputs, sequential.outputs);
             assert_eq!(parallel.operation_stats, sequential.operation_stats);
             assert_eq!(
@@ -1844,33 +1522,6 @@ mod tests {
                 parallel.timing.queue_waits.len(),
                 parallel.timing.instr_times.len()
             );
-        }
-    }
-
-    #[test]
-    fn batch_execution_matches_individual_runs() {
-        let program = compile_raw("(VecAdd (VecMul (Vec a b) (Vec c d)) (Vec 1 1))", true);
-        let params = BfvParameters::insecure_test();
-        let input_sets: Vec<HashMap<String, i64>> = (0..6)
-            .map(|i| {
-                [("a", i), ("b", i + 1), ("c", 2 * i), ("d", 3)]
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), *v))
-                    .collect()
-            })
-            .collect();
-        let options = BatchOptions {
-            request_threads: 3,
-            threads_per_request: 1,
-        };
-        let batched = program
-            .execute_batch(&input_sets, &params, &options)
-            .unwrap();
-        assert_eq!(batched.len(), input_sets.len());
-        for (inputs, report) in input_sets.iter().zip(&batched) {
-            let solo = program.execute(inputs, &params).unwrap();
-            assert_eq!(report.outputs, solo.outputs);
-            assert_eq!(report.operation_stats, solo.operation_stats);
         }
     }
 

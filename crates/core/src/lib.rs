@@ -43,26 +43,25 @@ pub mod training;
 pub use compiler::{Compiler, CompilerOptions, OptimizerKind};
 pub use dsl::{DslProgram, DslValue};
 pub use executor::{
-    external_compile_stats, output_slots_of, BatchOptions, CompileStats, CompiledProgram,
-    ExecOptions, ExecutionReport, FheServingEngine, FheSession, SessionStats,
+    external_compile_stats, output_slots_of, CompileStats, CompiledProgram, ExecHooks, ExecOptions,
+    ExecutionReport, FheServingEngine, FheSession, SessionStats,
 };
 pub use rotation_keys::{naf_decomposition, select_rotation_keys, RotationKeyPlan};
 // The scheduling knob of `ExecOptions`, re-exported so session users don't
 // need a direct `chehab_runtime` dependency to pick a discipline.
 pub use chehab_runtime::SchedulerKind;
 // The cross-request SIMD batching surface of the session API
-// ([`FheSession::run_batched`], [`FheSession::serve_batched`]), re-exported
-// for the same reason.
-pub use chehab_runtime::{BatchPolicy, CoalescerStats, LaneGeometry, RequestCoalescer};
-// The telemetry surface of the session API ([`FheSession::trace_request`],
-// [`FheSession::serve_traced`], [`FheSession::metrics`]), re-exported for
+// ([`FheSession::run_batched`], [`FheSession::serve_with`]), re-exported for
 // the same reason.
+pub use chehab_runtime::{BatchPolicy, CoalescerStats, LaneGeometry, RequestCoalescer};
+// The telemetry surface of the session API ([`ExecHooks::trace`],
+// [`FheSession::metrics`]), re-exported for the same reason.
 pub use chehab_runtime::{Histogram, MetricsRegistry, Trace, TraceSink};
-// The resilience surface of the session API ([`FheSession::serve_resilient`],
-// [`FheSession::run_resilient`], [`ExecOptions::with_deadline`]),
-// re-exported for the same reason: deadline/cancellation tokens,
-// deterministic fault plans, per-engine resilience counters, and the
-// handle-side error type for abandoned or panicked requests.
+// The resilience surface of the session API ([`ExecHooks::cancel`],
+// [`ExecHooks::faults`], [`ExecOptions::with_deadline`]), re-exported for
+// the same reason: deadline/cancellation tokens, deterministic fault plans,
+// per-engine resilience counters, and the handle-side error type for
+// abandoned or panicked requests.
 pub use chehab_runtime::{
     CancellationToken, FaultPlan, RequestError, ResilienceSnapshot, ServingError, TrySubmitError,
 };

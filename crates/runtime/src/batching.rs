@@ -28,24 +28,26 @@
 //!
 //! # Batch formation
 //!
-//! [`BatchPolicy`] governs admission: a batch flushes when it reaches
-//! `max_batch` requests, when the oldest member has lingered `max_linger`,
-//! or — with a per-request `deadline` — early enough that no member misses
-//! its deadline waiting for stragglers. Batch-size, linger-time and
-//! lane-occupancy histograms are recorded into [`CoalescerStats`].
+//! Gathering is not a second engine: every [`ServingEngine`] worker gathers
+//! under a [`BatchPolicy`] — a batch flushes when it reaches `max_batch`
+//! requests, when the oldest member has lingered `max_linger`, or early
+//! enough that no member misses its deadline waiting for stragglers — and an
+//! unbatched engine is simply [`BatchPolicy::solo`]. The
+//! [`RequestCoalescer`] is a thin adapter over that one engine: it wraps a
+//! plain batch handler with poisoned-batch isolation and reports the
+//! batch-size, linger-time and lane-occupancy histograms as
+//! [`CoalescerStats`].
 
 use crate::faults::CancellationToken;
 use crate::schedule::{Instr, Schedule};
-use crate::serving::DEFAULT_QUEUE_CAPACITY;
-use crate::serving::{HandleShared, RequestHandle, ServingError, TrySubmitError};
+use crate::serving::{RequestHandle, ServingConfig, ServingEngine, ServingError, TrySubmitError};
 use crate::telemetry::Histogram;
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-/// Admission policy of a [`RequestCoalescer`]: when a gathering batch stops
-/// waiting for more requests and flushes to the executor.
+/// Gather policy of a [`ServingEngine`] worker: when a gathering batch stops
+/// waiting for more requests and flushes to the handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Flush as soon as this many requests have gathered (clamped to at
@@ -70,6 +72,16 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
+    /// The unbatched policy: every request flushes alone, immediately — a
+    /// batch of one.
+    pub fn solo() -> Self {
+        BatchPolicy {
+            max_batch: 1,
+            max_linger: Duration::ZERO,
+            deadline: None,
+        }
+    }
+
     /// Replaces the batch-size bound.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
@@ -89,8 +101,9 @@ impl BatchPolicy {
     }
 }
 
-/// The slot-lane layout one batched execution runs under: consecutive users
-/// are placed `stride` slots apart, and `lanes` users share the ciphertext.
+/// The slot-lane layout one execution runs under: consecutive users are
+/// placed `stride` slots apart, and `lanes` users share the ciphertext (a
+/// solo request is `lanes = 1`).
 ///
 /// Executors receive this through `ExecResources::lanes` so the one
 /// lane-sensitive instruction — run-time packing of *plaintext* elements —
@@ -218,7 +231,7 @@ pub fn lane_geometry(
 pub struct CoalescerConfig {
     /// When a gathering batch flushes.
     pub policy: BatchPolicy,
-    /// Gather workers forming and executing batches concurrently (clamped
+    /// Engine workers forming and executing batches concurrently (clamped
     /// to at least 1). One worker keeps batches maximal; more trade
     /// occupancy for pipeline overlap.
     pub workers: usize,
@@ -230,24 +243,12 @@ pub struct CoalescerConfig {
     pub lane_capacity: usize,
 }
 
-impl Default for CoalescerConfig {
-    fn default() -> Self {
-        let policy = BatchPolicy::default();
-        CoalescerConfig {
-            policy,
-            workers: 1,
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            lane_capacity: policy.max_batch,
-        }
-    }
-}
-
 /// A point-in-time snapshot of one coalescer's batching counters.
 #[derive(Debug, Clone)]
 pub struct CoalescerStats {
     /// Requests accepted so far.
     pub submitted: u64,
-    /// Requests whose batch has executed and scattered.
+    /// Requests whose batch has executed.
     pub completed: u64,
     /// Batches flushed to the executor.
     pub batches_formed: u64,
@@ -255,8 +256,8 @@ pub struct CoalescerStats {
     pub batch_size: Histogram,
     /// How long each flushed batch's first request lingered gathering.
     pub linger: Histogram,
-    /// Lane occupancy per batch, in percent of
-    /// [`CoalescerConfig::lane_capacity`] (recorded as raw percentages).
+    /// Lane occupancy per batch, in percent of the lane capacity (recorded
+    /// as raw percentages).
     pub lane_occupancy: Histogram,
     /// Batches whose handler panicked (or miscounted results) and were
     /// re-tried member by member.
@@ -274,77 +275,48 @@ impl CoalescerStats {
     }
 }
 
-/// Accumulating side of [`CoalescerStats`], updated by the gather workers.
+/// What only the batch-handler adapter observes: lane occupancy and the
+/// poisoned-batch isolation counters.
 #[derive(Default)]
-struct StatsAgg {
-    completed: u64,
-    batches_formed: u64,
-    batch_size: Histogram,
-    linger: Histogram,
+struct AdapterAgg {
     lane_occupancy: Histogram,
     batch_panics: u64,
     solo_retries: u64,
 }
 
-/// One queued request: id, payload, result cell, and submission time (for
-/// deadline-aware flushing).
-struct BatchJob<T, R> {
-    id: u64,
-    request: T,
-    handle: Arc<HandleShared<R>>,
-    enqueued: Instant,
-}
-
-struct BatchQueue<T, R> {
-    queue: VecDeque<BatchJob<T, R>>,
-    shutting_down: bool,
-    submitted: u64,
-}
-
-struct CoalescerShared<T, R> {
-    state: Mutex<BatchQueue<T, R>>,
-    /// Signals gather workers that the queue gained a job (or shutdown).
-    not_empty: Condvar,
-    /// Signals blocked submitters that the queue lost jobs.
-    not_full: Condvar,
-    stats: Mutex<StatsAgg>,
-    policy: BatchPolicy,
-    queue_capacity: usize,
-    lane_capacity: usize,
-    started: Instant,
-}
-
-/// The request coalescer: gathers compatible requests under a
-/// [`BatchPolicy`], hands each flushed batch to one shared batch handler
-/// (for FHE serving, a closure over `FheSession::run_batched` — see
-/// `chehab_core::FheSession::serve_batched`), and scatters the per-user
-/// results to each caller's own [`RequestHandle`].
+/// The request coalescer: a thin adapter that runs a plain batch handler on
+/// the one [`ServingEngine`] (for FHE serving, a closure over
+/// `FheSession::run_batched` — see `chehab_core::FheSession::serve_with`).
+/// The engine gathers compatible requests under a [`BatchPolicy`] and
+/// scatters the per-user results to each caller's own [`RequestHandle`];
+/// everything the engine gives an unbatched request — deadlines, admission
+/// shedding, fault hooks, abandonment on worker death, outcome
+/// classification — applies to batched ones too.
 ///
 /// The handler receives the whole batch as `(request id, request)` pairs
 /// and must return exactly one result per request, in order. A panicking
 /// (or miscounting) handler poisons the batch, but the members are not
 /// abandoned wholesale: each one is retried **solo** exactly once, so only
 /// the offending request's waiters re-raise while innocent batch-mates
-/// still get their results (the gather worker survives either way).
+/// still get their results (the engine worker survives either way).
 /// Dropping a coalescer shuts it down gracefully (drains queued work,
 /// joins workers); call [`RequestCoalescer::shutdown`] to also retrieve
 /// the final stats.
 pub struct RequestCoalescer<T, R> {
-    shared: Arc<CoalescerShared<T, R>>,
-    workers: Vec<JoinHandle<()>>,
+    engine: ServingEngine<T, R>,
+    adapter: Arc<Mutex<AdapterAgg>>,
 }
 
 impl<T, R> std::fmt::Debug for RequestCoalescer<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RequestCoalescer")
-            .field("workers", &self.workers.len())
-            .field("policy", &self.shared.policy)
+            .field("engine", &self.engine)
             .finish_non_exhaustive()
     }
 }
 
 impl<T: Clone + Send + 'static, R: Send + 'static> RequestCoalescer<T, R> {
-    /// Starts a coalescer: spawns `config.workers` gather threads that form
+    /// Starts a coalescer: an engine of `config.workers` threads that form
     /// batches under `config.policy` and execute them through `handler`.
     ///
     /// Requests must be `Clone` so that a poisoned batch can be re-tried
@@ -353,258 +325,132 @@ impl<T: Clone + Send + 'static, R: Send + 'static> RequestCoalescer<T, R> {
     where
         F: Fn(Vec<(u64, T)>) -> Vec<R> + Send + Sync + 'static,
     {
-        let shared = Arc::new(CoalescerShared {
-            state: Mutex::new(BatchQueue {
-                queue: VecDeque::new(),
-                shutting_down: false,
-                submitted: 0,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            stats: Mutex::new(StatsAgg::default()),
-            policy: BatchPolicy {
-                max_batch: config.policy.max_batch.max(1),
-                ..config.policy
-            },
-            queue_capacity: config.queue_capacity.max(1),
-            lane_capacity: config.lane_capacity.max(1),
-            started: Instant::now(),
+        Self::over(
+            ServingConfig::sized(config.workers, config.queue_capacity),
+            config.policy,
+            config.lane_capacity,
+            move |batch, _token| handler(batch),
+        )
+    }
+
+    /// Like [`RequestCoalescer::new`], over a full [`ServingConfig`]
+    /// (deadline, admission shedding, fault plan, shared sinks) and with a
+    /// token-aware handler: a batch of one receives its member's own
+    /// [`CancellationToken`] (see [`ServingEngine::batched`]).
+    /// `lane_capacity` (users one ciphertext can carry) denominates the
+    /// lane-occupancy histogram.
+    pub fn over<F>(
+        serving: ServingConfig,
+        policy: BatchPolicy,
+        lane_capacity: usize,
+        handler: F,
+    ) -> Self
+    where
+        F: Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<R> + Send + Sync + 'static,
+    {
+        let lane_capacity = lane_capacity.max(1);
+        let adapter = Arc::new(Mutex::new(AdapterAgg::default()));
+        let agg = Arc::clone(&adapter);
+        let engine = ServingEngine::batched(serving, policy, move |batch, token| {
+            let size = batch.len();
+            agg.lock()
+                .unwrap()
+                .lane_occupancy
+                .record_nanos((100 * size.min(lane_capacity) / lane_capacity) as u64);
+            // A panicking (or miscounting) handler poisons the whole batch:
+            // every member's inputs shared the ciphertext, so no member has
+            // a trustworthy result. Keep a clone around (only when a retry
+            // is meaningful, i.e. the batch has companions) so survivors
+            // can be re-run solo and only the offender's waiters re-raise.
+            let retry_pool = (size > 1).then(|| batch.clone());
+            let run = |batch: Vec<(u64, T)>, token| {
+                let expected = batch.len();
+                catch_unwind(AssertUnwindSafe(|| handler(batch, token)))
+                    .ok()
+                    .filter(|results| results.len() == expected)
+            };
+            if let Some(results) = run(batch, token) {
+                return results.into_iter().map(Some).collect();
+            }
+            let retries = retry_pool.unwrap_or_default();
+            {
+                let mut agg = agg.lock().unwrap();
+                agg.batch_panics += 1;
+                agg.solo_retries += retries.len() as u64;
+            }
+            if retries.is_empty() {
+                // A solo batch already isolates its offender: poison it.
+                return vec![None];
+            }
+            // Isolate the offender: each member runs alone, exactly once,
+            // under its own unwind guard.
+            retries
+                .into_iter()
+                .map(|member| run(vec![member], None).and_then(|mut results| results.pop()))
+                .collect()
         });
-        let handler = Arc::new(handler);
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let handler = Arc::clone(&handler);
-                std::thread::spawn(move || gather_loop(&shared, &*handler))
-            })
-            .collect();
-        RequestCoalescer { shared, workers }
+        RequestCoalescer { engine, adapter }
     }
 }
 
 impl<T, R> RequestCoalescer<T, R> {
-    /// Enqueues one request and returns its handle. Blocks while the queue
-    /// is at capacity (back-pressure on producers).
+    /// Enqueues one request and returns its handle; see
+    /// [`ServingEngine::submit`].
     ///
     /// # Errors
     ///
-    /// [`ServingError::ShutDown`] once shutdown has started.
+    /// [`ServingError::ShutDown`] once shutdown has started,
+    /// [`ServingError::Shed`] when admission control proves the deadline
+    /// infeasible.
     pub fn submit(&self, request: T) -> Result<RequestHandle<R>, ServingError> {
-        let mut state = self.shared.state.lock().unwrap();
-        loop {
-            if state.shutting_down {
-                return Err(ServingError::ShutDown);
-            }
-            if state.queue.len() < self.shared.queue_capacity {
-                break;
-            }
-            state = self.shared.not_full.wait(state).unwrap();
-        }
-        Ok(self.enqueue(state, request))
+        self.engine.submit(request)
     }
 
-    /// Non-blocking submission: hands the request back instead of waiting
-    /// on a full queue, so overload policy stays with the caller.
+    /// Non-blocking submission; see [`ServingEngine::try_submit`].
     ///
     /// # Errors
     ///
-    /// [`TrySubmitError::ShutDown`] once shutdown has started,
-    /// [`TrySubmitError::QueueFull`] while the queue is at capacity; both
-    /// carry the request back.
+    /// [`TrySubmitError::ShutDown`], [`TrySubmitError::QueueFull`] or
+    /// [`TrySubmitError::Shed`]; all carry the request back.
     pub fn try_submit(&self, request: T) -> Result<RequestHandle<R>, TrySubmitError<T>> {
-        let state = self.shared.state.lock().unwrap();
-        if state.shutting_down {
-            return Err(TrySubmitError::ShutDown(request));
-        }
-        if state.queue.len() >= self.shared.queue_capacity {
-            return Err(TrySubmitError::QueueFull(request));
-        }
-        Ok(self.enqueue(state, request))
+        self.engine.try_submit(request)
     }
 
-    fn enqueue(
-        &self,
-        mut state: std::sync::MutexGuard<'_, BatchQueue<T, R>>,
-        request: T,
-    ) -> RequestHandle<R> {
-        let id = state.submitted;
-        state.submitted += 1;
-        let handle = HandleShared::new();
-        state.queue.push_back(BatchJob {
-            id,
-            request,
-            handle: Arc::clone(&handle),
-            enqueued: Instant::now(),
-        });
-        drop(state);
-        self.shared.not_empty.notify_one();
-        // Lane-batched execution cannot cancel one member mid-flight (its
-        // slots are packed into the shared ciphertext), so the token only
-        // carries the policy deadline for observability.
-        let token = match self.shared.policy.deadline {
-            Some(deadline) => CancellationToken::deadline_in(deadline),
-            None => CancellationToken::new(),
-        };
-        RequestHandle::from_shared(id, handle, token)
+    /// The engine this coalescer runs on (its [`ServingEngine::stats`]
+    /// carry the latency histograms and resilience counters).
+    pub fn engine(&self) -> &ServingEngine<T, R> {
+        &self.engine
+    }
+
+    /// Unwraps the engine, dropping the batching counters — how an
+    /// unbatched caller keeps only the [`ServingEngine`] surface.
+    pub fn into_engine(self) -> ServingEngine<T, R> {
+        self.engine
     }
 
     /// A point-in-time snapshot of the coalescer's batching counters.
     pub fn stats(&self) -> CoalescerStats {
-        let submitted = self.shared.state.lock().unwrap().submitted;
-        let agg = self.shared.stats.lock().unwrap();
+        let engine = self.engine.stats();
+        let adapter = self.adapter.lock().unwrap();
         CoalescerStats {
-            submitted,
-            completed: agg.completed,
-            batches_formed: agg.batches_formed,
-            batch_size: agg.batch_size.clone(),
-            linger: agg.linger.clone(),
-            lane_occupancy: agg.lane_occupancy.clone(),
-            batch_panics: agg.batch_panics,
-            solo_retries: agg.solo_retries,
-            elapsed: self.shared.started.elapsed(),
+            submitted: engine.submitted,
+            completed: engine.completed,
+            batches_formed: engine.latency.batch_size.count(),
+            batch_size: engine.latency.batch_size,
+            linger: engine.latency.linger,
+            lane_occupancy: adapter.lane_occupancy.clone(),
+            batch_panics: adapter.batch_panics,
+            solo_retries: adapter.solo_retries,
+            elapsed: engine.elapsed,
         }
     }
 
     /// Stops intake, flushes and executes everything already queued, joins
-    /// the gather workers, and returns the final stats. Concurrent
+    /// the engine workers, and returns the final stats. Concurrent
     /// submitters receive [`ServingError::ShutDown`].
     pub fn shutdown(mut self) -> CoalescerStats {
-        self.halt();
+        self.engine.halt();
         self.stats()
-    }
-
-    /// Idempotent part of shutdown: flips the flag, wakes everyone, joins.
-    fn halt(&mut self) {
-        self.shared.state.lock().unwrap().shutting_down = true;
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl<T, R> Drop for RequestCoalescer<T, R> {
-    fn drop(&mut self) {
-        self.halt();
-    }
-}
-
-/// One gather worker: wait for a first request, linger for companions under
-/// the policy, execute the flushed batch, scatter, repeat. Shutdown flushes
-/// the gathering batch immediately and drains the queue before exiting.
-fn gather_loop<T: Clone, R>(
-    shared: &CoalescerShared<T, R>,
-    handler: &(dyn Fn(Vec<(u64, T)>) -> Vec<R> + Send + Sync),
-) {
-    let policy = shared.policy;
-    loop {
-        let mut state = shared.state.lock().unwrap();
-        // Wait for the batch's first request (or for shutdown + drained).
-        let first = loop {
-            if let Some(job) = state.queue.pop_front() {
-                break job;
-            }
-            if state.shutting_down {
-                return;
-            }
-            state = shared.not_empty.wait(state).unwrap();
-        };
-        let gather_start = Instant::now();
-        // The batch must flush early enough that no member overshoots its
-        // deadline waiting; the linger clock runs from the first member.
-        let mut flush_by = gather_start + policy.max_linger;
-        let deadline_of = |job: &BatchJob<T, R>| policy.deadline.map(|d| job.enqueued + d);
-        if let Some(deadline) = deadline_of(&first) {
-            flush_by = flush_by.min(deadline);
-        }
-        let mut batch = vec![first];
-        while batch.len() < policy.max_batch {
-            while batch.len() < policy.max_batch {
-                let Some(job) = state.queue.pop_front() else {
-                    break;
-                };
-                if let Some(deadline) = deadline_of(&job) {
-                    flush_by = flush_by.min(deadline);
-                }
-                batch.push(job);
-            }
-            if batch.len() >= policy.max_batch || state.shutting_down {
-                break;
-            }
-            let now = Instant::now();
-            if now >= flush_by {
-                break;
-            }
-            let (next, timeout) = shared
-                .not_empty
-                .wait_timeout(state, flush_by - now)
-                .unwrap();
-            state = next;
-            if timeout.timed_out() && state.queue.is_empty() {
-                break;
-            }
-        }
-        drop(state);
-        shared.not_full.notify_all();
-
-        let linger = gather_start.elapsed();
-        let size = batch.len();
-        {
-            let mut agg = shared.stats.lock().unwrap();
-            agg.batches_formed += 1;
-            agg.batch_size.record_nanos(size as u64);
-            agg.linger.record(linger);
-            agg.lane_occupancy
-                .record_nanos((100 * size.min(shared.lane_capacity) / shared.lane_capacity) as u64);
-        }
-
-        let mut handles = Vec::with_capacity(size);
-        let mut requests = Vec::with_capacity(size);
-        for job in batch {
-            handles.push(job.handle);
-            requests.push((job.id, job.request));
-        }
-        // A panicking (or miscounting) handler poisons the whole batch:
-        // every member's inputs shared the ciphertext, so no member has a
-        // trustworthy result. Keep a clone around (only when a retry is
-        // meaningful, i.e. the batch has companions) so survivors can be
-        // re-run solo and only the offender's waiters re-raise.
-        let retry_pool: Option<Vec<(u64, T)>> = (size > 1).then(|| requests.clone());
-        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(requests)))
-            .ok()
-            .filter(|results| results.len() == handles.len());
-        match results {
-            Some(results) => {
-                for (handle, result) in handles.iter().zip(results) {
-                    handle.fulfill(Some(result));
-                }
-            }
-            None => {
-                shared.stats.lock().unwrap().batch_panics += 1;
-                match retry_pool {
-                    Some(solo_requests) => {
-                        // Isolate the offender: each member runs alone,
-                        // exactly once, under its own unwind guard.
-                        for (handle, (id, request)) in handles.iter().zip(solo_requests) {
-                            shared.stats.lock().unwrap().solo_retries += 1;
-                            let solo =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    handler(vec![(id, request)])
-                                }))
-                                .ok()
-                                .filter(|results| results.len() == 1);
-                            handle.fulfill(solo.map(|mut results| {
-                                results.pop().expect("filtered to exactly one result")
-                            }));
-                        }
-                    }
-                    // A solo batch already isolates its offender: poison it.
-                    None => handles[0].fulfill(None),
-                }
-            }
-        }
-        shared.stats.lock().unwrap().completed += size as u64;
     }
 }
 
@@ -614,6 +460,7 @@ mod tests {
     use crate::schedule::{data_kinds, lower_with_default_costs};
     use chehab_ir::{parse, CircuitDag, DagNode, DataKind};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Instant;
 
     fn doubling_coalescer(policy: BatchPolicy, capacity: usize) -> RequestCoalescer<u64, u64> {
         RequestCoalescer::new(
@@ -698,7 +545,7 @@ mod tests {
 
     #[test]
     fn try_submit_sheds_load_on_a_full_queue() {
-        // Gate the single gather worker so the queue backs up.
+        // Gate the single engine worker so the queue backs up.
         let gate = Arc::new(Mutex::new(()));
         let guard = gate.lock().unwrap();
         let handler_gate = Arc::clone(&gate);
@@ -715,9 +562,9 @@ mod tests {
             },
         );
         let first = coalescer.submit(1).unwrap();
-        // Wait until the gather worker owns the first job, then fill the
+        // Wait until the engine worker owns the first job, then fill the
         // queue back up to capacity.
-        while !coalescer.shared.state.lock().unwrap().queue.is_empty() {
+        while coalescer.engine().stats().queue_depth > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         let second = coalescer.try_submit(2).expect("queue has room");
@@ -728,7 +575,7 @@ mod tests {
         assert_eq!(first.wait(), 2);
         assert_eq!(second.wait(), 3);
         let mut coalescer = coalescer;
-        coalescer.halt();
+        coalescer.engine.halt();
         assert_eq!(
             coalescer.try_submit(9).unwrap_err(),
             TrySubmitError::ShutDown(9)
@@ -758,7 +605,7 @@ mod tests {
         let survivor = coalescer.submit(7).unwrap();
         // The batched run panics; each member is retried solo. Only the
         // offender's waiter re-raises — the innocent batch-mate still gets
-        // its result, and the gather worker survives.
+        // its result, and the engine worker survives.
         let reraised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.wait()));
         assert!(reraised.is_err(), "the offending request re-raises");
         assert_eq!(survivor.wait(), 7);

@@ -342,14 +342,13 @@ pub struct ExecResources<'a> {
     /// check per instruction — capture never perturbs results, only
     /// observes timings.
     pub trace: Option<&'a TraceSink>,
-    /// Slot-lane layout of a cross-request batched execution (see
-    /// [`crate::RequestCoalescer`]): `Some` when several users' inputs
-    /// share the ciphertexts at the given stride. Only [`Instr::Pack`]'s
+    /// Slot-lane layout of the execution (see [`crate::RequestCoalescer`]):
+    /// `lanes` users' inputs share the ciphertexts at the given stride; a
+    /// solo request is the `lanes = 1` case. Only [`Instr::Pack`]'s
     /// plaintext-element path consults it (plaintext values must be
     /// replicated into every live lane); every other instruction is
-    /// slot-wise or cyclic and lane-oblivious. `None` (the default) is the
-    /// unbatched single-user layout.
-    pub lanes: Option<crate::LaneGeometry>,
+    /// slot-wise or cyclic and lane-oblivious.
+    pub lanes: crate::LaneGeometry,
     /// Optional cancellation token checked at every instruction dispatch by
     /// both executors: once the token is cancelled (or its deadline passes)
     /// the request stops scheduling its remaining instructions mid-flight,
@@ -935,30 +934,23 @@ pub(crate) fn run_instr(
             // Run-time packing: element i is moved to slot i with a
             // right-rotation and accumulated with in-place additions.
             let mut acc: Option<Ciphertext> = None;
-            // Under a batched lane layout the plaintext accumulator spans
-            // every live lane: each user's plaintext element is read at its
-            // lane base and placed at its lane's copy of the slot.
-            // (Ciphertext elements need no such care — the rotation below
-            // shifts every lane's value uniformly.)
-            let plain_width = match res.lanes {
-                None => elems.len(),
-                Some(geometry) => geometry.base(geometry.lanes.saturating_sub(1)) + elems.len(),
-            };
+            // The plaintext accumulator spans every live lane: each user's
+            // plaintext element is read at its lane base and placed at its
+            // lane's copy of the slot. (Ciphertext elements need no such
+            // care — the rotation below shifts every lane's value
+            // uniformly.)
+            let geometry = res.lanes;
+            let plain_width = geometry.base(geometry.lanes.saturating_sub(1)) + elems.len();
             let mut plain_slots = vec![0i64; plain_width];
             for (slot, &elem) in elems.iter().enumerate() {
                 match rf.read(elem) {
-                    Register::Plain(values) => match res.lanes {
-                        None => {
-                            plain_slots[slot] = values.values().first().copied().unwrap_or(0);
+                    Register::Plain(values) => {
+                        for lane in 0..geometry.lanes {
+                            let base = geometry.base(lane);
+                            plain_slots[base + slot] =
+                                values.values().get(base).copied().unwrap_or(0);
                         }
-                        Some(geometry) => {
-                            for lane in 0..geometry.lanes {
-                                let base = geometry.base(lane);
-                                plain_slots[base + slot] =
-                                    values.values().get(base).copied().unwrap_or(0);
-                            }
-                        }
-                    },
+                    }
                     Register::Cipher(ct) => {
                         let placed = if slot == 0 {
                             evaluator.clone_ciphertext(&ct)

@@ -10,12 +10,13 @@
 //!
 //! 1. **Two-level parallelism** (after Bogdanov et al., *Algorithms of
 //!    Two-Level Parallelization for DSMC*): the coarse level runs many
-//!    independent encrypted requests against one compiled program
-//!    ([`BatchExecutor`]); the fine level runs the independent homomorphic
-//!    operations inside one request concurrently — barrier-free
-//!    dependency-counting work stealing by default ([`DataflowExecutor`]),
-//!    or the level-synchronized [`WavefrontExecutor`], both over the same
-//!    lowered [`Schedule`] and bit-identical to sequential execution.
+//!    independent encrypted requests against one compiled program across
+//!    the persistent workers of a [`ServingEngine`]; the fine level runs the
+//!    independent homomorphic operations inside one request concurrently —
+//!    barrier-free dependency-counting work stealing by default
+//!    ([`DataflowExecutor`]), or the level-synchronized
+//!    [`WavefrontExecutor`], both over the same lowered [`Schedule`] and
+//!    bit-identical to sequential execution.
 //! 2. **Timer-augmented costs** (after McDoniel & Bientinesi, *A
 //!    Timer-Augmented Cost Function for Load Balanced DSMC*): the static
 //!    per-operator cost table the optimizer ranks rewrites with is replaced
@@ -23,24 +24,26 @@
 //!    for free while executing — and fed straight back into the dataflow
 //!    executor's critical-path ready-queue priorities
 //!    ([`Schedule::critical_path_priorities`]).
-//! 3. **Persistent serving** (the persistent-worker scheme of the same
-//!    two-level literature): a [`ServingEngine`] keeps a bounded request
+//! 3. **One request path** (the persistent-worker scheme of the same
+//!    two-level literature): a [`ServingEngine`] keeps one bounded request
 //!    queue drained by long-lived worker threads, so expensive per-program
-//!    state lives across requests instead of being rebuilt per call;
+//!    state lives across requests instead of being rebuilt per call. Every
+//!    worker runs submit → gather → handler(batch) → scatter under a
+//!    [`BatchPolicy`]; an unbatched request is a batch of one.
 //!    [`RequestHandle`]s give submit/wait/try_poll semantics and
 //!    [`ServingStats`] track queue depth and throughput.
-//! 4. **Cross-request SIMD batching**: a [`RequestCoalescer`] gathers
-//!    compatible requests under a [`BatchPolicy`] and packs many users into
-//!    the slot lanes of shared ciphertexts (see the [`batching`
+//! 4. **Cross-request SIMD batching**: with a larger [`BatchPolicy`] the
+//!    same engine gathers compatible requests and the handler packs many
+//!    users into the slot lanes of shared ciphertexts (see the [`batching`
 //!    module](crate::RequestCoalescer) docs for why lane batching is
 //!    bit-exact per user), amortizing every homomorphic operation across
-//!    the whole batch.
+//!    the whole batch. A [`RequestCoalescer`] is the thin adapter that
+//!    reports batching statistics and isolates a poisoned batch's offender.
 //!
 //! The crate deliberately depends only on `chehab-ir` (for the circuit DAG
 //! and cost tables) and `chehab-fhe` (for the evaluator): `chehab-core`
-//! integrates it behind `CompiledProgram::execute_parallel` /
-//! `CompiledProgram::execute_batch`, and re-exports it through the `chehab`
-//! facade as `chehab::runtime`.
+//! integrates it behind `FheSession::run_batched` / `FheSession::serve_with`,
+//! and re-exports it through the `chehab` facade as `chehab::runtime`.
 //!
 //! ## Example
 //!
@@ -51,7 +54,7 @@
 //! use chehab_fhe::{BfvParameters, Decryptor, Encryptor, FheContext, KeyGenerator};
 //! use chehab_ir::{parse, CircuitDag};
 //! use chehab_runtime::{
-//!     lower_with_default_costs, ExecResources, Register, WavefrontExecutor,
+//!     lower_with_default_costs, ExecResources, LaneGeometry, Register, WavefrontExecutor,
 //! };
 //!
 //! // (a*b) + (c*d): the two multiplications share a wavefront level.
@@ -100,8 +103,8 @@
 //!     arenas: &arenas,
 //!     // Tracing off: the executor records no spans.
 //!     trace: None,
-//!     // Single-user layout: no cross-request lane batching.
-//!     lanes: None,
+//!     // One user owns the whole slot vector: a batch of one.
+//!     lanes: LaneGeometry { stride: ctx.slot_count(), lanes: 1 },
 //!     // No cancellation token or deadline: the request runs to completion.
 //!     cancel: None,
 //!     // No fault injection.
@@ -116,7 +119,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod batching;
 mod calibrate;
 mod dataflow;
@@ -126,7 +128,6 @@ mod schedule;
 mod serving;
 pub mod telemetry;
 
-pub use batch::BatchExecutor;
 pub use batching::{
     lane_geometry, BatchPolicy, CoalescerConfig, CoalescerStats, LaneGeometry, RequestCoalescer,
 };

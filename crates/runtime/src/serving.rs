@@ -1,21 +1,24 @@
-//! The persistent serving front end: a bounded request queue drained by
-//! long-lived worker threads.
+//! The persistent serving front end: one bounded request queue drained by
+//! long-lived worker threads, each running the one request path — gather a
+//! batch under a [`BatchPolicy`] → handler(batch) → scatter to handles.
 //!
-//! [`BatchExecutor`](crate::BatchExecutor) parallelizes one *closed* batch —
-//! the caller owns the full request list up front and blocks until every
-//! result is back. Serving traffic is open-ended: requests arrive one at a
-//! time, the caller wants a handle back immediately, and the expensive
-//! per-program state (keys, leveled schedule, calibration) must stay alive
-//! between requests instead of being rebuilt per call. A [`ServingEngine`]
-//! provides exactly that shape:
+//! Serving traffic is open-ended: requests arrive one at a time, the caller
+//! wants a handle back immediately, and the expensive per-program state
+//! (keys, leveled schedule, calibration) must stay alive between requests
+//! instead of being rebuilt per call. A [`ServingEngine`] provides exactly
+//! that shape:
 //!
 //! - [`ServingEngine::submit`] enqueues a request into a **bounded** queue
 //!   (back-pressure: it blocks while the queue is at capacity) and returns a
 //!   [`RequestHandle`]; [`ServingEngine::try_submit`] is the non-blocking
 //!   variant that hands the request back on a full queue instead;
-//! - persistent workers drain the queue through one shared handler — for FHE
-//!   serving, a closure over one long-lived `FheSession` (see
-//!   `chehab_core::FheSession::serve`);
+//! - each persistent worker gathers up to `max_batch` queued requests
+//!   (flushing on a full batch, the linger bound, or a member's deadline)
+//!   and calls the one shared handler once per batch — for FHE serving, a
+//!   closure over one long-lived `FheSession` (see
+//!   `chehab_core::FheSession::serve_with`). An unbatched engine
+//!   ([`ServingEngine::new`]) is the `max_batch = 1, max_linger = 0` case:
+//!   every request is a batch of one;
 //! - [`RequestHandle::wait`] / [`RequestHandle::try_poll`] retrieve the
 //!   result of *that* request, so callers observe submission order even when
 //!   completions happen out of order;
@@ -27,6 +30,7 @@
 //! about FHE), which keeps this crate's dependency surface unchanged —
 //! `chehab-core` layers the session-backed serving API on top.
 
+use crate::batching::BatchPolicy;
 use crate::exec::percentile;
 use crate::faults::{CancellationToken, FaultPlan};
 use crate::telemetry::{Histogram, SpanEvent, TraceSink};
@@ -36,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Sizing and resilience knobs of a [`ServingEngine`].
+/// Sizing, resilience knobs and observability sinks of a [`ServingEngine`].
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// Persistent worker threads draining the queue (clamped to at least 1).
@@ -45,9 +49,10 @@ pub struct ServingConfig {
     /// [`ServingEngine::submit`] blocks (clamped to at least 1).
     pub queue_capacity: usize,
     /// Per-request deadline: each submission's [`CancellationToken`] is
-    /// stamped `now + deadline` at enqueue, so a request that outlives it
-    /// stops executing mid-flight (when the handler threads the token into
-    /// the executors) and is counted in
+    /// stamped `now + deadline` at enqueue, so a gathering batch flushes
+    /// before a member's deadline, a request that outlives it stops
+    /// executing mid-flight (when the handler threads the token into the
+    /// executors) and is counted in
     /// [`ResilienceSnapshot::deadline_missed`]. `None` (the default) runs
     /// every request to completion.
     pub deadline: Option<Duration>,
@@ -65,6 +70,20 @@ pub struct ServingConfig {
     /// [`ExecResources::faults`](crate::ExecResources). `None` (the
     /// default) injects nothing.
     pub faults: Option<FaultPlan>,
+    /// Scheduler-counter sink: the handler keeps a clone of the `Arc` and
+    /// records each request's scheduler figures, and
+    /// [`ServingEngine::stats`] folds the aggregate into
+    /// [`ServingStats::scheduler`]. (The handler is constructed before the
+    /// engine exists, so the sink cannot be handed out afterwards.)
+    pub scheduler: Arc<SchedulerMetrics>,
+    /// Optional span sink: when set, every worker records one request-level
+    /// span per served job on its own trace track, with the job's queue
+    /// wait attached.
+    pub trace: Option<Arc<TraceSink>>,
+    /// Resilience counter sink; share one `Arc` across engines to aggregate
+    /// (one per session on the FHE path, mirrored into Prometheus counters
+    /// by the caller).
+    pub resilience: Arc<ResilienceStats>,
 }
 
 /// Default bound of the request queue.
@@ -88,7 +107,7 @@ impl ServingConfig {
     }
 
     /// The standard configuration: host-derived worker count, the default
-    /// queue bound, and no resilience knobs engaged.
+    /// queue bound, no resilience knobs engaged, private sinks.
     pub fn standard() -> Self {
         ServingConfig {
             workers: default_workers(),
@@ -96,6 +115,9 @@ impl ServingConfig {
             deadline: None,
             shed_infeasible: false,
             faults: None,
+            scheduler: Arc::default(),
+            trace: None,
+            resilience: Arc::default(),
         }
     }
 }
@@ -394,8 +416,15 @@ pub struct ResilienceSnapshot {
 pub struct LatencySnapshot {
     /// Handler wall latency of each completed request.
     pub request_wall: Histogram,
-    /// Time each request spent queued (submit to handler start).
+    /// Time each request spent queued (submit to handler start, so it
+    /// includes the time its batch lingered gathering).
     pub queue_wait: Histogram,
+    /// Size distribution of the batches the workers formed (recorded as raw
+    /// counts, not durations); its count is the number of handler calls. An
+    /// unbatched engine records 1 per request.
+    pub batch_size: Histogram,
+    /// How long each flushed batch's first request lingered gathering.
+    pub linger: Histogram,
     /// Per-operation-kind latency histograms, sorted by label.
     pub per_op: Vec<(String, Histogram)>,
     /// Handler wall latency split by outcome, labelled `"ok"`,
@@ -419,8 +448,8 @@ pub struct ServingStats {
     pub in_flight: usize,
     /// Persistent worker threads of the engine.
     pub workers: usize,
-    /// Cumulative handler time across all workers (sums over workers, so it
-    /// can exceed `elapsed` on multi-core hosts).
+    /// Cumulative handler time across all workers, one term per batch (sums
+    /// over workers, so it can exceed `elapsed` on multi-core hosts).
     pub busy: Duration,
     /// Wall-clock since the engine started.
     pub elapsed: Duration,
@@ -449,7 +478,8 @@ impl ServingStats {
         self.completed as f64 / secs
     }
 
-    /// Mean handler latency of the completed requests, if any completed.
+    /// Mean handler time per completed request (amortized over each batch's
+    /// members), if any completed.
     pub fn mean_latency(&self) -> Option<Duration> {
         (self.completed > 0).then(|| self.busy / self.completed as u32)
     }
@@ -474,14 +504,14 @@ struct ResultSlot<R> {
     abandoned: bool,
 }
 
-pub(crate) struct HandleShared<R> {
+struct HandleShared<R> {
     slot: Mutex<ResultSlot<R>>,
     done: Condvar,
 }
 
 impl<R> HandleShared<R> {
     /// A fresh, unfinished result cell.
-    pub(crate) fn new() -> Arc<Self> {
+    fn new() -> Arc<Self> {
         Arc::new(HandleShared {
             slot: Mutex::new(ResultSlot {
                 value: None,
@@ -497,7 +527,7 @@ impl<R> HandleShared<R> {
     /// Worker side of completion: publishes the value (or, with `None`,
     /// poisons the cell so retrievers re-raise instead of blocking forever),
     /// marks the cell finished, and wakes every waiter.
-    pub(crate) fn fulfill(&self, value: Option<R>) {
+    fn fulfill(&self, value: Option<R>) {
         {
             let mut slot = self
                 .slot
@@ -516,7 +546,7 @@ impl<R> HandleShared<R> {
     /// no-op if the handler already fulfilled it) and wakes every waiter, so
     /// a dying worker or a halting engine resolves outstanding handles with
     /// an error instead of leaving waiters blocked.
-    pub(crate) fn disconnect(&self) {
+    fn disconnect(&self) {
         {
             let mut slot = self
                 .slot
@@ -577,17 +607,6 @@ impl<R> std::fmt::Debug for RequestHandle<R> {
 }
 
 impl<R> RequestHandle<R> {
-    /// Pairs a handle with an existing result cell and cancellation token —
-    /// how the serving engine and the request coalescer mint the caller's
-    /// side of a submission.
-    pub(crate) fn from_shared(
-        id: u64,
-        shared: Arc<HandleShared<R>>,
-        token: CancellationToken,
-    ) -> Self {
-        RequestHandle { id, shared, token }
-    }
-
     /// The engine-assigned request id, in submission order starting at 0.
     pub fn id(&self) -> u64 {
         self.id
@@ -725,9 +744,14 @@ impl<R> RequestHandle<R> {
 struct Job<T, R> {
     id: u64,
     request: T,
+    member: Member<R>,
+}
+
+/// The engine-side remainder of a job once its payload went to the handler.
+struct Member<R> {
     handle: Arc<HandleShared<R>>,
     token: CancellationToken,
-    /// When the job entered the queue — measured against the dequeue time,
+    /// When the job entered the queue — measured against the handler start,
     /// it is the request's queue wait.
     enqueued: Instant,
 }
@@ -739,18 +763,17 @@ struct QueueState<T, R> {
     in_flight: usize,
 }
 
-struct Counters {
-    completed: u64,
-    busy: Duration,
-}
-
-/// Engine-recorded latency histograms (wall + queue wait + per-outcome
-/// wall); fixed footprint, so a long-lived engine never grows them with
-/// traffic.
+/// Engine-recorded completion counters and histograms (wall + queue wait +
+/// per-outcome wall + batch formation); fixed footprint, so a long-lived
+/// engine never grows them with traffic.
 #[derive(Default)]
 struct LatencyAgg {
+    completed: u64,
+    busy: Duration,
     request_wall: Histogram,
     queue_wait: Histogram,
+    batch_size: Histogram,
+    linger: Histogram,
     ok: Histogram,
     cancelled: Histogram,
     deadline_missed: Histogram,
@@ -773,31 +796,25 @@ struct Shared<T, R> {
     state: Mutex<QueueState<T, R>>,
     /// Signals workers that the queue gained a job (or shutdown started).
     not_empty: Condvar,
-    /// Signals blocked submitters that the queue lost a job.
+    /// Signals blocked submitters that the queue lost jobs.
     not_full: Condvar,
-    counters: Mutex<Counters>,
-    /// Scheduler-counter sink the request handler records into.
-    scheduler: Arc<SchedulerMetrics>,
-    /// Per-request latency histograms (wall + queue wait), recorded by the
-    /// workers themselves.
+    /// Completion counters, per-request latency and per-batch formation
+    /// histograms, recorded by the workers themselves.
     latency: Mutex<LatencyAgg>,
-    /// Optional span sink: when set, each worker records a request-level
-    /// span per served job on its own track.
-    trace: Option<Arc<TraceSink>>,
-    queue_capacity: usize,
-    /// Configured worker count (stable across shutdown, unlike the join
-    /// handle vector).
-    worker_count: usize,
+    /// The engine's configuration, with `workers`, `queue_capacity` and the
+    /// policy's `max_batch` clamped to at least 1 and `deadline` already
+    /// folded with the policy's.
+    config: ServingConfig,
+    /// When a gathering batch flushes to the handler.
+    policy: BatchPolicy,
     started: Instant,
-    /// Per-request deadline stamped into each submission's token at enqueue.
-    deadline: Option<Duration>,
-    /// Whether admission control sheds provably-infeasible submissions.
-    shed_infeasible: bool,
-    /// Optional fault plan submission paths and workers consult.
-    faults: Option<FaultPlan>,
-    /// Resilience counter sink, shared with the caller when injected.
-    resilience: Arc<ResilienceStats>,
 }
+
+/// The one handler shape the worker loop calls: a gathered batch of
+/// `(request id, request)` pairs plus, for a batch of one, its member's own
+/// cancellation token; one `Option<R>` per member back, in order.
+type BatchHandler<T, R> =
+    dyn Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<Option<R>> + Send + Sync;
 
 /// A persistent request-serving engine: a bounded queue plus a pool of
 /// long-lived worker threads draining it through one shared handler.
@@ -816,78 +833,51 @@ impl<T, R> std::fmt::Debug for ServingEngine<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServingEngine")
             .field("workers", &self.workers.len())
-            .field("queue_capacity", &self.shared.queue_capacity)
+            .field("queue_capacity", &self.shared.config.queue_capacity)
+            .field("policy", &self.shared.policy)
             .finish_non_exhaustive()
     }
 }
 
 impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
-    /// Starts an engine: spawns `config.workers` persistent threads that
-    /// drain the queue through `handler` (called with the request id and the
-    /// request).
+    /// Starts an unbatched engine: spawns `config.workers` persistent
+    /// threads that drain the queue through `handler` (called with the
+    /// request id and the request), one request per call — the
+    /// [`BatchPolicy::solo`] case of [`ServingEngine::batched`].
     pub fn new<F>(config: ServingConfig, handler: F) -> Self
     where
         F: Fn(u64, T) -> R + Send + Sync + 'static,
     {
-        Self::with_scheduler_metrics(config, Arc::new(SchedulerMetrics::default()), handler)
+        Self::batched(config, BatchPolicy::solo(), move |batch, _token| {
+            batch
+                .into_iter()
+                .map(|(id, request)| Some(handler(id, request)))
+                .collect()
+        })
     }
 
-    /// Like [`ServingEngine::new`], with an externally created
-    /// [`SchedulerMetrics`] sink: the caller keeps a clone of the `Arc`
-    /// inside `handler` and records each request's scheduler figures, and
-    /// [`ServingEngine::stats`] folds the aggregate into
-    /// [`ServingStats::scheduler`]. (The handler is constructed before the
-    /// engine exists, so the sink cannot be handed out afterwards.)
-    pub fn with_scheduler_metrics<F>(
-        config: ServingConfig,
-        scheduler: Arc<SchedulerMetrics>,
-        handler: F,
-    ) -> Self
+    /// The general, token-aware constructor: each worker gathers up to
+    /// `policy.max_batch` queued requests — flushing on a full batch, the
+    /// linger bound, or the earliest member deadline (the tighter of
+    /// `config.deadline` and `policy.deadline`, stamped into every
+    /// submission's [`CancellationToken`] at enqueue) — and calls `handler`
+    /// once per batch with the `(request id, request)` pairs.
+    ///
+    /// A batch of one additionally hands the handler its member's own token,
+    /// so the handler can thread it into the executors and stop a cancelled
+    /// or expired request mid-flight; the members of a larger batch share
+    /// their ciphertexts, so none can stop alone and the handler gets `None`.
+    ///
+    /// The handler returns one entry per member, in order: `Some(result)`
+    /// fulfills that member's handle, `None` poisons it (its retrievers
+    /// re-raise, like a panicking handler). A handler that panics or
+    /// miscounts poisons every member of the batch; the worker survives
+    /// either way. [`RequestCoalescer`](crate::RequestCoalescer) wraps plain
+    /// `Vec<R>` batch handlers into this shape and isolates a poisoned
+    /// batch's offender.
+    pub fn batched<F>(config: ServingConfig, policy: BatchPolicy, handler: F) -> Self
     where
-        F: Fn(u64, T) -> R + Send + Sync + 'static,
-    {
-        Self::with_telemetry(config, scheduler, None, handler)
-    }
-
-    /// The full-telemetry constructor: like
-    /// [`ServingEngine::with_scheduler_metrics`], plus an optional
-    /// [`TraceSink`] — when set, every worker records a request-level span
-    /// per served job (on its own trace track, with the request's queue
-    /// wait attached), and the handler typically threads the same sink into
-    /// the executors for instruction-level spans.
-    pub fn with_telemetry<F>(
-        config: ServingConfig,
-        scheduler: Arc<SchedulerMetrics>,
-        trace: Option<Arc<TraceSink>>,
-        handler: F,
-    ) -> Self
-    where
-        F: Fn(u64, T) -> R + Send + Sync + 'static,
-    {
-        Self::with_resilience(
-            config,
-            scheduler,
-            trace,
-            Arc::new(ResilienceStats::default()),
-            move |id, request, _token| handler(id, request),
-        )
-    }
-
-    /// The resilience-aware constructor the FHE serving path uses: the
-    /// handler additionally receives the request's [`CancellationToken`]
-    /// (stamped with the configured deadline at enqueue), so it can thread
-    /// the token into the executors and stop a cancelled or expired request
-    /// mid-flight; `resilience` is an externally shared counter sink (one
-    /// per session, mirrored into Prometheus counters by the caller).
-    pub fn with_resilience<F>(
-        config: ServingConfig,
-        scheduler: Arc<SchedulerMetrics>,
-        trace: Option<Arc<TraceSink>>,
-        resilience: Arc<ResilienceStats>,
-        handler: F,
-    ) -> Self
-    where
-        F: Fn(u64, T, &CancellationToken) -> R + Send + Sync + 'static,
+        F: Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<Option<R>> + Send + Sync + 'static,
     {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
@@ -898,23 +888,22 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            counters: Mutex::new(Counters {
-                completed: 0,
-                busy: Duration::ZERO,
-            }),
-            scheduler,
             latency: Mutex::new(LatencyAgg::default()),
-            trace,
-            queue_capacity: config.queue_capacity.max(1),
-            worker_count: config.workers.max(1),
+            config: ServingConfig {
+                workers: config.workers.max(1),
+                queue_capacity: config.queue_capacity.max(1),
+                deadline: match (config.deadline, policy.deadline) {
+                    (Some(engine), Some(batch)) => Some(engine.min(batch)),
+                    (engine, batch) => engine.or(batch),
+                },
+                ..config
+            },
+            // `with_max_batch` clamps a zero bound to 1.
+            policy: policy.with_max_batch(policy.max_batch),
             started: Instant::now(),
-            deadline: config.deadline,
-            shed_infeasible: config.shed_infeasible,
-            faults: config.faults,
-            resilience,
         });
-        let handler = Arc::new(handler);
-        let workers = (0..shared.worker_count)
+        let handler: Arc<BatchHandler<T, R>> = Arc::new(handler);
+        let workers = (0..shared.config.workers)
             .map(|worker| {
                 let shared = Arc::clone(&shared);
                 let handler = Arc::clone(&handler);
@@ -928,15 +917,15 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
 impl<T, R> ServingEngine<T, R> {
     /// Admission-control check: `true` when the configured deadline is
     /// provably infeasible at the given queue depth — the projected
-    /// completion time (the measured mean request wall times the queue
-    /// slots ahead of this request per worker) already exceeds the
-    /// deadline. Conservative by construction: with no completed request
-    /// yet there is no calibration, and nothing is shed.
+    /// completion time (the measured mean request wall times the batches
+    /// ahead of this request per worker) already exceeds the deadline.
+    /// Conservative by construction: with no completed request yet there is
+    /// no calibration, and nothing is shed.
     fn infeasible(&self, queue_depth: usize) -> bool {
-        if !self.shared.shed_infeasible {
+        if !self.shared.config.shed_infeasible {
             return false;
         }
-        let Some(deadline) = self.shared.deadline else {
+        let Some(deadline) = self.shared.config.deadline else {
             return false;
         };
         let mean = {
@@ -946,9 +935,9 @@ impl<T, R> ServingEngine<T, R> {
         let Some(mean) = mean else {
             return false;
         };
-        let workers = self.shared.worker_count.max(1) as f64;
+        let drained_per_round = (self.shared.config.workers * self.shared.policy.max_batch) as f64;
         let slots_ahead = (queue_depth + 1) as f64;
-        let projected = mean.mul_f64((slots_ahead / workers).ceil().max(1.0));
+        let projected = mean.mul_f64((slots_ahead / drained_per_round).ceil().max(1.0));
         projected > deadline
     }
 
@@ -970,13 +959,13 @@ impl<T, R> ServingEngine<T, R> {
             if state.shutting_down {
                 return Err(ServingError::ShutDown);
             }
-            if state.queue.len() < self.shared.queue_capacity {
+            if state.queue.len() < self.shared.config.queue_capacity {
                 break;
             }
             state = self.shared.not_full.wait(state).unwrap();
         }
         if self.infeasible(state.queue.len()) {
-            self.shared.resilience.note_shed();
+            self.shared.config.resilience.note_shed();
             return Err(ServingError::Shed);
         }
         Ok(self.enqueue(state, request))
@@ -995,7 +984,7 @@ impl<T, R> ServingEngine<T, R> {
     /// admission control proves the deadline infeasible; all three return
     /// the request to the caller.
     pub fn try_submit(&self, request: T) -> Result<RequestHandle<R>, TrySubmitError<T>> {
-        if let Some(plan) = &self.shared.faults {
+        if let Some(plan) = &self.shared.config.faults {
             if plan.take_forced_queue_full() {
                 return Err(TrySubmitError::QueueFull(request));
             }
@@ -1004,11 +993,11 @@ impl<T, R> ServingEngine<T, R> {
         if state.shutting_down {
             return Err(TrySubmitError::ShutDown(request));
         }
-        if state.queue.len() >= self.shared.queue_capacity {
+        if state.queue.len() >= self.shared.config.queue_capacity {
             return Err(TrySubmitError::QueueFull(request));
         }
         if self.infeasible(state.queue.len()) {
-            self.shared.resilience.note_shed();
+            self.shared.config.resilience.note_shed();
             return Err(TrySubmitError::Shed(request));
         }
         Ok(self.enqueue(state, request))
@@ -1054,20 +1043,26 @@ impl<T, R> ServingEngine<T, R> {
         let id = state.submitted;
         state.submitted += 1;
         let handle = HandleShared::new();
-        let token = match self.shared.deadline {
+        let token = match self.shared.config.deadline {
             Some(deadline) => CancellationToken::deadline_in(deadline),
             None => CancellationToken::new(),
         };
         state.queue.push_back(Job {
             id,
             request,
-            handle: Arc::clone(&handle),
-            token: token.clone(),
-            enqueued: Instant::now(),
+            member: Member {
+                handle: Arc::clone(&handle),
+                token: token.clone(),
+                enqueued: Instant::now(),
+            },
         });
         drop(state);
         self.shared.not_empty.notify_one();
-        RequestHandle::from_shared(id, handle, token)
+        RequestHandle {
+            id,
+            shared: handle,
+            token,
+        }
     }
 
     /// A point-in-time snapshot of the engine's serving counters.
@@ -1075,17 +1070,18 @@ impl<T, R> ServingEngine<T, R> {
         // Both counters are monotone, so reading `completed` strictly before
         // `submitted` keeps the snapshot consistent (`completed <=
         // submitted`) without holding both locks at once.
-        let counters = self.shared.counters.lock().unwrap();
-        let (completed, busy) = (counters.completed, counters.busy);
-        drop(counters);
-        let latency = {
+        let scheduler = &self.shared.config.scheduler;
+        let (completed, busy, latency) = {
             let agg = self.shared.latency.lock().unwrap();
-            LatencySnapshot {
+            let latency = LatencySnapshot {
                 request_wall: agg.request_wall.clone(),
                 queue_wait: agg.queue_wait.clone(),
-                per_op: self.shared.scheduler.per_op_histograms(),
+                batch_size: agg.batch_size.clone(),
+                linger: agg.linger.clone(),
+                per_op: scheduler.per_op_histograms(),
                 per_outcome: agg.per_outcome(),
-            }
+            };
+            (agg.completed, agg.busy, latency)
         };
         let state = self.shared.state.lock().unwrap();
         ServingStats {
@@ -1093,32 +1089,18 @@ impl<T, R> ServingEngine<T, R> {
             completed,
             queue_depth: state.queue.len(),
             in_flight: state.in_flight,
-            workers: self.shared.worker_count,
+            workers: self.shared.config.workers,
             busy,
             elapsed: self.shared.started.elapsed(),
-            scheduler: self.shared.scheduler.snapshot(),
+            scheduler: scheduler.snapshot(),
             latency,
-            resilience: self.shared.resilience.snapshot(),
+            resilience: self.shared.config.resilience.snapshot(),
         }
     }
 
-    /// The engine's resilience counter sink (the same one passed to
-    /// [`ServingEngine::with_resilience`], or a private sink for engines
-    /// built with the other constructors).
-    pub fn resilience_stats(&self) -> &Arc<ResilienceStats> {
-        &self.shared.resilience
-    }
-
-    /// The engine's scheduler-counter sink (the same one passed to
-    /// [`ServingEngine::with_scheduler_metrics`], or a private unused sink
-    /// for engines built with [`ServingEngine::new`]).
-    pub fn scheduler_metrics(&self) -> &Arc<SchedulerMetrics> {
-        &self.shared.scheduler
-    }
-
-    /// Stops intake, drains every already-queued request, joins the workers
-    /// and returns the final stats. Requests submitted before the call are
-    /// all completed; concurrent submitters receive
+    /// Stops intake, flushes and drains every already-queued request, joins
+    /// the workers and returns the final stats. Requests submitted before
+    /// the call are all completed; concurrent submitters receive
     /// [`ServingError::ShutDown`].
     pub fn shutdown(mut self) -> ServingStats {
         self.halt();
@@ -1130,7 +1112,7 @@ impl<T, R> ServingEngine<T, R> {
     /// queued after every worker has exited (possible only when workers
     /// died) would leave its waiter blocked forever — disconnect it so
     /// retrieval reports [`RequestError::Abandoned`] instead.
-    fn halt(&mut self) {
+    pub(crate) fn halt(&mut self) {
         self.shared.state.lock().unwrap().shutting_down = true;
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
@@ -1143,7 +1125,7 @@ impl<T, R> ServingEngine<T, R> {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         while let Some(job) = state.queue.pop_front() {
-            job.handle.disconnect();
+            job.member.handle.disconnect();
         }
     }
 }
@@ -1154,15 +1136,15 @@ impl<T, R> Drop for ServingEngine<T, R> {
     }
 }
 
-/// RAII companion of one in-flight job: if the worker thread dies between
-/// popping the job and fulfilling its handle (a planned worker kill, or a
-/// genuine panic in the engine's own bookkeeping), the guard's drop runs
-/// during the unwind and disconnects the handle — the waiter gets
+/// RAII companion of one in-flight batch: if the worker thread dies between
+/// popping the jobs and fulfilling their handles (a planned worker kill, or
+/// a genuine panic in the engine's own bookkeeping), the guard's drop runs
+/// during the unwind and disconnects every member's handle — the waiters get
 /// [`RequestError::Abandoned`] instead of blocking forever — and repairs the
 /// in-flight count so stats stay truthful.
 struct FulfillGuard<'a, T, R> {
     shared: &'a Shared<T, R>,
-    handle: Arc<HandleShared<R>>,
+    members: &'a [Member<R>],
     armed: bool,
 }
 
@@ -1177,126 +1159,163 @@ impl<T, R> Drop for FulfillGuard<'_, T, R> {
         if !self.armed {
             return;
         }
-        self.handle.disconnect();
+        for member in self.members {
+            member.handle.disconnect();
+        }
         let mut state = self
             .shared
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.in_flight = state.in_flight.saturating_sub(1);
+        state.in_flight = state.in_flight.saturating_sub(self.members.len());
         drop(state);
-        self.shared.resilience.note_worker_panic();
+        self.shared.config.resilience.note_worker_panic();
     }
 }
 
-/// One worker: pop-execute-publish until shutdown *and* an empty queue.
-fn worker_loop<T, R>(
-    shared: &Shared<T, R>,
-    worker: usize,
-    handler: &(dyn Fn(u64, T, &CancellationToken) -> R + Send + Sync),
-) {
+/// One worker: wait for a first request, gather companions under the
+/// policy, call the handler once for the flushed batch, scatter, repeat —
+/// until shutdown *and* an empty queue. Shutdown flushes the gathering
+/// batch immediately. Under [`BatchPolicy::solo`] the gather step is a
+/// no-op and this is a plain pop-execute-publish loop.
+fn worker_loop<T, R>(shared: &Shared<T, R>, worker: usize, handler: &BatchHandler<T, R>) {
+    let policy = shared.policy;
     // Trace track of this serving worker, allocated on its first served job
     // so idle workers leave no empty tracks in the export.
     let mut track: Option<usize> = None;
     loop {
-        let job = {
-            let mut state = shared.state.lock().unwrap();
-            loop {
-                if let Some(job) = state.queue.pop_front() {
-                    state.in_flight += 1;
-                    break job;
-                }
-                if state.shutting_down {
-                    return;
-                }
-                state = shared.not_empty.wait(state).unwrap();
+        let mut state = shared.state.lock().unwrap();
+        let first = loop {
+            if let Some(job) = state.queue.pop_front() {
+                break job;
             }
+            if state.shutting_down {
+                return;
+            }
+            state = shared.not_empty.wait(state).unwrap();
         };
-        shared.not_full.notify_one();
+        let gather_start = Instant::now();
+        // The linger clock runs from the first member, and the batch must
+        // flush early enough that no member overshoots its deadline waiting.
+        let mut flush_by = gather_start + policy.max_linger;
+        let mut requests = Vec::with_capacity(1);
+        let mut members = Vec::with_capacity(1);
+        let mut pending = Some(first);
+        loop {
+            if let Some(job) = pending.take() {
+                if let Some(deadline) = job.member.token.deadline() {
+                    flush_by = flush_by.min(deadline);
+                }
+                requests.push((job.id, job.request));
+                members.push(job.member);
+                if members.len() >= policy.max_batch {
+                    break;
+                }
+                pending = state.queue.pop_front();
+                continue;
+            }
+            let now = Instant::now();
+            if state.shutting_down || now >= flush_by {
+                break;
+            }
+            let (next, timeout) = shared
+                .not_empty
+                .wait_timeout(state, flush_by - now)
+                .unwrap();
+            state = next;
+            pending = state.queue.pop_front();
+            if timeout.timed_out() && pending.is_none() {
+                break;
+            }
+        }
+        let size = members.len();
+        state.in_flight += size;
+        drop(state);
+        shared.not_full.notify_all();
+        let linger = gather_start.elapsed();
 
-        let Job {
-            id,
-            request,
-            handle,
-            token,
-            enqueued,
-        } = job;
-        // From here to `disarm` the job is this worker's responsibility: if
-        // the thread dies, the guard resolves the handle as abandoned.
+        // From here to `disarm` the batch is this worker's responsibility:
+        // if the thread dies, the guard resolves every handle as abandoned.
         let guard = FulfillGuard {
             shared,
-            handle: Arc::clone(&handle),
+            members: &members,
             armed: true,
         };
-        if let Some(plan) = &shared.faults {
+        if let Some(plan) = &shared.config.faults {
             if plan.take_worker_kill() {
                 panic!("injected fault: serving worker {worker} killed");
             }
         }
-        let queue_wait = enqueued.elapsed();
         let started = Instant::now();
-        // A panicking handler must not kill the worker (the queue behind it
-        // would never drain) nor leave its waiter blocked forever: catch the
-        // unwind, poison the result slot, and let retrievers re-raise it.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handler(id, request, &token)
-        }));
+        // The members of a larger batch share their ciphertexts, so only a
+        // batch of one can stop on its member's own token.
+        let solo_token = (size == 1).then(|| &members[0].token);
+        // A panicking (or miscounting) handler must not kill the worker (the
+        // queue behind it would never drain) nor leave its waiters blocked
+        // forever: catch the unwind, poison the result slots, and let
+        // retrievers re-raise it.
+        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handler(requests, solo_token)
+        }))
+        .ok()
+        .filter(|results| results.len() == size)
+        .unwrap_or_else(|| members.iter().map(|_| None).collect());
         let elapsed = started.elapsed();
-        // Classify the outcome while it is fresh: the token states are read
+
+        // Book-keeping first: a waiter woken by the fulfill below must
+        // already observe its request in the counters when it calls
+        // `stats()`.
+        shared.state.lock().unwrap().in_flight -= size;
+        // Classify each outcome while it is fresh: the token states are read
         // immediately after the handler returns, so a deadline that expires
         // later (while the result sits unretrieved) is not miscounted.
-        let panicked = result.is_err();
-        let was_cancelled = token.is_cancelled();
-        let deadline_expired = token.deadline_expired();
-
-        // Book-keeping first: a waiter woken by the notify below must
-        // already observe this request in the counters when it calls
-        // `stats()`.
-        shared.state.lock().unwrap().in_flight -= 1;
-        {
-            let mut counters = shared.counters.lock().unwrap();
-            counters.completed += 1;
-            counters.busy += elapsed;
-        }
-        {
-            let mut latency = shared.latency.lock().unwrap();
+        let resilience = &shared.config.resilience;
+        let queue_wait = |member: &Member<R>| started.saturating_duration_since(member.enqueued);
+        let mut latency = shared.latency.lock().unwrap();
+        latency.completed += size as u64;
+        latency.busy += elapsed;
+        latency.batch_size.record_nanos(size as u64);
+        latency.linger.record(linger);
+        for (member, result) in members.iter().zip(&results) {
             latency.request_wall.record(elapsed);
-            latency.queue_wait.record(queue_wait);
-            let outcome = if panicked {
+            latency.queue_wait.record(queue_wait(member));
+            let outcome = if result.is_none() {
+                resilience.note_worker_panic();
                 &mut latency.panicked
-            } else if was_cancelled {
+            } else if member.token.is_cancelled() {
+                resilience.note_cancelled();
                 &mut latency.cancelled
-            } else if deadline_expired {
+            } else if member.token.deadline_expired() {
+                resilience.note_deadline_missed();
                 &mut latency.deadline_missed
             } else {
                 &mut latency.ok
             };
             outcome.record(elapsed);
         }
-        if panicked {
-            shared.resilience.note_worker_panic();
-        } else if was_cancelled {
-            shared.resilience.note_cancelled();
-        } else if deadline_expired {
-            shared.resilience.note_deadline_missed();
-        }
-        if let Some(sink) = shared.trace.as_deref() {
+        drop(latency);
+        if let Some(sink) = shared.config.trace.as_deref() {
             let track = *track
                 .get_or_insert_with(|| sink.allocate_track(format!("serving worker {worker}")));
-            sink.push(SpanEvent {
-                name: "request",
-                cat: "request",
-                track,
-                start_ns: sink.offset_ns(started),
-                dur_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-                instr: None,
-                queue_wait_ns: Some(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX)),
-                grant: None,
-                stolen_from: None,
-            });
+            for member in &members {
+                let queue_wait = queue_wait(member);
+                sink.push(SpanEvent {
+                    name: "request",
+                    cat: "request",
+                    track,
+                    start_ns: sink.offset_ns(started),
+                    dur_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+                    instr: None,
+                    queue_wait_ns: Some(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX)),
+                    grant: None,
+                    stolen_from: None,
+                });
+            }
         }
 
-        handle.fulfill(result.ok());
+        for (member, result) in members.iter().zip(results) {
+            member.handle.fulfill(result);
+        }
         guard.disarm();
     }
 }
@@ -1497,9 +1516,11 @@ mod tests {
     fn scheduler_metrics_aggregate_into_stats() {
         let metrics = Arc::new(SchedulerMetrics::default());
         let sink = Arc::clone(&metrics);
-        let engine: ServingEngine<u64, u64> = ServingEngine::with_scheduler_metrics(
-            ServingConfig::sized(2, 8),
-            Arc::clone(&metrics),
+        let engine: ServingEngine<u64, u64> = ServingEngine::new(
+            ServingConfig {
+                scheduler: Arc::clone(&metrics),
+                ..ServingConfig::sized(2, 8)
+            },
             move |_, v| {
                 // A handler that executed through the dataflow runtime
                 // records its request's scheduler figures.
@@ -1531,7 +1552,6 @@ mod tests {
             stats.scheduler.queue_wait_p95,
             Some(Duration::from_micros(120))
         );
-        assert!(Arc::ptr_eq(engine.scheduler_metrics(), &metrics));
         engine.shutdown();
 
         // Engines built without an external sink report zeroed counters.
@@ -1562,22 +1582,19 @@ mod tests {
             ..ServingConfig::sized(1, 8)
         };
         // A token-aware handler: reports how the token looked when it ran.
-        let engine: ServingEngine<u64, &'static str> = ServingEngine::with_resilience(
-            config,
-            Arc::new(SchedulerMetrics::default()),
-            None,
-            Arc::new(ResilienceStats::default()),
-            |_, sleep_ms, token: &CancellationToken| {
-                std::thread::sleep(Duration::from_millis(sleep_ms));
-                if token.is_cancelled() {
+        // Every batch of one carries its member's own token.
+        let engine: ServingEngine<u64, &'static str> =
+            ServingEngine::batched(config, BatchPolicy::solo(), |batch, token| {
+                let token: &CancellationToken = token.expect("a batch of one carries its token");
+                std::thread::sleep(Duration::from_millis(batch[0].1));
+                vec![Some(if token.is_cancelled() {
                     "cancelled"
                 } else if token.deadline_expired() {
                     "expired"
                 } else {
                     "ok"
-                }
-            },
-        );
+                })]
+            });
         let fast = engine.submit(0).unwrap();
         assert_eq!(fast.wait(), "ok");
         let slow = engine.submit(20).unwrap();
@@ -1659,13 +1676,24 @@ mod tests {
 
     #[test]
     fn dead_workers_abandon_their_jobs_instead_of_hanging_waiters() {
+        for policy in [BatchPolicy::solo(), BatchPolicy::default()] {
+            dead_worker_abandons_under(policy);
+        }
+    }
+
+    fn dead_worker_abandons_under(policy: BatchPolicy) {
         let plan = FaultPlan::new();
         plan.kill_workers(1);
         let config = ServingConfig {
             faults: Some(plan.clone()),
             ..ServingConfig::sized(1, 8)
         };
-        let engine = ServingEngine::new(config, |_, v: u32| v + 1);
+        let engine = ServingEngine::batched(config, policy, |batch, _| {
+            batch
+                .into_iter()
+                .map(|(_, v): (u64, u32)| Some(v + 1))
+                .collect()
+        });
         // The lone worker draws the kill on the first job: its waiter must
         // resolve as abandoned, not block forever.
         let doomed = engine.submit(1).unwrap();

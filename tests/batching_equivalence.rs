@@ -1,13 +1,15 @@
 //! Cross-request SIMD batching equivalence: packing many users into the
-//! slot lanes of shared ciphertexts must change *throughput only*. A
-//! one-user batch takes the same encryption layout and call order as the
-//! unbatched path (hence bit-identical ciphertexts and reports), and every
-//! user of a multi-user batch must read exactly the outputs it would have
-//! gotten from its own solo request — on every benchsuite kernel.
+//! slot lanes of shared ciphertexts must change *throughput only*. A solo
+//! request is the one-user batch of the one request path, so its check is
+//! anchored on the independent oracle — the IR interpreter on the
+//! uncompiled program — and every user of a multi-user batch must read
+//! exactly the outputs it would have gotten from its own solo request, on
+//! every benchsuite kernel.
 
 use chehab::benchsuite::{self, Benchmark};
-use chehab::compiler::{BatchPolicy, Compiler, ExecOptions};
+use chehab::compiler::{BatchPolicy, Compiler, ExecHooks, ExecOptions};
 use chehab::fhe::BfvParameters;
+use chehab::ir::{evaluate, Env};
 use std::collections::HashMap;
 
 fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
@@ -23,12 +25,28 @@ fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
         .collect()
 }
 
+/// What the IR interpreter computes on the *uncompiled* program: no
+/// rewriting, no lowering, no lanes.
+fn reference_slots(benchmark: &Benchmark, inputs: &HashMap<String, i64>) -> Vec<u64> {
+    let mut env = Env::new();
+    for (k, v) in inputs {
+        env.bind(k.clone(), *v);
+    }
+    evaluate(benchmark.program(), &env)
+        .expect("reference evaluation succeeds")
+        .slots()
+        .into_iter()
+        .take(benchmark.output_slots())
+        .collect()
+}
+
 /// Batch size 1 is the degenerate case the whole design pivots on: the
-/// flattened lane layout collapses to the unbatched layout, so outputs,
-/// operation stats, noise consumption and decryption status must all be
-/// bit-identical to [`FheSession::run`] on all 46 kernels.
+/// flattened lane layout collapses to the single-user layout. Under a
+/// batching policy or without one, a one-user batch must decrypt to the
+/// interpreter's slots, with identical operation stats, noise consumption
+/// and decryption status either way, on all 46 kernels.
 #[test]
-fn a_one_user_batch_is_bit_identical_to_the_unbatched_path() {
+fn a_one_user_batch_matches_the_ir_interpreter() {
     let params = BfvParameters::insecure_test();
     let options = ExecOptions::sequential().with_batching(BatchPolicy::default());
     for benchmark in benchsuite::full_suite() {
@@ -42,17 +60,15 @@ fn a_one_user_batch_is_bit_identical_to_the_unbatched_path() {
             .run(&inputs)
             .unwrap_or_else(|e| panic!("{}: unbatched run failed: {e}", benchmark.id()));
         let batched = session
-            .run_batched(std::slice::from_ref(&inputs), &options)
+            .run_batched(
+                std::slice::from_ref(&inputs),
+                &options,
+                &ExecHooks::default(),
+            )
             .unwrap_or_else(|e| panic!("{}: batched run failed: {e}", benchmark.id()));
 
         assert_eq!(batched.len(), 1, "{}: one user, one report", benchmark.id());
         let report = &batched[0];
-        assert_eq!(
-            report.outputs,
-            unbatched.outputs,
-            "{}: batch-1 outputs diverged",
-            benchmark.id()
-        );
         assert_eq!(
             report.operation_stats,
             unbatched.operation_stats,
@@ -66,6 +82,21 @@ fn a_one_user_batch_is_bit_identical_to_the_unbatched_path() {
             benchmark.id()
         );
         assert_eq!(report.decryption_ok, unbatched.decryption_ok);
+        if !report.decryption_ok {
+            // Deep circuits can legitimately exhaust the small
+            // test-parameter budget; there are no slots to compare.
+            continue;
+        }
+        let expected = reference_slots(&benchmark, &inputs);
+        for (label, outputs) in [("batch-1", &report.outputs), ("solo", &unbatched.outputs)] {
+            let got: Vec<u64> = outputs.iter().copied().take(expected.len()).collect();
+            assert_eq!(
+                got,
+                expected,
+                "{}: {label} outputs diverged from the interpreter",
+                benchmark.id()
+            );
+        }
     }
 }
 
@@ -89,7 +120,7 @@ fn every_user_of_a_batch_reads_its_own_solo_result() {
             .map(|k| inputs_of(&benchmark, 120 + 7 * k))
             .collect();
         let batched = session
-            .run_batched(&input_sets, &options)
+            .run_batched(&input_sets, &options, &ExecHooks::default())
             .unwrap_or_else(|e| panic!("{}: batched run failed: {e}", benchmark.id()));
         assert_eq!(
             batched.len(),
@@ -127,7 +158,9 @@ fn ragged_chunking_preserves_per_user_results_and_input_order() {
     let options = ExecOptions::sequential().with_batching(BatchPolicy::default().with_max_batch(2));
     let input_sets: Vec<HashMap<String, i64>> =
         (0..5u64).map(|k| inputs_of(&benchmark, 300 + k)).collect();
-    let batched = session.run_batched(&input_sets, &options).unwrap();
+    let batched = session
+        .run_batched(&input_sets, &options, &ExecHooks::default())
+        .unwrap();
     assert_eq!(batched.len(), 5);
 
     for (k, inputs) in input_sets.iter().enumerate() {

@@ -4,7 +4,8 @@
 //! every non-faulted request must stay bit-identical to a clean run.
 
 use chehab::compiler::{
-    CancellationToken, Compiler, ExecOptions, FaultPlan, FheSession, RequestError,
+    BatchPolicy, CancellationToken, Compiler, ExecHooks, ExecOptions, ExecutionReport, FaultPlan,
+    FheSession, RequestError, TrySubmitError,
 };
 use chehab::fhe::{BfvParameters, FheError};
 use chehab::{benchsuite, benchsuite::Benchmark};
@@ -30,6 +31,40 @@ fn session_for(id: &str) -> (Arc<FheSession>, Benchmark) {
     let compiled = Compiler::greedy().compile(benchmark.id(), benchmark.program());
     let session = Arc::new(compiled.session(&BfvParameters::insecure_test()).unwrap());
     (session, benchmark)
+}
+
+/// One engine-less request under an external token and a fault plan.
+fn run_hooked(
+    session: &FheSession,
+    inputs: &HashMap<String, i64>,
+    options: &ExecOptions,
+    token: &CancellationToken,
+    plan: Option<&FaultPlan>,
+) -> Result<ExecutionReport, FheError> {
+    let hooks = ExecHooks {
+        cancel: Some(token.clone()),
+        faults: plan.cloned(),
+        ..ExecHooks::default()
+    };
+    session
+        .run_batched(std::slice::from_ref(inputs), options, &hooks)
+        .map(|mut reports| reports.remove(0))
+}
+
+/// Hooks that inject `plan` and nothing else.
+fn faulting(plan: &FaultPlan) -> ExecHooks {
+    ExecHooks {
+        faults: Some(plan.clone()),
+        ..ExecHooks::default()
+    }
+}
+
+/// A two-lane batching policy with a short linger, for the batched halves
+/// of the serving tests.
+fn two_lanes() -> BatchPolicy {
+    BatchPolicy::default()
+        .with_max_batch(2)
+        .with_max_linger(Duration::from_millis(1))
 }
 
 /// Reads one counter value out of the session's Prometheus text export.
@@ -61,14 +96,14 @@ fn cancellation_stops_a_dataflow_request_mid_flight() {
     let plan = FaultPlan::new();
     plan.cancel_token_at(8, &token);
     let options = ExecOptions::new().with_threads_per_request(8);
-    let error = session
-        .run_resilient(
-            &inputs_of(&benchmark, 7),
-            &options,
-            Some(&token),
-            Some(&plan),
-        )
-        .expect_err("the cancelled request must not produce a report");
+    let error = run_hooked(
+        &session,
+        &inputs_of(&benchmark, 7),
+        &options,
+        &token,
+        Some(&plan),
+    )
+    .expect_err("the cancelled request must not produce a report");
     assert_eq!(error, FheError::Cancelled);
 
     // At most the 8 in-flight dispatches that raced the cancellation ran
@@ -94,27 +129,27 @@ fn a_pre_cancelled_token_fails_before_binding() {
     let token = CancellationToken::new();
     token.cancel();
     let plan = FaultPlan::new();
-    let error = session
-        .run_resilient(
-            &inputs_of(&benchmark, 1),
-            &ExecOptions::sequential(),
-            Some(&token),
-            Some(&plan),
-        )
-        .unwrap_err();
+    let error = run_hooked(
+        &session,
+        &inputs_of(&benchmark, 1),
+        &ExecOptions::sequential(),
+        &token,
+        Some(&plan),
+    )
+    .unwrap_err();
     assert_eq!(error, FheError::Cancelled);
     assert_eq!(plan.instructions_dispatched(), 0);
 
     let expired = CancellationToken::deadline_in(Duration::ZERO);
     std::thread::sleep(Duration::from_millis(1));
-    let error = session
-        .run_resilient(
-            &inputs_of(&benchmark, 1),
-            &ExecOptions::sequential(),
-            Some(&expired),
-            None,
-        )
-        .unwrap_err();
+    let error = run_hooked(
+        &session,
+        &inputs_of(&benchmark, 1),
+        &ExecOptions::sequential(),
+        &expired,
+        None,
+    )
+    .unwrap_err();
     assert_eq!(error, FheError::DeadlineExceeded);
 }
 
@@ -135,7 +170,7 @@ fn one_hundred_cancel_cycles_leak_no_arena_buffers() {
         let token = CancellationToken::new();
         let plan = FaultPlan::new();
         plan.cancel_token_at(trigger, &token);
-        let _ = session.run_resilient(&inputs, &options, Some(&token), Some(&plan));
+        let _ = run_hooked(&session, &inputs, &options, &token, Some(&plan));
     }
 
     let fresh_before = metric(&session, "chehab_arena_fresh_allocations_total");
@@ -145,8 +180,7 @@ fn one_hundred_cancel_cycles_leak_no_arena_buffers() {
         // Triggers stay well inside the 7-instruction schedule so at least
         // one dispatch after the trigger observes the cancelled token.
         plan.cancel_token_at(1 + (cycle % 4), &token);
-        let error = session
-            .run_resilient(&inputs, &options, Some(&token), Some(&plan))
+        let error = run_hooked(&session, &inputs, &options, &token, Some(&plan))
             .expect_err("every cycle cancels");
         assert_eq!(error, FheError::Cancelled, "cycle {cycle}");
     }
@@ -188,11 +222,12 @@ fn a_seeded_fault_storm_never_hangs_and_non_faulted_outputs_are_exact() {
         let span = (session.schedule().instrs().len() * requests) as u64;
         let plan = FaultPlan::storm(0xC4A05, span.max(1), 2);
         plan.force_queue_full(2);
-        let engine = session.serve_resilient(
-            &ExecOptions::new().with_request_threads(3),
-            None,
-            Some(plan.clone()),
-        );
+        let engine = session
+            .serve_with(
+                &ExecOptions::new().with_request_threads(3),
+                &faulting(&plan),
+            )
+            .into_engine();
 
         let mut handles = Vec::new();
         for inputs in &input_sets {
@@ -228,68 +263,103 @@ fn a_seeded_fault_storm_never_hangs_and_non_faulted_outputs_are_exact() {
 }
 
 /// A worker killed *outside* the handler (the hard-failure mode) abandons
-/// exactly its in-flight request instead of hanging the waiter, and the
-/// remaining workers keep serving.
+/// exactly its in-flight batch — one request unbatched, at most `max_batch`
+/// batched — instead of hanging the waiters, and the remaining workers keep
+/// serving.
 #[test]
 fn a_killed_worker_abandons_its_request_without_hanging_waiters() {
-    let (session, benchmark) = session_for("Dot Product 8");
-    let plan = FaultPlan::new();
-    plan.kill_workers(1);
-    let engine = session.serve_resilient(
-        &ExecOptions::new().with_request_threads(2),
-        None,
-        Some(plan),
-    );
-    let handles: Vec<_> = (0..6)
-        .map(|seed| engine.submit(inputs_of(&benchmark, 40 + seed)).unwrap())
-        .collect();
-    let mut abandoned = 0usize;
-    let mut served = 0usize;
-    for handle in handles {
-        match handle.try_wait() {
-            Ok(result) => {
-                served += 1;
-                assert!(result.expect("served request succeeds").decryption_ok);
+    let solo = ExecOptions::new().with_request_threads(2);
+    for (options, max_lost) in [(solo, 1), (solo.with_batching(two_lanes()), 2)] {
+        let (session, benchmark) = session_for("Dot Product 8");
+        let plan = FaultPlan::new();
+        plan.kill_workers(1);
+        let engine = session.serve_with(&options, &faulting(&plan));
+        let handles: Vec<_> = (0..6)
+            .map(|seed| engine.submit(inputs_of(&benchmark, 40 + seed)).unwrap())
+            .collect();
+        let mut abandoned = 0usize;
+        let mut served = 0usize;
+        for handle in handles {
+            match handle.try_wait() {
+                Ok(result) => {
+                    served += 1;
+                    assert!(result.expect("served request succeeds").decryption_ok);
+                }
+                Err(RequestError::Abandoned) => abandoned += 1,
+                Err(RequestError::Panicked) => {
+                    panic!("handler panics are caught, not re-raised here")
+                }
             }
-            Err(RequestError::Abandoned) => abandoned += 1,
-            Err(RequestError::Panicked) => panic!("handler panics are caught, not re-raised here"),
         }
+        assert!(
+            (1..=max_lost).contains(&abandoned),
+            "exactly the killed worker's batch is lost, not {abandoned} requests"
+        );
+        assert_eq!(
+            served,
+            6 - abandoned,
+            "the surviving worker drains the rest"
+        );
+        let stats = engine.into_engine().shutdown();
+        assert!(stats.resilience.worker_panics >= 1);
+        assert_eq!(
+            session.resilience().worker_panics,
+            stats.resilience.worker_panics
+        );
     }
-    assert_eq!(abandoned, 1, "exactly the killed worker's request is lost");
-    assert_eq!(served, 5, "the surviving worker drains the rest");
-    let stats = engine.shutdown();
-    assert!(stats.resilience.worker_panics >= 1);
-    assert_eq!(
-        session.resilience().worker_panics,
-        stats.resilience.worker_panics
-    );
 }
 
-/// Deadlines flow end to end: a serving engine with an aggressive deadline
-/// resolves late requests with `FheError::DeadlineExceeded`, counts them in
-/// the resilience stats, and mirrors the count into the session's
-/// Prometheus export.
+/// Deadlines flow end to end, batched or not: a serving engine with an
+/// aggressive deadline resolves late requests with
+/// `FheError::DeadlineExceeded`, counts them in the resilience stats, and
+/// mirrors the count into the session's Prometheus export.
 #[test]
 fn deadlines_resolve_requests_with_deadline_exceeded_and_are_counted() {
-    let (session, benchmark) = session_for("Linear Reg. 4");
-    // Warm the session so one clean baseline exists.
-    let clean = session.run(&inputs_of(&benchmark, 3)).unwrap();
-    assert!(clean.decryption_ok);
+    let tight = ExecOptions::new()
+        .with_request_threads(1)
+        .with_deadline(Duration::from_nanos(1));
+    for batched in [false, true] {
+        let (session, benchmark) = session_for("Linear Reg. 4");
+        // Warm the session so one clean baseline exists.
+        let clean = session.run(&inputs_of(&benchmark, 3)).unwrap();
+        assert!(clean.decryption_ok);
 
-    let engine = session.serve_resilient(
-        &ExecOptions::new()
-            .with_request_threads(1)
-            .with_deadline(Duration::from_nanos(1)),
-        None,
-        None,
-    );
-    let handle = engine.submit(inputs_of(&benchmark, 3)).unwrap();
-    let error = handle.wait().expect_err("a 1ns deadline always expires");
-    assert_eq!(error, FheError::DeadlineExceeded);
-    let stats = engine.shutdown();
-    assert_eq!(stats.resilience.deadline_missed, 1);
-    assert_eq!(metric(&session, "chehab_deadline_missed_total"), 1);
-    // The failed request fed neither the request counter nor the
-    // calibration beyond the clean baseline.
-    assert_eq!(session.stats().requests_served, 1);
+        let (handle, engine) = if batched {
+            let coalescer = session.serve_batched(&tight.with_batching(two_lanes()));
+            let handle = coalescer.submit(inputs_of(&benchmark, 3)).unwrap();
+            (handle, coalescer.into_engine())
+        } else {
+            let engine = session.serve(&tight);
+            (engine.submit(inputs_of(&benchmark, 3)).unwrap(), engine)
+        };
+        let error = handle.wait().expect_err("a 1ns deadline always expires");
+        assert_eq!(error, FheError::DeadlineExceeded);
+        let stats = engine.shutdown();
+        assert_eq!(stats.resilience.deadline_missed, 1);
+        assert_eq!(metric(&session, "chehab_deadline_missed_total"), 1);
+        // The failed request fed neither the request counter nor the
+        // calibration beyond the clean baseline.
+        assert_eq!(session.stats().requests_served, 1);
+    }
+}
+
+/// Submission-side faults reach a batched engine too: a forced queue-full
+/// rejects `try_submit` (handing the request back) until the budget is
+/// spent, then the same request is admitted and served.
+#[test]
+fn forced_queue_full_rejects_a_batched_try_submit() {
+    let (session, benchmark) = session_for("Dot Product 8");
+    let plan = FaultPlan::new();
+    plan.force_queue_full(1);
+    let options = ExecOptions::sequential().with_batching(two_lanes());
+    let coalescer = session.serve_with(&options, &faulting(&plan));
+    let rejected = coalescer
+        .try_submit(inputs_of(&benchmark, 5))
+        .expect_err("the forced rejection fires on an empty queue");
+    assert!(matches!(rejected, TrySubmitError::QueueFull(_)));
+    let handle = coalescer
+        .try_submit(rejected.into_request())
+        .expect("the budget is spent");
+    assert!(handle.wait().unwrap().decryption_ok);
+    assert_eq!(coalescer.shutdown().completed, 1);
 }

@@ -1,12 +1,11 @@
 //! Equivalence and scheduling tests for the parallel execution runtime:
 //! session-based parallel execution must produce bit-identical outputs to
-//! the sequential path on every benchsuite kernel, batches must match
-//! individual runs, the historical `execute*` shims must match the session
-//! API they wrap, and every lowered schedule must respect the wavefront
-//! invariant (operands in strictly earlier levels).
+//! the sequential path on every benchsuite kernel, two-level serving must
+//! match individual runs, and every lowered schedule must respect the
+//! wavefront invariant (operands in strictly earlier levels).
 
 use chehab::benchsuite::{self, Benchmark};
-use chehab::compiler::{BatchOptions, CompiledProgram, Compiler, ExecOptions, FheSession};
+use chehab::compiler::{CompiledProgram, Compiler, ExecOptions, FheSession};
 use chehab::fhe::BfvParameters;
 use chehab::runtime::Instr;
 use std::collections::HashMap;
@@ -166,12 +165,13 @@ fn schedules_respect_the_wavefront_invariant_on_every_kernel() {
     }
 }
 
-/// Two-level batch execution through one session matches one-at-a-time
+/// Two-level execution through one session — requests across the serving
+/// workers, instructions within each request — matches one-at-a-time
 /// execution, under every thread-allocation split.
 #[test]
 fn batch_execution_matches_individual_execution() {
     let benchmark = benchsuite::by_id("Dot Product 8").expect("known benchmark id");
-    let session = session_of(&benchmark);
+    let session = std::sync::Arc::new(session_of(&benchmark));
     let input_sets: Vec<HashMap<String, i64>> = (0..8)
         .map(|seed| inputs_of(&benchmark, 100 + seed))
         .collect();
@@ -183,49 +183,19 @@ fn batch_execution_matches_individual_execution() {
         let options = ExecOptions::new()
             .with_request_threads(request_threads)
             .with_threads_per_request(threads_per_request);
-        let reports = session.run_batch(&input_sets, &options).unwrap();
-        let outputs: Vec<Vec<u64>> = reports.into_iter().map(|r| r.outputs).collect();
+        let engine = session.serve(&options);
+        let handles: Vec<_> = input_sets
+            .iter()
+            .map(|inputs| engine.submit(inputs.clone()).unwrap())
+            .collect();
+        let outputs: Vec<Vec<u64>> = handles
+            .into_iter()
+            .map(|handle| handle.wait().unwrap().outputs)
+            .collect();
         assert_eq!(
             outputs, solo,
-            "batch ({request_threads}x{threads_per_request}) diverged from solo runs"
+            "serving ({request_threads}x{threads_per_request}) diverged from solo runs"
         );
-    }
-}
-
-/// The historical `execute` / `execute_parallel` / `execute_batch` shims
-/// match the session API they now wrap.
-#[test]
-fn execute_shims_match_the_session_api() {
-    let params = test_params();
-    let benchmark = benchsuite::by_id("Linear Reg. 4").expect("known benchmark id");
-    let compiled = compile_initial(&benchmark);
-    let session = compiled.session(&params).unwrap();
-    let inputs = inputs_of(&benchmark, 41);
-
-    let from_session = session.run(&inputs).unwrap();
-    let from_shim = compiled.execute(&inputs, &params).unwrap();
-    assert_eq!(from_shim.outputs, from_session.outputs);
-    assert_eq!(from_shim.operation_stats, from_session.operation_stats);
-
-    let parallel_shim = compiled.execute_parallel(&inputs, &params, 4).unwrap();
-    assert_eq!(parallel_shim.outputs, from_session.outputs);
-
-    let input_sets: Vec<HashMap<String, i64>> = (0..4)
-        .map(|seed| inputs_of(&benchmark, 200 + seed))
-        .collect();
-    let batch_options = BatchOptions {
-        request_threads: 2,
-        threads_per_request: 1,
-    };
-    let shim_batch = compiled
-        .execute_batch(&input_sets, &params, &batch_options)
-        .unwrap();
-    let session_batch = session
-        .run_batch(&input_sets, &ExecOptions::from(batch_options))
-        .unwrap();
-    for (a, b) in shim_batch.iter().zip(&session_batch) {
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.operation_stats, b.operation_stats);
     }
 }
 

@@ -7,7 +7,7 @@
 //! own process, so no unrelated test can race the counter here.
 
 use chehab::benchsuite;
-use chehab::compiler::{Compiler, ExecOptions};
+use chehab::compiler::{BatchPolicy, Compiler, ExecHooks, ExecOptions};
 use chehab::fhe::{BfvParameters, KeyGenerator};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,7 +44,7 @@ fn keygen_and_lowering_happen_exactly_once_per_session() {
     let lowering_time = session.stats().lowering_time;
 
     // ...and no request after that regenerates anything, through any entry
-    // point: run, run_parallel, run_batch, or the serving engine.
+    // point: run, run_parallel, run_batched, or the serving engine.
     for inputs in &input_sets {
         session.run(inputs).unwrap();
     }
@@ -55,7 +55,11 @@ fn keygen_and_lowering_happen_exactly_once_per_session() {
         )
         .unwrap();
     session
-        .run_batch(&input_sets, &ExecOptions::new().with_request_threads(2))
+        .run_batched(
+            &input_sets,
+            &ExecOptions::new().with_batching(BatchPolicy::default()),
+            &ExecHooks::default(),
+        )
         .unwrap();
     let engine = session.serve(&ExecOptions::new().with_request_threads(2));
     let handles: Vec<_> = input_sets

@@ -6,7 +6,7 @@
 //! single thread).
 
 use chehab::benchsuite::{self, Benchmark};
-use chehab::compiler::{BatchPolicy, Compiler, ExecOptions, TraceSink};
+use chehab::compiler::{BatchPolicy, Compiler, ExecHooks, ExecOptions, TraceSink};
 use chehab::fhe::BfvParameters;
 use serde::Value;
 use std::collections::HashMap;
@@ -88,72 +88,110 @@ fn assert_wellformed_chrome_trace(json: &str, context: &str) -> usize {
     duration_events
 }
 
-/// Every benchsuite kernel: a traced request is bit-identical to an
-/// untraced one, the capture holds exactly three session-phase spans plus
-/// one span per scheduled instruction, the Chrome-trace export is
-/// well-formed, and the spans of each track are strictly non-overlapping.
+/// Hooks that record into a fresh sink, plus the sink to read back.
+fn tracing_hooks() -> (ExecHooks, Arc<TraceSink>) {
+    let sink = Arc::new(TraceSink::new());
+    let hooks = ExecHooks {
+        trace: Some(Arc::clone(&sink)),
+        ..ExecHooks::default()
+    };
+    (hooks, sink)
+}
+
+/// Every benchsuite kernel, solo and as a two-user batch: a traced request
+/// is bit-identical to an untraced one, the capture holds exactly three
+/// session-phase spans plus one span per scheduled instruction, the
+/// Chrome-trace export is well-formed, and the spans of each track are
+/// strictly non-overlapping.
 #[test]
 fn traced_requests_are_bit_identical_and_export_wellformed_chrome_json() {
     let params = BfvParameters::insecure_test();
-    let options = ExecOptions::sequential().with_threads_per_request(2);
     for benchmark in benchsuite::full_suite() {
         let compiled = Compiler::greedy().compile(benchmark.id(), benchmark.program());
         let session = compiled
             .session(&params)
             .unwrap_or_else(|e| panic!("{}: session construction failed: {e}", benchmark.id()));
-        let inputs = inputs_of(&benchmark, 97);
+        for users in [1, session.batch_capacity().min(2)] {
+            let context = format!("{} x{users}", benchmark.id());
+            let options = ExecOptions::sequential()
+                .with_threads_per_request(2)
+                .with_batching(BatchPolicy::default());
+            let input_sets: Vec<HashMap<String, i64>> = (0..users as u64)
+                .map(|k| inputs_of(&benchmark, 97 + k))
+                .collect();
 
-        let untraced = session
-            .run_parallel(&inputs, &options)
-            .unwrap_or_else(|e| panic!("{}: untraced run failed: {e}", benchmark.id()));
-        let (traced, trace) = session
-            .trace_request(&inputs, &options)
-            .unwrap_or_else(|e| panic!("{}: traced run failed: {e}", benchmark.id()));
+            let untraced = session
+                .run_batched(&input_sets, &options, &ExecHooks::default())
+                .unwrap_or_else(|e| panic!("{context}: untraced run failed: {e}"));
+            let steals_before = steals_total(&session.render_metrics());
+            let (hooks, sink) = tracing_hooks();
+            let traced = session
+                .run_batched(&input_sets, &options, &hooks)
+                .unwrap_or_else(|e| panic!("{context}: traced run failed: {e}"));
+            drop(hooks);
+            let trace = Arc::try_unwrap(sink)
+                .expect("the hooks held the only other sink clone")
+                .into_trace();
 
-        // Tracing observes, never perturbs.
-        assert_eq!(
-            traced.outputs,
-            untraced.outputs,
-            "{}: tracing changed the outputs",
-            benchmark.id()
-        );
-        assert_eq!(traced.operation_stats, untraced.operation_stats);
-        assert_eq!(traced.noise_budget_consumed, untraced.noise_budget_consumed);
-
-        // Span census: three session phases plus one span per instruction.
-        let session_spans = trace.events().iter().filter(|e| e.cat == "session").count();
-        let instr_spans = trace.events().iter().filter(|e| e.cat == "instr").count();
-        assert_eq!(session_spans, 3, "{}: bind/execute/decrypt", benchmark.id());
-        assert_eq!(
-            instr_spans,
-            session.schedule().instrs().len(),
-            "{}: one span per scheduled instruction",
-            benchmark.id()
-        );
-
-        // Spans on one track are recorded sequentially by a single thread,
-        // so they must never overlap.
-        for track in 0..trace.track_labels().len() {
-            let mut previous_end = 0u64;
-            for event in trace.events().iter().filter(|e| e.track == track) {
-                assert!(
-                    event.start_ns >= previous_end,
-                    "{}: overlapping spans on track {track}",
-                    benchmark.id()
+            // Tracing observes, never perturbs.
+            for (traced, untraced) in traced.iter().zip(&untraced) {
+                assert_eq!(
+                    traced.outputs, untraced.outputs,
+                    "{context}: tracing changed the outputs"
                 );
-                previous_end = event.start_ns + event.dur_ns;
+                assert_eq!(traced.operation_stats, untraced.operation_stats);
+                assert_eq!(traced.noise_budget_consumed, untraced.noise_budget_consumed);
             }
-        }
+            // The request path records each execution's dataflow steals
+            // exactly once, at every batch size.
+            assert_eq!(
+                steals_total(&session.render_metrics()) - steals_before,
+                traced[0].timing.steals,
+                "{context}: steals counter missed the execution"
+            );
 
-        let json = trace.to_chrome_json();
-        let duration_events = assert_wellformed_chrome_trace(&json, &benchmark.id());
-        assert_eq!(
-            duration_events,
-            trace.events().len(),
-            "{}: every span exports as one ph:X event",
-            benchmark.id()
-        );
+            // Span census: three session phases plus one span per
+            // instruction — one execution, however many users ride it.
+            let session_spans = trace.events().iter().filter(|e| e.cat == "session").count();
+            let instr_spans = trace.events().iter().filter(|e| e.cat == "instr").count();
+            assert_eq!(session_spans, 3, "{context}: bind/execute/decrypt");
+            assert_eq!(
+                instr_spans,
+                session.schedule().instrs().len(),
+                "{context}: one span per scheduled instruction"
+            );
+
+            // Spans on one track are recorded sequentially by a single
+            // thread, so they must never overlap.
+            for track in 0..trace.track_labels().len() {
+                let mut previous_end = 0u64;
+                for event in trace.events().iter().filter(|e| e.track == track) {
+                    assert!(
+                        event.start_ns >= previous_end,
+                        "{context}: overlapping spans on track {track}"
+                    );
+                    previous_end = event.start_ns + event.dur_ns;
+                }
+            }
+
+            let json = trace.to_chrome_json();
+            let duration_events = assert_wellformed_chrome_trace(&json, &context);
+            assert_eq!(
+                duration_events,
+                trace.events().len(),
+                "{context}: every span exports as one ph:X event"
+            );
+        }
     }
+}
+
+/// Reads `chehab_dataflow_steals_total` out of a Prometheus text export.
+fn steals_total(text: &str) -> u64 {
+    text.lines()
+        .find(|line| line.starts_with("chehab_dataflow_steals_total"))
+        .and_then(|line| line.split_whitespace().last())
+        .and_then(|value| value.parse().ok())
+        .expect("steals counter is exported")
 }
 
 /// The traced serving engine records one request-level span per served job,
@@ -167,11 +205,9 @@ fn traced_serving_records_one_request_span_per_job() {
     let session = Arc::new(compiled.session(&params).unwrap());
 
     let requests = 9usize;
-    let sink = Arc::new(TraceSink::new());
-    let engine = session.serve_traced(
-        &ExecOptions::new().with_request_threads(2),
-        Some(Arc::clone(&sink)),
-    );
+    let (hooks, sink) = tracing_hooks();
+    let engine = session.serve_with(&ExecOptions::new().with_request_threads(2), &hooks);
+    drop(hooks);
     let handles: Vec<_> = (0..requests)
         .map(|seed| {
             engine
@@ -221,7 +257,9 @@ fn batching_metrics_surface_in_the_prometheus_exposition() {
     let options = ExecOptions::sequential().with_batching(BatchPolicy::default());
     let input_sets: Vec<HashMap<String, i64>> =
         (0..3u64).map(|k| inputs_of(&benchmark, 60 + k)).collect();
-    session.run_batched(&input_sets, &options).unwrap();
+    session
+        .run_batched(&input_sets, &options, &ExecHooks::default())
+        .unwrap();
 
     let text = session.render_metrics();
     assert!(
