@@ -10,7 +10,7 @@ use chehab_ir::{cleanup, rotation_steps, summarize, CostModel, Expr};
 use chehab_rl::Agent;
 use chehab_trs::RewriteEngine;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which optimizer the pipeline runs.
 #[derive(Clone)]
@@ -142,21 +142,24 @@ impl Compiler {
         let rotation_plan = select_rotation_keys(&steps, self.options.rotation_key_budget);
 
         let stats = CompileStats {
-            compile_time: started.elapsed(),
+            // Stamped below: building the CSE/DCE DAG is a compile stage too.
+            compile_time: Duration::ZERO,
             cost_before,
             cost_after,
             optimizer_steps,
             summary_before,
             summary_after,
         };
-        CompiledProgram::from_circuit(
+        let mut compiled = CompiledProgram::from_circuit(
             name,
             optimized,
             output_slots_of(&original),
             rotation_plan,
             self.options.layout_before_encryption,
             stats,
-        )
+        );
+        compiled.stats.compile_time = started.elapsed();
+        compiled
     }
 }
 
@@ -164,7 +167,7 @@ impl Compiler {
 mod tests {
     use super::*;
     use chehab_fhe::BfvParameters;
-    use chehab_ir::{evaluate, parse, Env};
+    use chehab_ir::{evaluate, parse, CircuitDag, Env};
     use std::collections::HashMap;
 
     fn bindings_for(program: &Expr) -> HashMap<String, i64> {
@@ -245,6 +248,27 @@ mod tests {
         let mut iter = terms.into_iter();
         let first = iter.next().unwrap();
         iter.fold(first, Expr::add)
+    }
+
+    #[test]
+    fn compile_time_covers_building_the_circuit_dag() {
+        let program = chehab_benchsuite_like_dot(512);
+        let compiled = Compiler::without_optimizer().compile("dot512", &program);
+        let dag_build = (0..3)
+            .map(|_| {
+                let started = Instant::now();
+                let dag = CircuitDag::from_expr(compiled.circuit()).eliminate_dead_code();
+                let elapsed = started.elapsed();
+                assert!(dag.len() > 512);
+                elapsed
+            })
+            .min()
+            .expect("three timings");
+        assert!(
+            compiled.stats().compile_time >= dag_build,
+            "compile_time {:?} omits the DAG build ({dag_build:?})",
+            compiled.stats().compile_time
+        );
     }
 
     #[test]

@@ -236,7 +236,7 @@ pub struct CompiledProgram {
     output_slots: usize,
     rotation_plan: RotationKeyPlan,
     layout_before_encryption: bool,
-    stats: CompileStats,
+    pub(crate) stats: CompileStats,
 }
 
 impl CompiledProgram {

@@ -4,6 +4,7 @@
 //! These are the quantities the paper's evaluation reports (Table 6) and the
 //! ingredients of the FHE-aware cost function (Section 5.3.1).
 
+use crate::dag::{DagNode, NodeId, TermGraph};
 use crate::expr::{BinOp, Expr};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -22,7 +23,7 @@ pub enum DataKind {
 }
 
 impl DataKind {
-    fn join(self, other: DataKind) -> DataKind {
+    pub(crate) fn join(self, other: DataKind) -> DataKind {
         if self == DataKind::Ciphertext || other == DataKind::Ciphertext {
             DataKind::Ciphertext
         } else {
@@ -113,6 +114,81 @@ impl OpCounts {
     }
 }
 
+/// The [`OpCounts`] category one circuit node falls in: the single place
+/// the IR classifies operations. [`TermGraph`] stores it per node at intern
+/// time; counting a circuit is then a sum over its reachable nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpClass {
+    /// Inputs, constants and plaintext-only `Vec` packs: counted nowhere.
+    Free,
+    ScalarAddSub,
+    ScalarMulCtCt,
+    ScalarMulCtPt,
+    ScalarNeg,
+    VecAddSub,
+    VecMulCtCt,
+    VecMulCtPt,
+    VecNeg,
+    Rotation,
+    PlaintextOp,
+    Pack,
+}
+
+impl OpClass {
+    /// Classifies `node`, whose own data kind is `kind`, given the kinds of
+    /// its operands.
+    pub(crate) fn of(
+        node: &DagNode,
+        kind: DataKind,
+        operand_kind: impl Fn(NodeId) -> DataKind,
+    ) -> OpClass {
+        let ct_ct = |a: &NodeId, b: &NodeId| {
+            operand_kind(*a) == DataKind::Ciphertext && operand_kind(*b) == DataKind::Ciphertext
+        };
+        match node {
+            DagNode::CtVar(_) | DagNode::PtVar(_) | DagNode::Const(_) => OpClass::Free,
+            DagNode::Vec(_) if kind == DataKind::Ciphertext => OpClass::Pack,
+            DagNode::Vec(_) => OpClass::Free,
+            _ if kind == DataKind::Plaintext => OpClass::PlaintextOp,
+            DagNode::Bin(BinOp::Add | BinOp::Sub, _, _) => OpClass::ScalarAddSub,
+            DagNode::Bin(BinOp::Mul, a, b) if ct_ct(a, b) => OpClass::ScalarMulCtCt,
+            DagNode::Bin(BinOp::Mul, _, _) => OpClass::ScalarMulCtPt,
+            DagNode::Neg(_) => OpClass::ScalarNeg,
+            DagNode::VecBin(BinOp::Add | BinOp::Sub, _, _) => OpClass::VecAddSub,
+            DagNode::VecBin(BinOp::Mul, a, b) if ct_ct(a, b) => OpClass::VecMulCtCt,
+            DagNode::VecBin(BinOp::Mul, _, _) => OpClass::VecMulCtPt,
+            DagNode::VecNeg(_) => OpClass::VecNeg,
+            DagNode::Rot(_, _) => OpClass::Rotation,
+        }
+    }
+
+    /// Ciphertext–ciphertext multiplications are what multiplicative depth
+    /// counts.
+    pub(crate) fn is_ct_ct_mul(self) -> bool {
+        matches!(self, OpClass::ScalarMulCtCt | OpClass::VecMulCtCt)
+    }
+}
+
+impl OpCounts {
+    pub(crate) fn record(&mut self, class: OpClass) {
+        let slot = match class {
+            OpClass::Free => return,
+            OpClass::ScalarAddSub => &mut self.scalar_add_sub,
+            OpClass::ScalarMulCtCt => &mut self.scalar_mul_ct_ct,
+            OpClass::ScalarMulCtPt => &mut self.scalar_mul_ct_pt,
+            OpClass::ScalarNeg => &mut self.scalar_neg,
+            OpClass::VecAddSub => &mut self.vec_add_sub,
+            OpClass::VecMulCtCt => &mut self.vec_mul_ct_ct,
+            OpClass::VecMulCtPt => &mut self.vec_mul_ct_pt,
+            OpClass::VecNeg => &mut self.vec_neg,
+            OpClass::Rotation => &mut self.rotations,
+            OpClass::PlaintextOp => &mut self.plaintext_ops,
+            OpClass::Pack => &mut self.packs,
+        };
+        *slot += 1;
+    }
+}
+
 /// Counts the operations of `expr` by category.
 ///
 /// Counting is performed on the hash-consed circuit DAG: structurally
@@ -122,93 +198,9 @@ impl OpCounts {
 /// and keeps the cost model faithful for rewrites such as rotate-and-add
 /// reductions whose *tree* form repeats the packed operand.
 pub fn count_ops(expr: &Expr) -> OpCounts {
-    let dag = crate::dag::CircuitDag::from_expr(expr);
-    let nodes = dag.nodes();
-    // Bottom-up data-kind per DAG node.
-    let mut kinds = vec![DataKind::Plaintext; nodes.len()];
-    for (id, node) in nodes.iter().enumerate() {
-        kinds[id] = match node {
-            crate::dag::DagNode::CtVar(_) => DataKind::Ciphertext,
-            crate::dag::DagNode::PtVar(_) | crate::dag::DagNode::Const(_) => DataKind::Plaintext,
-            _ => node
-                .operands()
-                .into_iter()
-                .map(|o| kinds[o])
-                .fold(DataKind::Plaintext, DataKind::join),
-        };
-    }
-    let mut counts = OpCounts::default();
-    for (id, node) in nodes.iter().enumerate() {
-        let kind = kinds[id];
-        match node {
-            crate::dag::DagNode::CtVar(_)
-            | crate::dag::DagNode::PtVar(_)
-            | crate::dag::DagNode::Const(_) => {}
-            crate::dag::DagNode::Bin(op, a, b) => {
-                if kind == DataKind::Plaintext {
-                    counts.plaintext_ops += 1;
-                } else {
-                    match op {
-                        BinOp::Add | BinOp::Sub => counts.scalar_add_sub += 1,
-                        BinOp::Mul => {
-                            if kinds[*a] == DataKind::Ciphertext
-                                && kinds[*b] == DataKind::Ciphertext
-                            {
-                                counts.scalar_mul_ct_ct += 1;
-                            } else {
-                                counts.scalar_mul_ct_pt += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            crate::dag::DagNode::Neg(_) => {
-                if kind == DataKind::Plaintext {
-                    counts.plaintext_ops += 1;
-                } else {
-                    counts.scalar_neg += 1;
-                }
-            }
-            crate::dag::DagNode::Vec(_) => {
-                if kind == DataKind::Ciphertext {
-                    counts.packs += 1;
-                }
-            }
-            crate::dag::DagNode::VecBin(op, a, b) => {
-                if kind == DataKind::Plaintext {
-                    counts.plaintext_ops += 1;
-                } else {
-                    match op {
-                        BinOp::Add | BinOp::Sub => counts.vec_add_sub += 1,
-                        BinOp::Mul => {
-                            if kinds[*a] == DataKind::Ciphertext
-                                && kinds[*b] == DataKind::Ciphertext
-                            {
-                                counts.vec_mul_ct_ct += 1;
-                            } else {
-                                counts.vec_mul_ct_pt += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            crate::dag::DagNode::VecNeg(_) => {
-                if kind == DataKind::Plaintext {
-                    counts.plaintext_ops += 1;
-                } else {
-                    counts.vec_neg += 1;
-                }
-            }
-            crate::dag::DagNode::Rot(_, _) => {
-                if kind == DataKind::Plaintext {
-                    counts.plaintext_ops += 1;
-                } else {
-                    counts.rotations += 1;
-                }
-            }
-        }
-    }
-    counts
+    let mut graph = TermGraph::new();
+    let root = graph.intern_expr(expr);
+    graph.count_ops(root)
 }
 
 /// Circuit depth: the maximum number of operation nodes on any path from an
@@ -281,10 +273,12 @@ pub struct CircuitSummary {
 
 /// Computes a [`CircuitSummary`] for `expr`.
 pub fn summarize(expr: &Expr) -> CircuitSummary {
+    let mut graph = TermGraph::new();
+    let root = graph.intern_expr(expr);
     CircuitSummary {
-        depth: circuit_depth(expr),
-        multiplicative_depth: multiplicative_depth(expr),
-        ops: count_ops(expr),
+        depth: graph.circuit_depth(root),
+        multiplicative_depth: graph.multiplicative_depth(root),
+        ops: graph.count_ops(root),
         nodes: expr.node_count(),
     }
 }

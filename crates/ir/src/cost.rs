@@ -7,7 +7,8 @@
 //! multiplicative depth. Operator latencies and the three weights are plain
 //! data so experiments can sweep them (Table 1).
 
-use crate::analysis::{circuit_depth, count_ops, multiplicative_depth, OpCounts};
+use crate::analysis::{count_ops, OpCounts};
+use crate::dag::TermGraph;
 use crate::expr::Expr;
 use serde::{Deserialize, Serialize};
 
@@ -126,12 +127,9 @@ impl CostModel {
         self.ops_cost_of_counts(&count_ops(expr))
     }
 
-    /// Evaluates the full weighted cost of an expression and returns its
-    /// breakdown.
-    pub fn breakdown(&self, expr: &Expr) -> CostBreakdown {
-        let ops_cost = self.ops_cost(expr);
-        let depth = circuit_depth(expr);
-        let mult = multiplicative_depth(expr);
+    /// The weighted sum of the three cost terms of one circuit.
+    pub(crate) fn weigh(&self, counts: &OpCounts, depth: usize, mult: usize) -> CostBreakdown {
+        let ops_cost = self.ops_cost_of_counts(counts);
         let total = self.weights.w_ops * ops_cost
             + self.weights.w_depth * depth as f64
             + self.weights.w_mult * mult as f64;
@@ -141,6 +139,15 @@ impl CostModel {
             multiplicative_depth: mult,
             total,
         }
+    }
+
+    /// Evaluates the full weighted cost of an expression and returns its
+    /// breakdown. One pass: the expression is interned into a [`TermGraph`],
+    /// whose nodes carry both depths.
+    pub fn breakdown(&self, expr: &Expr) -> CostBreakdown {
+        let mut graph = TermGraph::new();
+        let root = graph.intern_expr(expr);
+        graph.breakdown(root, self)
     }
 
     /// The weighted cost of an expression (lower is better).

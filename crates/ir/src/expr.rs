@@ -315,19 +315,26 @@ impl Expr {
         }
     }
 
-    /// Enumerates the paths of all nodes in preorder, pairing each path with
-    /// the node it addresses.
-    pub fn paths(&self) -> Vec<(Vec<usize>, &Expr)> {
-        fn go<'a>(e: &'a Expr, prefix: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, &'a Expr)>) {
-            out.push((prefix.clone(), e));
+    /// Visits every node in preorder together with its path (child indices
+    /// from the root). The path slice is only valid during the call, so a
+    /// visitor pays for a copy only where it keeps one.
+    pub fn for_each_path<'a>(&'a self, f: &mut impl FnMut(&[usize], &'a Expr)) {
+        fn go<'a>(e: &'a Expr, prefix: &mut Vec<usize>, f: &mut impl FnMut(&[usize], &'a Expr)) {
+            f(prefix, e);
             for (i, c) in e.children().into_iter().enumerate() {
                 prefix.push(i);
-                go(c, prefix, out);
+                go(c, prefix, f);
                 prefix.pop();
             }
         }
+        go(self, &mut Vec::new(), f);
+    }
+
+    /// Enumerates the paths of all nodes in preorder, pairing each path with
+    /// the node it addresses.
+    pub fn paths(&self) -> Vec<(Vec<usize>, &Expr)> {
         let mut out = Vec::with_capacity(self.node_count());
-        go(self, &mut Vec::new(), &mut out);
+        self.for_each_path(&mut |path, e| out.push((path.to_vec(), e)));
         out
     }
 

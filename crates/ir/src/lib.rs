@@ -15,7 +15,9 @@
 //! * the FHE-aware [`CostModel`] of Section 5.3.1,
 //! * the ICI and BPE tokenizers of Section 5.1 ([`ici_tokens`],
 //!   [`BpeTokenizer`]) and the [`Vocabulary`] used by the embedding model,
-//! * the hash-consed [`CircuitDag`] used for CSE and code generation, and
+//! * the hash-consed [`CircuitDag`] used for CSE and code generation, and the
+//!   incremental [`TermGraph`] under it, which the analyses, the cost model
+//!   and the greedy rewriter score terms on, and
 //! * classic cleanup passes ([`constant_fold`], [`cleanup`]).
 //!
 //! ## Example
@@ -52,7 +54,7 @@ pub use analysis::{
     CircuitSummary, DataKind, OpCounts,
 };
 pub use cost::{CostBreakdown, CostModel, CostWeights, OpCosts};
-pub use dag::{CircuitDag, DagNode, NodeId};
+pub use dag::{CircuitDag, DagNode, NodeId, TermGraph};
 pub use eval::{
     equivalent_on_live_slots, evaluate, shift_zero_fill, Env, EvalError, Value,
     DEFAULT_PLAIN_MODULUS,

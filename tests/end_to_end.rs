@@ -70,11 +70,6 @@ fn greedy_compiler_is_correct_on_the_porcupine_suite() {
         .into_iter()
         .filter(|b| b.suite() == Suite::Porcupine)
     {
-        // Keep the integration test fast: skip the largest instances (they are
-        // covered by the benchmark harness).
-        if benchmark.program().node_count() > 400 {
-            continue;
-        }
         let compiled = compiler.compile(benchmark.id(), benchmark.program());
         assert!(
             compiled.stats().cost_after <= compiled.stats().cost_before,
