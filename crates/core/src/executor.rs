@@ -21,13 +21,17 @@
 //! touch ciphertexts), and packed vector inputs are either packed by the
 //! client before encryption (Section 7.3, the default) or assembled at run
 //! time from individually encrypted scalars with rotations and additions.
+//! Which registers that takes is decided once per session, next to the
+//! schedule, as a flat `BindPlan` (`bind.rs`): one encryption per
+//! ciphertext input register the schedule actually reads.
 
+use crate::bind::BindPlan;
 use crate::rotation_keys::RotationKeyPlan;
 use chehab_fhe::{
     ArenaPool, BfvParameters, Ciphertext, Decryptor, Encryptor, EvaluatorStats, FheContext,
     FheError, GaloisKeys, KeyGenerator, RelinKeys,
 };
-use chehab_ir::{BinOp, CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, Ty};
+use chehab_ir::{CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, Ty};
 use chehab_runtime::{
     data_kinds, default_workers, lane_geometry, BatchPolicy, CalibratedCostModel,
     CancellationToken, Counter, DataflowExecutor, ExecResources, FaultPlan, Gauge, LaneGeometry,
@@ -78,9 +82,10 @@ pub struct CompileStats {
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
     /// Worker threads at the request level: the persistent worker threads
-    /// of [`FheSession::serve_with`]. Defaults to the host's
-    /// [`std::thread::available_parallelism`], clamped to `[1, 8]` (see
-    /// [`chehab_runtime::default_workers`]).
+    /// of [`FheSession::serve_with`] (unbatched, a caller blocked on a
+    /// still-queued request serves it on its own thread besides). Defaults
+    /// to the host's [`std::thread::available_parallelism`], clamped to
+    /// `[1, 8]` (see [`chehab_runtime::default_workers`]).
     pub request_threads: usize,
     /// Worker threads inside each request's scheduled execution (1 = run
     /// each request sequentially; more helps schedules with instruction-level
@@ -383,6 +388,10 @@ pub struct SessionStats {
     pub schedule_levels: usize,
     /// Widest schedule level (the intra-request parallelism bound).
     pub schedule_width: usize,
+    /// Encryptions one bind performs, whatever the batch size: one per
+    /// *live* ciphertext input register of the session's bind plan (a
+    /// scalar input that only feeds client-packed vectors is not one).
+    pub encryptions_per_request: usize,
     /// Cumulative measured per-operation-kind latencies across every request
     /// served so far (unlike `ExecutionReport::timing.per_op`, which covers
     /// one request).
@@ -391,7 +400,8 @@ pub struct SessionStats {
 
 /// The session's named metric handles, registered once at session build on
 /// the session-owned [`MetricsRegistry`]. Two update disciplines coexist:
-/// *live* handles (`requests`, `steals`) are bumped on the request path,
+/// *live* handles (`requests`, `encryptions`, `steals`) are bumped on the
+/// request path,
 /// while *mirrored* handles are synced from their external source of truth
 /// (arena pool counters, NTT transform counters, key-generator census) each
 /// time the registry is read.
@@ -399,6 +409,7 @@ pub struct SessionStats {
 struct SessionMetrics {
     registry: MetricsRegistry,
     requests: Counter,
+    encryptions: Counter,
     batches: Counter,
     lane_occupancy: Gauge,
     steals: Counter,
@@ -422,6 +433,10 @@ impl SessionMetrics {
             requests: registry.counter(
                 "chehab_requests_served_total",
                 "Requests served through this session",
+            ),
+            encryptions: registry.counter(
+                "chehab_encryptions_total",
+                "Input encryptions performed binding this session's requests",
             ),
             batches: registry.counter(
                 "chehab_batches_formed_total",
@@ -524,8 +539,9 @@ pub struct FheSession {
     relin_keys: RelinKeys,
     galois_keys: GaloisKeys,
     schedule: Schedule,
-    kinds: Vec<DataKind>,
-    prebound: Vec<bool>,
+    /// The client side, lowered once next to the schedule: one flat recipe
+    /// per pre-bound register the schedule reads.
+    bind_plan: BindPlan,
     /// Capacity lane geometry of this program on this context: `stride` is
     /// the rotation-envelope span of one user's data, `lanes` how many users
     /// one ciphertext can carry ([`FheSession::batch_capacity`]). Computed
@@ -613,6 +629,13 @@ impl FheSession {
             program.output_slots,
             ctx.slot_count(),
         );
+        let bind_plan = BindPlan::new(
+            &program.dag,
+            &kinds,
+            &prebound,
+            &schedule,
+            ctx.plain_modulus(),
+        );
         let lowering_time = lowering_started.elapsed();
 
         // The packing-fallback encryption is one-time session setup too.
@@ -636,8 +659,7 @@ impl FheSession {
             relin_keys,
             galois_keys,
             schedule,
-            kinds,
-            prebound,
+            bind_plan,
             lanes,
             zero,
             arena_pool: ArenaPool::new(),
@@ -722,7 +744,10 @@ impl FheSession {
     ///
     /// `submit` returns a handle immediately; `wait`/`try_poll` retrieve
     /// that request's report, so callers observe submission order even when
-    /// completions are out of order. Every request's
+    /// completions are out of order. With batching unset (and no trace sink
+    /// or fault plan in `hooks`), `wait` on a request no worker has started
+    /// runs it on the calling thread — no hand-off to a worker and back.
+    /// Every request's
     /// [`CancellationToken`] is stamped with `options.deadline` at enqueue;
     /// a batch of one executes under its member's own token, so a cancelled
     /// or expired request stops scheduling work mid-flight and resolves
@@ -852,6 +877,7 @@ impl FheSession {
             galois_key_count: self.galois_keys.key_count(),
             schedule_levels: self.schedule.level_count(),
             schedule_width: self.schedule.max_width(),
+            encryptions_per_request: self.bind_plan.encryptions(),
             calibration: self.calibration.lock().unwrap().clone(),
         }
     }
@@ -982,94 +1008,26 @@ impl FheSession {
         self.lanes.lanes
     }
 
-    /// Client-side phase (untimed): binds `input_sets.len()` users into
-    /// **shared** registers, user `k` based at slot `k * stride`. The
-    /// encryptor borrows a warm arena from the session pool, so steady-state
-    /// input encryption allocates no fresh buffers.
-    ///
-    /// Plaintext subcircuits are evaluated per user on per-user scratch
-    /// (plaintext semantics — `Vec` reads first slots, rotations
-    /// zero-fill — are not translation-equivariant across a flattened
-    /// array), then the per-user results are flattened at the lane stride.
-    /// Ciphertext inputs encrypt **once** per register with all users'
-    /// values placed at their lane bases, which is where the batched
-    /// amortization comes from. One input set is the plain single-user
-    /// layout: every value at its own slot, one encryption per input.
+    /// Client-side phase (untimed): walks the session's [`BindPlan`] —
+    /// `input_sets.len()` users into **shared** registers, user `k` based at
+    /// slot `k * stride`, one encryption per live ciphertext register
+    /// whatever the batch size. The encryptor draws from the session's
+    /// arena pool, so steady-state input encryption allocates no fresh
+    /// buffers.
     fn bind(&self, input_sets: &[HashMap<String, i64>]) -> Result<Vec<Option<Register>>, FheError> {
-        let program = &self.program;
-        let stride = self.lanes.stride;
-        let users = input_sets.len();
-        debug_assert!(users >= 1 && users <= self.lanes.lanes);
+        debug_assert!(!input_sets.is_empty() && input_sets.len() <= self.lanes.lanes);
         let mut encryptor = Encryptor::new(&self.ctx, &self.public_key);
         encryptor.set_arena(self.arena_pool.checkout());
-        let t = self.ctx.plain_modulus() as i64;
-        let lookup = |inputs: &HashMap<String, i64>, name: &str| -> i64 {
-            inputs.get(name).copied().unwrap_or(0).rem_euclid(t)
-        };
-
-        // Per-user scratch register files carry the unflattened plaintext
-        // intermediates `plain_eval` recurses through.
-        let mut scratch: Vec<Vec<Option<Register>>> = vec![vec![None; program.dag.len()]; users];
-        let mut registers: Vec<Option<Register>> = vec![None; program.dag.len()];
-        let mut failure: Option<FheError> = None;
-        for (id, node) in program.dag.nodes().iter().enumerate() {
-            if !self.prebound[id] {
-                continue;
-            }
-            if self.kinds[id] == DataKind::Plaintext {
-                // Evaluate per user, then flatten at the lane stride. The
-                // result width is structure-determined, so every user's
-                // vector has the same length.
-                let mut flat: Vec<i64> = Vec::new();
-                for (lane, inputs) in input_sets.iter().enumerate() {
-                    let values = plain_eval(node, &scratch[lane], &|n| lookup(inputs, n), t);
-                    flat.resize(lane * stride + values.len(), 0);
-                    flat[lane * stride..].copy_from_slice(&values);
-                    scratch[lane][id] = Some(Register::plain(values));
-                }
-                registers[id] = Some(Register::plain(flat));
-            } else if let DagNode::CtVar(name) = node {
-                let mut flat = vec![0i64; (users - 1) * stride + 1];
-                for (lane, inputs) in input_sets.iter().enumerate() {
-                    flat[lane * stride] = lookup(inputs, name.as_str());
-                }
-                match encryptor.encrypt_values(&flat) {
-                    Ok(ct) => registers[id] = Some(Register::cipher(ct)),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            } else if let DagNode::Vec(elems) = node {
-                // Leaf-only vectors, packed on the client before
-                // encryption: every user's elements at its lane base.
-                let mut flat = vec![0i64; (users - 1) * stride + elems.len().max(1)];
-                for (lane, inputs) in input_sets.iter().enumerate() {
-                    for (i, &e) in elems.iter().enumerate() {
-                        flat[lane * stride + i] = match &program.dag.nodes()[e] {
-                            DagNode::CtVar(name) => lookup(inputs, name.as_str()),
-                            DagNode::PtVar(name) => lookup(inputs, name.as_str()),
-                            DagNode::Const(v) => *v,
-                            _ => unreachable!("leaf-only vector"),
-                        };
-                    }
-                }
-                match encryptor.encrypt_values(&flat) {
-                    Ok(ct) => registers[id] = Some(Register::cipher(ct)),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            } else {
-                unreachable!("pre-bound nodes are plaintext, inputs, or packed vectors")
-            }
-        }
+        let registers = self
+            .bind_plan
+            .bind(input_sets, self.lanes.stride, &mut encryptor);
         self.arena_pool.restore(encryptor.take_arena());
-        match failure {
-            Some(error) => Err(error),
-            None => Ok(registers),
+        if registers.is_ok() {
+            self.metrics
+                .encryptions
+                .add(self.bind_plan.encryptions() as u64);
         }
+        registers
     }
 
     /// The one request path: serves a closed set of requests, each chunk of
@@ -1279,59 +1237,6 @@ pub struct ExecutionReport {
     /// latencies a [`chehab_runtime::CalibratedCostModel`] feeds back into
     /// the optimizer's cost model.
     pub timing: TimingBreakdown,
-}
-
-/// Client-side evaluation of a plaintext-only node.
-fn plain_eval(
-    node: &DagNode,
-    registers: &[Option<Register>],
-    lookup: &impl Fn(&str) -> i64,
-    modulus: i64,
-) -> Vec<i64> {
-    let operand = |i: usize| -> Vec<i64> {
-        match registers[i]
-            .as_ref()
-            .expect("plaintext operands precede their uses")
-        {
-            Register::Plain(v) => v.values().to_vec(),
-            Register::Cipher(_) => unreachable!("plaintext node with ciphertext operand"),
-        }
-    };
-    let reduce = |v: i64| v.rem_euclid(modulus);
-    match node {
-        DagNode::CtVar(name) | DagNode::PtVar(name) => vec![reduce(lookup(name.as_str()))],
-        DagNode::Const(v) => vec![reduce(*v)],
-        DagNode::Bin(op, a, b) | DagNode::VecBin(op, a, b) => {
-            let (x, y) = (operand(*a), operand(*b));
-            let len = x.len().max(y.len());
-            (0..len)
-                .map(|i| {
-                    let xi = x.get(i).copied().unwrap_or(0);
-                    let yi = y.get(i).copied().unwrap_or(0);
-                    reduce(match op {
-                        BinOp::Add => xi + yi,
-                        BinOp::Sub => xi - yi,
-                        BinOp::Mul => ((xi as i128 * yi as i128) % modulus as i128) as i64,
-                    })
-                })
-                .collect()
-        }
-        DagNode::Neg(a) | DagNode::VecNeg(a) => operand(*a).iter().map(|&v| reduce(-v)).collect(),
-        DagNode::Vec(elems) => elems
-            .iter()
-            .map(|&e| operand(e).first().copied().unwrap_or(0))
-            .collect(),
-        DagNode::Rot(a, step) => {
-            let v: Vec<u64> = operand(*a)
-                .iter()
-                .map(|&x| x.rem_euclid(modulus) as u64)
-                .collect();
-            chehab_ir::shift_zero_fill(&v, *step)
-                .into_iter()
-                .map(|x| x as i64)
-                .collect()
-        }
-    }
 }
 
 /// Builds an empty [`CompileStats`] for circuits produced outside the CHEHAB

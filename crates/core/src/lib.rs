@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bind;
 mod compiler;
 mod dsl;
 mod executor;

@@ -10,11 +10,16 @@
 //!
 //! Arenas are deliberately not thread-safe: each worker (and each
 //! [`Evaluator`](crate::Evaluator) / [`Encryptor`](crate::Encryptor)) owns
-//! one privately and pays no synchronization on the hot path. An
-//! [`ArenaPool`] is the shared, mutex-guarded parking lot a session keeps
-//! them in between requests: workers check an arena out at request start and
-//! restore it (with every recycled buffer) when they finish, so warm buffers
-//! survive across requests and across workers.
+//! one privately and pays no synchronization while it serves itself. An
+//! [`ArenaPool`] is the shared, mutex-guarded free list a session parks
+//! buffers in between checkouts: a checked-out arena starts empty, a `take`
+//! its own free lists cannot serve draws from the pool before it allocates,
+//! and `restore` drains everything the arena gathered back into the pool.
+//! So whichever worker recycles a buffer, the next `take` of that length —
+//! by any worker, or by the next request's `bind` — finds it: the number of
+//! buffers a session ever allocates is bounded by what one request holds
+//! live at once plus what its workers hold privately, however the workers
+//! interleave.
 //!
 //! Counters record every miss and hit at two scopes. The process-global
 //! statics ([`PolyArena::fresh_allocations`] / [`PolyArena::reuses`]) back
@@ -26,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Process-global count of [`PolyArena::take`] calls that had to allocate a
 /// fresh buffer (pool miss).
@@ -36,14 +41,28 @@ static ARENA_FRESH: AtomicU64 = AtomicU64::new(0);
 /// list (pool hit).
 static ARENA_REUSED: AtomicU64 = AtomicU64::new(0);
 
-/// Per-[`ArenaPool`] hit/miss counters, shared by every arena checked out of
-/// one pool (an `Arc` clone travels with the arena). They exist alongside
-/// the process-global statics so concurrent sessions can read their own
-/// allocation behavior without aliasing each other's.
+/// Free buffers by length class.
+type FreeLists = HashMap<usize, Vec<Vec<u64>>>;
+
+/// What every arena checked out of one [`ArenaPool`] shares with it: the
+/// parked buffers and the pool's hit/miss counters. The counters exist
+/// alongside the process-global statics so concurrent sessions can read
+/// their own allocation behavior without aliasing each other's.
 #[derive(Debug, Default)]
-struct PoolCounters {
+struct PoolShared {
+    parked: Mutex<FreeLists>,
     fresh: AtomicU64,
     reused: AtomicU64,
+}
+
+impl PoolShared {
+    fn parked(&self) -> MutexGuard<'_, FreeLists> {
+        // Every update is a push or a pop of a whole buffer, so the lists
+        // are valid at every step and a poisoned guard is safe to recover.
+        self.parked
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 /// A session-scoped snapshot of one [`ArenaPool`]'s allocation counters
@@ -67,10 +86,11 @@ pub struct ArenaPoolStats {
 /// different payload degrees) never mix.
 #[derive(Debug, Default)]
 pub struct PolyArena {
-    pools: HashMap<usize, Vec<Vec<u64>>>,
-    /// Counters of the [`ArenaPool`] this arena was checked out of, if any:
-    /// standalone arenas count only into the process-global statics.
-    counters: Option<Arc<PoolCounters>>,
+    pools: FreeLists,
+    /// The [`ArenaPool`] this arena was checked out of, if any: its parked
+    /// buffers back this arena's misses and its counters record them.
+    /// Standalone arenas count only into the process-global statics.
+    home: Option<Arc<PoolShared>>,
 }
 
 impl PolyArena {
@@ -79,25 +99,25 @@ impl PolyArena {
         PolyArena::default()
     }
 
-    /// Takes a buffer of exactly `len` entries, reusing a pooled one when
-    /// available and allocating (and counting) a fresh one otherwise.
+    /// Takes a buffer of exactly `len` entries: from this arena's own free
+    /// list, else from the buffers parked in the pool it was checked out of,
+    /// else a fresh (counted) allocation.
     ///
     /// The returned buffer's contents are unspecified; the caller must
     /// overwrite every entry it reads back.
     pub fn take(&mut self, len: usize) -> Vec<u64> {
-        if let Some(buf) = self.pools.get_mut(&len).and_then(Vec::pop) {
-            ARENA_REUSED.fetch_add(1, Ordering::Relaxed);
-            if let Some(counters) = &self.counters {
-                counters.reused.fetch_add(1, Ordering::Relaxed);
-            }
-            buf
-        } else {
-            ARENA_FRESH.fetch_add(1, Ordering::Relaxed);
-            if let Some(counters) = &self.counters {
-                counters.fresh.fetch_add(1, Ordering::Relaxed);
-            }
-            vec![0u64; len]
+        let pooled = self.pools.get_mut(&len).and_then(Vec::pop).or_else(|| {
+            let home = self.home.as_ref()?;
+            home.parked().get_mut(&len).and_then(Vec::pop)
+        });
+        let hit = pooled.is_some();
+        let global = if hit { &ARENA_REUSED } else { &ARENA_FRESH };
+        global.fetch_add(1, Ordering::Relaxed);
+        if let Some(home) = &self.home {
+            let scoped = if hit { &home.reused } else { &home.fresh };
+            scoped.fetch_add(1, Ordering::Relaxed);
         }
+        pooled.unwrap_or_else(|| vec![0u64; len])
     }
 
     /// Returns a buffer to the free list of its length class. Zero-length
@@ -140,20 +160,20 @@ impl PolyArena {
     }
 }
 
-/// A shared parking lot of [`PolyArena`]s: sessions own one pool, workers
-/// check arenas out for the duration of a request and restore them
-/// afterwards, so warm buffers survive across requests and migrate freely
-/// between workers.
+/// A session's shared free lists: workers check an (empty) arena out for
+/// the duration of a request and restore it afterwards, which parks every
+/// buffer it gathered here — where any later `take` by any arena of this
+/// pool finds it. Warm buffers therefore survive across requests and
+/// migrate freely between workers.
 ///
-/// The mutex is touched twice per (worker, request) — checkout and restore —
-/// never inside an operation.
+/// The mutex is touched at restore and whenever a checked-out arena cannot
+/// serve a `take` from what it recycled itself — at most once per
+/// operation, never inside one.
 #[derive(Debug, Clone, Default)]
 pub struct ArenaPool {
-    inner: Arc<Mutex<Vec<PolyArena>>>,
-    /// Hit/miss counters shared by every arena checked out of this pool
-    /// (clones of the pool share them too, consistent with the shared
-    /// `inner`), snapshotted by [`ArenaPool::alloc_stats`].
-    counters: Arc<PoolCounters>,
+    /// Shared with every arena checked out of this pool (clones of the pool
+    /// share it too).
+    shared: Arc<PoolShared>,
 }
 
 impl ArenaPool {
@@ -162,43 +182,33 @@ impl ArenaPool {
         ArenaPool::default()
     }
 
-    /// Checks an arena out of the pool (an empty one if the pool has none to
-    /// spare — e.g. on the first request, or when more workers run
-    /// concurrently than ever before).
+    /// Checks an arena out of the pool: empty itself, backed by the pool's
+    /// parked buffers, its hits and misses attributed to this pool.
     pub fn checkout(&self) -> PolyArena {
-        let mut arena = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default();
-        // Attach (or refresh) this pool's counters so the arena's hits and
-        // misses are attributed to the session that checked it out.
-        arena.counters = Some(Arc::clone(&self.counters));
-        arena
+        PolyArena {
+            pools: FreeLists::new(),
+            home: Some(Arc::clone(&self.shared)),
+        }
     }
 
-    /// Returns an arena (and every buffer it holds) to the pool.
+    /// Parks every buffer the arena holds in the pool.
     pub fn restore(&self, arena: PolyArena) {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(arena);
+        if arena.pools.is_empty() {
+            return;
+        }
+        let mut parked = self.shared.parked();
+        for (len, buffers) in arena.pools {
+            parked.entry(len).or_default().extend(buffers);
+        }
     }
 
     /// Recycles one ciphertext's buffers straight into the pool (used for
     /// the request's output ciphertext after decryption, when no worker
     /// arena is checked out any more).
     pub fn recycle(&self, ciphertext: crate::Ciphertext) {
-        let mut guard = self
-            .inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if guard.is_empty() {
-            guard.push(PolyArena::new());
-        }
-        let arena = guard.last_mut().expect("pool is non-empty");
-        ciphertext.recycle_into(arena);
+        let mut arena = PolyArena::new();
+        ciphertext.recycle_into(&mut arena);
+        self.restore(arena);
     }
 
     /// A snapshot of this pool's allocation counters: pool misses and hits
@@ -208,20 +218,15 @@ impl ArenaPool {
     /// each read their own allocation behavior.
     pub fn alloc_stats(&self) -> ArenaPoolStats {
         ArenaPoolStats {
-            fresh_allocations: self.counters.fresh.load(Ordering::Relaxed),
-            reuses: self.counters.reused.load(Ordering::Relaxed),
+            fresh_allocations: self.shared.fresh.load(Ordering::Relaxed),
+            reuses: self.shared.reused.load(Ordering::Relaxed),
         }
     }
 
-    /// Total buffers parked across every arena currently in the pool
-    /// (checked-out arenas are not visible).
+    /// Total buffers parked in the pool (buffers held by checked-out arenas
+    /// are not visible).
     pub fn retained(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .map(PolyArena::retained)
-            .sum()
+        self.shared.parked().values().map(Vec::len).sum()
     }
 }
 
@@ -287,20 +292,35 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_trips_arenas() {
+    fn restored_buffers_serve_any_later_checkout() {
         let pool = ArenaPool::new();
         let mut arena = pool.checkout();
         arena.put(vec![0; 4]);
         pool.restore(arena);
         assert_eq!(pool.retained(), 1);
-        let arena = pool.checkout();
-        assert_eq!(arena.retained(), 1);
-        pool.restore(arena);
-        // A second concurrent checkout gets a fresh arena.
-        let a = pool.checkout();
-        let b = pool.checkout();
-        assert_eq!(a.retained() + b.retained(), 1);
+        // Two concurrent checkouts: whichever asks first gets the parked
+        // buffer, the other allocates.
+        let mut a = pool.checkout();
+        let mut b = pool.checkout();
+        assert_eq!(a.retained() + b.retained(), 0);
+        let first = b.take(4);
+        assert_eq!(pool.retained(), 0);
+        let second = a.take(4);
+        assert_eq!(
+            pool.alloc_stats(),
+            ArenaPoolStats {
+                fresh_allocations: 1,
+                reuses: 1
+            }
+        );
+        // What one arena recycles, the other's next miss finds once it is
+        // restored — buffers never strand in the arena that freed them.
+        a.put(first);
+        a.put(second);
         pool.restore(a);
+        assert_eq!(pool.retained(), 2);
+        let _ = (b.take(4), b.take(4));
+        assert_eq!(pool.alloc_stats().fresh_allocations, 1);
         pool.restore(b);
     }
 }

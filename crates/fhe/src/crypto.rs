@@ -19,7 +19,7 @@ use crate::noise::NoiseModel;
 use crate::params::{BfvParameters, ParameterError};
 use crate::payload::CtPayload;
 use crate::poly::{galois_eval_permutation, Domain, NttTables, Poly, MODULUS};
-use crate::rns::ModulusChain;
+use crate::rns::{ModulusChain, PlainModulus};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Cow;
@@ -110,6 +110,9 @@ pub struct FheContext {
 #[derive(Debug)]
 struct ContextInner {
     params: BfvParameters,
+    /// The slot reducer of the functional facet, built once here so every
+    /// evaluator's slot passes share one precomputed Barrett constant.
+    plain: PlainModulus,
     noise: NoiseModel,
     tables: Option<NttTables>,
     /// The RNS modulus chain: limb 0 is the Goldilocks prime served by
@@ -171,6 +174,7 @@ impl FheContext {
         });
         Ok(FheContext {
             inner: Arc::new(ContextInner {
+                plain: PlainModulus::new(params.plain_modulus),
                 params,
                 noise,
                 tables,
@@ -263,6 +267,11 @@ impl FheContext {
     /// The plaintext modulus.
     pub fn plain_modulus(&self) -> u64 {
         self.inner.params.plain_modulus
+    }
+
+    /// The plaintext-modulus reducer slot arithmetic runs on.
+    pub fn plain(&self) -> &PlainModulus {
+        &self.inner.plain
     }
 
     /// Encodes a vector of signed integers into a batched plaintext

@@ -46,31 +46,10 @@ use crate::crypto::{Ciphertext, FheContext, FheError, Plaintext};
 use crate::keys::{GaloisKeys, RelinKeys};
 use crate::payload::{CtPayload, INTRA_OP_MIN};
 use crate::poly::{Domain, Poly};
+use crate::rns::PlainModulus;
 use crate::simd::SimdPolicy;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Element-wise slot operations on the plaintext ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotOp {
-    Add,
-    Sub,
-    Mul,
-}
-
-impl SlotOp {
-    /// Applies the operation to one slot pair modulo `t`.
-    #[inline]
-    fn apply(self, x: u64, y: u64, t: u128) -> u64 {
-        let (x, y) = (x as u128, y as u128);
-        let r = match self {
-            SlotOp::Add => (x + y) % t,
-            SlotOp::Sub => (x + t - (y % t)) % t,
-            SlotOp::Mul => (x * y) % t,
-        };
-        r as u64
-    }
-}
 
 /// Statistics of the homomorphic operations an [`Evaluator`] has executed.
 ///
@@ -249,21 +228,33 @@ impl Evaluator {
         }
     }
 
-    /// Element-wise slot combination into an arena buffer.
-    fn slot_binary(&mut self, a: &[u64], b: &[u64], op: SlotOp) -> Vec<u64> {
-        let t = self.ctx.plain_modulus() as u128;
+    /// Element-wise slot combination into an arena buffer. `op` is one of
+    /// the [`PlainModulus`] operators, chosen per pass (never per slot), so
+    /// each slot costs one reducer call and no division.
+    fn slot_binary(
+        &mut self,
+        a: &[u64],
+        b: &[u64],
+        op: impl Fn(&PlainModulus, u64, u64) -> u64,
+    ) -> Vec<u64> {
+        let t = *self.ctx.plain();
         let mut out = self.arena.take(a.len().min(b.len()));
         for ((slot, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *slot = op.apply(x, y, t);
+            *slot = op(&t, x, y);
         }
         out
     }
 
     /// Element-wise slot combination in place (`a = a op b`).
-    fn slot_binary_assign(&self, a: &mut [u64], b: &[u64], op: SlotOp) {
-        let t = self.ctx.plain_modulus() as u128;
+    fn slot_binary_assign(
+        &self,
+        a: &mut [u64],
+        b: &[u64],
+        op: impl Fn(&PlainModulus, u64, u64) -> u64,
+    ) {
+        let t = *self.ctx.plain();
         for (x, &y) in a.iter_mut().zip(b) {
-            *x = op.apply(*x, y, t);
+            *x = op(&t, *x, y);
         }
     }
 
@@ -286,7 +277,7 @@ impl Evaluator {
     pub fn add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         self.stats.additions += 1;
         Ciphertext {
-            slots: self.slot_binary(&a.slots, &b.slots, SlotOp::Add),
+            slots: self.slot_binary(&a.slots, &b.slots, PlainModulus::add),
             payload: self.payload_pointwise(a, b, false),
             noise_consumed_bits: self.ctx.noise_model().combine(
                 a.noise_consumed_bits,
@@ -302,7 +293,7 @@ impl Evaluator {
     pub fn sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         self.stats.additions += 1;
         Ciphertext {
-            slots: self.slot_binary(&a.slots, &b.slots, SlotOp::Sub),
+            slots: self.slot_binary(&a.slots, &b.slots, PlainModulus::sub),
             payload: self.payload_pointwise(a, b, true),
             noise_consumed_bits: self.ctx.noise_model().combine(
                 a.noise_consumed_bits,
@@ -320,7 +311,7 @@ impl Evaluator {
     /// mutated under an aliasing ciphertext).
     pub fn add_assign(&mut self, a: &mut Ciphertext, b: &Ciphertext) {
         self.stats.additions += 1;
-        self.slot_binary_assign(&mut a.slots, &b.slots, SlotOp::Add);
+        self.slot_binary_assign(&mut a.slots, &b.slots, PlainModulus::add);
         a.noise_consumed_bits = self.ctx.noise_model().combine(
             a.noise_consumed_bits,
             b.noise_consumed_bits,
@@ -334,7 +325,7 @@ impl Evaluator {
     /// [`Evaluator::add_assign`] for the aliasing contract.
     pub fn sub_assign(&mut self, a: &mut Ciphertext, b: &Ciphertext) {
         self.stats.additions += 1;
-        self.slot_binary_assign(&mut a.slots, &b.slots, SlotOp::Sub);
+        self.slot_binary_assign(&mut a.slots, &b.slots, PlainModulus::sub);
         a.noise_consumed_bits = self.ctx.noise_model().combine(
             a.noise_consumed_bits,
             b.noise_consumed_bits,
@@ -347,10 +338,10 @@ impl Evaluator {
     /// Ciphertext negation.
     pub fn negate(&mut self, a: &Ciphertext) -> Ciphertext {
         self.stats.negations += 1;
-        let t = self.ctx.plain_modulus();
+        let t = *self.ctx.plain();
         let mut slots = self.arena.take(a.slots.len());
         for (slot, &x) in slots.iter_mut().zip(&a.slots) {
-            *slot = (t - x % t) % t;
+            *slot = t.neg(x);
         }
         let payload = if a.payload.is_empty() {
             Arc::clone(&a.payload)
@@ -376,9 +367,9 @@ impl Evaluator {
     /// [`Evaluator::add_assign`] for the aliasing contract.
     pub fn neg_assign(&mut self, a: &mut Ciphertext) {
         self.stats.negations += 1;
-        let t = self.ctx.plain_modulus();
+        let t = *self.ctx.plain();
         for x in a.slots.iter_mut() {
-            *x = (t - *x % t) % t;
+            *x = t.neg(*x);
         }
         a.noise_consumed_bits += self.ctx.noise_model().negate_bits;
         if !a.payload.is_empty() {
@@ -403,7 +394,7 @@ impl Evaluator {
     pub fn add_plain(&mut self, a: &Ciphertext, b: &Plaintext) -> Ciphertext {
         self.stats.additions += 1;
         Ciphertext {
-            slots: self.slot_binary(&a.slots, &b.slots, SlotOp::Add),
+            slots: self.slot_binary(&a.slots, &b.slots, PlainModulus::add),
             payload: Arc::clone(&a.payload),
             noise_consumed_bits: a.noise_consumed_bits + self.ctx.noise_model().add_bits,
             key_id: a.key_id,
@@ -416,7 +407,7 @@ impl Evaluator {
     pub fn sub_plain(&mut self, a: &Ciphertext, b: &Plaintext) -> Ciphertext {
         self.stats.additions += 1;
         Ciphertext {
-            slots: self.slot_binary(&a.slots, &b.slots, SlotOp::Sub),
+            slots: self.slot_binary(&a.slots, &b.slots, PlainModulus::sub),
             payload: Arc::clone(&a.payload),
             noise_consumed_bits: a.noise_consumed_bits + self.ctx.noise_model().add_bits,
             key_id: a.key_id,
@@ -437,7 +428,7 @@ impl Evaluator {
         self.stats.ct_ct_multiplications += 1;
         let payload = self.payload_tensor_product(a, b, relin);
         Ciphertext {
-            slots: self.slot_binary(&a.slots, &b.slots, SlotOp::Mul),
+            slots: self.slot_binary(&a.slots, &b.slots, PlainModulus::mul),
             payload,
             noise_consumed_bits: self.ctx.noise_model().combine(
                 a.noise_consumed_bits,
@@ -495,7 +486,7 @@ impl Evaluator {
             _ => Arc::clone(&a.payload),
         };
         Ciphertext {
-            slots: self.slot_binary(&a.slots, &b.slots, SlotOp::Mul),
+            slots: self.slot_binary(&a.slots, &b.slots, PlainModulus::mul),
             payload,
             noise_consumed_bits: a.noise_consumed_bits + self.ctx.noise_model().ct_pt_mul_bits,
             key_id: a.key_id,
@@ -525,10 +516,10 @@ impl Evaluator {
         self.stats.rotations += 1;
         let n = a.slots.len();
         let shift = step.rem_euclid(n as i64) as usize;
+        // slots[i] = a.slots[(i + shift) % n], as two block copies.
         let mut slots = self.arena.take(n);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = a.slots[(i + shift) % n];
-        }
+        slots[..n - shift].copy_from_slice(&a.slots[shift..]);
+        slots[n - shift..].copy_from_slice(&a.slots[..shift]);
         // Payload: Galois automorphism on both components plus key switching
         // (two ring multiplications), roughly half the work of a ct-ct
         // multiplication, matching the relative cost the paper assumes. In
@@ -705,8 +696,8 @@ impl Evaluator {
     /// payload work is one fused stripe pass
     /// ([`CtPayload::mul_scalar_eval2`]) with no transform and no temporary.
     pub fn multiply_scalar(&mut self, a: &Ciphertext, scalar: i64) -> Ciphertext {
-        let t = self.ctx.plain_modulus() as i128;
-        let reduced = (((scalar as i128) % t + t) % t) as u64;
+        let t = *self.ctx.plain();
+        let reduced = scalar.rem_euclid(t.value() as i64) as u64;
         self.stats.ct_pt_multiplications += 1;
         let ctx = self.ctx.clone();
         let payload = match ctx.ones_eval() {
@@ -732,7 +723,7 @@ impl Evaluator {
         };
         let mut slots = self.arena.take(a.slots.len());
         for (slot, &x) in slots.iter_mut().zip(&a.slots) {
-            *slot = p_mod_mul(x, reduced, t as u64);
+            *slot = t.mul(x, reduced);
         }
         Ciphertext {
             slots,
@@ -742,10 +733,6 @@ impl Evaluator {
             level: a.level,
         }
     }
-}
-
-fn p_mod_mul(a: u64, b: u64, t: u64) -> u64 {
-    ((u128::from(a) * u128::from(b)) % u128::from(t)) as u64
 }
 
 #[cfg(test)]

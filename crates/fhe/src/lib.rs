@@ -68,5 +68,5 @@ pub use noise::NoiseModel;
 pub use params::{BfvParameters, ParameterError, SecurityLevel};
 pub use payload::CtPayload;
 pub use poly::TransformStats;
-pub use rns::ModulusChain;
+pub use rns::{ModulusChain, PlainModulus};
 pub use simd::SimdPolicy;

@@ -28,6 +28,9 @@ pub enum ParameterError {
     InvalidPayloadDegree(usize),
     /// The RNS limb count is outside the supported `1..=8` range.
     InvalidLimbCount(usize),
+    /// The plaintext modulus is outside the `[2, 2^32)` range the slot
+    /// reducer ([`PlainModulus`](crate::PlainModulus)) covers.
+    PlainModulusOutOfRange(u64),
 }
 
 impl fmt::Display for ParameterError {
@@ -48,6 +51,9 @@ impl fmt::Display for ParameterError {
             }
             ParameterError::InvalidLimbCount(k) => {
                 write!(f, "RNS limb count {k} must be between 1 and 8")
+            }
+            ParameterError::PlainModulusOutOfRange(t) => {
+                write!(f, "plaintext modulus {t} must be at least 2 and below 2^32")
             }
         }
     }
@@ -167,6 +173,9 @@ impl BfvParameters {
         }
         if !self.payload_degree.is_power_of_two() || self.payload_degree < 8 {
             return Err(ParameterError::InvalidPayloadDegree(self.payload_degree));
+        }
+        if !(2..crate::PlainModulus::MAX).contains(&self.plain_modulus) {
+            return Err(ParameterError::PlainModulusOutOfRange(self.plain_modulus));
         }
         if self.plain_modulus % (2 * self.poly_modulus_degree as u64) != 1 {
             return Err(ParameterError::PlainModulusIncompatibleWithBatching {
@@ -308,6 +317,18 @@ mod tests {
                 .validate()
                 .unwrap();
         }
+    }
+
+    #[test]
+    fn plain_moduli_beyond_the_slot_reducer_are_rejected() {
+        // 2^32 + 2^15 + 1 ≡ 1 (mod 2^15): batching-compatible, but a product
+        // of two residues no longer fits a word.
+        let t = (1u64 << 32) + (1 << 15) + 1;
+        let p = BfvParameters {
+            plain_modulus: t,
+            ..BfvParameters::default_128()
+        };
+        assert_eq!(p.validate(), Err(ParameterError::PlainModulusOutOfRange(t)));
     }
 
     #[test]

@@ -90,6 +90,95 @@ pub fn neg_mod(a: u64, q: u64) -> u64 {
     }
 }
 
+/// The plaintext-modulus reducer every slot pass of the functional facet
+/// runs on: canonical [`add_mod`] / [`sub_mod`] / [`neg_mod`] plus a
+/// single-word Barrett product, so no per-slot loop divides by a runtime
+/// modulus. Built once per [`FheContext`](crate::FheContext)
+/// ([`FheContext::plain`](crate::FheContext::plain)) — the Barrett
+/// constant must be a field, because LLVM does not hoist `u64::MAX / t`
+/// out of a slot loop.
+///
+/// Covers `2 <= t < 2^32` (a product of two residues then fits a word);
+/// [`BfvParameters::validate`](crate::BfvParameters::validate) rejects
+/// larger plaintext moduli. Operands must be canonical (`< t`), which
+/// every slot vector in this crate is from encoding onwards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlainModulus {
+    t: u64,
+    /// `⌊(2^64 - 1) / t⌋`.
+    ratio: u64,
+}
+
+impl PlainModulus {
+    /// Exclusive upper bound of the plaintext moduli the reducer covers.
+    pub const MAX: u64 = 1 << 32;
+
+    /// Builds the reducer for plaintext modulus `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `2 <= t < 2^32` (contexts never get that far:
+    /// parameter validation rejects such a `t` with a typed error).
+    pub fn new(t: u64) -> Self {
+        assert!(
+            (2..Self::MAX).contains(&t),
+            "plaintext modulus {t} is outside the reducer's [2, 2^32) range"
+        );
+        PlainModulus {
+            t,
+            ratio: u64::MAX / t,
+        }
+    }
+
+    /// The modulus `t`.
+    #[inline]
+    pub fn value(&self) -> u64 {
+        self.t
+    }
+
+    /// `(a + b) mod t` for canonical operands.
+    #[inline]
+    pub fn add(&self, a: u64, b: u64) -> u64 {
+        debug_assert!(a < self.t && b < self.t, "slots are canonical on entry");
+        add_mod(a, b, self.t)
+    }
+
+    /// `(a - b) mod t` for canonical operands.
+    #[inline]
+    pub fn sub(&self, a: u64, b: u64) -> u64 {
+        debug_assert!(a < self.t && b < self.t, "slots are canonical on entry");
+        sub_mod(a, b, self.t)
+    }
+
+    /// `-a mod t` for a canonical operand.
+    #[inline]
+    pub fn neg(&self, a: u64) -> u64 {
+        debug_assert!(a < self.t, "slots are canonical on entry");
+        neg_mod(a, self.t)
+    }
+
+    /// `a·b mod t` for canonical operands.
+    #[inline]
+    pub fn mul(&self, a: u64, b: u64) -> u64 {
+        debug_assert!(a < self.t && b < self.t, "slots are canonical on entry");
+        self.reduce(a * b)
+    }
+
+    /// `x mod t` for any word `x`: the quotient estimate
+    /// `⌊x · ratio / 2^64⌋` undershoots `⌊x / t⌋` by at most one, so one
+    /// conditional subtract canonicalizes.
+    #[inline]
+    pub fn reduce(&self, x: u64) -> u64 {
+        let q_hat = ((u128::from(x) * u128::from(self.ratio)) >> 64) as u64;
+        let r = x - q_hat * self.t;
+        if r >= self.t {
+            r - self.t
+        } else {
+            r
+        }
+    }
+}
+
 /// Barrett constant `mu = ⌊2^124 / q⌋` for a generic limb prime
 /// (`2^60 < q < 2^61`, which makes `mu` fit a word).
 #[inline]

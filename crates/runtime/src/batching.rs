@@ -195,7 +195,7 @@ pub fn lane_geometry(
                 }
                 interim
             }
-            Instr::Pack { elems } => {
+            Instr::Pack { elems, .. } => {
                 let mut packed = (i64::MAX, i64::MIN);
                 for (i, &elem) in elems.iter().enumerate() {
                     let (lo, hi) = intervals[elem];

@@ -929,7 +929,7 @@ pub(crate) fn run_instr(
             }
             Register::Plain(_) => unreachable!("plaintext-only nodes are evaluated on the client"),
         },
-        Instr::Pack { elems } => {
+        Instr::Pack { elems, folds_plain } => {
             let started = Instant::now();
             // Run-time packing: element i is moved to slot i with a
             // right-rotation and accumulated with in-place additions.
@@ -976,7 +976,10 @@ pub(crate) fn run_instr(
                     .expect("schedules with Pack instructions provide a zero ciphertext")
                     .clone(),
             };
-            if plain_slots.iter().any(|&v| v != 0) {
+            // Whether the plaintext addition is issued is the schedule's
+            // decision, never the request's: elements that all happen to
+            // read zero cost the same operations as any other values.
+            if *folds_plain {
                 // The packing plaintext is transient — encoded from the
                 // arena, added, and recycled within this one instruction.
                 let plain = res.ctx.encode_in(&plain_slots, evaluator.arena_mut())?;

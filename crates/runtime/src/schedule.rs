@@ -65,6 +65,11 @@ pub enum Instr {
     Pack {
         /// Source slot of each vector element, in slot order.
         elems: Vec<Slot>,
+        /// Whether the plaintext addition is issued: decided here, from the
+        /// circuit — some element is plaintext-kind and not the constant
+        /// zero — and never from a request's values, so the operation count
+        /// of a schedule does not depend on its inputs.
+        folds_plain: bool,
     },
 }
 
@@ -75,7 +80,7 @@ impl Instr {
         match self {
             Instr::Bin { a, b, .. } => vec![*a, *b],
             Instr::Neg { a } | Instr::Rot { a, .. } => vec![*a],
-            Instr::Pack { elems } => elems.clone(),
+            Instr::Pack { elems, .. } => elems.clone(),
         }
     }
 
@@ -211,6 +216,10 @@ impl Schedule {
                 },
                 DagNode::Vec(elems) => Instr::Pack {
                     elems: elems.clone(),
+                    folds_plain: elems.iter().any(|&e| {
+                        kinds[e] == DataKind::Plaintext
+                            && !matches!(dag.nodes()[e], DagNode::Const(0))
+                    }),
                 },
             };
             let terms = cost_terms(&instr, &kinds);
@@ -629,7 +638,7 @@ fn cost_terms(instr: &Instr, kinds: &[DataKind]) -> CostTerms {
             rotations: parts.len().max(1) as f64,
             ..CostTerms::default()
         },
-        Instr::Pack { elems } => {
+        Instr::Pack { elems, .. } => {
             let ciphers = elems.iter().filter(|&&e| is_ct(e)).count() as f64;
             CostTerms {
                 rotations: ciphers,
@@ -692,7 +701,7 @@ mod tests {
             let operands: Vec<Slot> = match &si.instr {
                 Instr::Bin { a, b, .. } => vec![*a, *b],
                 Instr::Neg { a } | Instr::Rot { a, .. } => vec![*a],
-                Instr::Pack { elems } => elems.clone(),
+                Instr::Pack { elems, .. } => elems.clone(),
             };
             for op in operands {
                 assert!(

@@ -21,7 +21,12 @@
 //!   every request is a batch of one;
 //! - [`RequestHandle::wait`] / [`RequestHandle::try_poll`] retrieve the
 //!   result of *that* request, so callers observe submission order even when
-//!   completions happen out of order;
+//!   completions happen out of order. A caller that blocks on a request no
+//!   worker has started yet serves it itself (unbatched engines only): a
+//!   thread about to sleep does the work instead of handing it to a second
+//!   thread that has to be woken, and woken again to hand the result back —
+//!   two scheduler round trips per request, whose placement on a small guest
+//!   decided whether a closed loop ran on all of its cores or on one;
 //! - [`ServingEngine::shutdown`] stops intake, drains everything already
 //!   queued or in flight, joins the workers, and reports final
 //!   [`ServingStats`].
@@ -44,6 +49,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct ServingConfig {
     /// Persistent worker threads draining the queue (clamped to at least 1).
+    /// Callers blocked in [`RequestHandle::wait`] on a still-queued request
+    /// of an unbatched engine serve it themselves, on top of these.
     pub workers: usize,
     /// Maximum *queued* (submitted but not yet started) requests before
     /// [`ServingEngine::submit`] blocks (clamped to at least 1).
@@ -596,6 +603,8 @@ pub struct RequestHandle<R> {
     id: u64,
     shared: Arc<HandleShared<R>>,
     token: CancellationToken,
+    /// The engine's [`ServeQueued`], when waiters serve their own jobs.
+    serve_queued: Option<Arc<ServeQueued>>,
 }
 
 impl<R> std::fmt::Debug for RequestHandle<R> {
@@ -686,11 +695,18 @@ impl<R> RequestHandle<R> {
     /// (worker death, or a halt with the request still queued behind dead
     /// workers). Never blocks forever on a dead engine.
     ///
+    /// On an unbatched engine a request still in the queue is served right
+    /// here, on the calling thread, instead of waiting for a worker to get
+    /// to it (see [`ServingEngine::batched`]).
+    ///
     /// # Panics
     ///
     /// Panics only on misuse: the result was already taken by
     /// [`RequestHandle::try_poll`] (the handle is single-shot).
     pub fn try_wait(self) -> Result<R, RequestError> {
+        if let Some(serve_queued) = &self.serve_queued {
+            serve_queued(self.id);
+        }
         let mut slot = self.lock_slot();
         loop {
             if slot.poisoned {
@@ -798,6 +814,8 @@ struct Shared<T, R> {
     not_empty: Condvar,
     /// Signals blocked submitters that the queue lost jobs.
     not_full: Condvar,
+    /// Signals a halting engine that a job served by its waiter finished.
+    waiter_done: Condvar,
     /// Completion counters, per-request latency and per-batch formation
     /// histograms, recorded by the workers themselves.
     latency: Mutex<LatencyAgg>,
@@ -816,6 +834,11 @@ struct Shared<T, R> {
 type BatchHandler<T, R> =
     dyn Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<Option<R>> + Send + Sync;
 
+/// Serves the job with the given id on the calling thread if it is still
+/// queued (no-op once a worker has taken it): what a [`RequestHandle`] of an
+/// unbatched engine runs before it would block.
+type ServeQueued = dyn Fn(u64) + Send + Sync;
+
 /// A persistent request-serving engine: a bounded queue plus a pool of
 /// long-lived worker threads draining it through one shared handler.
 ///
@@ -827,6 +850,8 @@ type BatchHandler<T, R> =
 pub struct ServingEngine<T, R> {
     shared: Arc<Shared<T, R>>,
     workers: Vec<JoinHandle<()>>,
+    /// Handed to every [`RequestHandle`]; `None` when jobs stay on workers.
+    serve_queued: Option<Arc<ServeQueued>>,
 }
 
 impl<T, R> std::fmt::Debug for ServingEngine<T, R> {
@@ -875,6 +900,13 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
     /// either way. [`RequestCoalescer`](crate::RequestCoalescer) wraps plain
     /// `Vec<R>` batch handlers into this shape and isolates a poisoned
     /// batch's offender.
+    ///
+    /// Under `max_batch = 1` a job needs no companions, so a caller that
+    /// blocks on its handle while the job is still queued takes it off the
+    /// queue and runs the handler itself — same bookkeeping, no hand-off.
+    /// Engines with a fault plan or a trace sink keep every job on their
+    /// workers: worker kills and per-worker trace tracks are about *which
+    /// thread* serves.
     pub fn batched<F>(config: ServingConfig, policy: BatchPolicy, handler: F) -> Self
     where
         F: Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<Option<R>> + Send + Sync + 'static,
@@ -888,6 +920,7 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            waiter_done: Condvar::new(),
             latency: Mutex::new(LatencyAgg::default()),
             config: ServingConfig {
                 workers: config.workers.max(1),
@@ -910,7 +943,36 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
                 std::thread::spawn(move || worker_loop(&shared, worker, &*handler))
             })
             .collect();
-        ServingEngine { shared, workers }
+        let waiters_serve = shared.policy.max_batch == 1
+            && shared.config.faults.is_none()
+            && shared.config.trace.is_none();
+        let serve_queued = waiters_serve.then(|| {
+            let shared = Arc::clone(&shared);
+            Arc::new(move |id: u64| {
+                let mut state = shared.state.lock().unwrap();
+                let Some(at) = state.queue.iter().position(|job| job.id == id) else {
+                    return;
+                };
+                let job = state.queue.remove(at).expect("position is in the queue");
+                state.in_flight += 1;
+                drop(state);
+                shared.not_full.notify_all();
+                serve_batch(
+                    &shared,
+                    &*handler,
+                    Server::Waiter,
+                    vec![(job.id, job.request)],
+                    vec![job.member],
+                    Duration::ZERO,
+                );
+                shared.waiter_done.notify_all();
+            }) as Arc<ServeQueued>
+        });
+        ServingEngine {
+            shared,
+            workers,
+            serve_queued,
+        }
     }
 }
 
@@ -1062,6 +1124,7 @@ impl<T, R> ServingEngine<T, R> {
             id,
             shared: handle,
             token,
+            serve_queued: self.serve_queued.clone(),
         }
     }
 
@@ -1108,10 +1171,11 @@ impl<T, R> ServingEngine<T, R> {
     }
 
     /// Idempotent part of shutdown: flips the flag, wakes everyone, joins,
-    /// then resolves any handle that can no longer complete. A job still
-    /// queued after every worker has exited (possible only when workers
-    /// died) would leave its waiter blocked forever — disconnect it so
-    /// retrieval reports [`RequestError::Abandoned`] instead.
+    /// waits out jobs their own waiters are serving, then resolves any
+    /// handle that can no longer complete. A job still queued after every
+    /// worker has exited (possible only when workers died) would leave its
+    /// waiter blocked forever — disconnect it so retrieval reports
+    /// [`RequestError::Abandoned`] instead.
     pub(crate) fn halt(&mut self) {
         self.shared.state.lock().unwrap().shutting_down = true;
         self.shared.not_empty.notify_all();
@@ -1124,6 +1188,13 @@ impl<T, R> ServingEngine<T, R> {
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        while state.in_flight > 0 {
+            state = self
+                .shared
+                .waiter_done
+                .wait(state)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
         while let Some(job) = state.queue.pop_front() {
             job.member.handle.disconnect();
         }
@@ -1169,6 +1240,7 @@ impl<T, R> Drop for FulfillGuard<'_, T, R> {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         state.in_flight = state.in_flight.saturating_sub(self.members.len());
         drop(state);
+        self.shared.waiter_done.notify_all();
         self.shared.config.resilience.note_worker_panic();
     }
 }
@@ -1234,90 +1306,122 @@ fn worker_loop<T, R>(shared: &Shared<T, R>, worker: usize, handler: &BatchHandle
         shared.not_full.notify_all();
         let linger = gather_start.elapsed();
 
-        // From here to `disarm` the batch is this worker's responsibility:
-        // if the thread dies, the guard resolves every handle as abandoned.
-        let guard = FulfillGuard {
-            shared,
-            members: &members,
-            armed: true,
+        let server = Server::Worker {
+            index: worker,
+            track: &mut track,
         };
-        if let Some(plan) = &shared.config.faults {
-            if plan.take_worker_kill() {
-                panic!("injected fault: serving worker {worker} killed");
-            }
-        }
-        let started = Instant::now();
-        // The members of a larger batch share their ciphertexts, so only a
-        // batch of one can stop on its member's own token.
-        let solo_token = (size == 1).then(|| &members[0].token);
-        // A panicking (or miscounting) handler must not kill the worker (the
-        // queue behind it would never drain) nor leave its waiters blocked
-        // forever: catch the unwind, poison the result slots, and let
-        // retrievers re-raise it.
-        let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handler(requests, solo_token)
-        }))
-        .ok()
-        .filter(|results| results.len() == size)
-        .unwrap_or_else(|| members.iter().map(|_| None).collect());
-        let elapsed = started.elapsed();
-
-        // Book-keeping first: a waiter woken by the fulfill below must
-        // already observe its request in the counters when it calls
-        // `stats()`.
-        shared.state.lock().unwrap().in_flight -= size;
-        // Classify each outcome while it is fresh: the token states are read
-        // immediately after the handler returns, so a deadline that expires
-        // later (while the result sits unretrieved) is not miscounted.
-        let resilience = &shared.config.resilience;
-        let queue_wait = |member: &Member<R>| started.saturating_duration_since(member.enqueued);
-        let mut latency = shared.latency.lock().unwrap();
-        latency.completed += size as u64;
-        latency.busy += elapsed;
-        latency.batch_size.record_nanos(size as u64);
-        latency.linger.record(linger);
-        for (member, result) in members.iter().zip(&results) {
-            latency.request_wall.record(elapsed);
-            latency.queue_wait.record(queue_wait(member));
-            let outcome = if result.is_none() {
-                resilience.note_worker_panic();
-                &mut latency.panicked
-            } else if member.token.is_cancelled() {
-                resilience.note_cancelled();
-                &mut latency.cancelled
-            } else if member.token.deadline_expired() {
-                resilience.note_deadline_missed();
-                &mut latency.deadline_missed
-            } else {
-                &mut latency.ok
-            };
-            outcome.record(elapsed);
-        }
-        drop(latency);
-        if let Some(sink) = shared.config.trace.as_deref() {
-            let track = *track
-                .get_or_insert_with(|| sink.allocate_track(format!("serving worker {worker}")));
-            for member in &members {
-                let queue_wait = queue_wait(member);
-                sink.push(SpanEvent {
-                    name: "request",
-                    cat: "request",
-                    track,
-                    start_ns: sink.offset_ns(started),
-                    dur_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-                    instr: None,
-                    queue_wait_ns: Some(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX)),
-                    grant: None,
-                    stolen_from: None,
-                });
-            }
-        }
-
-        for (member, result) in members.iter().zip(results) {
-            member.handle.fulfill(result);
-        }
-        guard.disarm();
+        serve_batch(shared, handler, server, requests, members, linger);
     }
+}
+
+/// The thread serving a batch.
+enum Server<'a> {
+    /// One of the engine's workers, with its lazily allocated trace track.
+    Worker {
+        index: usize,
+        track: &'a mut Option<usize>,
+    },
+    /// The caller blocked on the job's handle (engines without a fault plan
+    /// or a trace sink only, so neither applies to it).
+    Waiter,
+}
+
+/// Runs the handler once for a batch already taken off the queue (and
+/// counted in `in_flight`), records it, and fulfills its members' handles.
+fn serve_batch<T, R>(
+    shared: &Shared<T, R>,
+    handler: &BatchHandler<T, R>,
+    server: Server<'_>,
+    requests: Vec<(u64, T)>,
+    members: Vec<Member<R>>,
+    linger: Duration,
+) {
+    let size = members.len();
+    // From here to `disarm` the batch is this thread's responsibility:
+    // if it dies, the guard resolves every handle as abandoned.
+    let guard = FulfillGuard {
+        shared,
+        members: &members,
+        armed: true,
+    };
+    if let (Some(plan), Server::Worker { index, .. }) = (&shared.config.faults, &server) {
+        if plan.take_worker_kill() {
+            panic!("injected fault: serving worker {index} killed");
+        }
+    }
+    let started = Instant::now();
+    // The members of a larger batch share their ciphertexts, so only a
+    // batch of one can stop on its member's own token.
+    let solo_token = (size == 1).then(|| &members[0].token);
+    // A panicking (or miscounting) handler must not kill the worker (the
+    // queue behind it would never drain) nor leave its waiters blocked
+    // forever: catch the unwind, poison the result slots, and let
+    // retrievers re-raise it.
+    let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        handler(requests, solo_token)
+    }))
+    .ok()
+    .filter(|results| results.len() == size)
+    .unwrap_or_else(|| members.iter().map(|_| None).collect());
+    let elapsed = started.elapsed();
+
+    // Book-keeping first: a waiter woken by the fulfill below must
+    // already observe its request in the counters when it calls
+    // `stats()` — the latency counters before `in_flight`, so that a halt
+    // that sees nothing in flight reports everything completed.
+    // Classify each outcome while it is fresh: the token states are read
+    // immediately after the handler returns, so a deadline that expires
+    // later (while the result sits unretrieved) is not miscounted.
+    let resilience = &shared.config.resilience;
+    let queue_wait = |member: &Member<R>| started.saturating_duration_since(member.enqueued);
+    let mut latency = shared.latency.lock().unwrap();
+    latency.completed += size as u64;
+    latency.busy += elapsed;
+    latency.batch_size.record_nanos(size as u64);
+    latency.linger.record(linger);
+    for (member, result) in members.iter().zip(&results) {
+        latency.request_wall.record(elapsed);
+        latency.queue_wait.record(queue_wait(member));
+        let outcome = if result.is_none() {
+            resilience.note_worker_panic();
+            &mut latency.panicked
+        } else if member.token.is_cancelled() {
+            resilience.note_cancelled();
+            &mut latency.cancelled
+        } else if member.token.deadline_expired() {
+            resilience.note_deadline_missed();
+            &mut latency.deadline_missed
+        } else {
+            &mut latency.ok
+        };
+        outcome.record(elapsed);
+    }
+    drop(latency);
+    shared.state.lock().unwrap().in_flight -= size;
+    if let (Some(sink), Server::Worker { index, track }) = (shared.config.trace.as_deref(), server)
+    {
+        let track =
+            *track.get_or_insert_with(|| sink.allocate_track(format!("serving worker {index}")));
+        for member in &members {
+            let queue_wait = queue_wait(member);
+            sink.push(SpanEvent {
+                name: "request",
+                cat: "request",
+                track,
+                start_ns: sink.offset_ns(started),
+                dur_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+                instr: None,
+                queue_wait_ns: Some(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX)),
+                grant: None,
+                stolen_from: None,
+            });
+        }
+    }
+
+    for (member, result) in members.iter().zip(results) {
+        member.handle.fulfill(result);
+    }
+    guard.disarm();
 }
 
 #[cfg(test)]
@@ -1426,6 +1530,41 @@ mod tests {
     }
 
     #[test]
+    fn a_waiter_serves_its_own_still_queued_request() {
+        let gate = Arc::new(Mutex::new(()));
+        let guard = gate.lock().unwrap();
+        let handler_gate = Arc::clone(&gate);
+        let engine = engine_with(1, 8, move |_, gated: bool| {
+            if gated {
+                drop(handler_gate.lock().unwrap());
+            } else {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+            std::thread::current().id()
+        });
+        // The lone worker takes the gated job and blocks on the gate.
+        let gated = engine.submit(true).unwrap();
+        while engine.stats().in_flight == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // With the worker stuck, waiting on a queued job serves it here.
+        let queued = engine.submit(false).unwrap();
+        assert_eq!(queued.wait(), std::thread::current().id());
+
+        // A halt also waits for a job its waiter is still serving.
+        let queued = engine.submit(false).unwrap();
+        let waiter = std::thread::spawn(move || queued.wait());
+        while engine.stats().in_flight < 2 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(guard);
+        let stats = engine.shutdown();
+        assert_eq!((stats.completed, stats.in_flight), (3, 0));
+        assert_ne!(gated.wait(), std::thread::current().id());
+        waiter.join().unwrap();
+    }
+
+    #[test]
     fn bounded_queue_applies_backpressure() {
         let gate = Arc::new(Mutex::new(()));
         let guard = gate.lock().unwrap();
@@ -1489,9 +1628,12 @@ mod tests {
         });
         let bad = engine.submit(13).unwrap();
         let good = engine.submit(4).unwrap();
-        // The worker survives the panic and drains the rest of the queue.
+        // The worker survives the panic; the rest of the queue still drains
+        // (by the worker, or by this waiter ahead of it).
         assert_eq!(good.wait(), 8);
-        assert!(bad.is_finished());
+        while !bad.is_finished() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // Every retrieval attempt re-raises the handler panic with the
         // intended message, and a panicking accessor does not wedge the
         // handle for later ones (no std mutex poisoning leaks through).

@@ -8,7 +8,9 @@
 
 use chehab::compiler::Compiler;
 use chehab::datagen::LlmLikeSynthesizer;
-use chehab::fhe::{poly, BfvParameters, Decryptor, Encryptor, Evaluator, FheContext, KeyGenerator};
+use chehab::fhe::{
+    poly, BfvParameters, Decryptor, Encryptor, Evaluator, FheContext, KeyGenerator, PlainModulus,
+};
 use chehab::ir::{evaluate, Env, Ty};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -80,6 +82,75 @@ fn evaluator_operations_are_homomorphic() {
                 expected,
                 "case {case}: xs={xs:?} step={step} slot {i}"
             );
+        }
+    }
+}
+
+/// The slot reducer against the `u128 %` arithmetic it replaced, on boundary
+/// and random canonical operands, for three plaintext moduli.
+#[test]
+fn plain_modulus_reducer_matches_the_u128_oracle() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF4E_00C);
+    for t in [12_289u64, 65_537, 786_433] {
+        let m = PlainModulus::new(t);
+        assert_eq!(m.value(), t);
+        let mut operands = vec![0, 1, t - 1];
+        operands.extend((0..64).map(|_| rng.gen_range(0..t)));
+        for &a in &operands {
+            assert_eq!(m.neg(a), (t - a) % t, "t={t}: -{a}");
+            for &b in &operands {
+                let (wa, wb, wt) = (u128::from(a), u128::from(b), u128::from(t));
+                assert_eq!(u128::from(m.add(a, b)), (wa + wb) % wt, "t={t}: {a}+{b}");
+                assert_eq!(
+                    u128::from(m.sub(a, b)),
+                    (wa + wt - wb) % wt,
+                    "t={t}: {a}-{b}"
+                );
+                assert_eq!(u128::from(m.mul(a, b)), (wa * wb) % wt, "t={t}: {a}*{b}");
+            }
+        }
+        // Whole words, too: exact multiples, their neighbours, both ends.
+        let mut words = vec![0, t - 1, t, t + 1, u64::MAX - 1, u64::MAX];
+        words.extend([u64::MAX / t * t, u64::MAX / t * t - 1]);
+        words.extend((0..256).map(|_| rng.gen::<u64>()));
+        for x in words {
+            assert_eq!(m.reduce(x), x % t, "t={t}: reduce {x}");
+        }
+    }
+}
+
+/// Slots are canonical from encoding onwards; the reducer checks it on entry
+/// in debug builds instead of paying a defensive `% t` per slot.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "canonical")]
+fn reducer_rejects_non_canonical_operands_in_debug_builds() {
+    let t = 786_433;
+    let _ = PlainModulus::new(t).add(t, 0);
+}
+
+/// The block-copy slot rotation against the indexed definition
+/// `out[i] = in[(i + step) mod n]`, at the steps where a split is empty,
+/// one slot wide, or exactly half.
+#[test]
+fn rotation_by_boundary_steps_matches_the_indexed_reference() {
+    let ctx = FheContext::new(BfvParameters::insecure_test()).unwrap();
+    let n = ctx.slot_count() as i64;
+    let steps = [1, -1, n - 1, -(n - 1), n / 2];
+    let mut keygen = KeyGenerator::new(ctx.params(), 3);
+    let mut enc = Encryptor::new(&ctx, &keygen.public_key());
+    let dec = Decryptor::new(&ctx, &keygen.secret_key());
+    let mut eval = Evaluator::new(&ctx);
+    let galois = keygen.galois_keys(&steps);
+    let values: Vec<i64> = (1..=n).collect();
+    let a = enc.encrypt_values(&values).unwrap();
+    for step in steps {
+        let rotated = dec
+            .decrypt(&eval.rotate(&a, step, &galois).unwrap())
+            .unwrap();
+        for (i, &got) in rotated.slots().iter().enumerate() {
+            let source = (i as i64 + step).rem_euclid(n) as usize;
+            assert_eq!(got as i64, values[source], "step {step} slot {i}");
         }
     }
 }

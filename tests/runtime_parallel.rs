@@ -130,7 +130,7 @@ fn schedules_respect_the_wavefront_invariant_on_every_kernel() {
             let operands: Vec<usize> = match &si.instr {
                 Instr::Bin { a, b, .. } => vec![*a, *b],
                 Instr::Neg { a } | Instr::Rot { a, .. } => vec![*a],
-                Instr::Pack { elems } => elems.clone(),
+                Instr::Pack { elems, .. } => elems.clone(),
             };
             for operand in operands {
                 match level_of[operand] {
