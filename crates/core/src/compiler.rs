@@ -4,7 +4,7 @@
 //! view, rotation-key selection, and code generation into an executable
 //! [`CompiledProgram`].
 
-use crate::executor::{output_slots_of, CompileStats, CompiledProgram};
+use crate::executor::{output_slots_of, CompileStats, CompiledProgram, SearchCounters};
 use crate::rotation_keys::select_rotation_keys;
 use chehab_ir::{cleanup, rotation_steps, summarize, CostModel, Expr};
 use chehab_rl::Agent;
@@ -123,15 +123,27 @@ impl Compiler {
         let summary_before = summarize(&original);
         let cost_before = self.options.cost_model.cost(&original);
 
-        let (optimized, optimizer_steps) = match &self.options.optimizer {
-            OptimizerKind::None => (original.clone(), 0),
+        let (optimized, optimizer_steps, search) = match &self.options.optimizer {
+            OptimizerKind::None => (original.clone(), 0, SearchCounters::default()),
             OptimizerKind::Greedy { max_steps } => {
-                self.engine
-                    .greedy_optimize(&original, &self.options.cost_model, *max_steps)
+                let (optimized, steps) =
+                    self.engine
+                        .greedy_optimize(&original, &self.options.cost_model, *max_steps);
+                let search = SearchCounters {
+                    actions: steps,
+                    distinct_states: steps + 1,
+                    policy_evaluations: 0,
+                };
+                (optimized, steps, search)
             }
             OptimizerKind::RlPolicy(agent) => {
                 let outcome = agent.optimize(&original);
-                (outcome.optimized, outcome.steps)
+                let search = SearchCounters {
+                    actions: outcome.actions,
+                    distinct_states: outcome.distinct_states,
+                    policy_evaluations: outcome.policy_evaluations,
+                };
+                (outcome.optimized, outcome.steps, search)
             }
         };
         let optimized = cleanup(&optimized);
@@ -147,6 +159,7 @@ impl Compiler {
             cost_before,
             cost_after,
             optimizer_steps,
+            search,
             summary_before,
             summary_after,
         };

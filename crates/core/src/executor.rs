@@ -48,6 +48,21 @@ use std::time::{Duration, Instant};
 /// Deterministic key-generation seed of the execution backend.
 const KEYGEN_SEED: u64 = 0xC4E4AB;
 
+/// Counters of the optimizer's search. The greedy rewriter stands in one
+/// state per applied rewrite and takes no other action; the RL agent's
+/// rollouts also stop, try invalid actions and walk back into states they
+/// have been in, which is what these counters show.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchCounters {
+    /// Actions taken (for the RL agent: over all rollouts, `END` and invalid
+    /// actions included).
+    pub actions: usize,
+    /// Distinct program states the search stood in, the input included.
+    pub distinct_states: usize,
+    /// Forward passes of the policy network (0 without an RL agent).
+    pub policy_evaluations: usize,
+}
+
 /// Compile-time statistics of a compiled program.
 #[derive(Debug, Clone)]
 pub struct CompileStats {
@@ -60,6 +75,8 @@ pub struct CompileStats {
     /// Number of rewrite steps the optimizer applied (0 for the identity
     /// optimizer and for externally produced circuits).
     pub optimizer_steps: usize,
+    /// What the optimizer's search did to find those steps.
+    pub search: SearchCounters,
     /// Circuit summary before optimization.
     pub summary_before: CircuitSummary,
     /// Circuit summary after optimization.
@@ -1250,6 +1267,7 @@ pub fn external_compile_stats(circuit: &Expr, compile_time: Duration) -> Compile
         cost_before: cost,
         cost_after: cost,
         optimizer_steps: 0,
+        search: SearchCounters::default(),
         summary_before: summary,
         summary_after: summary,
     }

@@ -45,7 +45,7 @@ pub use compiler::{Compiler, CompilerOptions, OptimizerKind};
 pub use dsl::{DslProgram, DslValue};
 pub use executor::{
     external_compile_stats, output_slots_of, CompileStats, CompiledProgram, ExecHooks, ExecOptions,
-    ExecutionReport, FheServingEngine, FheSession, SessionStats,
+    ExecutionReport, FheServingEngine, FheSession, SearchCounters, SessionStats,
 };
 pub use rotation_keys::{naf_decomposition, select_rotation_keys, RotationKeyPlan};
 // The scheduling knob of `ExecOptions`, re-exported so session users don't

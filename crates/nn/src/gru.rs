@@ -1,6 +1,7 @@
 //! A gated recurrent unit (GRU) sequence encoder: the baseline architecture
 //! the Transformer encoder is compared against in Appendix I.1.
 
+use crate::forward::Forward;
 use crate::layers::{Linear, Module};
 use crate::matrix::Matrix;
 use crate::tensor::Tensor;
@@ -41,7 +42,7 @@ impl GruLayer {
     }
 
     /// One GRU step: `h_t = (1 - z) ⊙ h_{t-1} + z ⊙ h̃`.
-    fn step(&self, x: &Tensor, h: &Tensor) -> Tensor {
+    fn step<V: Forward>(&self, x: &V, h: &V) -> V {
         let z = self
             .update_x
             .forward(x)
@@ -57,14 +58,14 @@ impl GruLayer {
             .forward(x)
             .add(&self.candidate_h.forward(&r.mul(h)))
             .tanh();
-        let ones = Tensor::constant(Matrix::full(1, self.hidden_dim, 1.0));
+        let ones = V::constant(Matrix::full(1, self.hidden_dim, 1.0));
         ones.sub(&z).mul(h).add(&z.mul(&candidate))
     }
 
     /// Runs the layer over a sequence of `1 × input_dim` tensors and returns
     /// every hidden state.
-    fn run(&self, inputs: &[Tensor]) -> Vec<Tensor> {
-        let mut h = Tensor::constant(Matrix::zeros(1, self.hidden_dim));
+    fn run<V: Forward>(&self, inputs: &[V]) -> Vec<V> {
+        let mut h = V::constant(Matrix::zeros(1, self.hidden_dim));
         let mut outputs = Vec::with_capacity(inputs.len());
         for x in inputs {
             h = self.step(x, &h);
@@ -112,42 +113,48 @@ impl GruEncoder {
         }
     }
 
-    /// Per-token hidden states of the final layer (`seq_len × hidden_dim`).
-    pub fn encode_sequence(&self, token_ids: &[usize]) -> Tensor {
+    /// The embedded tokens, one `1 × hidden_dim` value per position.
+    fn embed<V: Forward>(&self, token_ids: &[usize]) -> Vec<V> {
         let ids: Vec<usize> = token_ids
             .iter()
             .copied()
             .take(self.max_len)
             .map(|id| id.min(self.vocab_size - 1))
             .collect();
-        let embedded = Tensor::embedding_lookup(&self.embedding, &ids);
-        let mut inputs: Vec<Tensor> = (0..ids.len()).map(|r| embedded.row(r)).collect();
-        let mut outputs = Vec::new();
+        let embedded = V::gather_rows(&V::param(&self.embedding), &ids);
+        (0..ids.len()).map(|r| embedded.row(r)).collect()
+    }
+
+    /// Per-token hidden states of the final layer (`seq_len × hidden_dim`).
+    pub fn encode_sequence(&self, token_ids: &[usize]) -> Tensor {
+        let mut outputs = self.embed(token_ids);
         for layer in &self.layers {
-            outputs = layer.run(&inputs);
-            inputs = outputs.clone();
+            outputs = layer.run(&outputs);
         }
         stack_rows(&outputs)
     }
 
-    /// Fixed-length program embedding: the final hidden state of the last
-    /// layer.
-    pub fn encode(&self, token_ids: &[usize]) -> Tensor {
-        let ids: Vec<usize> = token_ids
-            .iter()
-            .copied()
-            .take(self.max_len)
-            .map(|id| id.min(self.vocab_size - 1))
-            .collect();
-        let embedded = Tensor::embedding_lookup(&self.embedding, &ids);
-        let mut inputs: Vec<Tensor> = (0..ids.len()).map(|r| embedded.row(r)).collect();
-        let mut last = Tensor::constant(Matrix::zeros(1, self.hidden_dim));
+    /// The final hidden state of the last layer.
+    fn last_hidden<V: Forward>(&self, token_ids: &[usize]) -> V {
+        let mut inputs: Vec<V> = self.embed(token_ids);
+        let mut last = V::constant(Matrix::zeros(1, self.hidden_dim));
         for layer in &self.layers {
             let outputs = layer.run(&inputs);
             last = outputs.last().cloned().unwrap_or(last);
             inputs = outputs;
         }
         last
+    }
+
+    /// Fixed-length program embedding: the final hidden state of the last
+    /// layer.
+    pub fn encode(&self, token_ids: &[usize]) -> Tensor {
+        self.last_hidden(token_ids)
+    }
+
+    /// The value of [`GruEncoder::encode`], bit for bit, without a tape.
+    pub fn infer(&self, token_ids: &[usize]) -> Matrix {
+        self.last_hidden(token_ids)
     }
 
     /// The dimension of the pooled embedding.

@@ -2,6 +2,7 @@
 //! layer normalization, plus the lightweight module conventions (parameter
 //! collection and state save/load) shared by all networks in this crate.
 
+use crate::forward::Forward;
 use crate::matrix::Matrix;
 use crate::tensor::Tensor;
 use rand::Rng;
@@ -64,9 +65,12 @@ impl Linear {
         }
     }
 
-    /// Applies the layer to a `batch × in_dim` input.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        x.matmul(&self.weight).add_bias(&self.bias)
+    /// Applies the layer to a `batch × in_dim` input: taped when `x` is a
+    /// [`Tensor`], tape-free (same arithmetic, weights borrowed) when it is a
+    /// [`Matrix`].
+    pub fn forward<V: Forward>(&self, x: &V) -> V {
+        x.matmul(&V::param(&self.weight))
+            .add_bias(&V::param(&self.bias))
     }
 
     /// Input dimension.
@@ -98,7 +102,7 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, x: &Tensor) -> Tensor {
+    fn apply<V: Forward>(self, x: &V) -> V {
         match self {
             Activation::Relu => x.relu(),
             Activation::Tanh => x.tanh(),
@@ -131,8 +135,8 @@ impl Mlp {
         Mlp { layers, activation }
     }
 
-    /// Applies the network.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
+    /// Applies the network (taped or tape-free, see [`Linear::forward`]).
+    pub fn forward<V: Forward>(&self, x: &V) -> V {
         let mut h = x.clone();
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(&h);
@@ -173,9 +177,10 @@ impl LayerNorm {
         }
     }
 
-    /// Applies normalization row-wise.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        x.layer_norm(&self.gamma, &self.beta, self.eps)
+    /// Applies normalization row-wise (taped or tape-free, see
+    /// [`Linear::forward`]).
+    pub fn forward<V: Forward>(&self, x: &V) -> V {
+        x.layer_norm(&V::param(&self.gamma), &V::param(&self.beta), self.eps)
     }
 }
 

@@ -12,6 +12,12 @@
 //! deterministic given a seeded RNG — which is what the experiment harness
 //! needs to reproduce learning curves.
 //!
+//! Every layer's forward pass is written once, over [`Forward`]: applied to
+//! [`Tensor`]s it records the autodiff tape training needs; applied to plain
+//! [`Matrix`] values it is inference — no tape, weights borrowed, and only
+//! the `CLS` row of the last Transformer layer — with bit-identical outputs,
+//! because both run the same `Matrix` kernels in the same order.
+//!
 //! ## Example
 //!
 //! ```
@@ -28,6 +34,7 @@
 #![warn(missing_docs)]
 
 mod autoencoder;
+mod forward;
 mod gru;
 mod layers;
 mod matrix;
@@ -36,6 +43,7 @@ mod tensor;
 mod transformer;
 
 pub use autoencoder::{EncoderKind, ReconstructionAccuracy, SequenceAutoencoder};
+pub use forward::Forward;
 pub use gru::GruEncoder;
 pub use layers::{Activation, LayerNorm, Linear, Mlp, Module};
 pub use matrix::Matrix;

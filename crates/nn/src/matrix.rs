@@ -118,6 +118,11 @@ impl Matrix {
         out
     }
 
+    /// Matrix product with a transposed right operand, `self · otherᵀ`.
+    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
+        self.matmul(&other.transpose())
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -196,6 +201,108 @@ impl Matrix {
             }
         }
         out
+    }
+
+    /// Rectified linear unit, element-wise.
+    pub fn relu(&self) -> Matrix {
+        self.map(|v| v.max(0.0))
+    }
+
+    /// Hyperbolic tangent, element-wise.
+    pub fn tanh(&self) -> Matrix {
+        self.map(f32::tanh)
+    }
+
+    /// Logistic sigmoid, element-wise.
+    pub fn sigmoid(&self) -> Matrix {
+        self.map(|v| 1.0 / (1.0 + (-v).exp()))
+    }
+
+    /// The contiguous column range `[start, end)`.
+    pub fn slice_cols(&self, start: usize, end: usize) -> Matrix {
+        let width = end - start;
+        let mut out = Matrix::zeros(self.rows, width);
+        for r in 0..self.rows {
+            out.data[r * width..(r + 1) * width]
+                .copy_from_slice(&self.data[r * self.cols + start..r * self.cols + end]);
+        }
+        out
+    }
+
+    /// Horizontal concatenation (all parts must share the row count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty or the row counts disagree.
+    pub fn concat_cols(parts: &[&Matrix]) -> Matrix {
+        assert!(!parts.is_empty(), "concat_cols needs at least one matrix");
+        let rows = parts[0].rows;
+        let total: usize = parts.iter().map(|p| p.cols).sum();
+        let mut out = Matrix::zeros(rows, total);
+        let mut offset = 0;
+        for part in parts {
+            assert_eq!(part.rows, rows, "concat_cols row count mismatch");
+            for r in 0..rows {
+                out.data[r * total + offset..r * total + offset + part.cols]
+                    .copy_from_slice(&part.data[r * part.cols..(r + 1) * part.cols]);
+            }
+            offset += part.cols;
+        }
+        out
+    }
+
+    /// Row `index` as a `1 × cols` matrix.
+    pub fn row(&self, index: usize) -> Matrix {
+        self.gather_rows(&[index])
+    }
+
+    /// The rows named by `ids`, in that order (an embedding-table lookup).
+    pub fn gather_rows(&self, ids: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(ids.len(), self.cols);
+        for (r, &id) in ids.iter().enumerate() {
+            out.data[r * self.cols..(r + 1) * self.cols]
+                .copy_from_slice(&self.data[id * self.cols..(id + 1) * self.cols]);
+        }
+        out
+    }
+
+    /// Normalizes every row to zero mean and unit variance; returns the
+    /// normalized matrix and each row's `1 / sqrt(var + eps)` (what layer
+    /// normalization's backward pass needs).
+    pub fn normalize_rows(&self, eps: f32) -> (Matrix, Vec<f32>) {
+        let (rows, cols) = (self.rows, self.cols);
+        let mut normalized = Matrix::zeros(rows, cols);
+        let mut inv_std = vec![0.0f32; rows];
+        for (r, inv_std_r) in inv_std.iter_mut().enumerate() {
+            let mean: f32 = (0..cols).map(|c| self.get(r, c)).sum::<f32>() / cols as f32;
+            let var: f32 = (0..cols)
+                .map(|c| (self.get(r, c) - mean).powi(2))
+                .sum::<f32>()
+                / cols as f32;
+            *inv_std_r = 1.0 / (var + eps).sqrt();
+            for c in 0..cols {
+                normalized.set(r, c, (self.get(r, c) - mean) * *inv_std_r);
+            }
+        }
+        (normalized, inv_std)
+    }
+
+    /// Multiplies every row by the `1 × cols` row `gain` and adds the
+    /// `1 × cols` row `bias`, element-wise.
+    pub fn scale_shift_rows(&self, gain: &Matrix, bias: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for r in 0..self.rows {
+            for c in 0..self.cols {
+                out.set(r, c, self.get(r, c) * gain.get(0, c) + bias.get(0, c));
+            }
+        }
+        out
+    }
+
+    /// Row-wise layer normalization with gain `gamma` and bias `beta`
+    /// (both `1 × cols`).
+    pub fn layer_norm(&self, gamma: &Matrix, beta: &Matrix, eps: f32) -> Matrix {
+        self.normalize_rows(eps).0.scale_shift_rows(gamma, beta)
     }
 
     /// Sums all rows into a `1 × cols` row vector.

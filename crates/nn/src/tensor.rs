@@ -5,10 +5,12 @@
 //! scalar output propagates gradients to every parameter that participated in
 //! the computation. The design favours clarity over performance: graphs are
 //! rebuilt for every forward pass (define-by-run), which is what the training
-//! loops in `chehab-rl` do.
+//! loops in `chehab-rl` do. Inference does not pay for any of it: the layers
+//! are generic over [`Forward`](crate::Forward) and run on plain matrices
+//! through the same kernels these operations call.
 
 use crate::matrix::Matrix;
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -77,6 +79,17 @@ impl Tensor {
     /// The tensor's current value.
     pub fn value(&self) -> Matrix {
         self.inner.borrow().value.clone()
+    }
+
+    /// The tensor's current value, borrowed: what the forward operations and
+    /// tape-free inference read, so neither copies a weight matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the guard is held across a call that writes this tensor
+    /// ([`Tensor::set_value`], [`Tensor::apply_update`], a backward pass).
+    pub fn borrow_value(&self) -> Ref<'_, Matrix> {
+        Ref::map(self.inner.borrow(), |inner| &inner.value)
     }
 
     /// The accumulated gradient.
@@ -184,7 +197,7 @@ impl Tensor {
 
     /// Element-wise addition.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        let value = self.value().add(&other.value());
+        let value = self.borrow_value().add(&other.borrow_value());
         let (a, b) = (self.clone(), other.clone());
         let requires = a.requires_grad() || b.requires_grad();
         Tensor::make(
@@ -204,7 +217,7 @@ impl Tensor {
 
     /// Element-wise subtraction.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        let value = self.value().sub(&other.value());
+        let value = self.borrow_value().sub(&other.borrow_value());
         let (a, b) = (self.clone(), other.clone());
         let requires = a.requires_grad() || b.requires_grad();
         Tensor::make(
@@ -224,7 +237,7 @@ impl Tensor {
 
     /// Element-wise (Hadamard) product.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        let value = self.value().hadamard(&other.value());
+        let value = self.borrow_value().hadamard(&other.borrow_value());
         let (a, b) = (self.clone(), other.clone());
         let requires = a.requires_grad() || b.requires_grad();
         Tensor::make(
@@ -244,7 +257,7 @@ impl Tensor {
 
     /// Scalar multiplication.
     pub fn scale(&self, k: f32) -> Tensor {
-        let value = self.value().scale(k);
+        let value = self.borrow_value().scale(k);
         let a = self.clone();
         let requires = a.requires_grad();
         Tensor::make(
@@ -261,7 +274,7 @@ impl Tensor {
 
     /// Matrix product `self · other`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let value = self.value().matmul(&other.value());
+        let value = self.borrow_value().matmul(&other.borrow_value());
         let (a, b) = (self.clone(), other.clone());
         let requires = a.requires_grad() || b.requires_grad();
         Tensor::make(
@@ -282,7 +295,7 @@ impl Tensor {
     /// Matrix product with a transposed right operand, `self · otherᵀ`
     /// (used by attention scores).
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let value = self.value().matmul(&other.value().transpose());
+        let value = self.borrow_value().matmul_nt(&other.borrow_value());
         let (a, b) = (self.clone(), other.clone());
         let requires = a.requires_grad() || b.requires_grad();
         Tensor::make(
@@ -302,7 +315,7 @@ impl Tensor {
 
     /// Adds a `1 × cols` bias row to every row.
     pub fn add_bias(&self, bias: &Tensor) -> Tensor {
-        let value = self.value().add_row_broadcast(&bias.value());
+        let value = self.borrow_value().add_row_broadcast(&bias.borrow_value());
         let (a, b) = (self.clone(), bias.clone());
         let requires = a.requires_grad() || b.requires_grad();
         Tensor::make(
@@ -322,8 +335,7 @@ impl Tensor {
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
-        let input = self.value();
-        let value = input.map(|v| v.max(0.0));
+        let value = self.borrow_value().relu();
         let a = self.clone();
         let requires = a.requires_grad();
         Tensor::make(
@@ -341,7 +353,7 @@ impl Tensor {
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
-        let value = self.value().map(f32::tanh);
+        let value = self.borrow_value().tanh();
         let a = self.clone();
         let out_value = value.clone();
         let requires = a.requires_grad();
@@ -360,7 +372,7 @@ impl Tensor {
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
-        let value = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
+        let value = self.borrow_value().sigmoid();
         let a = self.clone();
         let out_value = value.clone();
         let requires = a.requires_grad();
@@ -379,7 +391,7 @@ impl Tensor {
 
     /// Row-wise softmax.
     pub fn softmax_rows(&self) -> Tensor {
-        let value = self.value().softmax_rows();
+        let value = self.borrow_value().softmax_rows();
         let a = self.clone();
         let soft = value.clone();
         let requires = a.requires_grad();
@@ -406,7 +418,7 @@ impl Tensor {
 
     /// Element-wise exponential.
     pub fn exp(&self) -> Tensor {
-        let value = self.value().map(|v| v.clamp(-30.0, 30.0).exp());
+        let value = self.borrow_value().map(|v| v.clamp(-30.0, 30.0).exp());
         let a = self.clone();
         let out_value = value.clone();
         let requires = a.requires_grad();
@@ -425,7 +437,7 @@ impl Tensor {
     /// Element-wise natural logarithm (inputs are clamped at `1e-12` to keep
     /// the operation defined for probabilities that underflow to zero).
     pub fn ln(&self) -> Tensor {
-        let value = self.value().map(|v| v.max(1e-12).ln());
+        let value = self.borrow_value().map(|v| v.max(1e-12).ln());
         let a = self.clone();
         let requires = a.requires_grad();
         Tensor::make(
@@ -445,7 +457,7 @@ impl Tensor {
     pub fn mean(&self) -> Tensor {
         let (rows, cols) = self.shape();
         let count = (rows * cols) as f32;
-        let value = Matrix::full(1, 1, self.value().mean());
+        let value = Matrix::full(1, 1, self.borrow_value().mean());
         let a = self.clone();
         let requires = a.requires_grad();
         Tensor::make(
@@ -463,7 +475,7 @@ impl Tensor {
 
     /// Sum over all entries (scalar output).
     pub fn sum(&self) -> Tensor {
-        let value = Matrix::full(1, 1, self.value().sum());
+        let value = Matrix::full(1, 1, self.borrow_value().sum());
         let a = self.clone();
         let requires = a.requires_grad();
         Tensor::make(
@@ -481,15 +493,7 @@ impl Tensor {
 
     /// Selects a contiguous column range `[start, end)`.
     pub fn slice_cols(&self, start: usize, end: usize) -> Tensor {
-        let input = self.value();
-        let rows = input.rows();
-        let width = end - start;
-        let mut value = Matrix::zeros(rows, width);
-        for r in 0..rows {
-            for c in 0..width {
-                value.set(r, c, input.get(r, start + c));
-            }
-        }
+        let value = self.borrow_value().slice_cols(start, end);
         let a = self.clone();
         let requires = a.requires_grad();
         Tensor::make(
@@ -513,20 +517,10 @@ impl Tensor {
 
     /// Concatenates tensors horizontally (all must share the row count).
     pub fn concat_cols(parts: &[Tensor]) -> Tensor {
-        assert!(!parts.is_empty(), "concat_cols needs at least one tensor");
-        let rows = parts[0].shape().0;
-        let total: usize = parts.iter().map(|p| p.shape().1).sum();
-        let mut value = Matrix::zeros(rows, total);
-        let mut offset = 0;
-        for p in parts {
-            let v = p.value();
-            for r in 0..rows {
-                for c in 0..v.cols() {
-                    value.set(r, offset + c, v.get(r, c));
-                }
-            }
-            offset += v.cols();
-        }
+        let value = {
+            let values: Vec<Ref<'_, Matrix>> = parts.iter().map(Tensor::borrow_value).collect();
+            Matrix::concat_cols(&values.iter().map(|v| &**v).collect::<Vec<_>>())
+        };
         let owned: Vec<Tensor> = parts.to_vec();
         let requires = owned.iter().any(Tensor::requires_grad);
         let parents = owned.clone();
@@ -555,11 +549,7 @@ impl Tensor {
 
     /// Selects a single row as a `1 × cols` tensor (e.g. the `CLS` position).
     pub fn row(&self, index: usize) -> Tensor {
-        let input = self.value();
-        let mut value = Matrix::zeros(1, input.cols());
-        for c in 0..input.cols() {
-            value.set(0, c, input.get(index, c));
-        }
+        let value = self.borrow_value().row(index);
         let a = self.clone();
         let requires = a.requires_grad();
         Tensor::make(
@@ -581,14 +571,7 @@ impl Tensor {
 
     /// Gathers rows of an embedding table by token id.
     pub fn embedding_lookup(table: &Tensor, ids: &[usize]) -> Tensor {
-        let weights = table.value();
-        let dim = weights.cols();
-        let mut value = Matrix::zeros(ids.len(), dim);
-        for (r, &id) in ids.iter().enumerate() {
-            for c in 0..dim {
-                value.set(r, c, weights.get(id, c));
-            }
-        }
+        let value = table.borrow_value().gather_rows(ids);
         let t = table.clone();
         let ids_owned: Vec<usize> = ids.to_vec();
         let requires = t.requires_grad();
@@ -614,33 +597,8 @@ impl Tensor {
     /// Row-wise layer normalization with learnable gain and bias
     /// (`gamma`, `beta` are `1 × cols`).
     pub fn layer_norm(&self, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
-        let input = self.value();
-        let (rows, cols) = (input.rows(), input.cols());
-        let mut normalized = Matrix::zeros(rows, cols);
-        let mut inv_std = vec![0.0f32; rows];
-        for (r, inv_std_r) in inv_std.iter_mut().enumerate() {
-            let mean: f32 = (0..cols).map(|c| input.get(r, c)).sum::<f32>() / cols as f32;
-            let var: f32 = (0..cols)
-                .map(|c| (input.get(r, c) - mean).powi(2))
-                .sum::<f32>()
-                / cols as f32;
-            *inv_std_r = 1.0 / (var + eps).sqrt();
-            for c in 0..cols {
-                normalized.set(r, c, (input.get(r, c) - mean) * *inv_std_r);
-            }
-        }
-        let mut value = Matrix::zeros(rows, cols);
-        let gamma_v = gamma.value();
-        let beta_v = beta.value();
-        for r in 0..rows {
-            for c in 0..cols {
-                value.set(
-                    r,
-                    c,
-                    normalized.get(r, c) * gamma_v.get(0, c) + beta_v.get(0, c),
-                );
-            }
-        }
+        let (normalized, inv_std) = self.borrow_value().normalize_rows(eps);
+        let value = normalized.scale_shift_rows(&gamma.borrow_value(), &beta.borrow_value());
         let (a, gm, bt) = (self.clone(), gamma.clone(), beta.clone());
         let requires = a.requires_grad() || gm.requires_grad() || bt.requires_grad();
         let saved_norm = normalized;
@@ -692,9 +650,8 @@ impl Tensor {
     /// Cross-entropy loss between row logits and integer targets, averaged
     /// over rows; `ignore_index` rows (e.g. padding) contribute nothing.
     pub fn cross_entropy(&self, targets: &[usize], ignore_index: Option<usize>) -> Tensor {
-        let logits = self.value();
-        let probs = logits.softmax_rows();
-        let rows = logits.rows();
+        let probs = self.borrow_value().softmax_rows();
+        let rows = probs.rows();
         let mut total = 0.0f32;
         let mut counted = 0usize;
         for (r, &t) in targets.iter().enumerate().take(rows) {

@@ -3,6 +3,7 @@
 //! a stack of identical self-attention layers, and `CLS` pooling into a
 //! fixed-length program embedding.
 
+use crate::forward::Forward;
 use crate::layers::{LayerNorm, Linear, Module};
 use crate::matrix::Matrix;
 use crate::tensor::Tensor;
@@ -96,10 +97,12 @@ impl MultiHeadAttention {
         }
     }
 
-    fn forward(&self, x: &Tensor) -> Tensor {
-        let q = self.query.forward(x);
-        let k = self.key.forward(x);
-        let v = self.value.forward(x);
+    /// Attention of the `queries` rows over every row of `context`: one
+    /// output row per query row.
+    fn forward<V: Forward>(&self, queries: &V, context: &V) -> V {
+        let q = self.query.forward(queries);
+        let k = self.key.forward(context);
+        let v = self.value.forward(context);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut heads = Vec::with_capacity(self.num_heads);
         for h in 0..self.num_heads {
@@ -110,7 +113,7 @@ impl MultiHeadAttention {
             let scores = qh.matmul_nt(&kh).scale(scale).softmax_rows();
             heads.push(scores.matmul(&vh));
         }
-        self.output.forward(&Tensor::concat_cols(&heads))
+        self.output.forward(&V::concat_cols(&heads))
     }
 }
 
@@ -145,9 +148,15 @@ impl EncoderLayer {
         }
     }
 
-    fn forward(&self, x: &Tensor) -> Tensor {
-        let attended = self.attention.forward(&self.norm1.forward(x));
-        let x = x.add(&attended);
+    /// The layer's output for every position, or — `cls_only` — for
+    /// position 0 alone: keys and values still come from every position, but
+    /// queries, residuals and the feed-forward block are all row-wise, so
+    /// only the row that is kept is computed (with the same arithmetic).
+    fn forward<V: Forward>(&self, x: &V, cls_only: bool) -> V {
+        let normed = self.norm1.forward(x);
+        let cls = cls_only.then(|| (x.row(0), normed.row(0)));
+        let (x, queries) = cls.as_ref().map_or((x, &normed), |(x, q)| (x, q));
+        let x = x.add(&self.attention.forward(queries, &normed));
         let ffn = self
             .ffn_out
             .forward(&self.ffn_in.forward(&self.norm2.forward(&x)).relu());
@@ -199,33 +208,43 @@ impl TransformerEncoder {
         &self.config
     }
 
-    /// Encodes a token-id sequence into per-token representations
-    /// (`seq_len × model_dim`). Sequences longer than `max_len` are truncated.
-    pub fn encode_sequence(&self, token_ids: &[usize]) -> Tensor {
+    /// The encoder stack over a token-id sequence; with `cls_only` the last
+    /// layer (and so the final norm) keeps position 0 only.
+    fn run<V: Forward>(&self, token_ids: &[usize], cls_only: bool) -> V {
         let ids: Vec<usize> = token_ids
             .iter()
             .copied()
             .take(self.config.max_len)
             .map(|id| id.min(self.config.vocab_size - 1))
             .collect();
-        let embedded = Tensor::embedding_lookup(&self.embedding, &ids);
-        let mut pos = Matrix::zeros(ids.len(), self.config.model_dim);
-        for r in 0..ids.len() {
-            for c in 0..self.config.model_dim {
-                pos.set(r, c, self.positional.get(r, c));
-            }
-        }
-        let mut h = embedded.add(&Tensor::constant(pos));
-        for layer in &self.layers {
-            h = layer.forward(&h);
+        let embedded = V::gather_rows(&V::param(&self.embedding), &ids);
+        let pos = self
+            .positional
+            .gather_rows(&(0..ids.len()).collect::<Vec<_>>());
+        let mut h = embedded.add(&V::constant(pos));
+        for (i, layer) in self.layers.iter().enumerate() {
+            h = layer.forward(&h, cls_only && i + 1 == self.layers.len());
         }
         self.final_norm.forward(&h)
     }
 
+    /// Encodes a token-id sequence into per-token representations
+    /// (`seq_len × model_dim`). Sequences longer than `max_len` are truncated.
+    pub fn encode_sequence(&self, token_ids: &[usize]) -> Tensor {
+        self.run(token_ids, false)
+    }
+
     /// Encodes a sequence and pools it into the fixed-length program
     /// embedding (the representation of the `CLS` token at position 0).
+    /// Differentiable: every position goes through every layer on the tape.
     pub fn encode(&self, token_ids: &[usize]) -> Tensor {
         self.encode_sequence(token_ids).row(0)
+    }
+
+    /// The value of [`TransformerEncoder::encode`], bit for bit, without a
+    /// tape and without the rows of the last layer that pooling discards.
+    pub fn infer(&self, token_ids: &[usize]) -> Matrix {
+        self.run::<Matrix>(token_ids, true).row(0)
     }
 
     /// The embedding dimension of the pooled representation.

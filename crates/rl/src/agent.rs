@@ -7,13 +7,19 @@
 //! circuit — a cheap way to recover most of the quality of a long-trained
 //! policy under the scaled-down training budgets used by the harness
 //! (documented in EXPERIMENTS.md).
+//!
+//! Those rollouts start from the same program and keep walking into states
+//! they — or an earlier rollout — have already been in, so one `optimize`
+//! call looks at each state once and runs the network once per distinct
+//! observation (`DESIGN.md`, "The compile path").
 
-use crate::env::{EnvConfig, ObservationTokenizer, RewriteEnv};
-use crate::policy::Policy;
+use crate::env::{Action, EnvConfig, ObservationTokenizer, RewriteEnv};
+use crate::policy::{Policy, PolicyOutputs};
 use chehab_ir::Expr;
 use chehab_trs::RewriteEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Configuration of compile-time rollouts.
@@ -46,10 +52,18 @@ pub struct OptimizationOutcome {
     pub initial_cost: f64,
     /// Cost of the optimized program.
     pub final_cost: f64,
-    /// Number of rewrite steps in the best rollout.
+    /// Number of rewrites that turned the input into `optimized` (0 when the
+    /// input itself is returned).
     pub steps: usize,
     /// Total rollouts performed (greedy + sampled).
     pub rollouts: usize,
+    /// Actions taken over all rollouts: rewrites, invalid actions and `END`.
+    pub actions: usize,
+    /// Distinct program states the rollouts reached, the input included.
+    pub distinct_states: usize,
+    /// Forward passes of the policy network actually run (one per distinct
+    /// observation; `actions` minus this many were answered from the memo).
+    pub policy_evaluations: usize,
 }
 
 impl OptimizationOutcome {
@@ -70,6 +84,15 @@ pub struct Agent {
     engine: Arc<RewriteEngine>,
     tokenizer: Arc<ObservationTokenizer>,
     config: AgentConfig,
+}
+
+/// The best program one rollout saw, and how it got there.
+struct Rollout {
+    best: Expr,
+    cost: f64,
+    /// Rewrites applied when `best` was reached.
+    rewrites: usize,
+    actions: usize,
 }
 
 impl Agent {
@@ -100,60 +123,89 @@ impl Agent {
 
     /// Optimizes a program: one deterministic (greedy) rollout plus
     /// `sampled_rollouts` stochastic rollouts; the cheapest final program wins.
+    ///
+    /// The rollouts start from the same program and revisit each other's
+    /// states, so they share one memo for the call: the environment keeps
+    /// each state's tokens, rule matches and cost, and the network's outputs
+    /// are kept per distinct observation. Both die with the call — the
+    /// weights may change before the next one, and a repeated compile must
+    /// cost what the first did.
     pub fn optimize(&self, program: &Expr) -> OptimizationOutcome {
-        let initial_cost = self.config.env.cost_model.cost(program);
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut best: Option<(Expr, f64, usize)> = None;
-        let rollouts = 1 + self.config.sampled_rollouts;
-        for rollout in 0..rollouts {
-            let deterministic = rollout == 0;
-            let (candidate, steps) = self.rollout(program, deterministic, &mut rng);
-            let cost = self.config.env.cost_model.cost(&candidate);
-            if best
-                .as_ref()
-                .is_none_or(|(_, best_cost, _)| cost < *best_cost)
-            {
-                best = Some((candidate, cost, steps));
-            }
-        }
-        let (optimized, final_cost, steps) = best.expect("at least one rollout");
-        OptimizationOutcome {
-            optimized,
-            initial_cost,
-            final_cost,
-            steps,
-            rollouts,
-        }
-    }
-
-    fn rollout(&self, program: &Expr, deterministic: bool, rng: &mut StdRng) -> (Expr, usize) {
         let mut env = RewriteEnv::new(
             program.clone(),
             Arc::clone(&self.engine),
             Arc::clone(&self.tokenizer),
             self.config.env.clone(),
         );
-        let mut best_seen = program.clone();
-        let mut best_cost = env.initial_cost();
+        let mut network = HashMap::new();
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut best: Option<Rollout> = None;
+        let mut actions = 0;
+        let rollouts = 1 + self.config.sampled_rollouts;
+        for rollout in 0..rollouts {
+            env.restart();
+            let candidate = self.rollout(&mut env, &mut network, rollout == 0, &mut rng);
+            actions += candidate.actions;
+            if best.as_ref().is_none_or(|b| candidate.cost < b.cost) {
+                best = Some(candidate);
+            }
+        }
+        let best = best.expect("at least one rollout");
+        OptimizationOutcome {
+            optimized: best.best,
+            initial_cost: env.initial_cost(),
+            final_cost: best.cost,
+            steps: best.rewrites,
+            rollouts,
+            actions,
+            distinct_states: env.distinct_states(),
+            policy_evaluations: network.len(),
+        }
+    }
+
+    fn rollout(
+        &self,
+        env: &mut RewriteEnv,
+        network: &mut HashMap<Vec<usize>, PolicyOutputs>,
+        deterministic: bool,
+        rng: &mut StdRng,
+    ) -> Rollout {
+        let mut seen = Rollout {
+            best: env.current().clone(),
+            cost: env.initial_cost(),
+            rewrites: 0,
+            actions: 0,
+        };
+        let mut rewrites = 0;
+        let mut visited = HashSet::from([env.state_id()]);
         while !env.is_finished() {
-            let observation = env.observe();
-            let rule_mask = env.rule_mask();
-            let sample = self.policy.act(
-                &observation,
-                &rule_mask,
+            let outputs = network
+                .entry(env.observe())
+                .or_insert_with_key(|observation| self.policy.infer(observation));
+            let (action, _) = self.policy.choose(
+                outputs,
+                &env.rule_mask(),
                 |rule| env.location_count(rule),
                 rng,
                 deterministic,
             );
-            env.step(sample.action);
-            if env.current_cost() < best_cost {
-                best_cost = env.current_cost();
-                best_seen = env.current().clone();
+            let outcome = env.step(action);
+            seen.actions += 1;
+            rewrites += usize::from(outcome.valid && action != Action::Stop);
+            if env.current_cost() < seen.cost {
+                seen.cost = env.current_cost();
+                seen.best = env.current().clone();
+                seen.rewrites = rewrites;
             }
-            // Deterministic rollouts can loop on cost-neutral rewrites; the
-            // step limit in the environment bounds them.
+            // A deterministic rollout back in a state it has been in picks
+            // the same action as then, and again after it: from here on it
+            // only cycles through visited states until the step limit, and
+            // the best program seen cannot change.
+            if deterministic && !visited.insert(env.state_id()) {
+                break;
+            }
         }
-        (best_seen, env.steps_taken())
+        seen
     }
 }
 
@@ -162,6 +214,7 @@ mod tests {
     use super::*;
     use crate::policy::PolicyConfig;
     use chehab_ir::{count_ops, equivalent_on_live_slots, parse, Env};
+    use chehab_nn::Module;
     use rand_chacha::ChaCha8Rng;
 
     fn untrained_agent(sampled_rollouts: usize) -> Agent {
@@ -185,6 +238,76 @@ mod tests {
                 seed: 7,
             },
         )
+    }
+
+    /// An untrained agent whose rule head all but always picks `prefer`
+    /// (a rule index, or `rule_count` for `END`) wherever the mask allows it.
+    fn biased_agent(prefer: &str, sampled_rollouts: usize) -> Agent {
+        let agent = untrained_agent(sampled_rollouts);
+        let prefer = agent
+            .engine
+            .rule_index(prefer)
+            .unwrap_or(agent.engine.rule_count());
+        // Parameter order: encoder, rule head, location head (3 layers),
+        // critic (4 layers); the rule head's output bias is its last one.
+        let params = agent.policy.parameters();
+        let bias = &params[params.len() - 2 * 4 - 2 * 3 - 1];
+        let mut logits = bias.value();
+        assert_eq!(logits.cols(), agent.engine.rule_count() + 1);
+        logits.set(0, prefer, 1e4);
+        bias.set_value(logits);
+        agent
+    }
+
+    #[test]
+    fn an_agent_that_stops_immediately_reports_zero_steps() {
+        let agent = biased_agent("END", 3);
+        let program = parse("(Vec (+ a b) (+ c d))").unwrap();
+        let outcome = agent.optimize(&program);
+        assert_eq!(outcome.optimized, program);
+        assert_eq!(outcome.steps, 0, "END is an action, not a rewrite");
+        assert_eq!(outcome.actions, 4, "one END per rollout");
+        assert_eq!(outcome.distinct_states, 1);
+        assert_eq!(outcome.policy_evaluations, 1);
+    }
+
+    #[test]
+    fn an_agent_that_cycles_reports_the_rewrites_behind_the_returned_program() {
+        // Commuting `(+ a b)` back and forth never changes the cost: the
+        // input is returned, whatever the rollouts did after looking at it.
+        let agent = biased_agent("add-comm", 2);
+        let program = parse("(+ a b)").unwrap();
+        let outcome = agent.optimize(&program);
+        assert_eq!(outcome.optimized, program);
+        assert_eq!(outcome.steps, 0);
+        assert_eq!(outcome.distinct_states, 2);
+        assert!(outcome.policy_evaluations <= 2);
+        // The deterministic rollout ends when it is back at the input (two
+        // actions); the sampled ones run to the step limit.
+        assert_eq!(outcome.actions, 2 + 2 * 20);
+    }
+
+    #[test]
+    fn steps_count_the_rewrites_up_to_the_best_program() {
+        let agent = biased_agent("add-vectorize-2", 0);
+        let program = parse("(Vec (+ a b) (+ c d))").unwrap();
+        let outcome = agent.optimize(&program);
+        assert!(outcome.final_cost < outcome.initial_cost);
+        assert!(outcome.steps >= 1 && outcome.steps <= outcome.actions);
+        let vectorized = agent
+            .engine
+            .apply_at_occurrence(
+                &program,
+                agent.engine.rule_index("add-vectorize-2").unwrap(),
+                0,
+            )
+            .unwrap();
+        assert_eq!(outcome.optimized, vectorized);
+        assert_eq!(
+            outcome.steps, 1,
+            "what the rollout did afterwards does not count"
+        );
+        assert!(outcome.actions > 1);
     }
 
     #[test]

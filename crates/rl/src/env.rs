@@ -9,8 +9,9 @@
 //!   reward proportional to the total improvement (Section 5.3.2).
 
 use crate::reward::RewardConfig;
-use chehab_ir::{BpeTokenizer, CostModel, Expr, Vocabulary};
-use chehab_trs::RewriteEngine;
+use chehab_ir::{BpeTokenizer, CostModel, Expr, NodeId, Vocabulary};
+use chehab_trs::{MatchIndex, ProgramMatches, RewriteEngine};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// How programs are tokenized into observations.
@@ -116,16 +117,32 @@ pub struct StepOutcome {
     pub valid: bool,
 }
 
+/// Everything the environment knows about one program state, computed the
+/// first time an episode reaches it.
+#[derive(Debug, Clone)]
+struct StateFacts {
+    program: Expr,
+    cost: f64,
+    tokens: Vec<usize>,
+    matches: ProgramMatches,
+}
+
 /// The rewrite environment over one program.
+///
+/// The environment looks at each program state once: rule matches come from
+/// a [`MatchIndex`] (one rule outcome per distinct subterm), and a state's
+/// tokens, cost and match lists are kept under its [`RewriteEnv::state_id`]
+/// for as long as the environment stays on the same initial program —
+/// across [`RewriteEnv::restart`]s, until the next [`RewriteEnv::reset`].
 #[derive(Debug, Clone)]
 pub struct RewriteEnv {
     engine: Arc<RewriteEngine>,
     tokenizer: Arc<ObservationTokenizer>,
     config: EnvConfig,
-    initial: Expr,
-    current: Expr,
-    initial_cost: f64,
-    current_cost: f64,
+    index: MatchIndex,
+    states: HashMap<NodeId, StateFacts>,
+    initial: NodeId,
+    current: NodeId,
     steps: usize,
     finished: bool,
 }
@@ -138,50 +155,92 @@ impl RewriteEnv {
         tokenizer: Arc<ObservationTokenizer>,
         config: EnvConfig,
     ) -> Self {
-        let initial_cost = config.cost_model.cost(&program);
-        RewriteEnv {
+        let mut env = RewriteEnv {
             engine,
             tokenizer,
             config,
-            current: program.clone(),
-            initial: program,
-            initial_cost,
-            current_cost: initial_cost,
+            index: MatchIndex::new(),
+            states: HashMap::new(),
+            initial: 0,
+            current: 0,
             steps: 0,
             finished: false,
-        }
+        };
+        env.reset(program);
+        env
     }
 
     /// Resets the environment to a new program and returns the first
-    /// observation.
+    /// observation. Everything remembered about the previous program's
+    /// states is dropped.
     pub fn reset(&mut self, program: Expr) -> Vec<usize> {
-        self.initial_cost = self.config.cost_model.cost(&program);
-        self.current_cost = self.initial_cost;
-        self.current = program.clone();
-        self.initial = program;
+        self.index = MatchIndex::new();
+        self.states.clear();
+        self.initial = self.learn(program);
+        self.restart();
+        self.observe()
+    }
+
+    /// Starts a new episode on the same initial program, keeping what is
+    /// known about its states.
+    pub fn restart(&mut self) {
+        self.current = self.initial;
         self.steps = 0;
         self.finished = false;
-        self.observe()
+    }
+
+    /// Records the facts of a program state and returns its id.
+    fn learn(&mut self, program: Expr) -> NodeId {
+        let matches = self.index.index(&self.engine, &program);
+        let id = matches.id();
+        let cost = self.index.cost(id, &self.config.cost_model);
+        let tokens = self.tokenizer.encode(&program, self.config.observation_len);
+        self.states.insert(
+            id,
+            StateFacts {
+                program,
+                cost,
+                tokens,
+                matches,
+            },
+        );
+        id
+    }
+
+    fn facts(&self, state: NodeId) -> &StateFacts {
+        &self.states[&state]
     }
 
     /// The current program.
     pub fn current(&self) -> &Expr {
-        &self.current
+        &self.facts(self.current).program
     }
 
     /// The program the episode started from.
     pub fn initial(&self) -> &Expr {
-        &self.initial
+        &self.facts(self.initial).program
+    }
+
+    /// Identifies the current program state: equal programs have equal ids,
+    /// for as long as the environment stays on the same initial program.
+    pub fn state_id(&self) -> NodeId {
+        self.current
+    }
+
+    /// Number of distinct program states reached since the initial program
+    /// was set.
+    pub fn distinct_states(&self) -> usize {
+        self.states.len()
     }
 
     /// The cost of the current program.
     pub fn current_cost(&self) -> f64 {
-        self.current_cost
+        self.facts(self.current).cost
     }
 
     /// The cost of the initial program.
     pub fn initial_cost(&self) -> f64 {
-        self.initial_cost
+        self.facts(self.initial).cost
     }
 
     /// Whether the episode has terminated.
@@ -217,15 +276,14 @@ impl RewriteEnv {
 
     /// The current observation: the program's token-id sequence.
     pub fn observe(&self) -> Vec<usize> {
-        self.tokenizer
-            .encode(&self.current, self.config.observation_len)
+        self.facts(self.current).tokens.clone()
     }
 
     /// Boolean mask over the rule head (length `rule_count() + 1`): `true`
     /// where the rule has at least one match; the `END` action is always
     /// valid.
     pub fn rule_mask(&self) -> Vec<bool> {
-        let mut mask = self.engine.applicability_mask(&self.current);
+        let mut mask = self.facts(self.current).matches.rule_mask();
         mask.push(true);
         mask
     }
@@ -233,11 +291,9 @@ impl RewriteEnv {
     /// Number of addressable match locations for a rule in the current state
     /// (clamped to `max_locations`).
     pub fn location_count(&self, rule: usize) -> usize {
-        if rule >= self.engine.rule_count() {
-            return 0;
-        }
-        self.engine
-            .matches(&self.current, rule)
+        self.facts(self.current)
+            .matches
+            .of_rule(rule)
             .len()
             .min(self.config.max_locations)
     }
@@ -249,13 +305,11 @@ impl RewriteEnv {
     pub fn step(&mut self, action: Action) -> StepOutcome {
         assert!(!self.finished, "step() called on a finished episode");
         self.steps += 1;
+        let (initial_cost, current_cost) = (self.initial_cost(), self.current_cost());
         match action {
             Action::Stop => {
                 self.finished = true;
-                let terminal = self
-                    .config
-                    .reward
-                    .terminal(self.initial_cost, self.current_cost);
+                let terminal = self.config.reward.terminal(initial_cost, current_cost);
                 StepOutcome {
                     reward: terminal,
                     done: true,
@@ -263,15 +317,11 @@ impl RewriteEnv {
                 }
             }
             Action::Apply { rule, location } => {
-                let rewritten = self
-                    .engine
-                    .apply_at_occurrence(&self.current, rule, location);
-                let (reward, valid) = match rewritten {
+                let (reward, valid) = match self.successor(rule, location) {
                     Some(next) => {
-                        let next_cost = self.config.cost_model.cost(&next);
-                        let step_reward = self.config.reward.step(self.current_cost, next_cost);
                         self.current = next;
-                        self.current_cost = next_cost;
+                        let step_reward =
+                            self.config.reward.step(current_cost, self.current_cost());
                         (step_reward, true)
                     }
                     None => (self.config.reward.invalid_penalty, false),
@@ -283,7 +333,7 @@ impl RewriteEnv {
                     total += self
                         .config
                         .reward
-                        .terminal(self.initial_cost, self.current_cost);
+                        .terminal(initial_cost, self.current_cost());
                 }
                 StepOutcome {
                     reward: total,
@@ -292,6 +342,27 @@ impl RewriteEnv {
                 }
             }
         }
+    }
+
+    /// The state that applying `rule` at its `location`-th match leads to
+    /// (`None` if the rule has fewer matches). Its id comes from the index;
+    /// the program itself is built only the first time the state is reached.
+    fn successor(&mut self, rule: usize, location: usize) -> Option<NodeId> {
+        let from = &self.states[&self.current];
+        let site = *from.matches.of_rule(rule).get(location)?;
+        let next = self.index.successor(&from.matches, site);
+        if !self.states.contains_key(&next) {
+            let program = self
+                .engine
+                .apply_at_path(&from.program, rule, &from.matches.path(site))
+                .expect("an indexed match is a rule match at a valid path");
+            let learned = self.learn(program);
+            debug_assert_eq!(
+                learned, next,
+                "spine re-interning names the rewritten program"
+            );
+        }
+        Some(next)
     }
 }
 

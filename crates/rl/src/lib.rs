@@ -39,7 +39,7 @@ pub use agent::{Agent, AgentConfig, OptimizationOutcome};
 pub use env::{Action, EnvConfig, ObservationTokenizer, RewriteEnv, StepOutcome};
 pub use policy::{
     ActionEvaluation, ActionSample, ActionSpaceKind, EncoderArch, Policy, PolicyConfig,
-    PolicySnapshot,
+    PolicyOutputs, PolicySnapshot,
 };
 pub use ppo::{PpoConfig, PpoLearner, RolloutBuffer, Transition, UpdateStats};
 pub use reward::RewardConfig;

@@ -10,7 +10,8 @@
 
 use crate::env::Action;
 use chehab_nn::{
-    Activation, GruEncoder, Matrix, Mlp, Module, Tensor, TransformerConfig, TransformerEncoder,
+    Activation, Forward, GruEncoder, Matrix, Mlp, Module, Tensor, TransformerConfig,
+    TransformerEncoder,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -122,6 +123,14 @@ impl EncoderBackend {
         }
     }
 
+    /// The value of [`EncoderBackend::encode`] without a tape.
+    fn infer(&self, tokens: &[usize]) -> Matrix {
+        match self {
+            EncoderBackend::Transformer(t) => t.infer(tokens),
+            EncoderBackend::Gru(g) => g.infer(tokens),
+        }
+    }
+
     fn parameters(&self) -> Vec<Tensor> {
         match self {
             EncoderBackend::Transformer(t) => t.parameters(),
@@ -140,6 +149,16 @@ pub struct ActionSample {
     pub log_prob: f32,
     /// The critic's value estimate of the state.
     pub value: f32,
+}
+
+/// What the policy computes from an observation alone, before any mask or
+/// random draw enters: the program embedding and the logits of the first
+/// action head. A compile-time search keeps one per distinct observation
+/// ([`Policy::infer`] once, [`Policy::choose`] at every visit).
+#[derive(Debug, Clone)]
+pub struct PolicyOutputs {
+    embedding: Matrix,
+    logits: Matrix,
 }
 
 /// Differentiable evaluation of a stored action (used by PPO updates).
@@ -218,14 +237,28 @@ impl Policy {
         &self.config
     }
 
-    /// Encodes an observation into the program embedding.
+    /// Encodes an observation into the program embedding (on the tape).
     fn embed(&self, obs: &[usize]) -> Tensor {
         self.encoder.encode(obs)
     }
 
     /// The critic's value estimate for an observation.
     pub fn value(&self, obs: &[usize]) -> f32 {
-        self.critic.forward(&self.embed(obs)).value().get(0, 0)
+        self.critic_value(&self.encoder.infer(obs))
+    }
+
+    fn critic_value<V: Forward>(&self, embedding: &V) -> f32 {
+        self.critic.forward(embedding).to_matrix().get(0, 0)
+    }
+
+    /// Logits of the head the action choice starts from: the rule head, or
+    /// the flat head of a flat policy.
+    fn first_head_logits<V: Forward>(&self, embedding: &V) -> Matrix {
+        self.flat_head
+            .as_ref()
+            .unwrap_or(&self.rule_head)
+            .forward(embedding)
+            .to_matrix()
     }
 
     fn masked_distribution(logits: &[f32], mask: impl Fn(usize) -> bool) -> Vec<f32> {
@@ -268,50 +301,65 @@ impl Policy {
         probs.len() - 1
     }
 
-    /// Samples an action for an observation.
+    /// Runs the network on an observation, without a tape: everything about
+    /// a decision that depends on the observation only.
+    pub fn infer(&self, obs: &[usize]) -> PolicyOutputs {
+        let embedding = self.encoder.infer(obs);
+        let logits = self.first_head_logits(&embedding);
+        PolicyOutputs { embedding, logits }
+    }
+
+    /// Picks an action and returns it with its log-probability.
     ///
     /// `rule_mask` must have length `rule_count + 1` (the last entry is
     /// `END`); `location_count(rule)` reports how many matches the rule has.
-    pub fn act(
+    /// Draws from `rng` once per sampled head (never when `deterministic`).
+    pub fn choose(
         &self,
-        obs: &[usize],
+        outputs: &PolicyOutputs,
         rule_mask: &[bool],
         location_count: impl Fn(usize) -> usize,
         rng: &mut impl Rng,
         deterministic: bool,
-    ) -> ActionSample {
-        let embedding = self.embed(obs);
-        let value = self.critic.forward(&embedding).value().get(0, 0);
+    ) -> (Action, f32) {
+        self.choose_from(
+            &outputs.embedding,
+            &outputs.logits,
+            rule_mask,
+            location_count,
+            rng,
+            deterministic,
+        )
+    }
+
+    fn choose_from<V: Forward>(
+        &self,
+        embedding: &V,
+        logits: &Matrix,
+        rule_mask: &[bool],
+        location_count: impl Fn(usize) -> usize,
+        rng: &mut impl Rng,
+        deterministic: bool,
+    ) -> (Action, f32) {
         match self.config.action_space {
             ActionSpaceKind::Hierarchical => {
-                let rule_logits = self.rule_head.forward(&embedding).value();
-                let rule_probs = Self::masked_distribution(rule_logits.data(), |i| {
+                let rule_probs = Self::masked_distribution(logits.data(), |i| {
                     rule_mask.get(i).copied().unwrap_or(false)
                 });
                 let rule = Self::sample_index(&rule_probs, rng, deterministic);
                 if rule == self.config.rule_count {
-                    return ActionSample {
-                        action: Action::Stop,
-                        log_prob: rule_probs[rule].max(1e-12).ln(),
-                        value,
-                    };
+                    return (Action::Stop, rule_probs[rule].max(1e-12).ln());
                 }
                 let locations = location_count(rule).max(1).min(self.config.max_locations);
-                let loc_logits = self.location_logits(&embedding, rule).value();
+                let loc_logits = self.location_logits(embedding, rule).to_matrix();
                 let loc_probs = Self::masked_distribution(loc_logits.data(), |i| i < locations);
                 let location = Self::sample_index(&loc_probs, rng, deterministic);
-                ActionSample {
-                    action: Action::Apply { rule, location },
-                    log_prob: (rule_probs[rule].max(1e-12) * loc_probs[location].max(1e-12)).ln(),
-                    value,
-                }
+                (
+                    Action::Apply { rule, location },
+                    (rule_probs[rule].max(1e-12) * loc_probs[location].max(1e-12)).ln(),
+                )
             }
             ActionSpaceKind::Flat => {
-                let head = self
-                    .flat_head
-                    .as_ref()
-                    .expect("flat head exists for flat policies");
-                let logits = head.forward(&embedding).value();
                 let stop_index = self.config.rule_count * self.config.max_locations;
                 let probs = Self::masked_distribution(logits.data(), |i| {
                     if i == stop_index {
@@ -331,19 +379,66 @@ impl Policy {
                         location: index % self.config.max_locations,
                     }
                 };
-                ActionSample {
-                    action,
-                    log_prob: probs[index].max(1e-12).ln(),
-                    value,
-                }
+                (action, probs[index].max(1e-12).ln())
             }
         }
     }
 
-    fn location_logits(&self, embedding: &Tensor, rule: usize) -> Tensor {
+    /// Samples an action for an observation: [`Policy::infer`], the
+    /// critic, then [`Policy::choose`] (same arguments).
+    pub fn act(
+        &self,
+        obs: &[usize],
+        rule_mask: &[bool],
+        location_count: impl Fn(usize) -> usize,
+        rng: &mut impl Rng,
+        deterministic: bool,
+    ) -> ActionSample {
+        let outputs = self.infer(obs);
+        let value = self.critic_value(&outputs.embedding);
+        let (action, log_prob) =
+            self.choose(&outputs, rule_mask, location_count, rng, deterministic);
+        ActionSample {
+            action,
+            log_prob,
+            value,
+        }
+    }
+
+    /// [`Policy::act`] with the network run on the autodiff tape, every
+    /// position through every layer — how `act` ran before inference went
+    /// tape-free. Kept as the reference the equivalence suites compare
+    /// `act` (and whole compiles and training runs) against, bit for bit.
+    pub fn act_on_tape(
+        &self,
+        obs: &[usize],
+        rule_mask: &[bool],
+        location_count: impl Fn(usize) -> usize,
+        rng: &mut impl Rng,
+        deterministic: bool,
+    ) -> ActionSample {
+        let embedding = self.embed(obs);
+        let value = self.critic_value(&embedding);
+        let logits = self.first_head_logits(&embedding);
+        let (action, log_prob) = self.choose_from(
+            &embedding,
+            &logits,
+            rule_mask,
+            location_count,
+            rng,
+            deterministic,
+        );
+        ActionSample {
+            action,
+            log_prob,
+            value,
+        }
+    }
+
+    fn location_logits<V: Forward>(&self, embedding: &V, rule: usize) -> V {
         let mut one_hot = Matrix::zeros(1, self.config.rule_count + 1);
         one_hot.set(0, rule, 1.0);
-        let input = Tensor::concat_cols(&[embedding.clone(), Tensor::constant(one_hot)]);
+        let input = V::concat_cols(&[embedding.clone(), V::constant(one_hot)]);
         self.location_head.forward(&input)
     }
 

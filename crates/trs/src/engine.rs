@@ -3,9 +3,9 @@
 //! original (non-RL) CHEHAB compiler as a baseline.
 
 use crate::catalog::default_catalog;
+use crate::index::{MatchIndex, Site};
 use crate::rule::{Placement, Rule};
-use chehab_ir::{CostModel, Expr, NodeId, TermGraph};
-use std::collections::HashMap;
+use chehab_ir::{CostModel, Expr};
 
 /// Identifies one concrete application site of one rule inside a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,7 +157,7 @@ impl RewriteEngine {
     /// no pair improves the cost or after `max_steps` steps. Returns the
     /// optimized expression and the number of rewrites performed.
     ///
-    /// Candidates are scored on one [`TermGraph`] shared by the whole search
+    /// Candidates are scored on one [`MatchIndex`] shared by the whole search
     /// rather than materialised as trees (`DESIGN.md`, "The compile path"):
     /// a rule's outcome is memoised per distinct subterm, a candidate is the
     /// replacement's id with the ancestors of the rewritten node re-interned
@@ -168,45 +168,19 @@ impl RewriteEngine {
         cost_model: &CostModel,
         max_steps: usize,
     ) -> (Expr, usize) {
-        let mut graph = TermGraph::new();
-        // Subterm id -> (rule, replacement id) of every `Anywhere` rule that
-        // applies to it. Looked up by key only: the order of decisions never
-        // depends on a hash map's iteration order.
-        let mut memo: HashMap<NodeId, Vec<(usize, NodeId)>> = HashMap::new();
+        let mut index = MatchIndex::new();
         let mut current = expr.clone();
-        let root = graph.intern_expr(&current);
-        let mut current_cost = graph.cost(root, cost_model);
+        let mut matches = index.index(self, &current);
+        let mut current_cost = index.cost(matches.id(), cost_model);
         let mut steps = 0;
         while steps < max_steps {
-            let ids = graph.intern_preorder(&current);
-            let sites = index_sites(&current);
-            // by_rule[rule] = (site, replacement id) in preorder: walking it
-            // rule by rule is the enumeration order of `all_matches`.
-            let mut by_rule = vec![Vec::new(); self.rules.len()];
-            for (site, (&id, at)) in ids.iter().zip(&sites).enumerate() {
-                let hits = memo.entry(id).or_insert_with(|| {
-                    self.rewrites_of(at.node, id, &mut graph, Placement::Anywhere)
-                });
-                for &(rule, replacement) in hits.iter() {
-                    by_rule[rule].push((site, replacement));
-                }
-            }
-            for (rule, replacement) in
-                self.rewrites_of(&current, ids[0], &mut graph, Placement::RootOnly)
-            {
-                by_rule[rule].push((0, replacement));
-            }
-
-            let mut best: Option<(usize, usize, f64)> = None;
-            for (rule, candidates) in by_rule.iter().enumerate() {
-                for &(site, replacement) in candidates {
-                    let (mut root, mut at) = (replacement, site);
-                    while at != 0 {
-                        let Site { parent, child, .. } = sites[at];
-                        root = graph.with_operand(ids[parent], child, root);
-                        at = parent;
-                    }
-                    let cost = graph.cost(root, cost_model);
+            // Rule by rule, each rule's sites in preorder: the enumeration
+            // order of `all_matches`.
+            let mut best: Option<(usize, Site, f64)> = None;
+            for (rule, sites) in matches.by_rule().iter().enumerate() {
+                for &site in sites {
+                    let candidate = index.successor(&matches, site);
+                    let cost = index.cost(candidate, cost_model);
                     if cost < current_cost - 1e-9
                         && best.is_none_or(|(_, _, best_cost)| cost < best_cost)
                     {
@@ -217,79 +191,15 @@ impl RewriteEngine {
             let Some((rule, site, cost)) = best else {
                 break;
             };
-            let path = path_to(&sites, site);
             current = self
-                .apply_at_path(&current, rule, &path)
+                .apply_at_path(&current, rule, &matches.path(site))
                 .expect("a scored candidate is a rule match at a valid path");
+            matches = index.index(self, &current);
             current_cost = cost;
             steps += 1;
         }
         (current, steps)
     }
-
-    /// Every rule of the given placement that rewrites `node` into something
-    /// else, with the replacement interned: `(rule index, replacement id)`
-    /// in rule order. `id` is `node`'s own id; equal ids are equal terms, so
-    /// the comparison is [`Rule::applies`]'s "actually changes it".
-    fn rewrites_of(
-        &self,
-        node: &Expr,
-        id: NodeId,
-        graph: &mut TermGraph,
-        placement: Placement,
-    ) -> Vec<(usize, NodeId)> {
-        let mut out = Vec::new();
-        for (rule_index, rule) in self.rules.iter().enumerate() {
-            if rule.placement() != placement {
-                continue;
-            }
-            if let Some(rewritten) = rule.try_apply(node) {
-                let replacement = graph.intern_expr(&rewritten);
-                if replacement != id {
-                    out.push((rule_index, replacement));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// One tree node of the program being searched, addressed by its preorder
-/// position: the node, its parent's position and which child of it this is
-/// (both 0 for the root).
-#[derive(Clone, Copy)]
-struct Site<'a> {
-    node: &'a Expr,
-    parent: usize,
-    child: usize,
-}
-
-/// Indexes `expr` in the preorder of [`Expr::paths`].
-fn index_sites(expr: &Expr) -> Vec<Site<'_>> {
-    let mut sites = Vec::new();
-    // open[d] = position of the node at depth d on the path being walked.
-    let mut open: Vec<usize> = Vec::new();
-    expr.for_each_path(&mut |path, node| {
-        open.truncate(path.len());
-        sites.push(Site {
-            node,
-            parent: open.last().copied().unwrap_or(0),
-            child: path.last().copied().unwrap_or(0),
-        });
-        open.push(sites.len() - 1);
-    });
-    sites
-}
-
-/// The child-index path from the root to the node at position `site`.
-fn path_to(sites: &[Site<'_>], mut site: usize) -> Vec<usize> {
-    let mut path = Vec::new();
-    while site != 0 {
-        path.push(sites[site].child);
-        site = sites[site].parent;
-    }
-    path.reverse();
-    path
 }
 
 #[cfg(test)]

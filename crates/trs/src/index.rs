@@ -1,0 +1,201 @@
+//! The match index: one set of facts per program state, one rule outcome per
+//! distinct subterm.
+//!
+//! Every optimizer asks the same questions of a program state — which rules
+//! apply, where, what would the rewritten program cost — and successive
+//! states differ only along one root-to-node spine. A [`MatchIndex`] interns
+//! every program it is shown into one [`TermGraph`] and remembers, per
+//! subterm id, what each rule rewrites that subterm into; indexing a state
+//! ([`MatchIndex::index`]) is then one preorder walk of memo lookups, and a
+//! successor state's id and cost come from re-interning the spine, without
+//! building its tree (`DESIGN.md`, "The compile path").
+//!
+//! [`RewriteEngine::greedy_optimize`] and the RL rewrite environment both sit
+//! on it. The tree-walking [`RewriteEngine::matches`],
+//! [`RewriteEngine::applicability_mask`] and [`RewriteEngine::all_matches`]
+//! stay as the public one-shot API and as the index's oracle in tests.
+
+use crate::engine::RewriteEngine;
+use crate::rule::Placement;
+use chehab_ir::{CostModel, Expr, NodeId, TermGraph};
+use std::collections::HashMap;
+
+/// One rule match of an indexed program: the preorder position of the node
+/// the rule rewrites and the id of what it rewrites it into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Site {
+    position: usize,
+    replacement: NodeId,
+}
+
+/// The matches of every rule in one program state, as
+/// [`MatchIndex::index`] found them.
+#[derive(Debug, Clone)]
+pub struct ProgramMatches {
+    /// Graph id of every tree node, in the preorder of [`Expr::paths`].
+    ids: Vec<NodeId>,
+    /// Per preorder position: the parent's position and which child of it
+    /// this node is (both 0 for the root).
+    parents: Vec<(usize, usize)>,
+    /// Per rule, its matches in preorder: the order of
+    /// [`RewriteEngine::matches`], so a site's position in the list is the
+    /// RL agent's location index.
+    by_rule: Vec<Vec<Site>>,
+}
+
+impl ProgramMatches {
+    /// The program's id in the index's term graph. Equal programs have equal
+    /// ids, so it identifies the program *state*.
+    pub fn id(&self) -> NodeId {
+        self.ids[0]
+    }
+
+    /// Per rule, its matches in preorder.
+    pub fn by_rule(&self) -> &[Vec<Site>] {
+        &self.by_rule
+    }
+
+    /// The matches of one rule (none for an out-of-range rule).
+    pub fn of_rule(&self, rule: usize) -> &[Site] {
+        self.by_rule.get(rule).map_or(&[], Vec::as_slice)
+    }
+
+    /// For every rule, whether it applies anywhere
+    /// ([`RewriteEngine::applicability_mask`]).
+    pub fn rule_mask(&self) -> Vec<bool> {
+        self.by_rule.iter().map(|sites| !sites.is_empty()).collect()
+    }
+
+    /// The child-index path from the root to a match.
+    pub fn path(&self, site: Site) -> Vec<usize> {
+        let mut path = Vec::new();
+        let mut at = site.position;
+        while at != 0 {
+            let (parent, child) = self.parents[at];
+            path.push(child);
+            at = parent;
+        }
+        path.reverse();
+        path
+    }
+}
+
+/// Subterm id → `(rule, replacement id)` of every rule that rewrites it into
+/// something else, in rule order. Looked up by key only: no decision depends
+/// on a hash map's iteration order.
+type Rewrites = HashMap<NodeId, Vec<(usize, NodeId)>>;
+
+/// A shared term graph plus the per-subterm rule outcomes found on it.
+///
+/// The index only grows, and everything in it is valid for one rule catalog:
+/// use one index with one [`RewriteEngine`], and drop it with the search it
+/// serves.
+#[derive(Debug, Clone, Default)]
+pub struct MatchIndex {
+    graph: TermGraph,
+    /// Outcomes of the `Anywhere` rules, valid wherever the subterm occurs.
+    anywhere: Rewrites,
+    /// Outcomes of the `RootOnly` rules, for terms seen as a whole program.
+    root_only: Rewrites,
+}
+
+impl MatchIndex {
+    /// An empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Finds every match of every rule of `engine` in `expr`. Rules are tried
+    /// only on subterms this index has not seen before.
+    pub fn index(&mut self, engine: &RewriteEngine, expr: &Expr) -> ProgramMatches {
+        let ids = self.graph.intern_preorder(expr);
+        let mut parents = Vec::with_capacity(ids.len());
+        let mut by_rule = vec![Vec::new(); engine.rule_count()];
+        // open[d] = position of the node at depth d on the path being walked.
+        let mut open: Vec<usize> = Vec::new();
+        expr.for_each_path(&mut |path, node| {
+            let position = parents.len();
+            open.truncate(path.len());
+            parents.push((
+                open.last().copied().unwrap_or(0),
+                path.last().copied().unwrap_or(0),
+            ));
+            open.push(position);
+            let id = ids[position];
+            let graph = &mut self.graph;
+            let hits = self
+                .anywhere
+                .entry(id)
+                .or_insert_with(|| rewrites_of(engine, node, id, graph, Placement::Anywhere));
+            for &(rule, replacement) in hits.iter() {
+                by_rule[rule].push(Site {
+                    position,
+                    replacement,
+                });
+            }
+        });
+        let graph = &mut self.graph;
+        let hits = self
+            .root_only
+            .entry(ids[0])
+            .or_insert_with(|| rewrites_of(engine, expr, ids[0], graph, Placement::RootOnly));
+        for &(rule, replacement) in hits.iter() {
+            by_rule[rule].push(Site {
+                position: 0,
+                replacement,
+            });
+        }
+        ProgramMatches {
+            ids,
+            parents,
+            by_rule,
+        }
+    }
+
+    /// The id of the program that applying the match at `site` yields —
+    /// what indexing the [`RewriteEngine::apply_at_path`] result would return
+    /// as [`ProgramMatches::id`] — from re-interning the ancestors of the
+    /// rewritten node up to the root, without building the tree.
+    pub fn successor(&mut self, program: &ProgramMatches, site: Site) -> NodeId {
+        let (mut root, mut at) = (site.replacement, site.position);
+        while at != 0 {
+            let (parent, child) = program.parents[at];
+            root = self.graph.with_operand(program.ids[parent], child, root);
+            at = parent;
+        }
+        root
+    }
+
+    /// The cost of the program with id `root`, bit-identical to
+    /// [`CostModel::cost`] of its tree.
+    pub fn cost(&mut self, root: NodeId, cost_model: &CostModel) -> f64 {
+        self.graph.cost(root, cost_model)
+    }
+}
+
+/// Every rule of the given placement that rewrites `node` into something
+/// else, with the replacement interned: `(rule index, replacement id)` in
+/// rule order. `id` is `node`'s own id; equal ids are equal terms, so the
+/// comparison is [`Rule::applies`](crate::Rule::applies)'s "actually changes
+/// it".
+fn rewrites_of(
+    engine: &RewriteEngine,
+    node: &Expr,
+    id: NodeId,
+    graph: &mut TermGraph,
+    placement: Placement,
+) -> Vec<(usize, NodeId)> {
+    let mut out = Vec::new();
+    for (rule_index, rule) in engine.rules().iter().enumerate() {
+        if rule.placement() != placement {
+            continue;
+        }
+        if let Some(rewritten) = rule.try_apply(node) {
+            let replacement = graph.intern_expr(&rewritten);
+            if replacement != id {
+                out.push((rule_index, replacement));
+            }
+        }
+    }
+    out
+}

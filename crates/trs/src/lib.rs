@@ -8,7 +8,9 @@
 //!
 //! The ordered rule catalog doubles as the action space of the CHEHAB RL
 //! agent; the engine's greedy best-improvement optimizer is the original
-//! (non-RL) CHEHAB baseline used in the Figure 12 ablation.
+//! (non-RL) CHEHAB baseline used in the Figure 12 ablation. Both searches
+//! stand on a [`MatchIndex`]: one rule outcome per distinct subterm, one set
+//! of matches per program state.
 //!
 //! ## Example
 //!
@@ -29,10 +31,12 @@
 
 mod catalog;
 mod engine;
+mod index;
 mod pattern;
 mod rule;
 
 pub use catalog::default_catalog;
 pub use engine::{Match, RewriteEngine};
+pub use index::{MatchIndex, ProgramMatches, Site};
 pub use pattern::{parse_pattern, Bindings, Pattern};
 pub use rule::{Placement, Rule, RuleCategory};

@@ -63,6 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         compiled.stats().compile_time,
         compiled.stats().optimizer_steps
     );
+    let search = compiled.stats().search;
+    println!(
+        "search: {} actions over {} distinct states, {} policy evaluations",
+        search.actions, search.distinct_states, search.policy_evaluations
+    );
 
     let mut inputs = HashMap::new();
     let mut expected = 0i64;

@@ -146,6 +146,10 @@ fn print_report(program: &Expr, compiled: &CompiledProgram) {
         stats.cost_before, stats.cost_after
     );
     println!("rewrite steps:      {}", stats.optimizer_steps);
+    println!(
+        "search:             {} actions over {} distinct states, {} policy evaluations",
+        stats.search.actions, stats.search.distinct_states, stats.search.policy_evaluations
+    );
     println!("compile time:       {:?}", stats.compile_time);
     println!(
         "depth:              {} -> {}",

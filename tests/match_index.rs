@@ -1,0 +1,139 @@
+//! The match index answers what the tree-walking engine API answers.
+//!
+//! `MatchIndex` memoises rule outcomes per distinct subterm on one shared
+//! term graph and names successor states by re-interning a spine; the
+//! one-shot `RewriteEngine::{applicability_mask, matches, all_matches,
+//! apply_at_occurrence}` walk the tree every time. Masks, match lists (in
+//! preorder, so location indices agree), successor ids and cost bits must be
+//! the same — on fresh programs, and along a walk where most of every state
+//! is already in the memo.
+
+use chehab::datagen::{LlmLikeSynthesizer, RandomGenerator};
+use chehab::ir::{cleanup, CostModel, Expr};
+use chehab::trs::{Match, MatchIndex, RewriteEngine};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Seeded programs of at most 200 nodes, alternating the structured
+/// synthesizer (the RL training distribution) and the uniform generator.
+fn generated_programs(count: usize) -> Vec<Expr> {
+    let mut structured = LlmLikeSynthesizer::with_seed(0x51f1);
+    let mut uniform = RandomGenerator::with_seed(0x2c07);
+    let mut programs = Vec::new();
+    while programs.len() < count {
+        let program = if programs.len() % 2 == 0 {
+            structured.generate()
+        } else {
+            uniform.generate()
+        };
+        let program = cleanup(&program);
+        if program.node_count() <= 200 {
+            programs.push(program);
+        }
+    }
+    programs
+}
+
+/// Checks every fact of `program` the index reports against the engine's
+/// tree walks, and returns the engine's matches.
+fn assert_same_facts(
+    what: &str,
+    engine: &RewriteEngine,
+    index: &mut MatchIndex,
+    model: &CostModel,
+    program: &Expr,
+) -> Vec<Match> {
+    let indexed = index.index(engine, program);
+    let expected = engine.all_matches(program);
+    let mut found = Vec::new();
+    for (rule_index, sites) in indexed.by_rule().iter().enumerate() {
+        found.extend(sites.iter().map(|&site| Match {
+            rule_index,
+            path: indexed.path(site),
+        }));
+    }
+    assert_eq!(found, expected, "{what}: all_matches");
+    assert_eq!(
+        indexed.rule_mask(),
+        engine.applicability_mask(program),
+        "{what}: applicability_mask"
+    );
+    // `matches` rule by rule, for every rule that matches and a few that
+    // do not (each call is a full tree walk).
+    for rule in (0..engine.rule_count()).filter(|r| !indexed.of_rule(*r).is_empty() || r % 16 == 0)
+    {
+        let paths: Vec<Vec<usize>> = indexed
+            .of_rule(rule)
+            .iter()
+            .map(|&site| indexed.path(site))
+            .collect();
+        assert_eq!(paths, engine.matches(program, rule), "{what}: rule {rule}");
+    }
+    assert!(indexed.of_rule(engine.rule_count()).is_empty());
+    assert_eq!(
+        index.cost(indexed.id(), model).to_bits(),
+        model.cost(program).to_bits(),
+        "{what}: cost"
+    );
+    // Every match leads where apply_at_occurrence leads, under the id the
+    // index predicts without building the tree.
+    for (rule, sites) in indexed.by_rule().iter().enumerate() {
+        for (occurrence, &site) in sites.iter().enumerate().take(2) {
+            let next = engine
+                .apply_at_occurrence(program, rule, occurrence)
+                .expect("an indexed match applies");
+            let predicted = index.successor(&indexed, site);
+            assert_eq!(
+                index.index(engine, &next).id(),
+                predicted,
+                "{what}: successor of rule {rule} at occurrence {occurrence}"
+            );
+            assert_eq!(
+                index.cost(predicted, model).to_bits(),
+                model.cost(&next).to_bits(),
+                "{what}: successor cost"
+            );
+        }
+    }
+    expected
+}
+
+#[test]
+fn the_index_agrees_with_the_tree_walks_on_generated_programs() {
+    let engine = RewriteEngine::new();
+    let model = CostModel::default();
+    // One index for all of them: ids and memo entries of earlier programs
+    // must not leak into later ones.
+    let mut index = MatchIndex::new();
+    for (i, program) in generated_programs(300).iter().enumerate() {
+        assert_same_facts(
+            &format!("generated program {i}"),
+            &engine,
+            &mut index,
+            &model,
+            program,
+        );
+    }
+}
+
+#[test]
+fn the_index_agrees_with_the_tree_walks_along_a_random_walk() {
+    let engine = RewriteEngine::new();
+    let model = CostModel::default();
+    let mut rng = StdRng::seed_from_u64(0xa11c);
+    for (i, program) in generated_programs(12).into_iter().enumerate() {
+        let mut index = MatchIndex::new();
+        let mut current = program;
+        for step in 0..40 {
+            let what = format!("walk {i}, step {step}");
+            let matches = assert_same_facts(&what, &engine, &mut index, &model, &current);
+            if matches.is_empty() || current.node_count() > 400 {
+                break;
+            }
+            let m = &matches[rng.gen_range(0..matches.len())];
+            current = engine
+                .apply_at_path(&current, m.rule_index, &m.path)
+                .expect("every match applies");
+        }
+    }
+}
