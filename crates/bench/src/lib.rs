@@ -1468,8 +1468,8 @@ pub struct MemlayoutMeasurement {
 }
 
 /// Measures one kernel under the zero-allocation memory engine: cold vs
-/// warm arena-miss counts (process-global `PolyArena` counters — run one
-/// kernel at a time), warm sequential per-request latency (medians over
+/// warm arena-miss counts (deltas of the session pool's own counters), warm
+/// sequential per-request latency (medians over
 /// `runs` passes of `requests` requests), and bit-equivalence of a
 /// `threads`-worker dataflow pass against the sequential outputs and the
 /// plaintext reference.
@@ -1482,7 +1482,6 @@ pub fn measure_memlayout(
     threads: usize,
     baseline_request_ms: Option<f64>,
 ) -> MemlayoutMeasurement {
-    use chehab_fhe::PolyArena;
     let compiled = compiler.compile(benchmark);
     let requests = requests.max(1);
     let input_sets: Vec<HashMap<String, i64>> = (0..requests)
@@ -1521,14 +1520,24 @@ pub fn measure_memlayout(
         .session(params)
         .unwrap_or_else(|e| panic!("{}: session construction failed: {e}", benchmark.id()));
     let mut correct = true;
+    // The session pool's (misses, hits) so far.
+    let arena_counters = || {
+        let registry = session.metrics();
+        (
+            registry
+                .counter("chehab_arena_fresh_allocations_total", "")
+                .get(),
+            registry.counter("chehab_arena_reuses_total", "").get(),
+        )
+    };
 
     // Cold request: every buffer is a pool miss — the allocation bill every
     // request footed before the arena existed.
-    PolyArena::reset_counters();
+    let (fresh_at_start, _) = arena_counters();
     let cold = session
         .run(&input_sets[0])
         .unwrap_or_else(|e| panic!("{}: cold run failed: {e}", benchmark.id()));
-    let cold_allocs = PolyArena::fresh_allocations();
+    let cold_allocs = arena_counters().0 - fresh_at_start;
     correct &= cold.decryption_ok
         && cold
             .outputs
@@ -1542,7 +1551,7 @@ pub fn measure_memlayout(
     }
 
     // Measured warm passes: latency medians plus the steady-state counters.
-    PolyArena::reset_counters();
+    let (fresh_when_warm, reuses_when_warm) = arena_counters();
     let mut request_times = Vec::with_capacity(runs.max(1) * requests);
     for _ in 0..runs.max(1) {
         for (inputs, expected) in input_sets.iter().zip(&expected) {
@@ -1561,8 +1570,9 @@ pub fn measure_memlayout(
         }
     }
     let measured_requests = request_times.len() as f64;
-    let warm_allocs_per_request = PolyArena::fresh_allocations() as f64 / measured_requests;
-    let warm_reuses_per_request = PolyArena::reuses() as f64 / measured_requests;
+    let (fresh, reuses) = arena_counters();
+    let warm_allocs_per_request = (fresh - fresh_when_warm) as f64 / measured_requests;
+    let warm_reuses_per_request = (reuses - reuses_when_warm) as f64 / measured_requests;
     request_times.sort_unstable();
     let request_ms = ms(request_times[request_times.len() / 2]);
 

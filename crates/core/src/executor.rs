@@ -34,10 +34,10 @@ use chehab_fhe::{
 use chehab_ir::{CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, Ty};
 use chehab_runtime::{
     data_kinds, default_workers, lane_geometry, BatchPolicy, CalibratedCostModel,
-    CancellationToken, Counter, DataflowExecutor, ExecResources, FaultPlan, Gauge, LaneGeometry,
-    MetricsRegistry, Register, RequestCoalescer, ResilienceSnapshot, ResilienceStats, Schedule,
-    SchedulerKind, SchedulerMetrics, ServingConfig, ServingEngine, SpanEvent, TimingBreakdown,
-    TraceSink, WavefrontExecutor, WavefrontOutcome, DEFAULT_QUEUE_CAPACITY,
+    CancellationToken, Counter, ExecOutcome, ExecResources, Executor, FaultPlan, Gauge,
+    LaneGeometry, MetricsRegistry, Register, RequestCoalescer, ResilienceSnapshot, ResilienceStats,
+    Schedule, SchedulerKind, SchedulerMetrics, ServingConfig, ServingEngine, SpanEvent,
+    TimingBreakdown, TraceSink, DEFAULT_QUEUE_CAPACITY,
 };
 use coyote_baseline::LaneAssignment;
 use std::collections::HashMap;
@@ -104,20 +104,20 @@ pub struct ExecOptions {
     /// to the host's [`std::thread::available_parallelism`], clamped to
     /// `[1, 8]` (see [`chehab_runtime::default_workers`]).
     pub request_threads: usize,
-    /// Worker threads inside each request's scheduled execution (1 = run
-    /// each request sequentially; more helps schedules with instruction-level
-    /// parallelism).
+    /// Worker threads inside each request's scheduled execution, the calling
+    /// thread included (1 = nothing is spawned; more helps schedules with
+    /// instruction-level parallelism).
     pub threads_per_request: usize,
     /// Bound of the serving queue of [`FheSession::serve_with`]: `submit`
     /// blocks while this many requests are already queued.
     pub queue_capacity: usize,
-    /// The intra-request scheduling discipline: barrier-free
-    /// [`SchedulerKind::Dataflow`] (the default — instructions run the
-    /// instant their operands are written, ordered by calibrated
-    /// critical-path priority) or the level-synchronized
-    /// [`SchedulerKind::Leveled`] wavefront. Outputs are bit-identical
-    /// either way; only the wall-clock and the timing breakdown shape
-    /// differ.
+    /// The release rule of the one executor: barrier-free
+    /// [`SchedulerKind::Dataflow`] (the default — an instruction becomes
+    /// runnable the instant its operands are written, ready ones ordered by
+    /// calibrated critical-path priority) or [`SchedulerKind::Leveled`] (a
+    /// level is released when the level below has retired). Outputs are
+    /// bit-identical either way; only the wall-clock differs, and
+    /// `timing.levels` is filled under the leveled rule alone.
     pub scheduler: SchedulerKind,
     /// Cross-request SIMD batching policy of [`FheSession::run_batched`] and
     /// [`FheSession::serve_with`]: when set, compatible requests are
@@ -174,7 +174,7 @@ impl ExecOptions {
         self
     }
 
-    /// Sets the per-request wavefront worker count (clamped to at least 1).
+    /// Sets the per-request executor worker count (clamped to at least 1).
     pub fn with_threads_per_request(mut self, threads: usize) -> Self {
         self.threads_per_request = threads.max(1);
         self
@@ -186,7 +186,7 @@ impl ExecOptions {
         self
     }
 
-    /// Selects the intra-request scheduling discipline.
+    /// Selects the executor's release rule.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
         self
@@ -233,7 +233,7 @@ pub struct ExecHooks {
     pub trace: Option<Arc<TraceSink>>,
     /// External cancellation token of [`FheSession::run_batched`], checked
     /// before binding and at **every instruction dispatch**: cancelling it —
-    /// or its deadline expiring — stops the executors from scheduling any
+    /// or its deadline expiring — stops the executor from scheduling any
     /// further instruction, releases the registers and arena buffers back
     /// to the session pool, and returns
     /// [`FheError::Cancelled`](chehab_fhe::FheError::Cancelled) /
@@ -243,7 +243,7 @@ pub struct ExecHooks {
     pub cancel: Option<CancellationToken>,
     /// Deterministic fault plan: instruction-level faults (planned panics,
     /// latency spikes, mid-flight cancellations) fire hermetically inside
-    /// the executors; on the serving path the engine also draws its
+    /// the executor; on the serving path the engine also draws its
     /// submission-side faults (forced queue-full rejections, worker kills)
     /// from it.
     pub faults: Option<FaultPlan>,
@@ -705,7 +705,7 @@ impl FheSession {
     }
 
     /// Serves one request with `options.threads_per_request` workers under
-    /// `options.scheduler` — by default the barrier-free dataflow executor
+    /// `options.scheduler` — by default the barrier-free dataflow rule
     /// with critical-path priorities recomputed from the session's
     /// accumulated calibration. Results are bit-identical to
     /// [`FheSession::run`] at every worker count and scheduler. A solo
@@ -778,10 +778,10 @@ impl FheSession {
     /// `shutdown` drains in-flight work and reports the batching counters;
     /// [`RequestCoalescer::engine`] exposes queue, latency and resilience
     /// stats, including each execution's scheduler counters (steals, queue
-    /// waits, reclaimed barrier slack) and measured per-operation-kind
-    /// latencies. Requests that fail for any reason (cancel, deadline,
-    /// injected or organic panic) never feed the session's cumulative
-    /// calibration, which lives in [`FheSession::stats`].
+    /// waits) and measured per-operation-kind latencies. Requests that fail
+    /// for any reason (cancel, deadline, injected or organic panic) never
+    /// feed the session's cumulative calibration, which lives in
+    /// [`FheSession::stats`].
     pub fn serve_with(
         self: &Arc<Self>,
         options: &ExecOptions,
@@ -825,17 +825,10 @@ impl FheSession {
                         // One execution, many users: every report carries
                         // the same timing, recorded once.
                         if let Some(report) = reports.first() {
-                            sink.record(
-                                report.timing.steals,
-                                report.timing.reclaimed_slack,
-                                &report.timing.queue_waits,
-                            );
+                            sink.record(report.timing.steals, &report.timing.queue_waits);
                             // Per-op-kind latency histograms: label every
                             // measured instruction span with its schedule
-                            // operation. (The leveled scheduler reports no
-                            // per-instruction spans, so the zip is empty
-                            // there and only the dataflow path populates
-                            // the histograms.)
+                            // operation.
                             sink.record_op_samples(
                                 session
                                     .schedule
@@ -849,7 +842,7 @@ impl FheSession {
                     }
                     Err(error) => {
                         // Instruction-level panics are isolated inside the
-                        // executors and surface as a clean `Err` return,
+                        // executor and surface as a clean `Err` return,
                         // invisible to the engine's own handler-panic
                         // accounting — count them here.
                         if let FheError::WorkerPanic { .. } = &error {
@@ -963,53 +956,6 @@ impl FheSession {
         self.metrics().render_text()
     }
 
-    /// Runs the session schedule over an already-bound register file of
-    /// `lanes.lanes` users: executor dispatch (leveled wavefront or dataflow
-    /// with calibrated critical-path priorities).
-    fn execute_schedule(
-        &self,
-        registers: Vec<Option<Register>>,
-        options: &ExecOptions,
-        lanes: LaneGeometry,
-        hooks: &ExecHooks,
-    ) -> Result<WavefrontOutcome, FheError> {
-        let resources = ExecResources {
-            ctx: &self.ctx,
-            relin_keys: &self.relin_keys,
-            galois_keys: &self.galois_keys,
-            zero: self.zero.as_ref(),
-            arenas: &self.arena_pool,
-            trace: hooks.trace.as_deref(),
-            lanes,
-            cancel: hooks.cancel.as_ref(),
-            faults: hooks.faults.as_ref(),
-        };
-        let threads = options.threads_per_request;
-        match options.scheduler {
-            SchedulerKind::Leveled => {
-                WavefrontExecutor::new(threads).execute(&self.schedule, registers, &resources)
-            }
-            SchedulerKind::Dataflow => {
-                // Critical-path priorities under the *calibrated* cost table:
-                // the ready queue ranks instructions by measured hardware
-                // cost, sharpening as the session accumulates samples (and
-                // falling back to the static estimates on a cold session).
-                let costs = self
-                    .calibration
-                    .lock()
-                    .unwrap()
-                    .to_op_costs(&CostModel::default().op_costs);
-                let priorities = self.schedule.critical_path_priorities(&costs);
-                DataflowExecutor::new(threads).execute_with_priorities(
-                    &self.schedule,
-                    registers,
-                    &resources,
-                    &priorities,
-                )
-            }
-        }
-    }
-
     /// The lane stride of this program on this context: the slot distance
     /// between consecutive users' windows in a batched execution (the
     /// rotation-envelope span of one user's data).
@@ -1075,12 +1021,55 @@ impl FheSession {
         options: &ExecOptions,
         hooks: &ExecHooks,
     ) -> Result<Vec<ExecutionReport>, FheError> {
+        let executor = Executor::new(options.threads_per_request);
+        self.run_chunks(input_sets, options.batching, hooks, |registers, res| {
+            // Only the dataflow rule reads priorities: critical paths under
+            // the *calibrated* cost table, so the ready queue ranks
+            // instructions by measured hardware cost, sharpening as the
+            // session accumulates samples (static estimates on a cold one).
+            let priorities = if options.scheduler == SchedulerKind::Dataflow {
+                let calibration = self.calibration.lock().unwrap();
+                let costs = calibration.to_op_costs(&CostModel::default().op_costs);
+                self.schedule.critical_path_priorities(&costs)
+            } else {
+                Vec::new()
+            };
+            executor.execute(
+                &self.schedule,
+                registers,
+                res,
+                options.scheduler,
+                &priorities,
+            )
+        })
+    }
+
+    /// One solo request through the runtime's in-order reference walk
+    /// instead of the executor — the oracle of the equivalence suites.
+    #[doc(hidden)]
+    pub fn run_in_order(&self, inputs: &HashMap<String, i64>) -> Result<ExecutionReport, FheError> {
+        let inputs = std::slice::from_ref(inputs);
+        let reports = self.run_chunks(inputs, None, &ExecHooks::default(), |registers, res| {
+            chehab_runtime::execute_in_order(&self.schedule, registers, res)
+        })?;
+        Ok(reports.into_iter().next().expect("one report per user"))
+    }
+
+    /// The body of [`FheSession::run_batched`], with the server side of each
+    /// chunk left to `execute`.
+    fn run_chunks(
+        &self,
+        input_sets: &[HashMap<String, i64>],
+        batching: Option<BatchPolicy>,
+        hooks: &ExecHooks,
+        execute: impl Fn(Vec<Option<Register>>, &ExecResources<'_>) -> Result<ExecOutcome, FheError>,
+    ) -> Result<Vec<ExecutionReport>, FheError> {
         // The Coyote lane-assignment machinery validates the geometry and
         // owns the base/chunk math; the stride always fits by construction.
         let assignment =
             LaneAssignment::new(self.ctx.slot_count(), self.lanes.stride, self.lanes.stride)
                 .expect("session lane geometry is valid by construction");
-        let capacity = options.batching.map_or(1, |policy| {
+        let capacity = batching.map_or(1, |policy| {
             assignment.lane_count().min(policy.max_batch).max(1)
         });
         let t = self.ctx.plain_modulus() as i64;
@@ -1119,11 +1108,21 @@ impl FheSession {
 
             // --- server side: execute the scheduled operations (timed).
             let started = Instant::now();
-            let geometry = LaneGeometry {
-                stride: self.lanes.stride,
-                lanes: users,
+            let resources = ExecResources {
+                ctx: &self.ctx,
+                relin_keys: &self.relin_keys,
+                galois_keys: &self.galois_keys,
+                zero: self.zero.as_ref(),
+                arenas: &self.arena_pool,
+                trace: hooks.trace.as_deref(),
+                lanes: LaneGeometry {
+                    stride: self.lanes.stride,
+                    lanes: users,
+                },
+                cancel: hooks.cancel.as_ref(),
+                faults: hooks.faults.as_ref(),
             };
-            let outcome = self.execute_schedule(registers, options, geometry, hooks)?;
+            let outcome = execute(registers, &resources)?;
             let server_time = started.elapsed();
             span("execute", started, server_time);
 
@@ -1184,7 +1183,7 @@ impl FheSession {
                 .fetch_add(users as u64, Ordering::Relaxed);
             self.metrics.requests.add(users as u64);
             self.metrics.steals.add(outcome.timing.steals);
-            if options.batching.is_some() {
+            if batching.is_some() {
                 self.metrics.batches.inc();
                 self.metrics
                     .lane_occupancy
@@ -1248,11 +1247,11 @@ pub struct ExecutionReport {
     pub galois_key_count: usize,
     /// `false` when the noise budget was exhausted and decryption failed.
     pub decryption_ok: bool,
-    /// Per-operation-kind timing breakdown — per-level walls under the
-    /// leveled scheduler, per-instruction queue waits / steals / reclaimed
-    /// barrier slack under the dataflow scheduler — including the measured
-    /// latencies a [`chehab_runtime::CalibratedCostModel`] feeds back into
-    /// the optimizer's cost model.
+    /// Per-operation-kind timing breakdown — per-instruction spans, queue
+    /// waits and steals under either release rule, per-level walls under
+    /// the leveled one — including the measured latencies a
+    /// [`chehab_runtime::CalibratedCostModel`] feeds back into the
+    /// optimizer's cost model.
     pub timing: TimingBreakdown,
 }
 

@@ -21,33 +21,22 @@
 //! live at once plus what its workers hold privately, however the workers
 //! interleave.
 //!
-//! Counters record every miss and hit at two scopes. The process-global
-//! statics ([`PolyArena::fresh_allocations`] / [`PolyArena::reuses`]) back
-//! the allocation-regression test, which warms a session, resets the
-//! counters, replays the request stream and asserts the miss count stays
-//! zero. The per-pool counters ([`ArenaPool::alloc_stats`]) feed the
-//! session's telemetry registry: they are scoped to one pool, so concurrent
-//! sessions never alias each other's allocation stats.
+//! Every miss and hit of an arena checked out of a pool is counted on that
+//! pool ([`ArenaPool::alloc_stats`]): the figures feed the session's
+//! telemetry registry and back the allocation-regression tests, which warm
+//! a session, replay the request stream and assert the miss count did not
+//! move. They are scoped to one pool, so concurrent sessions — or tests —
+//! never alias each other's allocation stats.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Process-global count of [`PolyArena::take`] calls that had to allocate a
-/// fresh buffer (pool miss).
-static ARENA_FRESH: AtomicU64 = AtomicU64::new(0);
-
-/// Process-global count of [`PolyArena::take`] calls served from the free
-/// list (pool hit).
-static ARENA_REUSED: AtomicU64 = AtomicU64::new(0);
-
 /// Free buffers by length class.
 type FreeLists = HashMap<usize, Vec<Vec<u64>>>;
 
 /// What every arena checked out of one [`ArenaPool`] shares with it: the
-/// parked buffers and the pool's hit/miss counters. The counters exist
-/// alongside the process-global statics so concurrent sessions can read
-/// their own allocation behavior without aliasing each other's.
+/// parked buffers and the pool's hit/miss counters.
 #[derive(Debug, Default)]
 struct PoolShared {
     parked: Mutex<FreeLists>,
@@ -89,7 +78,7 @@ pub struct PolyArena {
     pools: FreeLists,
     /// The [`ArenaPool`] this arena was checked out of, if any: its parked
     /// buffers back this arena's misses and its counters record them.
-    /// Standalone arenas count only into the process-global statics.
+    /// Standalone arenas are not counted.
     home: Option<Arc<PoolShared>>,
 }
 
@@ -110,12 +99,13 @@ impl PolyArena {
             let home = self.home.as_ref()?;
             home.parked().get_mut(&len).and_then(Vec::pop)
         });
-        let hit = pooled.is_some();
-        let global = if hit { &ARENA_REUSED } else { &ARENA_FRESH };
-        global.fetch_add(1, Ordering::Relaxed);
         if let Some(home) = &self.home {
-            let scoped = if hit { &home.reused } else { &home.fresh };
-            scoped.fetch_add(1, Ordering::Relaxed);
+            let counter = if pooled.is_some() {
+                &home.reused
+            } else {
+                &home.fresh
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
         }
         pooled.unwrap_or_else(|| vec![0u64; len])
     }
@@ -137,26 +127,6 @@ impl PolyArena {
     /// Drops every pooled buffer.
     pub fn clear(&mut self) {
         self.pools.clear();
-    }
-
-    /// Process-global count of [`PolyArena::take`] calls that allocated a
-    /// fresh buffer since process start (or the last
-    /// [`PolyArena::reset_counters`]). Shared by every arena of the process,
-    /// so assertions on it belong in single-test processes.
-    pub fn fresh_allocations() -> u64 {
-        ARENA_FRESH.load(Ordering::Relaxed)
-    }
-
-    /// Process-global count of [`PolyArena::take`] calls served from a free
-    /// list since process start (or the last counter reset).
-    pub fn reuses() -> u64 {
-        ARENA_REUSED.load(Ordering::Relaxed)
-    }
-
-    /// Resets both process-global counters to zero.
-    pub fn reset_counters() {
-        ARENA_FRESH.store(0, Ordering::Relaxed);
-        ARENA_REUSED.store(0, Ordering::Relaxed);
     }
 }
 
@@ -212,10 +182,9 @@ impl ArenaPool {
     }
 
     /// A snapshot of this pool's allocation counters: pool misses and hits
-    /// of every arena ever checked out of it. Unlike the process-global
-    /// [`PolyArena::fresh_allocations`] / [`PolyArena::reuses`], the figures
-    /// are scoped to this pool (and its clones), so concurrent sessions can
-    /// each read their own allocation behavior.
+    /// of every arena ever checked out of it, scoped to this pool (and its
+    /// clones), so concurrent sessions each read their own allocation
+    /// behavior.
     pub fn alloc_stats(&self) -> ArenaPoolStats {
         ArenaPoolStats {
             fresh_allocations: self.shared.fresh.load(Ordering::Relaxed),

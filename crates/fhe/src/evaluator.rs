@@ -219,7 +219,7 @@ impl Evaluator {
 
     /// The intra-op budget that will apply to a payload of `degree`
     /// coefficients, and whether that counts as a split.
-    fn intra_op_budget(&mut self, degree: usize) -> usize {
+    fn split_threads(&mut self, degree: usize) -> usize {
         if self.intra_op_threads > 1 && degree >= INTRA_OP_MIN {
             self.intra_op_splits += 1;
             self.intra_op_threads
@@ -472,7 +472,7 @@ impl Evaluator {
         let ctx = self.ctx.clone();
         let payload = match ctx.tables() {
             Some(tables) if !a.payload.is_empty() => {
-                let threads = self.intra_op_budget(a.payload.stripe().len() / 2);
+                let threads = self.split_threads(a.payload.stripe().len() / 2);
                 let pt_poly = b.splat_eval(ctx.chain(), tables, threads, &mut self.arena);
                 let mut out = self.arena.take(a.payload.stripe().len());
                 a.payload
@@ -530,7 +530,7 @@ impl Evaluator {
         // ([`CtPayload::galois_eval2`]).
         let payload = if self.ctx.tables().is_some() && !a.payload.is_empty() {
             let degree = self.ctx.params().payload_degree;
-            let threads = self.intra_op_budget(a.payload.stripe().len() / 2);
+            let threads = self.split_threads(a.payload.stripe().len() / 2);
             // The slot rotation corresponds to the Galois automorphism
             // x -> x^(2*shift + 1) (always odd, as the ring requires). Its
             // Eval-domain permutation depends only on the element, so the
@@ -656,7 +656,7 @@ impl Evaluator {
             return Arc::clone(&a.payload);
         }
         let half = a.payload.stripe().len() / 2;
-        let threads = self.intra_op_budget(half);
+        let threads = self.split_threads(half);
         let mut out = self.arena.take(2 * half);
         // Key-switch multipliers: the relin key's pre-transformed stripe
         // (fall back to operand components if key material was built
@@ -702,7 +702,7 @@ impl Evaluator {
         let ctx = self.ctx.clone();
         let payload = match ctx.ones_eval() {
             Some(ones) if !a.payload.is_empty() => {
-                let threads = self.intra_op_budget(a.payload.stripe().len() / 2);
+                let threads = self.split_threads(a.payload.stripe().len() / 2);
                 let k = reduced.max(1);
                 let mut out = self.arena.take(a.payload.stripe().len());
                 a.payload.mul_scalar_eval2(

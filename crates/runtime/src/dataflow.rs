@@ -1,55 +1,141 @@
-//! The dataflow executor: dependency-counting, work-stealing, barrier-free
-//! execution of instruction schedules.
+//! What runs next: the scheduler state the one [`Executor`](crate::Executor)
+//! worker loop pops from, and the timing breakdown a run fills in.
 //!
-//! The [`WavefrontExecutor`](crate::WavefrontExecutor) synchronizes workers
-//! with a barrier between topological levels, so every level pays for its
-//! slowest instruction — `ExecutionReport::timing.levels` shows that slack
-//! directly on uneven levels (a level with one ct-ct multiplication and
-//! thirty additions idles most of the pool for the multiplication's whole
-//! span). The [`DataflowExecutor`] removes the barriers: [`Schedule::lower`]
-//! emits each instruction's remaining-dependency count and dependent list
-//! (the transpose of the operand graph), and an instruction becomes runnable
-//! the instant its last operand is written.
+//! A [`Schedule`] carries two views of the same circuit — topological levels
+//! and the dependency graph ([`Schedule::dep_counts`] /
+//! [`Schedule::dependents`]) — and a [`SchedulerKind`] is the **release
+//! rule** that picks one: when does a finished instruction make others
+//! runnable?
 //!
-//! Scheduling follows the classic work-stealing shape:
-//!
-//! - each worker owns a **local deque**, kept sorted by critical-path
-//!   priority: instructions a worker makes ready go to its own deque first
-//!   (the operands are hot in its cache);
-//! - a shared **injector** heap seeds the initially-ready instructions;
-//! - an idle worker pops its own deque from the front (highest priority),
-//!   then the injector, then **steals** from the back of the richest
-//!   victim's deque (lowest-priority entry — the one the victim would run
-//!   last), counting every steal;
-//! - ready order is *critical-path-first*: priorities are the longest
-//!   remaining dependency chain under a cost table
-//!   ([`Schedule::critical_path_priorities`]), so the instructions that gate
-//!   the most downstream work run first. Sessions recompute priorities from
-//!   the accumulated [`CalibratedCostModel`] — the timer-augmented cost
+//! - [`SchedulerKind::Dataflow`]: the instant an instruction's last operand
+//!   is written. Released instructions go to the releasing worker's **local
+//!   deque**, kept sorted by critical-path priority (the operands are hot in
+//!   its cache); a shared **injector** seeds the initially-ready set. An
+//!   idle worker pops its own deque from the front (highest priority), then
+//!   the injector, then **steals** from the back of the richest victim's
+//!   deque (the entry the victim would run last), counting every steal.
+//!   Priorities are the longest remaining dependency chain under a cost
+//!   table ([`Schedule::critical_path_priorities`]); sessions recompute them
+//!   from the accumulated [`CalibratedCostModel`] — the timer-augmented cost
 //!   function of McDoniel & Bientinesi applied to ready-queue ordering.
+//! - [`SchedulerKind::Leveled`]: when the whole level below has retired. A
+//!   per-level countdown replaces the barrier: the worker that retires a
+//!   level's last instruction stamps that level's [`LevelTiming`] and
+//!   injects the next level's range in schedule order — descending estimated
+//!   cost, longest-processing-time-first. Nothing is released to a local
+//!   deque, so nothing is ever stolen, and no priorities are read.
 //!
-//! Intra-op parallelism composes dynamically: when fewer instructions are
-//! ready than the pool has threads, the spare threads flow into the heavy
-//! ready instructions' payload loops ([`dynamic_intra_op_grant`]), clamped
-//! so outstanding grants plus the ready-queue width never oversubscribe the
-//! pool.
+//! Intra-op parallelism composes dynamically under both rules: when fewer
+//! instructions are ready than the pool has threads, the spare threads flow
+//! into the popped instruction's payload loops ([`dynamic_intra_op_grant`]),
+//! clamped so outstanding grants plus the ready-queue width never
+//! oversubscribe the pool.
 //!
-//! Results are bit-identical to sequential execution at every worker count
-//! and steal order: every homomorphic operation is a pure function of its
-//! operands, and a register is written exactly once before any dependent
-//! reads it.
+//! Results are bit-identical to the in-order walk at every worker count,
+//! rule and steal order: every homomorphic operation is a pure function of
+//! its operands, and a register is written exactly once before any
+//! dependent reads it.
 
 use crate::calibrate::CalibratedCostModel;
-use crate::exec::{
-    dispatch_instr, publish_and_reap, validate_operands, ExecResources, Register, RegisterFile,
-    SchedulerKind, TimingBreakdown, WavefrontOutcome,
-};
 use crate::schedule::Schedule;
-use crate::telemetry::TraceBuffer;
-use chehab_fhe::{Evaluator, EvaluatorStats, FheError};
+use chehab_fhe::{EvaluatorStats, FheError};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// The release rule of an execution: when a finished instruction makes
+/// others runnable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchedulerKind {
+    /// Barrier-free dependency counting: an instruction becomes runnable the
+    /// instant its last operand is written, and ready instructions are
+    /// popped in critical-path priority order. The default.
+    #[default]
+    Dataflow,
+    /// Level-synchronized wavefronts: a level is released when the level
+    /// below has fully retired, so every level waits for its slowest
+    /// instruction.
+    Leveled,
+}
+
+/// Wall-clock of one level of a [`SchedulerKind::Leveled`] run.
+#[derive(Debug, Clone)]
+pub struct LevelTiming {
+    /// Level index.
+    pub level: usize,
+    /// Instructions executed in the level.
+    pub instructions: usize,
+    /// From the level's release to the retirement of its last instruction.
+    pub wall: Duration,
+}
+
+/// Per-instruction and per-operation-kind breakdown of one execution. Every
+/// run fills every field the same way; only `levels` depends on the rule.
+#[derive(Debug, Clone)]
+pub struct TimingBreakdown {
+    /// The release rule the run executed under.
+    pub scheduler: SchedulerKind,
+    /// Worker threads used (the calling thread included).
+    pub threads: usize,
+    /// Wall-clock per level, in level order: one entry per schedule level
+    /// under [`SchedulerKind::Leveled`], empty under
+    /// [`SchedulerKind::Dataflow`] (there are no levels to time).
+    pub levels: Vec<LevelTiming>,
+    /// Wall-clock of the whole scheduled execution, from before the first
+    /// instruction is released until every worker has finished.
+    pub wall: Duration,
+    /// Measured per-operation-kind latencies.
+    pub per_op: CalibratedCostModel,
+    /// Measured duration of every instruction, indexed like
+    /// [`Schedule::instrs`].
+    pub instr_times: Vec<Duration>,
+    /// Per-instruction queue wait (from the instant the rule released the
+    /// instruction to the instant a worker started running it), indexed
+    /// like [`Schedule::instrs`].
+    pub queue_waits: Vec<Duration>,
+    /// Ready instructions taken from another worker's local deque (always
+    /// zero under [`SchedulerKind::Leveled`], which fills no local deque).
+    pub steals: u64,
+    /// Operations whose payload work actually split across more than one
+    /// intra-op worker. The per-op latencies in
+    /// [`TimingBreakdown::per_op`] are measured around the split, so the
+    /// calibrated cost model sees the effect of intra-op parallelism
+    /// directly.
+    pub intra_op_splits: u64,
+}
+
+impl TimingBreakdown {
+    /// A breakdown with nothing measured yet.
+    pub(crate) fn empty(threads: usize) -> Self {
+        TimingBreakdown {
+            scheduler: SchedulerKind::default(),
+            threads,
+            levels: Vec::new(),
+            wall: Duration::ZERO,
+            per_op: CalibratedCostModel::new(),
+            instr_times: Vec::new(),
+            queue_waits: Vec::new(),
+            steals: 0,
+            intra_op_splits: 0,
+        }
+    }
+
+    /// A queue-wait percentile (`0.0..=1.0`) across this run's instructions,
+    /// `None` when the schedule has none.
+    pub fn queue_wait_percentile(&self, pct: f64) -> Option<Duration> {
+        percentile(&mut self.queue_waits.clone(), pct)
+    }
+}
+
+/// The `pct`-percentile (`0.0..=1.0`) of an unsorted sample set, `None`
+/// when empty. Sorts in place.
+pub(crate) fn percentile(samples: &mut [Duration], pct: f64) -> Option<Duration> {
+    if samples.is_empty() {
+        return None;
+    }
+    samples.sort_unstable();
+    let rank = ((samples.len() as f64 - 1.0) * pct.clamp(0.0, 1.0)).round() as usize;
+    Some(samples[rank.min(samples.len() - 1)])
+}
 
 /// The intra-op worker budget of one instruction popped from the ready
 /// queue, clamped so the pool is never oversubscribed: `outstanding` threads
@@ -66,66 +152,139 @@ pub fn dynamic_intra_op_grant(pool: usize, outstanding: usize, ready: usize) -> 
 
 /// A ready instruction travelling through the scheduler queues.
 #[derive(Debug, Clone, Copy)]
-struct Ready {
-    /// Critical-path priority (longest remaining dependency chain).
+pub(crate) struct Ready {
+    /// Critical-path priority (longest remaining dependency chain); unread
+    /// under [`SchedulerKind::Leveled`].
     priority: f64,
     /// Index into [`Schedule::instrs`].
-    index: usize,
-    /// When the last dependency was satisfied (queue-wait epoch).
-    since: Instant,
+    pub(crate) index: usize,
+    /// When the rule released the instruction (queue-wait epoch).
+    pub(crate) since: Instant,
 }
 
-/// Scheduler state shared by every worker, behind one mutex: per-worker
-/// local deques, the injector, dependency counters and the grant ledger.
-/// FHE instructions cost tens of microseconds to milliseconds, so one
-/// uncontended lock per pop/complete is noise; correctness (no lost
-/// wakeups, exact grant accounting) is what matters here.
-struct SchedState {
+/// Everything the workers of one run share, behind one mutex: the ready
+/// queues, the release rule's counters, the grant ledger and the outcome
+/// they accumulate. FHE instructions cost tens of microseconds to
+/// milliseconds, so one uncontended lock per instruction is noise;
+/// correctness (no lost wakeups, exact grant accounting) is what matters
+/// here.
+pub(crate) struct SchedState<'a> {
+    schedule: &'a Schedule,
+    /// One priority per instruction; only [`SchedulerKind::Dataflow`] reads
+    /// them.
+    priorities: &'a [f64],
     /// Per-worker local deques, each sorted by descending priority (owners
     /// pop the front, thieves steal the back).
     locals: Vec<VecDeque<Ready>>,
-    /// Initially-ready instructions, shared by everyone.
+    /// Instructions released to everyone, best at the end: the
+    /// initially-ready set under dataflow, the level in flight under
+    /// leveled.
     injector: Vec<Ready>,
-    /// Remaining-dependency count per instruction.
+    /// Dataflow: remaining-dependency count per instruction.
     pending: Vec<usize>,
-    /// Instructions not yet completed (termination condition).
-    remaining: usize,
+    /// Leveled: instructions of the level in flight not yet retired. The
+    /// level's index is `timing.levels.len()`.
+    level_left: usize,
+    /// Leveled: when the level in flight was released.
+    level_started: Instant,
+    /// Instructions not yet retired (termination condition).
+    pub(crate) remaining: usize,
     /// Ready instructions currently queued anywhere.
-    ready_count: usize,
+    pub(crate) ready_count: usize,
     /// Intra-op threads currently granted to in-flight instructions.
-    granted: usize,
-    /// Ready instructions taken from another worker's local deque.
-    steals: u64,
-    /// Set when a worker hit an error: everyone drains and exits.
-    abort: bool,
-    failure: Option<FheError>,
+    pub(crate) granted: usize,
+    /// Workers asleep on the condvar: nobody pays the wake-up syscall when
+    /// nobody waits (a pool of one never does).
+    pub(crate) sleepers: usize,
+    /// The first error a worker hit; once set, everyone drains and exits.
+    pub(crate) failure: Option<FheError>,
+    /// Homomorphic-operation counters, merged by each worker as it exits.
+    pub(crate) stats: EvaluatorStats,
+    /// The breakdown under construction: spans and waits per retirement,
+    /// steals per pop, levels per countdown, the rest per exiting worker.
+    pub(crate) timing: TimingBreakdown,
 }
 
-impl SchedState {
+impl<'a> SchedState<'a> {
+    /// The state before any instruction ran: what `rule` releases up front
+    /// sits in the injector.
+    pub(crate) fn new(
+        schedule: &'a Schedule,
+        rule: SchedulerKind,
+        priorities: &'a [f64],
+        workers: usize,
+    ) -> Self {
+        let n = schedule.instrs().len();
+        let now = Instant::now();
+        let mut state = SchedState {
+            schedule,
+            priorities,
+            locals: (0..workers).map(|_| VecDeque::new()).collect(),
+            injector: Vec::new(),
+            pending: Vec::new(),
+            level_left: 0,
+            level_started: now,
+            remaining: n,
+            ready_count: 0,
+            granted: 0,
+            sleepers: 0,
+            failure: None,
+            stats: EvaluatorStats::default(),
+            timing: TimingBreakdown {
+                scheduler: rule,
+                instr_times: vec![Duration::ZERO; n],
+                queue_waits: vec![Duration::ZERO; n],
+                ..TimingBreakdown::empty(workers)
+            },
+        };
+        match rule {
+            SchedulerKind::Dataflow => {
+                state.pending = schedule.dep_counts().to_vec();
+                state.injector = (0..n)
+                    .filter(|&index| state.pending[index] == 0)
+                    .map(|index| Ready {
+                        priority: priorities[index],
+                        index,
+                        since: now,
+                    })
+                    .collect();
+                // Ascending, lowest index last among equals: `pop` takes the
+                // best from the end.
+                state.injector.sort_by(|a, b| {
+                    a.priority
+                        .total_cmp(&b.priority)
+                        .then(b.index.cmp(&a.index))
+                });
+                state.ready_count = state.injector.len();
+            }
+            SchedulerKind::Leveled => state.release_level(now),
+        }
+        state
+    }
+
     /// Pops the next instruction for `worker`: own deque front, then the
-    /// injector (highest priority), then a steal from the back of the
+    /// injector (best at the end), then a steal from the back of the
     /// richest victim's deque. The second element is the steal provenance:
     /// `Some(victim)` when the instruction was taken from another worker's
     /// deque, `None` for own/injector pops — recorded on trace spans.
-    fn pop(&mut self, worker: usize) -> Option<(Ready, Option<usize>)> {
-        if let Some(ready) = self.locals[worker].pop_front() {
-            return Some((ready, None));
-        }
-        if !self.injector.is_empty() {
-            // The injector is kept sorted ascending; the best is at the end.
-            return self.injector.pop().map(|ready| (ready, None));
-        }
-        let victim = self
-            .locals
-            .iter()
-            .enumerate()
-            .filter(|(v, deque)| *v != worker && !deque.is_empty())
-            .max_by(|(a_idx, a), (b_idx, b)| a.len().cmp(&b.len()).then(b_idx.cmp(a_idx)))
-            .map(|(v, _)| v)?;
-        self.steals += 1;
-        self.locals[victim]
-            .pop_back()
-            .map(|ready| (ready, Some(victim)))
+    pub(crate) fn pop(&mut self, worker: usize) -> Option<(Ready, Option<usize>)> {
+        let popped = if let Some(ready) = self.locals[worker].pop_front() {
+            (ready, None)
+        } else if let Some(ready) = self.injector.pop() {
+            (ready, None)
+        } else {
+            let victim = self
+                .locals
+                .iter()
+                .enumerate()
+                .filter(|(v, deque)| *v != worker && !deque.is_empty())
+                .max_by(|(a_idx, a), (b_idx, b)| a.len().cmp(&b.len()).then(b_idx.cmp(a_idx)))
+                .map(|(v, _)| v)?;
+            self.timing.steals += 1;
+            (self.locals[victim].pop_back()?, Some(victim))
+        };
+        self.ready_count -= 1;
+        Some(popped)
     }
 
     /// Inserts a newly-ready instruction into `worker`'s deque, keeping it
@@ -142,434 +301,75 @@ impl SchedState {
         deque.insert(pos, ready);
         self.ready_count += 1;
     }
-}
 
-/// Executes instruction schedules barrier-free on a pool of worker threads,
-/// dependency counts deciding readiness and work stealing deciding
-/// placement. Drop-in alternative to
-/// [`WavefrontExecutor`](crate::WavefrontExecutor) with bit-identical
-/// outputs.
-#[derive(Debug, Clone, Copy)]
-pub struct DataflowExecutor {
-    threads: usize,
-}
-
-impl DataflowExecutor {
-    /// Creates an executor with the given worker-thread count (clamped to at
-    /// least one).
-    pub fn new(threads: usize) -> Self {
-        DataflowExecutor {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs a schedule with critical-path priorities derived from the static
-    /// cost estimates the schedule was lowered with. See
-    /// [`DataflowExecutor::execute_with_priorities`] for the contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FheError`] any worker hit.
-    pub fn execute(
-        &self,
-        schedule: &Schedule,
-        initial: Vec<Option<Register>>,
-        res: &ExecResources<'_>,
-    ) -> Result<WavefrontOutcome, FheError> {
-        self.execute_with_priorities(schedule, initial, res, &schedule.default_priorities())
-    }
-
-    /// Runs a schedule against a register file whose pre-bound slots are
-    /// filled, popping ready instructions in descending `priorities` order
-    /// (one entry per instruction, e.g. from
-    /// [`Schedule::critical_path_priorities`] under a calibrated cost
-    /// table).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`FheError`] any worker hit; remaining work is
-    /// abandoned (every in-flight instruction still completes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schedule references a slot that is neither pre-bound
-    /// nor produced by an earlier instruction, or if `priorities` is shorter
-    /// than the instruction list. Both checks run up front on the calling
-    /// thread.
-    pub fn execute_with_priorities(
-        &self,
-        schedule: &Schedule,
-        initial: Vec<Option<Register>>,
-        res: &ExecResources<'_>,
-        priorities: &[f64],
-    ) -> Result<WavefrontOutcome, FheError> {
-        assert_eq!(
-            initial.len(),
-            schedule.slot_count(),
-            "register file size mismatch"
-        );
-        assert!(
-            priorities.len() >= schedule.instrs().len(),
-            "need one priority per instruction"
-        );
-        let mut rf = RegisterFile::new(initial, schedule);
-        validate_operands(schedule, &rf);
-
-        let n = schedule.instrs().len();
-        // Unlike the leveled executor, the ready set can span levels, so the
-        // useful worker bound is the instruction count, not the widest level.
-        let workers = self.threads.min(n.max(1));
-        // Dynamic intra-op grants only pay off when payloads are large
-        // enough for the evaluator to actually split them. The split axis is
-        // the whole `limb_count · degree` component stripe: a multi-limb
-        // session splits limb-first (each chunk is one limb's coefficient
-        // range) even when a single limb would stay below the threshold.
-        let splittable = self.threads > 1
-            && res.ctx.params().payload_degree * res.ctx.params().limb_count
-                >= Evaluator::INTRA_OP_MIN_DEGREE;
-        let started = Instant::now();
-        let result = if n == 0 {
-            Ok((EvaluatorStats::default(), TimingBreakdown::empty(workers)))
-        } else if workers == 1 {
-            self.execute_single(schedule, &rf, res, priorities, splittable)
-        } else {
-            // Grants draw on the full *requested* pool, not the clamped
-            // worker count: a 3-instruction schedule under 8 threads still
-            // has 8 threads' worth of cores to chunk payloads across.
-            execute_parallel(
-                schedule,
-                &rf,
-                res,
-                priorities,
-                workers,
-                self.threads,
-                splittable,
-            )
+    /// Leveled: injects the next unstamped level, if the schedule has one.
+    /// Reversed, because `pop` takes from the end: the level drains in
+    /// schedule order, longest-processing-time-first.
+    fn release_level(&mut self, now: Instant) {
+        let Some(range) = self.schedule.levels().get(self.timing.levels.len()) else {
+            return;
         };
-
-        // On success, take the output before sweeping the file; on failure
-        // (error, cancellation, injected fault) leave it in place so the
-        // sweep reclaims it too. Either way every register still held by the
-        // file goes back to the pool — an aborted request must not leak its
-        // buffers.
-        let output = result.as_ref().ok().map(|_| {
-            rf.take_output()
-                .expect("output register is pre-bound or produced by the schedule")
-        });
-        let mut arena = res.arenas.checkout();
-        rf.recycle_remaining(&mut arena);
-        res.arenas.restore(arena);
-        let (stats, mut timing) = result?;
-        timing.wall = started.elapsed();
-        if n > 0 {
-            timing.reclaimed_slack = schedule
-                .makespan(&timing.instr_times, workers)
-                .saturating_sub(schedule.dataflow_makespan(&timing.instr_times, workers));
-        }
-        Ok(WavefrontOutcome {
-            output: output.expect("output taken on the success path"),
-            stats,
-            timing,
-        })
-    }
-
-    /// One worker, no queues to contend on: a priority-ordered topological
-    /// walk. The whole requested pool chunks *inside* each heavy op — with a
-    /// single instruction stream there is never a competing ready
-    /// instruction to reserve threads for.
-    fn execute_single(
-        &self,
-        schedule: &Schedule,
-        rf: &RegisterFile,
-        res: &ExecResources<'_>,
-        priorities: &[f64],
-        splittable: bool,
-    ) -> Result<(EvaluatorStats, TimingBreakdown), FheError> {
-        let n = schedule.instrs().len();
-        let mut evaluator = Evaluator::with_arena(res.ctx, res.arenas.checkout());
-        let grant = if splittable { self.threads } else { 1 };
-        if splittable {
-            evaluator.set_intra_op_threads(self.threads);
-        }
-        let mut tracer = res
-            .trace
-            .map(|sink| TraceBuffer::new(sink, "dataflow worker 0"));
-        let mut calibration = CalibratedCostModel::new();
-        let mut instr_times = vec![Duration::ZERO; n];
-        let mut queue_waits = vec![Duration::ZERO; n];
-        let mut pending = schedule.dep_counts().to_vec();
-        let mut ready: Vec<Ready> = (0..n)
-            .filter(|&i| pending[i] == 0)
-            .map(|index| Ready {
-                priority: priorities[index],
-                index,
-                since: Instant::now(),
-            })
-            .collect();
-        let mut completed = 0usize;
-        let mut failure: Option<FheError> = None;
-        while let Some(pos) = best_ready(&ready) {
-            let item = ready.swap_remove(pos);
-            let si = &schedule.instrs()[item.index];
-            let wait = item.since.elapsed();
-            queue_waits[item.index] = wait;
-            let instr_started = Instant::now();
-            match dispatch_instr(si, rf, &mut evaluator, res, &mut calibration) {
-                Ok(register) => {
-                    let elapsed = instr_started.elapsed();
-                    instr_times[item.index] = elapsed;
-                    if let Some(tracer) = tracer.as_mut() {
-                        tracer.record(
-                            si.instr.label(),
-                            "instr",
-                            instr_started,
-                            elapsed,
-                            Some(item.index),
-                            Some(wait),
-                            Some(grant),
-                            None,
-                        );
-                    }
-                    publish_and_reap(rf, si, register, &mut evaluator);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-            completed += 1;
-            for &d in &schedule.dependents()[item.index] {
-                pending[d] -= 1;
-                if pending[d] == 0 {
-                    ready.push(Ready {
-                        priority: priorities[d],
-                        index: d,
-                        since: Instant::now(),
-                    });
-                }
-            }
-        }
-        res.arenas.restore(evaluator.take_arena());
-        if let Some(error) = failure {
-            return Err(error);
-        }
-        assert_eq!(completed, n, "dataflow walk drained every instruction");
-        let timing = TimingBreakdown {
-            scheduler: SchedulerKind::Dataflow,
-            threads: 1,
-            levels: Vec::new(),
-            wall: Duration::ZERO, // stamped by the caller
-            per_op: calibration,
-            instr_times,
-            queue_waits,
-            steals: 0,
-            reclaimed_slack: Duration::ZERO, // stamped by the caller
-            intra_op_splits: evaluator.intra_op_splits(),
-        };
-        Ok((evaluator.stats(), timing))
-    }
-}
-
-/// The highest-priority entry of an unordered ready list (lowest index on
-/// ties, for determinism).
-fn best_ready(ready: &[Ready]) -> Option<usize> {
-    ready
-        .iter()
-        .enumerate()
-        .max_by(|(_, a), (_, b)| {
-            a.priority
-                .total_cmp(&b.priority)
-                .then(b.index.cmp(&a.index))
-        })
-        .map(|(pos, _)| pos)
-}
-
-fn execute_parallel(
-    schedule: &Schedule,
-    rf: &RegisterFile,
-    res: &ExecResources<'_>,
-    priorities: &[f64],
-    workers: usize,
-    pool: usize,
-    splittable: bool,
-) -> Result<(EvaluatorStats, TimingBreakdown), FheError> {
-    let n = schedule.instrs().len();
-    let mut injector: Vec<Ready> = (0..n)
-        .filter(|&i| schedule.dep_counts()[i] == 0)
-        .map(|index| Ready {
-            priority: priorities[index],
+        self.level_left = range.len();
+        self.level_started = now;
+        self.ready_count += range.len();
+        self.injector.extend(range.clone().rev().map(|index| Ready {
+            priority: 0.0,
             index,
-            since: Instant::now(),
-        })
-        .collect();
-    // Ascending sort: `SchedState::pop` takes the best from the end.
-    injector.sort_by(|a, b| {
-        a.priority
-            .total_cmp(&b.priority)
-            .then(b.index.cmp(&a.index))
-    });
-    let ready_count = injector.len();
-    let state = Mutex::new(SchedState {
-        locals: (0..workers).map(|_| VecDeque::new()).collect(),
-        injector,
-        pending: schedule.dep_counts().to_vec(),
-        remaining: n,
-        ready_count,
-        granted: 0,
-        steals: 0,
-        abort: false,
-        failure: None,
-    });
-    let work_available = Condvar::new();
-    type Merged = (EvaluatorStats, CalibratedCostModel, u64);
-    let merged: Mutex<(Merged, Vec<Duration>, Vec<Duration>)> = Mutex::new((
-        (EvaluatorStats::default(), CalibratedCostModel::new(), 0),
-        vec![Duration::ZERO; n],
-        vec![Duration::ZERO; n],
-    ));
+            since: now,
+        }));
+    }
 
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let state = &state;
-            let work_available = &work_available;
-            let merged = &merged;
-            scope.spawn(move || {
-                let mut evaluator = Evaluator::with_arena(res.ctx, res.arenas.checkout());
-                let mut calibration = CalibratedCostModel::new();
-                let mut tracer = res
-                    .trace
-                    .map(|sink| TraceBuffer::new(sink, format!("dataflow worker {worker}")));
-                // (index, queue wait, run span) of every instruction this
-                // worker executed.
-                let mut timed: Vec<(usize, Duration, Duration)> = Vec::new();
-                loop {
-                    let popped = {
-                        let mut st = state.lock().unwrap();
-                        loop {
-                            if st.abort || st.remaining == 0 {
-                                break None;
-                            }
-                            if let Some((item, stolen_from)) = st.pop(worker) {
-                                st.ready_count -= 1;
-                                let grant = if splittable {
-                                    dynamic_intra_op_grant(pool, st.granted, st.ready_count)
-                                } else {
-                                    1
-                                };
-                                st.granted += grant;
-                                break Some((item, grant, stolen_from));
-                            }
-                            st = work_available.wait(st).unwrap();
-                        }
-                    };
-                    let Some((item, grant, stolen_from)) = popped else {
-                        break;
-                    };
-
-                    let si = &schedule.instrs()[item.index];
-                    let wait = item.since.elapsed();
-                    evaluator.set_intra_op_threads(grant);
-                    let instr_started = Instant::now();
-                    let result = dispatch_instr(si, rf, &mut evaluator, res, &mut calibration);
-                    let span = instr_started.elapsed();
-
-                    match result {
-                        Ok(register) => {
-                            if let Some(tracer) = tracer.as_mut() {
-                                tracer.record(
-                                    si.instr.label(),
-                                    "instr",
-                                    instr_started,
-                                    span,
-                                    Some(item.index),
-                                    Some(wait),
-                                    Some(grant),
-                                    stolen_from,
-                                );
-                            }
-                            publish_and_reap(rf, si, register, &mut evaluator);
-                            timed.push((item.index, wait, span));
-                            let mut st = state.lock().unwrap();
-                            st.granted -= grant;
-                            st.remaining -= 1;
-                            for &d in &schedule.dependents()[item.index] {
-                                st.pending[d] -= 1;
-                                if st.pending[d] == 0 {
-                                    st.push_local(
-                                        worker,
-                                        Ready {
-                                            priority: priorities[d],
-                                            index: d,
-                                            since: Instant::now(),
-                                        },
-                                    );
-                                }
-                            }
-                            // Every completion can end the run or expose
-                            // stealable work; waking everyone is cheap at
-                            // FHE-op granularity and can never lose a
-                            // wakeup.
-                            drop(st);
-                            work_available.notify_all();
-                        }
-                        Err(e) => {
-                            let mut st = state.lock().unwrap();
-                            st.granted -= grant;
-                            st.failure.get_or_insert(e);
-                            st.abort = true;
-                            drop(st);
-                            work_available.notify_all();
-                            break;
-                        }
+    /// Records that `worker` ran instruction `index` after `wait` in the
+    /// queues for `span`, and releases what the rule now allows: under
+    /// dataflow every dependent whose count reaches zero (to `worker`'s own
+    /// deque), under leveled the next level once this one has drained.
+    pub(crate) fn retire(&mut self, worker: usize, index: usize, wait: Duration, span: Duration) {
+        self.timing.queue_waits[index] = wait;
+        self.timing.instr_times[index] = span;
+        self.remaining -= 1;
+        let now = Instant::now();
+        match self.timing.scheduler {
+            SchedulerKind::Dataflow => {
+                let schedule = self.schedule;
+                for &dependent in &schedule.dependents()[index] {
+                    self.pending[dependent] -= 1;
+                    if self.pending[dependent] == 0 {
+                        let ready = Ready {
+                            priority: self.priorities[dependent],
+                            index: dependent,
+                            since: now,
+                        };
+                        self.push_local(worker, ready);
                     }
                 }
-                res.arenas.restore(evaluator.take_arena());
-                let mut m = merged.lock().unwrap();
-                m.0 .0.merge(&evaluator.stats());
-                m.0 .1.merge(&calibration);
-                m.0 .2 += evaluator.intra_op_splits();
-                for (index, wait, span) in timed {
-                    m.1[index] = span;
-                    m.2[index] = wait;
+            }
+            SchedulerKind::Leveled => {
+                self.level_left -= 1;
+                if self.level_left == 0 {
+                    let level = self.timing.levels.len();
+                    self.timing.levels.push(LevelTiming {
+                        level,
+                        instructions: self.schedule.levels()[level].len(),
+                        wall: now - self.level_started,
+                    });
+                    self.release_level(now);
                 }
-            });
+            }
         }
-    });
-
-    let state = state.into_inner().unwrap();
-    if let Some(error) = state.failure {
-        return Err(error);
     }
-    assert_eq!(
-        state.remaining, 0,
-        "dataflow pool drained every instruction"
-    );
-    let ((stats, per_op, intra_op_splits), instr_times, queue_waits) = merged.into_inner().unwrap();
-    Ok((
-        stats,
-        TimingBreakdown {
-            scheduler: SchedulerKind::Dataflow,
-            threads: workers,
-            levels: Vec::new(),
-            wall: Duration::ZERO, // stamped by the caller
-            per_op,
-            instr_times,
-            queue_waits,
-            steals: state.steals,
-            reclaimed_slack: Duration::ZERO, // stamped by the caller
-            intra_op_splits,
-        },
-    ))
+
+    /// Aborts the run with `error` (the first one wins): every worker
+    /// drains and exits at its next pop.
+    pub(crate) fn fail(&mut self, error: FheError) {
+        self.failure.get_or_insert(error);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::lower_with_default_costs;
+    use chehab_ir::{parse, CircuitDag, CostModel};
 
     #[test]
     fn grant_is_clamped_by_outstanding_and_ready_width() {
@@ -605,19 +405,27 @@ mod tests {
         }
     }
 
+    /// Two chains of different depth under one sum: three levels, the first
+    /// two of them two instructions wide.
+    fn two_chains() -> Schedule {
+        let expr = parse(
+            "(VecAdd (VecMul (VecMul (Vec a b) (Vec c d)) (Vec e f)) (VecAdd (VecAdd (Vec g h) (Vec i j)) (Vec k l)))",
+        )
+        .unwrap();
+        let dag = CircuitDag::from_expr(&expr).eliminate_dead_code();
+        let prebound: Vec<bool> = dag
+            .nodes()
+            .iter()
+            .map(|n| n.is_leaf() || matches!(n, chehab_ir::DagNode::Vec(_)))
+            .collect();
+        lower_with_default_costs(&dag, &prebound, |step| vec![step])
+    }
+
     #[test]
     fn local_deques_stay_priority_sorted_and_steals_take_the_back() {
-        let mut st = SchedState {
-            locals: vec![VecDeque::new(), VecDeque::new()],
-            injector: Vec::new(),
-            pending: Vec::new(),
-            remaining: 3,
-            ready_count: 0,
-            granted: 0,
-            steals: 0,
-            abort: false,
-            failure: None,
-        };
+        let schedule = two_chains();
+        let mut st = SchedState::new(&schedule, SchedulerKind::Dataflow, &[0.0; 5], 2);
+        while st.pop(0).is_some() {}
         let at = Instant::now();
         for (priority, index) in [(1.0, 0), (5.0, 1), (3.0, 2)] {
             st.push_local(
@@ -636,11 +444,79 @@ mod tests {
         // pop reports which victim it came from.
         let (item, stolen_from) = st.pop(1).unwrap();
         assert_eq!((item.index, stolen_from), (0, Some(0)));
-        assert_eq!(st.steals, 1);
+        assert_eq!(st.timing.steals, 1);
         // The owner keeps the middle entry.
         let (item, stolen_from) = st.pop(0).unwrap();
         assert_eq!((item.index, stolen_from), (2, None));
-        assert_eq!(st.steals, 1);
+        assert_eq!(st.timing.steals, 1);
         assert!(st.pop(0).is_none());
+        assert_eq!(st.ready_count, 0);
+    }
+
+    /// Both release rules drain the same schedule through `pop`/`retire`:
+    /// dataflow hands out an instruction once its producers retired, leveled
+    /// once the whole level below did — in schedule order, with nothing left
+    /// to pop while a level's last instruction is still in flight.
+    #[test]
+    fn each_rule_releases_an_instruction_exactly_when_it_allows() {
+        let schedule = two_chains();
+        let n = schedule.instrs().len();
+        assert_eq!(schedule.level_count(), 3);
+        let priorities = schedule.critical_path_priorities(&CostModel::default().op_costs);
+        let tick = Duration::from_micros(1);
+
+        for rule in [SchedulerKind::Dataflow, SchedulerKind::Leveled] {
+            let mut st = SchedState::new(&schedule, rule, &priorities, 2);
+            let mut retired = vec![false; n];
+            let mut order = Vec::new();
+            // Two workers alternate; each holds its instruction in flight
+            // until its next turn, so releases are observed one at a time.
+            let mut in_flight: [Option<usize>; 2] = [None, None];
+            while st.remaining > 0 {
+                for (worker, slot) in in_flight.iter_mut().enumerate() {
+                    if let Some(index) = slot.take() {
+                        st.retire(worker, index, tick, tick);
+                        retired[index] = true;
+                    }
+                    if let Some((item, _)) = st.pop(worker) {
+                        let si = &schedule.instrs()[item.index];
+                        let released = match rule {
+                            SchedulerKind::Dataflow => (0..n)
+                                .filter(|&p| schedule.dependents()[p].contains(&item.index))
+                                .all(|p| retired[p]),
+                            SchedulerKind::Leveled => schedule
+                                .instrs()
+                                .iter()
+                                .zip(&retired)
+                                .all(|(other, &done)| other.level >= si.level || done),
+                        };
+                        assert!(released, "{rule:?} released {} too early", item.index);
+                        *slot = Some(item.index);
+                        order.push(item.index);
+                    }
+                }
+            }
+            assert_eq!(st.ready_count, 0);
+            assert!(st.pop(0).is_none() && st.pop(1).is_none());
+            let mut seen = order.clone();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..n).collect::<Vec<_>>(), "{rule:?}: once each");
+            match rule {
+                SchedulerKind::Dataflow => assert!(st.timing.levels.is_empty()),
+                SchedulerKind::Leveled => {
+                    // Levels drain in schedule order and each is stamped by
+                    // its last retirement.
+                    assert_eq!(order, (0..n).collect::<Vec<_>>());
+                    let stamped: Vec<(usize, usize)> = st
+                        .timing
+                        .levels
+                        .iter()
+                        .map(|l| (l.level, l.instructions))
+                        .collect();
+                    assert_eq!(stamped, vec![(0, 2), (1, 2), (2, 1)]);
+                    assert_eq!(st.timing.steals, 0);
+                }
+            }
+        }
     }
 }

@@ -1,17 +1,17 @@
-//! The wavefront executor: a `std::thread` worker pool that runs every
-//! instruction of a schedule level concurrently.
+//! The executor: one `std::thread` worker loop that runs a schedule's
+//! instructions as the scheduler state releases them.
 //!
-//! Execution proceeds level by level. Within a level all instructions are
-//! independent, so workers drain a shared atomic work queue; instructions are
-//! pre-sorted by descending estimated cost (longest-processing-time-first),
-//! which keeps the queue balanced even though a ct-ct multiplication costs
-//! two orders of magnitude more than an addition. A barrier separates
-//! levels: operands of the next level are guaranteed written before any
-//! worker proceeds.
+//! [`Executor::execute`] owns the only worker loop of the crate. Which
+//! instruction runs next is not its business: it pops from the scheduler
+//! state (`dataflow.rs`), whose [`SchedulerKind`] release rule decides when
+//! a finished instruction makes others runnable — dependency counts
+//! reaching zero, or a whole level retiring. The calling thread is worker
+//! 0, so a pool of one is the same loop with nothing spawned and nobody to
+//! wake.
 //!
 //! Every worker owns a private [`Evaluator`] (the shared [`FheContext`] is
-//! immutable) and a private [`CalibratedCostModel`]; both are merged when the
-//! wavefront completes, so the report carries exact operation counts and
+//! immutable) and a private [`CalibratedCostModel`]; both are merged when
+//! the worker exits, so the report carries exact operation counts and
 //! measured per-op-kind latencies with no synchronization on the hot path.
 //!
 //! ## Arena-backed registers and last-use recycling
@@ -27,6 +27,7 @@
 //! request streams with zero fresh buffer allocations.
 
 use crate::calibrate::{CalibratedCostModel, OpKind};
+use crate::dataflow::{dynamic_intra_op_grant, SchedState, SchedulerKind, TimingBreakdown};
 use crate::schedule::{Instr, Schedule, ScheduledInstr, Slot};
 use crate::telemetry::{TraceBuffer, TraceSink};
 use chehab_fhe::{
@@ -34,6 +35,9 @@ use chehab_fhe::{
     PolyArena, RelinKeys,
 };
 use chehab_ir::BinOp;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Timing category of a binary op on two ciphertext operands.
 fn ct_ct_kind(op: BinOp) -> OpKind {
@@ -50,16 +54,13 @@ fn ct_pt_kind(op: BinOp) -> OpKind {
         BinOp::Mul => OpKind::MulCtPt,
     }
 }
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// A clear (client-side) value bound into the register file, with a
 /// per-request cache of its encoded [`Plaintext`].
 ///
 /// Every instruction that consumes the register shares one encoding (and,
 /// through the plaintext's own splat cache, one payload NTT) instead of
-/// re-encoding per use — safe across wavefront workers because the cache is
+/// re-encoding per use — safe across executor workers because the cache is
 /// a [`OnceLock`] and encoding is deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct PlainValue {
@@ -95,7 +96,7 @@ impl PlainValue {
     }
 
     /// [`PlainValue::encoded`] with the slot vector drawn from `arena` — the
-    /// form the executors use so a warm request's plaintext encodes are
+    /// form the executor uses so a warm request's plaintext encodes are
     /// served by the pool and recycled when the register dies.
     ///
     /// # Errors
@@ -209,9 +210,7 @@ impl RegisterFile {
     /// Panics if the slot has no value — the schedulers guarantee operands
     /// are published before any consumer runs.
     pub fn read(&self, slot: Slot) -> Register {
-        self.cells[slot]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock(&self.cells[slot])
             .clone()
             .expect("operands are published before their consumers run")
     }
@@ -219,17 +218,12 @@ impl RegisterFile {
     /// Whether the slot currently holds a value (used by up-front operand
     /// validation).
     pub(crate) fn is_bound(&self, slot: Slot) -> bool {
-        self.cells[slot]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_some()
+        lock(&self.cells[slot]).is_some()
     }
 
     /// Publishes an instruction's result into its destination slot.
     pub(crate) fn publish(&self, slot: Slot, register: Register) {
-        *self.cells[slot]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(register);
+        *lock(&self.cells[slot]) = Some(register);
     }
 
     /// Notes that one consumer of `slot` completed. The call that retires
@@ -237,10 +231,7 @@ impl RegisterFile {
     /// (never for the output slot, which outlives the run).
     pub(crate) fn consume(&self, slot: Slot) -> Option<Register> {
         if self.remaining_uses[slot].fetch_sub(1, Ordering::AcqRel) == 1 && slot != self.output {
-            self.cells[slot]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take()
+            lock(&self.cells[slot]).take()
         } else {
             None
         }
@@ -250,7 +241,7 @@ impl RegisterFile {
     pub(crate) fn take_output(&mut self) -> Option<Register> {
         self.cells[self.output]
             .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .take()
     }
 
@@ -261,7 +252,7 @@ impl RegisterFile {
         for cell in &mut self.cells {
             let register = cell
                 .get_mut()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .unwrap_or_else(PoisonError::into_inner)
                 .take();
             match register {
                 Some(Register::Cipher(cipher)) => {
@@ -282,8 +273,8 @@ impl RegisterFile {
 
 /// Publishes an instruction's result, then retires its operands: the worker
 /// that completes a slot's final consumer recycles the dead register's
-/// buffers into its own evaluator's arena (shared by both executors).
-pub(crate) fn publish_and_reap(
+/// buffers into its own evaluator's arena.
+fn publish_and_reap(
     rf: &RegisterFile,
     si: &ScheduledInstr,
     register: Register,
@@ -317,7 +308,7 @@ pub(crate) fn publish_and_reap(
     }
 }
 
-/// Shared immutable resources a wavefront execution borrows.
+/// Shared immutable resources a scheduled execution borrows.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecResources<'a> {
     /// The FHE context (parameters, NTT tables, encoding).
@@ -349,10 +340,10 @@ pub struct ExecResources<'a> {
     /// replicated into every live lane); every other instruction is
     /// slot-wise or cyclic and lane-oblivious.
     pub lanes: crate::LaneGeometry,
-    /// Optional cancellation token checked at every instruction dispatch by
-    /// both executors: once the token is cancelled (or its deadline passes)
-    /// the request stops scheduling its remaining instructions mid-flight,
-    /// recycles whatever registers it still holds, and returns
+    /// Optional cancellation token checked at every instruction dispatch:
+    /// once the token is cancelled (or its deadline passes) the request
+    /// stops scheduling its remaining instructions mid-flight, recycles
+    /// whatever registers it still holds, and returns
     /// [`FheError::Cancelled`] / [`FheError::DeadlineExceeded`]. `None` (the
     /// default) runs to completion.
     pub cancel: Option<&'a crate::CancellationToken>,
@@ -366,421 +357,280 @@ pub struct ExecResources<'a> {
     pub faults: Option<&'a crate::FaultPlan>,
 }
 
-/// Which scheduling discipline produced an execution's timing breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Barrier-free dependency-counting dataflow execution
-    /// ([`crate::DataflowExecutor`]): an instruction becomes runnable the
-    /// instant its last operand is written. The default.
-    #[default]
-    Dataflow,
-    /// Level-synchronized wavefront execution ([`WavefrontExecutor`]): a
-    /// barrier separates topological levels, so every level waits for its
-    /// slowest instruction.
-    Leveled,
-}
-
-/// Wall-clock of one wavefront level.
+/// The result of one scheduled execution.
 #[derive(Debug, Clone)]
-pub struct LevelTiming {
-    /// Level index.
-    pub level: usize,
-    /// Instructions executed in the level.
-    pub instructions: usize,
-    /// Wall-clock time of the level (including the closing barrier).
-    pub wall: Duration,
-    /// Intra-op worker budget each evaluator had in this level: when the
-    /// level is narrower than the worker pool, the spare threads split heavy
-    /// payload loops inside single operations instead of idling at the
-    /// barrier.
-    pub intra_op_threads: usize,
-}
-
-/// Per-level and per-operation-kind breakdown of one execution.
-#[derive(Debug, Clone)]
-pub struct TimingBreakdown {
-    /// The scheduling discipline that produced this breakdown.
-    pub scheduler: SchedulerKind,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock per wavefront level, in level order. Empty for dataflow
-    /// executions — there are no levels to time; see
-    /// [`TimingBreakdown::wall`], [`TimingBreakdown::queue_waits`] and
-    /// [`TimingBreakdown::reclaimed_slack`] instead.
-    pub levels: Vec<LevelTiming>,
-    /// Wall-clock of the whole scheduled execution (for leveled runs this
-    /// equals the sum of the level walls).
-    pub wall: Duration,
-    /// Measured per-operation-kind latencies.
-    pub per_op: CalibratedCostModel,
-    /// Measured duration of every instruction, indexed like
-    /// [`Schedule::instrs`] — the input of
-    /// [`Schedule::makespan`](crate::Schedule::makespan) projections.
-    pub instr_times: Vec<Duration>,
-    /// Dataflow only: per-instruction queue wait (from the instant the
-    /// instruction's last dependency was satisfied to the instant a worker
-    /// started running it), indexed like [`Schedule::instrs`]. Empty for
-    /// leveled runs.
-    pub queue_waits: Vec<Duration>,
-    /// Dataflow only: ready instructions taken from another worker's local
-    /// deque.
-    pub steals: u64,
-    /// Dataflow only: the barrier slack reclaimed versus leveled execution —
-    /// the leveled makespan projection minus the dataflow makespan
-    /// projection at the same worker count, both computed from this run's
-    /// measured [`TimingBreakdown::instr_times`]. Zero for leveled runs.
-    pub reclaimed_slack: Duration,
-    /// Operations whose payload work actually split across more than one
-    /// intra-op worker. The per-op latencies in
-    /// [`TimingBreakdown::per_op`] are measured around the split, so the
-    /// calibrated cost model sees the effect of intra-op parallelism
-    /// directly.
-    pub intra_op_splits: u64,
-}
-
-impl TimingBreakdown {
-    /// A breakdown with no instructions (plaintext-only programs).
-    pub fn empty(threads: usize) -> Self {
-        TimingBreakdown {
-            scheduler: SchedulerKind::default(),
-            threads,
-            levels: Vec::new(),
-            wall: Duration::ZERO,
-            per_op: CalibratedCostModel::new(),
-            instr_times: Vec::new(),
-            queue_waits: Vec::new(),
-            steals: 0,
-            reclaimed_slack: Duration::ZERO,
-            intra_op_splits: 0,
-        }
-    }
-
-    /// Total wall-clock of the scheduled execution: the sum of the level
-    /// walls for leveled runs, the measured execution span for (level-less)
-    /// dataflow runs.
-    pub fn total_wall(&self) -> Duration {
-        if self.levels.is_empty() {
-            self.wall
-        } else {
-            self.levels.iter().map(|l| l.wall).sum()
-        }
-    }
-
-    /// A queue-wait percentile (`0.0..=1.0`) across this run's instructions,
-    /// `None` for leveled runs (no queue waits are recorded).
-    pub fn queue_wait_percentile(&self, pct: f64) -> Option<Duration> {
-        percentile(&mut self.queue_waits.clone(), pct)
-    }
-}
-
-/// The `pct`-percentile (`0.0..=1.0`) of an unsorted sample set, `None`
-/// when empty. Sorts in place.
-pub(crate) fn percentile(samples: &mut [Duration], pct: f64) -> Option<Duration> {
-    if samples.is_empty() {
-        return None;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() as f64 - 1.0) * pct.clamp(0.0, 1.0)).round() as usize;
-    Some(samples[rank.min(samples.len() - 1)])
-}
-
-/// The result of one wavefront execution.
-#[derive(Debug, Clone)]
-pub struct WavefrontOutcome {
+pub struct ExecOutcome {
     /// The output register of the circuit.
     pub output: Register,
     /// Merged homomorphic-operation counters of all workers.
     pub stats: EvaluatorStats,
-    /// Per-level / per-op timing breakdown.
+    /// Per-instruction / per-op timing breakdown.
     pub timing: TimingBreakdown,
 }
 
-/// Executes instruction schedules on a pool of worker threads.
+/// Executes instruction schedules on a pool of worker threads — the one
+/// worker loop of the crate, under either [`SchedulerKind`] release rule.
 #[derive(Debug, Clone, Copy)]
-pub struct WavefrontExecutor {
+pub struct Executor {
     threads: usize,
 }
 
-impl WavefrontExecutor {
+impl Executor {
     /// Creates an executor with the given worker-thread count (clamped to at
     /// least one).
     pub fn new(threads: usize) -> Self {
-        WavefrontExecutor {
+        Executor {
             threads: threads.max(1),
         }
     }
 
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs a schedule against a register file whose pre-bound slots are
-    /// filled (`initial[slot] = Some(..)` for every client-side value).
+    /// filled (`initial[slot] = Some(..)` for every client-side value),
+    /// releasing instructions under `scheduler`. Under
+    /// [`SchedulerKind::Dataflow`] ready instructions are popped in
+    /// descending `priorities` order (one entry per instruction, e.g. from
+    /// [`Schedule::critical_path_priorities`] under a calibrated cost
+    /// table); [`SchedulerKind::Leveled`] never reads them.
+    ///
+    /// The pool is `threads` clamped to what the rule can use (the widest
+    /// level under leveled, the instruction count under dataflow). The
+    /// calling thread is worker 0, so a pool of one spawns nothing and pays
+    /// no wake-up.
     ///
     /// # Errors
     ///
-    /// Returns the first [`FheError`] any worker hit (typically a missing
-    /// Galois key); remaining work is abandoned.
+    /// Returns the first [`FheError`] any worker hit (a missing Galois key,
+    /// a cancelled token, an isolated panic); instructions already in
+    /// flight complete, the rest never start, and every register the run
+    /// still holds goes back to the arena pool.
     ///
     /// # Panics
     ///
-    /// Panics if the schedule references a slot that is neither pre-bound nor
-    /// produced by an earlier level — [`Schedule::lower`] guarantees this
-    /// never holds for well-formed inputs. The check runs up front on the
-    /// calling thread: a panic inside a scoped worker would strand the other
-    /// workers at the level barrier, so misuse must never reach the pool.
+    /// Panics if `initial` does not cover the schedule's slots, if the
+    /// schedule references a slot that is neither pre-bound nor produced at
+    /// an earlier level, or if a dataflow run gets fewer priorities than
+    /// instructions. All three checks run up front on the calling thread:
+    /// misuse must never reach the pool.
     pub fn execute(
         &self,
         schedule: &Schedule,
         initial: Vec<Option<Register>>,
         res: &ExecResources<'_>,
-    ) -> Result<WavefrontOutcome, FheError> {
-        let mut rf = RegisterFile::new(initial, schedule);
+        scheduler: SchedulerKind,
+        priorities: &[f64],
+    ) -> Result<ExecOutcome, FheError> {
+        let rf = RegisterFile::new(initial, schedule);
         validate_operands(schedule, &rf);
-
-        // More workers than the widest level can never help.
-        let workers = self.threads.min(schedule.max_width()).max(1);
-        let result = if workers == 1 {
-            self.execute_single(schedule, &rf, res)
-        } else {
-            self.execute_parallel(schedule, &rf, res, workers)
+        let instructions = schedule.instrs().len();
+        let useful = match scheduler {
+            SchedulerKind::Leveled => schedule.max_width(),
+            SchedulerKind::Dataflow => {
+                assert!(
+                    priorities.len() >= instructions,
+                    "need one priority per instruction"
+                );
+                instructions
+            }
         };
-        // On success, take the output before sweeping the file; on failure
-        // (error, cancellation, injected fault) leave it in place so the
-        // sweep reclaims it too. Either way every register still held by the
-        // file goes back to the pool — an aborted request must not leak its
-        // buffers.
-        let output = result.as_ref().ok().map(|_| {
-            rf.take_output()
-                .expect("output register is pre-bound or produced by the schedule")
+        let workers = self.threads.min(useful).max(1);
+        let started = Instant::now();
+        let run = Run {
+            schedule,
+            rf: &rf,
+            res,
+            // Grants draw on the full *requested* pool, not the clamped
+            // worker count: a 3-instruction schedule under 8 threads still
+            // has 8 threads' worth of cores to chunk payloads across. They
+            // only pay off when payloads are large enough for the evaluator
+            // to actually split them (the split axis is the whole
+            // `limb_count · degree` component stripe); otherwise the pool
+            // is one and every grant with it.
+            grant_pool: if res.ctx.params().payload_degree * res.ctx.params().limb_count
+                >= Evaluator::INTRA_OP_MIN_DEGREE
+            {
+                self.threads
+            } else {
+                1
+            },
+            state: Mutex::new(SchedState::new(schedule, scheduler, priorities, workers)),
+            work_available: Condvar::new(),
+        };
+        std::thread::scope(|scope| {
+            let run = &run;
+            for worker in 1..workers {
+                scope.spawn(move || run.work(worker));
+            }
+            run.work(0);
         });
-        let mut arena = res.arenas.checkout();
-        rf.recycle_remaining(&mut arena);
-        res.arenas.restore(arena);
-        let (stats, timing) = result?;
-        Ok(WavefrontOutcome {
-            output: output.expect("output taken on the success path"),
-            stats,
-            timing,
-        })
+        let mut state = run
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.timing.wall = started.elapsed();
+        let result = match state.failure {
+            Some(error) => Err(error),
+            None => Ok((state.stats, state.timing)),
+        };
+        finish(rf, res, result)
     }
+}
 
-    fn execute_single(
-        &self,
-        schedule: &Schedule,
-        rf: &RegisterFile,
-        res: &ExecResources<'_>,
-    ) -> Result<(EvaluatorStats, TimingBreakdown), FheError> {
+/// What the workers of one [`Executor::execute`] call share.
+struct Run<'a> {
+    schedule: &'a Schedule,
+    rf: &'a RegisterFile,
+    res: &'a ExecResources<'a>,
+    grant_pool: usize,
+    state: Mutex<SchedState<'a>>,
+    work_available: Condvar,
+}
+
+impl Run<'_> {
+    /// The worker loop: pop → dispatch → span → publish and reap → retire
+    /// (which releases what the rule allows) → pop again, until the
+    /// schedule has drained or a worker failed. The scheduler lock is held
+    /// from one instruction's retirement to the next one's pop and never
+    /// while an instruction runs.
+    fn work(&self, worker: usize) {
+        let res = self.res;
         let mut evaluator = Evaluator::with_arena(res.ctx, res.arenas.checkout());
         let mut calibration = CalibratedCostModel::new();
         let mut tracer = res
             .trace
-            .map(|sink| TraceBuffer::new(sink, "wavefront worker 0"));
-        let mut instr_times = vec![Duration::ZERO; schedule.instrs().len()];
-        let mut levels = Vec::with_capacity(schedule.level_count());
-        let mut failure: Option<FheError> = None;
-        'levels: for (level, range) in schedule.levels().iter().enumerate() {
-            let width = range.end - range.start;
-            // A single instruction stream still uses the full requested
-            // thread budget *inside* heavy ops: narrow levels are exactly
-            // where intra-op chunking replaces idle wavefront workers.
-            let intra_op_threads = intra_op_budget(self.threads, width);
-            evaluator.set_intra_op_threads(intra_op_threads);
-            let started = Instant::now();
-            for (offset, si) in schedule.instrs()[range.clone()].iter().enumerate() {
-                let instr_started = Instant::now();
-                match dispatch_instr(si, rf, &mut evaluator, res, &mut calibration) {
-                    Ok(register) => {
-                        let elapsed = instr_started.elapsed();
-                        instr_times[range.start + offset] = elapsed;
-                        if let Some(tracer) = tracer.as_mut() {
-                            tracer.record(
-                                si.instr.label(),
-                                "instr",
-                                instr_started,
-                                elapsed,
-                                Some(range.start + offset),
-                                None,
-                                Some(intra_op_threads),
-                                None,
-                            );
-                        }
-                        publish_and_reap(rf, si, register, &mut evaluator);
-                    }
-                    Err(e) => {
-                        failure = Some(e);
-                        break 'levels;
-                    }
+            .map(|sink| TraceBuffer::new(sink, format!("executor worker {worker}")));
+        // A lock a peer died holding is recovered, not re-panicked on: that
+        // peer's panic already ends the run when the scope joins it, and a
+        // second panic here would only bury it.
+        let mut st = lock(&self.state);
+        loop {
+            let popped = loop {
+                if st.failure.is_some() || st.remaining == 0 {
+                    break None;
                 }
-            }
-            levels.push(LevelTiming {
-                level,
-                instructions: width,
-                wall: started.elapsed(),
-                intra_op_threads,
+                if let Some(popped) = st.pop(worker) {
+                    break Some(popped);
+                }
+                st.sleepers += 1;
+                st = self
+                    .work_available
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+                st.sleepers -= 1;
+            };
+            let Some((item, stolen_from)) = popped else {
+                break;
+            };
+            let grant = dynamic_intra_op_grant(self.grant_pool, st.granted, st.ready_count);
+            st.granted += grant;
+            drop(st);
+
+            let si = &self.schedule.instrs()[item.index];
+            let wait = item.since.elapsed();
+            evaluator.set_intra_op_threads(grant);
+            let instr_started = Instant::now();
+            let result = dispatch_instr(si, self.rf, &mut evaluator, res, &mut calibration);
+            let span = instr_started.elapsed();
+            let result = result.map(|register| {
+                if let Some(tracer) = tracer.as_mut() {
+                    tracer.record(
+                        si.instr.label(),
+                        "instr",
+                        instr_started,
+                        span,
+                        Some(item.index),
+                        Some(wait),
+                        Some(grant),
+                        stolen_from,
+                    );
+                }
+                publish_and_reap(self.rf, si, register, &mut evaluator);
             });
+
+            st = lock(&self.state);
+            st.granted -= grant;
+            match result {
+                Ok(()) => st.retire(worker, item.index, wait, span),
+                Err(error) => st.fail(error),
+            }
+            // Every retirement can end the run or expose poppable work, and
+            // so does an abort; waking every sleeper can never lose a
+            // wakeup, and a futex call nobody waits for is skipped.
+            if st.sleepers > 0 {
+                self.work_available.notify_all();
+            }
         }
+        st.stats.merge(&evaluator.stats());
+        st.timing.per_op.merge(&calibration);
+        st.timing.intra_op_splits += evaluator.intra_op_splits();
+        drop(st);
         res.arenas.restore(evaluator.take_arena());
-        if let Some(error) = failure {
-            return Err(error);
-        }
-        let timing = TimingBreakdown {
-            scheduler: SchedulerKind::Leveled,
-            threads: 1,
-            wall: levels.iter().map(|l| l.wall).sum(),
-            levels,
-            per_op: calibration,
-            instr_times,
-            queue_waits: Vec::new(),
-            steals: 0,
-            reclaimed_slack: Duration::ZERO,
-            intra_op_splits: evaluator.intra_op_splits(),
-        };
-        Ok((evaluator.stats(), timing))
-    }
-
-    fn execute_parallel(
-        &self,
-        schedule: &Schedule,
-        rf: &RegisterFile,
-        res: &ExecResources<'_>,
-        workers: usize,
-    ) -> Result<(EvaluatorStats, TimingBreakdown), FheError> {
-        let cursors: Vec<AtomicUsize> = schedule
-            .levels()
-            .iter()
-            .map(|_| AtomicUsize::new(0))
-            .collect();
-        let abort = AtomicBool::new(false);
-        let failure: Mutex<Option<FheError>> = Mutex::new(None);
-        // Workers plus the coordinating thread, which only timestamps levels.
-        let barrier = Barrier::new(workers + 1);
-        let merged: Mutex<(EvaluatorStats, CalibratedCostModel, Vec<Duration>, u64)> =
-            Mutex::new((
-                EvaluatorStats::default(),
-                CalibratedCostModel::new(),
-                vec![Duration::ZERO; schedule.instrs().len()],
-                0,
-            ));
-        let requested_threads = self.threads;
-
-        let mut levels = Vec::with_capacity(schedule.level_count());
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let cursors = &cursors;
-                let abort = &abort;
-                let failure = &failure;
-                let barrier = &barrier;
-                let merged = &merged;
-                scope.spawn(move || {
-                    let mut evaluator = Evaluator::with_arena(res.ctx, res.arenas.checkout());
-                    let mut calibration = CalibratedCostModel::new();
-                    let mut tracer = res
-                        .trace
-                        .map(|sink| TraceBuffer::new(sink, format!("wavefront worker {worker}")));
-                    let mut timed: Vec<(usize, Duration)> = Vec::new();
-                    for (level, range) in schedule.levels().iter().enumerate() {
-                        let len = range.end - range.start;
-                        // Levels narrower than the pool leave workers idle at
-                        // the barrier; the busy workers spend the spare
-                        // budget chunking inside their heavy ops instead.
-                        let grant = intra_op_budget(requested_threads, len);
-                        evaluator.set_intra_op_threads(grant);
-                        while !abort.load(Ordering::Relaxed) {
-                            let index = cursors[level].fetch_add(1, Ordering::Relaxed);
-                            if index >= len {
-                                break;
-                            }
-                            let si = &schedule.instrs()[range.start + index];
-                            let instr_started = Instant::now();
-                            match dispatch_instr(si, rf, &mut evaluator, res, &mut calibration) {
-                                Ok(register) => {
-                                    let elapsed = instr_started.elapsed();
-                                    timed.push((range.start + index, elapsed));
-                                    if let Some(tracer) = tracer.as_mut() {
-                                        tracer.record(
-                                            si.instr.label(),
-                                            "instr",
-                                            instr_started,
-                                            elapsed,
-                                            Some(range.start + index),
-                                            None,
-                                            Some(grant),
-                                            None,
-                                        );
-                                    }
-                                    publish_and_reap(rf, si, register, &mut evaluator);
-                                }
-                                Err(e) => {
-                                    let mut slot = failure.lock().unwrap();
-                                    slot.get_or_insert(e);
-                                    abort.store(true, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        barrier.wait();
-                    }
-                    res.arenas.restore(evaluator.take_arena());
-                    let mut m = merged.lock().unwrap();
-                    m.0.merge(&evaluator.stats());
-                    m.1.merge(&calibration);
-                    for (index, duration) in timed {
-                        m.2[index] = duration;
-                    }
-                    m.3 += evaluator.intra_op_splits();
-                });
-            }
-
-            let mut previous = Instant::now();
-            for (level, range) in schedule.levels().iter().enumerate() {
-                barrier.wait();
-                let now = Instant::now();
-                let width = range.end - range.start;
-                levels.push(LevelTiming {
-                    level,
-                    instructions: width,
-                    wall: now - previous,
-                    intra_op_threads: intra_op_budget(requested_threads, width),
-                });
-                previous = now;
-            }
-        });
-
-        if let Some(error) = failure.into_inner().unwrap() {
-            return Err(error);
-        }
-        let (stats, calibration, instr_times, intra_op_splits) = merged.into_inner().unwrap();
-        Ok((
-            stats,
-            TimingBreakdown {
-                scheduler: SchedulerKind::Leveled,
-                threads: workers,
-                wall: levels.iter().map(|l| l.wall).sum(),
-                levels,
-                per_op: calibration,
-                instr_times,
-                queue_waits: Vec::new(),
-                steals: 0,
-                reclaimed_slack: Duration::ZERO,
-                intra_op_splits,
-            },
-        ))
     }
 }
 
-/// The intra-op worker budget of a level: spare threads per busy worker
-/// when the level is narrower than the requested pool (`1` when the level
-/// is at least as wide as the pool — instruction-level parallelism already
-/// covers the cores).
-fn intra_op_budget(requested_threads: usize, level_width: usize) -> usize {
-    (requested_threads / level_width.max(1)).max(1)
+/// The in-order reference walk: every instruction on the calling thread in
+/// schedule order, with the same dispatch, reaping and sweep as
+/// [`Executor::execute`] and no scheduler at all — the oracle the
+/// equivalence suites compare every (rule × thread count) cell against.
+#[doc(hidden)]
+pub fn execute_in_order(
+    schedule: &Schedule,
+    initial: Vec<Option<Register>>,
+    res: &ExecResources<'_>,
+) -> Result<ExecOutcome, FheError> {
+    let rf = RegisterFile::new(initial, schedule);
+    validate_operands(schedule, &rf);
+    let mut evaluator = Evaluator::with_arena(res.ctx, res.arenas.checkout());
+    let mut timing = TimingBreakdown::empty(1);
+    let mut failure = None;
+    for si in schedule.instrs() {
+        let started = Instant::now();
+        match dispatch_instr(si, &rf, &mut evaluator, res, &mut timing.per_op) {
+            Ok(register) => {
+                timing.instr_times.push(started.elapsed());
+                publish_and_reap(&rf, si, register, &mut evaluator);
+            }
+            Err(error) => {
+                failure = Some(error);
+                break;
+            }
+        }
+    }
+    let stats = evaluator.stats();
+    res.arenas.restore(evaluator.take_arena());
+    finish(rf, res, failure.map_or(Ok((stats, timing)), Err))
+}
+
+/// The end of every run: on success the output leaves the file first; on
+/// failure (error, cancellation, injected fault) it stays, so the sweep
+/// reclaims it too. Either way every register the file still holds goes
+/// back to the pool — an aborted request must not leak its buffers.
+fn finish(
+    mut rf: RegisterFile,
+    res: &ExecResources<'_>,
+    result: Result<(EvaluatorStats, TimingBreakdown), FheError>,
+) -> Result<ExecOutcome, FheError> {
+    let outcome = result.map(|(stats, timing)| ExecOutcome {
+        output: rf
+            .take_output()
+            .expect("output register is pre-bound or produced by the schedule"),
+        stats,
+        timing,
+    });
+    let mut arena = res.arenas.checkout();
+    rf.recycle_remaining(&mut arena);
+    res.arenas.restore(arena);
+    outcome
+}
+
+/// Locks `mutex`, recovering the guard if a thread panicked holding it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Panics (on the calling thread, before any worker spawns) if an
 /// instruction's operand is neither pre-bound nor the destination of an
 /// earlier-level instruction.
-pub(crate) fn validate_operands(schedule: &Schedule, rf: &RegisterFile) {
+fn validate_operands(schedule: &Schedule, rf: &RegisterFile) {
     let mut produced_level = vec![None; schedule.slot_count()];
     for si in schedule.instrs() {
         produced_level[si.dst] = Some(si.level);
@@ -812,14 +662,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The instruction-dispatch wrapper both executors call instead of
-/// [`run_instr`] directly: checks the cancellation token (so a cancelled or
+/// The instruction-dispatch wrapper the worker loop and the reference walk
+/// call instead of [`run_instr`] directly: checks the cancellation token (so a cancelled or
 /// deadline-expired request stops scheduling mid-flight), runs the fault
 /// plan's dispatch hook, and isolates panics — injected or genuine — behind
 /// `catch_unwind`, converting them into [`FheError::WorkerPanic`] so they
-/// flow through the executors' ordinary error/abort machinery (which wakes
-/// peer workers and restores arenas) instead of stranding scoped threads.
-pub(crate) fn dispatch_instr(
+/// flow through the ordinary error/abort machinery (which wakes peer
+/// workers and restores arenas) instead of stranding scoped threads.
+fn dispatch_instr(
     si: &ScheduledInstr,
     rf: &RegisterFile,
     evaluator: &mut Evaluator,
@@ -843,10 +693,9 @@ pub(crate) fn dispatch_instr(
     }
 }
 
-/// Executes one instruction against the register file (shared by the
-/// wavefront and dataflow executors — both guarantee operands are written
-/// before an instruction runs).
-pub(crate) fn run_instr(
+/// Executes one instruction against the register file (every release rule
+/// guarantees operands are written before an instruction runs).
+fn run_instr(
     si: &ScheduledInstr,
     rf: &RegisterFile,
     evaluator: &mut Evaluator,

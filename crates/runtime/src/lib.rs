@@ -12,17 +12,17 @@
 //!    Two-Level Parallelization for DSMC*): the coarse level runs many
 //!    independent encrypted requests against one compiled program across
 //!    the persistent workers of a [`ServingEngine`]; the fine level runs the
-//!    independent homomorphic operations inside one request concurrently —
-//!    barrier-free dependency-counting work stealing by default
-//!    ([`DataflowExecutor`]), or the level-synchronized
-//!    [`WavefrontExecutor`], both over the same lowered [`Schedule`] and
-//!    bit-identical to sequential execution.
+//!    independent homomorphic operations inside one request concurrently:
+//!    one [`Executor`] worker loop over the lowered [`Schedule`], releasing
+//!    instructions by barrier-free dependency counting with work stealing
+//!    (the default) or level by level ([`SchedulerKind`]), bit-identical to
+//!    the in-order walk either way.
 //! 2. **Timer-augmented costs** (after McDoniel & Bientinesi, *A
 //!    Timer-Augmented Cost Function for Load Balanced DSMC*): the static
 //!    per-operator cost table the optimizer ranks rewrites with is replaced
 //!    by measured per-operation latencies ([`CalibratedCostModel`]), recorded
 //!    for free while executing — and fed straight back into the dataflow
-//!    executor's critical-path ready-queue priorities
+//!    rule's critical-path ready-queue priorities
 //!    ([`Schedule::critical_path_priorities`]).
 //! 3. **One request path** (the persistent-worker scheme of the same
 //!    two-level literature): a [`ServingEngine`] keeps one bounded request
@@ -54,10 +54,10 @@
 //! use chehab_fhe::{BfvParameters, Decryptor, Encryptor, FheContext, KeyGenerator};
 //! use chehab_ir::{parse, CircuitDag};
 //! use chehab_runtime::{
-//!     lower_with_default_costs, ExecResources, LaneGeometry, Register, WavefrontExecutor,
+//!     lower_with_default_costs, ExecResources, Executor, LaneGeometry, Register, SchedulerKind,
 //! };
 //!
-//! // (a*b) + (c*d): the two multiplications share a wavefront level.
+//! // (a*b) + (c*d): the two multiplications share a level.
 //! let expr = parse("(VecAdd (VecMul (Vec a b) (Vec c d)) (VecMul (Vec e f) (Vec g h)))").unwrap();
 //! let dag = CircuitDag::from_expr(&expr).eliminate_dead_code();
 //!
@@ -110,7 +110,9 @@
 //!     // No fault injection.
 //!     faults: None,
 //! };
-//! let outcome = WavefrontExecutor::new(2).execute(&schedule, registers, &resources)?;
+//! // Level by level on two workers; the leveled rule reads no priorities.
+//! let outcome =
+//!     Executor::new(2).execute(&schedule, registers, &resources, SchedulerKind::Leveled, &[])?;
 //! let Register::Cipher(output) = outcome.output else { panic!("ciphertext output") };
 //! assert_eq!(ctx.decode(&decryptor.decrypt(&output)?, 2), vec![1 * 3 + 5 * 7, 2 * 4 + 6 * 8]);
 //! # Ok::<(), chehab_fhe::FheError>(())
@@ -132,10 +134,9 @@ pub use batching::{
     lane_geometry, BatchPolicy, CoalescerConfig, CoalescerStats, LaneGeometry, RequestCoalescer,
 };
 pub use calibrate::{CalibratedCostModel, OpKind, OP_KINDS};
-pub use dataflow::{dynamic_intra_op_grant, DataflowExecutor};
+pub use dataflow::{dynamic_intra_op_grant, LevelTiming, SchedulerKind, TimingBreakdown};
 pub use exec::{
-    ExecResources, LevelTiming, PlainValue, Register, RegisterFile, SchedulerKind, TimingBreakdown,
-    WavefrontExecutor, WavefrontOutcome,
+    execute_in_order, ExecOutcome, ExecResources, Executor, PlainValue, Register, RegisterFile,
 };
 pub use faults::{CancellationToken, FaultPlan};
 pub use schedule::{

@@ -14,7 +14,8 @@
 //! (a ct-ct multiplication costs ~100x an addition) across workers.
 //!
 //! Beyond the level grouping, lowering also emits the *dataflow* view the
-//! barrier-free [`DataflowExecutor`](crate::DataflowExecutor) consumes: the
+//! barrier-free release rule
+//! ([`SchedulerKind::Dataflow`](crate::SchedulerKind)) consumes: the
 //! per-instruction remaining-dependency count ([`Schedule::dep_counts`]) and
 //! the transpose of the operand graph ([`Schedule::dependents`]), plus
 //! additive [`CostTerms`] per instruction so critical-path priorities can be
@@ -326,11 +327,6 @@ impl Schedule {
             .unwrap_or(0)
     }
 
-    /// Total estimated cost of all instructions.
-    pub fn total_est_cost(&self) -> f64 {
-        self.instrs.iter().map(|i| i.est_cost).sum()
-    }
-
     /// Projects the makespan of this schedule on `workers` workers from
     /// measured per-instruction latencies (`instr_times[i]` is the duration
     /// of `instrs()[i]`).
@@ -341,7 +337,7 @@ impl Schedule {
     /// by barriers, so the projection is the sum of per-level makespans.
     /// With measured (rather than modeled) durations this is the
     /// timer-augmented load-balance estimate: on a machine with `workers`
-    /// free cores the wavefront executor's wall-clock converges to it.
+    /// free cores a leveled run's wall-clock converges to it.
     ///
     /// # Panics
     ///
@@ -369,46 +365,6 @@ impl Schedule {
             total += finish.iter().copied().max().unwrap_or_default();
         }
         total
-    }
-
-    /// The parallelism an infinitely wide machine could exploit **under
-    /// level barriers**: total estimated cost divided by the sum of per-level
-    /// maximum costs. This is the *level-limited* figure; the barrier-free
-    /// bound is [`Schedule::dependency_parallelism`], and the gap between
-    /// the two is exactly the parallelism level barriers forfeit.
-    pub fn cost_parallelism(&self) -> f64 {
-        let critical: f64 = self
-            .levels
-            .iter()
-            .map(|r| {
-                self.instrs[r.clone()]
-                    .iter()
-                    .map(|i| i.est_cost)
-                    .fold(0.0, f64::max)
-            })
-            .sum();
-        if critical > 0.0 {
-            self.total_est_cost() / critical
-        } else {
-            1.0
-        }
-    }
-
-    /// The parallelism an infinitely wide **barrier-free** machine could
-    /// exploit: total estimated cost divided by the most expensive
-    /// dependency chain. Always at least [`Schedule::cost_parallelism`]
-    /// (every dependency chain crosses each of its levels' maxima at most
-    /// once); the ratio between the two quantifies how much of the
-    /// schedule's parallelism is *dependency-limited* rather than
-    /// *level-limited*.
-    pub fn dependency_parallelism(&self) -> f64 {
-        let costs: Vec<f64> = self.instrs.iter().map(|i| i.est_cost).collect();
-        let critical = self.chain_costs(&costs).into_iter().fold(0.0, f64::max);
-        if critical > 0.0 {
-            self.total_est_cost() / critical
-        } else {
-            1.0
-        }
     }
 
     /// Per-instruction remaining-dependency counts: the number of distinct
@@ -445,20 +401,13 @@ impl Schedule {
 
     /// Critical-path priorities under a cost table: `priority[i]` is the
     /// cost of the most expensive dependency chain *starting at* instruction
-    /// `i` (inclusive). The dataflow executor pops ready instructions in
+    /// `i` (inclusive). The dataflow rule pops ready instructions in
     /// descending priority order — the classic critical-path-first list
     /// scheduling heuristic — and sessions recompute these from the
     /// accumulated [`crate::CalibratedCostModel`] so priorities track
     /// measured hardware costs as calibration accumulates.
     pub fn critical_path_priorities(&self, costs: &OpCosts) -> Vec<f64> {
         self.chain_costs(&self.instr_costs(costs))
-    }
-
-    /// Critical-path priorities under the static estimates the schedule was
-    /// lowered with.
-    pub fn default_priorities(&self) -> Vec<f64> {
-        let costs: Vec<f64> = self.instrs.iter().map(|i| i.est_cost).collect();
-        self.chain_costs(&costs)
     }
 
     /// `chain[i] = cost[i] + max(chain[d] for d in dependents(i))`, the
@@ -479,7 +428,7 @@ impl Schedule {
 
     /// The true critical-path (barrier-free, infinitely wide) makespan of
     /// this schedule under measured per-instruction latencies: the length of
-    /// the most expensive dependency chain. No executor — leveled or
+    /// the most expensive dependency chain. No release rule — leveled or
     /// dataflow — can beat this; the gap between it and
     /// [`Schedule::makespan`] is the slack level barriers leave on the
     /// table plus any width limit.
@@ -505,7 +454,7 @@ impl Schedule {
 
     /// Projects the **barrier-free** makespan of this schedule on `workers`
     /// workers from measured per-instruction latencies: an event-driven
-    /// simulation of the dataflow executor's policy (an instruction becomes
+    /// simulation of the dataflow rule's policy (an instruction becomes
     /// ready the instant its last dependency finishes; idle workers pick the
     /// ready instruction with the longest remaining dependency chain).
     ///
@@ -721,7 +670,6 @@ mod tests {
         // client-packed), one addition at level 1.
         assert_eq!(schedule.level_count(), 2);
         assert_eq!(schedule.max_width(), 2);
-        assert!(schedule.cost_parallelism() > 1.5);
     }
 
     #[test]
@@ -916,7 +864,7 @@ mod tests {
         let (_, schedule) = schedule_of(
             "(VecAdd (VecAdd (VecMul (Vec a0 a1) (Vec b0 b1)) (<< (VecMul (Vec a0 a1) (Vec b0 b1)) 1)) (VecMul (Vec c0 c1) (Vec d0 d1)))",
         );
-        let priorities = schedule.default_priorities();
+        let priorities = schedule.critical_path_priorities(&CostModel::default().op_costs);
         for (index, deps) in schedule.dependents().iter().enumerate() {
             for &d in deps {
                 assert!(
@@ -985,17 +933,6 @@ mod tests {
             let dataflow = schedule.dataflow_makespan(&times, workers);
             assert!(dataflow >= schedule.critical_path_makespan(&times));
             assert!(dataflow <= schedule.makespan(&times, workers));
-        }
-    }
-
-    #[test]
-    fn dependency_parallelism_is_at_least_level_parallelism() {
-        for source in [
-            "(VecAdd (VecMul (Vec a b) (Vec c d)) (VecMul (Vec e f) (Vec g h)))",
-            "(VecAdd (VecMul (VecMul (Vec a b) (Vec c d)) (Vec e f)) (VecAdd (VecAdd (Vec g h) (Vec i j)) (Vec k l)))",
-        ] {
-            let (_, schedule) = schedule_of(source);
-            assert!(schedule.dependency_parallelism() >= schedule.cost_parallelism() - 1e-9);
         }
     }
 

@@ -36,7 +36,7 @@
 //! `chehab-core` layers the session-backed serving API on top.
 
 use crate::batching::BatchPolicy;
-use crate::exec::percentile;
+use crate::dataflow::percentile;
 use crate::faults::{CancellationToken, FaultPlan};
 use crate::telemetry::{Histogram, SpanEvent, TraceSink};
 use std::collections::VecDeque;
@@ -228,7 +228,7 @@ impl<T: std::fmt::Debug> std::error::Error for TrySubmitError<T> {}
 
 /// Aggregated scheduler counters of the requests an engine has served: the
 /// first slice of the engine-level metrics export. Handlers that execute
-/// through the dataflow runtime record each request's scheduler figures into
+/// through the executor record each request's scheduler figures into
 /// the engine's [`SchedulerMetrics`]; this snapshot summarizes them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStatsSnapshot {
@@ -237,20 +237,10 @@ pub struct SchedulerStatsSnapshot {
     /// Ready instructions taken from another worker's local deque, summed
     /// across requests.
     pub steals: u64,
-    /// Barrier slack reclaimed versus leveled execution, summed across
-    /// requests (see `TimingBreakdown::reclaimed_slack` in this crate).
-    pub reclaimed_slack: Duration,
     /// Median per-instruction queue wait across every recorded request.
     pub queue_wait_p50: Option<Duration>,
     /// 95th-percentile per-instruction queue wait.
     pub queue_wait_p95: Option<Duration>,
-}
-
-impl SchedulerStatsSnapshot {
-    /// Mean reclaimed barrier slack per recorded request.
-    pub fn reclaimed_slack_per_request(&self) -> Option<Duration> {
-        (self.requests > 0).then(|| self.reclaimed_slack / self.requests as u32)
-    }
 }
 
 /// Bound on retained queue-wait samples: once full, the oldest samples are
@@ -259,8 +249,8 @@ impl SchedulerStatsSnapshot {
 const MAX_QUEUE_WAIT_SAMPLES: usize = 65_536;
 
 /// Scheduler-counter sink shared between an engine and its request handler:
-/// the handler records per-request dataflow figures (steals, queue waits,
-/// reclaimed slack), [`ServingEngine::stats`] folds the aggregate into
+/// the handler records per-request scheduler figures (steals, queue
+/// waits), [`ServingEngine::stats`] folds the aggregate into
 /// [`ServingStats::scheduler`]. Kept separate from the engine's own queue
 /// counters so the engine stays generic over request/response types.
 #[derive(Debug, Default)]
@@ -272,7 +262,6 @@ pub struct SchedulerMetrics {
 struct SchedulerAgg {
     requests: u64,
     steals: u64,
-    reclaimed_slack: Duration,
     queue_waits: Vec<Duration>,
     /// Next slot to overwrite once `queue_waits` is at capacity (ring
     /// cursor), so retained samples follow the traffic instead of freezing
@@ -288,11 +277,10 @@ impl SchedulerMetrics {
     /// Records one request's scheduler figures. Queue-wait samples are kept
     /// in a bounded sliding window (oldest overwritten first); the counters
     /// always accumulate.
-    pub fn record(&self, steals: u64, reclaimed_slack: Duration, queue_waits: &[Duration]) {
+    pub fn record(&self, steals: u64, queue_waits: &[Duration]) {
         let mut agg = self.inner.lock().unwrap();
         agg.requests += 1;
         agg.steals += steals;
-        agg.reclaimed_slack += reclaimed_slack;
         for &wait in queue_waits {
             if agg.queue_waits.len() < MAX_QUEUE_WAIT_SAMPLES {
                 agg.queue_waits.push(wait);
@@ -342,7 +330,6 @@ impl SchedulerMetrics {
         SchedulerStatsSnapshot {
             requests: agg.requests,
             steals: agg.steals,
-            reclaimed_slack: agg.reclaimed_slack,
             queue_wait_p50: percentile(&mut waits, 0.50),
             queue_wait_p95: percentile(&mut waits, 0.95),
         }
@@ -1664,11 +1651,10 @@ mod tests {
                 ..ServingConfig::sized(2, 8)
             },
             move |_, v| {
-                // A handler that executed through the dataflow runtime
+                // A handler that executed through the executor
                 // records its request's scheduler figures.
                 sink.record(
                     v,
-                    Duration::from_millis(v),
                     &[Duration::from_micros(10 * v), Duration::from_micros(30 * v)],
                 );
                 v
@@ -1681,11 +1667,6 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.scheduler.requests, 4);
         assert_eq!(stats.scheduler.steals, 1 + 2 + 3 + 4);
-        assert_eq!(stats.scheduler.reclaimed_slack, Duration::from_millis(10));
-        assert_eq!(
-            stats.scheduler.reclaimed_slack_per_request(),
-            Some(Duration::from_micros(2500))
-        );
         // Samples: 10,20,30,40 and 30,60,90,120 micros; p50 of the sorted
         // merge [10,20,30,30,40,60,90,120] sits at rank 4 (rounded midpoint).
         let p50 = stats.scheduler.queue_wait_p50.unwrap();

@@ -8,18 +8,27 @@
 //! included — and the output is recycled after decryption). Key-generation
 //! scratch buffers round-trip through the `KeyGenerator`'s own pool, so a
 //! session issuing dozens of Galois keys samples them all from a handful
-//! of buffers. The process-global `PolyArena` counters record every pool
-//! miss, so replaying a request against a warm session and asserting the
-//! miss count stays zero pins the property across the whole benchsuite.
-//!
-//! This file deliberately holds a **single test**: the counters are shared
-//! by every thread of the process, so the assertion needs its own test
-//! process (Cargo gives each integration-test file one).
+//! of buffers. The session pool's counters record every pool miss
+//! (`chehab_arena_fresh_allocations_total`), so replaying a request against
+//! a warm session and asserting the miss count did not move pins the
+//! property across the whole benchsuite — per session, whatever else runs
+//! in the process.
 
 use chehab::benchsuite;
-use chehab::compiler::Compiler;
-use chehab::fhe::{BfvParameters, PolyArena};
+use chehab::compiler::{Compiler, FheSession};
+use chehab::fhe::{ArenaPool, BfvParameters};
 use std::collections::HashMap;
+
+/// The session pool's (misses, hits) so far.
+fn fresh_and_reuses(session: &FheSession) -> (u64, u64) {
+    let registry = session.metrics();
+    (
+        registry
+            .counter("chehab_arena_fresh_allocations_total", "")
+            .get(),
+        registry.counter("chehab_arena_reuses_total", "").get(),
+    )
+}
 
 #[test]
 fn warm_kernel_sweep_performs_zero_fresh_buffer_allocations() {
@@ -51,10 +60,10 @@ fn warm_kernel_sweep_performs_zero_fresh_buffer_allocations() {
         let warm_up = session.run(&inputs).unwrap();
         assert_eq!(warm_up.outputs, cold.outputs, "{}", benchmark.id());
 
-        PolyArena::reset_counters();
+        let (fresh_before, reuses_before) = fresh_and_reuses(&session);
         let warm = session.run(&inputs).unwrap();
-        let fresh = PolyArena::fresh_allocations();
-        let reuses = PolyArena::reuses();
+        let (fresh_after, reuses_after) = fresh_and_reuses(&session);
+        let (fresh, reuses) = (fresh_after - fresh_before, reuses_after - reuses_before);
         assert_eq!(
             fresh,
             0,
@@ -79,16 +88,17 @@ fn warm_kernel_sweep_performs_zero_fresh_buffer_allocations() {
     // from a warm arena must be a pool hit, and recycling must return the
     // slot vector so the next encode of the same width hits again.
     let ctx = chehab::fhe::FheContext::new(params).expect("context");
-    let mut arena = PolyArena::new();
+    let pool = ArenaPool::new();
+    let mut arena = pool.checkout();
     let first = ctx.encode_in(&[1, 2, 3], &mut arena).expect("encode");
     first.recycle_into(&mut arena);
-    PolyArena::reset_counters();
+    let before = pool.alloc_stats();
     let second = ctx.encode_in(&[4, 5, 6], &mut arena).expect("encode");
+    let after = pool.alloc_stats();
     assert_eq!(
-        PolyArena::fresh_allocations(),
-        0,
+        after.fresh_allocations, before.fresh_allocations,
         "a recycled plaintext's slot vector must serve the next encode"
     );
-    assert_eq!(PolyArena::reuses(), 1);
+    assert_eq!(after.reuses - before.reuses, 1);
     assert_eq!(ctx.decode(&second, 3), vec![4, 5, 6]);
 }

@@ -200,6 +200,39 @@ fn one_hundred_cancel_cycles_leak_no_arena_buffers() {
     assert!(clean.decryption_ok);
 }
 
+/// A panic while peers sleep on the scheduler's condvar: the last dispatch
+/// of a schedule depends on everything else, so under four workers the other
+/// three have nothing to pop when it fires. Under either release rule the
+/// sleepers are woken, the request resolves with `WorkerPanic` — not a
+/// second panic out of the executor's scope — and the session serves the
+/// next request bit-identically.
+#[test]
+fn a_panic_while_peers_wait_surfaces_as_worker_panic_under_both_rules() {
+    use chehab::compiler::SchedulerKind;
+    let (session, benchmark) = session_for("Hamm. Dist. 32");
+    let schedule = session.schedule();
+    let total = schedule.instrs().len() as u64;
+    assert!(schedule.max_width() >= 4, "both rules must get a real pool");
+    let inputs = inputs_of(&benchmark, 13);
+    let clean = session.run(&inputs).unwrap();
+    for scheduler in [SchedulerKind::Leveled, SchedulerKind::Dataflow] {
+        let options = ExecOptions::sequential()
+            .with_threads_per_request(4)
+            .with_scheduler(scheduler);
+        let plan = FaultPlan::panic_at(&[total - 1]);
+        let error = session
+            .run_batched(std::slice::from_ref(&inputs), &options, &faulting(&plan))
+            .expect_err("the injected panic fails the request");
+        assert!(
+            matches!(error, FheError::WorkerPanic { .. }),
+            "{scheduler:?}: {error:?}"
+        );
+        assert_eq!(plan.instructions_dispatched(), total, "{scheduler:?}");
+        let after = session.run_parallel(&inputs, &options).unwrap();
+        assert_eq!(after.outputs, clean.outputs, "{scheduler:?}");
+    }
+}
+
 /// A seeded fault storm — planned worker panics, latency spikes, forced
 /// queue-full rejections — over a serving engine completes with zero hangs
 /// and zero engine deaths, errors stay bounded by the plan, and every

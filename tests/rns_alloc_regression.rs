@@ -6,15 +6,23 @@
 //! the wider `2·k·degree` stripes, the per-limb key polynomials and the
 //! multi-limb plaintext splats all round-trip through the same arena pools
 //! as the single-limb engine, just at a larger buffer width.
-//!
-//! Like `alloc_regression.rs`, this file holds a single test because the
-//! process-global `PolyArena` counters are shared by every thread; a
-//! separate integration-test file gives the assertion its own process.
+//! Like `alloc_regression.rs`, it reads the session pool's own counters.
 
 use chehab::benchsuite;
-use chehab::compiler::Compiler;
-use chehab::fhe::{BfvParameters, PolyArena};
+use chehab::compiler::{Compiler, FheSession};
+use chehab::fhe::BfvParameters;
 use std::collections::HashMap;
+
+/// The session pool's (misses, hits) so far.
+fn fresh_and_reuses(session: &FheSession) -> (u64, u64) {
+    let registry = session.metrics();
+    (
+        registry
+            .counter("chehab_arena_fresh_allocations_total", "")
+            .get(),
+        registry.counter("chehab_arena_reuses_total", "").get(),
+    )
+}
 
 #[test]
 fn warm_multi_limb_kernel_sweep_performs_zero_fresh_buffer_allocations() {
@@ -50,10 +58,10 @@ fn warm_multi_limb_kernel_sweep_performs_zero_fresh_buffer_allocations() {
             let warm_up = session.run(&inputs).unwrap();
             assert_eq!(warm_up.outputs, cold.outputs, "{}", benchmark.id());
 
-            PolyArena::reset_counters();
+            let (fresh_before, reuses_before) = fresh_and_reuses(&session);
             let warm = session.run(&inputs).unwrap();
-            let fresh = PolyArena::fresh_allocations();
-            let reuses = PolyArena::reuses();
+            let (fresh_after, reuses_after) = fresh_and_reuses(&session);
+            let (fresh, reuses) = (fresh_after - fresh_before, reuses_after - reuses_before);
             assert_eq!(
                 fresh,
                 0,

@@ -209,7 +209,7 @@ fn timing_breakdown_reflects_the_schedule() {
     let schedule = session.schedule();
 
     // Dataflow (the default): no levels, but per-instruction run spans and
-    // queue waits, and a reclaimed-slack figure versus the leveled makespan.
+    // queue waits.
     let dataflow = session
         .run_parallel(
             &inputs_of(&benchmark, 3),
@@ -221,16 +221,7 @@ fn timing_breakdown_reflects_the_schedule() {
     assert_eq!(dataflow.timing.instr_times.len(), schedule.instrs().len());
     assert_eq!(dataflow.timing.queue_waits.len(), schedule.instrs().len());
     assert!(dataflow.timing.wall > std::time::Duration::ZERO);
-    assert!(dataflow.timing.total_wall() == dataflow.timing.wall);
     assert!(dataflow.timing.queue_wait_percentile(0.5).is_some());
-    assert_eq!(
-        dataflow.timing.reclaimed_slack,
-        schedule
-            .makespan(&dataflow.timing.instr_times, dataflow.timing.threads)
-            .saturating_sub(
-                schedule.dataflow_makespan(&dataflow.timing.instr_times, dataflow.timing.threads)
-            )
-    );
 
     let report = session
         .run_parallel(
@@ -252,7 +243,7 @@ fn timing_breakdown_reflects_the_schedule() {
         schedule.instrs().len()
     );
     assert_eq!(report.timing.steals, 0);
-    assert!(report.timing.queue_waits.is_empty());
+    assert_eq!(report.timing.queue_waits.len(), schedule.instrs().len());
     // One sample per instruction, not per evaluator call: packs and
     // multi-part rotations bundle several calls.
     assert!(report.timing.per_op.sample_count() > 0);

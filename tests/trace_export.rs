@@ -7,7 +7,7 @@
 
 use chehab::benchsuite::{self, Benchmark};
 use chehab::compiler::{BatchPolicy, Compiler, ExecHooks, ExecOptions, TraceSink};
-use chehab::fhe::BfvParameters;
+use chehab::fhe::{BfvParameters, FheError};
 use serde::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -183,6 +183,58 @@ fn traced_requests_are_bit_identical_and_export_wellformed_chrome_json() {
             );
         }
     }
+}
+
+/// A pool of one is the caller: at one thread under either release rule
+/// every instruction span lies on one track, `executor worker 0`, and a
+/// fault injected at the first dispatch unwinds on the calling thread — the
+/// executor spawned nothing.
+#[test]
+fn a_pool_of_one_runs_on_the_calling_thread() {
+    use chehab::compiler::{FaultPlan, SchedulerKind};
+    use std::sync::Mutex;
+    let benchmark = benchsuite::by_id("Dot Product 8").expect("known benchmark id");
+    let compiled = Compiler::greedy().compile(benchmark.id(), benchmark.program());
+    let session = compiled.session(&BfvParameters::insecure_test()).unwrap();
+    let inputs = [inputs_of(&benchmark, 5)];
+
+    // The panic hook runs on the panicking thread, before the executor
+    // isolates the unwind: it tells which thread dispatched.
+    let panicked_on = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&panicked_on);
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |_| {
+        seen.lock().unwrap().push(std::thread::current().id());
+    }));
+    for scheduler in [SchedulerKind::Leveled, SchedulerKind::Dataflow] {
+        let options = ExecOptions::sequential().with_scheduler(scheduler);
+        let (hooks, sink) = tracing_hooks();
+        session.run_batched(&inputs, &options, &hooks).unwrap();
+        drop(hooks);
+        let trace = Arc::try_unwrap(sink).unwrap().into_trace();
+        let mut tracks: Vec<usize> = trace
+            .events()
+            .iter()
+            .filter(|e| e.cat == "instr")
+            .map(|e| e.track)
+            .collect();
+        assert_eq!(tracks.len(), session.schedule().instrs().len());
+        tracks.dedup();
+        assert_eq!(tracks.len(), 1, "{scheduler:?}: one track");
+        assert_eq!(trace.track_labels()[tracks[0]], "executor worker 0");
+
+        let faulted = ExecHooks {
+            faults: Some(FaultPlan::panic_at(&[0])),
+            ..ExecHooks::default()
+        };
+        let error = session
+            .run_batched(&inputs, &options, &faulted)
+            .expect_err("the injected panic fails the request");
+        assert!(matches!(error, FheError::WorkerPanic { .. }), "{error:?}");
+    }
+    std::panic::set_hook(previous);
+    let caller = std::thread::current().id();
+    assert_eq!(*panicked_on.lock().unwrap(), vec![caller, caller]);
 }
 
 /// Reads `chehab_dataflow_steals_total` out of a Prometheus text export.
