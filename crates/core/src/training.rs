@@ -168,7 +168,7 @@ pub fn train_agent(options: &AgentTrainingOptions) -> TrainedAgent {
         },
     );
     // The Arc shares the (single-threaded) agent between compiler handles,
-    // not across threads: `Policy` tensors are define-by-run graphs without
+    // not across threads: `Policy` parameters are `Rc`-shared handles without
     // Sync, and compile-time inference happens on the calling thread.
     #[allow(clippy::arc_with_non_send_sync)]
     TrainedAgent {

@@ -8,11 +8,12 @@
 //! encoder preserves — the criterion the paper uses to select the
 //! Transformer for the RL state representation.
 
+use crate::forward::Forward;
 use crate::gru::GruEncoder;
 use crate::layers::{Activation, Mlp, Module};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
-use crate::tensor::Tensor;
+use crate::tensor::{Tape, Tensor, Var};
 use crate::transformer::{TransformerConfig, TransformerEncoder};
 use rand::Rng;
 
@@ -37,7 +38,6 @@ pub struct SequenceAutoencoder {
     positional: Matrix,
     vocab_size: usize,
     max_len: usize,
-    dim: usize,
     pad_id: usize,
 }
 
@@ -109,7 +109,6 @@ impl SequenceAutoencoder {
             positional,
             vocab_size,
             max_len,
-            dim,
             pad_id,
         }
     }
@@ -122,10 +121,17 @@ impl SequenceAutoencoder {
         }
     }
 
-    fn encode(&self, ids: &[usize]) -> Tensor {
+    fn encode<'t>(&self, tape: &'t Tape, ids: &[usize]) -> Var<'t> {
         match &self.encoder {
-            EncoderImpl::Transformer(t) => t.encode(ids),
-            EncoderImpl::Gru(g) => g.encode(ids),
+            EncoderImpl::Transformer(t) => t.encode(tape, ids),
+            EncoderImpl::Gru(g) => g.encode(tape, ids),
+        }
+    }
+
+    fn infer(&self, ids: &[usize]) -> Matrix {
+        match &self.encoder {
+            EncoderImpl::Transformer(t) => t.infer(ids),
+            EncoderImpl::Gru(g) => g.infer(ids),
         }
     }
 
@@ -134,39 +140,35 @@ impl SequenceAutoencoder {
     }
 
     /// Per-position vocabulary logits (`len × vocab`).
-    fn decode_logits(&self, pooled: &Tensor, len: usize) -> Tensor {
-        let ones = Tensor::constant(Matrix::full(len, 1, 1.0));
+    fn decode_logits<V: Forward>(&self, pooled: &V, len: usize) -> V {
+        let ones = V::constant(pooled.tape(), Matrix::full(len, 1, 1.0));
         let broadcast = ones.matmul(pooled);
-        let mut pos = Matrix::zeros(len, self.dim);
-        for r in 0..len {
-            for c in 0..self.dim {
-                pos.set(r, c, self.positional.get(r, c));
-            }
-        }
-        let decoder_input = Tensor::concat_cols(&[broadcast, Tensor::constant(pos)]);
+        let pos = self.positional.gather_rows(&(0..len).collect::<Vec<_>>());
+        let decoder_input = V::concat_cols(&[broadcast, V::constant(pooled.tape(), pos)]);
         self.decoder.forward(&decoder_input)
     }
 
-    /// Reconstruction loss (cross-entropy per position) for one sequence.
-    pub fn reconstruction_loss(&self, ids: &[usize]) -> Tensor {
+    /// Reconstruction loss (cross-entropy per position) for one sequence,
+    /// recorded on `tape`.
+    pub fn reconstruction_loss<'t>(&self, tape: &'t Tape, ids: &[usize]) -> Var<'t> {
         let ids = self.truncate(ids);
-        let pooled = self.encode(ids);
+        let pooled = self.encode(tape, ids);
         let logits = self.decode_logits(&pooled, ids.len());
         logits.cross_entropy(ids, Some(self.pad_id))
     }
 
-    /// Greedy reconstruction of a sequence.
+    /// Greedy reconstruction of a sequence (tape-free).
     pub fn reconstruct(&self, ids: &[usize]) -> Vec<usize> {
         let ids = self.truncate(ids);
-        let pooled = self.encode(ids);
-        let logits = self.decode_logits(&pooled, ids.len());
-        logits.value().argmax_rows()
+        self.decode_logits(&self.infer(ids), ids.len())
+            .argmax_rows()
     }
 
     /// Trains the autoencoder on a corpus for a number of epochs; returns the
     /// mean loss of the final epoch.
     pub fn fit(&mut self, corpus: &[Vec<usize>], epochs: usize, learning_rate: f32) -> f32 {
         let mut optimizer = Adam::new(self.parameters(), learning_rate);
+        let mut tape = Tape::new();
         let mut last_mean = f32::INFINITY;
         for _ in 0..epochs {
             let mut total = 0.0;
@@ -174,9 +176,10 @@ impl SequenceAutoencoder {
                 if ids.is_empty() {
                     continue;
                 }
+                tape.clear();
                 self.zero_grad();
-                let loss = self.reconstruction_loss(ids);
-                total += loss.value().get(0, 0);
+                let loss = self.reconstruction_loss(&tape, ids);
+                total += loss.get(0, 0);
                 loss.backward();
                 optimizer.step();
             }

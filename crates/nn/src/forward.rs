@@ -1,30 +1,34 @@
 //! The one vocabulary every layer's forward pass is written in.
 //!
-//! Training needs the define-by-run tape ([`Tensor`]: each operation records
-//! how to backpropagate through it); inference needs none of it. Layers are
-//! therefore generic over [`Forward`], implemented by `Tensor` (taped) and by
-//! plain [`Matrix`] (tape-free, reading the parameters through
-//! [`Tensor::borrow_value`]). Both implementations call the same `Matrix`
-//! kernels on the same operands in the same order, so a layer's tape-free
-//! output is bit-identical to its taped one.
+//! Training needs a tape (each operation remembers how to backpropagate
+//! through it); inference needs none of it. Layers are therefore generic over
+//! [`Forward`], which has exactly two implementers: [`Var`](crate::Var), a
+//! value recorded on a [`Tape`](crate::Tape), and plain [`Matrix`], tape-free.
+//! Both read parameters where they are ([`Tensor::borrow_value`]) and run the
+//! same slice kernels on the same operands in the same order, so a layer's
+//! tape-free output is bit-identical to its taped one.
 
 use crate::matrix::Matrix;
 use crate::tensor::Tensor;
 use std::cell::Ref;
 use std::ops::Deref;
 
-/// The forward operations of [`Tensor`], over a value type that may or may
+/// The forward operations of the networks, over a value type that may or may
 /// not record them.
 pub trait Forward: Clone {
+    /// What values of this type are recorded on: the tape, or nothing.
+    type Tape: Copy;
     /// How a trainable parameter is seen by this value type.
     type Param<'a>: Deref<Target = Self>
     where
         Self: 'a;
 
+    /// What this value is recorded on.
+    fn tape(&self) -> Self::Tape;
     /// A trainable parameter as an operand.
-    fn param(parameter: &Tensor) -> Self::Param<'_>;
+    fn param(on: Self::Tape, parameter: &Tensor) -> Self::Param<'_>;
     /// A constant operand.
-    fn constant(value: Matrix) -> Self;
+    fn constant(on: Self::Tape, value: Matrix) -> Self;
     /// The value as a plain matrix.
     fn to_matrix(&self) -> Matrix;
     /// Rows of `table` selected by `ids`.
@@ -61,75 +65,15 @@ pub trait Forward: Clone {
     fn layer_norm(&self, gamma: &Self, beta: &Self, eps: f32) -> Self;
 }
 
-impl Forward for Tensor {
-    type Param<'a> = &'a Tensor;
-
-    fn param(parameter: &Tensor) -> &Tensor {
-        parameter
-    }
-    fn constant(value: Matrix) -> Self {
-        Tensor::constant(value)
-    }
-    fn to_matrix(&self) -> Matrix {
-        self.value()
-    }
-    fn gather_rows(table: &Self, ids: &[usize]) -> Self {
-        Tensor::embedding_lookup(table, ids)
-    }
-    fn add(&self, other: &Self) -> Self {
-        Tensor::add(self, other)
-    }
-    fn sub(&self, other: &Self) -> Self {
-        Tensor::sub(self, other)
-    }
-    fn mul(&self, other: &Self) -> Self {
-        Tensor::mul(self, other)
-    }
-    fn scale(&self, k: f32) -> Self {
-        Tensor::scale(self, k)
-    }
-    fn matmul(&self, other: &Self) -> Self {
-        Tensor::matmul(self, other)
-    }
-    fn matmul_nt(&self, other: &Self) -> Self {
-        Tensor::matmul_nt(self, other)
-    }
-    fn add_bias(&self, bias: &Self) -> Self {
-        Tensor::add_bias(self, bias)
-    }
-    fn relu(&self) -> Self {
-        Tensor::relu(self)
-    }
-    fn tanh(&self) -> Self {
-        Tensor::tanh(self)
-    }
-    fn sigmoid(&self) -> Self {
-        Tensor::sigmoid(self)
-    }
-    fn softmax_rows(&self) -> Self {
-        Tensor::softmax_rows(self)
-    }
-    fn slice_cols(&self, start: usize, end: usize) -> Self {
-        Tensor::slice_cols(self, start, end)
-    }
-    fn concat_cols(parts: &[Self]) -> Self {
-        Tensor::concat_cols(parts)
-    }
-    fn row(&self, index: usize) -> Self {
-        Tensor::row(self, index)
-    }
-    fn layer_norm(&self, gamma: &Self, beta: &Self, eps: f32) -> Self {
-        Tensor::layer_norm(self, gamma, beta, eps)
-    }
-}
-
 impl Forward for Matrix {
+    type Tape = ();
     type Param<'a> = Ref<'a, Matrix>;
 
-    fn param(parameter: &Tensor) -> Ref<'_, Matrix> {
+    fn tape(&self) {}
+    fn param((): (), parameter: &Tensor) -> Ref<'_, Matrix> {
         parameter.borrow_value()
     }
-    fn constant(value: Matrix) -> Self {
+    fn constant((): (), value: Matrix) -> Self {
         value
     }
     fn to_matrix(&self) -> Matrix {

@@ -4,7 +4,7 @@
 use crate::forward::Forward;
 use crate::layers::{Linear, Module};
 use crate::matrix::Matrix;
-use crate::tensor::Tensor;
+use crate::tensor::{Tape, Tensor, Var};
 use rand::Rng;
 
 /// A single-direction, single-layer GRU followed by optional stacking.
@@ -58,14 +58,14 @@ impl GruLayer {
             .forward(x)
             .add(&self.candidate_h.forward(&r.mul(h)))
             .tanh();
-        let ones = V::constant(Matrix::full(1, self.hidden_dim, 1.0));
+        let ones = V::constant(x.tape(), Matrix::full(1, self.hidden_dim, 1.0));
         ones.sub(&z).mul(h).add(&z.mul(&candidate))
     }
 
-    /// Runs the layer over a sequence of `1 × input_dim` tensors and returns
+    /// Runs the layer over a sequence of `1 × input_dim` values and returns
     /// every hidden state.
-    fn run<V: Forward>(&self, inputs: &[V]) -> Vec<V> {
-        let mut h = V::constant(Matrix::zeros(1, self.hidden_dim));
+    fn run<V: Forward>(&self, on: V::Tape, inputs: &[V]) -> Vec<V> {
+        let mut h = V::constant(on, Matrix::zeros(1, self.hidden_dim));
         let mut outputs = Vec::with_capacity(inputs.len());
         for x in inputs {
             h = self.step(x, &h);
@@ -114,47 +114,47 @@ impl GruEncoder {
     }
 
     /// The embedded tokens, one `1 × hidden_dim` value per position.
-    fn embed<V: Forward>(&self, token_ids: &[usize]) -> Vec<V> {
+    fn embed<V: Forward>(&self, on: V::Tape, token_ids: &[usize]) -> Vec<V> {
         let ids: Vec<usize> = token_ids
             .iter()
             .copied()
             .take(self.max_len)
             .map(|id| id.min(self.vocab_size - 1))
             .collect();
-        let embedded = V::gather_rows(&V::param(&self.embedding), &ids);
+        let embedded = V::gather_rows(&V::param(on, &self.embedding), &ids);
         (0..ids.len()).map(|r| embedded.row(r)).collect()
     }
 
     /// Per-token hidden states of the final layer (`seq_len × hidden_dim`).
-    pub fn encode_sequence(&self, token_ids: &[usize]) -> Tensor {
-        let mut outputs = self.embed(token_ids);
+    pub fn encode_sequence<'t>(&self, tape: &'t Tape, token_ids: &[usize]) -> Var<'t> {
+        let mut outputs = self.embed(tape, token_ids);
         for layer in &self.layers {
-            outputs = layer.run(&outputs);
+            outputs = layer.run(tape, &outputs);
         }
         stack_rows(&outputs)
     }
 
     /// The final hidden state of the last layer.
-    fn last_hidden<V: Forward>(&self, token_ids: &[usize]) -> V {
-        let mut inputs: Vec<V> = self.embed(token_ids);
-        let mut last = V::constant(Matrix::zeros(1, self.hidden_dim));
+    fn last_hidden<V: Forward>(&self, on: V::Tape, token_ids: &[usize]) -> V {
+        let mut inputs: Vec<V> = self.embed(on, token_ids);
+        let mut last = V::constant(on, Matrix::zeros(1, self.hidden_dim));
         for layer in &self.layers {
-            let outputs = layer.run(&inputs);
+            let outputs = layer.run(on, &inputs);
             last = outputs.last().cloned().unwrap_or(last);
             inputs = outputs;
         }
         last
     }
 
-    /// Fixed-length program embedding: the final hidden state of the last
-    /// layer.
-    pub fn encode(&self, token_ids: &[usize]) -> Tensor {
-        self.last_hidden(token_ids)
+    /// Fixed-length program embedding, recorded on `tape`: the final hidden
+    /// state of the last layer.
+    pub fn encode<'t>(&self, tape: &'t Tape, token_ids: &[usize]) -> Var<'t> {
+        self.last_hidden(tape, token_ids)
     }
 
     /// The value of [`GruEncoder::encode`], bit for bit, without a tape.
     pub fn infer(&self, token_ids: &[usize]) -> Matrix {
-        self.last_hidden(token_ids)
+        self.last_hidden((), token_ids)
     }
 
     /// The dimension of the pooled embedding.
@@ -163,17 +163,17 @@ impl GruEncoder {
     }
 }
 
-/// Stacks `1 × d` tensors into an `n × d` tensor while preserving gradient
+/// Stacks `1 × d` values into an `n × d` value while preserving gradient
 /// flow: row `i` is placed through a constant one-hot selector so that
 /// `stack = Σ_i selector_i · row_i`.
-fn stack_rows(rows: &[Tensor]) -> Tensor {
+fn stack_rows<'t>(rows: &[Var<'t>]) -> Var<'t> {
     assert!(!rows.is_empty(), "cannot stack zero rows");
     let n = rows.len();
-    let mut acc: Option<Tensor> = None;
+    let mut acc: Option<Var<'t>> = None;
     for (i, row) in rows.iter().enumerate() {
         let mut selector = Matrix::zeros(n, 1);
         selector.set(i, 0, 1.0);
-        let placed = Tensor::constant(selector).matmul(row);
+        let placed = row.tape().constant(selector).matmul(row);
         acc = Some(match acc {
             None => placed,
             Some(prev) => prev.add(&placed),
@@ -206,29 +206,27 @@ mod tests {
     #[test]
     fn encoding_produces_a_fixed_length_vector() {
         let enc = encoder(1);
-        assert_eq!(enc.encode(&[1, 2, 3]).shape(), (1, 24));
-        assert_eq!(enc.encode(&[1; 40]).shape(), (1, 24));
+        let tape = Tape::new();
+        assert_eq!(enc.encode(&tape, &[1, 2, 3]).shape(), (1, 24));
+        assert_eq!(enc.encode(&tape, &[1; 40]).shape(), (1, 24));
         assert_eq!(enc.embedding_dim(), 24);
     }
 
     #[test]
     fn encoding_is_order_sensitive() {
         let enc = encoder(2);
-        assert_ne!(
-            enc.encode(&[1, 2, 3, 4]).value(),
-            enc.encode(&[4, 3, 2, 1]).value()
-        );
+        assert_ne!(enc.infer(&[1, 2, 3, 4]), enc.infer(&[4, 3, 2, 1]));
     }
 
     #[test]
     fn gradients_flow_through_the_recurrence() {
         let enc = encoder(3);
         enc.zero_grad();
-        enc.encode(&[1, 2, 3, 4, 5]).mean().backward();
+        enc.encode(&Tape::new(), &[1, 2, 3, 4, 5]).mean().backward();
         let grads_nonzero = enc
             .parameters()
             .iter()
-            .filter(|p| p.grad().norm() > 0.0)
+            .filter(|p| p.borrow_grad().norm() > 0.0)
             .count();
         assert!(grads_nonzero > enc.parameters().len() / 2);
     }
@@ -236,7 +234,8 @@ mod tests {
     #[test]
     fn sequence_encoding_has_one_row_per_token() {
         let enc = encoder(4);
-        let out = enc.encode_sequence(&[1, 2, 3, 4, 5, 6]);
+        let tape = Tape::new();
+        let out = enc.encode_sequence(&tape, &[1, 2, 3, 4, 5, 6]);
         assert_eq!(out.shape(), (6, 24));
     }
 }

@@ -65,12 +65,12 @@ impl Linear {
         }
     }
 
-    /// Applies the layer to a `batch × in_dim` input: taped when `x` is a
-    /// [`Tensor`], tape-free (same arithmetic, weights borrowed) when it is a
-    /// [`Matrix`].
+    /// Applies the layer to a `batch × in_dim` input: recorded when `x` is a
+    /// [`Var`](crate::Var) on a tape, tape-free (same arithmetic, weights
+    /// borrowed either way) when it is a [`Matrix`].
     pub fn forward<V: Forward>(&self, x: &V) -> V {
-        x.matmul(&V::param(&self.weight))
-            .add_bias(&V::param(&self.bias))
+        x.matmul(&V::param(x.tape(), &self.weight))
+            .add_bias(&V::param(x.tape(), &self.bias))
     }
 
     /// Input dimension.
@@ -180,7 +180,11 @@ impl LayerNorm {
     /// Applies normalization row-wise (taped or tape-free, see
     /// [`Linear::forward`]).
     pub fn forward<V: Forward>(&self, x: &V) -> V {
-        x.layer_norm(&V::param(&self.gamma), &V::param(&self.beta), self.eps)
+        let (gamma, beta) = (
+            V::param(x.tape(), &self.gamma),
+            V::param(x.tape(), &self.beta),
+        );
+        x.layer_norm(&gamma, &beta, self.eps)
     }
 }
 
@@ -194,6 +198,7 @@ impl Module for LayerNorm {
 mod tests {
     use super::*;
     use crate::optim::Adam;
+    use crate::tensor::Tape;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -201,8 +206,8 @@ mod tests {
     fn linear_shapes_and_parameters() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let layer = Linear::new(4, 3, &mut rng);
-        let out = layer.forward(&Tensor::constant(Matrix::zeros(5, 4)));
-        assert_eq!(out.shape(), (5, 3));
+        let out = layer.forward(&Matrix::zeros(5, 4));
+        assert_eq!((out.rows(), out.cols()), (5, 3));
         assert_eq!(layer.parameter_count(), 4 * 3 + 3);
         assert_eq!(layer.in_dim(), 4);
         assert_eq!(layer.out_dim(), 3);
@@ -212,8 +217,8 @@ mod tests {
     fn mlp_stacks_layers() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mlp = Mlp::new(&[8, 16, 4], Activation::Relu, &mut rng);
-        let out = mlp.forward(&Tensor::constant(Matrix::zeros(2, 8)));
-        assert_eq!(out.shape(), (2, 4));
+        let out = mlp.forward(&Matrix::zeros(2, 8));
+        assert_eq!((out.rows(), out.cols()), (2, 4));
         assert_eq!(mlp.parameters().len(), 4);
         assert_eq!(mlp.out_dim(), 4);
     }
@@ -223,7 +228,8 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let a = Mlp::new(&[4, 8, 2], Activation::Tanh, &mut rng);
         let b = Mlp::new(&[4, 8, 2], Activation::Tanh, &mut rng);
-        let input = Tensor::constant(Matrix::full(1, 4, 0.5));
+        let tape = Tape::new();
+        let input = tape.constant(Matrix::full(1, 4, 0.5));
         assert_ne!(a.forward(&input).value(), b.forward(&input).value());
         b.load_state(&a.state());
         assert_eq!(a.forward(&input).value(), b.forward(&input).value());
@@ -232,7 +238,8 @@ mod tests {
     #[test]
     fn layer_norm_normalizes_rows() {
         let ln = LayerNorm::new(4);
-        let x = Tensor::constant(Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
+        let tape = Tape::new();
+        let x = tape.constant(Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
         let out = ln.forward(&x).value();
         let mean: f32 = out.data().iter().sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-5);
@@ -251,17 +258,19 @@ mod tests {
         let y = Matrix::from_vec(32, 1, inputs.iter().map(|&(a, b)| 2.0 * a - b).collect());
         let mut first_loss = 0.0;
         let mut last_loss = 0.0;
+        let mut tape = Tape::new();
         for step in 0..300 {
+            tape.clear();
             mlp.zero_grad();
-            let pred = mlp.forward(&Tensor::constant(x.clone()));
-            let diff = pred.sub(&Tensor::constant(y.clone()));
+            let pred = mlp.forward(&tape.constant(x.clone()));
+            let diff = pred.sub(&tape.constant(y.clone()));
             let loss = diff.mul(&diff).mean();
             loss.backward();
             optimizer.step();
             if step == 0 {
-                first_loss = loss.value().get(0, 0);
+                first_loss = loss.get(0, 0);
             }
-            last_loss = loss.value().get(0, 0);
+            last_loss = loss.get(0, 0);
         }
         assert!(
             last_loss < first_loss * 0.05,

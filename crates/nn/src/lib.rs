@@ -7,26 +7,32 @@
 //! baseline), sequence autoencoders for the architecture ablation, and the
 //! Adam optimizer used by PPO training.
 //!
-//! The library is deliberately small and define-by-run: graphs are rebuilt
-//! every forward pass, values are `f32` matrices, and everything is
-//! deterministic given a seeded RNG — which is what the experiment harness
-//! needs to reproduce learning curves.
+//! Values are `f32` matrices and everything is deterministic given a seeded
+//! RNG, down to the bit: which is what lets the experiment harness reproduce
+//! a learning curve and the equivalence suites hold every faster path against
+//! a reference with `to_bits`.
 //!
-//! Every layer's forward pass is written once, over [`Forward`]: applied to
-//! [`Tensor`]s it records the autodiff tape training needs; applied to plain
-//! [`Matrix`] values it is inference — no tape, weights borrowed, and only
-//! the `CLS` row of the last Transformer layer — with bit-identical outputs,
-//! because both run the same `Matrix` kernels in the same order.
+//! Every layer's forward pass is written once, over [`Forward`], which has two
+//! implementers. Applied to a [`Var`] it is training: the operation is
+//! appended to a [`Tape`] — a `Vec` of nodes naming their operands by index,
+//! values and gradients in buffers the tape keeps across [`Tape::clear`] — and
+//! [`Var::backward`] walks that `Vec` once. Applied to a plain [`Matrix`] it
+//! is inference: nothing is recorded. Both borrow the weights from the
+//! [`Tensor`] parameters, run the same kernels in the same order, and compute
+//! only the `CLS` row of the last Transformer layer, with bit-identical
+//! results.
 //!
 //! ## Example
 //!
 //! ```
-//! use chehab_nn::{Matrix, Tensor};
+//! use chehab_nn::{Forward, Matrix, Tape, Tensor};
 //!
 //! let x = Tensor::parameter(Matrix::full(1, 2, 2.0));
-//! let loss = x.mul(&x).mean();
+//! let tape = Tape::new();
+//! let v = tape.param(&x);
+//! let loss = v.mul(&v).mean();
 //! loss.backward();
-//! assert_eq!(loss.value().get(0, 0), 4.0);
+//! assert_eq!(loss.get(0, 0), 4.0);
 //! assert_eq!(x.grad().get(0, 0), 2.0);
 //! ```
 
@@ -48,5 +54,5 @@ pub use gru::GruEncoder;
 pub use layers::{Activation, LayerNorm, Linear, Mlp, Module};
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};
-pub use tensor::Tensor;
+pub use tensor::{Tape, Tensor, Var};
 pub use transformer::{TransformerConfig, TransformerEncoder};

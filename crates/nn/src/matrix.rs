@@ -1,9 +1,12 @@
 //! A minimal dense row-major `f32` matrix.
 //!
-//! This is the storage type underneath the autodiff [`Tensor`](crate::Tensor);
-//! it implements exactly the operations the CHEHAB RL networks need
-//! (mat-mul, broadcasting adds, element-wise maps, row-wise softmax and
-//! normalization statistics).
+//! This is the value type of parameters ([`Tensor`](crate::Tensor)) and of
+//! tape-free inference; it implements exactly the operations the CHEHAB RL
+//! networks need (mat-mul, broadcasting adds, element-wise maps, row-wise
+//! softmax and normalization statistics). The kernels with any arithmetic in
+//! them are free functions over slices at the end of this file, shared with
+//! the autodiff [`Tape`](crate::Tape), whose values live in one flat buffer:
+//! one definition of every rounding sequence, whoever runs it.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -102,35 +105,31 @@ impl Matrix {
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a == 0.0 {
-                    continue;
-                }
-                let row_out = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in row_out.iter_mut().zip(row_b) {
-                    *o += a * b;
-                }
-            }
-        }
+        Scratch::default().matmul(
+            &self.data,
+            &other.data,
+            &mut out.data,
+            self.cols,
+            other.cols,
+        );
         out
     }
 
     /// Matrix product with a transposed right operand, `self · otherᵀ`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column counts disagree.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        self.matmul(&other.transpose())
-    }
-
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
-            }
-        }
+        assert_eq!(self.cols, other.cols, "matmul_nt dimension mismatch");
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        Scratch::default().matmul_nt(
+            &self.data,
+            &other.data,
+            &mut out.data,
+            self.cols,
+            other.rows,
+        );
         out
     }
 
@@ -195,17 +194,13 @@ impl Matrix {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
         let mut out = self.clone();
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[r * self.cols + c] += bias.data[c];
-            }
-        }
+        add_row_broadcast(&mut out.data, &bias.data);
         out
     }
 
     /// Rectified linear unit, element-wise.
     pub fn relu(&self) -> Matrix {
-        self.map(|v| v.max(0.0))
+        self.map(relu)
     }
 
     /// Hyperbolic tangent, element-wise.
@@ -215,7 +210,7 @@ impl Matrix {
 
     /// Logistic sigmoid, element-wise.
     pub fn sigmoid(&self) -> Matrix {
-        self.map(|v| 1.0 / (1.0 + (-v).exp()))
+        self.map(sigmoid)
     }
 
     /// The contiguous column range `[start, end)`.
@@ -266,53 +261,19 @@ impl Matrix {
         out
     }
 
-    /// Normalizes every row to zero mean and unit variance; returns the
-    /// normalized matrix and each row's `1 / sqrt(var + eps)` (what layer
-    /// normalization's backward pass needs).
-    pub fn normalize_rows(&self, eps: f32) -> (Matrix, Vec<f32>) {
-        let (rows, cols) = (self.rows, self.cols);
-        let mut normalized = Matrix::zeros(rows, cols);
-        let mut inv_std = vec![0.0f32; rows];
-        for (r, inv_std_r) in inv_std.iter_mut().enumerate() {
-            let mean: f32 = (0..cols).map(|c| self.get(r, c)).sum::<f32>() / cols as f32;
-            let var: f32 = (0..cols)
-                .map(|c| (self.get(r, c) - mean).powi(2))
-                .sum::<f32>()
-                / cols as f32;
-            *inv_std_r = 1.0 / (var + eps).sqrt();
-            for c in 0..cols {
-                normalized.set(r, c, (self.get(r, c) - mean) * *inv_std_r);
-            }
-        }
-        (normalized, inv_std)
-    }
-
-    /// Multiplies every row by the `1 × cols` row `gain` and adds the
-    /// `1 × cols` row `bias`, element-wise.
-    pub fn scale_shift_rows(&self, gain: &Matrix, bias: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(r, c, self.get(r, c) * gain.get(0, c) + bias.get(0, c));
-            }
-        }
-        out
-    }
-
     /// Row-wise layer normalization with gain `gamma` and bias `beta`
     /// (both `1 × cols`).
     pub fn layer_norm(&self, gamma: &Matrix, beta: &Matrix, eps: f32) -> Matrix {
-        self.normalize_rows(eps).0.scale_shift_rows(gamma, beta)
-    }
-
-    /// Sums all rows into a `1 × cols` row vector.
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.get(r, c);
-            }
-        }
+        let mut normalized = Matrix::zeros(self.rows, self.cols);
+        normalize_rows(
+            &self.data,
+            self.cols,
+            eps,
+            &mut normalized.data,
+            &mut vec![0.0; self.rows],
+        );
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        scale_shift_rows(&normalized.data, &gamma.data, &beta.data, &mut out.data);
         out
     }
 
@@ -333,18 +294,7 @@ impl Matrix {
     /// Row-wise softmax.
     pub fn softmax_rows(&self) -> Matrix {
         let mut out = self.clone();
-        for r in 0..self.rows {
-            let row = &mut out.data[r * self.cols..(r + 1) * self.cols];
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut denom = 0.0;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                denom += *v;
-            }
-            for v in row.iter_mut() {
-                *v /= denom.max(1e-12);
-            }
-        }
+        softmax_rows(&mut out.data, self.cols);
         out
     }
 
@@ -368,6 +318,170 @@ impl Matrix {
     }
 }
 
+// ----- slice kernels, shared with the tape ---------------------------------------------
+
+/// The matrix-product kernels and the buffers they reuse between calls.
+///
+/// Every product is formed apart from `out`, one output row at a time, each
+/// entry summed in `k` order from `+0` with zero entries of the left operand
+/// skipped and no fused multiply-add, and only then added to `out`. A zeroed
+/// `out` therefore receives the forward value and a gradient buffer receives
+/// one contribution, with the same bits either way, and an operand that is
+/// read transposed is walked differently rather than copied by the caller.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    row: Vec<f32>,
+    transposed: Vec<f32>,
+}
+
+/// `target[i] += contributions[i]`, as far as both go.
+pub(crate) fn add_each(target: &mut [f32], contributions: impl Iterator<Item = f32>) {
+    for (t, c) in target.iter_mut().zip(contributions) {
+        *t += c;
+    }
+}
+
+impl Scratch {
+    /// A zeroed row of `len` entries, for a sum that is formed apart.
+    pub(crate) fn zeroed_row(&mut self, len: usize) -> &mut [f32] {
+        self.row.clear();
+        self.row.resize(len, 0.0);
+        &mut self.row
+    }
+
+    /// `out += a · b` for row-major `a` (`m × k`), `b` (`k × n`), `out` (`m × n`).
+    pub(crate) fn matmul(&mut self, a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+        for (row_a, row_out) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            let row = self.zeroed_row(n);
+            for (&a, row_b) in row_a.iter().zip(b.chunks_exact(n)) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (t, &b) in row.iter_mut().zip(row_b) {
+                    *t += a * b;
+                }
+            }
+            add_each(row_out, row.iter().copied());
+        }
+    }
+
+    /// `out += a · bᵀ` for `a` (`m × k`), `b` (`n × k`), `out` (`m × n`): each
+    /// output is its own sum over `k`. Outputs are independent, so a single
+    /// row of `a` runs [`NT_LANES`] sums side by side; several rows share one
+    /// transposed copy of `b` and the row-streaming kernel (the same sums).
+    pub(crate) fn matmul_nt(&mut self, a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+        if a.len() > k {
+            let mut transposed = std::mem::take(&mut self.transposed);
+            transposed.clear();
+            transposed.resize(k * n, 0.0);
+            for (j, row_b) in b.chunks_exact(k).enumerate() {
+                for (kk, &v) in row_b.iter().enumerate() {
+                    transposed[kk * n + j] = v;
+                }
+            }
+            self.matmul(a, &transposed, out, k, n);
+            self.transposed = transposed;
+            return;
+        }
+        for (outs, rows_b) in out.chunks_mut(NT_LANES).zip(b.chunks(NT_LANES * k)) {
+            let mut sums = [0.0f32; NT_LANES];
+            for (kk, &a) in a.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (sum, row_b) in sums.iter_mut().zip(rows_b.chunks_exact(k)) {
+                    *sum += a * row_b[kk];
+                }
+            }
+            add_each(outs, sums.into_iter());
+        }
+    }
+
+    /// `out += aᵀ · g` for `a` (`m × k`), `g` (`m × n`), `out` (`k × n`), with
+    /// `k` outermost: row `k` of the product is summed over `m` in order.
+    pub(crate) fn matmul_tn(&mut self, a: &[f32], g: &[f32], out: &mut [f32], k: usize, n: usize) {
+        for (kk, row_out) in out.chunks_exact_mut(n).enumerate() {
+            let row = self.zeroed_row(n);
+            for (row_a, row_g) in a.chunks_exact(k).zip(g.chunks_exact(n)) {
+                let a = row_a[kk];
+                if a == 0.0 {
+                    continue;
+                }
+                for (t, &g) in row.iter_mut().zip(row_g) {
+                    *t += a * g;
+                }
+            }
+            add_each(row_out, row.iter().copied());
+        }
+    }
+}
+
+const NT_LANES: usize = 8;
+
+/// Rectified linear unit.
+pub(crate) fn relu(v: f32) -> f32 {
+    v.max(0.0)
+}
+
+/// Logistic sigmoid.
+pub(crate) fn sigmoid(v: f32) -> f32 {
+    1.0 / (1.0 + (-v).exp())
+}
+
+/// Adds the row `bias` to every row of `data` (rows as wide as `bias`).
+pub(crate) fn add_row_broadcast(data: &mut [f32], bias: &[f32]) {
+    for row in data.chunks_exact_mut(bias.len()) {
+        add_each(row, bias.iter().copied());
+    }
+}
+
+/// Row-wise softmax of `data` (`cols` wide), in place.
+pub(crate) fn softmax_rows(data: &mut [f32], cols: usize) {
+    for row in data.chunks_exact_mut(cols) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut denom = 0.0;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            denom += *v;
+        }
+        for v in row.iter_mut() {
+            *v /= denom.max(1e-12);
+        }
+    }
+}
+
+/// Writes every row of `x` (`cols` wide) at zero mean and unit variance into
+/// `normalized`, and the row's `1 / sqrt(var + eps)` into `inv_std`.
+pub(crate) fn normalize_rows(
+    x: &[f32],
+    cols: usize,
+    eps: f32,
+    normalized: &mut [f32],
+    inv_std: &mut [f32],
+) {
+    let rows = x.chunks_exact(cols).zip(normalized.chunks_exact_mut(cols));
+    for ((row, out), inv_std_r) in rows.zip(inv_std) {
+        let mean: f32 = row.iter().sum::<f32>() / cols as f32;
+        let var: f32 = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / cols as f32;
+        *inv_std_r = 1.0 / (var + eps).sqrt();
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o = (v - mean) * *inv_std_r;
+        }
+    }
+}
+
+/// `out = x ⊙ gain + bias`, the rows `gain` and `bias` applied to every row.
+pub(crate) fn scale_shift_rows(x: &[f32], gain: &[f32], bias: &[f32], out: &mut [f32]) {
+    for (row, out) in x
+        .chunks_exact(gain.len())
+        .zip(out.chunks_exact_mut(gain.len()))
+    {
+        for ((o, &v), (&g, &b)) in out.iter_mut().zip(row).zip(gain.iter().zip(bias)) {
+            *o = v * g + b;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,13 +495,37 @@ mod tests {
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
+    fn transpose(m: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(m.cols(), m.rows());
+        for r in 0..m.rows() {
+            for c in 0..m.cols() {
+                out.set(c, r, m.get(r, c));
+            }
+        }
+        out
+    }
+
     #[test]
-    fn transpose_swaps_dimensions() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let t = a.transpose();
-        assert_eq!((t.rows(), t.cols()), (3, 2));
-        assert_eq!(t.get(0, 1), 4.0);
-        assert_eq!(a.transpose().transpose(), a);
+    fn transposed_products_have_the_bits_of_the_product_with_a_transposed_copy() {
+        // One row of the left operand (side-by-side sums, with a ragged last
+        // group) and several (one shared transposed copy); zeros are skipped.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for rows in [1, 3] {
+            let mut a = Matrix::xavier(rows, 5, &mut rng);
+            a.set(0, 2, 0.0);
+            let b = Matrix::xavier(11, 5, &mut rng);
+            assert_eq!(bits(&a.matmul_nt(&b)), bits(&a.matmul(&transpose(&b))));
+            let g = Matrix::xavier(rows, 11, &mut rng);
+            let mut tn = Matrix::full(5, 11, 0.5);
+            Scratch::default().matmul_tn(a.data(), g.data(), tn.data_mut(), 5, 11);
+            let expected = Matrix::full(5, 11, 0.5).add(&transpose(&a).matmul(&g));
+            assert_eq!(
+                bits(&tn),
+                bits(&expected),
+                "the product is added, not summed in place"
+            );
+        }
     }
 
     #[test]
@@ -423,7 +561,6 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.sum(), 10.0);
         assert_eq!(a.mean(), 2.5);
-        assert_eq!(a.sum_rows().data(), &[4.0, 6.0]);
     }
 
     #[test]

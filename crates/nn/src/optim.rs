@@ -1,4 +1,5 @@
-//! Optimizers: Adam (the one PPO training uses) and plain SGD.
+//! Optimizers: Adam (the one PPO training uses) and plain SGD. Both update
+//! the parameters in place from their borrowed gradients.
 
 use crate::matrix::Matrix;
 use crate::tensor::Tensor;
@@ -73,7 +74,7 @@ impl Adam {
                 let total: f32 = self
                     .params
                     .iter()
-                    .map(|p| p.grad().norm().powi(2))
+                    .map(|p| p.borrow_grad().norm().powi(2))
                     .sum::<f32>()
                     .sqrt();
                 if total > max_norm && total > 0.0 {
@@ -86,20 +87,19 @@ impl Adam {
         };
         let bias1 = 1.0 - self.beta1.powi(self.step as i32);
         let bias2 = 1.0 - self.beta2.powi(self.step as i32);
-        for (i, p) in self.params.iter().enumerate() {
-            let grad = p.grad().scale(clip_scale);
-            self.first_moments[i] = self.first_moments[i]
-                .scale(self.beta1)
-                .add(&grad.scale(1.0 - self.beta1));
-            self.second_moments[i] = self.second_moments[i]
-                .scale(self.beta2)
-                .add(&grad.hadamard(&grad).scale(1.0 - self.beta2));
-            let m_hat = self.first_moments[i].scale(1.0 / bias1);
-            let v_hat = self.second_moments[i].scale(1.0 / bias2);
-            let update = m_hat.zip(&v_hat, |m, v| {
-                -self.learning_rate * m / (v.sqrt() + self.eps)
-            });
-            p.apply_update(&update);
+        let moments = self.first_moments.iter_mut().zip(&mut self.second_moments);
+        for (p, (first, second)) in self.params.iter().zip(moments) {
+            let (mut value, grad) = (p.value_mut(), p.borrow_grad());
+            let moments = first.data_mut().iter_mut().zip(second.data_mut());
+            for ((value, &grad), (m, v)) in
+                value.data_mut().iter_mut().zip(grad.data()).zip(moments)
+            {
+                let grad = grad * clip_scale;
+                *m = *m * self.beta1 + grad * (1.0 - self.beta1);
+                *v = *v * self.beta2 + (grad * grad) * (1.0 - self.beta2);
+                let (m_hat, v_hat) = (*m * (1.0 / bias1), *v * (1.0 / bias2));
+                *value += -self.learning_rate * m_hat / (v_hat.sqrt() + self.eps);
+            }
         }
     }
 }
@@ -123,8 +123,10 @@ impl Sgd {
     /// Applies one descent step.
     pub fn step(&mut self) {
         for p in &self.params {
-            let update = p.grad().scale(-self.learning_rate);
-            p.apply_update(&update);
+            let (mut value, grad) = (p.value_mut(), p.borrow_grad());
+            for (value, &grad) in value.data_mut().iter_mut().zip(grad.data()) {
+                *value += grad * -self.learning_rate;
+            }
         }
     }
 }
@@ -132,12 +134,14 @@ impl Sgd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forward::Forward;
+    use crate::tensor::Tape;
 
-    fn quadratic_loss(x: &Tensor) -> Tensor {
-        // loss = mean((x - 3)^2)
-        let target = Tensor::constant(Matrix::full(1, 1, 3.0));
-        let diff = x.sub(&target);
-        diff.mul(&diff).mean()
+    /// Accumulates the gradient of `mean((x - 3)^2)` on `x`.
+    fn quadratic_loss_backward(x: &Tensor) {
+        let tape = Tape::new();
+        let diff = tape.param(x).sub(&tape.constant(Matrix::full(1, 1, 3.0)));
+        diff.mul(&diff).mean().backward();
     }
 
     #[test]
@@ -146,7 +150,7 @@ mod tests {
         let mut optimizer = Adam::new(vec![x.clone()], 0.2);
         for _ in 0..200 {
             x.zero_grad();
-            quadratic_loss(&x).backward();
+            quadratic_loss_backward(&x);
             optimizer.step();
         }
         assert!((x.value().get(0, 0) - 3.0).abs() < 0.05);
@@ -158,7 +162,7 @@ mod tests {
         let mut optimizer = Sgd::new(vec![x.clone()], 0.1);
         for _ in 0..300 {
             x.zero_grad();
-            quadratic_loss(&x).backward();
+            quadratic_loss_backward(&x);
             optimizer.step();
         }
         assert!((x.value().get(0, 0) - 3.0).abs() < 0.1);
@@ -169,7 +173,7 @@ mod tests {
         let x = Tensor::parameter(Matrix::full(1, 1, 1000.0));
         let mut optimizer = Adam::new(vec![x.clone()], 0.1).with_grad_clip(0.5);
         x.zero_grad();
-        quadratic_loss(&x).backward();
+        quadratic_loss_backward(&x);
         let raw_norm = x.grad().norm();
         assert!(raw_norm > 0.5);
         optimizer.step();

@@ -1,694 +1,906 @@
-//! Reverse-mode automatic differentiation over [`Matrix`] values.
+//! Parameters, and the tape that differentiates through them.
 //!
-//! A [`Tensor`] is a node in a dynamically built computation graph. Forward
-//! operations record a backward closure; calling [`Tensor::backward`] on a
-//! scalar output propagates gradients to every parameter that participated in
-//! the computation. The design favours clarity over performance: graphs are
-//! rebuilt for every forward pass (define-by-run), which is what the training
-//! loops in `chehab-rl` do. Inference does not pay for any of it: the layers
-//! are generic over [`Forward`](crate::Forward) and run on plain matrices
-//! through the same kernels these operations call.
+//! A [`Tensor`] is a trainable parameter: a value and an accumulated gradient
+//! behind a shareable handle — what layers hold, optimizers update and policy
+//! snapshots save. A [`Tape`] records one computation over parameters and
+//! constants as a `Vec` of nodes: an operation is an enum variant naming its
+//! operands by index, and every value and gradient sits in one flat buffer the
+//! tape keeps across [`Tape::clear`], so a warm training step allocates
+//! nothing per operation. A [`Var`] is a value on a tape (tape + index); it
+//! implements [`Forward`], so the layers that run tape-free on a [`Matrix`]
+//! are the layers that train.
+//!
+//! [`Var::backward`] is one `match` over the operation enum. Two rules make
+//! its result reproducible to the bit. **Order:** nodes are visited in the
+//! reverse of the depth-first post-order from the loss over operands in
+//! operand order (not in reverse creation order), which fixes the sequence in
+//! which a value with several consumers receives their contributions.
+//! **Contributions are formed apart:** each one is computed on its own, from
+//! `+0`, and then added to the gradient; a gradient is never used as the
+//! running sum of a product.
 
-use crate::matrix::Matrix;
-use std::cell::{Ref, RefCell};
-use std::collections::HashSet;
+use crate::forward::Forward;
+use crate::matrix::{self, add_each, Matrix, Scratch};
+use std::borrow::Cow;
+use std::cell::{Ref, RefCell, RefMut};
+use std::ops::Deref;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
-
-type BackwardFn = Box<dyn Fn(&Matrix)>;
-
-struct TensorInner {
-    value: Matrix,
-    grad: Matrix,
-    parents: Vec<Tensor>,
-    backward_fn: Option<BackwardFn>,
-    requires_grad: bool,
+struct Parameter {
+    value: RefCell<Matrix>,
+    grad: RefCell<Matrix>,
 }
 
-/// A node in the autodiff graph: a matrix value plus (optionally) the
-/// recipe to backpropagate through the operation that produced it.
+/// A trainable parameter: a matrix value plus the gradient the last backward
+/// passes accumulated for it. Clones share both.
 #[derive(Clone)]
 pub struct Tensor {
-    inner: Rc<RefCell<TensorInner>>,
-    id: usize,
+    inner: Rc<Parameter>,
 }
 
 impl std::fmt::Debug for Tensor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.borrow();
         f.debug_struct("Tensor")
-            .field("id", &self.id)
-            .field("shape", &(inner.value.rows(), inner.value.cols()))
-            .field("requires_grad", &inner.requires_grad)
+            .field("shape", &self.shape())
             .finish()
     }
 }
 
 impl Tensor {
-    fn make(
-        value: Matrix,
-        parents: Vec<Tensor>,
-        backward_fn: Option<BackwardFn>,
-        requires_grad: bool,
-    ) -> Tensor {
+    /// A trainable parameter with a zero gradient.
+    pub fn parameter(value: Matrix) -> Tensor {
         let grad = Matrix::zeros(value.rows(), value.cols());
         Tensor {
-            inner: Rc::new(RefCell::new(TensorInner {
-                value,
-                grad,
-                parents,
-                backward_fn,
-                requires_grad,
-            })),
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            inner: Rc::new(Parameter {
+                value: RefCell::new(value),
+                grad: RefCell::new(grad),
+            }),
         }
     }
 
-    /// A trainable parameter (participates in gradient computation).
-    pub fn parameter(value: Matrix) -> Tensor {
-        Tensor::make(value, Vec::new(), None, true)
-    }
-
-    /// A constant input (no gradient is accumulated).
-    pub fn constant(value: Matrix) -> Tensor {
-        Tensor::make(value, Vec::new(), None, false)
-    }
-
-    /// The tensor's current value.
+    /// A copy of the current value.
     pub fn value(&self) -> Matrix {
-        self.inner.borrow().value.clone()
+        self.borrow_value().clone()
     }
 
-    /// The tensor's current value, borrowed: what the forward operations and
-    /// tape-free inference read, so neither copies a weight matrix.
+    /// The current value, borrowed: what the tape and tape-free inference
+    /// read, so neither copies a weight matrix.
     ///
     /// # Panics
     ///
-    /// Panics if the guard is held across a call that writes this tensor
-    /// ([`Tensor::set_value`], [`Tensor::apply_update`], a backward pass).
+    /// Panics if the guard is held across a call that writes the value
+    /// ([`Tensor::set_value`], an optimizer step).
     pub fn borrow_value(&self) -> Ref<'_, Matrix> {
-        Ref::map(self.inner.borrow(), |inner| &inner.value)
+        self.inner.value.borrow()
     }
 
-    /// The accumulated gradient.
+    /// A copy of the accumulated gradient.
     pub fn grad(&self) -> Matrix {
-        self.inner.borrow().grad.clone()
+        self.borrow_grad().clone()
+    }
+
+    /// The accumulated gradient, borrowed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the guard is held across a backward pass or
+    /// [`Tensor::zero_grad`].
+    pub fn borrow_grad(&self) -> Ref<'_, Matrix> {
+        self.inner.grad.borrow()
+    }
+
+    pub(crate) fn value_mut(&self) -> RefMut<'_, Matrix> {
+        self.inner.value.borrow_mut()
+    }
+
+    fn grad_mut(&self) -> RefMut<'_, Matrix> {
+        self.inner.grad.borrow_mut()
     }
 
     /// Shape `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
-        let inner = self.inner.borrow();
-        (inner.value.rows(), inner.value.cols())
-    }
-
-    /// Whether the tensor is a trainable parameter (or depends on one).
-    pub fn requires_grad(&self) -> bool {
-        self.inner.borrow().requires_grad
-    }
-
-    /// Unique node id (used by optimizers to deduplicate parameter lists).
-    pub fn id(&self) -> usize {
-        self.id
+        let value = self.borrow_value();
+        (value.rows(), value.cols())
     }
 
     /// Resets the accumulated gradient to zero.
     pub fn zero_grad(&self) {
-        let mut inner = self.inner.borrow_mut();
-        let (r, c) = (inner.value.rows(), inner.value.cols());
-        inner.grad = Matrix::zeros(r, c);
+        self.grad_mut().data_mut().fill(0.0);
     }
 
-    /// Applies a gradient-descent-style in-place update `value += delta`.
-    pub fn apply_update(&self, delta: &Matrix) {
-        let mut inner = self.inner.borrow_mut();
-        inner.value = inner.value.add(delta);
-    }
-
-    /// Overwrites the tensor's value (used when loading saved policies).
-    pub fn set_value(&self, value: Matrix) {
-        let mut inner = self.inner.borrow_mut();
-        assert_eq!(
-            (inner.value.rows(), inner.value.cols()),
-            (value.rows(), value.cols()),
-            "set_value shape mismatch"
-        );
-        inner.value = value;
-    }
-
-    fn accumulate_grad(&self, delta: &Matrix) {
-        let mut inner = self.inner.borrow_mut();
-        inner.grad = inner.grad.add(delta);
-    }
-
-    /// Runs backpropagation from this (scalar) tensor: sets its gradient to 1
-    /// and propagates through the graph in reverse topological order.
+    /// Overwrites the value (used when loading saved policies).
     ///
     /// # Panics
     ///
-    /// Panics if the tensor is not a `1 × 1` scalar.
-    pub fn backward(&self) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            assert_eq!(
-                (inner.value.rows(), inner.value.cols()),
-                (1, 1),
-                "backward() must be called on a scalar loss"
-            );
-            inner.grad = Matrix::full(1, 1, 1.0);
-        }
-        let order = self.topological_order();
-        for node in order.into_iter().rev() {
-            let (grad, backward_fn_present) = {
-                let inner = node.inner.borrow();
-                (inner.grad.clone(), inner.backward_fn.is_some())
-            };
-            if backward_fn_present {
-                // Temporarily take the closure out to avoid holding a borrow
-                // of this node while it mutates its parents.
-                let backward_fn = node.inner.borrow_mut().backward_fn.take();
-                if let Some(f) = backward_fn {
-                    f(&grad);
-                    node.inner.borrow_mut().backward_fn = Some(f);
-                }
+    /// Panics if the shapes disagree.
+    pub fn set_value(&self, value: Matrix) {
+        assert_eq!(
+            self.shape(),
+            (value.rows(), value.cols()),
+            "set_value shape mismatch"
+        );
+        *self.value_mut() = value;
+    }
+}
+
+/// One recorded operation: which earlier nodes it read (by index, in the order
+/// gradients are handed back to them) and the few scalars its backward pass
+/// needs. Ranges index [`Recording::lists`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Constant,
+    /// Index into [`Recording::params`]; value and gradient live in the
+    /// parameter, not on the tape.
+    Param(usize),
+    Add(usize, usize),
+    Sub(usize, usize),
+    Mul(usize, usize),
+    Matmul(usize, usize),
+    MatmulNt(usize, usize),
+    AddBias(usize, usize),
+    Map(usize, Unary),
+    Softmax(usize),
+    Mean(usize),
+    Sum(usize),
+    /// Operand and first column.
+    SliceCols(usize, usize),
+    /// Operand and row.
+    Row(usize, usize),
+    /// The parts, as a range of node indices.
+    Concat(usize, usize),
+    /// The table and the gathered row ids, as a range.
+    Gather(usize, (usize, usize)),
+    /// Input, gain, bias; the normalized rows and each row's `1 / std` are
+    /// kept after the node's value.
+    LayerNorm(usize, usize, usize),
+    /// The row-wise softmax of the logits is kept after the node's value.
+    CrossEntropy {
+        logits: usize,
+        targets: (usize, usize),
+        ignore: Option<usize>,
+        denom: f32,
+    },
+}
+
+impl Op {
+    /// The `n`-th operand.
+    fn operand(self, n: usize, lists: &[usize]) -> Option<usize> {
+        use Op::*;
+        match self {
+            Constant | Param(_) => None,
+            Add(a, b) | Sub(a, b) | Mul(a, b) | Matmul(a, b) | MatmulNt(a, b) | AddBias(a, b) => {
+                [a, b].get(n).copied()
             }
+            LayerNorm(x, gamma, beta) => [x, gamma, beta].get(n).copied(),
+            Concat(start, end) => lists[start..end].get(n).copied(),
+            Map(a, _)
+            | Softmax(a)
+            | Mean(a)
+            | Sum(a)
+            | SliceCols(a, _)
+            | Row(a, _)
+            | Gather(a, _)
+            | CrossEntropy { logits: a, .. } => (n == 0).then_some(a),
+        }
+    }
+}
+
+/// An element-wise function of one value.
+#[derive(Debug, Clone, Copy)]
+enum Unary {
+    Scale(f32),
+    Relu,
+    Tanh,
+    Sigmoid,
+    /// Of the input clamped to `±30`.
+    Exp,
+    /// Of the input clamped at `1e-12` from below.
+    Ln,
+}
+
+impl Unary {
+    fn apply(self, v: f32) -> f32 {
+        match self {
+            Unary::Scale(k) => v * k,
+            Unary::Relu => matrix::relu(v),
+            Unary::Tanh => v.tanh(),
+            Unary::Sigmoid => matrix::sigmoid(v),
+            Unary::Exp => v.clamp(-30.0, 30.0).exp(),
+            Unary::Ln => v.max(1e-12).ln(),
         }
     }
 
-    fn topological_order(&self) -> Vec<Tensor> {
-        let mut visited = HashSet::new();
-        let mut order = Vec::new();
-        fn visit(node: &Tensor, visited: &mut HashSet<usize>, order: &mut Vec<Tensor>) {
-            if !visited.insert(node.id) {
-                return;
-            }
-            let parents = node.inner.borrow().parents.clone();
-            for p in &parents {
-                visit(p, visited, order);
-            }
-            order.push(node.clone());
+    /// The derivative at input `v`, where the function's value is `y`.
+    fn slope(self, v: f32, y: f32) -> f32 {
+        match self {
+            Unary::Scale(k) => k,
+            Unary::Relu if v > 0.0 => 1.0,
+            Unary::Relu => 0.0,
+            Unary::Tanh => 1.0 - y * y,
+            Unary::Sigmoid => y * (1.0 - y),
+            Unary::Exp => y,
+            Unary::Ln => 1.0 / v.max(1e-12),
         }
-        visit(self, &mut visited, &mut order);
-        order
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    op: Op,
+    rows: usize,
+    cols: usize,
+    /// Where the value starts in [`Recording::values`] and the gradient in
+    /// [`Recording::grads`] (unused by parameters).
+    at: usize,
+    /// Whether a parameter is among the node's ancestors.
+    needs_grad: bool,
+}
+
+impl Node {
+    fn len(&self) -> usize {
+        self.rows * self.cols
+    }
+}
+
+/// A value an operation reads: recorded on the tape, or borrowed from the
+/// parameter it belongs to.
+enum Operand<'a> {
+    Recorded(&'a [f32]),
+    Parameter(Ref<'a, Matrix>),
+}
+
+impl Deref for Operand<'_> {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        match self {
+            Operand::Recorded(slice) => slice,
+            Operand::Parameter(matrix) => matrix.data(),
+        }
+    }
+}
+
+/// The nodes an operation may read: everything recorded before it.
+struct Earlier<'a> {
+    nodes: &'a [Node],
+    params: &'a [Tensor],
+    values: &'a [f32],
+}
+
+impl<'a> Earlier<'a> {
+    fn value(&self, id: usize) -> Operand<'a> {
+        let node = &self.nodes[id];
+        match node.op {
+            Op::Param(p) => Operand::Parameter(self.params[p].borrow_value()),
+            _ => Operand::Recorded(&self.values[node.at..node.at + node.len()]),
+        }
+    }
+}
+
+/// The gradients a node's backward pass adds to: those of earlier nodes.
+struct Targets<'a> {
+    nodes: &'a [Node],
+    params: &'a [Tensor],
+    grads: &'a mut [f32],
+}
+
+impl Targets<'_> {
+    /// Runs `add` on the gradient of node `id`, if it has one.
+    fn of(&mut self, id: usize, add: impl FnOnce(&mut [f32])) {
+        let node = &self.nodes[id];
+        match node.op {
+            _ if !node.needs_grad => {}
+            Op::Param(p) => add(self.params[p].grad_mut().data_mut()),
+            _ => add(&mut self.grads[node.at..node.at + node.len()]),
+        }
+    }
+}
+
+/// The sum of the rows of `g` (`cols` wide), formed in `scratch`.
+fn sum_rows<'s>(g: &[f32], cols: usize, scratch: &'s mut Scratch) -> &'s [f32] {
+    let sums = scratch.zeroed_row(cols);
+    for row in g.chunks_exact(cols) {
+        add_each(sums, row.iter().copied());
+    }
+    sums
+}
+
+#[derive(Default)]
+struct Recording {
+    nodes: Vec<Node>,
+    params: Vec<Tensor>,
+    /// Concatenated parts, gathered ids and class targets, by range.
+    lists: Vec<usize>,
+    values: Vec<f32>,
+    grads: Vec<f32>,
+    scratch: Scratch,
+    // The backward walk's work lists.
+    order: Vec<usize>,
+    stack: Vec<(usize, usize)>,
+    seen: Vec<bool>,
+}
+
+impl Recording {
+    /// Appends a `rows × cols` node, its value (and `extra` saved numbers
+    /// after it) computed by `fill` into zeroed space.
+    fn push(
+        &mut self,
+        op: Op,
+        (rows, cols): (usize, usize),
+        extra: usize,
+        fill: impl FnOnce(&Earlier<'_>, &mut [f32], &mut Scratch),
+    ) -> usize {
+        let at = self.values.len();
+        self.values.resize(at + rows * cols + extra, 0.0);
+        let (earlier, out) = self.values.split_at_mut(at);
+        let earlier = Earlier {
+            nodes: &self.nodes,
+            params: &self.params,
+            values: earlier,
+        };
+        fill(&earlier, out, &mut self.scratch);
+        let needs_grad = (0..)
+            .map_while(|n| op.operand(n, &self.lists))
+            .any(|operand| self.nodes[operand].needs_grad);
+        self.nodes.push(Node {
+            op,
+            rows,
+            cols,
+            at,
+            needs_grad,
+        });
+        self.nodes.len() - 1
     }
 
-    // ----- forward operations -------------------------------------------------------
-
-    /// Element-wise addition.
-    pub fn add(&self, other: &Tensor) -> Tensor {
-        let value = self.borrow_value().add(&other.borrow_value());
-        let (a, b) = (self.clone(), other.clone());
-        let requires = a.requires_grad() || b.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone(), b.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    a.accumulate_grad(g);
-                }
-                if b.requires_grad() {
-                    b.accumulate_grad(g);
-                }
-            })),
-            requires,
-        )
+    /// Appends a list and returns its range.
+    fn list(&mut self, items: impl Iterator<Item = usize>) -> (usize, usize) {
+        let start = self.lists.len();
+        self.lists.extend(items);
+        (start, self.lists.len())
     }
 
-    /// Element-wise subtraction.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        let value = self.borrow_value().sub(&other.borrow_value());
-        let (a, b) = (self.clone(), other.clone());
-        let requires = a.requires_grad() || b.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone(), b.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    a.accumulate_grad(g);
-                }
-                if b.requires_grad() {
-                    b.accumulate_grad(&g.scale(-1.0));
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Element-wise (Hadamard) product.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        let value = self.borrow_value().hadamard(&other.borrow_value());
-        let (a, b) = (self.clone(), other.clone());
-        let requires = a.requires_grad() || b.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone(), b.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    a.accumulate_grad(&g.hadamard(&b.value()));
-                }
-                if b.requires_grad() {
-                    b.accumulate_grad(&g.hadamard(&a.value()));
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Scalar multiplication.
-    pub fn scale(&self, k: f32) -> Tensor {
-        let value = self.borrow_value().scale(k);
-        let a = self.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    a.accumulate_grad(&g.scale(k));
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Matrix product `self · other`.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        let value = self.borrow_value().matmul(&other.borrow_value());
-        let (a, b) = (self.clone(), other.clone());
-        let requires = a.requires_grad() || b.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone(), b.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    a.accumulate_grad(&g.matmul(&b.value().transpose()));
-                }
-                if b.requires_grad() {
-                    b.accumulate_grad(&a.value().transpose().matmul(g));
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Matrix product with a transposed right operand, `self · otherᵀ`
-    /// (used by attention scores).
-    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        let value = self.borrow_value().matmul_nt(&other.borrow_value());
-        let (a, b) = (self.clone(), other.clone());
-        let requires = a.requires_grad() || b.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone(), b.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    a.accumulate_grad(&g.matmul(&b.value()));
-                }
-                if b.requires_grad() {
-                    b.accumulate_grad(&g.transpose().matmul(&a.value()));
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Adds a `1 × cols` bias row to every row.
-    pub fn add_bias(&self, bias: &Tensor) -> Tensor {
-        let value = self.borrow_value().add_row_broadcast(&bias.borrow_value());
-        let (a, b) = (self.clone(), bias.clone());
-        let requires = a.requires_grad() || b.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone(), b.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    a.accumulate_grad(g);
-                }
-                if b.requires_grad() {
-                    b.accumulate_grad(&g.sum_rows());
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Rectified linear unit.
-    pub fn relu(&self) -> Tensor {
-        let value = self.borrow_value().relu();
-        let a = self.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    let mask = a.value().map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    a.accumulate_grad(&g.hadamard(&mask));
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&self) -> Tensor {
-        let value = self.borrow_value().tanh();
-        let a = self.clone();
-        let out_value = value.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    let deriv = out_value.map(|t| 1.0 - t * t);
-                    a.accumulate_grad(&g.hadamard(&deriv));
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&self) -> Tensor {
-        let value = self.borrow_value().sigmoid();
-        let a = self.clone();
-        let out_value = value.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    let deriv = out_value.map(|s| s * (1.0 - s));
-                    a.accumulate_grad(&g.hadamard(&deriv));
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Row-wise softmax.
-    pub fn softmax_rows(&self) -> Tensor {
-        let value = self.borrow_value().softmax_rows();
-        let a = self.clone();
-        let soft = value.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if !a.requires_grad() {
-                    return;
-                }
-                // d x_i = s_i * (g_i - Σ_j g_j s_j), row-wise.
-                let mut out = Matrix::zeros(soft.rows(), soft.cols());
-                for r in 0..soft.rows() {
-                    let dot: f32 = (0..soft.cols()).map(|c| g.get(r, c) * soft.get(r, c)).sum();
-                    for c in 0..soft.cols() {
-                        out.set(r, c, soft.get(r, c) * (g.get(r, c) - dot));
+    /// The nodes the loss depends on through a parameter, in depth-first
+    /// post-order from `root` over operands in operand order.
+    fn post_order(&mut self, root: usize) {
+        self.order.clear();
+        self.stack.clear();
+        self.seen.clear();
+        self.seen.resize(self.nodes.len(), false);
+        if self.nodes[root].needs_grad {
+            self.seen[root] = true;
+            self.stack.push((root, 0));
+        }
+        while let Some((id, next)) = self.stack.last_mut() {
+            match self.nodes[*id].op.operand(*next, &self.lists) {
+                Some(operand) => {
+                    *next += 1;
+                    let operand_node = &self.nodes[operand];
+                    let is_leaf = matches!(operand_node.op, Op::Param(_));
+                    if operand_node.needs_grad && !is_leaf && !self.seen[operand] {
+                        self.seen[operand] = true;
+                        self.stack.push((operand, 0));
                     }
                 }
-                a.accumulate_grad(&out);
-            })),
-            requires,
-        )
+                None => {
+                    self.order.push(*id);
+                    self.stack.pop();
+                }
+            }
+        }
     }
 
-    /// Element-wise exponential.
-    pub fn exp(&self) -> Tensor {
-        let value = self.borrow_value().map(|v| v.clamp(-30.0, 30.0).exp());
-        let a = self.clone();
-        let out_value = value.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    a.accumulate_grad(&g.hadamard(&out_value));
+    fn backward(&mut self, root: usize) {
+        assert_eq!(
+            (self.nodes[root].rows, self.nodes[root].cols),
+            (1, 1),
+            "backward() must be called on a scalar loss"
+        );
+        if let Op::Param(p) = self.nodes[root].op {
+            self.params[p].grad_mut().data_mut()[0] = 1.0;
+            return;
+        }
+        self.post_order(root);
+        self.grads.clear();
+        self.grads.resize(self.values.len(), 0.0);
+        self.grads[self.nodes[root].at] = 1.0;
+        let (nodes, params, lists) = (&self.nodes[..], &self.params[..], &self.lists[..]);
+        let (values, grads, scratch) = (&self.values[..], &mut self.grads, &mut self.scratch);
+        let earlier = Earlier {
+            nodes,
+            params,
+            values,
+        };
+        for &id in self.order.iter().rev() {
+            let node = nodes[id];
+            let (before, own) = grads.split_at_mut(node.at);
+            let g = &own[..node.len()];
+            // The node's own value, then whatever its forward pass saved.
+            let (out, saved) = values[node.at..].split_at(node.len());
+            let mut targets = Targets {
+                nodes,
+                params,
+                grads: before,
+            };
+            match node.op {
+                Op::Constant | Op::Param(_) => unreachable!("leaves are not visited"),
+                Op::Add(a, b) => {
+                    targets.of(a, |t| add_each(t, g.iter().copied()));
+                    targets.of(b, |t| add_each(t, g.iter().copied()));
                 }
-            })),
-            requires,
-        )
+                Op::Sub(a, b) => {
+                    targets.of(a, |t| add_each(t, g.iter().copied()));
+                    targets.of(b, |t| add_each(t, g.iter().map(|g| g * -1.0)));
+                }
+                Op::Mul(a, b) => {
+                    let (va, vb) = (earlier.value(a), earlier.value(b));
+                    targets.of(a, |t| {
+                        add_each(t, g.iter().zip(vb.iter()).map(|(g, b)| g * b))
+                    });
+                    targets.of(b, |t| {
+                        add_each(t, g.iter().zip(va.iter()).map(|(g, a)| g * a))
+                    });
+                }
+                Op::Map(a, f) => {
+                    let va = earlier.value(a);
+                    let slopes = va.iter().zip(out).map(|(&v, &y)| f.slope(v, y));
+                    targets.of(a, |t| add_each(t, g.iter().zip(slopes).map(|(g, d)| g * d)));
+                }
+                Op::Matmul(a, b) => {
+                    let (k, n) = (nodes[a].cols, node.cols);
+                    let (va, vb) = (earlier.value(a), earlier.value(b));
+                    targets.of(a, |t| scratch.matmul_nt(g, &vb, t, n, k));
+                    targets.of(b, |t| scratch.matmul_tn(&va, g, t, k, n));
+                }
+                Op::MatmulNt(a, b) => {
+                    let (k, n) = (nodes[a].cols, node.cols);
+                    let (va, vb) = (earlier.value(a), earlier.value(b));
+                    targets.of(a, |t| scratch.matmul(g, &vb, t, n, k));
+                    targets.of(b, |t| scratch.matmul_tn(g, &va, t, n, k));
+                }
+                Op::AddBias(a, bias) => {
+                    targets.of(a, |t| add_each(t, g.iter().copied()));
+                    targets.of(bias, |t| {
+                        add_each(t, sum_rows(g, node.cols, scratch).iter().copied())
+                    });
+                }
+                Op::Softmax(a) => targets.of(a, |t| {
+                    // d x_i = s_i * (g_i - Σ_j g_j s_j), row-wise.
+                    let rows = g.chunks_exact(node.cols).zip(out.chunks_exact(node.cols));
+                    for ((g, s), t) in rows.zip(t.chunks_exact_mut(node.cols)) {
+                        let dot: f32 = g.iter().zip(s).map(|(g, s)| g * s).sum();
+                        add_each(t, g.iter().zip(s).map(|(g, s)| s * (g - dot)));
+                    }
+                }),
+                Op::Mean(a) => {
+                    let each = g[0] / nodes[a].len() as f32;
+                    targets.of(a, |t| add_each(t, std::iter::repeat(each)));
+                }
+                Op::Sum(a) => targets.of(a, |t| add_each(t, std::iter::repeat(g[0]))),
+                Op::SliceCols(a, start) => {
+                    let width = nodes[a].cols;
+                    targets.of(a, |t| {
+                        for (t, g) in t.chunks_exact_mut(width).zip(g.chunks_exact(node.cols)) {
+                            add_each(&mut t[start..], g.iter().copied());
+                        }
+                    });
+                }
+                Op::Concat(start, end) => {
+                    let mut offset = 0;
+                    for &part in &lists[start..end] {
+                        let width = nodes[part].cols;
+                        targets.of(part, |t| {
+                            for (t, g) in t.chunks_exact_mut(width).zip(g.chunks_exact(node.cols)) {
+                                add_each(t, g[offset..].iter().copied());
+                            }
+                        });
+                        offset += width;
+                    }
+                }
+                Op::Row(a, index) => targets.of(a, |t| {
+                    add_each(&mut t[index * node.cols..], g.iter().copied())
+                }),
+                Op::Gather(table, (start, end)) => targets.of(table, |t| {
+                    // A row gathered twice contributes the sum of its two
+                    // gradients, formed apart like any other contribution.
+                    let sums = scratch.zeroed_row(t.len());
+                    for (&id, g) in lists[start..end].iter().zip(g.chunks_exact(node.cols)) {
+                        add_each(&mut sums[id * node.cols..], g.iter().copied());
+                    }
+                    add_each(t, sums.iter().copied());
+                }),
+                Op::LayerNorm(x, gamma, beta) => {
+                    let cols = node.cols;
+                    let (normalized, inv_std) = saved.split_at(node.len());
+                    targets.of(gamma, |t| {
+                        let sums = scratch.zeroed_row(cols);
+                        for (g, norm) in g.chunks_exact(cols).zip(normalized.chunks_exact(cols)) {
+                            add_each(sums, g.iter().zip(norm).map(|(g, n)| g * n));
+                        }
+                        add_each(t, sums.iter().copied());
+                    });
+                    targets.of(beta, |t| {
+                        add_each(t, sum_rows(g, cols, scratch).iter().copied())
+                    });
+                    let gain = earlier.value(gamma);
+                    targets.of(x, |t| {
+                        let rows = g.chunks_exact(cols).zip(normalized.chunks_exact(cols));
+                        for (((g, norm), t), inv_std) in
+                            rows.zip(t.chunks_exact_mut(cols)).zip(inv_std)
+                        {
+                            let dnorm = scratch.zeroed_row(cols);
+                            for ((d, g), gain) in dnorm.iter_mut().zip(g).zip(gain.iter()) {
+                                *d = g * gain;
+                            }
+                            let mean_dnorm: f32 = dnorm.iter().sum::<f32>() / cols as f32;
+                            let mean_dnorm_norm: f32 =
+                                dnorm.iter().zip(norm).map(|(d, n)| d * n).sum::<f32>()
+                                    / cols as f32;
+                            let dx = dnorm.iter().zip(norm);
+                            let dx =
+                                dx.map(|(d, n)| (d - mean_dnorm - n * mean_dnorm_norm) * inv_std);
+                            add_each(t, dx);
+                        }
+                    });
+                }
+                Op::CrossEntropy {
+                    logits,
+                    targets: (start, end),
+                    ignore,
+                    denom,
+                } => targets.of(logits, |t| {
+                    let cols = nodes[logits].cols;
+                    let (rows, probs) = (t.chunks_exact_mut(cols), saved.chunks_exact(cols));
+                    for ((t, probs), &class) in rows.zip(probs).zip(&lists[start..end]) {
+                        if Some(class) == ignore {
+                            continue;
+                        }
+                        let each = probs.iter().enumerate().map(|(c, p)| {
+                            let indicator = if c == class { 1.0 } else { 0.0 };
+                            (p - indicator) / denom * g[0]
+                        });
+                        add_each(t, each);
+                    }
+                }),
+            }
+        }
+    }
+}
+
+/// One recorded computation and the buffers it is differentiated in (see
+/// the crate example).
+#[derive(Default)]
+pub struct Tape {
+    recording: RefCell<Recording>,
+}
+
+impl std::fmt::Debug for Tape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tape")
+            .field("nodes", &self.recording.borrow().nodes.len())
+            .finish()
+    }
+}
+
+impl Tape {
+    /// An empty tape.
+    pub fn new() -> Tape {
+        Tape::default()
+    }
+
+    /// Forgets every recorded node (`&mut`: no [`Var`] of the old recording
+    /// can still be around) and keeps the buffers: the next recording reuses
+    /// them, each value written into freshly zeroed space.
+    pub fn clear(&mut self) {
+        let recording = self.recording.get_mut();
+        recording.nodes.clear();
+        recording.params.clear();
+        recording.lists.clear();
+        recording.values.clear();
+    }
+
+    /// A constant (no gradient is accumulated for it).
+    pub fn constant(&self, value: Matrix) -> Var<'_> {
+        let shape = (value.rows(), value.cols());
+        let fill =
+            |_: &Earlier<'_>, out: &mut [f32], _: &mut Scratch| out.copy_from_slice(value.data());
+        self.var(|r| r.push(Op::Constant, shape, 0, fill))
+    }
+
+    /// A trainable parameter as a value on this tape: read where it is,
+    /// and the destination of its gradient.
+    pub fn param(&self, parameter: &Tensor) -> Var<'_> {
+        self.var(|r| {
+            r.params.push(parameter.clone());
+            let (rows, cols) = parameter.shape();
+            r.nodes.push(Node {
+                op: Op::Param(r.params.len() - 1),
+                rows,
+                cols,
+                at: 0,
+                needs_grad: true,
+            });
+            r.nodes.len() - 1
+        })
+    }
+
+    fn var(&self, record: impl FnOnce(&mut Recording) -> usize) -> Var<'_> {
+        let id = record(&mut self.recording.borrow_mut());
+        Var { tape: self, id }
+    }
+}
+
+/// A value on a [`Tape`]: the result of a recorded operation, a constant or
+/// a parameter. The forward operations are those of [`Forward`].
+#[derive(Clone, Copy)]
+pub struct Var<'t> {
+    tape: &'t Tape,
+    id: usize,
+}
+
+impl std::fmt::Debug for Var<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Var")
+            .field("id", &self.id)
+            .field("shape", &self.shape())
+            .finish()
+    }
+}
+
+impl<'t> Var<'t> {
+    /// Shape `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        let node = self.tape.recording.borrow().nodes[self.id];
+        (node.rows, node.cols)
+    }
+
+    /// A copy of the value.
+    pub fn value(&self) -> Matrix {
+        let (rows, cols) = self.shape();
+        self.read(|v| Matrix::from_vec(rows, cols, v.to_vec()))
+    }
+
+    /// One entry of the value.
+    pub fn get(&self, r: usize, c: usize) -> f32 {
+        let cols = self.shape().1;
+        self.read(|v| v[r * cols + c])
+    }
+
+    fn read<R>(&self, f: impl FnOnce(&[f32]) -> R) -> R {
+        let recording = self.tape.recording.borrow();
+        let earlier = Earlier {
+            nodes: &recording.nodes,
+            params: &recording.params,
+            values: &recording.values,
+        };
+        let value = earlier.value(self.id);
+        f(&value)
+    }
+
+    /// Backpropagates from this (scalar) value: every parameter the value
+    /// depends on has the gradient added to its [`Tensor::grad`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is not `1 × 1`.
+    pub fn backward(&self) {
+        self.tape.recording.borrow_mut().backward(self.id);
+    }
+
+    /// Records an operation reading `self` (and whatever `fill` reads).
+    fn push(
+        &self,
+        op: Op,
+        shape: (usize, usize),
+        extra: usize,
+        fill: impl FnOnce(&Earlier<'_>, &mut [f32], &mut Scratch),
+    ) -> Var<'t> {
+        self.tape.var(|r| r.push(op, shape, extra, fill))
+    }
+
+    fn map(&self, f: Unary) -> Var<'t> {
+        self.push(Op::Map(self.id, f), self.shape(), 0, |e, out, _| {
+            for (o, &v) in out.iter_mut().zip(e.value(self.id).iter()) {
+                *o = f.apply(v);
+            }
+        })
+    }
+
+    fn zip(&self, other: &Var<'t>, op: Op, f: impl Fn(f32, f32) -> f32) -> Var<'t> {
+        assert_eq!(self.shape(), other.shape(), "shape mismatch");
+        self.push(op, self.shape(), 0, |e, out, _| {
+            let (a, b) = (e.value(self.id), e.value(other.id));
+            for ((o, &a), &b) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
+                *o = f(a, b);
+            }
+        })
+    }
+
+    /// Element-wise exponential (of the input clamped to `±30`).
+    pub fn exp(&self) -> Var<'t> {
+        self.map(Unary::Exp)
     }
 
     /// Element-wise natural logarithm (inputs are clamped at `1e-12` to keep
     /// the operation defined for probabilities that underflow to zero).
-    pub fn ln(&self) -> Tensor {
-        let value = self.borrow_value().map(|v| v.max(1e-12).ln());
-        let a = self.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    let deriv = a.value().map(|v| 1.0 / v.max(1e-12));
-                    a.accumulate_grad(&g.hadamard(&deriv));
-                }
-            })),
-            requires,
-        )
+    pub fn ln(&self) -> Var<'t> {
+        self.map(Unary::Ln)
     }
 
     /// Mean over all entries (scalar output).
-    pub fn mean(&self) -> Tensor {
-        let (rows, cols) = self.shape();
-        let count = (rows * cols) as f32;
-        let value = Matrix::full(1, 1, self.borrow_value().mean());
-        let a = self.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    let (r, c) = a.shape();
-                    a.accumulate_grad(&Matrix::full(r, c, g.get(0, 0) / count));
-                }
-            })),
-            requires,
-        )
+    pub fn mean(&self) -> Var<'t> {
+        self.push(Op::Mean(self.id), (1, 1), 0, |e, out, _| {
+            let v = e.value(self.id);
+            out[0] = if v.is_empty() {
+                0.0
+            } else {
+                v.iter().sum::<f32>() / v.len() as f32
+            };
+        })
     }
 
     /// Sum over all entries (scalar output).
-    pub fn sum(&self) -> Tensor {
-        let value = Matrix::full(1, 1, self.borrow_value().sum());
-        let a = self.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    let (r, c) = a.shape();
-                    a.accumulate_grad(&Matrix::full(r, c, g.get(0, 0)));
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Selects a contiguous column range `[start, end)`.
-    pub fn slice_cols(&self, start: usize, end: usize) -> Tensor {
-        let value = self.borrow_value().slice_cols(start, end);
-        let a = self.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    let (ar, ac) = a.shape();
-                    let mut scattered = Matrix::zeros(ar, ac);
-                    for r in 0..g.rows() {
-                        for c in 0..g.cols() {
-                            scattered.set(r, start + c, g.get(r, c));
-                        }
-                    }
-                    a.accumulate_grad(&scattered);
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Concatenates tensors horizontally (all must share the row count).
-    pub fn concat_cols(parts: &[Tensor]) -> Tensor {
-        let value = {
-            let values: Vec<Ref<'_, Matrix>> = parts.iter().map(Tensor::borrow_value).collect();
-            Matrix::concat_cols(&values.iter().map(|v| &**v).collect::<Vec<_>>())
-        };
-        let owned: Vec<Tensor> = parts.to_vec();
-        let requires = owned.iter().any(Tensor::requires_grad);
-        let parents = owned.clone();
-        Tensor::make(
-            value,
-            parents,
-            Some(Box::new(move |g: &Matrix| {
-                let mut offset = 0;
-                for p in &owned {
-                    let (pr, pc) = p.shape();
-                    if p.requires_grad() {
-                        let mut slice = Matrix::zeros(pr, pc);
-                        for r in 0..pr {
-                            for c in 0..pc {
-                                slice.set(r, c, g.get(r, offset + c));
-                            }
-                        }
-                        p.accumulate_grad(&slice);
-                    }
-                    offset += pc;
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Selects a single row as a `1 × cols` tensor (e.g. the `CLS` position).
-    pub fn row(&self, index: usize) -> Tensor {
-        let value = self.borrow_value().row(index);
-        let a = self.clone();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if a.requires_grad() {
-                    let (ar, ac) = a.shape();
-                    let mut scattered = Matrix::zeros(ar, ac);
-                    for c in 0..ac {
-                        scattered.set(index, c, g.get(0, c));
-                    }
-                    a.accumulate_grad(&scattered);
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Gathers rows of an embedding table by token id.
-    pub fn embedding_lookup(table: &Tensor, ids: &[usize]) -> Tensor {
-        let value = table.borrow_value().gather_rows(ids);
-        let t = table.clone();
-        let ids_owned: Vec<usize> = ids.to_vec();
-        let requires = t.requires_grad();
-        Tensor::make(
-            value,
-            vec![t.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if t.requires_grad() {
-                    let (tr, tc) = t.shape();
-                    let mut scattered = Matrix::zeros(tr, tc);
-                    for (r, &id) in ids_owned.iter().enumerate() {
-                        for c in 0..tc {
-                            scattered.set(id, c, scattered.get(id, c) + g.get(r, c));
-                        }
-                    }
-                    t.accumulate_grad(&scattered);
-                }
-            })),
-            requires,
-        )
-    }
-
-    /// Row-wise layer normalization with learnable gain and bias
-    /// (`gamma`, `beta` are `1 × cols`).
-    pub fn layer_norm(&self, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
-        let (normalized, inv_std) = self.borrow_value().normalize_rows(eps);
-        let value = normalized.scale_shift_rows(&gamma.borrow_value(), &beta.borrow_value());
-        let (a, gm, bt) = (self.clone(), gamma.clone(), beta.clone());
-        let requires = a.requires_grad() || gm.requires_grad() || bt.requires_grad();
-        let saved_norm = normalized;
-        let saved_inv_std = inv_std;
-        Tensor::make(
-            value,
-            vec![a.clone(), gm.clone(), bt.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                let (rows, cols) = (g.rows(), g.cols());
-                let gamma_v = gm.value();
-                if gm.requires_grad() {
-                    let mut dgamma = Matrix::zeros(1, cols);
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            dgamma.set(0, c, dgamma.get(0, c) + g.get(r, c) * saved_norm.get(r, c));
-                        }
-                    }
-                    gm.accumulate_grad(&dgamma);
-                }
-                if bt.requires_grad() {
-                    bt.accumulate_grad(&g.sum_rows());
-                }
-                if a.requires_grad() {
-                    let mut dx = Matrix::zeros(rows, cols);
-                    for (r, &inv_std_r) in saved_inv_std.iter().enumerate().take(rows) {
-                        // dY/dX for layer norm (standard formula).
-                        let dnorm: Vec<f32> =
-                            (0..cols).map(|c| g.get(r, c) * gamma_v.get(0, c)).collect();
-                        let mean_dnorm: f32 = dnorm.iter().sum::<f32>() / cols as f32;
-                        let mean_dnorm_norm: f32 = dnorm
-                            .iter()
-                            .enumerate()
-                            .map(|(c, &d)| d * saved_norm.get(r, c))
-                            .sum::<f32>()
-                            / cols as f32;
-                        for (c, &d) in dnorm.iter().enumerate() {
-                            let v = (d - mean_dnorm - saved_norm.get(r, c) * mean_dnorm_norm)
-                                * inv_std_r;
-                            dx.set(r, c, v);
-                        }
-                    }
-                    a.accumulate_grad(&dx);
-                }
-            })),
-            requires,
-        )
+    pub fn sum(&self) -> Var<'t> {
+        self.push(Op::Sum(self.id), (1, 1), 0, |e, out, _| {
+            out[0] = e.value(self.id).iter().sum();
+        })
     }
 
     /// Cross-entropy loss between row logits and integer targets, averaged
     /// over rows; `ignore_index` rows (e.g. padding) contribute nothing.
-    pub fn cross_entropy(&self, targets: &[usize], ignore_index: Option<usize>) -> Tensor {
-        let probs = self.borrow_value().softmax_rows();
-        let rows = probs.rows();
-        let mut total = 0.0f32;
-        let mut counted = 0usize;
-        for (r, &t) in targets.iter().enumerate().take(rows) {
-            if Some(t) == ignore_index {
-                continue;
+    pub fn cross_entropy(&self, targets: &[usize], ignore_index: Option<usize>) -> Var<'t> {
+        let (rows, cols) = self.shape();
+        let targets = &targets[..targets.len().min(rows)];
+        let counted = targets.iter().filter(|&&t| Some(t) != ignore_index);
+        let denom = counted.count().max(1) as f32;
+        self.tape.var(|r| {
+            let op = Op::CrossEntropy {
+                logits: self.id,
+                targets: r.list(targets.iter().copied()),
+                ignore: ignore_index,
+                denom,
+            };
+            r.push(op, (1, 1), rows * cols, |e, out, _| {
+                let (loss, probs) = out.split_at_mut(1);
+                probs.copy_from_slice(&e.value(self.id));
+                matrix::softmax_rows(probs, cols);
+                let mut total = 0.0f32;
+                for (probs, &t) in probs.chunks_exact(cols).zip(targets) {
+                    if Some(t) != ignore_index {
+                        total -= probs[t].max(1e-12).ln();
+                    }
+                }
+                loss[0] = total / denom;
+            })
+        })
+    }
+}
+
+impl<'t> Forward for Var<'t> {
+    type Tape = &'t Tape;
+    // An owned `Var` wherever a borrowed parameter view is expected.
+    type Param<'a>
+        = Cow<'a, Var<'t>>
+    where
+        Self: 'a;
+
+    fn tape(&self) -> &'t Tape {
+        self.tape
+    }
+    fn param<'a>(on: &'t Tape, parameter: &'a Tensor) -> Cow<'a, Var<'t>> {
+        Cow::Owned(on.param(parameter))
+    }
+    fn constant(on: &'t Tape, value: Matrix) -> Self {
+        on.constant(value)
+    }
+    fn to_matrix(&self) -> Matrix {
+        self.value()
+    }
+    fn gather_rows(table: &Self, ids: &[usize]) -> Self {
+        let cols = table.shape().1;
+        table.tape.var(|r| {
+            let op = Op::Gather(table.id, r.list(ids.iter().copied()));
+            r.push(op, (ids.len(), cols), 0, |e, out, _| {
+                let table = e.value(table.id);
+                for (row, &id) in out.chunks_exact_mut(cols).zip(ids) {
+                    row.copy_from_slice(&table[id * cols..(id + 1) * cols]);
+                }
+            })
+        })
+    }
+    fn add(&self, other: &Self) -> Self {
+        self.zip(other, Op::Add(self.id, other.id), |a, b| a + b)
+    }
+    fn sub(&self, other: &Self) -> Self {
+        self.zip(other, Op::Sub(self.id, other.id), |a, b| a - b)
+    }
+    fn mul(&self, other: &Self) -> Self {
+        self.zip(other, Op::Mul(self.id, other.id), |a, b| a * b)
+    }
+    fn scale(&self, k: f32) -> Self {
+        self.map(Unary::Scale(k))
+    }
+    fn matmul(&self, other: &Self) -> Self {
+        let ((m, k), (rows, n)) = (self.shape(), other.shape());
+        assert_eq!(k, rows, "matmul dimension mismatch");
+        self.push(Op::Matmul(self.id, other.id), (m, n), 0, |e, out, s| {
+            s.matmul(&e.value(self.id), &e.value(other.id), out, k, n);
+        })
+    }
+    fn matmul_nt(&self, other: &Self) -> Self {
+        let ((m, k), (n, cols)) = (self.shape(), other.shape());
+        assert_eq!(k, cols, "matmul_nt dimension mismatch");
+        self.push(Op::MatmulNt(self.id, other.id), (m, n), 0, |e, out, s| {
+            s.matmul_nt(&e.value(self.id), &e.value(other.id), out, k, n);
+        })
+    }
+    fn add_bias(&self, bias: &Self) -> Self {
+        let (op, shape) = (Op::AddBias(self.id, bias.id), self.shape());
+        assert_eq!(bias.shape(), (1, shape.1), "bias must be a matching row");
+        self.push(op, shape, 0, |e, out, _| {
+            out.copy_from_slice(&e.value(self.id));
+            matrix::add_row_broadcast(out, &e.value(bias.id));
+        })
+    }
+    fn relu(&self) -> Self {
+        self.map(Unary::Relu)
+    }
+    fn tanh(&self) -> Self {
+        self.map(Unary::Tanh)
+    }
+    fn sigmoid(&self) -> Self {
+        self.map(Unary::Sigmoid)
+    }
+    fn softmax_rows(&self) -> Self {
+        let shape = self.shape();
+        self.push(Op::Softmax(self.id), shape, 0, |e, out, _| {
+            out.copy_from_slice(&e.value(self.id));
+            matrix::softmax_rows(out, shape.1);
+        })
+    }
+    fn slice_cols(&self, start: usize, end: usize) -> Self {
+        let (rows, cols) = self.shape();
+        let op = Op::SliceCols(self.id, start);
+        self.push(op, (rows, end - start), 0, |e, out, _| {
+            let v = e.value(self.id);
+            for (out, row) in out.chunks_exact_mut(end - start).zip(v.chunks_exact(cols)) {
+                out.copy_from_slice(&row[start..end]);
             }
-            total -= probs.get(r, t).max(1e-12).ln();
-            counted += 1;
-        }
-        let denom = counted.max(1) as f32;
-        let value = Matrix::full(1, 1, total / denom);
-        let a = self.clone();
-        let targets_owned: Vec<usize> = targets.to_vec();
-        let requires = a.requires_grad();
-        Tensor::make(
-            value,
-            vec![a.clone()],
-            Some(Box::new(move |g: &Matrix| {
-                if !a.requires_grad() {
-                    return;
-                }
-                let logits = a.value();
-                let probs = logits.softmax_rows();
-                let mut grad = Matrix::zeros(logits.rows(), logits.cols());
-                for (r, &t) in targets_owned.iter().enumerate().take(logits.rows()) {
-                    if Some(t) == ignore_index {
-                        continue;
+        })
+    }
+    fn concat_cols(parts: &[Self]) -> Self {
+        let first = parts.first().expect("concat_cols needs at least one value");
+        let rows = first.shape().0;
+        let total: usize = parts.iter().map(|p| p.shape().1).sum();
+        first.tape.var(|r| {
+            let (start, end) = r.list(parts.iter().map(|p| p.id));
+            r.push(Op::Concat(start, end), (rows, total), 0, |e, out, _| {
+                let mut offset = 0;
+                for part in parts {
+                    let (value, width) = (e.value(part.id), e.nodes[part.id].cols);
+                    assert_eq!(e.nodes[part.id].rows, rows, "row count mismatch");
+                    for (out, row) in out.chunks_exact_mut(total).zip(value.chunks_exact(width)) {
+                        out[offset..offset + width].copy_from_slice(row);
                     }
-                    for c in 0..logits.cols() {
-                        let indicator = if c == t { 1.0 } else { 0.0 };
-                        grad.set(r, c, (probs.get(r, c) - indicator) / denom);
-                    }
+                    offset += width;
                 }
-                a.accumulate_grad(&grad.scale(g.get(0, 0)));
-            })),
-            requires,
-        )
+            })
+        })
+    }
+    fn row(&self, index: usize) -> Self {
+        let cols = self.shape().1;
+        self.push(Op::Row(self.id, index), (1, cols), 0, |e, out, _| {
+            out.copy_from_slice(&e.value(self.id)[index * cols..(index + 1) * cols]);
+        })
+    }
+    fn layer_norm(&self, gamma: &Self, beta: &Self, eps: f32) -> Self {
+        let (rows, cols) = self.shape();
+        let op = Op::LayerNorm(self.id, gamma.id, beta.id);
+        self.push(op, (rows, cols), rows * cols + rows, |e, out, _| {
+            let (out, saved) = out.split_at_mut(rows * cols);
+            let (normalized, inv_std) = saved.split_at_mut(rows * cols);
+            matrix::normalize_rows(&e.value(self.id), cols, eps, normalized, inv_std);
+            matrix::scale_shift_rows(normalized, &e.value(gamma.id), &e.value(beta.id), out);
+        })
     }
 }
 
@@ -718,117 +930,89 @@ mod tests {
         }
     }
 
+    /// The gradient `loss` leaves on a parameter holding `at`, next to the
+    /// numeric gradient of the same loss over a constant.
+    fn gradients(loss: impl for<'t> Fn(Var<'t>) -> Var<'t>, at: &Matrix) -> (Matrix, Matrix) {
+        let x = Tensor::parameter(at.clone());
+        let tape = Tape::new();
+        loss(tape.param(&x)).backward();
+        let numeric = numeric_grad(
+            |m| {
+                let tape = Tape::new();
+                loss(tape.constant(m.clone())).get(0, 0)
+            },
+            at,
+            1e-3,
+        );
+        (x.grad(), numeric)
+    }
+
     #[test]
     fn backward_through_matmul_matches_numeric_gradient() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
         let a_value = Matrix::xavier(3, 4, &mut rng);
         let b_value = Matrix::xavier(4, 2, &mut rng);
-
-        let a = Tensor::parameter(a_value.clone());
-        let b = Tensor::parameter(b_value.clone());
-        let loss = a.matmul(&b).relu().mean();
-        loss.backward();
-
-        let numeric = numeric_grad(
-            |m| {
-                Tensor::constant(m.clone())
-                    .matmul(&Tensor::constant(b_value.clone()))
-                    .relu()
-                    .mean()
-                    .value()
-                    .get(0, 0)
+        fn constant<'t>(like: Var<'t>, value: &Matrix) -> Var<'t> {
+            like.tape().constant(value.clone())
+        }
+        let (grad, numeric) =
+            gradients(|a| a.matmul(&constant(a, &b_value)).relu().mean(), &a_value);
+        assert_close(&grad, &numeric, 1e-2);
+        // Either operand, either transposition, several rows and one.
+        let (grad, numeric) = gradients(
+            |a| {
+                let b = constant(a, &b_value);
+                a.matmul(&b).matmul_nt(&a.matmul(&b)).tanh().sum()
             },
             &a_value,
-            1e-3,
         );
-        assert_close(&a.grad(), &numeric, 1e-2);
+        assert_close(&grad, &numeric, 1e-2);
+        let (grad, numeric) = gradients(|a| a.row(1).matmul_nt(&a).tanh().sum(), &a_value);
+        assert_close(&grad, &numeric, 1e-2);
     }
 
     #[test]
     fn backward_through_softmax_matches_numeric_gradient() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
         let x_value = Matrix::xavier(2, 5, &mut rng);
-        let x = Tensor::parameter(x_value.clone());
-        let loss = x
-            .softmax_rows()
-            .mul(&Tensor::constant(Matrix::full(2, 5, 0.3)))
-            .sum();
-        loss.backward();
-        let numeric = numeric_grad(
-            |m| {
-                Tensor::constant(m.clone())
-                    .softmax_rows()
-                    .mul(&Tensor::constant(Matrix::full(2, 5, 0.3)))
-                    .sum()
-                    .value()
-                    .get(0, 0)
+        let (grad, numeric) = gradients(
+            |x| {
+                let weights = x.tape().constant(Matrix::full(2, 5, 0.3));
+                x.softmax_rows().mul(&weights).sum()
             },
             &x_value,
-            1e-3,
         );
-        assert_close(&x.grad(), &numeric, 1e-2);
+        assert_close(&grad, &numeric, 1e-2);
     }
 
     #[test]
     fn backward_through_layer_norm_matches_numeric_gradient() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         let x_value = Matrix::xavier(3, 6, &mut rng);
-        let gamma = Matrix::full(1, 6, 1.2);
-        let beta = Matrix::full(1, 6, -0.1);
-        let x = Tensor::parameter(x_value.clone());
-        let loss = x
-            .layer_norm(
-                &Tensor::constant(gamma.clone()),
-                &Tensor::constant(beta.clone()),
-                1e-5,
-            )
-            .tanh()
-            .mean();
-        loss.backward();
-        let numeric = numeric_grad(
-            |m| {
-                Tensor::constant(m.clone())
-                    .layer_norm(
-                        &Tensor::constant(gamma.clone()),
-                        &Tensor::constant(beta.clone()),
-                        1e-5,
-                    )
-                    .tanh()
-                    .mean()
-                    .value()
-                    .get(0, 0)
+        let (grad, numeric) = gradients(
+            |x| {
+                let gamma = x.tape().constant(Matrix::full(1, 6, 1.2));
+                let beta = x.tape().constant(Matrix::full(1, 6, -0.1));
+                x.layer_norm(&gamma, &beta, 1e-5).tanh().mean()
             },
             &x_value,
-            1e-3,
         );
-        assert_close(&x.grad(), &numeric, 2e-2);
+        assert_close(&grad, &numeric, 2e-2);
     }
 
     #[test]
     fn backward_through_cross_entropy_matches_numeric_gradient() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4);
         let x_value = Matrix::xavier(3, 4, &mut rng);
-        let targets = vec![0usize, 2, 3];
-        let x = Tensor::parameter(x_value.clone());
-        let loss = x.cross_entropy(&targets, None);
-        loss.backward();
-        let numeric = numeric_grad(
-            |m| {
-                Tensor::constant(m.clone())
-                    .cross_entropy(&targets, None)
-                    .value()
-                    .get(0, 0)
-            },
-            &x_value,
-            1e-3,
-        );
-        assert_close(&x.grad(), &numeric, 1e-2);
+        let (grad, numeric) = gradients(|x| x.cross_entropy(&[0, 2, 3], None), &x_value);
+        assert_close(&grad, &numeric, 1e-2);
     }
 
     #[test]
     fn embedding_lookup_accumulates_into_used_rows_only() {
         let table = Tensor::parameter(Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]));
-        let out = Tensor::embedding_lookup(&table, &[0, 2, 2]);
+        let tape = Tape::new();
+        let out = Var::gather_rows(&tape.param(&table), &[0, 2, 2]);
         assert_eq!(out.value().data(), &[1.0, 2.0, 5.0, 6.0, 5.0, 6.0]);
         out.sum().backward();
         let grad = table.grad();
@@ -840,9 +1024,9 @@ mod tests {
     #[test]
     fn slice_and_concat_are_inverse_shapes() {
         let x = Tensor::parameter(Matrix::from_vec(2, 4, (0..8).map(|v| v as f32).collect()));
-        let left = x.slice_cols(0, 2);
-        let right = x.slice_cols(2, 4);
-        let back = Tensor::concat_cols(&[left, right]);
+        let tape = Tape::new();
+        let v = tape.param(&x);
+        let back = Var::concat_cols(&[v.slice_cols(0, 2), v.slice_cols(2, 4)]);
         assert_eq!(back.value(), x.value());
         back.sum().backward();
         assert_eq!(x.grad(), Matrix::full(2, 4, 1.0));
@@ -852,7 +1036,9 @@ mod tests {
     fn repeated_operand_accumulates_both_contributions() {
         // loss = mean(x ⊙ x): d/dx = 2x / n.
         let x = Tensor::parameter(Matrix::from_vec(1, 3, vec![1.0, -2.0, 3.0]));
-        x.mul(&x).mean().backward();
+        let tape = Tape::new();
+        let v = tape.param(&x);
+        v.mul(&v).mean().backward();
         let g = x.grad();
         assert!((g.get(0, 0) - 2.0 / 3.0).abs() < 1e-5);
         assert!((g.get(0, 1) + 4.0 / 3.0).abs() < 1e-5);
@@ -861,9 +1047,13 @@ mod tests {
     #[test]
     fn constants_receive_no_gradient() {
         let x = Tensor::parameter(Matrix::full(1, 2, 1.0));
-        let c = Tensor::constant(Matrix::full(1, 2, 5.0));
-        x.mul(&c).sum().backward();
-        assert_eq!(c.grad(), Matrix::zeros(1, 2));
+        let tape = Tape::new();
+        let c = tape.constant(Matrix::full(1, 2, 5.0));
+        tape.param(&x).mul(&c).sum().backward();
+        let recording = tape.recording.borrow();
+        let node = recording.nodes[c.id];
+        assert!(!node.needs_grad);
+        assert_eq!(recording.grads[node.at..node.at + 2], [0.0, 0.0]);
         assert_eq!(x.grad(), Matrix::full(1, 2, 5.0));
     }
 
@@ -871,13 +1061,15 @@ mod tests {
     #[should_panic(expected = "scalar loss")]
     fn backward_requires_a_scalar() {
         let x = Tensor::parameter(Matrix::zeros(2, 2));
-        x.relu().backward();
+        Tape::new().param(&x).relu().backward();
     }
 
     #[test]
     fn zero_grad_resets_accumulation() {
         let x = Tensor::parameter(Matrix::full(1, 1, 2.0));
-        x.mul(&x).mean().backward();
+        let tape = Tape::new();
+        let v = tape.param(&x);
+        v.mul(&v).mean().backward();
         assert!(x.grad().get(0, 0) > 0.0);
         x.zero_grad();
         assert_eq!(x.grad().get(0, 0), 0.0);

@@ -6,7 +6,7 @@
 use crate::forward::Forward;
 use crate::layers::{LayerNorm, Linear, Module};
 use crate::matrix::Matrix;
-use crate::tensor::Tensor;
+use crate::tensor::{Tape, Tensor, Var};
 use rand::Rng;
 
 /// Configuration of the Transformer encoder.
@@ -210,18 +210,18 @@ impl TransformerEncoder {
 
     /// The encoder stack over a token-id sequence; with `cls_only` the last
     /// layer (and so the final norm) keeps position 0 only.
-    fn run<V: Forward>(&self, token_ids: &[usize], cls_only: bool) -> V {
+    fn run<V: Forward>(&self, on: V::Tape, token_ids: &[usize], cls_only: bool) -> V {
         let ids: Vec<usize> = token_ids
             .iter()
             .copied()
             .take(self.config.max_len)
             .map(|id| id.min(self.config.vocab_size - 1))
             .collect();
-        let embedded = V::gather_rows(&V::param(&self.embedding), &ids);
+        let embedded = V::gather_rows(&V::param(on, &self.embedding), &ids);
         let pos = self
             .positional
             .gather_rows(&(0..ids.len()).collect::<Vec<_>>());
-        let mut h = embedded.add(&V::constant(pos));
+        let mut h = embedded.add(&V::constant(on, pos));
         for (i, layer) in self.layers.iter().enumerate() {
             h = layer.forward(&h, cls_only && i + 1 == self.layers.len());
         }
@@ -229,22 +229,27 @@ impl TransformerEncoder {
     }
 
     /// Encodes a token-id sequence into per-token representations
-    /// (`seq_len × model_dim`). Sequences longer than `max_len` are truncated.
-    pub fn encode_sequence(&self, token_ids: &[usize]) -> Tensor {
-        self.run(token_ids, false)
+    /// (`seq_len × model_dim`), every position through every layer.
+    /// Sequences longer than `max_len` are truncated.
+    pub fn encode_sequence<'t>(&self, tape: &'t Tape, token_ids: &[usize]) -> Var<'t> {
+        self.run(tape, token_ids, false)
     }
 
     /// Encodes a sequence and pools it into the fixed-length program
-    /// embedding (the representation of the `CLS` token at position 0).
-    /// Differentiable: every position goes through every layer on the tape.
-    pub fn encode(&self, token_ids: &[usize]) -> Tensor {
-        self.encode_sequence(token_ids).row(0)
+    /// embedding (the representation of the `CLS` token at position 0),
+    /// recorded on `tape`. Pooling reads row 0 and the last layer is row-wise
+    /// everywhere but in its keys and values, so only that row of it is
+    /// computed: value and parameter gradients are those of
+    /// `encode_sequence(..).row(0)`, bit for bit (the other rows' gradient is
+    /// exactly zero there).
+    pub fn encode<'t>(&self, tape: &'t Tape, token_ids: &[usize]) -> Var<'t> {
+        self.run::<Var<'t>>(tape, token_ids, true).row(0)
     }
 
     /// The value of [`TransformerEncoder::encode`], bit for bit, without a
-    /// tape and without the rows of the last layer that pooling discards.
+    /// tape.
     pub fn infer(&self, token_ids: &[usize]) -> Matrix {
-        self.run::<Matrix>(token_ids, true).row(0)
+        self.run::<Matrix>((), token_ids, true).row(0)
     }
 
     /// The embedding dimension of the pooled representation.
@@ -279,8 +284,9 @@ mod tests {
     #[test]
     fn encoding_produces_a_fixed_length_vector() {
         let enc = small_encoder(1);
-        let short = enc.encode(&[1, 2, 3]);
-        let long = enc.encode(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let tape = Tape::new();
+        let short = enc.encode(&tape, &[1, 2, 3]);
+        let long = enc.encode(&tape, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(short.shape(), (1, 32));
         assert_eq!(long.shape(), (1, 32));
     }
@@ -288,8 +294,8 @@ mod tests {
     #[test]
     fn different_sequences_produce_different_embeddings() {
         let enc = small_encoder(2);
-        let a = enc.encode(&[1, 2, 3, 4]).value();
-        let b = enc.encode(&[4, 3, 2, 1]).value();
+        let a = enc.infer(&[1, 2, 3, 4]);
+        let b = enc.infer(&[4, 3, 2, 1]);
         assert_ne!(a, b, "attention must be order sensitive");
     }
 
@@ -297,15 +303,16 @@ mod tests {
     fn sequences_longer_than_max_len_are_truncated() {
         let enc = small_encoder(3);
         let ids: Vec<usize> = (0..500).map(|i| i % 16).collect();
-        let out = enc.encode_sequence(&ids);
+        let tape = Tape::new();
+        let out = enc.encode_sequence(&tape, &ids);
         assert_eq!(out.shape().0, enc.config().max_len);
     }
 
     #[test]
     fn out_of_vocabulary_ids_are_clamped() {
         let enc = small_encoder(4);
-        let out = enc.encode(&[9999, 3]);
-        assert_eq!(out.shape(), (1, 32));
+        let out = enc.infer(&[9999, 3]);
+        assert_eq!((out.rows(), out.cols()), (1, 32));
     }
 
     #[test]
@@ -320,7 +327,8 @@ mod tests {
     fn encoder_gradients_flow_to_the_embedding_table() {
         let enc = small_encoder(5);
         enc.zero_grad();
-        let pooled = enc.encode(&[1, 2, 3]);
+        let tape = Tape::new();
+        let pooled = enc.encode(&tape, &[1, 2, 3]);
         // A squared loss gives a position-dependent upstream gradient (the
         // plain mean of a layer-normalized row has an almost-zero gradient by
         // construction).
@@ -328,7 +336,7 @@ mod tests {
         let grads_nonzero = enc
             .parameters()
             .iter()
-            .filter(|p| p.grad().norm() > 0.0)
+            .filter(|p| p.borrow_grad().norm() > 0.0)
             .count();
         assert!(
             grads_nonzero > enc.parameters().len() / 2,
@@ -367,11 +375,13 @@ mod tests {
                 (seq, usize::from(has_five))
             })
             .collect();
+        let mut tape = Tape::new();
         for _ in 0..60 {
             for (seq, label) in &samples {
+                tape.clear();
                 enc.zero_grad();
                 readout.zero_grad();
-                let logits = readout.forward(&enc.encode(seq));
+                let logits = readout.forward(&enc.encode(&tape, seq));
                 let loss = logits.cross_entropy(&[*label], None);
                 loss.backward();
                 optimizer.step();
@@ -380,7 +390,7 @@ mod tests {
         let correct = samples
             .iter()
             .filter(|(seq, label)| {
-                let logits = readout.forward(&enc.encode(seq)).value();
+                let logits = readout.forward(&enc.infer(seq));
                 logits.argmax_rows()[0] == *label
             })
             .count();

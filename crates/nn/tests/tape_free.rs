@@ -1,14 +1,18 @@
-//! The tape-free forward pass is the taped one, bit for bit.
+//! The tape-free forward pass is the taped one, and the `CLS`-row shortcut
+//! is the all-rows encoder, bit for bit.
 //!
 //! Inference (`infer`, `forward` over a `Matrix`) and training (`encode`,
-//! `forward` over a `Tensor`) run the same generic layer code over the same
-//! `Matrix` kernels; what differs is that inference records nothing and the
-//! Transformer's last layer computes only the `CLS` row. Every comparison is
-//! on `f32::to_bits`, never within a tolerance: compile-time rollouts take an
-//! arg-max over these numbers and must not depend on which path ran.
+//! `forward` over a `Var` on a `Tape`) run the same generic layer code over
+//! the same kernels; inference records nothing, and both compute only the
+//! `CLS` row of the Transformer's last layer. The reference for both is
+//! `encode_sequence(ids).row(0)`: every position through every layer, on the
+//! tape. Every comparison is on `f32::to_bits`, never within a tolerance:
+//! compile-time rollouts take an arg-max over these numbers, and the trained
+//! weights must not depend on which path ran.
 
 use chehab_nn::{
-    Activation, GruEncoder, Matrix, Mlp, Tensor, TransformerConfig, TransformerEncoder,
+    Activation, Forward, GruEncoder, Matrix, Mlp, Module, Tape, TransformerConfig,
+    TransformerEncoder, Var,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -58,15 +62,30 @@ fn transformer_inference_is_bit_identical_to_the_taped_forward() {
             &mut rng,
         );
         for ids in sequences(&mut rng) {
-            let taped = encoder.encode(&ids).value();
-            let inferred = encoder.infer(&ids);
-            assert_eq!((inferred.rows(), inferred.cols()), (1, 16));
-            assert_eq!(
-                bits(&inferred),
-                bits(&taped),
+            let what = format!(
                 "{num_layers} layers, {num_heads} heads, {} tokens",
                 ids.len()
             );
+            // The gradients a squared loss on the pooled row leaves on every
+            // parameter, next to the pooled value itself.
+            let tape = Tape::new();
+            let train = |pooled: Var<'_>| {
+                encoder.zero_grad();
+                pooled.mul(&pooled).mean().backward();
+                let grads: Vec<Vec<u32>> = encoder
+                    .parameters()
+                    .iter()
+                    .map(|p| bits(&p.borrow_grad()))
+                    .collect();
+                (bits(&pooled.value()), grads)
+            };
+            let (all_rows, all_rows_grads) = train(encoder.encode_sequence(&tape, &ids).row(0));
+            let (cls_row, cls_row_grads) = train(encoder.encode(&tape, &ids));
+            let inferred = encoder.infer(&ids);
+            assert_eq!((inferred.rows(), inferred.cols()), (1, 16));
+            assert_eq!(bits(&inferred), all_rows, "{what}: infer");
+            assert_eq!(cls_row, all_rows, "{what}: encode");
+            assert_eq!(cls_row_grads, all_rows_grads, "{what}: gradients");
         }
     }
 }
@@ -79,7 +98,7 @@ fn gru_inference_is_bit_identical_to_the_taped_forward() {
         for ids in sequences(&mut rng) {
             assert_eq!(
                 bits(&encoder.infer(&ids)),
-                bits(&encoder.encode(&ids).value()),
+                bits(&encoder.encode(&Tape::new(), &ids).value()),
                 "{num_layers} layers, {} tokens",
                 ids.len()
             );
@@ -94,7 +113,7 @@ fn mlp_inference_is_bit_identical_to_the_taped_forward() {
         let mlp = Mlp::new(&[16, 32, 8, 5], activation, &mut rng);
         for rows in [1, 3] {
             let input = Matrix::xavier(rows, 16, &mut rng);
-            let taped = mlp.forward(&Tensor::constant(input.clone())).value();
+            let taped = mlp.forward(&Tape::new().constant(input.clone())).value();
             assert_eq!(bits(&mlp.forward(&input)), bits(&taped), "{activation:?}");
         }
     }
@@ -108,12 +127,13 @@ fn inference_follows_the_weights_it_borrows() {
     let encoder = TransformerEncoder::new(TransformerConfig::small(VOCAB), &mut rng);
     let ids = [1usize, 2, 3, 4];
     let before = encoder.infer(&ids);
-    use chehab_nn::Module;
     for p in encoder.parameters() {
-        let (r, c) = p.shape();
-        p.apply_update(&Matrix::full(r, c, 0.01));
+        p.set_value(p.value().map(|v| v + 0.01));
     }
     let after = encoder.infer(&ids);
     assert_ne!(bits(&before), bits(&after));
-    assert_eq!(bits(&after), bits(&encoder.encode(&ids).value()));
+    assert_eq!(
+        bits(&after),
+        bits(&encoder.encode(&Tape::new(), &ids).value())
+    );
 }

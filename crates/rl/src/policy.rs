@@ -10,8 +10,8 @@
 
 use crate::env::Action;
 use chehab_nn::{
-    Activation, Forward, GruEncoder, Matrix, Mlp, Module, Tensor, TransformerConfig,
-    TransformerEncoder,
+    Activation, Forward, GruEncoder, Matrix, Mlp, Module, Tape, Tensor, TransformerConfig,
+    TransformerEncoder, Var,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -116,10 +116,20 @@ enum EncoderBackend {
 }
 
 impl EncoderBackend {
-    fn encode(&self, tokens: &[usize]) -> Tensor {
+    /// The program embedding on `tape`, computing the rows pooling reads.
+    fn encode<'t>(&self, tape: &'t Tape, tokens: &[usize]) -> Var<'t> {
         match self {
-            EncoderBackend::Transformer(t) => t.encode(tokens),
-            EncoderBackend::Gru(g) => g.encode(tokens),
+            EncoderBackend::Transformer(t) => t.encode(tape, tokens),
+            EncoderBackend::Gru(g) => g.encode(tape, tokens),
+        }
+    }
+
+    /// [`EncoderBackend::encode`] with every position run through every
+    /// layer before pooling: the reference the shortcut is held against.
+    fn encode_all_rows<'t>(&self, tape: &'t Tape, tokens: &[usize]) -> Var<'t> {
+        match self {
+            EncoderBackend::Transformer(t) => t.encode_sequence(tape, tokens).row(0),
+            EncoderBackend::Gru(g) => g.encode(tape, tokens),
         }
     }
 
@@ -161,15 +171,16 @@ pub struct PolicyOutputs {
     logits: Matrix,
 }
 
-/// Differentiable evaluation of a stored action (used by PPO updates).
-#[derive(Debug)]
-pub struct ActionEvaluation {
-    /// Log-probability tensor (scalar).
-    pub log_prob: Tensor,
-    /// Entropy tensor (scalar).
-    pub entropy: Tensor,
-    /// Value estimate tensor (scalar).
-    pub value: Tensor,
+/// Differentiable evaluation of a stored action (used by PPO updates):
+/// three scalars on the tape the evaluation was recorded on.
+#[derive(Debug, Clone, Copy)]
+pub struct ActionEvaluation<'t> {
+    /// Log-probability of the action.
+    pub log_prob: Var<'t>,
+    /// Entropy of the action distribution.
+    pub entropy: Var<'t>,
+    /// The critic's value estimate.
+    pub value: Var<'t>,
 }
 
 /// The actor-critic policy.
@@ -235,11 +246,6 @@ impl Policy {
     /// The policy's architecture configuration.
     pub fn config(&self) -> &PolicyConfig {
         &self.config
-    }
-
-    /// Encodes an observation into the program embedding (on the tape).
-    fn embed(&self, obs: &[usize]) -> Tensor {
-        self.encoder.encode(obs)
     }
 
     /// The critic's value estimate for an observation.
@@ -405,10 +411,11 @@ impl Policy {
         }
     }
 
-    /// [`Policy::act`] with the network run on the autodiff tape, every
-    /// position through every layer — how `act` ran before inference went
-    /// tape-free. Kept as the reference the equivalence suites compare
-    /// `act` (and whole compiles and training runs) against, bit for bit.
+    /// [`Policy::act`] with the network recorded on an autodiff tape, every
+    /// position through every layer — neither of the shortcuts `act` takes
+    /// (no tape; only the `CLS` row of the last Transformer layer). Kept as
+    /// the reference the equivalence suites compare `act` (and whole compiles
+    /// and training runs) against, bit for bit.
     pub fn act_on_tape(
         &self,
         obs: &[usize],
@@ -417,7 +424,8 @@ impl Policy {
         rng: &mut impl Rng,
         deterministic: bool,
     ) -> ActionSample {
-        let embedding = self.embed(obs);
+        let tape = Tape::new();
+        let embedding = self.encoder.encode_all_rows(&tape, obs);
         let value = self.critic_value(&embedding);
         let logits = self.first_head_logits(&embedding);
         let (action, log_prob) = self.choose_from(
@@ -438,21 +446,50 @@ impl Policy {
     fn location_logits<V: Forward>(&self, embedding: &V, rule: usize) -> V {
         let mut one_hot = Matrix::zeros(1, self.config.rule_count + 1);
         one_hot.set(0, rule, 1.0);
-        let input = V::concat_cols(&[embedding.clone(), V::constant(one_hot)]);
+        let input = V::concat_cols(&[embedding.clone(), V::constant(embedding.tape(), one_hot)]);
         self.location_head.forward(&input)
     }
 
-    /// Differentiable re-evaluation of a stored transition (used by PPO):
-    /// returns the log-probability and entropy of `action` under the current
-    /// parameters plus the value estimate.
-    pub fn evaluate(
+    /// Differentiable re-evaluation of a stored transition (used by PPO),
+    /// recorded on `tape`: the log-probability and entropy of `action` under
+    /// the current parameters plus the value estimate. The encoder computes
+    /// only what pooling reads (the `CLS` row of the last Transformer layer);
+    /// values and parameter gradients are those of the all-rows evaluation,
+    /// bit for bit.
+    pub fn evaluate<'t>(
         &self,
+        tape: &'t Tape,
         obs: &[usize],
         action: Action,
         rule_mask: &[bool],
         location_count_for_rule: usize,
-    ) -> ActionEvaluation {
-        let embedding = self.embed(obs);
+    ) -> ActionEvaluation<'t> {
+        let embedding = self.encoder.encode(tape, obs);
+        self.evaluate_embedding(embedding, action, rule_mask, location_count_for_rule)
+    }
+
+    /// [`Policy::evaluate`] with every position run through every encoder
+    /// layer: the reference the equivalence suite's PPO update is built on.
+    #[doc(hidden)]
+    pub fn evaluate_all_rows<'t>(
+        &self,
+        tape: &'t Tape,
+        obs: &[usize],
+        action: Action,
+        rule_mask: &[bool],
+        location_count_for_rule: usize,
+    ) -> ActionEvaluation<'t> {
+        let embedding = self.encoder.encode_all_rows(tape, obs);
+        self.evaluate_embedding(embedding, action, rule_mask, location_count_for_rule)
+    }
+
+    fn evaluate_embedding<'t>(
+        &self,
+        embedding: Var<'t>,
+        action: Action,
+        rule_mask: &[bool],
+        location_count_for_rule: usize,
+    ) -> ActionEvaluation<'t> {
         let value = self.critic.forward(&embedding);
         match self.config.action_space {
             ActionSpaceKind::Hierarchical => {
@@ -524,7 +561,7 @@ impl Policy {
         }
     }
 
-    fn masked_softmax(logits: &Tensor, mask: impl Fn(usize) -> bool) -> Tensor {
+    fn masked_softmax<'t>(logits: &Var<'t>, mask: impl Fn(usize) -> bool) -> Var<'t> {
         let (_, cols) = logits.shape();
         let mut offset = Matrix::zeros(1, cols);
         for c in 0..cols {
@@ -532,7 +569,7 @@ impl Policy {
                 offset.set(0, c, -1e9);
             }
         }
-        logits.add(&Tensor::constant(offset)).softmax_rows()
+        logits.add(&logits.tape().constant(offset)).softmax_rows()
     }
 }
 
@@ -652,9 +689,10 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mask = vec![true; 11];
         let sample = policy.act(&[5, 6], &mask, |_| 4, &mut rng, false);
-        let eval = policy.evaluate(&[5, 6], sample.action, &mask, 4);
-        assert!(eval.log_prob.value().get(0, 0) <= 0.0);
-        assert!(eval.entropy.value().get(0, 0) >= 0.0);
+        let tape = Tape::new();
+        let eval = policy.evaluate(&tape, &[5, 6], sample.action, &mask, 4);
+        assert!(eval.log_prob.get(0, 0) <= 0.0);
+        assert!(eval.entropy.get(0, 0) >= 0.0);
     }
 
     #[test]
@@ -668,9 +706,10 @@ mod tests {
             Action::Apply { .. } => 3,
             Action::Stop => 0,
         };
-        let eval = policy.evaluate(&obs, sample.action, &mask, loc_count);
+        let tape = Tape::new();
+        let eval = policy.evaluate(&tape, &obs, sample.action, &mask, loc_count);
         assert!(
-            (eval.log_prob.value().get(0, 0) - sample.log_prob).abs() < 1e-4,
+            (eval.log_prob.get(0, 0) - sample.log_prob).abs() < 1e-4,
             "act and evaluate must agree on the action's log-probability"
         );
     }
@@ -680,7 +719,9 @@ mod tests {
         let policy = small_policy(ActionSpaceKind::Hierarchical);
         policy.zero_grad();
         let mask = vec![true; 11];
+        let tape = Tape::new();
         let eval = policy.evaluate(
+            &tape,
             &[1, 2],
             Action::Apply {
                 rule: 2,
@@ -693,7 +734,7 @@ mod tests {
         let nonzero = policy
             .parameters()
             .iter()
-            .filter(|p| p.grad().norm() > 0.0)
+            .filter(|p| p.borrow_grad().norm() > 0.0)
             .count();
         assert!(nonzero > 0, "policy gradient must reach the parameters");
     }

@@ -3,7 +3,7 @@
 
 use crate::env::Action;
 use crate::policy::Policy;
-use chehab_nn::{Adam, Module, Tensor};
+use chehab_nn::{Adam, Forward, Matrix, Module, Tape, Var};
 use serde::{Deserialize, Serialize};
 
 /// PPO hyper-parameters (defaults follow Table 4 of the paper).
@@ -176,11 +176,13 @@ pub struct UpdateStats {
     pub entropy: f32,
 }
 
-/// The PPO learner: owns the optimizer state for a policy.
+/// The PPO learner: owns the optimizer state for a policy and the tape its
+/// minibatches are differentiated on.
 #[derive(Debug)]
 pub struct PpoLearner {
     config: PpoConfig,
     optimizer: Adam,
+    tape: Tape,
 }
 
 impl PpoLearner {
@@ -188,7 +190,11 @@ impl PpoLearner {
     pub fn new(policy: &Policy, config: PpoConfig) -> Self {
         let optimizer = Adam::new(policy.parameters(), config.learning_rate)
             .with_grad_clip(config.max_grad_norm);
-        PpoLearner { config, optimizer }
+        PpoLearner {
+            config,
+            optimizer,
+            tape: Tape::new(),
+        }
     }
 
     /// The learner's configuration.
@@ -232,70 +238,66 @@ impl PpoLearner {
         buffer: &RolloutBuffer,
         batch: &[usize],
     ) -> UpdateStats {
+        // The whole minibatch goes on the tape before the one backward pass:
+        // that is what fixes the order in which the samples' gradients are
+        // summed into each parameter.
+        self.tape.clear();
+        let tape = &self.tape;
         policy.zero_grad();
-        let mut policy_losses: Option<Tensor> = None;
-        let mut value_losses: Option<Tensor> = None;
-        let mut entropies: Option<Tensor> = None;
+        let scalar = |value: f32| tape.constant(Matrix::full(1, 1, value));
+        let mut sums: Option<[Var<'_>; 3]> = None;
         for &i in batch {
             let t = &buffer.transitions[i];
-            let eval = policy.evaluate(&t.observation, t.action, &t.rule_mask, t.location_count);
-            let advantage = buffer.advantage(i) as f32;
-            let ret = buffer.return_at(i) as f32;
+            let eval = policy.evaluate(
+                tape,
+                &t.observation,
+                t.action,
+                &t.rule_mask,
+                t.location_count,
+            );
             // ratio = exp(log_prob_new - log_prob_old)
-            let old_log_prob = Tensor::constant(chehab_nn::Matrix::full(1, 1, t.log_prob));
-            let ratio = eval.log_prob.sub(&old_log_prob).exp();
-            let clipped = clamp_tensor(
+            let ratio = eval.log_prob.sub(&scalar(t.log_prob)).exp();
+            let clipped = clamp(
                 &ratio,
                 1.0 - self.config.clip_range as f32,
                 1.0 + self.config.clip_range as f32,
             );
-            let advantage_t = Tensor::constant(chehab_nn::Matrix::full(1, 1, advantage));
-            let unclipped_obj = ratio.mul(&advantage_t);
-            let clipped_obj = clipped.mul(&advantage_t);
-            let policy_loss = min_tensor(&unclipped_obj, &clipped_obj).scale(-1.0);
-            let value_target = Tensor::constant(chehab_nn::Matrix::full(1, 1, ret));
-            let value_diff = eval.value.sub(&value_target);
-            let value_loss = value_diff.mul(&value_diff);
-            policy_losses = Some(match policy_losses {
-                None => policy_loss.clone(),
-                Some(acc) => acc.add(&policy_loss),
-            });
-            value_losses = Some(match value_losses {
-                None => value_loss.clone(),
-                Some(acc) => acc.add(&value_loss),
-            });
-            entropies = Some(match entropies {
-                None => eval.entropy.clone(),
-                Some(acc) => acc.add(&eval.entropy),
+            let advantage = scalar(buffer.advantage(i) as f32);
+            let policy_loss = min(&ratio.mul(&advantage), &clipped.mul(&advantage)).scale(-1.0);
+            let value_diff = eval.value.sub(&scalar(buffer.return_at(i) as f32));
+            let losses = [policy_loss, value_diff.mul(&value_diff), eval.entropy];
+            sums = Some(match sums {
+                None => losses,
+                Some(sums) => [0, 1, 2].map(|k| sums[k].add(&losses[k])),
             });
         }
         let count = batch.len().max(1) as f32;
-        let policy_loss = policy_losses.expect("non-empty batch").scale(1.0 / count);
-        let value_loss = value_losses.expect("non-empty batch").scale(1.0 / count);
-        let entropy = entropies.expect("non-empty batch").scale(1.0 / count);
+        let [policy_loss, value_loss, entropy] = sums
+            .expect("non-empty batch")
+            .map(|sum| sum.scale(1.0 / count));
         let total = policy_loss
             .add(&value_loss.scale(self.config.value_coefficient))
             .sub(&entropy.scale(self.config.entropy_coefficient));
         total.backward();
         self.optimizer.step();
         UpdateStats {
-            policy_loss: policy_loss.value().get(0, 0),
-            value_loss: value_loss.value().get(0, 0),
-            entropy: entropy.value().get(0, 0),
+            policy_loss: policy_loss.get(0, 0),
+            value_loss: value_loss.get(0, 0),
+            entropy: entropy.get(0, 0),
         }
     }
 }
 
 /// Element-wise clamp with straight-through gradient inside the interval.
-fn clamp_tensor(x: &Tensor, low: f32, high: f32) -> Tensor {
+fn clamp<'t>(x: &Var<'t>, low: f32, high: f32) -> Var<'t> {
     // clamp(x) = low + relu(x - low) - relu(x - high)
-    let low_t = Tensor::constant(chehab_nn::Matrix::full(1, 1, low));
-    let high_t = Tensor::constant(chehab_nn::Matrix::full(1, 1, high));
+    let low_t = x.tape().constant(Matrix::full(1, 1, low));
+    let high_t = x.tape().constant(Matrix::full(1, 1, high));
     low_t.add(&x.sub(&low_t).relu()).sub(&x.sub(&high_t).relu())
 }
 
 /// Element-wise minimum with subgradient routing to the smaller operand.
-fn min_tensor(a: &Tensor, b: &Tensor) -> Tensor {
+fn min<'t>(a: &Var<'t>, b: &Var<'t>) -> Var<'t> {
     // min(a, b) = a - relu(a - b)
     a.sub(&a.sub(b).relu())
 }
@@ -303,7 +305,7 @@ fn min_tensor(a: &Tensor, b: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chehab_nn::Matrix;
+    use chehab_nn::Tensor;
 
     #[test]
     fn gae_computes_known_values_for_a_short_episode() {
@@ -353,8 +355,9 @@ mod tests {
     fn ratio_exponential_matches_the_true_exponential() {
         for x in [-1.5f32, -0.2, 0.0, 0.3, 1.0] {
             let t = Tensor::parameter(Matrix::full(1, 1, x));
-            let e = t.exp();
-            assert!((e.value().get(0, 0) - x.exp()).abs() < 1e-3, "exp({x})");
+            let tape = Tape::new();
+            let e = tape.param(&t).exp();
+            assert!((e.get(0, 0) - x.exp()).abs() < 1e-3, "exp({x})");
             e.mean().backward();
             assert!((t.grad().get(0, 0) - x.exp()).abs() < 2e-2, "d exp({x})/dx");
         }
@@ -362,14 +365,15 @@ mod tests {
 
     #[test]
     fn clamp_and_min_behave_like_their_scalar_counterparts() {
+        let tape = Tape::new();
         for x in [-0.5f32, 0.9, 1.05, 1.5] {
-            let t = Tensor::constant(Matrix::full(1, 1, x));
-            let clamped = clamp_tensor(&t, 0.8, 1.2).value().get(0, 0);
+            let t = tape.constant(Matrix::full(1, 1, x));
+            let clamped = clamp(&t, 0.8, 1.2).get(0, 0);
             assert!((clamped - x.clamp(0.8, 1.2)).abs() < 1e-6);
         }
-        let a = Tensor::constant(Matrix::full(1, 1, 0.7));
-        let b = Tensor::constant(Matrix::full(1, 1, 0.3));
-        assert!((min_tensor(&a, &b).value().get(0, 0) - 0.3).abs() < 1e-6);
+        let a = tape.constant(Matrix::full(1, 1, 0.7));
+        let b = tape.constant(Matrix::full(1, 1, 0.3));
+        assert!((min(&a, &b).get(0, 0) - 0.3).abs() < 1e-6);
     }
 
     #[test]

@@ -82,6 +82,12 @@ pub struct TrainingReport {
     pub timesteps: usize,
     /// Total wall-clock time in seconds.
     pub wall_clock_seconds: f64,
+    /// Seconds spent collecting experience (environment steps and the
+    /// policy's tape-free `act`).
+    pub collect_seconds: f64,
+    /// Seconds spent in PPO updates; with `collect_seconds` it accounts for
+    /// `wall_clock_seconds` up to the curve bookkeeping.
+    pub update_seconds: f64,
     /// Diagnostics of the final PPO update.
     pub final_update: UpdateStats,
 }
@@ -165,6 +171,7 @@ impl Trainer {
         let mut episode_rewards: Vec<f64> = vec![0.0; envs.len()];
 
         while collected < self.config.total_timesteps {
+            let collecting = Instant::now();
             for (env_idx, env) in envs.iter_mut().enumerate() {
                 if collected >= self.config.total_timesteps {
                     break;
@@ -212,10 +219,14 @@ impl Trainer {
                 }
             }
 
+            report.collect_seconds += collecting.elapsed().as_secs_f64();
+
             if buffer.len() >= self.config.ppo.steps_per_update
                 || collected >= self.config.total_timesteps
             {
+                let updating = Instant::now();
                 report.final_update = learner.update(policy, &mut buffer);
+                report.update_seconds += updating.elapsed().as_secs_f64();
                 buffer.clear();
                 let mean_reward = if window_rewards.is_empty() {
                     0.0
@@ -279,6 +290,8 @@ mod tests {
         assert!(report.episodes > 0);
         assert!(!report.curve.is_empty());
         assert!(report.wall_clock_seconds > 0.0);
+        assert!(report.collect_seconds > 0.0 && report.update_seconds > 0.0);
+        assert!(report.collect_seconds + report.update_seconds <= report.wall_clock_seconds);
         assert!(report.final_mean_reward().is_finite());
     }
 

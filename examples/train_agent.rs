@@ -29,9 +29,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dataset_size: 600,
         ..AgentTrainingOptions::default()
     });
+    let report = &trained.report;
     println!(
-        "dataset: {} unique LLM-style expressions; episodes: {}; wall clock: {:.1}s",
-        trained.dataset_size, trained.report.episodes, trained.report.wall_clock_seconds
+        "dataset: {} unique LLM-style expressions; episodes: {}; wall clock: {:.1}s \
+         (collecting experience {:.2}s, PPO updates {:.2}s)",
+        trained.dataset_size,
+        report.episodes,
+        report.wall_clock_seconds,
+        report.collect_seconds,
+        report.update_seconds
     );
     println!("learning curve (timestep, mean episode reward):");
     for point in trained

@@ -11,17 +11,26 @@
 //! location index along every rollout agree, not just the final cost.
 //!
 //! The same reference environment, driven by the same taped `act`, also
-//! stands in for `Trainer::train`'s experience collection: training must
-//! yield bit-identical weights either way, so the agent the benchmark
-//! compiles with is the agent the parent commit would have trained.
+//! stands in for `Trainer::train`'s experience collection, and the PPO update
+//! is written out below over an evaluation that runs every position through
+//! every encoder layer (`Policy::evaluate_all_rows`), on a fresh tape per
+//! minibatch. `PpoLearner` evaluates only the `CLS` row of the last
+//! Transformer layer on one reused tape; training must yield bit-identical
+//! weights either way, so the agent the benchmark compiles with is the agent
+//! every earlier commit would have trained.
+//!
+//! Last, the two properties of the tape that make such equalities possible at
+//! all: the order in which a value with several consumers receives their
+//! gradients, and that a cleared tape is a fresh one.
 
 use chehab::benchsuite::{coyote_kernels, porcupine};
 use chehab::compiler::training::{train_agent, AgentTrainingOptions};
 use chehab::datagen::{generate_llm_like_dataset, LlmLikeSynthesizer};
 use chehab::ir::{cleanup, Expr};
+use chehab::nn::{Adam, Forward, Matrix, Module, Tape, Tensor, Var};
 use chehab::rl::{
     Action, ActionSample, Agent, AgentConfig, EnvConfig, ObservationTokenizer, Policy,
-    PolicyConfig, PolicySnapshot, PpoConfig, PpoLearner, RolloutBuffer, Transition,
+    PolicyConfig, PolicySnapshot, PpoConfig, RolloutBuffer, Transition,
 };
 use chehab::trs::RewriteEngine;
 use rand::rngs::StdRng;
@@ -198,17 +207,18 @@ fn programs() -> Vec<(String, Expr)> {
     programs
 }
 
-/// What `train_agent(options)` is made of for ICI / Transformer /
-/// hierarchical options (see `chehab_core::training`): the dataset, the
-/// configurations, the seeds. Spelled out here because the reference trainer
-/// must start from the same place; if `train_agent` changes its set-up, the
-/// weight comparison below says so.
+/// What `train_agent(options)` is made of for ICI options (see
+/// `chehab_core::training`): the dataset, the configurations, the seeds.
+/// Spelled out here because the reference trainer must start from the same
+/// place; if `train_agent` changes its set-up, the weight comparison below
+/// says so.
 struct Setup {
     dataset: Vec<Expr>,
     timesteps: usize,
     seed: u64,
     /// The training environment; the packaged agent's is in `parts`.
     env: EnvConfig,
+    policy: PolicyConfig,
     parts: Parts,
 }
 
@@ -239,11 +249,19 @@ fn setup(options: &AgentTrainingOptions) -> Setup {
             seed: options.seed,
         },
     };
+    let mut policy = policy_config(&parts);
+    if options.flat_action_space {
+        policy = policy.flat();
+    }
+    if options.gru_encoder {
+        policy = policy.with_gru(2);
+    }
     Setup {
         dataset,
         timesteps: options.timesteps,
         seed: options.seed,
         env,
+        policy,
         parts,
     }
 }
@@ -256,14 +274,70 @@ fn policy_config(parts: &Parts) -> PolicyConfig {
     )
 }
 
+/// `PpoLearner::update`, written out: the clipped surrogate, value loss and
+/// entropy bonus of each minibatch summed on a fresh tape over the all-rows
+/// evaluation of every sample, one backward pass, one Adam step.
+fn reference_update(
+    policy: &Policy,
+    optimizer: &mut Adam,
+    ppo: &PpoConfig,
+    buffer: &mut RolloutBuffer,
+) {
+    buffer.compute_advantages(ppo.gamma, ppo.gae_lambda);
+    let clip = ppo.clip_range as f32;
+    let indices: Vec<usize> = (0..buffer.len()).collect();
+    for _ in 0..ppo.update_epochs {
+        for batch in indices.chunks(ppo.batch_size) {
+            let tape = Tape::new();
+            policy.zero_grad();
+            let scalar = |value: f32| tape.constant(Matrix::full(1, 1, value));
+            let mut sums: Option<[Var<'_>; 3]> = None;
+            for &i in batch {
+                let t = &buffer.transitions[i];
+                let (obs, mask) = (&t.observation, &t.rule_mask);
+                let eval = policy.evaluate_all_rows(&tape, obs, t.action, mask, t.location_count);
+                let ratio = eval.log_prob.sub(&scalar(t.log_prob)).exp();
+                // clamp(x) = low + relu(x - low) - relu(x - high)
+                let (low, high) = (scalar(1.0 - clip), scalar(1.0 + clip));
+                let clipped = low
+                    .add(&ratio.sub(&low).relu())
+                    .sub(&ratio.sub(&high).relu());
+                let advantage = scalar(buffer.advantage(i) as f32);
+                let (unclipped, clipped) = (ratio.mul(&advantage), clipped.mul(&advantage));
+                // min(a, b) = a - relu(a - b)
+                let surrogate = unclipped.sub(&unclipped.sub(&clipped).relu());
+                let value_diff = eval.value.sub(&scalar(buffer.return_at(i) as f32));
+                let losses = [
+                    surrogate.scale(-1.0),
+                    value_diff.mul(&value_diff),
+                    eval.entropy,
+                ];
+                sums = Some(match sums {
+                    None => losses,
+                    Some(sums) => [0, 1, 2].map(|k| sums[k].add(&losses[k])),
+                });
+            }
+            let mean = 1.0 / batch.len() as f32;
+            let [policy_loss, value_loss, entropy] =
+                sums.expect("non-empty batch").map(|sum| sum.scale(mean));
+            policy_loss
+                .add(&value_loss.scale(ppo.value_coefficient))
+                .sub(&entropy.scale(ppo.entropy_coefficient))
+                .backward();
+            optimizer.step();
+        }
+    }
+}
+
 /// `Trainer::train`'s experience collection over the tree-walking
-/// environment and the taped `act`, feeding the same PPO learner.
+/// environment and the taped `act`, feeding the reference update.
 fn reference_training(setup: &Setup) -> PolicySnapshot {
     let parts = &setup.parts;
     let mut init = StdRng::seed_from_u64(setup.seed ^ 0x90_11C7);
-    let policy = Policy::new(policy_config(parts), &mut init);
+    let policy = Policy::new(setup.policy, &mut init);
     let ppo = PpoConfig::small();
-    let mut learner = PpoLearner::new(&policy, ppo);
+    let mut optimizer =
+        Adam::new(policy.parameters(), ppo.learning_rate).with_grad_clip(ppo.max_grad_norm);
     let mut rng = StdRng::seed_from_u64(setup.seed);
     let draw = |rng: &mut StdRng| {
         let program = setup.dataset[rng.gen_range(0..setup.dataset.len())].clone();
@@ -300,7 +374,7 @@ fn reference_training(setup: &Setup) -> PolicySnapshot {
             collected += 1;
         }
         if buffer.len() >= ppo.steps_per_update || collected >= setup.timesteps {
-            learner.update(&policy, &mut buffer);
+            reference_update(&policy, &mut optimizer, &ppo, &mut buffer);
             buffer.clear();
         }
     }
@@ -343,7 +417,7 @@ fn a_trained_agent_has_the_reference_weights_and_compiles_like_the_reference() {
     assert_eq!(
         weight_bits(&trained.agent),
         snapshot_bits(&reference_training(&setup)),
-        "tape-free act over the match index trains the same policy"
+        "tape-free act and CLS-row updates train the reference policy"
     );
     for (what, program) in programs().iter().step_by(3) {
         assert_same_compile(what, &trained.agent, &setup.parts, program);
@@ -378,8 +452,32 @@ fn the_benchmark_agent_and_every_architecture_on_every_program() {
     assert_eq!(
         weight_bits(&trained.agent),
         snapshot_bits(&reference_training(&setup)),
-        "tape-free act over the match index trains the same policy"
+        "tape-free act and CLS-row updates train the reference policy"
     );
+    // The GRU encoder and the flat head take other paths through `evaluate`.
+    for (what, other) in [
+        (
+            "gru",
+            AgentTrainingOptions {
+                gru_encoder: true,
+                timesteps: 128,
+                ..options.clone()
+            },
+        ),
+        (
+            "flat",
+            AgentTrainingOptions {
+                flat_action_space: true,
+                ..options.clone()
+            },
+        ),
+    ] {
+        assert_eq!(
+            weight_bits(&train_agent(&other).agent),
+            snapshot_bits(&reference_training(&self::setup(&other))),
+            "{what}: trained weights"
+        );
+    }
     let (gru, gru_parts) = untrained_agent(21, |c| c.with_gru(2));
     let (flat, flat_parts) = untrained_agent(22, PolicyConfig::flat);
     for (what, program) in programs() {
@@ -401,4 +499,53 @@ fn a_repeated_compile_is_not_served_from_a_previous_one() {
     assert_eq!(first.distinct_states, second.distinct_states);
     assert_eq!(first.actions, second.actions);
     assert_eq!(first.optimized, second.optimized);
+}
+
+/// The gradient a `1 × 1` parameter `x = 1` receives through `y = 1 · x` when
+/// `y` is read by `c = 1 · y`, `a = 1e8 · y` and `b = -1e8 · y` (recorded in
+/// that order) and the loss is `(a + b) + c`.
+fn three_consumer_gradient(tape: &Tape) -> f32 {
+    let x = Tensor::parameter(Matrix::full(1, 1, 1.0));
+    let y = tape.param(&x).scale(1.0);
+    let (c, a, b) = (y.scale(1.0), y.scale(1e8), y.scale(-1e8));
+    a.add(&b).add(&c).backward();
+    let gradient = x.borrow_grad().get(0, 0);
+    gradient
+}
+
+#[test]
+fn accumulation_order_is_part_of_the_tape_contract() {
+    // Gradients are handed back in the reverse of the depth-first post-order
+    // from the loss over operands in operand order: post-order is a, b,
+    // a + b, c, so `y` receives c's 1 first, then b's -1e8 (absorbing the 1:
+    // f32 spacing at 1e8 is 8), then a's 1e8 — zero. Reverse creation order
+    // would add -1e8, 1e8 and then 1, and leave 1.
+    assert_eq!(
+        three_consumer_gradient(&Tape::new()).to_bits(),
+        0f32.to_bits()
+    );
+
+    // A cleared tape is a fresh one: the same evaluation leaves the same
+    // gradient bits whether its buffers are new or still hold another graph.
+    let (agent, _) = untrained_agent(24, |c| c);
+    let policy = agent.policy();
+    let mask = vec![true; policy.config().rule_count + 1];
+    let gradients = |tape: &Tape, obs: &[usize], action: Action| -> Vec<Vec<u32>> {
+        policy.zero_grad();
+        let eval = policy.evaluate(tape, obs, action, &mask, 3);
+        let loss = eval.log_prob.add(&eval.value.mul(&eval.entropy));
+        loss.backward();
+        let bits = |p: &Tensor| p.borrow_grad().data().iter().map(|v| v.to_bits()).collect();
+        policy.parameters().iter().map(bits).collect()
+    };
+    let apply = Action::Apply {
+        rule: 2,
+        location: 1,
+    };
+    let fresh = gradients(&Tape::new(), &[5, 3, 8, 1], apply);
+    let mut reused = Tape::new();
+    gradients(&reused, &[7; 40], Action::Stop);
+    assert_eq!(three_consumer_gradient(&reused).to_bits(), 0f32.to_bits());
+    reused.clear();
+    assert_eq!(gradients(&reused, &[5, 3, 8, 1], apply), fresh);
 }
