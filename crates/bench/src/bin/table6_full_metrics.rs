@@ -51,4 +51,11 @@ fn main() {
         Err(e) => eprintln!("could not write CSV: {e}"),
     }
     chehab_bench::summarize_vs_baseline(&measurements, "CHEHAB RL", "Coyote");
+    if let Some(m) = measurements.iter().find(|m| !m.correct) {
+        eprintln!(
+            "error: {} compiled by {} did not decrypt to the reference outputs",
+            m.benchmark, m.compiler
+        );
+        std::process::exit(1);
+    }
 }

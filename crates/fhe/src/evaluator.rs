@@ -106,10 +106,9 @@ pub struct Evaluator {
     /// permutation cache, keyed by Galois element.
     galois_perms: HashMap<usize, Arc<Vec<u32>>>,
     /// The SIMD back end every fused stripe kernel runs on, snapshotted
-    /// from [`SimdPolicy::global`] at construction (overridable with
-    /// [`Evaluator::set_simd_policy`]). Composes with intra-op chunking:
-    /// each chunk runs the vector kernel with a scalar tail, and outputs
-    /// are bit-identical under every (policy, threads) combination.
+    /// from [`SimdPolicy::global`] at construction. Composes with intra-op
+    /// chunking: each chunk runs the vector kernel with a scalar tail, and
+    /// outputs are bit-identical under every (policy, threads) combination.
     simd: SimdPolicy,
 }
 
@@ -147,12 +146,6 @@ impl Evaluator {
     /// The SIMD back end this evaluator's kernels run on.
     pub fn simd_policy(&self) -> SimdPolicy {
         self.simd
-    }
-
-    /// Overrides the SIMD back end (tests and benches use this to compare
-    /// both paths in one process; outputs are bit-identical either way).
-    pub fn set_simd_policy(&mut self, policy: SimdPolicy) {
-        self.simd = policy;
     }
 
     /// Takes the evaluator's buffer arena (to restore it to a shared pool),

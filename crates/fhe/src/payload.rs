@@ -184,12 +184,6 @@ impl CtPayload {
         }
     }
 
-    /// Builds a single-limb stripe from two equal-length component slices
-    /// (convenience for tests and for converting split-layout material).
-    pub fn from_components(c0: &[u64], c1: &[u64], domain: Domain) -> Self {
-        CtPayload::from_limb_components(c0, c1, 1, domain)
-    }
-
     /// Builds a `k`-limb stripe from two equal-length component halves of
     /// `limbs · degree` values each.
     pub fn from_limb_components(c0: &[u64], c1: &[u64], limbs: usize, domain: Domain) -> Self {
@@ -794,7 +788,7 @@ mod tests {
         let tables = NttTables::new(degree);
         let c0 = Poly::from_coeffs(random_values(degree, 3)).to_eval(&tables);
         let c1 = Poly::from_coeffs(random_values(degree, 5)).to_eval(&tables);
-        let payload = CtPayload::from_components(c0.coeffs(), c1.coeffs(), Domain::Eval);
+        let payload = CtPayload::from_limb_components(c0.coeffs(), c1.coeffs(), 1, Domain::Eval);
         let key = random_values(degree, 9);
         for galois_elt in [3usize, 5, 9, 63] {
             let perm = galois_eval_permutation(degree, galois_elt);
@@ -995,7 +989,7 @@ mod tests {
 
     #[test]
     fn component_views_split_the_stripe() {
-        let payload = CtPayload::from_components(&[1, 2], &[3, 4], Domain::Eval);
+        let payload = CtPayload::from_limb_components(&[1, 2], &[3, 4], 1, Domain::Eval);
         assert_eq!(payload.degree(), 2);
         assert_eq!(payload.limbs(), 1);
         assert_eq!(payload.c0(), &[1, 2]);

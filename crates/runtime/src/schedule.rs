@@ -327,46 +327,6 @@ impl Schedule {
             .unwrap_or(0)
     }
 
-    /// Projects the makespan of this schedule on `workers` workers from
-    /// measured per-instruction latencies (`instr_times[i]` is the duration
-    /// of `instrs()[i]`).
-    ///
-    /// Within each level the instructions are assigned
-    /// longest-processing-time-first to the earliest-free worker — the same
-    /// greedy policy the live work queue follows — and levels are separated
-    /// by barriers, so the projection is the sum of per-level makespans.
-    /// With measured (rather than modeled) durations this is the
-    /// timer-augmented load-balance estimate: on a machine with `workers`
-    /// free cores a leveled run's wall-clock converges to it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `instr_times` is shorter than the instruction list.
-    pub fn makespan(
-        &self,
-        instr_times: &[std::time::Duration],
-        workers: usize,
-    ) -> std::time::Duration {
-        assert!(
-            instr_times.len() >= self.instrs.len(),
-            "need one duration per instruction"
-        );
-        let workers = workers.max(1);
-        let mut total = std::time::Duration::ZERO;
-        let mut finish = vec![std::time::Duration::ZERO; workers];
-        for range in &self.levels {
-            finish.fill(std::time::Duration::ZERO);
-            let mut sorted: Vec<std::time::Duration> = instr_times[range.clone()].to_vec();
-            sorted.sort_unstable_by(|a, b| b.cmp(a));
-            for duration in sorted {
-                let earliest = finish.iter_mut().min().expect("at least one worker");
-                *earliest += duration;
-            }
-            total += finish.iter().copied().max().unwrap_or_default();
-        }
-        total
-    }
-
     /// Per-instruction remaining-dependency counts: the number of distinct
     /// producer instructions among each instruction's operands. Instructions
     /// with count zero are runnable as soon as the pre-bound registers are
@@ -429,9 +389,9 @@ impl Schedule {
     /// The true critical-path (barrier-free, infinitely wide) makespan of
     /// this schedule under measured per-instruction latencies: the length of
     /// the most expensive dependency chain. No release rule — leveled or
-    /// dataflow — can beat this; the gap between it and
-    /// [`Schedule::makespan`] is the slack level barriers leave on the
-    /// table plus any width limit.
+    /// dataflow — can beat this; the gap between it and a measured wall
+    /// time is what barriers, the worker count and scheduling leave on the
+    /// table.
     ///
     /// # Panics
     ///
@@ -450,86 +410,6 @@ impl Schedule {
             }
         }
         finish.into_iter().max().unwrap_or(Duration::ZERO)
-    }
-
-    /// Projects the **barrier-free** makespan of this schedule on `workers`
-    /// workers from measured per-instruction latencies: an event-driven
-    /// simulation of the dataflow rule's policy (an instruction becomes
-    /// ready the instant its last dependency finishes; idle workers pick the
-    /// ready instruction with the longest remaining dependency chain).
-    ///
-    /// Compare against the leveled [`Schedule::makespan`] at the same
-    /// `workers` to obtain the *barrier slack reclaimed* by dataflow
-    /// execution, and against [`Schedule::critical_path_makespan`] to see
-    /// how far the worker count (rather than dependencies) still limits it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `instr_times` is shorter than the instruction list.
-    pub fn dataflow_makespan(&self, instr_times: &[Duration], workers: usize) -> Duration {
-        assert!(
-            instr_times.len() >= self.instrs.len(),
-            "need one duration per instruction"
-        );
-        let n = self.instrs.len();
-        if n == 0 {
-            return Duration::ZERO;
-        }
-        let workers = workers.max(1);
-        let times: Vec<f64> = instr_times[..n].iter().map(Duration::as_secs_f64).collect();
-        let priority = self.chain_costs(&times);
-
-        // Event-driven simulation: time advances through completion events;
-        // at each instant every idle worker takes the highest-priority
-        // instruction that is ready *now* (never committing a worker to a
-        // lower-priority instruction while a higher-priority one is about to
-        // become ready, which is exactly what the live executor does too).
-        let mut pending = self.dep_counts.clone();
-        let mut ready: Vec<usize> = (0..n).filter(|&i| pending[i] == 0).collect();
-        let mut running: Vec<(f64, usize)> = Vec::new();
-        let mut free = vec![0.0f64; workers];
-        let mut now = 0.0f64;
-        let mut makespan = 0.0f64;
-        loop {
-            // Assign while an idle worker and a ready instruction coexist.
-            while !ready.is_empty() {
-                let Some(worker) = free.iter().position(|&f| f <= now) else {
-                    break;
-                };
-                // Highest priority first, lowest index as the deterministic
-                // tie-break — the live executor's pop order.
-                let pos = ready
-                    .iter()
-                    .enumerate()
-                    .max_by(|(_, &a), (_, &b)| priority[a].total_cmp(&priority[b]).then(b.cmp(&a)))
-                    .map(|(pos, _)| pos)
-                    .expect("ready is non-empty");
-                let pick = ready.swap_remove(pos);
-                let finish = now + times[pick];
-                free[worker] = finish;
-                running.push((finish, pick));
-                makespan = makespan.max(finish);
-            }
-            if running.is_empty() {
-                break;
-            }
-            // Advance to the next completion and release its dependents.
-            let earliest = running
-                .iter()
-                .enumerate()
-                .min_by(|(_, (a, ai)), (_, (b, bi))| a.total_cmp(b).then(ai.cmp(bi)))
-                .map(|(pos, _)| pos)
-                .expect("running is non-empty");
-            let (finish, done) = running.swap_remove(earliest);
-            now = now.max(finish);
-            for &d in &self.dependents[done] {
-                pending[d] -= 1;
-                if pending[d] == 0 {
-                    ready.push(d);
-                }
-            }
-        }
-        Duration::from_secs_f64(makespan)
     }
 }
 
@@ -670,28 +550,6 @@ mod tests {
         // client-packed), one addition at level 1.
         assert_eq!(schedule.level_count(), 2);
         assert_eq!(schedule.max_width(), 2);
-    }
-
-    #[test]
-    fn makespan_projection_respects_levels_and_workers() {
-        use std::time::Duration;
-        // Two independent 100x multiplications, then one addition.
-        let (_, schedule) =
-            schedule_of("(VecAdd (VecMul (Vec a b) (Vec c d)) (VecMul (Vec e f) (Vec g h)))");
-        let times: Vec<Duration> = schedule
-            .instrs()
-            .iter()
-            .map(|si| match si.instr {
-                Instr::Bin { op: BinOp::Mul, .. } => Duration::from_millis(100),
-                _ => Duration::from_millis(1),
-            })
-            .collect();
-        // One worker: everything serializes.
-        assert_eq!(schedule.makespan(&times, 1), Duration::from_millis(201));
-        // Two workers: the multiplications overlap, the addition follows.
-        assert_eq!(schedule.makespan(&times, 2), Duration::from_millis(101));
-        // Extra workers cannot beat the critical path.
-        assert_eq!(schedule.makespan(&times, 8), Duration::from_millis(101));
     }
 
     #[test]
@@ -883,11 +741,9 @@ mod tests {
         }
     }
 
-    /// Two chains of uneven per-level costs: the leveled projection pays the
-    /// per-level maximum at every barrier, the dataflow projection lets the
-    /// cheap chain run ahead.
+    /// Two chains of uneven per-level costs (mul 10 + 10 ms beside add
+    /// 1 + 19 ms), joined by a 1 ms addition.
     fn uneven_chains() -> (Schedule, Vec<Duration>) {
-        use std::time::Duration;
         let (_, schedule) = schedule_of(
             "(VecAdd (VecMul (VecMul (Vec a b) (Vec c d)) (Vec e f)) (VecAdd (VecAdd (Vec g h) (Vec i j)) (Vec k l)))",
         );
@@ -905,35 +761,14 @@ mod tests {
     }
 
     #[test]
-    fn dataflow_makespan_reclaims_barrier_slack_on_uneven_levels() {
+    fn critical_path_makespan_is_the_longest_dependency_chain() {
         let (schedule, times) = uneven_chains();
         assert_eq!(schedule.level_count(), 3);
-        // Leveled @2 workers: 10 (mul level) + 19 (uneven level) + 1 = 30ms.
-        let leveled = schedule.makespan(&times, 2);
-        assert_eq!(leveled, Duration::from_millis(30));
-        // Dataflow @2: the add chain (1 + 19) overlaps the mul chain
-        // (10 + 10); the final add starts at 20 -> 21ms.
-        let dataflow = schedule.dataflow_makespan(&times, 2);
-        assert_eq!(dataflow, Duration::from_millis(21));
-        // The true critical path matches: both chains cost 21ms end to end.
+        // Both chains cost 20 ms; the final add starts at 20 -> 21 ms.
         assert_eq!(
             schedule.critical_path_makespan(&times),
             Duration::from_millis(21)
         );
-        // One worker serializes everything, barriers or not.
-        let total: Duration = times.iter().sum();
-        assert_eq!(schedule.dataflow_makespan(&times, 1), total);
-        assert_eq!(schedule.makespan(&times, 1), total);
-    }
-
-    #[test]
-    fn dataflow_makespan_never_beats_the_critical_path_or_loses_to_levels() {
-        let (schedule, times) = uneven_chains();
-        for workers in 1..=8 {
-            let dataflow = schedule.dataflow_makespan(&times, workers);
-            assert!(dataflow >= schedule.critical_path_makespan(&times));
-            assert!(dataflow <= schedule.makespan(&times, workers));
-        }
     }
 
     fn rot_operand(schedule: &Schedule) -> Slot {

@@ -1,11 +1,12 @@
 //! The serving scenario: compile one kernel, build one long-lived
 //! `FheSession` (keys + schedule generated exactly once), then stream
-//! requests through a persistent `ServingEngine` request queue.
+//! requests through a persistent `ServingEngine` request queue, traced into
+//! `results/trace.json` (Chrome trace format), and print the metrics text.
 //!
 //! Run with `cargo run --release --example parallel_serving`.
 
 use chehab::benchsuite;
-use chehab::compiler::{Compiler, ExecOptions};
+use chehab::compiler::{Compiler, ExecHooks, ExecOptions, TraceSink};
 use chehab::fhe::BfvParameters;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -47,7 +48,13 @@ fn main() {
     // A persistent request queue over the shared session: submit returns a
     // handle immediately; workers drain the queue in the background.
     let options = ExecOptions::new().with_queue_capacity(32);
-    let engine = session.serve(&options);
+    let sink = Arc::new(TraceSink::new());
+    let hooks = ExecHooks {
+        trace: Some(Arc::clone(&sink)),
+        ..ExecHooks::default()
+    };
+    let engine = session.serve_with(&options, &hooks).into_engine();
+    drop(hooks);
     let started = Instant::now();
     let handles: Vec<_> = requests
         .iter()
@@ -87,4 +94,11 @@ fn main() {
         calibrated.op_costs.vec_mul_ct_ct,
         session_stats.calibration.sample_count()
     );
+
+    // Shutdown released the engine's clone of the sink: one span per request.
+    let sink = Arc::try_unwrap(sink).expect("engine is shut down");
+    std::fs::create_dir_all("results").expect("results/ is creatable");
+    std::fs::write("results/trace.json", sink.into_trace().to_chrome_json())
+        .expect("results/trace.json is writable");
+    println!("wrote results/trace.json\n{}", session.render_metrics());
 }

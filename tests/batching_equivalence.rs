@@ -102,11 +102,12 @@ fn a_one_user_batch_matches_the_ir_interpreter() {
 
 /// Multi-user batches: each user's lane window must scatter back exactly
 /// the outputs that user's solo request produces, even though the whole
-/// batch shared one homomorphic execution.
+/// batch shared one homomorphic execution — for a small batch and for one
+/// that fills every lane the ciphertext has (64 caps the cost on
+/// narrow-stride kernels).
 #[test]
 fn every_user_of_a_batch_reads_its_own_solo_result() {
     let params = BfvParameters::insecure_test();
-    let options = ExecOptions::sequential().with_batching(BatchPolicy::default());
     for benchmark in benchsuite::full_suite() {
         let compiled = Compiler::greedy().compile(benchmark.id(), benchmark.program());
         let session = compiled
@@ -115,31 +116,41 @@ fn every_user_of_a_batch_reads_its_own_solo_result() {
         assert!(session.lane_stride() >= 1);
         assert!(session.batch_capacity() >= 1);
 
-        let users = session.batch_capacity().min(3);
-        let input_sets: Vec<HashMap<String, i64>> = (0..users as u64)
+        let full = session.batch_capacity().min(64);
+        let input_sets: Vec<HashMap<String, i64>> = (0..full as u64)
             .map(|k| inputs_of(&benchmark, 120 + 7 * k))
             .collect();
-        let batched = session
-            .run_batched(&input_sets, &options, &ExecHooks::default())
-            .unwrap_or_else(|e| panic!("{}: batched run failed: {e}", benchmark.id()));
-        assert_eq!(
-            batched.len(),
-            users,
-            "{}: one report per user",
-            benchmark.id()
-        );
-
-        for (lane, inputs) in input_sets.iter().enumerate() {
-            let solo = session
-                .run(inputs)
-                .unwrap_or_else(|e| panic!("{}: solo run failed: {e}", benchmark.id()));
+        let solo: Vec<_> = input_sets
+            .iter()
+            .map(|inputs| {
+                session
+                    .run(inputs)
+                    .unwrap_or_else(|e| panic!("{}: solo run failed: {e}", benchmark.id()))
+            })
+            .collect();
+        let mut sizes = vec![full.min(3), full];
+        sizes.dedup();
+        for users in sizes {
+            let options = ExecOptions::sequential()
+                .with_batching(BatchPolicy::default().with_max_batch(users));
+            let batched = session
+                .run_batched(&input_sets[..users], &options, &ExecHooks::default())
+                .unwrap_or_else(|e| panic!("{}: batched run failed: {e}", benchmark.id()));
             assert_eq!(
-                batched[lane].outputs,
-                solo.outputs,
-                "{}: user {lane} of {users} read someone else's lane",
+                batched.len(),
+                users,
+                "{}: one report per user",
                 benchmark.id()
             );
-            assert_eq!(batched[lane].decryption_ok, solo.decryption_ok);
+            for (lane, (batched, solo)) in batched.iter().zip(&solo).enumerate() {
+                assert_eq!(
+                    batched.outputs,
+                    solo.outputs,
+                    "{}: user {lane} of {users} read someone else's lane",
+                    benchmark.id()
+                );
+                assert_eq!(batched.decryption_ok, solo.decryption_ok);
+            }
         }
     }
 }

@@ -234,12 +234,20 @@ fn a_panic_while_peers_wait_surfaces_as_worker_panic_under_both_rules() {
 }
 
 /// A seeded fault storm — planned worker panics, latency spikes, forced
-/// queue-full rejections — over a serving engine completes with zero hangs
-/// and zero engine deaths, errors stay bounded by the plan, and every
-/// non-faulted request's outputs are bit-identical to a clean solo run.
+/// queue-full rejections, one explicit cancellation — over a serving engine
+/// completes with zero hangs and zero engine deaths, errors stay bounded by
+/// the plan, and every non-faulted request's outputs are bit-identical to a
+/// clean solo run; on narrow, wide and deep irregular schedules.
 #[test]
 fn a_seeded_fault_storm_never_hangs_and_non_faulted_outputs_are_exact() {
-    for id in ["Dot Product 8", "Linear Reg. 4", "L2 Distance 8"] {
+    for id in [
+        "Dot Product 8",
+        "Linear Reg. 4",
+        "L2 Distance 8",
+        "Mat. Mul. 3x3",
+        "Sort 3",
+        "Tree 100-100-5",
+    ] {
         let (session, benchmark) = session_for(id);
         let requests = 10usize;
         let input_sets: Vec<HashMap<String, i64>> = (0..requests)
@@ -270,6 +278,9 @@ fn a_seeded_fault_storm_never_hangs_and_non_faulted_outputs_are_exact() {
                 .expect("retries outlast the forced queue-full budget");
             handles.push(handle);
         }
+        // The last request is cancelled while the storm runs: it resolves
+        // as cancelled, or normally if a worker had already finished it.
+        handles[requests - 1].cancel();
 
         let mut failed = 0usize;
         for (i, handle) in handles.into_iter().enumerate() {
@@ -279,6 +290,7 @@ fn a_seeded_fault_storm_never_hangs_and_non_faulted_outputs_are_exact() {
                     "{id}: non-faulted request {i} diverged from the clean run"
                 ),
                 Err(FheError::WorkerPanic { .. }) => failed += 1,
+                Err(FheError::Cancelled) if i == requests - 1 => {}
                 Err(other) => panic!("{id}: unexpected storm error: {other}"),
             }
         }
