@@ -221,7 +221,7 @@ pub struct ExecHooks {
     /// Span sink. [`FheSession::run_batched`] records the `bind` /
     /// `execute` / `decrypt` phase spans of every chunk on one session track
     /// plus instruction-level spans (operation label, instruction index,
-    /// queue wait, intra-op thread grant, steal provenance) on one track per
+    /// queue wait, steal provenance) on one track per
     /// executor worker. [`FheSession::serve_with`] records one request-level
     /// span per served job (with its queue wait) on one track per serving
     /// worker — deliberately *not* instruction-level spans: each executor
@@ -1088,7 +1088,6 @@ impl FheSession {
                     dur_ns: u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX),
                     instr: None,
                     queue_wait_ns: None,
-                    grant: None,
                     stolen_from: None,
                 });
             }

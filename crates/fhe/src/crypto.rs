@@ -120,10 +120,6 @@ struct ContextInner {
     /// Barrett constants and (when compute simulation is on) Shoup NTT
     /// tables. A bare one-limb marker when `limb_count == 1`.
     chain: ModulusChain,
-    /// NTT of the all-ones payload polynomial, precomputed once at context
-    /// build: scalar-splat multiplications scale this instead of
-    /// transforming a fresh splat per operation.
-    ones_eval: Option<Poly>,
     /// Eval-domain Galois permutations by Galois element, computed once per
     /// `(payload_degree, element)` for the context's lifetime and shared by
     /// every evaluator (evaluators keep a lock-free local `Arc` cache on
@@ -156,22 +152,6 @@ impl FheContext {
             params.payload_degree,
             params.simulate_compute,
         );
-        let ones_eval = tables.as_ref().map(|t| {
-            let degree = params.payload_degree;
-            let mut ones = vec![1u64; params.limb_count * degree];
-            // Limb 0 transforms under the shared Goldilocks tables (the
-            // k = 1 path verbatim); generic limbs under their own NTTs.
-            t.forward(&mut ones[..degree]);
-            for li in 1..params.limb_count {
-                let stripe = &mut ones[li * degree..(li + 1) * degree];
-                chain
-                    .limb(li)
-                    .ntt()
-                    .expect("generic limbs carry NTT tables under compute simulation")
-                    .forward(stripe);
-            }
-            Poly::from_reduced(ones, Domain::Eval)
-        });
         Ok(FheContext {
             inner: Arc::new(ContextInner {
                 plain: PlainModulus::new(params.plain_modulus),
@@ -179,7 +159,6 @@ impl FheContext {
                 noise,
                 tables,
                 chain,
-                ones_eval,
                 galois_perms: Mutex::new(HashMap::new()),
             }),
         })
@@ -203,10 +182,6 @@ impl FheContext {
     /// single-modulus parameters).
     pub fn chain(&self) -> &ModulusChain {
         &self.inner.chain
-    }
-
-    pub(crate) fn ones_eval(&self) -> Option<&Poly> {
-        self.inner.ones_eval.as_ref()
     }
 
     /// The Eval-domain Galois permutation of `galois_elt` at the context's
@@ -378,9 +353,8 @@ impl Plaintext {
     }
 
     /// The payload splat polynomial of this plaintext in Eval form — all
-    /// `limb_count · degree` limb stripes — transformed on first use
-    /// (`threads` bounds the intra-op NTT worker count) and cached for
-    /// every later use.
+    /// `limb_count · degree` limb stripes — transformed on first use and
+    /// cached for every later use.
     ///
     /// The cache is keyed to the first context the plaintext multiplies
     /// under; if the same plaintext is then used under a context with a
@@ -390,7 +364,6 @@ impl Plaintext {
         &self,
         chain: &ModulusChain,
         tables: &NttTables,
-        threads: usize,
         arena: &mut PolyArena,
     ) -> Cow<'_, Poly> {
         let total = chain.limb_count() * chain.degree();
@@ -398,9 +371,9 @@ impl Plaintext {
             if splat.degree() == total {
                 return Cow::Borrowed(splat);
             }
-            return Cow::Owned(self.build_splat(chain, tables, threads, arena));
+            return Cow::Owned(self.build_splat(chain, tables, arena));
         }
-        let built = self.build_splat(chain, tables, threads, arena);
+        let built = self.build_splat(chain, tables, arena);
         match self.splat.set(built) {
             Ok(()) => Cow::Borrowed(self.splat.get().expect("just set")),
             // A concurrent first use won the race; its value is identical
@@ -420,23 +393,13 @@ impl Plaintext {
     /// limb of `chain` (limb 0 under the shared Goldilocks `tables` — the
     /// single-modulus path verbatim — generic limbs under their own NTTs),
     /// with the coefficient buffer drawn from `arena`.
-    fn build_splat(
-        &self,
-        chain: &ModulusChain,
-        tables: &NttTables,
-        threads: usize,
-        arena: &mut PolyArena,
-    ) -> Poly {
+    fn build_splat(&self, chain: &ModulusChain, tables: &NttTables, arena: &mut PolyArena) -> Poly {
         let degree = chain.degree();
         let mut values = arena.take(chain.limb_count() * degree);
         for (out, &s) in values[..degree].iter_mut().zip(self.slots.iter().cycle()) {
             *out = s.wrapping_mul(0x9E37_79B9) % MODULUS;
         }
-        if threads > 1 {
-            tables.forward_threaded(&mut values[..degree], threads);
-        } else {
-            tables.forward(&mut values[..degree]);
-        }
+        tables.forward(&mut values[..degree]);
         for li in 1..chain.limb_count() {
             let q = chain.limb(li).modulus();
             let stripe = &mut values[li * degree..(li + 1) * degree];

@@ -24,27 +24,26 @@
 //!
 //! The evaluator owns a [`PolyArena`]: every output buffer (payload stripes
 //! *and* slot vectors) is taken from it, and dead ciphertexts are returned
-//! with [`Evaluator::recycle`] (or the in-place `*_into` / `*_assign`
-//! variants, which recycle their overwritten output for the caller). A
-//! request stream running against a warm arena performs **zero fresh buffer
-//! allocations**: the process-global [`PolyArena`] counters let tests and
-//! benches assert exactly that. Cheap ct–pt additions do not copy payloads
-//! at all — the payload rides behind an `Arc` and is shared.
+//! with [`Evaluator::recycle`] (the in-place `*_assign` variants overwrite
+//! their operand instead). A request stream running against a warm arena
+//! performs **zero fresh buffer allocations**: an arena checked out of a
+//! session's [`ArenaPool`](crate::ArenaPool) counts its misses and hits on
+//! that pool ([`ArenaPool::alloc_stats`](crate::ArenaPool::alloc_stats)),
+//! which is what lets tests and the benchmark assert exactly that. Cheap
+//! ct–pt additions do not copy payloads at all — the payload rides behind an
+//! `Arc` and is shared.
 //!
-//! ## Intra-op parallelism
+//! ## No threads
 //!
-//! [`Evaluator::set_intra_op_threads`] grants the evaluator a worker budget
-//! for splitting heavy stripe passes into chunks on scoped threads. The
-//! parallel runtime raises the budget when a schedule level is narrower
-//! than its worker pool, so otherwise-idle cores help inside single heavy
-//! operations. Results are bit-identical at every budget;
-//! [`Evaluator::intra_op_splits`] counts the operations that actually
-//! split.
+//! An evaluator runs every kernel on the thread that called it.
+//! Parallelism belongs to the layers above: requests across an engine's
+//! workers, instructions within a request across the executor's workers,
+//! one evaluator per worker.
 
 use crate::arena::PolyArena;
 use crate::crypto::{Ciphertext, FheContext, FheError, Plaintext};
 use crate::keys::{GaloisKeys, RelinKeys};
-use crate::payload::{CtPayload, INTRA_OP_MIN};
+use crate::payload::CtPayload;
 use crate::poly::{Domain, Poly};
 use crate::rns::PlainModulus;
 use crate::simd::SimdPolicy;
@@ -95,10 +94,6 @@ impl EvaluatorStats {
 pub struct Evaluator {
     ctx: FheContext,
     stats: EvaluatorStats,
-    /// Worker budget for intra-op coefficient chunking (1 = sequential).
-    intra_op_threads: usize,
-    /// Operations that actually split across intra-op workers.
-    intra_op_splits: u64,
     /// Buffer pool every output slot vector and payload stripe is drawn
     /// from (and dead ciphertexts recycled into).
     arena: PolyArena,
@@ -106,21 +101,12 @@ pub struct Evaluator {
     /// permutation cache, keyed by Galois element.
     galois_perms: HashMap<usize, Arc<Vec<u32>>>,
     /// The SIMD back end every fused stripe kernel runs on, snapshotted
-    /// from [`SimdPolicy::global`] at construction. Composes with intra-op
-    /// chunking: each chunk runs the vector kernel with a scalar tail, and
-    /// outputs are bit-identical under every (policy, threads) combination.
+    /// from [`SimdPolicy::global`] at construction. Outputs are
+    /// bit-identical under every policy.
     simd: SimdPolicy,
 }
 
 impl Evaluator {
-    /// Minimum payload degree at which intra-op chunking engages: payloads
-    /// below this stay sequential regardless of the configured budget (the
-    /// scoped-thread spawn would cost more than the loop it splits).
-    /// Schedulers that hand out *dynamic* per-op thread grants (the
-    /// runtime's dataflow executor) consult this to skip grant bookkeeping
-    /// entirely for sessions whose payloads can never split.
-    pub const INTRA_OP_MIN_DEGREE: usize = INTRA_OP_MIN;
-
     /// Creates an evaluator for a context, with an empty private buffer
     /// arena. Long-lived callers that want a warm arena use
     /// [`Evaluator::with_arena`].
@@ -135,8 +121,6 @@ impl Evaluator {
         Evaluator {
             ctx: ctx.clone(),
             stats: EvaluatorStats::default(),
-            intra_op_threads: 1,
-            intra_op_splits: 0,
             arena,
             galois_perms: HashMap::new(),
             simd: SimdPolicy::global(),
@@ -190,35 +174,6 @@ impl Evaluator {
     /// Resets the operation counters.
     pub fn reset_stats(&mut self) {
         self.stats = EvaluatorStats::default();
-    }
-
-    /// Sets the intra-op worker budget: heavy stripe passes split into
-    /// chunks across up to this many scoped threads (clamped to at least 1).
-    /// Results are bit-identical at every budget.
-    pub fn set_intra_op_threads(&mut self, threads: usize) {
-        self.intra_op_threads = threads.max(1);
-    }
-
-    /// The current intra-op worker budget.
-    pub fn intra_op_threads(&self) -> usize {
-        self.intra_op_threads
-    }
-
-    /// Number of operations so far whose payload work actually split across
-    /// more than one intra-op worker.
-    pub fn intra_op_splits(&self) -> u64 {
-        self.intra_op_splits
-    }
-
-    /// The intra-op budget that will apply to a payload of `degree`
-    /// coefficients, and whether that counts as a split.
-    fn split_threads(&mut self, degree: usize) -> usize {
-        if self.intra_op_threads > 1 && degree >= INTRA_OP_MIN {
-            self.intra_op_splits += 1;
-            self.intra_op_threads
-        } else {
-            1
-        }
     }
 
     /// Element-wise slot combination into an arena buffer. `op` is one of
@@ -433,21 +388,6 @@ impl Evaluator {
         }
     }
 
-    /// [`Evaluator::multiply`] that overwrites `out`, recycling `out`'s old
-    /// buffers into the arena — the steady-state form for accumulation
-    /// loops.
-    pub fn multiply_into(
-        &mut self,
-        a: &Ciphertext,
-        b: &Ciphertext,
-        relin: &RelinKeys,
-        out: &mut Ciphertext,
-    ) {
-        let fresh = self.multiply(a, b, relin);
-        let old = std::mem::replace(out, fresh);
-        self.recycle(old);
-    }
-
     /// Ciphertext squaring (a slightly cheaper ct-ct multiplication; no
     /// operand clone).
     pub fn square(&mut self, a: &Ciphertext, relin: &RelinKeys) -> Ciphertext {
@@ -465,11 +405,10 @@ impl Evaluator {
         let ctx = self.ctx.clone();
         let payload = match ctx.tables() {
             Some(tables) if !a.payload.is_empty() => {
-                let threads = self.split_threads(a.payload.stripe().len() / 2);
-                let pt_poly = b.splat_eval(ctx.chain(), tables, threads, &mut self.arena);
+                let pt_poly = b.splat_eval(ctx.chain(), tables, &mut self.arena);
                 let mut out = self.arena.take(a.payload.stripe().len());
                 a.payload
-                    .mul_eval2(pt_poly.coeffs(), &mut out, threads, self.simd, ctx.chain());
+                    .mul_eval2(pt_poly.coeffs(), &mut out, self.simd, ctx.chain());
                 Arc::new(CtPayload::from_limb_stripe(
                     out,
                     a.payload.limbs(),
@@ -523,7 +462,6 @@ impl Evaluator {
         // ([`CtPayload::galois_eval2`]).
         let payload = if self.ctx.tables().is_some() && !a.payload.is_empty() {
             let degree = self.ctx.params().payload_degree;
-            let threads = self.split_threads(a.payload.stripe().len() / 2);
             // The slot rotation corresponds to the Galois automorphism
             // x -> x^(2*shift + 1) (always odd, as the ring requires). Its
             // Eval-domain permutation depends only on the element, so the
@@ -544,7 +482,7 @@ impl Evaluator {
                 .unwrap_or_else(|| a.payload.c0());
             let mut out = self.arena.take(a.payload.stripe().len());
             a.payload
-                .galois_eval2(&perm, key, &mut out, threads, self.simd, self.ctx.chain());
+                .galois_eval2(&perm, key, &mut out, self.simd, self.ctx.chain());
             Arc::new(CtPayload::from_limb_stripe(
                 out,
                 a.payload.limbs(),
@@ -560,26 +498,6 @@ impl Evaluator {
             key_id: a.key_id,
             level: a.level,
         })
-    }
-
-    /// [`Evaluator::rotate`] that overwrites `out`, recycling `out`'s old
-    /// buffers into the arena — the steady-state form for multi-step
-    /// rotation chains.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Evaluator::rotate`]; on error `out` is untouched.
-    pub fn rotate_into(
-        &mut self,
-        a: &Ciphertext,
-        step: i64,
-        galois_keys: &GaloisKeys,
-        out: &mut Ciphertext,
-    ) -> Result<(), FheError> {
-        let fresh = self.rotate(a, step, galois_keys)?;
-        let old = std::mem::replace(out, fresh);
-        self.recycle(old);
-        Ok(())
     }
 
     /// Point-wise payload combination used by additions/subtractions: one
@@ -649,7 +567,6 @@ impl Evaluator {
             return Arc::clone(&a.payload);
         }
         let half = a.payload.stripe().len() / 2;
-        let threads = self.split_threads(half);
         let mut out = self.arena.take(2 * half);
         // Key-switch multipliers: the relin key's pre-transformed stripe
         // (fall back to operand components if key material was built
@@ -660,7 +577,6 @@ impl Evaluator {
                 switch.c0(),
                 switch.c1(),
                 &mut out,
-                threads,
                 self.simd,
                 self.ctx.chain(),
             ),
@@ -669,7 +585,6 @@ impl Evaluator {
                 a.payload.c0(),
                 b.payload.c0(),
                 &mut out,
-                threads,
                 self.simd,
                 self.ctx.chain(),
             ),
@@ -679,52 +594,6 @@ impl Evaluator {
             a.payload.limbs(),
             Domain::Eval,
         ))
-    }
-
-    /// Multiplies a ciphertext by a scalar constant (implemented as a
-    /// plaintext multiplication with a splatted constant).
-    ///
-    /// The splat of a constant is the constant times the all-ones
-    /// polynomial, whose NTT the context precomputes once at build — so the
-    /// payload work is one fused stripe pass
-    /// ([`CtPayload::mul_scalar_eval2`]) with no transform and no temporary.
-    pub fn multiply_scalar(&mut self, a: &Ciphertext, scalar: i64) -> Ciphertext {
-        let t = *self.ctx.plain();
-        let reduced = scalar.rem_euclid(t.value() as i64) as u64;
-        self.stats.ct_pt_multiplications += 1;
-        let ctx = self.ctx.clone();
-        let payload = match ctx.ones_eval() {
-            Some(ones) if !a.payload.is_empty() => {
-                let threads = self.split_threads(a.payload.stripe().len() / 2);
-                let k = reduced.max(1);
-                let mut out = self.arena.take(a.payload.stripe().len());
-                a.payload.mul_scalar_eval2(
-                    ones.coeffs(),
-                    k,
-                    &mut out,
-                    threads,
-                    self.simd,
-                    ctx.chain(),
-                );
-                Arc::new(CtPayload::from_limb_stripe(
-                    out,
-                    a.payload.limbs(),
-                    Domain::Eval,
-                ))
-            }
-            _ => Arc::clone(&a.payload),
-        };
-        let mut slots = self.arena.take(a.slots.len());
-        for (slot, &x) in slots.iter_mut().zip(&a.slots) {
-            *slot = t.mul(x, reduced);
-        }
-        Ciphertext {
-            slots,
-            payload,
-            noise_consumed_bits: a.noise_consumed_bits + self.ctx.noise_model().ct_pt_mul_bits,
-            key_id: a.key_id,
-            level: a.level,
-        }
     }
 }
 
@@ -888,18 +757,6 @@ mod tests {
         f.eval.neg_assign(&mut acc);
         assert_eq!(acc.slots, reference.slots);
         assert_eq!(acc.payload(), reference.payload());
-
-        let reference = f.eval.multiply(&a, &b, &f.relin);
-        let mut out = f.eval.clone_ciphertext(&b);
-        f.eval.multiply_into(&a, &b, &f.relin, &mut out);
-        assert_eq!(out.slots, reference.slots);
-        assert_eq!(out.payload(), reference.payload());
-
-        let reference = f.eval.rotate(&a, 1, &f.galois).unwrap();
-        let mut out = f.eval.clone_ciphertext(&b);
-        f.eval.rotate_into(&a, 1, &f.galois, &mut out).unwrap();
-        assert_eq!(out.slots, reference.slots);
-        assert_eq!(out.payload(), reference.payload());
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::poly::{Domain, NttTables, Poly, MODULUS};
 use crate::rns::ModulusChain;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,13 +33,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static KEYGEN_INSTANCES: AtomicU64 = AtomicU64::new(0);
 
 /// The secret key (simulation placeholder identified by its seed).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecretKey {
     id: u64,
 }
 
 /// The public encryption key derived from a secret key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey {
     id: u64,
 }
@@ -53,7 +52,7 @@ pub struct PublicKey {
 /// striped `[s0 | s1]` layout ciphertext payloads use, so the fused ct-ct
 /// multiplication kernel reads key material with the access pattern it
 /// reads operands.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelinKeys {
     id: u64,
     size_bytes: usize,
@@ -78,7 +77,7 @@ impl RelinKeys {
 /// Like [`RelinKeys`], each generated step carries an Eval-form key-switch
 /// payload polynomial under compute simulation, pre-transformed once at key
 /// generation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaloisKeys {
     id: u64,
     steps: BTreeSet<i64>,

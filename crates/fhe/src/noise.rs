@@ -10,10 +10,8 @@
 //! (e.g. ≈41 bits for a depth-1 kernel, ≈73 bits for depth 2, ≈140 bits for
 //! depth 4 under the 369-bit fresh budget).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-operation noise-budget consumption estimates, in bits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Budget consumed by encryption itself (fresh ciphertext).
     pub fresh_bits: f64,

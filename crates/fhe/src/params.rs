@@ -7,7 +7,6 @@
 //! `n = 16384`, a 20-bit `t`, and SEAL's default 389-bit coefficient modulus
 //! for 128-bit security, giving a fresh invariant-noise budget of 369 bits.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors raised when validating encryption parameters.
@@ -62,7 +61,7 @@ impl fmt::Display for ParameterError {
 impl std::error::Error for ParameterError {}
 
 /// Security levels from the Homomorphic Encryption Standard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SecurityLevel {
     /// 128-bit classical security.
     Tc128,
@@ -98,7 +97,7 @@ impl SecurityLevel {
 }
 
 /// BFV encryption parameters plus simulation fidelity knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BfvParameters {
     /// Polynomial modulus degree `n` (number of ciphertext slots).
     pub poly_modulus_degree: usize,

@@ -12,7 +12,6 @@
 //!
 //! - [`CtPayload::mul_eval2`] — both components times one shared pointwise
 //!   multiplier (ciphertext–plaintext products),
-//! - [`CtPayload::mul_scalar_eval2`] — the scalar-splat variant,
 //! - [`CtPayload::mul_add_eval2`] — the full BFV ct-ct tensor product plus
 //!   relinearization (six ring products per coefficient, fused),
 //! - [`CtPayload::galois_eval2`] — Galois gather plus key-switch product,
@@ -26,85 +25,30 @@
 //! generalizes to `[c0_q0 | c0_q1 | … | c0_q(k-1) | c1_q0 | … | c1_q(k-1)]`
 //! — each component half carries `k` consecutive *limb stripes* of `degree`
 //! values, one per chain prime, `2·k·degree` values in all. Every kernel
-//! walks the limbs in lockstep by splitting each intra-op chunk at limb
-//! boundaries: segments of limb 0 run the existing Goldilocks ε-identity
-//! SIMD kernels **verbatim** (which is what makes `k = 1` bit-identical to
-//! the single-modulus engine — the walk degenerates to exactly one segment
-//! per chunk), and segments of limbs `1..k` run the Barrett kernels of
-//! [`crate::rns`] under the same [`SimdPolicy`] dispatch.
-//!
-//! Because `par_chunks2` chunks the `k·degree` component halves, the
-//! intra-op split is limb-first by construction: with `k` limbs and up to
-//! `k` worker threads each chunk is one whole limb stripe, and only finer
-//! grants split within a limb's coefficient range.
+//! is one loop over the limb stripes: limb 0 runs the existing Goldilocks
+//! ε-identity SIMD kernels **verbatim** (which is what makes `k = 1`
+//! bit-identical to the single-modulus engine — the loop runs once), and
+//! limbs `1..k` run the Barrett kernels of [`crate::rns`] under the same
+//! [`SimdPolicy`] dispatch.
 //!
 //! All kernels write into caller-provided stripe buffers (typically from a
 //! [`PolyArena`](crate::PolyArena)) and walk the two component halves in
 //! lockstep, so the shared per-coefficient operands (multiplier, key,
 //! permutation entry, the `c2` tensor scalar) are loaded once instead of
-//! once per component. Every kernel is elementwise, so intra-op chunking is
-//! bit-identical at every thread count.
+//! once per component.
 
 use crate::poly::Domain;
 use crate::rns::{self, ModulusChain};
 use crate::simd::{self, SimdPolicy};
 use std::ops::Range;
 
-/// Stripes shorter than this never split across intra-op worker threads:
-/// below it, thread-spawn latency exceeds the chunk work a helper would take
-/// over. (Shared with the evaluator's intra-op budget logic.)
-pub(crate) const INTRA_OP_MIN: usize = 2048;
-
-/// Runs `body(offset, chunk0, chunk1)` over disjoint lockstep chunks of the
-/// two output slices (the fused kernels pass the two component halves of a
-/// stripe), using up to `threads` scoped worker threads — the calling
-/// thread takes the first chunk. Sequential when the budget is 1 or the
-/// slices are small.
-pub(crate) fn par_chunks2(
-    out0: &mut [u64],
-    out1: &mut [u64],
-    threads: usize,
-    body: impl Fn(usize, &mut [u64], &mut [u64]) + Send + Sync + Copy,
-) {
-    let n = out0.len();
-    debug_assert_eq!(n, out1.len());
-    if threads <= 1 || n < INTRA_OP_MIN {
-        body(0, out0, out1);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut chunks = out0
-            .chunks_mut(chunk)
-            .zip(out1.chunks_mut(chunk))
-            .enumerate();
-        let first = chunks.next();
-        for (i, (c0, c1)) in chunks {
-            scope.spawn(move || body(i * chunk, c0, c1));
-        }
-        if let Some((_, (c0, c1))) = first {
-            body(0, c0, c1);
-        }
-    });
-}
-
-/// Calls `f(limb_index, segment)` for every maximal sub-range of
-/// `start..end` (absolute positions within a `k·degree` component half)
-/// that stays inside one limb stripe of `degree` values. With one limb the
-/// walk degenerates to a single call covering the whole range.
-fn for_limb_segments(
-    start: usize,
-    end: usize,
-    degree: usize,
-    mut f: impl FnMut(usize, Range<usize>),
-) {
-    let mut pos = start;
-    while pos < end {
-        let limb = pos / degree;
-        let seg_end = end.min((limb + 1) * degree);
-        f(limb, pos..seg_end);
-        pos = seg_end;
-    }
+/// The consecutive `degree`-long limb stripes of a `len`-value buffer, as
+/// `(stripe_index, positions)`. Nothing for the empty payload.
+fn limb_stripes(len: usize, degree: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    (0..len)
+        .step_by(degree.max(1))
+        .enumerate()
+        .map(move |(i, start)| (i, start..start + degree))
 }
 
 /// Both payload components of one ciphertext in a single contiguous stripe
@@ -244,101 +188,45 @@ impl CtPayload {
     /// Fused ciphertext–plaintext product: both components multiply the
     /// shared `mult` vector (a full `limbs · degree` multiplier) in one
     /// lockstep pass (`out.c0[j] = c0[j] * mult[j]`, `out.c1[j] = c1[j] *
-    /// mult[j]`, each limb segment reduced by its own prime), so `mult` is
+    /// mult[j]`, each limb stripe reduced by its own prime), so `mult` is
     /// read once per coefficient instead of once per component. `out` must
-    /// be a stripe buffer of `self`'s length; `threads` bounds the intra-op
-    /// chunking (bit-identical at every value).
+    /// be a stripe buffer of `self`'s length.
     pub fn mul_eval2(
         &self,
         mult: &[u64],
         out: &mut [u64],
-        threads: usize,
         policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
         let half = self.data.len() / 2;
         debug_assert!(mult.len() >= half);
         debug_assert_eq!(out.len(), self.data.len());
-        let degree = self.degree();
         let (a0, a1) = (self.c0(), self.c1());
         let (out0, out1) = out.split_at_mut(half);
-        par_chunks2(out0, out1, threads, |offset, c0, c1| {
-            for_limb_segments(offset, offset + c0.len(), degree, |li, r| {
-                let w = (r.start - offset)..(r.end - offset);
-                let limb = chain.limb(li);
-                if limb.is_goldilocks() {
-                    simd::mul2_chunk(
-                        &a0[r.clone()],
-                        &a1[r.clone()],
-                        &mult[r],
-                        &mut c0[w.clone()],
-                        &mut c1[w],
-                        policy,
-                    );
-                } else {
-                    simd::mul2_chunk_q(
-                        &a0[r.clone()],
-                        &a1[r.clone()],
-                        &mult[r],
-                        &mut c0[w.clone()],
-                        &mut c1[w],
-                        limb.modulus(),
-                        limb.mu(),
-                        policy,
-                    );
-                }
-            });
-        });
-    }
-
-    /// Fused scalar-splat product: like [`CtPayload::mul_eval2`] with the
-    /// shared multiplier scaled by `k` on the fly (`mult[j] * k` computed
-    /// once per coefficient, shared by both components), so no scaled-splat
-    /// temporary is ever materialized. On generic limbs `k` is first
-    /// reduced into the limb's residue field.
-    pub fn mul_scalar_eval2(
-        &self,
-        mult: &[u64],
-        k: u64,
-        out: &mut [u64],
-        threads: usize,
-        policy: SimdPolicy,
-        chain: &ModulusChain,
-    ) {
-        let half = self.data.len() / 2;
-        debug_assert!(mult.len() >= half);
-        debug_assert_eq!(out.len(), self.data.len());
-        let degree = self.degree();
-        let (a0, a1) = (self.c0(), self.c1());
-        let (out0, out1) = out.split_at_mut(half);
-        par_chunks2(out0, out1, threads, |offset, c0, c1| {
-            for_limb_segments(offset, offset + c0.len(), degree, |li, r| {
-                let w = (r.start - offset)..(r.end - offset);
-                let limb = chain.limb(li);
-                if limb.is_goldilocks() {
-                    simd::mul_scalar2_chunk(
-                        &a0[r.clone()],
-                        &a1[r.clone()],
-                        &mult[r],
-                        k,
-                        &mut c0[w.clone()],
-                        &mut c1[w],
-                        policy,
-                    );
-                } else {
-                    rns::mul_scalar2_chunk_q(
-                        &a0[r.clone()],
-                        &a1[r.clone()],
-                        &mult[r],
-                        k % limb.modulus(),
-                        &mut c0[w.clone()],
-                        &mut c1[w],
-                        limb.modulus(),
-                        limb.mu(),
-                    );
-                }
-            });
-        });
+        for (li, r) in limb_stripes(half, self.degree()) {
+            let limb = chain.limb(li);
+            if limb.is_goldilocks() {
+                simd::mul2_chunk(
+                    &a0[r.clone()],
+                    &a1[r.clone()],
+                    &mult[r.clone()],
+                    &mut out0[r.clone()],
+                    &mut out1[r],
+                    policy,
+                );
+            } else {
+                simd::mul2_chunk_q(
+                    &a0[r.clone()],
+                    &a1[r.clone()],
+                    &mult[r.clone()],
+                    &mut out0[r.clone()],
+                    &mut out1[r],
+                    limb.modulus(),
+                    limb.mu(),
+                    policy,
+                );
+            }
+        }
     }
 
     /// The fused BFV ct-ct multiplication payload: tensor product of `(a0,
@@ -352,16 +240,13 @@ impl CtPayload {
     /// ```
     ///
     /// Both output components are written in lockstep (the two halves of the
-    /// `out` stripe), each limb segment under its own prime, so chunking
-    /// across `threads` workers never reorders a reduction.
-    #[allow(clippy::too_many_arguments)]
+    /// `out` stripe), each limb stripe under its own prime.
     pub fn mul_add_eval2(
         &self,
         other: &CtPayload,
         s0: &[u64],
         s1: &[u64],
         out: &mut [u64],
-        threads: usize,
         policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
@@ -370,42 +255,38 @@ impl CtPayload {
         debug_assert_eq!(s0.len(), half);
         debug_assert_eq!(s1.len(), half);
         debug_assert_eq!(out.len(), self.data.len());
-        let degree = self.degree();
         let (a0, a1) = (self.c0(), self.c1());
         let (b0, b1) = (other.c0(), other.c1());
         let (out0, out1) = out.split_at_mut(half);
-        par_chunks2(out0, out1, threads, |offset, c0, c1| {
-            for_limb_segments(offset, offset + c0.len(), degree, |li, r| {
-                let w = (r.start - offset)..(r.end - offset);
-                let limb = chain.limb(li);
-                if limb.is_goldilocks() {
-                    simd::mul_add2_chunk(
-                        &a0[r.clone()],
-                        &a1[r.clone()],
-                        &b0[r.clone()],
-                        &b1[r.clone()],
-                        &s0[r.clone()],
-                        &s1[r],
-                        &mut c0[w.clone()],
-                        &mut c1[w],
-                        policy,
-                    );
-                } else {
-                    rns::mul_add2_chunk_q(
-                        &a0[r.clone()],
-                        &a1[r.clone()],
-                        &b0[r.clone()],
-                        &b1[r.clone()],
-                        &s0[r.clone()],
-                        &s1[r],
-                        &mut c0[w.clone()],
-                        &mut c1[w],
-                        limb.modulus(),
-                        limb.mu(),
-                    );
-                }
-            });
-        });
+        for (li, r) in limb_stripes(half, self.degree()) {
+            let limb = chain.limb(li);
+            if limb.is_goldilocks() {
+                simd::mul_add2_chunk(
+                    &a0[r.clone()],
+                    &a1[r.clone()],
+                    &b0[r.clone()],
+                    &b1[r.clone()],
+                    &s0[r.clone()],
+                    &s1[r.clone()],
+                    &mut out0[r.clone()],
+                    &mut out1[r],
+                    policy,
+                );
+            } else {
+                rns::mul_add2_chunk_q(
+                    &a0[r.clone()],
+                    &a1[r.clone()],
+                    &b0[r.clone()],
+                    &b1[r.clone()],
+                    &s0[r.clone()],
+                    &s1[r.clone()],
+                    &mut out0[r.clone()],
+                    &mut out1[r],
+                    limb.modulus(),
+                    limb.mu(),
+                );
+            }
+        }
     }
 
     /// Fused rotation payload: Galois gather (`perm`, an Eval-domain index
@@ -422,42 +303,34 @@ impl CtPayload {
         perm: &[u32],
         key: &[u64],
         out: &mut [u64],
-        threads: usize,
         policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
         debug_assert_eq!(self.domain, Domain::Eval, "galois_eval2 needs Eval form");
         let half = self.data.len() / 2;
-        let degree = self.degree();
-        debug_assert_eq!(perm.len(), degree);
+        debug_assert_eq!(perm.len(), self.degree());
         debug_assert_eq!(key.len(), half);
         debug_assert_eq!(out.len(), self.data.len());
         let (a0, a1) = (self.c0(), self.c1());
         let (out0, out1) = out.split_at_mut(half);
-        par_chunks2(out0, out1, threads, |offset, c0, c1| {
-            for_limb_segments(offset, offset + c0.len(), degree, |li, r| {
-                let base = li * degree;
-                let w = (r.start - offset)..(r.end - offset);
-                let p = &perm[(r.start - base)..(r.end - base)];
-                let k = &key[r.clone()];
-                let (s0, s1) = (&a0[base..base + degree], &a1[base..base + degree]);
-                let limb = chain.limb(li);
-                if limb.is_goldilocks() {
-                    simd::galois2_chunk(s0, s1, p, k, &mut c0[w.clone()], &mut c1[w], policy);
-                } else {
-                    rns::galois2_chunk_q(
-                        s0,
-                        s1,
-                        p,
-                        k,
-                        &mut c0[w.clone()],
-                        &mut c1[w],
-                        limb.modulus(),
-                        limb.mu(),
-                    );
-                }
-            });
-        });
+        for (li, r) in limb_stripes(half, self.degree()) {
+            let (s0, s1, k) = (&a0[r.clone()], &a1[r.clone()], &key[r.clone()]);
+            let limb = chain.limb(li);
+            if limb.is_goldilocks() {
+                simd::galois2_chunk(s0, s1, perm, k, &mut out0[r.clone()], &mut out1[r], policy);
+            } else {
+                rns::galois2_chunk_q(
+                    s0,
+                    s1,
+                    perm,
+                    k,
+                    &mut out0[r.clone()],
+                    &mut out1[r],
+                    limb.modulus(),
+                    limb.mu(),
+                );
+            }
+        }
     }
 
     /// Component-wise payload addition as one stripe pass:
@@ -477,7 +350,7 @@ impl CtPayload {
             return;
         }
         let degree = self.degree();
-        for_limb_segments(0, self.data.len(), degree, |si, r| {
+        for (si, r) in limb_stripes(self.data.len(), degree) {
             let limb = chain.limb(si % self.limbs);
             if limb.is_goldilocks() {
                 simd::add_stripe(
@@ -494,7 +367,7 @@ impl CtPayload {
                     limb.modulus(),
                 );
             }
-        });
+        }
     }
 
     /// Component-wise payload subtraction as one stripe pass:
@@ -514,7 +387,7 @@ impl CtPayload {
             return;
         }
         let degree = self.degree();
-        for_limb_segments(0, self.data.len(), degree, |si, r| {
+        for (si, r) in limb_stripes(self.data.len(), degree) {
             let limb = chain.limb(si % self.limbs);
             if limb.is_goldilocks() {
                 simd::sub_stripe(
@@ -531,7 +404,7 @@ impl CtPayload {
                     limb.modulus(),
                 );
             }
-        });
+        }
     }
 
     /// Component-wise payload negation as one stripe pass:
@@ -543,14 +416,14 @@ impl CtPayload {
             return;
         }
         let degree = self.degree();
-        for_limb_segments(0, self.data.len(), degree, |si, r| {
+        for (si, r) in limb_stripes(self.data.len(), degree) {
             let limb = chain.limb(si % self.limbs);
             if limb.is_goldilocks() {
                 simd::neg_stripe(&self.data[r.clone()], &mut out[r], policy);
             } else {
                 rns::neg_chunk_q(&self.data[r.clone()], &mut out[r], limb.modulus());
             }
-        });
+        }
     }
 
     /// In-place variant of [`CtPayload::add2`].
@@ -563,14 +436,14 @@ impl CtPayload {
         }
         let degree = self.degree();
         let limbs = self.limbs;
-        for_limb_segments(0, self.data.len(), degree, |si, r| {
+        for (si, r) in limb_stripes(self.data.len(), degree) {
             let limb = chain.limb(si % limbs);
             if limb.is_goldilocks() {
                 simd::add_stripe_assign(&mut self.data[r.clone()], &other.data[r], policy);
             } else {
                 rns::add_chunk_q_assign(&mut self.data[r.clone()], &other.data[r], limb.modulus());
             }
-        });
+        }
     }
 
     /// In-place variant of [`CtPayload::sub2`].
@@ -583,14 +456,14 @@ impl CtPayload {
         }
         let degree = self.degree();
         let limbs = self.limbs;
-        for_limb_segments(0, self.data.len(), degree, |si, r| {
+        for (si, r) in limb_stripes(self.data.len(), degree) {
             let limb = chain.limb(si % limbs);
             if limb.is_goldilocks() {
                 simd::sub_stripe_assign(&mut self.data[r.clone()], &other.data[r], policy);
             } else {
                 rns::sub_chunk_q_assign(&mut self.data[r.clone()], &other.data[r], limb.modulus());
             }
-        });
+        }
     }
 
     /// In-place variant of [`CtPayload::neg2`].
@@ -601,66 +474,14 @@ impl CtPayload {
         }
         let degree = self.degree();
         let limbs = self.limbs;
-        for_limb_segments(0, self.data.len(), degree, |si, r| {
+        for (si, r) in limb_stripes(self.data.len(), degree) {
             let limb = chain.limb(si % limbs);
             if limb.is_goldilocks() {
                 simd::neg_stripe_assign(&mut self.data[r], policy);
             } else {
                 rns::neg_chunk_q_assign(&mut self.data[r], limb.modulus());
             }
-        });
-    }
-}
-
-/// Serializes as `{"domain": "Coeff"|"Eval", "limbs": k, "stripe": [...]}`
-/// (the flat multi-limb buffer).
-impl serde::Serialize for CtPayload {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let domain = match self.domain {
-            Domain::Coeff => "Coeff",
-            Domain::Eval => "Eval",
-        };
-        serializer.serialize_value(serde::Value::Object(vec![
-            ("domain".to_string(), serde::Value::Str(domain.to_string())),
-            ("limbs".to_string(), serde::Value::UInt(self.limbs as u64)),
-            (
-                "stripe".to_string(),
-                serde::Value::Array(self.data.iter().map(|&c| serde::Value::UInt(c)).collect()),
-            ),
-        ]))
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for CtPayload {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let value = deserializer.take_value()?;
-        let domain = match value.field("domain")? {
-            serde::Value::Str(s) if s == "Coeff" => Domain::Coeff,
-            serde::Value::Str(s) if s == "Eval" => Domain::Eval,
-            other => {
-                return Err(serde::Error::msg(format!("unknown CtPayload domain {other:?}")).into())
-            }
-        };
-        // Pre-RNS payloads carry no "limbs" field; default to one limb.
-        let limbs = match value.field("limbs") {
-            Ok(serde::Value::UInt(k)) => *k as usize,
-            Ok(serde::Value::Int(k)) if *k >= 1 => *k as usize,
-            Ok(other) => {
-                return Err(serde::Error::msg(format!("bad CtPayload limbs {other:?}")).into())
-            }
-            Err(_) => 1,
-        };
-        let data = value
-            .field("stripe")?
-            .as_array("CtPayload::stripe")?
-            .iter()
-            .map(|v| match v {
-                serde::Value::UInt(c) => Ok(*c),
-                serde::Value::Int(c) if *c >= 0 => Ok(*c as u64),
-                other => Err(serde::Error::msg(format!("bad CtPayload value {other:?}"))),
-            })
-            .collect::<Result<Vec<u64>, serde::Error>>()?;
-        Ok(CtPayload::from_limb_stripe(data, limbs, domain))
+        }
     }
 }
 
@@ -734,15 +555,13 @@ mod tests {
                 let payload = random_payload(degree, seed, domain);
                 let mult = random_values(degree, seed ^ 0xFF);
                 let mut out = vec![0u64; 2 * degree];
-                for threads in [1usize, 2, 4] {
-                    for policy in policies() {
-                        payload.mul_eval2(&mult, &mut out, threads, policy, &chain);
-                        assert_eq!(
-                            out,
-                            split_mul_reference(&payload, &mult),
-                            "degree {degree} domain {domain:?} threads {threads} {policy:?}"
-                        );
-                    }
+                for policy in policies() {
+                    payload.mul_eval2(&mult, &mut out, policy, &chain);
+                    assert_eq!(
+                        out,
+                        split_mul_reference(&payload, &mult),
+                        "degree {degree} domain {domain:?} {policy:?}"
+                    );
                 }
             }
         }
@@ -767,15 +586,10 @@ mod tests {
                     p_mul_add(a.c1()[i], b.c0()[i], p_mul(a.c0()[i], b.c1()[i])),
                 );
             }
-            for threads in [1usize, 3, 8] {
-                for policy in policies() {
-                    let mut out = vec![0u64; 2 * degree];
-                    a.mul_add_eval2(&b, &s0, &s1, &mut out, threads, policy, &chain);
-                    assert_eq!(
-                        out, expected,
-                        "degree {degree} threads {threads} {policy:?}"
-                    );
-                }
+            for policy in policies() {
+                let mut out = vec![0u64; 2 * degree];
+                a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
+                assert_eq!(out, expected, "degree {degree} {policy:?}");
             }
         }
     }
@@ -803,7 +617,7 @@ mod tests {
             };
             for policy in policies() {
                 let mut out = vec![0u64; 2 * degree];
-                payload.galois_eval2(&perm, &key, &mut out, 1, policy, &chain);
+                payload.galois_eval2(&perm, &key, &mut out, policy, &chain);
                 assert_eq!(
                     &out[..degree],
                     reference(&c0),
@@ -865,23 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn scalar_variant_scales_the_shared_multiplier() {
-        let degree = 16usize;
-        let chain = chain1(degree);
-        let payload = random_payload(degree, 0x5C, Domain::Eval);
-        let mult = random_values(degree, 0x5D);
-        let k = 12345u64;
-        let scaled: Vec<u64> = mult.iter().map(|&m| p_mul(m, k)).collect();
-        for policy in policies() {
-            let mut expected = vec![0u64; 2 * degree];
-            payload.mul_eval2(&scaled, &mut expected, 1, policy, &chain);
-            let mut out = vec![0u64; 2 * degree];
-            payload.mul_scalar_eval2(&mult, k, &mut out, 1, policy, &chain);
-            assert_eq!(out, expected, "{policy:?}");
-        }
-    }
-
-    #[test]
     fn multi_limb_kernels_reduce_each_limb_by_its_own_prime() {
         let degree = 32usize;
         let chain = ModulusChain::new(3, degree, false);
@@ -893,25 +690,23 @@ mod tests {
             ((u128::from(x) * u128::from(y)) % u128::from(q)) as u64
         };
 
-        for threads in [1usize, 3] {
-            for policy in policies() {
-                let mut out = vec![0u64; 2 * k * degree];
-                a.mul_eval2(&mult, &mut out, threads, policy, &chain);
-                for li in 0..k {
-                    let q = chain.limb(li).modulus();
-                    for j in 0..degree {
-                        let pos = li * degree + j;
-                        assert_eq!(
-                            out[pos],
-                            naive_mul(a.c0()[pos], mult[pos], q),
-                            "limb {li} c0 pos {j} threads {threads} {policy:?}"
-                        );
-                        assert_eq!(
-                            out[k * degree + pos],
-                            naive_mul(a.c1()[pos], mult[pos], q),
-                            "limb {li} c1 pos {j}"
-                        );
-                    }
+        for policy in policies() {
+            let mut out = vec![0u64; 2 * k * degree];
+            a.mul_eval2(&mult, &mut out, policy, &chain);
+            for li in 0..k {
+                let q = chain.limb(li).modulus();
+                for j in 0..degree {
+                    let pos = li * degree + j;
+                    assert_eq!(
+                        out[pos],
+                        naive_mul(a.c0()[pos], mult[pos], q),
+                        "limb {li} c0 pos {j} {policy:?}"
+                    );
+                    assert_eq!(
+                        out[k * degree + pos],
+                        naive_mul(a.c1()[pos], mult[pos], q),
+                        "limb {li} c1 pos {j}"
+                    );
                 }
             }
         }
@@ -946,7 +741,7 @@ mod tests {
         let perm = galois_eval_permutation(degree, 3);
         for policy in policies() {
             let mut out = vec![0u64; 2 * k * degree];
-            payload.galois_eval2(&perm, &key, &mut out, 1, policy, &chain);
+            payload.galois_eval2(&perm, &key, &mut out, policy, &chain);
             for li in 0..k {
                 let q = chain.limb(li).modulus();
                 for (j, &p) in perm.iter().enumerate() {
@@ -958,21 +753,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let payload = random_payload(8, 0x11, Domain::Eval);
-        let value = serde::to_value(&payload);
-        let back: CtPayload = serde::from_value(&value).unwrap();
-        assert_eq!(back, payload);
-
-        let chain = ModulusChain::new(2, 8, false);
-        let multi = random_limb_payload(&chain, 8, 0x12, Domain::Eval);
-        let value = serde::to_value(&multi);
-        let back: CtPayload = serde::from_value(&value).unwrap();
-        assert_eq!(back, multi);
-        assert_eq!(back.limbs(), 2);
     }
 
     #[test]

@@ -28,11 +28,6 @@ pub const MODULUS: u64 = 0xFFFF_FFFF_0000_0001;
 /// `2^64 mod p = 2^32 - 1`, the constant the fast reduction multiplies by.
 const EPSILON: u64 = 0xFFFF_FFFF;
 
-/// Slices shorter than this are transformed sequentially even when a thread
-/// budget is available: below it, thread-spawn latency exceeds the butterfly
-/// work a helper would take over.
-const MIN_SPLIT: usize = 2048;
-
 /// Modular addition in `Z_p`.
 #[inline]
 pub fn p_add(a: u64, b: u64) -> u64 {
@@ -295,142 +290,51 @@ impl NttTables {
     ///
     /// Butterflies use lazy (deferred) reduction: intermediate values roam
     /// the full `[0, 2^64) ⊂ [0, 2p)` lazy-residue range across stages, and
-    /// the canonicalizing reduction is fused into the last butterfly stage —
-    /// see the [`crate::simd`] module docs for the invariant. Output is
-    /// always canonical.
+    /// the canonicalizing reduction is fused into the last butterfly stage
+    /// (`t == 1`), so the "single normalization pass" is free — see the
+    /// [`crate::simd`] module docs for the invariant. Output is always
+    /// canonical. Stage `m`'s twiddles occupy the contiguous range
+    /// `psi_rev[m..2m]`, so each stage dispatches as one call
+    /// ([`simd::forward_stage`]).
     pub fn forward(&self, a: &mut [u64]) {
         debug_assert_eq!(a.len(), self.degree);
         self.counters.forward.fetch_add(1, Ordering::Relaxed);
-        self.forward_subtree(a, 1);
-        debug_assert!(
-            a.iter().all(|&x| x < MODULUS),
-            "forward NTT output must be canonical after the fused normalization"
-        );
-    }
-
-    /// Forward NTT with up to `threads` worker threads cooperating on
-    /// butterfly chunks. Bit-identical to [`NttTables::forward`]: the
-    /// transform recurses on independent halves after each decimation stage,
-    /// so chunking never reorders a butterfly's operands. Falls back to the
-    /// sequential path for small slices or `threads <= 1`.
-    pub fn forward_threaded(&self, a: &mut [u64], threads: usize) {
-        debug_assert_eq!(a.len(), self.degree);
-        self.counters.forward.fetch_add(1, Ordering::Relaxed);
-        self.forward_node(a, 1, threads);
-        debug_assert!(
-            a.iter().all(|&x| x < MODULUS),
-            "forward NTT output must be canonical after the fused normalization"
-        );
-    }
-
-    /// In-place inverse negacyclic NTT (Gentleman–Sande).
-    ///
-    /// Butterfly stages run lazy; the final `n^{-1}` scaling performs the
-    /// single canonicalizing reduction pass, so the output is canonical.
-    pub fn inverse(&self, a: &mut [u64]) {
-        debug_assert_eq!(a.len(), self.degree);
-        self.counters.inverse.fetch_add(1, Ordering::Relaxed);
-        self.inverse_subtree(a, 1);
-        simd::scale_canonical(a, self.inv_degree, self.policy);
-        debug_assert!(
-            a.iter().all(|&x| x < MODULUS),
-            "inverse NTT output must be canonical after the scaling pass"
-        );
-    }
-
-    /// Inverse NTT with up to `threads` cooperating worker threads
-    /// (bit-identical to [`NttTables::inverse`], see
-    /// [`NttTables::forward_threaded`]).
-    pub fn inverse_threaded(&self, a: &mut [u64], threads: usize) {
-        debug_assert_eq!(a.len(), self.degree);
-        self.counters.inverse.fetch_add(1, Ordering::Relaxed);
-        self.inverse_node(a, 1, threads);
-        simd::scale_canonical(a, self.inv_degree, self.policy);
-        debug_assert!(
-            a.iter().all(|&x| x < MODULUS),
-            "inverse NTT output must be canonical after the scaling pass"
-        );
-    }
-
-    /// Iterative Cooley–Tukey over the subtree rooted at twiddle-heap node
-    /// `root` (the full transform is `root = 1`). After each decimation
-    /// stage the halves are independent subtrees with heap children
-    /// `2*root` and `2*root + 1`, which is what makes the threaded split
-    /// safe and exact.
-    /// Every butterfly runs lazy ([`simd::forward_stage`]); the subtree's
-    /// finest stage (`t == 1`) is always the whole transform's last stage
-    /// for these indices, so that stage canonicalizes as it goes — the
-    /// "single normalization pass" is free. Each stage's twiddles occupy
-    /// the contiguous heap range `psi_rev[root·m..(root + 1)·m]`, so the
-    /// whole stage dispatches as one call.
-    fn forward_subtree(&self, a: &mut [u64], root: usize) {
         let n = a.len();
         let mut t = n;
         let mut m = 1usize;
         while m < n {
             t /= 2;
             let canonical = 2 * m == n;
-            let twiddles = &self.psi_rev[root * m..root * m + m];
-            simd::forward_stage(a, twiddles, t, canonical, self.policy);
+            simd::forward_stage(a, &self.psi_rev[m..2 * m], t, canonical, self.policy);
             m *= 2;
         }
+        debug_assert!(
+            a.iter().all(|&x| x < MODULUS),
+            "forward NTT output must be canonical after the fused normalization"
+        );
     }
 
-    /// Recursive splitter of the forward transform: performs the root
-    /// butterfly stage (lazy — only leaf subtrees reach the final,
-    /// canonicalizing stage), then hands the two independent halves to
-    /// scoped worker threads while the budget and slice length allow.
-    fn forward_node(&self, a: &mut [u64], root: usize, threads: usize) {
-        let n = a.len();
-        if threads <= 1 || n < MIN_SPLIT {
-            self.forward_subtree(a, root);
-            return;
-        }
-        let half = n / 2;
-        let s = self.psi_rev[root];
-        let (lo, hi) = a.split_at_mut(half);
-        simd::forward_butterfly_block(lo, hi, s, false, self.policy);
-        let (t_lo, t_hi) = (threads - threads / 2, threads / 2);
-        std::thread::scope(|scope| {
-            scope.spawn(|| self.forward_node(hi, 2 * root + 1, t_hi.max(1)));
-            self.forward_node(lo, 2 * root, t_lo);
-        });
-    }
-
-    /// Iterative Gentleman–Sande over the subtree rooted at `root`
-    /// (mirror of [`NttTables::forward_subtree`]; no final `1/n` scaling).
-    /// All stages lazy — the caller's scaling pass canonicalizes.
-    fn inverse_subtree(&self, a: &mut [u64], root: usize) {
-        let n = a.len();
+    /// In-place inverse negacyclic NTT (Gentleman–Sande, the mirror of
+    /// [`NttTables::forward`]).
+    ///
+    /// Butterfly stages run lazy; the final `n^{-1}` scaling performs the
+    /// single canonicalizing reduction pass, so the output is canonical.
+    pub fn inverse(&self, a: &mut [u64]) {
+        debug_assert_eq!(a.len(), self.degree);
+        self.counters.inverse.fetch_add(1, Ordering::Relaxed);
         let mut t = 1usize;
-        let mut m = n;
+        let mut m = a.len();
         while m > 1 {
             let h = m / 2;
-            let twiddles = &self.inv_psi_rev[root * h..root * h + h];
-            simd::inverse_stage(a, twiddles, t, self.policy);
+            simd::inverse_stage(a, &self.inv_psi_rev[h..m], t, self.policy);
             t *= 2;
             m = h;
         }
-    }
-
-    /// Recursive splitter of the inverse transform: transforms the two
-    /// independent halves (on scoped worker threads while the budget
-    /// allows), then performs the root combining stage (lazy).
-    fn inverse_node(&self, a: &mut [u64], root: usize, threads: usize) {
-        let n = a.len();
-        if threads <= 1 || n < MIN_SPLIT {
-            self.inverse_subtree(a, root);
-            return;
-        }
-        let half = n / 2;
-        let (lo, hi) = a.split_at_mut(half);
-        let (t_lo, t_hi) = (threads - threads / 2, threads / 2);
-        std::thread::scope(|scope| {
-            scope.spawn(|| self.inverse_node(hi, 2 * root + 1, t_hi.max(1)));
-            self.inverse_node(lo, 2 * root, t_lo);
-        });
-        let s = self.inv_psi_rev[root];
-        simd::inverse_butterfly_block(lo, hi, s, self.policy);
+        simd::scale_canonical(a, self.inv_degree, self.policy);
+        debug_assert!(
+            a.iter().all(|&x| x < MODULUS),
+            "inverse NTT output must be canonical after the scaling pass"
+        );
     }
 }
 
@@ -792,54 +696,6 @@ pub fn galois_eval_permutation(n: usize, galois_elt: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Serializes as `{"domain": "Coeff"|"Eval", "values": [...]}`.
-impl serde::Serialize for Poly {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let domain = match self.domain {
-            Domain::Coeff => "Coeff",
-            Domain::Eval => "Eval",
-        };
-        serializer.serialize_value(serde::Value::Object(vec![
-            ("domain".to_string(), serde::Value::Str(domain.to_string())),
-            (
-                "values".to_string(),
-                serde::Value::Array(self.coeffs.iter().map(|&c| serde::Value::UInt(c)).collect()),
-            ),
-        ]))
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Poly {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let value = deserializer.take_value()?;
-        let domain = match value.field("domain")? {
-            serde::Value::Str(s) if s == "Coeff" => Domain::Coeff,
-            serde::Value::Str(s) if s == "Eval" => Domain::Eval,
-            other => return Err(serde::Error::msg(format!("unknown Poly domain {other:?}")).into()),
-        };
-        let values = value
-            .field("values")?
-            .as_array("Poly::values")?
-            .iter()
-            .map(|v| match v {
-                serde::Value::UInt(c) => Ok(*c),
-                serde::Value::Int(c) if *c >= 0 => Ok(*c as u64),
-                other => Err(serde::Error::msg(format!("bad Poly value {other:?}"))),
-            })
-            .collect::<Result<Vec<u64>, serde::Error>>()?;
-        Ok(Poly::from_coeffs(values).with_domain(domain))
-    }
-}
-
-impl Poly {
-    /// Retags the stored values (used by deserialization; values are
-    /// unchanged).
-    fn with_domain(mut self, domain: Domain) -> Poly {
-        self.domain = domain;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -918,40 +774,17 @@ mod tests {
     }
 
     #[test]
-    fn threaded_transforms_are_bit_identical_to_sequential() {
-        let degree = 4096;
-        let tables = NttTables::new(degree);
-        let original = random_values(degree, 0xBEEF);
-        let mut sequential = original.clone();
-        tables.forward(&mut sequential);
-        for threads in [2, 3, 4, 8] {
-            let mut threaded = original.clone();
-            tables.forward_threaded(&mut threaded, threads);
-            assert_eq!(threaded, sequential, "forward with {threads} threads");
-        }
-        let mut back_seq = sequential.clone();
-        tables.inverse(&mut back_seq);
-        assert_eq!(back_seq, original);
-        for threads in [2, 3, 4, 8] {
-            let mut back = sequential.clone();
-            tables.inverse_threaded(&mut back, threads);
-            assert_eq!(back, original, "inverse with {threads} threads");
-        }
-    }
-
-    #[test]
     fn transform_counters_count_whole_transforms() {
         let tables = NttTables::new(16);
         assert_eq!(tables.transform_counts(), (0, 0));
         let mut a = vec![1u64; 16];
         tables.forward(&mut a);
-        tables.forward_threaded(&mut a, 2);
         tables.inverse(&mut a);
-        assert_eq!(tables.transform_counts(), (2, 1));
+        assert_eq!(tables.transform_counts(), (1, 1));
         // Clones share the counters.
         let clone = tables.clone();
         clone.inverse(&mut a);
-        assert_eq!(tables.transform_counts(), (2, 2));
+        assert_eq!(tables.transform_counts(), (1, 2));
         tables.reset_transform_counts();
         assert_eq!(clone.transform_counts(), (0, 0));
     }
@@ -1009,15 +842,6 @@ mod tests {
             Poly::from_reduced(values.clone(), Domain::Eval),
             Poly::from_eval_values(values)
         );
-    }
-
-    #[test]
-    fn poly_serialization_round_trips() {
-        let tables = NttTables::new(16);
-        let p = Poly::from_coeffs(random_values(16, 11)).to_eval(&tables);
-        let value = serde::to_value(&p);
-        let back: Poly = serde::from_value(&value).unwrap();
-        assert_eq!(back, p);
     }
 
     #[test]

@@ -695,26 +695,6 @@ impl ModulusChain {
 // first. The fused ct-pt product (`mul2`) is hot enough to earn an AVX2
 // twin (`crate::simd::mul2_chunk_q`); the rest run scalar Barrett.
 
-/// Generic-limb twin of [`crate::simd::mul_scalar2_chunk`]: `scaled =
-/// m[i]·k` once per coefficient, both components multiply it (mod `q`).
-#[allow(clippy::too_many_arguments)]
-pub fn mul_scalar2_chunk_q(
-    x0: &[u64],
-    x1: &[u64],
-    m: &[u64],
-    k: u64,
-    o0: &mut [u64],
-    o1: &mut [u64],
-    q: u64,
-    mu: u64,
-) {
-    for i in 0..o0.len() {
-        let scaled = barrett_mul(m[i], k, q, mu);
-        o0[i] = barrett_mul(x0[i], scaled, q, mu);
-        o1[i] = barrett_mul(x1[i], scaled, q, mu);
-    }
-}
-
 /// Generic-limb twin of [`crate::simd::mul_add2_chunk`] (the fused BFV
 /// tensor product + relinearization, mod `q`).
 #[allow(clippy::too_many_arguments)]
@@ -1019,14 +999,6 @@ mod tests {
                 o0[i],
                 add_mod(mul_mod_u128(a0[i], b0[i], q), mul_mod_u128(c2, s0[i], q), q)
             );
-        }
-
-        let k = 0xDEAD % q;
-        mul_scalar2_chunk_q(&a0, &a1, &b0, k, &mut o0, &mut o1, q, mu);
-        for i in 0..n {
-            let scaled = mul_mod_u128(b0[i], k, q);
-            assert_eq!(o0[i], mul_mod_u128(a0[i], scaled, q));
-            assert_eq!(o1[i], mul_mod_u128(a1[i], scaled, q));
         }
 
         let perm: Vec<u32> = (0..n as u32).map(|i| (i * 5 + 2) % n as u32).collect();

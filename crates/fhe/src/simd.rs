@@ -257,33 +257,6 @@ pub fn mul2_chunk(
     }
 }
 
-/// Fused dual-component scalar-scaled product chunk:
-/// `scaled = m[i]·k` once per coefficient, then both components multiply it
-/// (canonical outputs).
-#[inline]
-pub fn mul_scalar2_chunk(
-    x0: &[u64],
-    x1: &[u64],
-    m: &[u64],
-    k: u64,
-    o0: &mut [u64],
-    o1: &mut [u64],
-    policy: SimdPolicy,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && o0.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::mul_scalar2(x0, x1, m, k, o0, o1) };
-        return;
-    }
-    let _ = policy;
-    for i in 0..o0.len() {
-        let scaled = p_mul(m[i], k);
-        o0[i] = p_mul(x0[i], scaled);
-        o1[i] = p_mul(x1[i], scaled);
-    }
-}
-
 /// Fused BFV tensor-product + relinearization chunk (six ring products per
 /// coefficient, canonical outputs):
 ///
@@ -484,62 +457,6 @@ pub fn neg_stripe_assign(x: &mut [u64], policy: SimdPolicy) {
     let _ = policy;
     for x in x.iter_mut() {
         *x = p_neg(*x);
-    }
-}
-
-/// One forward Cooley–Tukey butterfly block with the shared twiddle `s`
-/// (lazy arithmetic): `lo[j], hi[j] = lo[j] + hi[j]·s, lo[j] - hi[j]·s`.
-/// Inputs may be arbitrary lazy residues. When `canonical` is set (the
-/// transform's last stage) outputs are canonicalized in the same pass,
-/// fusing the normalization into the final butterfly layer.
-#[inline]
-pub fn forward_butterfly_block(
-    lo: &mut [u64],
-    hi: &mut [u64],
-    s: u64,
-    canonical: bool,
-    policy: SimdPolicy,
-) {
-    debug_assert_eq!(lo.len(), hi.len());
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && lo.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::forward_butterfly(lo, hi, s, canonical) };
-        return;
-    }
-    let _ = policy;
-    for (u, v) in lo.iter_mut().zip(hi.iter_mut()) {
-        let x = *u;
-        let y = p_mul_lazy(*v, s);
-        let (a, b) = (p_add_lazy(x, y), p_sub_lazy(x, y));
-        if canonical {
-            *u = p_canonical(a);
-            *v = p_canonical(b);
-        } else {
-            *u = a;
-            *v = b;
-        }
-    }
-}
-
-/// One inverse Gentleman–Sande butterfly block with the shared twiddle `s`
-/// (lazy arithmetic): `lo[j], hi[j] = lo[j] + hi[j], (lo[j] - hi[j])·s`.
-/// Outputs stay lazy; the inverse transform's final `n^{-1}` scaling
-/// ([`scale_canonical`]) canonicalizes.
-#[inline]
-pub fn inverse_butterfly_block(lo: &mut [u64], hi: &mut [u64], s: u64, policy: SimdPolicy) {
-    debug_assert_eq!(lo.len(), hi.len());
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && lo.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::inverse_butterfly(lo, hi, s) };
-        return;
-    }
-    let _ = policy;
-    for (u, v) in lo.iter_mut().zip(hi.iter_mut()) {
-        let (x, y) = (*u, *v);
-        *u = p_add_lazy(x, y);
-        *v = p_mul_lazy(p_sub_lazy(x, y), s);
     }
 }
 
@@ -798,35 +715,6 @@ mod avx2 {
         while i < n {
             o0[i] = p_mul(x0[i], m[i]);
             o1[i] = p_mul(x1[i], m[i]);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul_scalar2(
-        x0: &[u64],
-        x1: &[u64],
-        m: &[u64],
-        k: u64,
-        o0: &mut [u64],
-        o1: &mut [u64],
-    ) {
-        let n = o0.len();
-        let kv = _mm256_set1_epi64x(k as i64);
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe {
-                let scaled = mul_lazy(load(m, i), kv);
-                store(o0, i, canonical(mul_lazy(load(x0, i), scaled)));
-                store(o1, i, canonical(mul_lazy(load(x1, i), scaled)));
-            }
-            i += 4;
-        }
-        while i < n {
-            let scaled = p_mul_lazy(m[i], k);
-            o0[i] = p_canonical(p_mul_lazy(x0[i], scaled));
-            o1[i] = p_canonical(p_mul_lazy(x1[i], scaled));
             i += 1;
         }
     }
@@ -1498,7 +1386,6 @@ mod tests {
             let mut x0 = random_canonical(n, 0xA0);
             let x1 = random_canonical(n, 0xA1);
             let m = random_canonical(n, 0xA2);
-            let k = 0xDEAD_BEEF_u64 % MODULUS;
             // Seed boundary values into the first lanes.
             for (slot, v) in x0.iter_mut().zip([0, MODULUS - 1, 1, MODULUS - 2]) {
                 *slot = v;
@@ -1512,8 +1399,6 @@ mod tests {
                     (a, b)
                 };
                 let (a, b) = pair(&|o0, o1| mul2_chunk(&x0, &x1, &m, o0, o1, policy));
-                o.extend([a, b]);
-                let (a, b) = pair(&|o0, o1| mul_scalar2_chunk(&x0, &x1, &m, k, o0, o1, policy));
                 o.extend([a, b]);
                 let (a, b) =
                     pair(&|o0, o1| mul_add2_chunk(&x0, &x1, &m, &x1, &m, &x0, o0, o1, policy));
@@ -1549,17 +1434,20 @@ mod tests {
             let hi0 = random_canonical(n, 0xB1);
             let s = 0x1234_5678_9ABC_DEF1 % MODULUS;
             for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
+                // One-twiddle stages: a single group `[lo | hi]` with `t = n`.
                 // Forward, canonical output fused into the stage.
-                let (mut lo, mut hi) = (lo0.clone(), hi0.clone());
-                forward_butterfly_block(&mut lo, &mut hi, s, true, policy);
+                let mut a = [lo0.clone(), hi0.clone()].concat();
+                forward_stage(&mut a, &[s], n, true, policy);
+                let (lo, hi) = a.split_at(n);
                 for i in 0..n {
                     let v = p_mul(hi0[i], s);
                     assert_eq!(lo[i], p_add(lo0[i], v), "{policy:?} fwd lo {i}");
                     assert_eq!(hi[i], p_sub(lo0[i], v), "{policy:?} fwd hi {i}");
                 }
                 // Inverse stays lazy; canonicalizing must match eager.
-                let (mut lo, mut hi) = (lo0.clone(), hi0.clone());
-                inverse_butterfly_block(&mut lo, &mut hi, s, policy);
+                let mut a = [lo0.clone(), hi0.clone()].concat();
+                inverse_stage(&mut a, &[s], n, policy);
+                let (lo, hi) = a.split_at(n);
                 for i in 0..n {
                     assert_eq!(
                         p_canonical(lo[i]),

@@ -268,13 +268,6 @@ pub struct CoalescerStats {
     pub elapsed: Duration,
 }
 
-impl CoalescerStats {
-    /// Mean batch size across flushed batches, if any flushed.
-    pub fn mean_batch_size(&self) -> Option<f64> {
-        self.batch_size.mean().map(|m| m.as_nanos() as f64)
-    }
-}
-
 /// What only the batch-handler adapter observes: lane occupancy and the
 /// poisoned-batch isolation counters.
 #[derive(Default)]

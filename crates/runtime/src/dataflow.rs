@@ -25,12 +25,6 @@
 //!   cost, longest-processing-time-first. Nothing is released to a local
 //!   deque, so nothing is ever stolen, and no priorities are read.
 //!
-//! Intra-op parallelism composes dynamically under both rules: when fewer
-//! instructions are ready than the pool has threads, the spare threads flow
-//! into the popped instruction's payload loops ([`dynamic_intra_op_grant`]),
-//! clamped so outstanding grants plus the ready-queue width never
-//! oversubscribe the pool.
-//!
 //! Results are bit-identical to the in-order walk at every worker count,
 //! rule and steal order: every homomorphic operation is a pure function of
 //! its operands, and a register is written exactly once before any
@@ -95,12 +89,6 @@ pub struct TimingBreakdown {
     /// Ready instructions taken from another worker's local deque (always
     /// zero under [`SchedulerKind::Leveled`], which fills no local deque).
     pub steals: u64,
-    /// Operations whose payload work actually split across more than one
-    /// intra-op worker. The per-op latencies in
-    /// [`TimingBreakdown::per_op`] are measured around the split, so the
-    /// calibrated cost model sees the effect of intra-op parallelism
-    /// directly.
-    pub intra_op_splits: u64,
 }
 
 impl TimingBreakdown {
@@ -115,7 +103,6 @@ impl TimingBreakdown {
             instr_times: Vec::new(),
             queue_waits: Vec::new(),
             steals: 0,
-            intra_op_splits: 0,
         }
     }
 
@@ -137,19 +124,6 @@ pub(crate) fn percentile(samples: &mut [Duration], pct: f64) -> Option<Duration>
     Some(samples[rank.min(samples.len() - 1)])
 }
 
-/// The intra-op worker budget of one instruction popped from the ready
-/// queue, clamped so the pool is never oversubscribed: `outstanding` threads
-/// are already granted to in-flight instructions, and `ready` queued
-/// instructions are each about to claim at least one thread, so this
-/// instruction may use what is left (never less than one).
-///
-/// The clamp matters on small hosts: on the 1-CPU build machine an
-/// oversubscribed pool shows up as a measured regression (context-switch
-/// thrash inside payload loops), not as noise.
-pub fn dynamic_intra_op_grant(pool: usize, outstanding: usize, ready: usize) -> usize {
-    pool.max(1).saturating_sub(outstanding + ready).max(1)
-}
-
 /// A ready instruction travelling through the scheduler queues.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Ready {
@@ -163,11 +137,10 @@ pub(crate) struct Ready {
 }
 
 /// Everything the workers of one run share, behind one mutex: the ready
-/// queues, the release rule's counters, the grant ledger and the outcome
-/// they accumulate. FHE instructions cost tens of microseconds to
-/// milliseconds, so one uncontended lock per instruction is noise;
-/// correctness (no lost wakeups, exact grant accounting) is what matters
-/// here.
+/// queues, the release rule's counters and the outcome they accumulate. FHE
+/// instructions cost tens of microseconds to milliseconds, so one
+/// uncontended lock per instruction is noise; correctness (no lost wakeups)
+/// is what matters here.
 pub(crate) struct SchedState<'a> {
     schedule: &'a Schedule,
     /// One priority per instruction; only [`SchedulerKind::Dataflow`] reads
@@ -189,10 +162,6 @@ pub(crate) struct SchedState<'a> {
     level_started: Instant,
     /// Instructions not yet retired (termination condition).
     pub(crate) remaining: usize,
-    /// Ready instructions currently queued anywhere.
-    pub(crate) ready_count: usize,
-    /// Intra-op threads currently granted to in-flight instructions.
-    pub(crate) granted: usize,
     /// Workers asleep on the condvar: nobody pays the wake-up syscall when
     /// nobody waits (a pool of one never does).
     pub(crate) sleepers: usize,
@@ -225,8 +194,6 @@ impl<'a> SchedState<'a> {
             level_left: 0,
             level_started: now,
             remaining: n,
-            ready_count: 0,
-            granted: 0,
             sleepers: 0,
             failure: None,
             stats: EvaluatorStats::default(),
@@ -255,7 +222,6 @@ impl<'a> SchedState<'a> {
                         .total_cmp(&b.priority)
                         .then(b.index.cmp(&a.index))
                 });
-                state.ready_count = state.injector.len();
             }
             SchedulerKind::Leveled => state.release_level(now),
         }
@@ -283,7 +249,6 @@ impl<'a> SchedState<'a> {
             self.timing.steals += 1;
             (self.locals[victim].pop_back()?, Some(victim))
         };
-        self.ready_count -= 1;
         Some(popped)
     }
 
@@ -299,7 +264,6 @@ impl<'a> SchedState<'a> {
             })
             .unwrap_or(deque.len());
         deque.insert(pos, ready);
-        self.ready_count += 1;
     }
 
     /// Leveled: injects the next unstamped level, if the schedule has one.
@@ -311,7 +275,6 @@ impl<'a> SchedState<'a> {
         };
         self.level_left = range.len();
         self.level_started = now;
-        self.ready_count += range.len();
         self.injector.extend(range.clone().rev().map(|index| Ready {
             priority: 0.0,
             index,
@@ -371,40 +334,6 @@ mod tests {
     use crate::schedule::lower_with_default_costs;
     use chehab_ir::{parse, CircuitDag, CostModel};
 
-    #[test]
-    fn grant_is_clamped_by_outstanding_and_ready_width() {
-        // A lone worker with an empty queue gets the whole pool.
-        assert_eq!(dynamic_intra_op_grant(8, 0, 0), 8);
-        // Queued ready instructions reserve a thread each.
-        assert_eq!(dynamic_intra_op_grant(8, 0, 3), 5);
-        // Outstanding grants are subtracted before granting more.
-        assert_eq!(dynamic_intra_op_grant(8, 8, 0), 1);
-        assert_eq!(dynamic_intra_op_grant(8, 5, 2), 1);
-        // Never below one, even on degenerate pools.
-        assert_eq!(dynamic_intra_op_grant(0, 0, 0), 1);
-        assert_eq!(dynamic_intra_op_grant(1, 4, 9), 1);
-    }
-
-    #[test]
-    fn grants_never_oversubscribe_the_pool() {
-        // Simulate a sequence of pops: the ledger (outstanding) plus the new
-        // grant never exceeds the pool unless the 1-thread floor forces it.
-        for pool in 1..=16usize {
-            let mut outstanding = 0usize;
-            let mut grants = Vec::new();
-            for ready in (0..pool * 2).rev() {
-                let grant = dynamic_intra_op_grant(pool, outstanding, ready);
-                assert!(
-                    outstanding + grant <= pool || grant == 1,
-                    "pool {pool}: grant {grant} with {outstanding} outstanding"
-                );
-                outstanding += grant;
-                grants.push(grant);
-            }
-            assert!(grants.iter().all(|&g| g >= 1));
-        }
-    }
-
     /// Two chains of different depth under one sum: three levels, the first
     /// two of them two instructions wide.
     fn two_chains() -> Schedule {
@@ -450,7 +379,6 @@ mod tests {
         assert_eq!((item.index, stolen_from), (2, None));
         assert_eq!(st.timing.steals, 1);
         assert!(st.pop(0).is_none());
-        assert_eq!(st.ready_count, 0);
     }
 
     /// Both release rules drain the same schedule through `pop`/`retire`:
@@ -496,7 +424,6 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(st.ready_count, 0);
             assert!(st.pop(0).is_none() && st.pop(1).is_none());
             let mut seen = order.clone();
             seen.sort_unstable();

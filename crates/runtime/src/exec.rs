@@ -27,7 +27,7 @@
 //! request streams with zero fresh buffer allocations.
 
 use crate::calibrate::{CalibratedCostModel, OpKind};
-use crate::dataflow::{dynamic_intra_op_grant, SchedState, SchedulerKind, TimingBreakdown};
+use crate::dataflow::{SchedState, SchedulerKind, TimingBreakdown};
 use crate::schedule::{Instr, Schedule, ScheduledInstr, Slot};
 use crate::telemetry::{TraceBuffer, TraceSink};
 use chehab_fhe::{
@@ -327,9 +327,9 @@ pub struct ExecResources<'a> {
     /// survive across requests (the zero-allocation steady state).
     pub arenas: &'a ArenaPool,
     /// Optional span sink: when set, every worker records instruction-level
-    /// spans (operation label, instruction index, queue wait, intra-op
-    /// grant, steal provenance) into per-worker [`TraceBuffer`]s that flush
-    /// here. `None` (the default) disables tracing at the cost of one null
+    /// spans (operation label, instruction index, queue wait, steal
+    /// provenance) into per-worker [`TraceBuffer`]s that flush here.
+    /// `None` (the default) disables tracing at the cost of one null
     /// check per instruction — capture never perturbs results, only
     /// observes timings.
     pub trace: Option<&'a TraceSink>,
@@ -438,20 +438,6 @@ impl Executor {
             schedule,
             rf: &rf,
             res,
-            // Grants draw on the full *requested* pool, not the clamped
-            // worker count: a 3-instruction schedule under 8 threads still
-            // has 8 threads' worth of cores to chunk payloads across. They
-            // only pay off when payloads are large enough for the evaluator
-            // to actually split them (the split axis is the whole
-            // `limb_count · degree` component stripe); otherwise the pool
-            // is one and every grant with it.
-            grant_pool: if res.ctx.params().payload_degree * res.ctx.params().limb_count
-                >= Evaluator::INTRA_OP_MIN_DEGREE
-            {
-                self.threads
-            } else {
-                1
-            },
             state: Mutex::new(SchedState::new(schedule, scheduler, priorities, workers)),
             work_available: Condvar::new(),
         };
@@ -480,7 +466,6 @@ struct Run<'a> {
     schedule: &'a Schedule,
     rf: &'a RegisterFile,
     res: &'a ExecResources<'a>,
-    grant_pool: usize,
     state: Mutex<SchedState<'a>>,
     work_available: Condvar,
 }
@@ -520,13 +505,10 @@ impl Run<'_> {
             let Some((item, stolen_from)) = popped else {
                 break;
             };
-            let grant = dynamic_intra_op_grant(self.grant_pool, st.granted, st.ready_count);
-            st.granted += grant;
             drop(st);
 
             let si = &self.schedule.instrs()[item.index];
             let wait = item.since.elapsed();
-            evaluator.set_intra_op_threads(grant);
             let instr_started = Instant::now();
             let result = dispatch_instr(si, self.rf, &mut evaluator, res, &mut calibration);
             let span = instr_started.elapsed();
@@ -539,7 +521,6 @@ impl Run<'_> {
                         span,
                         Some(item.index),
                         Some(wait),
-                        Some(grant),
                         stolen_from,
                     );
                 }
@@ -547,7 +528,6 @@ impl Run<'_> {
             });
 
             st = lock(&self.state);
-            st.granted -= grant;
             match result {
                 Ok(()) => st.retire(worker, item.index, wait, span),
                 Err(error) => st.fail(error),
@@ -561,7 +541,6 @@ impl Run<'_> {
         }
         st.stats.merge(&evaluator.stats());
         st.timing.per_op.merge(&calibration);
-        st.timing.intra_op_splits += evaluator.intra_op_splits();
         drop(st);
         res.arenas.restore(evaluator.take_arena());
     }

@@ -134,7 +134,7 @@ pub use batching::{
     lane_geometry, BatchPolicy, CoalescerConfig, CoalescerStats, LaneGeometry, RequestCoalescer,
 };
 pub use calibrate::{CalibratedCostModel, OpKind, OP_KINDS};
-pub use dataflow::{dynamic_intra_op_grant, LevelTiming, SchedulerKind, TimingBreakdown};
+pub use dataflow::{LevelTiming, SchedulerKind, TimingBreakdown};
 pub use exec::{
     execute_in_order, ExecOutcome, ExecResources, Executor, PlainValue, Register, RegisterFile,
 };

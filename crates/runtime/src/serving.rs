@@ -1399,7 +1399,6 @@ fn serve_batch<T, R>(
                 dur_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
                 instr: None,
                 queue_wait_ns: Some(u64::try_from(queue_wait.as_nanos()).unwrap_or(u64::MAX)),
-                grant: None,
                 stolen_from: None,
             });
         }

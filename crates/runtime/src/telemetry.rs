@@ -11,10 +11,10 @@
 //! - **Spans** ([`SpanEvent`] / [`TraceSink`] / [`TraceBuffer`]): when a
 //!   caller opts in by handing the executors a [`TraceSink`], every worker
 //!   records instruction-level spans (operation label, instruction index,
-//!   queue wait, intra-op thread grant, steal provenance) into a private,
-//!   lock-free [`TraceBuffer`] that flushes to the sink once at the end of
-//!   the run. Tracing is **off by default**: with no sink installed the hot
-//!   path pays one pointer-null check per instruction.
+//!   queue wait, steal provenance) into a private, lock-free
+//!   [`TraceBuffer`] that flushes to the sink once at the end of the run.
+//!   Tracing is **off by default**: with no sink installed the hot path pays
+//!   one pointer-null check per instruction.
 //! - **Chrome trace export** ([`Trace::to_chrome_json`]): a finished trace
 //!   serializes to the Chrome/Perfetto `traceEvents` JSON format (`ph:"X"`
 //!   duration events, one track per worker), loadable in `chrome://tracing`
@@ -427,8 +427,6 @@ pub struct SpanEvent {
     pub instr: Option<usize>,
     /// Time the work item waited between becoming ready and starting.
     pub queue_wait_ns: Option<u64>,
-    /// Intra-op worker threads granted to the operation.
-    pub grant: Option<usize>,
     /// For dataflow instruction spans that were stolen: the scheduler-local
     /// index of the worker whose deque the instruction was taken from.
     pub stolen_from: Option<usize>,
@@ -567,7 +565,6 @@ impl<'a> TraceBuffer<'a> {
         dur: Duration,
         instr: Option<usize>,
         queue_wait: Option<Duration>,
-        grant: Option<usize>,
         stolen_from: Option<usize>,
     ) {
         self.events.push(SpanEvent {
@@ -578,7 +575,6 @@ impl<'a> TraceBuffer<'a> {
             dur_ns: u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX),
             instr,
             queue_wait_ns: queue_wait.map(|w| u64::try_from(w.as_nanos()).unwrap_or(u64::MAX)),
-            grant,
             stolen_from,
         });
     }
@@ -640,9 +636,6 @@ impl Trace {
             }
             if let Some(wait) = event.queue_wait_ns {
                 args.push(("queue_wait_us".into(), Value::Float(wait as f64 / 1_000.0)));
-            }
-            if let Some(grant) = event.grant {
-                args.push(("grant".into(), Value::UInt(grant as u64)));
             }
             if let Some(victim) = event.stolen_from {
                 args.push(("stolen_from".into(), Value::UInt(victim as u64)));
@@ -797,7 +790,6 @@ mod tests {
                 Duration::from_micros(120),
                 Some(3),
                 Some(Duration::from_micros(4)),
-                Some(2),
                 Some(1),
             );
             buffer.record(
@@ -806,7 +798,6 @@ mod tests {
                 epoch + Duration::from_micros(200),
                 Duration::from_micros(10),
                 Some(4),
-                None,
                 None,
                 None,
             );

@@ -147,6 +147,11 @@ fn eval_domain_galois_matches_coefficient_domain_for_all_odd_elements() {
 #[test]
 fn multiply_rotate_multiply_chain_is_transform_free() {
     let ctx = FheContext::new(simulated_params()).unwrap();
+    assert_eq!(
+        ctx.transform_stats(),
+        TransformStats::default(),
+        "building a context transforms nothing"
+    );
     let mut keygen = KeyGenerator::new(ctx.params(), 7);
     let mut encryptor = Encryptor::new(&ctx, &keygen.public_key());
     let decryptor = Decryptor::new(&ctx, &keygen.secret_key());
@@ -227,48 +232,4 @@ fn plaintext_splat_cache_survives_cross_context_reuse() {
     assert_eq!(crossed.payload(), reference.payload());
     assert_eq!(small_product.payload().degree(), 16);
     assert_eq!(crossed.payload().degree(), 64);
-}
-
-/// Intra-op chunking is a pure wall-clock knob: the payload polynomials,
-/// slots and noise of every operation are bit-identical at any worker
-/// budget, and the evaluator records how many operations actually split.
-#[test]
-fn intra_op_chunking_is_bit_identical_and_counted() {
-    let params = BfvParameters {
-        payload_degree: 4096,
-        simulate_compute: true,
-        ..BfvParameters::insecure_test()
-    };
-    let ctx = FheContext::new(params).unwrap();
-    let mut keygen = KeyGenerator::new(ctx.params(), 9);
-    let mut encryptor = Encryptor::new(&ctx, &keygen.public_key());
-    let relin = keygen.relin_keys();
-    let galois = keygen.galois_keys(&[1]);
-    let a = encryptor.encrypt_values(&[3, 1, 4]).unwrap();
-    let b = encryptor.encrypt_values(&[1, 5, 9]).unwrap();
-
-    let mut sequential = Evaluator::new(&ctx);
-    let seq_mul = sequential.multiply(&a, &b, &relin);
-    let seq_rot = sequential.rotate(&seq_mul, 1, &galois).unwrap();
-    assert_eq!(sequential.intra_op_splits(), 0);
-
-    for threads in [2, 4] {
-        let mut chunked = Evaluator::new(&ctx);
-        chunked.set_intra_op_threads(threads);
-        assert_eq!(chunked.intra_op_threads(), threads);
-        let par_mul = chunked.multiply(&a, &b, &relin);
-        let par_rot = chunked.rotate(&par_mul, 1, &galois).unwrap();
-        assert_eq!(par_mul.payload(), seq_mul.payload(), "{threads} threads");
-        assert_eq!(par_rot.payload(), seq_rot.payload(), "{threads} threads");
-        assert_eq!(
-            par_mul.noise_consumed_bits(),
-            seq_mul.noise_consumed_bits(),
-            "{threads} threads"
-        );
-        assert_eq!(
-            chunked.intra_op_splits(),
-            2,
-            "both heavy ops must report an intra-op split at {threads} threads"
-        );
-    }
 }

@@ -95,7 +95,7 @@ fn k1_kernels_are_bit_identical_to_the_goldilocks_oracle() {
             let s1 = random_residues(&mut rng, degree, MODULUS);
 
             let mut out = vec![0u64; 2 * degree];
-            a.mul_eval2(&m, &mut out, 1, policy, &chain);
+            a.mul_eval2(&m, &mut out, policy, &chain);
             for i in 0..degree {
                 assert_eq!(out[i], p_mul(a.c0()[i], m[i]), "mul_eval2 c0 @{i}");
                 assert_eq!(out[degree + i], p_mul(a.c1()[i], m[i]), "mul_eval2 c1 @{i}");
@@ -103,7 +103,7 @@ fn k1_kernels_are_bit_identical_to_the_goldilocks_oracle() {
 
             // The fused tensor + key-switch kernel: c2 = a1·b1,
             // out0 = a0·b0 + c2·s0, out1 = a0·b1 + a1·b0 + c2·s1.
-            a.mul_add_eval2(&b, &s0, &s1, &mut out, 1, policy, &chain);
+            a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
             for i in 0..degree {
                 let c2 = p_mul(a.c1()[i], b.c1()[i]);
                 let want0 = p_add(p_mul(a.c0()[i], b.c0()[i]), p_mul(c2, s0[i]));
@@ -141,7 +141,7 @@ fn multi_limb_kernels_match_per_limb_oracles() {
                 let (b, _) = random_limb_payload(&mut rng, &chain, Domain::Eval);
 
                 let mut out = vec![0u64; 2 * half];
-                a.mul_eval2(&m, &mut out, 1, policy, &chain);
+                a.mul_eval2(&m, &mut out, policy, &chain);
                 for li in 0..k {
                     let q = chain.limb(li).modulus();
                     for j in 0..degree {

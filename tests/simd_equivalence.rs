@@ -8,11 +8,12 @@
 //! 1. **Fused-kernel equivalence** — every `CtPayload` kernel (the fused
 //!    dual-component multiply/add/sub/neg family plus the Galois gather)
 //!    produces identical stripes under `SimdPolicy::Scalar` and the detected
-//!    vector policy, on random inputs, in both domains, at tail-exercising
-//!    lengths, across intra-op thread counts.
-//! 2. **Transform equivalence** — forward and inverse NTTs (plain and
-//!    `_threaded`) agree between policies on random polynomials at several
-//!    degrees.
+//!    vector policy, on random inputs, in both domains, from one vector
+//!    wide to 1024 (ragged lengths and scalar tails are the business of
+//!    `simd.rs`'s own kernel-identity test: a stripe degree is a power of
+//!    two).
+//! 2. **Transform equivalence** — forward and inverse NTTs agree between
+//!    policies on random polynomials at several degrees.
 //! 3. **Lazy-reduction invariant** — the lazy engine keeps values unreduced
 //!    across butterfly layers, so the observable contract is that the single
 //!    end normalization yields fully canonical outputs that match a
@@ -45,7 +46,6 @@ fn assert_kernel_identical(
     label: &str,
     n: usize,
     domain: Domain,
-    threads: usize,
     detected: SimdPolicy,
     kernel: impl Fn(SimdPolicy) -> Vec<u64>,
 ) {
@@ -54,22 +54,19 @@ fn assert_kernel_identical(
     assert_eq!(
         scalar,
         vector,
-        "{label}: scalar and {} stripes diverged (n={n}, domain={domain:?}, threads={threads})",
+        "{label}: scalar and {} stripes diverged (n={n}, domain={domain:?})",
         detected.name()
     );
 }
 
 /// Every fused dual-component kernel is bit-identical between the scalar
 /// oracle and the detected vector policy — random inputs, both domains,
-/// lengths chosen to exercise full vectors, scalar tails, and sub-vector
-/// slices, at 1 and 4 intra-op threads.
+/// every degree from one vector wide up.
 #[test]
 fn fused_payload_kernels_are_bit_identical_under_every_policy() {
     let detected = SimdPolicy::detected();
     let mut rng = ChaCha8Rng::seed_from_u64(0x51DE0);
-    // Degrees must be powers of two (stripe invariant); sub-vector slices
-    // and scalar tails are exercised through the thread counts below — a
-    // 3-way chunking of these lengths lands mid-vector.
+    // Degrees must be powers of two (stripe invariant).
     for n in [4usize, 8, 64, 1024] {
         let chain = ModulusChain::new(1, n, false);
         for domain in [Domain::Coeff, Domain::Eval] {
@@ -78,78 +75,54 @@ fn fused_payload_kernels_are_bit_identical_under_every_policy() {
             let mult = random_residues(&mut rng, n);
             let s0 = random_residues(&mut rng, n);
             let s1 = random_residues(&mut rng, n);
-            let k = rng.gen::<u64>() % MODULUS;
             // An arbitrary index permutation is enough for gather
             // equivalence (the real Galois permutations are a subset).
             let perm: Vec<u32> = (0..n).map(|i| ((i * 7 + 3) % n) as u32).collect();
             let key = random_residues(&mut rng, n);
 
-            for threads in [1usize, 3, 4] {
-                assert_kernel_identical("mul_eval2", n, domain, threads, detected, |policy| {
+            assert_kernel_identical("mul_eval2", n, domain, detected, |policy| {
+                let mut out = vec![0u64; 2 * n];
+                a.mul_eval2(&mult, &mut out, policy, &chain);
+                out
+            });
+            assert_kernel_identical("mul_add_eval2", n, domain, detected, |policy| {
+                let mut out = vec![0u64; 2 * n];
+                a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
+                out
+            });
+            if domain == Domain::Eval {
+                assert_kernel_identical("galois_eval2", n, domain, detected, |policy| {
                     let mut out = vec![0u64; 2 * n];
-                    a.mul_eval2(&mult, &mut out, threads, policy, &chain);
+                    a.galois_eval2(&perm, &key, &mut out, policy, &chain);
                     out
                 });
-                assert_kernel_identical(
-                    "mul_scalar_eval2",
-                    n,
-                    domain,
-                    threads,
-                    detected,
-                    |policy| {
-                        let mut out = vec![0u64; 2 * n];
-                        a.mul_scalar_eval2(&mult, k, &mut out, threads, policy, &chain);
-                        out
-                    },
-                );
-                assert_kernel_identical("mul_add_eval2", n, domain, threads, detected, |policy| {
-                    let mut out = vec![0u64; 2 * n];
-                    a.mul_add_eval2(&b, &s0, &s1, &mut out, threads, policy, &chain);
-                    out
-                });
-                if domain == Domain::Eval {
-                    assert_kernel_identical(
-                        "galois_eval2",
-                        n,
-                        domain,
-                        threads,
-                        detected,
-                        |policy| {
-                            let mut out = vec![0u64; 2 * n];
-                            a.galois_eval2(&perm, &key, &mut out, threads, policy, &chain);
-                            out
-                        },
-                    );
-                }
             }
-
-            // Whole-stripe kernels take no thread count.
-            assert_kernel_identical("add2", n, domain, 1, detected, |policy| {
+            assert_kernel_identical("add2", n, domain, detected, |policy| {
                 let mut out = vec![0u64; 2 * n];
                 a.add2(&b, &mut out, policy, &chain);
                 out
             });
-            assert_kernel_identical("sub2", n, domain, 1, detected, |policy| {
+            assert_kernel_identical("sub2", n, domain, detected, |policy| {
                 let mut out = vec![0u64; 2 * n];
                 a.sub2(&b, &mut out, policy, &chain);
                 out
             });
-            assert_kernel_identical("neg2", n, domain, 1, detected, |policy| {
+            assert_kernel_identical("neg2", n, domain, detected, |policy| {
                 let mut out = vec![0u64; 2 * n];
                 a.neg2(&mut out, policy, &chain);
                 out
             });
-            assert_kernel_identical("add_assign2", n, domain, 1, detected, |policy| {
+            assert_kernel_identical("add_assign2", n, domain, detected, |policy| {
                 let mut acc = a.clone();
                 acc.add_assign2(&b, policy, &chain);
                 acc.into_stripe()
             });
-            assert_kernel_identical("sub_assign2", n, domain, 1, detected, |policy| {
+            assert_kernel_identical("sub_assign2", n, domain, detected, |policy| {
                 let mut acc = a.clone();
                 acc.sub_assign2(&b, policy, &chain);
                 acc.into_stripe()
             });
-            assert_kernel_identical("neg_assign2", n, domain, 1, detected, |policy| {
+            assert_kernel_identical("neg_assign2", n, domain, detected, |policy| {
                 let mut acc = a.clone();
                 acc.neg_assign2(policy, &chain);
                 acc.into_stripe()
@@ -158,8 +131,8 @@ fn fused_payload_kernels_are_bit_identical_under_every_policy() {
     }
 }
 
-/// Forward and inverse transforms (plain and threaded) are bit-identical
-/// between a scalar-policy and a detected-policy table set.
+/// Forward and inverse transforms are bit-identical between a scalar-policy
+/// and a detected-policy table set.
 #[test]
 fn ntt_transforms_are_bit_identical_under_every_policy() {
     let detected = SimdPolicy::detected();
@@ -176,22 +149,10 @@ fn ntt_transforms_are_bit_identical_under_every_policy() {
             vector.forward(&mut b);
             assert_eq!(a, b, "forward diverged (degree={degree}, round={round})");
 
-            let mut at = input.clone();
-            let mut bt = input.clone();
-            scalar.forward_threaded(&mut at, 4);
-            vector.forward_threaded(&mut bt, 4);
-            assert_eq!(at, a, "forward_threaded diverged from forward (scalar)");
-            assert_eq!(bt, a, "forward_threaded diverged from forward (vector)");
-
             scalar.inverse(&mut a);
             vector.inverse(&mut b);
             assert_eq!(a, b, "inverse diverged (degree={degree}, round={round})");
             assert_eq!(a, input, "round-trip is not the identity");
-
-            scalar.inverse_threaded(&mut at, 4);
-            vector.inverse_threaded(&mut bt, 4);
-            assert_eq!(at, input, "inverse_threaded round-trip (scalar)");
-            assert_eq!(bt, input, "inverse_threaded round-trip (vector)");
         }
     }
 }

@@ -29,7 +29,7 @@ fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
 /// top-level `traceEvents` array, every event an object with `name`, `ph`,
 /// `pid` and `tid`, metadata events (`ph:"M"`) naming their thread, and
 /// duration events (`ph:"X"`) carrying numeric `ts`/`dur` microsecond
-/// stamps. Returns the number of duration events.
+/// stamps and no `grant` arg. Returns the number of duration events.
 fn assert_wellformed_chrome_trace(json: &str, context: &str) -> usize {
     let document: Value =
         serde_json::from_str(json).unwrap_or_else(|e| panic!("{context}: export is not JSON: {e}"));
@@ -71,6 +71,10 @@ fn assert_wellformed_chrome_trace(json: &str, context: &str) -> usize {
             }
             "X" => {
                 duration_events += 1;
+                assert!(
+                    field("args").field("grant").is_err(),
+                    "{context}: a span carries no thread grant — an instruction runs on one worker"
+                );
                 for stamp in ["ts", "dur"] {
                     match field(stamp) {
                         Value::Float(v) => assert!(
