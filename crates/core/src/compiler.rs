@@ -209,7 +209,9 @@ mod tests {
 
         let bindings = bindings_for(&program);
         let report = compiled
-            .execute(&bindings, &BfvParameters::insecure_test())
+            .session(&BfvParameters::insecure_test())
+            .unwrap()
+            .run(&bindings)
             .unwrap();
         assert!(report.decryption_ok);
         assert_eq!(report.outputs[0], reference_output(&program, &bindings)[0]);
@@ -224,7 +226,9 @@ mod tests {
 
         let bindings = bindings_for(&program);
         let report = compiled
-            .execute(&bindings, &BfvParameters::insecure_test())
+            .session(&BfvParameters::insecure_test())
+            .unwrap()
+            .run(&bindings)
             .unwrap();
         assert_eq!(
             report.outputs,
@@ -239,8 +243,8 @@ mod tests {
         let optimized = Compiler::greedy().compile("greedy", &program);
         let bindings = bindings_for(&program);
         let params = BfvParameters::insecure_test();
-        let naive_report = naive.execute(&bindings, &params).unwrap();
-        let optimized_report = optimized.execute(&bindings, &params).unwrap();
+        let naive_report = naive.session(&params).unwrap().run(&bindings).unwrap();
+        let optimized_report = optimized.session(&params).unwrap().run(&bindings).unwrap();
         assert_eq!(naive_report.outputs[0], optimized_report.outputs[0]);
         assert!(
             optimized_report.operation_stats.total() < naive_report.operation_stats.total(),

@@ -13,9 +13,7 @@
 //! request ([`FheSession::run`] / [`FheSession::run_parallel`]) is its
 //! `lanes = 1` case. An `Arc`'d session feeds [`FheSession::serve_with`],
 //! the persistent request-queue front end backed by
-//! [`chehab_runtime::ServingEngine`]. The one-shot
-//! [`CompiledProgram::execute`] survives as a thin convenience shim that
-//! builds a throwaway session per call.
+//! [`chehab_runtime::ServingEngine`].
 //!
 //! Plaintext-only subcircuits are computed on the client side (they never
 //! touch ciphertexts), and packed vector inputs are either packed by the
@@ -35,13 +33,12 @@ use chehab_ir::{CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, 
 use chehab_runtime::{
     data_kinds, default_workers, lane_geometry, BatchPolicy, CalibratedCostModel,
     CancellationToken, Counter, ExecOutcome, ExecResources, Executor, FaultPlan, Gauge,
-    LaneGeometry, MetricsRegistry, Register, RequestCoalescer, ResilienceSnapshot, ResilienceStats,
-    Schedule, SchedulerKind, SchedulerMetrics, ServingConfig, ServingEngine, SpanEvent,
-    TimingBreakdown, TraceSink, DEFAULT_QUEUE_CAPACITY,
+    LaneGeometry, MetricsRegistry, Register, RequestCoalescer, ResilienceStats, Schedule,
+    SchedulerKind, ServingConfig, ServingEngine, SpanEvent, TimingBreakdown, TraceSink,
+    DEFAULT_QUEUE_CAPACITY,
 };
 use coyote_baseline::LaneAssignment;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -357,27 +354,6 @@ impl CompiledProgram {
     pub fn session(&self, params: &BfvParameters) -> Result<FheSession, FheError> {
         FheSession::new(self, params)
     }
-
-    /// Executes the program on the BFV backend, sequentially.
-    ///
-    /// `inputs` binds every scalar input variable to its clear value.
-    ///
-    /// Convenience shim: builds a throwaway [`FheSession`] and runs one
-    /// request, paying key generation and schedule lowering per call. Loops
-    /// and serving paths should hold a session and use [`FheSession::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`FheError`] for missing Galois keys or other backend
-    /// failures; an exhausted noise budget is *not* an error and is reported
-    /// through [`ExecutionReport::decryption_ok`].
-    pub fn execute(
-        &self,
-        inputs: &HashMap<String, i64>,
-        params: &BfvParameters,
-    ) -> Result<ExecutionReport, FheError> {
-        self.session(params)?.run(inputs)
-    }
 }
 
 /// The serving alias of [`chehab_runtime::ServingEngine`]: requests are
@@ -401,10 +377,6 @@ pub struct SessionStats {
     pub requests_served: u64,
     /// Galois keys held by the session.
     pub galois_key_count: usize,
-    /// Wavefront levels of the session's schedule.
-    pub schedule_levels: usize,
-    /// Widest schedule level (the intra-request parallelism bound).
-    pub schedule_width: usize,
     /// Encryptions one bind performs, whatever the batch size: one per
     /// *live* ciphertext input register of the session's bind plan (a
     /// scalar input that only feeds client-packed vectors is not one).
@@ -416,12 +388,11 @@ pub struct SessionStats {
 }
 
 /// The session's named metric handles, registered once at session build on
-/// the session-owned [`MetricsRegistry`]. Two update disciplines coexist:
-/// *live* handles (`requests`, `encryptions`, `steals`) are bumped on the
-/// request path,
-/// while *mirrored* handles are synced from their external source of truth
-/// (arena pool counters, NTT transform counters, key-generator census) each
-/// time the registry is read.
+/// the session-owned [`MetricsRegistry`]. Every handle is bumped by the
+/// layer that observes its fact — the request path here, the serving
+/// engines through `resilience` — except the arena, NTT and Galois-key
+/// handles: those facts live in `chehab-fhe`, below the crate that defines
+/// the cells, so they are mirrored in each time the registry is read.
 #[derive(Debug)]
 struct SessionMetrics {
     registry: MetricsRegistry,
@@ -435,12 +406,10 @@ struct SessionMetrics {
     arena_retained: Gauge,
     ntt_forward: Counter,
     ntt_inverse: Counter,
-    keygen_instances: Counter,
     galois_keys: Gauge,
-    requests_cancelled: Counter,
-    deadline_missed: Counter,
-    requests_shed: Counter,
-    worker_panics: Counter,
+    /// Shared with every serving engine this session starts, so the
+    /// exported series aggregate across engines.
+    resilience: ResilienceStats,
 }
 
 impl SessionMetrics {
@@ -487,27 +456,25 @@ impl SessionMetrics {
                 "chehab_ntt_inverse_transforms_total",
                 "Inverse NTT transforms executed by the session context",
             ),
-            keygen_instances: registry.counter(
-                "chehab_keygen_instances_total",
-                "KeyGenerator instances created process-wide",
-            ),
             galois_keys: registry.gauge("chehab_galois_keys", "Galois keys held by the session"),
-            requests_cancelled: registry.counter(
-                "chehab_requests_cancelled_total",
-                "Requests cancelled before or during execution across this session's engines",
-            ),
-            deadline_missed: registry.counter(
-                "chehab_deadline_missed_total",
-                "Requests whose deadline expired across this session's engines",
-            ),
-            requests_shed: registry.counter(
-                "chehab_requests_shed_total",
-                "Requests shed by admission control as deadline-infeasible",
-            ),
-            worker_panics: registry.counter(
-                "chehab_worker_panics_total",
-                "Serving-worker panics isolated across this session's engines",
-            ),
+            resilience: ResilienceStats {
+                cancelled: registry.counter(
+                    "chehab_requests_cancelled_total",
+                    "Requests cancelled before or during execution across this session's engines",
+                ),
+                deadline_missed: registry.counter(
+                    "chehab_deadline_missed_total",
+                    "Requests whose deadline expired across this session's engines",
+                ),
+                shed: registry.counter(
+                    "chehab_requests_shed_total",
+                    "Requests shed by admission control as deadline-infeasible",
+                ),
+                worker_panics: registry.counter(
+                    "chehab_worker_panics_total",
+                    "Serving-worker panics isolated across this session's engines",
+                ),
+            },
             registry,
         }
     }
@@ -576,11 +543,6 @@ pub struct FheSession {
     lowering_time: Duration,
     /// Measured per-op latencies accumulated across every request served.
     calibration: Mutex<CalibratedCostModel>,
-    requests_served: AtomicU64,
-    /// Resilience counters (cancelled / deadline-missed / shed / worker
-    /// panics) shared with every serving engine this session starts, so the
-    /// session's Prometheus registry aggregates across engines.
-    resilience: Arc<ResilienceStats>,
     /// The session-owned metrics registry and its named handles (see
     /// [`FheSession::metrics`]).
     metrics: SessionMetrics,
@@ -683,8 +645,6 @@ impl FheSession {
             keygen_time,
             lowering_time,
             calibration: Mutex::new(CalibratedCostModel::new()),
-            requests_served: AtomicU64::new(0),
-            resilience: Arc::new(ResilienceStats::default()),
             metrics: SessionMetrics::new(),
         })
     }
@@ -696,7 +656,7 @@ impl FheSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledProgram::execute`].
+    /// Same contract as [`FheSession::run_batched`].
     pub fn run(&self, inputs: &HashMap<String, i64>) -> Result<ExecutionReport, FheError> {
         self.run_parallel(
             inputs,
@@ -713,7 +673,7 @@ impl FheSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledProgram::execute`].
+    /// Same contract as [`FheSession::run_batched`].
     pub fn run_parallel(
         &self,
         inputs: &HashMap<String, i64>,
@@ -776,12 +736,13 @@ impl FheSession {
     /// apply as documented on [`ExecHooks`].
     ///
     /// `shutdown` drains in-flight work and reports the batching counters;
-    /// [`RequestCoalescer::engine`] exposes queue, latency and resilience
-    /// stats, including each execution's scheduler counters (steals, queue
-    /// waits) and measured per-operation-kind latencies. Requests that fail
-    /// for any reason (cancel, deadline, injected or organic panic) never
-    /// feed the session's cumulative calibration, which lives in
-    /// [`FheSession::stats`].
+    /// [`RequestCoalescer::engine`] exposes what the engine observes (queue,
+    /// gather, wall, outcome). What a run observes — op latencies, steals,
+    /// encryptions — is counted by the session ([`FheSession::stats`],
+    /// [`FheSession::metrics`]) and carried per run in each report's
+    /// `timing`; the handler records nothing. Requests that fail for any
+    /// reason (cancel, deadline, injected or organic panic) never feed the
+    /// session's cumulative calibration.
     pub fn serve_with(
         self: &Arc<Self>,
         options: &ExecOptions,
@@ -797,8 +758,6 @@ impl FheSession {
         };
         let session = Arc::clone(self);
         let faults = hooks.faults.clone();
-        let metrics = Arc::new(SchedulerMetrics::default());
-        let sink = Arc::clone(&metrics);
         RequestCoalescer::over(
             ServingConfig {
                 workers: options.request_threads,
@@ -806,9 +765,8 @@ impl FheSession {
                 deadline: options.deadline,
                 shed_infeasible: options.shed_infeasible,
                 faults: hooks.faults.clone(),
-                scheduler: metrics,
                 trace: hooks.trace.clone(),
-                resilience: Arc::clone(&self.resilience),
+                resilience: self.metrics.resilience.clone(),
             },
             policy,
             policy.max_batch,
@@ -821,32 +779,14 @@ impl FheSession {
                     faults: faults.clone(),
                 };
                 match session.run_batched(&inputs, &exec, &hooks) {
-                    Ok(reports) => {
-                        // One execution, many users: every report carries
-                        // the same timing, recorded once.
-                        if let Some(report) = reports.first() {
-                            sink.record(report.timing.steals, &report.timing.queue_waits);
-                            // Per-op-kind latency histograms: label every
-                            // measured instruction span with its schedule
-                            // operation.
-                            sink.record_op_samples(
-                                session
-                                    .schedule
-                                    .instrs()
-                                    .iter()
-                                    .zip(report.timing.instr_times.iter().copied())
-                                    .map(|(si, time)| (si.instr.label(), time)),
-                            );
-                        }
-                        reports.into_iter().map(Ok).collect()
-                    }
+                    Ok(reports) => reports.into_iter().map(Ok).collect(),
                     Err(error) => {
                         // Instruction-level panics are isolated inside the
                         // executor and surface as a clean `Err` return,
                         // invisible to the engine's own handler-panic
                         // accounting — count them here.
                         if let FheError::WorkerPanic { .. } = &error {
-                            session.resilience.note_worker_panic();
+                            session.metrics.resilience.worker_panics.inc();
                         }
                         inputs.iter().map(|_| Err(error.clone())).collect()
                     }
@@ -883,33 +823,18 @@ impl FheSession {
         SessionStats {
             keygen_time: self.keygen_time,
             lowering_time: self.lowering_time,
-            requests_served: self.requests_served.load(Ordering::Relaxed),
+            requests_served: self.metrics.requests.get(),
             galois_key_count: self.galois_keys.key_count(),
-            schedule_levels: self.schedule.level_count(),
-            schedule_width: self.schedule.max_width(),
             encryptions_per_request: self.bind_plan.encryptions(),
             calibration: self.calibration.lock().unwrap().clone(),
         }
     }
 
-    /// Snapshot of the cumulative measured per-operation latencies across
-    /// every request served so far.
-    pub fn calibration(&self) -> CalibratedCostModel {
-        self.calibration.lock().unwrap().clone()
-    }
-
-    /// Projects the cumulative calibration into a full cost model (the
-    /// timer-augmented feedback loop: hand this to the greedy/RL optimizer
-    /// to rank rewrites by observed hardware cost).
-    pub fn calibrated_cost_model(&self, base: &CostModel) -> CostModel {
-        self.calibration.lock().unwrap().to_cost_model(base)
-    }
-
-    /// Syncs the mirrored metric handles from their sources of truth: the
-    /// session arena pool's allocation counters, the context's NTT transform
-    /// counters, and the process-wide key-generator census. Live handles
-    /// (requests served, dataflow steals) are bumped on the request path and
-    /// need no sync.
+    /// Mirrors into the registry what is counted *below* the runtime crate:
+    /// the arena pool's allocation counters, the context's NTT transform
+    /// counts and the Galois-key count live in `chehab-fhe`, which cannot
+    /// see `telemetry` to count into its cells itself. Everything else is
+    /// bumped live by the layer that observes it and needs no sync.
     fn refresh_metrics(&self) {
         let m = &self.metrics;
         let arena = self.arena_pool.alloc_stats();
@@ -919,31 +844,16 @@ impl FheSession {
         let transforms = self.ctx.transform_stats();
         m.ntt_forward.store(transforms.forward);
         m.ntt_inverse.store(transforms.inverse);
-        m.keygen_instances.store(KeyGenerator::instances_created());
         m.galois_keys.set(self.galois_keys.key_count() as f64);
-        let resilience = self.resilience.snapshot();
-        m.requests_cancelled.store(resilience.cancelled);
-        m.deadline_missed.store(resilience.deadline_missed);
-        m.requests_shed.store(resilience.shed);
-        m.worker_panics.store(resilience.worker_panics);
     }
 
-    /// Cumulative resilience counters (cancelled / deadline-missed / shed /
-    /// worker panics) aggregated across every serving engine this session
-    /// has started. The same figures surface as
-    /// `chehab_requests_cancelled_total`, `chehab_deadline_missed_total`,
-    /// `chehab_requests_shed_total` and `chehab_worker_panics_total` in
-    /// [`FheSession::metrics`].
-    pub fn resilience(&self) -> ResilienceSnapshot {
-        self.resilience.snapshot()
-    }
-
-    /// The session's unified metrics registry, freshly synced: request and
-    /// dataflow-steal counters recorded live on the request path, arena
-    /// fresh/reuse/retained figures from the session pool, NTT transform
-    /// counts from the context, the process-wide key-generator census, and
-    /// the Galois-key gauge. Render it with
-    /// [`MetricsRegistry::render_text`] (or use the
+    /// The session's unified metrics registry, freshly synced: request,
+    /// encryption and dataflow-steal counters bumped on the request path,
+    /// the resilience counters (`chehab_requests_cancelled_total`,
+    /// `chehab_deadline_missed_total`, `chehab_requests_shed_total`,
+    /// `chehab_worker_panics_total`) bumped by this session's serving
+    /// engines, and the mirrored arena, NTT and Galois-key figures. Render it
+    /// with [`MetricsRegistry::render_text`] (or use the
     /// [`FheSession::render_metrics`] shorthand).
     pub fn metrics(&self) -> &MetricsRegistry {
         self.refresh_metrics();
@@ -1013,8 +923,11 @@ impl FheSession {
     ///
     /// # Errors
     ///
-    /// Same contract as [`CompiledProgram::execute`], plus the
-    /// cancellation/deadline/panic variants; an error fails the entire call.
+    /// Returns an [`FheError`] for missing Galois keys or other backend
+    /// failures, and the cancellation/deadline/panic variants when `hooks`
+    /// stop the call; an error fails the entire call. An exhausted noise
+    /// budget is *not* an error and is reported through
+    /// [`ExecutionReport::decryption_ok`].
     pub fn run_batched(
         &self,
         input_sets: &[HashMap<String, i64>],
@@ -1178,8 +1091,6 @@ impl FheSession {
                 .lock()
                 .unwrap()
                 .merge(&outcome.timing.per_op);
-            self.requests_served
-                .fetch_add(users as u64, Ordering::Relaxed);
             self.metrics.requests.add(users as u64);
             self.metrics.steals.add(outcome.timing.steals);
             if batching.is_some() {
@@ -1304,7 +1215,9 @@ mod tests {
         let inputs: HashMap<String, i64> =
             bindings.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         program
-            .execute(&inputs, &BfvParameters::insecure_test())
+            .session(&BfvParameters::insecure_test())
+            .unwrap()
+            .run(&inputs)
             .unwrap()
     }
 

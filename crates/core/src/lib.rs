@@ -26,7 +26,7 @@
 //! // ...compile it with the greedy optimizer and run it homomorphically.
 //! let compiled = Compiler::greedy().compile(p.name(), &p.lower());
 //! let inputs: HashMap<String, i64> = [("a".to_string(), 9), ("b".to_string(), 4)].into();
-//! let report = compiled.execute(&inputs, &BfvParameters::insecure_test())?;
+//! let report = compiled.session(&BfvParameters::insecure_test())?.run(&inputs)?;
 //! assert_eq!(report.outputs[0], 25);
 //! # Ok::<(), chehab_fhe::FheError>(())
 //! ```

@@ -201,7 +201,9 @@ mod tests {
             .map(|(k, v)| (k.to_string(), *v))
             .collect();
         let report = compiled
-            .execute(&inputs, &BfvParameters::insecure_test())
+            .session(&BfvParameters::insecure_test())
+            .unwrap()
+            .run(&inputs)
             .unwrap();
         assert_eq!(report.outputs, vec![3, 7]);
     }

@@ -26,11 +26,6 @@ use crate::rns::ModulusChain;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-global count of [`KeyGenerator`] constructions (see
-/// [`KeyGenerator::instances_created`]).
-static KEYGEN_INSTANCES: AtomicU64 = AtomicU64::new(0);
 
 /// The secret key (simulation placeholder identified by its seed).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,7 +134,6 @@ impl KeyGenerator {
     /// Creates a key generator with an explicit seed (keys are deterministic
     /// per seed, which the tests rely on).
     pub fn new(params: &BfvParameters, seed: u64) -> Self {
-        KEYGEN_INSTANCES.fetch_add(1, Ordering::Relaxed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let id = rng.gen();
         let tables = params
@@ -218,18 +212,6 @@ impl KeyGenerator {
         self.arena.put(first.into_coeffs());
         self.arena.put(second.into_coeffs());
         Some(payload)
-    }
-
-    /// Process-global count of `KeyGenerator` constructions so far.
-    ///
-    /// Real key generation is the expensive, once-per-session step of an FHE
-    /// deployment; serving paths are expected to reuse key material instead
-    /// of regenerating it per request. Tests assert that by sampling this
-    /// counter around a stream of requests (note it is shared by every
-    /// thread of the process, so such assertions belong in single-test
-    /// processes).
-    pub fn instances_created() -> u64 {
-        KEYGEN_INSTANCES.load(Ordering::Relaxed)
     }
 
     /// The secret key.

@@ -56,9 +56,6 @@ pub struct BatchPolicy {
     /// Flush once the *first* request of the batch has waited this long —
     /// the latency each request is willing to trade for amortization.
     pub max_linger: Duration,
-    /// Optional per-request deadline (measured from submission): the batch
-    /// flushes early enough that no gathered member exceeds it waiting.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for BatchPolicy {
@@ -66,7 +63,6 @@ impl Default for BatchPolicy {
         BatchPolicy {
             max_batch: 16,
             max_linger: Duration::from_millis(2),
-            deadline: None,
         }
     }
 }
@@ -78,7 +74,6 @@ impl BatchPolicy {
         BatchPolicy {
             max_batch: 1,
             max_linger: Duration::ZERO,
-            deadline: None,
         }
     }
 
@@ -91,12 +86,6 @@ impl BatchPolicy {
     /// Replaces the linger bound.
     pub fn with_max_linger(mut self, max_linger: Duration) -> Self {
         self.max_linger = max_linger;
-        self
-    }
-
-    /// Sets a per-request deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 }
@@ -467,6 +456,21 @@ mod tests {
         )
     }
 
+    /// A doubling coalescer whose engine stamps `deadline` on every request:
+    /// the deadline is the engine's ([`ServingConfig::deadline`]), the
+    /// policy only says when a gathering batch flushes.
+    fn deadline_coalescer(policy: BatchPolicy, deadline: Duration) -> RequestCoalescer<u64, u64> {
+        RequestCoalescer::over(
+            ServingConfig {
+                deadline: Some(deadline),
+                ..ServingConfig::sized(1, 64)
+            },
+            policy,
+            policy.max_batch,
+            |requests, _token| requests.into_iter().map(|(_, v)| v * 2).collect(),
+        )
+    }
+
     #[test]
     fn scatters_each_users_own_result() {
         let coalescer = doubling_coalescer(BatchPolicy::default().with_max_batch(4), 64);
@@ -519,12 +523,11 @@ mod tests {
 
     #[test]
     fn deadline_beats_a_longer_linger() {
-        let coalescer = doubling_coalescer(
+        let coalescer = deadline_coalescer(
             BatchPolicy::default()
                 .with_max_batch(64)
-                .with_max_linger(Duration::from_secs(60))
-                .with_deadline(Duration::from_millis(5)),
-            64,
+                .with_max_linger(Duration::from_secs(60)),
+            Duration::from_millis(5),
         );
         let started = Instant::now();
         let handle = coalescer.submit(5).unwrap();
@@ -712,12 +715,11 @@ mod tests {
         // The first member has burned most of its deadline budget before a
         // late companion arrives; the batch must flush by the *earliest*
         // absolute deadline, not restart the clock per member.
-        let coalescer = doubling_coalescer(
+        let coalescer = deadline_coalescer(
             BatchPolicy::default()
                 .with_max_batch(64)
-                .with_max_linger(Duration::from_secs(60))
-                .with_deadline(Duration::from_millis(40)),
-            64,
+                .with_max_linger(Duration::from_secs(60)),
+            Duration::from_millis(40),
         );
         let started = Instant::now();
         let old = coalescer.submit(1).unwrap();

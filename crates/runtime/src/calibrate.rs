@@ -106,10 +106,16 @@ impl CalibratedCostModel {
         self.totals[kind.index()]
     }
 
-    /// Mean latency of a kind, if any sample was recorded.
+    /// Mean latency of a kind, if any sample was recorded. Divided in
+    /// `u128` nanoseconds, as [`Histogram::mean`](crate::Histogram::mean)
+    /// does: a `Duration` divides by `u32` only, and a count truncated to
+    /// one is 0 at 2³² samples.
     pub fn mean(&self, kind: OpKind) -> Option<Duration> {
         let count = self.counts[kind.index()];
-        (count > 0).then(|| self.totals[kind.index()] / count as u32)
+        (count > 0).then(|| {
+            let mean = self.totals[kind.index()].as_nanos() / u128::from(count);
+            Duration::from_nanos(u64::try_from(mean).unwrap_or(u64::MAX))
+        })
     }
 
     /// Total number of samples across all kinds.
@@ -171,6 +177,24 @@ mod tests {
         assert_eq!(a.mean(OpKind::MulCtCt), Some(Duration::from_micros(800)));
         assert_eq!(a.sample_count(), 3);
         assert_eq!(a.mean(OpKind::Rotation), None);
+    }
+
+    #[test]
+    fn means_survive_counts_past_u32() {
+        // 32 self-merges double one sample to 2^32: a divisor cast to `u32`
+        // is 0 there, and `Duration / 0` panics under the session's
+        // calibration lock.
+        let mut cal = CalibratedCostModel::new();
+        cal.record(OpKind::Addition, Duration::from_nanos(10));
+        cal.record(OpKind::MulCtCt, Duration::from_nanos(750));
+        for _ in 0..32 {
+            let doubled = cal.clone();
+            cal.merge(&doubled);
+        }
+        assert_eq!(cal.count(OpKind::Addition), 1 << 32);
+        assert_eq!(cal.mean(OpKind::Addition), Some(Duration::from_nanos(10)));
+        let costs = cal.to_op_costs(&OpCosts::default());
+        assert!((costs.vec_mul_ct_ct - 75.0).abs() < 1e-9);
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl TimingBreakdown {
 
 /// The `pct`-percentile (`0.0..=1.0`) of an unsorted sample set, `None`
 /// when empty. Sorts in place.
-pub(crate) fn percentile(samples: &mut [Duration], pct: f64) -> Option<Duration> {
+fn percentile(samples: &mut [Duration], pct: f64) -> Option<Duration> {
     if samples.is_empty() {
         return None;
     }

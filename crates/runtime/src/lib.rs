@@ -144,8 +144,8 @@ pub use schedule::{
 };
 pub use serving::{
     default_workers, LatencySnapshot, RequestError, RequestHandle, ResilienceSnapshot,
-    ResilienceStats, SchedulerMetrics, SchedulerStatsSnapshot, ServingConfig, ServingEngine,
-    ServingError, ServingStats, TrySubmitError, DEFAULT_QUEUE_CAPACITY,
+    ResilienceStats, ServingConfig, ServingEngine, ServingError, ServingStats, TrySubmitError,
+    DEFAULT_QUEUE_CAPACITY,
 };
 pub use telemetry::{
     Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, Trace, TraceBuffer, TraceSink,

@@ -36,11 +36,9 @@
 //! `chehab-core` layers the session-backed serving API on top.
 
 use crate::batching::BatchPolicy;
-use crate::dataflow::percentile;
 use crate::faults::{CancellationToken, FaultPlan};
-use crate::telemetry::{Histogram, SpanEvent, TraceSink};
+use crate::telemetry::{Counter, Histogram, SpanEvent, TraceSink};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,20 +75,13 @@ pub struct ServingConfig {
     /// [`ExecResources::faults`](crate::ExecResources). `None` (the
     /// default) injects nothing.
     pub faults: Option<FaultPlan>,
-    /// Scheduler-counter sink: the handler keeps a clone of the `Arc` and
-    /// records each request's scheduler figures, and
-    /// [`ServingEngine::stats`] folds the aggregate into
-    /// [`ServingStats::scheduler`]. (The handler is constructed before the
-    /// engine exists, so the sink cannot be handed out afterwards.)
-    pub scheduler: Arc<SchedulerMetrics>,
     /// Optional span sink: when set, every worker records one request-level
     /// span per served job on its own trace track, with the job's queue
     /// wait attached.
     pub trace: Option<Arc<TraceSink>>,
-    /// Resilience counter sink; share one `Arc` across engines to aggregate
-    /// (one per session on the FHE path, mirrored into Prometheus counters
-    /// by the caller).
-    pub resilience: Arc<ResilienceStats>,
+    /// Resilience counter cells; clones share them, so one set aggregates
+    /// across engines (on the FHE path, the session's registry cells).
+    pub resilience: ResilienceStats,
 }
 
 /// Default bound of the request queue.
@@ -122,9 +113,8 @@ impl ServingConfig {
             deadline: None,
             shed_infeasible: false,
             faults: None,
-            scheduler: Arc::default(),
             trace: None,
-            resilience: Arc::default(),
+            resilience: ResilienceStats::default(),
         }
     }
 }
@@ -226,162 +216,30 @@ impl<T> std::fmt::Display for TrySubmitError<T> {
 
 impl<T: std::fmt::Debug> std::error::Error for TrySubmitError<T> {}
 
-/// Aggregated scheduler counters of the requests an engine has served: the
-/// first slice of the engine-level metrics export. Handlers that execute
-/// through the executor record each request's scheduler figures into
-/// the engine's [`SchedulerMetrics`]; this snapshot summarizes them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedulerStatsSnapshot {
-    /// Requests whose scheduler figures were recorded.
-    pub requests: u64,
-    /// Ready instructions taken from another worker's local deque, summed
-    /// across requests.
-    pub steals: u64,
-    /// Median per-instruction queue wait across every recorded request.
-    pub queue_wait_p50: Option<Duration>,
-    /// 95th-percentile per-instruction queue wait.
-    pub queue_wait_p95: Option<Duration>,
-}
-
-/// Bound on retained queue-wait samples: once full, the oldest samples are
-/// overwritten (a sliding window), so percentiles track steady-state
-/// traffic without growing an engine's footprint unboundedly.
-const MAX_QUEUE_WAIT_SAMPLES: usize = 65_536;
-
-/// Scheduler-counter sink shared between an engine and its request handler:
-/// the handler records per-request scheduler figures (steals, queue
-/// waits), [`ServingEngine::stats`] folds the aggregate into
-/// [`ServingStats::scheduler`]. Kept separate from the engine's own queue
-/// counters so the engine stays generic over request/response types.
-#[derive(Debug, Default)]
-pub struct SchedulerMetrics {
-    inner: Mutex<SchedulerAgg>,
-}
-
-#[derive(Debug, Default)]
-struct SchedulerAgg {
-    requests: u64,
-    steals: u64,
-    queue_waits: Vec<Duration>,
-    /// Next slot to overwrite once `queue_waits` is at capacity (ring
-    /// cursor), so retained samples follow the traffic instead of freezing
-    /// on the startup window.
-    next_wait_slot: usize,
-    /// Per-operation-kind latency histograms, keyed by the op-kind label
-    /// the handler records with (fixed-footprint, so they never grow with
-    /// traffic the way a sample vector would).
-    per_op: Vec<(&'static str, Histogram)>,
-}
-
-impl SchedulerMetrics {
-    /// Records one request's scheduler figures. Queue-wait samples are kept
-    /// in a bounded sliding window (oldest overwritten first); the counters
-    /// always accumulate.
-    pub fn record(&self, steals: u64, queue_waits: &[Duration]) {
-        let mut agg = self.inner.lock().unwrap();
-        agg.requests += 1;
-        agg.steals += steals;
-        for &wait in queue_waits {
-            if agg.queue_waits.len() < MAX_QUEUE_WAIT_SAMPLES {
-                agg.queue_waits.push(wait);
-            } else {
-                let slot = agg.next_wait_slot;
-                agg.queue_waits[slot] = wait;
-                agg.next_wait_slot = (slot + 1) % MAX_QUEUE_WAIT_SAMPLES;
-            }
-        }
-    }
-
-    /// Records per-operation latency samples (one lock for the whole
-    /// batch): the handler feeds each executed instruction's measured span,
-    /// labelled by operation kind, and [`ServingStats::latency`] reports
-    /// the per-kind histograms.
-    pub fn record_op_samples(&self, samples: impl IntoIterator<Item = (&'static str, Duration)>) {
-        let mut agg = self.inner.lock().unwrap();
-        for (label, sample) in samples {
-            match agg.per_op.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, histogram)) => histogram.record(sample),
-                None => {
-                    let mut histogram = Histogram::new();
-                    histogram.record(sample);
-                    agg.per_op.push((label, histogram));
-                }
-            }
-        }
-    }
-
-    /// The per-operation-kind latency histograms recorded so far, sorted by
-    /// label for deterministic output.
-    pub fn per_op_histograms(&self) -> Vec<(String, Histogram)> {
-        let agg = self.inner.lock().unwrap();
-        let mut out: Vec<(String, Histogram)> = agg
-            .per_op
-            .iter()
-            .map(|(label, histogram)| (label.to_string(), histogram.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// A point-in-time summary of everything recorded so far.
-    pub fn snapshot(&self) -> SchedulerStatsSnapshot {
-        let agg = self.inner.lock().unwrap();
-        let mut waits = agg.queue_waits.clone();
-        SchedulerStatsSnapshot {
-            requests: agg.requests,
-            steals: agg.steals,
-            queue_wait_p50: percentile(&mut waits, 0.50),
-            queue_wait_p95: percentile(&mut waits, 0.95),
-        }
-    }
-}
-
-/// Cumulative resilience counters of a serving engine (or a whole session's
-/// engines — `chehab-core` shares one sink across every engine a session
-/// spawns and mirrors it into the Prometheus registry). All methods are
-/// lock-free atomic bumps, safe to call from any worker.
-#[derive(Debug, Default)]
+/// Cumulative resilience counters of a serving engine: four [`Counter`]
+/// cells the engine bumps as it classifies outcomes. The default cells are
+/// private; `chehab-core` hands every engine of a session the cells of the
+/// session's `MetricsRegistry`, so the exported series are the ones bumped.
+#[derive(Debug, Clone, Default)]
 pub struct ResilienceStats {
-    cancelled: AtomicU64,
-    deadline_missed: AtomicU64,
-    shed: AtomicU64,
-    worker_panics: AtomicU64,
+    /// Requests cancelled before completing.
+    pub cancelled: Counter,
+    /// Requests whose deadline expired before they completed.
+    pub deadline_missed: Counter,
+    /// Requests shed at submission by admission control.
+    pub shed: Counter,
+    /// Isolated worker panics (panicking handlers, planned worker kills).
+    pub worker_panics: Counter,
 }
 
 impl ResilienceStats {
-    /// A fresh all-zero sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counts one explicitly cancelled request.
-    pub fn note_cancelled(&self) {
-        self.cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request whose deadline expired before completion.
-    pub fn note_deadline_missed(&self) {
-        self.deadline_missed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request shed by admission control.
-    pub fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one isolated worker panic (a panicking handler or a planned
-    /// worker kill).
-    pub fn note_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> ResilienceSnapshot {
         ResilienceSnapshot {
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            deadline_missed: self.deadline_missed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
+            cancelled: self.cancelled.get(),
+            deadline_missed: self.deadline_missed.get(),
+            shed: self.shed.get(),
+            worker_panics: self.worker_panics.get(),
         }
     }
 }
@@ -403,9 +261,8 @@ pub struct ResilienceSnapshot {
 }
 
 /// Latency histograms of one engine's served traffic, snapshotted into
-/// [`ServingStats::latency`]: per-request wall latency, per-request queue
-/// wait, and (when the handler records them through
-/// [`SchedulerMetrics::record_op_samples`]) per-operation-kind latencies.
+/// [`ServingStats::latency`]: what the engine itself observes of a request
+/// (queue wait, gather, handler wall, outcome).
 #[derive(Debug, Clone, Default)]
 pub struct LatencySnapshot {
     /// Handler wall latency of each completed request.
@@ -419,8 +276,6 @@ pub struct LatencySnapshot {
     pub batch_size: Histogram,
     /// How long each flushed batch's first request lingered gathering.
     pub linger: Histogram,
-    /// Per-operation-kind latency histograms, sorted by label.
-    pub per_op: Vec<(String, Histogram)>,
     /// Handler wall latency split by outcome, labelled `"ok"`,
     /// `"cancelled"`, `"deadline_missed"` and `"panicked"` (always all four,
     /// some possibly empty), completing the per-outcome slice of the
@@ -442,18 +297,9 @@ pub struct ServingStats {
     pub in_flight: usize,
     /// Persistent worker threads of the engine.
     pub workers: usize,
-    /// Cumulative handler time across all workers, one term per batch (sums
-    /// over workers, so it can exceed `elapsed` on multi-core hosts).
-    pub busy: Duration,
     /// Wall-clock since the engine started.
     pub elapsed: Duration,
-    /// Aggregated per-request scheduler counters (steals, queue-wait
-    /// percentiles, reclaimed barrier slack) — populated when the handler
-    /// records into the engine's [`SchedulerMetrics`], all-zero otherwise.
-    pub scheduler: SchedulerStatsSnapshot,
-    /// Latency histograms of the served traffic: per-request wall latency
-    /// and queue wait (always recorded by the engine), plus per-op-kind
-    /// latencies when the handler records them.
+    /// Latency histograms of the served traffic, recorded by the engine.
     pub latency: LatencySnapshot,
     /// Cumulative resilience counters: cancellations, missed deadlines,
     /// shed submissions, isolated worker panics.
@@ -470,12 +316,6 @@ impl ServingStats {
             return 0.0;
         }
         self.completed as f64 / secs
-    }
-
-    /// Mean handler time per completed request (amortized over each batch's
-    /// members), if any completed.
-    pub fn mean_latency(&self) -> Option<Duration> {
-        (self.completed > 0).then(|| self.busy / self.completed as u32)
     }
 }
 
@@ -766,13 +606,11 @@ struct QueueState<T, R> {
     in_flight: usize,
 }
 
-/// Engine-recorded completion counters and histograms (wall + queue wait +
-/// per-outcome wall + batch formation); fixed footprint, so a long-lived
-/// engine never grows them with traffic.
+/// Engine-recorded histograms (wall + queue wait + per-outcome wall + batch
+/// formation); fixed footprint, so a long-lived engine never grows them with
+/// traffic. `request_wall`'s count is the engine's completed-request count.
 #[derive(Default)]
 struct LatencyAgg {
-    completed: u64,
-    busy: Duration,
     request_wall: Histogram,
     queue_wait: Histogram,
     batch_size: Histogram,
@@ -807,8 +645,7 @@ struct Shared<T, R> {
     /// histograms, recorded by the workers themselves.
     latency: Mutex<LatencyAgg>,
     /// The engine's configuration, with `workers`, `queue_capacity` and the
-    /// policy's `max_batch` clamped to at least 1 and `deadline` already
-    /// folded with the policy's.
+    /// policy's `max_batch` clamped to at least 1.
     config: ServingConfig,
     /// When a gathering batch flushes to the handler.
     policy: BatchPolicy,
@@ -870,10 +707,10 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
 
     /// The general, token-aware constructor: each worker gathers up to
     /// `policy.max_batch` queued requests — flushing on a full batch, the
-    /// linger bound, or the earliest member deadline (the tighter of
-    /// `config.deadline` and `policy.deadline`, stamped into every
-    /// submission's [`CancellationToken`] at enqueue) — and calls `handler`
-    /// once per batch with the `(request id, request)` pairs.
+    /// linger bound, or the earliest member deadline (`config.deadline`,
+    /// stamped into every submission's [`CancellationToken`] at enqueue) —
+    /// and calls `handler` once per batch with the `(request id, request)`
+    /// pairs.
     ///
     /// A batch of one additionally hands the handler its member's own token,
     /// so the handler can thread it into the executors and stop a cancelled
@@ -912,10 +749,6 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
             config: ServingConfig {
                 workers: config.workers.max(1),
                 queue_capacity: config.queue_capacity.max(1),
-                deadline: match (config.deadline, policy.deadline) {
-                    (Some(engine), Some(batch)) => Some(engine.min(batch)),
-                    (engine, batch) => engine.or(batch),
-                },
                 ..config
             },
             // `with_max_batch` clamps a zero bound to 1.
@@ -1014,7 +847,7 @@ impl<T, R> ServingEngine<T, R> {
             state = self.shared.not_full.wait(state).unwrap();
         }
         if self.infeasible(state.queue.len()) {
-            self.shared.config.resilience.note_shed();
+            self.shared.config.resilience.shed.inc();
             return Err(ServingError::Shed);
         }
         Ok(self.enqueue(state, request))
@@ -1046,7 +879,7 @@ impl<T, R> ServingEngine<T, R> {
             return Err(TrySubmitError::QueueFull(request));
         }
         if self.infeasible(state.queue.len()) {
-            self.shared.config.resilience.note_shed();
+            self.shared.config.resilience.shed.inc();
             return Err(TrySubmitError::Shed(request));
         }
         Ok(self.enqueue(state, request))
@@ -1117,32 +950,28 @@ impl<T, R> ServingEngine<T, R> {
 
     /// A point-in-time snapshot of the engine's serving counters.
     pub fn stats(&self) -> ServingStats {
-        // Both counters are monotone, so reading `completed` strictly before
-        // `submitted` keeps the snapshot consistent (`completed <=
-        // submitted`) without holding both locks at once.
-        let scheduler = &self.shared.config.scheduler;
-        let (completed, busy, latency) = {
+        // Both counts are monotone, so reading the completions (the wall
+        // histogram's count) strictly before `submitted` keeps the snapshot
+        // consistent (`completed <= submitted`) without holding both locks
+        // at once.
+        let latency = {
             let agg = self.shared.latency.lock().unwrap();
-            let latency = LatencySnapshot {
+            LatencySnapshot {
                 request_wall: agg.request_wall.clone(),
                 queue_wait: agg.queue_wait.clone(),
                 batch_size: agg.batch_size.clone(),
                 linger: agg.linger.clone(),
-                per_op: scheduler.per_op_histograms(),
                 per_outcome: agg.per_outcome(),
-            };
-            (agg.completed, agg.busy, latency)
+            }
         };
         let state = self.shared.state.lock().unwrap();
         ServingStats {
             submitted: state.submitted,
-            completed,
+            completed: latency.request_wall.count(),
             queue_depth: state.queue.len(),
             in_flight: state.in_flight,
             workers: self.shared.config.workers,
-            busy,
             elapsed: self.shared.started.elapsed(),
-            scheduler: scheduler.snapshot(),
             latency,
             resilience: self.shared.config.resilience.snapshot(),
         }
@@ -1228,7 +1057,7 @@ impl<T, R> Drop for FulfillGuard<'_, T, R> {
         state.in_flight = state.in_flight.saturating_sub(self.members.len());
         drop(state);
         self.shared.waiter_done.notify_all();
-        self.shared.config.resilience.note_worker_panic();
+        self.shared.config.resilience.worker_panics.inc();
     }
 }
 
@@ -1362,21 +1191,19 @@ fn serve_batch<T, R>(
     let resilience = &shared.config.resilience;
     let queue_wait = |member: &Member<R>| started.saturating_duration_since(member.enqueued);
     let mut latency = shared.latency.lock().unwrap();
-    latency.completed += size as u64;
-    latency.busy += elapsed;
     latency.batch_size.record_nanos(size as u64);
     latency.linger.record(linger);
     for (member, result) in members.iter().zip(&results) {
         latency.request_wall.record(elapsed);
         latency.queue_wait.record(queue_wait(member));
         let outcome = if result.is_none() {
-            resilience.note_worker_panic();
+            resilience.worker_panics.inc();
             &mut latency.panicked
         } else if member.token.is_cancelled() {
-            resilience.note_cancelled();
+            resilience.cancelled.inc();
             &mut latency.cancelled
         } else if member.token.deadline_expired() {
-            resilience.note_deadline_missed();
+            resilience.deadline_missed.inc();
             &mut latency.deadline_missed
         } else {
             &mut latency.ok
@@ -1466,9 +1293,8 @@ mod tests {
         assert_eq!(stats.queue_depth, 0);
         assert_eq!(stats.in_flight, 0);
         assert_eq!(executed.load(Ordering::Relaxed), 20);
-        assert!(stats.busy >= Duration::from_millis(20 * 5 / 2));
         assert!(stats.throughput_rps() > 0.0);
-        assert!(stats.mean_latency().unwrap() >= Duration::from_millis(5));
+        assert!(stats.latency.request_wall.mean().unwrap() >= Duration::from_millis(5));
         for handle in handles {
             assert!(handle.is_finished());
             assert!(handle.try_poll().is_some());
@@ -1638,49 +1464,6 @@ mod tests {
         let stats = engine.shutdown();
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.in_flight, 0);
-    }
-
-    #[test]
-    fn scheduler_metrics_aggregate_into_stats() {
-        let metrics = Arc::new(SchedulerMetrics::default());
-        let sink = Arc::clone(&metrics);
-        let engine: ServingEngine<u64, u64> = ServingEngine::new(
-            ServingConfig {
-                scheduler: Arc::clone(&metrics),
-                ..ServingConfig::sized(2, 8)
-            },
-            move |_, v| {
-                // A handler that executed through the executor
-                // records its request's scheduler figures.
-                sink.record(
-                    v,
-                    &[Duration::from_micros(10 * v), Duration::from_micros(30 * v)],
-                );
-                v
-            },
-        );
-        let handles: Vec<_> = (1..=4).map(|v| engine.submit(v).unwrap()).collect();
-        for (i, handle) in handles.into_iter().enumerate() {
-            assert_eq!(handle.wait(), i as u64 + 1);
-        }
-        let stats = engine.stats();
-        assert_eq!(stats.scheduler.requests, 4);
-        assert_eq!(stats.scheduler.steals, 1 + 2 + 3 + 4);
-        // Samples: 10,20,30,40 and 30,60,90,120 micros; p50 of the sorted
-        // merge [10,20,30,30,40,60,90,120] sits at rank 4 (rounded midpoint).
-        let p50 = stats.scheduler.queue_wait_p50.unwrap();
-        assert!(p50 >= Duration::from_micros(30) && p50 <= Duration::from_micros(40));
-        assert_eq!(
-            stats.scheduler.queue_wait_p95,
-            Some(Duration::from_micros(120))
-        );
-        engine.shutdown();
-
-        // Engines built without an external sink report zeroed counters.
-        let plain: ServingEngine<u32, u32> = engine_with(1, 4, |_, v| v);
-        plain.submit(1).unwrap().wait();
-        assert_eq!(plain.stats().scheduler, SchedulerStatsSnapshot::default());
-        plain.shutdown();
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! The telemetry engine: structured spans, Chrome-trace export, latency
 //! histograms and a unified metrics registry.
 //!
-//! Every prior layer of the runtime justified itself with measurement, but
-//! the instruments were scattered: per-request timing lived in
-//! [`TimingBreakdown`](crate::TimingBreakdown), scheduler counters in
-//! [`SchedulerMetrics`](crate::SchedulerMetrics), and allocation/transform
-//! counters in process-global atomics of `chehab-fhe`. This module is the
-//! common substrate those consumers converge on:
+//! A fact is counted once, by the layer that observes it, in one of this
+//! module's cells; a stats struct is a snapshot of cells, never a second
+//! accumulator (`DESIGN.md` §1, "Who counts what"):
 //!
 //! - **Spans** ([`SpanEvent`] / [`TraceSink`] / [`TraceBuffer`]): when a
 //!   caller opts in by handing the executors a [`TraceSink`], every worker
@@ -25,9 +22,9 @@
 //!   them (see [`ServingStats::latency`](crate::ServingStats::latency)).
 //! - **Metrics registry** ([`MetricsRegistry`] / [`Counter`] / [`Gauge`]):
 //!   named handles with a Prometheus-style text exposition
-//!   ([`MetricsRegistry::render_text`]), unifying the scattered counters
-//!   (arena fresh/reuse, NTT transforms, key generations, dataflow steals)
-//!   behind one export surface.
+//!   ([`MetricsRegistry::render_text`]): the one export surface of a
+//!   session's counters (requests, encryptions, dataflow steals, resilience
+//!   outcomes, arena fresh/reuse, NTT transforms).
 //!
 //! Trace capture never perturbs results: spans only *observe* timings, and
 //! the executors' outputs are bit-identical at every worker count and steal
@@ -219,9 +216,10 @@ impl Histogram {
 // Metrics registry
 // ---------------------------------------------------------------------------
 
-/// A monotonically increasing named metric handle (cloned handles share one
-/// underlying cell). Obtained from [`MetricsRegistry::counter`].
-#[derive(Debug, Clone)]
+/// A monotonically increasing metric handle (cloned handles share one
+/// underlying cell). Obtained from [`MetricsRegistry::counter`]; the
+/// `Default` counter is a private cell no registry exports.
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
     cell: std::sync::Arc<AtomicU64>,
 }
@@ -242,10 +240,10 @@ impl Counter {
         self.cell.load(Ordering::Relaxed)
     }
 
-    /// Overwrites the value — for counters that *mirror* an external source
-    /// of truth (e.g. the process-global arena or NTT counters of
-    /// `chehab-fhe`, synced into the registry at snapshot time) rather than
-    /// being incremented directly.
+    /// Overwrites the value — for counters that *mirror* a source of truth
+    /// below this crate (the arena-pool and NTT counts of `chehab-fhe`,
+    /// synced into the registry when it is read) rather than being
+    /// incremented directly.
     pub fn store(&self, value: u64) {
         self.cell.store(value, Ordering::Relaxed);
     }
@@ -358,6 +356,23 @@ impl MetricsRegistry {
         // A fresh cell holds integer 0, which is also `f64::from_bits(0)` =
         // 0.0 — no fix-up needed.
         gauge
+    }
+
+    /// The current value of a registered series (a counter's count as
+    /// `f64`), `None` for a name nobody registered. Unlike
+    /// [`MetricsRegistry::counter`] / [`MetricsRegistry::gauge`], reading
+    /// never registers: a misspelt name cannot conjure a zero series.
+    pub fn value(&self, name: &str) -> Option<f64> {
+        let entries = self
+            .entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let entry = entries.iter().find(|e| e.name == name)?;
+        let raw = entry.cell.load(Ordering::Relaxed);
+        Some(match entry.kind {
+            MetricKind::Counter => raw as f64,
+            MetricKind::Gauge => f64::from_bits(raw),
+        })
     }
 
     /// Renders every registered metric in the Prometheus text exposition
@@ -767,6 +782,20 @@ mod tests {
         assert!(text.contains("queue_depth 2.5"));
         // Deterministic ordering: gauge name sorts before the counter.
         assert!(text.find("queue_depth").unwrap() < text.find("steals_total").unwrap());
+    }
+
+    #[test]
+    fn reading_a_value_never_registers_a_series() {
+        let registry = MetricsRegistry::new();
+        registry
+            .counter("steals_total", "Work-stealing pops")
+            .add(3);
+        registry.gauge("queue_depth", "Requests queued").set(2.5);
+        let before = registry.render_text();
+        assert_eq!(registry.value("steals_total"), Some(3.0));
+        assert_eq!(registry.value("queue_depth"), Some(2.5));
+        assert_eq!(registry.value("nope"), None);
+        assert_eq!(registry.render_text(), before);
     }
 
     #[test]

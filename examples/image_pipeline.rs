@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // CHEHAB with the greedy term-rewriting optimizer.
         let chehab = Compiler::greedy().compile(benchmark.id(), program);
-        let chehab_report = chehab.execute(&inputs, &params)?;
+        let chehab_report = chehab.session(&params)?.run(&inputs)?;
 
         // Coyote-style baseline: vectorize with layout search, then run the
         // resulting circuit through the same executor and backend.
@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             true,
             external_compile_stats(&coyote.circuit, coyote.compile_time),
         );
-        let coyote_report = coyote_program.execute(&inputs, &params)?;
+        let coyote_report = coyote_program.session(&params)?.run(&inputs)?;
 
         assert_eq!(
             chehab_report.outputs, coyote_report.outputs,

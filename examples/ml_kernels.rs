@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         inputs.insert(format!("b_{i}"), 2 * i + 1);
         expected += (i + 1) * (2 * i + 1);
     }
-    let report = compiled.execute(&inputs, &params)?;
+    let report = compiled.session(&params)?.run(&inputs)?;
     println!("== {}", dot.id());
     println!(
         "  result {} (expected {expected}); {} rotations over {} Galois keys (budget {})",
@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         inputs.insert(format!("b_{i}"), i + 2);
         expected += (3 * i - (i + 2)) * (3 * i - (i + 2));
     }
-    let report = compiled.execute(&inputs, &params)?;
+    let report = compiled.session(&params)?.run(&inputs)?;
     println!("== {}", l2.id());
     println!(
         "  result {} (expected {expected}); ops: {} ct-ct muls, {} additions, {} rotations",
@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         inputs.insert(format!("y_{i}"), y);
         expected.push((y - (c0 + c1 * x + c2 * x * x)).rem_euclid(786_433) as u64);
     }
-    let report = compiled.execute(&inputs, &params)?;
+    let report = compiled.session(&params)?.run(&inputs)?;
     println!("== {}", poly.id());
     println!(
         "  residuals {:?}; multiplicative depth {}, noise consumed {:.1} bits",

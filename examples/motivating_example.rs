@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut reference: Option<u64> = None;
     for (label, compiler) in configurations {
         let compiled = compiler.compile(label, &program);
-        let report = compiled.execute(&inputs, &params)?;
+        let report = compiled.session(&params)?.run(&inputs)?;
         let summary = compiled.stats().summary_after;
         println!(
             "{:<24} {:>8} {:>8} {:>8} {:>8} {:>10.1} {:>12?}",

@@ -28,8 +28,8 @@ fn main() {
         stats.keygen_time,
         stats.lowering_time,
         session.schedule().instrs().len(),
-        stats.schedule_levels,
-        stats.schedule_width
+        session.schedule().level_count(),
+        session.schedule().max_width()
     );
 
     // Sixteen independent requests, each with its own input set.

@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         expected += (x - y) * (x - y);
     }
     let params = BfvParameters::default_128();
-    let report = compiled.execute(&inputs, &params)?;
+    let report = compiled.session(&params)?.run(&inputs)?;
 
     println!(
         "homomorphic result: {} (expected {expected})",

@@ -82,13 +82,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         inputs.insert(format!("b_{i}"), i + 5);
         expected += (i + 1) * (i + 5);
     }
-    let report = compiled.execute(
-        &inputs,
-        &BfvParameters {
-            payload_degree: 1024,
-            ..BfvParameters::default_128()
-        },
-    )?;
+    let params = BfvParameters {
+        payload_degree: 1024,
+        ..BfvParameters::default_128()
+    };
+    let report = compiled.session(&params)?.run(&inputs)?;
     println!(
         "homomorphic result {} (expected {expected}); ops executed: {}",
         report.outputs[0],

@@ -76,7 +76,10 @@ fn main() -> ExitCode {
             payload_degree: payload.next_power_of_two().max(8),
             ..BfvParameters::default_128()
         };
-        match compiled.execute(&inputs, &params) {
+        match compiled
+            .session(&params)
+            .and_then(|session| session.run(&inputs))
+        {
             Ok(report) => {
                 println!("\n-- execution (inputs bound to 1..7 cyclically)");
                 println!("outputs:            {:?}", report.outputs);

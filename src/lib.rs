@@ -35,7 +35,7 @@
 //! let inputs: HashMap<String, i64> =
 //!     [("a_0", 1i64), ("a_1", 2), ("b_0", 3), ("b_1", 4)]
 //!         .iter().map(|(k, v)| (k.to_string(), *v)).collect();
-//! let report = compiled.execute(&inputs, &BfvParameters::insecure_test())?;
+//! let report = compiled.session(&BfvParameters::insecure_test())?.run(&inputs)?;
 //! assert_eq!(report.outputs[0], 11);
 //! # Ok::<(), chehab::fhe::FheError>(())
 //! ```

@@ -22,11 +22,10 @@ use std::collections::HashMap;
 /// The session pool's (misses, hits) so far.
 fn fresh_and_reuses(session: &FheSession) -> (u64, u64) {
     let registry = session.metrics();
+    let read = |name| registry.value(name).expect("registered series") as u64;
     (
-        registry
-            .counter("chehab_arena_fresh_allocations_total", "")
-            .get(),
-        registry.counter("chehab_arena_reuses_total", "").get(),
+        read("chehab_arena_fresh_allocations_total"),
+        read("chehab_arena_reuses_total"),
     )
 }
 

@@ -17,11 +17,10 @@ use std::collections::HashMap;
 
 fn fresh_and_retained(session: &FheSession) -> (u64, f64) {
     let registry = session.metrics();
+    let read = |name| registry.value(name).expect("registered series");
     (
-        registry
-            .counter("chehab_arena_fresh_allocations_total", "")
-            .get(),
-        registry.gauge("chehab_arena_retained_buffers", "").get(),
+        read("chehab_arena_fresh_allocations_total") as u64,
+        read("chehab_arena_retained_buffers"),
     )
 }
 

@@ -88,7 +88,7 @@ fn prebound_of(compiled: &CompiledProgram) -> Prebound {
 }
 
 fn counter(session: &FheSession, name: &str) -> u64 {
-    session.metrics().counter(name, "").get()
+    session.metrics().value(name).expect("registered series") as u64
 }
 
 /// All 46 kernels × {greedy, unoptimized} × {solo, batch of 3}: outputs are

@@ -289,48 +289,3 @@ fn results_are_independent_of_steal_order() {
         }
     }
 }
-
-/// The serving engine exports scheduler counters: after a stream of served
-/// requests the stats carry one recorded request per submission and
-/// queue-wait percentiles.
-#[test]
-fn serving_stats_export_scheduler_counters() {
-    use std::sync::Arc;
-    let benchmark = benchsuite::by_id("Hamm. Dist. 4").expect("known benchmark id");
-    let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
-    let session = Arc::new(compiled.session(&test_params()).unwrap());
-    let engine = session.serve(
-        &ExecOptions::sequential()
-            .with_threads_per_request(4)
-            .with_scheduler(SchedulerKind::Dataflow),
-    );
-    let env = benchmark.input_env(5);
-    let inputs: HashMap<String, i64> = benchmark
-        .program()
-        .variables()
-        .into_iter()
-        .map(|v| (v.to_string(), env.get(v.as_str()).unwrap_or(0) as i64))
-        .collect();
-    let handles: Vec<_> = (0..6)
-        .map(|_| engine.submit(inputs.clone()).unwrap())
-        .collect();
-    for handle in handles {
-        assert!(handle.wait().unwrap().decryption_ok);
-    }
-    let stats = engine.shutdown();
-    assert_eq!(stats.completed, 6);
-    assert_eq!(stats.scheduler.requests, 6);
-    assert!(
-        stats.scheduler.queue_wait_p50.is_some(),
-        "dataflow requests record queue waits"
-    );
-    assert!(stats.scheduler.queue_wait_p95 >= stats.scheduler.queue_wait_p50);
-
-    // A leveled engine records requests and queue waits too; it never steals.
-    let engine = session.serve(&ExecOptions::sequential().with_scheduler(SchedulerKind::Leveled));
-    engine.submit(inputs).unwrap().wait().unwrap();
-    let stats = engine.shutdown();
-    assert_eq!(stats.scheduler.requests, 1);
-    assert_eq!(stats.scheduler.steals, 0);
-    assert!(stats.scheduler.queue_wait_p50.is_some());
-}

@@ -46,7 +46,8 @@ fn assert_matches_reference(benchmark: &Benchmark, compiled: &CompiledProgram, l
     let inputs = inputs_of(benchmark, 11);
     let expected = reference_slots(benchmark, &inputs);
     let report = compiled
-        .execute(&inputs, &test_params())
+        .session(&test_params())
+        .and_then(|session| session.run(&inputs))
         .unwrap_or_else(|e| panic!("{label}: execution of {} failed: {e}", benchmark.id()));
     if !report.decryption_ok {
         // Deep circuits can legitimately exhaust the small test-parameter
@@ -130,11 +131,15 @@ fn greedy_beats_naive_on_vectorizable_kernels() {
         let inputs = inputs_of(&benchmark, 3);
         let naive_report = naive
             .compile(id, benchmark.program())
-            .execute(&inputs, &params)
+            .session(&params)
+            .unwrap()
+            .run(&inputs)
             .unwrap();
         let greedy_report = greedy
             .compile(id, benchmark.program())
-            .execute(&inputs, &params)
+            .session(&params)
+            .unwrap()
+            .run(&inputs)
             .unwrap();
         assert!(
             greedy_report.operation_stats.total() < naive_report.operation_stats.total(),

@@ -67,15 +67,9 @@ fn two_lanes() -> BatchPolicy {
         .with_max_linger(Duration::from_millis(1))
 }
 
-/// Reads one counter value out of the session's Prometheus text export.
+/// Reads one series of the session's metrics registry.
 fn metric(session: &FheSession, name: &str) -> u64 {
-    session
-        .render_metrics()
-        .lines()
-        .find(|line| !line.starts_with('#') && line.starts_with(name))
-        .and_then(|line| line.split_whitespace().last())
-        .and_then(|value| value.parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} missing from the export"))
+    session.metrics().value(name).expect("registered series") as u64
 }
 
 /// The tentpole acceptance check: a request cancelled at dispatch index 8
@@ -348,10 +342,31 @@ fn a_killed_worker_abandons_its_request_without_hanging_waiters() {
         let stats = engine.into_engine().shutdown();
         assert!(stats.resilience.worker_panics >= 1);
         assert_eq!(
-            session.resilience().worker_panics,
+            metric(&session, "chehab_worker_panics_total"),
             stats.resilience.worker_panics
         );
     }
+}
+
+/// The exported resilience series are the cells the engines bump, not a
+/// mirror synced at read time: a handle taken before the request already
+/// shows an instruction-level panic, with no registry read in between.
+#[test]
+fn a_worker_panic_is_counted_in_the_registry_cell_itself() {
+    let (session, benchmark) = session_for("Dot Product 8");
+    let panics = session.metrics().counter("chehab_worker_panics_total", "");
+    let engine = session.serve_with(
+        &ExecOptions::sequential(),
+        &faulting(&FaultPlan::panic_at(&[0])),
+    );
+    let error = engine
+        .submit(inputs_of(&benchmark, 7))
+        .unwrap()
+        .wait()
+        .expect_err("the injected panic fails the request");
+    assert!(matches!(error, FheError::WorkerPanic { .. }), "{error:?}");
+    assert!(panics.get() >= 1);
+    assert_eq!(engine.shutdown().completed, 1);
 }
 
 /// Deadlines flow end to end, batched or not: a serving engine with an

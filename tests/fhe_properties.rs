@@ -201,7 +201,9 @@ fn compiled_programs_match_the_interpreter() {
         let expected = evaluate(&program, &env).unwrap();
         let live = program.ty().map(Ty::slots).unwrap_or(1);
         let report = compiled
-            .execute(&inputs, &BfvParameters::insecure_test())
+            .session(&BfvParameters::insecure_test())
+            .unwrap()
+            .run(&inputs)
             .unwrap();
         if !report.decryption_ok {
             continue;

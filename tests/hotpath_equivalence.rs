@@ -65,10 +65,12 @@ fn every_kernel_is_bit_identical_with_and_without_payload_simulation() {
         let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
         let inputs = inputs_of(&benchmark, 53);
         let reference = compiled
-            .execute(&inputs, &plain)
+            .session(&plain)
+            .and_then(|session| session.run(&inputs))
             .unwrap_or_else(|e| panic!("{}: plain execution failed: {e}", benchmark.id()));
         let lazy = compiled
-            .execute(&inputs, &simulated)
+            .session(&simulated)
+            .and_then(|session| session.run(&inputs))
             .unwrap_or_else(|e| panic!("{}: simulated execution failed: {e}", benchmark.id()));
         assert_eq!(lazy.outputs, reference.outputs, "{}", benchmark.id());
         assert_eq!(

@@ -33,7 +33,8 @@ fn session_reuse_is_bit_identical_to_fresh_execution_on_every_kernel() {
         let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
         let inputs = inputs_of(&benchmark, 71);
         let fresh = compiled
-            .execute(&inputs, &params)
+            .session(&params)
+            .and_then(|session| session.run(&inputs))
             .unwrap_or_else(|e| panic!("{}: fresh execution failed: {e}", benchmark.id()));
         let session = compiled
             .session(&params)
@@ -153,17 +154,14 @@ fn engine_shutdown_drains_in_flight_requests() {
 
 /// Under the (default) dataflow scheduler, a served request stream
 /// populates the engine's latency histograms: per-request wall and queue
-/// wait with guarded, ordered percentiles, and per-op-kind histograms whose
-/// sample counts match the schedule's instruction mix times the request
-/// count. Rate math stays finite even for an engine that served nothing.
+/// wait with guarded, ordered percentiles. Rate math stays finite even for
+/// an engine that served nothing.
 #[test]
 fn serving_stats_populate_latency_histograms_under_dataflow() {
     let params = BfvParameters::insecure_test();
     let benchmark = benchsuite::by_id("Dot Product 8").expect("known benchmark id");
     let compiled = Compiler::greedy().compile(benchmark.id(), benchmark.program());
     let session = Arc::new(compiled.session(&params).unwrap());
-    let instr_count = session.schedule().instrs().len();
-    assert!(instr_count > 0, "kernel lowers to a non-empty schedule");
 
     let requests = 8usize;
     let engine = session.serve(&ExecOptions::new().with_request_threads(2));
@@ -191,18 +189,6 @@ fn serving_stats_populate_latency_histograms_under_dataflow() {
     assert!(wall.max().unwrap() > std::time::Duration::ZERO);
     assert_eq!(stats.latency.queue_wait.count(), requests as u64);
 
-    // Every instruction of every request landed one per-op sample, keyed by
-    // the schedule's own operation labels.
-    let per_op_samples: u64 = stats.latency.per_op.iter().map(|(_, h)| h.count()).sum();
-    assert_eq!(per_op_samples, (instr_count * requests) as u64);
-    for (label, histogram) in &stats.latency.per_op {
-        assert!(!histogram.is_empty(), "op {label} histogram has samples");
-        assert!(
-            ["add", "sub", "mul", "neg", "rot", "pack"].contains(&label.as_str()),
-            "unexpected op label {label}"
-        );
-    }
-
     // The throughput guard: an engine that served nothing reports 0.0, not
     // NaN or infinity.
     let idle = session.serve(&ExecOptions::sequential());
@@ -213,7 +199,7 @@ fn serving_stats_populate_latency_histograms_under_dataflow() {
     assert_eq!(idle_stats.latency.request_wall.p50(), None);
 }
 
-/// Session stats expose the one-time setup costs and the schedule shape.
+/// Session stats expose the one-time setup costs.
 #[test]
 fn session_stats_expose_setup_costs_and_schedule_shape() {
     let params = BfvParameters::insecure_test();
@@ -224,8 +210,6 @@ fn session_stats_expose_setup_costs_and_schedule_shape() {
     assert_eq!(before.requests_served, 0);
     assert_eq!(before.calibration.sample_count(), 0);
     assert!(before.lowering_time > std::time::Duration::ZERO);
-    assert_eq!(before.schedule_levels, session.schedule().level_count());
-    assert_eq!(before.schedule_width, session.schedule().max_width());
 
     session.run(&inputs_of(&benchmark, 5)).unwrap();
     let after = session.stats();

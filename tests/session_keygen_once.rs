@@ -2,13 +2,15 @@
 //! schedule lowering happen exactly once per `FheSession`, no matter how
 //! many requests the session serves and through which entry point.
 //!
-//! This file holds a single test on purpose: `KeyGenerator::instances_created`
-//! is a process-global counter, and every integration-test *file* runs as its
-//! own process, so no unrelated test can race the counter here.
+//! "Keygen once" is held by construction — the keys are plain fields of the
+//! session behind `&self`, and CI greps that `KeyGenerator::new` appears once
+//! in `crates/core/src` + `crates/runtime/src` — so what this test pins is
+//! the observable half: the one-time costs and the key count never move, and
+//! every entry point counts its requests into the same session.
 
 use chehab::benchsuite;
 use chehab::compiler::{BatchPolicy, Compiler, ExecHooks, ExecOptions};
-use chehab::fhe::{BfvParameters, KeyGenerator};
+use chehab::fhe::BfvParameters;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -32,16 +34,10 @@ fn keygen_and_lowering_happen_exactly_once_per_session() {
         })
         .collect();
 
-    // Session construction generates keys exactly once...
-    let before = KeyGenerator::instances_created();
+    // Session construction generates the keys and lowers the schedule...
     let session = Arc::new(compiled.session(&params).unwrap());
-    let after_construction = KeyGenerator::instances_created();
-    assert_eq!(
-        after_construction,
-        before + 1,
-        "session construction runs keygen exactly once"
-    );
-    let lowering_time = session.stats().lowering_time;
+    let built = session.stats();
+    assert!(built.keygen_time > std::time::Duration::ZERO);
 
     // ...and no request after that regenerates anything, through any entry
     // point: run, run_parallel, run_batched, or the serving engine.
@@ -75,24 +71,15 @@ fn keygen_and_lowering_happen_exactly_once_per_session() {
     }
     engine.shutdown();
 
-    assert_eq!(
-        KeyGenerator::instances_created(),
-        after_construction,
-        "no request through a session regenerates keys"
-    );
     let stats = session.stats();
     assert_eq!(stats.requests_served, 4 + 1 + 4 + 4);
     assert_eq!(
-        stats.lowering_time, lowering_time,
-        "schedule lowering is a one-time construction cost"
+        (stats.keygen_time, stats.galois_key_count),
+        (built.keygen_time, built.galois_key_count),
+        "key generation is a one-time construction cost"
     );
-
-    // The historical shim, by contrast, rebuilds a session (and its keys)
-    // on every call — that is exactly the per-request cost serving avoids.
-    compiled.execute(&input_sets[0], &params).unwrap();
     assert_eq!(
-        KeyGenerator::instances_created(),
-        after_construction + 1,
-        "the execute shim pays keygen per call"
+        stats.lowering_time, built.lowering_time,
+        "schedule lowering is a one-time construction cost"
     );
 }
