@@ -21,7 +21,7 @@
 
 use chehab_fhe::{Encryptor, FheError};
 use chehab_ir::{shift_zero_fill, BinOp, CircuitDag, DagNode, DataKind, NodeId};
-use chehab_runtime::{Register, Schedule};
+use chehab_runtime::{LaneGeometry, Register, Schedule};
 use std::collections::HashMap;
 
 /// Where one slot of an encrypted register comes from.
@@ -57,6 +57,13 @@ struct PlainStep {
     /// The register the server reads this value from, if it reads it at all
     /// (intermediates of the plaintext subcircuit stay client-side).
     publish: Option<NodeId>,
+}
+
+/// Whether the server reads register `id`: some instruction consumes it, or
+/// it is the circuit output. A pre-bound register that is not live is never
+/// bound, so it takes no part in the session's lane geometry either.
+pub(crate) fn is_live(schedule: &Schedule, id: NodeId) -> bool {
+    schedule.consumer_counts()[id] > 0 || id == schedule.output()
 }
 
 /// The flat client-side program of one session (see the module docs).
@@ -96,9 +103,7 @@ impl BindPlan {
             _ => unreachable!("only leaves are slot sources"),
         };
 
-        let read_by_server = |id: NodeId| {
-            prebound[id] && (schedule.consumer_counts()[id] > 0 || id == schedule.output())
-        };
+        let read_by_server = |id: NodeId| prebound[id] && is_live(schedule, id);
         // A plaintext node is evaluated if the server reads it or a
         // plaintext node that is evaluated reads it (operands precede uses,
         // so one reverse pass settles it).
@@ -159,18 +164,21 @@ impl BindPlan {
     }
 
     /// Binds `input_sets.len()` users into **shared** registers, user `k`
-    /// based at slot `k * stride`; a missing input reads 0.
+    /// based at slot `lanes.base(k)`; a missing input reads 0.
     ///
     /// Plaintext values are computed per user (plaintext semantics — `Vec`
     /// reads first slots, rotations zero-fill — are not
     /// translation-equivariant across a flattened array) and flattened at
-    /// the lane stride. Each ciphertext register encrypts **once** with all
+    /// the lane bases. Each ciphertext register encrypts **once** with all
     /// users' values at their lane bases, which is where the batched
-    /// amortization comes from.
+    /// amortization comes from. Every register is `window` slots long
+    /// ([`LaneGeometry::window`] of this run), so the whole run computes on
+    /// slot vectors of that one length.
     pub(crate) fn bind(
         &self,
         input_sets: &[HashMap<String, i64>],
-        stride: usize,
+        lanes: LaneGeometry,
+        window: usize,
         encryptor: &mut Encryptor,
     ) -> Result<Vec<Option<Register>>, FheError> {
         let t = self.plain_modulus;
@@ -188,24 +196,26 @@ impl BindPlan {
             SlotSource::Const(value) => value,
         };
 
+        // A value wider than the session's geometry allows still gets its
+        // slots (and, past `n`, the encoder's `TooManyValues`).
+        let last_base = lanes.base(input_sets.len() - 1);
         let mut registers: Vec<Option<Register>> = vec![None; self.register_count];
         let mut flat: Vec<i64> = Vec::new();
         for entry in &self.ciphers {
             flat.clear();
-            flat.resize(
-                (input_sets.len() - 1) * stride + entry.elems.len().max(1),
-                0,
-            );
+            flat.resize(window.max(last_base + entry.elems.len()), 0);
             for lane in 0..input_sets.len() {
+                let base = lanes.base(lane);
                 for (slot, &elem) in entry.elems.iter().enumerate() {
-                    flat[lane * stride + slot] = source(lane, elem);
+                    flat[base + slot] = source(lane, elem);
                 }
             }
             registers[entry.register] = Some(Register::cipher(encryptor.encrypt_values(&flat)?));
         }
 
         // `values[i]` is step `i`'s result for the current user, reused
-        // across users; `published[i]` gathers it across users at the stride.
+        // across users; `published[i]` gathers it across users at the lane
+        // bases.
         let mut values: Vec<Vec<i64>> = vec![Vec::new(); self.plain.len()];
         let mut published: Vec<Vec<i64>> = vec![Vec::new(); self.plain.len()];
         for lane in 0..input_sets.len() {
@@ -240,8 +250,9 @@ impl BindPlan {
                 }
                 if step.publish.is_some() {
                     let gathered = &mut published[index];
-                    gathered.resize(lane * stride + out.len(), 0);
-                    gathered[lane * stride..].copy_from_slice(out);
+                    let base = lanes.base(lane);
+                    gathered.resize(window.max(last_base + out.len()), 0);
+                    gathered[base..base + out.len()].copy_from_slice(out);
                 }
             }
         }

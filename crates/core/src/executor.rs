@@ -23,7 +23,7 @@
 //! schedule, as a flat `BindPlan` (`bind.rs`): one encryption per
 //! ciphertext input register the schedule actually reads.
 
-use crate::bind::BindPlan;
+use crate::bind::{is_live, BindPlan};
 use crate::rotation_keys::RotationKeyPlan;
 use chehab_fhe::{
     ArenaPool, BfvParameters, Ciphertext, Decryptor, Encryptor, EvaluatorStats, FheContext,
@@ -37,7 +37,6 @@ use chehab_runtime::{
     SchedulerKind, ServingConfig, ServingEngine, SpanEvent, TimingBreakdown, TraceSink,
     DEFAULT_QUEUE_CAPACITY,
 };
-use coyote_baseline::LaneAssignment;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -527,12 +526,15 @@ pub struct FheSession {
     /// per pre-bound register the schedule reads.
     bind_plan: BindPlan,
     /// Capacity lane geometry of this program on this context: `stride` is
-    /// the rotation-envelope span of one user's data, `lanes` how many users
-    /// one ciphertext can carry ([`FheSession::batch_capacity`]). Computed
-    /// once at session build by [`chehab_runtime::lane_geometry`].
+    /// the rotation-envelope span of one user's data, `origin` how far below
+    /// its base that data reaches, `lanes` how many users one ciphertext can
+    /// carry ([`FheSession::batch_capacity`]). Computed once at session
+    /// build by [`chehab_runtime::lane_geometry`].
     lanes: LaneGeometry,
     /// Packing fallback for degenerate `Vec` nodes; encrypted once per
     /// session, and only when the schedule contains a `Pack` instruction.
+    /// One stored slot: exact next to a run of any window, since no result
+    /// depends on an operand's stored length.
     zero: Option<Ciphertext>,
     /// Warm buffer arenas shared by every request served through this
     /// session: encryption, evaluation and decryption draw slot vectors and
@@ -589,13 +591,13 @@ impl FheSession {
         let schedule = chehab_runtime::lower_with_default_costs(&program.dag, &prebound, |step| {
             program.rotation_plan.realize(step)
         });
-        // Lane geometry for cross-request SIMD batching: bound every
-        // register's slot excursion and size the stride so one user's
-        // intermediates never leave its lane window.
+        // Lane geometry for cross-request SIMD batching: bound the slot
+        // excursion of every register the server reads and size the stride
+        // so one user's intermediates never leave its lane window.
         let mut widths = vec![0usize; program.dag.len()];
         let prebound_widths: Vec<usize> = (0..program.dag.len())
             .map(|id| {
-                if prebound[id] {
+                if prebound[id] && is_live(&schedule, id) {
                     structural_width(&program.dag, id, &mut widths)
                 } else {
                     0
@@ -881,19 +883,32 @@ impl FheSession {
         self.lanes.lanes
     }
 
+    /// The slot-vector (and, under payload simulation, stripe) lengths parked
+    /// in the session's arena pool — what the window tests read to see that
+    /// no register of a run outgrew its lane window.
+    #[doc(hidden)]
+    pub fn parked_buffer_lengths(&self) -> Vec<usize> {
+        self.arena_pool.parked_lengths()
+    }
+
     /// Client-side phase (untimed): walks the session's [`BindPlan`] —
     /// `input_sets.len()` users into **shared** registers, user `k` based at
-    /// slot `k * stride`, one encryption per live ciphertext register
-    /// whatever the batch size. The encryptor draws from the session's
-    /// arena pool, so steady-state input encryption allocates no fresh
-    /// buffers.
-    fn bind(&self, input_sets: &[HashMap<String, i64>]) -> Result<Vec<Option<Register>>, FheError> {
-        debug_assert!(!input_sets.is_empty() && input_sets.len() <= self.lanes.lanes);
+    /// slot `lanes.base(k)`, one encryption per live ciphertext register
+    /// whatever the batch size, every register as long as the run's window.
+    /// The encryptor draws from the session's arena pool, so steady-state
+    /// input encryption allocates no fresh buffers.
+    fn bind(
+        &self,
+        input_sets: &[HashMap<String, i64>],
+        lanes: LaneGeometry,
+    ) -> Result<Vec<Option<Register>>, FheError> {
+        debug_assert!(input_sets.len() == lanes.lanes && lanes.lanes <= self.lanes.lanes);
         let mut encryptor = Encryptor::new(&self.ctx, &self.public_key);
         encryptor.set_arena(self.arena_pool.checkout());
+        let window = lanes.window(self.ctx.slot_count());
         let registers = self
             .bind_plan
-            .bind(input_sets, self.lanes.stride, &mut encryptor);
+            .bind(input_sets, lanes, window, &mut encryptor);
         self.arena_pool.restore(encryptor.take_arena());
         if registers.is_ok() {
             self.metrics
@@ -977,14 +992,7 @@ impl FheSession {
         hooks: &ExecHooks,
         execute: impl Fn(Vec<Option<Register>>, &ExecResources<'_>) -> Result<ExecOutcome, FheError>,
     ) -> Result<Vec<ExecutionReport>, FheError> {
-        // The Coyote lane-assignment machinery validates the geometry and
-        // owns the base/chunk math; the stride always fits by construction.
-        let assignment =
-            LaneAssignment::new(self.ctx.slot_count(), self.lanes.stride, self.lanes.stride)
-                .expect("session lane geometry is valid by construction");
-        let capacity = batching.map_or(1, |policy| {
-            assignment.lane_count().min(policy.max_batch).max(1)
-        });
+        let capacity = batching.map_or(1, |policy| self.lanes.lanes.min(policy.max_batch).max(1));
         let t = self.ctx.plain_modulus() as i64;
         let output_slots = self.program.output_slots;
         let session_track = hooks
@@ -1014,8 +1022,14 @@ impl FheSession {
                 token.check()?;
             }
             let users = chunk.len();
+            // The run's geometry: the session's, with its live lanes. Bind,
+            // run-time packing and the scatter place users by its `base`.
+            let lanes = LaneGeometry {
+                lanes: users,
+                ..self.lanes
+            };
             let bind_started = Instant::now();
-            let registers = self.bind(chunk)?;
+            let registers = self.bind(chunk, lanes)?;
             span("bind", bind_started, bind_started.elapsed());
 
             // --- server side: execute the scheduled operations (timed).
@@ -1027,10 +1041,7 @@ impl FheSession {
                 zero: self.zero.as_ref(),
                 arenas: &self.arena_pool,
                 trace: hooks.trace.as_deref(),
-                lanes: LaneGeometry {
-                    stride: self.lanes.stride,
-                    lanes: users,
-                },
+                lanes,
                 cancel: hooks.cancel.as_ref(),
                 faults: hooks.faults.as_ref(),
             };
@@ -1050,10 +1061,15 @@ impl FheSession {
                         // Lean decryption: read the live output slots
                         // straight off the ciphertext (no Plaintext
                         // allocation).
-                        let base = assignment.base(lane);
+                        let base = lanes.base(lane);
                         let end = (base + output_slots).min(self.ctx.slot_count());
                         match self.decryptor.decrypt_slots_in(&ct, base..end) {
-                            Ok(window) => scattered.push((window.to_vec(), consumed, true)),
+                            Ok(stored) => {
+                                // Slots past the stored prefix read zero.
+                                let mut window = stored.to_vec();
+                                window.resize(end - base, 0);
+                                scattered.push((window, consumed, true));
+                            }
                             Err(FheError::NoiseBudgetExhausted { .. }) => {
                                 scattered.push((Vec::new(), consumed, false));
                             }
@@ -1077,7 +1093,7 @@ impl FheSession {
                         let window: Vec<u64> = values
                             .values()
                             .iter()
-                            .skip(assignment.base(lane))
+                            .skip(lanes.base(lane))
                             .take(output_slots)
                             .map(|&v| v.rem_euclid(t) as u64)
                             .collect();

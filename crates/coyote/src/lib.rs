@@ -30,5 +30,5 @@
 mod packer;
 mod search;
 
-pub use packer::{LaneAssignment, LaneError, LanePacker, Layout};
+pub use packer::{LanePacker, Layout};
 pub use search::{CoyoteCompiler, CoyoteConfig, CoyoteResult};

@@ -280,174 +280,6 @@ impl LanePacker {
     }
 }
 
-/// Why a lane assignment (or a packing through one) was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneError {
-    /// The stride is narrower than the per-user value width: consecutive
-    /// users' values would interleave.
-    StrideTooNarrow {
-        /// The requested lane stride.
-        stride: usize,
-        /// The per-user value width it must fit.
-        width: usize,
-    },
-    /// The stride exceeds the slot count: not even one lane fits.
-    NoCapacity {
-        /// The requested lane stride.
-        stride: usize,
-        /// The vector's slot count.
-        slot_count: usize,
-    },
-    /// More users than lanes were handed to a single packing (callers chunk
-    /// with [`LaneAssignment::chunks`] first).
-    BatchOverflow {
-        /// Users in the rejected batch.
-        batch: usize,
-        /// Lanes the assignment provides.
-        lanes: usize,
-    },
-    /// A user's values run past its declared width into the neighbouring
-    /// lane.
-    LaneCollision {
-        /// The first slot the overlong value would claim outside its lane.
-        slot: usize,
-    },
-}
-
-impl std::fmt::Display for LaneError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LaneError::StrideTooNarrow { stride, width } => {
-                write!(
-                    f,
-                    "lane stride {stride} is narrower than value width {width}"
-                )
-            }
-            LaneError::NoCapacity { stride, slot_count } => {
-                write!(
-                    f,
-                    "lane stride {stride} exceeds the {slot_count}-slot vector"
-                )
-            }
-            LaneError::BatchOverflow { batch, lanes } => {
-                write!(
-                    f,
-                    "batch of {batch} users exceeds the {lanes} available lanes"
-                )
-            }
-            LaneError::LaneCollision { slot } => {
-                write!(
-                    f,
-                    "value collides with the neighbouring lane at slot {slot}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for LaneError {}
-
-/// The slot-lane assignment of a **cross-request** batch: user `k` of a
-/// batch owns the `stride`-slot window based at `k * stride`, of which the
-/// first `width` slots carry values (the rest is padding for rotation
-/// excursions).
-///
-/// [`LanePacker`] vectorizes one program's scalar *expressions* across
-/// lanes at compile time; `LaneAssignment` is the serving-time counterpart
-/// that places many *users'* scalar inputs into the slot lanes of shared
-/// ciphertexts, so a whole batch rides one homomorphic execution. The
-/// runtime's request coalescer sizes `stride` from its rotation-envelope
-/// analysis and uses this assignment for chunking and lane-base math.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneAssignment {
-    slot_count: usize,
-    stride: usize,
-    width: usize,
-}
-
-impl LaneAssignment {
-    /// Validates and builds an assignment of `slot_count / stride` lanes.
-    ///
-    /// # Errors
-    ///
-    /// [`LaneError::StrideTooNarrow`] when `stride < width` (or `width` is
-    /// zero), [`LaneError::NoCapacity`] when the stride exceeds the slot
-    /// count.
-    pub fn new(slot_count: usize, stride: usize, width: usize) -> Result<Self, LaneError> {
-        if width == 0 || stride < width {
-            return Err(LaneError::StrideTooNarrow { stride, width });
-        }
-        if stride > slot_count {
-            return Err(LaneError::NoCapacity { stride, slot_count });
-        }
-        Ok(LaneAssignment {
-            slot_count,
-            stride,
-            width,
-        })
-    }
-
-    /// Lanes the assignment provides (at least 1 by construction).
-    pub fn lane_count(&self) -> usize {
-        self.slot_count / self.stride
-    }
-
-    /// The slot stride between consecutive lane bases.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Slots per lane that carry values.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The base slot of `lane`.
-    pub fn base(&self, lane: usize) -> usize {
-        lane * self.stride
-    }
-
-    /// Splits an arbitrarily large batch into lane-capacity chunks, the
-    /// last one ragged: each chunk packs into one set of shared
-    /// ciphertexts.
-    pub fn chunks<'a, T>(&self, batch: &'a [T]) -> impl Iterator<Item = &'a [T]> {
-        batch.chunks(self.lane_count().max(1))
-    }
-
-    /// Packs one chunk's per-user values into a flat slot vector: user `k`'s
-    /// values land at `[base(k), base(k) + width)`, every other slot is
-    /// zero. The vector is trimmed to the last written lane
-    /// (`(k-1) * stride + width` slots), so narrow batches encrypt short.
-    ///
-    /// # Errors
-    ///
-    /// [`LaneError::BatchOverflow`] when the chunk exceeds the lane count,
-    /// [`LaneError::LaneCollision`] when any user's values are wider than
-    /// the assignment's width.
-    pub fn pack_values(&self, per_user: &[&[i64]]) -> Result<Vec<i64>, LaneError> {
-        if per_user.len() > self.lane_count() {
-            return Err(LaneError::BatchOverflow {
-                batch: per_user.len(),
-                lanes: self.lane_count(),
-            });
-        }
-        if per_user.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut flat = vec![0i64; self.base(per_user.len() - 1) + self.width];
-        for (lane, values) in per_user.iter().enumerate() {
-            let base = self.base(lane);
-            if values.len() > self.width {
-                return Err(LaneError::LaneCollision {
-                    slot: base + self.width,
-                });
-            }
-            flat[base..base + values.len()].copy_from_slice(values);
-        }
-        Ok(flat)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,77 +385,5 @@ mod tests {
         let mut env = Env::new();
         env.bind_all(&program, |_| 5);
         assert!(equivalent_on_live_slots(&program, &packed, &env, 2).unwrap());
-    }
-
-    #[test]
-    fn a_batch_smaller_than_the_slot_count_packs_into_a_short_prefix() {
-        // 1024 slots, stride 4, width 2: 256 lanes, but only 3 users show up.
-        let lanes = LaneAssignment::new(1024, 4, 2).unwrap();
-        assert_eq!(lanes.lane_count(), 256);
-        let users: Vec<&[i64]> = vec![&[10, 11], &[20, 21], &[30, 31]];
-        let flat = lanes.pack_values(&users).unwrap();
-        // Trimmed to the last written lane, not the full vector.
-        assert_eq!(flat.len(), 2 * 4 + 2);
-        assert_eq!(flat, vec![10, 11, 0, 0, 20, 21, 0, 0, 30, 31]);
-        assert_eq!(lanes.pack_values(&[]).unwrap(), Vec::<i64>::new());
-    }
-
-    #[test]
-    fn chunking_a_ragged_batch_fills_lanes_then_leaves_a_remainder() {
-        // 4 lanes, 10 users: two full chunks and a ragged tail of 2.
-        let lanes = LaneAssignment::new(16, 4, 3).unwrap();
-        let batch: Vec<u64> = (0..10).collect();
-        let chunks: Vec<&[u64]> = lanes.chunks(&batch).collect();
-        assert_eq!(
-            chunks,
-            vec![&[0, 1, 2, 3][..], &[4, 5, 6, 7][..], &[8, 9][..]]
-        );
-        // The ragged tail still packs, occupying only its own prefix.
-        let tail: Vec<&[i64]> = vec![&[8], &[9]];
-        assert_eq!(lanes.pack_values(&tail).unwrap(), vec![8, 0, 0, 0, 9, 0, 0]);
-    }
-
-    #[test]
-    fn duplicate_inputs_across_users_stay_in_their_own_lanes() {
-        // Two users submit identical values: lane isolation keeps each
-        // user's copy at its own base rather than deduplicating.
-        let lanes = LaneAssignment::new(8, 4, 2).unwrap();
-        let users: Vec<&[i64]> = vec![&[7, 7], &[7, 7]];
-        let flat = lanes.pack_values(&users).unwrap();
-        assert_eq!(flat, vec![7, 7, 0, 0, 7, 7]);
-        assert_eq!(lanes.base(0), 0);
-        assert_eq!(lanes.base(1), 4);
-    }
-
-    #[test]
-    fn lane_collisions_and_overflow_are_rejected() {
-        // A stride narrower than the width can never be constructed.
-        assert_eq!(
-            LaneAssignment::new(16, 2, 3).unwrap_err(),
-            LaneError::StrideTooNarrow {
-                stride: 2,
-                width: 3
-            }
-        );
-        assert_eq!(
-            LaneAssignment::new(4, 8, 2).unwrap_err(),
-            LaneError::NoCapacity {
-                stride: 8,
-                slot_count: 4
-            }
-        );
-        let lanes = LaneAssignment::new(8, 4, 2).unwrap();
-        // More users than lanes: the caller should have chunked first.
-        let overflow: Vec<&[i64]> = vec![&[1], &[2], &[3]];
-        assert_eq!(
-            lanes.pack_values(&overflow).unwrap_err(),
-            LaneError::BatchOverflow { batch: 3, lanes: 2 }
-        );
-        // A user wider than the lane width would bleed into slot 2.
-        let collision: Vec<&[i64]> = vec![&[1, 2, 3], &[4]];
-        assert_eq!(
-            lanes.pack_values(&collision).unwrap_err(),
-            LaneError::LaneCollision { slot: 2 }
-        );
     }
 }

@@ -1,9 +1,11 @@
 //! Buffer pooling for the zero-allocation hot path.
 //!
 //! Every per-operation buffer the execution engine touches is a `Vec<u64>`
-//! whose length is fixed by the session parameters: slot vectors are
-//! `slot_count` long, ciphertext payload stripes are `2 * payload_degree`
-//! long. A [`PolyArena`] keeps free lists of those buffers keyed by length,
+//! of one of a few lengths: ciphertext payload stripes are `2 * limb_count *
+//! payload_degree` long, fixed by the session parameters, and slot vectors
+//! are a power of two up to `slot_count` — one length per run (its lane
+//! window), so at most `log2 slot_count` over a session's life. A
+//! [`PolyArena`] keeps free lists of those buffers keyed by length,
 //! so a request stream running against one warm session performs **zero
 //! fresh buffer allocations** in steady state — every `take` is served from
 //! a buffer some earlier operation returned with `put`.
@@ -196,6 +198,20 @@ impl ArenaPool {
     /// are not visible).
     pub fn retained(&self) -> usize {
         self.shared.parked().values().map(Vec::len).sum()
+    }
+
+    /// The length classes with at least one buffer parked, ascending. A
+    /// session without payload simulation parks slot vectors only, so this
+    /// is how its tests read the slot-vector lengths its runs computed on.
+    pub fn parked_lengths(&self) -> Vec<usize> {
+        let parked = self.shared.parked();
+        let mut lengths: Vec<usize> = parked
+            .iter()
+            .filter(|(_, buffers)| !buffers.is_empty())
+            .map(|(&len, _)| len)
+            .collect();
+        lengths.sort_unstable();
+        lengths
     }
 }
 

@@ -4,7 +4,11 @@
 //!
 //! * every ciphertext tracks the exact batched slot values modulo the
 //!   plaintext modulus, so `decrypt(eval(encrypt(x))) == eval_plain(x)` holds
-//!   bit-for-bit and compiler correctness can be tested end to end;
+//!   bit-for-bit and compiler correctness can be tested end to end. A slot
+//!   vector is stored as a **prefix** of the logical `n`-slot vector (its
+//!   length a power of two, every logical slot beyond it zero), so an
+//!   operation walks the slots its operands hold, not `n`; no result
+//!   depends on the stored length (see [`Evaluator`](crate::Evaluator));
 //! * every ciphertext also carries payload polynomials on which the
 //!   [`Evaluator`](crate::Evaluator) performs real NTT-based ring arithmetic,
 //!   so the *measured wall-clock* of homomorphic operations keeps BFV's
@@ -251,22 +255,14 @@ impl FheContext {
 
     /// Encodes a vector of signed integers into a batched plaintext
     /// (values are reduced modulo the plaintext modulus; remaining slots are
-    /// zero).
+    /// zero). The stored prefix is `values.len()` rounded up to a power of
+    /// two.
     ///
     /// # Errors
     ///
     /// Returns [`FheError::TooManyValues`] if more values than slots are given.
     pub fn encode(&self, values: &[i64]) -> Result<Plaintext, FheError> {
-        let slots = self.slot_count();
-        if values.len() > slots {
-            return Err(FheError::TooManyValues {
-                provided: values.len(),
-                slots,
-            });
-        }
-        let mut data = vec![0u64; slots];
-        encode_into(&mut data, values, self.plain_modulus());
-        Ok(Plaintext::new(data, values.len().max(1)))
+        self.encode_in(values, &mut PolyArena::new())
     }
 
     /// [`FheContext::encode`] with the slot vector drawn from `arena`
@@ -287,7 +283,7 @@ impl FheContext {
                 slots,
             });
         }
-        let mut data = arena.take(slots);
+        let mut data = arena.take(stored_len(values.len()));
         encode_into(&mut data, values, self.plain_modulus());
         Ok(Plaintext::new(data, values.len().max(1)))
     }
@@ -302,24 +298,37 @@ impl FheContext {
         self.encode(&[value])
     }
 
-    /// Decodes the first `count` slots of a plaintext.
+    /// Decodes the first `count` slots of a plaintext's logical vector:
+    /// exactly `count` values, zero beyond the stored prefix.
     pub fn decode(&self, plaintext: &Plaintext, count: usize) -> Vec<u64> {
-        plaintext.slots.iter().copied().take(count).collect()
+        let mut values: Vec<u64> = plaintext.slots.iter().copied().take(count).collect();
+        values.resize(count, 0);
+        values
     }
 }
 
-/// Zero-fills `slots` and writes `values` reduced into `[0, t)` — the one
-/// definition of slot encoding, shared by [`FheContext::encode`] and
-/// [`Encryptor::encrypt_values`] so the two can never desynchronize.
+/// Stored length of a slot vector holding `values` explicit values: rounded
+/// up to a power of two, so a session sees at most `log2 n` arena length
+/// classes (never more than `n`, itself a power of two, when `values <= n`).
+fn stored_len(values: usize) -> usize {
+    values.max(1).next_power_of_two()
+}
+
+/// Writes `values` reduced into `[0, t)` and zero-fills the rest of `slots`
+/// — the one definition of slot encoding, shared by [`FheContext::encode`]
+/// and [`Encryptor::encrypt_values`] so the two can never desynchronize.
 fn encode_into(slots: &mut [u64], values: &[i64], t: u64) {
-    slots.fill(0);
+    let (head, tail) = slots.split_at_mut(values.len());
     let t = t as i128;
-    for (slot, &v) in slots.iter_mut().zip(values) {
+    for (slot, &v) in head.iter_mut().zip(values) {
         *slot = (((v as i128) % t + t) % t) as u64;
     }
+    tail.fill(0);
 }
 
-/// A batched plaintext: a vector of residues modulo the plaintext modulus.
+/// A batched plaintext: a vector of residues modulo the plaintext modulus,
+/// stored as a prefix of the logical `n`-slot vector (every slot beyond
+/// [`Plaintext::slots`] is zero).
 ///
 /// Carries a lazily computed cache of its payload "splat" polynomial in NTT
 /// (Eval) form: ciphertext–plaintext multiplications share one forward
@@ -362,18 +371,18 @@ impl Plaintext {
     /// at that shape instead — never a wrong-shape cache hit.
     pub(crate) fn splat_eval(
         &self,
-        chain: &ModulusChain,
+        ctx: &FheContext,
         tables: &NttTables,
         arena: &mut PolyArena,
     ) -> Cow<'_, Poly> {
-        let total = chain.limb_count() * chain.degree();
+        let total = ctx.chain().limb_count() * ctx.chain().degree();
         if let Some(splat) = self.splat.get() {
             if splat.degree() == total {
                 return Cow::Borrowed(splat);
             }
-            return Cow::Owned(self.build_splat(chain, tables, arena));
+            return Cow::Owned(self.build_splat(ctx, tables, arena));
         }
-        let built = self.build_splat(chain, tables, arena);
+        let built = self.build_splat(ctx, tables, arena);
         match self.splat.set(built) {
             Ok(()) => Cow::Borrowed(self.splat.get().expect("just set")),
             // A concurrent first use won the race; its value is identical
@@ -390,22 +399,29 @@ impl Plaintext {
     }
 
     /// Builds the Eval-form payload splat of this plaintext across every
-    /// limb of `chain` (limb 0 under the shared Goldilocks `tables` — the
-    /// single-modulus path verbatim — generic limbs under their own NTTs),
-    /// with the coefficient buffer drawn from `arena`.
-    fn build_splat(&self, chain: &ModulusChain, tables: &NttTables, arena: &mut PolyArena) -> Poly {
+    /// limb of the context's chain (limb 0 under the shared Goldilocks
+    /// `tables` — the single-modulus path verbatim — generic limbs under
+    /// their own NTTs), with the coefficient buffer drawn from `arena`.
+    fn build_splat(&self, ctx: &FheContext, tables: &NttTables, arena: &mut PolyArena) -> Poly {
+        let chain = ctx.chain();
         let degree = chain.degree();
         let mut values = arena.take(chain.limb_count() * degree);
-        for (out, &s) in values[..degree].iter_mut().zip(self.slots.iter().cycle()) {
-            *out = s.wrapping_mul(0x9E37_79B9) % MODULUS;
-        }
+        // Coefficient `j` reads logical slot `j mod n`: the stored prefix,
+        // then the elided zeros (whose splat is zero under every modulus).
+        let splat = |stripe: &mut [u64], q: u64| {
+            for block in stripe.chunks_mut(ctx.slot_count()) {
+                let stored = self.slots.len().min(block.len());
+                for (out, &s) in block.iter_mut().zip(&self.slots) {
+                    *out = s.wrapping_mul(0x9E37_79B9) % q;
+                }
+                block[stored..].fill(0);
+            }
+        };
+        splat(&mut values[..degree], MODULUS);
         tables.forward(&mut values[..degree]);
         for li in 1..chain.limb_count() {
-            let q = chain.limb(li).modulus();
             let stripe = &mut values[li * degree..(li + 1) * degree];
-            for (out, &s) in stripe.iter_mut().zip(self.slots.iter().cycle()) {
-                *out = s.wrapping_mul(0x9E37_79B9) % q;
-            }
+            splat(stripe, chain.limb(li).modulus());
             chain
                 .limb(li)
                 .ntt()
@@ -443,6 +459,10 @@ impl Plaintext {
 }
 
 /// An encrypted, batched vector of values.
+///
+/// The slot vector is a prefix of the logical `n`-slot vector: its stored
+/// length is a power of two, every logical slot beyond it is zero, and no
+/// operation's result depends on it.
 ///
 /// The payload lives in the striped `[c0 | c1]` layout ([`CtPayload`]) behind
 /// an `Arc`: operations that do not touch the payload (ct–pt addition and
@@ -587,7 +607,8 @@ impl Encryptor {
 
     /// Encodes and encrypts a vector of integers in one step, without
     /// materializing an intermediate [`Plaintext`] (the slot buffer comes
-    /// straight from the arena).
+    /// straight from the arena; its stored prefix is `values.len()` rounded
+    /// up to a power of two).
     ///
     /// # Errors
     ///
@@ -601,7 +622,7 @@ impl Encryptor {
             });
         }
         let payload = self.sample_payload();
-        let mut slots = self.arena.take(slot_count);
+        let mut slots = self.arena.take(stored_len(values.len()));
         encode_into(&mut slots, values, self.ctx.plain_modulus());
         Ok(Ciphertext {
             slots,
@@ -649,8 +670,9 @@ impl Decryptor {
 
     /// Borrowed variant of [`Decryptor::decrypt`]: performs the same key and
     /// noise-budget checks but returns a view of the decrypted slot values
-    /// instead of allocating a [`Plaintext`] — the serving hot path reads
-    /// its few live output slots from this and recycles the ciphertext.
+    /// — the stored prefix; every logical slot beyond it is zero — instead
+    /// of allocating a [`Plaintext`]. The serving hot path reads its few
+    /// live output slots from this and recycles the ciphertext.
     ///
     /// # Errors
     ///
@@ -677,29 +699,34 @@ impl Decryptor {
 
     /// Lane-range variant of [`Decryptor::decrypt_slots`]: performs the key
     /// and noise-budget checks once and returns only the requested slot
-    /// window. The cross-request batching scatter reads each user's
-    /// `[lane base, lane base + output slots)` window through this instead
-    /// of decoding all `degree` slots per request.
+    /// window — the part of it inside the stored prefix, so a window that
+    /// reaches into the elided zeros comes back shorter than `range` and
+    /// the caller reads the missing tail as zero. The cross-request
+    /// batching scatter reads each user's `[lane base, lane base + output
+    /// slots)` window through this instead of decoding every slot per
+    /// request.
     ///
     /// # Errors
     ///
     /// The same [`FheError::KeyMismatch`] / [`FheError::NoiseBudgetExhausted`]
     /// conditions as [`Decryptor::decrypt_slots`], plus
     /// [`FheError::TooManyValues`] when the range reaches past the
-    /// ciphertext's slot count.
+    /// context's slot count `n`.
     pub fn decrypt_slots_in<'a>(
         &self,
         ct: &'a Ciphertext,
         range: std::ops::Range<usize>,
     ) -> Result<&'a [u64], FheError> {
         let slots = self.decrypt_slots(ct)?;
-        if range.end > slots.len() {
+        let n = self.ctx.slot_count();
+        if range.end > n {
             return Err(FheError::TooManyValues {
                 provided: range.end,
-                slots: slots.len(),
+                slots: n,
             });
         }
-        Ok(&slots[range])
+        let stored = slots.len();
+        Ok(&slots[range.start.min(stored)..range.end.min(stored)])
     }
 }
 
@@ -725,6 +752,10 @@ mod tests {
         assert_eq!(ctx.decode(&pt, 4), vec![1, 2, 3, t - 1]);
         assert_eq!(pt.live_slots(), 4);
         assert_eq!(pt.scalar(), 1);
+        // The stored prefix is four slots; decoding reads the logical
+        // vector, zero beyond it.
+        assert_eq!(pt.slots().len(), 4);
+        assert_eq!(ctx.decode(&pt, 6), vec![1, 2, 3, t - 1, 0, 0]);
     }
 
     #[test]
@@ -754,6 +785,9 @@ mod tests {
         let ct = enc.encrypt_values(&[10, 11, 0, 0, 20, 21, 0, 0]).unwrap();
         assert_eq!(dec.decrypt_slots_in(&ct, 0..4).unwrap(), &[10, 11, 0, 0]);
         assert_eq!(dec.decrypt_slots_in(&ct, 4..8).unwrap(), &[20, 21, 0, 0]);
+        // A window reaching into the elided zeros returns its stored part.
+        assert_eq!(dec.decrypt_slots_in(&ct, 6..10).unwrap(), &[0, 0]);
+        assert!(dec.decrypt_slots_in(&ct, 16..20).unwrap().is_empty());
         // A window past the slot count is rejected, not clamped.
         let n = ctx.slot_count();
         assert!(matches!(

@@ -20,6 +20,22 @@
 //! coefficient form: decryption and noise estimation read slots and the
 //! analytic noise estimate only.
 //!
+//! ## Slot vectors are prefixes
+//!
+//! A slot vector holds a **prefix** of the logical `n`-slot vector: its
+//! stored length is a power of two and every logical slot beyond it is zero.
+//! No result depends on the stored length — for every operation and any mix
+//! of operand lengths, `zero_extend(op(a, b)) == op(zero_extend(a),
+//! zero_extend(b))`: a slot-wise result is as long as its longer operand
+//! (the shorter one reads zero beyond its end), and rotation is exactly
+//! cyclic over the logical `n`. A rotation keeps its operand's length when
+//! the block that would wrap past slot 0 (or grow past the prefix) is all
+//! zero — an `O(|step|)` read — and otherwise materializes the output
+//! longer, up to `n`: correctness never rests on the caller having sized
+//! its vectors well, only speed does. Payload stripes and noise figures
+//! never see the stored length (the Galois element and every bound read
+//! `n` from the context).
+//!
 //! ## Zero-allocation steady state
 //!
 //! The evaluator owns a [`PolyArena`]: every output buffer (payload stripes
@@ -176,9 +192,10 @@ impl Evaluator {
         self.stats = EvaluatorStats::default();
     }
 
-    /// Element-wise slot combination into an arena buffer. `op` is one of
-    /// the [`PlainModulus`] operators, chosen per pass (never per slot), so
-    /// each slot costs one reducer call and no division.
+    /// Element-wise slot combination into an arena buffer as long as the
+    /// longer operand; the shorter one reads zero beyond its stored prefix.
+    /// `op` is one of the [`PlainModulus`] operators, chosen per pass (never
+    /// per slot), so each slot costs one reducer call and no division.
     fn slot_binary(
         &mut self,
         a: &[u64],
@@ -186,24 +203,82 @@ impl Evaluator {
         op: impl Fn(&PlainModulus, u64, u64) -> u64,
     ) -> Vec<u64> {
         let t = *self.ctx.plain();
-        let mut out = self.arena.take(a.len().min(b.len()));
-        for ((slot, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        let common = a.len().min(b.len());
+        let mut out = self.arena.take(a.len().max(b.len()));
+        let (head, tail) = out.split_at_mut(common);
+        for ((slot, &x), &y) in head.iter_mut().zip(a).zip(b) {
             *slot = op(&t, x, y);
+        }
+        // At most one operand reaches past `common`.
+        for (slot, &x) in tail.iter_mut().zip(&a[common..]) {
+            *slot = op(&t, x, 0);
+        }
+        for (slot, &y) in tail.iter_mut().zip(&b[common..]) {
+            *slot = op(&t, 0, y);
         }
         out
     }
 
-    /// Element-wise slot combination in place (`a = a op b`).
+    /// Element-wise slot addition or subtraction in place (`a = a op b`,
+    /// where `op(x, 0) == x`): `a` first grows from the arena when `b` is
+    /// longer, and keeps its slots beyond `b`'s prefix as they are.
     fn slot_binary_assign(
-        &self,
-        a: &mut [u64],
+        &mut self,
+        a: &mut Vec<u64>,
         b: &[u64],
         op: impl Fn(&PlainModulus, u64, u64) -> u64,
     ) {
+        if b.len() > a.len() {
+            let mut grown = self.arena.take(b.len());
+            grown[..a.len()].copy_from_slice(a);
+            grown[a.len()..].fill(0);
+            self.arena.put(std::mem::replace(a, grown));
+        }
         let t = *self.ctx.plain();
         for (x, &y) in a.iter_mut().zip(b) {
             *x = op(&t, *x, y);
         }
+    }
+
+    /// The logical rotation `out[i] = a[(i + shift) mod n]` of a stored
+    /// prefix, `shift < n`, as two block copies with the wrap computed.
+    ///
+    /// `a[0]` lands in logical slot `n - shift`. Rotating towards slot 0
+    /// (`shift <= n / 2`) wraps the block `a[..shift]` to the top of the
+    /// vector; rotating away grows the block `a[len - (n - shift)..]` past
+    /// the prefix. When that block is all zero the output keeps `a`'s
+    /// length; otherwise it is materialized as long as the data reaches
+    /// (rounded up to a power of two, `n` once anything wraps).
+    fn rotate_slots(&mut self, a: &[u64], shift: usize, n: usize) -> Vec<u64> {
+        let len = a.len();
+        let away = n - shift;
+        // The block that leaves the prefix, the block that stays in it, and
+        // where in the output the latter starts.
+        let (leaving, staying, start) = if shift <= n / 2 {
+            let (wrapped, rest) = a.split_at(shift.min(len));
+            (wrapped, rest, 0)
+        } else {
+            let (rest, grown) = a.split_at(len - away.min(len));
+            (grown, rest, len - rest.len())
+        };
+        if leaving.iter().all(|&s| s == 0) {
+            let mut out = self.arena.take(len);
+            let end = start + staying.len();
+            out[..start].fill(0);
+            out[start..end].copy_from_slice(staying);
+            out[end..].fill(0);
+            return out;
+        }
+        let (out_len, first) = if away + len <= n {
+            ((away + len).next_power_of_two(), len)
+        } else {
+            (n, n - away)
+        };
+        let mut out = self.arena.take(out_len);
+        out.fill(0);
+        out[away..away + first].copy_from_slice(&a[..first]);
+        out[..len - first].copy_from_slice(&a[first..]);
+        out
     }
 
     /// An arena-backed copy of a ciphertext: the slot vector is copied into
@@ -405,7 +480,7 @@ impl Evaluator {
         let ctx = self.ctx.clone();
         let payload = match ctx.tables() {
             Some(tables) if !a.payload.is_empty() => {
-                let pt_poly = b.splat_eval(ctx.chain(), tables, &mut self.arena);
+                let pt_poly = b.splat_eval(&ctx, tables, &mut self.arena);
                 let mut out = self.arena.take(a.payload.stripe().len());
                 a.payload
                     .mul_eval2(pt_poly.coeffs(), &mut out, self.simd, ctx.chain());
@@ -446,12 +521,9 @@ impl Evaluator {
             return Err(FheError::MissingGaloisKey { step });
         }
         self.stats.rotations += 1;
-        let n = a.slots.len();
+        let n = self.ctx.slot_count();
         let shift = step.rem_euclid(n as i64) as usize;
-        // slots[i] = a.slots[(i + shift) % n], as two block copies.
-        let mut slots = self.arena.take(n);
-        slots[..n - shift].copy_from_slice(&a.slots[shift..]);
-        slots[n - shift..].copy_from_slice(&a.slots[..shift]);
+        let slots = self.rotate_slots(&a.slots, shift, n);
         // Payload: Galois automorphism on both components plus key switching
         // (two ring multiplications), roughly half the work of a ct-ct
         // multiplication, matching the relative cost the paper assumes. In
@@ -757,6 +829,55 @@ mod tests {
         f.eval.neg_assign(&mut acc);
         assert_eq!(acc.slots, reference.slots);
         assert_eq!(acc.payload(), reference.payload());
+    }
+
+    #[test]
+    fn a_shorter_operand_reads_zero_beyond_its_prefix() {
+        let mut f = setup();
+        let long = f.enc.encrypt_values(&[1, 2, 3, 4, 5]).unwrap();
+        let short = f.enc.encrypt_values(&[10, 20]).unwrap();
+        let p = f.ctx.encode(&[3]).unwrap();
+        let t = f.ctx.plain_modulus();
+        let read = |ct: &Ciphertext| f.ctx.decode(&f.dec.decrypt(ct).unwrap(), 6);
+        assert_eq!(read(&f.eval.add(&short, &long)), [11, 22, 3, 4, 5, 0]);
+        assert_eq!(
+            read(&f.eval.sub(&short, &long)),
+            [9, 18, t - 3, t - 4, t - 5, 0]
+        );
+        assert_eq!(
+            read(&f.eval.multiply(&long, &short, &f.relin)),
+            [10, 40, 0, 0, 0, 0]
+        );
+        assert_eq!(read(&f.eval.add_plain(&long, &p)), [4, 2, 3, 4, 5, 0]);
+        assert_eq!(read(&f.eval.multiply_plain(&long, &p)), [3, 0, 0, 0, 0, 0]);
+        // In place, the left operand grows to hold the longer right one.
+        let mut acc = f.eval.clone_ciphertext(&short);
+        f.eval.sub_assign(&mut acc, &long);
+        assert_eq!(read(&acc), [9, 18, t - 3, t - 4, t - 5, 0]);
+    }
+
+    #[test]
+    fn rotation_is_cyclic_over_the_logical_vector_at_any_stored_length() {
+        let mut f = setup();
+        let n = f.ctx.slot_count();
+        let a = f.enc.encrypt_values(&[0, 0, 7, 8]).unwrap();
+        // The block that would wrap is zero: the prefix keeps its length.
+        let toward = f.eval.rotate(&a, 2, &f.galois).unwrap();
+        assert_eq!(toward.slots, [7, 8, 0, 0]);
+        // Slot 2 wraps past slot 0 to the top of the vector: materialized.
+        let wrapped = f.eval.rotate(&a, 4, &f.galois).unwrap();
+        let logical = f.ctx.decode(&f.dec.decrypt(&wrapped).unwrap(), n);
+        assert_eq!(logical[n - 2..], [7, 8]);
+        assert!(logical[..n - 2].iter().all(|&s| s == 0));
+        // Pushed past the prefix, the output grows no further than it must.
+        let away = f.eval.rotate(&a, -1, &f.galois).unwrap();
+        assert_eq!(away.slots, [0, 0, 0, 7, 8, 0, 0, 0]);
+        // And back: nothing was lost at either end.
+        let back = f.eval.rotate(&wrapped, -4, &f.galois).unwrap();
+        assert_eq!(
+            f.ctx.decode(&f.dec.decrypt(&back).unwrap(), 4),
+            [0, 0, 7, 8]
+        );
     }
 
     #[test]

@@ -25,6 +25,10 @@
 //! intermediate's excursion and `B <= n / G` lanes, the per-user windows
 //! tile the slot vector without wrapping into each other, and batched
 //! execution is **bit-identical per user** to running each request alone.
+//! Lane bases start at the envelope's lower end (`origin`), so no user's
+//! excursion towards slot 0 wraps to the top of the vector: a run of `B`
+//! users occupies exactly `[0, B * G)`, which is what lets its slot vectors
+//! be stored as prefixes that long ([`LaneGeometry::window`]) instead of `n`.
 //!
 //! # Batch formation
 //!
@@ -100,8 +104,11 @@ impl BatchPolicy {
 /// instruction is slot-wise or cyclic and needs no lane awareness at all).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneGeometry {
-    /// Slots between consecutive lane bases (user `k` owns base `k *
-    /// stride`).
+    /// How far below its base a user's data reaches at most (the lower end
+    /// of the rotation envelope, negated): lane 0 is based here, so its
+    /// excursions towards slot 0 stop at slot 0 instead of wrapping.
+    pub origin: usize,
+    /// Slots between consecutive lane bases.
     pub stride: usize,
     /// Live lanes in this execution: the actual batch size, not the
     /// capacity.
@@ -109,9 +116,20 @@ pub struct LaneGeometry {
 }
 
 impl LaneGeometry {
-    /// The lane base of user `lane`.
+    /// The lane base of user `lane` — the one formula bind, run-time
+    /// packing and the scatter all place users by.
     pub fn base(&self, lane: usize) -> usize {
-        lane * self.stride
+        self.origin + lane * self.stride
+    }
+
+    /// The slot-vector length one run stores: its `lanes` users occupy
+    /// `[0, lanes * stride)`, rounded up to a power of two and capped at
+    /// the ciphertext's `vector_slots`. Every register of the run — bound
+    /// inputs, packing plaintexts, intermediates — has this one length.
+    pub fn window(&self, vector_slots: usize) -> usize {
+        (self.lanes * self.stride)
+            .next_power_of_two()
+            .min(vector_slots)
     }
 }
 
@@ -119,10 +137,12 @@ impl LaneGeometry {
 /// the slot interval a user's data can occupy relative to its lane base.
 ///
 /// `prebound_widths[slot]` is the structural width of each pre-bound
-/// register (0 for slots instructions produce); `output_slots` is how many
-/// slots of the output register the per-user scatter reads; `vector_slots`
-/// is the ciphertext slot count `n`. The returned geometry's `lanes` field
-/// is the **capacity** `max(1, n / stride)`.
+/// register the client binds (0 for slots instructions produce, and for
+/// pre-bound registers nothing reads); `output_slots` is how many slots of
+/// the output register the per-user scatter reads; `vector_slots` is the
+/// ciphertext slot count `n`. The returned geometry's `lanes` field is the
+/// **capacity** `max(1, n / stride)`, and its `origin` the envelope's lower
+/// end.
 ///
 /// The analysis walks the schedule in order, tracking per register a
 /// conservative `[lo, hi]` support interval (relative to the lane base):
@@ -203,13 +223,16 @@ pub fn lane_geometry(
     let span = (env.1 - env.0 + 1).max(1) as usize;
     if span >= vector_slots {
         // Degenerate: one user needs (almost) the whole vector — no SIMD
-        // sharing, but batched execution still works one lane at a time.
+        // sharing, but batched execution still works one lane at a time,
+        // based at slot 0 and wrapping cyclically over the full vector.
         return LaneGeometry {
+            origin: 0,
             stride: vector_slots.max(1),
             lanes: 1,
         };
     }
     LaneGeometry {
+        origin: (-env.0) as usize,
         stride: span,
         lanes: (vector_slots / span).max(1),
     }

@@ -334,8 +334,9 @@ pub struct ExecResources<'a> {
     /// observes timings.
     pub trace: Option<&'a TraceSink>,
     /// Slot-lane layout of the execution (see [`crate::RequestCoalescer`]):
-    /// `lanes` users' inputs share the ciphertexts at the given stride; a
-    /// solo request is the `lanes = 1` case. Only [`Instr::Pack`]'s
+    /// `lanes` users' inputs share the ciphertexts, user `k` based at
+    /// [`LaneGeometry::base`](crate::LaneGeometry::base)`(k)`; a solo
+    /// request is the `lanes = 1` case. Only [`Instr::Pack`]'s
     /// plaintext-element path consults it (plaintext values must be
     /// replicated into every live lane); every other instruction is
     /// slot-wise or cyclic and lane-oblivious.
@@ -766,9 +767,13 @@ fn run_instr(
             // plaintext element is read at its lane base and placed at its
             // lane's copy of the slot. (Ciphertext elements need no such
             // care — the rotation below shifts every lane's value
-            // uniformly.)
+            // uniformly.) It is as long as the run's window, like every
+            // other register of the run; a hand-made geometry narrower than
+            // the pack still gets every element a slot.
             let geometry = res.lanes;
-            let plain_width = geometry.base(geometry.lanes.saturating_sub(1)) + elems.len();
+            let plain_width = geometry
+                .window(res.ctx.slot_count())
+                .max(geometry.base(geometry.lanes.saturating_sub(1)) + elems.len());
             let mut plain_slots = vec![0i64; plain_width];
             for (slot, &elem) in elems.iter().enumerate() {
                 match rf.read(elem) {
@@ -799,10 +804,10 @@ fn run_instr(
             // element, but keep a safe fallback.
             let mut packed = match acc {
                 Some(ct) => ct,
-                None => res
-                    .zero
-                    .expect("schedules with Pack instructions provide a zero ciphertext")
-                    .clone(),
+                None => evaluator.clone_ciphertext(
+                    res.zero
+                        .expect("schedules with Pack instructions provide a zero ciphertext"),
+                ),
             };
             // Whether the plaintext addition is issued is the schedule's
             // decision, never the request's: elements that all happen to

@@ -104,7 +104,7 @@
 //!     // Tracing off: the executor records no spans.
 //!     trace: None,
 //!     // One user owns the whole slot vector: a batch of one.
-//!     lanes: LaneGeometry { stride: ctx.slot_count(), lanes: 1 },
+//!     lanes: LaneGeometry { origin: 0, stride: ctx.slot_count(), lanes: 1 },
 //!     // No cancellation token or deadline: the request runs to completion.
 //!     cancel: None,
 //!     // No fault injection.

@@ -15,7 +15,7 @@
 //! in the process.
 
 use chehab::benchsuite;
-use chehab::compiler::{Compiler, FheSession};
+use chehab::compiler::{BatchPolicy, Compiler, ExecHooks, ExecOptions, FheSession};
 use chehab::fhe::{ArenaPool, BfvParameters};
 use std::collections::HashMap;
 
@@ -100,4 +100,60 @@ fn warm_kernel_sweep_performs_zero_fresh_buffer_allocations() {
     );
     assert_eq!(after.reuses - before.reuses, 1);
     assert_eq!(ctx.decode(&second, 3), vec![4, 5, 6]);
+}
+
+/// Slot vectors are as long as a run's lane window, so a batched stream
+/// whose batch size varies computes on a few slot-vector length classes
+/// instead of one. Once a session has seen each batch size, replaying the
+/// stream must still be served entirely from the pool — the classes are a
+/// function of the batch size, never of the values.
+#[test]
+fn a_batched_stream_of_varying_batch_sizes_stops_allocating() {
+    let params = BfvParameters {
+        payload_degree: 64,
+        simulate_compute: true,
+        ..BfvParameters::insecure_test()
+    };
+    for benchmark in benchsuite::full_suite() {
+        let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
+        let session = compiled.session(&params).expect("session");
+        let capacity = session.batch_capacity().min(16);
+        let stream = [1, capacity.min(3), capacity, capacity.min(2), 1];
+        let replay = |seed: u64| {
+            let mut outputs = Vec::new();
+            for (i, &users) in stream.iter().enumerate() {
+                let sets: Vec<HashMap<String, i64>> = (0..users as u64)
+                    .map(|k| {
+                        let env = benchmark.input_env(seed + 5 * i as u64 + k);
+                        benchmark
+                            .program()
+                            .variables()
+                            .into_iter()
+                            .map(|v| (v.to_string(), env.get(v.as_str()).unwrap_or(0) as i64))
+                            .collect()
+                    })
+                    .collect();
+                let options = ExecOptions::sequential()
+                    .with_batching(BatchPolicy::default().with_max_batch(users));
+                let reports = session
+                    .run_batched(&sets, &options, &ExecHooks::default())
+                    .unwrap_or_else(|e| panic!("{}: batch of {users} failed: {e}", benchmark.id()));
+                outputs.extend(reports.into_iter().map(|r| r.outputs));
+            }
+            outputs
+        };
+        let cold = replay(29);
+        assert_eq!(replay(29), cold, "{}", benchmark.id());
+        let (fresh_before, _) = fresh_and_reuses(&session);
+        // Other values, same batch sizes: same length classes.
+        replay(31);
+        assert_eq!(replay(29), cold, "{}", benchmark.id());
+        let (fresh_after, _) = fresh_and_reuses(&session);
+        assert_eq!(
+            fresh_after - fresh_before,
+            0,
+            "{}: a warm stream of batch sizes {stream:?} allocated fresh buffers",
+            benchmark.id()
+        );
+    }
 }

@@ -155,6 +155,64 @@ fn every_user_of_a_batch_reads_its_own_solo_result() {
     }
 }
 
+/// A run stores the slots its users occupy, not `n`: at batch sizes 1, 3 and
+/// the (64-capped) lane capacity, every user still decrypts to the
+/// interpreter's slots, and every slot vector the run computed on — read off
+/// the length classes its session's pool parked, which without payload
+/// simulation holds slot vectors only — is exactly the run's lane window
+/// `min(n, next_pow2(users · stride))`.
+#[test]
+fn every_register_of_a_run_is_as_long_as_its_lane_window() {
+    let params = BfvParameters::insecure_test();
+    let mut short_runs = 0usize;
+    for benchmark in benchsuite::full_suite() {
+        let compiled = Compiler::greedy().compile(benchmark.id(), benchmark.program());
+        let capacity = compiled
+            .session(&params)
+            .expect("session")
+            .batch_capacity()
+            .min(64);
+        let mut sizes = vec![1, capacity.min(3), capacity];
+        sizes.dedup();
+        for users in sizes {
+            let id = format!("{} x {users}", benchmark.id());
+            // A session per size: its pool then holds this run's buffers only.
+            let session = compiled.session(&params).expect("session");
+            let input_sets: Vec<HashMap<String, i64>> = (0..users as u64)
+                .map(|k| inputs_of(&benchmark, 500 + 11 * k))
+                .collect();
+            let options = ExecOptions::sequential()
+                .with_batching(BatchPolicy::default().with_max_batch(users));
+            let reports = session
+                .run_batched(&input_sets, &options, &ExecHooks::default())
+                .unwrap_or_else(|e| panic!("{id}: batched run failed: {e}"));
+            assert_eq!(reports.len(), users, "{id}: one report per user");
+            for (lane, (report, inputs)) in reports.iter().zip(&input_sets).enumerate() {
+                if report.decryption_ok {
+                    assert_eq!(
+                        report.outputs,
+                        reference_slots(&benchmark, inputs),
+                        "{id}: user {lane} vs the interpreter"
+                    );
+                }
+            }
+            let window = (users * session.lane_stride())
+                .next_power_of_two()
+                .min(params.slot_count());
+            assert_eq!(
+                session.parked_buffer_lengths(),
+                [window],
+                "{id}: a register left the run's window"
+            );
+            short_runs += usize::from(window < params.slot_count());
+        }
+    }
+    assert!(
+        short_runs >= 46,
+        "only {short_runs} runs were shorter than n: the check is vacuous"
+    );
+}
+
 /// A batch larger than the effective lane capacity splits into full chunks
 /// plus a ragged tail, each executing as its own shared ciphertext — and
 /// still scatters per-user-correct results in input order.

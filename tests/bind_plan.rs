@@ -94,7 +94,8 @@ fn counter(session: &FheSession, name: &str) -> u64 {
 /// All 46 kernels × {greedy, unoptimized} × {solo, batch of 3}: outputs are
 /// the interpreter's on the uncompiled program, the session encrypts exactly
 /// the ciphertext registers its schedule reads, and the lane geometry is
-/// still sized over *every* pre-bound register.
+/// sized over those live registers only — never wider, never fewer lanes,
+/// than sized over *every* pre-bound register.
 #[test]
 fn every_kernel_binds_only_what_its_schedule_reads_and_decrypts_to_the_interpreter() {
     let params = BfvParameters::insecure_test();
@@ -139,15 +140,25 @@ fn every_kernel_binds_only_what_its_schedule_reads_and_decrypts_to_the_interpret
                 );
             }
 
-            // --- lane geometry: unchanged, i.e. over every pre-bound register.
-            let geometry = lane_geometry(
-                schedule,
-                &prebound.widths,
-                compiled.output_slots(),
-                params.slot_count(),
-            );
+            // --- lane geometry: over the registers the plan binds, which can
+            // only narrow the stride sized over every pre-bound register.
+            let geometry_over = |widths: &[usize]| {
+                lane_geometry(
+                    schedule,
+                    widths,
+                    compiled.output_slots(),
+                    params.slot_count(),
+                )
+            };
+            let live_widths: Vec<usize> = (0..prebound.widths.len())
+                .map(|r| if live(r) { prebound.widths[r] } else { 0 })
+                .collect();
+            let geometry = geometry_over(&live_widths);
             assert_eq!(session.lane_stride(), geometry.stride, "{id}: lane stride");
             assert_eq!(session.batch_capacity(), geometry.lanes, "{id}: capacity");
+            let over_all = geometry_over(&prebound.widths);
+            assert!(geometry.stride <= over_all.stride, "{id}: stride grew");
+            assert!(geometry.lanes >= over_all.lanes, "{id}: capacity shrank");
 
             // --- solo and a batch of three against the interpreter.
             let sets: Vec<HashMap<String, i64>> = (0..3u64)

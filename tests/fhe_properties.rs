@@ -9,7 +9,8 @@
 use chehab::compiler::Compiler;
 use chehab::datagen::LlmLikeSynthesizer;
 use chehab::fhe::{
-    poly, BfvParameters, Decryptor, Encryptor, Evaluator, FheContext, KeyGenerator, PlainModulus,
+    poly, BfvParameters, Ciphertext, Decryptor, Encryptor, Evaluator, FheContext, KeyGenerator,
+    PlainModulus,
 };
 use chehab::ir::{evaluate, Env, Ty};
 use rand::{Rng, SeedableRng};
@@ -148,10 +149,204 @@ fn rotation_by_boundary_steps_matches_the_indexed_reference() {
         let rotated = dec
             .decrypt(&eval.rotate(&a, step, &galois).unwrap())
             .unwrap();
-        for (i, &got) in rotated.slots().iter().enumerate() {
+        for (i, &got) in ctx.decode(&rotated, n as usize).iter().enumerate() {
             let source = (i as i64 + step).rem_euclid(n) as usize;
             assert_eq!(got as i64, values[source], "step {step} slot {i}");
         }
+    }
+}
+
+/// No result depends on a slot vector's stored length: a program over
+/// short prefixes of random lengths and the same program over the same
+/// values zero-padded to all `n` slots agree with each other — slots
+/// (zero-extended), payload stripes and noise figures bit for bit — and with
+/// a plain `n`-entry model of add/sub/neg/mul/ct–pt/cyclic rotation,
+/// including rotations that wrap non-zero data past slot 0 or push it past
+/// the prefix, and in-place operations whose right operand is the longer
+/// one. At `k = 1` and `k = 3` limbs.
+#[test]
+fn no_result_depends_on_the_stored_slot_length() {
+    for limb_count in [1usize, 3] {
+        let params = BfvParameters {
+            payload_degree: 64,
+            simulate_compute: true,
+            limb_count,
+            ..BfvParameters::insecure_test()
+        };
+        let ctx = FheContext::new(params).unwrap();
+        let n = ctx.slot_count();
+        let t = ctx.plain_modulus();
+        let m = PlainModulus::new(t);
+        let steps: Vec<i64> = [1, 2, 3, 5, 8, 17, 40, (n / 2) as i64, (n - 1) as i64]
+            .into_iter()
+            .flat_map(|s| [s, -s])
+            .collect();
+        let mut keygen = KeyGenerator::new(ctx.params(), 7);
+        let relin = keygen.relin_keys();
+        let galois = keygen.galois_keys(&steps);
+        let dec = Decryptor::new(&ctx, &keygen.secret_key());
+        let mut eval = Evaluator::new(&ctx);
+        let budget = ctx.params().fresh_noise_budget_bits();
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0xF4E_00D + limb_count as u64);
+        let mut wrapped_nonzero = 0usize;
+        let mut kept_short = 0usize;
+        for case in 0..CASES {
+            // Two encryptors of one key draw the same payload stream, so the
+            // short and the padded side start from identical payloads.
+            let mut enc_short = Encryptor::new(&ctx, &keygen.public_key());
+            let mut enc_full = Encryptor::new(&ctx, &keygen.public_key());
+            // Random length, random zero runs at both ends (so rotations
+            // sometimes stay inside the prefix and sometimes do not).
+            let random_values = |rng: &mut ChaCha8Rng| -> Vec<i64> {
+                let len = match rng.gen_range(0..4) {
+                    0 => rng.gen_range(1..=n),
+                    _ => rng.gen_range(1..=48),
+                };
+                let lead = rng.gen_range(0..=len.min(10));
+                let trail = rng.gen_range(0..=(len - lead).min(10));
+                (0..len)
+                    .map(|i| {
+                        if i < lead || i >= len - trail {
+                            0
+                        } else {
+                            rng.gen_range(0..t) as i64
+                        }
+                    })
+                    .collect()
+            };
+            let padded = |values: &[i64]| {
+                let mut full = values.to_vec();
+                full.resize(n, 0);
+                full
+            };
+            // (short, padded, model) per register.
+            let mut registers: Vec<(Ciphertext, Ciphertext, Vec<u64>)> = (0..3)
+                .map(|_| {
+                    let values = random_values(&mut rng);
+                    let model = padded(&values).iter().map(|&v| v as u64).collect();
+                    (
+                        enc_short.encrypt_values(&values).unwrap(),
+                        enc_full.encrypt_values(&padded(&values)).unwrap(),
+                        model,
+                    )
+                })
+                .collect();
+
+            for op in 0..20 {
+                let a = rng.gen_range(0..registers.len());
+                let b = rng.gen_range(0..registers.len());
+                let (sa, fa, ma) = registers[a].clone();
+                let (sb, fb, mb) = registers[b].clone();
+                let zip = |f: &dyn Fn(u64, u64) -> u64| -> Vec<u64> {
+                    ma.iter().zip(&mb).map(|(&x, &y)| f(x, y)).collect()
+                };
+                let room = |cost: f64| {
+                    sa.noise_consumed_bits().max(sb.noise_consumed_bits()) + cost < budget - 4.0
+                };
+                let mut choice = rng.gen_range(0..10);
+                if (choice == 2 && !room(34.0)) || (choice == 6 && !room(12.0)) {
+                    choice = 0;
+                }
+                let result = match choice {
+                    0 => (
+                        eval.add(&sa, &sb),
+                        eval.add(&fa, &fb),
+                        zip(&|x, y| m.add(x, y)),
+                    ),
+                    1 => (
+                        eval.sub(&sa, &sb),
+                        eval.sub(&fa, &fb),
+                        zip(&|x, y| m.sub(x, y)),
+                    ),
+                    2 => (
+                        eval.multiply(&sa, &sb, &relin),
+                        eval.multiply(&fa, &fb, &relin),
+                        zip(&|x, y| m.mul(x, y)),
+                    ),
+                    3 => (
+                        eval.negate(&sa),
+                        eval.negate(&fa),
+                        ma.iter().map(|&x| m.neg(x)).collect(),
+                    ),
+                    4..=6 => {
+                        let values = random_values(&mut rng);
+                        let short = ctx.encode(&values).unwrap();
+                        let full = ctx.encode(&padded(&values)).unwrap();
+                        let plain = ctx.decode(&full, n);
+                        let with = |f: &dyn Fn(u64, u64) -> u64| -> Vec<u64> {
+                            ma.iter().zip(&plain).map(|(&x, &y)| f(x, y)).collect()
+                        };
+                        match choice {
+                            4 => (
+                                eval.add_plain(&sa, &short),
+                                eval.add_plain(&fa, &full),
+                                with(&|x, y| m.add(x, y)),
+                            ),
+                            5 => (
+                                eval.sub_plain(&sa, &short),
+                                eval.sub_plain(&fa, &full),
+                                with(&|x, y| m.sub(x, y)),
+                            ),
+                            _ => (
+                                eval.multiply_plain(&sa, &short),
+                                eval.multiply_plain(&fa, &full),
+                                with(&|x, y| m.mul(x, y)),
+                            ),
+                        }
+                    }
+                    7 | 8 => {
+                        let step = steps[rng.gen_range(0..steps.len())];
+                        let shift = step.rem_euclid(n as i64) as usize;
+                        let model: Vec<u64> = (0..n).map(|i| ma[(i + shift) % n]).collect();
+                        // Data moved from the bottom of the vector to its top.
+                        if step > 0 && ma[..shift].iter().any(|&x| x != 0) {
+                            wrapped_nonzero += 1;
+                        }
+                        let short = eval.rotate(&sa, step, &galois).unwrap();
+                        if dec.decrypt_slots(&short).unwrap().len() < n {
+                            kept_short += 1;
+                        }
+                        (short, eval.rotate(&fa, step, &galois).unwrap(), model)
+                    }
+                    _ => {
+                        // In place, onto a copy; `sb` may be the longer one.
+                        let (mut short, mut full) =
+                            (eval.clone_ciphertext(&sa), eval.clone_ciphertext(&fa));
+                        if rng.gen() {
+                            eval.add_assign(&mut short, &sb);
+                            eval.add_assign(&mut full, &fb);
+                            (short, full, zip(&|x, y| m.add(x, y)))
+                        } else {
+                            eval.sub_assign(&mut short, &sb);
+                            eval.sub_assign(&mut full, &fb);
+                            (short, full, zip(&|x, y| m.sub(x, y)))
+                        }
+                    }
+                };
+                let context = format!("k={limb_count} case {case} op {op} (kind {choice})");
+                let (short, full, model) = &result;
+                let short_plain = dec.decrypt(short).unwrap();
+                assert_eq!(
+                    &ctx.decode(&short_plain, n),
+                    model,
+                    "{context}: short vs model"
+                );
+                assert_eq!(dec.decrypt_slots(full).unwrap(), model, "{context}: padded");
+                assert_eq!(short.payload(), full.payload(), "{context}: payload");
+                assert_eq!(
+                    short.noise_consumed_bits().to_bits(),
+                    full.noise_consumed_bits().to_bits(),
+                    "{context}: noise"
+                );
+                let slot = rng.gen_range(0..registers.len());
+                registers[slot] = result;
+            }
+        }
+        assert!(
+            wrapped_nonzero >= CASES && kept_short >= CASES,
+            "k={limb_count}: {wrapped_nonzero} rotations wrapped non-zero data,              {kept_short} stayed shorter than n — both paths must be exercised"
+        );
     }
 }
 
