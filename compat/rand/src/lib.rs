@@ -4,8 +4,9 @@
 //! registry, so the small slice of the `rand 0.8` API the CHEHAB
 //! reproduction uses is vendored here: the [`RngCore`] / [`Rng`] /
 //! [`SeedableRng`] traits, [`rngs::StdRng`] (xoshiro256++ under the hood),
-//! uniform range sampling for the integer and float types the workspace
-//! samples, and [`seq::SliceRandom::shuffle`].
+//! the bulk draw [`Rng::fill`] over `[u64]`, uniform range sampling for the
+//! integer and float types the workspace samples, and
+//! [`seq::SliceRandom::shuffle`].
 //!
 //! The streams produced are *not* those of the upstream crate; everything in
 //! the workspace only relies on seeded determinism, not on specific values.
@@ -29,11 +30,26 @@ pub trait RngCore {
             chunk.copy_from_slice(&bytes[..chunk.len()]);
         }
     }
+
+    /// Fills `dest` with exactly the values repeated [`RngCore::next_u64`]
+    /// calls would return — the hook behind [`Rng::fill`], which a buffered
+    /// generator overrides to copy whole buffers. Not in upstream `RngCore`:
+    /// there `fill` reaches the bulk path through `fill_bytes` and a byte
+    /// cast this `forbid(unsafe_code)` crate cannot write.
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        for word in dest {
+            *word = self.next_u64();
+        }
+    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
+    }
+
+    fn fill_u64(&mut self, dest: &mut [u64]) {
+        (**self).fill_u64(dest)
     }
 }
 
@@ -186,6 +202,13 @@ pub trait Rng: RngCore {
         range.sample_one(self)
     }
 
+    /// Fills `dest` with uniform words, equal to one `gen::<u64>()` per
+    /// element (upstream's `fill` is generic over a `Fill` trait; `[u64]` is
+    /// the one destination the workspace fills).
+    fn fill(&mut self, dest: &mut [u64]) {
+        self.fill_u64(dest)
+    }
+
     /// Returns `true` with probability `p`.
     fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
@@ -291,6 +314,20 @@ mod tests {
         }
         let mut c = StdRng::seed_from_u64(8);
         assert_ne!(a.gen::<u64>(), c.gen::<u64>());
+    }
+
+    #[test]
+    fn fill_equals_repeated_draws() {
+        // Through `&mut R`, which forwards the hook rather than defaulting it.
+        fn fill_by<R: Rng>(mut rng: R, dest: &mut [u64]) {
+            rng.fill(dest);
+        }
+        let mut a = StdRng::seed_from_u64(5);
+        let mut b = a.clone();
+        let mut bulk = [0u64; 37];
+        fill_by(&mut a, &mut bulk);
+        assert!(bulk.iter().all(|&w| w == b.gen::<u64>()));
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::params::{BfvParameters, ParameterError};
 use crate::payload::CtPayload;
 use crate::poly::{galois_eval_permutation, Domain, NttTables, Poly, MODULUS};
 use crate::rns::{ModulusChain, PlainModulus};
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -556,32 +556,18 @@ impl Encryptor {
     }
 
     /// Samples one fresh Eval-form payload stripe from the arena (or an
-    /// empty payload when compute simulation is off).
-    ///
-    /// Limb 0 of each component draws `degree` uniform Goldilocks values in
-    /// the exact order the single-modulus engine draws its stripe — which is
-    /// what keeps `k = 1` encryption bit-identical. Generic limbs are that
-    /// base sample lifted into their own residue fields (the CRT image of
-    /// one shared base polynomial), costing zero extra RNG draws.
+    /// empty payload when compute simulation is off): each component is one
+    /// [`ModulusChain::sample_uniform_limbs`] polynomial.
     fn sample_payload(&mut self) -> Arc<CtPayload> {
         if !self.ctx.params().simulate_compute {
             return CtPayload::shared_empty();
         }
-        let degree = self.ctx.params().payload_degree;
-        let k = self.ctx.params().limb_count;
-        let half = k * degree;
+        let chain = self.ctx.chain();
+        let k = chain.limb_count();
+        let half = k * chain.degree();
         let mut stripe = self.arena.take(2 * half);
-        for component in 0..2 {
-            let base = component * half;
-            for j in 0..degree {
-                stripe[base + j] = self.rng.gen::<u64>() % MODULUS;
-            }
-            for li in 1..k {
-                let chain = self.ctx.chain();
-                for j in 0..degree {
-                    stripe[base + li * degree + j] = chain.lift_base(li, stripe[base + j]);
-                }
-            }
+        for component in stripe.chunks_exact_mut(half) {
+            chain.sample_uniform_limbs(&mut self.rng, component);
         }
         Arc::new(CtPayload::from_limb_stripe(stripe, k, Domain::Eval))
     }

@@ -21,7 +21,7 @@
 use crate::arena::PolyArena;
 use crate::params::BfvParameters;
 use crate::payload::CtPayload;
-use crate::poly::{Domain, NttTables, Poly, MODULUS};
+use crate::poly::{Domain, NttTables, Poly};
 use crate::rns::ModulusChain;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -81,9 +81,10 @@ pub struct GaloisKeys {
 }
 
 impl GaloisKeys {
-    /// The Eval-form key-switch payload for `step`, if one was generated
-    /// under compute simulation.
-    pub(crate) fn switch_poly(&self, step: i64) -> Option<&Poly> {
+    /// The Eval-form key-switch payload for `step`, if compute simulation
+    /// generated one. Public, but hidden, for the stream-fingerprint test.
+    #[doc(hidden)]
+    pub fn switch_poly(&self, step: i64) -> Option<&Poly> {
         self.switch.get(&step)
     }
     /// Returns `true` if a key for rotating by `step` is available.
@@ -284,11 +285,8 @@ impl KeyGenerator {
 }
 
 /// Samples one uniform payload polynomial across every limb of `chain` into
-/// `buf` (`limb_count · degree` values) and moves each limb stripe into the
-/// NTT domain. Limb 0 draws `degree` values from the RNG in the exact order
-/// the single-modulus engine draws them — `k = 1` keygen is bit-identical —
-/// and generic limbs are that base sample lifted into their own residue
-/// fields (no extra draws), each transformed under its own limb NTT.
+/// `buf` ([`ModulusChain::sample_uniform_limbs`]) and moves each limb stripe
+/// into the NTT domain, each generic limb under its own limb NTT.
 fn sample_limb_poly(
     rng: &mut ChaCha8Rng,
     tables: &NttTables,
@@ -296,16 +294,7 @@ fn sample_limb_poly(
     buf: &mut [u64],
 ) {
     let degree = chain.degree();
-    debug_assert_eq!(buf.len(), chain.limb_count() * degree);
-    for slot in buf[..degree].iter_mut() {
-        *slot = rng.gen::<u64>() % MODULUS;
-    }
-    for li in 1..chain.limb_count() {
-        let (head, rest) = buf.split_at_mut(li * degree);
-        for (out, &b) in rest[..degree].iter_mut().zip(&head[..degree]) {
-            *out = chain.lift_base(li, b);
-        }
-    }
+    chain.sample_uniform_limbs(rng, buf);
     tables.forward(&mut buf[..degree]);
     for li in 1..chain.limb_count() {
         chain

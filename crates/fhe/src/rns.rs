@@ -45,6 +45,8 @@
 //! `black_box` so the simulation pays the real CRT cost.
 
 use crate::poly::MODULUS;
+use crate::simd::p_canonical;
+use rand::Rng;
 
 /// Number of bits below which the Barrett scheme of this module is
 /// invalid: generic limb primes must exceed `2^60` so that
@@ -190,10 +192,10 @@ pub fn barrett_mu(q: u64) -> u64 {
 /// Canonical `a·b mod q` by Barrett reduction with the precomputed
 /// `mu = ⌊2^124 / q⌋` of [`barrett_mu`].
 ///
-/// Valid for `2^60 < q < 2^61` and canonical inputs: the quotient
-/// estimate `⌊(⌊x/2^60⌋·mu)/2^64⌋` undershoots `⌊x/q⌋` by at most 2, so
-/// two conditional subtracts canonicalize. **Never valid for the
-/// Goldilocks limb** (`q > 2^63`); that limb uses the ε-identity kernels.
+/// Valid for `2^60 < q < 2^61` and canonical inputs, or any word times 1:
+/// the quotient estimate `⌊(⌊x/2^60⌋·mu)/2^64⌋` is `⌊x/q⌋` less at most 2,
+/// never more, so two conditional subtracts canonicalize. **Never valid for
+/// the Goldilocks limb** (`q > 2^63`); that limb uses the ε-identity kernels.
 #[inline]
 pub fn barrett_mul(a: u64, b: u64, q: u64, mu: u64) -> u64 {
     let x = u128::from(a) * u128::from(b);
@@ -589,10 +591,33 @@ impl ModulusChain {
         self.limbs.iter().map(|l| l.q).collect()
     }
 
-    /// CRT-lifts a base value into limb `i`'s residue field: `x mod q_i`.
+    /// CRT-lifts a base value into limb `i`'s residue field: `x mod q_i` for
+    /// any word `x`, divide-free — one conditional subtract on Goldilocks
+    /// (`2^64 < 2p`), [`barrett_mul`]'s reduction of `x·1` on a generic limb.
     #[inline]
     pub fn lift_base(&self, i: usize, x: u64) -> u64 {
-        x % self.limbs[i].q
+        match &self.limbs[i] {
+            limb if limb.is_goldilocks() => p_canonical(x),
+            limb => barrett_mul(x, 1, limb.q, limb.mu),
+        }
+    }
+
+    /// Samples one uniform polynomial across every limb into `buf` — the one
+    /// place the backend draws payload coefficients. Limb 0 is `degree` words
+    /// of `rng` in one bulk draw, each reduced mod Goldilocks (`gen::<u64>() %
+    /// MODULUS` per coefficient, value for value); generic limbs lift it.
+    pub fn sample_uniform_limbs(&self, rng: &mut impl Rng, buf: &mut [u64]) {
+        debug_assert_eq!(buf.len(), self.limbs.len() * self.degree);
+        let (base, generic) = buf.split_at_mut(self.degree);
+        rng.fill(&mut base[..]);
+        for x in base.iter_mut() {
+            *x = p_canonical(*x);
+        }
+        for (li, stripe) in generic.chunks_exact_mut(self.degree).enumerate() {
+            for (out, &b) in stripe.iter_mut().zip(base.iter()) {
+                *out = self.lift_base(li + 1, b);
+            }
+        }
     }
 
     /// Garner mixed-radix digits of the integer with the given per-limb
@@ -928,6 +953,49 @@ mod tests {
                 assert_eq!(words.len(), k);
                 assert_eq!(chain.crt_lift(&words), residues, "k={k} seed={seed}");
             }
+        }
+    }
+
+    #[test]
+    fn lift_base_matches_the_hardware_remainder() {
+        for k in [2usize, 3, 4] {
+            let chain = ModulusChain::new(k, 64, false);
+            for (i, limb) in chain.limbs().iter().enumerate() {
+                let q = limb.modulus();
+                let m = u64::MAX / q;
+                let mut words = vec![0, q - 1, q, m * q - 1, m * q, MODULUS - 1, u64::MAX];
+                if !limb.is_goldilocks() {
+                    words.push(2 * q);
+                }
+                words.extend(random_values(100_000, 0x11F7 + (8 * k + i) as u64));
+                for x in words {
+                    assert_eq!(chain.lift_base(i, x), x % q, "k={k} limb {i}: {x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sampling_is_one_reduced_draw_per_coefficient_lifted_to_every_limb() {
+        use rand::{RngCore, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        for k in [1usize, 3] {
+            let chain = ModulusChain::new(k, 64, false);
+            let mut rng = ChaCha8Rng::seed_from_u64(0x5A3 + k as u64);
+            let _ = rng.next_u32(); // off the u64 grid
+            let mut single = rng.clone();
+            let mut buf = vec![0u64; k * 64];
+            for round in 0..3 {
+                chain.sample_uniform_limbs(&mut rng, &mut buf);
+                for j in 0..64 {
+                    let x = single.next_u64() % MODULUS;
+                    for (i, limb) in chain.limbs().iter().enumerate() {
+                        let context = format!("k={k} round {round} coefficient {j} limb {i}");
+                        assert_eq!(buf[i * 64 + j], x % limb.modulus(), "{context}");
+                    }
+                }
+            }
+            assert_eq!(rng.next_u64(), single.next_u64(), "k={k}: stream position");
         }
     }
 

@@ -350,6 +350,60 @@ fn no_result_depends_on_the_stored_slot_length() {
     }
 }
 
+/// Key generation and encryption consume the seeded ChaCha8 stream in a
+/// pinned order: the payload stripes of an encryptor's first two
+/// ciphertexts and the first Galois key's key-switch polynomial fold
+/// (FNV-1a over words) to the values recorded at the commit before the
+/// generator went eight blocks wide and the draws went bulk. A merely
+/// self-consistent stream (two encryptors agreeing with each other) would
+/// not notice a reordering; this does.
+#[test]
+fn keygen_and_encryption_draw_the_recorded_stream() {
+    fn fold(words: &[u64]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ w).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+    let recorded: [(usize, [u64; 3]); 2] = [
+        (
+            1,
+            [
+                0xc7bb_3462_dc8b_f811,
+                0xe1e1_e037_1d55_3ee8,
+                0x8028_7f04_6c07_d041,
+            ],
+        ),
+        (
+            3,
+            [
+                0x45dc_9468_5c7a_8dc5,
+                0x47f1_f6db_d321_fbd8,
+                0x5b11_e3a5_835b_7ccd,
+            ],
+        ),
+    ];
+    let got = recorded.map(|(limb_count, _)| {
+        let ctx =
+            FheContext::new(BfvParameters::default_128().with_limb_count(limb_count)).unwrap();
+        let mut keygen = KeyGenerator::new(ctx.params(), 7);
+        let galois = keygen.galois_keys(&[3, 1]);
+        let mut enc = Encryptor::new(&ctx, &keygen.public_key());
+        let first = enc.encrypt_values(&[1, 2, 3]).unwrap();
+        let second = enc.encrypt_values(&[4]).unwrap();
+        let key = galois.switch_poly(1).expect("compute simulation is on");
+        let folds = [
+            fold(first.payload().stripe()),
+            fold(second.payload().stripe()),
+            fold(key.coeffs()),
+        ];
+        (limb_count, folds)
+    });
+    assert_eq!(
+        got, recorded,
+        "(k, [first stripe, second stripe, Galois key for step 1]): got {got:#018x?}"
+    );
+}
+
 /// NTT-based negacyclic multiplication agrees with the schoolbook product.
 #[test]
 fn ntt_multiplication_matches_schoolbook() {
