@@ -26,8 +26,8 @@
 use crate::bind::{is_live, BindPlan};
 use crate::rotation_keys::RotationKeyPlan;
 use chehab_fhe::{
-    ArenaPool, BfvParameters, Ciphertext, Decryptor, Encryptor, EvaluatorStats, FheContext,
-    FheError, GaloisKeys, KeyGenerator, RelinKeys,
+    ArenaPool, BfvParameters, Decryptor, Encryptor, EvaluatorStats, FheContext, FheError,
+    GaloisKeys, KeyGenerator, RelinKeys,
 };
 use chehab_ir::{CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, Ty};
 use chehab_runtime::{
@@ -348,8 +348,7 @@ impl CompiledProgram {
     ///
     /// # Errors
     ///
-    /// Returns an [`FheError`] if the context rejects the parameters or the
-    /// packing-fallback encryption fails.
+    /// Returns an [`FheError`] if the context rejects the parameters.
     pub fn session(&self, params: &BfvParameters) -> Result<FheSession, FheError> {
         FheSession::new(self, params)
     }
@@ -363,10 +362,9 @@ pub type FheServingEngine = ServingEngine<HashMap<String, i64>, Result<Execution
 /// Point-in-time statistics of one [`FheSession`].
 #[derive(Debug, Clone)]
 pub struct SessionStats {
-    /// One-time cost of building the FHE context, generating the key
-    /// material (public, relinearization and Galois keys) and, for schedules
-    /// with run-time packing, encrypting the packing-fallback zero
-    /// ciphertext — paid at [`CompiledProgram::session`] time, never again.
+    /// One-time cost of building the FHE context and generating the key
+    /// material (public, relinearization and Galois keys) — paid at
+    /// [`CompiledProgram::session`] time, never again.
     pub keygen_time: Duration,
     /// One-time cost of lowering the circuit DAG into the leveled
     /// instruction schedule.
@@ -531,11 +529,6 @@ pub struct FheSession {
     /// carry ([`FheSession::batch_capacity`]). Computed once at session
     /// build by [`chehab_runtime::lane_geometry`].
     lanes: LaneGeometry,
-    /// Packing fallback for degenerate `Vec` nodes; encrypted once per
-    /// session, and only when the schedule contains a `Pack` instruction.
-    /// One stored slot: exact next to a run of any window, since no result
-    /// depends on an operand's stored length.
-    zero: Option<Ciphertext>,
     /// Warm buffer arenas shared by every request served through this
     /// session: encryption, evaluation and decryption draw slot vectors and
     /// payload stripes from here and return them when their ciphertexts
@@ -583,7 +576,7 @@ impl FheSession {
             steps.push(-i);
         }
         let galois_keys = keygen.galois_keys(&steps);
-        let mut keygen_time = keygen_started.elapsed();
+        let keygen_time = keygen_started.elapsed();
 
         let lowering_started = Instant::now();
         let kinds = data_kinds(&program.dag);
@@ -619,19 +612,6 @@ impl FheSession {
         );
         let lowering_time = lowering_started.elapsed();
 
-        // The packing-fallback encryption is one-time session setup too.
-        let zero_started = Instant::now();
-        let zero = if schedule
-            .instrs()
-            .iter()
-            .any(|si| matches!(si.instr, chehab_runtime::Instr::Pack { .. }))
-        {
-            Some(Encryptor::new(&ctx, &public_key).encrypt_values(&[0])?)
-        } else {
-            None
-        };
-        keygen_time += zero_started.elapsed();
-
         Ok(FheSession {
             program: program.clone(),
             ctx,
@@ -642,7 +622,6 @@ impl FheSession {
             schedule,
             bind_plan,
             lanes,
-            zero,
             arena_pool: ArenaPool::new(),
             keygen_time,
             lowering_time,
@@ -951,11 +930,15 @@ impl FheSession {
     ) -> Result<Vec<ExecutionReport>, FheError> {
         let executor = Executor::new(options.threads_per_request);
         self.run_chunks(input_sets, options.batching, hooks, |registers, res| {
-            // Only the dataflow rule reads priorities: critical paths under
-            // the *calibrated* cost table, so the ready queue ranks
-            // instructions by measured hardware cost, sharpening as the
-            // session accumulates samples (static estimates on a cold one).
-            let priorities = if options.scheduler == SchedulerKind::Dataflow {
+            // Only a dataflow pool larger than one reads priorities:
+            // critical paths under the *calibrated* cost table, so the ready
+            // queue ranks instructions by measured hardware cost, sharpening
+            // as the session accumulates samples (static estimates on a cold
+            // one). A pool of one pops in schedule order: no order changes
+            // its wall, and a fixed one keeps its peak of live buffers fixed.
+            let prioritised =
+                options.scheduler == SchedulerKind::Dataflow && options.threads_per_request > 1;
+            let priorities = if prioritised {
                 let calibration = self.calibration.lock().unwrap();
                 let costs = calibration.to_op_costs(&CostModel::default().op_costs);
                 self.schedule.critical_path_priorities(&costs)
@@ -1038,7 +1021,6 @@ impl FheSession {
                 ctx: &self.ctx,
                 relin_keys: &self.relin_keys,
                 galois_keys: &self.galois_keys,
-                zero: self.zero.as_ref(),
                 arenas: &self.arena_pool,
                 trace: hooks.trace.as_deref(),
                 lanes,
@@ -1116,7 +1098,12 @@ impl FheSession {
                     .set(100.0 * users as f64 / capacity as f64);
             }
 
-            for (outputs, noise_consumed, decryption_ok) in per_user {
+            // Every user's report carries the chunk's timing; `repeat_n` moves
+            // the original into the last one, so a batch of one copies nothing.
+            let timings = std::iter::repeat_n(outcome.timing, users);
+            for ((outputs, noise_consumed, decryption_ok), timing) in
+                per_user.into_iter().zip(timings)
+            {
                 reports.push(ExecutionReport {
                     outputs,
                     server_time,
@@ -1127,7 +1114,7 @@ impl FheSession {
                     operation_stats: outcome.stats,
                     galois_key_count: self.galois_keys.key_count(),
                     decryption_ok,
-                    timing: outcome.timing.clone(),
+                    timing,
                 });
             }
         }

@@ -22,8 +22,9 @@ use crate::keys::{KeyGenerator, PublicKey, SecretKey};
 use crate::noise::NoiseModel;
 use crate::params::{BfvParameters, ParameterError};
 use crate::payload::CtPayload;
-use crate::poly::{galois_eval_permutation, Domain, NttTables, Poly, MODULUS};
+use crate::poly::{galois_eval_permutation, Domain, NttTables, Poly};
 use crate::rns::{ModulusChain, PlainModulus};
+use crate::simd::GaloisPermutation;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Cow;
@@ -128,7 +129,7 @@ struct ContextInner {
     /// `(payload_degree, element)` for the context's lifetime and shared by
     /// every evaluator (evaluators keep a lock-free local `Arc` cache on
     /// top, so this mutex is touched once per element per evaluator).
-    galois_perms: Mutex<HashMap<usize, Arc<Vec<u32>>>>,
+    galois_perms: Mutex<HashMap<usize, Arc<GaloisPermutation>>>,
 }
 
 impl FheContext {
@@ -193,14 +194,14 @@ impl FheContext {
     /// context's lifetime — long-lived sessions allocate each rotation
     /// step's table exactly once, no matter how many per-request evaluators
     /// come and go.
-    pub(crate) fn galois_perm(&self, galois_elt: usize) -> Arc<Vec<u32>> {
+    pub(crate) fn galois_perm(&self, galois_elt: usize) -> Arc<GaloisPermutation> {
         let mut cache = self
             .inner
             .galois_perms
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         Arc::clone(cache.entry(galois_elt).or_insert_with(|| {
-            Arc::new(galois_eval_permutation(
+            Arc::from(galois_eval_permutation(
                 self.inner.params.payload_degree,
                 galois_elt,
             ))
@@ -399,16 +400,16 @@ impl Plaintext {
     }
 
     /// Builds the Eval-form payload splat of this plaintext across every
-    /// limb of the context's chain (limb 0 under the shared Goldilocks
-    /// `tables` — the single-modulus path verbatim — generic limbs under
-    /// their own NTTs), with the coefficient buffer drawn from `arena`.
+    /// limb of the context's chain, with the coefficient buffer drawn from
+    /// `arena`.
     fn build_splat(&self, ctx: &FheContext, tables: &NttTables, arena: &mut PolyArena) -> Poly {
         let chain = ctx.chain();
         let degree = chain.degree();
         let mut values = arena.take(chain.limb_count() * degree);
         // Coefficient `j` reads logical slot `j mod n`: the stored prefix,
         // then the elided zeros (whose splat is zero under every modulus).
-        let splat = |stripe: &mut [u64], q: u64| {
+        for (limb, stripe) in chain.limbs().iter().zip(values.chunks_exact_mut(degree)) {
+            let q = limb.modulus();
             for block in stripe.chunks_mut(ctx.slot_count()) {
                 let stored = self.slots.len().min(block.len());
                 for (out, &s) in block.iter_mut().zip(&self.slots) {
@@ -416,18 +417,8 @@ impl Plaintext {
                 }
                 block[stored..].fill(0);
             }
-        };
-        splat(&mut values[..degree], MODULUS);
-        tables.forward(&mut values[..degree]);
-        for li in 1..chain.limb_count() {
-            let stripe = &mut values[li * degree..(li + 1) * degree];
-            splat(stripe, chain.limb(li).modulus());
-            chain
-                .limb(li)
-                .ntt()
-                .expect("generic limbs carry NTT tables under compute simulation")
-                .forward(stripe);
         }
+        chain.forward_limbs(tables, &mut values);
         Poly::from_reduced(values, Domain::Eval)
     }
 

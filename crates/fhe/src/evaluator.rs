@@ -62,7 +62,7 @@ use crate::keys::{GaloisKeys, RelinKeys};
 use crate::payload::CtPayload;
 use crate::poly::{Domain, Poly};
 use crate::rns::PlainModulus;
-use crate::simd::SimdPolicy;
+use crate::simd::{GaloisPermutation, SimdPolicy};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -115,7 +115,7 @@ pub struct Evaluator {
     arena: PolyArena,
     /// Lock-free local view of the context's shared Eval-domain Galois
     /// permutation cache, keyed by Galois element.
-    galois_perms: HashMap<usize, Arc<Vec<u32>>>,
+    galois_perms: HashMap<usize, Arc<GaloisPermutation>>,
     /// The SIMD back end every fused stripe kernel runs on, snapshotted
     /// from [`SimdPolicy::global`] at construction. Outputs are
     /// bit-identical under every policy.

@@ -285,24 +285,15 @@ impl KeyGenerator {
 }
 
 /// Samples one uniform payload polynomial across every limb of `chain` into
-/// `buf` ([`ModulusChain::sample_uniform_limbs`]) and moves each limb stripe
-/// into the NTT domain, each generic limb under its own limb NTT.
+/// `buf` and moves it into the NTT domain.
 fn sample_limb_poly(
     rng: &mut ChaCha8Rng,
     tables: &NttTables,
     chain: &ModulusChain,
     buf: &mut [u64],
 ) {
-    let degree = chain.degree();
     chain.sample_uniform_limbs(rng, buf);
-    tables.forward(&mut buf[..degree]);
-    for li in 1..chain.limb_count() {
-        chain
-            .limb(li)
-            .ntt()
-            .expect("generic limbs carry NTT tables")
-            .forward(&mut buf[li * degree..(li + 1) * degree]);
-    }
+    chain.forward_limbs(tables, buf);
 }
 
 #[cfg(test)]

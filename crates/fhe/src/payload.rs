@@ -25,11 +25,10 @@
 //! generalizes to `[c0_q0 | c0_q1 | … | c0_q(k-1) | c1_q0 | … | c1_q(k-1)]`
 //! — each component half carries `k` consecutive *limb stripes* of `degree`
 //! values, one per chain prime, `2·k·degree` values in all. Every kernel
-//! is one loop over the limb stripes: limb 0 runs the existing Goldilocks
-//! ε-identity SIMD kernels **verbatim** (which is what makes `k = 1`
-//! bit-identical to the single-modulus engine — the loop runs once), and
-//! limbs `1..k` run the Barrett kernels of [`crate::rns`] under the same
-//! [`SimdPolicy`] dispatch.
+//! is one loop over the limb stripes handing one [`crate::simd`] kernel to
+//! each stripe's limb: limb 0 reduces by the Goldilocks ε-identity
+//! arithmetic (the `k = 1` engine is this loop over one limb), limbs `1..k`
+//! by Barrett, under the same [`SimdPolicy`] dispatch.
 //!
 //! All kernels write into caller-provided stripe buffers (typically from a
 //! [`PolyArena`](crate::PolyArena)) and walk the two component halves in
@@ -38,17 +37,23 @@
 //! once per component.
 
 use crate::poly::Domain;
-use crate::rns::{self, ModulusChain};
-use crate::simd::{self, SimdPolicy};
+use crate::rns::{Limb, ModulusChain};
+use crate::simd::{self, GaloisPermutation, SimdPolicy};
 use std::ops::Range;
 
-/// The consecutive `degree`-long limb stripes of a `len`-value buffer, as
-/// `(stripe_index, positions)`. Nothing for the empty payload.
-fn limb_stripes(len: usize, degree: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+/// The consecutive `degree`-long limb stripes of a `len`-value buffer of
+/// `limbs`-limb components, each with the limb that reduces it — a kernel
+/// is one [`Limb::run`] per stripe. Nothing for the empty payload.
+fn limb_stripes(
+    len: usize,
+    degree: usize,
+    limbs: usize,
+    chain: &ModulusChain,
+) -> impl Iterator<Item = (&Limb, Range<usize>)> {
     (0..len)
         .step_by(degree.max(1))
         .enumerate()
-        .map(move |(i, start)| (i, start..start + degree))
+        .map(move |(i, start)| (chain.limb(i % limbs), start..start + degree))
 }
 
 /// Both payload components of one ciphertext in a single contiguous stripe
@@ -191,6 +196,11 @@ impl CtPayload {
     /// mult[j]`, each limb stripe reduced by its own prime), so `mult` is
     /// read once per coefficient instead of once per component. `out` must
     /// be a stripe buffer of `self`'s length.
+    ///
+    /// # Panics
+    ///
+    /// Panics (like every kernel below) if an operand's length does not
+    /// match the payload's.
     pub fn mul_eval2(
         &self,
         mult: &[u64],
@@ -199,33 +209,19 @@ impl CtPayload {
         chain: &ModulusChain,
     ) {
         let half = self.data.len() / 2;
-        debug_assert!(mult.len() >= half);
-        debug_assert_eq!(out.len(), self.data.len());
+        assert_eq!(mult.len(), half, "multiplier length");
+        assert_eq!(out.len(), self.data.len(), "output stripe length");
         let (a0, a1) = (self.c0(), self.c1());
         let (out0, out1) = out.split_at_mut(half);
-        for (li, r) in limb_stripes(half, self.degree()) {
-            let limb = chain.limb(li);
-            if limb.is_goldilocks() {
-                simd::mul2_chunk(
-                    &a0[r.clone()],
-                    &a1[r.clone()],
-                    &mult[r.clone()],
-                    &mut out0[r.clone()],
-                    &mut out1[r],
-                    policy,
-                );
-            } else {
-                simd::mul2_chunk_q(
-                    &a0[r.clone()],
-                    &a1[r.clone()],
-                    &mult[r.clone()],
-                    &mut out0[r.clone()],
-                    &mut out1[r],
-                    limb.modulus(),
-                    limb.mu(),
-                    policy,
-                );
-            }
+        for (limb, r) in limb_stripes(half, self.degree(), self.limbs, chain) {
+            let kernel = simd::Mul2 {
+                x0: &a0[r.clone()],
+                x1: &a1[r.clone()],
+                m: &mult[r.clone()],
+                o0: &mut out0[r.clone()],
+                o1: &mut out1[r],
+            };
+            limb.run(kernel, policy);
         }
     }
 
@@ -251,41 +247,24 @@ impl CtPayload {
         chain: &ModulusChain,
     ) {
         let half = self.data.len() / 2;
-        debug_assert_eq!(other.data.len(), self.data.len());
-        debug_assert_eq!(s0.len(), half);
-        debug_assert_eq!(s1.len(), half);
-        debug_assert_eq!(out.len(), self.data.len());
+        assert_eq!(other.data.len(), self.data.len(), "operand stripe length");
+        assert_eq!((s0.len(), s1.len()), (half, half), "key-switch pair length");
+        assert_eq!(out.len(), self.data.len(), "output stripe length");
         let (a0, a1) = (self.c0(), self.c1());
         let (b0, b1) = (other.c0(), other.c1());
         let (out0, out1) = out.split_at_mut(half);
-        for (li, r) in limb_stripes(half, self.degree()) {
-            let limb = chain.limb(li);
-            if limb.is_goldilocks() {
-                simd::mul_add2_chunk(
-                    &a0[r.clone()],
-                    &a1[r.clone()],
-                    &b0[r.clone()],
-                    &b1[r.clone()],
-                    &s0[r.clone()],
-                    &s1[r.clone()],
-                    &mut out0[r.clone()],
-                    &mut out1[r],
-                    policy,
-                );
-            } else {
-                rns::mul_add2_chunk_q(
-                    &a0[r.clone()],
-                    &a1[r.clone()],
-                    &b0[r.clone()],
-                    &b1[r.clone()],
-                    &s0[r.clone()],
-                    &s1[r.clone()],
-                    &mut out0[r.clone()],
-                    &mut out1[r],
-                    limb.modulus(),
-                    limb.mu(),
-                );
-            }
+        for (limb, r) in limb_stripes(half, self.degree(), self.limbs, chain) {
+            let kernel = simd::MulAdd2 {
+                a0: &a0[r.clone()],
+                a1: &a1[r.clone()],
+                b0: &b0[r.clone()],
+                b1: &b1[r.clone()],
+                s0: &s0[r.clone()],
+                s1: &s1[r.clone()],
+                o0: &mut out0[r.clone()],
+                o1: &mut out1[r],
+            };
+            limb.run(kernel, policy);
         }
     }
 
@@ -300,7 +279,7 @@ impl CtPayload {
     /// permutation form of the automorphism only exists there).
     pub fn galois_eval2(
         &self,
-        perm: &[u32],
+        perm: &GaloisPermutation,
         key: &[u64],
         out: &mut [u64],
         policy: SimdPolicy,
@@ -308,28 +287,21 @@ impl CtPayload {
     ) {
         debug_assert_eq!(self.domain, Domain::Eval, "galois_eval2 needs Eval form");
         let half = self.data.len() / 2;
-        debug_assert_eq!(perm.len(), self.degree());
-        debug_assert_eq!(key.len(), half);
-        debug_assert_eq!(out.len(), self.data.len());
+        assert_eq!(perm.len(), self.degree(), "permutation length");
+        assert_eq!(key.len(), half, "key length");
+        assert_eq!(out.len(), self.data.len(), "output stripe length");
         let (a0, a1) = (self.c0(), self.c1());
         let (out0, out1) = out.split_at_mut(half);
-        for (li, r) in limb_stripes(half, self.degree()) {
-            let (s0, s1, k) = (&a0[r.clone()], &a1[r.clone()], &key[r.clone()]);
-            let limb = chain.limb(li);
-            if limb.is_goldilocks() {
-                simd::galois2_chunk(s0, s1, perm, k, &mut out0[r.clone()], &mut out1[r], policy);
-            } else {
-                rns::galois2_chunk_q(
-                    s0,
-                    s1,
-                    perm,
-                    k,
-                    &mut out0[r.clone()],
-                    &mut out1[r],
-                    limb.modulus(),
-                    limb.mu(),
-                );
-            }
+        for (limb, r) in limb_stripes(half, self.degree(), self.limbs, chain) {
+            let kernel = simd::Galois2 {
+                src0: &a0[r.clone()],
+                src1: &a1[r.clone()],
+                perm,
+                key: &key[r.clone()],
+                o0: &mut out0[r.clone()],
+                o1: &mut out1[r],
+            };
+            limb.run(kernel, policy);
         }
     }
 
@@ -342,31 +314,12 @@ impl CtPayload {
         policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
-        debug_assert_eq!(self.data.len(), other.data.len());
         debug_assert_eq!(self.domain, other.domain, "domain mismatch in add2");
-        debug_assert_eq!(out.len(), self.data.len());
-        if self.limbs == 1 {
-            simd::add_stripe(&self.data, &other.data, out, policy);
-            return;
-        }
-        let degree = self.degree();
-        for (si, r) in limb_stripes(self.data.len(), degree) {
-            let limb = chain.limb(si % self.limbs);
-            if limb.is_goldilocks() {
-                simd::add_stripe(
-                    &self.data[r.clone()],
-                    &other.data[r.clone()],
-                    &mut out[r],
-                    policy,
-                );
-            } else {
-                rns::add_chunk_q(
-                    &self.data[r.clone()],
-                    &other.data[r.clone()],
-                    &mut out[r],
-                    limb.modulus(),
-                );
-            }
+        let (x, y) = (&self.data, &other.data);
+        assert_eq!((y.len(), out.len()), (x.len(), x.len()), "stripe length");
+        for (limb, r) in limb_stripes(x.len(), self.degree(), self.limbs, chain) {
+            let (x, y, out) = (&x[r.clone()], &y[r.clone()], &mut out[r]);
+            limb.run(simd::Add { x, y, out }, policy);
         }
     }
 
@@ -379,108 +332,51 @@ impl CtPayload {
         policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
-        debug_assert_eq!(self.data.len(), other.data.len());
         debug_assert_eq!(self.domain, other.domain, "domain mismatch in sub2");
-        debug_assert_eq!(out.len(), self.data.len());
-        if self.limbs == 1 {
-            simd::sub_stripe(&self.data, &other.data, out, policy);
-            return;
-        }
-        let degree = self.degree();
-        for (si, r) in limb_stripes(self.data.len(), degree) {
-            let limb = chain.limb(si % self.limbs);
-            if limb.is_goldilocks() {
-                simd::sub_stripe(
-                    &self.data[r.clone()],
-                    &other.data[r.clone()],
-                    &mut out[r],
-                    policy,
-                );
-            } else {
-                rns::sub_chunk_q(
-                    &self.data[r.clone()],
-                    &other.data[r.clone()],
-                    &mut out[r],
-                    limb.modulus(),
-                );
-            }
+        let (x, y) = (&self.data, &other.data);
+        assert_eq!((y.len(), out.len()), (x.len(), x.len()), "stripe length");
+        for (limb, r) in limb_stripes(x.len(), self.degree(), self.limbs, chain) {
+            let (x, y, out) = (&x[r.clone()], &y[r.clone()], &mut out[r]);
+            limb.run(simd::Sub { x, y, out }, policy);
         }
     }
 
     /// Component-wise payload negation as one stripe pass:
     /// `out[j] = -self[j]`, each limb under its own prime.
     pub fn neg2(&self, out: &mut [u64], policy: SimdPolicy, chain: &ModulusChain) {
-        debug_assert_eq!(out.len(), self.data.len());
-        if self.limbs == 1 {
-            simd::neg_stripe(&self.data, out, policy);
-            return;
-        }
-        let degree = self.degree();
-        for (si, r) in limb_stripes(self.data.len(), degree) {
-            let limb = chain.limb(si % self.limbs);
-            if limb.is_goldilocks() {
-                simd::neg_stripe(&self.data[r.clone()], &mut out[r], policy);
-            } else {
-                rns::neg_chunk_q(&self.data[r.clone()], &mut out[r], limb.modulus());
-            }
+        let x = &self.data;
+        assert_eq!(out.len(), x.len(), "output stripe length");
+        for (limb, r) in limb_stripes(x.len(), self.degree(), self.limbs, chain) {
+            let (x, out) = (&x[r.clone()], &mut out[r]);
+            limb.run(simd::Neg { x, out }, policy);
         }
     }
 
     /// In-place variant of [`CtPayload::add2`].
     pub fn add_assign2(&mut self, other: &CtPayload, policy: SimdPolicy, chain: &ModulusChain) {
-        debug_assert_eq!(self.data.len(), other.data.len());
         debug_assert_eq!(self.domain, other.domain, "domain mismatch in add_assign2");
-        if self.limbs == 1 {
-            simd::add_stripe_assign(&mut self.data, &other.data, policy);
-            return;
-        }
-        let degree = self.degree();
-        let limbs = self.limbs;
-        for (si, r) in limb_stripes(self.data.len(), degree) {
-            let limb = chain.limb(si % limbs);
-            if limb.is_goldilocks() {
-                simd::add_stripe_assign(&mut self.data[r.clone()], &other.data[r], policy);
-            } else {
-                rns::add_chunk_q_assign(&mut self.data[r.clone()], &other.data[r], limb.modulus());
-            }
+        assert_eq!(other.data.len(), self.data.len(), "operand stripe length");
+        for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
+            let (x, y) = (&mut self.data[r.clone()], &other.data[r]);
+            limb.run(simd::AddAssign { x, y }, policy);
         }
     }
 
     /// In-place variant of [`CtPayload::sub2`].
     pub fn sub_assign2(&mut self, other: &CtPayload, policy: SimdPolicy, chain: &ModulusChain) {
-        debug_assert_eq!(self.data.len(), other.data.len());
         debug_assert_eq!(self.domain, other.domain, "domain mismatch in sub_assign2");
-        if self.limbs == 1 {
-            simd::sub_stripe_assign(&mut self.data, &other.data, policy);
-            return;
-        }
-        let degree = self.degree();
-        let limbs = self.limbs;
-        for (si, r) in limb_stripes(self.data.len(), degree) {
-            let limb = chain.limb(si % limbs);
-            if limb.is_goldilocks() {
-                simd::sub_stripe_assign(&mut self.data[r.clone()], &other.data[r], policy);
-            } else {
-                rns::sub_chunk_q_assign(&mut self.data[r.clone()], &other.data[r], limb.modulus());
-            }
+        assert_eq!(other.data.len(), self.data.len(), "operand stripe length");
+        for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
+            let (x, y) = (&mut self.data[r.clone()], &other.data[r]);
+            limb.run(simd::SubAssign { x, y }, policy);
         }
     }
 
     /// In-place variant of [`CtPayload::neg2`].
     pub fn neg_assign2(&mut self, policy: SimdPolicy, chain: &ModulusChain) {
-        if self.limbs == 1 {
-            simd::neg_stripe_assign(&mut self.data, policy);
-            return;
-        }
-        let degree = self.degree();
-        let limbs = self.limbs;
-        for (si, r) in limb_stripes(self.data.len(), degree) {
-            let limb = chain.limb(si % limbs);
-            if limb.is_goldilocks() {
-                simd::neg_stripe_assign(&mut self.data[r], policy);
-            } else {
-                rns::neg_chunk_q_assign(&mut self.data[r], limb.modulus());
-            }
+        for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
+            let x = &mut self.data[r];
+            limb.run(simd::NegAssign { x }, policy);
         }
     }
 }
@@ -751,6 +647,64 @@ mod tests {
                         % u128::from(q)) as u64;
                     assert_eq!(out[pos], expect, "limb {li} pos {j} {policy:?}");
                 }
+            }
+        }
+    }
+
+    /// A multiplier, key, permutation, operand or output of the wrong length
+    /// panics under both policies, in release builds too: no lane may read
+    /// or write past a short slice.
+    #[test]
+    fn mismatched_operand_lengths_panic_under_every_policy() {
+        use crate::poly::galois_eval_permutation;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let degree = 16usize;
+        for k in [1usize, 2] {
+            let chain = ModulusChain::new(k, degree, false);
+            let half = k * degree;
+            let a = random_limb_payload(&chain, degree, 0x51, Domain::Eval);
+            let small_chain = ModulusChain::new(k, degree / 2, false);
+            let small = random_limb_payload(&small_chain, degree / 2, 0x52, Domain::Eval);
+            let full = vec![1u64; half];
+            let short = vec![1u64; half / 2];
+            let perm = galois_eval_permutation(degree, 3);
+            let short_perm = galois_eval_permutation(degree / 2, 3);
+            for policy in policies() {
+                let panics = |name: &str, kernel: &dyn Fn(&mut [u64])| {
+                    let mut out = vec![0u64; 2 * half];
+                    let outcome = catch_unwind(AssertUnwindSafe(|| kernel(&mut out)));
+                    assert!(
+                        outcome.is_err(),
+                        "{name} accepted a mismatch (k={k}, {policy:?})"
+                    );
+                };
+                panics("mul_eval2", &|out| a.mul_eval2(&short, out, policy, &chain));
+                panics("mul_eval2 output", &|out| {
+                    a.mul_eval2(&full, &mut out[..half], policy, &chain)
+                });
+                panics("mul_add_eval2 operand", &|out| {
+                    a.mul_add_eval2(&small, &full, &full, out, policy, &chain)
+                });
+                panics("mul_add_eval2 key", &|out| {
+                    a.mul_add_eval2(&a, &full, &short, out, policy, &chain)
+                });
+                panics("galois_eval2 key", &|out| {
+                    a.galois_eval2(&perm, &short, out, policy, &chain)
+                });
+                panics("galois_eval2 permutation", &|out| {
+                    a.galois_eval2(&short_perm, &full, out, policy, &chain)
+                });
+                panics("add2", &|out| a.add2(&small, out, policy, &chain));
+                panics("sub2 output", &|out| {
+                    a.sub2(&a, &mut out[..half], policy, &chain)
+                });
+                panics("neg2", &|out| a.neg2(&mut out[..half], policy, &chain));
+                panics("add_assign2", &|_| {
+                    a.clone().add_assign2(&small, policy, &chain)
+                });
+                panics("sub_assign2", &|_| {
+                    a.clone().sub_assign2(&small, policy, &chain)
+                });
             }
         }
     }

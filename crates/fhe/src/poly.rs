@@ -18,7 +18,7 @@
 //! (`O(n)`) and forward/inverse transforms only happen at representation
 //! boundaries.
 
-use crate::simd::{self, SimdPolicy};
+use crate::simd::{self, GaloisPermutation, Goldilocks, SimdPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -294,8 +294,7 @@ impl NttTables {
     /// (`t == 1`), so the "single normalization pass" is free — see the
     /// [`crate::simd`] module docs for the invariant. Output is always
     /// canonical. Stage `m`'s twiddles occupy the contiguous range
-    /// `psi_rev[m..2m]`, so each stage dispatches as one call
-    /// ([`simd::forward_stage`]).
+    /// `psi_rev[m..2m]`, so each stage dispatches as one kernel.
     pub fn forward(&self, a: &mut [u64]) {
         debug_assert_eq!(a.len(), self.degree);
         self.counters.forward.fetch_add(1, Ordering::Relaxed);
@@ -304,8 +303,15 @@ impl NttTables {
         let mut m = 1usize;
         while m < n {
             t /= 2;
-            let canonical = 2 * m == n;
-            simd::forward_stage(a, &self.psi_rev[m..2 * m], t, canonical, self.policy);
+            let stage = simd::Stage {
+                a: &mut *a,
+                twiddles: &self.psi_rev[m..2 * m],
+                t,
+                butterfly: simd::Forward {
+                    canonical: 2 * m == n,
+                },
+            };
+            simd::dispatch(stage, Goldilocks, self.policy);
             m *= 2;
         }
         debug_assert!(
@@ -326,11 +332,18 @@ impl NttTables {
         let mut m = a.len();
         while m > 1 {
             let h = m / 2;
-            simd::inverse_stage(a, &self.inv_psi_rev[h..m], t, self.policy);
+            let stage = simd::Stage {
+                a: &mut *a,
+                twiddles: &self.inv_psi_rev[h..m],
+                t,
+                butterfly: simd::Inverse,
+            };
+            simd::dispatch(stage, Goldilocks, self.policy);
             t *= 2;
             m = h;
         }
-        simd::scale_canonical(a, self.inv_degree, self.policy);
+        let k = self.inv_degree;
+        simd::dispatch(simd::Scale { a, k }, Goldilocks, self.policy);
         debug_assert!(
             a.iter().all(|&x| x < MODULUS),
             "inverse NTT output must be canonical after the scaling pass"
@@ -653,12 +666,12 @@ impl Poly {
         debug_assert_eq!(self.domain, Domain::Eval);
         let perm = galois_eval_permutation(self.degree(), galois_elt);
         let mut out = vec![0u64; self.degree()];
-        crate::simd::gather_chunk(
-            &self.coeffs,
-            &perm,
-            &mut out,
-            crate::simd::SimdPolicy::global(),
-        );
+        let gather = simd::Gather {
+            src: &self.coeffs,
+            perm: &perm,
+            out: &mut out,
+        };
+        simd::dispatch(gather, Goldilocks, SimdPolicy::global());
         Poly {
             coeffs: out,
             domain: Domain::Eval,
@@ -676,24 +689,26 @@ impl Poly {
 /// automorphism permutes indices, and the permutation depends only on
 /// `(n, galois_elt)`, which makes it worth caching per rotation step.
 ///
+/// The result is a [`GaloisPermutation`]: the type a gather takes, whose
+/// constructor checked every index against `n`.
+///
 /// # Panics
 ///
 /// Debug builds panic if `galois_elt` is even or `n` is not a power of two.
-pub fn galois_eval_permutation(n: usize, galois_elt: usize) -> Vec<u32> {
+pub fn galois_eval_permutation(n: usize, galois_elt: usize) -> Box<GaloisPermutation> {
     debug_assert!(n.is_power_of_two());
     debug_assert!(galois_elt % 2 == 1, "Galois element must be odd");
     let log_n = n.trailing_zeros();
     let br = |i: usize| -> usize { ((i as u32).reverse_bits() >> (32 - log_n)) as usize };
-    (0..n)
-        .map(|i| {
-            // The value output slot `i` must hold is A(psi^(j·g)) where
-            // j = 2·br(i)+1; the input stores it at the index whose odd
-            // exponent is j·g mod 2n.
-            let j = 2 * br(i) + 1;
-            let jg = (j * galois_elt) % (2 * n);
-            br((jg - 1) / 2) as u32
-        })
-        .collect()
+    let indices = (0..n).map(|i| {
+        // The value output slot `i` must hold is A(psi^(j·g)) where
+        // j = 2·br(i)+1; the input stores it at the index whose odd
+        // exponent is j·g mod 2n.
+        let j = 2 * br(i) + 1;
+        let jg = (j * galois_elt) % (2 * n);
+        br((jg - 1) / 2) as u32
+    });
+    GaloisPermutation::new(indices.collect())
 }
 
 #[cfg(test)]

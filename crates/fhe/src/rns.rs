@@ -28,7 +28,7 @@
 //! * **Barrett pointwise products** ([`barrett_mul`]): one precomputed
 //!   `mu = ⌊2^124 / q⌋` per limb turns every modular multiply into two
 //!   wide multiplies plus two conditional subtracts (estimate error is
-//!   provably `< 3q`). The AVX2 twin lives in [`crate::simd`].
+//!   provably `< 3q`); [`crate::simd`] holds its four-wide form.
 //! * **Shoup butterflies** ([`LimbNtt`]): negacyclic NTTs in the
 //!   Longa–Naehrig lazy style, twiddles stored with their Shoup
 //!   companions `w' = ⌊w·2^64 / q⌋`, operands riding in `[0, 4q)` forward
@@ -44,8 +44,8 @@
 //! component's limbs into one word, which the decryptor feeds through
 //! `black_box` so the simulation pays the real CRT cost.
 
-use crate::poly::MODULUS;
-use crate::simd::p_canonical;
+use crate::poly::{NttTables, MODULUS};
+use crate::simd::{self, p_canonical, SimdPolicy};
 use rand::Rng;
 
 /// Number of bits below which the Barrett scheme of this module is
@@ -72,17 +72,18 @@ pub fn add_mod(a: u64, b: u64, q: u64) -> u64 {
     }
 }
 
-/// `(a - b) mod q` for canonical `a, b < q`.
+/// `(a - b) mod q` for canonical `a, b < q` — any word-sized `q`, the
+/// Goldilocks prime included (`a + q` may wrap; the difference is exact).
 #[inline]
 pub fn sub_mod(a: u64, b: u64, q: u64) -> u64 {
     if a >= b {
         a - b
     } else {
-        a + q - b
+        a.wrapping_add(q).wrapping_sub(b)
     }
 }
 
-/// `-a mod q` for canonical `a < q`.
+/// `-a mod q` for canonical `a < q` (any word-sized `q`).
 #[inline]
 pub fn neg_mod(a: u64, q: u64) -> u64 {
     if a == 0 {
@@ -519,6 +520,18 @@ impl Limb {
     pub fn ntt(&self) -> Option<&LimbNtt> {
         self.ntt.as_ref()
     }
+
+    /// Runs `kernel` under this limb's modulus — the one place a kernel
+    /// learns which prime it reduces by: the ε-identity arithmetic for the
+    /// Goldilocks limb, Barrett for every other.
+    pub(crate) fn run(&self, kernel: impl simd::Kernel, policy: SimdPolicy) {
+        if self.is_goldilocks() {
+            simd::dispatch(kernel, simd::Goldilocks, policy);
+        } else {
+            let (q, mu) = (self.q, self.mu);
+            simd::dispatch(kernel, simd::Barrett { q, mu }, policy);
+        }
+    }
 }
 
 /// The RNS modulus chain: limb 0 is Goldilocks, limbs `1..k` are distinct
@@ -620,6 +633,27 @@ impl ModulusChain {
         }
     }
 
+    /// Moves every limb stripe of `buf` (`limb_count · degree` coefficient
+    /// values) into the NTT domain: limb 0 under the shared Goldilocks
+    /// `tables`, each generic limb under its own Shoup tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain was built without NTT tables.
+    pub(crate) fn forward_limbs(&self, tables: &NttTables, buf: &mut [u64]) {
+        debug_assert_eq!(buf.len(), self.limbs.len() * self.degree);
+        let (base, generic) = buf.split_at_mut(self.degree);
+        tables.forward(base);
+        for (limb, stripe) in self.limbs[1..]
+            .iter()
+            .zip(generic.chunks_exact_mut(self.degree))
+        {
+            limb.ntt()
+                .expect("generic limbs carry NTT tables under compute simulation")
+                .forward(stripe);
+        }
+    }
+
     /// Garner mixed-radix digits of the integer with the given per-limb
     /// residues (`residues[i] = x mod q_i`), written into `digits`.
     fn garner_digits(&self, residues: &[u64], digits: &mut [u64]) {
@@ -708,109 +742,6 @@ impl ModulusChain {
             }
         }
         acc
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scalar generic-limb chunk kernels (Barrett pointwise, segment bodies)
-// ---------------------------------------------------------------------------
-//
-// These are the generic-prime twins of the Goldilocks chunk kernels in
-// `crate::simd`, called by the payload's limb walk on every limb past the
-// first. The fused ct-pt product (`mul2`) is hot enough to earn an AVX2
-// twin (`crate::simd::mul2_chunk_q`); the rest run scalar Barrett.
-
-/// Generic-limb twin of [`crate::simd::mul_add2_chunk`] (the fused BFV
-/// tensor product + relinearization, mod `q`).
-#[allow(clippy::too_many_arguments)]
-pub fn mul_add2_chunk_q(
-    a0: &[u64],
-    a1: &[u64],
-    b0: &[u64],
-    b1: &[u64],
-    s0: &[u64],
-    s1: &[u64],
-    o0: &mut [u64],
-    o1: &mut [u64],
-    q: u64,
-    mu: u64,
-) {
-    for i in 0..o0.len() {
-        let c2 = barrett_mul(a1[i], b1[i], q, mu);
-        o0[i] = add_mod(
-            barrett_mul(a0[i], b0[i], q, mu),
-            barrett_mul(c2, s0[i], q, mu),
-            q,
-        );
-        let cross = add_mod(
-            barrett_mul(a0[i], b1[i], q, mu),
-            barrett_mul(a1[i], b0[i], q, mu),
-            q,
-        );
-        o1[i] = add_mod(cross, barrett_mul(c2, s1[i], q, mu), q);
-    }
-}
-
-/// Generic-limb twin of [`crate::simd::galois2_chunk`]: gather by the
-/// permutation window, multiply by the key window (mod `q`). `src0`/`src1`
-/// are the limb's full component stripes.
-#[allow(clippy::too_many_arguments)]
-pub fn galois2_chunk_q(
-    src0: &[u64],
-    src1: &[u64],
-    perm: &[u32],
-    key: &[u64],
-    o0: &mut [u64],
-    o1: &mut [u64],
-    q: u64,
-    mu: u64,
-) {
-    for i in 0..o0.len() {
-        let src = perm[i] as usize;
-        o0[i] = barrett_mul(src0[src], key[i], q, mu);
-        o1[i] = barrett_mul(src1[src], key[i], q, mu);
-    }
-}
-
-/// Generic-limb segment addition: `out[i] = (x[i] + y[i]) mod q`.
-pub fn add_chunk_q(x: &[u64], y: &[u64], out: &mut [u64], q: u64) {
-    for i in 0..out.len() {
-        out[i] = add_mod(x[i], y[i], q);
-    }
-}
-
-/// Generic-limb segment subtraction: `out[i] = (x[i] - y[i]) mod q`.
-pub fn sub_chunk_q(x: &[u64], y: &[u64], out: &mut [u64], q: u64) {
-    for i in 0..out.len() {
-        out[i] = sub_mod(x[i], y[i], q);
-    }
-}
-
-/// Generic-limb segment negation: `out[i] = -x[i] mod q`.
-pub fn neg_chunk_q(x: &[u64], out: &mut [u64], q: u64) {
-    for i in 0..out.len() {
-        out[i] = neg_mod(x[i], q);
-    }
-}
-
-/// In-place [`add_chunk_q`].
-pub fn add_chunk_q_assign(x: &mut [u64], y: &[u64], q: u64) {
-    for i in 0..x.len() {
-        x[i] = add_mod(x[i], y[i], q);
-    }
-}
-
-/// In-place [`sub_chunk_q`].
-pub fn sub_chunk_q_assign(x: &mut [u64], y: &[u64], q: u64) {
-    for i in 0..x.len() {
-        x[i] = sub_mod(x[i], y[i], q);
-    }
-}
-
-/// In-place [`neg_chunk_q`].
-pub fn neg_chunk_q_assign(x: &mut [u64], q: u64) {
-    for v in x.iter_mut() {
-        *v = neg_mod(*v, q);
     }
 }
 
@@ -1048,8 +979,10 @@ mod tests {
 
     #[test]
     fn generic_chunk_kernels_match_reference_arithmetic() {
+        use crate::simd::{Add, AddAssign, Galois2, GaloisPermutation, MulAdd2, Neg, NegAssign};
+        use crate::simd::{Sub, SubAssign};
         let chain = ModulusChain::new(2, 64, false);
-        let (q, mu) = (chain.limb(1).modulus(), chain.limb(1).mu());
+        let (limb, q) = (chain.limb(1), chain.limb(1).modulus());
         let n = 33;
         let reduce = |v: Vec<u64>| -> Vec<u64> { v.into_iter().map(|x| x % q).collect() };
         let a0 = reduce(random_values(n, 11));
@@ -1059,39 +992,49 @@ mod tests {
         let s0 = reduce(random_values(n, 15));
         let s1 = reduce(random_values(n, 16));
 
-        let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);
-        mul_add2_chunk_q(&a0, &a1, &b0, &b1, &s0, &s1, &mut o0, &mut o1, q, mu);
-        for i in 0..n {
-            let c2 = mul_mod_u128(a1[i], b1[i], q);
-            assert_eq!(
-                o0[i],
-                add_mod(mul_mod_u128(a0[i], b0[i], q), mul_mod_u128(c2, s0[i], q), q)
-            );
-        }
+        for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
+            let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);
+            let (a0, a1, b0, b1, s0, s1) = (&a0[..], &a1[..], &b0[..], &b1[..], &s0[..], &s1[..]);
+            let (o0, o1) = (&mut o0[..], &mut o1[..]);
+            #[rustfmt::skip]
+            limb.run(MulAdd2 { a0, a1, b0, b1, s0, s1, o0: &mut *o0, o1: &mut *o1 }, policy);
+            for i in 0..n {
+                let c2 = mul_mod_u128(a1[i], b1[i], q);
+                assert_eq!(
+                    o0[i],
+                    add_mod(mul_mod_u128(a0[i], b0[i], q), mul_mod_u128(c2, s0[i], q), q)
+                );
+            }
 
-        let perm: Vec<u32> = (0..n as u32).map(|i| (i * 5 + 2) % n as u32).collect();
-        galois2_chunk_q(&a0, &a1, &perm, &b0, &mut o0, &mut o1, q, mu);
-        for i in 0..n {
-            assert_eq!(o0[i], mul_mod_u128(a0[perm[i] as usize], b0[i], q));
-        }
+            let perm =
+                GaloisPermutation::new((0..n as u32).map(|i| (i * 5 + 2) % n as u32).collect());
+            #[rustfmt::skip]
+            limb.run(Galois2 { src0: a0, src1: a1, perm: &perm, key: b0, o0: &mut *o0, o1: &mut *o1 }, policy);
+            for i in 0..n {
+                assert_eq!(o0[i], mul_mod_u128(a0[perm[i] as usize], b0[i], q));
+            }
 
-        add_chunk_q(&a0, &a1, &mut o0, q);
-        sub_chunk_q(&a0, &a1, &mut o1, q);
-        let mut o2 = vec![0u64; n];
-        neg_chunk_q(&a0, &mut o2, q);
-        for i in 0..n {
-            assert_eq!(o0[i], (a0[i] + a1[i]) % q);
-            assert_eq!(o1[i], (a0[i] + q - a1[i]) % q);
-            assert_eq!(o2[i], (q - a0[i]) % q);
+            let (x, y) = (a0, a1);
+            let mut o2 = vec![0u64; n];
+            #[rustfmt::skip]
+            limb.run(Add { x, y, out: &mut *o0 }, policy);
+            #[rustfmt::skip]
+            limb.run(Sub { x, y, out: &mut *o1 }, policy);
+            limb.run(Neg { x, out: &mut o2 }, policy);
+            for i in 0..n {
+                assert_eq!(o0[i], (a0[i] + a1[i]) % q);
+                assert_eq!(o1[i], (a0[i] + q - a1[i]) % q);
+                assert_eq!(o2[i], (q - a0[i]) % q);
+            }
+            let mut out = a0.to_vec();
+            limb.run(AddAssign { x: &mut out, y }, policy);
+            assert_eq!(out, o0);
+            let mut out = a0.to_vec();
+            limb.run(SubAssign { x: &mut out, y }, policy);
+            assert_eq!(out, o1);
+            let mut out = a0.to_vec();
+            limb.run(NegAssign { x: &mut out }, policy);
+            assert_eq!(out, o2);
         }
-        let mut x = a0.clone();
-        add_chunk_q_assign(&mut x, &a1, q);
-        assert_eq!(x, o0);
-        let mut x = a0.clone();
-        sub_chunk_q_assign(&mut x, &a1, q);
-        assert_eq!(x, o1);
-        let mut x = a0.clone();
-        neg_chunk_q_assign(&mut x, q);
-        assert_eq!(x, o2);
     }
 }

@@ -26,27 +26,43 @@
 //! canonicalization into its last butterfly stage; the inverse NTT gets it
 //! for free from the final `n^{-1}` scaling, which uses the full reduction.
 //!
-//! # SIMD dispatch
+//! # One definition per kernel
 //!
-//! [`SimdPolicy`] is resolved once per process (AVX2 via
-//! `is_x86_feature_detected!`, forcible with `CHEHAB_SIMD={0,1}`), then
-//! snapshotted by `NttTables` and `Evaluator` at construction so a given
-//! session's arithmetic is uniform. The AVX2 kernels process four 64-bit
-//! lanes per step using only stable `std::arch` intrinsics (no external
-//! crates); 64×64→128 products are synthesized from `_mm256_mul_epu32`
-//! partial products, and unsigned lane compares from the sign-flip trick.
-//! The scalar path is the bit-identity oracle and the fallback for tails,
-//! small blocks, and non-x86 targets: both paths run the same correction
-//! algorithm element-wise, so even their *lazy representatives* agree.
+//! Every payload and NTT kernel is written once, over two axes:
+//!
+//! * a `Lane` — how many residues move together: `u64` (one; its methods
+//!   are the scalar primitives below and [`crate::rns`]'s Barrett family)
+//!   or the private four-wide AVX2 vector of `mod avx2` (the same
+//!   correction algorithms element-wise, 64×64→128 products synthesized
+//!   from `_mm256_mul_epu32` partial products, unsigned compares from the
+//!   sign-flip trick, stable `std::arch` intrinsics only);
+//! * a `Modulus` — which prime the lane is reduced under: `Goldilocks`
+//!   (the lazy ε-identity sequence above, one canonicalization per stored
+//!   value) or `Barrett` (a generic RNS limb prime, canonical throughout).
+//!
+//! A `Pointwise` kernel states its arithmetic for one lane at index `i`;
+//! the one lane walk (`Kernel::run`) asserts the kernel's slice lengths,
+//! covers whole lanes, and finishes the ragged end with the `u64` lane.
+//! `dispatch` picks the lane: [`SimdPolicy`] is resolved once per process
+//! (AVX2 via `is_x86_feature_detected!`, forcible with `CHEHAB_SIMD={0,1}`),
+//! then snapshotted by `NttTables` and `Evaluator` at construction so a
+//! session's arithmetic is uniform.
+//!
+//! Outputs are bit-identical on every instantiation by construction: a
+//! canonical representative is unique, every stored value is canonical, and
+//! the Goldilocks lazy sequence is the same function at both lane widths —
+//! so even the *lazy representatives* inside a transform agree.
 
-// The one module in the crate allowed to use `unsafe`: stable `std::arch`
-// intrinsics behind runtime feature detection. Every unsafe block is a call
-// into the AVX2 back end, guarded by the policy that is only ever granted
-// on CPUs reporting the feature.
+// The one module in the crate allowed to use `unsafe`, for stable `std::arch`
+// intrinsics. The invariant is stated once: the four-wide lane is private to
+// `mod avx2` and instantiated only under that module's `#[target_feature]`
+// entry, which `dispatch` enters only after `is_x86_feature_detected!`.
 #![allow(unsafe_code)]
 
-use crate::poly::{p_add, p_mul, p_mul_add, p_neg, p_sub, MODULUS};
+use crate::poly::{p_add, MODULUS};
+use crate::rns;
 use std::hint::select_unpredictable;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// `2^64 mod p = 2^32 - 1`: the wrap-compensation constant of the lazy
@@ -226,38 +242,391 @@ impl SimdPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatching kernel entry points (safe API)
+// The lane axis
 // ---------------------------------------------------------------------------
 
-/// Minimum slice length worth entering a vector kernel: below one full
-/// vector there is nothing to vectorize.
-const LANES: usize = 4;
+/// An Eval-domain index permutation (`out[i] = in[perm[i]]`) whose
+/// constructor proved every index in range, so a gather indexes a source of
+/// the permutation's length without checking each entry. A slice type, like
+/// the `[u32]` it dereferences to: owned as a `Box` or an `Arc`, handed to
+/// kernels as `&GaloisPermutation`. Built by
+/// [`crate::poly::galois_eval_permutation`].
+#[derive(Debug, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct GaloisPermutation([u32]);
 
-/// Fused dual-component pointwise product chunk:
-/// `o0[i] = x0[i]·m[i]`, `o1[i] = x1[i]·m[i]` (canonical outputs).
-#[inline]
-pub fn mul2_chunk(
-    x0: &[u64],
-    x1: &[u64],
-    m: &[u64],
-    o0: &mut [u64],
-    o1: &mut [u64],
-    policy: SimdPolicy,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && o0.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::mul2(x0, x1, m, o0, o1) };
-        return;
-    }
-    let _ = policy;
-    for i in 0..o0.len() {
-        o0[i] = p_mul(x0[i], m[i]);
-        o1[i] = p_mul(x1[i], m[i]);
+impl GaloisPermutation {
+    /// Wraps `indices` after checking each one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is not below `indices.len()`, or if there are more
+    /// than `2^31` of them (the vector gather reads indices as `i32`).
+    pub fn new(indices: Vec<u32>) -> Box<Self> {
+        let n = indices.len();
+        assert!(n <= 1 << 31, "a permutation holds at most 2^31 indices");
+        assert!(
+            indices.iter().all(|&i| (i as usize) < n),
+            "permutation index out of range"
+        );
+        let indices = Box::into_raw(indices.into_boxed_slice());
+        // SAFETY: `GaloisPermutation` is `repr(transparent)` over `[u32]`, so
+        // the pointer `Box::into_raw` gave up is a valid box of either type.
+        unsafe { Box::from_raw(indices as *mut GaloisPermutation) }
     }
 }
 
-/// Fused BFV tensor-product + relinearization chunk (six ring products per
+impl Deref for GaloisPermutation {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.0
+    }
+}
+
+/// The residues that move through a kernel together: one (`u64`) or four
+/// (the AVX2 vector of `mod avx2`). The Goldilocks methods take and return
+/// lazy residues unless named `canonical`; the `mod q` methods take and
+/// return canonical residues of `q`, with `q` and `mu` splatted.
+pub(crate) trait Lane: Copy {
+    /// Residues per lane.
+    const WIDTH: usize;
+
+    /// `x` in every position.
+    fn splat(x: u64) -> Self;
+    /// `src[i..i + WIDTH]`.
+    fn load(src: &[u64], i: usize) -> Self;
+    /// Writes the lane to `dst[i..i + WIDTH]`.
+    fn store(self, dst: &mut [u64], i: usize);
+    /// `src[perm[i + j]]` in position `j`; `src` is at least as long as
+    /// `perm`.
+    fn gather(src: &[u64], perm: &GaloisPermutation, i: usize) -> Self;
+
+    /// Lazy Goldilocks `a + b` ([`p_add_lazy`]).
+    fn add_lazy(self, b: Self) -> Self;
+    /// Lazy Goldilocks `a - b` ([`p_sub_lazy`]).
+    fn sub_lazy(self, b: Self) -> Self;
+    /// Lazy Goldilocks `a·b` ([`p_mul_lazy`]).
+    fn mul_lazy(self, b: Self) -> Self;
+    /// Lazy Goldilocks `a·b + c`: 128-bit accumulate, one lazy reduction.
+    fn mul_add_lazy(self, b: Self, c: Self) -> Self;
+    /// The canonical representative of a lazy residue ([`p_canonical`]).
+    fn canonical(self) -> Self;
+    /// Canonical Goldilocks `a + b` of canonical operands.
+    fn add_canonical(self, b: Self) -> Self;
+
+    /// `a·b mod q` ([`rns::barrett_mul`]).
+    fn barrett_mul(self, b: Self, q: Self, mu: Self) -> Self;
+    /// `a + b mod q`, `q < 2^63`.
+    fn add_mod(self, b: Self, q: Self) -> Self;
+    /// `a - b mod q`, any `q` — Goldilocks included.
+    fn sub_mod(self, b: Self, q: Self) -> Self;
+    /// `-a mod q`, any `q`.
+    fn neg_mod(self, q: Self) -> Self;
+
+    /// Runs the leading groups of a butterfly stage whose half-width `t` is
+    /// narrower than the lane, by moving values across groups into whole
+    /// `(lo, hi, twiddle)` lanes for `butterfly`, and returns how many
+    /// groups it covered (the rest, and every group of a stage at least as
+    /// wide as the lane, are the caller's). The one-wide lane is never
+    /// narrower than a stage: nothing to do.
+    #[inline(always)]
+    fn narrow_stage<B: Butterfly, M: Modulus>(
+        _a: &mut [u64],
+        _twiddles: &[u64],
+        _t: usize,
+        _butterfly: B,
+        _m: M,
+    ) -> usize {
+        0
+    }
+}
+
+impl Lane for u64 {
+    const WIDTH: usize = 1;
+
+    #[inline(always)]
+    fn splat(x: u64) -> u64 {
+        x
+    }
+    #[inline(always)]
+    fn load(src: &[u64], i: usize) -> u64 {
+        src[i]
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [u64], i: usize) {
+        dst[i] = self;
+    }
+    #[inline(always)]
+    fn gather(src: &[u64], perm: &GaloisPermutation, i: usize) -> u64 {
+        src[perm[i] as usize]
+    }
+
+    #[inline(always)]
+    fn add_lazy(self, b: u64) -> u64 {
+        p_add_lazy(self, b)
+    }
+    #[inline(always)]
+    fn sub_lazy(self, b: u64) -> u64 {
+        p_sub_lazy(self, b)
+    }
+    #[inline(always)]
+    fn mul_lazy(self, b: u64) -> u64 {
+        p_mul_lazy(self, b)
+    }
+    #[inline(always)]
+    fn mul_add_lazy(self, b: u64, c: u64) -> u64 {
+        // Cannot overflow: `(2^64-1)^2 + (2^64-1) < 2^128`.
+        reduce128_lazy(u128::from(self) * u128::from(b) + u128::from(c))
+    }
+    #[inline(always)]
+    fn canonical(self) -> u64 {
+        p_canonical(self)
+    }
+    #[inline(always)]
+    fn add_canonical(self, b: u64) -> u64 {
+        p_add(self, b)
+    }
+
+    #[inline(always)]
+    fn barrett_mul(self, b: u64, q: u64, mu: u64) -> u64 {
+        rns::barrett_mul(self, b, q, mu)
+    }
+    #[inline(always)]
+    fn add_mod(self, b: u64, q: u64) -> u64 {
+        rns::add_mod(self, b, q)
+    }
+    #[inline(always)]
+    fn sub_mod(self, b: u64, q: u64) -> u64 {
+        rns::sub_mod(self, b, q)
+    }
+    #[inline(always)]
+    fn neg_mod(self, q: u64) -> u64 {
+        rns::neg_mod(self, q)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The modulus axis
+// ---------------------------------------------------------------------------
+
+/// The prime a kernel reduces under, as the operations kernels are written
+/// in. A *working* residue is whatever the modulus carries between
+/// operations — lazy on Goldilocks, canonical under Barrett; [`mul`],
+/// [`mul_add`], [`add_lazy`] and [`sub_lazy`] take and return working
+/// residues, [`canonical`] makes one storable, and [`add`] / [`sub`] /
+/// [`neg`] map canonical residues to canonical residues.
+///
+/// [`mul`]: Modulus::mul
+/// [`mul_add`]: Modulus::mul_add
+/// [`add_lazy`]: Modulus::add_lazy
+/// [`sub_lazy`]: Modulus::sub_lazy
+/// [`canonical`]: Modulus::canonical
+/// [`add`]: Modulus::add
+/// [`sub`]: Modulus::sub
+/// [`neg`]: Modulus::neg
+pub(crate) trait Modulus: Copy {
+    /// `a·b`.
+    fn mul<L: Lane>(self, a: L, b: L) -> L;
+    /// `a·b + c`.
+    fn mul_add<L: Lane>(self, a: L, b: L, c: L) -> L;
+    /// `a + b`.
+    fn add_lazy<L: Lane>(self, a: L, b: L) -> L;
+    /// `a - b`.
+    fn sub_lazy<L: Lane>(self, a: L, b: L) -> L;
+    /// The canonical representative of a working residue.
+    fn canonical<L: Lane>(self, a: L) -> L;
+    /// Canonical `a + b`.
+    fn add<L: Lane>(self, a: L, b: L) -> L;
+    /// Canonical `a - b`.
+    fn sub<L: Lane>(self, a: L, b: L) -> L;
+    /// Canonical `-a`.
+    fn neg<L: Lane>(self, a: L) -> L;
+}
+
+/// The Goldilocks prime `p = 2^64 - 2^32 + 1` (limb 0 of every chain, and
+/// the NTT's field): lazy ε-identity arithmetic, canonicalized once per
+/// stored value.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Goldilocks;
+
+impl Modulus for Goldilocks {
+    #[inline(always)]
+    fn mul<L: Lane>(self, a: L, b: L) -> L {
+        a.mul_lazy(b)
+    }
+    #[inline(always)]
+    fn mul_add<L: Lane>(self, a: L, b: L, c: L) -> L {
+        a.mul_add_lazy(b, c)
+    }
+    #[inline(always)]
+    fn add_lazy<L: Lane>(self, a: L, b: L) -> L {
+        a.add_lazy(b)
+    }
+    #[inline(always)]
+    fn sub_lazy<L: Lane>(self, a: L, b: L) -> L {
+        a.sub_lazy(b)
+    }
+    #[inline(always)]
+    fn canonical<L: Lane>(self, a: L) -> L {
+        a.canonical()
+    }
+    #[inline(always)]
+    fn add<L: Lane>(self, a: L, b: L) -> L {
+        a.add_canonical(b)
+    }
+    #[inline(always)]
+    fn sub<L: Lane>(self, a: L, b: L) -> L {
+        a.sub_mod(b, L::splat(MODULUS))
+    }
+    #[inline(always)]
+    fn neg<L: Lane>(self, a: L) -> L {
+        a.neg_mod(L::splat(MODULUS))
+    }
+}
+
+/// A generic RNS limb prime `2^60 < q < 2^61` with its Barrett constant
+/// `mu = ⌊2^124 / q⌋`: every residue stays canonical.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Barrett {
+    /// The limb prime.
+    pub q: u64,
+    /// [`rns::barrett_mu`] of `q`.
+    pub mu: u64,
+}
+
+impl Modulus for Barrett {
+    #[inline(always)]
+    fn mul<L: Lane>(self, a: L, b: L) -> L {
+        a.barrett_mul(b, L::splat(self.q), L::splat(self.mu))
+    }
+    #[inline(always)]
+    fn mul_add<L: Lane>(self, a: L, b: L, c: L) -> L {
+        self.mul(a, b).add_mod(c, L::splat(self.q))
+    }
+    #[inline(always)]
+    fn add_lazy<L: Lane>(self, a: L, b: L) -> L {
+        self.add(a, b)
+    }
+    #[inline(always)]
+    fn sub_lazy<L: Lane>(self, a: L, b: L) -> L {
+        self.sub(a, b)
+    }
+    #[inline(always)]
+    fn canonical<L: Lane>(self, a: L) -> L {
+        a
+    }
+    #[inline(always)]
+    fn add<L: Lane>(self, a: L, b: L) -> L {
+        a.add_mod(b, L::splat(self.q))
+    }
+    #[inline(always)]
+    fn sub<L: Lane>(self, a: L, b: L) -> L {
+        a.sub_mod(b, L::splat(self.q))
+    }
+    #[inline(always)]
+    fn neg<L: Lane>(self, a: L) -> L {
+        a.neg_mod(L::splat(self.q))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Kernels: one lane walk, one dispatch
+// ---------------------------------------------------------------------------
+
+/// What [`dispatch`] runs: a kernel's whole pass under one lane width and
+/// one modulus.
+pub(crate) trait Kernel: Sized {
+    /// Runs the kernel with `L`-wide lanes reduced under `m`.
+    fn run<L: Lane, M: Modulus>(self, m: M);
+}
+
+/// A kernel whose output at index `i` depends only on its inputs at `i`
+/// (and, for a gather, on a permuted source): [`Kernel::run`] is the lane
+/// walk below.
+pub(crate) trait Pointwise: Sized {
+    /// The number of positions one pass covers.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every slice the kernel indexes by position is that
+    /// long — checked here, once, so no lane reads or writes out of bounds.
+    fn len(&self) -> usize;
+    /// The kernel's arithmetic for the lane at `i..i + L::WIDTH`.
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize);
+}
+
+impl<P: Pointwise> Kernel for P {
+    /// Whole `L` lanes, then the ragged end one residue at a time.
+    #[inline(always)]
+    fn run<L: Lane, M: Modulus>(mut self, m: M) {
+        let n = self.len();
+        let whole = n / L::WIDTH;
+        for lane in 0..whole {
+            let i = lane * L::WIDTH;
+            // SAFETY: `lane < n / WIDTH`, so `i + WIDTH <= n` without wrapping.
+            unsafe { std::hint::assert_unchecked(i < n && n - i >= L::WIDTH) };
+            self.at::<L, M>(m, i);
+        }
+        for i in whole * L::WIDTH..n {
+            self.at::<u64, M>(m, i);
+        }
+    }
+}
+
+/// Runs `kernel` under `modulus` on the lane `policy` selects: four-wide
+/// when the policy is vectorized and the CPU reports AVX2, else one-wide.
+#[inline]
+pub(crate) fn dispatch<K: Kernel, M: Modulus>(kernel: K, modulus: M, policy: SimdPolicy) {
+    #[cfg(target_arch = "x86_64")]
+    if policy.is_vectorized() && std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU reported AVX2 on the line above.
+        return unsafe { avx2::run(kernel, modulus) };
+    }
+    let _ = policy;
+    kernel.run::<u64, M>(modulus)
+}
+
+/// The common length of a kernel's slices.
+///
+/// # Panics
+///
+/// Panics if they differ.
+#[inline(always)]
+fn same_len<const N: usize>(lens: [usize; N]) -> usize {
+    assert!(
+        lens.iter().all(|&len| len == lens[0]),
+        "kernel slice lengths differ: {lens:?}"
+    );
+    lens[0]
+}
+
+/// Fused dual-component pointwise product: `o0[i] = x0[i]·m[i]`,
+/// `o1[i] = x1[i]·m[i]` (canonical outputs).
+pub(crate) struct Mul2<'a> {
+    pub x0: &'a [u64],
+    pub x1: &'a [u64],
+    pub m: &'a [u64],
+    pub o0: &'a mut [u64],
+    pub o1: &'a mut [u64],
+}
+
+impl Pointwise for Mul2<'_> {
+    fn len(&self) -> usize {
+        let Mul2 { x0, x1, m, o0, o1 } = self;
+        same_len([x0.len(), x1.len(), m.len(), o0.len(), o1.len()])
+    }
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        let mult = L::load(self.m, i);
+        m.canonical(m.mul(L::load(self.x0, i), mult))
+            .store(self.o0, i);
+        m.canonical(m.mul(L::load(self.x1, i), mult))
+            .store(self.o1, i);
+    }
+}
+
+/// Fused BFV tensor product + relinearization (six ring products per
 /// coefficient, canonical outputs):
 ///
 /// ```text
@@ -265,1018 +634,640 @@ pub fn mul2_chunk(
 /// o0[i] = a0·b0 + c2·s0
 /// o1[i] = a0·b1 + a1·b0 + c2·s1
 /// ```
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn mul_add2_chunk(
-    a0: &[u64],
-    a1: &[u64],
-    b0: &[u64],
-    b1: &[u64],
-    s0: &[u64],
-    s1: &[u64],
-    o0: &mut [u64],
-    o1: &mut [u64],
-    policy: SimdPolicy,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && o0.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::mul_add2(a0, a1, b0, b1, s0, s1, o0, o1) };
-        return;
+pub(crate) struct MulAdd2<'a> {
+    pub a0: &'a [u64],
+    pub a1: &'a [u64],
+    pub b0: &'a [u64],
+    pub b1: &'a [u64],
+    pub s0: &'a [u64],
+    pub s1: &'a [u64],
+    pub o0: &'a mut [u64],
+    pub o1: &'a mut [u64],
+}
+
+impl Pointwise for MulAdd2<'_> {
+    fn len(&self) -> usize {
+        let [a0, a1, b0] = [self.a0.len(), self.a1.len(), self.b0.len()];
+        let [b1, s0, s1] = [self.b1.len(), self.s0.len(), self.s1.len()];
+        same_len([a0, a1, b0, b1, s0, s1, self.o0.len(), self.o1.len()])
     }
-    let _ = policy;
-    for i in 0..o0.len() {
-        let c2 = p_mul(a1[i], b1[i]);
-        o0[i] = p_mul_add(c2, s0[i], p_mul(a0[i], b0[i]));
-        o1[i] = p_mul_add(c2, s1[i], p_mul_add(a1[i], b0[i], p_mul(a0[i], b1[i])));
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        let (a0, a1) = (L::load(self.a0, i), L::load(self.a1, i));
+        let (b0, b1) = (L::load(self.b0, i), L::load(self.b1, i));
+        let c2 = m.mul(a1, b1);
+        let t0 = m.mul_add(c2, L::load(self.s0, i), m.mul(a0, b0));
+        let cross = m.mul_add(a1, b0, m.mul(a0, b1));
+        let t1 = m.mul_add(c2, L::load(self.s1, i), cross);
+        m.canonical(t0).store(self.o0, i);
+        m.canonical(t1).store(self.o1, i);
     }
 }
 
-/// Fused Galois gather + key-switch chunk: `o0[i] = src0[perm[i]]·key[i]`
-/// and likewise for the second component (canonical outputs). `src0`/`src1`
-/// are the *full* component slices (the permutation indexes the whole
-/// polynomial); `perm`/`key` are the chunk's windows.
-#[inline]
-pub fn galois2_chunk(
-    src0: &[u64],
-    src1: &[u64],
-    perm: &[u32],
-    key: &[u64],
-    o0: &mut [u64],
-    o1: &mut [u64],
-    policy: SimdPolicy,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && o0.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::galois2(src0, src1, perm, key, o0, o1) };
-        return;
+/// Fused Galois gather + key-switch product: `o0[i] = src0[perm[i]]·key[i]`
+/// and likewise for the second component (canonical outputs).
+pub(crate) struct Galois2<'a> {
+    pub src0: &'a [u64],
+    pub src1: &'a [u64],
+    pub perm: &'a GaloisPermutation,
+    pub key: &'a [u64],
+    pub o0: &'a mut [u64],
+    pub o1: &'a mut [u64],
+}
+
+impl Pointwise for Galois2<'_> {
+    fn len(&self) -> usize {
+        let [src0, src1, perm] = [self.src0.len(), self.src1.len(), self.perm.len()];
+        same_len([
+            src0,
+            src1,
+            perm,
+            self.key.len(),
+            self.o0.len(),
+            self.o1.len(),
+        ])
     }
-    let _ = policy;
-    for i in 0..o0.len() {
-        let src = perm[i] as usize;
-        o0[i] = p_mul(src0[src], key[i]);
-        o1[i] = p_mul(src1[src], key[i]);
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        // Both gathers before either store: one read of the index window.
+        let g0 = L::gather(self.src0, self.perm, i);
+        let g1 = L::gather(self.src1, self.perm, i);
+        let key = L::load(self.key, i);
+        m.canonical(m.mul(g0, key)).store(self.o0, i);
+        m.canonical(m.mul(g1, key)).store(self.o1, i);
     }
 }
 
-/// Generic-limb twin of [`mul2_chunk`]: the fused dual-component
-/// pointwise product over an RNS limb prime `2^60 < q < 2^61`, reduced by
-/// Barrett with the precomputed `mu = ⌊2^124 / q⌋` (see
-/// [`crate::rns::barrett_mul`]). Unlike the memory-bound Goldilocks path,
-/// the Barrett product is compute-dense enough that the AVX2 back end
-/// shows a real arithmetic-intensity win — the effect the multi-limb
-/// ct-pt kernel is built to exploit.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn mul2_chunk_q(
-    x0: &[u64],
-    x1: &[u64],
-    m: &[u64],
-    o0: &mut [u64],
-    o1: &mut [u64],
-    q: u64,
-    mu: u64,
-    policy: SimdPolicy,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && o0.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::mul2_q(x0, x1, m, o0, o1, q, mu) };
-        return;
+/// Pure permutation gather: `out[i] = src[perm[i]]`.
+pub(crate) struct Gather<'a> {
+    pub src: &'a [u64],
+    pub perm: &'a GaloisPermutation,
+    pub out: &'a mut [u64],
+}
+
+impl Pointwise for Gather<'_> {
+    fn len(&self) -> usize {
+        same_len([self.src.len(), self.perm.len(), self.out.len()])
     }
-    let _ = policy;
-    for i in 0..o0.len() {
-        o0[i] = crate::rns::barrett_mul(x0[i], m[i], q, mu);
-        o1[i] = crate::rns::barrett_mul(x1[i], m[i], q, mu);
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, _: M, i: usize) {
+        L::gather(self.src, self.perm, i).store(self.out, i);
     }
 }
 
-/// Pure permutation gather: `out[i] = src[perm[i]]` — the vectorized form
-/// of the Galois index permutation applied to a standalone polynomial
-/// (no key-switch product fused in). `src` is the full source slice; the
-/// permutation indexes all of it.
-#[inline]
-pub fn gather_chunk(src: &[u64], perm: &[u32], out: &mut [u64], policy: SimdPolicy) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && out.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::gather(src, perm, out) };
-        return;
+/// `out[i] = x[i] + y[i]` on canonical residues.
+pub(crate) struct Add<'a> {
+    pub x: &'a [u64],
+    pub y: &'a [u64],
+    pub out: &'a mut [u64],
+}
+
+impl Pointwise for Add<'_> {
+    fn len(&self) -> usize {
+        same_len([self.x.len(), self.y.len(), self.out.len()])
     }
-    let _ = policy;
-    for i in 0..out.len() {
-        out[i] = src[perm[i] as usize];
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        let sum = m.add(L::load(self.x, i), L::load(self.y, i));
+        sum.store(self.out, i);
     }
 }
 
-/// Stripe-wide modular addition of canonical inputs (canonical output).
-#[inline]
-pub fn add_stripe(x: &[u64], y: &[u64], out: &mut [u64], policy: SimdPolicy) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && out.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::add(x, y, out) };
-        return;
+/// `out[i] = x[i] - y[i]` on canonical residues.
+pub(crate) struct Sub<'a> {
+    pub x: &'a [u64],
+    pub y: &'a [u64],
+    pub out: &'a mut [u64],
+}
+
+impl Pointwise for Sub<'_> {
+    fn len(&self) -> usize {
+        same_len([self.x.len(), self.y.len(), self.out.len()])
     }
-    let _ = policy;
-    for i in 0..out.len() {
-        out[i] = p_add(x[i], y[i]);
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        let difference = m.sub(L::load(self.x, i), L::load(self.y, i));
+        difference.store(self.out, i);
     }
 }
 
-/// Stripe-wide modular subtraction of canonical inputs (canonical output).
-#[inline]
-pub fn sub_stripe(x: &[u64], y: &[u64], out: &mut [u64], policy: SimdPolicy) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && out.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::sub(x, y, out) };
-        return;
+/// `out[i] = -x[i]` on canonical residues.
+pub(crate) struct Neg<'a> {
+    pub x: &'a [u64],
+    pub out: &'a mut [u64],
+}
+
+impl Pointwise for Neg<'_> {
+    fn len(&self) -> usize {
+        same_len([self.x.len(), self.out.len()])
     }
-    let _ = policy;
-    for i in 0..out.len() {
-        out[i] = p_sub(x[i], y[i]);
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        m.neg(L::load(self.x, i)).store(self.out, i);
     }
 }
 
-/// Stripe-wide modular negation of canonical input (canonical output).
-#[inline]
-pub fn neg_stripe(x: &[u64], out: &mut [u64], policy: SimdPolicy) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && out.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::neg(x, out) };
-        return;
+/// In-place [`Add`]: `x[i] += y[i]`.
+pub(crate) struct AddAssign<'a> {
+    pub x: &'a mut [u64],
+    pub y: &'a [u64],
+}
+
+impl Pointwise for AddAssign<'_> {
+    fn len(&self) -> usize {
+        same_len([self.x.len(), self.y.len()])
     }
-    let _ = policy;
-    for i in 0..out.len() {
-        out[i] = p_neg(x[i]);
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        let sum = m.add(L::load(self.x, i), L::load(self.y, i));
+        sum.store(self.x, i);
     }
 }
 
-/// In-place [`add_stripe`]: `x[i] += y[i]`.
-#[inline]
-pub fn add_stripe_assign(x: &mut [u64], y: &[u64], policy: SimdPolicy) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && x.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::add_assign(x, y) };
-        return;
+/// In-place [`Sub`]: `x[i] -= y[i]`.
+pub(crate) struct SubAssign<'a> {
+    pub x: &'a mut [u64],
+    pub y: &'a [u64],
+}
+
+impl Pointwise for SubAssign<'_> {
+    fn len(&self) -> usize {
+        same_len([self.x.len(), self.y.len()])
     }
-    let _ = policy;
-    for i in 0..x.len() {
-        x[i] = p_add(x[i], y[i]);
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        let difference = m.sub(L::load(self.x, i), L::load(self.y, i));
+        difference.store(self.x, i);
     }
 }
 
-/// In-place [`sub_stripe`]: `x[i] -= y[i]`.
-#[inline]
-pub fn sub_stripe_assign(x: &mut [u64], y: &[u64], policy: SimdPolicy) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && x.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::sub_assign(x, y) };
-        return;
+/// In-place [`Neg`]: `x[i] = -x[i]`.
+pub(crate) struct NegAssign<'a> {
+    pub x: &'a mut [u64],
+}
+
+impl Pointwise for NegAssign<'_> {
+    fn len(&self) -> usize {
+        self.x.len()
     }
-    let _ = policy;
-    for i in 0..x.len() {
-        x[i] = p_sub(x[i], y[i]);
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        m.neg(L::load(self.x, i)).store(self.x, i);
     }
 }
 
-/// In-place [`neg_stripe`]: `x[i] = -x[i]`.
-#[inline]
-pub fn neg_stripe_assign(x: &mut [u64], policy: SimdPolicy) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && x.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::neg_assign(x) };
-        return;
+/// Multiplies every working residue by the canonical scalar `k` and
+/// canonicalizes — the inverse NTT's final `n^{-1}` pass.
+pub(crate) struct Scale<'a> {
+    pub a: &'a mut [u64],
+    pub k: u64,
+}
+
+impl Pointwise for Scale<'_> {
+    fn len(&self) -> usize {
+        self.a.len()
     }
-    let _ = policy;
-    for x in x.iter_mut() {
-        *x = p_neg(*x);
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        m.canonical(m.mul(L::load(self.a, i), L::splat(self.k)))
+            .store(self.a, i);
     }
 }
 
-/// One whole forward butterfly stage: `a` is partitioned into
-/// `twiddles.len()` consecutive groups of `2·t` elements, and group `i`
-/// applies the Cooley–Tukey butterfly with twiddle `twiddles[i]` between
-/// its two halves (lazy arithmetic; `canonical` fuses the normalization
-/// into the transform's last stage).
-///
-/// Hoisting the group loop under a single dispatch keeps per-group call
-/// and policy-check overhead off the hot path, and lets the AVX2 back end
-/// vectorize the `t < LANES` final stages *across* groups with in-register
-/// shuffles instead of falling back to scalar tails.
-#[inline]
-pub fn forward_stage(
-    a: &mut [u64],
-    twiddles: &[u64],
-    t: usize,
-    canonical: bool,
-    policy: SimdPolicy,
-) {
-    debug_assert_eq!(a.len(), 2 * t * twiddles.len());
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::forward_stage(a, twiddles, t, canonical) };
-        return;
-    }
-    let _ = policy;
-    for (i, &s) in twiddles.iter().enumerate() {
-        let j1 = 2 * i * t;
-        for j in j1..j1 + t {
-            let u = a[j];
-            let v = p_mul_lazy(a[j + t], s);
-            let (x, y) = (p_add_lazy(u, v), p_sub_lazy(u, v));
-            if canonical {
-                a[j] = p_canonical(x);
-                a[j + t] = p_canonical(y);
-            } else {
-                a[j] = x;
-                a[j + t] = y;
-            }
+/// The arithmetic of one NTT butterfly on working residues: `(lo, hi)` of
+/// a group's halves and the group's twiddle in, the new `(lo, hi)` out.
+pub(crate) trait Butterfly: Copy {
+    /// Applies the butterfly to one lane.
+    fn apply<L: Lane, M: Modulus>(self, m: M, lo: L, hi: L, twiddle: L) -> (L, L);
+}
+
+/// Cooley–Tukey: `lo, hi = lo + hi·w, lo - hi·w`; `canonical` fuses the
+/// normalization into the transform's last stage.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Forward {
+    pub canonical: bool,
+}
+
+impl Butterfly for Forward {
+    #[inline(always)]
+    fn apply<L: Lane, M: Modulus>(self, m: M, lo: L, hi: L, twiddle: L) -> (L, L) {
+        let v = m.mul(hi, twiddle);
+        let (x, y) = (m.add_lazy(lo, v), m.sub_lazy(lo, v));
+        if self.canonical {
+            (m.canonical(x), m.canonical(y))
+        } else {
+            (x, y)
         }
     }
 }
 
-/// One whole inverse (Gentleman–Sande) butterfly stage over the same group
-/// layout as [`forward_stage`]: group `i` computes `lo, hi = lo + hi,
-/// (lo - hi)·twiddles[i]` between its halves. All outputs stay lazy — the
-/// inverse transform's final scaling pass ([`scale_canonical`])
-/// canonicalizes.
-#[inline]
-pub fn inverse_stage(a: &mut [u64], twiddles: &[u64], t: usize, policy: SimdPolicy) {
-    debug_assert_eq!(a.len(), 2 * t * twiddles.len());
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::inverse_stage(a, twiddles, t) };
-        return;
+/// Gentleman–Sande: `lo, hi = lo + hi, (lo - hi)·w`. Outputs stay working
+/// residues — the inverse transform's [`Scale`] pass canonicalizes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Inverse;
+
+impl Butterfly for Inverse {
+    #[inline(always)]
+    fn apply<L: Lane, M: Modulus>(self, m: M, lo: L, hi: L, twiddle: L) -> (L, L) {
+        (m.add_lazy(lo, hi), m.mul(m.sub_lazy(lo, hi), twiddle))
     }
-    let _ = policy;
-    for (i, &s) in twiddles.iter().enumerate() {
-        let j1 = 2 * i * t;
-        for j in j1..j1 + t {
-            let (x, y) = (a[j], a[j + t]);
-            a[j] = p_add_lazy(x, y);
-            a[j + t] = p_mul_lazy(p_sub_lazy(x, y), s);
+}
+
+/// One whole butterfly stage: `a` is `twiddles.len()` consecutive groups of
+/// `2·t` elements, and group `g` applies `butterfly` with `twiddles[g]`
+/// between its two halves. A stage is one dispatch, so the group loop runs
+/// inside the lane's entry and the stages narrower than a lane can be
+/// vectorized *across* groups ([`Lane::narrow_stage`]).
+pub(crate) struct Stage<'a, B> {
+    pub a: &'a mut [u64],
+    pub twiddles: &'a [u64],
+    pub t: usize,
+    pub butterfly: B,
+}
+
+impl<B: Butterfly> Kernel for Stage<'_, B> {
+    #[inline(always)]
+    fn run<L: Lane, M: Modulus>(self, m: M) {
+        let Stage {
+            a,
+            twiddles,
+            t,
+            butterfly,
+        } = self;
+        assert_eq!(a.len(), 2 * t * twiddles.len(), "stage shape");
+        let done = L::narrow_stage(a, twiddles, t, butterfly, m);
+        for (g, &twiddle) in twiddles.iter().enumerate().skip(done) {
+            let (lo, hi) = a[2 * g * t..2 * (g + 1) * t].split_at_mut(t);
+            let halves = Halves {
+                lo,
+                hi,
+                twiddle,
+                butterfly,
+            };
+            halves.run::<L, M>(m);
         }
     }
 }
 
-/// Multiplies every (possibly lazy) value by the canonical scalar `k` with a
-/// full canonicalizing reduction — the inverse NTT's final `n^{-1}` pass.
-#[inline]
-pub fn scale_canonical(a: &mut [u64], k: u64, policy: SimdPolicy) {
-    #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && a.len() >= LANES {
-        // SAFETY: `Avx2` is only ever granted when the CPU reports AVX2.
-        unsafe { avx2::scale(a, k) };
-        return;
+/// The two halves of one butterfly group.
+struct Halves<'a, B> {
+    lo: &'a mut [u64],
+    hi: &'a mut [u64],
+    twiddle: u64,
+    butterfly: B,
+}
+
+impl<B: Butterfly> Pointwise for Halves<'_, B> {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        same_len([self.lo.len(), self.hi.len()])
     }
-    let _ = policy;
-    for x in a.iter_mut() {
-        *x = p_mul(*x, k);
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        let (lo, hi) = (L::load(self.lo, i), L::load(self.hi, i));
+        let (x, y) = self.butterfly.apply(m, lo, hi, L::splat(self.twiddle));
+        x.store(self.lo, i);
+        y.store(self.hi, i);
     }
 }
 
 // ---------------------------------------------------------------------------
-// AVX2 back end (x86-64 only, stable std::arch)
+// The four-wide lane (x86-64 only, stable std::arch)
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
 mod avx2 {
-    //! Four-lane (4 × u64) implementations of the dispatch kernels above.
+    //! [`Lane`] over a 256-bit vector of four `u64`s, plus the two stage
+    //! choreographies that move values between lanes rather than compute on
+    //! them.
     //!
-    //! Every function carries `#[target_feature(enable = "avx2")]` and is
-    //! reached only through the policy dispatch, which grants
-    //! [`SimdPolicy::Avx2`](super::SimdPolicy::Avx2) exclusively on CPUs
-    //! that report the feature. Tails shorter than one vector run the same
-    //! scalar lazy algorithm, so representatives match lane-for-lane.
+    //! The invariant every `unsafe` block here cites: [`U64x4`] is private
+    //! to this module, and the only thing the module does with it is
+    //! instantiate [`Kernel::run`] inside [`run`] — so each of its methods
+    //! executes under that `#[target_feature]` entry, which
+    //! [`dispatch`](super::dispatch) enters only on a CPU that reports
+    //! AVX2. Every method runs the scalar lane's correction algorithm
+    //! element-wise, so even lazy representatives match lane for lane.
 
-    use super::{p_add_lazy, p_canonical, p_mul_lazy, p_sub_lazy, EPSILON, LANES};
-    use crate::poly::{p_add, p_mul, p_neg, p_sub, MODULUS};
+    use super::{Butterfly, GaloisPermutation, Kernel, Lane, Modulus, EPSILON};
+    use crate::poly::MODULUS;
     use core::arch::x86_64::*;
 
-    /// Splat of the sign bit, for unsigned lane compares via sign-flip.
-    #[inline]
+    /// Four `u64` residues; AVX2 is present wherever one is used (module
+    /// docs).
+    #[derive(Clone, Copy)]
+    struct U64x4(__m256i);
+
+    /// The module's entry: `kernel` on four-wide lanes.
     #[target_feature(enable = "avx2")]
-    fn sign_bit() -> __m256i {
-        _mm256_set1_epi64x(i64::MIN)
+    pub(super) fn run<K: Kernel, M: Modulus>(kernel: K, modulus: M) {
+        kernel.run::<U64x4, M>(modulus)
     }
 
-    /// Per-lane unsigned `a < b` mask (`cmpgt_epi64` is signed; xor-ing the
-    /// sign bit into both operands makes it behave unsigned).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn lt_u64(a: __m256i, b: __m256i) -> __m256i {
-        let s = sign_bit();
-        _mm256_cmpgt_epi64(_mm256_xor_si256(b, s), _mm256_xor_si256(a, s))
-    }
-
-    /// Lazy add: `a + b` with up to two `+ε` wrap compensations (the exact
-    /// algorithm of [`p_add_lazy`], four lanes at a time).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn add_lazy(a: __m256i, b: __m256i) -> __m256i {
-        let eps = _mm256_set1_epi64x(EPSILON as i64);
-        let sum = _mm256_add_epi64(a, b);
-        let wrapped = lt_u64(sum, a);
-        let sum2 = _mm256_add_epi64(sum, _mm256_and_si256(wrapped, eps));
-        // A second wrap is only possible where the first correction applied
-        // (adding 0 cannot wrap), so `sum2 < sum` already implies it.
-        let wrapped2 = lt_u64(sum2, sum);
-        _mm256_add_epi64(sum2, _mm256_and_si256(wrapped2, eps))
-    }
-
-    /// Lazy subtract: `a - b` with up to two `-ε` borrow compensations
-    /// (mirror of [`add_lazy`]).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn sub_lazy(a: __m256i, b: __m256i) -> __m256i {
-        let eps = _mm256_set1_epi64x(EPSILON as i64);
-        let diff = _mm256_sub_epi64(a, b);
-        let borrowed = lt_u64(a, b);
-        let correction = _mm256_and_si256(borrowed, eps);
-        let diff2 = _mm256_sub_epi64(diff, correction);
-        let borrowed2 = lt_u64(diff, correction);
-        _mm256_sub_epi64(diff2, _mm256_and_si256(borrowed2, eps))
-    }
-
-    /// Canonicalizes lazy lanes: one conditional subtract (every lazy value
-    /// is `< 2^64 < 2p`).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn canonical(x: __m256i) -> __m256i {
-        let p = _mm256_set1_epi64x(MODULUS as i64);
-        let below = lt_u64(x, p);
-        _mm256_sub_epi64(x, _mm256_andnot_si256(below, p))
-    }
-
-    /// Full 64×64→128 lane product synthesized from four 32×32→64 partial
-    /// products (`_mm256_mul_epu32` multiplies the low halves of each lane).
-    /// Returns `(hi, lo)` 64-bit halves.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul_64_64(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
-        let mask32 = _mm256_set1_epi64x(EPSILON as i64);
-        let a_hi = _mm256_srli_epi64(a, 32);
-        let b_hi = _mm256_srli_epi64(b, 32);
-        let ll = _mm256_mul_epu32(a, b);
-        let lh = _mm256_mul_epu32(a, b_hi);
-        let hl = _mm256_mul_epu32(a_hi, b);
-        let hh = _mm256_mul_epu32(a_hi, b_hi);
-        // t = hl + (ll >> 32): at most (2^32-1)^2 + (2^32-1) < 2^64, no wrap.
-        let t = _mm256_add_epi64(hl, _mm256_srli_epi64(ll, 32));
-        // u = lh + (t & mask32): same bound, no wrap.
-        let u = _mm256_add_epi64(lh, _mm256_and_si256(t, mask32));
-        let hi = _mm256_add_epi64(
-            hh,
-            _mm256_add_epi64(_mm256_srli_epi64(t, 32), _mm256_srli_epi64(u, 32)),
-        );
-        // lo = (u << 32) | (ll & mask32): interleave the 32-bit halves.
-        let lo = _mm256_blend_epi32::<0b1010_1010>(ll, _mm256_slli_epi64(u, 32));
-        (hi, lo)
-    }
-
-    /// Lazy Goldilocks reduction of `(hi, lo)` lane pairs — the vector twin
-    /// of [`super::reduce128_lazy`], identical correction algorithm.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn reduce128_lazy_v(hi: __m256i, lo: __m256i) -> __m256i {
-        let eps = _mm256_set1_epi64x(EPSILON as i64);
-        let mask32 = eps;
-        let hi_hi = _mm256_srli_epi64(hi, 32);
-        let hi_lo = _mm256_and_si256(hi, mask32);
-        // t0 = lo - hi_hi, compensating a borrow with -ε (cannot re-borrow).
-        let borrowed = lt_u64(lo, hi_hi);
-        let t0 = _mm256_sub_epi64(_mm256_sub_epi64(lo, hi_hi), _mm256_and_si256(borrowed, eps));
-        // t1 = hi_lo·ε = (hi_lo << 32) - hi_lo (fits: hi_lo < 2^32).
-        let t1 = _mm256_sub_epi64(_mm256_slli_epi64(hi_lo, 32), hi_lo);
-        // r = t0 + t1, compensating a wrap with +ε (cannot re-wrap: the
-        // wrapped sum is at most 2^64 - 2^33).
-        let sum = _mm256_add_epi64(t0, t1);
-        let wrapped = lt_u64(sum, t0);
-        _mm256_add_epi64(sum, _mm256_and_si256(wrapped, eps))
-    }
-
-    /// Lazy lane product: `a·b` reduced to `[0, 2^64)`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul_lazy(a: __m256i, b: __m256i) -> __m256i {
-        let (hi, lo) = mul_64_64(a, b);
-        reduce128_lazy_v(hi, lo)
-    }
-
-    /// Lazy fused multiply-add `a·b + c` (128-bit accumulate, one lazy
-    /// reduction): the vector twin of `p_mul_add` minus canonicalization.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul_add_lazy(a: __m256i, b: __m256i, c: __m256i) -> __m256i {
-        let (hi, lo) = mul_64_64(a, b);
-        let lo2 = _mm256_add_epi64(lo, c);
-        // Carry into the high half: the mask is all-ones (-1) on wrapped
-        // lanes, so subtracting it adds one. `hi ≤ 2^64 - 2` so no wrap.
-        let carried = lt_u64(lo2, lo);
-        let hi2 = _mm256_sub_epi64(hi, carried);
-        reduce128_lazy_v(hi2, lo2)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load(p: &[u64], i: usize) -> __m256i {
-        unsafe { _mm256_loadu_si256(p.as_ptr().add(i) as *const __m256i) }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn store(p: &mut [u64], i: usize, v: __m256i) {
-        unsafe { _mm256_storeu_si256(p.as_mut_ptr().add(i) as *mut __m256i, v) }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul2(x0: &[u64], x1: &[u64], m: &[u64], o0: &mut [u64], o1: &mut [u64]) {
-        let n = o0.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
+    impl U64x4 {
+        /// Per-position unsigned `self < b` mask (`cmpgt_epi64` is signed;
+        /// xor-ing the sign bit into both operands makes it unsigned).
+        #[inline(always)]
+        fn lt(self, b: Self) -> __m256i {
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
             unsafe {
-                let mv = load(m, i);
-                store(o0, i, canonical(mul_lazy(load(x0, i), mv)));
-                store(o1, i, canonical(mul_lazy(load(x1, i), mv)));
+                let sign = _mm256_set1_epi64x(i64::MIN);
+                _mm256_cmpgt_epi64(_mm256_xor_si256(b.0, sign), _mm256_xor_si256(self.0, sign))
             }
-            i += 4;
         }
-        while i < n {
-            o0[i] = p_mul(x0[i], m[i]);
-            o1[i] = p_mul(x1[i], m[i]);
-            i += 1;
-        }
-    }
 
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn mul_add2(
-        a0: &[u64],
-        a1: &[u64],
-        b0: &[u64],
-        b1: &[u64],
-        s0: &[u64],
-        s1: &[u64],
-        o0: &mut [u64],
-        o1: &mut [u64],
-    ) {
-        let n = o0.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
+        /// Full 64×64→128 product as `(hi, lo)` halves, from four 32×32→64
+        /// partial products (`_mm256_mul_epu32` multiplies the low halves
+        /// of each position).
+        #[inline(always)]
+        fn mul_wide(self, b: Self) -> (Self, Self) {
+            let (a, b) = (self.0, b.0);
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
             unsafe {
-                let (a0v, a1v) = (load(a0, i), load(a1, i));
-                let (b0v, b1v) = (load(b0, i), load(b1, i));
-                let c2 = mul_lazy(a1v, b1v);
-                let t0 = mul_add_lazy(c2, load(s0, i), mul_lazy(a0v, b0v));
-                let inner = mul_add_lazy(a1v, b0v, mul_lazy(a0v, b1v));
-                let t1 = mul_add_lazy(c2, load(s1, i), inner);
-                store(o0, i, canonical(t0));
-                store(o1, i, canonical(t1));
+                let mask32 = _mm256_set1_epi64x(EPSILON as i64);
+                let a_hi = _mm256_srli_epi64(a, 32);
+                let b_hi = _mm256_srli_epi64(b, 32);
+                let ll = _mm256_mul_epu32(a, b);
+                let lh = _mm256_mul_epu32(a, b_hi);
+                let hl = _mm256_mul_epu32(a_hi, b);
+                let hh = _mm256_mul_epu32(a_hi, b_hi);
+                // t = hl + (ll >> 32): at most (2^32-1)^2 + (2^32-1) < 2^64.
+                let t = _mm256_add_epi64(hl, _mm256_srli_epi64(ll, 32));
+                // u = lh + (t & mask32): same bound, no wrap.
+                let u = _mm256_add_epi64(lh, _mm256_and_si256(t, mask32));
+                let hi = _mm256_add_epi64(
+                    hh,
+                    _mm256_add_epi64(_mm256_srli_epi64(t, 32), _mm256_srli_epi64(u, 32)),
+                );
+                // lo = (u << 32) | (ll & mask32): interleave the 32-bit halves.
+                let lo = _mm256_blend_epi32::<0b1010_1010>(ll, _mm256_slli_epi64(u, 32));
+                (U64x4(hi), U64x4(lo))
             }
-            i += 4;
         }
-        while i < n {
-            let c2 = p_mul_lazy(a1[i], b1[i]);
-            let t0 = mul_add_lazy_scalar(c2, s0[i], p_mul_lazy(a0[i], b0[i]));
-            let inner = mul_add_lazy_scalar(a1[i], b0[i], p_mul_lazy(a0[i], b1[i]));
-            o0[i] = p_canonical(t0);
-            o1[i] = p_canonical(mul_add_lazy_scalar(c2, s1[i], inner));
-            i += 1;
-        }
-    }
 
-    /// Scalar twin of [`mul_add_lazy`] for kernel tails.
-    #[inline]
-    fn mul_add_lazy_scalar(a: u64, b: u64, c: u64) -> u64 {
-        super::reduce128_lazy(u128::from(a) * u128::from(b) + u128::from(c))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn galois2(
-        src0: &[u64],
-        src1: &[u64],
-        perm: &[u32],
-        key: &[u64],
-        o0: &mut [u64],
-        o1: &mut [u64],
-    ) {
-        let n = o0.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds the window accesses; every
-            // permutation index is < degree = src0.len() = src1.len() by
-            // construction of `galois_eval_permutation`.
+        /// Lazy Goldilocks reduction of a `(hi, lo)` product — the
+        /// correction algorithm of [`super::reduce128_lazy`].
+        #[inline(always)]
+        fn reduce128_lazy(hi: Self, lo: Self) -> Self {
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
             unsafe {
-                let idx = _mm_loadu_si128(perm.as_ptr().add(i) as *const __m128i);
-                let g0 = _mm256_i32gather_epi64::<8>(src0.as_ptr() as *const i64, idx);
-                let g1 = _mm256_i32gather_epi64::<8>(src1.as_ptr() as *const i64, idx);
-                let kv = load(key, i);
-                store(o0, i, canonical(mul_lazy(g0, kv)));
-                store(o1, i, canonical(mul_lazy(g1, kv)));
+                let eps = _mm256_set1_epi64x(EPSILON as i64);
+                let hi_hi = U64x4(_mm256_srli_epi64(hi.0, 32));
+                let hi_lo = _mm256_and_si256(hi.0, eps);
+                // t0 = lo - hi_hi, compensating a borrow with -ε (cannot
+                // re-borrow).
+                let borrowed = lo.lt(hi_hi);
+                let t0 = _mm256_sub_epi64(
+                    _mm256_sub_epi64(lo.0, hi_hi.0),
+                    _mm256_and_si256(borrowed, eps),
+                );
+                // t1 = hi_lo·ε = (hi_lo << 32) - hi_lo (fits: hi_lo < 2^32).
+                let t1 = _mm256_sub_epi64(_mm256_slli_epi64(hi_lo, 32), hi_lo);
+                // r = t0 + t1, compensating a wrap with +ε (cannot re-wrap:
+                // the wrapped sum is at most 2^64 - 2^33).
+                let sum = U64x4(_mm256_add_epi64(t0, t1));
+                let wrapped = sum.lt(U64x4(t0));
+                U64x4(_mm256_add_epi64(sum.0, _mm256_and_si256(wrapped, eps)))
             }
-            i += 4;
         }
-        while i < n {
-            let src = perm[i] as usize;
-            o0[i] = p_mul(src0[src], key[i]);
-            o1[i] = p_mul(src1[src], key[i]);
-            i += 1;
+
+        /// `self - q` where `self >= q`, else `self`.
+        #[inline(always)]
+        fn reduce_once(self, q: Self) -> Self {
+            let below = self.lt(q);
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
+            U64x4(unsafe { _mm256_sub_epi64(self.0, _mm256_andnot_si256(below, q.0)) })
         }
     }
 
-    /// Four-lane Barrett product for a generic RNS limb prime
-    /// `2^60 < q < 2^61`: the exact integer algorithm of
-    /// [`crate::rns::barrett_mul`] (quotient estimate from
-    /// `⌊(⌊x/2^60⌋·mu)/2^64⌋`, remainder in `[0, 3q)`, two conditional
-    /// subtracts), so lanes are bit-identical to the scalar oracle.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn barrett_mul_v(a: __m256i, b: __m256i, qv: __m256i, muv: __m256i) -> __m256i {
-        let (hi, lo) = mul_64_64(a, b);
-        // x >> 60 = (hi << 4) | (lo >> 60); hi < 2^58 so no bits are lost.
-        let shifted = _mm256_or_si256(_mm256_slli_epi64(hi, 4), _mm256_srli_epi64(lo, 60));
-        let (q_hat, _) = mul_64_64(shifted, muv);
-        let (_, prod_lo) = mul_64_64(q_hat, qv);
-        // True value of x - q_hat·q is in [0, 3q) ⊂ [0, 2^64): the wrapped
-        // low-word subtraction is exact.
-        let mut r = _mm256_sub_epi64(lo, prod_lo);
-        r = _mm256_sub_epi64(r, _mm256_andnot_si256(lt_u64(r, qv), qv));
-        _mm256_sub_epi64(r, _mm256_andnot_si256(lt_u64(r, qv), qv))
-    }
+    impl Lane for U64x4 {
+        const WIDTH: usize = 4;
 
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn mul2_q(
-        x0: &[u64],
-        x1: &[u64],
-        m: &[u64],
-        o0: &mut [u64],
-        o1: &mut [u64],
-        q: u64,
-        mu: u64,
-    ) {
-        let n = o0.len();
-        let qv = _mm256_set1_epi64x(q as i64);
-        let muv = _mm256_set1_epi64x(mu as i64);
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
+        #[inline(always)]
+        fn splat(x: u64) -> Self {
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
+            U64x4(unsafe { _mm256_set1_epi64x(x as i64) })
+        }
+
+        #[inline(always)]
+        fn load(src: &[u64], i: usize) -> Self {
+            let lanes = &src[i..i + 4];
+            // SAFETY: `lanes` is four `u64`s, the 32 bytes the unaligned
+            // load reads; AVX2 as above.
+            U64x4(unsafe { _mm256_loadu_si256(lanes.as_ptr().cast()) })
+        }
+
+        #[inline(always)]
+        fn store(self, dst: &mut [u64], i: usize) {
+            let lanes = &mut dst[i..i + 4];
+            // SAFETY: `lanes` is four `u64`s, the 32 bytes the unaligned
+            // store writes; AVX2 as above.
+            unsafe { _mm256_storeu_si256(lanes.as_mut_ptr().cast(), self.0) }
+        }
+
+        #[inline(always)]
+        fn gather(src: &[u64], perm: &GaloisPermutation, i: usize) -> Self {
+            let indices = &perm[i..i + 4];
+            assert!(perm.len() <= src.len(), "permutation wider than its source");
+            // SAFETY: `indices` is four `u32`s, the 16 bytes the unaligned
+            // load reads. Each is below `perm.len()` and fits an `i32`
+            // (`GaloisPermutation::new`), and `perm.len() <= src.len()` was
+            // asserted above, so every gathered `u64` lies inside `src`.
+            // AVX2 as above.
+            U64x4(unsafe {
+                let indices = _mm_loadu_si128(indices.as_ptr().cast());
+                _mm256_i32gather_epi64::<8>(src.as_ptr().cast(), indices)
+            })
+        }
+
+        #[inline(always)]
+        fn add_lazy(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
             unsafe {
-                let mv = load(m, i);
-                store(o0, i, barrett_mul_v(load(x0, i), mv, qv, muv));
-                store(o1, i, barrett_mul_v(load(x1, i), mv, qv, muv));
+                let eps = _mm256_set1_epi64x(EPSILON as i64);
+                let sum = U64x4(_mm256_add_epi64(self.0, b.0));
+                let wrapped = sum.lt(self);
+                let sum2 = U64x4(_mm256_add_epi64(sum.0, _mm256_and_si256(wrapped, eps)));
+                // A second wrap is only possible where the first correction
+                // applied (adding 0 cannot wrap), so `sum2 < sum` implies it.
+                let wrapped2 = sum2.lt(sum);
+                U64x4(_mm256_add_epi64(sum2.0, _mm256_and_si256(wrapped2, eps)))
             }
-            i += 4;
         }
-        while i < n {
-            o0[i] = crate::rns::barrett_mul(x0[i], m[i], q, mu);
-            o1[i] = crate::rns::barrett_mul(x1[i], m[i], q, mu);
-            i += 1;
-        }
-    }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gather(src: &[u64], perm: &[u32], out: &mut [u64]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds the window accesses; every
-            // permutation index is < src.len() by construction of
-            // `galois_eval_permutation`.
+        #[inline(always)]
+        fn sub_lazy(self, b: Self) -> Self {
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
             unsafe {
-                let idx = _mm_loadu_si128(perm.as_ptr().add(i) as *const __m128i);
-                let g = _mm256_i32gather_epi64::<8>(src.as_ptr() as *const i64, idx);
-                store(out, i, g);
+                let eps = _mm256_set1_epi64x(EPSILON as i64);
+                let diff = U64x4(_mm256_sub_epi64(self.0, b.0));
+                let correction = U64x4(_mm256_and_si256(self.lt(b), eps));
+                let diff2 = _mm256_sub_epi64(diff.0, correction.0);
+                let borrowed2 = diff.lt(correction);
+                U64x4(_mm256_sub_epi64(diff2, _mm256_and_si256(borrowed2, eps)))
             }
-            i += 4;
         }
-        while i < n {
-            out[i] = src[perm[i] as usize];
-            i += 1;
-        }
-    }
 
-    /// Canonical add of canonical lanes: a 64-bit wrap means the true sum is
-    /// in `[2^64, 2p)`, whose canonical form is `wrapped + ε`; otherwise one
-    /// conditional subtract finishes.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn add_canonical(a: __m256i, b: __m256i) -> __m256i {
-        let eps = _mm256_set1_epi64x(EPSILON as i64);
-        let sum = _mm256_add_epi64(a, b);
-        let wrapped = lt_u64(sum, a);
-        canonical(_mm256_add_epi64(sum, _mm256_and_si256(wrapped, eps)))
-    }
+        #[inline(always)]
+        fn mul_lazy(self, b: Self) -> Self {
+            let (hi, lo) = self.mul_wide(b);
+            U64x4::reduce128_lazy(hi, lo)
+        }
 
-    /// Canonical subtract of canonical lanes: on borrow the true value is
-    /// `a - b + p = wrapped - ε + 1`... computed as `wrapped + p` with
-    /// wrapping, i.e. `wrapped - (2^64 - p) = wrapped - ε + ... `; simplest
-    /// exact form: `a - b + p` when `a < b`, done branchlessly.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn sub_canonical(a: __m256i, b: __m256i) -> __m256i {
-        let p = _mm256_set1_epi64x(MODULUS as i64);
-        let diff = _mm256_sub_epi64(a, b);
-        let borrowed = lt_u64(a, b);
-        // a, b canonical: a - b + p < p ≤ 2^64, and the wrapping add of p
-        // to the wrapped difference yields exactly it.
-        _mm256_add_epi64(diff, _mm256_and_si256(borrowed, p))
-    }
+        #[inline(always)]
+        fn mul_add_lazy(self, b: Self, c: Self) -> Self {
+            let (hi, lo) = self.mul_wide(b);
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
+            let (hi, lo) = unsafe {
+                let lo2 = U64x4(_mm256_add_epi64(lo.0, c.0));
+                // Carry into the high half: the mask is all-ones (-1) where
+                // the add wrapped, so subtracting it adds one. `hi` is at
+                // most `2^64 - 2`, so no wrap.
+                let carried = lo2.lt(lo);
+                (U64x4(_mm256_sub_epi64(hi.0, carried)), lo2)
+            };
+            U64x4::reduce128_lazy(hi, lo)
+        }
 
-    /// Canonical negate of canonical lanes: `0 - x` is `p - x` for `x ≠ 0`
-    /// and `0` for `x = 0`, branchless via a zero mask.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn neg_canonical(x: __m256i) -> __m256i {
-        let p = _mm256_set1_epi64x(MODULUS as i64);
-        let zero = _mm256_setzero_si256();
-        let is_zero = _mm256_cmpeq_epi64(x, zero);
-        _mm256_andnot_si256(is_zero, _mm256_sub_epi64(p, x))
-    }
+        #[inline(always)]
+        fn canonical(self) -> Self {
+            // One conditional subtract: every lazy value is `< 2^64 < 2p`.
+            self.reduce_once(U64x4::splat(MODULUS))
+        }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add(x: &[u64], y: &[u64], out: &mut [u64]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe { store(out, i, add_canonical(load(x, i), load(y, i))) };
-            i += 4;
+        #[inline(always)]
+        fn add_canonical(self, b: Self) -> Self {
+            // A 64-bit wrap means the true sum is in `[2^64, 2p)`, whose
+            // canonical form is `wrapped + ε`; otherwise one conditional
+            // subtract finishes.
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
+            let sum = unsafe {
+                let eps = _mm256_set1_epi64x(EPSILON as i64);
+                let sum = U64x4(_mm256_add_epi64(self.0, b.0));
+                let wrapped = sum.lt(self);
+                U64x4(_mm256_add_epi64(sum.0, _mm256_and_si256(wrapped, eps)))
+            };
+            sum.canonical()
         }
-        while i < n {
-            out[i] = p_add(x[i], y[i]);
-            i += 1;
-        }
-    }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sub(x: &[u64], y: &[u64], out: &mut [u64]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe { store(out, i, sub_canonical(load(x, i), load(y, i))) };
-            i += 4;
+        #[inline(always)]
+        fn barrett_mul(self, b: Self, q: Self, mu: Self) -> Self {
+            let (hi, lo) = self.mul_wide(b);
+            // x >> 60 = (hi << 4) | (lo >> 60); hi < 2^58 so no bits are lost.
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
+            let shifted = U64x4(unsafe {
+                _mm256_or_si256(_mm256_slli_epi64(hi.0, 4), _mm256_srli_epi64(lo.0, 60))
+            });
+            let (q_hat, _) = shifted.mul_wide(mu);
+            let (_, product) = q_hat.mul_wide(q);
+            // The true value of `x - q_hat·q` is in `[0, 3q) ⊂ [0, 2^64)`:
+            // the wrapped low-word subtraction is exact.
+            // SAFETY: as above.
+            let r = U64x4(unsafe { _mm256_sub_epi64(lo.0, product.0) });
+            r.reduce_once(q).reduce_once(q)
         }
-        while i < n {
-            out[i] = p_sub(x[i], y[i]);
-            i += 1;
-        }
-    }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn neg(x: &[u64], out: &mut [u64]) {
-        let n = out.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe { store(out, i, neg_canonical(load(x, i))) };
-            i += 4;
+        #[inline(always)]
+        fn add_mod(self, b: Self, q: Self) -> Self {
+            // `a + b < 2q < 2^62`: no wrap.
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
+            U64x4(unsafe { _mm256_add_epi64(self.0, b.0) }).reduce_once(q)
         }
-        while i < n {
-            out[i] = p_neg(x[i]);
-            i += 1;
-        }
-    }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn add_assign(x: &mut [u64], y: &[u64]) {
-        let n = x.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe { store(x, i, add_canonical(load(x, i), load(y, i))) };
-            i += 4;
+        #[inline(always)]
+        fn sub_mod(self, b: Self, q: Self) -> Self {
+            let borrowed = self.lt(b);
+            // `a - b + q` where `a < b`: with canonical operands it is below
+            // `q <= 2^64`, and the wrapping add of `q` to the wrapped
+            // difference yields exactly it.
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
+            U64x4(unsafe {
+                let diff = _mm256_sub_epi64(self.0, b.0);
+                _mm256_add_epi64(diff, _mm256_and_si256(borrowed, q.0))
+            })
         }
-        while i < n {
-            x[i] = p_add(x[i], y[i]);
-            i += 1;
-        }
-    }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sub_assign(x: &mut [u64], y: &[u64]) {
-        let n = x.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe { store(x, i, sub_canonical(load(x, i), load(y, i))) };
-            i += 4;
+        #[inline(always)]
+        fn neg_mod(self, q: Self) -> Self {
+            // `q - a` for `a != 0` and `0` for `a = 0`, via a zero mask.
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
+            U64x4(unsafe {
+                let is_zero = _mm256_cmpeq_epi64(self.0, _mm256_setzero_si256());
+                _mm256_andnot_si256(is_zero, _mm256_sub_epi64(q.0, self.0))
+            })
         }
-        while i < n {
-            x[i] = p_sub(x[i], y[i]);
-            i += 1;
-        }
-    }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn neg_assign(x: &mut [u64]) {
-        let n = x.len();
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe { store(x, i, neg_canonical(load(x, i))) };
-            i += 4;
-        }
-        while i < n {
-            x[i] = p_neg(x[i]);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn forward_butterfly(
-        lo: &mut [u64],
-        hi: &mut [u64],
-        s: u64,
-        canonicalize: bool,
-    ) {
-        let n = lo.len();
-        let sv = _mm256_set1_epi64x(s as i64);
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe {
-                let u = load(lo, i);
-                let v = mul_lazy(load(hi, i), sv);
-                let (mut a, mut b) = (add_lazy(u, v), sub_lazy(u, v));
-                if canonicalize {
-                    a = canonical(a);
-                    b = canonical(b);
-                }
-                store(lo, i, a);
-                store(hi, i, b);
+        #[inline(always)]
+        fn narrow_stage<B: Butterfly, M: Modulus>(
+            a: &mut [u64],
+            twiddles: &[u64],
+            t: usize,
+            butterfly: B,
+            m: M,
+        ) -> usize {
+            // SAFETY: AVX2 is present wherever `U64x4` is named (module docs).
+            match t {
+                2 => unsafe { stage_t2(a, twiddles, butterfly, m) },
+                1 => unsafe { stage_t1(a, twiddles, butterfly, m) },
+                _ => 0,
             }
-            i += 4;
-        }
-        while i < n {
-            let x = lo[i];
-            let y = p_mul_lazy(hi[i], s);
-            let (a, b) = (p_add_lazy(x, y), p_sub_lazy(x, y));
-            if canonicalize {
-                lo[i] = p_canonical(a);
-                hi[i] = p_canonical(b);
-            } else {
-                lo[i] = a;
-                hi[i] = b;
-            }
-            i += 1;
         }
     }
 
+    /// `t == 2`: groups of four elements `[lo0 lo1 hi0 hi1]`, one twiddle
+    /// per group. Two groups per step: `permute2x128` splits the 128-bit
+    /// group halves into cross-group `lo` / `hi` vectors and re-interleaves
+    /// the results.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn inverse_butterfly(lo: &mut [u64], hi: &mut [u64], s: u64) {
-        let n = lo.len();
-        let sv = _mm256_set1_epi64x(s as i64);
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe {
-                let u = load(lo, i);
-                let v = load(hi, i);
-                store(lo, i, add_lazy(u, v));
-                store(hi, i, mul_lazy(sub_lazy(u, v), sv));
-            }
-            i += 4;
-        }
-        while i < n {
-            let (x, y) = (lo[i], hi[i]);
-            lo[i] = p_add_lazy(x, y);
-            hi[i] = p_mul_lazy(p_sub_lazy(x, y), s);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn forward_stage(
+    fn stage_t2(
         a: &mut [u64],
         twiddles: &[u64],
-        t: usize,
-        canonicalize: bool,
-    ) {
-        if t >= LANES {
-            for (i, &s) in twiddles.iter().enumerate() {
-                let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
-                // SAFETY: AVX2 is available in this target_feature context.
-                unsafe { forward_butterfly(lo, hi, s, canonicalize) };
-            }
-        } else if t == 2 {
-            // SAFETY: as above.
-            unsafe { forward_stage_t2(a, twiddles, canonicalize) };
-        } else {
-            debug_assert_eq!(t, 1);
-            // SAFETY: as above.
-            unsafe { forward_stage_t1(a, twiddles, canonicalize) };
+        butterfly: impl Butterfly,
+        m: impl Modulus,
+    ) -> usize {
+        for (groups, w) in a.chunks_exact_mut(8).zip(twiddles.chunks_exact(2)) {
+            let (v0, v1) = (U64x4::load(groups, 0).0, U64x4::load(groups, 4).0);
+            let lo = _mm256_permute2x128_si256::<0x20>(v0, v1);
+            let hi = _mm256_permute2x128_si256::<0x31>(v0, v1);
+            let (w0, w1) = (w[0] as i64, w[1] as i64);
+            let w = _mm256_set_epi64x(w1, w1, w0, w0);
+            let (x, y) = butterfly.apply(m, U64x4(lo), U64x4(hi), U64x4(w));
+            U64x4(_mm256_permute2x128_si256::<0x20>(x.0, y.0)).store(groups, 0);
+            U64x4(_mm256_permute2x128_si256::<0x31>(x.0, y.0)).store(groups, 4);
         }
+        twiddles.len() / 2 * 2
     }
 
-    /// Penultimate-stage butterflies (`t == 2`): groups of four elements
-    /// `[lo0 lo1 hi0 hi1]`, one twiddle per group. Two groups per
-    /// iteration: `permute2x128` splits the 128-bit group halves into
-    /// cross-group `lo`/`hi` vectors and re-interleaves the results.
+    /// `t == 1`: adjacent pairs `(a[2g], a[2g+1])`, each with its own
+    /// twiddle. Four pairs per step: `unpacklo/hi_epi64` de-interleave the
+    /// pairs into `lo` / `hi` vectors in position order `(0, 2, 1, 3)`, the
+    /// twiddle vector is permuted to match, and the same unpacks
+    /// re-interleave the results.
     #[target_feature(enable = "avx2")]
-    unsafe fn forward_stage_t2(a: &mut [u64], twiddles: &[u64], canonicalize: bool) {
-        let m = twiddles.len();
-        let mut i = 0;
-        while i + 2 <= m {
-            // SAFETY: groups i and i+1 span elements 4i..4i+8 of `a`, in
-            // bounds because i + 2 <= m and a.len() == 4m.
-            unsafe {
-                let v0 = load(a, 4 * i);
-                let v1 = load(a, 4 * i + 4);
-                let lo = _mm256_permute2x128_si256::<0x20>(v0, v1);
-                let hi = _mm256_permute2x128_si256::<0x31>(v0, v1);
-                let (s0, s1) = (twiddles[i] as i64, twiddles[i + 1] as i64);
-                let tw = _mm256_set_epi64x(s1, s1, s0, s0);
-                let y = mul_lazy(hi, tw);
-                let (mut p, mut q) = (add_lazy(lo, y), sub_lazy(lo, y));
-                if canonicalize {
-                    p = canonical(p);
-                    q = canonical(q);
-                }
-                store(a, 4 * i, _mm256_permute2x128_si256::<0x20>(p, q));
-                store(a, 4 * i + 4, _mm256_permute2x128_si256::<0x31>(p, q));
-            }
-            i += 2;
+    fn stage_t1(
+        a: &mut [u64],
+        twiddles: &[u64],
+        butterfly: impl Butterfly,
+        m: impl Modulus,
+    ) -> usize {
+        for (pairs, w) in a.chunks_exact_mut(8).zip(twiddles.chunks_exact(4)) {
+            let (v0, v1) = (U64x4::load(pairs, 0).0, U64x4::load(pairs, 4).0);
+            let lo = _mm256_unpacklo_epi64(v0, v1);
+            let hi = _mm256_unpackhi_epi64(v0, v1);
+            let w = _mm256_permute4x64_epi64::<0xD8>(U64x4::load(w, 0).0);
+            let (x, y) = butterfly.apply(m, U64x4(lo), U64x4(hi), U64x4(w));
+            U64x4(_mm256_unpacklo_epi64(x.0, y.0)).store(pairs, 0);
+            U64x4(_mm256_unpackhi_epi64(x.0, y.0)).store(pairs, 4);
         }
-        while i < m {
-            let s = twiddles[i];
-            for j in 4 * i..4 * i + 2 {
-                let u = a[j];
-                let v = p_mul_lazy(a[j + 2], s);
-                let (x, y) = (p_add_lazy(u, v), p_sub_lazy(u, v));
-                if canonicalize {
-                    a[j] = p_canonical(x);
-                    a[j + 2] = p_canonical(y);
-                } else {
-                    a[j] = x;
-                    a[j + 2] = y;
-                }
-            }
-            i += 1;
-        }
-    }
-
-    /// Final-stage butterflies (`t == 1`): adjacent pairs
-    /// `(a[2i], a[2i+1])`, each with its own twiddle. Four pairs per
-    /// iteration: `unpacklo/hi_epi64` de-interleave the pairs into
-    /// `lo`/`hi` vectors in lane order `(0, 2, 1, 3)`, the twiddle vector
-    /// is permuted to match, and the same unpacks re-interleave the
-    /// results.
-    #[target_feature(enable = "avx2")]
-    unsafe fn forward_stage_t1(a: &mut [u64], twiddles: &[u64], canonicalize: bool) {
-        let m = twiddles.len();
-        let mut i = 0;
-        while i + 4 <= m {
-            // SAFETY: pairs i..i+4 span elements 2i..2i+8 of `a`, in bounds
-            // because i + 4 <= m and a.len() == 2m; twiddles i..i+4 likewise.
-            unsafe {
-                let v0 = load(a, 2 * i);
-                let v1 = load(a, 2 * i + 4);
-                let lo = _mm256_unpacklo_epi64(v0, v1);
-                let hi = _mm256_unpackhi_epi64(v0, v1);
-                let tw = _mm256_permute4x64_epi64::<0xD8>(load(twiddles, i));
-                let y = mul_lazy(hi, tw);
-                let (mut p, mut q) = (add_lazy(lo, y), sub_lazy(lo, y));
-                if canonicalize {
-                    p = canonical(p);
-                    q = canonical(q);
-                }
-                store(a, 2 * i, _mm256_unpacklo_epi64(p, q));
-                store(a, 2 * i + 4, _mm256_unpackhi_epi64(p, q));
-            }
-            i += 4;
-        }
-        while i < m {
-            let u = a[2 * i];
-            let v = p_mul_lazy(a[2 * i + 1], twiddles[i]);
-            let (x, y) = (p_add_lazy(u, v), p_sub_lazy(u, v));
-            if canonicalize {
-                a[2 * i] = p_canonical(x);
-                a[2 * i + 1] = p_canonical(y);
-            } else {
-                a[2 * i] = x;
-                a[2 * i + 1] = y;
-            }
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn inverse_stage(a: &mut [u64], twiddles: &[u64], t: usize) {
-        if t >= LANES {
-            for (i, &s) in twiddles.iter().enumerate() {
-                let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
-                // SAFETY: AVX2 is available in this target_feature context.
-                unsafe { inverse_butterfly(lo, hi, s) };
-            }
-        } else if t == 2 {
-            // SAFETY: as above.
-            unsafe { inverse_stage_t2(a, twiddles) };
-        } else {
-            debug_assert_eq!(t, 1);
-            // SAFETY: as above.
-            unsafe { inverse_stage_t1(a, twiddles) };
-        }
-    }
-
-    /// Gentleman–Sande mirror of [`forward_stage_t2`] (same lane
-    /// choreography, inverse butterfly compute).
-    #[target_feature(enable = "avx2")]
-    unsafe fn inverse_stage_t2(a: &mut [u64], twiddles: &[u64]) {
-        let m = twiddles.len();
-        let mut i = 0;
-        while i + 2 <= m {
-            // SAFETY: groups i and i+1 span elements 4i..4i+8 of `a`, in
-            // bounds because i + 2 <= m and a.len() == 4m.
-            unsafe {
-                let v0 = load(a, 4 * i);
-                let v1 = load(a, 4 * i + 4);
-                let lo = _mm256_permute2x128_si256::<0x20>(v0, v1);
-                let hi = _mm256_permute2x128_si256::<0x31>(v0, v1);
-                let (s0, s1) = (twiddles[i] as i64, twiddles[i + 1] as i64);
-                let tw = _mm256_set_epi64x(s1, s1, s0, s0);
-                let p = add_lazy(lo, hi);
-                let q = mul_lazy(sub_lazy(lo, hi), tw);
-                store(a, 4 * i, _mm256_permute2x128_si256::<0x20>(p, q));
-                store(a, 4 * i + 4, _mm256_permute2x128_si256::<0x31>(p, q));
-            }
-            i += 2;
-        }
-        while i < m {
-            let s = twiddles[i];
-            for j in 4 * i..4 * i + 2 {
-                let (x, y) = (a[j], a[j + 2]);
-                a[j] = p_add_lazy(x, y);
-                a[j + 2] = p_mul_lazy(p_sub_lazy(x, y), s);
-            }
-            i += 1;
-        }
-    }
-
-    /// Gentleman–Sande mirror of [`forward_stage_t1`] (same lane
-    /// choreography, inverse butterfly compute).
-    #[target_feature(enable = "avx2")]
-    unsafe fn inverse_stage_t1(a: &mut [u64], twiddles: &[u64]) {
-        let m = twiddles.len();
-        let mut i = 0;
-        while i + 4 <= m {
-            // SAFETY: pairs i..i+4 span elements 2i..2i+8 of `a`, in bounds
-            // because i + 4 <= m and a.len() == 2m; twiddles i..i+4 likewise.
-            unsafe {
-                let v0 = load(a, 2 * i);
-                let v1 = load(a, 2 * i + 4);
-                let lo = _mm256_unpacklo_epi64(v0, v1);
-                let hi = _mm256_unpackhi_epi64(v0, v1);
-                let tw = _mm256_permute4x64_epi64::<0xD8>(load(twiddles, i));
-                let p = add_lazy(lo, hi);
-                let q = mul_lazy(sub_lazy(lo, hi), tw);
-                store(a, 2 * i, _mm256_unpacklo_epi64(p, q));
-                store(a, 2 * i + 4, _mm256_unpackhi_epi64(p, q));
-            }
-            i += 4;
-        }
-        while i < m {
-            let (x, y) = (a[2 * i], a[2 * i + 1]);
-            a[2 * i] = p_add_lazy(x, y);
-            a[2 * i + 1] = p_mul_lazy(p_sub_lazy(x, y), twiddles[i]);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale(a: &mut [u64], k: u64) {
-        let n = a.len();
-        let kv = _mm256_set1_epi64x(k as i64);
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` bounds every 4-lane access below.
-            unsafe { store(a, i, canonical(mul_lazy(load(a, i), kv))) };
-            i += 4;
-        }
-        while i < n {
-            a[i] = p_mul(a[i], k);
-            i += 1;
-        }
+        twiddles.len() / 4 * 4
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poly::{p_add, p_mul, p_mul_add, p_neg, p_sub};
+    use crate::rns::{Limb, ModulusChain};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Deterministic pseudo-random u64s (full range — lazy inputs need not
     /// be canonical).
@@ -1289,13 +1280,6 @@ mod tests {
                 state ^= state << 17;
                 state.wrapping_mul(0x2545_F491_4F6C_DD1D)
             })
-            .collect()
-    }
-
-    fn random_canonical(n: usize, seed: u64) -> Vec<u64> {
-        random_raw(n, seed)
-            .into_iter()
-            .map(|v| v % MODULUS)
             .collect()
     }
 
@@ -1377,181 +1361,337 @@ mod tests {
         SimdPolicy::set_global(detected);
     }
 
-    /// Every dispatch kernel, SIMD vs scalar, on ragged lengths (forcing
-    /// both the vector body and the scalar tail) and boundary-heavy data.
-    #[test]
-    fn simd_kernels_are_bit_identical_to_scalar() {
-        let policies = [SimdPolicy::Scalar, SimdPolicy::detected()];
-        for &n in &[1usize, 3, 4, 5, 8, 31, 64, 257] {
-            let mut x0 = random_canonical(n, 0xA0);
-            let x1 = random_canonical(n, 0xA1);
-            let m = random_canonical(n, 0xA2);
-            // Seed boundary values into the first lanes.
-            for (slot, v) in x0.iter_mut().zip([0, MODULUS - 1, 1, MODULUS - 2]) {
-                *slot = v;
-            }
+    /// One limb of the `k = 3` chain — Goldilocks, then each generic prime —
+    /// as the matrix below sees it: the prime kernels run under
+    /// ([`Limb::run`]) and the `u128` `%` arithmetic they are held to.
+    #[derive(Debug, Clone, Copy)]
+    struct Prime<'a>(&'a Limb);
 
-            let run = |policy: SimdPolicy| {
-                let mut o: Vec<Vec<u64>> = Vec::new();
-                let pair = |f: &dyn Fn(&mut [u64], &mut [u64])| {
-                    let (mut a, mut b) = (vec![0u64; n], vec![0u64; n]);
-                    f(&mut a, &mut b);
-                    (a, b)
-                };
-                let (a, b) = pair(&|o0, o1| mul2_chunk(&x0, &x1, &m, o0, o1, policy));
-                o.extend([a, b]);
-                let (a, b) =
-                    pair(&|o0, o1| mul_add2_chunk(&x0, &x1, &m, &x1, &m, &x0, o0, o1, policy));
-                o.extend([a, b]);
-                let perm: Vec<u32> = (0..n as u32).map(|i| (i * 7 + 3) % n as u32).collect();
-                let (a, b) = pair(&|o0, o1| galois2_chunk(&x0, &x1, &perm, &m, o0, o1, policy));
-                o.extend([a, b]);
-                let (a, b) = pair(&|o0, o1| {
-                    add_stripe(&x0, &x1, o0, policy);
-                    sub_stripe(&x0, &x1, o1, policy);
-                });
-                o.extend([a, b]);
-                let mut neg = vec![0u64; n];
-                neg_stripe(&x0, &mut neg, policy);
-                o.push(neg);
-                let mut acc = x0.clone();
-                add_stripe_assign(&mut acc, &x1, policy);
-                let mut acc2 = x0.clone();
-                sub_stripe_assign(&mut acc2, &x1, policy);
-                let mut acc3 = x0.clone();
-                neg_stripe_assign(&mut acc3, policy);
-                o.extend([acc, acc2, acc3]);
-                o
+    fn chain() -> ModulusChain {
+        ModulusChain::new(3, 64, false)
+    }
+
+    impl Prime<'_> {
+        fn q(self) -> u64 {
+            self.0.modulus()
+        }
+
+        fn run(self, kernel: impl Kernel, policy: SimdPolicy) {
+            self.0.run(kernel, policy);
+        }
+
+        /// The values a conditional subtract or a wrap fix-up is most
+        /// likely to get wrong under this prime.
+        fn boundary(self) -> Vec<u64> {
+            let q = self.q();
+            let mut values = vec![0, 1, q - 1];
+            if self.0.is_goldilocks() {
+                values.extend([EPSILON - 1, EPSILON, EPSILON + 1, 1 << 32, q - 2]);
+            }
+            values
+        }
+
+        /// `n` canonical operands: the leading positions walk the boundary
+        /// set (advancing once every `stride` positions, so two operands of
+        /// different strides meet in every boundary pair), the rest are
+        /// random.
+        fn operand(self, n: usize, stride: usize, seed: u64) -> Vec<u64> {
+            let boundary = self.boundary();
+            let crossed = boundary.len() * boundary.len();
+            let mut values: Vec<u64> = random_raw(n, seed).iter().map(|v| v % self.q()).collect();
+            for (i, v) in values.iter_mut().enumerate().take(crossed) {
+                *v = boundary[(i / stride) % boundary.len()];
+            }
+            values
+        }
+
+        fn mul(self, a: u64, b: u64) -> u64 {
+            ((u128::from(a) * u128::from(b)) % u128::from(self.q())) as u64
+        }
+
+        fn add(self, a: u64, b: u64) -> u64 {
+            ((u128::from(a) + u128::from(b)) % u128::from(self.q())) as u64
+        }
+
+        fn sub(self, a: u64, b: u64) -> u64 {
+            self.add(a, self.q() - b % self.q())
+        }
+    }
+
+    const LENGTHS: [usize; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 4099];
+
+    fn policies() -> [SimdPolicy; 2] {
+        [SimdPolicy::Scalar, SimdPolicy::detected()]
+    }
+
+    /// Every pointwise kernel × every modulus × both lanes × ragged lengths
+    /// (so the four-wide body and the one-wide end both run), on boundary
+    /// and random canonical operands, against `u128` `%` arithmetic.
+    #[test]
+    fn every_pointwise_kernel_matches_wide_arithmetic_on_every_instantiation() {
+        for prime in chain().limbs().iter().map(Prime) {
+            let width = prime.boundary().len();
+            for policy in policies() {
+                for n in LENGTHS {
+                    let context = format!("{prime:?} {policy:?} n={n}");
+                    let a0 = &prime.operand(n, 1, 0xA0)[..];
+                    let a1 = &prime.operand(n, 1, 0xA1)[..];
+                    let b0 = &prime.operand(n, width, 0xB0)[..];
+                    let b1 = &prime.operand(n, width, 0xB1)[..];
+                    let s0 = &prime.operand(n, 3, 0xC0)[..];
+                    let s1 = &prime.operand(n, 5, 0xC1)[..];
+                    let perm = (0..n as u32).map(|i| (i * 7 + 3) % n as u32);
+                    let perm = &GaloisPermutation::new(perm.collect());
+                    let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);
+                    let zip = |f: &dyn Fn(usize) -> u64| (0..n).map(f).collect::<Vec<u64>>();
+
+                    #[rustfmt::skip]
+                    prime.run(Mul2 { x0: a0, x1: a1, m: b0, o0: &mut o0, o1: &mut o1 }, policy);
+                    assert_eq!(o0, zip(&|i| prime.mul(a0[i], b0[i])), "mul2 {context}");
+                    assert_eq!(o1, zip(&|i| prime.mul(a1[i], b0[i])), "mul2 {context}");
+
+                    #[rustfmt::skip]
+                    prime.run(MulAdd2 { a0, a1, b0, b1, s0, s1, o0: &mut o0, o1: &mut o1 }, policy);
+                    let c2 = zip(&|i| prime.mul(a1[i], b1[i]));
+                    let want0 = |i| prime.add(prime.mul(a0[i], b0[i]), prime.mul(c2[i], s0[i]));
+                    let want1 = |i| {
+                        let cross = prime.add(prime.mul(a0[i], b1[i]), prime.mul(a1[i], b0[i]));
+                        prime.add(cross, prime.mul(c2[i], s1[i]))
+                    };
+                    assert_eq!(o0, zip(&want0), "mul_add2 {context}");
+                    assert_eq!(o1, zip(&want1), "mul_add2 {context}");
+
+                    #[rustfmt::skip]
+                    prime.run(Galois2 { src0: a0, src1: a1, perm, key: b0, o0: &mut o0, o1: &mut o1 }, policy);
+                    let gathered = |src: &[u64], i: usize| prime.mul(src[perm[i] as usize], b0[i]);
+                    assert_eq!(o0, zip(&|i| gathered(a0, i)), "galois2 {context}");
+                    assert_eq!(o1, zip(&|i| gathered(a1, i)), "galois2 {context}");
+
+                    #[rustfmt::skip]
+                    prime.run(Gather { src: a0, perm, out: &mut o0 }, policy);
+                    assert_eq!(o0, zip(&|i| a0[perm[i] as usize]), "gather {context}");
+
+                    let (x, y) = (a0, b0);
+                    let sum = zip(&|i| prime.add(x[i], y[i]));
+                    let difference = zip(&|i| prime.sub(x[i], y[i]));
+                    let negation = zip(&|i| prime.sub(0, x[i]));
+                    prime.run(Add { x, y, out: &mut o0 }, policy);
+                    assert_eq!(o0, sum, "add {context}");
+                    prime.run(Sub { x, y, out: &mut o0 }, policy);
+                    assert_eq!(o0, difference, "sub {context}");
+                    prime.run(Neg { x, out: &mut o0 }, policy);
+                    assert_eq!(o0, negation, "neg {context}");
+                    o0.copy_from_slice(x);
+                    prime.run(AddAssign { x: &mut o0, y }, policy);
+                    assert_eq!(o0, sum, "add_assign {context}");
+                    o0.copy_from_slice(x);
+                    prime.run(SubAssign { x: &mut o0, y }, policy);
+                    assert_eq!(o0, difference, "sub_assign {context}");
+                    o0.copy_from_slice(x);
+                    prime.run(NegAssign { x: &mut o0 }, policy);
+                    assert_eq!(o0, negation, "neg_assign {context}");
+
+                    // Scaling takes working residues: every `u64` is one on
+                    // Goldilocks.
+                    let k = b1.first().copied().unwrap_or(1);
+                    let raw = random_raw(n, 0xD0);
+                    let lazy = if prime.0.is_goldilocks() {
+                        &raw[..]
+                    } else {
+                        a1
+                    };
+                    o0.copy_from_slice(lazy);
+                    prime.run(Scale { a: &mut o0, k }, policy);
+                    let scaled = zip(&|i| prime.mul(lazy[i] % prime.q(), k));
+                    assert_eq!(o0, scaled, "scale {context}");
+                }
+            }
+        }
+    }
+
+    /// `input` after one whole stage of `butterfly`.
+    fn staged(
+        prime: Prime,
+        policy: SimdPolicy,
+        input: &[u64],
+        twiddles: &[u64],
+        t: usize,
+        butterfly: impl Butterfly,
+    ) -> Vec<u64> {
+        let mut a = input.to_vec();
+        #[rustfmt::skip]
+        prime.run(Stage { a: &mut a, twiddles, t, butterfly }, policy);
+        a
+    }
+
+    /// Both butterflies, as whole stages of every half-width — the two a
+    /// four-wide lane covers by moving values across groups, and wider ones
+    /// with a ragged end — against `u128` `%` arithmetic, group by group.
+    #[test]
+    fn butterfly_stages_match_wide_arithmetic_on_every_instantiation() {
+        for prime in chain().limbs().iter().map(Prime) {
+            let q = prime.q();
+            for policy in policies() {
+                for t in [1usize, 2, 3, 4, 7, 64] {
+                    for groups in 1..=9usize {
+                        let context = format!("{prime:?} {policy:?} t={t} groups={groups}");
+                        let input = prime.operand(2 * t * groups, 1, 0xE0);
+                        let twiddles = &prime.operand(groups, 2, 0xE1)[..];
+                        // (lo, hi, twiddle) of butterfly `j` of group `g`.
+                        let operands = |g: usize, j: usize| {
+                            let lo = 2 * g * t + j;
+                            (input[lo], input[lo + t], twiddles[g])
+                        };
+                        let expect = |f: &dyn Fn(u64, u64, u64) -> (u64, u64)| {
+                            let mut want = input.clone();
+                            for g in 0..groups {
+                                for j in 0..t {
+                                    let (lo, hi, w) = operands(g, j);
+                                    (want[2 * g * t + j], want[2 * g * t + j + t]) = f(lo, hi, w);
+                                }
+                            }
+                            want
+                        };
+                        let forward = expect(&|lo, hi, w| {
+                            let v = prime.mul(hi, w);
+                            (prime.add(lo, v), prime.sub(lo, v))
+                        });
+                        let inverse = expect(&|lo, hi, w| {
+                            (prime.add(lo, hi), prime.mul(prime.sub(lo, hi), w))
+                        });
+
+                        let mut a = staged(
+                            prime,
+                            policy,
+                            &input,
+                            twiddles,
+                            t,
+                            Forward { canonical: true },
+                        );
+                        assert_eq!(a, forward, "canonical forward {context}");
+                        // Left lazy, a stage's outputs are still members of
+                        // the right residue classes.
+                        a = staged(
+                            prime,
+                            policy,
+                            &input,
+                            twiddles,
+                            t,
+                            Forward { canonical: false },
+                        );
+                        a.iter_mut().for_each(|v| *v %= q);
+                        assert_eq!(a, forward, "lazy forward {context}");
+                        a = staged(prime, policy, &input, twiddles, t, Inverse);
+                        a.iter_mut().for_each(|v| *v %= q);
+                        assert_eq!(a, inverse, "inverse {context}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A kernel handed slices of different lengths panics before its first
+    /// lane, on both lanes: no instantiation reads or writes out of bounds.
+    #[test]
+    #[rustfmt::skip]
+    fn mismatched_slice_lengths_panic_under_every_policy() {
+        let (long, short) = (vec![1u64; 8], vec![1u64; 4]);
+        let (l, s) = (&long[..], &short[..]);
+        let perm8 = &*GaloisPermutation::new((0..8).collect());
+        let perm4 = &*GaloisPermutation::new((0..4).collect());
+        // `$kernel`, built over two fresh 8-long outputs, must panic.
+        macro_rules! rejected {
+            (|$o0:ident, $o1:ident| $kernel:expr) => {
+                for policy in policies() {
+                    let (mut o0, mut o1) = (vec![0u64; 8], vec![0u64; 8]);
+                    let ($o0, $o1) = (&mut o0[..], &mut o1[..]);
+                    let run = AssertUnwindSafe(|| dispatch($kernel, Goldilocks, policy));
+                    let what = stringify!($kernel);
+                    assert!(catch_unwind(run).is_err(), "{policy:?} accepted {what}");
+                }
             };
-            assert_eq!(run(policies[0]), run(policies[1]), "n={n}");
         }
+        rejected!(|o0, o1| Mul2 { x0: l, x1: l, m: s, o0, o1 });
+        rejected!(|o0, o1| Mul2 { x0: l, x1: l, m: l, o0, o1: &mut o1[..4] });
+        rejected!(|o0, o1| MulAdd2 { a0: l, a1: l, b0: l, b1: l, s0: l, s1: s, o0, o1 });
+        rejected!(|o0, o1| MulAdd2 { a0: l, a1: s, b0: l, b1: l, s0: l, s1: l, o0, o1 });
+        rejected!(|o0, o1| Galois2 { src0: l, src1: l, perm: perm8, key: s, o0, o1 });
+        rejected!(|o0, o1| Galois2 { src0: s, src1: s, perm: perm8, key: l, o0, o1 });
+        rejected!(|o0, o1| Galois2 { src0: l, src1: l, perm: perm4, key: l, o0, o1 });
+        rejected!(|out, _o| Gather { src: s, perm: perm8, out });
+        rejected!(|out, _o| Gather { src: l, perm: perm8, out: &mut out[..4] });
+        rejected!(|out, _o| Add { x: l, y: s, out });
+        rejected!(|out, _o| Sub { x: s, y: l, out });
+        rejected!(|out, _o| Neg { x: s, out });
+        rejected!(|x, _o| AddAssign { x, y: s });
+        rejected!(|x, _o| SubAssign { x, y: s });
+        rejected!(|a, _o| Stage { a, twiddles: s, t: 4, butterfly: Inverse });
     }
 
     #[test]
-    fn lazy_butterflies_canonicalize_to_eager_results() {
-        for &n in &[1usize, 4, 7, 64] {
-            let lo0 = random_canonical(n, 0xB0);
-            let hi0 = random_canonical(n, 0xB1);
-            let s = 0x1234_5678_9ABC_DEF1 % MODULUS;
-            for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
-                // One-twiddle stages: a single group `[lo | hi]` with `t = n`.
-                // Forward, canonical output fused into the stage.
-                let mut a = [lo0.clone(), hi0.clone()].concat();
-                forward_stage(&mut a, &[s], n, true, policy);
-                let (lo, hi) = a.split_at(n);
-                for i in 0..n {
-                    let v = p_mul(hi0[i], s);
-                    assert_eq!(lo[i], p_add(lo0[i], v), "{policy:?} fwd lo {i}");
-                    assert_eq!(hi[i], p_sub(lo0[i], v), "{policy:?} fwd hi {i}");
-                }
-                // Inverse stays lazy; canonicalizing must match eager.
-                let mut a = [lo0.clone(), hi0.clone()].concat();
-                inverse_stage(&mut a, &[s], n, policy);
-                let (lo, hi) = a.split_at(n);
-                for i in 0..n {
-                    assert_eq!(
-                        p_canonical(lo[i]),
-                        p_add(lo0[i], hi0[i]),
-                        "{policy:?} inv lo {i}"
-                    );
-                    assert_eq!(
-                        p_canonical(hi[i]),
-                        p_mul(p_sub(lo0[i], hi0[i]), s),
-                        "{policy:?} inv hi {i}"
-                    );
-                }
-                // Scaling canonicalizes lazy inputs exactly.
-                let mut vals = random_raw(n, 0xB2);
-                let reference: Vec<u64> = vals.iter().map(|&v| p_mul(v % MODULUS, s)).collect();
-                // Make inputs lazy residues of the same classes.
-                for v in vals.iter_mut() {
-                    *v %= MODULUS;
-                }
-                scale_canonical(&mut vals, s, policy);
-                assert_eq!(vals, reference, "{policy:?} scale");
-            }
-        }
+    #[should_panic(expected = "out of range")]
+    fn a_permutation_with_an_out_of_range_index_is_rejected() {
+        let _ = GaloisPermutation::new(vec![0, 1, 2, 9, 4, 5, 6, 7]);
     }
 
+    /// `cargo test --release -p chehab-fhe simd -- --ignored --nocapture`:
+    /// µs per 4 096-coefficient limb of the four fused kernels on all four
+    /// instantiations, and per degree-4 096 transform on both lanes (best
+    /// of 7 × 2 000).
     #[test]
-    fn fused_mul_add_matches_eager_composition() {
-        let n = 37;
-        let a0 = random_canonical(n, 1);
-        let a1 = random_canonical(n, 2);
-        let b0 = random_canonical(n, 3);
-        let b1 = random_canonical(n, 4);
-        let s0 = random_canonical(n, 5);
-        let s1 = random_canonical(n, 6);
-        for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
+    #[ignore = "a timer, not a check"]
+    fn kernel_timer() {
+        use std::hint::black_box;
+        use std::time::Instant;
+        let best_us = |f: &mut dyn FnMut()| {
+            let rounds = (0..7).map(|_| {
+                let started = Instant::now();
+                (0..2000).for_each(|_| f());
+                started.elapsed().as_secs_f64() * 1e6 / 2000.0
+            });
+            rounds.fold(f64::MAX, f64::min)
+        };
+        let n = 4096;
+        let chain = chain();
+        for prime in chain.limbs().iter().map(Prime).take(2) {
+            let operand = |seed| prime.operand(n, 1, seed);
+            let (a0, a1, b0, b1, s0, s1) = (
+                operand(1),
+                operand(2),
+                operand(3),
+                operand(4),
+                operand(5),
+                operand(6),
+            );
+            let (a0, a1, b0, b1, s0, s1) = (&a0[..], &a1[..], &b0[..], &b1[..], &s0[..], &s1[..]);
+            let perm =
+                &GaloisPermutation::new((0..n as u32).map(|i| (i * 7 + 3) % n as u32).collect());
             let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);
-            mul_add2_chunk(&a0, &a1, &b0, &b1, &s0, &s1, &mut o0, &mut o1, policy);
-            for i in 0..n {
-                let c2 = p_mul(a1[i], b1[i]);
-                assert_eq!(o0[i], p_mul_add(c2, s0[i], p_mul(a0[i], b0[i])));
-                assert_eq!(
-                    o1[i],
-                    p_mul_add(c2, s1[i], p_mul_add(a1[i], b0[i], p_mul(a0[i], b1[i])))
+            for policy in policies() {
+                #[rustfmt::skip]
+                let mul2 = best_us(&mut || prime.run(Mul2 { x0: a0, x1: a1, m: b0, o0: black_box(&mut o0), o1: &mut o1 }, policy));
+                #[rustfmt::skip]
+                let mul_add2 = best_us(&mut || prime.run(MulAdd2 { a0, a1, b0, b1, s0, s1, o0: black_box(&mut o0), o1: &mut o1 }, policy));
+                #[rustfmt::skip]
+                let galois2 = best_us(&mut || prime.run(Galois2 { src0: a0, src1: a1, perm, key: b0, o0: black_box(&mut o0), o1: &mut o1 }, policy));
+                #[rustfmt::skip]
+                let add = best_us(&mut || prime.run(Add { x: a0, y: a1, out: black_box(&mut o0) }, policy));
+                println!(
+                    "{:>10} x {:<6} mul2 {mul2:7.2}  mul_add2 {mul_add2:7.2}  galois2 {galois2:7.2}  add {add:6.2}  (us / {n} coefficients)",
+                    if prime.0.is_goldilocks() { "goldilocks" } else { "barrett" },
+                    policy.name()
                 );
             }
         }
-    }
-
-    #[test]
-    fn barrett_mul2_chunk_is_bit_identical_across_policies() {
-        let chain = crate::rns::ModulusChain::new(2, 64, false);
-        let (q, mu) = (chain.limb(1).modulus(), chain.limb(1).mu());
-        for &n in &[1usize, 3, 4, 5, 8, 31, 64, 257] {
-            let reduce = |v: Vec<u64>| -> Vec<u64> { v.into_iter().map(|x| x % q).collect() };
-            let mut x0 = reduce(random_raw(n, 0xC0));
-            let x1 = reduce(random_raw(n, 0xC1));
-            let m = reduce(random_raw(n, 0xC2));
-            for (slot, v) in x0.iter_mut().zip([0, q - 1, 1, q - 2]) {
-                *slot = v;
-            }
-            let run = |policy: SimdPolicy| {
-                let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);
-                mul2_chunk_q(&x0, &x1, &m, &mut o0, &mut o1, q, mu, policy);
-                (o0, o1)
-            };
-            let (s0, s1) = run(SimdPolicy::Scalar);
-            assert_eq!(
-                (s0.clone(), s1.clone()),
-                run(SimdPolicy::detected()),
-                "n={n}"
+        for policy in policies() {
+            let tables = crate::poly::NttTables::with_policy(n, policy);
+            let mut a = Prime(chain.limb(0)).operand(n, 1, 9);
+            let forward = best_us(&mut || tables.forward(black_box(&mut a)));
+            let inverse = best_us(&mut || tables.inverse(black_box(&mut a)));
+            println!(
+                "       ntt x {:<6} forward {forward:7.2}  inverse {inverse:7.2}  (us / {n})",
+                policy.name()
             );
-            for i in 0..n {
-                let expect = ((u128::from(x0[i]) * u128::from(m[i])) % u128::from(q)) as u64;
-                assert_eq!(s0[i], expect, "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn gather_chunk_is_bit_identical_across_policies() {
-        for &n in &[1usize, 4, 7, 64, 255] {
-            let src = random_raw(n, 0xD0);
-            let perm: Vec<u32> = (0..n as u32).map(|i| (i * 11 + 5) % n as u32).collect();
-            let run = |policy: SimdPolicy| {
-                let mut out = vec![0u64; n];
-                gather_chunk(&src, &perm, &mut out, policy);
-                out
-            };
-            let scalar = run(SimdPolicy::Scalar);
-            assert_eq!(scalar, run(SimdPolicy::detected()), "n={n}");
-            for i in 0..n {
-                assert_eq!(scalar[i], src[perm[i] as usize]);
-            }
-        }
-    }
-
-    #[test]
-    fn neg_of_zero_stays_zero_under_simd() {
-        let x = vec![0u64, MODULUS - 1, 0, 5, 0, 0, 1, 0];
-        for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
-            let mut out = vec![9u64; x.len()];
-            neg_stripe(&x, &mut out, policy);
-            let expected: Vec<u64> = x.iter().map(|&v| p_neg(v)).collect();
-            assert_eq!(out, expected, "{policy:?}");
         }
     }
 }

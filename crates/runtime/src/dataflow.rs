@@ -17,7 +17,10 @@
 //!   Priorities are the longest remaining dependency chain under a cost
 //!   table ([`Schedule::critical_path_priorities`]); sessions recompute them
 //!   from the accumulated [`CalibratedCostModel`] — the timer-augmented cost
-//!   function of McDoniel & Bientinesi applied to ready-queue ordering.
+//!   function of McDoniel & Bientinesi applied to ready-queue ordering. A
+//!   pool of one has nothing to prioritise (no order changes its wall), so
+//!   it is given none and pops in schedule order — the same order, and so
+//!   the same peak of live buffers, on every request.
 //! - [`SchedulerKind::Leveled`]: when the whole level below has retired. A
 //!   per-level countdown replaces the barrier: the worker that retires a
 //!   level's last instruction stamps that level's [`LevelTiming`] and
@@ -143,8 +146,9 @@ pub(crate) struct Ready {
 /// is what matters here.
 pub(crate) struct SchedState<'a> {
     schedule: &'a Schedule,
-    /// One priority per instruction; only [`SchedulerKind::Dataflow`] reads
-    /// them.
+    /// One priority per instruction, read only under
+    /// [`SchedulerKind::Dataflow`]; an instruction past the end ranks 0.0,
+    /// so an empty table pops ready instructions in schedule order.
     priorities: &'a [f64],
     /// Per-worker local deques, each sorted by descending priority (owners
     /// pop the front, thieves steal the back).
@@ -209,11 +213,7 @@ impl<'a> SchedState<'a> {
                 state.pending = schedule.dep_counts().to_vec();
                 state.injector = (0..n)
                     .filter(|&index| state.pending[index] == 0)
-                    .map(|index| Ready {
-                        priority: priorities[index],
-                        index,
-                        since: now,
-                    })
+                    .map(|index| state.ready(index, now))
                     .collect();
                 // Ascending, lowest index last among equals: `pop` takes the
                 // best from the end.
@@ -226,6 +226,15 @@ impl<'a> SchedState<'a> {
             SchedulerKind::Leveled => state.release_level(now),
         }
         state
+    }
+
+    /// Instruction `index`, released at `now`, with its priority.
+    fn ready(&self, index: usize, now: Instant) -> Ready {
+        Ready {
+            priority: self.priorities.get(index).copied().unwrap_or(0.0),
+            index,
+            since: now,
+        }
     }
 
     /// Pops the next instruction for `worker`: own deque front, then the
@@ -297,12 +306,7 @@ impl<'a> SchedState<'a> {
                 for &dependent in &schedule.dependents()[index] {
                     self.pending[dependent] -= 1;
                     if self.pending[dependent] == 0 {
-                        let ready = Ready {
-                            priority: self.priorities[dependent],
-                            index: dependent,
-                            since: now,
-                        };
-                        self.push_local(worker, ready);
+                        self.push_local(worker, self.ready(dependent, now));
                     }
                 }
             }

@@ -317,11 +317,6 @@ pub struct ExecResources<'a> {
     pub relin_keys: &'a RelinKeys,
     /// Galois keys covering every realized rotation step.
     pub galois_keys: &'a GaloisKeys,
-    /// A fresh encryption of zero, the packing fallback for degenerate
-    /// vector nodes with no ciphertext element. Only needed — and only
-    /// worth paying an encryption for — when the schedule contains
-    /// [`Instr::Pack`] instructions.
-    pub zero: Option<&'a Ciphertext>,
     /// The arena pool worker evaluators draw their buffers from: checked
     /// out per worker per run and restored afterwards, so warm buffers
     /// survive across requests (the zero-allocation steady state).
@@ -388,10 +383,12 @@ impl Executor {
     /// Runs a schedule against a register file whose pre-bound slots are
     /// filled (`initial[slot] = Some(..)` for every client-side value),
     /// releasing instructions under `scheduler`. Under
-    /// [`SchedulerKind::Dataflow`] ready instructions are popped in
-    /// descending `priorities` order (one entry per instruction, e.g. from
-    /// [`Schedule::critical_path_priorities`] under a calibrated cost
-    /// table); [`SchedulerKind::Leveled`] never reads them.
+    /// [`SchedulerKind::Dataflow`] a pool larger than one pops ready
+    /// instructions in descending `priorities` order (one entry per
+    /// instruction, e.g. from [`Schedule::critical_path_priorities`] under a
+    /// calibrated cost table). [`SchedulerKind::Leveled`] never reads them,
+    /// and a pool of one needs none: no order changes its wall, so it may
+    /// pass `&[]` and pop in schedule order.
     ///
     /// The pool is `threads` clamped to what the rule can use (the widest
     /// level under leveled, the instruction count under dataflow). The
@@ -409,9 +406,9 @@ impl Executor {
     ///
     /// Panics if `initial` does not cover the schedule's slots, if the
     /// schedule references a slot that is neither pre-bound nor produced at
-    /// an earlier level, or if a dataflow run gets fewer priorities than
-    /// instructions. All three checks run up front on the calling thread:
-    /// misuse must never reach the pool.
+    /// an earlier level, or if a dataflow run on more than one worker gets
+    /// fewer priorities than instructions. All three checks run up front on
+    /// the calling thread: misuse must never reach the pool.
     pub fn execute(
         &self,
         schedule: &Schedule,
@@ -425,15 +422,13 @@ impl Executor {
         let instructions = schedule.instrs().len();
         let useful = match scheduler {
             SchedulerKind::Leveled => schedule.max_width(),
-            SchedulerKind::Dataflow => {
-                assert!(
-                    priorities.len() >= instructions,
-                    "need one priority per instruction"
-                );
-                instructions
-            }
+            SchedulerKind::Dataflow => instructions,
         };
         let workers = self.threads.min(useful).max(1);
+        assert!(
+            scheduler == SchedulerKind::Leveled || workers == 1 || priorities.len() >= instructions,
+            "need one priority per instruction"
+        );
         let started = Instant::now();
         let run = Run {
             schedule,
@@ -800,14 +795,10 @@ fn run_instr(
                     }
                 }
             }
-            // A ciphertext-kind vector always has at least one ciphertext
-            // element, but keep a safe fallback.
-            let mut packed = match acc {
-                Some(ct) => ct,
-                None => evaluator.clone_ciphertext(
-                    res.zero
-                        .expect("schedules with Pack instructions provide a zero ciphertext"),
-                ),
+            // Lowering emits `Pack` only for a ciphertext-kind vector, which
+            // has a ciphertext element by `data_kinds`' definition.
+            let Some(mut packed) = acc else {
+                unreachable!("plaintext-only nodes are evaluated on the client")
             };
             // Whether the plaintext addition is issued is the schedule's
             // decision, never the request's: elements that all happen to

@@ -99,7 +99,6 @@
 //!     galois_keys: &galois_keys,
 //!     // No runtime `Pack` instructions in this schedule, so no zero
 //!     // ciphertext fallback is needed.
-//!     zero: None,
 //!     arenas: &arenas,
 //!     // Tracing off: the executor records no spans.
 //!     trace: None,

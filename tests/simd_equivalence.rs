@@ -9,9 +9,9 @@
 //!    dual-component multiply/add/sub/neg family plus the Galois gather)
 //!    produces identical stripes under `SimdPolicy::Scalar` and the detected
 //!    vector policy, on random inputs, in both domains, from one vector
-//!    wide to 1024 (ragged lengths and scalar tails are the business of
-//!    `simd.rs`'s own kernel-identity test: a stripe degree is a power of
-//!    two).
+//!    wide to 1024, under chains of one, two and three limbs (ragged
+//!    lengths and scalar tails are the business of `simd.rs`'s own kernel
+//!    matrix: a stripe degree is a power of two).
 //! 2. **Transform equivalence** — forward and inverse NTTs agree between
 //!    policies on random polynomials at several degrees.
 //! 3. **Lazy-reduction invariant** — the lazy engine keeps values unreduced
@@ -32,6 +32,7 @@
 use chehab::benchsuite::{self, Benchmark};
 use chehab::compiler::{Compiler, ExecOptions, SchedulerKind};
 use chehab::fhe::poly::{Domain, NttTables, Poly, MODULUS};
+use chehab::fhe::simd::GaloisPermutation;
 use chehab::fhe::{BfvParameters, CtPayload, ModulusChain, SimdPolicy};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -59,74 +60,93 @@ fn assert_kernel_identical(
     );
 }
 
+/// `stripes` consecutive limb stripes of `chain`'s degree, each canonical
+/// under its own limb's prime.
+fn random_limb_stripes(rng: &mut ChaCha8Rng, chain: &ModulusChain, stripes: usize) -> Vec<u64> {
+    let mut values = Vec::with_capacity(stripes * chain.degree());
+    for stripe in 0..stripes {
+        let q = chain.limb(stripe % chain.limb_count()).modulus();
+        values.extend((0..chain.degree()).map(|_| rng.gen::<u64>() % q));
+    }
+    values
+}
+
 /// Every fused dual-component kernel is bit-identical between the scalar
 /// oracle and the detected vector policy — random inputs, both domains,
-/// every degree from one vector wide up.
+/// every degree from one vector wide up, under chains of one, two and three
+/// limbs (Goldilocks alone, then with one and two Barrett limbs).
 #[test]
 fn fused_payload_kernels_are_bit_identical_under_every_policy() {
     let detected = SimdPolicy::detected();
     let mut rng = ChaCha8Rng::seed_from_u64(0x51DE0);
     // Degrees must be powers of two (stripe invariant).
-    for n in [4usize, 8, 64, 1024] {
-        let chain = ModulusChain::new(1, n, false);
-        for domain in [Domain::Coeff, Domain::Eval] {
-            let a = CtPayload::from_stripe(random_residues(&mut rng, 2 * n), domain);
-            let b = CtPayload::from_stripe(random_residues(&mut rng, 2 * n), domain);
-            let mult = random_residues(&mut rng, n);
-            let s0 = random_residues(&mut rng, n);
-            let s1 = random_residues(&mut rng, n);
-            // An arbitrary index permutation is enough for gather
-            // equivalence (the real Galois permutations are a subset).
-            let perm: Vec<u32> = (0..n).map(|i| ((i * 7 + 3) % n) as u32).collect();
-            let key = random_residues(&mut rng, n);
+    for k in [1usize, 2, 3] {
+        for n in [4usize, 8, 64, 1024] {
+            let chain = ModulusChain::new(k, n, false);
+            let len = 2 * k * n;
+            for domain in [Domain::Coeff, Domain::Eval] {
+                let payload = |rng: &mut ChaCha8Rng| {
+                    CtPayload::from_limb_stripe(random_limb_stripes(rng, &chain, 2 * k), k, domain)
+                };
+                let a = payload(&mut rng);
+                let b = payload(&mut rng);
+                let mult = random_limb_stripes(&mut rng, &chain, k);
+                let s0 = random_limb_stripes(&mut rng, &chain, k);
+                let s1 = random_limb_stripes(&mut rng, &chain, k);
+                // An arbitrary index permutation is enough for gather
+                // equivalence (the real Galois permutations are a subset).
+                let perm =
+                    GaloisPermutation::new((0..n).map(|i| ((i * 7 + 3) % n) as u32).collect());
+                let key = random_limb_stripes(&mut rng, &chain, k);
 
-            assert_kernel_identical("mul_eval2", n, domain, detected, |policy| {
-                let mut out = vec![0u64; 2 * n];
-                a.mul_eval2(&mult, &mut out, policy, &chain);
-                out
-            });
-            assert_kernel_identical("mul_add_eval2", n, domain, detected, |policy| {
-                let mut out = vec![0u64; 2 * n];
-                a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
-                out
-            });
-            if domain == Domain::Eval {
-                assert_kernel_identical("galois_eval2", n, domain, detected, |policy| {
-                    let mut out = vec![0u64; 2 * n];
-                    a.galois_eval2(&perm, &key, &mut out, policy, &chain);
+                assert_kernel_identical("mul_eval2", n, domain, detected, |policy| {
+                    let mut out = vec![0u64; len];
+                    a.mul_eval2(&mult, &mut out, policy, &chain);
                     out
                 });
+                assert_kernel_identical("mul_add_eval2", n, domain, detected, |policy| {
+                    let mut out = vec![0u64; len];
+                    a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
+                    out
+                });
+                if domain == Domain::Eval {
+                    assert_kernel_identical("galois_eval2", n, domain, detected, |policy| {
+                        let mut out = vec![0u64; len];
+                        a.galois_eval2(&perm, &key, &mut out, policy, &chain);
+                        out
+                    });
+                }
+                assert_kernel_identical("add2", n, domain, detected, |policy| {
+                    let mut out = vec![0u64; len];
+                    a.add2(&b, &mut out, policy, &chain);
+                    out
+                });
+                assert_kernel_identical("sub2", n, domain, detected, |policy| {
+                    let mut out = vec![0u64; len];
+                    a.sub2(&b, &mut out, policy, &chain);
+                    out
+                });
+                assert_kernel_identical("neg2", n, domain, detected, |policy| {
+                    let mut out = vec![0u64; len];
+                    a.neg2(&mut out, policy, &chain);
+                    out
+                });
+                assert_kernel_identical("add_assign2", n, domain, detected, |policy| {
+                    let mut acc = a.clone();
+                    acc.add_assign2(&b, policy, &chain);
+                    acc.into_stripe()
+                });
+                assert_kernel_identical("sub_assign2", n, domain, detected, |policy| {
+                    let mut acc = a.clone();
+                    acc.sub_assign2(&b, policy, &chain);
+                    acc.into_stripe()
+                });
+                assert_kernel_identical("neg_assign2", n, domain, detected, |policy| {
+                    let mut acc = a.clone();
+                    acc.neg_assign2(policy, &chain);
+                    acc.into_stripe()
+                });
             }
-            assert_kernel_identical("add2", n, domain, detected, |policy| {
-                let mut out = vec![0u64; 2 * n];
-                a.add2(&b, &mut out, policy, &chain);
-                out
-            });
-            assert_kernel_identical("sub2", n, domain, detected, |policy| {
-                let mut out = vec![0u64; 2 * n];
-                a.sub2(&b, &mut out, policy, &chain);
-                out
-            });
-            assert_kernel_identical("neg2", n, domain, detected, |policy| {
-                let mut out = vec![0u64; 2 * n];
-                a.neg2(&mut out, policy, &chain);
-                out
-            });
-            assert_kernel_identical("add_assign2", n, domain, detected, |policy| {
-                let mut acc = a.clone();
-                acc.add_assign2(&b, policy, &chain);
-                acc.into_stripe()
-            });
-            assert_kernel_identical("sub_assign2", n, domain, detected, |policy| {
-                let mut acc = a.clone();
-                acc.sub_assign2(&b, policy, &chain);
-                acc.into_stripe()
-            });
-            assert_kernel_identical("neg_assign2", n, domain, detected, |policy| {
-                let mut acc = a.clone();
-                acc.neg_assign2(policy, &chain);
-                acc.into_stripe()
-            });
         }
     }
 }
