@@ -862,9 +862,9 @@ impl FheSession {
         self.lanes.lanes
     }
 
-    /// The slot-vector (and, under payload simulation, stripe) lengths parked
-    /// in the session's arena pool — what the window tests read to see that
-    /// no register of a run outgrew its lane window.
+    /// The slot-vector, payload-splat and stripe lengths parked in the
+    /// session's arena pool — what the window tests read to see that no
+    /// register of a run outgrew its lane window.
     #[doc(hidden)]
     pub fn parked_buffer_lengths(&self) -> Vec<usize> {
         self.arena_pool.parked_lengths()

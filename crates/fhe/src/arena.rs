@@ -200,8 +200,8 @@ impl ArenaPool {
         self.shared.parked().values().map(Vec::len).sum()
     }
 
-    /// The length classes with at least one buffer parked, ascending. A
-    /// session without payload simulation parks slot vectors only, so this
+    /// The length classes with at least one buffer parked, ascending: a
+    /// session's slot vectors beside its payload splats and stripes, which
     /// is how its tests read the slot-vector lengths its runs computed on.
     pub fn parked_lengths(&self) -> Vec<usize> {
         let parked = self.shared.parked();

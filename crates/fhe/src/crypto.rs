@@ -119,11 +119,11 @@ struct ContextInner {
     /// evaluator's slot passes share one precomputed Barrett constant.
     plain: PlainModulus,
     noise: NoiseModel,
-    tables: Option<NttTables>,
+    tables: NttTables,
     /// The RNS modulus chain: limb 0 is the Goldilocks prime served by
     /// `tables`, limbs `1..k` are generic NTT-friendly primes with their own
-    /// Barrett constants and (when compute simulation is on) Shoup NTT
-    /// tables. A bare one-limb marker when `limb_count == 1`.
+    /// Barrett constants and Shoup NTT tables. A bare one-limb marker when
+    /// `limb_count == 1`.
     chain: ModulusChain,
     /// Eval-domain Galois permutations by Galois element, computed once per
     /// `(payload_degree, element)` for the context's lifetime and shared by
@@ -139,32 +139,15 @@ impl FheContext {
     ///
     /// Returns [`FheError::Parameters`] if the parameters are invalid.
     pub fn new(params: BfvParameters) -> Result<Self, FheError> {
-        Self::with_noise_model(params, NoiseModel::default())
-    }
-
-    /// Builds a context with a custom noise model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FheError::Parameters`] if the parameters are invalid.
-    pub fn with_noise_model(params: BfvParameters, noise: NoiseModel) -> Result<Self, FheError> {
         params.validate()?;
-        let tables = params
-            .simulate_compute
-            .then(|| NttTables::new(params.payload_degree));
-        let chain = ModulusChain::new(
-            params.limb_count,
-            params.payload_degree,
-            params.simulate_compute,
-        );
         Ok(FheContext {
             inner: Arc::new(ContextInner {
                 plain: PlainModulus::new(params.plain_modulus),
-                params,
-                noise,
-                tables,
-                chain,
+                noise: NoiseModel::default(),
+                tables: NttTables::new(params.payload_degree),
+                chain: ModulusChain::new(params.limb_count, params.payload_degree),
                 galois_perms: Mutex::new(HashMap::new()),
+                params,
             }),
         })
     }
@@ -179,8 +162,8 @@ impl FheContext {
         &self.inner.noise
     }
 
-    pub(crate) fn tables(&self) -> Option<&NttTables> {
-        self.inner.tables.as_ref()
+    pub(crate) fn tables(&self) -> &NttTables {
+        &self.inner.tables
     }
 
     /// The context's RNS modulus chain (a one-limb Goldilocks marker under
@@ -208,35 +191,20 @@ impl FheContext {
         }))
     }
 
-    /// `(forward, inverse)` NTT transform counts performed through this
-    /// context's tables since construction (or the last
-    /// [`FheContext::reset_transform_counts`]); `(0, 0)` when compute
-    /// simulation is off. Positional shorthand for
-    /// [`FheContext::transform_stats`].
-    pub fn transform_counts(&self) -> (u64, u64) {
-        let stats = self.transform_stats();
-        (stats.forward, stats.inverse)
-    }
-
     /// Cumulative NTT transform counts performed through this context's
     /// tables since construction (or the last
-    /// [`FheContext::reset_transform_counts`]); all-zero when compute
-    /// simulation is off. Telemetry for the NTT hot path — sessions expose
+    /// [`FheContext::reset_transform_counts`]). Telemetry for the NTT hot
+    /// path — sessions expose
     /// it through their metrics registry — and the handle tests use to hold
     /// the lazy NTT-domain representation to its promise that chains of
     /// homomorphic operations transform each operand at most once.
     pub fn transform_stats(&self) -> crate::poly::TransformStats {
-        self.inner
-            .tables
-            .as_ref()
-            .map_or_else(Default::default, NttTables::transform_stats)
+        self.inner.tables.transform_stats()
     }
 
     /// Resets the context's transform counters to zero.
     pub fn reset_transform_counts(&self) {
-        if let Some(tables) = &self.inner.tables {
-            tables.reset_transform_counts();
-        }
+        self.inner.tables.reset_transform_counts();
     }
 
     /// Number of batching slots.
@@ -287,16 +255,6 @@ impl FheContext {
         let mut data = arena.take(stored_len(values.len()));
         encode_into(&mut data, values, self.plain_modulus());
         Ok(Plaintext::new(data, values.len().max(1)))
-    }
-
-    /// Encodes a single scalar into slot 0.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a single value under valid parameters, but keeps the
-    /// same signature as [`FheContext::encode`].
-    pub fn encode_scalar(&self, value: i64) -> Result<Plaintext, FheError> {
-        self.encode(&[value])
     }
 
     /// Decodes the first `count` slots of a plaintext's logical vector:
@@ -370,20 +328,15 @@ impl Plaintext {
     /// under; if the same plaintext is then used under a context with a
     /// different payload shape, a fresh (owned, uncached) splat is built
     /// at that shape instead — never a wrong-shape cache hit.
-    pub(crate) fn splat_eval(
-        &self,
-        ctx: &FheContext,
-        tables: &NttTables,
-        arena: &mut PolyArena,
-    ) -> Cow<'_, Poly> {
+    pub(crate) fn splat_eval(&self, ctx: &FheContext, arena: &mut PolyArena) -> Cow<'_, Poly> {
         let total = ctx.chain().limb_count() * ctx.chain().degree();
         if let Some(splat) = self.splat.get() {
             if splat.degree() == total {
                 return Cow::Borrowed(splat);
             }
-            return Cow::Owned(self.build_splat(ctx, tables, arena));
+            return Cow::Owned(self.build_splat(ctx, arena));
         }
-        let built = self.build_splat(ctx, tables, arena);
+        let built = self.build_splat(ctx, arena);
         match self.splat.set(built) {
             Ok(()) => Cow::Borrowed(self.splat.get().expect("just set")),
             // A concurrent first use won the race; its value is identical
@@ -402,7 +355,7 @@ impl Plaintext {
     /// Builds the Eval-form payload splat of this plaintext across every
     /// limb of the context's chain, with the coefficient buffer drawn from
     /// `arena`.
-    fn build_splat(&self, ctx: &FheContext, tables: &NttTables, arena: &mut PolyArena) -> Poly {
+    fn build_splat(&self, ctx: &FheContext, arena: &mut PolyArena) -> Poly {
         let chain = ctx.chain();
         let degree = chain.degree();
         let mut values = arena.take(chain.limb_count() * degree);
@@ -418,7 +371,7 @@ impl Plaintext {
                 block[stored..].fill(0);
             }
         }
-        chain.forward_limbs(tables, &mut values);
+        chain.forward_limbs(ctx.tables(), &mut values);
         Poly::from_reduced(values, Domain::Eval)
     }
 
@@ -482,16 +435,8 @@ impl Ciphertext {
         self.level
     }
 
-    /// Number of payload polynomial components (2 for every BFV ciphertext
-    /// this backend produces — the degree-2 tensor component is folded away
-    /// by fused relinearization).
-    pub fn payload_size(&self) -> usize {
-        2
-    }
-
-    /// The striped payload (empty when compute simulation is off). Exposed
-    /// for instrumentation: equivalence tests compare payloads bit for bit
-    /// across execution strategies.
+    /// The striped payload. Exposed for instrumentation: equivalence tests
+    /// compare payloads bit for bit across execution strategies.
     pub fn payload(&self) -> &CtPayload {
         &self.payload
     }
@@ -546,13 +491,9 @@ impl Encryptor {
         std::mem::take(&mut self.arena)
     }
 
-    /// Samples one fresh Eval-form payload stripe from the arena (or an
-    /// empty payload when compute simulation is off): each component is one
-    /// [`ModulusChain::sample_uniform_limbs`] polynomial.
+    /// Samples one fresh Eval-form payload stripe from the arena: each
+    /// component is one [`ModulusChain::sample_uniform_limbs`] polynomial.
     fn sample_payload(&mut self) -> Arc<CtPayload> {
-        if !self.ctx.params().simulate_compute {
-            return CtPayload::shared_empty();
-        }
         let chain = self.ctx.chain();
         let k = chain.limb_count();
         let half = k * chain.degree();
@@ -560,7 +501,7 @@ impl Encryptor {
         for component in stripe.chunks_exact_mut(half) {
             chain.sample_uniform_limbs(&mut self.rng, component);
         }
-        Arc::new(CtPayload::from_limb_stripe(stripe, k, Domain::Eval))
+        Arc::new(CtPayload::from_limb_stripe(stripe, k))
     }
 
     /// Encrypts a plaintext into a fresh ciphertext.
@@ -668,7 +609,7 @@ impl Decryptor {
         // Multi-limb decryption pays the CRT reconstruction a production RNS
         // engine performs: a Garner mixed-radix pass over every coefficient
         // of the recovered component, kept live through the checksum.
-        if ct.payload.limbs() > 1 && !ct.payload.is_empty() {
+        if ct.payload.limbs() > 1 {
             std::hint::black_box(self.ctx.chain().crt_checksum(ct.payload.c0()));
         }
         Ok(&ct.slots)
@@ -719,6 +660,29 @@ mod tests {
         let enc = Encryptor::new(&ctx, &keygen.public_key());
         let dec = Decryptor::new(&ctx, &keygen.secret_key());
         (ctx, enc, dec)
+    }
+
+    /// A ciphertext always carries its payload and a requested rotation step
+    /// always its key, under the test parameters at one limb and at three;
+    /// a payload without a stripe cannot be built.
+    #[test]
+    fn ciphertexts_and_keys_always_carry_payload_material() {
+        for k in [1usize, 3] {
+            let ctx = FheContext::new(BfvParameters::insecure_test().with_limb_count(k)).unwrap();
+            let half = k * ctx.params().payload_degree;
+            let mut keygen = KeyGenerator::new(ctx.params(), 42);
+            let mut enc = Encryptor::new(&ctx, &keygen.public_key());
+            let ct = enc.encrypt_values(&[1, 2, 3]).unwrap();
+            assert_eq!(ct.payload().stripe().len(), 2 * half, "k={k}");
+            let steps = [1, -2, 5];
+            let galois = keygen.galois_keys(&steps);
+            for step in steps {
+                let key = galois.switch_poly(step).map(Poly::degree);
+                assert_eq!(key, Some(half), "k={k}: key of step {step}");
+            }
+        }
+        let empty = std::panic::catch_unwind(|| CtPayload::from_limb_stripe(Vec::new(), 1));
+        assert!(empty.is_err(), "an empty stripe was accepted as a payload");
     }
 
     #[test]

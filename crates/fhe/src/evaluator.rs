@@ -60,7 +60,6 @@ use crate::arena::PolyArena;
 use crate::crypto::{Ciphertext, FheContext, FheError, Plaintext};
 use crate::keys::{GaloisKeys, RelinKeys};
 use crate::payload::CtPayload;
-use crate::poly::{Domain, Poly};
 use crate::rns::PlainModulus;
 use crate::simd::{GaloisPermutation, SimdPolicy};
 use std::collections::HashMap;
@@ -185,11 +184,6 @@ impl Evaluator {
     /// Counters of the operations executed so far.
     pub fn stats(&self) -> EvaluatorStats {
         self.stats
-    }
-
-    /// Resets the operation counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = EvaluatorStats::default();
     }
 
     /// Element-wise slot combination into an arena buffer as long as the
@@ -366,20 +360,11 @@ impl Evaluator {
         for (slot, &x) in slots.iter_mut().zip(&a.slots) {
             *slot = t.neg(x);
         }
-        let payload = if a.payload.is_empty() {
-            Arc::clone(&a.payload)
-        } else {
-            let mut out = self.arena.take(a.payload.stripe().len());
-            a.payload.neg2(&mut out, self.simd, self.ctx.chain());
-            Arc::new(CtPayload::from_limb_stripe(
-                out,
-                a.payload.limbs(),
-                a.payload.domain(),
-            ))
-        };
+        let mut out = self.arena.take(a.payload.stripe().len());
+        a.payload.neg2(&mut out, self.simd, self.ctx.chain());
         Ciphertext {
             slots,
-            payload,
+            payload: shared_like(out, &a.payload),
             noise_consumed_bits: a.noise_consumed_bits + self.ctx.noise_model().negate_bits,
             key_id: a.key_id,
             level: a.level,
@@ -395,18 +380,12 @@ impl Evaluator {
             *x = t.neg(*x);
         }
         a.noise_consumed_bits += self.ctx.noise_model().negate_bits;
-        if !a.payload.is_empty() {
-            if let Some(p) = Arc::get_mut(&mut a.payload) {
-                p.neg_assign2(self.simd, self.ctx.chain());
-            } else {
-                let mut out = self.arena.take(a.payload.stripe().len());
-                a.payload.neg2(&mut out, self.simd, self.ctx.chain());
-                a.payload = Arc::new(CtPayload::from_limb_stripe(
-                    out,
-                    a.payload.limbs(),
-                    a.payload.domain(),
-                ));
-            }
+        if let Some(p) = Arc::get_mut(&mut a.payload) {
+            p.neg_assign2(self.simd, self.ctx.chain());
+        } else {
+            let mut out = self.arena.take(a.payload.stripe().len());
+            a.payload.neg2(&mut out, self.simd, self.ctx.chain());
+            a.payload = shared_like(out, &a.payload);
         }
     }
 
@@ -477,24 +456,13 @@ impl Evaluator {
     /// ([`CtPayload::mul_eval2`]).
     pub fn multiply_plain(&mut self, a: &Ciphertext, b: &Plaintext) -> Ciphertext {
         self.stats.ct_pt_multiplications += 1;
-        let ctx = self.ctx.clone();
-        let payload = match ctx.tables() {
-            Some(tables) if !a.payload.is_empty() => {
-                let pt_poly = b.splat_eval(&ctx, tables, &mut self.arena);
-                let mut out = self.arena.take(a.payload.stripe().len());
-                a.payload
-                    .mul_eval2(pt_poly.coeffs(), &mut out, self.simd, ctx.chain());
-                Arc::new(CtPayload::from_limb_stripe(
-                    out,
-                    a.payload.limbs(),
-                    Domain::Eval,
-                ))
-            }
-            _ => Arc::clone(&a.payload),
-        };
+        let pt_poly = b.splat_eval(&self.ctx, &mut self.arena);
+        let mut out = self.arena.take(a.payload.stripe().len());
+        a.payload
+            .mul_eval2(pt_poly.coeffs(), &mut out, self.simd, self.ctx.chain());
         Ciphertext {
             slots: self.slot_binary(&a.slots, &b.slots, PlainModulus::mul),
-            payload,
+            payload: shared_like(out, &a.payload),
             noise_consumed_bits: a.noise_consumed_bits + self.ctx.noise_model().ct_pt_mul_bits,
             key_id: a.key_id,
             level: a.level,
@@ -517,9 +485,9 @@ impl Evaluator {
         if step == 0 {
             return Ok(self.clone_ciphertext(a));
         }
-        if !galois_keys.supports_step(step) {
-            return Err(FheError::MissingGaloisKey { step });
-        }
+        let key = galois_keys
+            .switch_poly(step)
+            .ok_or(FheError::MissingGaloisKey { step })?;
         self.stats.rotations += 1;
         let n = self.ctx.slot_count();
         let shift = step.rem_euclid(n as i64) as usize;
@@ -532,40 +500,27 @@ impl Evaluator {
         // pre-transformed payload, so the whole rotation is one fused
         // gather-and-multiply pass over the stripe
         // ([`CtPayload::galois_eval2`]).
-        let payload = if self.ctx.tables().is_some() && !a.payload.is_empty() {
-            let degree = self.ctx.params().payload_degree;
-            // The slot rotation corresponds to the Galois automorphism
-            // x -> x^(2*shift + 1) (always odd, as the ring requires). Its
-            // Eval-domain permutation depends only on the element, so the
-            // context computes each step's table once and every evaluator
-            // shares it.
-            let galois_elt = (2 * (shift % degree) + 1) % (2 * degree);
-            let perm = match self.galois_perms.get(&galois_elt) {
-                Some(perm) => Arc::clone(perm),
-                None => {
-                    let perm = self.ctx.galois_perm(galois_elt);
-                    self.galois_perms.insert(galois_elt, Arc::clone(&perm));
-                    perm
-                }
-            };
-            let key = galois_keys
-                .switch_poly(step)
-                .map(Poly::coeffs)
-                .unwrap_or_else(|| a.payload.c0());
-            let mut out = self.arena.take(a.payload.stripe().len());
-            a.payload
-                .galois_eval2(&perm, key, &mut out, self.simd, self.ctx.chain());
-            Arc::new(CtPayload::from_limb_stripe(
-                out,
-                a.payload.limbs(),
-                Domain::Eval,
-            ))
-        } else {
-            Arc::clone(&a.payload)
+        let degree = self.ctx.params().payload_degree;
+        // The slot rotation corresponds to the Galois automorphism
+        // x -> x^(2*shift + 1) (always odd, as the ring requires). Its
+        // Eval-domain permutation depends only on the element, so the
+        // context computes each step's table once and every evaluator
+        // shares it.
+        let galois_elt = (2 * (shift % degree) + 1) % (2 * degree);
+        let perm = match self.galois_perms.get(&galois_elt) {
+            Some(perm) => Arc::clone(perm),
+            None => {
+                let perm = self.ctx.galois_perm(galois_elt);
+                self.galois_perms.insert(galois_elt, Arc::clone(&perm));
+                perm
+            }
         };
+        let mut out = self.arena.take(a.payload.stripe().len());
+        a.payload
+            .galois_eval2(&perm, key.coeffs(), &mut out, self.simd, self.ctx.chain());
         Ok(Ciphertext {
             slots,
-            payload,
+            payload: shared_like(out, &a.payload),
             noise_consumed_bits: a.noise_consumed_bits + self.ctx.noise_model().rotation_bits,
             key_id: a.key_id,
             level: a.level,
@@ -580,9 +535,6 @@ impl Evaluator {
         b: &Ciphertext,
         negate_b: bool,
     ) -> Arc<CtPayload> {
-        if self.ctx.tables().is_none() || a.payload.is_empty() || b.payload.is_empty() {
-            return Arc::clone(&a.payload);
-        }
         let mut out = self.arena.take(a.payload.stripe().len());
         if negate_b {
             a.payload
@@ -591,19 +543,12 @@ impl Evaluator {
             a.payload
                 .add2(&b.payload, &mut out, self.simd, self.ctx.chain());
         }
-        Arc::new(CtPayload::from_limb_stripe(
-            out,
-            a.payload.limbs(),
-            a.payload.domain(),
-        ))
+        shared_like(out, &a.payload)
     }
 
     /// In-place variant of [`Evaluator::payload_pointwise`]: mutates `a`'s
     /// stripe when uniquely owned, replaces it with an arena copy otherwise.
     fn payload_pointwise_assign(&mut self, a: &mut Ciphertext, b: &Ciphertext, negate_b: bool) {
-        if self.ctx.tables().is_none() || a.payload.is_empty() || b.payload.is_empty() {
-            return;
-        }
         if let Some(p) = Arc::get_mut(&mut a.payload) {
             if negate_b {
                 p.sub_assign2(&b.payload, self.simd, self.ctx.chain());
@@ -619,11 +564,7 @@ impl Evaluator {
                 a.payload
                     .add2(&b.payload, &mut out, self.simd, self.ctx.chain());
             }
-            a.payload = Arc::new(CtPayload::from_limb_stripe(
-                out,
-                a.payload.limbs(),
-                a.payload.domain(),
-            ));
+            a.payload = shared_like(out, &a.payload);
         }
     }
 
@@ -635,44 +576,29 @@ impl Evaluator {
         b: &Ciphertext,
         relin: &RelinKeys,
     ) -> Arc<CtPayload> {
-        if self.ctx.tables().is_none() || a.payload.is_empty() || b.payload.is_empty() {
-            return Arc::clone(&a.payload);
-        }
-        let half = a.payload.stripe().len() / 2;
-        let mut out = self.arena.take(2 * half);
-        // Key-switch multipliers: the relin key's pre-transformed stripe
-        // (fall back to operand components if key material was built
-        // without compute simulation).
-        match relin.switch_stripe() {
-            Some(switch) => a.payload.mul_add_eval2(
-                &b.payload,
-                switch.c0(),
-                switch.c1(),
-                &mut out,
-                self.simd,
-                self.ctx.chain(),
-            ),
-            None => a.payload.mul_add_eval2(
-                &b.payload,
-                a.payload.c0(),
-                b.payload.c0(),
-                &mut out,
-                self.simd,
-                self.ctx.chain(),
-            ),
-        }
-        Arc::new(CtPayload::from_limb_stripe(
-            out,
-            a.payload.limbs(),
-            Domain::Eval,
-        ))
+        let mut out = self.arena.take(a.payload.stripe().len());
+        // Key-switch multipliers: the relin key's pre-transformed stripe.
+        let switch = relin.switch_stripe();
+        a.payload.mul_add_eval2(
+            &b.payload,
+            switch.c0(),
+            switch.c1(),
+            &mut out,
+            self.simd,
+            self.ctx.chain(),
+        );
+        shared_like(out, &a.payload)
     }
+}
+
+/// A kernel's output stripe as a shared payload with `like`'s limb count.
+fn shared_like(out: Vec<u64>, like: &CtPayload) -> Arc<CtPayload> {
+    Arc::new(CtPayload::from_limb_stripe(out, like.limbs()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crypto::Encryptor;
     use crate::keys::KeyGenerator;
     use crate::params::BfvParameters;
 
@@ -690,29 +616,6 @@ mod tests {
         let ctx = FheContext::new(params).unwrap();
         let mut keygen = KeyGenerator::new(ctx.params(), 11);
         let enc = crate::crypto::Encryptor::new(&ctx, &keygen.public_key());
-        let dec = crate::crypto::Decryptor::new(&ctx, &keygen.secret_key());
-        let eval = Evaluator::new(&ctx);
-        let relin = keygen.relin_keys();
-        let galois = keygen.default_galois_keys();
-        Fixture {
-            ctx,
-            enc,
-            dec,
-            eval,
-            relin,
-            galois,
-        }
-    }
-
-    fn simulated_fixture() -> Fixture {
-        let params = BfvParameters {
-            payload_degree: 64,
-            simulate_compute: true,
-            ..BfvParameters::insecure_test()
-        };
-        let ctx = FheContext::new(params).unwrap();
-        let mut keygen = KeyGenerator::new(ctx.params(), 11);
-        let enc = Encryptor::new(&ctx, &keygen.public_key());
         let dec = crate::crypto::Decryptor::new(&ctx, &keygen.secret_key());
         let eval = Evaluator::new(&ctx);
         let relin = keygen.relin_keys();
@@ -784,7 +687,7 @@ mod tests {
 
     #[test]
     fn plain_addition_shares_the_payload_stripe() {
-        let mut f = simulated_fixture();
+        let mut f = setup();
         let a = f.enc.encrypt_values(&[4, 5]).unwrap();
         let p = f.ctx.encode(&[3, 3]).unwrap();
         let sum = f.eval.add_plain(&a, &p);
@@ -807,7 +710,7 @@ mod tests {
 
     #[test]
     fn in_place_ops_match_their_allocating_counterparts() {
-        let mut f = simulated_fixture();
+        let mut f = setup();
         let a = f.enc.encrypt_values(&[7, 8, 9]).unwrap();
         let b = f.enc.encrypt_values(&[1, 2, 3]).unwrap();
 
@@ -882,7 +785,7 @@ mod tests {
 
     #[test]
     fn recycled_buffers_are_reused_by_later_operations() {
-        let mut f = simulated_fixture();
+        let mut f = setup();
         let a = f.enc.encrypt_values(&[2, 3]).unwrap();
         let b = f.enc.encrypt_values(&[4, 5]).unwrap();
         // Warm the arena with one multiply's buffers (slot vector + stripe)...
@@ -1001,8 +904,6 @@ mod tests {
         assert_eq!(stats.rotations, 1);
         assert_eq!(stats.ct_pt_multiplications, 1);
         assert_eq!(stats.total(), 4);
-        f.eval.reset_stats();
-        assert_eq!(f.eval.stats().total(), 0);
     }
 
     #[test]

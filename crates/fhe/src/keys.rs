@@ -8,8 +8,7 @@
 //! rotation-key-selection pass (Appendix B) trades off against execution
 //! cost.
 //!
-//! Key generation is also *cost*-faithful: when
-//! [`BfvParameters::simulate_compute`] is on, every key-switch key (the
+//! Key generation is also *cost*-faithful: every key-switch key (the
 //! relinearization key and each Galois key) samples and NTT-transforms
 //! `2 * ceil(coeff_bits / 60)` payload polynomials — the same work shape as
 //! real BFV keygen, and the reason production deployments generate keys once
@@ -41,8 +40,8 @@ pub struct PublicKey {
 
 /// Relinearization keys, required after ciphertext–ciphertext multiplications.
 ///
-/// Under compute simulation the keys carry a pair of key-switch payload
-/// polynomials kept permanently in NTT ([`Domain::Eval`]) form — generated
+/// The keys carry a pair of key-switch payload polynomials kept
+/// permanently in NTT ([`Domain::Eval`]) form — generated
 /// (and transformed) exactly once at key generation, and stored in the same
 /// striped `[s0 | s1]` layout ciphertext payloads use, so the fused ct-ct
 /// multiplication kernel reads key material with the access pattern it
@@ -50,56 +49,44 @@ pub struct PublicKey {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelinKeys {
     id: u64,
-    size_bytes: usize,
-    switch: Option<CtPayload>,
+    switch: CtPayload,
 }
 
 impl RelinKeys {
-    /// Approximate serialized size of the keys in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.size_bytes
-    }
-
-    /// The Eval-form key-switch payload pair as one `[s0 | s1]` stripe
-    /// (present under compute simulation).
-    pub(crate) fn switch_stripe(&self) -> Option<&CtPayload> {
-        self.switch.as_ref()
+    /// The Eval-form key-switch payload pair as one `[s0 | s1]` stripe.
+    pub(crate) fn switch_stripe(&self) -> &CtPayload {
+        &self.switch
     }
 }
 
 /// Galois keys enabling slot rotations for an explicit set of steps.
 ///
 /// Like [`RelinKeys`], each generated step carries an Eval-form key-switch
-/// payload polynomial under compute simulation, pre-transformed once at key
-/// generation.
+/// payload polynomial, pre-transformed once at key generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaloisKeys {
     id: u64,
-    steps: BTreeSet<i64>,
     key_size_bytes: usize,
+    /// The Eval-form key-switch payload of every generated nonzero step.
     switch: BTreeMap<i64, Poly>,
 }
 
 impl GaloisKeys {
-    /// The Eval-form key-switch payload for `step`, if compute simulation
-    /// generated one. Public, but hidden, for the stream-fingerprint test.
+    /// The Eval-form key-switch payload for `step`, `None` when no key was
+    /// generated for it. Public, but hidden, for the stream-fingerprint test.
     #[doc(hidden)]
     pub fn switch_poly(&self, step: i64) -> Option<&Poly> {
         self.switch.get(&step)
     }
-    /// Returns `true` if a key for rotating by `step` is available.
-    pub fn supports_step(&self, step: i64) -> bool {
-        step == 0 || self.steps.contains(&step)
-    }
 
     /// The rotation steps covered by this key set.
     pub fn steps(&self) -> impl Iterator<Item = i64> + '_ {
-        self.steps.iter().copied()
+        self.switch.keys().copied()
     }
 
     /// Number of individual rotation keys generated.
     pub fn key_count(&self) -> usize {
-        self.steps.len()
+        self.switch.len()
     }
 
     /// Total approximate size of the key set in bytes. This is the quantity
@@ -116,14 +103,12 @@ pub struct KeyGenerator {
     params: BfvParameters,
     rng: ChaCha8Rng,
     id: u64,
-    /// NTT tables for the cost-faithful key-switch-key sampling; present
-    /// only when the parameters simulate compute.
-    tables: Option<NttTables>,
-    /// The RNS modulus chain under multi-limb parameters: key material
-    /// carries one stripe per limb, sampled and transformed per limb the
-    /// same way ciphertext payloads are. Present only when the parameters
-    /// simulate compute.
-    chain: Option<ModulusChain>,
+    /// NTT tables for the cost-faithful key-switch-key sampling.
+    tables: NttTables,
+    /// The RNS modulus chain: key material carries one stripe per limb,
+    /// sampled and transformed per limb the same way ciphertext payloads
+    /// are.
+    chain: ModulusChain,
     /// Pool for the sampling scratch buffers: one key generator issues many
     /// key-switch keys (relinearization plus one Galois key per rotation
     /// step), and every one of them draws its scratch and kept-payload
@@ -137,18 +122,12 @@ impl KeyGenerator {
     pub fn new(params: &BfvParameters, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let id = rng.gen();
-        let tables = params
-            .simulate_compute
-            .then(|| NttTables::new(params.payload_degree));
-        let chain = params
-            .simulate_compute
-            .then(|| ModulusChain::new(params.limb_count, params.payload_degree, true));
         let mut keygen = KeyGenerator {
             params: params.clone(),
             rng,
             id,
-            tables,
-            chain,
+            tables: NttTables::new(params.payload_degree),
+            chain: ModulusChain::new(params.limb_count, params.payload_degree),
             arena: PolyArena::new(),
         };
         // Secret-key sampling plus the public key's (a, b) pair: three
@@ -156,14 +135,13 @@ impl KeyGenerator {
         // cost real BFV pays before any key-switch key exists. One scratch
         // buffer serves all three — the polynomials are discarded, only
         // their arithmetic volume matters.
-        if let Some(tables) = &keygen.tables {
-            let chain = keygen.chain.as_ref().expect("chain built with tables");
-            let mut scratch = keygen.arena.take(chain.limb_count() * chain.degree());
-            for _ in 0..3 {
-                sample_limb_poly(&mut keygen.rng, tables, chain, &mut scratch);
-            }
-            keygen.arena.put(scratch);
+        let mut scratch = keygen
+            .arena
+            .take(keygen.chain.limb_count() * keygen.chain.degree());
+        for _ in 0..3 {
+            keygen.sample_limb_poly(&mut scratch);
         }
+        keygen.arena.put(scratch);
         keygen
     }
 
@@ -173,13 +151,10 @@ impl KeyGenerator {
     /// each into the NTT domain, mirroring real BFV keygen. The first two
     /// transformed polynomials are kept as the key's Eval-form key-switch
     /// payload pair — pre-transformed here, once, so evaluation never
-    /// transforms key material again. Returns `None` when compute
-    /// simulation is off.
-    fn simulate_keyswitch_keygen(&mut self) -> Option<(Poly, Poly)> {
-        let tables = self.tables.as_ref()?;
-        let chain = self.chain.as_ref().expect("chain built with tables");
+    /// transforms key material again.
+    fn keyswitch_keygen(&mut self) -> (Poly, Poly) {
         let digits = (self.params.coeff_modulus_bits as usize).div_ceil(60);
-        let total = chain.limb_count() * chain.degree();
+        let total = self.chain.limb_count() * self.chain.degree();
         let mut kept: Vec<Poly> = Vec::with_capacity(2);
         // Discarded samples (everything past the first two) share one
         // scratch buffer: only the kept pair needs owned storage, and both
@@ -188,7 +163,7 @@ impl KeyGenerator {
         // few buffers throughout.
         let mut scratch = self.arena.take(total);
         for _ in 0..(2 * digits).max(2) {
-            sample_limb_poly(&mut self.rng, tables, chain, &mut scratch);
+            self.sample_limb_poly(&mut scratch);
             if kept.len() < 2 {
                 let mut owned = self.arena.take(total);
                 owned.copy_from_slice(&scratch);
@@ -198,21 +173,14 @@ impl KeyGenerator {
         self.arena.put(scratch);
         let second = kept.pop().expect("two polys kept");
         let first = kept.pop().expect("two polys kept");
-        Some((first, second))
+        (first, second)
     }
 
-    /// [`KeyGenerator::simulate_keyswitch_keygen`], packed into the striped
-    /// `[s0 | s1]` layout the fused multiplication kernel consumes.
-    fn simulate_keyswitch_keygen_striped(&mut self) -> Option<CtPayload> {
-        let limbs = self.params.limb_count;
-        let (first, second) = self.simulate_keyswitch_keygen()?;
-        let payload =
-            CtPayload::from_limb_components(first.coeffs(), second.coeffs(), limbs, Domain::Eval);
-        // The component polys were copied into the stripe; their buffers go
-        // back to the pool for the next key's sampling pass.
-        self.arena.put(first.into_coeffs());
-        self.arena.put(second.into_coeffs());
-        Some(payload)
+    /// Samples one uniform payload polynomial across every limb of the
+    /// chain into `buf` and moves it into the NTT domain.
+    fn sample_limb_poly(&mut self, buf: &mut [u64]) {
+        self.chain.sample_uniform_limbs(&mut self.rng, buf);
+        self.chain.forward_limbs(&self.tables, buf);
     }
 
     /// The secret key.
@@ -226,33 +194,41 @@ impl KeyGenerator {
     }
 
     /// Creates relinearization keys (one key-switch key's worth of sampling
-    /// and NTT work under compute simulation).
+    /// and NTT work), packed into the striped `[s0 | s1]` layout the fused
+    /// multiplication kernel consumes.
     pub fn relin_keys(&mut self) -> RelinKeys {
         let _ = self.rng.gen::<u64>();
-        let switch = self.simulate_keyswitch_keygen_striped();
+        let (first, second) = self.keyswitch_keygen();
+        let switch = CtPayload::from_limb_components(
+            first.coeffs(),
+            second.coeffs(),
+            self.params.limb_count,
+        );
+        // The component polys were copied into the stripe; their buffers go
+        // back to the pool for the next key's sampling pass.
+        self.arena.put(first.into_coeffs());
+        self.arena.put(second.into_coeffs());
         RelinKeys {
             id: self.id,
-            size_bytes: self.params.galois_key_size_bytes(),
             switch,
         }
     }
 
     /// Creates Galois keys for an explicit set of rotation steps (one
     /// key-switch key's worth of sampling and NTT work *per distinct
-    /// nonzero step* under compute simulation — generating many rotation
-    /// keys is expensive in time as well as bytes).
+    /// nonzero step* — generating many rotation keys is expensive in time as
+    /// well as bytes).
     pub fn galois_keys(&mut self, steps: &[i64]) -> GaloisKeys {
         let _ = self.rng.gen::<u64>();
+        // Keys are drawn in ascending step order, whatever order the caller
+        // listed the steps in.
         let steps: BTreeSet<i64> = steps.iter().copied().filter(|&s| s != 0).collect();
-        let mut switch = BTreeMap::new();
-        for &step in &steps {
-            if let Some((key_poly, _)) = self.simulate_keyswitch_keygen() {
-                switch.insert(step, key_poly);
-            }
-        }
+        let switch = steps
+            .into_iter()
+            .map(|step| (step, self.keyswitch_keygen().0))
+            .collect();
         GaloisKeys {
             id: self.id,
-            steps,
             key_size_bytes: self.params.galois_key_size_bytes(),
             switch,
         }
@@ -284,18 +260,6 @@ impl KeyGenerator {
     }
 }
 
-/// Samples one uniform payload polynomial across every limb of `chain` into
-/// `buf` and moves it into the NTT domain.
-fn sample_limb_poly(
-    rng: &mut ChaCha8Rng,
-    tables: &NttTables,
-    chain: &ModulusChain,
-    buf: &mut [u64],
-) {
-    chain.sample_uniform_limbs(rng, buf);
-    chain.forward_limbs(tables, buf);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,12 +286,9 @@ mod tests {
     fn galois_keys_cover_exactly_the_requested_steps() {
         let params = BfvParameters::insecure_test();
         let mut keygen = KeyGenerator::new(&params, 3);
-        let keys = keygen.galois_keys(&[1, -1, 4, 0]);
-        assert!(keys.supports_step(1));
-        assert!(keys.supports_step(-1));
-        assert!(keys.supports_step(4));
-        assert!(keys.supports_step(0), "step 0 never needs a key");
-        assert!(!keys.supports_step(2));
+        let keys = keygen.galois_keys(&[4, 1, -1, 0, 1]);
+        assert_eq!(keys.steps().collect::<Vec<_>>(), [-1, 1, 4]);
+        assert!(keys.switch_poly(2).is_none());
         assert_eq!(keys.key_count(), 3, "step 0 does not generate a key");
     }
 

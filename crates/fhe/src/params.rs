@@ -96,7 +96,7 @@ impl SecurityLevel {
     }
 }
 
-/// BFV encryption parameters plus simulation fidelity knobs.
+/// BFV encryption parameters and the payload shape ciphertexts compute at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BfvParameters {
     /// Polynomial modulus degree `n` (number of ciphertext slots).
@@ -112,9 +112,6 @@ pub struct BfvParameters {
     /// speed the harness up without changing relative costs; `n` reproduces
     /// full-size arithmetic volume.
     pub payload_degree: usize,
-    /// Whether the execution engine performs the payload polynomial
-    /// arithmetic at all (disable for pure functional tests).
-    pub simulate_compute: bool,
     /// Number of RNS limbs `k` the payload polynomials carry. Limb 0 is
     /// always the Goldilocks prime (the exact, bit-identical single-modulus
     /// engine); limbs `1..k` are NTT-friendly primes below `2^61` that
@@ -135,12 +132,12 @@ impl BfvParameters {
             coeff_modulus_bits: 389,
             security_level: SecurityLevel::Tc128,
             payload_degree: 4096,
-            simulate_compute: true,
             limb_count: 1,
         }
     }
 
-    /// Small parameters for unit tests: `n = 1024`, tiny payload polynomials.
+    /// Small parameters for tests: `n = 1024`, tiny (64-coefficient) payload
+    /// polynomials that still carry every operation's ring arithmetic.
     pub fn insecure_test() -> Self {
         BfvParameters {
             poly_modulus_degree: 1024,
@@ -148,7 +145,6 @@ impl BfvParameters {
             coeff_modulus_bits: 120,
             security_level: SecurityLevel::Tc128,
             payload_degree: 64,
-            simulate_compute: false,
             limb_count: 1,
         }
     }

@@ -6,9 +6,9 @@
 //! pointwise operation walk the same auxiliary data (plaintext splats,
 //! key-switch polynomials, Galois permutations) twice — once per component —
 //! and costs two output allocations per operation. A [`CtPayload`] instead
-//! stores both components in **one contiguous stripe**, tagged with the
-//! [`Domain`] the values are in, and the fused kernels below update both
-//! components in a single pass:
+//! stores both components in **one contiguous stripe**, always in NTT
+//! (evaluation) form, and the fused kernels below update both components in
+//! a single pass:
 //!
 //! - [`CtPayload::mul_eval2`] — both components times one shared pointwise
 //!   multiplier (ciphertext–plaintext products),
@@ -36,14 +36,13 @@
 //! permutation entry, the `c2` tensor scalar) are loaded once instead of
 //! once per component.
 
-use crate::poly::Domain;
 use crate::rns::{Limb, ModulusChain};
 use crate::simd::{self, GaloisPermutation, SimdPolicy};
 use std::ops::Range;
 
 /// The consecutive `degree`-long limb stripes of a `len`-value buffer of
 /// `limbs`-limb components, each with the limb that reduces it — a kernel
-/// is one [`Limb::run`] per stripe. Nothing for the empty payload.
+/// is one [`Limb::run`] per stripe.
 fn limb_stripes(
     len: usize,
     degree: usize,
@@ -51,104 +50,53 @@ fn limb_stripes(
     chain: &ModulusChain,
 ) -> impl Iterator<Item = (&Limb, Range<usize>)> {
     (0..len)
-        .step_by(degree.max(1))
+        .step_by(degree)
         .enumerate()
         .map(move |(i, start)| (chain.limb(i % limbs), start..start + degree))
 }
 
 /// Both payload components of one ciphertext in a single contiguous stripe
 /// `[c0 | c1]` — under `k` RNS limbs, `[c0_q0 | … | c0_q(k-1) | c1_q0 | …
-/// | c1_q(k-1)]` — tagged with the [`Domain`] the stored values are in.
+/// | c1_q(k-1)]` — always in NTT (evaluation) form.
 ///
-/// The stripe is either empty (compute simulation off) or exactly
-/// `2 · limbs · degree` values long, `degree` a power of two. Construction
-/// from an arbitrary buffer goes through [`CtPayload::from_stripe`]
-/// (single-limb) or [`CtPayload::from_limb_stripe`]; the fused kernels are
-/// documented on the type's methods.
+/// The stripe is exactly `2 · limbs · degree` values long, `degree` a power
+/// of two; [`CtPayload::from_limb_stripe`] rejects any other length. The
+/// fused kernels are documented on the type's methods.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CtPayload {
     data: Vec<u64>,
-    domain: Domain,
     limbs: usize,
 }
 
 impl CtPayload {
-    /// The empty payload (compute simulation off).
-    pub fn empty() -> Self {
-        CtPayload {
-            data: Vec::new(),
-            domain: Domain::Eval,
-            limbs: 1,
-        }
-    }
-
-    /// A process-shared empty payload, so ciphertexts built with compute
-    /// simulation off share one allocation instead of boxing a fresh empty
-    /// payload each.
-    pub fn shared_empty() -> std::sync::Arc<CtPayload> {
-        static EMPTY: std::sync::OnceLock<std::sync::Arc<CtPayload>> = std::sync::OnceLock::new();
-        std::sync::Arc::clone(EMPTY.get_or_init(|| std::sync::Arc::new(CtPayload::empty())))
-    }
-
-    /// Wraps a single-limb `[c0 | c1]` stripe buffer. `data.len()` must be
-    /// `2 * degree` for a power-of-two `degree` (or zero for the empty
-    /// payload); the values must already be canonical representatives
-    /// modulo `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not zero or twice a power of two.
-    pub fn from_stripe(data: Vec<u64>, domain: Domain) -> Self {
-        assert!(
-            data.is_empty() || (data.len().is_multiple_of(2) && (data.len() / 2).is_power_of_two()),
-            "stripe length must be twice a power-of-two degree"
-        );
-        CtPayload {
-            data,
-            domain,
-            limbs: 1,
-        }
-    }
-
     /// Wraps a `k`-limb stripe buffer of `2 · limbs · degree` values laid
     /// out `[c0_q0 | … | c0_q(k-1) | c1_q0 | … | c1_q(k-1)]`. Each limb
     /// stripe's values must be canonical residues of that limb's prime.
     ///
     /// # Panics
     ///
-    /// Panics if `limbs` is zero or the length is not zero or
-    /// `2 · limbs` times a power of two.
-    pub fn from_limb_stripe(data: Vec<u64>, limbs: usize, domain: Domain) -> Self {
+    /// Panics if `limbs` is zero or the length is not `2 · limbs` times a
+    /// power of two (an empty buffer included).
+    pub fn from_limb_stripe(data: Vec<u64>, limbs: usize) -> Self {
         assert!(limbs >= 1, "a payload carries at least one limb");
         assert!(
-            data.is_empty()
-                || (data.len().is_multiple_of(2 * limbs)
-                    && (data.len() / (2 * limbs)).is_power_of_two()),
+            data.len().is_multiple_of(2 * limbs) && (data.len() / (2 * limbs)).is_power_of_two(),
             "stripe length must be 2*limbs times a power-of-two degree"
         );
-        CtPayload {
-            data,
-            domain,
-            limbs,
-        }
+        CtPayload { data, limbs }
     }
 
     /// Builds a `k`-limb stripe from two equal-length component halves of
     /// `limbs · degree` values each.
-    pub fn from_limb_components(c0: &[u64], c1: &[u64], limbs: usize, domain: Domain) -> Self {
+    pub fn from_limb_components(c0: &[u64], c1: &[u64], limbs: usize) -> Self {
         assert_eq!(c0.len(), c1.len(), "components must have equal degree");
         let mut data = Vec::with_capacity(2 * c0.len());
         data.extend_from_slice(c0);
         data.extend_from_slice(c1);
-        CtPayload::from_limb_stripe(data, limbs, domain)
+        CtPayload::from_limb_stripe(data, limbs)
     }
 
-    /// `true` for the empty payload (compute simulation off).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// The payload polynomial degree per limb (`0` for the empty payload).
+    /// The payload polynomial degree per limb.
     pub fn degree(&self) -> usize {
         self.data.len() / (2 * self.limbs)
     }
@@ -156,11 +104,6 @@ impl CtPayload {
     /// Number of RNS limb stripes each component carries.
     pub fn limbs(&self) -> usize {
         self.limbs
-    }
-
-    /// The domain the stored values are in.
-    pub fn domain(&self) -> Domain {
-        self.domain
     }
 
     /// The whole stripe (both components, all limbs).
@@ -176,12 +119,6 @@ impl CtPayload {
     /// The second payload component (`limbs · degree` values).
     pub fn c1(&self) -> &[u64] {
         &self.data[self.data.len() / 2..]
-    }
-
-    /// Mutable views of both components (disjoint halves of the stripe).
-    pub fn split_mut(&mut self) -> (&mut [u64], &mut [u64]) {
-        let half = self.data.len() / 2;
-        self.data.split_at_mut(half)
     }
 
     /// Unwraps the stripe buffer (for recycling into a
@@ -272,11 +209,6 @@ impl CtPayload {
     /// permutation over one limb's `degree` positions, applied within each
     /// limb stripe) and key-switch product (`key`, a full `limbs · degree`
     /// multiplier) applied to both components in one pass.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic unless the payload is in [`Domain::Eval`] (the
-    /// permutation form of the automorphism only exists there).
     pub fn galois_eval2(
         &self,
         perm: &GaloisPermutation,
@@ -285,7 +217,6 @@ impl CtPayload {
         policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
-        debug_assert_eq!(self.domain, Domain::Eval, "galois_eval2 needs Eval form");
         let half = self.data.len() / 2;
         assert_eq!(perm.len(), self.degree(), "permutation length");
         assert_eq!(key.len(), half, "key length");
@@ -314,7 +245,6 @@ impl CtPayload {
         policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
-        debug_assert_eq!(self.domain, other.domain, "domain mismatch in add2");
         let (x, y) = (&self.data, &other.data);
         assert_eq!((y.len(), out.len()), (x.len(), x.len()), "stripe length");
         for (limb, r) in limb_stripes(x.len(), self.degree(), self.limbs, chain) {
@@ -332,7 +262,6 @@ impl CtPayload {
         policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
-        debug_assert_eq!(self.domain, other.domain, "domain mismatch in sub2");
         let (x, y) = (&self.data, &other.data);
         assert_eq!((y.len(), out.len()), (x.len(), x.len()), "stripe length");
         for (limb, r) in limb_stripes(x.len(), self.degree(), self.limbs, chain) {
@@ -354,7 +283,6 @@ impl CtPayload {
 
     /// In-place variant of [`CtPayload::add2`].
     pub fn add_assign2(&mut self, other: &CtPayload, policy: SimdPolicy, chain: &ModulusChain) {
-        debug_assert_eq!(self.domain, other.domain, "domain mismatch in add_assign2");
         assert_eq!(other.data.len(), self.data.len(), "operand stripe length");
         for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
             let (x, y) = (&mut self.data[r.clone()], &other.data[r]);
@@ -364,7 +292,6 @@ impl CtPayload {
 
     /// In-place variant of [`CtPayload::sub2`].
     pub fn sub_assign2(&mut self, other: &CtPayload, policy: SimdPolicy, chain: &ModulusChain) {
-        debug_assert_eq!(self.domain, other.domain, "domain mismatch in sub_assign2");
         assert_eq!(other.data.len(), self.data.len(), "operand stripe length");
         for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
             let (x, y) = (&mut self.data[r.clone()], &other.data[r]);
@@ -384,14 +311,14 @@ impl CtPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poly::{p_mul, p_mul_add, Poly, MODULUS};
+    use crate::poly::{p_add, p_mul, p_mul_add, p_neg, p_sub, Poly, MODULUS};
 
     fn policies() -> Vec<SimdPolicy> {
         vec![SimdPolicy::Scalar, SimdPolicy::detected()]
     }
 
     fn chain1(degree: usize) -> ModulusChain {
-        ModulusChain::new(1, degree, false)
+        ModulusChain::new(1, degree)
     }
 
     /// Deterministic pseudo-random canonical field elements.
@@ -407,18 +334,13 @@ mod tests {
             .collect()
     }
 
-    fn random_payload(n: usize, seed: u64, domain: Domain) -> CtPayload {
-        CtPayload::from_stripe(random_values(2 * n, seed), domain)
+    fn random_payload(n: usize, seed: u64) -> CtPayload {
+        CtPayload::from_limb_stripe(random_values(2 * n, seed), 1)
     }
 
     /// A k-limb payload whose limb stripes are canonical under their own
     /// primes.
-    fn random_limb_payload(
-        chain: &ModulusChain,
-        degree: usize,
-        seed: u64,
-        domain: Domain,
-    ) -> CtPayload {
+    fn random_limb_payload(chain: &ModulusChain, degree: usize, seed: u64) -> CtPayload {
         let k = chain.limb_count();
         let mut data = Vec::with_capacity(2 * k * degree);
         for component in 0..2u64 {
@@ -430,7 +352,7 @@ mod tests {
                 );
             }
         }
-        CtPayload::from_limb_stripe(data, k, domain)
+        CtPayload::from_limb_stripe(data, k)
     }
 
     /// Split-layout reference of [`CtPayload::mul_eval2`]: one pass per
@@ -444,21 +366,19 @@ mod tests {
     }
 
     #[test]
-    fn striped_shared_multiplier_matches_split_reference_in_both_domains() {
-        for domain in [Domain::Eval, Domain::Coeff] {
-            for (degree, seed) in [(16usize, 0xA), (64, 0xB), (256, 0xC)] {
-                let chain = chain1(degree);
-                let payload = random_payload(degree, seed, domain);
-                let mult = random_values(degree, seed ^ 0xFF);
-                let mut out = vec![0u64; 2 * degree];
-                for policy in policies() {
-                    payload.mul_eval2(&mult, &mut out, policy, &chain);
-                    assert_eq!(
-                        out,
-                        split_mul_reference(&payload, &mult),
-                        "degree {degree} domain {domain:?} {policy:?}"
-                    );
-                }
+    fn striped_shared_multiplier_matches_split_reference() {
+        for (degree, seed) in [(16usize, 0xA), (64, 0xB), (256, 0xC)] {
+            let chain = chain1(degree);
+            let payload = random_payload(degree, seed);
+            let mult = random_values(degree, seed ^ 0xFF);
+            let mut out = vec![0u64; 2 * degree];
+            for policy in policies() {
+                payload.mul_eval2(&mult, &mut out, policy, &chain);
+                assert_eq!(
+                    out,
+                    split_mul_reference(&payload, &mult),
+                    "degree {degree} {policy:?}"
+                );
             }
         }
     }
@@ -467,8 +387,8 @@ mod tests {
     fn striped_tensor_product_matches_per_component_reference() {
         for (degree, seed) in [(16usize, 0x1), (64, 0x2)] {
             let chain = chain1(degree);
-            let a = random_payload(degree, seed, Domain::Eval);
-            let b = random_payload(degree, seed ^ 0x77, Domain::Eval);
+            let a = random_payload(degree, seed);
+            let b = random_payload(degree, seed ^ 0x77);
             let s0 = random_values(degree, seed ^ 0x101);
             let s1 = random_values(degree, seed ^ 0x202);
             // Per-component reference with the same reduction order.
@@ -498,7 +418,7 @@ mod tests {
         let tables = NttTables::new(degree);
         let c0 = Poly::from_coeffs(random_values(degree, 3)).to_eval(&tables);
         let c1 = Poly::from_coeffs(random_values(degree, 5)).to_eval(&tables);
-        let payload = CtPayload::from_limb_components(c0.coeffs(), c1.coeffs(), 1, Domain::Eval);
+        let payload = CtPayload::from_limb_components(c0.coeffs(), c1.coeffs(), 1);
         let key = random_values(degree, 9);
         for galois_elt in [3usize, 5, 9, 63] {
             let perm = galois_eval_permutation(degree, galois_elt);
@@ -529,58 +449,50 @@ mod tests {
     }
 
     #[test]
-    fn stripe_add_sub_neg_match_per_component_poly_ops_in_both_domains() {
-        for domain in [Domain::Eval, Domain::Coeff] {
-            let degree = 64usize;
-            let chain = chain1(degree);
-            let a = random_payload(degree, 0xAD ^ domain as u64, domain);
-            let b = random_payload(degree, 0xBE ^ domain as u64, domain);
-            let as_polys = |p: &CtPayload| {
-                (
-                    Poly::from_reduced(p.c0().to_vec(), domain),
-                    Poly::from_reduced(p.c1().to_vec(), domain),
-                )
-            };
-            let (a0, a1) = as_polys(&a);
-            let (b0, b1) = as_polys(&b);
+    fn stripe_add_sub_neg_match_per_coefficient_field_ops() {
+        let degree = 64usize;
+        let chain = chain1(degree);
+        let a = random_payload(degree, 0xAD);
+        let b = random_payload(degree, 0xBE);
+        let (x, y) = (a.stripe(), b.stripe());
+        let zip = |op: fn(u64, u64) -> u64| -> Vec<u64> {
+            x.iter().zip(y).map(|(&u, &v)| op(u, v)).collect()
+        };
+        let negated: Vec<u64> = x.iter().map(|&u| p_neg(u)).collect();
 
-            for policy in policies() {
-                let mut sum = vec![0u64; 2 * degree];
-                a.add2(&b, &mut sum, policy, &chain);
-                assert_eq!(&sum[..degree], a0.add(&b0).coeffs());
-                assert_eq!(&sum[degree..], a1.add(&b1).coeffs());
+        for policy in policies() {
+            let mut sum = vec![0u64; 2 * degree];
+            a.add2(&b, &mut sum, policy, &chain);
+            assert_eq!(sum, zip(p_add));
 
-                let mut diff = vec![0u64; 2 * degree];
-                a.sub2(&b, &mut diff, policy, &chain);
-                assert_eq!(&diff[..degree], a0.sub(&b0).coeffs());
-                assert_eq!(&diff[degree..], a1.sub(&b1).coeffs());
+            let mut diff = vec![0u64; 2 * degree];
+            a.sub2(&b, &mut diff, policy, &chain);
+            assert_eq!(diff, zip(p_sub));
 
-                let mut neg = vec![0u64; 2 * degree];
-                a.neg2(&mut neg, policy, &chain);
-                assert_eq!(&neg[..degree], a0.negate().coeffs());
-                assert_eq!(&neg[degree..], a1.negate().coeffs());
+            let mut neg = vec![0u64; 2 * degree];
+            a.neg2(&mut neg, policy, &chain);
+            assert_eq!(neg, negated);
 
-                // The in-place variants agree with the out-of-place ones.
-                let mut acc = a.clone();
-                acc.add_assign2(&b, policy, &chain);
-                assert_eq!(acc.stripe(), &sum[..]);
-                let mut acc = a.clone();
-                acc.sub_assign2(&b, policy, &chain);
-                assert_eq!(acc.stripe(), &diff[..]);
-                let mut acc = a.clone();
-                acc.neg_assign2(policy, &chain);
-                assert_eq!(acc.stripe(), &neg[..]);
-            }
+            // The in-place variants agree with the out-of-place ones.
+            let mut acc = a.clone();
+            acc.add_assign2(&b, policy, &chain);
+            assert_eq!(acc.stripe(), &sum[..]);
+            let mut acc = a.clone();
+            acc.sub_assign2(&b, policy, &chain);
+            assert_eq!(acc.stripe(), &diff[..]);
+            let mut acc = a.clone();
+            acc.neg_assign2(policy, &chain);
+            assert_eq!(acc.stripe(), &neg[..]);
         }
     }
 
     #[test]
     fn multi_limb_kernels_reduce_each_limb_by_its_own_prime() {
         let degree = 32usize;
-        let chain = ModulusChain::new(3, degree, false);
+        let chain = ModulusChain::new(3, degree);
         let k = chain.limb_count();
-        let a = random_limb_payload(&chain, degree, 0x31, Domain::Eval);
-        let b = random_limb_payload(&chain, degree, 0x32, Domain::Eval);
+        let a = random_limb_payload(&chain, degree, 0x31);
+        let b = random_limb_payload(&chain, degree, 0x32);
         let mult: Vec<u64> = b.c0().to_vec();
         let naive_mul = |x: u64, y: u64, q: u64| -> u64 {
             ((u128::from(x) * u128::from(y)) % u128::from(q)) as u64
@@ -630,9 +542,9 @@ mod tests {
     fn multi_limb_galois_permutes_within_each_limb_stripe() {
         use crate::poly::galois_eval_permutation;
         let degree = 16usize;
-        let chain = ModulusChain::new(2, degree, false);
+        let chain = ModulusChain::new(2, degree);
         let k = chain.limb_count();
-        let payload = random_limb_payload(&chain, degree, 0x41, Domain::Eval);
+        let payload = random_limb_payload(&chain, degree, 0x41);
         let key: Vec<u64> = payload.c1().to_vec();
         let perm = galois_eval_permutation(degree, 3);
         for policy in policies() {
@@ -660,11 +572,11 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let degree = 16usize;
         for k in [1usize, 2] {
-            let chain = ModulusChain::new(k, degree, false);
+            let chain = ModulusChain::new(k, degree);
             let half = k * degree;
-            let a = random_limb_payload(&chain, degree, 0x51, Domain::Eval);
-            let small_chain = ModulusChain::new(k, degree / 2, false);
-            let small = random_limb_payload(&small_chain, degree / 2, 0x52, Domain::Eval);
+            let a = random_limb_payload(&chain, degree, 0x51);
+            let small_chain = ModulusChain::new(k, degree / 2);
+            let small = random_limb_payload(&small_chain, degree / 2, 0x52);
             let full = vec![1u64; half];
             let short = vec![1u64; half / 2];
             let perm = galois_eval_permutation(degree, 3);
@@ -710,30 +622,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "twice a power-of-two")]
+    #[should_panic(expected = "power-of-two degree")]
     fn odd_stripe_lengths_are_rejected() {
-        let _ = CtPayload::from_stripe(vec![0; 6], Domain::Eval);
+        let _ = CtPayload::from_limb_stripe(vec![0; 6], 1);
     }
 
     #[test]
     #[should_panic(expected = "power-of-two degree")]
     fn limb_stripe_lengths_must_split_into_limbs() {
-        let _ = CtPayload::from_limb_stripe(vec![0; 12], 2, Domain::Eval);
+        let _ = CtPayload::from_limb_stripe(vec![0; 12], 2);
     }
 
     #[test]
     fn component_views_split_the_stripe() {
-        let payload = CtPayload::from_limb_components(&[1, 2], &[3, 4], 1, Domain::Eval);
+        let payload = CtPayload::from_limb_components(&[1, 2], &[3, 4], 1);
         assert_eq!(payload.degree(), 2);
         assert_eq!(payload.limbs(), 1);
         assert_eq!(payload.c0(), &[1, 2]);
         assert_eq!(payload.c1(), &[3, 4]);
         assert_eq!(payload.stripe(), &[1, 2, 3, 4]);
-        assert!(!payload.is_empty());
-        assert!(CtPayload::empty().is_empty());
         assert_eq!(payload.clone().into_stripe(), vec![1, 2, 3, 4]);
 
-        let multi = CtPayload::from_limb_components(&[1, 2, 3, 4], &[5, 6, 7, 8], 2, Domain::Eval);
+        let multi = CtPayload::from_limb_components(&[1, 2, 3, 4], &[5, 6, 7, 8], 2);
         assert_eq!(multi.degree(), 2);
         assert_eq!(multi.limbs(), 2);
         assert_eq!(multi.c0(), &[1, 2, 3, 4]);

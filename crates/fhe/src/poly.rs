@@ -259,14 +259,6 @@ impl NttTables {
         self.policy
     }
 
-    /// `(forward, inverse)` transform counts since construction (or the last
-    /// [`NttTables::reset_transform_counts`]), shared across clones.
-    /// Positional shorthand for [`NttTables::transform_stats`].
-    pub fn transform_counts(&self) -> (u64, u64) {
-        let stats = self.transform_stats();
-        (stats.forward, stats.inverse)
-    }
-
     /// Cumulative transform counts since construction (or the last
     /// [`NttTables::reset_transform_counts`]), shared across clones: the
     /// telemetry view of the NTT hot path, fed into the session metrics
@@ -360,15 +352,6 @@ pub struct Poly {
 }
 
 impl Poly {
-    /// The zero polynomial of the given degree (zero in either domain; tagged
-    /// `Coeff`).
-    pub fn zero(degree: usize) -> Self {
-        Poly {
-            coeffs: vec![0; degree],
-            domain: Domain::Coeff,
-        }
-    }
-
     /// Builds a coefficient-form polynomial from coefficients (reduced modulo
     /// `p`). Public entry point for arbitrary input; internal callers with
     /// already-reduced values use [`Poly::from_reduced`] and skip the pass.
@@ -391,14 +374,6 @@ impl Poly {
         Poly {
             coeffs: values,
             domain,
-        }
-    }
-
-    /// Builds an evaluation-form polynomial from values (reduced modulo `p`).
-    pub fn from_eval_values(values: Vec<u64>) -> Self {
-        Poly {
-            coeffs: values.into_iter().map(|c| c % MODULUS).collect(),
-            domain: Domain::Eval,
         }
     }
 
@@ -455,83 +430,6 @@ impl Poly {
         out
     }
 
-    /// Coefficient-wise (resp. pointwise) addition; both operands must be in
-    /// the same domain, which the result keeps.
-    pub fn add(&self, other: &Poly) -> Poly {
-        debug_assert_eq!(self.degree(), other.degree());
-        debug_assert_eq!(self.domain, other.domain, "domain mismatch in add");
-        Poly {
-            coeffs: self
-                .coeffs
-                .iter()
-                .zip(&other.coeffs)
-                .map(|(&a, &b)| p_add(a, b))
-                .collect(),
-            domain: self.domain,
-        }
-    }
-
-    /// Coefficient-wise (resp. pointwise) subtraction; both operands must be
-    /// in the same domain, which the result keeps.
-    pub fn sub(&self, other: &Poly) -> Poly {
-        debug_assert_eq!(self.degree(), other.degree());
-        debug_assert_eq!(self.domain, other.domain, "domain mismatch in sub");
-        Poly {
-            coeffs: self
-                .coeffs
-                .iter()
-                .zip(&other.coeffs)
-                .map(|(&a, &b)| p_sub(a, b))
-                .collect(),
-            domain: self.domain,
-        }
-    }
-
-    /// Coefficient-wise (resp. pointwise) negation (domain-preserving).
-    pub fn negate(&self) -> Poly {
-        Poly {
-            coeffs: self.coeffs.iter().map(|&a| p_neg(a)).collect(),
-            domain: self.domain,
-        }
-    }
-
-    /// In-place variant of [`Poly::add`]: `self += other`, no allocation.
-    /// Both operands must be in the same domain, which is preserved.
-    pub fn add_assign(&mut self, other: &Poly) {
-        debug_assert_eq!(self.degree(), other.degree());
-        debug_assert_eq!(self.domain, other.domain, "domain mismatch in add_assign");
-        for (a, &b) in self.coeffs.iter_mut().zip(&other.coeffs) {
-            *a = p_add(*a, b);
-        }
-    }
-
-    /// In-place variant of [`Poly::sub`]: `self -= other`, no allocation.
-    /// Both operands must be in the same domain, which is preserved.
-    pub fn sub_assign(&mut self, other: &Poly) {
-        debug_assert_eq!(self.degree(), other.degree());
-        debug_assert_eq!(self.domain, other.domain, "domain mismatch in sub_assign");
-        for (a, &b) in self.coeffs.iter_mut().zip(&other.coeffs) {
-            *a = p_sub(*a, b);
-        }
-    }
-
-    /// In-place variant of [`Poly::negate`] (domain-preserving, no
-    /// allocation).
-    pub fn neg_assign(&mut self) {
-        for a in self.coeffs.iter_mut() {
-            *a = p_neg(*a);
-        }
-    }
-
-    /// Multiplies every stored value by a scalar (domain-preserving: scaling
-    /// commutes with the transform).
-    pub fn scale(&self, k: u64) -> Poly {
-        Poly {
-            coeffs: self.coeffs.iter().map(|&a| p_mul(a, k)).collect(),
-            domain: self.domain,
-        }
-    }
-
     /// Pointwise ring product of two evaluation-form polynomials — the
     /// `O(n)` hot-path multiply the lazy representation buys.
     ///
@@ -563,28 +461,15 @@ impl Poly {
     /// Panics in debug builds if the degrees of the operands and tables
     /// differ or either operand is not in coefficient form.
     pub fn mul_ntt(&self, other: &Poly, tables: &NttTables) -> Poly {
-        let mut scratch = Vec::new();
-        self.mul_ntt_with_scratch(other, tables, &mut scratch)
-    }
-
-    /// [`Poly::mul_ntt`] with a caller-owned scratch buffer for the second
-    /// operand's transform, so repeated products reuse one allocation.
-    pub fn mul_ntt_with_scratch(
-        &self,
-        other: &Poly,
-        tables: &NttTables,
-        scratch: &mut Vec<u64>,
-    ) -> Poly {
         debug_assert_eq!(self.degree(), tables.degree());
         debug_assert_eq!(other.degree(), tables.degree());
         debug_assert_eq!(self.domain, Domain::Coeff, "mul_ntt needs Coeff operands");
         debug_assert_eq!(other.domain, Domain::Coeff, "mul_ntt needs Coeff operands");
         let mut a = self.coeffs.clone();
-        scratch.clear();
-        scratch.extend_from_slice(&other.coeffs);
+        let mut b = other.coeffs.clone();
         tables.forward(&mut a);
-        tables.forward(scratch);
-        for (x, y) in a.iter_mut().zip(scratch.iter()) {
+        tables.forward(&mut b);
+        for (x, y) in a.iter_mut().zip(&b) {
             *x = p_mul(*x, *y);
         }
         tables.inverse(&mut a);
@@ -715,10 +600,6 @@ pub fn galois_eval_permutation(n: usize, galois_elt: usize) -> Box<GaloisPermuta
 mod tests {
     use super::*;
 
-    fn poly_of(vals: &[u64]) -> Poly {
-        Poly::from_coeffs(vals.to_vec())
-    }
-
     /// Deterministic pseudo-random canonical field elements.
     fn random_values(n: usize, seed: u64) -> Vec<u64> {
         let mut state = seed | 1;
@@ -791,17 +672,18 @@ mod tests {
     #[test]
     fn transform_counters_count_whole_transforms() {
         let tables = NttTables::new(16);
-        assert_eq!(tables.transform_counts(), (0, 0));
+        let counts = |forward, inverse| TransformStats { forward, inverse };
+        assert_eq!(tables.transform_stats(), counts(0, 0));
         let mut a = vec![1u64; 16];
         tables.forward(&mut a);
         tables.inverse(&mut a);
-        assert_eq!(tables.transform_counts(), (1, 1));
+        assert_eq!(tables.transform_stats(), counts(1, 1));
         // Clones share the counters.
         let clone = tables.clone();
         clone.inverse(&mut a);
-        assert_eq!(tables.transform_counts(), (1, 2));
+        assert_eq!(tables.transform_stats(), counts(1, 2));
         tables.reset_transform_counts();
-        assert_eq!(clone.transform_counts(), (0, 0));
+        assert_eq!(clone.transform_stats(), counts(0, 0));
     }
 
     #[test]
@@ -851,11 +733,7 @@ mod tests {
         let values = random_values(16, 9);
         assert_eq!(
             Poly::from_reduced(values.clone(), Domain::Coeff),
-            Poly::from_coeffs(values.clone())
-        );
-        assert_eq!(
-            Poly::from_reduced(values.clone(), Domain::Eval),
-            Poly::from_eval_values(values)
+            Poly::from_coeffs(values)
         );
     }
 
@@ -874,42 +752,6 @@ mod tests {
         let mut expected = vec![0u64; n];
         expected[0] = MODULUS - 1;
         assert_eq!(prod.coeffs(), &expected[..]);
-    }
-
-    #[test]
-    fn addition_and_negation_are_inverse() {
-        let a = poly_of(&[1, 2, 3, 4]);
-        let sum = a.add(&a.negate());
-        assert_eq!(sum, Poly::zero(4));
-        assert_eq!(a.sub(&a), Poly::zero(4));
-    }
-
-    #[test]
-    fn in_place_ops_match_their_allocating_counterparts() {
-        let a = Poly::from_coeffs(random_values(32, 21));
-        let b = Poly::from_coeffs(random_values(32, 22));
-        let mut acc = a.clone();
-        acc.add_assign(&b);
-        assert_eq!(acc, a.add(&b));
-        let mut acc = a.clone();
-        acc.sub_assign(&b);
-        assert_eq!(acc, a.sub(&b));
-        let mut acc = a.clone();
-        acc.neg_assign();
-        assert_eq!(acc, a.negate());
-        // Domain is preserved by the in-place forms too.
-        let tables = NttTables::new(32);
-        let mut eval = a.to_eval(&tables);
-        eval.add_assign(&b.to_eval(&tables));
-        assert_eq!(eval.domain(), Domain::Eval);
-        assert_eq!(eval, a.to_eval(&tables).add(&b.to_eval(&tables)));
-    }
-
-    #[test]
-    fn scaling_distributes_over_addition() {
-        let a = poly_of(&[5, 6, 7, 8]);
-        let b = poly_of(&[9, 10, 11, 12]);
-        assert_eq!(a.add(&b).scale(3), a.scale(3).add(&b.scale(3)));
     }
 
     #[test]

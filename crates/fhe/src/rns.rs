@@ -486,10 +486,10 @@ fn primitive_root_2n(q: u64, degree: usize) -> u64 {
 // Limbs and the modulus chain
 // ---------------------------------------------------------------------------
 
-/// One residue channel of the chain: its prime, the Barrett constant (for
-/// generic primes), and — when compute simulation is on — its NTT tables.
-/// Limb 0 is always the Goldilocks prime and carries neither: it runs the
-/// ε-identity kernels and the shared [`crate::poly::NttTables`].
+/// One residue channel of the chain: its prime, the Barrett constant and
+/// the Shoup NTT tables (for generic primes). Limb 0 is always the
+/// Goldilocks prime and carries neither: it runs the ε-identity kernels and
+/// the shared [`crate::poly::NttTables`].
 #[derive(Debug, Clone)]
 pub struct Limb {
     q: u64,
@@ -515,8 +515,7 @@ impl Limb {
         self.q == MODULUS
     }
 
-    /// The limb's Shoup NTT tables (`None` for the Goldilocks limb, and
-    /// for every limb when compute simulation is off).
+    /// The limb's Shoup NTT tables (`None` only for the Goldilocks limb).
     pub fn ntt(&self) -> Option<&LimbNtt> {
         self.ntt.as_ref()
     }
@@ -547,10 +546,9 @@ pub struct ModulusChain {
 
 impl ModulusChain {
     /// Builds a chain of `limb_count ≥ 1` limbs for ring degree `degree`
-    /// (a power of two). Generic-limb NTT tables are only constructed when
-    /// `build_ntt` is set (compute simulation on); the `k = 1` chain is a
-    /// table-free Goldilocks marker either way.
-    pub fn new(limb_count: usize, degree: usize, build_ntt: bool) -> ModulusChain {
+    /// (a power of two), each generic limb with its NTT tables; the `k = 1`
+    /// chain is a table-free Goldilocks marker.
+    pub fn new(limb_count: usize, degree: usize) -> ModulusChain {
         assert!(limb_count >= 1, "a chain needs at least one limb");
         assert!(degree.is_power_of_two(), "degree must be a power of two");
         let mut limbs = Vec::with_capacity(limb_count);
@@ -563,7 +561,7 @@ impl ModulusChain {
             limbs.push(Limb {
                 q,
                 mu: barrett_mu(q),
-                ntt: build_ntt.then(|| LimbNtt::new(q, degree)),
+                ntt: Some(LimbNtt::new(q, degree)),
             });
         }
         let garner_inv = (0..limb_count)
@@ -599,11 +597,6 @@ impl ModulusChain {
         &self.limbs
     }
 
-    /// The chain's moduli, Goldilocks first (bench/report labeling).
-    pub fn moduli(&self) -> Vec<u64> {
-        self.limbs.iter().map(|l| l.q).collect()
-    }
-
     /// CRT-lifts a base value into limb `i`'s residue field: `x mod q_i` for
     /// any word `x`, divide-free — one conditional subtract on Goldilocks
     /// (`2^64 < 2p`), [`barrett_mul`]'s reduction of `x·1` on a generic limb.
@@ -636,10 +629,6 @@ impl ModulusChain {
     /// Moves every limb stripe of `buf` (`limb_count · degree` coefficient
     /// values) into the NTT domain: limb 0 under the shared Goldilocks
     /// `tables`, each generic limb under its own Shoup tables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chain was built without NTT tables.
     pub(crate) fn forward_limbs(&self, tables: &NttTables, buf: &mut [u64]) {
         debug_assert_eq!(buf.len(), self.limbs.len() * self.degree);
         let (base, generic) = buf.split_at_mut(self.degree);
@@ -649,7 +638,7 @@ impl ModulusChain {
             .zip(generic.chunks_exact_mut(self.degree))
         {
             limb.ntt()
-                .expect("generic limbs carry NTT tables under compute simulation")
+                .expect("every generic limb carries NTT tables")
                 .forward(stripe);
         }
     }
@@ -801,7 +790,7 @@ mod tests {
 
     #[test]
     fn barrett_mul_matches_widening_division() {
-        let chain = ModulusChain::new(3, 64, false);
+        let chain = ModulusChain::new(3, 64);
         for limb in &chain.limbs()[1..] {
             let (q, mu) = (limb.modulus(), limb.mu());
             let values: Vec<u64> = random_values(64, q)
@@ -824,8 +813,8 @@ mod tests {
     #[test]
     fn limb_ntt_round_trips() {
         for degree in [8usize, 64, 256] {
-            let chain = ModulusChain::new(2, degree, true);
-            let ntt = chain.limb(1).ntt().expect("built with NTT tables");
+            let chain = ModulusChain::new(2, degree);
+            let ntt = chain.limb(1).ntt().expect("a generic limb");
             let q = ntt.modulus();
             let original: Vec<u64> = random_values(degree, 0xAB).iter().map(|v| v % q).collect();
             let mut work = original.clone();
@@ -839,7 +828,7 @@ mod tests {
     #[test]
     fn limb_ntt_pointwise_is_negacyclic_convolution() {
         let degree = 16usize;
-        let chain = ModulusChain::new(2, degree, true);
+        let chain = ModulusChain::new(2, degree);
         let ntt = chain.limb(1).ntt().unwrap();
         let (q, mu) = (chain.limb(1).modulus(), chain.limb(1).mu());
         let a: Vec<u64> = random_values(degree, 3).iter().map(|v| v % q).collect();
@@ -872,7 +861,7 @@ mod tests {
     #[test]
     fn garner_reconstruction_round_trips_residues() {
         for k in [2usize, 3, 4] {
-            let chain = ModulusChain::new(k, 64, false);
+            let chain = ModulusChain::new(k, 64);
             for seed in 1..50u64 {
                 let residues: Vec<u64> = chain
                     .limbs()
@@ -890,7 +879,7 @@ mod tests {
     #[test]
     fn lift_base_matches_the_hardware_remainder() {
         for k in [2usize, 3, 4] {
-            let chain = ModulusChain::new(k, 64, false);
+            let chain = ModulusChain::new(k, 64);
             for (i, limb) in chain.limbs().iter().enumerate() {
                 let q = limb.modulus();
                 let m = u64::MAX / q;
@@ -911,7 +900,7 @@ mod tests {
         use rand::{RngCore, SeedableRng};
         use rand_chacha::ChaCha8Rng;
         for k in [1usize, 3] {
-            let chain = ModulusChain::new(k, 64, false);
+            let chain = ModulusChain::new(k, 64);
             let mut rng = ChaCha8Rng::seed_from_u64(0x5A3 + k as u64);
             let _ = rng.next_u32(); // off the u64 grid
             let mut single = rng.clone();
@@ -932,7 +921,7 @@ mod tests {
 
     #[test]
     fn single_word_values_reconstruct_to_themselves() {
-        let chain = ModulusChain::new(3, 64, false);
+        let chain = ModulusChain::new(3, 64);
         for &x in &[0u64, 1, 12345, MODULUS - 1, u64::MAX] {
             let residues: Vec<u64> = (0..3).map(|i| chain.lift_base(i, x)).collect();
             let words = chain.crt_reconstruct(&residues);
@@ -951,17 +940,16 @@ mod tests {
 
     #[test]
     fn k1_chain_is_a_bare_goldilocks_marker() {
-        let chain = ModulusChain::new(1, 4096, true);
+        let chain = ModulusChain::new(1, 4096);
         assert_eq!(chain.limb_count(), 1);
         assert!(chain.limb(0).is_goldilocks());
         assert!(chain.limb(0).ntt().is_none());
-        assert_eq!(chain.moduli(), vec![MODULUS]);
     }
 
     #[test]
     fn crt_checksum_is_deterministic_and_limb_sensitive() {
         let degree = 32usize;
-        let chain = ModulusChain::new(2, degree, false);
+        let chain = ModulusChain::new(2, degree);
         let mut component: Vec<u64> = Vec::new();
         for limb in chain.limbs() {
             component.extend(
@@ -981,7 +969,7 @@ mod tests {
     fn generic_chunk_kernels_match_reference_arithmetic() {
         use crate::simd::{Add, AddAssign, Galois2, GaloisPermutation, MulAdd2, Neg, NegAssign};
         use crate::simd::{Sub, SubAssign};
-        let chain = ModulusChain::new(2, 64, false);
+        let chain = ModulusChain::new(2, 64);
         let (limb, q) = (chain.limb(1), chain.limb(1).modulus());
         let n = 33;
         let reduce = |v: Vec<u64>| -> Vec<u64> { v.into_iter().map(|x| x % q).collect() };

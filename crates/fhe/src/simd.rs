@@ -1368,7 +1368,7 @@ mod tests {
     struct Prime<'a>(&'a Limb);
 
     fn chain() -> ModulusChain {
-        ModulusChain::new(3, 64, false)
+        ModulusChain::new(3, 64)
     }
 
     impl Prime<'_> {

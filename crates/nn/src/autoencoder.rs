@@ -8,13 +8,14 @@
 //! encoder preserves — the criterion the paper uses to select the
 //! Transformer for the RL state representation.
 
+use crate::encoder::SequenceEncoder;
 use crate::forward::Forward;
 use crate::gru::GruEncoder;
 use crate::layers::{Activation, Mlp, Module};
 use crate::matrix::Matrix;
 use crate::optim::Adam;
 use crate::tensor::{Tape, Tensor, Var};
-use crate::transformer::{TransformerConfig, TransformerEncoder};
+use crate::transformer::{positional_encoding, TransformerConfig, TransformerEncoder};
 use rand::Rng;
 
 /// Which encoder architecture an autoencoder uses.
@@ -26,14 +27,9 @@ pub enum EncoderKind {
     Gru,
 }
 
-enum EncoderImpl {
-    Transformer(TransformerEncoder),
-    Gru(GruEncoder),
-}
-
 /// A sequence autoencoder: encoder + positional decoder.
 pub struct SequenceAutoencoder {
-    encoder: EncoderImpl,
+    encoder: SequenceEncoder,
     decoder: Mlp,
     positional: Matrix,
     vocab_size: usize,
@@ -58,7 +54,7 @@ impl SequenceAutoencoder {
         let max_len = config.max_len;
         let encoder = TransformerEncoder::new(config, rng);
         Self::with_encoder(
-            EncoderImpl::Transformer(encoder),
+            SequenceEncoder::Transformer(encoder),
             vocab_size,
             dim,
             max_len,
@@ -78,7 +74,7 @@ impl SequenceAutoencoder {
     ) -> Self {
         let encoder = GruEncoder::new(vocab_size, hidden_dim, num_layers, max_len, rng);
         Self::with_encoder(
-            EncoderImpl::Gru(encoder),
+            SequenceEncoder::Gru(encoder),
             vocab_size,
             hidden_dim,
             max_len,
@@ -88,25 +84,17 @@ impl SequenceAutoencoder {
     }
 
     fn with_encoder(
-        encoder: EncoderImpl,
+        encoder: SequenceEncoder,
         vocab_size: usize,
         dim: usize,
         max_len: usize,
         pad_id: usize,
         rng: &mut impl Rng,
     ) -> Self {
-        let decoder = Mlp::new(&[2 * dim, 2 * dim, vocab_size], Activation::Relu, rng);
-        let mut positional = Matrix::zeros(max_len, dim);
-        for pos in 0..max_len {
-            for i in 0..dim {
-                let angle = pos as f32 / 10_000f32.powf((2 * (i / 2)) as f32 / dim as f32);
-                positional.set(pos, i, if i % 2 == 0 { angle.sin() } else { angle.cos() });
-            }
-        }
         SequenceAutoencoder {
             encoder,
-            decoder,
-            positional,
+            decoder: Mlp::new(&[2 * dim, 2 * dim, vocab_size], Activation::Relu, rng),
+            positional: positional_encoding(max_len, dim),
             vocab_size,
             max_len,
             pad_id,
@@ -116,22 +104,8 @@ impl SequenceAutoencoder {
     /// Which encoder kind this autoencoder uses.
     pub fn kind(&self) -> EncoderKind {
         match self.encoder {
-            EncoderImpl::Transformer(_) => EncoderKind::Transformer,
-            EncoderImpl::Gru(_) => EncoderKind::Gru,
-        }
-    }
-
-    fn encode<'t>(&self, tape: &'t Tape, ids: &[usize]) -> Var<'t> {
-        match &self.encoder {
-            EncoderImpl::Transformer(t) => t.encode(tape, ids),
-            EncoderImpl::Gru(g) => g.encode(tape, ids),
-        }
-    }
-
-    fn infer(&self, ids: &[usize]) -> Matrix {
-        match &self.encoder {
-            EncoderImpl::Transformer(t) => t.infer(ids),
-            EncoderImpl::Gru(g) => g.infer(ids),
+            SequenceEncoder::Transformer(_) => EncoderKind::Transformer,
+            SequenceEncoder::Gru(_) => EncoderKind::Gru,
         }
     }
 
@@ -152,7 +126,7 @@ impl SequenceAutoencoder {
     /// recorded on `tape`.
     pub fn reconstruction_loss<'t>(&self, tape: &'t Tape, ids: &[usize]) -> Var<'t> {
         let ids = self.truncate(ids);
-        let pooled = self.encode(tape, ids);
+        let pooled = self.encoder.encode(tape, ids);
         let logits = self.decode_logits(&pooled, ids.len());
         logits.cross_entropy(ids, Some(self.pad_id))
     }
@@ -160,7 +134,7 @@ impl SequenceAutoencoder {
     /// Greedy reconstruction of a sequence (tape-free).
     pub fn reconstruct(&self, ids: &[usize]) -> Vec<usize> {
         let ids = self.truncate(ids);
-        self.decode_logits(&self.infer(ids), ids.len())
+        self.decode_logits(&self.encoder.infer(ids), ids.len())
             .argmax_rows()
     }
 
@@ -229,10 +203,7 @@ impl SequenceAutoencoder {
 
 impl Module for SequenceAutoencoder {
     fn parameters(&self) -> Vec<Tensor> {
-        let mut params = match &self.encoder {
-            EncoderImpl::Transformer(t) => t.parameters(),
-            EncoderImpl::Gru(g) => g.parameters(),
-        };
+        let mut params = self.encoder.parameters();
         params.extend(self.decoder.parameters());
         params
     }

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod autoencoder;
+mod encoder;
 mod forward;
 mod gru;
 mod layers;
@@ -49,6 +50,7 @@ mod tensor;
 mod transformer;
 
 pub use autoencoder::{EncoderKind, ReconstructionAccuracy, SequenceAutoencoder};
+pub use encoder::SequenceEncoder;
 pub use forward::Forward;
 pub use gru::GruEncoder;
 pub use layers::{Activation, LayerNorm, Linear, Mlp, Module};

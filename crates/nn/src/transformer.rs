@@ -58,7 +58,7 @@ impl TransformerConfig {
 }
 
 /// Sinusoidal positional encodings (fixed, not learned).
-fn positional_encoding(max_len: usize, dim: usize) -> Matrix {
+pub(crate) fn positional_encoding(max_len: usize, dim: usize) -> Matrix {
     let mut pe = Matrix::zeros(max_len, dim);
     for pos in 0..max_len {
         for i in 0..dim {

@@ -10,8 +10,8 @@
 
 use crate::env::Action;
 use chehab_nn::{
-    Activation, Forward, GruEncoder, Matrix, Mlp, Module, Tape, Tensor, TransformerConfig,
-    TransformerEncoder, Var,
+    Activation, Forward, GruEncoder, Matrix, Mlp, Module, SequenceEncoder, Tape, Tensor,
+    TransformerConfig, TransformerEncoder, Var,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -109,46 +109,6 @@ impl PolicyConfig {
     }
 }
 
-#[derive(Debug)]
-enum EncoderBackend {
-    Transformer(TransformerEncoder),
-    Gru(GruEncoder),
-}
-
-impl EncoderBackend {
-    /// The program embedding on `tape`, computing the rows pooling reads.
-    fn encode<'t>(&self, tape: &'t Tape, tokens: &[usize]) -> Var<'t> {
-        match self {
-            EncoderBackend::Transformer(t) => t.encode(tape, tokens),
-            EncoderBackend::Gru(g) => g.encode(tape, tokens),
-        }
-    }
-
-    /// [`EncoderBackend::encode`] with every position run through every
-    /// layer before pooling: the reference the shortcut is held against.
-    fn encode_all_rows<'t>(&self, tape: &'t Tape, tokens: &[usize]) -> Var<'t> {
-        match self {
-            EncoderBackend::Transformer(t) => t.encode_sequence(tape, tokens).row(0),
-            EncoderBackend::Gru(g) => g.encode(tape, tokens),
-        }
-    }
-
-    /// The value of [`EncoderBackend::encode`] without a tape.
-    fn infer(&self, tokens: &[usize]) -> Matrix {
-        match self {
-            EncoderBackend::Transformer(t) => t.infer(tokens),
-            EncoderBackend::Gru(g) => g.infer(tokens),
-        }
-    }
-
-    fn parameters(&self) -> Vec<Tensor> {
-        match self {
-            EncoderBackend::Transformer(t) => t.parameters(),
-            EncoderBackend::Gru(g) => g.parameters(),
-        }
-    }
-}
-
 /// A sampled action together with the quantities PPO stores in its rollout
 /// buffer.
 #[derive(Debug, Clone, Copy)]
@@ -187,7 +147,7 @@ pub struct ActionEvaluation<'t> {
 #[derive(Debug)]
 pub struct Policy {
     config: PolicyConfig,
-    encoder: EncoderBackend,
+    encoder: SequenceEncoder,
     rule_head: Mlp,
     location_head: Mlp,
     flat_head: Option<Mlp>,
@@ -207,9 +167,9 @@ impl Policy {
                     ffn_dim: config.embedding_dim * 2,
                     max_len: config.observation_len,
                 };
-                EncoderBackend::Transformer(TransformerEncoder::new(tc, rng))
+                SequenceEncoder::Transformer(TransformerEncoder::new(tc, rng))
             }
-            EncoderArch::Gru { layers } => EncoderBackend::Gru(GruEncoder::new(
+            EncoderArch::Gru { layers } => SequenceEncoder::Gru(GruEncoder::new(
                 config.vocab_size,
                 config.embedding_dim,
                 layers,

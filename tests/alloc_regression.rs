@@ -31,13 +31,9 @@ fn fresh_and_reuses(session: &FheSession) -> (u64, u64) {
 
 #[test]
 fn warm_kernel_sweep_performs_zero_fresh_buffer_allocations() {
-    // Payload simulation on, small ring: the allocation behavior is
-    // identical at every degree, only the buffer sizes change.
-    let params = BfvParameters {
-        payload_degree: 64,
-        simulate_compute: true,
-        ..BfvParameters::insecure_test()
-    };
+    // A small ring: the allocation behavior is identical at every degree,
+    // only the buffer sizes change.
+    let params = BfvParameters::insecure_test();
     for benchmark in benchsuite::full_suite() {
         let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
         let session = compiled
@@ -109,11 +105,7 @@ fn warm_kernel_sweep_performs_zero_fresh_buffer_allocations() {
 /// function of the batch size, never of the values.
 #[test]
 fn a_batched_stream_of_varying_batch_sizes_stops_allocating() {
-    let params = BfvParameters {
-        payload_degree: 64,
-        simulate_compute: true,
-        ..BfvParameters::insecure_test()
-    };
+    let params = BfvParameters::insecure_test();
     for benchmark in benchsuite::full_suite() {
         let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
         let session = compiled.session(&params).expect("session");

@@ -26,11 +26,7 @@ fn fresh_and_retained(session: &FheSession) -> (u64, f64) {
 
 #[test]
 fn two_thread_dataflow_sessions_stop_allocating() {
-    let params = BfvParameters {
-        payload_degree: 64,
-        simulate_compute: true,
-        ..BfvParameters::insecure_test()
-    };
+    let params = BfvParameters::insecure_test();
     // `Tree 100-100-7`, the widest program of the benchmark's
     // `unstructured_wide` workload.
     let benchmark = tree(TreeParams {

@@ -167,12 +167,7 @@ fn rotation_by_boundary_steps_matches_the_indexed_reference() {
 #[test]
 fn no_result_depends_on_the_stored_slot_length() {
     for limb_count in [1usize, 3] {
-        let params = BfvParameters {
-            payload_degree: 64,
-            simulate_compute: true,
-            limb_count,
-            ..BfvParameters::insecure_test()
-        };
+        let params = BfvParameters::insecure_test().with_limb_count(limb_count);
         let ctx = FheContext::new(params).unwrap();
         let n = ctx.slot_count();
         let t = ctx.plain_modulus();
@@ -390,7 +385,7 @@ fn keygen_and_encryption_draw_the_recorded_stream() {
         let mut enc = Encryptor::new(&ctx, &keygen.public_key());
         let first = enc.encrypt_values(&[1, 2, 3]).unwrap();
         let second = enc.encrypt_values(&[4]).unwrap();
-        let key = galois.switch_poly(1).expect("compute simulation is on");
+        let key = galois.switch_poly(1).expect("step 1 was requested");
         let folds = [
             fold(first.payload().stripe()),
             fold(second.payload().stripe()),

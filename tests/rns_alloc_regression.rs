@@ -26,12 +26,7 @@ fn fresh_and_reuses(session: &FheSession) -> (u64, u64) {
 #[test]
 fn warm_multi_limb_kernel_sweep_performs_zero_fresh_buffer_allocations() {
     for limb_count in [2usize, 3] {
-        let params = BfvParameters {
-            payload_degree: 64,
-            simulate_compute: true,
-            limb_count,
-            ..BfvParameters::insecure_test()
-        };
+        let params = BfvParameters::insecure_test().with_limb_count(limb_count);
         for benchmark in benchsuite::full_suite() {
             let compiled =
                 Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());

@@ -20,7 +20,7 @@
 
 use chehab::benchsuite::{self, Benchmark};
 use chehab::compiler::{Compiler, ExecOptions, SchedulerKind};
-use chehab::fhe::poly::{p_add, p_mul, p_sub, Domain, MODULUS};
+use chehab::fhe::poly::{p_add, p_mul, p_sub, MODULUS};
 use chehab::fhe::rns::{add_mod, neg_mod};
 use chehab::fhe::{BfvParameters, CtPayload, ModulusChain, SimdPolicy};
 use rand::{Rng, SeedableRng};
@@ -51,11 +51,7 @@ fn naive_sub(a: u64, b: u64, q: u64) -> u64 {
 
 /// Builds a `k`-limb payload with canonical per-limb residues plus a
 /// half-length (`k * degree`) per-limb operand stripe.
-fn random_limb_payload(
-    rng: &mut ChaCha8Rng,
-    chain: &ModulusChain,
-    domain: Domain,
-) -> (CtPayload, Vec<u64>) {
+fn random_limb_payload(rng: &mut ChaCha8Rng, chain: &ModulusChain) -> (CtPayload, Vec<u64>) {
     let k = chain.limb_count();
     let degree = chain.degree();
     let half = k * degree;
@@ -69,7 +65,7 @@ fn random_limb_payload(
             operand[li * degree + j] = rng.gen::<u64>() % q;
         }
     }
-    (CtPayload::from_limb_stripe(stripe, k, domain), operand)
+    (CtPayload::from_limb_stripe(stripe, k), operand)
 }
 
 /// With a single-limb chain every generalized kernel must reproduce the
@@ -80,16 +76,10 @@ fn random_limb_payload(
 fn k1_kernels_are_bit_identical_to_the_goldilocks_oracle() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x9B5_0001);
     for degree in [8usize, 64, 512] {
-        let chain = ModulusChain::new(1, degree, false);
+        let chain = ModulusChain::new(1, degree);
         for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
-            let a = CtPayload::from_stripe(
-                random_residues(&mut rng, 2 * degree, MODULUS),
-                Domain::Eval,
-            );
-            let b = CtPayload::from_stripe(
-                random_residues(&mut rng, 2 * degree, MODULUS),
-                Domain::Eval,
-            );
+            let a = CtPayload::from_limb_stripe(random_residues(&mut rng, 2 * degree, MODULUS), 1);
+            let b = CtPayload::from_limb_stripe(random_residues(&mut rng, 2 * degree, MODULUS), 1);
             let m = random_residues(&mut rng, degree, MODULUS);
             let s0 = random_residues(&mut rng, degree, MODULUS);
             let s1 = random_residues(&mut rng, degree, MODULUS);
@@ -134,11 +124,11 @@ fn multi_limb_kernels_match_per_limb_oracles() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x9B5_0002);
     for k in [2usize, 3] {
         for degree in [8usize, 64, 256] {
-            let chain = ModulusChain::new(k, degree, false);
+            let chain = ModulusChain::new(k, degree);
             let half = k * degree;
             for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
-                let (a, m) = random_limb_payload(&mut rng, &chain, Domain::Eval);
-                let (b, _) = random_limb_payload(&mut rng, &chain, Domain::Eval);
+                let (a, m) = random_limb_payload(&mut rng, &chain);
+                let (b, _) = random_limb_payload(&mut rng, &chain);
 
                 let mut out = vec![0u64; 2 * half];
                 a.mul_eval2(&m, &mut out, policy, &chain);
@@ -203,7 +193,7 @@ fn multi_limb_kernels_match_per_limb_oracles() {
 fn crt_reconstruct_and_lift_round_trip_exactly() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xC27_0003);
     for k in 1..=4usize {
-        let chain = ModulusChain::new(k, 8, false);
+        let chain = ModulusChain::new(k, 8);
         for _ in 0..200 {
             let residues: Vec<u64> = (0..k)
                 .map(|i| rng.gen::<u64>() % chain.limb(i).modulus())
@@ -247,11 +237,7 @@ fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
 /// the vector back end, across 1/4 threads and both schedulers.
 #[test]
 fn every_kernel_is_identical_across_limb_counts_policies_and_schedulers() {
-    let base = BfvParameters {
-        payload_degree: 64,
-        simulate_compute: true,
-        ..BfvParameters::insecure_test()
-    };
+    let base = BfvParameters::insecure_test();
     assert_eq!(base.limb_count, 1, "the default path is the k=1 oracle");
     for benchmark in benchsuite::full_suite() {
         let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());

@@ -8,7 +8,7 @@
 //! 1. **Fused-kernel equivalence** — every `CtPayload` kernel (the fused
 //!    dual-component multiply/add/sub/neg family plus the Galois gather)
 //!    produces identical stripes under `SimdPolicy::Scalar` and the detected
-//!    vector policy, on random inputs, in both domains, from one vector
+//!    vector policy, on random inputs, from one vector
 //!    wide to 1024, under chains of one, two and three limbs (ragged
 //!    lengths and scalar tails are the business of `simd.rs`'s own kernel
 //!    matrix: a stripe degree is a power of two).
@@ -46,7 +46,6 @@ fn random_residues(rng: &mut ChaCha8Rng, n: usize) -> Vec<u64> {
 fn assert_kernel_identical(
     label: &str,
     n: usize,
-    domain: Domain,
     detected: SimdPolicy,
     kernel: impl Fn(SimdPolicy) -> Vec<u64>,
 ) {
@@ -55,7 +54,7 @@ fn assert_kernel_identical(
     assert_eq!(
         scalar,
         vector,
-        "{label}: scalar and {} stripes diverged (n={n}, domain={domain:?})",
+        "{label}: scalar and {} stripes diverged (n={n})",
         detected.name()
     );
 }
@@ -72,8 +71,7 @@ fn random_limb_stripes(rng: &mut ChaCha8Rng, chain: &ModulusChain, stripes: usiz
 }
 
 /// Every fused dual-component kernel is bit-identical between the scalar
-/// oracle and the detected vector policy — random inputs, both domains,
-/// every degree from one vector wide up, under chains of one, two and three
+/// oracle and the detected vector policy — random inputs, every degree from one vector wide up, under chains of one, two and three
 /// limbs (Goldilocks alone, then with one and two Barrett limbs).
 #[test]
 fn fused_payload_kernels_are_bit_identical_under_every_policy() {
@@ -82,71 +80,66 @@ fn fused_payload_kernels_are_bit_identical_under_every_policy() {
     // Degrees must be powers of two (stripe invariant).
     for k in [1usize, 2, 3] {
         for n in [4usize, 8, 64, 1024] {
-            let chain = ModulusChain::new(k, n, false);
+            let chain = ModulusChain::new(k, n);
             let len = 2 * k * n;
-            for domain in [Domain::Coeff, Domain::Eval] {
-                let payload = |rng: &mut ChaCha8Rng| {
-                    CtPayload::from_limb_stripe(random_limb_stripes(rng, &chain, 2 * k), k, domain)
-                };
-                let a = payload(&mut rng);
-                let b = payload(&mut rng);
-                let mult = random_limb_stripes(&mut rng, &chain, k);
-                let s0 = random_limb_stripes(&mut rng, &chain, k);
-                let s1 = random_limb_stripes(&mut rng, &chain, k);
-                // An arbitrary index permutation is enough for gather
-                // equivalence (the real Galois permutations are a subset).
-                let perm =
-                    GaloisPermutation::new((0..n).map(|i| ((i * 7 + 3) % n) as u32).collect());
-                let key = random_limb_stripes(&mut rng, &chain, k);
+            let payload = |rng: &mut ChaCha8Rng| {
+                CtPayload::from_limb_stripe(random_limb_stripes(rng, &chain, 2 * k), k)
+            };
+            let a = payload(&mut rng);
+            let b = payload(&mut rng);
+            let mult = random_limb_stripes(&mut rng, &chain, k);
+            let s0 = random_limb_stripes(&mut rng, &chain, k);
+            let s1 = random_limb_stripes(&mut rng, &chain, k);
+            // An arbitrary index permutation is enough for gather
+            // equivalence (the real Galois permutations are a subset).
+            let perm = GaloisPermutation::new((0..n).map(|i| ((i * 7 + 3) % n) as u32).collect());
+            let key = random_limb_stripes(&mut rng, &chain, k);
 
-                assert_kernel_identical("mul_eval2", n, domain, detected, |policy| {
-                    let mut out = vec![0u64; len];
-                    a.mul_eval2(&mult, &mut out, policy, &chain);
-                    out
-                });
-                assert_kernel_identical("mul_add_eval2", n, domain, detected, |policy| {
-                    let mut out = vec![0u64; len];
-                    a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
-                    out
-                });
-                if domain == Domain::Eval {
-                    assert_kernel_identical("galois_eval2", n, domain, detected, |policy| {
-                        let mut out = vec![0u64; len];
-                        a.galois_eval2(&perm, &key, &mut out, policy, &chain);
-                        out
-                    });
-                }
-                assert_kernel_identical("add2", n, domain, detected, |policy| {
-                    let mut out = vec![0u64; len];
-                    a.add2(&b, &mut out, policy, &chain);
-                    out
-                });
-                assert_kernel_identical("sub2", n, domain, detected, |policy| {
-                    let mut out = vec![0u64; len];
-                    a.sub2(&b, &mut out, policy, &chain);
-                    out
-                });
-                assert_kernel_identical("neg2", n, domain, detected, |policy| {
-                    let mut out = vec![0u64; len];
-                    a.neg2(&mut out, policy, &chain);
-                    out
-                });
-                assert_kernel_identical("add_assign2", n, domain, detected, |policy| {
-                    let mut acc = a.clone();
-                    acc.add_assign2(&b, policy, &chain);
-                    acc.into_stripe()
-                });
-                assert_kernel_identical("sub_assign2", n, domain, detected, |policy| {
-                    let mut acc = a.clone();
-                    acc.sub_assign2(&b, policy, &chain);
-                    acc.into_stripe()
-                });
-                assert_kernel_identical("neg_assign2", n, domain, detected, |policy| {
-                    let mut acc = a.clone();
-                    acc.neg_assign2(policy, &chain);
-                    acc.into_stripe()
-                });
-            }
+            assert_kernel_identical("mul_eval2", n, detected, |policy| {
+                let mut out = vec![0u64; len];
+                a.mul_eval2(&mult, &mut out, policy, &chain);
+                out
+            });
+            assert_kernel_identical("mul_add_eval2", n, detected, |policy| {
+                let mut out = vec![0u64; len];
+                a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
+                out
+            });
+            assert_kernel_identical("galois_eval2", n, detected, |policy| {
+                let mut out = vec![0u64; len];
+                a.galois_eval2(&perm, &key, &mut out, policy, &chain);
+                out
+            });
+            assert_kernel_identical("add2", n, detected, |policy| {
+                let mut out = vec![0u64; len];
+                a.add2(&b, &mut out, policy, &chain);
+                out
+            });
+            assert_kernel_identical("sub2", n, detected, |policy| {
+                let mut out = vec![0u64; len];
+                a.sub2(&b, &mut out, policy, &chain);
+                out
+            });
+            assert_kernel_identical("neg2", n, detected, |policy| {
+                let mut out = vec![0u64; len];
+                a.neg2(&mut out, policy, &chain);
+                out
+            });
+            assert_kernel_identical("add_assign2", n, detected, |policy| {
+                let mut acc = a.clone();
+                acc.add_assign2(&b, policy, &chain);
+                acc.into_stripe()
+            });
+            assert_kernel_identical("sub_assign2", n, detected, |policy| {
+                let mut acc = a.clone();
+                acc.sub_assign2(&b, policy, &chain);
+                acc.into_stripe()
+            });
+            assert_kernel_identical("neg_assign2", n, detected, |policy| {
+                let mut acc = a.clone();
+                acc.neg_assign2(policy, &chain);
+                acc.into_stripe()
+            });
         }
     }
 }
@@ -234,11 +227,7 @@ fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
 /// policies.
 #[test]
 fn every_kernel_is_bit_identical_under_forced_scalar_and_vectorized_policies() {
-    let params = BfvParameters {
-        payload_degree: 64,
-        simulate_compute: true,
-        ..BfvParameters::insecure_test()
-    };
+    let params = BfvParameters::insecure_test();
     for benchmark in benchsuite::full_suite() {
         let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
         let inputs = inputs_of(&benchmark, 29);
