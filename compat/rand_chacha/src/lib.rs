@@ -11,6 +11,8 @@
 //! `unsafe`) eight consecutive blocks. Either kernel refills eight blocks, so
 //! the stream is the same bit for bit; AVX2 is chosen by
 //! `is_x86_feature_detected!` alone, the scalar kernel its fallback and oracle.
+//! [`ChaCha8Rng::set_word_pos`] (upstream's name) moves the stream to any
+//! word, which is how several workers draw disjoint stretches of one stream.
 
 #![deny(unsafe_code)]
 
@@ -96,10 +98,14 @@ fn refill_scalar(key: &[u32; 8], counter: u64, out: &mut [u32; BUFFER]) {
 #[derive(Clone)]
 pub struct ChaCha8Rng {
     key: [u32; 8],
-    /// The first block the next refill generates.
+    /// The first block the next refill generates: always a multiple of
+    /// eight, so a buffer holds the same words however the stream reached it.
     counter: u64,
     buffer: [u32; BUFFER],
     index: usize,
+    /// Refill on the scalar kernel even where AVX2 is present (the tests'
+    /// switch for checking a stream on both kernels).
+    scalar_only: bool,
 }
 
 /// The key and the buffered keystream stay out of `{:?}` — a generator is a
@@ -118,10 +124,26 @@ impl ChaCha8Rng {
         self.counter = first.wrapping_add((BUFFER / BLOCK) as u64);
         self.index = 0;
         #[cfg(target_arch = "x86_64")]
-        if avx2::refill(&self.key, first, &mut self.buffer) {
+        if !self.scalar_only && avx2::refill(&self.key, first, &mut self.buffer) {
             return;
         }
         refill_scalar(&self.key, first, &mut self.buffer);
+    }
+
+    /// Positions the stream at `word_offset` 32-bit words from its start:
+    /// the next draws are the ones a fresh generator returns after drawing
+    /// that many words (the block counter wraps at 2^64 blocks, as the
+    /// stream does). A position on a buffer boundary costs nothing until
+    /// the next draw; any other one refills at once.
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        let buffers = (word_offset / BUFFER as u128) as u64;
+        self.counter = buffers.wrapping_mul((BUFFER / BLOCK) as u64);
+        self.index = BUFFER;
+        let within = (word_offset % BUFFER as u128) as usize;
+        if within > 0 {
+            self.refill();
+            self.index = within;
+        }
     }
 }
 
@@ -167,6 +189,7 @@ impl SeedableRng for ChaCha8Rng {
             counter: 0,
             buffer: [0; BUFFER],
             index: BUFFER,
+            scalar_only: false,
         }
     }
 }
@@ -280,6 +303,37 @@ mod tests {
             assert_eq!(got, expected, "case {case}: len {len} split {split}");
             assert_eq!(bulk.next_u32(), single.next_u32(), "case {case}: position");
             assert_eq!(bulk.next_u64(), single.next_u64(), "case {case}: position");
+        }
+    }
+
+    /// `set_word_pos(w)` continues exactly where `w` draws of a fresh
+    /// stream leave off — at the start, mid-buffer, on and around a buffer
+    /// boundary and many buffers in; on the AVX2 and on the scalar refill;
+    /// from a fresh generator and from one already drawn past the position.
+    #[test]
+    fn set_word_pos_continues_a_fresh_stream_after_that_many_words() {
+        let seeded = |scalar_only: bool| ChaCha8Rng {
+            scalar_only,
+            ..ChaCha8Rng::seed_from_u64(0x5eed)
+        };
+        for w in [0u128, 1, 127, 128, 129, 5 * 16_384 + 3] {
+            // The oracle: `w` words of a fresh stream on the scalar kernel.
+            let mut fresh = seeded(true);
+            for _ in 0..w {
+                fresh.next_u32();
+            }
+            let expected: Vec<u32> = (0..300).map(|_| fresh.next_u32()).collect();
+            for scalar_only in [false, true] {
+                let mut ahead = seeded(scalar_only);
+                for _ in 0..w + 1000 {
+                    ahead.next_u32();
+                }
+                for mut rng in [seeded(scalar_only), ahead] {
+                    rng.set_word_pos(w);
+                    let got: Vec<u32> = (0..300).map(|_| rng.next_u32()).collect();
+                    assert_eq!(got, expected, "w {w}, scalar only: {scalar_only}");
+                }
+            }
         }
     }
 

@@ -15,13 +15,17 @@
 //! What is *not* live is never computed: a ciphertext input that only feeds
 //! client-packed vectors exists in the packed encryption alone, so a fully
 //! vectorized kernel pays one encryption per packed vector instead of one
-//! per scalar on top of that. Binding a request resolves its name → value
+//! per scalar on top of that. Preparing a request resolves its name → value
 //! map to a dense table once and walks the plan; there is no DAG walk, no
 //! per-user register scratch and no operand copying on the request path.
+//!
+//! Preparation is the cheap half of binding: the plaintext program and the
+//! slot vector of each ciphertext register. The encryptions themselves are
+//! the first phase of the run, on the executor's workers
+//! ([`chehab_runtime::RunInputs`]).
 
-use chehab_fhe::{Encryptor, FheError};
 use chehab_ir::{shift_zero_fill, BinOp, CircuitDag, DagNode, DataKind, NodeId};
-use chehab_runtime::{LaneGeometry, Register, Schedule};
+use chehab_runtime::{LaneGeometry, Register, RunInputs, Schedule};
 use std::collections::HashMap;
 
 /// Where one slot of an encrypted register comes from.
@@ -158,29 +162,29 @@ impl BindPlan {
         }
     }
 
-    /// Encryptions one [`BindPlan::bind`] performs, whatever the batch size.
+    /// Encryptions one run of the plan performs, whatever the batch size.
     pub(crate) fn encryptions(&self) -> usize {
         self.ciphers.len()
     }
 
-    /// Binds `input_sets.len()` users into **shared** registers, user `k`
+    /// Prepares `input_sets.len()` users for **shared** registers, user `k`
     /// based at slot `lanes.base(k)`; a missing input reads 0.
     ///
     /// Plaintext values are computed per user (plaintext semantics — `Vec`
     /// reads first slots, rotations zero-fill — are not
     /// translation-equivariant across a flattened array) and flattened at
-    /// the lane bases. Each ciphertext register encrypts **once** with all
-    /// users' values at their lane bases, which is where the batched
-    /// amortization comes from. Every register is `window` slots long
-    /// ([`LaneGeometry::window`] of this run), so the whole run computes on
-    /// slot vectors of that one length.
-    pub(crate) fn bind(
+    /// the lane bases into the returned registers. Each ciphertext register
+    /// becomes **one** encryption entry with all users' values at their
+    /// lane bases, which is where the batched amortization comes from;
+    /// entries are in plan order, the order they draw randomness in. Every
+    /// register is `window` slots long ([`LaneGeometry::window`] of this
+    /// run), so the whole run computes on slot vectors of that one length.
+    pub(crate) fn prepare(
         &self,
         input_sets: &[HashMap<String, i64>],
         lanes: LaneGeometry,
         window: usize,
-        encryptor: &mut Encryptor,
-    ) -> Result<Vec<Option<Register>>, FheError> {
+    ) -> RunInputs {
         let t = self.plain_modulus;
         let width = self.inputs.len();
         let dense: Vec<i64> = input_sets
@@ -200,18 +204,20 @@ impl BindPlan {
         // slots (and, past `n`, the encoder's `TooManyValues`).
         let last_base = lanes.base(input_sets.len() - 1);
         let mut registers: Vec<Option<Register>> = vec![None; self.register_count];
-        let mut flat: Vec<i64> = Vec::new();
-        for entry in &self.ciphers {
-            flat.clear();
-            flat.resize(window.max(last_base + entry.elems.len()), 0);
-            for lane in 0..input_sets.len() {
-                let base = lanes.base(lane);
-                for (slot, &elem) in entry.elems.iter().enumerate() {
-                    flat[base + slot] = source(lane, elem);
+        let encryptions = self
+            .ciphers
+            .iter()
+            .map(|entry| {
+                let mut flat = vec![0; window.max(last_base + entry.elems.len())];
+                for lane in 0..input_sets.len() {
+                    let base = lanes.base(lane);
+                    for (slot, &elem) in entry.elems.iter().enumerate() {
+                        flat[base + slot] = source(lane, elem);
+                    }
                 }
-            }
-            registers[entry.register] = Some(Register::cipher(encryptor.encrypt_values(&flat)?));
-        }
+                (entry.register, flat)
+            })
+            .collect();
 
         // `values[i]` is step `i`'s result for the current user, reused
         // across users; `published[i]` gathers it across users at the lane
@@ -261,6 +267,10 @@ impl BindPlan {
                 registers[register] = Some(Register::plain(gathered));
             }
         }
-        Ok(registers)
+        RunInputs {
+            registers,
+            encryptions,
+            ..RunInputs::default()
+        }
     }
 }

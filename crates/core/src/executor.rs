@@ -26,18 +26,19 @@
 use crate::bind::{is_live, BindPlan};
 use crate::rotation_keys::RotationKeyPlan;
 use chehab_fhe::{
-    ArenaPool, BfvParameters, Decryptor, Encryptor, EvaluatorStats, FheContext, FheError,
-    GaloisKeys, KeyGenerator, RelinKeys,
+    ArenaPool, BfvParameters, Decryptor, EvaluatorStats, FheContext, FheError, GaloisKeys,
+    KeyGenerator, RelinKeys,
 };
 use chehab_ir::{CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, Ty};
 use chehab_runtime::{
-    data_kinds, default_workers, lane_geometry, BatchPolicy, CalibratedCostModel,
+    data_kinds, default_workers, lane_geometry, lock, BatchPolicy, CalibratedCostModel,
     CancellationToken, Counter, ExecOutcome, ExecResources, Executor, FaultPlan, Gauge,
-    LaneGeometry, MetricsRegistry, Register, RequestCoalescer, ResilienceStats, Schedule,
-    SchedulerKind, ServingConfig, ServingEngine, SpanEvent, TimingBreakdown, TraceSink,
+    LaneGeometry, MetricsRegistry, Register, RequestCoalescer, ResilienceStats, RunInputs,
+    Schedule, SchedulerKind, ServingConfig, ServingEngine, SpanEvent, TimingBreakdown, TraceSink,
     DEFAULT_QUEUE_CAPACITY,
 };
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -374,7 +375,7 @@ pub struct SessionStats {
     pub requests_served: u64,
     /// Galois keys held by the session.
     pub galois_key_count: usize,
-    /// Encryptions one bind performs, whatever the batch size: one per
+    /// Encryptions one run performs, whatever the batch size: one per
     /// *live* ciphertext input register of the session's bind plan (a
     /// scalar input that only feeds client-packed vectors is not one).
     pub encryptions_per_request: usize,
@@ -536,7 +537,14 @@ pub struct FheSession {
     arena_pool: ArenaPool,
     keygen_time: Duration,
     lowering_time: Duration,
+    /// Runs started so far. Run `r` encrypts with encryptions `r·E ..
+    /// (r+1)·E` of the public key's stream (`E` the plan's encryptions per
+    /// run), so no two runs of a session draw the same randomness.
+    runs: AtomicU64,
     /// Measured per-op latencies accumulated across every request served.
+    /// Locked through the poison-recovering [`lock`]: a sum a panicking
+    /// thread left half-merged is a slightly wrong statistic, never a
+    /// reason to fail every later request.
     calibration: Mutex<CalibratedCostModel>,
     /// The session-owned metrics registry and its named handles (see
     /// [`FheSession::metrics`]).
@@ -625,6 +633,7 @@ impl FheSession {
             arena_pool: ArenaPool::new(),
             keygen_time,
             lowering_time,
+            runs: AtomicU64::new(0),
             calibration: Mutex::new(CalibratedCostModel::new()),
             metrics: SessionMetrics::new(),
         })
@@ -807,7 +816,7 @@ impl FheSession {
             requests_served: self.metrics.requests.get(),
             galois_key_count: self.galois_keys.key_count(),
             encryptions_per_request: self.bind_plan.encryptions(),
-            calibration: self.calibration.lock().unwrap().clone(),
+            calibration: lock(&self.calibration).clone(),
         }
     }
 
@@ -870,31 +879,52 @@ impl FheSession {
         self.arena_pool.parked_lengths()
     }
 
-    /// Client-side phase (untimed): walks the session's [`BindPlan`] —
-    /// `input_sets.len()` users into **shared** registers, user `k` based at
-    /// slot `lanes.base(k)`, one encryption per live ciphertext register
-    /// whatever the batch size, every register as long as the run's window.
-    /// The encryptor draws from the session's arena pool, so steady-state
-    /// input encryption allocates no fresh buffers.
-    fn bind(
-        &self,
-        input_sets: &[HashMap<String, i64>],
-        lanes: LaneGeometry,
-    ) -> Result<Vec<Option<Register>>, FheError> {
+    /// The caller's half of binding (untimed): walks the session's
+    /// [`BindPlan`] — `input_sets.len()` users into **shared** registers,
+    /// user `k` based at slot `lanes.base(k)`, one encryption entry per live
+    /// ciphertext register whatever the batch size, every register as long
+    /// as the run's window — and gives the run the next stretch of the
+    /// encryption stream. The encryptions themselves are the first phase of
+    /// the run, on the executor's workers, drawing from the session's arena
+    /// pool.
+    fn prepare(&self, input_sets: &[HashMap<String, i64>], lanes: LaneGeometry) -> RunInputs {
         debug_assert!(input_sets.len() == lanes.lanes && lanes.lanes <= self.lanes.lanes);
-        let mut encryptor = Encryptor::new(&self.ctx, &self.public_key);
-        encryptor.set_arena(self.arena_pool.checkout());
         let window = lanes.window(self.ctx.slot_count());
-        let registers = self
-            .bind_plan
-            .bind(input_sets, lanes, window, &mut encryptor);
-        self.arena_pool.restore(encryptor.take_arena());
-        if registers.is_ok() {
-            self.metrics
-                .encryptions
-                .add(self.bind_plan.encryptions() as u64);
+        let run = self.runs.fetch_add(1, Ordering::Relaxed);
+        RunInputs {
+            first_encryption: run * self.bind_plan.encryptions() as u64,
+            ..self.bind_plan.prepare(input_sets, lanes, window)
         }
-        registers
+    }
+
+    /// The server side of one chunk on the one executor, under `options`.
+    fn execute(
+        &self,
+        inputs: RunInputs,
+        res: &ExecResources<'_>,
+        options: &ExecOptions,
+    ) -> Result<ExecOutcome, FheError> {
+        // Only a dataflow pool larger than one reads priorities: critical
+        // paths under the *calibrated* cost table, so the ready queue ranks
+        // instructions by measured hardware cost, sharpening as the session
+        // accumulates samples (static estimates on a cold one). A pool of
+        // one pops in schedule order: no order changes its wall, and a fixed
+        // one keeps its peak of live buffers fixed.
+        let prioritised =
+            options.scheduler == SchedulerKind::Dataflow && options.threads_per_request > 1;
+        let priorities = if prioritised {
+            let costs = lock(&self.calibration).to_op_costs(&CostModel::default().op_costs);
+            self.schedule.critical_path_priorities(&costs)
+        } else {
+            Vec::new()
+        };
+        Executor::new(options.threads_per_request).execute(
+            &self.schedule,
+            inputs,
+            res,
+            options.scheduler,
+            &priorities,
+        )
     }
 
     /// The one request path: serves a closed set of requests, each chunk of
@@ -928,30 +958,8 @@ impl FheSession {
         options: &ExecOptions,
         hooks: &ExecHooks,
     ) -> Result<Vec<ExecutionReport>, FheError> {
-        let executor = Executor::new(options.threads_per_request);
-        self.run_chunks(input_sets, options.batching, hooks, |registers, res| {
-            // Only a dataflow pool larger than one reads priorities:
-            // critical paths under the *calibrated* cost table, so the ready
-            // queue ranks instructions by measured hardware cost, sharpening
-            // as the session accumulates samples (static estimates on a cold
-            // one). A pool of one pops in schedule order: no order changes
-            // its wall, and a fixed one keeps its peak of live buffers fixed.
-            let prioritised =
-                options.scheduler == SchedulerKind::Dataflow && options.threads_per_request > 1;
-            let priorities = if prioritised {
-                let calibration = self.calibration.lock().unwrap();
-                let costs = calibration.to_op_costs(&CostModel::default().op_costs);
-                self.schedule.critical_path_priorities(&costs)
-            } else {
-                Vec::new()
-            };
-            executor.execute(
-                &self.schedule,
-                registers,
-                res,
-                options.scheduler,
-                &priorities,
-            )
+        self.run_chunks(input_sets, options.batching, hooks, |inputs, res| {
+            self.execute(inputs, res, options)
         })
     }
 
@@ -960,10 +968,68 @@ impl FheSession {
     #[doc(hidden)]
     pub fn run_in_order(&self, inputs: &HashMap<String, i64>) -> Result<ExecutionReport, FheError> {
         let inputs = std::slice::from_ref(inputs);
-        let reports = self.run_chunks(inputs, None, &ExecHooks::default(), |registers, res| {
-            chehab_runtime::execute_in_order(&self.schedule, registers, res)
+        let reports = self.run_chunks(inputs, None, &ExecHooks::default(), |inputs, res| {
+            chehab_runtime::execute_in_order(&self.schedule, inputs, res)
         })?;
         Ok(reports.into_iter().next().expect("one report per user"))
+    }
+
+    /// Test hook: serves `input_sets` as one chunk of the ordinary request
+    /// path — on the executor under `options`, or on the in-order walk when
+    /// `None` — drawing the randomness of run number `run` of the session's
+    /// stream (the next run's, like any request, when `None`). Returns the
+    /// payload stripe of every input ciphertext in stream order, then the
+    /// output's (none for a plaintext output), as they stood when the
+    /// executor returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_sets` does not fit one chunk
+    /// ([`FheSession::batch_capacity`]).
+    #[doc(hidden)]
+    pub fn run_payloads(
+        &self,
+        input_sets: &[HashMap<String, i64>],
+        options: Option<&ExecOptions>,
+        run: Option<u64>,
+    ) -> Result<Vec<Vec<u64>>, FheError> {
+        assert!(input_sets.len() <= self.lanes.lanes, "one chunk only");
+        let retained = Arc::new(Mutex::new(Vec::new()));
+        let output = Mutex::new(Vec::new());
+        let one_chunk = BatchPolicy::default().with_max_batch(input_sets.len());
+        self.run_chunks(
+            input_sets,
+            Some(one_chunk),
+            &ExecHooks::default(),
+            |mut inputs, res| {
+                if let Some(run) = run {
+                    inputs.first_encryption = run * self.bind_plan.encryptions() as u64;
+                }
+                inputs.retain = Some(Arc::clone(&retained));
+                let outcome = match options {
+                    Some(options) => self.execute(inputs, res, options),
+                    None => chehab_runtime::execute_in_order(&self.schedule, inputs, res),
+                }?;
+                if let Register::Cipher(ct) = &outcome.output {
+                    *lock(&output) = ct.payload().stripe().to_vec();
+                }
+                Ok(outcome)
+            },
+        )?;
+        let mut inputs = std::mem::take(&mut *lock(&retained));
+        inputs.sort_by_key(|&(entry, _)| entry);
+        let mut stripes: Vec<Vec<u64>> = inputs
+            .into_iter()
+            .map(|(_, register)| match register {
+                Register::Cipher(ct) => ct.payload().stripe().to_vec(),
+                Register::Plain(_) => unreachable!("inputs encrypt to ciphertexts"),
+            })
+            .collect();
+        let output = std::mem::take(&mut *lock(&output));
+        if !output.is_empty() {
+            stripes.push(output);
+        }
+        Ok(stripes)
     }
 
     /// The body of [`FheSession::run_batched`], with the server side of each
@@ -973,7 +1039,7 @@ impl FheSession {
         input_sets: &[HashMap<String, i64>],
         batching: Option<BatchPolicy>,
         hooks: &ExecHooks,
-        execute: impl Fn(Vec<Option<Register>>, &ExecResources<'_>) -> Result<ExecOutcome, FheError>,
+        execute: impl Fn(RunInputs, &ExecResources<'_>) -> Result<ExecOutcome, FheError>,
     ) -> Result<Vec<ExecutionReport>, FheError> {
         let capacity = batching.map_or(1, |policy| self.lanes.lanes.min(policy.max_batch).max(1));
         let t = self.ctx.plain_modulus() as i64;
@@ -1012,13 +1078,10 @@ impl FheSession {
                 ..self.lanes
             };
             let bind_started = Instant::now();
-            let registers = self.bind(chunk, lanes)?;
-            span("bind", bind_started, bind_started.elapsed());
-
-            // --- server side: execute the scheduled operations (timed).
-            let started = Instant::now();
+            let inputs = self.prepare(chunk, lanes);
             let resources = ExecResources {
                 ctx: &self.ctx,
+                public_key: &self.public_key,
                 relin_keys: &self.relin_keys,
                 galois_keys: &self.galois_keys,
                 arenas: &self.arena_pool,
@@ -1027,9 +1090,20 @@ impl FheSession {
                 cancel: hooks.cancel.as_ref(),
                 faults: hooks.faults.as_ref(),
             };
-            let outcome = execute(registers, &resources)?;
-            let server_time = started.elapsed();
-            span("execute", started, server_time);
+            // The run encrypts its inputs on its workers, then — from the
+            // barrier where the last one is published — executes the
+            // scheduled operations: bind spans the caller's preparation and
+            // the encryptions, the server time (`timing.wall`) the rest.
+            let outcome = execute(inputs, &resources);
+            let ended = Instant::now();
+            self.metrics
+                .encryptions
+                .add(self.bind_plan.encryptions() as u64);
+            let outcome = outcome?;
+            let server_time = outcome.timing.wall;
+            let released = ended - server_time;
+            span("bind", bind_started, released - bind_started);
+            span("execute", released, server_time);
 
             // Scatter: each user reads its own lane window of the shared
             // output.
@@ -1085,10 +1159,7 @@ impl FheSession {
             };
             span("decrypt", decrypt_started, decrypt_started.elapsed());
 
-            self.calibration
-                .lock()
-                .unwrap()
-                .merge(&outcome.timing.per_op);
+            lock(&self.calibration).merge(&outcome.timing.per_op);
             self.metrics.requests.add(users as u64);
             self.metrics.steals.add(outcome.timing.steals);
             if batching.is_some() {
@@ -1148,7 +1219,12 @@ fn structural_width(dag: &CircuitDag, id: usize, widths: &mut Vec<usize>) -> usi
 pub struct ExecutionReport {
     /// Decrypted output slots (empty if decryption failed).
     pub outputs: Vec<u64>,
-    /// Wall-clock time of the server-side homomorphic evaluation.
+    /// Wall-clock time of the server-side homomorphic evaluation: the run's
+    /// `timing.wall`, which starts at the barrier where the last input
+    /// encryption is published and the first instruction is released. The
+    /// input encryptions run on the same workers just before it, but they
+    /// are the client's half of the request and are not counted here (they
+    /// are in the trace's `bind` span).
     pub server_time: Duration,
     /// Invariant-noise budget consumed by the output ciphertext, in bits.
     pub noise_budget_consumed: f64,
@@ -1360,6 +1436,34 @@ mod tests {
                 parallel.timing.instr_times.len()
             );
         }
+    }
+
+    /// A thread that panics holding the calibration lock poisons it; the
+    /// next run — which reads it for priorities and merges into it — and
+    /// `stats()` still succeed instead of re-raising that panic.
+    #[test]
+    fn a_poisoned_calibration_lock_does_not_cascade() {
+        let program = compile_raw("(VecAdd (VecMul (Vec a b) (Vec c d)) (Vec e f))", true);
+        let session = Arc::new(program.session(&BfvParameters::insecure_test()).unwrap());
+        let poisoner = Arc::clone(&session);
+        let panicked = std::thread::spawn(move || {
+            let _held = poisoner.calibration.lock();
+            panic!("poisoning the calibration lock on purpose");
+        })
+        .join();
+        assert!(panicked.is_err() && session.calibration.is_poisoned());
+
+        let inputs: HashMap<String, i64> = ["a", "b", "c", "d", "e", "f"]
+            .iter()
+            .zip(1..)
+            .map(|(name, value)| (name.to_string(), value))
+            .collect();
+        let options = ExecOptions::sequential().with_threads_per_request(2);
+        let report = session.run_parallel(&inputs, &options).unwrap();
+        // (a·c + e, b·d + f)
+        assert_eq!(report.outputs, vec![8, 14]);
+        assert_eq!(session.stats().requests_served, 1);
+        assert!(session.stats().calibration.sample_count() > 0);
     }
 
     #[test]

@@ -479,6 +479,20 @@ impl Encryptor {
         }
     }
 
+    /// Positions the encryptor's stream at the start of encryption number
+    /// `encryption`, counted from the stream [`Encryptor::new`] starts: word
+    /// `encryption · 4 · payload_degree`. Every encryption draws exactly
+    /// that many words (two payload components of `payload_degree` 64-bit
+    /// draws, whatever the limb count), so the ciphertext that follows is
+    /// bit for bit the one a fresh encryptor's `encryption`-th call returns
+    /// — which lets several workers encrypt one request's inputs in any
+    /// order.
+    pub fn seek(&mut self, encryption: u64) {
+        let words_per_encryption = 4 * self.ctx.params().payload_degree as u128;
+        self.rng
+            .set_word_pos(u128::from(encryption) * words_per_encryption);
+    }
+
     /// Replaces the encryptor's buffer arena (typically with a warm one
     /// checked out of a session's [`crate::ArenaPool`]).
     pub fn set_arena(&mut self, arena: PolyArena) {
@@ -683,6 +697,38 @@ mod tests {
         }
         let empty = std::panic::catch_unwind(|| CtPayload::from_limb_stripe(Vec::new(), 1));
         assert!(empty.is_err(), "an empty stripe was accepted as a payload");
+    }
+
+    /// The `j`-th encryption of a fresh encryptor is the one an encryptor
+    /// positioned at `j` returns, at one, two and three limbs, whatever the
+    /// positioned encryptor drew before.
+    #[test]
+    fn a_positioned_encryptor_draws_the_jth_encryption() {
+        for k in [1usize, 2, 3] {
+            let ctx = FheContext::new(BfvParameters::insecure_test().with_limb_count(k)).unwrap();
+            let public_key = KeyGenerator::new(ctx.params(), 42).public_key();
+            let mut sequential = Encryptor::new(&ctx, &public_key);
+            let stripes: Vec<Vec<u64>> = (0..6)
+                .map(|j| {
+                    sequential
+                        .encrypt_values(&[j])
+                        .unwrap()
+                        .payload
+                        .stripe()
+                        .to_vec()
+                })
+                .collect();
+            let mut positioned = Encryptor::new(&ctx, &public_key);
+            for j in [3usize, 0, 5, 1, 4, 2, 2] {
+                positioned.seek(j as u64);
+                let ct = positioned.encrypt_values(&[j as i64]).unwrap();
+                assert_eq!(
+                    ct.payload.stripe(),
+                    &stripes[j][..],
+                    "k={k}: encryption {j}"
+                );
+            }
+        }
     }
 
     #[test]

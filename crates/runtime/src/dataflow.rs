@@ -28,6 +28,10 @@
 //!   cost, longest-processing-time-first. Nothing is released to a local
 //!   deque, so nothing is ever stolen, and no priorities are read.
 //!
+//! Under either rule nothing is released before the run's input encryptions
+//! are all published: that barrier opens the state, and `timing.wall`
+//! starts there.
+//!
 //! Results are bit-identical to the in-order walk at every worker count,
 //! rule and steal order: every homomorphic operation is a pure function of
 //! its operands, and a register is written exactly once before any
@@ -77,8 +81,10 @@ pub struct TimingBreakdown {
     /// under [`SchedulerKind::Leveled`], empty under
     /// [`SchedulerKind::Dataflow`] (there are no levels to time).
     pub levels: Vec<LevelTiming>,
-    /// Wall-clock of the whole scheduled execution, from before the first
-    /// instruction is released until every worker has finished.
+    /// Wall-clock of the server side of the run: from the barrier — the
+    /// last input encryption published, the first instruction released —
+    /// until every worker has finished. The input encryptions before it are
+    /// the client's half of the run and are not counted.
     pub wall: Duration,
     /// Measured per-operation-kind latencies.
     pub per_op: CalibratedCostModel,
@@ -164,6 +170,12 @@ pub(crate) struct SchedState<'a> {
     level_left: usize,
     /// Leveled: when the level in flight was released.
     level_started: Instant,
+    /// Input encryptions not yet published: nothing is released before the
+    /// last one is.
+    inputs_left: usize,
+    /// When the first instructions were released: where `timing.wall`
+    /// starts.
+    pub(crate) released: Instant,
     /// Instructions not yet retired (termination condition).
     pub(crate) remaining: usize,
     /// Workers asleep on the condvar: nobody pays the wake-up syscall when
@@ -179,13 +191,16 @@ pub(crate) struct SchedState<'a> {
 }
 
 impl<'a> SchedState<'a> {
-    /// The state before any instruction ran: what `rule` releases up front
-    /// sits in the injector.
+    /// The state before any instruction ran. Once `inputs` input
+    /// encryptions are published ([`SchedState::input_published`]) — at
+    /// once, when there are none — what `rule` releases up front sits in the
+    /// injector.
     pub(crate) fn new(
         schedule: &'a Schedule,
         rule: SchedulerKind,
         priorities: &'a [f64],
         workers: usize,
+        inputs: usize,
     ) -> Self {
         let n = schedule.instrs().len();
         let now = Instant::now();
@@ -197,6 +212,8 @@ impl<'a> SchedState<'a> {
             pending: Vec::new(),
             level_left: 0,
             level_started: now,
+            inputs_left: inputs,
+            released: now,
             remaining: n,
             sleepers: 0,
             failure: None,
@@ -208,24 +225,42 @@ impl<'a> SchedState<'a> {
                 ..TimingBreakdown::empty(workers)
             },
         };
-        match rule {
+        if inputs == 0 {
+            state.open(now);
+        }
+        state
+    }
+
+    /// Notes that one input encryption was published; the last one opens
+    /// the run.
+    pub(crate) fn input_published(&mut self) {
+        self.inputs_left -= 1;
+        if self.inputs_left == 0 {
+            self.open(Instant::now());
+        }
+    }
+
+    /// The barrier: releases what the rule releases up front, at `now`.
+    fn open(&mut self, now: Instant) {
+        self.released = now;
+        match self.timing.scheduler {
             SchedulerKind::Dataflow => {
-                state.pending = schedule.dep_counts().to_vec();
-                state.injector = (0..n)
-                    .filter(|&index| state.pending[index] == 0)
-                    .map(|index| state.ready(index, now))
+                let n = self.schedule.instrs().len();
+                self.pending = self.schedule.dep_counts().to_vec();
+                self.injector = (0..n)
+                    .filter(|&index| self.pending[index] == 0)
+                    .map(|index| self.ready(index, now))
                     .collect();
                 // Ascending, lowest index last among equals: `pop` takes the
                 // best from the end.
-                state.injector.sort_by(|a, b| {
+                self.injector.sort_by(|a, b| {
                     a.priority
                         .total_cmp(&b.priority)
                         .then(b.index.cmp(&a.index))
                 });
             }
-            SchedulerKind::Leveled => state.release_level(now),
+            SchedulerKind::Leveled => self.release_level(now),
         }
-        state
     }
 
     /// Instruction `index`, released at `now`, with its priority.
@@ -357,7 +392,7 @@ mod tests {
     #[test]
     fn local_deques_stay_priority_sorted_and_steals_take_the_back() {
         let schedule = two_chains();
-        let mut st = SchedState::new(&schedule, SchedulerKind::Dataflow, &[0.0; 5], 2);
+        let mut st = SchedState::new(&schedule, SchedulerKind::Dataflow, &[0.0; 5], 2, 0);
         while st.pop(0).is_some() {}
         let at = Instant::now();
         for (priority, index) in [(1.0, 0), (5.0, 1), (3.0, 2)] {
@@ -398,7 +433,12 @@ mod tests {
         let tick = Duration::from_micros(1);
 
         for rule in [SchedulerKind::Dataflow, SchedulerKind::Leveled] {
-            let mut st = SchedState::new(&schedule, rule, &priorities, 2);
+            // Two input encryptions stand before the barrier: nothing is
+            // released until the last one is published.
+            let mut st = SchedState::new(&schedule, rule, &priorities, 2, 2);
+            st.input_published();
+            assert!(st.pop(0).is_none() && st.pop(1).is_none(), "{rule:?}");
+            st.input_published();
             let mut retired = vec![false; n];
             let mut order = Vec::new();
             // Two workers alternate; each holds its instruction in flight

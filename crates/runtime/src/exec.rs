@@ -1,13 +1,19 @@
-//! The executor: one `std::thread` worker loop that runs a schedule's
-//! instructions as the scheduler state releases them.
+//! The executor: one `std::thread` worker loop that encrypts a run's inputs,
+//! then runs a schedule's instructions as the scheduler state releases them.
 //!
-//! [`Executor::execute`] owns the only worker loop of the crate. Which
-//! instruction runs next is not its business: it pops from the scheduler
-//! state (`dataflow.rs`), whose [`SchedulerKind`] release rule decides when
-//! a finished instruction makes others runnable — dependency counts
-//! reaching zero, or a whole level retiring. The calling thread is worker
-//! 0, so a pool of one is the same loop with nothing spawned and nobody to
-//! wake.
+//! [`Executor::execute`] owns the only worker loop of the crate. A run has
+//! two phases in that one loop. First the workers encrypt the run's input
+//! registers ([`RunInputs::encryptions`]): each claims entries off one
+//! atomic counter and encrypts entry `j` with an encryptor positioned at
+//! encryption `first_encryption + j` of the stream ([`Encryptor::seek`]), so
+//! the payload bits are the sequential ones whatever worker drew them. No
+//! instruction is released before the last input is published. Then the
+//! workers run instructions. Which instruction runs next is not the loop's
+//! business: it pops from the scheduler state (`dataflow.rs`), whose
+//! [`SchedulerKind`] release rule decides when a finished instruction makes
+//! others runnable — dependency counts reaching zero, or a whole level
+//! retiring. The calling thread is worker 0, so a pool of one is the same
+//! loop with nothing spawned and nobody to wake.
 //!
 //! Every worker owns a private [`Evaluator`] (the shared [`FheContext`] is
 //! immutable) and a private [`CalibratedCostModel`]; both are merged when
@@ -31,8 +37,8 @@ use crate::dataflow::{SchedState, SchedulerKind, TimingBreakdown};
 use crate::schedule::{Instr, Schedule, ScheduledInstr, Slot};
 use crate::telemetry::{TraceBuffer, TraceSink};
 use chehab_fhe::{
-    ArenaPool, Ciphertext, Evaluator, EvaluatorStats, FheContext, FheError, GaloisKeys, Plaintext,
-    PolyArena, RelinKeys,
+    ArenaPool, Ciphertext, Encryptor, Evaluator, EvaluatorStats, FheContext, FheError, GaloisKeys,
+    Plaintext, PolyArena, PublicKey, RelinKeys,
 };
 use chehab_ir::BinOp;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -215,13 +221,8 @@ impl RegisterFile {
             .expect("operands are published before their consumers run")
     }
 
-    /// Whether the slot currently holds a value (used by up-front operand
-    /// validation).
-    pub(crate) fn is_bound(&self, slot: Slot) -> bool {
-        lock(&self.cells[slot]).is_some()
-    }
-
-    /// Publishes an instruction's result into its destination slot.
+    /// Publishes an input encryption or an instruction's result into its
+    /// destination slot.
     pub(crate) fn publish(&self, slot: Slot, register: Register) {
         *lock(&self.cells[slot]) = Some(register);
     }
@@ -308,11 +309,100 @@ fn publish_and_reap(
     }
 }
 
+/// What one run starts from, as the client prepared it: the registers bound
+/// before the run, and the ciphertext registers whose encryption is the
+/// run's first phase.
+#[derive(Debug, Default)]
+pub struct RunInputs {
+    /// One entry per schedule slot: `Some` for every value bound before the
+    /// run (the clear values of the plaintext subcircuit, and any
+    /// ciphertext the caller encrypted itself).
+    pub registers: Vec<Option<Register>>,
+    /// The ciphertext registers the run's workers encrypt before any
+    /// instruction is released: destination slot and slot values.
+    pub encryptions: Vec<(Slot, Vec<i64>)>,
+    /// Entry `j` of `encryptions` is encryption number `first_encryption +
+    /// j` of the public key's stream ([`Encryptor::seek`]): a caller that
+    /// gives every run a disjoint range never reuses randomness.
+    pub first_encryption: u64,
+    /// Test hook: when set, every input ciphertext is also pushed here with
+    /// its entry index (which keeps its buffers from being recycled).
+    #[doc(hidden)]
+    pub retain: Option<Arc<Retained>>,
+}
+
+/// Input registers by entry index, kept by [`RunInputs::retain`].
+type Retained = Mutex<Vec<(usize, Register)>>;
+
+/// The input-encryption phase of one run, shared by its workers.
+struct InputPhase<'a> {
+    entries: &'a [(Slot, Vec<i64>)],
+    first: u64,
+    retain: Option<&'a Retained>,
+    /// The next entry a worker claims. `Relaxed`: a claim publishes
+    /// nothing (the entries are read-only; a ciphertext reaches its readers
+    /// through the register file's mutex).
+    next: AtomicUsize,
+}
+
+impl<'a> InputPhase<'a> {
+    fn new(inputs: &'a RunInputs) -> Self {
+        InputPhase {
+            entries: &inputs.encryptions,
+            first: inputs.first_encryption,
+            retain: inputs.retain.as_deref(),
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims entries until none is left, encrypts each into `arena` with an
+    /// encryptor positioned at its stream index, and hands each to
+    /// `publish`, which says whether to go on. A panic is caught and handed
+    /// on as [`FheError::WorkerPanic`], as an instruction's is. Returns the
+    /// arena, to evaluate with.
+    fn encrypt(
+        &self,
+        res: &ExecResources<'_>,
+        arena: PolyArena,
+        mut publish: impl FnMut(Result<(Slot, Register), FheError>) -> bool,
+    ) -> PolyArena {
+        let claim = || self.next.fetch_add(1, Ordering::Relaxed);
+        let mut entry = claim();
+        if entry >= self.entries.len() {
+            return arena;
+        }
+        let mut encryptor = Encryptor::new(res.ctx, res.public_key);
+        encryptor.set_arena(arena);
+        while let Some((slot, values)) = self.entries.get(entry) {
+            encryptor.seek(self.first + entry as u64);
+            let encrypted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                encryptor.encrypt_values(values)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(FheError::WorkerPanic {
+                    message: panic_message(payload),
+                })
+            })
+            .map(Register::cipher);
+            if let (Some(retain), Ok(register)) = (self.retain, &encrypted) {
+                lock(retain).push((entry, register.clone()));
+            }
+            if !publish(encrypted.map(|register| (*slot, register))) {
+                break;
+            }
+            entry = claim();
+        }
+        encryptor.take_arena()
+    }
+}
+
 /// Shared immutable resources a scheduled execution borrows.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecResources<'a> {
     /// The FHE context (parameters, NTT tables, encoding).
     pub ctx: &'a FheContext,
+    /// The public key the run's input encryptions are drawn under.
+    pub public_key: &'a PublicKey,
     /// Relinearization keys for ct-ct multiplications.
     pub relin_keys: &'a RelinKeys,
     /// Galois keys covering every realized rotation step.
@@ -380,9 +470,10 @@ impl Executor {
         }
     }
 
-    /// Runs a schedule against a register file whose pre-bound slots are
-    /// filled (`initial[slot] = Some(..)` for every client-side value),
-    /// releasing instructions under `scheduler`. Under
+    /// Runs one request's server side in two phases on one pool. First the
+    /// workers encrypt `inputs.encryptions` into their registers; then,
+    /// from the barrier where the last of them is published, they run the
+    /// schedule, releasing instructions under `scheduler`. Under
     /// [`SchedulerKind::Dataflow`] a pool larger than one pops ready
     /// instructions in descending `priorities` order (one entry per
     /// instruction, e.g. from [`Schedule::critical_path_priorities`] under a
@@ -392,33 +483,35 @@ impl Executor {
     ///
     /// The pool is `threads` clamped to what the rule can use (the widest
     /// level under leveled, the instruction count under dataflow). The
-    /// calling thread is worker 0, so a pool of one spawns nothing and pays
-    /// no wake-up.
+    /// calling thread is worker 0, so a pool of one spawns nothing, pays no
+    /// wake-up and encrypts the inputs in stream order. Whatever the pool,
+    /// every input's payload is the one its stream index draws, and the
+    /// report's `timing.wall` starts at the barrier.
     ///
     /// # Errors
     ///
-    /// Returns the first [`FheError`] any worker hit (a missing Galois key,
-    /// a cancelled token, an isolated panic); instructions already in
-    /// flight complete, the rest never start, and every register the run
-    /// still holds goes back to the arena pool.
+    /// Returns the first [`FheError`] any worker hit (an input wider than
+    /// the slot count, a missing Galois key, a cancelled token, an isolated
+    /// panic); instructions already in flight complete, the rest never
+    /// start, and every register the run still holds goes back to the arena
+    /// pool.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` does not cover the schedule's slots, if the
-    /// schedule references a slot that is neither pre-bound nor produced at
-    /// an earlier level, or if a dataflow run on more than one worker gets
-    /// fewer priorities than instructions. All three checks run up front on
-    /// the calling thread: misuse must never reach the pool.
+    /// Panics if `inputs.registers` does not cover the schedule's slots, if
+    /// the schedule references a slot that is neither pre-bound, encrypted
+    /// nor produced at an earlier level, or if a dataflow run on more than
+    /// one worker gets fewer priorities than instructions. All three checks
+    /// run up front on the calling thread: misuse must never reach the pool.
     pub fn execute(
         &self,
         schedule: &Schedule,
-        initial: Vec<Option<Register>>,
+        mut inputs: RunInputs,
         res: &ExecResources<'_>,
         scheduler: SchedulerKind,
         priorities: &[f64],
     ) -> Result<ExecOutcome, FheError> {
-        let rf = RegisterFile::new(initial, schedule);
-        validate_operands(schedule, &rf);
+        let rf = register_file(schedule, &mut inputs);
         let instructions = schedule.instrs().len();
         let useful = match scheduler {
             SchedulerKind::Leveled => schedule.max_width(),
@@ -429,12 +522,19 @@ impl Executor {
             scheduler == SchedulerKind::Leveled || workers == 1 || priorities.len() >= instructions,
             "need one priority per instruction"
         );
-        let started = Instant::now();
+        let encryptions = inputs.encryptions.len();
         let run = Run {
             schedule,
             rf: &rf,
             res,
-            state: Mutex::new(SchedState::new(schedule, scheduler, priorities, workers)),
+            inputs: InputPhase::new(&inputs),
+            state: Mutex::new(SchedState::new(
+                schedule,
+                scheduler,
+                priorities,
+                workers,
+                encryptions,
+            )),
             work_available: Condvar::new(),
         };
         std::thread::scope(|scope| {
@@ -448,7 +548,7 @@ impl Executor {
             .state
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        state.timing.wall = started.elapsed();
+        state.timing.wall = state.released.elapsed();
         let result = match state.failure {
             Some(error) => Err(error),
             None => Ok((state.stats, state.timing)),
@@ -462,19 +562,27 @@ struct Run<'a> {
     schedule: &'a Schedule,
     rf: &'a RegisterFile,
     res: &'a ExecResources<'a>,
+    inputs: InputPhase<'a>,
     state: Mutex<SchedState<'a>>,
     work_available: Condvar,
 }
 
 impl Run<'_> {
-    /// The worker loop: pop → dispatch → span → publish and reap → retire
-    /// (which releases what the rule allows) → pop again, until the
-    /// schedule has drained or a worker failed. The scheduler lock is held
-    /// from one instruction's retirement to the next one's pop and never
-    /// while an instruction runs.
+    /// The worker loop: encrypt inputs until none is left to claim, then
+    /// pop → dispatch → span → publish and reap → retire (which releases
+    /// what the rule allows) → pop again, until the schedule has drained or
+    /// a worker failed. A worker out of inputs before the barrier sleeps in
+    /// its first pop. The scheduler lock is held from one instruction's
+    /// retirement to the next one's pop and never while an encryption or an
+    /// instruction runs.
     fn work(&self, worker: usize) {
         let res = self.res;
-        let mut evaluator = Evaluator::with_arena(res.ctx, res.arenas.checkout());
+        let arena = self
+            .inputs
+            .encrypt(res, res.arenas.checkout(), |encrypted| {
+                self.publish_input(encrypted)
+            });
+        let mut evaluator = Evaluator::with_arena(res.ctx, arena);
         let mut calibration = CalibratedCostModel::new();
         let mut tracer = res
             .trace
@@ -540,36 +648,69 @@ impl Run<'_> {
         drop(st);
         res.arenas.restore(evaluator.take_arena());
     }
+
+    /// Publishes one input encryption — the last one opens the barrier — or
+    /// aborts the run with its error; says whether to encrypt on.
+    fn publish_input(&self, encrypted: Result<(Slot, Register), FheError>) -> bool {
+        let st = match encrypted {
+            Ok((slot, register)) => {
+                self.rf.publish(slot, register);
+                let mut st = lock(&self.state);
+                st.input_published();
+                st
+            }
+            Err(error) => {
+                let mut st = lock(&self.state);
+                st.fail(error);
+                st
+            }
+        };
+        // As after a retirement: a sleeper may be waiting for the barrier
+        // or for the abort.
+        if st.sleepers > 0 {
+            self.work_available.notify_all();
+        }
+        st.failure.is_none()
+    }
 }
 
-/// The in-order reference walk: every instruction on the calling thread in
-/// schedule order, with the same dispatch, reaping and sweep as
+/// The in-order reference walk: every input encryption, then every
+/// instruction, on the calling thread in stream and schedule order, with the
+/// same encryption phase, dispatch, reaping and sweep as
 /// [`Executor::execute`] and no scheduler at all — the oracle the
 /// equivalence suites compare every (rule × thread count) cell against.
 #[doc(hidden)]
 pub fn execute_in_order(
     schedule: &Schedule,
-    initial: Vec<Option<Register>>,
+    mut inputs: RunInputs,
     res: &ExecResources<'_>,
 ) -> Result<ExecOutcome, FheError> {
-    let rf = RegisterFile::new(initial, schedule);
-    validate_operands(schedule, &rf);
-    let mut evaluator = Evaluator::with_arena(res.ctx, res.arenas.checkout());
-    let mut timing = TimingBreakdown::empty(1);
+    let rf = register_file(schedule, &mut inputs);
     let mut failure = None;
+    let arena = InputPhase::new(&inputs).encrypt(res, res.arenas.checkout(), |encrypted| {
+        match encrypted {
+            Ok((slot, register)) => rf.publish(slot, register),
+            Err(error) => failure = Some(error),
+        }
+        failure.is_none()
+    });
+    let released = Instant::now();
+    let mut evaluator = Evaluator::with_arena(res.ctx, arena);
+    let mut timing = TimingBreakdown::empty(1);
     for si in schedule.instrs() {
+        if failure.is_some() {
+            break;
+        }
         let started = Instant::now();
         match dispatch_instr(si, &rf, &mut evaluator, res, &mut timing.per_op) {
             Ok(register) => {
                 timing.instr_times.push(started.elapsed());
                 publish_and_reap(&rf, si, register, &mut evaluator);
             }
-            Err(error) => {
-                failure = Some(error);
-                break;
-            }
+            Err(error) => failure = Some(error),
         }
     }
+    timing.wall = released.elapsed();
     let stats = evaluator.stats();
     res.arenas.restore(evaluator.take_arena());
     finish(rf, res, failure.map_or(Ok((stats, timing)), Err))
@@ -597,15 +738,25 @@ fn finish(
     outcome
 }
 
-/// Locks `mutex`, recovering the guard if a thread panicked holding it.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks `mutex`, recovering the guard if a thread panicked holding it: a
+/// panic is isolated where it happened (and reported there), never
+/// re-raised by every later locker. For state whose every update leaves it
+/// usable — a register cell, the scheduler state, a statistics sum.
+pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Panics (on the calling thread, before any worker spawns) if an
-/// instruction's operand is neither pre-bound nor the destination of an
-/// earlier-level instruction.
-fn validate_operands(schedule: &Schedule, rf: &RegisterFile) {
+/// Moves a run's pre-bound registers into its register file, after
+/// checking (on the calling thread, before any worker spawns) that every
+/// instruction's operand is pre-bound, encrypted in the input phase or the
+/// destination of an earlier-level instruction. Panics otherwise.
+fn register_file(schedule: &Schedule, inputs: &mut RunInputs) -> RegisterFile {
+    let registers = std::mem::take(&mut inputs.registers);
+    let mut bound: Vec<bool> = registers.iter().map(Option::is_some).collect();
+    let rf = RegisterFile::new(registers, schedule);
+    for &(slot, _) in &inputs.encryptions {
+        bound[slot] = true;
+    }
     let mut produced_level = vec![None; schedule.slot_count()];
     for si in schedule.instrs() {
         produced_level[si.dst] = Some(si.level);
@@ -614,7 +765,7 @@ fn validate_operands(schedule: &Schedule, rf: &RegisterFile) {
         for operand in si.instr.operands() {
             let available = match produced_level[operand] {
                 Some(level) => level < si.level,
-                None => rf.is_bound(operand),
+                None => bound[operand],
             };
             assert!(
                 available,
@@ -624,6 +775,7 @@ fn validate_operands(schedule: &Schedule, rf: &RegisterFile) {
             );
         }
     }
+    rf
 }
 
 /// Renders a panic payload as text, best effort.

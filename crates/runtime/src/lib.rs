@@ -51,10 +51,11 @@
 //! this):
 //!
 //! ```
-//! use chehab_fhe::{BfvParameters, Decryptor, Encryptor, FheContext, KeyGenerator};
+//! use chehab_fhe::{BfvParameters, Decryptor, FheContext, KeyGenerator};
 //! use chehab_ir::{parse, CircuitDag};
 //! use chehab_runtime::{
-//!     lower_with_default_costs, ExecResources, Executor, LaneGeometry, Register, SchedulerKind,
+//!     lower_with_default_costs, ExecResources, Executor, LaneGeometry, Register, RunInputs,
+//!     SchedulerKind,
 //! };
 //!
 //! // (a*b) + (c*d): the two multiplications share a level.
@@ -63,13 +64,14 @@
 //!
 //! let ctx = FheContext::new(BfvParameters::insecure_test())?;
 //! let mut keygen = KeyGenerator::new(ctx.params(), 1);
-//! let mut encryptor = Encryptor::new(&ctx, &keygen.public_key());
+//! let public_key = keygen.public_key();
 //! let decryptor = Decryptor::new(&ctx, &keygen.secret_key());
 //! let relin_keys = keygen.relin_keys();
 //! let galois_keys = keygen.default_galois_keys();
 //!
-//! // Pre-bind the leaf vectors (client-side packing), lower the rest.
-//! let mut registers: Vec<Option<Register>> = vec![None; dag.len()];
+//! // Pre-bind the leaf vectors (client-side packing): the executor's
+//! // workers encrypt them before the first instruction. Lower the rest.
+//! let mut inputs = RunInputs { registers: vec![None; dag.len()], ..RunInputs::default() };
 //! let values = [("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5), ("f", 6), ("g", 7), ("h", 8)];
 //! let lookup = |name: &str| values.iter().find(|(n, _)| *n == name).unwrap().1;
 //! let mut prebound = vec![false; dag.len()];
@@ -82,7 +84,7 @@
 //!                 _ => unreachable!(),
 //!             })
 //!             .collect();
-//!         registers[id] = Some(Register::cipher(encryptor.encrypt_values(&packed)?));
+//!         inputs.encryptions.push((id, packed));
 //!         prebound[id] = true;
 //!     } else if node.is_leaf() {
 //!         prebound[id] = true; // packed into the vectors above
@@ -95,6 +97,7 @@
 //! let arenas = chehab_fhe::ArenaPool::new();
 //! let resources = ExecResources {
 //!     ctx: &ctx,
+//!     public_key: &public_key,
 //!     relin_keys: &relin_keys,
 //!     galois_keys: &galois_keys,
 //!     // No runtime `Pack` instructions in this schedule, so no zero
@@ -109,9 +112,10 @@
 //!     // No fault injection.
 //!     faults: None,
 //! };
-//! // Level by level on two workers; the leveled rule reads no priorities.
+//! // Level by level on two workers, which encrypt the two inputs first; the
+//! // leveled rule reads no priorities.
 //! let outcome =
-//!     Executor::new(2).execute(&schedule, registers, &resources, SchedulerKind::Leveled, &[])?;
+//!     Executor::new(2).execute(&schedule, inputs, &resources, SchedulerKind::Leveled, &[])?;
 //! let Register::Cipher(output) = outcome.output else { panic!("ciphertext output") };
 //! assert_eq!(ctx.decode(&decryptor.decrypt(&output)?, 2), vec![1 * 3 + 5 * 7, 2 * 4 + 6 * 8]);
 //! # Ok::<(), chehab_fhe::FheError>(())
@@ -135,7 +139,8 @@ pub use batching::{
 pub use calibrate::{CalibratedCostModel, OpKind, OP_KINDS};
 pub use dataflow::{LevelTiming, SchedulerKind, TimingBreakdown};
 pub use exec::{
-    execute_in_order, ExecOutcome, ExecResources, Executor, PlainValue, Register, RegisterFile,
+    execute_in_order, lock, ExecOutcome, ExecResources, Executor, PlainValue, Register,
+    RegisterFile, RunInputs,
 };
 pub use faults::{CancellationToken, FaultPlan};
 pub use schedule::{
