@@ -12,7 +12,8 @@
 //! the stream is the same bit for bit; AVX2 is chosen by
 //! `is_x86_feature_detected!` alone, the scalar kernel its fallback and oracle.
 //! [`ChaCha8Rng::set_word_pos`] (upstream's name) moves the stream to any
-//! word, which is how several workers draw disjoint stretches of one stream.
+//! word and [`ChaCha8Rng::get_word_pos`] reads where it stands, which is how
+//! several workers draw disjoint stretches of one stream.
 
 #![deny(unsafe_code)]
 
@@ -144,6 +145,15 @@ impl ChaCha8Rng {
             self.refill();
             self.index = within;
         }
+    }
+
+    /// The stream's position: the number of 32-bit words drawn from its
+    /// start (modulo the stream's `2^68` words), so
+    /// `set_word_pos(get_word_pos())` continues it exactly.
+    pub fn get_word_pos(&self) -> u128 {
+        const STREAM_WORDS: u128 = (BLOCK as u128) << 64;
+        let next_refill = u128::from(self.counter) * BLOCK as u128;
+        (next_refill + STREAM_WORDS - (BUFFER - self.index) as u128) % STREAM_WORDS
     }
 }
 
@@ -334,6 +344,60 @@ mod tests {
                     assert_eq!(got, expected, "w {w}, scalar only: {scalar_only}");
                 }
             }
+        }
+    }
+
+    /// `get_word_pos` counts every word drawn, by `next_u32`, `next_u64` or
+    /// `fill` in any mix, and a fresh stream moved there by `set_word_pos`
+    /// continues exactly where the drawn one does — on the AVX2 and on the
+    /// scalar refill, and across the end of the stream, where both wrap.
+    #[test]
+    fn set_word_pos_of_get_word_pos_continues_the_stream() {
+        let mut plan = ChaCha8Rng::seed_from_u64(0x905);
+        for scalar_only in [false, true] {
+            let seeded = || ChaCha8Rng {
+                scalar_only,
+                ..ChaCha8Rng::seed_from_u64(0x5eed)
+            };
+            let mut rng = seeded();
+            let mut drawn = 0u128;
+            for step in 0..300 {
+                match plan.gen_range(0..3) {
+                    0 => {
+                        rng.next_u32();
+                        drawn += 1;
+                    }
+                    1 => {
+                        rng.next_u64();
+                        drawn += 2;
+                    }
+                    _ => {
+                        let mut values = vec![0u64; plan.gen_range(0..300)];
+                        rng.fill(&mut values[..]);
+                        drawn += 2 * values.len() as u128;
+                    }
+                }
+                let context = format!("step {step}, scalar only: {scalar_only}");
+                assert_eq!(rng.get_word_pos(), drawn, "{context}");
+                let mut resumed = seeded();
+                resumed.set_word_pos(rng.get_word_pos());
+                let mut ahead = rng.clone();
+                let expected: Vec<u32> = (0..40).map(|_| ahead.next_u32()).collect();
+                let got: Vec<u32> = (0..40).map(|_| resumed.next_u32()).collect();
+                assert_eq!(got, expected, "{context}");
+            }
+            let end = 1u128 << 68;
+            rng.set_word_pos(end - 3);
+            assert_eq!(rng.get_word_pos(), end - 3);
+            let mut wrapped = rng.clone();
+            wrapped.set_word_pos(rng.get_word_pos());
+            for _ in 0..5 {
+                assert_eq!(wrapped.next_u32(), rng.next_u32());
+            }
+            assert_eq!(rng.get_word_pos(), 2, "scalar only: {scalar_only}");
+            let mut start = seeded();
+            start.set_word_pos(2);
+            assert_eq!(start.next_u64(), rng.next_u64());
         }
     }
 

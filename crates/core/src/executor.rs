@@ -38,6 +38,7 @@ use chehab_runtime::{
     DEFAULT_QUEUE_CAPACITY,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -1111,38 +1112,27 @@ impl FheSession {
             let per_user: Vec<(Vec<u64>, f64, bool)> = match outcome.output {
                 Register::Cipher(ct) => {
                     let consumed = ct.noise_consumed_bits();
-                    let mut scattered = Vec::with_capacity(users);
-                    let mut decrypt_error = None;
-                    for lane in 0..users {
-                        // Lean decryption: read the live output slots
-                        // straight off the ciphertext (no Plaintext
-                        // allocation).
-                        let base = lanes.base(lane);
-                        let end = (base + output_slots).min(self.ctx.slot_count());
-                        match self.decryptor.decrypt_slots_in(&ct, base..end) {
-                            Ok(stored) => {
-                                // Slots past the stored prefix read zero.
-                                let mut window = stored.to_vec();
-                                window.resize(end - base, 0);
-                                scattered.push((window, consumed, true));
-                            }
-                            Err(FheError::NoiseBudgetExhausted { .. }) => {
-                                scattered.push((Vec::new(), consumed, false));
-                            }
-                            Err(other) => {
-                                decrypt_error = Some(other);
-                                break;
-                            }
+                    // One lean decryption — one key check, one noise check
+                    // and, at k > 1, one CRT pass — serves every lane; no
+                    // Plaintext is allocated.
+                    let scattered = match self.decryptor.decrypt_slots(&ct) {
+                        Ok(stored) => Ok((0..users)
+                            .map(|lane| {
+                                let base = lanes.base(lane);
+                                let end = (base + output_slots).min(self.ctx.slot_count());
+                                (lane_window(stored, base..end), consumed, true)
+                            })
+                            .collect()),
+                        Err(FheError::NoiseBudgetExhausted { .. }) => {
+                            Ok(vec![(Vec::new(), consumed, false); users])
                         }
-                    }
+                        Err(other) => Err(other),
+                    };
                     // Recycle the output's buffers into the session pool.
                     if let Ok(ciphertext) = Arc::try_unwrap(ct) {
                         self.arena_pool.recycle(ciphertext);
                     }
-                    if let Some(error) = decrypt_error {
-                        return Err(error);
-                    }
-                    scattered
+                    scattered?
                 }
                 Register::Plain(values) => (0..users)
                     .map(|lane| {
@@ -1191,6 +1181,15 @@ impl FheSession {
         }
         Ok(reports)
     }
+}
+
+/// One user's lane `window` of a decrypted output's stored prefix: the part
+/// inside the prefix, zero beyond it (every slot past the prefix is zero).
+fn lane_window(stored: &[u64], window: Range<usize>) -> Vec<u64> {
+    let len = stored.len();
+    let mut values = stored[window.start.min(len)..window.end.min(len)].to_vec();
+    values.resize(window.len(), 0);
+    values
 }
 
 /// Conservative per-register slot width of a pre-bound DAG node: scalars
@@ -1464,6 +1463,19 @@ mod tests {
         assert_eq!(report.outputs, vec![8, 14]);
         assert_eq!(session.stats().requests_served, 1);
         assert!(session.stats().calibration.sample_count() > 0);
+    }
+
+    /// The scatter's windows: two users at a lane stride of 4 read exactly
+    /// their own slots, and a window reaching into (or lying wholly in) the
+    /// elided zeros reads zero there.
+    #[test]
+    fn lane_windows_read_the_stored_prefix_and_zero_beyond_it() {
+        let stored = [10, 11, 0, 0, 20, 21, 0, 0];
+        assert_eq!(lane_window(&stored, 0..4), [10, 11, 0, 0]);
+        assert_eq!(lane_window(&stored, 4..8), [20, 21, 0, 0]);
+        assert_eq!(lane_window(&stored, 6..10), [0; 4]);
+        assert_eq!(lane_window(&stored, 16..20), [0; 4]);
+        assert_eq!(lane_window(&stored, 5..6), [21]);
     }
 
     #[test]

@@ -628,38 +628,6 @@ impl Decryptor {
         }
         Ok(&ct.slots)
     }
-
-    /// Lane-range variant of [`Decryptor::decrypt_slots`]: performs the key
-    /// and noise-budget checks once and returns only the requested slot
-    /// window — the part of it inside the stored prefix, so a window that
-    /// reaches into the elided zeros comes back shorter than `range` and
-    /// the caller reads the missing tail as zero. The cross-request
-    /// batching scatter reads each user's `[lane base, lane base + output
-    /// slots)` window through this instead of decoding every slot per
-    /// request.
-    ///
-    /// # Errors
-    ///
-    /// The same [`FheError::KeyMismatch`] / [`FheError::NoiseBudgetExhausted`]
-    /// conditions as [`Decryptor::decrypt_slots`], plus
-    /// [`FheError::TooManyValues`] when the range reaches past the
-    /// context's slot count `n`.
-    pub fn decrypt_slots_in<'a>(
-        &self,
-        ct: &'a Ciphertext,
-        range: std::ops::Range<usize>,
-    ) -> Result<&'a [u64], FheError> {
-        let slots = self.decrypt_slots(ct)?;
-        let n = self.ctx.slot_count();
-        if range.end > n {
-            return Err(FheError::TooManyValues {
-                provided: range.end,
-                slots: n,
-            });
-        }
-        let stored = slots.len();
-        Ok(&slots[range.start.min(stored)..range.end.min(stored)])
-    }
 }
 
 #[cfg(test)]
@@ -762,32 +730,6 @@ mod tests {
         let pt = dec.decrypt(&ct).unwrap();
         assert_eq!(ctx.decode(&pt, 3), vec![5, 10, 15]);
         assert!(dec.invariant_noise_budget(&ct) > 0.0);
-    }
-
-    #[test]
-    fn decrypt_slots_in_returns_exactly_the_lane_window() {
-        let (ctx, mut enc, dec) = setup();
-        // Two users at a lane stride of 4: user 0 at slots [0, 4), user 1
-        // at [4, 8).
-        let ct = enc.encrypt_values(&[10, 11, 0, 0, 20, 21, 0, 0]).unwrap();
-        assert_eq!(dec.decrypt_slots_in(&ct, 0..4).unwrap(), &[10, 11, 0, 0]);
-        assert_eq!(dec.decrypt_slots_in(&ct, 4..8).unwrap(), &[20, 21, 0, 0]);
-        // A window reaching into the elided zeros returns its stored part.
-        assert_eq!(dec.decrypt_slots_in(&ct, 6..10).unwrap(), &[0, 0]);
-        assert!(dec.decrypt_slots_in(&ct, 16..20).unwrap().is_empty());
-        // A window past the slot count is rejected, not clamped.
-        let n = ctx.slot_count();
-        assert!(matches!(
-            dec.decrypt_slots_in(&ct, n - 1..n + 1),
-            Err(FheError::TooManyValues { .. })
-        ));
-        // The same key and noise checks guard the ranged path.
-        let mut exhausted = enc.encrypt_values(&[1]).unwrap();
-        exhausted.noise_consumed_bits = 1e9;
-        assert!(matches!(
-            dec.decrypt_slots_in(&exhausted, 0..1),
-            Err(FheError::NoiseBudgetExhausted { .. })
-        ));
     }
 
     #[test]

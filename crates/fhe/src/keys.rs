@@ -16,6 +16,16 @@
 //! The transformed key-switch payloads are *retained* in NTT (Eval) form on
 //! the key objects, so evaluation-time key switching is a pointwise product
 //! against material that was transformed exactly once, at keygen.
+//!
+//! Those polynomials are independent, so each [`KeyGenerator`] call —
+//! construction (the public key's three), [`KeyGenerator::relin_keys`],
+//! [`KeyGenerator::galois_keys`] (every requested key at once) — samples and
+//! transforms its polynomials as one batch on up to the host's available
+//! parallelism, the calling thread included. Polynomial `i` of a batch is
+//! drawn at a fixed offset of the generator's ChaCha8 stream, so every key,
+//! and every later draw, is bit for bit the one a single thread draws. This
+//! is the crate's one use of threads: key generation runs once per session,
+//! off the request path, where evaluation stays on the thread that calls it.
 
 use crate::arena::PolyArena;
 use crate::params::BfvParameters;
@@ -25,6 +35,7 @@ use crate::rns::ModulusChain;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroUsize;
 
 /// The secret key (simulation placeholder identified by its seed).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,17 +120,26 @@ pub struct KeyGenerator {
     /// sampled and transformed per limb the same way ciphertext payloads
     /// are.
     chain: ModulusChain,
-    /// Pool for the sampling scratch buffers: one key generator issues many
+    /// Pool for the sampling buffers: one key generator issues many
     /// key-switch keys (relinearization plus one Galois key per rotation
-    /// step), and every one of them draws its scratch and kept-payload
-    /// buffers from here instead of the allocator.
+    /// step), and every batch takes its kept polynomials and its workers'
+    /// scratch buffers from here instead of the allocator.
     arena: PolyArena,
+    /// Threads one sampling batch runs on at most, the caller included.
+    workers: usize,
 }
 
 impl KeyGenerator {
     /// Creates a key generator with an explicit seed (keys are deterministic
-    /// per seed, which the tests rely on).
+    /// per seed, which the tests rely on). Its batches run on up to the
+    /// host's available parallelism; the keys do not depend on it.
     pub fn new(params: &BfvParameters, seed: u64) -> Self {
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        Self::with_workers(params, seed, workers)
+    }
+
+    /// [`KeyGenerator::new`] with batches on at most `workers` threads.
+    fn with_workers(params: &BfvParameters, seed: u64, workers: usize) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let id = rng.gen();
         let mut keygen = KeyGenerator {
@@ -129,58 +149,79 @@ impl KeyGenerator {
             tables: NttTables::new(params.payload_degree),
             chain: ModulusChain::new(params.limb_count, params.payload_degree),
             arena: PolyArena::new(),
+            workers: workers.max(1),
         };
         // Secret-key sampling plus the public key's (a, b) pair: three
         // payload polynomials moved into the NTT domain, the construction
-        // cost real BFV pays before any key-switch key exists. One scratch
-        // buffer serves all three — the polynomials are discarded, only
-        // their arithmetic volume matters.
-        let mut scratch = keygen
-            .arena
-            .take(keygen.chain.limb_count() * keygen.chain.degree());
-        for _ in 0..3 {
-            keygen.sample_limb_poly(&mut scratch);
-        }
-        keygen.arena.put(scratch);
+        // cost real BFV pays before any key-switch key exists. None is
+        // kept — only their arithmetic volume matters.
+        keygen.sample_batch(1, 3, 0);
         keygen
     }
 
-    /// Performs the arithmetic volume of generating one key-switch key
-    /// (relinearization key or one Galois key): sampling
-    /// `2 * ceil(coeff_bits / 60)` uniform payload polynomials and moving
-    /// each into the NTT domain, mirroring real BFV keygen. The first two
-    /// transformed polynomials are kept as the key's Eval-form key-switch
-    /// payload pair — pre-transformed here, once, so evaluation never
-    /// transforms key material again.
-    fn keyswitch_keygen(&mut self) -> (Poly, Poly) {
-        let digits = (self.params.coeff_modulus_bits as usize).div_ceil(60);
-        let total = self.chain.limb_count() * self.chain.degree();
-        let mut kept: Vec<Poly> = Vec::with_capacity(2);
-        // Discarded samples (everything past the first two) share one
-        // scratch buffer: only the kept pair needs owned storage, and both
-        // the scratch and the kept copies come from the generator's arena —
-        // a session generating dozens of Galois keys round-trips the same
-        // few buffers throughout.
-        let mut scratch = self.arena.take(total);
-        for _ in 0..(2 * digits).max(2) {
-            self.sample_limb_poly(&mut scratch);
-            if kept.len() < 2 {
-                let mut owned = self.arena.take(total);
-                owned.copy_from_slice(&scratch);
-                kept.push(Poly::from_reduced(owned, Domain::Eval));
-            }
-        }
-        self.arena.put(scratch);
-        let second = kept.pop().expect("two polys kept");
-        let first = kept.pop().expect("two polys kept");
-        (first, second)
+    /// Payload polynomials one key-switch key (the relinearization key or
+    /// one Galois key) samples and transforms: `2 * ceil(coeff_bits / 60)`,
+    /// mirroring real BFV keygen.
+    fn polys_per_key(&self) -> usize {
+        (2 * (self.params.coeff_modulus_bits as usize).div_ceil(60)).max(2)
     }
 
-    /// Samples one uniform payload polynomial across every limb of the
-    /// chain into `buf` and moves it into the NTT domain.
-    fn sample_limb_poly(&mut self, buf: &mut [u64]) {
-        self.chain.sample_uniform_limbs(&mut self.rng, buf);
-        self.chain.forward_limbs(&self.tables, buf);
+    /// Samples `keys · per_key` uniform payload polynomials across every
+    /// limb of the chain and moves each into the NTT domain, as one batch,
+    /// and returns the first `kept` of every key, key by key — the
+    /// Eval-form key material, transformed here once so evaluation never
+    /// transforms it again. The rest only pay their arithmetic volume.
+    ///
+    /// Polynomial `i` draws words `start + i·2·payload_degree` onwards of
+    /// the generator's stream (`start` its position on entry; each draws
+    /// `payload_degree` 64-bit values), and the stream resumes after the
+    /// last one, so the batch splits into contiguous runs across up to
+    /// `workers` scoped threads — the caller is the first — without moving
+    /// a bit. Every buffer is taken from the arena on the calling thread,
+    /// before any worker starts: workers allocate nothing.
+    fn sample_batch(&mut self, keys: usize, per_key: usize, kept: usize) -> Vec<Vec<u64>> {
+        let count = keys * per_key;
+        if count == 0 {
+            return Vec::new();
+        }
+        let total = self.chain.limb_count() * self.chain.degree();
+        let run_len = count.div_ceil(self.workers.min(count));
+        let mut polys: Vec<Option<Vec<u64>>> = (0..count)
+            .map(|i| (i % per_key < kept).then(|| self.arena.take(total)))
+            .collect();
+        let mut scratch: Vec<Vec<u64>> = (0..count.div_ceil(run_len))
+            .map(|_| self.arena.take(total))
+            .collect();
+        let words_per_poly = 2 * self.chain.degree() as u128;
+        let start = self.rng.get_word_pos();
+        let (chain, tables, rng) = (&self.chain, &self.tables, &self.rng);
+        let sample_run = |first: usize, run: &mut [Option<Vec<u64>>], scratch: &mut [u64]| {
+            let mut rng = rng.clone();
+            rng.set_word_pos(start + first as u128 * words_per_poly);
+            for poly in run {
+                let buf = match poly {
+                    Some(kept) => &mut kept[..],
+                    None => &mut *scratch,
+                };
+                chain.sample_uniform_limbs(&mut rng, buf);
+                chain.forward_limbs(tables, buf);
+            }
+        };
+        std::thread::scope(|scope| {
+            let sample_run = &sample_run;
+            let mut runs = polys.chunks_mut(run_len).zip(&mut scratch).enumerate();
+            let (_, (own, own_scratch)) = runs.next().expect("a batch has a polynomial");
+            for (w, (run, scratch)) in runs {
+                scope.spawn(move || sample_run(w * run_len, run, scratch));
+            }
+            sample_run(0, own, own_scratch);
+        });
+        self.rng
+            .set_word_pos(start + count as u128 * words_per_poly);
+        for buf in scratch {
+            self.arena.put(buf);
+        }
+        polys.into_iter().flatten().collect()
     }
 
     /// The secret key.
@@ -198,16 +239,15 @@ impl KeyGenerator {
     /// multiplication kernel consumes.
     pub fn relin_keys(&mut self) -> RelinKeys {
         let _ = self.rng.gen::<u64>();
-        let (first, second) = self.keyswitch_keygen();
-        let switch = CtPayload::from_limb_components(
-            first.coeffs(),
-            second.coeffs(),
-            self.params.limb_count,
-        );
+        let [first, second]: [Vec<u64>; 2] = self
+            .sample_batch(1, self.polys_per_key(), 2)
+            .try_into()
+            .expect("the relinearization key keeps two polys");
+        let switch = CtPayload::from_limb_components(&first, &second, self.params.limb_count);
         // The component polys were copied into the stripe; their buffers go
         // back to the pool for the next key's sampling pass.
-        self.arena.put(first.into_coeffs());
-        self.arena.put(second.into_coeffs());
+        self.arena.put(first);
+        self.arena.put(second);
         RelinKeys {
             id: self.id,
             switch,
@@ -217,15 +257,17 @@ impl KeyGenerator {
     /// Creates Galois keys for an explicit set of rotation steps (one
     /// key-switch key's worth of sampling and NTT work *per distinct
     /// nonzero step* — generating many rotation keys is expensive in time as
-    /// well as bytes).
+    /// well as bytes). Every key's polynomials are one sampling batch.
     pub fn galois_keys(&mut self, steps: &[i64]) -> GaloisKeys {
         let _ = self.rng.gen::<u64>();
         // Keys are drawn in ascending step order, whatever order the caller
         // listed the steps in.
         let steps: BTreeSet<i64> = steps.iter().copied().filter(|&s| s != 0).collect();
+        let keys = self.sample_batch(steps.len(), self.polys_per_key(), 1);
         let switch = steps
             .into_iter()
-            .map(|step| (step, self.keyswitch_keygen().0))
+            .zip(keys)
+            .map(|(step, key)| (step, Poly::from_reduced(key, Domain::Eval)))
             .collect();
         GaloisKeys {
             id: self.id,
@@ -299,6 +341,29 @@ mod tests {
         let keys = keygen.default_galois_keys();
         let log_n = params.poly_modulus_degree.trailing_zeros() as usize;
         assert_eq!(keys.key_count(), 2 * log_n);
+    }
+
+    /// The relinearization stripe, every Galois key and the generator's next
+    /// draw are the same whether a batch runs on one thread or splits across
+    /// two, three or five — more threads than some batches have polynomials
+    /// — at one, two and three limbs.
+    #[test]
+    fn keys_do_not_depend_on_the_worker_count() {
+        use rand::RngCore;
+        for k in [1usize, 2, 3] {
+            let params = BfvParameters::insecure_test().with_limb_count(k);
+            let generate = |workers: usize| {
+                let mut keygen = KeyGenerator::with_workers(&params, 7, workers);
+                let relin = keygen.relin_keys();
+                let galois = keygen.galois_keys(&[1, -1, 2, 5, -8]);
+                let next = keygen.rng.next_u64();
+                (relin, galois, next)
+            };
+            let single = generate(1);
+            for workers in [2, 3, 5] {
+                assert!(generate(workers) == single, "k={k}: {workers} workers");
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,8 @@
 //! Encryption *lifts* a base coefficient `x` into the chain (`x mod q_i`
 //! per limb); decryption *reconstructs* the multiword integer with
 //! Garner's mixed-radix algorithm ([`ModulusChain::crt_reconstruct`]),
-//! using only per-limb precomputed inverses — no big-integer division.
+//! using only per-limb precomputed inverses with their Shoup companions —
+//! no division at all, big-integer or word.
 //! [`ModulusChain::crt_checksum`] folds a full reconstruction pass over a
 //! component's limbs into one word, which the decryptor feeds through
 //! `black_box` so the simulation pays the real CRT cost.
@@ -540,8 +541,9 @@ impl Limb {
 pub struct ModulusChain {
     limbs: Vec<Limb>,
     degree: usize,
-    /// `garner_inv[i][j] = (q_j mod q_i)^{-1} mod q_i` for `j < i`.
-    garner_inv: Vec<Vec<u64>>,
+    /// `garner_inv[i][j] = (q_j mod q_i)^{-1} mod q_i` for `j < i`, with
+    /// its Shoup companion (every `i ≥ 1` is a generic limb, `q_i < 2^61`).
+    garner_inv: Vec<Vec<(u64, u64)>>,
 }
 
 impl ModulusChain {
@@ -567,7 +569,12 @@ impl ModulusChain {
         let garner_inv = (0..limb_count)
             .map(|i| {
                 let qi = limbs[i].q;
-                (0..i).map(|j| inv_mod(limbs[j].q % qi, qi)).collect()
+                (0..i)
+                    .map(|j| {
+                        let inv = inv_mod(limbs[j].q % qi, qi);
+                        (inv, shoup(inv, qi))
+                    })
+                    .collect()
             })
             .collect();
         ModulusChain {
@@ -644,16 +651,19 @@ impl ModulusChain {
     }
 
     /// Garner mixed-radix digits of the integer with the given per-limb
-    /// residues (`residues[i] = x mod q_i`), written into `digits`.
+    /// residues (`residues[i] ≡ x mod q_i`, any word), written into
+    /// `digits`. Divide-free: residues and cross-limb digits are reduced by
+    /// [`ModulusChain::lift_base`], and each step multiplies by the stored
+    /// inverse's Shoup companion.
     fn garner_digits(&self, residues: &[u64], digits: &mut [u64]) {
-        let k = self.limbs.len();
-        debug_assert_eq!(residues.len(), k);
-        debug_assert_eq!(digits.len(), k);
-        for i in 0..k {
-            let qi = self.limbs[i].q;
-            let mut t = residues[i] % qi;
-            for (&dj, &inv) in digits.iter().zip(&self.garner_inv[i]).take(i) {
-                t = mul_mod_u128(sub_mod(t, dj % qi, qi), inv, qi);
+        debug_assert_eq!(residues.len(), self.limbs.len());
+        debug_assert_eq!(digits.len(), self.limbs.len());
+        for (i, (limb, inverses)) in self.limbs.iter().zip(&self.garner_inv).enumerate() {
+            let q = limb.q;
+            let mut t = self.lift_base(i, residues[i]);
+            for (&dj, &(inv, inv_shoup)) in digits.iter().zip(inverses) {
+                let r = mul_shoup(sub_mod(t, self.lift_base(i, dj), q), inv, inv_shoup, q);
+                t = if r >= q { r - q } else { r };
             }
             digits[i] = t;
         }
@@ -963,6 +973,81 @@ mod tests {
         let mut perturbed = component.clone();
         perturbed[degree + 3] ^= 1;
         assert_ne!(a, chain.crt_checksum(&perturbed), "sensitive to limb 1");
+    }
+
+    /// The checksum by division — Garner digits from `%` and `u128 %`
+    /// products: the oracle the divide-free [`ModulusChain::crt_checksum`]
+    /// is held to.
+    fn crt_checksum_by_division(chain: &ModulusChain, component: &[u64]) -> u64 {
+        let (k, n) = (chain.limb_count(), chain.degree());
+        let (mut digits, mut words) = (vec![0u64; k], vec![0u64; k]);
+        let mut acc = 0u64;
+        for j in 0..n {
+            for i in 0..k {
+                let qi = chain.limb(i).modulus();
+                let mut t = component[i * n + j] % qi;
+                for (jj, &dj) in digits.iter().enumerate().take(i) {
+                    let inv = inv_mod(chain.limb(jj).modulus() % qi, qi);
+                    t = mul_mod_u128(sub_mod(t, dj % qi, qi), inv, qi);
+                }
+                digits[i] = t;
+            }
+            chain.digits_to_words(&digits, &mut words);
+            for &w in &words {
+                acc = acc.rotate_left(7) ^ w;
+            }
+        }
+        acc
+    }
+
+    /// Random words, canonical residues and the edges of every limb's range
+    /// up to `u64::MAX`, at two, three and four limbs: the divide-free
+    /// checksum is the division oracle's.
+    #[test]
+    fn crt_checksum_matches_the_division_oracle() {
+        for k in [2usize, 3, 4] {
+            let degree = 64;
+            let chain = ModulusChain::new(k, degree);
+            let mut edges = vec![
+                0,
+                1,
+                2,
+                MODULUS - 1,
+                MODULUS,
+                MODULUS + 1,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            for limb in chain.limbs() {
+                let q = limb.modulus();
+                edges.extend([q - 1, q, q + 1, q.wrapping_mul(2), (u64::MAX / q) * q]);
+            }
+            for round in 0..40u64 {
+                let seed = 0xC47 + round * 8 + k as u64;
+                let component: Vec<u64> = match round {
+                    // Every edge value in every limb, in shifting combinations.
+                    0..=9 => (0..k * degree)
+                        .map(|x| edges[(x * (round as usize + 1) + x / degree) % edges.len()])
+                        .collect(),
+                    // Canonical residues, what a payload carries.
+                    10..=19 => chain
+                        .limbs()
+                        .iter()
+                        .flat_map(|limb| {
+                            random_values(degree, seed)
+                                .into_iter()
+                                .map(|v| v % limb.modulus())
+                        })
+                        .collect(),
+                    _ => random_values(k * degree, seed),
+                };
+                assert_eq!(
+                    chain.crt_checksum(&component),
+                    crt_checksum_by_division(&chain, &component),
+                    "k={k} round {round}"
+                );
+            }
+        }
     }
 
     #[test]

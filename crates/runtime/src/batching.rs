@@ -42,6 +42,7 @@
 //! batch-size, linger-time and lane-occupancy histograms as
 //! [`CoalescerStats`].
 
+use crate::exec::lock;
 use crate::faults::CancellationToken;
 use crate::schedule::{Instr, Schedule};
 use crate::serving::{RequestHandle, ServingConfig, ServingEngine, ServingError, TrySubmitError};
@@ -358,8 +359,7 @@ impl<T: Clone + Send + 'static, R: Send + 'static> RequestCoalescer<T, R> {
         let agg = Arc::clone(&adapter);
         let engine = ServingEngine::batched(serving, policy, move |batch, token| {
             let size = batch.len();
-            agg.lock()
-                .unwrap()
+            lock(&agg)
                 .lane_occupancy
                 .record_nanos((100 * size.min(lane_capacity) / lane_capacity) as u64);
             // A panicking (or miscounting) handler poisons the whole batch:
@@ -379,7 +379,7 @@ impl<T: Clone + Send + 'static, R: Send + 'static> RequestCoalescer<T, R> {
             }
             let retries = retry_pool.unwrap_or_default();
             {
-                let mut agg = agg.lock().unwrap();
+                let mut agg = lock(&agg);
                 agg.batch_panics += 1;
                 agg.solo_retries += retries.len() as u64;
             }
@@ -436,7 +436,7 @@ impl<T, R> RequestCoalescer<T, R> {
     /// A point-in-time snapshot of the coalescer's batching counters.
     pub fn stats(&self) -> CoalescerStats {
         let engine = self.engine.stats();
-        let adapter = self.adapter.lock().unwrap();
+        let adapter = lock(&self.adapter);
         CoalescerStats {
             submitted: engine.submitted,
             completed: engine.completed,
@@ -566,7 +566,7 @@ mod tests {
     fn try_submit_sheds_load_on_a_full_queue() {
         // Gate the single engine worker so the queue backs up.
         let gate = Arc::new(Mutex::new(()));
-        let guard = gate.lock().unwrap();
+        let guard = lock(&gate);
         let handler_gate = Arc::clone(&gate);
         let coalescer: RequestCoalescer<u32, u32> = RequestCoalescer::new(
             CoalescerConfig {
@@ -576,7 +576,7 @@ mod tests {
                 lane_capacity: 1,
             },
             move |requests| {
-                drop(handler_gate.lock().unwrap());
+                drop(lock(&handler_gate));
                 requests.into_iter().map(|(_, v)| v + 1).collect()
             },
         );

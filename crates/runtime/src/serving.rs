@@ -36,10 +36,11 @@
 //! `chehab-core` layers the session-backed serving API on top.
 
 use crate::batching::BatchPolicy;
+use crate::exec::lock;
 use crate::faults::{CancellationToken, FaultPlan};
 use crate::telemetry::{Counter, Histogram, SpanEvent, TraceSink};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -363,10 +364,7 @@ impl<R> HandleShared<R> {
     /// marks the cell finished, and wakes every waiter.
     fn fulfill(&self, value: Option<R>) {
         {
-            let mut slot = self
-                .slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut slot = lock(&self.slot);
             match value {
                 Some(value) => slot.value = Some(value),
                 None => slot.poisoned = true,
@@ -382,10 +380,7 @@ impl<R> HandleShared<R> {
     /// an error instead of leaving waiters blocked.
     fn disconnect(&self) {
         {
-            let mut slot = self
-                .slot
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut slot = lock(&self.slot);
             if slot.finished {
                 return;
             }
@@ -469,10 +464,7 @@ impl<R> RequestHandle<R> {
     /// tracks handler panics, so a retriever that panicked while holding
     /// the lock must not wedge every later accessor.
     fn lock_slot(&self) -> std::sync::MutexGuard<'_, ResultSlot<R>> {
-        self.shared
-            .slot
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock(&self.shared.slot)
     }
 
     /// Panics with the handler-panic message — with the slot guard already
@@ -554,7 +546,7 @@ impl<R> RequestHandle<R> {
                 .shared
                 .done
                 .wait(slot)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -769,7 +761,7 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
         let serve_queued = waiters_serve.then(|| {
             let shared = Arc::clone(&shared);
             Arc::new(move |id: u64| {
-                let mut state = shared.state.lock().unwrap();
+                let mut state = lock(&shared.state);
                 let Some(at) = state.queue.iter().position(|job| job.id == id) else {
                     return;
                 };
@@ -811,7 +803,7 @@ impl<T, R> ServingEngine<T, R> {
             return false;
         };
         let mean = {
-            let latency = self.shared.latency.lock().unwrap();
+            let latency = lock(&self.shared.latency);
             latency.request_wall.mean()
         };
         let Some(mean) = mean else {
@@ -836,7 +828,7 @@ impl<T, R> ServingEngine<T, R> {
     /// deadline infeasible at the current backlog (see
     /// [`ServingConfig::shed_infeasible`]).
     pub fn submit(&self, request: T) -> Result<RequestHandle<R>, ServingError> {
-        let mut state = self.shared.state.lock().unwrap();
+        let mut state = lock(&self.shared.state);
         loop {
             if state.shutting_down {
                 return Err(ServingError::ShutDown);
@@ -844,7 +836,11 @@ impl<T, R> ServingEngine<T, R> {
             if state.queue.len() < self.shared.config.queue_capacity {
                 break;
             }
-            state = self.shared.not_full.wait(state).unwrap();
+            state = self
+                .shared
+                .not_full
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         if self.infeasible(state.queue.len()) {
             self.shared.config.resilience.shed.inc();
@@ -871,7 +867,7 @@ impl<T, R> ServingEngine<T, R> {
                 return Err(TrySubmitError::QueueFull(request));
             }
         }
-        let state = self.shared.state.lock().unwrap();
+        let state = lock(&self.shared.state);
         if state.shutting_down {
             return Err(TrySubmitError::ShutDown(request));
         }
@@ -955,7 +951,7 @@ impl<T, R> ServingEngine<T, R> {
         // consistent (`completed <= submitted`) without holding both locks
         // at once.
         let latency = {
-            let agg = self.shared.latency.lock().unwrap();
+            let agg = lock(&self.shared.latency);
             LatencySnapshot {
                 request_wall: agg.request_wall.clone(),
                 queue_wait: agg.queue_wait.clone(),
@@ -964,7 +960,7 @@ impl<T, R> ServingEngine<T, R> {
                 per_outcome: agg.per_outcome(),
             }
         };
-        let state = self.shared.state.lock().unwrap();
+        let state = lock(&self.shared.state);
         ServingStats {
             submitted: state.submitted,
             completed: latency.request_wall.count(),
@@ -993,23 +989,19 @@ impl<T, R> ServingEngine<T, R> {
     /// waiter blocked forever — disconnect it so retrieval reports
     /// [`RequestError::Abandoned`] instead.
     pub(crate) fn halt(&mut self) {
-        self.shared.state.lock().unwrap().shutting_down = true;
+        lock(&self.shared.state).shutting_down = true;
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        let mut state = self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock(&self.shared.state);
         while state.in_flight > 0 {
             state = self
                 .shared
                 .waiter_done
                 .wait(state)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
         }
         while let Some(job) = state.queue.pop_front() {
             job.member.handle.disconnect();
@@ -1049,11 +1041,7 @@ impl<T, R> Drop for FulfillGuard<'_, T, R> {
         for member in self.members {
             member.handle.disconnect();
         }
-        let mut state = self
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = lock(&self.shared.state);
         state.in_flight = state.in_flight.saturating_sub(self.members.len());
         drop(state);
         self.shared.waiter_done.notify_all();
@@ -1072,7 +1060,7 @@ fn worker_loop<T, R>(shared: &Shared<T, R>, worker: usize, handler: &BatchHandle
     // so idle workers leave no empty tracks in the export.
     let mut track: Option<usize> = None;
     loop {
-        let mut state = shared.state.lock().unwrap();
+        let mut state = lock(&shared.state);
         let first = loop {
             if let Some(job) = state.queue.pop_front() {
                 break job;
@@ -1080,7 +1068,10 @@ fn worker_loop<T, R>(shared: &Shared<T, R>, worker: usize, handler: &BatchHandle
             if state.shutting_down {
                 return;
             }
-            state = shared.not_empty.wait(state).unwrap();
+            state = shared
+                .not_empty
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         };
         let gather_start = Instant::now();
         // The linger clock runs from the first member, and the batch must
@@ -1109,7 +1100,7 @@ fn worker_loop<T, R>(shared: &Shared<T, R>, worker: usize, handler: &BatchHandle
             let (next, timeout) = shared
                 .not_empty
                 .wait_timeout(state, flush_by - now)
-                .unwrap();
+                .unwrap_or_else(PoisonError::into_inner);
             state = next;
             pending = state.queue.pop_front();
             if timeout.timed_out() && pending.is_none() {
@@ -1190,7 +1181,7 @@ fn serve_batch<T, R>(
     // later (while the result sits unretrieved) is not miscounted.
     let resilience = &shared.config.resilience;
     let queue_wait = |member: &Member<R>| started.saturating_duration_since(member.enqueued);
-    let mut latency = shared.latency.lock().unwrap();
+    let mut latency = lock(&shared.latency);
     latency.batch_size.record_nanos(size as u64);
     latency.linger.record(linger);
     for (member, result) in members.iter().zip(&results) {
@@ -1211,7 +1202,7 @@ fn serve_batch<T, R>(
         outcome.record(elapsed);
     }
     drop(latency);
-    shared.state.lock().unwrap().in_flight -= size;
+    lock(&shared.state).in_flight -= size;
     if let (Some(sink), Server::Worker { index, track }) = (shared.config.trace.as_deref(), server)
     {
         let track =
@@ -1260,7 +1251,7 @@ mod tests {
         let order = Arc::clone(&completion_order);
         let engine = engine_with(4, 16, move |id, sleep_ms: u64| {
             std::thread::sleep(Duration::from_millis(sleep_ms));
-            order.lock().unwrap().push(id);
+            lock(&order).push(id);
             (id, sleep_ms * 2)
         });
         let handles: Vec<_> = (0..4)
@@ -1270,12 +1261,34 @@ mod tests {
             assert_eq!(handle.id(), i as u64);
             assert_eq!(handle.wait(), (i as u64, (4 - i as u64) * 40 * 2));
         }
-        let order = completion_order.lock().unwrap();
+        let order = lock(&completion_order);
         assert_eq!(order.len(), 4);
         // On a multi-core host the sleeps force inversion; on a single-core
         // host thread preemption still runs all four concurrently.
         drop(order);
         engine.shutdown();
+    }
+
+    /// A thread that panics holding the engine's latency aggregate poisons
+    /// it; `stats()` — which snapshots it — and the next request — whose
+    /// completion records into it — still succeed instead of re-raising
+    /// that panic.
+    #[test]
+    fn a_poisoned_latency_aggregate_does_not_cascade() {
+        let engine: ServingEngine<u32, u32> = engine_with(1, 4, |_, v| v * 2);
+        assert_eq!(engine.submit(1).unwrap().wait(), 2);
+        let shared = Arc::clone(&engine.shared);
+        let panicked = std::thread::spawn(move || {
+            let _held = lock(&shared.latency);
+            panic!("poisoning the latency aggregate on purpose");
+        })
+        .join();
+        assert!(panicked.is_err() && engine.shared.latency.is_poisoned());
+
+        assert_eq!(engine.stats().completed, 1);
+        assert_eq!(engine.submit(4).unwrap().wait(), 8);
+        let stats = engine.shutdown();
+        assert_eq!((stats.submitted, stats.completed), (2, 2));
     }
 
     #[test]
@@ -1344,11 +1357,11 @@ mod tests {
     #[test]
     fn a_waiter_serves_its_own_still_queued_request() {
         let gate = Arc::new(Mutex::new(()));
-        let guard = gate.lock().unwrap();
+        let guard = lock(&gate);
         let handler_gate = Arc::clone(&gate);
         let engine = engine_with(1, 8, move |_, gated: bool| {
             if gated {
-                drop(handler_gate.lock().unwrap());
+                drop(lock(&handler_gate));
             } else {
                 std::thread::sleep(Duration::from_millis(30));
             }
@@ -1379,10 +1392,10 @@ mod tests {
     #[test]
     fn bounded_queue_applies_backpressure() {
         let gate = Arc::new(Mutex::new(()));
-        let guard = gate.lock().unwrap();
+        let guard = lock(&gate);
         let handler_gate = Arc::clone(&gate);
         let engine = engine_with(1, 2, move |_, ()| {
-            drop(handler_gate.lock().unwrap());
+            drop(lock(&handler_gate));
         });
         // Worker takes one job and blocks on the gate; two more fill the
         // bounded queue.
@@ -1401,10 +1414,10 @@ mod tests {
     #[test]
     fn try_submit_returns_the_request_instead_of_blocking() {
         let gate = Arc::new(Mutex::new(()));
-        let guard = gate.lock().unwrap();
+        let guard = lock(&gate);
         let handler_gate = Arc::clone(&gate);
         let engine = engine_with(1, 1, move |_, v: u32| {
-            drop(handler_gate.lock().unwrap());
+            drop(lock(&handler_gate));
             v * 10
         });
         // The worker picks up the first job and blocks on the gate; the
