@@ -7,63 +7,76 @@
 //! upstream `rand_chacha`.
 //!
 //! The block function is written once, over a lane type: a `u32` is one block,
-//! the `avx2` module's vector (the one module here that opts back into
-//! `unsafe`) eight consecutive blocks. Either kernel refills eight blocks, so
-//! the stream is the same bit for bit; AVX2 is chosen by
-//! `is_x86_feature_detected!` alone, the scalar kernel its fallback and oracle.
-//! [`ChaCha8Rng::set_word_pos`] (upstream's name) moves the stream to any
-//! word and [`ChaCha8Rng::get_word_pos`] reads where it stands, which is how
-//! several workers draw disjoint stretches of one stream.
+//! the `x86` module's vectors (the one module here that opts back into
+//! `unsafe`) eight consecutive blocks on AVX2 and sixteen on AVX-512. The
+//! generator buffers sixteen blocks per refill on every kernel — AVX-512 in
+//! one call, AVX2 in two, the scalar kernel in sixteen — so the stream is the
+//! same bit for bit. The widest kernel the CPU has is chosen by
+//! `is_x86_feature_detected!` alone; the scalar kernel is the fallback and
+//! the oracle. [`ChaCha8Rng::set_word_pos`] (upstream's name) moves the
+//! stream to any word and [`ChaCha8Rng::get_word_pos`] reads where it stands,
+//! which is how several workers draw disjoint stretches of one stream.
 
 #![deny(unsafe_code)]
 
 #[cfg(target_arch = "x86_64")]
-mod avx2;
+mod x86;
 
 use rand::{RngCore, SeedableRng};
 
 /// Words in one ChaCha block.
 const BLOCK: usize = 16;
-/// Words the generator buffers: eight blocks, the AVX2 kernel's lane count.
-const BUFFER: usize = 8 * BLOCK;
+/// Blocks the generator buffers: the AVX-512 kernel's lane count.
+const BUFFER_BLOCKS: usize = 16;
+/// Words the generator buffers.
+const BUFFER: usize = BUFFER_BLOCKS * BLOCK;
 
-/// One state word of some number of independent blocks, side by side.
+/// One state word of [`Word::BLOCKS`] independent blocks, side by side.
 trait Word: Copy {
+    /// Blocks side by side.
+    const BLOCKS: usize;
+    /// `x` in every lane.
+    fn splat(x: u32) -> Self;
+    /// `(counter + b) >> shift`, truncated to 32 bits, in lane `b`.
+    fn counters(counter: u64, shift: u32) -> Self;
     fn add(self, rhs: Self) -> Self;
-    /// `(self ^ rhs).rotate_left(n)` in every lane, `n ∈ {16, 12, 8, 7}`.
-    fn xor_rotl(self, rhs: Self, n: u32) -> Self;
+    /// `(self ^ rhs).rotate_left(N)` in every lane, `N ∈ {16, 12, 8, 7}`.
+    fn xor_rotl<const N: i32>(self, rhs: Self) -> Self;
+    /// Writes the blocks to `out` (`Self::BLOCKS · 16` words) in stream order;
+    /// `words[w]` holds word `w` of every block.
+    fn store_blocks(words: [Self; BLOCK], out: &mut [u32]);
 }
 
 impl Word for u32 {
+    const BLOCKS: usize = 1;
+
+    fn splat(x: u32) -> u32 {
+        x
+    }
+    fn counters(counter: u64, shift: u32) -> u32 {
+        (counter >> shift) as u32
+    }
     fn add(self, rhs: u32) -> u32 {
         self.wrapping_add(rhs)
     }
-    fn xor_rotl(self, rhs: u32, n: u32) -> u32 {
-        (self ^ rhs).rotate_left(n)
+    fn xor_rotl<const N: i32>(self, rhs: u32) -> u32 {
+        (self ^ rhs).rotate_left(N as u32)
     }
-}
-
-/// The input state of block `counter`: "expand 32-byte k", the key, the
-/// counter, a zero nonce.
-fn initial_state(key: &[u32; 8], counter: u64) -> [u32; BLOCK] {
-    let mut state = [0; BLOCK];
-    state[..4].copy_from_slice(&[0x61707865, 0x3320646e, 0x79622d32, 0x6b206574]);
-    state[4..12].copy_from_slice(key);
-    state[12] = counter as u32;
-    state[13] = (counter >> 32) as u32;
-    state
+    fn store_blocks(words: [u32; BLOCK], out: &mut [u32]) {
+        out.copy_from_slice(&words);
+    }
 }
 
 #[inline(always)]
 fn quarter_round<W: Word>(s: &mut [W; BLOCK], a: usize, b: usize, c: usize, d: usize) {
     s[a] = s[a].add(s[b]);
-    s[d] = s[d].xor_rotl(s[a], 16);
+    s[d] = s[d].xor_rotl::<16>(s[a]);
     s[c] = s[c].add(s[d]);
-    s[b] = s[b].xor_rotl(s[c], 12);
+    s[b] = s[b].xor_rotl::<12>(s[c]);
     s[a] = s[a].add(s[b]);
-    s[d] = s[d].xor_rotl(s[a], 8);
+    s[d] = s[d].xor_rotl::<8>(s[a]);
     s[c] = s[c].add(s[d]);
-    s[b] = s[b].xor_rotl(s[c], 7);
+    s[b] = s[b].xor_rotl::<7>(s[c]);
 }
 
 /// The ChaCha8 block function, in every lane of `input` at once.
@@ -87,11 +100,58 @@ fn block<W: Word>(input: [W; BLOCK]) -> [W; BLOCK] {
     s
 }
 
-/// Writes blocks `counter .. counter + 8` (wrapping) to `out` in stream
-/// order, one block at a time.
-fn refill_scalar(key: &[u32; 8], counter: u64, out: &mut [u32; BUFFER]) {
-    for (b, words) in out.chunks_exact_mut(BLOCK).enumerate() {
-        words.copy_from_slice(&block(initial_state(key, counter.wrapping_add(b as u64))));
+/// Writes blocks `counter .. counter + 16` (wrapping) to `out` in stream
+/// order, `W::BLOCKS` at a time. Each block's input state is "expand 32-byte
+/// k", the key, its counter and a zero nonce.
+#[inline(always)]
+fn refill_with<W: Word>(key: &[u32; 8], counter: u64, out: &mut [u32; BUFFER]) {
+    const SIGMA: [u32; 4] = [0x61707865, 0x3320646e, 0x79622d32, 0x6b206574];
+    for (call, blocks) in out.chunks_exact_mut(W::BLOCKS * BLOCK).enumerate() {
+        let first = counter.wrapping_add((call * W::BLOCKS) as u64);
+        let mut state = [W::splat(0); BLOCK];
+        for (word, &x) in state.iter_mut().zip(SIGMA.iter().chain(key)) {
+            *word = W::splat(x);
+        }
+        (state[12], state[13]) = (W::counters(first, 0), W::counters(first, 32));
+        W::store_blocks(block(state), blocks);
+    }
+}
+
+/// Which block function refills the buffer. Every kernel writes the same
+/// words; the generator runs the widest one the CPU has.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Kernel {
+    /// One block at a time, in portable code.
+    Scalar,
+    /// Eight blocks side by side (x86-64 with AVX2).
+    Avx2,
+    /// Sixteen blocks side by side (x86-64 with AVX-512 F).
+    Avx512,
+}
+
+impl Kernel {
+    /// The widest kernel this CPU has.
+    fn detected() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                return Kernel::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Kernel::Avx2;
+            }
+        }
+        Kernel::Scalar
+    }
+
+    /// Writes blocks `counter .. counter + 16` (wrapping) to `out` in stream
+    /// order — on the scalar kernel if this one is not available.
+    fn refill(self, key: &[u32; 8], counter: u64, out: &mut [u32; BUFFER]) {
+        #[cfg(target_arch = "x86_64")]
+        if x86::refill(self, key, counter, out) {
+            return;
+        }
+        refill_with::<u32>(key, counter, out);
     }
 }
 
@@ -100,13 +160,14 @@ fn refill_scalar(key: &[u32; 8], counter: u64, out: &mut [u32; BUFFER]) {
 pub struct ChaCha8Rng {
     key: [u32; 8],
     /// The first block the next refill generates: always a multiple of
-    /// eight, so a buffer holds the same words however the stream reached it.
+    /// sixteen, so a buffer holds the same words however the stream reached
+    /// it.
     counter: u64,
     buffer: [u32; BUFFER],
     index: usize,
-    /// Refill on the scalar kernel even where AVX2 is present (the tests'
-    /// switch for checking a stream on both kernels).
-    scalar_only: bool,
+    /// The refill kernel: [`Kernel::detected`], or whichever one a test
+    /// checks the stream on.
+    kernel: Kernel,
 }
 
 /// The key and the buffered keystream stay out of `{:?}` — a generator is a
@@ -122,13 +183,9 @@ impl std::fmt::Debug for ChaCha8Rng {
 impl ChaCha8Rng {
     fn refill(&mut self) {
         let first = self.counter;
-        self.counter = first.wrapping_add((BUFFER / BLOCK) as u64);
+        self.counter = first.wrapping_add(BUFFER_BLOCKS as u64);
         self.index = 0;
-        #[cfg(target_arch = "x86_64")]
-        if !self.scalar_only && avx2::refill(&self.key, first, &mut self.buffer) {
-            return;
-        }
-        refill_scalar(&self.key, first, &mut self.buffer);
+        self.kernel.refill(&self.key, first, &mut self.buffer);
     }
 
     /// Positions the stream at `word_offset` 32-bit words from its start:
@@ -138,7 +195,7 @@ impl ChaCha8Rng {
     /// the next draw; any other one refills at once.
     pub fn set_word_pos(&mut self, word_offset: u128) {
         let buffers = (word_offset / BUFFER as u128) as u64;
-        self.counter = buffers.wrapping_mul((BUFFER / BLOCK) as u64);
+        self.counter = buffers.wrapping_mul(BUFFER_BLOCKS as u64);
         self.index = BUFFER;
         let within = (word_offset % BUFFER as u128) as usize;
         if within > 0 {
@@ -199,7 +256,7 @@ impl SeedableRng for ChaCha8Rng {
             counter: 0,
             buffer: [0; BUFFER],
             index: BUFFER,
-            scalar_only: false,
+            kernel: Kernel::detected(),
         }
     }
 }
@@ -208,6 +265,26 @@ impl SeedableRng for ChaCha8Rng {
 mod tests {
     use super::*;
     use rand::Rng;
+
+    /// Every kernel this CPU has, scalar first (a CPU with AVX-512 has AVX2);
+    /// `test` names who asks when the skipped ones are printed.
+    fn kernels(test: &str) -> Vec<Kernel> {
+        let all = [Kernel::Scalar, Kernel::Avx2, Kernel::Avx512];
+        let (have, lack): (Vec<Kernel>, Vec<Kernel>) =
+            all.into_iter().partition(|&k| k <= Kernel::detected());
+        if !lack.is_empty() {
+            println!("{test}: skipped {lack:?}, which this CPU does not have");
+        }
+        have
+    }
+
+    /// A seeded generator that refills on `kernel`.
+    fn seeded_on(kernel: Kernel, seed: u64) -> ChaCha8Rng {
+        ChaCha8Rng {
+            kernel,
+            ..ChaCha8Rng::seed_from_u64(seed)
+        }
+    }
 
     #[test]
     fn seeded_streams_are_deterministic_and_seed_sensitive() {
@@ -268,80 +345,85 @@ mod tests {
         assert_eq!(fold, 0xbcf2_db84_072d_b44a);
     }
 
-    /// The two kernels, called directly, on seeded keys and on first-block
-    /// counters that carry into word 13 at every lane position
-    /// (`2^32 − 8 … 2^32 + 8`) and that wrap the 64-bit counter.
+    /// Every vector kernel, called directly, against the scalar one — on
+    /// seeded keys and on first-block counters that carry into word 13 at
+    /// every lane position (`2^32 − 16 … 2^32 + 16`) and that wrap the
+    /// 64-bit counter.
     #[test]
-    #[cfg(target_arch = "x86_64")]
     fn wide_kernel_matches_scalar() {
         let mut seeds = ChaCha8Rng::seed_from_u64(0xC4AC4A);
-        let mut counters: Vec<u64> = ((1u64 << 32) - 8..=(1u64 << 32) + 8).collect();
-        counters.extend([0, 1, u64::MAX - 3, u64::MAX - 7, u64::MAX]);
+        let mut counters: Vec<u64> = ((1u64 << 32) - 16..=(1u64 << 32) + 16).collect();
+        counters.extend([0, 1, u64::MAX - 3, u64::MAX - 7, u64::MAX - 15, u64::MAX]);
         counters.extend((0..16).map(|_| seeds.next_u64()));
+        let wide = kernels("wide_kernel_matches_scalar");
         for counter in counters {
             let key = std::array::from_fn(|_| seeds.next_u32());
-            let mut wide = [0u32; BUFFER];
-            if !avx2::refill(&key, counter, &mut wide) {
-                println!("wide_kernel_matches_scalar: skipped, this CPU reports no AVX2");
-                return;
-            }
             let mut scalar = [0u32; BUFFER];
-            refill_scalar(&key, counter, &mut scalar);
-            assert_eq!(wide, scalar, "key {key:08x?} counter {counter:#x}");
+            Kernel::Scalar.refill(&key, counter, &mut scalar);
+            for &kernel in &wide[1..] {
+                let mut got = [0u32; BUFFER];
+                kernel.refill(&key, counter, &mut got);
+                assert_eq!(
+                    got, scalar,
+                    "{kernel:?} key {key:08x?} counter {counter:#x}"
+                );
+            }
         }
     }
 
+    /// `fill` returns exactly what repeated `next_u64` calls do, from any
+    /// word alignment, across refills and clones — on every kernel.
     #[test]
     fn fill_equals_repeated_next_u64_at_any_alignment() {
-        let mut plan = ChaCha8Rng::seed_from_u64(0xF111);
-        for case in 0..200 {
-            let mut bulk = ChaCha8Rng::seed_from_u64(case);
-            // An odd number of `next_u32` draws leaves every later `u64`
-            // straddling a word pair — and one of them a refill.
-            for _ in 0..plan.gen_range(0..2 * BUFFER) {
-                bulk.next_u32();
+        for kernel in kernels("fill_equals_repeated_next_u64_at_any_alignment") {
+            let mut plan = ChaCha8Rng::seed_from_u64(0xF111);
+            for case in 0..200 {
+                let mut bulk = seeded_on(kernel, case);
+                // An odd number of `next_u32` draws leaves every later `u64`
+                // straddling a word pair — and one of them a refill.
+                for _ in 0..plan.gen_range(0..2 * BUFFER) {
+                    bulk.next_u32();
+                }
+                let mut single = bulk.clone();
+                let len = plan.gen_range(0..=1400usize);
+                let split = plan.gen_range(0..=len);
+                let mut got = vec![0u64; len];
+                bulk.fill(&mut got[..split]);
+                // A clone taken mid-buffer carries the buffered words with it.
+                let mut bulk = bulk.clone();
+                bulk.fill(&mut got[split..]);
+                let expected: Vec<u64> = (0..len).map(|_| single.next_u64()).collect();
+                let context = format!("{kernel:?} case {case}: len {len} split {split}");
+                assert_eq!(got, expected, "{context}");
+                assert_eq!(bulk.next_u32(), single.next_u32(), "{context}: position");
+                assert_eq!(bulk.next_u64(), single.next_u64(), "{context}: position");
             }
-            let mut single = bulk.clone();
-            let len = plan.gen_range(0..=700usize);
-            let split = plan.gen_range(0..=len);
-            let mut got = vec![0u64; len];
-            bulk.fill(&mut got[..split]);
-            // A clone taken mid-buffer carries the buffered words with it.
-            let mut bulk = bulk.clone();
-            bulk.fill(&mut got[split..]);
-            let expected: Vec<u64> = (0..len).map(|_| single.next_u64()).collect();
-            assert_eq!(got, expected, "case {case}: len {len} split {split}");
-            assert_eq!(bulk.next_u32(), single.next_u32(), "case {case}: position");
-            assert_eq!(bulk.next_u64(), single.next_u64(), "case {case}: position");
         }
     }
 
     /// `set_word_pos(w)` continues exactly where `w` draws of a fresh
     /// stream leave off — at the start, mid-buffer, on and around a buffer
-    /// boundary and many buffers in; on the AVX2 and on the scalar refill;
-    /// from a fresh generator and from one already drawn past the position.
+    /// boundary and many buffers in; on every kernel; from a fresh generator
+    /// and from one already drawn past the position.
     #[test]
     fn set_word_pos_continues_a_fresh_stream_after_that_many_words() {
-        let seeded = |scalar_only: bool| ChaCha8Rng {
-            scalar_only,
-            ..ChaCha8Rng::seed_from_u64(0x5eed)
-        };
-        for w in [0u128, 1, 127, 128, 129, 5 * 16_384 + 3] {
+        let kernels = kernels("set_word_pos_continues_a_fresh_stream_after_that_many_words");
+        for w in [0u128, 1, 127, 128, 129, 255, 256, 257, 5 * 16_384 + 3] {
             // The oracle: `w` words of a fresh stream on the scalar kernel.
-            let mut fresh = seeded(true);
+            let mut fresh = seeded_on(Kernel::Scalar, 0x5eed);
             for _ in 0..w {
                 fresh.next_u32();
             }
-            let expected: Vec<u32> = (0..300).map(|_| fresh.next_u32()).collect();
-            for scalar_only in [false, true] {
-                let mut ahead = seeded(scalar_only);
+            let expected: Vec<u32> = (0..600).map(|_| fresh.next_u32()).collect();
+            for &kernel in &kernels {
+                let mut ahead = seeded_on(kernel, 0x5eed);
                 for _ in 0..w + 1000 {
                     ahead.next_u32();
                 }
-                for mut rng in [seeded(scalar_only), ahead] {
+                for mut rng in [seeded_on(kernel, 0x5eed), ahead] {
                     rng.set_word_pos(w);
-                    let got: Vec<u32> = (0..300).map(|_| rng.next_u32()).collect();
-                    assert_eq!(got, expected, "w {w}, scalar only: {scalar_only}");
+                    let got: Vec<u32> = (0..600).map(|_| rng.next_u32()).collect();
+                    assert_eq!(got, expected, "w {w}, {kernel:?}");
                 }
             }
         }
@@ -349,16 +431,13 @@ mod tests {
 
     /// `get_word_pos` counts every word drawn, by `next_u32`, `next_u64` or
     /// `fill` in any mix, and a fresh stream moved there by `set_word_pos`
-    /// continues exactly where the drawn one does — on the AVX2 and on the
-    /// scalar refill, and across the end of the stream, where both wrap.
+    /// continues exactly where the drawn one does — on every kernel, and
+    /// across the end of the stream, where both wrap.
     #[test]
     fn set_word_pos_of_get_word_pos_continues_the_stream() {
         let mut plan = ChaCha8Rng::seed_from_u64(0x905);
-        for scalar_only in [false, true] {
-            let seeded = || ChaCha8Rng {
-                scalar_only,
-                ..ChaCha8Rng::seed_from_u64(0x5eed)
-            };
+        for kernel in kernels("set_word_pos_of_get_word_pos_continues_the_stream") {
+            let seeded = || seeded_on(kernel, 0x5eed);
             let mut rng = seeded();
             let mut drawn = 0u128;
             for step in 0..300 {
@@ -377,7 +456,7 @@ mod tests {
                         drawn += 2 * values.len() as u128;
                     }
                 }
-                let context = format!("step {step}, scalar only: {scalar_only}");
+                let context = format!("step {step}, {kernel:?}");
                 assert_eq!(rng.get_word_pos(), drawn, "{context}");
                 let mut resumed = seeded();
                 resumed.set_word_pos(rng.get_word_pos());
@@ -394,7 +473,7 @@ mod tests {
             for _ in 0..5 {
                 assert_eq!(wrapped.next_u32(), rng.next_u32());
             }
-            assert_eq!(rng.get_word_pos(), 2, "scalar only: {scalar_only}");
+            assert_eq!(rng.get_word_pos(), 2, "{kernel:?}");
             let mut start = seeded();
             start.set_word_pos(2);
             assert_eq!(start.next_u64(), rng.next_u64());
@@ -406,7 +485,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(42);
         let first = rng.next_u32();
         let shown = format!("{rng:?}");
-        assert_eq!(shown, "ChaCha8Rng { counter: 8, .. }");
+        assert_eq!(shown, "ChaCha8Rng { counter: 16, .. }");
         for word in rng.key.iter().chain(&rng.buffer).chain([&first]) {
             assert!(!shown.contains(&word.to_string()), "{shown} shows {word}");
             assert!(
@@ -417,37 +496,24 @@ mod tests {
     }
 
     /// Keystream timer (`cargo test --release -p rand_chacha -- --ignored
-    /// --nocapture`): µs per 64 KB on each kernel.
+    /// --nocapture`): µs per 64 KB on each kernel this CPU has.
     #[test]
     #[ignore = "a timer, not a check"]
     fn keystream_timer() {
-        type Kernel = fn(&[u32; 8], u64, &mut [u32; BUFFER]) -> bool;
-        let scalar: Kernel = |key, counter, out| {
-            refill_scalar(key, counter, out);
-            true
-        };
-        let kernels = [
-            ("scalar", scalar),
-            #[cfg(target_arch = "x86_64")]
-            ("avx2", avx2::refill as Kernel),
-        ];
         let refills = 64 * 1024 / (4 * BUFFER) as u64;
-        for (name, kernel) in kernels {
+        for kernel in kernels("keystream_timer") {
             let key = std::hint::black_box([7u32; 8]);
             let mut out = [0u32; BUFFER];
             let mut best = f64::INFINITY;
             for _ in 0..200 {
                 let start = std::time::Instant::now();
                 for refill in 0..refills {
-                    if !kernel(&key, 8 * refill, &mut out) {
-                        println!("{name}: not available on this CPU");
-                        return;
-                    }
+                    kernel.refill(&key, BUFFER_BLOCKS as u64 * refill, &mut out);
                     std::hint::black_box(&mut out);
                 }
                 best = best.min(start.elapsed().as_secs_f64() * 1e6);
             }
-            println!("{name}: {best:.1} us per 64 KB keystream (best of 200)");
+            println!("{kernel:?}: {best:.1} us per 64 KB keystream (best of 200)");
         }
     }
 }

@@ -511,9 +511,10 @@ impl Encryptor {
         let chain = self.ctx.chain();
         let k = chain.limb_count();
         let half = k * chain.degree();
+        let policy = self.ctx.tables().policy();
         let mut stripe = self.arena.take(2 * half);
         for component in stripe.chunks_exact_mut(half) {
-            chain.sample_uniform_limbs(&mut self.rng, component);
+            chain.sample_uniform_limbs(&mut self.rng, component, policy);
         }
         Arc::new(CtPayload::from_limb_stripe(stripe, k))
     }

@@ -203,7 +203,7 @@ impl KeyGenerator {
                     Some(kept) => &mut kept[..],
                     None => &mut *scratch,
                 };
-                chain.sample_uniform_limbs(&mut rng, buf);
+                chain.sample_uniform_limbs(&mut rng, buf, tables.policy());
                 chain.forward_limbs(tables, buf);
             }
         };

@@ -48,6 +48,7 @@
 use crate::poly::{NttTables, MODULUS};
 use crate::simd::{self, p_canonical, SimdPolicy};
 use rand::Rng;
+use std::hint::select_unpredictable;
 
 /// Number of bits below which the Barrett scheme of this module is
 /// invalid: generic limb primes must exceed `2^60` so that
@@ -63,25 +64,23 @@ const GENERIC_LIMB_MAX: u64 = 1 << 61;
 // ---------------------------------------------------------------------------
 
 /// `(a + b) mod q` for canonical `a, b < q < 2^63`.
+///
+/// On canonical residues the compare is a coin flip, so the fix-up is a
+/// conditional move, not a branch (as are [`sub_mod`]'s and the lazy
+/// primitives of [`crate::simd`]).
 #[inline]
 pub fn add_mod(a: u64, b: u64, q: u64) -> u64 {
     let s = a + b;
-    if s >= q {
-        s - q
-    } else {
-        s
-    }
+    select_unpredictable(s >= q, s.wrapping_sub(q), s)
 }
 
 /// `(a - b) mod q` for canonical `a, b < q` — any word-sized `q`, the
-/// Goldilocks prime included (`a + q` may wrap; the difference is exact).
+/// Goldilocks prime included (where `a < b` the difference wraps, and adding
+/// `q` wraps it back to the exact result).
 #[inline]
 pub fn sub_mod(a: u64, b: u64, q: u64) -> u64 {
-    if a >= b {
-        a - b
-    } else {
-        a.wrapping_add(q).wrapping_sub(b)
-    }
+    let difference = a.wrapping_sub(b);
+    select_unpredictable(a < b, difference.wrapping_add(q), difference)
 }
 
 /// `-a mod q` for canonical `a < q` (any word-sized `q`).
@@ -618,18 +617,19 @@ impl ModulusChain {
     /// Samples one uniform polynomial across every limb into `buf` — the one
     /// place the backend draws payload coefficients. Limb 0 is `degree` words
     /// of `rng` in one bulk draw, each reduced mod Goldilocks (`gen::<u64>() %
-    /// MODULUS` per coefficient, value for value); generic limbs lift it.
-    pub fn sample_uniform_limbs(&self, rng: &mut impl Rng, buf: &mut [u64]) {
+    /// MODULUS` per coefficient, value for value); generic limbs lift it. Both
+    /// passes are `simd::Reduce` kernels on the lane `policy` selects, so the
+    /// values do not depend on it.
+    pub fn sample_uniform_limbs(&self, rng: &mut impl Rng, buf: &mut [u64], policy: SimdPolicy) {
         debug_assert_eq!(buf.len(), self.limbs.len() * self.degree);
         let (base, generic) = buf.split_at_mut(self.degree);
         rng.fill(&mut base[..]);
-        for x in base.iter_mut() {
-            *x = p_canonical(*x);
-        }
-        for (li, stripe) in generic.chunks_exact_mut(self.degree).enumerate() {
-            for (out, &b) in stripe.iter_mut().zip(base.iter()) {
-                *out = self.lift_base(li + 1, b);
-            }
+        self.limbs[0].run(simd::ReduceAssign { x: base }, policy);
+        for (limb, out) in self.limbs[1..]
+            .iter()
+            .zip(generic.chunks_exact_mut(self.degree))
+        {
+            limb.run(simd::Reduce { x: base, out }, policy);
         }
     }
 
@@ -909,18 +909,20 @@ mod tests {
     fn sampling_is_one_reduced_draw_per_coefficient_lifted_to_every_limb() {
         use rand::{RngCore, SeedableRng};
         use rand_chacha::ChaCha8Rng;
-        for k in [1usize, 3] {
+        let cases = [1usize, 3].map(|k| [(k, SimdPolicy::Scalar), (k, SimdPolicy::detected())]);
+        for (k, policy) in cases.into_iter().flatten() {
             let chain = ModulusChain::new(k, 64);
             let mut rng = ChaCha8Rng::seed_from_u64(0x5A3 + k as u64);
             let _ = rng.next_u32(); // off the u64 grid
             let mut single = rng.clone();
             let mut buf = vec![0u64; k * 64];
             for round in 0..3 {
-                chain.sample_uniform_limbs(&mut rng, &mut buf);
+                chain.sample_uniform_limbs(&mut rng, &mut buf, policy);
                 for j in 0..64 {
                     let x = single.next_u64() % MODULUS;
                     for (i, limb) in chain.limbs().iter().enumerate() {
-                        let context = format!("k={k} round {round} coefficient {j} limb {i}");
+                        let context =
+                            format!("k={k} {policy:?} round {round} coefficient {j} limb {i}");
                         assert_eq!(buf[i * 64 + j], x % limb.modulus(), "{context}");
                     }
                 }

@@ -317,6 +317,8 @@ pub(crate) trait Lane: Copy {
 
     /// `a·b mod q` ([`rns::barrett_mul`]).
     fn barrett_mul(self, b: Self, q: Self, mu: Self) -> Self;
+    /// `x mod q` for any word `x` ([`rns::barrett_mul`]`(x, 1, q, mu)`).
+    fn barrett_reduce(self, q: Self, mu: Self) -> Self;
     /// `a + b mod q`, `q < 2^63`.
     fn add_mod(self, b: Self, q: Self) -> Self;
     /// `a - b mod q`, any `q` — Goldilocks included.
@@ -393,6 +395,10 @@ impl Lane for u64 {
         rns::barrett_mul(self, b, q, mu)
     }
     #[inline(always)]
+    fn barrett_reduce(self, q: u64, mu: u64) -> u64 {
+        rns::barrett_mul(self, 1, q, mu)
+    }
+    #[inline(always)]
     fn add_mod(self, b: u64, q: u64) -> u64 {
         rns::add_mod(self, b, q)
     }
@@ -414,9 +420,11 @@ impl Lane for u64 {
 /// in. A *working* residue is whatever the modulus carries between
 /// operations — lazy on Goldilocks, canonical under Barrett; [`mul`],
 /// [`mul_add`], [`add_lazy`] and [`sub_lazy`] take and return working
-/// residues, [`canonical`] makes one storable, and [`add`] / [`sub`] /
-/// [`neg`] map canonical residues to canonical residues.
+/// residues, [`canonical`] makes one storable, [`add`] / [`sub`] /
+/// [`neg`] map canonical residues to canonical residues, and [`reduce`]
+/// takes any word to its canonical residue.
 ///
+/// [`reduce`]: Modulus::reduce
 /// [`mul`]: Modulus::mul
 /// [`mul_add`]: Modulus::mul_add
 /// [`add_lazy`]: Modulus::add_lazy
@@ -442,6 +450,8 @@ pub(crate) trait Modulus: Copy {
     fn sub<L: Lane>(self, a: L, b: L) -> L;
     /// Canonical `-a`.
     fn neg<L: Lane>(self, a: L) -> L;
+    /// The canonical residue of any word `a`.
+    fn reduce<L: Lane>(self, a: L) -> L;
 }
 
 /// The Goldilocks prime `p = 2^64 - 2^32 + 1` (limb 0 of every chain, and
@@ -482,6 +492,11 @@ impl Modulus for Goldilocks {
     #[inline(always)]
     fn neg<L: Lane>(self, a: L) -> L {
         a.neg_mod(L::splat(MODULUS))
+    }
+    #[inline(always)]
+    fn reduce<L: Lane>(self, a: L) -> L {
+        // Every word is a lazy residue (`2^64 < 2p`).
+        a.canonical()
     }
 }
 
@@ -527,6 +542,10 @@ impl Modulus for Barrett {
     #[inline(always)]
     fn neg<L: Lane>(self, a: L) -> L {
         a.neg_mod(L::splat(self.q))
+    }
+    #[inline(always)]
+    fn reduce<L: Lane>(self, a: L) -> L {
+        a.barrett_reduce(L::splat(self.q), L::splat(self.mu))
     }
 }
 
@@ -813,6 +832,38 @@ impl Pointwise for NegAssign<'_> {
     #[inline(always)]
     fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
         m.neg(L::load(self.x, i)).store(self.x, i);
+    }
+}
+
+/// `out[i] = x[i] mod q` for any words `x[i]` — how a sampled coefficient
+/// is lifted into a limb.
+pub(crate) struct Reduce<'a> {
+    pub x: &'a [u64],
+    pub out: &'a mut [u64],
+}
+
+impl Pointwise for Reduce<'_> {
+    fn len(&self) -> usize {
+        same_len([self.x.len(), self.out.len()])
+    }
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        m.reduce(L::load(self.x, i)).store(self.out, i);
+    }
+}
+
+/// In-place [`Reduce`]: `x[i] = x[i] mod q`.
+pub(crate) struct ReduceAssign<'a> {
+    pub x: &'a mut [u64],
+}
+
+impl Pointwise for ReduceAssign<'_> {
+    fn len(&self) -> usize {
+        self.x.len()
+    }
+    #[inline(always)]
+    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+        m.reduce(L::load(self.x, i)).store(self.x, i);
     }
 }
 
@@ -1168,6 +1219,32 @@ mod avx2 {
         }
 
         #[inline(always)]
+        fn barrett_reduce(self, q: Self, mu: Self) -> Self {
+            // `barrett_mul`'s sequence for `x·1`, whose `x >> 60` is below
+            // 16: the quotient estimate takes two 32×32 products (against
+            // `mu`'s halves) and `q_hat·q` two more, where `mul_wide` pays
+            // four for each product.
+            // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
+            let r = U64x4(unsafe {
+                let shifted = _mm256_srli_epi64(self.0, 60);
+                // `shifted·mu = high·2^32 + low`, both below 2^36; the sum
+                // below cannot wrap, and dropping `low`'s low half cannot
+                // change the quotient.
+                let low = _mm256_mul_epu32(shifted, mu.0);
+                let high = _mm256_mul_epu32(shifted, _mm256_srli_epi64(mu.0, 32));
+                let q_hat =
+                    _mm256_srli_epi64(_mm256_add_epi64(high, _mm256_srli_epi64(low, 32)), 32);
+                // `q_hat·q mod 2^64`, from `q`'s halves (`q_hat < 16`).
+                let q_hi =
+                    _mm256_slli_epi64(_mm256_mul_epu32(q_hat, _mm256_srli_epi64(q.0, 32)), 32);
+                let product = _mm256_add_epi64(_mm256_mul_epu32(q_hat, q.0), q_hi);
+                // In `[0, 3q)`, as in `barrett_mul`.
+                _mm256_sub_epi64(self.0, product)
+            });
+            r.reduce_once(q).reduce_once(q)
+        }
+
+        #[inline(always)]
         fn add_mod(self, b: Self, q: Self) -> Self {
             // `a + b < 2q < 2^62`: no wrap.
             // SAFETY: AVX2 is present wherever a `U64x4` is (module docs).
@@ -1418,6 +1495,24 @@ mod tests {
         }
     }
 
+    /// `n` whole words, residues of no prime in particular: first the ones a
+    /// reduction gets wrong first — `0`, around `p` and `2^64 − 1`, and
+    /// around the largest multiples of every prime of the chain — then
+    /// random words.
+    fn raw_words(n: usize, seed: u64) -> Vec<u64> {
+        let mut edges = vec![0, MODULUS - 1, MODULUS, MODULUS + 1, u64::MAX];
+        for limb in chain().limbs() {
+            let q = limb.modulus();
+            let top = u64::MAX / q * q;
+            edges.extend([top - q, top - 1, top, top.saturating_add(1)]);
+        }
+        let mut words = random_raw(n, seed);
+        for (word, edge) in words.iter_mut().zip(edges) {
+            *word = edge;
+        }
+        words
+    }
+
     const LENGTHS: [usize; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 4099];
 
     fn policies() -> [SimdPolicy; 2] {
@@ -1490,6 +1585,16 @@ mod tests {
                     o0.copy_from_slice(x);
                     prime.run(NegAssign { x: &mut o0 }, policy);
                     assert_eq!(o0, negation, "neg_assign {context}");
+
+                    // Reduction takes raw words, not residues.
+                    let raw = &raw_words(n, 0xD1)[..];
+                    let reduced = zip(&|i| raw[i] % prime.q());
+                    #[rustfmt::skip]
+                    prime.run(Reduce { x: raw, out: &mut o0 }, policy);
+                    assert_eq!(o0, reduced, "reduce {context}");
+                    o0.copy_from_slice(raw);
+                    prime.run(ReduceAssign { x: &mut o0 }, policy);
+                    assert_eq!(o0, reduced, "reduce_assign {context}");
 
                     // Scaling takes working residues: every `u64` is one on
                     // Goldilocks.
@@ -1625,6 +1730,7 @@ mod tests {
         rejected!(|out, _o| Neg { x: s, out });
         rejected!(|x, _o| AddAssign { x, y: s });
         rejected!(|x, _o| SubAssign { x, y: s });
+        rejected!(|out, _o| Reduce { x: s, out });
         rejected!(|a, _o| Stage { a, twiddles: s, t: 4, butterfly: Inverse });
     }
 
@@ -1635,9 +1741,9 @@ mod tests {
     }
 
     /// `cargo test --release -p chehab-fhe simd -- --ignored --nocapture`:
-    /// µs per 4 096-coefficient limb of the four fused kernels on all four
-    /// instantiations, and per degree-4 096 transform on both lanes (best
-    /// of 7 × 2 000).
+    /// µs per 4 096-coefficient limb of the three fused kernels, `add` and
+    /// the sampling reduction on all four instantiations, and per
+    /// degree-4 096 transform on both lanes (best of 7 × 2 000).
     #[test]
     #[ignore = "a timer, not a check"]
     fn kernel_timer() {
@@ -1664,6 +1770,7 @@ mod tests {
                 operand(6),
             );
             let (a0, a1, b0, b1, s0, s1) = (&a0[..], &a1[..], &b0[..], &b1[..], &s0[..], &s1[..]);
+            let raw = &raw_words(n, 7)[..];
             let perm =
                 &GaloisPermutation::new((0..n as u32).map(|i| (i * 7 + 3) % n as u32).collect());
             let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);
@@ -1676,8 +1783,10 @@ mod tests {
                 let galois2 = best_us(&mut || prime.run(Galois2 { src0: a0, src1: a1, perm, key: b0, o0: black_box(&mut o0), o1: &mut o1 }, policy));
                 #[rustfmt::skip]
                 let add = best_us(&mut || prime.run(Add { x: a0, y: a1, out: black_box(&mut o0) }, policy));
+                #[rustfmt::skip]
+                let reduce = best_us(&mut || prime.run(Reduce { x: raw, out: black_box(&mut o0) }, policy));
                 println!(
-                    "{:>10} x {:<6} mul2 {mul2:7.2}  mul_add2 {mul_add2:7.2}  galois2 {galois2:7.2}  add {add:6.2}  (us / {n} coefficients)",
+                    "{:>10} x {:<6} mul2 {mul2:7.2}  mul_add2 {mul_add2:7.2}  galois2 {galois2:7.2}  add {add:6.2}  reduce {reduce:6.2}  (us / {n} coefficients)",
                     if prime.0.is_goldilocks() { "goldilocks" } else { "barrett" },
                     policy.name()
                 );
