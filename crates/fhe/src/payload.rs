@@ -314,7 +314,7 @@ mod tests {
     use crate::poly::{p_add, p_mul, p_mul_add, p_neg, p_sub, Poly, MODULUS};
 
     fn policies() -> Vec<SimdPolicy> {
-        vec![SimdPolicy::Scalar, SimdPolicy::detected()]
+        crate::simd::available_policies(module_path!())
     }
 
     fn chain1(degree: usize) -> ModulusChain {
@@ -564,7 +564,7 @@ mod tests {
     }
 
     /// A multiplier, key, permutation, operand or output of the wrong length
-    /// panics under both policies, in release builds too: no lane may read
+    /// panics under every policy, in release builds too: no lane may read
     /// or write past a short slice.
     #[test]
     fn mismatched_operand_lengths_panic_under_every_policy() {

@@ -203,7 +203,7 @@ impl NttTables {
     }
 
     /// [`NttTables::new`] with an explicit SIMD policy instead of the
-    /// process-wide one (tests and benches use this to run both back ends in
+    /// process-wide one (tests and benches use this to run every back end in
     /// one process).
     ///
     /// # Panics

@@ -11,7 +11,7 @@
 //!
 //! [`ModulusChain`] pins **limb 0 to the Goldilocks prime** `p = 2^64 -
 //! 2^32 + 1`: that limb keeps running the existing ε-identity
-//! lazy-reduction kernels and AVX2 NTT verbatim, which is what makes the
+//! lazy-reduction kernels and vector NTT verbatim, which is what makes the
 //! `k = 1` configuration *bit-identical* to the single-modulus engine (the
 //! limb walk degenerates to exactly the old code path). Limbs `1..k` use
 //! NTT-friendly primes `q ≡ 1 (mod 2n)` found by deterministic
@@ -28,7 +28,8 @@
 //! * **Barrett pointwise products** ([`barrett_mul`]): one precomputed
 //!   `mu = ⌊2^124 / q⌋` per limb turns every modular multiply into two
 //!   wide multiplies plus two conditional subtracts (estimate error is
-//!   provably `< 3q`); [`crate::simd`] holds its four-wide form.
+//!   provably `< 3q`); [`crate::simd`] holds its four- and eight-wide
+//!   forms.
 //! * **Shoup butterflies** ([`LimbNtt`]): negacyclic NTTs in the
 //!   Longa–Naehrig lazy style, twiddles stored with their Shoup
 //!   companions `w' = ⌊w·2^64 / q⌋`, operands riding in `[0, 4q)` forward
@@ -909,7 +910,10 @@ mod tests {
     fn sampling_is_one_reduced_draw_per_coefficient_lifted_to_every_limb() {
         use rand::{RngCore, SeedableRng};
         use rand_chacha::ChaCha8Rng;
-        let cases = [1usize, 3].map(|k| [(k, SimdPolicy::Scalar), (k, SimdPolicy::detected())]);
+        let policies = crate::simd::available_policies(
+            "sampling_is_one_reduced_draw_per_coefficient_lifted_to_every_limb",
+        );
+        let cases = [1usize, 3].map(|k| policies.iter().map(move |&policy| (k, policy)));
         for (k, policy) in cases.into_iter().flatten() {
             let chain = ModulusChain::new(k, 64);
             let mut rng = ChaCha8Rng::seed_from_u64(0x5A3 + k as u64);
@@ -1067,7 +1071,9 @@ mod tests {
         let s0 = reduce(random_values(n, 15));
         let s1 = reduce(random_values(n, 16));
 
-        for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
+        for policy in
+            crate::simd::available_policies("generic_chunk_kernels_match_reference_arithmetic")
+        {
             let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);
             let (a0, a1, b0, b1, s0, s1) = (&a0[..], &a1[..], &b0[..], &b1[..], &s0[..], &s1[..]);
             let (o0, o1) = (&mut o0[..], &mut o1[..]);

@@ -31,11 +31,14 @@
 //! Every payload and NTT kernel is written once, over two axes:
 //!
 //! * a `Lane` — how many residues move together: `u64` (one; its methods
-//!   are the scalar primitives below and [`crate::rns`]'s Barrett family)
-//!   or the private four-wide AVX2 vector of `mod avx2` (the same
-//!   correction algorithms element-wise, 64×64→128 products synthesized
-//!   from `_mm256_mul_epu32` partial products, unsigned compares from the
-//!   sign-flip trick, stable `std::arch` intrinsics only);
+//!   are the scalar primitives below and [`crate::rns`]'s Barrett family),
+//!   or one of the two private vectors of `mod x86`, which run the same
+//!   correction algorithms element-wise on stable `std::arch` intrinsics:
+//!   four wide on AVX2 (64×64→128 products synthesized from
+//!   `_mm256_mul_epu32` partial products, unsigned compares from the
+//!   sign-flip trick, corrections as `and`-masked adds) and eight wide on
+//!   AVX-512 F (the same products from `_mm512_mul_epu32`, native unsigned
+//!   mask compares, corrections as masked adds and subtracts);
 //! * a `Modulus` — which prime the lane is reduced under: `Goldilocks`
 //!   (the lazy ε-identity sequence above, one canonicalization per stored
 //!   value) or `Barrett` (a generic RNS limb prime, canonical throughout).
@@ -44,19 +47,19 @@
 //! the one lane walk (`Kernel::run`) asserts the kernel's slice lengths,
 //! covers whole lanes, and finishes the ragged end with the `u64` lane.
 //! `dispatch` picks the lane: [`SimdPolicy`] is resolved once per process
-//! (AVX2 via `is_x86_feature_detected!`, forcible with `CHEHAB_SIMD={0,1}`),
-//! then snapshotted by `NttTables` and `Evaluator` at construction so a
-//! session's arithmetic is uniform.
+//! (the widest lane `is_x86_feature_detected!` reports, forcible to scalar
+//! with `CHEHAB_SIMD=0`), then snapshotted by `NttTables` and `Evaluator`
+//! at construction so a session's arithmetic is uniform.
 //!
 //! Outputs are bit-identical on every instantiation by construction: a
 //! canonical representative is unique, every stored value is canonical, and
-//! the Goldilocks lazy sequence is the same function at both lane widths —
+//! the Goldilocks lazy sequence is the same function at every lane width —
 //! so even the *lazy representatives* inside a transform agree.
 
 // The one module in the crate allowed to use `unsafe`, for stable `std::arch`
-// intrinsics. The invariant is stated once: the four-wide lane is private to
-// `mod avx2` and instantiated only under that module's `#[target_feature]`
-// entry, which `dispatch` enters only after `is_x86_feature_detected!`.
+// intrinsics. The invariant is stated once: the vector lanes are private to
+// `mod x86` and instantiated only under that module's two `#[target_feature]`
+// entries, which `dispatch` enters only after `is_x86_feature_detected!`.
 #![allow(unsafe_code)]
 
 use crate::poly::{p_add, MODULUS};
@@ -163,40 +166,63 @@ pub fn p_canonical(x: u64) -> u64 {
 /// detection, overridable with `CHEHAB_SIMD=0|1` or [`SimdPolicy::set_global`]
 /// for testing), then snapshotted by `NttTables` and `Evaluator` at
 /// construction. The scalar path is the bit-identity oracle: outputs are
-/// identical under either policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// identical under every policy. Policies are ordered by lane width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdPolicy {
     /// Portable scalar kernels (the oracle and universal fallback).
     Scalar,
     /// AVX2 4-lane kernels (x86-64 only; selected only when the CPU
     /// supports it).
     Avx2,
+    /// AVX-512 F 8-lane kernels (x86-64 only; selected only when the CPU
+    /// supports it).
+    Avx512,
 }
 
-/// Global policy cell: 0 = unresolved, 1 = scalar, 2 = AVX2.
+/// Global policy cell: 0 = unresolved, else [`SimdPolicy::encode`].
 static GLOBAL_POLICY: AtomicU8 = AtomicU8::new(0);
 
 impl SimdPolicy {
-    /// What the CPU supports, ignoring any override.
-    pub fn detected() -> SimdPolicy {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return SimdPolicy::Avx2;
-            }
+    /// Every policy, narrowest lane first.
+    pub const ALL: [SimdPolicy; 3] = [SimdPolicy::Scalar, SimdPolicy::Avx2, SimdPolicy::Avx512];
+
+    /// `true` when this CPU can run the policy's lane.
+    pub fn is_available(self) -> bool {
+        match self {
+            SimdPolicy::Scalar => true,
+            #[cfg(target_arch = "x86_64")]
+            SimdPolicy::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            SimdPolicy::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
         }
-        SimdPolicy::Scalar
+    }
+
+    /// The widest lane the CPU has, ignoring any override.
+    pub fn detected() -> SimdPolicy {
+        SimdPolicy::widest_up_to(SimdPolicy::Avx512)
+    }
+
+    /// `policy` if the CPU has its lane, else the widest narrower lane the
+    /// CPU has.
+    fn widest_up_to(policy: SimdPolicy) -> SimdPolicy {
+        let granted = SimdPolicy::ALL
+            .into_iter()
+            .filter(|&p| p <= policy && p.is_available());
+        granted.max().unwrap_or(SimdPolicy::Scalar)
     }
 
     /// The process-wide policy: the first call resolves `CHEHAB_SIMD`
-    /// (`0` forces scalar, `1` requests SIMD — granted only if the CPU has
-    /// it) falling back to pure detection, and later calls return the cached
+    /// (`0` forces scalar, `1` requests the widest lane the CPU has)
+    /// falling back to pure detection, and later calls return the cached
     /// decision. [`SimdPolicy::set_global`] overrides it at any time.
     pub fn global() -> SimdPolicy {
-        match GLOBAL_POLICY.load(Ordering::Relaxed) {
-            1 => return SimdPolicy::Scalar,
-            2 => return SimdPolicy::Avx2,
-            _ => {}
+        let cached = SimdPolicy::ALL
+            .into_iter()
+            .find(|p| p.encode() == GLOBAL_POLICY.load(Ordering::Relaxed));
+        if let Some(policy) = cached {
+            return policy;
         }
         let resolved = match std::env::var("CHEHAB_SIMD").ok().as_deref() {
             Some("0") => SimdPolicy::Scalar,
@@ -208,37 +234,39 @@ impl SimdPolicy {
     }
 
     /// Overrides the process-wide policy (tests and benches use this to run
-    /// both back ends in one process). Forcing [`SimdPolicy::Avx2`] is
-    /// ignored on hardware without AVX2 — the scalar fallback keeps outputs
-    /// correct instead of faulting.
+    /// every back end in one process). The policy is granted if the CPU has
+    /// its lane, else the widest lane below it that the CPU has — a
+    /// narrower lane keeps outputs correct instead of faulting.
     pub fn set_global(policy: SimdPolicy) {
-        let granted = match policy {
-            SimdPolicy::Scalar => SimdPolicy::Scalar,
-            SimdPolicy::Avx2 => SimdPolicy::detected(),
-        };
+        let granted = SimdPolicy::widest_up_to(policy);
         GLOBAL_POLICY.store(granted.encode(), Ordering::Relaxed);
     }
 
-    /// `true` when this policy runs vectorized kernels.
-    pub fn is_vectorized(self) -> bool {
-        self == SimdPolicy::Avx2
-    }
-
-    /// Human-readable name (`"scalar"` / `"avx2"`), used in bench JSON and
-    /// metrics labels.
+    /// Human-readable name (`"scalar"` / `"avx2"` / `"avx512"`), used in
+    /// bench JSON and metrics labels.
     pub fn name(self) -> &'static str {
         match self {
             SimdPolicy::Scalar => "scalar",
             SimdPolicy::Avx2 => "avx2",
+            SimdPolicy::Avx512 => "avx512",
         }
     }
 
     fn encode(self) -> u8 {
-        match self {
-            SimdPolicy::Scalar => 1,
-            SimdPolicy::Avx2 => 2,
-        }
+        self as u8 + 1
     }
+}
+
+/// Every policy whose lane this CPU has, scalar first; `test` names who
+/// asks when the skipped ones are printed.
+#[cfg(test)]
+pub(crate) fn available_policies(test: &str) -> Vec<SimdPolicy> {
+    let (have, lack): (Vec<_>, Vec<_>) =
+        SimdPolicy::ALL.into_iter().partition(|p| p.is_available());
+    if !lack.is_empty() {
+        println!("{test}: skipped {lack:?}, which this CPU does not have");
+    }
+    have
 }
 
 // ---------------------------------------------------------------------------
@@ -284,8 +312,9 @@ impl Deref for GaloisPermutation {
     }
 }
 
-/// The residues that move through a kernel together: one (`u64`) or four
-/// (the AVX2 vector of `mod avx2`). The Goldilocks methods take and return
+/// The residues that move through a kernel together: one (`u64`), four (the
+/// AVX2 vector of `mod x86`) or eight (its AVX-512 vector). The Goldilocks
+/// methods take and return
 /// lazy residues unless named `canonical`; the `mod q` methods take and
 /// return canonical residues of `q`, with `q` and `mu` splatted.
 pub(crate) trait Lane: Copy {
@@ -593,14 +622,22 @@ impl<P: Pointwise> Kernel for P {
     }
 }
 
-/// Runs `kernel` under `modulus` on the lane `policy` selects: four-wide
-/// when the policy is vectorized and the CPU reports AVX2, else one-wide.
+/// Runs `kernel` under `modulus` on the lane `policy` selects: eight-wide
+/// when the policy is AVX-512 and the CPU reports AVX-512 F, four-wide when
+/// it is AVX2 and the CPU reports AVX2, else one-wide.
 #[inline]
 pub(crate) fn dispatch<K: Kernel, M: Modulus>(kernel: K, modulus: M, policy: SimdPolicy) {
     #[cfg(target_arch = "x86_64")]
-    if policy.is_vectorized() && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU reported AVX2 on the line above.
-        return unsafe { avx2::run(kernel, modulus) };
+    match policy {
+        SimdPolicy::Avx512 if std::arch::is_x86_feature_detected!("avx512f") => {
+            // SAFETY: the CPU reported AVX-512 F on the line above.
+            return unsafe { x86::run_avx512(kernel, modulus) };
+        }
+        SimdPolicy::Avx2 if std::arch::is_x86_feature_detected!("avx2") => {
+            // SAFETY: the CPU reported AVX2 on the line above.
+            return unsafe { x86::run_avx2(kernel, modulus) };
+        }
+        _ => {}
     }
     let _ = policy;
     kernel.run::<u64, M>(modulus)
@@ -983,22 +1020,24 @@ impl<B: Butterfly> Pointwise for Halves<'_, B> {
 }
 
 // ---------------------------------------------------------------------------
-// The four-wide lane (x86-64 only, stable std::arch)
+// The vector lanes (x86-64 only, stable std::arch)
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    //! [`Lane`] over a 256-bit vector of four `u64`s, plus the two stage
+mod x86 {
+    //! [`Lane`] over a 256-bit vector of four `u64`s ([`U64x4`], AVX2) and
+    //! a 512-bit vector of eight ([`U64x8`], AVX-512 F), plus the stage
     //! choreographies that move values between lanes rather than compute on
     //! them.
     //!
-    //! The invariant every `unsafe` block here cites: [`U64x4`] is private
-    //! to this module, and the only thing the module does with it is
-    //! instantiate [`Kernel::run`] inside [`run`] — so each of its methods
-    //! executes under that `#[target_feature]` entry, which
-    //! [`dispatch`](super::dispatch) enters only on a CPU that reports
-    //! AVX2. Every method runs the scalar lane's correction algorithm
-    //! element-wise, so even lazy representatives match lane for lane.
+    //! The invariant every `unsafe` block here cites: both lane types are
+    //! private to this module, and the only thing the module does with them
+    //! is instantiate [`Kernel::run`] inside its two `#[target_feature]`
+    //! entries — [`U64x4`] inside [`run_avx2`], [`U64x8`] inside
+    //! [`run_avx512`] — which [`dispatch`](super::dispatch) enters only on a
+    //! CPU that reports the entry's feature. Every method runs the scalar
+    //! lane's correction algorithm element-wise, so even lazy
+    //! representatives match lane for lane.
 
     use super::{Butterfly, GaloisPermutation, Kernel, Lane, Modulus, EPSILON};
     use crate::poly::MODULUS;
@@ -1009,10 +1048,21 @@ mod avx2 {
     #[derive(Clone, Copy)]
     struct U64x4(__m256i);
 
-    /// The module's entry: `kernel` on four-wide lanes.
+    /// Eight `u64` residues; AVX-512 F is present wherever one is used
+    /// (module docs).
+    #[derive(Clone, Copy)]
+    struct U64x8(__m512i);
+
+    /// `kernel` on four-wide lanes.
     #[target_feature(enable = "avx2")]
-    pub(super) fn run<K: Kernel, M: Modulus>(kernel: K, modulus: M) {
+    pub(super) fn run_avx2<K: Kernel, M: Modulus>(kernel: K, modulus: M) {
         kernel.run::<U64x4, M>(modulus)
+    }
+
+    /// `kernel` on eight-wide lanes.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn run_avx512<K: Kernel, M: Modulus>(kernel: K, modulus: M) {
+        kernel.run::<U64x8, M>(modulus)
     }
 
     impl U64x4 {
@@ -1338,6 +1388,327 @@ mod avx2 {
         }
         twiddles.len() / 4 * 4
     }
+
+    impl U64x8 {
+        /// Per-position unsigned `self < b` mask.
+        #[inline(always)]
+        fn lt(self, b: Self) -> __mmask8 {
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            unsafe { _mm512_cmplt_epu64_mask(self.0, b.0) }
+        }
+
+        /// `self + b` where `mask` is set, else `self`.
+        #[inline(always)]
+        fn add_where(self, mask: __mmask8, b: Self) -> Self {
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            U64x8(unsafe { _mm512_mask_add_epi64(self.0, mask, self.0, b.0) })
+        }
+
+        /// `self - b` where `mask` is set, else `self`.
+        #[inline(always)]
+        fn sub_where(self, mask: __mmask8, b: Self) -> Self {
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            U64x8(unsafe { _mm512_mask_sub_epi64(self.0, mask, self.0, b.0) })
+        }
+
+        /// Full 64×64→128 product as `(hi, lo)` halves, from four 32×32→64
+        /// partial products — [`U64x4::mul_wide`] eight wide.
+        #[inline(always)]
+        fn mul_wide(self, b: Self) -> (Self, Self) {
+            let (a, b) = (self.0, b.0);
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            unsafe {
+                let mask32 = _mm512_set1_epi64(EPSILON as i64);
+                let a_hi = _mm512_srli_epi64(a, 32);
+                let b_hi = _mm512_srli_epi64(b, 32);
+                let ll = _mm512_mul_epu32(a, b);
+                let lh = _mm512_mul_epu32(a, b_hi);
+                let hl = _mm512_mul_epu32(a_hi, b);
+                let hh = _mm512_mul_epu32(a_hi, b_hi);
+                // t = hl + (ll >> 32): at most (2^32-1)^2 + (2^32-1) < 2^64.
+                let t = _mm512_add_epi64(hl, _mm512_srli_epi64(ll, 32));
+                // u = lh + (t & mask32): same bound, no wrap.
+                let u = _mm512_add_epi64(lh, _mm512_and_si512(t, mask32));
+                let hi = _mm512_add_epi64(
+                    hh,
+                    _mm512_add_epi64(_mm512_srli_epi64(t, 32), _mm512_srli_epi64(u, 32)),
+                );
+                // lo = (u << 32) | (ll & mask32): interleave the 32-bit halves.
+                let lo = _mm512_mask_blend_epi32(0xAAAA, ll, _mm512_slli_epi64(u, 32));
+                (U64x8(hi), U64x8(lo))
+            }
+        }
+
+        /// Lazy Goldilocks reduction of a `(hi, lo)` product — the
+        /// correction algorithm of [`super::reduce128_lazy`].
+        #[inline(always)]
+        fn reduce128_lazy(hi: Self, lo: Self) -> Self {
+            let eps = U64x8::splat(EPSILON);
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            let (hi_hi, hi_lo) = unsafe {
+                let hi_hi = _mm512_srli_epi64(hi.0, 32);
+                (U64x8(hi_hi), _mm512_and_si512(hi.0, eps.0))
+            };
+            // t0 = lo - hi_hi, compensating a borrow with -ε (cannot
+            // re-borrow).
+            // SAFETY: as above.
+            let t0 = U64x8(unsafe { _mm512_sub_epi64(lo.0, hi_hi.0) }).sub_where(lo.lt(hi_hi), eps);
+            // t1 = hi_lo·ε = (hi_lo << 32) - hi_lo (fits: hi_lo < 2^32), and
+            // r = t0 + t1, compensating a wrap with +ε (cannot re-wrap: the
+            // wrapped sum is at most 2^64 - 2^33).
+            // SAFETY: as above.
+            let sum = U64x8(unsafe {
+                let t1 = _mm512_sub_epi64(_mm512_slli_epi64(hi_lo, 32), hi_lo);
+                _mm512_add_epi64(t0.0, t1)
+            });
+            sum.add_where(sum.lt(t0), eps)
+        }
+
+        /// `self - q` where `self >= q`, else `self`.
+        #[inline(always)]
+        fn reduce_once(self, q: Self) -> Self {
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            let at_least = unsafe { _mm512_cmpge_epu64_mask(self.0, q.0) };
+            self.sub_where(at_least, q)
+        }
+    }
+
+    impl Lane for U64x8 {
+        const WIDTH: usize = 8;
+
+        #[inline(always)]
+        fn splat(x: u64) -> Self {
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            U64x8(unsafe { _mm512_set1_epi64(x as i64) })
+        }
+
+        #[inline(always)]
+        fn load(src: &[u64], i: usize) -> Self {
+            let lanes = &src[i..i + 8];
+            // SAFETY: `lanes` is eight `u64`s, the 64 bytes the unaligned
+            // load reads; AVX-512 F as above.
+            U64x8(unsafe { _mm512_loadu_si512(lanes.as_ptr().cast()) })
+        }
+
+        #[inline(always)]
+        fn store(self, dst: &mut [u64], i: usize) {
+            let lanes = &mut dst[i..i + 8];
+            // SAFETY: `lanes` is eight `u64`s, the 64 bytes the unaligned
+            // store writes; AVX-512 F as above.
+            unsafe { _mm512_storeu_si512(lanes.as_mut_ptr().cast(), self.0) }
+        }
+
+        #[inline(always)]
+        fn gather(src: &[u64], perm: &GaloisPermutation, i: usize) -> Self {
+            let indices = &perm[i..i + 8];
+            assert!(perm.len() <= src.len(), "permutation wider than its source");
+            // SAFETY: `indices` is eight `u32`s, the 32 bytes the unaligned
+            // load reads. Each is below `perm.len()` and fits an `i32`
+            // (`GaloisPermutation::new`), and `perm.len() <= src.len()` was
+            // asserted above, so every gathered `u64` lies inside `src`.
+            // AVX-512 F as above.
+            U64x8(unsafe {
+                let indices = _mm256_loadu_si256(indices.as_ptr().cast());
+                _mm512_i32gather_epi64::<8>(indices, src.as_ptr().cast())
+            })
+        }
+
+        #[inline(always)]
+        fn add_lazy(self, b: Self) -> Self {
+            let eps = U64x8::splat(EPSILON);
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            let sum = U64x8(unsafe { _mm512_add_epi64(self.0, b.0) });
+            let sum2 = sum.add_where(sum.lt(self), eps);
+            // A second wrap is only possible where the first correction
+            // applied (adding 0 cannot wrap), so `sum2 < sum` implies it.
+            sum2.add_where(sum2.lt(sum), eps)
+        }
+
+        #[inline(always)]
+        fn sub_lazy(self, b: Self) -> Self {
+            let eps = U64x8::splat(EPSILON);
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            let diff = U64x8(unsafe { _mm512_sub_epi64(self.0, b.0) });
+            let borrowed = self.lt(b);
+            // A second borrow only where the first correction applied and
+            // took the difference below zero.
+            // SAFETY: as above.
+            let borrowed2 = unsafe { _mm512_mask_cmplt_epu64_mask(borrowed, diff.0, eps.0) };
+            diff.sub_where(borrowed, eps).sub_where(borrowed2, eps)
+        }
+
+        #[inline(always)]
+        fn mul_lazy(self, b: Self) -> Self {
+            let (hi, lo) = self.mul_wide(b);
+            U64x8::reduce128_lazy(hi, lo)
+        }
+
+        #[inline(always)]
+        fn mul_add_lazy(self, b: Self, c: Self) -> Self {
+            let (hi, lo) = self.mul_wide(b);
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            let lo2 = U64x8(unsafe { _mm512_add_epi64(lo.0, c.0) });
+            // Carry into the high half where the add wrapped. `hi` is at
+            // most `2^64 - 2`, so no wrap.
+            let hi = hi.add_where(lo2.lt(lo), U64x8::splat(1));
+            U64x8::reduce128_lazy(hi, lo2)
+        }
+
+        #[inline(always)]
+        fn canonical(self) -> Self {
+            // One conditional subtract: every lazy value is `< 2^64 < 2p`.
+            self.reduce_once(U64x8::splat(MODULUS))
+        }
+
+        #[inline(always)]
+        fn add_canonical(self, b: Self) -> Self {
+            // A 64-bit wrap means the true sum is in `[2^64, 2p)`, whose
+            // canonical form is `wrapped + ε`; otherwise one conditional
+            // subtract finishes.
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            let sum = U64x8(unsafe { _mm512_add_epi64(self.0, b.0) });
+            sum.add_where(sum.lt(self), U64x8::splat(EPSILON))
+                .canonical()
+        }
+
+        #[inline(always)]
+        fn barrett_mul(self, b: Self, q: Self, mu: Self) -> Self {
+            let (hi, lo) = self.mul_wide(b);
+            // x >> 60 = (hi << 4) | (lo >> 60); hi < 2^58 so no bits are lost.
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            let shifted = U64x8(unsafe {
+                _mm512_or_si512(_mm512_slli_epi64(hi.0, 4), _mm512_srli_epi64(lo.0, 60))
+            });
+            let (q_hat, _) = shifted.mul_wide(mu);
+            let (_, product) = q_hat.mul_wide(q);
+            // The true value of `x - q_hat·q` is in `[0, 3q) ⊂ [0, 2^64)`:
+            // the wrapped low-word subtraction is exact.
+            // SAFETY: as above.
+            let r = U64x8(unsafe { _mm512_sub_epi64(lo.0, product.0) });
+            r.reduce_once(q).reduce_once(q)
+        }
+
+        #[inline(always)]
+        fn barrett_reduce(self, q: Self, mu: Self) -> Self {
+            // [`U64x4::barrett_reduce`]'s four partial products, eight wide.
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            let r = U64x8(unsafe {
+                let shifted = _mm512_srli_epi64(self.0, 60);
+                let low = _mm512_mul_epu32(shifted, mu.0);
+                let high = _mm512_mul_epu32(shifted, _mm512_srli_epi64(mu.0, 32));
+                let q_hat =
+                    _mm512_srli_epi64(_mm512_add_epi64(high, _mm512_srli_epi64(low, 32)), 32);
+                let q_hi =
+                    _mm512_slli_epi64(_mm512_mul_epu32(q_hat, _mm512_srli_epi64(q.0, 32)), 32);
+                let product = _mm512_add_epi64(_mm512_mul_epu32(q_hat, q.0), q_hi);
+                _mm512_sub_epi64(self.0, product)
+            });
+            r.reduce_once(q).reduce_once(q)
+        }
+
+        #[inline(always)]
+        fn add_mod(self, b: Self, q: Self) -> Self {
+            // `a + b < 2q < 2^62`: no wrap.
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            U64x8(unsafe { _mm512_add_epi64(self.0, b.0) }).reduce_once(q)
+        }
+
+        #[inline(always)]
+        fn sub_mod(self, b: Self, q: Self) -> Self {
+            // `a - b + q` where `a < b`, exact by the wrapping argument of
+            // [`U64x4::sub_mod`].
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            let diff = U64x8(unsafe { _mm512_sub_epi64(self.0, b.0) });
+            diff.add_where(self.lt(b), q)
+        }
+
+        #[inline(always)]
+        fn neg_mod(self, q: Self) -> Self {
+            // `q - a` where `a != 0`, and zero where `a = 0`.
+            // SAFETY: AVX-512 F is present wherever a `U64x8` is (module docs).
+            U64x8(unsafe {
+                let nonzero = _mm512_test_epi64_mask(self.0, self.0);
+                _mm512_maskz_sub_epi64(nonzero, q.0, self.0)
+            })
+        }
+
+        #[inline(always)]
+        fn narrow_stage<B: Butterfly, M: Modulus>(
+            a: &mut [u64],
+            twiddles: &[u64],
+            t: usize,
+            butterfly: B,
+            m: M,
+        ) -> usize {
+            match t {
+                4 => stage_narrow::<4>(a, twiddles, butterfly, m),
+                2 => stage_narrow::<2>(a, twiddles, butterfly, m),
+                1 => stage_narrow::<1>(a, twiddles, butterfly, m),
+                _ => 0,
+            }
+        }
+    }
+
+    /// The `permutex` index vector `[f(0), …, f(7)]`.
+    #[inline(always)]
+    fn indices(f: impl Fn(usize) -> usize) -> __m512i {
+        let indices: [i64; 8] = std::array::from_fn(|j| f(j) as i64);
+        // SAFETY: `indices` is the 64 bytes the unaligned load reads;
+        // AVX-512 F is present wherever this runs, inside `stage_narrow`.
+        unsafe { _mm512_loadu_si512(indices.as_ptr().cast()) }
+    }
+
+    /// A stage of half-width `T ∈ {4, 2, 1}` on the eight-wide lane: sixteen
+    /// elements — `8 / T` whole groups — per step. Two `permutex2var`s pick
+    /// every group's `lo` and `hi` halves out of the two loaded vectors (lo
+    /// position `j` holds element `(j / T)·2T + j % T` of the sixteen, hi the
+    /// one `T` later), a `permutexvar` spreads each group's twiddle over its
+    /// `T` positions, and two more put the results back in place.
+    #[inline(always)]
+    fn stage_narrow<const T: usize>(
+        a: &mut [u64],
+        twiddles: &[u64],
+        butterfly: impl Butterfly,
+        m: impl Modulus,
+    ) -> usize {
+        let groups = 8 / T;
+        let lo_of = |j: usize| (j / T) * 2 * T + j % T;
+        // Element `e` of the sixteen came from `x` (`permutex2var` index
+        // `< 8`) or `y` (`8 +`), at its position within its group's half.
+        let result_of = |e: usize| {
+            let (g, r) = (e / (2 * T), e % (2 * T));
+            if r < T {
+                g * T + r
+            } else {
+                8 + g * T + r - T
+            }
+        };
+        let [lo, hi, spread, first, second] = [
+            indices(lo_of),
+            indices(|j| lo_of(j) + T),
+            indices(|j| j / T),
+            indices(result_of),
+            indices(|e| result_of(e + 8)),
+        ];
+        // SAFETY: the masked twiddle load reads only the `groups` `u64`s of
+        // `w`; AVX-512 F is present wherever `U64x8` is named (module docs).
+        unsafe {
+            let mask = ((1u32 << groups) - 1) as __mmask8;
+            for (chunk, w) in a.chunks_exact_mut(16).zip(twiddles.chunks_exact(groups)) {
+                let (v0, v1) = (U64x8::load(chunk, 0).0, U64x8::load(chunk, 8).0);
+                let w = _mm512_maskz_loadu_epi64(mask, w.as_ptr().cast());
+                let (x, y) = butterfly.apply(
+                    m,
+                    U64x8(_mm512_permutex2var_epi64(v0, lo, v1)),
+                    U64x8(_mm512_permutex2var_epi64(v0, hi, v1)),
+                    U64x8(_mm512_permutexvar_epi64(spread, w)),
+                );
+                U64x8(_mm512_permutex2var_epi64(x.0, first, y.0)).store(chunk, 0);
+                U64x8(_mm512_permutex2var_epi64(x.0, second, y.0)).store(chunk, 8);
+            }
+        }
+        twiddles.len() / groups * groups
+    }
 }
 
 #[cfg(test)]
@@ -1423,19 +1794,99 @@ mod tests {
         }
     }
 
+    /// The lazy Goldilocks operations of one lane, stored as they come out
+    /// (no canonicalization).
+    struct LazyOps<'a> {
+        a: &'a [u64],
+        b: &'a [u64],
+        c: &'a [u64],
+        out: [&'a mut [u64]; 4],
+    }
+
+    impl Pointwise for LazyOps<'_> {
+        fn len(&self) -> usize {
+            let [o0, o1, o2, o3] = self.out.each_ref().map(|o| o.len());
+            same_len([self.a.len(), self.b.len(), self.c.len(), o0, o1, o2, o3])
+        }
+        fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
+            let (a, b, c) = (L::load(self.a, i), L::load(self.b, i), L::load(self.c, i));
+            m.add_lazy(a, b).store(self.out[0], i);
+            m.sub_lazy(a, b).store(self.out[1], i);
+            m.mul(a, b).store(self.out[2], i);
+            m.mul_add(a, b, c).store(self.out[3], i);
+        }
+    }
+
+    /// On every lane the CPU has, each lazy Goldilocks operation returns the
+    /// scalar primitive's representative bit for bit — not only the same
+    /// residue — on every pair of boundary and random words, the double
+    /// wrap and double borrow included: inside a transform, where values stay
+    /// lazy, the lanes agree.
+    #[test]
+    fn lazy_operations_return_the_scalar_representative_on_every_lane() {
+        let mut values = boundary_values();
+        values.extend(random_raw(64, 0x1A2C));
+        let a: Vec<u64> = values
+            .iter()
+            .flat_map(|&x| values.iter().map(move |_| x))
+            .collect();
+        let b: Vec<u64> = values.iter().flat_map(|_| values.iter().copied()).collect();
+        let c = random_raw(a.len(), 0x1A2D);
+        let scalar: [Vec<u64>; 4] = [
+            (0..a.len()).map(|i| p_add_lazy(a[i], b[i])).collect(),
+            (0..a.len()).map(|i| p_sub_lazy(a[i], b[i])).collect(),
+            (0..a.len()).map(|i| p_mul_lazy(a[i], b[i])).collect(),
+            (0..a.len())
+                .map(|i| reduce128_lazy(u128::from(a[i]) * u128::from(b[i]) + u128::from(c[i])))
+                .collect(),
+        ];
+        for policy in
+            available_policies("lazy_operations_return_the_scalar_representative_on_every_lane")
+        {
+            let mut out: [Vec<u64>; 4] = std::array::from_fn(|_| vec![0; a.len()]);
+            let [o0, o1, o2, o3] = out.each_mut().map(|o| &mut o[..]);
+            let (a, b, c) = (&a[..], &b[..], &c[..]);
+            dispatch(
+                LazyOps {
+                    a,
+                    b,
+                    c,
+                    out: [o0, o1, o2, o3],
+                },
+                Goldilocks,
+                policy,
+            );
+            for (op, (got, want)) in ["add", "sub", "mul", "mul_add"]
+                .iter()
+                .zip(out.iter().zip(&scalar))
+            {
+                assert_eq!(got, want, "{op} {policy:?}");
+            }
+        }
+    }
+
     #[test]
     fn policy_resolution_and_names() {
+        let names = SimdPolicy::ALL.map(SimdPolicy::name);
+        assert_eq!(names, ["scalar", "avx2", "avx512"]);
+        let have = available_policies("policy_resolution_and_names");
         let detected = SimdPolicy::detected();
-        assert!(matches!(detected, SimdPolicy::Scalar | SimdPolicy::Avx2));
-        assert_eq!(SimdPolicy::Scalar.name(), "scalar");
-        assert_eq!(SimdPolicy::Avx2.name(), "avx2");
-        assert!(!SimdPolicy::Scalar.is_vectorized());
-        // set_global(Avx2) grants at most what the CPU has.
-        SimdPolicy::set_global(SimdPolicy::Avx2);
-        assert_eq!(SimdPolicy::global(), detected);
-        SimdPolicy::set_global(SimdPolicy::Scalar);
-        assert_eq!(SimdPolicy::global(), SimdPolicy::Scalar);
+        assert_eq!(have.last(), Some(&detected), "detected is the widest lane");
+        // Each lane is granted by name if the CPU has it, else the widest
+        // lane below it that the CPU has.
+        for asked in SimdPolicy::ALL {
+            SimdPolicy::set_global(asked);
+            let granted = SimdPolicy::global();
+            let widest_below = have.iter().copied().filter(|&p| p <= asked).max();
+            assert_eq!(Some(granted), widest_below, "asked for {asked:?}");
+            assert_eq!(
+                granted == asked,
+                asked.is_available(),
+                "asked for {asked:?}"
+            );
+        }
         SimdPolicy::set_global(detected);
+        assert_eq!(SimdPolicy::global(), detected);
     }
 
     /// One limb of the `k = 3` chain — Goldilocks, then each generic prime —
@@ -1513,20 +1964,23 @@ mod tests {
         words
     }
 
-    const LENGTHS: [usize; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 4099];
+    /// Ragged lengths for every lane: none, less than one lane, whole lanes
+    /// with and without a ragged end (15, 16 and 17 are one eight-wide lane
+    /// and 7, two, and two and 1), and a long odd run.
+    const LENGTHS: [usize; 15] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 64, 4099];
 
-    fn policies() -> [SimdPolicy; 2] {
-        [SimdPolicy::Scalar, SimdPolicy::detected()]
-    }
-
-    /// Every pointwise kernel × every modulus × both lanes × ragged lengths
-    /// (so the four-wide body and the one-wide end both run), on boundary
-    /// and random canonical operands, against `u128` `%` arithmetic.
+    /// Every pointwise kernel × every modulus × every lane the CPU has ×
+    /// ragged lengths (so each vector body and the one-wide end all run), on
+    /// boundary and random canonical operands, against `u128` `%`
+    /// arithmetic.
     #[test]
     fn every_pointwise_kernel_matches_wide_arithmetic_on_every_instantiation() {
+        let policies = available_policies(
+            "every_pointwise_kernel_matches_wide_arithmetic_on_every_instantiation",
+        );
         for prime in chain().limbs().iter().map(Prime) {
             let width = prime.boundary().len();
-            for policy in policies() {
+            for &policy in &policies {
                 for n in LENGTHS {
                     let context = format!("{prime:?} {policy:?} n={n}");
                     let a0 = &prime.operand(n, 1, 0xA0)[..];
@@ -1629,15 +2083,19 @@ mod tests {
         a
     }
 
-    /// Both butterflies, as whole stages of every half-width — the two a
-    /// four-wide lane covers by moving values across groups, and wider ones
-    /// with a ragged end — against `u128` `%` arithmetic, group by group.
+    /// Both butterflies, as whole stages of every half-width — the ones a
+    /// lane covers by moving values across groups (`t = 2, 1` four wide,
+    /// `t = 4, 2, 1` eight wide, with odd group counts leaving whole groups
+    /// to the lane walk), and wider ones with a ragged end — against `u128`
+    /// `%` arithmetic, group by group.
     #[test]
     fn butterfly_stages_match_wide_arithmetic_on_every_instantiation() {
+        let policies =
+            available_policies("butterfly_stages_match_wide_arithmetic_on_every_instantiation");
         for prime in chain().limbs().iter().map(Prime) {
             let q = prime.q();
-            for policy in policies() {
-                for t in [1usize, 2, 3, 4, 7, 64] {
+            for &policy in &policies {
+                for t in [1usize, 2, 3, 4, 7, 8, 9, 64] {
                     for groups in 1..=9usize {
                         let context = format!("{prime:?} {policy:?} t={t} groups={groups}");
                         let input = prime.operand(2 * t * groups, 1, 0xE0);
@@ -1696,19 +2154,22 @@ mod tests {
     }
 
     /// A kernel handed slices of different lengths panics before its first
-    /// lane, on both lanes: no instantiation reads or writes out of bounds.
+    /// lane, on every lane the CPU has: no instantiation reads or writes out
+    /// of bounds. The long slices are two eight-wide lanes, the short ones
+    /// one, so every vector lane would have whole lanes to run.
     #[test]
     #[rustfmt::skip]
     fn mismatched_slice_lengths_panic_under_every_policy() {
-        let (long, short) = (vec![1u64; 8], vec![1u64; 4]);
+        let policies = available_policies("mismatched_slice_lengths_panic_under_every_policy");
+        let (long, short) = (vec![1u64; 16], vec![1u64; 8]);
         let (l, s) = (&long[..], &short[..]);
+        let perm16 = &*GaloisPermutation::new((0..16).collect());
         let perm8 = &*GaloisPermutation::new((0..8).collect());
-        let perm4 = &*GaloisPermutation::new((0..4).collect());
-        // `$kernel`, built over two fresh 8-long outputs, must panic.
+        // `$kernel`, built over two fresh 16-long outputs, must panic.
         macro_rules! rejected {
             (|$o0:ident, $o1:ident| $kernel:expr) => {
-                for policy in policies() {
-                    let (mut o0, mut o1) = (vec![0u64; 8], vec![0u64; 8]);
+                for &policy in &policies {
+                    let (mut o0, mut o1) = (vec![0u64; 16], vec![0u64; 16]);
                     let ($o0, $o1) = (&mut o0[..], &mut o1[..]);
                     let run = AssertUnwindSafe(|| dispatch($kernel, Goldilocks, policy));
                     let what = stringify!($kernel);
@@ -1717,14 +2178,14 @@ mod tests {
             };
         }
         rejected!(|o0, o1| Mul2 { x0: l, x1: l, m: s, o0, o1 });
-        rejected!(|o0, o1| Mul2 { x0: l, x1: l, m: l, o0, o1: &mut o1[..4] });
+        rejected!(|o0, o1| Mul2 { x0: l, x1: l, m: l, o0, o1: &mut o1[..8] });
         rejected!(|o0, o1| MulAdd2 { a0: l, a1: l, b0: l, b1: l, s0: l, s1: s, o0, o1 });
         rejected!(|o0, o1| MulAdd2 { a0: l, a1: s, b0: l, b1: l, s0: l, s1: l, o0, o1 });
-        rejected!(|o0, o1| Galois2 { src0: l, src1: l, perm: perm8, key: s, o0, o1 });
-        rejected!(|o0, o1| Galois2 { src0: s, src1: s, perm: perm8, key: l, o0, o1 });
-        rejected!(|o0, o1| Galois2 { src0: l, src1: l, perm: perm4, key: l, o0, o1 });
-        rejected!(|out, _o| Gather { src: s, perm: perm8, out });
-        rejected!(|out, _o| Gather { src: l, perm: perm8, out: &mut out[..4] });
+        rejected!(|o0, o1| Galois2 { src0: l, src1: l, perm: perm16, key: s, o0, o1 });
+        rejected!(|o0, o1| Galois2 { src0: s, src1: s, perm: perm16, key: l, o0, o1 });
+        rejected!(|o0, o1| Galois2 { src0: l, src1: l, perm: perm8, key: l, o0, o1 });
+        rejected!(|out, _o| Gather { src: s, perm: perm16, out });
+        rejected!(|out, _o| Gather { src: l, perm: perm16, out: &mut out[..8] });
         rejected!(|out, _o| Add { x: l, y: s, out });
         rejected!(|out, _o| Sub { x: s, y: l, out });
         rejected!(|out, _o| Neg { x: s, out });
@@ -1742,8 +2203,9 @@ mod tests {
 
     /// `cargo test --release -p chehab-fhe simd -- --ignored --nocapture`:
     /// µs per 4 096-coefficient limb of the three fused kernels, `add` and
-    /// the sampling reduction on all four instantiations, and per
-    /// degree-4 096 transform on both lanes (best of 7 × 2 000).
+    /// the sampling reduction, one row per lane the CPU has under each
+    /// modulus, and per degree-4 096 transform, one row per lane (best of
+    /// 7 × 2 000).
     #[test]
     #[ignore = "a timer, not a check"]
     fn kernel_timer() {
@@ -1759,6 +2221,7 @@ mod tests {
         };
         let n = 4096;
         let chain = chain();
+        let policies = available_policies("kernel_timer");
         for prime in chain.limbs().iter().map(Prime).take(2) {
             let operand = |seed| prime.operand(n, 1, seed);
             let (a0, a1, b0, b1, s0, s1) = (
@@ -1774,7 +2237,7 @@ mod tests {
             let perm =
                 &GaloisPermutation::new((0..n as u32).map(|i| (i * 7 + 3) % n as u32).collect());
             let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);
-            for policy in policies() {
+            for &policy in &policies {
                 #[rustfmt::skip]
                 let mul2 = best_us(&mut || prime.run(Mul2 { x0: a0, x1: a1, m: b0, o0: black_box(&mut o0), o1: &mut o1 }, policy));
                 #[rustfmt::skip]
@@ -1792,7 +2255,7 @@ mod tests {
                 );
             }
         }
-        for policy in policies() {
+        for &policy in &policies {
             let tables = crate::poly::NttTables::with_policy(n, policy);
             let mut a = Prime(chain.limb(0)).operand(n, 1, 9);
             let forward = best_us(&mut || tables.forward(black_box(&mut a)));

@@ -14,9 +14,11 @@
 //! 3. **End-to-end sweep** — all 46 benchsuite kernels at limb counts 2 and
 //!    3 produce outputs, operation counts, noise accounting and decryption
 //!    outcomes identical to the k=1 engine, under the process-wide policy
-//!    forced to scalar and to the vector back end, at 1 and 4 threads under
+//!    forced to scalar and to each vector back end, at 1 and 4 threads under
 //!    both schedulers. Multi-limb payloads only widen the cost-model
 //!    arithmetic; the slot pipeline is exact and must not notice.
+//!
+//! Every test runs each SIMD lane the CPU has and prints the ones it skips.
 
 use chehab::benchsuite::{self, Benchmark};
 use chehab::compiler::{Compiler, ExecOptions, SchedulerKind};
@@ -26,6 +28,17 @@ use chehab::fhe::{BfvParameters, CtPayload, ModulusChain, SimdPolicy};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
+
+/// Every policy whose lane this CPU has, scalar first; `test` names who
+/// asks when the skipped ones are printed.
+fn available_policies(test: &str) -> Vec<SimdPolicy> {
+    let (have, lack): (Vec<_>, Vec<_>) =
+        SimdPolicy::ALL.into_iter().partition(|p| p.is_available());
+    if !lack.is_empty() {
+        println!("{test}: skipped {lack:?}, which this CPU does not have");
+    }
+    have
+}
 
 fn random_residues(rng: &mut ChaCha8Rng, n: usize, q: u64) -> Vec<u64> {
     (0..n).map(|_| rng.gen::<u64>() % q).collect()
@@ -74,10 +87,11 @@ fn random_limb_payload(rng: &mut ChaCha8Rng, chain: &ModulusChain) -> (CtPayload
 /// themselves, so a segment-walk bug cannot cancel out.
 #[test]
 fn k1_kernels_are_bit_identical_to_the_goldilocks_oracle() {
+    let policies = available_policies("k1_kernels_are_bit_identical_to_the_goldilocks_oracle");
     let mut rng = ChaCha8Rng::seed_from_u64(0x9B5_0001);
     for degree in [8usize, 64, 512] {
         let chain = ModulusChain::new(1, degree);
-        for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
+        for &policy in &policies {
             let a = CtPayload::from_limb_stripe(random_residues(&mut rng, 2 * degree, MODULUS), 1);
             let b = CtPayload::from_limb_stripe(random_residues(&mut rng, 2 * degree, MODULUS), 1);
             let m = random_residues(&mut rng, degree, MODULUS);
@@ -118,15 +132,16 @@ fn k1_kernels_are_bit_identical_to_the_goldilocks_oracle() {
 }
 
 /// Multi-limb kernels reduce each limb stripe by its own prime and match
-/// the same scalar oracles limb by limb, under both policies.
+/// the same scalar oracles limb by limb, under every policy the CPU has.
 #[test]
 fn multi_limb_kernels_match_per_limb_oracles() {
+    let policies = available_policies("multi_limb_kernels_match_per_limb_oracles");
     let mut rng = ChaCha8Rng::seed_from_u64(0x9B5_0002);
     for k in [2usize, 3] {
         for degree in [8usize, 64, 256] {
             let chain = ModulusChain::new(k, degree);
             let half = k * degree;
-            for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
+            for &policy in &policies {
                 let (a, m) = random_limb_payload(&mut rng, &chain);
                 let (b, _) = random_limb_payload(&mut rng, &chain);
 
@@ -234,15 +249,17 @@ fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
 /// All 46 benchsuite kernels end to end at limb counts 2 and 3: outputs,
 /// operation counts, noise accounting and decryption outcomes are identical
 /// to the k=1 engine, under the process-wide policy forced to scalar and to
-/// the vector back end, across 1/4 threads and both schedulers.
+/// each vector back end the CPU has, across 1/4 threads and both schedulers.
 #[test]
 fn every_kernel_is_identical_across_limb_counts_policies_and_schedulers() {
+    let policies =
+        available_policies("every_kernel_is_identical_across_limb_counts_policies_and_schedulers");
     let base = BfvParameters::insecure_test();
     assert_eq!(base.limb_count, 1, "the default path is the k=1 oracle");
     for benchmark in benchsuite::full_suite() {
         let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
         let inputs = inputs_of(&benchmark, 31);
-        for policy in [SimdPolicy::Scalar, SimdPolicy::Avx2] {
+        for &policy in &policies {
             SimdPolicy::set_global(policy);
             let oracle = compiled
                 .session(&base)

@@ -1,18 +1,18 @@
 //! SIMD-vs-scalar equivalence tests for the hardware-floor arithmetic
-//! engine: the AVX2 stripe kernels and the lazy-reduction NTT must be
-//! **bit-identical** to the portable scalar/eager oracles, at every thread
-//! count, under both schedulers.
+//! engine: the AVX2 and AVX-512 stripe kernels and the lazy-reduction NTT
+//! must be **bit-identical** to the portable scalar/eager oracles, at every
+//! thread count, under both schedulers.
 //!
 //! Four angles:
 //!
 //! 1. **Fused-kernel equivalence** — every `CtPayload` kernel (the fused
 //!    dual-component multiply/add/sub/neg family plus the Galois gather)
-//!    produces identical stripes under `SimdPolicy::Scalar` and the detected
-//!    vector policy, on random inputs, from one vector
+//!    produces identical stripes under `SimdPolicy::Scalar` and every
+//!    vector policy the CPU has, on random inputs, from one vector
 //!    wide to 1024, under chains of one, two and three limbs (ragged
 //!    lengths and scalar tails are the business of `simd.rs`'s own kernel
 //!    matrix: a stripe degree is a power of two).
-//! 2. **Transform equivalence** — forward and inverse NTTs agree between
+//! 2. **Transform equivalence** — forward and inverse NTTs agree across
 //!    policies on random polynomials at several degrees.
 //! 3. **Lazy-reduction invariant** — the lazy engine keeps values unreduced
 //!    across butterfly layers, so the observable contract is that the single
@@ -20,14 +20,14 @@
 //!    from-first-principles schoolbook negacyclic reference exactly.
 //! 4. **End-to-end sweep** — all 46 benchsuite kernels produce identical
 //!    outputs, operation counts and noise accounting with the process-wide
-//!    policy forced to scalar and to the vector back end
+//!    policy forced to scalar and to each vector back end
 //!    ([`SimdPolicy::set_global`], the test-side spelling of `CHEHAB_SIMD`),
 //!    at 1 and 4 threads under both schedulers. Only this test touches the
 //!    global policy; the others pass policies explicitly.
 //!
-//! On hardware without AVX2 the detected policy degrades to scalar and the
-//! comparisons hold trivially — the sweep still exercises the dispatch
-//! plumbing.
+//! Every test runs each lane the CPU has and prints the ones it skips; on
+//! hardware without a vector lane the comparisons hold trivially — the
+//! sweep still exercises the dispatch plumbing.
 
 use chehab::benchsuite::{self, Benchmark};
 use chehab::compiler::{Compiler, ExecOptions, SchedulerKind};
@@ -42,21 +42,34 @@ fn random_residues(rng: &mut ChaCha8Rng, n: usize) -> Vec<u64> {
     (0..n).map(|_| rng.gen::<u64>() % MODULUS).collect()
 }
 
-/// Runs one payload kernel under both policies and asserts bit-identity.
+/// Every policy whose lane this CPU has, scalar first; `test` names who
+/// asks when the skipped ones are printed.
+fn available_policies(test: &str) -> Vec<SimdPolicy> {
+    let (have, lack): (Vec<_>, Vec<_>) =
+        SimdPolicy::ALL.into_iter().partition(|p| p.is_available());
+    if !lack.is_empty() {
+        println!("{test}: skipped {lack:?}, which this CPU does not have");
+    }
+    have
+}
+
+/// Runs one payload kernel under the scalar policy and each of `vectors`
+/// and asserts bit-identity.
 fn assert_kernel_identical(
     label: &str,
     n: usize,
-    detected: SimdPolicy,
+    vectors: &[SimdPolicy],
     kernel: impl Fn(SimdPolicy) -> Vec<u64>,
 ) {
     let scalar = kernel(SimdPolicy::Scalar);
-    let vector = kernel(detected);
-    assert_eq!(
-        scalar,
-        vector,
-        "{label}: scalar and {} stripes diverged (n={n})",
-        detected.name()
-    );
+    for &policy in vectors {
+        assert_eq!(
+            scalar,
+            kernel(policy),
+            "{label}: scalar and {} stripes diverged (n={n})",
+            policy.name()
+        );
+    }
 }
 
 /// `stripes` consecutive limb stripes of `chain`'s degree, each canonical
@@ -71,11 +84,13 @@ fn random_limb_stripes(rng: &mut ChaCha8Rng, chain: &ModulusChain, stripes: usiz
 }
 
 /// Every fused dual-component kernel is bit-identical between the scalar
-/// oracle and the detected vector policy — random inputs, every degree from one vector wide up, under chains of one, two and three
-/// limbs (Goldilocks alone, then with one and two Barrett limbs).
+/// oracle and every vector policy the CPU has — random inputs, every degree
+/// from one four-wide vector up, under chains of one, two and three limbs
+/// (Goldilocks alone, then with one and two Barrett limbs).
 #[test]
 fn fused_payload_kernels_are_bit_identical_under_every_policy() {
-    let detected = SimdPolicy::detected();
+    let policies = available_policies("fused_payload_kernels_are_bit_identical_under_every_policy");
+    let vectors = &policies[1..];
     let mut rng = ChaCha8Rng::seed_from_u64(0x51DE0);
     // Degrees must be powers of two (stripe invariant).
     for k in [1usize, 2, 3] {
@@ -95,47 +110,47 @@ fn fused_payload_kernels_are_bit_identical_under_every_policy() {
             let perm = GaloisPermutation::new((0..n).map(|i| ((i * 7 + 3) % n) as u32).collect());
             let key = random_limb_stripes(&mut rng, &chain, k);
 
-            assert_kernel_identical("mul_eval2", n, detected, |policy| {
+            assert_kernel_identical("mul_eval2", n, vectors, |policy| {
                 let mut out = vec![0u64; len];
                 a.mul_eval2(&mult, &mut out, policy, &chain);
                 out
             });
-            assert_kernel_identical("mul_add_eval2", n, detected, |policy| {
+            assert_kernel_identical("mul_add_eval2", n, vectors, |policy| {
                 let mut out = vec![0u64; len];
                 a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
                 out
             });
-            assert_kernel_identical("galois_eval2", n, detected, |policy| {
+            assert_kernel_identical("galois_eval2", n, vectors, |policy| {
                 let mut out = vec![0u64; len];
                 a.galois_eval2(&perm, &key, &mut out, policy, &chain);
                 out
             });
-            assert_kernel_identical("add2", n, detected, |policy| {
+            assert_kernel_identical("add2", n, vectors, |policy| {
                 let mut out = vec![0u64; len];
                 a.add2(&b, &mut out, policy, &chain);
                 out
             });
-            assert_kernel_identical("sub2", n, detected, |policy| {
+            assert_kernel_identical("sub2", n, vectors, |policy| {
                 let mut out = vec![0u64; len];
                 a.sub2(&b, &mut out, policy, &chain);
                 out
             });
-            assert_kernel_identical("neg2", n, detected, |policy| {
+            assert_kernel_identical("neg2", n, vectors, |policy| {
                 let mut out = vec![0u64; len];
                 a.neg2(&mut out, policy, &chain);
                 out
             });
-            assert_kernel_identical("add_assign2", n, detected, |policy| {
+            assert_kernel_identical("add_assign2", n, vectors, |policy| {
                 let mut acc = a.clone();
                 acc.add_assign2(&b, policy, &chain);
                 acc.into_stripe()
             });
-            assert_kernel_identical("sub_assign2", n, detected, |policy| {
+            assert_kernel_identical("sub_assign2", n, vectors, |policy| {
                 let mut acc = a.clone();
                 acc.sub_assign2(&b, policy, &chain);
                 acc.into_stripe()
             });
-            assert_kernel_identical("neg_assign2", n, detected, |policy| {
+            assert_kernel_identical("neg_assign2", n, vectors, |policy| {
                 let mut acc = a.clone();
                 acc.neg_assign2(policy, &chain);
                 acc.into_stripe()
@@ -145,27 +160,30 @@ fn fused_payload_kernels_are_bit_identical_under_every_policy() {
 }
 
 /// Forward and inverse transforms are bit-identical between a scalar-policy
-/// and a detected-policy table set.
+/// table set and one for each vector policy the CPU has.
 #[test]
 fn ntt_transforms_are_bit_identical_under_every_policy() {
-    let detected = SimdPolicy::detected();
+    let policies = available_policies("ntt_transforms_are_bit_identical_under_every_policy");
     let mut rng = ChaCha8Rng::seed_from_u64(0x77A_B1E);
     for degree in [16usize, 64, 512, 2048] {
         let scalar = NttTables::with_policy(degree, SimdPolicy::Scalar);
-        let vector = NttTables::with_policy(degree, detected);
-        for round in 0..4 {
-            let input = random_residues(&mut rng, degree);
+        for &policy in &policies[1..] {
+            let vector = NttTables::with_policy(degree, policy);
+            for round in 0..4 {
+                let context = format!("{policy:?}, degree={degree}, round={round}");
+                let input = random_residues(&mut rng, degree);
 
-            let mut a = input.clone();
-            let mut b = input.clone();
-            scalar.forward(&mut a);
-            vector.forward(&mut b);
-            assert_eq!(a, b, "forward diverged (degree={degree}, round={round})");
+                let mut a = input.clone();
+                let mut b = input.clone();
+                scalar.forward(&mut a);
+                vector.forward(&mut b);
+                assert_eq!(a, b, "forward diverged ({context})");
 
-            scalar.inverse(&mut a);
-            vector.inverse(&mut b);
-            assert_eq!(a, b, "inverse diverged (degree={degree}, round={round})");
-            assert_eq!(a, input, "round-trip is not the identity");
+                scalar.inverse(&mut a);
+                vector.inverse(&mut b);
+                assert_eq!(a, b, "inverse diverged ({context})");
+                assert_eq!(a, input, "round-trip is not the identity");
+            }
         }
     }
 }
@@ -178,8 +196,10 @@ fn ntt_transforms_are_bit_identical_under_every_policy() {
 #[test]
 fn lazy_ntt_normalization_matches_schoolbook_reference_exactly() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x1A27);
+    let policies =
+        available_policies("lazy_ntt_normalization_matches_schoolbook_reference_exactly");
     for degree in [16usize, 64, 128] {
-        for policy in [SimdPolicy::Scalar, SimdPolicy::detected()] {
+        for &policy in &policies {
             let tables = NttTables::with_policy(degree, policy);
             let a = Poly::from_reduced(random_residues(&mut rng, degree), Domain::Coeff);
             let b = Poly::from_reduced(random_residues(&mut rng, degree), Domain::Coeff);
@@ -221,18 +241,21 @@ fn inputs_of(benchmark: &Benchmark, seed: u64) -> HashMap<String, i64> {
 }
 
 /// All 46 benchsuite kernels, end to end, with the process-wide policy
-/// forced to scalar and then to the vector back end: outputs, operation
-/// counts, noise accounting and decryption outcomes are identical, per
-/// policy across 1/4 threads and both schedulers, and across the two
-/// policies.
+/// forced to scalar and then to each vector back end the CPU has: outputs,
+/// operation counts, noise accounting and decryption outcomes are
+/// identical, per policy across 1/4 threads and both schedulers, and across
+/// the policies.
 #[test]
 fn every_kernel_is_bit_identical_under_forced_scalar_and_vectorized_policies() {
     let params = BfvParameters::insecure_test();
+    let policies = available_policies(
+        "every_kernel_is_bit_identical_under_forced_scalar_and_vectorized_policies",
+    );
     for benchmark in benchsuite::full_suite() {
         let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
         let inputs = inputs_of(&benchmark, 29);
         let mut reference = None;
-        for policy in [SimdPolicy::Scalar, SimdPolicy::Avx2] {
+        for &policy in &policies {
             SimdPolicy::set_global(policy);
             let session = compiled
                 .session(&params)
