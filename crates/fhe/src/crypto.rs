@@ -106,7 +106,8 @@ impl From<ParameterError> for FheError {
     }
 }
 
-/// Shared context: validated parameters plus precomputed NTT tables.
+/// Shared context: validated parameters plus the modulus chain and its
+/// precomputed NTT tables.
 #[derive(Debug, Clone)]
 pub struct FheContext {
     inner: Arc<ContextInner>,
@@ -119,10 +120,10 @@ struct ContextInner {
     /// evaluator's slot passes share one precomputed Barrett constant.
     plain: PlainModulus,
     noise: NoiseModel,
-    tables: NttTables,
-    /// The RNS modulus chain: limb 0 is the Goldilocks prime served by
-    /// `tables`, limbs `1..k` are generic NTT-friendly primes with their own
-    /// Barrett constants and Shoup NTT tables. A bare one-limb marker when
+    /// The RNS modulus chain: limb 0 is the Goldilocks prime, limbs `1..k`
+    /// are generic NTT-friendly primes with their own Barrett constants.
+    /// Every limb owns the NTT tables of its prime; limb 0's keep the
+    /// context's transform counters. The Goldilocks limb alone when
     /// `limb_count == 1`.
     chain: ModulusChain,
     /// Eval-domain Galois permutations by Galois element, computed once per
@@ -144,7 +145,6 @@ impl FheContext {
             inner: Arc::new(ContextInner {
                 plain: PlainModulus::new(params.plain_modulus),
                 noise: NoiseModel::default(),
-                tables: NttTables::new(params.payload_degree),
                 chain: ModulusChain::new(params.limb_count, params.payload_degree),
                 galois_perms: Mutex::new(HashMap::new()),
                 params,
@@ -162,11 +162,7 @@ impl FheContext {
         &self.inner.noise
     }
 
-    pub(crate) fn tables(&self) -> &NttTables {
-        &self.inner.tables
-    }
-
-    /// The context's RNS modulus chain (a one-limb Goldilocks marker under
+    /// The context's RNS modulus chain (the Goldilocks limb alone under
     /// single-modulus parameters).
     pub fn chain(&self) -> &ModulusChain {
         &self.inner.chain
@@ -191,20 +187,25 @@ impl FheContext {
         }))
     }
 
-    /// Cumulative NTT transform counts performed through this context's
-    /// tables since construction (or the last
+    /// Cumulative NTT transform counts performed through the Goldilocks
+    /// limb's tables since construction (or the last
     /// [`FheContext::reset_transform_counts`]). Telemetry for the NTT hot
     /// path — sessions expose
     /// it through their metrics registry — and the handle tests use to hold
     /// the lazy NTT-domain representation to its promise that chains of
     /// homomorphic operations transform each operand at most once.
     pub fn transform_stats(&self) -> crate::poly::TransformStats {
-        self.inner.tables.transform_stats()
+        self.goldilocks().transform_stats()
     }
 
     /// Resets the context's transform counters to zero.
     pub fn reset_transform_counts(&self) {
-        self.inner.tables.reset_transform_counts();
+        self.goldilocks().reset_transform_counts();
+    }
+
+    /// Limb 0's tables, which hold the context's transform counters.
+    fn goldilocks(&self) -> &NttTables {
+        self.inner.chain.limb(0).tables()
     }
 
     /// Number of batching slots.
@@ -361,17 +362,17 @@ impl Plaintext {
         let mut values = arena.take(chain.limb_count() * degree);
         // Coefficient `j` reads logical slot `j mod n`: the stored prefix,
         // then the elided zeros (whose splat is zero under every modulus).
-        for (limb, stripe) in chain.limbs().iter().zip(values.chunks_exact_mut(degree)) {
-            let q = limb.modulus();
-            for block in stripe.chunks_mut(ctx.slot_count()) {
-                let stored = self.slots.len().min(block.len());
-                for (out, &s) in block.iter_mut().zip(&self.slots) {
-                    *out = s.wrapping_mul(0x9E37_79B9) % q;
-                }
-                block[stored..].fill(0);
+        // Every word is below `2^32 · 2^32 < p`, so limb 0 holds it as is
+        // and each generic limb lifts it, as sampling lifts a draw.
+        for block in values[..degree].chunks_mut(ctx.slot_count()) {
+            let stored = self.slots.len().min(block.len());
+            for (out, &s) in block.iter_mut().zip(&self.slots) {
+                *out = s.wrapping_mul(0x9E37_79B9);
             }
+            block[stored..].fill(0);
         }
-        chain.forward_limbs(ctx.tables(), &mut values);
+        chain.lift_limbs(&mut values);
+        chain.forward_limbs(&mut values);
         Poly::from_reduced(values, Domain::Eval)
     }
 
@@ -511,10 +512,9 @@ impl Encryptor {
         let chain = self.ctx.chain();
         let k = chain.limb_count();
         let half = k * chain.degree();
-        let policy = self.ctx.tables().policy();
         let mut stripe = self.arena.take(2 * half);
         for component in stripe.chunks_exact_mut(half) {
-            chain.sample_uniform_limbs(&mut self.rng, component, policy);
+            chain.sample_uniform_limbs(&mut self.rng, component);
         }
         Arc::new(CtPayload::from_limb_stripe(stripe, k))
     }

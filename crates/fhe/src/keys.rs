@@ -30,7 +30,7 @@
 use crate::arena::PolyArena;
 use crate::params::BfvParameters;
 use crate::payload::CtPayload;
-use crate::poly::{Domain, NttTables, Poly};
+use crate::poly::{Domain, Poly};
 use crate::rns::ModulusChain;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -114,11 +114,9 @@ pub struct KeyGenerator {
     params: BfvParameters,
     rng: ChaCha8Rng,
     id: u64,
-    /// NTT tables for the cost-faithful key-switch-key sampling.
-    tables: NttTables,
     /// The RNS modulus chain: key material carries one stripe per limb,
-    /// sampled and transformed per limb the same way ciphertext payloads
-    /// are.
+    /// sampled and transformed per limb, under each limb's own NTT tables,
+    /// the same way ciphertext payloads are.
     chain: ModulusChain,
     /// Pool for the sampling buffers: one key generator issues many
     /// key-switch keys (relinearization plus one Galois key per rotation
@@ -146,7 +144,6 @@ impl KeyGenerator {
             params: params.clone(),
             rng,
             id,
-            tables: NttTables::new(params.payload_degree),
             chain: ModulusChain::new(params.limb_count, params.payload_degree),
             arena: PolyArena::new(),
             workers: workers.max(1),
@@ -194,7 +191,7 @@ impl KeyGenerator {
             .collect();
         let words_per_poly = 2 * self.chain.degree() as u128;
         let start = self.rng.get_word_pos();
-        let (chain, tables, rng) = (&self.chain, &self.tables, &self.rng);
+        let (chain, rng) = (&self.chain, &self.rng);
         let sample_run = |first: usize, run: &mut [Option<Vec<u64>>], scratch: &mut [u64]| {
             let mut rng = rng.clone();
             rng.set_word_pos(start + first as u128 * words_per_poly);
@@ -203,8 +200,8 @@ impl KeyGenerator {
                     Some(kept) => &mut kept[..],
                     None => &mut *scratch,
                 };
-                chain.sample_uniform_limbs(&mut rng, buf, tables.policy());
-                chain.forward_limbs(tables, buf);
+                chain.sample_uniform_limbs(&mut rng, buf);
+                chain.forward_limbs(buf);
             }
         };
         std::thread::scope(|scope| {

@@ -18,6 +18,7 @@
 //! (`O(n)`) and forward/inverse transforms only happen at representation
 //! boundaries.
 
+use crate::rns;
 use crate::simd::{self, GaloisPermutation, Goldilocks, SimdPolicy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,29 +115,6 @@ pub fn p_mul_add(a: u64, b: u64, c: u64) -> u64 {
     reduce128(u128::from(a) * u128::from(b) + u128::from(c))
 }
 
-/// Modular exponentiation in `Z_p`.
-pub fn p_pow(mut base: u64, mut exp: u64) -> u64 {
-    let mut acc = 1u64;
-    base %= MODULUS;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = p_mul(acc, base);
-        }
-        base = p_mul(base, base);
-        exp >>= 1;
-    }
-    acc
-}
-
-/// Modular inverse in `Z_p` (Fermat's little theorem; `a` must be non-zero).
-pub fn p_inv(a: u64) -> u64 {
-    debug_assert!(a != 0, "zero has no inverse");
-    p_pow(a, MODULUS - 2)
-}
-
-/// A multiplicative generator of `Z_p^*` for the Goldilocks prime.
-const GENERATOR: u64 = 7;
-
 /// The representation a [`Poly`]'s stored values are in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
@@ -173,16 +151,23 @@ pub struct TransformStats {
     pub inverse: u64,
 }
 
-/// Precomputed twiddle factors for negacyclic NTTs of a fixed degree.
+/// Precomputed twiddle factors for negacyclic NTTs of a fixed degree over
+/// one prime: the Goldilocks prime ([`NttTables::new`]) or a generic RNS
+/// limb prime (each [`crate::rns::Limb`] owns the tables of its own).
 #[derive(Debug, Clone)]
 pub struct NttTables {
     degree: usize,
+    /// The prime the transforms reduce by.
+    q: u64,
+    /// Its Barrett constant [`rns::barrett_mu`] (zero for Goldilocks, which
+    /// never takes the Barrett path).
+    mu: u64,
     /// Powers of the 2n-th root of unity `psi`, in bit-reversed order, for
     /// the forward transform.
     psi_rev: Vec<u64>,
     /// Powers of `psi^{-1}`, bit-reversed, for the inverse transform.
     inv_psi_rev: Vec<u64>,
-    /// `n^{-1} mod p`.
+    /// `n^{-1} mod q`.
     inv_degree: u64,
     /// Transform counters, shared by clones of the same table set.
     counters: Arc<TransformCounters>,
@@ -192,7 +177,8 @@ pub struct NttTables {
 }
 
 impl NttTables {
-    /// Builds tables for degree `n` (must be a power of two, at least 2).
+    /// Builds Goldilocks tables for degree `n` (must be a power of two, at
+    /// least 2).
     ///
     /// # Panics
     ///
@@ -210,40 +196,55 @@ impl NttTables {
     ///
     /// Panics under the same conditions as [`NttTables::new`].
     pub fn with_policy(degree: usize, policy: SimdPolicy) -> Self {
+        Self::for_prime(MODULUS, degree, policy)
+    }
+
+    /// Tables for the prime `q`: Goldilocks or a generic limb prime
+    /// `2^60 < q < 2^61`. The root is the first primitive `2n`-th root of
+    /// unity a small base yields, which on Goldilocks is `7^((p − 1) / 2n)`
+    /// at every degree (2 to 6 are squares mod `p`; 7 is not).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `degree` is not a power of two, is smaller than 2, or `2n`
+    /// does not divide `q − 1`.
+    pub(crate) fn for_prime(q: u64, degree: usize, policy: SimdPolicy) -> Self {
         assert!(
             degree.is_power_of_two() && degree >= 2,
             "degree must be a power of two >= 2"
         );
-        assert!(degree <= (1 << 31), "degree exceeds the field's 2-adicity");
-        // psi is a primitive 2n-th root of unity.
-        let log2_2n = (2 * degree).trailing_zeros();
-        let psi = p_pow(GENERATOR, (MODULUS - 1) >> log2_2n);
-        debug_assert_eq!(p_pow(psi, degree as u64), MODULUS - 1, "psi^n must be -1");
-        let inv_psi = p_inv(psi);
-
-        let mut psi_rev = vec![0u64; degree];
-        let mut inv_psi_rev = vec![0u64; degree];
+        let order = 2 * degree as u64;
+        assert!(
+            (q - 1).is_multiple_of(order),
+            "degree exceeds the 2-adicity of q - 1"
+        );
+        let goldilocks = q == MODULUS;
+        let mu = if goldilocks { 0 } else { rns::barrett_mu(q) };
+        let mul = |a, b| {
+            if goldilocks {
+                p_mul(a, b)
+            } else {
+                rns::barrett_mul(a, b, q, mu)
+            }
+        };
+        let psi = rns::primitive_root_2n(q, degree);
         let log_n = degree.trailing_zeros();
-        let mut power = 1u64;
-        let mut inv_power = 1u64;
-        let mut powers = vec![0u64; degree];
-        let mut inv_powers = vec![0u64; degree];
-        for i in 0..degree {
-            powers[i] = power;
-            inv_powers[i] = inv_power;
-            power = p_mul(power, psi);
-            inv_power = p_mul(inv_power, inv_psi);
-        }
-        for (i, (p, ip)) in powers.iter().zip(&inv_powers).enumerate() {
-            let rev = (i as u32).reverse_bits() >> (32 - log_n);
-            psi_rev[rev as usize] = *p;
-            inv_psi_rev[rev as usize] = *ip;
-        }
+        let scatter = |base: u64| {
+            let mut table = vec![0u64; degree];
+            let mut power = 1u64;
+            for i in 0..degree {
+                table[i.reverse_bits() >> (usize::BITS - log_n)] = power;
+                power = mul(power, base);
+            }
+            table
+        };
         NttTables {
             degree,
-            psi_rev,
-            inv_psi_rev,
-            inv_degree: p_inv(degree as u64),
+            q,
+            mu,
+            psi_rev: scatter(psi),
+            inv_psi_rev: scatter(rns::inv_mod(psi, q)),
+            inv_degree: rns::inv_mod(degree as u64, q),
             counters: Arc::new(TransformCounters::default()),
             policy,
         }
@@ -254,9 +255,31 @@ impl NttTables {
         self.degree
     }
 
+    /// The prime these tables transform under.
+    pub fn modulus(&self) -> u64 {
+        self.q
+    }
+
+    /// The prime's Barrett constant (zero for Goldilocks).
+    pub(crate) fn mu(&self) -> u64 {
+        self.mu
+    }
+
     /// The SIMD back end this table set's transforms run on.
     pub fn policy(&self) -> SimdPolicy {
         self.policy
+    }
+
+    /// Runs `kernel` under this table set's prime on the lane `policy`
+    /// selects — the one place a kernel learns which prime it reduces by:
+    /// the ε-identity arithmetic for Goldilocks, Barrett for every other.
+    pub(crate) fn run(&self, kernel: impl simd::Kernel, policy: SimdPolicy) {
+        if self.q == MODULUS {
+            simd::dispatch(kernel, Goldilocks, policy);
+        } else {
+            let (q, mu) = (self.q, self.mu);
+            simd::dispatch(kernel, simd::Barrett { q, mu }, policy);
+        }
     }
 
     /// Cumulative transform counts since construction (or the last
@@ -280,12 +303,13 @@ impl NttTables {
     /// In-place forward negacyclic NTT (Cooley–Tukey, decimation in time,
     /// producing bit-reversed output that the inverse transform consumes).
     ///
-    /// Butterflies use lazy (deferred) reduction: intermediate values roam
-    /// the full `[0, 2^64) ⊂ [0, 2p)` lazy-residue range across stages, and
-    /// the canonicalizing reduction is fused into the last butterfly stage
-    /// (`t == 1`), so the "single normalization pass" is free — see the
-    /// [`crate::simd`] module docs for the invariant. Output is always
-    /// canonical. Stage `m`'s twiddles occupy the contiguous range
+    /// On Goldilocks, butterflies use lazy (deferred) reduction:
+    /// intermediate values roam the full `[0, 2^64) ⊂ [0, 2p)` lazy-residue
+    /// range across stages, and the canonicalizing reduction is fused into
+    /// the last butterfly stage (`t == 1`), so the "single normalization
+    /// pass" is free — see the [`crate::simd`] module docs for the
+    /// invariant. Under Barrett every value stays canonical. Output is
+    /// always canonical. Stage `m`'s twiddles occupy the contiguous range
     /// `psi_rev[m..2m]`, so each stage dispatches as one kernel.
     pub fn forward(&self, a: &mut [u64]) {
         debug_assert_eq!(a.len(), self.degree);
@@ -303,11 +327,11 @@ impl NttTables {
                     canonical: 2 * m == n,
                 },
             };
-            simd::dispatch(stage, Goldilocks, self.policy);
+            self.run(stage, self.policy);
             m *= 2;
         }
         debug_assert!(
-            a.iter().all(|&x| x < MODULUS),
+            a.iter().all(|&x| x < self.q),
             "forward NTT output must be canonical after the fused normalization"
         );
     }
@@ -330,14 +354,14 @@ impl NttTables {
                 t,
                 butterfly: simd::Inverse,
             };
-            simd::dispatch(stage, Goldilocks, self.policy);
+            self.run(stage, self.policy);
             t *= 2;
             m = h;
         }
         let k = self.inv_degree;
-        simd::dispatch(simd::Scale { a, k }, Goldilocks, self.policy);
+        self.run(simd::Scale { a, k }, self.policy);
         debug_assert!(
-            a.iter().all(|&x| x < MODULUS),
+            a.iter().all(|&x| x < self.q),
             "inverse NTT output must be canonical after the scaling pass"
         );
     }
@@ -401,7 +425,14 @@ impl Poly {
     }
 
     /// Converts to evaluation form in place (no-op if already there).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tables` are Goldilocks tables, as are
+    /// [`Poly::convert_to_coeff`], [`Poly::to_eval`], [`Poly::to_coeff`]
+    /// and [`Poly::mul_ntt`]: a `Poly` is an element of `Z_p[x] / (x^n + 1)`.
     pub fn convert_to_eval(&mut self, tables: &NttTables) {
+        assert_goldilocks(tables);
         if self.domain == Domain::Coeff {
             tables.forward(&mut self.coeffs);
             self.domain = Domain::Eval;
@@ -410,6 +441,7 @@ impl Poly {
 
     /// Converts to coefficient form in place (no-op if already there).
     pub fn convert_to_coeff(&mut self, tables: &NttTables) {
+        assert_goldilocks(tables);
         if self.domain == Domain::Eval {
             tables.inverse(&mut self.coeffs);
             self.domain = Domain::Coeff;
@@ -458,9 +490,11 @@ impl Poly {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the degrees of the operands and tables
-    /// differ or either operand is not in coefficient form.
+    /// Panics unless `tables` are Goldilocks tables; in debug builds also if
+    /// the degrees of the operands and tables differ or either operand is
+    /// not in coefficient form.
     pub fn mul_ntt(&self, other: &Poly, tables: &NttTables) -> Poly {
+        assert_goldilocks(tables);
         debug_assert_eq!(self.degree(), tables.degree());
         debug_assert_eq!(other.degree(), tables.degree());
         debug_assert_eq!(self.domain, Domain::Coeff, "mul_ntt needs Coeff operands");
@@ -564,6 +598,16 @@ impl Poly {
     }
 }
 
+/// Panics unless `tables` transform under the Goldilocks prime, the one
+/// [`Poly`]'s arithmetic (`p_mul`) is written for.
+fn assert_goldilocks(tables: &NttTables) {
+    assert_eq!(
+        tables.modulus(),
+        MODULUS,
+        "Poly arithmetic needs Goldilocks NTT tables"
+    );
+}
+
 /// The index permutation realizing the Galois automorphism
 /// `x -> x^galois_elt` on evaluation-form polynomials of degree `n`:
 /// `out[i] = in[perm[i]]`.
@@ -620,8 +664,7 @@ mod tests {
         assert_eq!(p_sub(0, 1), MODULUS - 1);
         assert_eq!(p_neg(0), 0);
         assert_eq!(p_mul(MODULUS - 1, MODULUS - 1), 1);
-        assert_eq!(p_mul(p_inv(12345), 12345), 1);
-        assert_eq!(p_pow(3, 0), 1);
+        assert_eq!(p_mul(rns::inv_mod(12345, MODULUS), 12345), 1);
     }
 
     #[test]
@@ -656,6 +699,21 @@ mod tests {
             let expected_fused = ((u128::from(a) * u128::from(b) + u128::from(c % MODULUS))
                 % u128::from(MODULUS)) as u64;
             assert_eq!(p_mul_add(a, b, c % MODULUS), expected_fused);
+        }
+    }
+
+    /// The Goldilocks root is `7^((p − 1) / 2n)` at every degree the
+    /// field's 2-adicity allows: the Eval values depend on it.
+    #[test]
+    fn the_goldilocks_root_is_a_power_of_seven() {
+        for log_n in 1..=31 {
+            let degree = 1usize << log_n;
+            let root = rns::pow_mod(7, (MODULUS - 1) >> (log_n + 1), MODULUS);
+            assert_eq!(
+                rns::primitive_root_2n(MODULUS, degree),
+                root,
+                "n = 2^{log_n}"
+            );
         }
     }
 
@@ -771,6 +829,24 @@ mod tests {
             assert!(!seen[magnitude], "coefficient duplicated by automorphism");
             seen[magnitude] = true;
         }
+    }
+
+    /// Every transforming method refuses a generic limb's tables: their
+    /// prime is not the one `Poly`'s arithmetic reduces by.
+    #[test]
+    #[should_panic(expected = "Goldilocks NTT tables")]
+    fn poly_transforms_reject_a_generic_limbs_tables() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let chain = crate::rns::ModulusChain::new(2, 16);
+        let generic = chain.limb(1).tables();
+        let coeff = Poly::from_coeffs(random_values(16, 0x7A));
+        let eval = coeff.to_eval(&NttTables::new(16));
+        let rejected = |call: &dyn Fn()| catch_unwind(AssertUnwindSafe(call)).is_err();
+        assert!(rejected(&|| drop(eval.to_coeff(generic))));
+        assert!(rejected(&|| eval.clone().convert_to_coeff(generic)));
+        assert!(rejected(&|| drop(coeff.mul_ntt(&coeff, generic))));
+        assert!(rejected(&|| coeff.clone().convert_to_eval(generic)));
+        let _ = coeff.to_eval(generic);
     }
 
     #[test]

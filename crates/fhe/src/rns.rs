@@ -16,24 +16,24 @@
 //! limb walk degenerates to exactly the old code path). Limbs `1..k` use
 //! NTT-friendly primes `q ≡ 1 (mod 2n)` found by deterministic
 //! Miller–Rabin, descending from just below `2^61`; every generic prime
-//! satisfies `2^60 < q < 2^61`, the window in which both reduction
-//! strategies below are valid.
+//! satisfies `2^60 < q < 2^61`, the window in which the Barrett reduction
+//! below is valid.
 //!
 //! # Per-prime reduction strategies
 //!
 //! Goldilocks sits above `2^63`, so the Shoup/Barrett tricks of classical
 //! RNS libraries do not apply to it — it gets the ε-identity arithmetic of
-//! [`crate::simd`]. The generic limbs get the classical pair:
+//! [`crate::simd`]. The generic limbs get **Barrett products**
+//! ([`barrett_mul`]): one precomputed `mu = ⌊2^124 / q⌋` per limb turns
+//! every modular multiply into two wide multiplies plus two conditional
+//! subtracts (estimate error is provably `< 3q`); [`crate::simd`] holds its
+//! four- and eight-wide forms.
 //!
-//! * **Barrett pointwise products** ([`barrett_mul`]): one precomputed
-//!   `mu = ⌊2^124 / q⌋` per limb turns every modular multiply into two
-//!   wide multiplies plus two conditional subtracts (estimate error is
-//!   provably `< 3q`); [`crate::simd`] holds its four- and eight-wide
-//!   forms.
-//! * **Shoup butterflies** ([`LimbNtt`]): negacyclic NTTs in the
-//!   Longa–Naehrig lazy style, twiddles stored with their Shoup
-//!   companions `w' = ⌊w·2^64 / q⌋`, operands riding in `[0, 4q)` forward
-//!   and `[0, 2q)` inverse, canonicalized once at the end.
+//! Every limb owns one [`NttTables`] over its prime, and every limb's
+//! transform is the same `simd::Stage` / `Scale` kernels under that
+//! prime's modulus: lazy on Goldilocks, canonical throughout under
+//! Barrett. `NttTables::run` is the one place that choice is made, for
+//! the transforms and for every payload kernel a limb runs alike.
 //!
 //! # CRT lift and reconstruction
 //!
@@ -56,8 +56,8 @@ use std::hint::select_unpredictable;
 /// `mu = ⌊2^124 / q⌋` fits a word (and the error bound holds).
 const GENERIC_LIMB_MIN_BITS: u32 = 60;
 
-/// Upper bound (exclusive) for generic limb primes: staying below `2^61`
-/// keeps `4q < 2^63`, the headroom the lazy Shoup butterflies need.
+/// Upper bound (exclusive) for generic limb primes: below `2^61` the
+/// quotient estimate of [`barrett_mul`] is off by at most two.
 const GENERIC_LIMB_MAX: u64 = 1 << 61;
 
 // ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ fn mul_mod_u128(a: u64, b: u64, q: u64) -> u64 {
 }
 
 /// `base^exp mod q` by square-and-multiply (table construction only).
-fn pow_mod(base: u64, mut exp: u64, q: u64) -> u64 {
+pub(crate) fn pow_mod(base: u64, mut exp: u64, q: u64) -> u64 {
     let mut acc = 1u64;
     let mut base = base % q;
     while exp > 0 {
@@ -238,7 +238,7 @@ fn pow_mod(base: u64, mut exp: u64, q: u64) -> u64 {
 }
 
 /// `a^{-1} mod q` for prime `q` (Fermat).
-fn inv_mod(a: u64, q: u64) -> u64 {
+pub(crate) fn inv_mod(a: u64, q: u64) -> u64 {
     debug_assert!(!a.is_multiple_of(q), "zero has no inverse");
     pow_mod(a, q - 2, q)
 }
@@ -301,11 +301,26 @@ fn find_generic_primes(count: usize, degree: usize) -> Vec<u64> {
     primes
 }
 
+/// Finds a primitive 2n-th root of unity mod the prime `q` (requires
+/// `2n | q - 1`): raise successive small bases to the cofactor power and
+/// accept the first candidate whose n-th power is `-1`.
+pub(crate) fn primitive_root_2n(q: u64, degree: usize) -> u64 {
+    let order = 2 * degree as u64;
+    let cofactor = (q - 1) / order;
+    for base in 2u64.. {
+        let candidate = pow_mod(base, cofactor, q);
+        if pow_mod(candidate, degree as u64, q) == q - 1 {
+            return candidate;
+        }
+    }
+    unreachable!("a primitive root exists for every prime")
+}
+
 // ---------------------------------------------------------------------------
-// Shoup lazy NTT for generic limb primes
+// Shoup products (Garner reconstruction)
 // ---------------------------------------------------------------------------
 
-/// Shoup companion `⌊w·2^64 / q⌋` of a canonical twiddle `w < q`.
+/// Shoup companion `⌊w·2^64 / q⌋` of a canonical constant `w < q`.
 #[inline]
 fn shoup(w: u64, q: u64) -> u64 {
     ((u128::from(w) << 64) / u128::from(q)) as u64
@@ -319,218 +334,54 @@ fn mul_shoup(y: u64, w: u64, wp: u64, q: u64) -> u64 {
     y.wrapping_mul(w).wrapping_sub(q_hat.wrapping_mul(q))
 }
 
-/// Bit-reversal of the low `bits` bits of `i`.
-#[inline]
-fn bit_reverse(i: usize, bits: u32) -> usize {
-    if bits == 0 {
-        return 0;
-    }
-    i.reverse_bits() >> (usize::BITS - bits)
-}
-
-/// Negacyclic NTT tables for one generic limb prime, in the
-/// Longa–Naehrig lazy-butterfly style: the forward transform
-/// (Cooley–Tukey, natural order in, bit-reversed out) keeps operands in
-/// `[0, 4q)`; the inverse (Gentleman–Sande) keeps them in `[0, 2q)`; each
-/// canonicalizes once at the end. All twiddles carry precomputed Shoup
-/// companions so no butterfly ever divides.
-#[derive(Debug, Clone)]
-pub struct LimbNtt {
-    q: u64,
-    degree: usize,
-    /// `psi_rev[j] = ψ^{brv(j)}` with Shoup companions (ψ a primitive
-    /// 2n-th root of unity mod q), indexed `[m + i]` per stage.
-    psi_rev: Vec<(u64, u64)>,
-    /// Mirror table of powers of `ψ^{-1}`.
-    inv_psi_rev: Vec<(u64, u64)>,
-    /// `n^{-1} mod q` with its Shoup companion, for the inverse's final
-    /// scaling pass.
-    inv_degree: (u64, u64),
-}
-
-impl LimbNtt {
-    /// Builds the twiddle tables for `degree` (a power of two) over the
-    /// prime `q ≡ 1 (mod 2·degree)`.
-    fn new(q: u64, degree: usize) -> LimbNtt {
-        assert!(degree.is_power_of_two(), "degree must be a power of two");
-        assert_eq!(
-            (q - 1) % (2 * degree as u64),
-            0,
-            "q must be NTT-friendly for 2n"
-        );
-        let log_n = degree.trailing_zeros();
-        let psi = primitive_root_2n(q, degree);
-        let inv_psi = inv_mod(psi, q);
-        let scatter = |base: u64| -> Vec<(u64, u64)> {
-            let mut table = vec![(0u64, 0u64); degree];
-            let mut power = 1u64;
-            for i in 0..degree {
-                let rev = bit_reverse(i, log_n);
-                table[rev] = (power, shoup(power, q));
-                power = mul_mod_u128(power, base, q);
-            }
-            table
-        };
-        let inv_n = inv_mod(degree as u64, q);
-        LimbNtt {
-            q,
-            degree,
-            psi_rev: scatter(psi),
-            inv_psi_rev: scatter(inv_psi),
-            inv_degree: (inv_n, shoup(inv_n, q)),
-        }
-    }
-
-    /// The limb prime these tables serve.
-    pub fn modulus(&self) -> u64 {
-        self.q
-    }
-
-    /// Transform length.
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
-    /// In-place forward negacyclic NTT of canonical values (canonical
-    /// output, bit-reversed order).
-    pub fn forward(&self, a: &mut [u64]) {
-        debug_assert_eq!(a.len(), self.degree);
-        let q = self.q;
-        let two_q = 2 * q;
-        let n = self.degree;
-        let mut t = n;
-        let mut m = 1;
-        while m < n {
-            t >>= 1;
-            for i in 0..m {
-                let (w, wp) = self.psi_rev[m + i];
-                let j1 = 2 * i * t;
-                for j in j1..j1 + t {
-                    // Lazy CT butterfly: x reduced to [0, 2q), partner via
-                    // Shoup product (< 2q), both outputs < 4q.
-                    let mut x = a[j];
-                    if x >= two_q {
-                        x -= two_q;
-                    }
-                    let y = mul_shoup(a[j + t], w, wp, q);
-                    a[j] = x + y;
-                    a[j + t] = x + two_q - y;
-                }
-            }
-            m <<= 1;
-        }
-        for v in a.iter_mut() {
-            // Canonicalize from [0, 4q).
-            if *v >= two_q {
-                *v -= two_q;
-            }
-            if *v >= q {
-                *v -= q;
-            }
-        }
-    }
-
-    /// In-place inverse negacyclic NTT (bit-reversed order in, canonical
-    /// natural-order output, `n^{-1}` scaling fused into the final pass).
-    pub fn inverse(&self, a: &mut [u64]) {
-        debug_assert_eq!(a.len(), self.degree);
-        let q = self.q;
-        let two_q = 2 * q;
-        let n = self.degree;
-        let mut t = 1;
-        let mut m = n;
-        while m > 1 {
-            let h = m >> 1;
-            let mut j1 = 0;
-            for i in 0..h {
-                let (w, wp) = self.inv_psi_rev[h + i];
-                for j in j1..j1 + t {
-                    // Lazy GS butterfly: operands < 2q in, < 2q out.
-                    let x = a[j];
-                    let y = a[j + t];
-                    let mut s = x + y;
-                    if s >= two_q {
-                        s -= two_q;
-                    }
-                    a[j] = s;
-                    a[j + t] = mul_shoup(x + two_q - y, w, wp, q);
-                }
-                j1 += 2 * t;
-            }
-            t <<= 1;
-            m = h;
-        }
-        let (inv_n, inv_n_shoup) = self.inv_degree;
-        for v in a.iter_mut() {
-            let scaled = mul_shoup(*v, inv_n, inv_n_shoup, q);
-            *v = if scaled >= q { scaled - q } else { scaled };
-        }
-    }
-}
-
-/// Finds a primitive 2n-th root of unity mod the prime `q` (requires
-/// `2n | q - 1`): raise successive small bases to the cofactor power and
-/// accept the first candidate whose n-th power is `-1`.
-fn primitive_root_2n(q: u64, degree: usize) -> u64 {
-    let order = 2 * degree as u64;
-    let cofactor = (q - 1) / order;
-    for base in 2u64.. {
-        let candidate = pow_mod(base, cofactor, q);
-        if pow_mod(candidate, degree as u64, q) == q - 1 {
-            return candidate;
-        }
-    }
-    unreachable!("a primitive root exists for every prime")
-}
-
 // ---------------------------------------------------------------------------
 // Limbs and the modulus chain
 // ---------------------------------------------------------------------------
 
-/// One residue channel of the chain: its prime, the Barrett constant and
-/// the Shoup NTT tables (for generic primes). Limb 0 is always the
-/// Goldilocks prime and carries neither: it runs the ε-identity kernels and
-/// the shared [`crate::poly::NttTables`].
+/// One residue channel of the chain: the NTT tables of its prime, which
+/// carry the prime, its Barrett constant and the lane the transforms run
+/// on. Limb 0 is always the Goldilocks prime, run by the ε-identity
+/// kernels; every other limb is a generic prime, run by Barrett's.
 #[derive(Debug, Clone)]
 pub struct Limb {
-    q: u64,
-    mu: u64,
-    ntt: Option<LimbNtt>,
+    ntt: NttTables,
 }
 
 impl Limb {
     /// The limb's prime modulus.
     pub fn modulus(&self) -> u64 {
-        self.q
+        self.ntt.modulus()
     }
 
     /// Barrett constant `⌊2^124 / q⌋` (zero — and meaningless — for the
     /// Goldilocks limb, which never takes the Barrett path).
     pub fn mu(&self) -> u64 {
-        self.mu
+        self.ntt.mu()
     }
 
-    /// `true` for limb 0, the Goldilocks limb served by the existing
-    /// ε-identity kernels.
+    /// `true` for limb 0, the Goldilocks limb served by the ε-identity
+    /// kernels.
     pub fn is_goldilocks(&self) -> bool {
-        self.q == MODULUS
+        self.modulus() == MODULUS
     }
 
-    /// The limb's Shoup NTT tables (`None` only for the Goldilocks limb).
-    pub fn ntt(&self) -> Option<&LimbNtt> {
-        self.ntt.as_ref()
+    /// The limb's NTT tables. Every limb has them, limb 0 included (its
+    /// tables are the Goldilocks ones the context's transform counters
+    /// read); the `Option` remains from when limb 0 had none, so callers
+    /// that match on it keep compiling.
+    pub fn ntt(&self) -> Option<&NttTables> {
+        Some(&self.ntt)
     }
 
-    /// Runs `kernel` under this limb's modulus — the one place a kernel
-    /// learns which prime it reduces by: the ε-identity arithmetic for the
-    /// Goldilocks limb, Barrett for every other.
+    /// The limb's NTT tables.
+    pub(crate) fn tables(&self) -> &NttTables {
+        &self.ntt
+    }
+
+    /// Runs `kernel` under this limb's modulus (`NttTables::run`, the one
+    /// place a kernel learns which prime it reduces by).
     pub(crate) fn run(&self, kernel: impl simd::Kernel, policy: SimdPolicy) {
-        if self.is_goldilocks() {
-            simd::dispatch(kernel, simd::Goldilocks, policy);
-        } else {
-            let (q, mu) = (self.q, self.mu);
-            simd::dispatch(kernel, simd::Barrett { q, mu }, policy);
-        }
+        self.ntt.run(kernel, policy);
     }
 }
 
@@ -548,30 +399,30 @@ pub struct ModulusChain {
 
 impl ModulusChain {
     /// Builds a chain of `limb_count ≥ 1` limbs for ring degree `degree`
-    /// (a power of two), each generic limb with its NTT tables; the `k = 1`
-    /// chain is a table-free Goldilocks marker.
+    /// (a power of two, at least 2), every limb with the NTT tables of its
+    /// prime, transforming on the process-wide SIMD policy
+    /// ([`SimdPolicy::global`]); the `k = 1` chain is the Goldilocks limb
+    /// alone.
     pub fn new(limb_count: usize, degree: usize) -> ModulusChain {
+        Self::with_policy(limb_count, degree, SimdPolicy::global())
+    }
+
+    /// [`ModulusChain::new`] with the limbs' transforms on an explicit SIMD
+    /// policy (tests use this to run every lane in one process).
+    pub fn with_policy(limb_count: usize, degree: usize, policy: SimdPolicy) -> ModulusChain {
         assert!(limb_count >= 1, "a chain needs at least one limb");
-        assert!(degree.is_power_of_two(), "degree must be a power of two");
-        let mut limbs = Vec::with_capacity(limb_count);
-        limbs.push(Limb {
-            q: MODULUS,
-            mu: 0,
-            ntt: None,
-        });
-        for q in find_generic_primes(limb_count - 1, degree) {
-            limbs.push(Limb {
-                q,
-                mu: barrett_mu(q),
-                ntt: Some(LimbNtt::new(q, degree)),
-            });
-        }
+        let primes = std::iter::once(MODULUS).chain(find_generic_primes(limb_count - 1, degree));
+        let limbs: Vec<Limb> = primes
+            .map(|q| Limb {
+                ntt: NttTables::for_prime(q, degree, policy),
+            })
+            .collect();
         let garner_inv = (0..limb_count)
             .map(|i| {
-                let qi = limbs[i].q;
+                let qi = limbs[i].modulus();
                 (0..i)
                     .map(|j| {
-                        let inv = inv_mod(limbs[j].q % qi, qi);
+                        let inv = inv_mod(limbs[j].modulus() % qi, qi);
                         (inv, shoup(inv, qi))
                     })
                     .collect()
@@ -611,20 +462,29 @@ impl ModulusChain {
     pub fn lift_base(&self, i: usize, x: u64) -> u64 {
         match &self.limbs[i] {
             limb if limb.is_goldilocks() => p_canonical(x),
-            limb => barrett_mul(x, 1, limb.q, limb.mu),
+            limb => barrett_mul(x, 1, limb.modulus(), limb.mu()),
         }
     }
 
     /// Samples one uniform polynomial across every limb into `buf` — the one
     /// place the backend draws payload coefficients. Limb 0 is `degree` words
     /// of `rng` in one bulk draw, each reduced mod Goldilocks (`gen::<u64>() %
-    /// MODULUS` per coefficient, value for value); generic limbs lift it. Both
-    /// passes are `simd::Reduce` kernels on the lane `policy` selects, so the
-    /// values do not depend on it.
-    pub fn sample_uniform_limbs(&self, rng: &mut impl Rng, buf: &mut [u64], policy: SimdPolicy) {
+    /// MODULUS` per coefficient, value for value); generic limbs lift it
+    /// (`ModulusChain::lift_limbs`).
+    pub fn sample_uniform_limbs(&self, rng: &mut impl Rng, buf: &mut [u64]) {
         debug_assert_eq!(buf.len(), self.limbs.len() * self.degree);
+        rng.fill(&mut buf[..self.degree]);
+        self.lift_limbs(buf);
+    }
+
+    /// Lifts the `degree` words of `buf`'s first stripe into every limb, in
+    /// place: limb 0's stripe becomes their Goldilocks residues, and each
+    /// generic limb's stripe the residues of those under its own prime. Both
+    /// passes are `simd::Reduce` kernels on the chain's lane, so the values
+    /// do not depend on it.
+    pub(crate) fn lift_limbs(&self, buf: &mut [u64]) {
+        let policy = self.limbs[0].ntt.policy();
         let (base, generic) = buf.split_at_mut(self.degree);
-        rng.fill(&mut base[..]);
         self.limbs[0].run(simd::ReduceAssign { x: base }, policy);
         for (limb, out) in self.limbs[1..]
             .iter()
@@ -635,19 +495,11 @@ impl ModulusChain {
     }
 
     /// Moves every limb stripe of `buf` (`limb_count · degree` coefficient
-    /// values) into the NTT domain: limb 0 under the shared Goldilocks
-    /// `tables`, each generic limb under its own Shoup tables.
-    pub(crate) fn forward_limbs(&self, tables: &NttTables, buf: &mut [u64]) {
+    /// values) into the NTT domain, each under its own limb's tables.
+    pub(crate) fn forward_limbs(&self, buf: &mut [u64]) {
         debug_assert_eq!(buf.len(), self.limbs.len() * self.degree);
-        let (base, generic) = buf.split_at_mut(self.degree);
-        tables.forward(base);
-        for (limb, stripe) in self.limbs[1..]
-            .iter()
-            .zip(generic.chunks_exact_mut(self.degree))
-        {
-            limb.ntt()
-                .expect("every generic limb carries NTT tables")
-                .forward(stripe);
+        for (limb, stripe) in self.limbs.iter().zip(buf.chunks_exact_mut(self.degree)) {
+            limb.ntt.forward(stripe);
         }
     }
 
@@ -660,7 +512,7 @@ impl ModulusChain {
         debug_assert_eq!(residues.len(), self.limbs.len());
         debug_assert_eq!(digits.len(), self.limbs.len());
         for (i, (limb, inverses)) in self.limbs.iter().zip(&self.garner_inv).enumerate() {
-            let q = limb.q;
+            let q = limb.modulus();
             let mut t = self.lift_base(i, residues[i]);
             for (&dj, &(inv, inv_shoup)) in digits.iter().zip(inverses) {
                 let r = mul_shoup(sub_mod(t, self.lift_base(i, dj), q), inv, inv_shoup, q);
@@ -681,7 +533,7 @@ impl ModulusChain {
         for i in (0..k - 1).rev() {
             let mut carry = u128::from(digits[i]);
             for w in words.iter_mut() {
-                let t = u128::from(*w) * u128::from(self.limbs[i].q) + carry;
+                let t = u128::from(*w) * u128::from(self.limbs[i].modulus()) + carry;
                 *w = t as u64;
                 carry = t >> 64;
             }
@@ -706,7 +558,7 @@ impl ModulusChain {
         self.limbs
             .iter()
             .map(|limb| {
-                let q = u128::from(limb.q);
+                let q = u128::from(limb.modulus());
                 let mut r = 0u128;
                 for &w in words.iter().rev() {
                     r = ((r << 64) | u128::from(w)) % q;
@@ -821,52 +673,64 @@ mod tests {
         }
     }
 
+    /// Every limb of the `k = 3` chain — Goldilocks and both generic
+    /// primes — transforms through its one table type: canonical forward
+    /// output, and the inverse undoes it.
     #[test]
     fn limb_ntt_round_trips() {
         for degree in [8usize, 64, 256] {
-            let chain = ModulusChain::new(2, degree);
-            let ntt = chain.limb(1).ntt().expect("a generic limb");
-            let q = ntt.modulus();
-            let original: Vec<u64> = random_values(degree, 0xAB).iter().map(|v| v % q).collect();
-            let mut work = original.clone();
-            ntt.forward(&mut work);
-            assert!(work.iter().all(|&v| v < q), "forward output canonical");
-            ntt.inverse(&mut work);
-            assert_eq!(work, original, "degree={degree}");
+            let chain = ModulusChain::new(3, degree);
+            for (i, limb) in chain.limbs().iter().enumerate() {
+                let q = limb.modulus();
+                let original: Vec<u64> =
+                    random_values(degree, 0xAB).iter().map(|v| v % q).collect();
+                let mut work = original.clone();
+                limb.tables().forward(&mut work);
+                assert!(
+                    work.iter().all(|&v| v < q),
+                    "limb {i}: forward output canonical"
+                );
+                limb.tables().inverse(&mut work);
+                assert_eq!(work, original, "degree={degree} limb {i}");
+            }
         }
     }
 
+    /// On every limb and every lane the CPU has, forward, pointwise
+    /// product and inverse is the negacyclic product, held to the `u128`
+    /// schoolbook one.
     #[test]
     fn limb_ntt_pointwise_is_negacyclic_convolution() {
         let degree = 16usize;
-        let chain = ModulusChain::new(2, degree);
-        let ntt = chain.limb(1).ntt().unwrap();
-        let (q, mu) = (chain.limb(1).modulus(), chain.limb(1).mu());
-        let a: Vec<u64> = random_values(degree, 3).iter().map(|v| v % q).collect();
-        let b: Vec<u64> = random_values(degree, 5).iter().map(|v| v % q).collect();
+        let policies =
+            crate::simd::available_policies("limb_ntt_pointwise_is_negacyclic_convolution");
+        for policy in policies {
+            let chain = ModulusChain::with_policy(3, degree, policy);
+            for (index, limb) in chain.limbs().iter().enumerate() {
+                let (q, wide) = (limb.modulus(), u128::from(limb.modulus()));
+                let a: Vec<u64> = random_values(degree, 3).iter().map(|v| v % q).collect();
+                let b: Vec<u64> = random_values(degree, 5).iter().map(|v| v % q).collect();
 
-        // Naive negacyclic product: x^n = -1.
-        let mut naive = vec![0u64; degree];
-        for (i, &ai) in a.iter().enumerate() {
-            for (j, &bj) in b.iter().enumerate() {
-                let prod = mul_mod_u128(ai, bj, q);
-                let idx = (i + j) % degree;
-                if i + j < degree {
-                    naive[idx] = add_mod(naive[idx], prod, q);
-                } else {
-                    naive[idx] = sub_mod(naive[idx], prod, q);
+                // Schoolbook negacyclic product: x^n = -1.
+                let mut naive = vec![0u128; degree];
+                for (i, &ai) in a.iter().enumerate() {
+                    for (j, &bj) in b.iter().enumerate() {
+                        let prod = u128::from(mul_mod_u128(ai, bj, q));
+                        let idx = (i + j) % degree;
+                        let sign = if i + j < degree { prod } else { wide - prod };
+                        naive[idx] = (naive[idx] + sign) % wide;
+                    }
                 }
+                let naive: Vec<u64> = naive.into_iter().map(|v| v as u64).collect();
+
+                let (mut fa, mut fb) = (a.clone(), b.clone());
+                limb.tables().forward(&mut fa);
+                limb.tables().forward(&mut fb);
+                let mut fc: Vec<u64> = (0..degree).map(|i| mul_mod_u128(fa[i], fb[i], q)).collect();
+                limb.tables().inverse(&mut fc);
+                assert_eq!(fc, naive, "{policy:?} limb {index}");
             }
         }
-
-        let (mut fa, mut fb) = (a.clone(), b.clone());
-        ntt.forward(&mut fa);
-        ntt.forward(&mut fb);
-        let mut fc: Vec<u64> = (0..degree)
-            .map(|i| barrett_mul(fa[i], fb[i], q, mu))
-            .collect();
-        ntt.inverse(&mut fc);
-        assert_eq!(fc, naive);
     }
 
     #[test]
@@ -915,13 +779,13 @@ mod tests {
         );
         let cases = [1usize, 3].map(|k| policies.iter().map(move |&policy| (k, policy)));
         for (k, policy) in cases.into_iter().flatten() {
-            let chain = ModulusChain::new(k, 64);
+            let chain = ModulusChain::with_policy(k, 64, policy);
             let mut rng = ChaCha8Rng::seed_from_u64(0x5A3 + k as u64);
             let _ = rng.next_u32(); // off the u64 grid
             let mut single = rng.clone();
             let mut buf = vec![0u64; k * 64];
             for round in 0..3 {
-                chain.sample_uniform_limbs(&mut rng, &mut buf, policy);
+                chain.sample_uniform_limbs(&mut rng, &mut buf);
                 for j in 0..64 {
                     let x = single.next_u64() % MODULUS;
                     for (i, limb) in chain.limbs().iter().enumerate() {
@@ -955,11 +819,12 @@ mod tests {
     }
 
     #[test]
-    fn k1_chain_is_a_bare_goldilocks_marker() {
+    fn k1_chain_is_the_goldilocks_limb_alone() {
         let chain = ModulusChain::new(1, 4096);
         assert_eq!(chain.limb_count(), 1);
         assert!(chain.limb(0).is_goldilocks());
-        assert!(chain.limb(0).ntt().is_none());
+        let tables = chain.limb(0).ntt().expect("every limb has tables");
+        assert_eq!(tables.modulus(), MODULUS);
     }
 
     #[test]

@@ -483,9 +483,8 @@ pub(crate) trait Modulus: Copy {
     fn reduce<L: Lane>(self, a: L) -> L;
 }
 
-/// The Goldilocks prime `p = 2^64 - 2^32 + 1` (limb 0 of every chain, and
-/// the NTT's field): lazy ε-identity arithmetic, canonicalized once per
-/// stored value.
+/// The Goldilocks prime `p = 2^64 - 2^32 + 1` (limb 0 of every chain):
+/// lazy ε-identity arithmetic, canonicalized once per stored value.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Goldilocks;
 
@@ -2203,9 +2202,8 @@ mod tests {
 
     /// `cargo test --release -p chehab-fhe simd -- --ignored --nocapture`:
     /// µs per 4 096-coefficient limb of the three fused kernels, `add` and
-    /// the sampling reduction, one row per lane the CPU has under each
-    /// modulus, and per degree-4 096 transform, one row per lane (best of
-    /// 7 × 2 000).
+    /// the sampling reduction, and per degree-4 096 transform, one row per
+    /// lane the CPU has under each modulus (best of 7 × 2 000).
     #[test]
     #[ignore = "a timer, not a check"]
     fn kernel_timer() {
@@ -2255,15 +2253,26 @@ mod tests {
                 );
             }
         }
-        for &policy in &policies {
-            let tables = crate::poly::NttTables::with_policy(n, policy);
-            let mut a = Prime(chain.limb(0)).operand(n, 1, 9);
-            let forward = best_us(&mut || tables.forward(black_box(&mut a)));
-            let inverse = best_us(&mut || tables.inverse(black_box(&mut a)));
-            println!(
-                "       ntt x {:<6} forward {forward:7.2}  inverse {inverse:7.2}  (us / {n})",
-                policy.name()
-            );
+        let chains: Vec<ModulusChain> = (policies.iter())
+            .map(|&policy| ModulusChain::with_policy(2, n, policy))
+            .collect();
+        for limb in 0..2 {
+            for (&policy, chain) in policies.iter().zip(&chains) {
+                let limb = chain.limb(limb);
+                let mut a = Prime(limb).operand(n, 1, 9);
+                let tables = limb.tables();
+                let forward = best_us(&mut || tables.forward(black_box(&mut a)));
+                let inverse = best_us(&mut || tables.inverse(black_box(&mut a)));
+                println!(
+                    "{:>10} x {:<6} ntt forward {forward:7.2}  inverse {inverse:7.2}  (us / {n})",
+                    if limb.is_goldilocks() {
+                        "goldilocks"
+                    } else {
+                        "barrett"
+                    },
+                    policy.name()
+                );
+            }
         }
     }
 }

@@ -13,7 +13,8 @@
 //!    lengths and scalar tails are the business of `simd.rs`'s own kernel
 //!    matrix: a stripe degree is a power of two).
 //! 2. **Transform equivalence** — forward and inverse NTTs agree across
-//!    policies on random polynomials at several degrees.
+//!    policies on random polynomials at several degrees, on every limb of
+//!    a three-limb chain.
 //! 3. **Lazy-reduction invariant** — the lazy engine keeps values unreduced
 //!    across butterfly layers, so the observable contract is that the single
 //!    end normalization yields fully canonical outputs that match a
@@ -159,30 +160,36 @@ fn fused_payload_kernels_are_bit_identical_under_every_policy() {
     }
 }
 
-/// Forward and inverse transforms are bit-identical between a scalar-policy
-/// table set and one for each vector policy the CPU has.
+/// Forward and inverse transforms are bit-identical between the scalar lane
+/// and each vector lane the CPU has, on every limb of the `k = 3` chain —
+/// Goldilocks and both Barrett primes — and each round-trips.
 #[test]
 fn ntt_transforms_are_bit_identical_under_every_policy() {
     let policies = available_policies("ntt_transforms_are_bit_identical_under_every_policy");
     let mut rng = ChaCha8Rng::seed_from_u64(0x77A_B1E);
     for degree in [16usize, 64, 512, 2048] {
-        let scalar = NttTables::with_policy(degree, SimdPolicy::Scalar);
+        let scalar = ModulusChain::with_policy(3, degree, SimdPolicy::Scalar);
         for &policy in &policies[1..] {
-            let vector = NttTables::with_policy(degree, policy);
-            for round in 0..4 {
-                let context = format!("{policy:?}, degree={degree}, round={round}");
-                let input = random_residues(&mut rng, degree);
+            let vector = ModulusChain::with_policy(3, degree, policy);
+            for (limb, (s, v)) in scalar.limbs().iter().zip(vector.limbs()).enumerate() {
+                let q = s.modulus();
+                let (s, v) = (s.ntt().expect("tables"), v.ntt().expect("tables"));
+                for round in 0..4 {
+                    let context =
+                        format!("{policy:?}, limb {limb}, degree={degree}, round={round}");
+                    let input: Vec<u64> = (0..degree).map(|_| rng.gen::<u64>() % q).collect();
 
-                let mut a = input.clone();
-                let mut b = input.clone();
-                scalar.forward(&mut a);
-                vector.forward(&mut b);
-                assert_eq!(a, b, "forward diverged ({context})");
+                    let mut a = input.clone();
+                    let mut b = input.clone();
+                    s.forward(&mut a);
+                    v.forward(&mut b);
+                    assert_eq!(a, b, "forward diverged ({context})");
 
-                scalar.inverse(&mut a);
-                vector.inverse(&mut b);
-                assert_eq!(a, b, "inverse diverged ({context})");
-                assert_eq!(a, input, "round-trip is not the identity");
+                    s.inverse(&mut a);
+                    v.inverse(&mut b);
+                    assert_eq!(a, b, "inverse diverged ({context})");
+                    assert_eq!(a, input, "round-trip is not the identity ({context})");
+                }
             }
         }
     }
