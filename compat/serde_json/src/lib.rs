@@ -1,18 +1,71 @@
-//! A minimal JSON front end for the vendored `serde` stand-in: renders
-//! `serde::Value` to JSON text and parses JSON text back (see `compat/serde`
-//! for why this exists).
+//! A minimal JSON crate: renders its own [`Value`] to JSON text and parses
+//! JSON text back. The workspace writes two documents with it, policy files
+//! (`chehab_rl::Policy::save`) and Chrome traces
+//! (`chehab_runtime::Trace::to_chrome_json`), and builds both `Value` trees
+//! by hand.
 
 #![forbid(unsafe_code)]
 
-use serde::{DeserializeOwned, Serialize, Value};
 use std::fmt;
 
-/// JSON serialization/parse failure.
+/// A JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// JSON `null`.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// A signed integer.
+    Int(i64),
+    /// An unsigned integer too large for `i64`.
+    UInt(u64),
+    /// A floating-point number.
+    Float(f64),
+    /// A string.
+    Str(String),
+    /// An ordered sequence.
+    Array(Vec<Value>),
+    /// An object whose fields keep their insertion order.
+    Object(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// Looks up a field of an object by name.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] if `self` is not an object or has no such field.
+    pub fn field(&self, name: &str) -> Result<&Value, Error> {
+        match self {
+            Value::Object(fields) => fields
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| v)
+                .ok_or_else(|| Error::msg(format!("missing field `{name}`"))),
+            _ => Err(Error::msg(format!("expected object with field `{name}`"))),
+        }
+    }
+
+    /// The elements of an array.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`Error`] naming `context` if `self` is not an array.
+    pub fn as_array(&self, context: &str) -> Result<&[Value], Error> {
+        match self {
+            Value::Array(items) => Ok(items),
+            _ => Err(Error::msg(format!("expected array for {context}"))),
+        }
+    }
+}
+
+/// A JSON parse failure, or a `Value` of the wrong shape.
 #[derive(Debug, Clone)]
 pub struct Error(String);
 
 impl Error {
-    fn msg(message: impl Into<String>) -> Self {
+    /// Creates an error from a message.
+    pub fn msg(message: impl Into<String>) -> Self {
         Error(message.into())
     }
 }
@@ -25,40 +78,26 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Self {
-        Error(e.to_string())
-    }
-}
-
-/// Serializes a value to compact JSON.
-///
-/// # Errors
-///
-/// Infallible for the stub data model; kept fallible for API compatibility.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders a value as compact JSON.
+pub fn to_string(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&serde::to_value(value), &mut out);
-    Ok(out)
+    write_value(value, &mut out);
+    out
 }
 
-/// Serializes a value to human-indented JSON.
-///
-/// # Errors
-///
-/// Infallible for the stub data model; kept fallible for API compatibility.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders a value as human-indented JSON.
+pub fn to_string_pretty(value: &Value) -> String {
     let mut out = String::new();
-    write_value_pretty(&serde::to_value(value), &mut out, 0);
-    Ok(out)
+    write_value_pretty(value, &mut out, 0);
+    out
 }
 
-/// Parses a value from JSON text.
+/// Parses JSON text into a value.
 ///
 /// # Errors
 ///
-/// Returns an [`Error`] on malformed JSON or a data-model mismatch.
-pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T, Error> {
+/// Returns an [`Error`] on malformed JSON or trailing characters.
+pub fn from_str(text: &str) -> Result<Value, Error> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
@@ -71,7 +110,7 @@ pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T, Error> {
             parser.pos
         )));
     }
-    serde::from_value(&value).map_err(Error::from)
+    Ok(value)
 }
 
 fn write_escaped(s: &str, out: &mut String) {
@@ -412,35 +451,48 @@ mod tests {
             ("ok".to_string(), Value::Bool(true)),
             ("none".to_string(), Value::Null),
         ]);
-        let text = to_string(&value).unwrap();
-        let back: Value = from_str(&text).unwrap();
-        assert_eq!(back, value);
-        let pretty = to_string_pretty(&value).unwrap();
-        let back: Value = from_str(&pretty).unwrap();
-        assert_eq!(back, value);
+        assert_eq!(from_str(&to_string(&value)).unwrap(), value);
+        assert_eq!(from_str(&to_string_pretty(&value)).unwrap(), value);
     }
 
     #[test]
     fn float_precision_survives() {
-        let xs = vec![0.1f64, 1.0 / 3.0, -2.5e-8, 1e20];
-        let text = to_string(&xs).unwrap();
-        let back: Vec<f64> = from_str(&text).unwrap();
-        assert_eq!(back, xs);
+        let xs = [0.1f64, 1.0 / 3.0, -2.5e-8, 1e20];
+        let value = Value::Array(xs.iter().map(|&x| Value::Float(x)).collect());
+        assert_eq!(from_str(&to_string(&value)).unwrap(), value);
+    }
+
+    #[test]
+    fn f32_widened_to_f64_parses_back_to_the_same_bits() {
+        let subnormal = f32::from_bits(1);
+        for x in [subnormal, f32::MAX, -0.0, 0.1] {
+            let text = to_string(&Value::Float(x as f64));
+            let Value::Float(back) = from_str(&text).unwrap() else {
+                panic!("{text} did not parse as a float");
+            };
+            assert_eq!((back as f32).to_bits(), x.to_bits(), "{text}");
+        }
     }
 
     #[test]
     fn malformed_input_errors() {
-        assert!(from_str::<Value>("{").is_err());
-        assert!(from_str::<Value>("[1, 2,,]").is_err());
-        assert!(from_str::<Value>("nulL").is_err());
-        assert!(from_str::<Value>("1 2").is_err());
+        assert!(from_str("{").is_err());
+        assert!(from_str("[1, 2,,]").is_err());
+        assert!(from_str("nulL").is_err());
+        assert!(from_str("1 2").is_err());
+    }
+
+    #[test]
+    fn field_of_a_non_object_errors() {
+        assert!(Value::Int(1).field("x").is_err());
+        let object = Value::Object(vec![("y".to_string(), Value::Null)]);
+        assert!(object.field("x").is_err());
+        assert_eq!(object.field("y").unwrap(), &Value::Null);
     }
 
     #[test]
     fn unicode_strings_round_trip() {
-        let s = "héllo ✓ \u{1F600}".to_string();
-        let text = to_string(&s).unwrap();
-        let back: String = from_str(&text).unwrap();
-        assert_eq!(back, s);
+        let value = Value::Str("héllo ✓ \u{1F600}".to_string());
+        assert_eq!(from_str(&to_string(&value)).unwrap(), value);
     }
 }

@@ -6,7 +6,6 @@
 
 use crate::dag::{DagNode, NodeId, TermGraph};
 use crate::expr::{BinOp, Expr};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Whether a (sub)expression carries encrypted data.
@@ -14,7 +13,7 @@ use std::collections::HashMap;
 /// A node is a *ciphertext* node if any input underneath it is a
 /// [`Expr::CtVar`]; otherwise it is plaintext-only and a compiler can fold it
 /// or treat operations on it as plaintext precomputation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataKind {
     /// Contains at least one encrypted input.
     Ciphertext,
@@ -52,7 +51,7 @@ pub fn data_kind(expr: &Expr) -> DataKind {
 /// ciphertext–plaintext multiplications (`⊙`) and rotations (`⟳`), split into
 /// scalar and vector variants, plus plaintext-only operations (which a
 /// backend folds away).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Scalar ciphertext additions/subtractions.
     pub scalar_add_sub: usize,
@@ -259,7 +258,7 @@ pub fn rotation_steps(expr: &Expr) -> HashMap<i64, usize> {
 }
 
 /// A bundled summary of all analyses, convenient for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CircuitSummary {
     /// Circuit depth (all operation kinds).
     pub depth: usize,

@@ -10,7 +10,6 @@
 use crate::analysis::{count_ops, OpCounts};
 use crate::dag::TermGraph;
 use crate::expr::Expr;
-use serde::{Deserialize, Serialize};
 
 /// Relative latency assigned to each operator category.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// (deliberately high to push the policy towards vectorized code).
 /// Ciphertext–plaintext multiplications are cheaper than ciphertext–ciphertext
 /// ones in BFV; they are given an intermediate cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpCosts {
     /// Vector ciphertext addition/subtraction/negation.
     pub vec_add: f64,
@@ -49,7 +48,7 @@ impl Default for OpCosts {
 }
 
 /// The weights `(w_ops, w_depth, w_mult)` of the cost function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight of the operation-cost term.
     pub w_ops: f64,
@@ -81,7 +80,7 @@ impl CostWeights {
 }
 
 /// The complete FHE cost model: per-operator latencies plus term weights.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostModel {
     /// Per-operator latency estimates.
     pub op_costs: OpCosts,
@@ -90,7 +89,7 @@ pub struct CostModel {
 }
 
 /// The three components of the cost of an expression, before weighting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// `C_ops`: summed operator latencies.
     pub ops_cost: f64,

@@ -16,14 +16,13 @@ use crate::analysis::{DataKind, OpClass, OpCounts};
 use crate::cost::{CostBreakdown, CostModel};
 use crate::expr::{BinOp, Expr};
 use crate::symbol::Symbol;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Identifier of a node inside a [`CircuitDag`].
 pub type NodeId = usize;
 
 /// A single operation (or input) in the circuit DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DagNode {
     /// Encrypted scalar input.
     CtVar(Symbol),
@@ -85,7 +84,7 @@ impl DagNode {
 /// Node ids are topologically ordered: every operand id is smaller than the
 /// id of the node that uses it, so a single forward pass evaluates the
 /// circuit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitDag {
     nodes: Vec<DagNode>,
     output: NodeId,

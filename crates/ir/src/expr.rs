@@ -14,12 +14,11 @@
 //! thousands and logical vectors have at most a few hundred slots).
 
 use crate::symbol::Symbol;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The type of an IR expression: a scalar or a logical vector of a known
 /// arity (number of live slots).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// A single encrypted or plaintext value.
     Scalar,
@@ -52,7 +51,7 @@ impl fmt::Display for Ty {
 }
 
 /// A scalar binary operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -98,7 +97,7 @@ impl BinOp {
 ///
 /// See the crate-level documentation for the slot semantics of vectors and
 /// rotations (zero-fill shifts over zero-padded logical vectors).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// An encrypted scalar input.
     CtVar(Symbol),

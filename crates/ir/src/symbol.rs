@@ -73,19 +73,6 @@ impl AsRef<str> for Symbol {
     }
 }
 
-impl serde::Serialize for Symbol {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_str(self.as_str())
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for Symbol {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        Ok(Symbol::new(s))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,6 @@
 //!   paper compares against in the tokenization ablation (Figure 10).
 
 use crate::expr::{BinOp, Expr};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Special token: sequence padding.
@@ -125,7 +124,7 @@ pub fn canonical_form(expr: &Expr) -> String {
 }
 
 /// A fixed mapping from token strings to integer ids for the embedding layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vocabulary {
     token_to_id: HashMap<String, usize>,
     id_to_token: Vec<String>,
@@ -257,7 +256,7 @@ impl Vocabulary {
 
 /// A classical byte-pair-encoding tokenizer trained on raw IR text, used as
 /// the baseline in the tokenization ablation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BpeTokenizer {
     merges: Vec<(String, String)>,
     vocab: Vec<String>,

@@ -9,10 +9,9 @@
 //! one definition of every rounding sequence, whoever runs it.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix of `f32` values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -44,8 +43,13 @@ impl Matrix {
     ///
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
-        assert_eq!(data.len(), rows * cols, "matrix data length mismatch");
-        Matrix { rows, cols, data }
+        Self::try_from_vec(rows, cols, data).expect("matrix data length mismatch")
+    }
+
+    /// Builds a matrix from a row-major data vector, or `None` if
+    /// `data.len() != rows * cols`.
+    pub fn try_from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Option<Self> {
+        (rows.checked_mul(cols) == Some(data.len())).then_some(Matrix { rows, cols, data })
     }
 
     /// Builds a single-row matrix.

@@ -14,10 +14,10 @@ use chehab_nn::{
     TransformerConfig, TransformerEncoder, Var,
 };
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde_json::{Error, Value};
 
 /// Which sequence encoder the policy uses for the program embedding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncoderArch {
     /// Self-attention encoder (the paper's choice).
     Transformer {
@@ -34,7 +34,7 @@ pub enum EncoderArch {
 }
 
 /// Whether the action space is factored into rule × location or flattened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActionSpaceKind {
     /// Rule head plus location head (the paper's design).
     Hierarchical,
@@ -43,7 +43,7 @@ pub enum ActionSpaceKind {
 }
 
 /// Architecture hyper-parameters of a policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyConfig {
     /// Token vocabulary size.
     pub vocab_size: usize,
@@ -546,9 +546,9 @@ impl Module for Policy {
     }
 }
 
-/// A serializable snapshot of a policy: its architecture plus every weight
-/// matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A snapshot of a policy: its architecture plus every weight matrix. Its
+/// JSON form is the policy file ([`Policy::save`]).
+#[derive(Debug, Clone)]
 pub struct PolicySnapshot {
     /// Architecture description.
     pub config: PolicyConfig,
@@ -566,34 +566,228 @@ impl Policy {
     }
 
     /// Restores a policy from a snapshot.
-    pub fn from_snapshot(snapshot: &PolicySnapshot) -> Self {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let policy = Policy::new(snapshot.config, &mut rng);
-        policy.load_state(&snapshot.weights);
-        policy
-    }
-
-    /// Serializes the policy to a JSON file.
     ///
     /// # Errors
     ///
-    /// Propagates I/O and serialization errors.
+    /// Returns an [`std::io::ErrorKind::InvalidData`] error if the number or
+    /// shapes of the weights disagree with the config's architecture.
+    pub fn from_snapshot(snapshot: &PolicySnapshot) -> std::io::Result<Self> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let policy = Policy::new(snapshot.config, &mut rng);
+        let params = policy.parameters();
+        if params.len() != snapshot.weights.len() {
+            return Err(invalid_data(format!(
+                "{} weight matrices, the architecture has {}",
+                snapshot.weights.len(),
+                params.len()
+            )));
+        }
+        for (i, (p, m)) in params.iter().zip(&snapshot.weights).enumerate() {
+            if p.shape() != (m.rows(), m.cols()) {
+                return Err(invalid_data(format!(
+                    "weight {i} is {}x{}, the architecture has {:?}",
+                    m.rows(),
+                    m.cols(),
+                    p.shape()
+                )));
+            }
+        }
+        policy.load_state(&snapshot.weights);
+        Ok(policy)
+    }
+
+    /// Writes the policy to a JSON file.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = serde_json::to_string(&self.snapshot())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
+        std::fs::write(path, serde_json::to_string(&self.snapshot().to_json()))
     }
 
     /// Loads a policy from a JSON file written by [`Policy::save`].
     ///
     /// # Errors
     ///
-    /// Propagates I/O and deserialization errors.
+    /// Propagates I/O errors, and returns an
+    /// [`std::io::ErrorKind::InvalidData`] error if the file is not a policy
+    /// file or its weights do not fit its architecture.
     pub fn load(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
-        let snapshot: PolicySnapshot = serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Ok(Policy::from_snapshot(&snapshot))
+        let value = serde_json::from_str(&json).map_err(invalid_data)?;
+        Policy::from_snapshot(&PolicySnapshot::from_json(&value).map_err(invalid_data)?)
+    }
+}
+
+fn invalid_data(error: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, error)
+}
+
+// The policy file format. Structs are objects with their fields in
+// declaration order, unit variants are strings, struct variants are
+// single-key objects, a `usize` is an integer and an `f32` a float widened
+// to `f64` (which parses back to the same bits).
+
+fn object(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+fn int(n: usize) -> Value {
+    Value::Int(n as i64)
+}
+
+fn usize_field(value: &Value, name: &str) -> Result<usize, Error> {
+    match *value.field(name)? {
+        Value::Int(n) => usize::try_from(n).ok(),
+        _ => None,
+    }
+    .ok_or_else(|| Error::msg(format!("`{name}` is not a count")))
+}
+
+fn as_f32(value: &Value) -> Result<f32, Error> {
+    match *value {
+        Value::Float(x) => Ok(x as f32),
+        Value::Int(x) => Ok(x as f32),
+        _ => Err(Error::msg("matrix entry is not a number")),
+    }
+}
+
+impl EncoderArch {
+    fn to_json(self) -> Value {
+        match self {
+            EncoderArch::Transformer { layers, heads } => object(vec![(
+                "Transformer",
+                object(vec![("layers", int(layers)), ("heads", int(heads))]),
+            )]),
+            EncoderArch::Gru { layers } => {
+                object(vec![("Gru", object(vec![("layers", int(layers))]))])
+            }
+        }
+    }
+
+    fn from_json(value: &Value) -> Result<Self, Error> {
+        let unknown = || Error::msg(format!("unknown encoder {value:?}"));
+        let Value::Object(fields) = value else {
+            return Err(unknown());
+        };
+        let [(tag, body)] = fields.as_slice() else {
+            return Err(unknown());
+        };
+        match tag.as_str() {
+            "Transformer" => Ok(EncoderArch::Transformer {
+                layers: usize_field(body, "layers")?,
+                heads: usize_field(body, "heads")?,
+            }),
+            "Gru" => Ok(EncoderArch::Gru {
+                layers: usize_field(body, "layers")?,
+            }),
+            _ => Err(unknown()),
+        }
+    }
+}
+
+impl ActionSpaceKind {
+    fn to_json(self) -> Value {
+        let tag = match self {
+            ActionSpaceKind::Hierarchical => "Hierarchical",
+            ActionSpaceKind::Flat => "Flat",
+        };
+        Value::Str(tag.to_string())
+    }
+
+    fn from_json(value: &Value) -> Result<Self, Error> {
+        match value {
+            Value::Str(tag) if tag == "Hierarchical" => Ok(ActionSpaceKind::Hierarchical),
+            Value::Str(tag) if tag == "Flat" => Ok(ActionSpaceKind::Flat),
+            _ => Err(Error::msg(format!("unknown action space {value:?}"))),
+        }
+    }
+}
+
+impl PolicyConfig {
+    fn to_json(self) -> Value {
+        object(vec![
+            ("vocab_size", int(self.vocab_size)),
+            ("embedding_dim", int(self.embedding_dim)),
+            ("encoder", self.encoder.to_json()),
+            ("action_space", self.action_space.to_json()),
+            ("rule_count", int(self.rule_count)),
+            ("max_locations", int(self.max_locations)),
+            ("observation_len", int(self.observation_len)),
+        ])
+    }
+
+    fn from_json(value: &Value) -> Result<Self, Error> {
+        let config = PolicyConfig {
+            vocab_size: usize_field(value, "vocab_size")?,
+            embedding_dim: usize_field(value, "embedding_dim")?,
+            encoder: EncoderArch::from_json(value.field("encoder")?)?,
+            action_space: ActionSpaceKind::from_json(value.field("action_space")?)?,
+            rule_count: usize_field(value, "rule_count")?,
+            max_locations: usize_field(value, "max_locations")?,
+            observation_len: usize_field(value, "observation_len")?,
+        };
+        match config.encoder {
+            EncoderArch::Transformer { heads, .. }
+                if heads == 0 || !config.embedding_dim.is_multiple_of(heads) =>
+            {
+                Err(Error::msg("attention heads must divide the embedding"))
+            }
+            _ => Ok(config),
+        }
+    }
+}
+
+fn matrix_to_json(m: &Matrix) -> Value {
+    object(vec![
+        ("rows", int(m.rows())),
+        ("cols", int(m.cols())),
+        (
+            "data",
+            Value::Array(m.data().iter().map(|&x| Value::Float(x as f64)).collect()),
+        ),
+    ])
+}
+
+fn matrix_from_json(value: &Value) -> Result<Matrix, Error> {
+    let (rows, cols) = (usize_field(value, "rows")?, usize_field(value, "cols")?);
+    let data = value
+        .field("data")?
+        .as_array("data")?
+        .iter()
+        .map(as_f32)
+        .collect::<Result<Vec<f32>, Error>>()?;
+    let len = data.len();
+    Matrix::try_from_vec(rows, cols, data)
+        .ok_or_else(|| Error::msg(format!("a {rows}x{cols} matrix with {len} entries")))
+}
+
+impl PolicySnapshot {
+    fn to_json(&self) -> Value {
+        object(vec![
+            ("config", self.config.to_json()),
+            (
+                "weights",
+                Value::Array(self.weights.iter().map(matrix_to_json).collect()),
+            ),
+        ])
+    }
+
+    fn from_json(value: &Value) -> Result<Self, Error> {
+        Ok(PolicySnapshot {
+            config: PolicyConfig::from_json(value.field("config")?)?,
+            weights: value
+                .field("weights")?
+                .as_array("weights")?
+                .iter()
+                .map(matrix_from_json)
+                .collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -699,21 +893,162 @@ mod tests {
         assert!(nonzero > 0, "policy gradient must reach the parameters");
     }
 
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let policy = small_policy(ActionSpaceKind::Hierarchical);
-        let dir = std::env::temp_dir().join("chehab_rl_policy_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("policy.json");
+    /// Saves `policy`, loads it back and removes the file.
+    fn save_and_load(policy: &Policy, name: &str) -> Policy {
+        let path = std::env::temp_dir().join(format!("chehab_rl_policy_{name}.json"));
         policy.save(&path).unwrap();
         let restored = Policy::load(&path).unwrap();
-        let mask = vec![true; 11];
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let a = policy.act(&[1, 2, 3], &mask, |_| 2, &mut rng, true);
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let b = restored.act(&[1, 2, 3], &mask, |_| 2, &mut rng, true);
-        assert_eq!(a.action, b.action);
         std::fs::remove_file(&path).ok();
+        restored
+    }
+
+    fn weight_bits(policy: &Policy) -> Vec<(usize, usize, Vec<u32>)> {
+        policy
+            .state()
+            .iter()
+            .map(|m| {
+                let bits = m.data().iter().map(|x| x.to_bits()).collect();
+                (m.rows(), m.cols(), bits)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn snapshot_round_trips_through_json() {
+        let base = PolicyConfig::small(32, 10, 4);
+        for (name, config) in [
+            ("hierarchical", base),
+            ("flat", base.flat()),
+            ("gru", base.with_gru(2)),
+        ] {
+            let policy = Policy::new(config, &mut ChaCha8Rng::seed_from_u64(1));
+            let restored = save_and_load(&policy, name);
+            assert_eq!(restored.config, config, "{name}");
+            assert_eq!(weight_bits(&restored), weight_bits(&policy), "{name}");
+        }
+    }
+
+    /// The FNV-1a 64 hash of the policy file of one seeded small policy, as
+    /// written before the file format was converted by hand: a drift in the
+    /// format changes it.
+    #[test]
+    fn the_policy_file_format_is_pinned() {
+        let policy = small_policy(ActionSpaceKind::Hierarchical);
+        let path = std::env::temp_dir().join("chehab_rl_policy_pinned.json");
+        policy.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(bytes.len(), 1_622_406);
+        assert_eq!(hash, 0x885d_897a_9c35_45a9);
+    }
+
+    /// Saves a small policy, changes its JSON form by `edit`, and checks the
+    /// load fails with `InvalidData` saying `expected`.
+    fn load_edited(name: &str, expected: &str, edit: impl FnOnce(&mut Value)) {
+        let mut value = small_policy(ActionSpaceKind::Hierarchical)
+            .snapshot()
+            .to_json();
+        edit(&mut value);
+        load_text(name, &serde_json::to_string(&value), expected);
+    }
+
+    fn load_text(name: &str, text: &str, expected: &str) {
+        let path = std::env::temp_dir().join(format!("chehab_rl_policy_bad_{name}.json"));
+        std::fs::write(&path, text).unwrap();
+        let result = Policy::load(&path);
+        std::fs::remove_file(&path).ok();
+        let error = result.expect_err(name);
+        assert_eq!(
+            error.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{name}: {error}"
+        );
+        assert!(error.to_string().contains(expected), "{name}: {error}");
+    }
+
+    fn field_mut<'v>(value: &'v mut Value, name: &str) -> &'v mut Value {
+        let Value::Object(fields) = value else {
+            panic!("not an object")
+        };
+        &mut fields.iter_mut().find(|(k, _)| k == name).unwrap().1
+    }
+
+    fn first_weight(value: &mut Value) -> &mut Value {
+        let Value::Array(weights) = field_mut(value, "weights") else {
+            panic!("weights is not an array")
+        };
+        &mut weights[0]
+    }
+
+    #[test]
+    fn load_rejects_text_that_is_not_json() {
+        load_text("not_json", "{\"config\": ", "end of JSON input");
+    }
+
+    #[test]
+    fn load_rejects_a_missing_field() {
+        load_edited("missing_field", "missing field `rule_count`", |v| {
+            let Value::Object(fields) = field_mut(v, "config") else {
+                panic!("config is not an object")
+            };
+            fields.retain(|(k, _)| k != "rule_count");
+        });
+    }
+
+    #[test]
+    fn load_rejects_an_unknown_encoder() {
+        load_edited("unknown_encoder", "unknown encoder", |v| {
+            *field_mut(field_mut(v, "config"), "encoder") =
+                object(vec![("Lstm", object(vec![("layers", int(1))]))]);
+        });
+    }
+
+    #[test]
+    fn load_rejects_an_unknown_action_space() {
+        load_edited("unknown_action_space", "unknown action space", |v| {
+            *field_mut(field_mut(v, "config"), "action_space") = Value::Str("Tree".into());
+        });
+    }
+
+    #[test]
+    fn load_rejects_heads_that_do_not_divide_the_embedding() {
+        load_edited("heads", "heads must divide the embedding", |v| {
+            *field_mut(field_mut(v, "config"), "encoder") = EncoderArch::Transformer {
+                layers: 1,
+                heads: 3,
+            }
+            .to_json();
+        });
+    }
+
+    #[test]
+    fn load_rejects_data_that_does_not_fill_the_matrix() {
+        load_edited("short_data", "a 32x31 matrix with 1024 entries", |v| {
+            *field_mut(first_weight(v), "cols") = int(31);
+        });
+    }
+
+    #[test]
+    fn load_rejects_a_weight_count_the_architecture_does_not_have() {
+        load_edited("weight_count", "38 weight matrices", |v| {
+            let Value::Array(weights) = field_mut(v, "weights") else {
+                panic!("weights is not an array")
+            };
+            weights.pop();
+        });
+    }
+
+    #[test]
+    fn load_rejects_a_weight_shape_the_architecture_does_not_have() {
+        // 16 x 64 holds the 1024 entries of the 32 x 32 token embedding.
+        load_edited("weight_shape", "weight 0 is 16x64", |v| {
+            let weight = first_weight(v);
+            *field_mut(weight, "rows") = int(16);
+            *field_mut(weight, "cols") = int(64);
+        });
     }
 
     #[test]

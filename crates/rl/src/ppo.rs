@@ -4,10 +4,9 @@
 use crate::env::Action;
 use crate::policy::Policy;
 use chehab_nn::{Adam, Forward, Matrix, Module, Tape, Var};
-use serde::{Deserialize, Serialize};
 
 /// PPO hyper-parameters (defaults follow Table 4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpoConfig {
     /// Adam learning rate.
     pub learning_rate: f32,

@@ -2,10 +2,8 @@
 //! relative cost improvement, plus a terminal reward proportional to the
 //! total end-to-end improvement.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the reward signal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardConfig {
     /// Whether the step (immediate) reward is emitted.
     pub use_step_reward: bool,

@@ -8,7 +8,7 @@
 use chehab::benchsuite::{self, Benchmark};
 use chehab::compiler::{BatchPolicy, Compiler, ExecHooks, ExecOptions, TraceSink};
 use chehab::fhe::{BfvParameters, FheError};
-use serde::Value;
+use serde_json::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
