@@ -96,15 +96,6 @@ impl Benchmark {
         env.bind_all(&self.program, |_| rng.gen_range(0..=16));
         env
     }
-
-    /// Builds an input assignment restricted to binary values (used by the
-    /// Hamming-distance style kernels whose semantics assume bits).
-    pub fn binary_input_env(&self, seed: u64) -> Env {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-        let mut env = Env::new();
-        env.bind_all(&self.program, |_| i64::from(rng.gen_bool(0.5)));
-        env
-    }
 }
 
 #[cfg(test)]

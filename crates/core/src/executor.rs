@@ -130,11 +130,6 @@ pub struct ExecOptions {
     /// [`FheError::DeadlineExceeded`](chehab_fhe::FheError::DeadlineExceeded).
     /// `None` (the default) lets every request run to completion.
     pub deadline: Option<Duration>,
-    /// Admission control of [`FheSession::serve_with`]: when `true` (and a
-    /// `deadline` is set), submissions whose deadline is provably infeasible
-    /// given the queue depth and the calibrated per-request cost are shed at
-    /// the door instead of wasting ciphertext work on a guaranteed miss.
-    pub shed_infeasible: bool,
 }
 
 impl Default for ExecOptions {
@@ -162,7 +157,6 @@ impl ExecOptions {
             scheduler: SchedulerKind::default(),
             batching: None,
             deadline: None,
-            shed_infeasible: false,
         }
     }
 
@@ -201,13 +195,6 @@ impl ExecOptions {
     /// [`ExecOptions::deadline`]).
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Enables deadline-infeasibility shedding on the serving path (see
-    /// [`ExecOptions::shed_infeasible`]).
-    pub fn with_shed_infeasible(mut self, shed: bool) -> Self {
-        self.shed_infeasible = shed;
         self
     }
 }
@@ -722,9 +709,8 @@ impl FheSession {
     /// with [`FheError::Cancelled`](chehab_fhe::FheError::Cancelled) /
     /// [`FheError::DeadlineExceeded`](chehab_fhe::FheError::DeadlineExceeded)
     /// (the members of a larger batch share their ciphertexts, so none can
-    /// stop alone). With `options.shed_infeasible`, provably late
-    /// submissions are shed at the door. `hooks.trace` and `hooks.faults`
-    /// apply as documented on [`ExecHooks`].
+    /// stop alone). `hooks.trace` and `hooks.faults` apply as documented on
+    /// [`ExecHooks`].
     ///
     /// `shutdown` drains in-flight work and reports the batching counters;
     /// [`RequestCoalescer::engine`] exposes what the engine observes (queue,
@@ -754,7 +740,7 @@ impl FheSession {
                 workers: options.request_threads,
                 queue_capacity: options.queue_capacity,
                 deadline: options.deadline,
-                shed_infeasible: options.shed_infeasible,
+                shed_infeasible: false,
                 faults: hooks.faults.clone(),
                 trace: hooks.trace.clone(),
                 resilience: self.metrics.resilience.clone(),

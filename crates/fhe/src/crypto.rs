@@ -22,7 +22,7 @@ use crate::keys::{KeyGenerator, PublicKey, SecretKey};
 use crate::noise::NoiseModel;
 use crate::params::{BfvParameters, ParameterError};
 use crate::payload::CtPayload;
-use crate::poly::{galois_eval_permutation, Domain, NttTables, Poly};
+use crate::poly::{galois_eval_permutation, NttTables};
 use crate::rns::{ModulusChain, PlainModulus};
 use crate::simd::GaloisPermutation;
 use rand::SeedableRng;
@@ -255,7 +255,7 @@ impl FheContext {
         }
         let mut data = arena.take(stored_len(values.len()));
         encode_into(&mut data, values, self.plain_modulus());
-        Ok(Plaintext::new(data, values.len().max(1)))
+        Ok(Plaintext::new(data))
     }
 
     /// Decodes the first `count` slots of a plaintext's logical vector:
@@ -291,20 +291,20 @@ fn encode_into(slots: &mut [u64], values: &[i64], t: u64) {
 /// [`Plaintext::slots`] is zero).
 ///
 /// Carries a lazily computed cache of its payload "splat" polynomial in NTT
-/// (Eval) form: ciphertext–plaintext multiplications share one forward
-/// transform per plaintext instead of paying one per payload component per
-/// operation. The cache never participates in equality.
+/// (Eval) form, a plain limb stripe: ciphertext–plaintext multiplications
+/// share one forward transform per plaintext instead of paying one per
+/// payload component per operation. Two plaintexts are equal when their
+/// slot vectors are; the cache never participates in equality.
 #[derive(Debug, Clone)]
 pub struct Plaintext {
     pub(crate) slots: Vec<u64>,
-    pub(crate) live: usize,
-    /// Eval-form payload splat, filled on first ct-pt multiplication.
-    splat: OnceLock<Poly>,
+    /// Eval-form payload splat stripe, filled on first ct-pt multiplication.
+    splat: OnceLock<Vec<u64>>,
 }
 
 impl PartialEq for Plaintext {
     fn eq(&self, other: &Self) -> bool {
-        self.slots == other.slots && self.live == other.live
+        self.slots == other.slots
     }
 }
 
@@ -313,15 +313,14 @@ impl Eq for Plaintext {}
 impl Plaintext {
     /// Builds a plaintext from slot values (crate-internal; public
     /// construction goes through [`FheContext::encode`]).
-    pub(crate) fn new(slots: Vec<u64>, live: usize) -> Self {
+    pub(crate) fn new(slots: Vec<u64>) -> Self {
         Plaintext {
             slots,
-            live,
             splat: OnceLock::new(),
         }
     }
 
-    /// The payload splat polynomial of this plaintext in Eval form — all
+    /// The payload splat of this plaintext in Eval form — all
     /// `limb_count · degree` limb stripes — transformed on first use and
     /// cached for every later use.
     ///
@@ -329,10 +328,10 @@ impl Plaintext {
     /// under; if the same plaintext is then used under a context with a
     /// different payload shape, a fresh (owned, uncached) splat is built
     /// at that shape instead — never a wrong-shape cache hit.
-    pub(crate) fn splat_eval(&self, ctx: &FheContext, arena: &mut PolyArena) -> Cow<'_, Poly> {
+    pub(crate) fn splat_eval(&self, ctx: &FheContext, arena: &mut PolyArena) -> Cow<'_, [u64]> {
         let total = ctx.chain().limb_count() * ctx.chain().degree();
         if let Some(splat) = self.splat.get() {
-            if splat.degree() == total {
+            if splat.len() == total {
                 return Cow::Borrowed(splat);
             }
             return Cow::Owned(self.build_splat(ctx, arena));
@@ -344,7 +343,7 @@ impl Plaintext {
             // unless it ran under a different context, so re-check.
             Err(built) => {
                 let cached = self.splat.get().expect("set raced with an init");
-                if cached.degree() == total {
+                if cached.len() == total {
                     Cow::Borrowed(cached)
                 } else {
                     Cow::Owned(built)
@@ -356,7 +355,7 @@ impl Plaintext {
     /// Builds the Eval-form payload splat of this plaintext across every
     /// limb of the context's chain, with the coefficient buffer drawn from
     /// `arena`.
-    fn build_splat(&self, ctx: &FheContext, arena: &mut PolyArena) -> Poly {
+    fn build_splat(&self, ctx: &FheContext, arena: &mut PolyArena) -> Vec<u64> {
         let chain = ctx.chain();
         let degree = chain.degree();
         let mut values = arena.take(chain.limb_count() * degree);
@@ -373,28 +372,23 @@ impl Plaintext {
         }
         chain.lift_limbs(&mut values);
         chain.forward_limbs(&mut values);
-        Poly::from_reduced(values, Domain::Eval)
+        values
     }
 
     /// Returns a dead plaintext's buffers to `arena`: its slot vector and,
     /// when the first ct–pt multiplication filled it, the cached payload
-    /// splat polynomial. The pair of [`FheContext::encode_in`] — together
+    /// splat stripe. The pair of [`FheContext::encode_in`] — together
     /// they let a warm request stream encode, multiply, and retire
     /// plaintexts without touching the allocator.
     pub fn recycle_into(self, arena: &mut PolyArena) {
         arena.put(self.slots);
         if let Some(splat) = self.splat.into_inner() {
-            arena.put(splat.into_coeffs());
+            arena.put(splat);
         }
     }
     /// All slot values.
     pub fn slots(&self) -> &[u64] {
         &self.slots
-    }
-
-    /// The number of live (explicitly encoded) slots.
-    pub fn live_slots(&self) -> usize {
-        self.live
     }
 
     /// Value of slot 0 (the scalar convention).
@@ -521,7 +515,7 @@ impl Encryptor {
 
     /// Encrypts a plaintext into a fresh ciphertext.
     ///
-    /// Payload polynomials are born in NTT ([`Domain::Eval`]) form: the
+    /// Payload polynomials are born in NTT (evaluation) form: the
     /// sampled values are uniform either way, and starting in Eval form is
     /// what lets whole chains of homomorphic operations run pointwise
     /// without a single transform.
@@ -598,7 +592,7 @@ impl Decryptor {
     /// noise budget has run out (the result would be garbage).
     pub fn decrypt(&self, ct: &Ciphertext) -> Result<Plaintext, FheError> {
         let slots = self.decrypt_slots(ct)?;
-        Ok(Plaintext::new(slots.to_vec(), slots.len()))
+        Ok(Plaintext::new(slots.to_vec()))
     }
 
     /// Borrowed variant of [`Decryptor::decrypt`]: performs the same key and
@@ -660,7 +654,7 @@ mod tests {
             let steps = [1, -2, 5];
             let galois = keygen.galois_keys(&steps);
             for step in steps {
-                let key = galois.switch_poly(step).map(Poly::degree);
+                let key = galois.switch_stripe(step).map(<[u64]>::len);
                 assert_eq!(key, Some(half), "k={k}: key of step {step}");
             }
         }
@@ -706,12 +700,23 @@ mod tests {
         let pt = ctx.encode(&[1, 2, 3, -1]).unwrap();
         let t = ctx.plain_modulus();
         assert_eq!(ctx.decode(&pt, 4), vec![1, 2, 3, t - 1]);
-        assert_eq!(pt.live_slots(), 4);
         assert_eq!(pt.scalar(), 1);
         // The stored prefix is four slots; decoding reads the logical
         // vector, zero beyond it.
         assert_eq!(pt.slots().len(), 4);
         assert_eq!(ctx.decode(&pt, 6), vec![1, 2, 3, t - 1, 0, 0]);
+    }
+
+    /// Encoding and decrypting agree on what a plaintext is: the one that
+    /// went in comes back out, equal, whatever its stored prefix holds.
+    #[test]
+    fn a_decrypted_plaintext_equals_the_encoded_one() {
+        let (ctx, mut enc, dec) = setup();
+        for values in [&[1, 2, 3][..], &[7], &[1, 2, 3, 4], &[0; 5]] {
+            let pt = ctx.encode(values).unwrap();
+            let round_trip = dec.decrypt(&enc.encrypt(&pt)).unwrap();
+            assert_eq!(round_trip, pt, "{values:?}");
+        }
     }
 
     #[test]

@@ -9,16 +9,15 @@
 //!
 //! ## Representation invariants (the lazy-NTT hot path)
 //!
-//! Ciphertext payloads are **always in NTT
-//! ([`Domain::Eval`](crate::poly::Domain)) form** and live in the striped
-//! `[c0 | c1]` layout ([`CtPayload`]): they are born there at encryption,
-//! key-switch key payloads are pre-transformed (and pre-striped) at key
-//! generation, and plaintext splats are transformed once per plaintext and
-//! cached. Every operation below is therefore a **single fused pass** over
-//! the stripe — both ciphertext components update together, `O(n)` work,
-//! zero forward/inverse transforms. Nothing downstream observes payload
-//! coefficient form: decryption and noise estimation read slots and the
-//! analytic noise estimate only.
+//! Ciphertext payloads are **always in NTT (evaluation) form** and live in
+//! the striped `[c0 | c1]` layout ([`CtPayload`]): they are born there at
+//! encryption, key-switch key payloads are pre-transformed (and
+//! pre-striped) at key generation, and plaintext splats are transformed
+//! once per plaintext and cached. Every operation below is therefore a
+//! **single fused pass** over the stripe — both ciphertext components
+//! update together, `O(n)` work, zero forward/inverse transforms. Nothing
+//! downstream observes payload coefficient form: decryption and noise
+//! estimation read slots and the analytic noise estimate only.
 //!
 //! ## Slot vectors are prefixes
 //!
@@ -61,7 +60,7 @@ use crate::crypto::{Ciphertext, FheContext, FheError, Plaintext};
 use crate::keys::{GaloisKeys, RelinKeys};
 use crate::payload::CtPayload;
 use crate::rns::PlainModulus;
-use crate::simd::{GaloisPermutation, SimdPolicy};
+use crate::simd::GaloisPermutation;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -115,10 +114,6 @@ pub struct Evaluator {
     /// Lock-free local view of the context's shared Eval-domain Galois
     /// permutation cache, keyed by Galois element.
     galois_perms: HashMap<usize, Arc<GaloisPermutation>>,
-    /// The SIMD back end every fused stripe kernel runs on, snapshotted
-    /// from [`SimdPolicy::global`] at construction. Outputs are
-    /// bit-identical under every policy.
-    simd: SimdPolicy,
 }
 
 impl Evaluator {
@@ -138,13 +133,7 @@ impl Evaluator {
             stats: EvaluatorStats::default(),
             arena,
             galois_perms: HashMap::new(),
-            simd: SimdPolicy::global(),
         }
-    }
-
-    /// The SIMD back end this evaluator's kernels run on.
-    pub fn simd_policy(&self) -> SimdPolicy {
-        self.simd
     }
 
     /// Takes the evaluator's buffer arena (to restore it to a shared pool),
@@ -361,7 +350,7 @@ impl Evaluator {
             *slot = t.neg(x);
         }
         let mut out = self.arena.take(a.payload.stripe().len());
-        a.payload.neg2(&mut out, self.simd, self.ctx.chain());
+        a.payload.neg2(&mut out, self.ctx.chain());
         Ciphertext {
             slots,
             payload: shared_like(out, &a.payload),
@@ -381,10 +370,10 @@ impl Evaluator {
         }
         a.noise_consumed_bits += self.ctx.noise_model().negate_bits;
         if let Some(p) = Arc::get_mut(&mut a.payload) {
-            p.neg_assign2(self.simd, self.ctx.chain());
+            p.neg_assign2(self.ctx.chain());
         } else {
             let mut out = self.arena.take(a.payload.stripe().len());
-            a.payload.neg2(&mut out, self.simd, self.ctx.chain());
+            a.payload.neg2(&mut out, self.ctx.chain());
             a.payload = shared_like(out, &a.payload);
         }
     }
@@ -456,10 +445,9 @@ impl Evaluator {
     /// ([`CtPayload::mul_eval2`]).
     pub fn multiply_plain(&mut self, a: &Ciphertext, b: &Plaintext) -> Ciphertext {
         self.stats.ct_pt_multiplications += 1;
-        let pt_poly = b.splat_eval(&self.ctx, &mut self.arena);
+        let splat = b.splat_eval(&self.ctx, &mut self.arena);
         let mut out = self.arena.take(a.payload.stripe().len());
-        a.payload
-            .mul_eval2(pt_poly.coeffs(), &mut out, self.simd, self.ctx.chain());
+        a.payload.mul_eval2(&splat, &mut out, self.ctx.chain());
         Ciphertext {
             slots: self.slot_binary(&a.slots, &b.slots, PlainModulus::mul),
             payload: shared_like(out, &a.payload),
@@ -486,7 +474,7 @@ impl Evaluator {
             return Ok(self.clone_ciphertext(a));
         }
         let key = galois_keys
-            .switch_poly(step)
+            .switch_stripe(step)
             .ok_or(FheError::MissingGaloisKey { step })?;
         self.stats.rotations += 1;
         let n = self.ctx.slot_count();
@@ -517,7 +505,7 @@ impl Evaluator {
         };
         let mut out = self.arena.take(a.payload.stripe().len());
         a.payload
-            .galois_eval2(&perm, key.coeffs(), &mut out, self.simd, self.ctx.chain());
+            .galois_eval2(&perm, key, &mut out, self.ctx.chain());
         Ok(Ciphertext {
             slots,
             payload: shared_like(out, &a.payload),
@@ -537,11 +525,9 @@ impl Evaluator {
     ) -> Arc<CtPayload> {
         let mut out = self.arena.take(a.payload.stripe().len());
         if negate_b {
-            a.payload
-                .sub2(&b.payload, &mut out, self.simd, self.ctx.chain());
+            a.payload.sub2(&b.payload, &mut out, self.ctx.chain());
         } else {
-            a.payload
-                .add2(&b.payload, &mut out, self.simd, self.ctx.chain());
+            a.payload.add2(&b.payload, &mut out, self.ctx.chain());
         }
         shared_like(out, &a.payload)
     }
@@ -551,18 +537,16 @@ impl Evaluator {
     fn payload_pointwise_assign(&mut self, a: &mut Ciphertext, b: &Ciphertext, negate_b: bool) {
         if let Some(p) = Arc::get_mut(&mut a.payload) {
             if negate_b {
-                p.sub_assign2(&b.payload, self.simd, self.ctx.chain());
+                p.sub_assign2(&b.payload, self.ctx.chain());
             } else {
-                p.add_assign2(&b.payload, self.simd, self.ctx.chain());
+                p.add_assign2(&b.payload, self.ctx.chain());
             }
         } else {
             let mut out = self.arena.take(a.payload.stripe().len());
             if negate_b {
-                a.payload
-                    .sub2(&b.payload, &mut out, self.simd, self.ctx.chain());
+                a.payload.sub2(&b.payload, &mut out, self.ctx.chain());
             } else {
-                a.payload
-                    .add2(&b.payload, &mut out, self.simd, self.ctx.chain());
+                a.payload.add2(&b.payload, &mut out, self.ctx.chain());
             }
             a.payload = shared_like(out, &a.payload);
         }
@@ -584,7 +568,6 @@ impl Evaluator {
             switch.c0(),
             switch.c1(),
             &mut out,
-            self.simd,
             self.ctx.chain(),
         );
         shared_like(out, &a.payload)

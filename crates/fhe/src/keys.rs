@@ -30,7 +30,6 @@
 use crate::arena::PolyArena;
 use crate::params::BfvParameters;
 use crate::payload::CtPayload;
-use crate::poly::{Domain, Poly};
 use crate::rns::ModulusChain;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -52,7 +51,7 @@ pub struct PublicKey {
 /// Relinearization keys, required after ciphertext–ciphertext multiplications.
 ///
 /// The keys carry a pair of key-switch payload polynomials kept
-/// permanently in NTT ([`Domain::Eval`]) form — generated
+/// permanently in NTT (evaluation) form — generated
 /// (and transformed) exactly once at key generation, and stored in the same
 /// striped `[s0 | s1]` layout ciphertext payloads use, so the fused ct-ct
 /// multiplication kernel reads key material with the access pattern it
@@ -73,21 +72,22 @@ impl RelinKeys {
 /// Galois keys enabling slot rotations for an explicit set of steps.
 ///
 /// Like [`RelinKeys`], each generated step carries an Eval-form key-switch
-/// payload polynomial, pre-transformed once at key generation.
+/// payload polynomial as a plain limb stripe (`limbs · degree` values),
+/// pre-transformed once at key generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaloisKeys {
     id: u64,
     key_size_bytes: usize,
-    /// The Eval-form key-switch payload of every generated nonzero step.
-    switch: BTreeMap<i64, Poly>,
+    /// The Eval-form key-switch stripe of every generated nonzero step.
+    switch: BTreeMap<i64, Vec<u64>>,
 }
 
 impl GaloisKeys {
-    /// The Eval-form key-switch payload for `step`, `None` when no key was
+    /// The Eval-form key-switch stripe for `step`, `None` when no key was
     /// generated for it. Public, but hidden, for the stream-fingerprint test.
     #[doc(hidden)]
-    pub fn switch_poly(&self, step: i64) -> Option<&Poly> {
-        self.switch.get(&step)
+    pub fn switch_stripe(&self, step: i64) -> Option<&[u64]> {
+        self.switch.get(&step).map(Vec::as_slice)
     }
 
     /// The rotation steps covered by this key set.
@@ -261,11 +261,7 @@ impl KeyGenerator {
         // listed the steps in.
         let steps: BTreeSet<i64> = steps.iter().copied().filter(|&s| s != 0).collect();
         let keys = self.sample_batch(steps.len(), self.polys_per_key(), 1);
-        let switch = steps
-            .into_iter()
-            .zip(keys)
-            .map(|(step, key)| (step, Poly::from_reduced(key, Domain::Eval)))
-            .collect();
+        let switch = steps.into_iter().zip(keys).collect();
         GaloisKeys {
             id: self.id,
             key_size_bytes: self.params.galois_key_size_bytes(),
@@ -327,7 +323,7 @@ mod tests {
         let mut keygen = KeyGenerator::new(&params, 3);
         let keys = keygen.galois_keys(&[4, 1, -1, 0, 1]);
         assert_eq!(keys.steps().collect::<Vec<_>>(), [-1, 1, 4]);
-        assert!(keys.switch_poly(2).is_none());
+        assert!(keys.switch_stripe(2).is_none());
         assert_eq!(keys.key_count(), 3, "step 0 does not generate a key");
     }
 

@@ -28,7 +28,9 @@
 //! is one loop over the limb stripes handing one [`crate::simd`] kernel to
 //! each stripe's limb: limb 0 reduces by the Goldilocks ε-identity
 //! arithmetic (the `k = 1` engine is this loop over one limb), limbs `1..k`
-//! by Barrett, under the same [`SimdPolicy`] dispatch.
+//! by Barrett. A kernel takes its operand stripes and the chain, nothing
+//! else: it runs on the lane the chain was built with, the lane its
+//! transforms run on.
 //!
 //! All kernels write into caller-provided stripe buffers (typically from a
 //! [`PolyArena`](crate::PolyArena)) and walk the two component halves in
@@ -37,7 +39,7 @@
 //! once per component.
 
 use crate::rns::{Limb, ModulusChain};
-use crate::simd::{self, GaloisPermutation, SimdPolicy};
+use crate::simd::{self, GaloisPermutation};
 use std::ops::Range;
 
 /// The consecutive `degree`-long limb stripes of a `len`-value buffer of
@@ -138,13 +140,7 @@ impl CtPayload {
     ///
     /// Panics (like every kernel below) if an operand's length does not
     /// match the payload's.
-    pub fn mul_eval2(
-        &self,
-        mult: &[u64],
-        out: &mut [u64],
-        policy: SimdPolicy,
-        chain: &ModulusChain,
-    ) {
+    pub fn mul_eval2(&self, mult: &[u64], out: &mut [u64], chain: &ModulusChain) {
         let half = self.data.len() / 2;
         assert_eq!(mult.len(), half, "multiplier length");
         assert_eq!(out.len(), self.data.len(), "output stripe length");
@@ -158,7 +154,7 @@ impl CtPayload {
                 o0: &mut out0[r.clone()],
                 o1: &mut out1[r],
             };
-            limb.run(kernel, policy);
+            limb.run(kernel);
         }
     }
 
@@ -180,7 +176,6 @@ impl CtPayload {
         s0: &[u64],
         s1: &[u64],
         out: &mut [u64],
-        policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
         let half = self.data.len() / 2;
@@ -201,7 +196,7 @@ impl CtPayload {
                 o0: &mut out0[r.clone()],
                 o1: &mut out1[r],
             };
-            limb.run(kernel, policy);
+            limb.run(kernel);
         }
     }
 
@@ -214,7 +209,6 @@ impl CtPayload {
         perm: &GaloisPermutation,
         key: &[u64],
         out: &mut [u64],
-        policy: SimdPolicy,
         chain: &ModulusChain,
     ) {
         let half = self.data.len() / 2;
@@ -232,78 +226,66 @@ impl CtPayload {
                 o0: &mut out0[r.clone()],
                 o1: &mut out1[r],
             };
-            limb.run(kernel, policy);
+            limb.run(kernel);
         }
     }
 
     /// Component-wise payload addition as one stripe pass:
     /// `out[j] = self[j] + other[j]`, each limb under its own prime.
-    pub fn add2(
-        &self,
-        other: &CtPayload,
-        out: &mut [u64],
-        policy: SimdPolicy,
-        chain: &ModulusChain,
-    ) {
+    pub fn add2(&self, other: &CtPayload, out: &mut [u64], chain: &ModulusChain) {
         let (x, y) = (&self.data, &other.data);
         assert_eq!((y.len(), out.len()), (x.len(), x.len()), "stripe length");
         for (limb, r) in limb_stripes(x.len(), self.degree(), self.limbs, chain) {
             let (x, y, out) = (&x[r.clone()], &y[r.clone()], &mut out[r]);
-            limb.run(simd::Add { x, y, out }, policy);
+            limb.run(simd::Add { x, y, out });
         }
     }
 
     /// Component-wise payload subtraction as one stripe pass:
     /// `out[j] = self[j] - other[j]`, each limb under its own prime.
-    pub fn sub2(
-        &self,
-        other: &CtPayload,
-        out: &mut [u64],
-        policy: SimdPolicy,
-        chain: &ModulusChain,
-    ) {
+    pub fn sub2(&self, other: &CtPayload, out: &mut [u64], chain: &ModulusChain) {
         let (x, y) = (&self.data, &other.data);
         assert_eq!((y.len(), out.len()), (x.len(), x.len()), "stripe length");
         for (limb, r) in limb_stripes(x.len(), self.degree(), self.limbs, chain) {
             let (x, y, out) = (&x[r.clone()], &y[r.clone()], &mut out[r]);
-            limb.run(simd::Sub { x, y, out }, policy);
+            limb.run(simd::Sub { x, y, out });
         }
     }
 
     /// Component-wise payload negation as one stripe pass:
     /// `out[j] = -self[j]`, each limb under its own prime.
-    pub fn neg2(&self, out: &mut [u64], policy: SimdPolicy, chain: &ModulusChain) {
+    pub fn neg2(&self, out: &mut [u64], chain: &ModulusChain) {
         let x = &self.data;
         assert_eq!(out.len(), x.len(), "output stripe length");
         for (limb, r) in limb_stripes(x.len(), self.degree(), self.limbs, chain) {
             let (x, out) = (&x[r.clone()], &mut out[r]);
-            limb.run(simd::Neg { x, out }, policy);
+            limb.run(simd::Neg { x, out });
         }
     }
 
     /// In-place variant of [`CtPayload::add2`].
-    pub fn add_assign2(&mut self, other: &CtPayload, policy: SimdPolicy, chain: &ModulusChain) {
+    pub fn add_assign2(&mut self, other: &CtPayload, chain: &ModulusChain) {
         assert_eq!(other.data.len(), self.data.len(), "operand stripe length");
         for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
             let (x, y) = (&mut self.data[r.clone()], &other.data[r]);
-            limb.run(simd::AddAssign { x, y }, policy);
+            limb.run(simd::AddAssign { x, y });
         }
     }
 
     /// In-place variant of [`CtPayload::sub2`].
-    pub fn sub_assign2(&mut self, other: &CtPayload, policy: SimdPolicy, chain: &ModulusChain) {
+    pub fn sub_assign2(&mut self, other: &CtPayload, chain: &ModulusChain) {
         assert_eq!(other.data.len(), self.data.len(), "operand stripe length");
         for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
             let (x, y) = (&mut self.data[r.clone()], &other.data[r]);
-            limb.run(simd::SubAssign { x, y }, policy);
+            limb.run(simd::SubAssign { x, y });
         }
     }
 
     /// In-place variant of [`CtPayload::neg2`].
-    pub fn neg_assign2(&mut self, policy: SimdPolicy, chain: &ModulusChain) {
+    pub fn neg_assign2(&mut self, chain: &ModulusChain) {
         for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
             let x = &mut self.data[r];
-            limb.run(simd::NegAssign { x }, policy);
+            limb.run(simd::NegAssign { x });
         }
     }
 }
@@ -312,13 +294,20 @@ impl CtPayload {
 mod tests {
     use super::*;
     use crate::poly::{p_add, p_mul, p_mul_add, p_neg, p_sub, Poly, MODULUS};
+    use crate::simd::SimdPolicy;
 
-    fn policies() -> Vec<SimdPolicy> {
-        crate::simd::available_policies(module_path!())
+    /// One `k`-limb chain at `degree` per lane the CPU has, scalar first:
+    /// a kernel runs on its chain's lane.
+    fn lanes(k: usize, degree: usize) -> Vec<ModulusChain> {
+        let policies = crate::simd::available_policies(module_path!());
+        (policies.into_iter())
+            .map(|policy| ModulusChain::with_policy(k, degree, policy))
+            .collect()
     }
 
-    fn chain1(degree: usize) -> ModulusChain {
-        ModulusChain::new(1, degree)
+    /// The lane `chain`'s kernels run on.
+    fn lane(chain: &ModulusChain) -> SimdPolicy {
+        chain.limb(0).tables().policy()
     }
 
     /// Deterministic pseudo-random canonical field elements.
@@ -368,16 +357,16 @@ mod tests {
     #[test]
     fn striped_shared_multiplier_matches_split_reference() {
         for (degree, seed) in [(16usize, 0xA), (64, 0xB), (256, 0xC)] {
-            let chain = chain1(degree);
             let payload = random_payload(degree, seed);
             let mult = random_values(degree, seed ^ 0xFF);
             let mut out = vec![0u64; 2 * degree];
-            for policy in policies() {
-                payload.mul_eval2(&mult, &mut out, policy, &chain);
+            for chain in lanes(1, degree) {
+                payload.mul_eval2(&mult, &mut out, &chain);
                 assert_eq!(
                     out,
                     split_mul_reference(&payload, &mult),
-                    "degree {degree} {policy:?}"
+                    "degree {degree} {:?}",
+                    lane(&chain)
                 );
             }
         }
@@ -386,7 +375,6 @@ mod tests {
     #[test]
     fn striped_tensor_product_matches_per_component_reference() {
         for (degree, seed) in [(16usize, 0x1), (64, 0x2)] {
-            let chain = chain1(degree);
             let a = random_payload(degree, seed);
             let b = random_payload(degree, seed ^ 0x77);
             let s0 = random_values(degree, seed ^ 0x101);
@@ -402,10 +390,10 @@ mod tests {
                     p_mul_add(a.c1()[i], b.c0()[i], p_mul(a.c0()[i], b.c1()[i])),
                 );
             }
-            for policy in policies() {
+            for chain in lanes(1, degree) {
                 let mut out = vec![0u64; 2 * degree];
-                a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
-                assert_eq!(out, expected, "degree {degree} {policy:?}");
+                a.mul_add_eval2(&b, &s0, &s1, &mut out, &chain);
+                assert_eq!(out, expected, "degree {degree} {:?}", lane(&chain));
             }
         }
     }
@@ -414,7 +402,6 @@ mod tests {
     fn striped_galois_matches_per_component_poly_reference() {
         use crate::poly::{galois_eval_permutation, NttTables};
         let degree = 32usize;
-        let chain = chain1(degree);
         let tables = NttTables::new(degree);
         let c0 = Poly::from_coeffs(random_values(degree, 3)).to_eval(&tables);
         let c1 = Poly::from_coeffs(random_values(degree, 5)).to_eval(&tables);
@@ -431,9 +418,10 @@ mod tests {
                     .map(|(&g, &k)| p_mul(g, k))
                     .collect()
             };
-            for policy in policies() {
+            for chain in lanes(1, degree) {
+                let policy = lane(&chain);
                 let mut out = vec![0u64; 2 * degree];
-                payload.galois_eval2(&perm, &key, &mut out, policy, &chain);
+                payload.galois_eval2(&perm, &key, &mut out, &chain);
                 assert_eq!(
                     &out[..degree],
                     reference(&c0),
@@ -451,7 +439,6 @@ mod tests {
     #[test]
     fn stripe_add_sub_neg_match_per_coefficient_field_ops() {
         let degree = 64usize;
-        let chain = chain1(degree);
         let a = random_payload(degree, 0xAD);
         let b = random_payload(degree, 0xBE);
         let (x, y) = (a.stripe(), b.stripe());
@@ -460,28 +447,28 @@ mod tests {
         };
         let negated: Vec<u64> = x.iter().map(|&u| p_neg(u)).collect();
 
-        for policy in policies() {
+        for chain in lanes(1, degree) {
             let mut sum = vec![0u64; 2 * degree];
-            a.add2(&b, &mut sum, policy, &chain);
+            a.add2(&b, &mut sum, &chain);
             assert_eq!(sum, zip(p_add));
 
             let mut diff = vec![0u64; 2 * degree];
-            a.sub2(&b, &mut diff, policy, &chain);
+            a.sub2(&b, &mut diff, &chain);
             assert_eq!(diff, zip(p_sub));
 
             let mut neg = vec![0u64; 2 * degree];
-            a.neg2(&mut neg, policy, &chain);
+            a.neg2(&mut neg, &chain);
             assert_eq!(neg, negated);
 
             // The in-place variants agree with the out-of-place ones.
             let mut acc = a.clone();
-            acc.add_assign2(&b, policy, &chain);
+            acc.add_assign2(&b, &chain);
             assert_eq!(acc.stripe(), &sum[..]);
             let mut acc = a.clone();
-            acc.sub_assign2(&b, policy, &chain);
+            acc.sub_assign2(&b, &chain);
             assert_eq!(acc.stripe(), &diff[..]);
             let mut acc = a.clone();
-            acc.neg_assign2(policy, &chain);
+            acc.neg_assign2(&chain);
             assert_eq!(acc.stripe(), &neg[..]);
         }
     }
@@ -489,18 +476,19 @@ mod tests {
     #[test]
     fn multi_limb_kernels_reduce_each_limb_by_its_own_prime() {
         let degree = 32usize;
-        let chain = ModulusChain::new(3, degree);
-        let k = chain.limb_count();
-        let a = random_limb_payload(&chain, degree, 0x31);
-        let b = random_limb_payload(&chain, degree, 0x32);
+        let lanes = lanes(3, degree);
+        let k = 3;
+        let a = random_limb_payload(&lanes[0], degree, 0x31);
+        let b = random_limb_payload(&lanes[0], degree, 0x32);
         let mult: Vec<u64> = b.c0().to_vec();
         let naive_mul = |x: u64, y: u64, q: u64| -> u64 {
             ((u128::from(x) * u128::from(y)) % u128::from(q)) as u64
         };
 
-        for policy in policies() {
+        for chain in &lanes {
+            let policy = lane(chain);
             let mut out = vec![0u64; 2 * k * degree];
-            a.mul_eval2(&mult, &mut out, policy, &chain);
+            a.mul_eval2(&mult, &mut out, chain);
             for li in 0..k {
                 let q = chain.limb(li).modulus();
                 for j in 0..degree {
@@ -520,9 +508,9 @@ mod tests {
         }
 
         // Add/sub/neg walk every limb segment under its own modulus.
-        for policy in policies() {
+        for chain in &lanes {
             let mut sum = vec![0u64; 2 * k * degree];
-            a.add2(&b, &mut sum, policy, &chain);
+            a.add2(&b, &mut sum, chain);
             for li in 0..k {
                 let q = chain.limb(li).modulus();
                 for j in 0..degree {
@@ -533,7 +521,7 @@ mod tests {
                 }
             }
             let mut acc = a.clone();
-            acc.add_assign2(&b, policy, &chain);
+            acc.add_assign2(&b, chain);
             assert_eq!(acc.stripe(), &sum[..]);
         }
     }
@@ -542,14 +530,15 @@ mod tests {
     fn multi_limb_galois_permutes_within_each_limb_stripe() {
         use crate::poly::galois_eval_permutation;
         let degree = 16usize;
-        let chain = ModulusChain::new(2, degree);
-        let k = chain.limb_count();
-        let payload = random_limb_payload(&chain, degree, 0x41);
+        let lanes = lanes(2, degree);
+        let k = 2;
+        let payload = random_limb_payload(&lanes[0], degree, 0x41);
         let key: Vec<u64> = payload.c1().to_vec();
         let perm = galois_eval_permutation(degree, 3);
-        for policy in policies() {
+        for chain in &lanes {
+            let policy = lane(chain);
             let mut out = vec![0u64; 2 * k * degree];
-            payload.galois_eval2(&perm, &key, &mut out, policy, &chain);
+            payload.galois_eval2(&perm, &key, &mut out, chain);
             for li in 0..k {
                 let q = chain.limb(li).modulus();
                 for (j, &p) in perm.iter().enumerate() {
@@ -572,16 +561,17 @@ mod tests {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let degree = 16usize;
         for k in [1usize, 2] {
-            let chain = ModulusChain::new(k, degree);
             let half = k * degree;
-            let a = random_limb_payload(&chain, degree, 0x51);
+            let lanes = lanes(k, degree);
+            let a = random_limb_payload(&lanes[0], degree, 0x51);
             let small_chain = ModulusChain::new(k, degree / 2);
             let small = random_limb_payload(&small_chain, degree / 2, 0x52);
             let full = vec![1u64; half];
             let short = vec![1u64; half / 2];
             let perm = galois_eval_permutation(degree, 3);
             let short_perm = galois_eval_permutation(degree / 2, 3);
-            for policy in policies() {
+            for chain in &lanes {
+                let policy = lane(chain);
                 let panics = |name: &str, kernel: &dyn Fn(&mut [u64])| {
                     let mut out = vec![0u64; 2 * half];
                     let outcome = catch_unwind(AssertUnwindSafe(|| kernel(&mut out)));
@@ -590,33 +580,27 @@ mod tests {
                         "{name} accepted a mismatch (k={k}, {policy:?})"
                     );
                 };
-                panics("mul_eval2", &|out| a.mul_eval2(&short, out, policy, &chain));
+                panics("mul_eval2", &|out| a.mul_eval2(&short, out, chain));
                 panics("mul_eval2 output", &|out| {
-                    a.mul_eval2(&full, &mut out[..half], policy, &chain)
+                    a.mul_eval2(&full, &mut out[..half], chain)
                 });
                 panics("mul_add_eval2 operand", &|out| {
-                    a.mul_add_eval2(&small, &full, &full, out, policy, &chain)
+                    a.mul_add_eval2(&small, &full, &full, out, chain)
                 });
                 panics("mul_add_eval2 key", &|out| {
-                    a.mul_add_eval2(&a, &full, &short, out, policy, &chain)
+                    a.mul_add_eval2(&a, &full, &short, out, chain)
                 });
                 panics("galois_eval2 key", &|out| {
-                    a.galois_eval2(&perm, &short, out, policy, &chain)
+                    a.galois_eval2(&perm, &short, out, chain)
                 });
                 panics("galois_eval2 permutation", &|out| {
-                    a.galois_eval2(&short_perm, &full, out, policy, &chain)
+                    a.galois_eval2(&short_perm, &full, out, chain)
                 });
-                panics("add2", &|out| a.add2(&small, out, policy, &chain));
-                panics("sub2 output", &|out| {
-                    a.sub2(&a, &mut out[..half], policy, &chain)
-                });
-                panics("neg2", &|out| a.neg2(&mut out[..half], policy, &chain));
-                panics("add_assign2", &|_| {
-                    a.clone().add_assign2(&small, policy, &chain)
-                });
-                panics("sub_assign2", &|_| {
-                    a.clone().sub_assign2(&small, policy, &chain)
-                });
+                panics("add2", &|out| a.add2(&small, out, chain));
+                panics("sub2 output", &|out| a.sub2(&a, &mut out[..half], chain));
+                panics("neg2", &|out| a.neg2(&mut out[..half], chain));
+                panics("add_assign2", &|_| a.clone().add_assign2(&small, chain));
+                panics("sub_assign2", &|_| a.clone().sub_assign2(&small, chain));
             }
         }
     }

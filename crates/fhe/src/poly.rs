@@ -171,8 +171,9 @@ pub struct NttTables {
     inv_degree: u64,
     /// Transform counters, shared by clones of the same table set.
     counters: Arc<TransformCounters>,
-    /// The SIMD back end the butterfly stages run on, snapshotted at
-    /// construction (see [`SimdPolicy::global`]).
+    /// The SIMD lane every kernel of these tables runs on — the butterfly
+    /// stages and, through [`crate::rns::Limb`], every payload kernel of
+    /// the limb — fixed at construction (see [`SimdPolicy::global`]).
     policy: SimdPolicy,
 }
 
@@ -265,20 +266,21 @@ impl NttTables {
         self.mu
     }
 
-    /// The SIMD back end this table set's transforms run on.
+    /// The SIMD lane this table set's kernels run on.
     pub fn policy(&self) -> SimdPolicy {
         self.policy
     }
 
-    /// Runs `kernel` under this table set's prime on the lane `policy`
-    /// selects — the one place a kernel learns which prime it reduces by:
-    /// the ε-identity arithmetic for Goldilocks, Barrett for every other.
-    pub(crate) fn run(&self, kernel: impl simd::Kernel, policy: SimdPolicy) {
+    /// Runs `kernel` under this table set's prime on its lane — the one
+    /// place a kernel learns which prime it reduces by (the ε-identity
+    /// arithmetic for Goldilocks, Barrett for every other) and which lane
+    /// it runs on.
+    pub(crate) fn run(&self, kernel: impl simd::Kernel) {
         if self.q == MODULUS {
-            simd::dispatch(kernel, Goldilocks, policy);
+            simd::dispatch(kernel, Goldilocks, self.policy);
         } else {
             let (q, mu) = (self.q, self.mu);
-            simd::dispatch(kernel, simd::Barrett { q, mu }, policy);
+            simd::dispatch(kernel, simd::Barrett { q, mu }, self.policy);
         }
     }
 
@@ -327,7 +329,7 @@ impl NttTables {
                     canonical: 2 * m == n,
                 },
             };
-            self.run(stage, self.policy);
+            self.run(stage);
             m *= 2;
         }
         debug_assert!(
@@ -354,12 +356,12 @@ impl NttTables {
                 t,
                 butterfly: simd::Inverse,
             };
-            self.run(stage, self.policy);
+            self.run(stage);
             t *= 2;
             m = h;
         }
         let k = self.inv_degree;
-        self.run(simd::Scale { a, k }, self.policy);
+        self.run(simd::Scale { a, k });
         debug_assert!(
             a.iter().all(|&x| x < self.q),
             "inverse NTT output must be canonical after the scaling pass"
@@ -410,13 +412,6 @@ impl Poly {
     /// The domain the stored values are in.
     pub fn domain(&self) -> Domain {
         self.domain
-    }
-
-    /// Consumes the polynomial and returns its owned backing buffer, so a
-    /// dead polynomial's storage can go back to a [`crate::PolyArena`]
-    /// instead of the allocator.
-    pub(crate) fn into_coeffs(self) -> Vec<u64> {
-        self.coeffs
     }
 
     /// The polynomial's degree bound (`n`).

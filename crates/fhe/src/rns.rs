@@ -33,7 +33,9 @@
 //! transform is the same `simd::Stage` / `Scale` kernels under that
 //! prime's modulus: lazy on Goldilocks, canonical throughout under
 //! Barrett. `NttTables::run` is the one place that choice is made, for
-//! the transforms and for every payload kernel a limb runs alike.
+//! the transforms and for every payload kernel a limb runs alike — and the
+//! one place the lane is read: the chain's tables hold it, so every kernel
+//! on a chain's stripes runs on the lane the chain was built with.
 //!
 //! # CRT lift and reconstruction
 //!
@@ -339,8 +341,8 @@ fn mul_shoup(y: u64, w: u64, wp: u64, q: u64) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// One residue channel of the chain: the NTT tables of its prime, which
-/// carry the prime, its Barrett constant and the lane the transforms run
-/// on. Limb 0 is always the Goldilocks prime, run by the ε-identity
+/// carry the prime, its Barrett constant and the lane every kernel of the
+/// limb runs on. Limb 0 is always the Goldilocks prime, run by the ε-identity
 /// kernels; every other limb is a generic prime, run by Barrett's.
 #[derive(Debug, Clone)]
 pub struct Limb {
@@ -378,10 +380,10 @@ impl Limb {
         &self.ntt
     }
 
-    /// Runs `kernel` under this limb's modulus (`NttTables::run`, the one
-    /// place a kernel learns which prime it reduces by).
-    pub(crate) fn run(&self, kernel: impl simd::Kernel, policy: SimdPolicy) {
-        self.ntt.run(kernel, policy);
+    /// Runs `kernel` under this limb's modulus on the chain's lane
+    /// (`NttTables::run`, the one place a kernel learns both).
+    pub(crate) fn run(&self, kernel: impl simd::Kernel) {
+        self.ntt.run(kernel);
     }
 }
 
@@ -400,15 +402,16 @@ pub struct ModulusChain {
 impl ModulusChain {
     /// Builds a chain of `limb_count ≥ 1` limbs for ring degree `degree`
     /// (a power of two, at least 2), every limb with the NTT tables of its
-    /// prime, transforming on the process-wide SIMD policy
-    /// ([`SimdPolicy::global`]); the `k = 1` chain is the Goldilocks limb
-    /// alone.
+    /// prime; the `k = 1` chain is the Goldilocks limb alone. The
+    /// process-wide SIMD policy ([`SimdPolicy::global`]) is read here, once:
+    /// every transform and payload kernel on the chain's stripes runs on
+    /// that lane for the chain's lifetime.
     pub fn new(limb_count: usize, degree: usize) -> ModulusChain {
         Self::with_policy(limb_count, degree, SimdPolicy::global())
     }
 
-    /// [`ModulusChain::new`] with the limbs' transforms on an explicit SIMD
-    /// policy (tests use this to run every lane in one process).
+    /// [`ModulusChain::new`] on an explicit SIMD policy (tests use this to
+    /// run every lane in one process).
     pub fn with_policy(limb_count: usize, degree: usize, policy: SimdPolicy) -> ModulusChain {
         assert!(limb_count >= 1, "a chain needs at least one limb");
         let primes = std::iter::once(MODULUS).chain(find_generic_primes(limb_count - 1, degree));
@@ -483,14 +486,13 @@ impl ModulusChain {
     /// passes are `simd::Reduce` kernels on the chain's lane, so the values
     /// do not depend on it.
     pub(crate) fn lift_limbs(&self, buf: &mut [u64]) {
-        let policy = self.limbs[0].ntt.policy();
         let (base, generic) = buf.split_at_mut(self.degree);
-        self.limbs[0].run(simd::ReduceAssign { x: base }, policy);
+        self.limbs[0].run(simd::ReduceAssign { x: base });
         for (limb, out) in self.limbs[1..]
             .iter()
             .zip(generic.chunks_exact_mut(self.degree))
         {
-            limb.run(simd::Reduce { x: base, out }, policy);
+            limb.run(simd::Reduce { x: base, out });
         }
     }
 
@@ -925,9 +927,8 @@ mod tests {
     fn generic_chunk_kernels_match_reference_arithmetic() {
         use crate::simd::{Add, AddAssign, Galois2, GaloisPermutation, MulAdd2, Neg, NegAssign};
         use crate::simd::{Sub, SubAssign};
-        let chain = ModulusChain::new(2, 64);
-        let (limb, q) = (chain.limb(1), chain.limb(1).modulus());
         let n = 33;
+        let q = ModulusChain::new(2, 64).limb(1).modulus();
         let reduce = |v: Vec<u64>| -> Vec<u64> { v.into_iter().map(|x| x % q).collect() };
         let a0 = reduce(random_values(n, 11));
         let a1 = reduce(random_values(n, 12));
@@ -939,11 +940,13 @@ mod tests {
         for policy in
             crate::simd::available_policies("generic_chunk_kernels_match_reference_arithmetic")
         {
+            let chain = ModulusChain::with_policy(2, 64, policy);
+            let limb = chain.limb(1);
             let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);
             let (a0, a1, b0, b1, s0, s1) = (&a0[..], &a1[..], &b0[..], &b1[..], &s0[..], &s1[..]);
             let (o0, o1) = (&mut o0[..], &mut o1[..]);
             #[rustfmt::skip]
-            limb.run(MulAdd2 { a0, a1, b0, b1, s0, s1, o0: &mut *o0, o1: &mut *o1 }, policy);
+            limb.run(MulAdd2 { a0, a1, b0, b1, s0, s1, o0: &mut *o0, o1: &mut *o1 });
             for i in 0..n {
                 let c2 = mul_mod_u128(a1[i], b1[i], q);
                 assert_eq!(
@@ -955,31 +958,37 @@ mod tests {
             let perm =
                 GaloisPermutation::new((0..n as u32).map(|i| (i * 5 + 2) % n as u32).collect());
             #[rustfmt::skip]
-            limb.run(Galois2 { src0: a0, src1: a1, perm: &perm, key: b0, o0: &mut *o0, o1: &mut *o1 }, policy);
+            limb.run(Galois2 { src0: a0, src1: a1, perm: &perm, key: b0, o0: &mut *o0, o1: &mut *o1 });
             for i in 0..n {
                 assert_eq!(o0[i], mul_mod_u128(a0[perm[i] as usize], b0[i], q));
             }
 
             let (x, y) = (a0, a1);
             let mut o2 = vec![0u64; n];
-            #[rustfmt::skip]
-            limb.run(Add { x, y, out: &mut *o0 }, policy);
-            #[rustfmt::skip]
-            limb.run(Sub { x, y, out: &mut *o1 }, policy);
-            limb.run(Neg { x, out: &mut o2 }, policy);
+            limb.run(Add {
+                x,
+                y,
+                out: &mut *o0,
+            });
+            limb.run(Sub {
+                x,
+                y,
+                out: &mut *o1,
+            });
+            limb.run(Neg { x, out: &mut o2 });
             for i in 0..n {
                 assert_eq!(o0[i], (a0[i] + a1[i]) % q);
                 assert_eq!(o1[i], (a0[i] + q - a1[i]) % q);
                 assert_eq!(o2[i], (q - a0[i]) % q);
             }
             let mut out = a0.to_vec();
-            limb.run(AddAssign { x: &mut out, y }, policy);
+            limb.run(AddAssign { x: &mut out, y });
             assert_eq!(out, o0);
             let mut out = a0.to_vec();
-            limb.run(SubAssign { x: &mut out, y }, policy);
+            limb.run(SubAssign { x: &mut out, y });
             assert_eq!(out, o1);
             let mut out = a0.to_vec();
-            limb.run(NegAssign { x: &mut out }, policy);
+            limb.run(NegAssign { x: &mut out });
             assert_eq!(out, o2);
         }
     }

@@ -48,8 +48,12 @@
 //! covers whole lanes, and finishes the ragged end with the `u64` lane.
 //! `dispatch` picks the lane: [`SimdPolicy`] is resolved once per process
 //! (the widest lane `is_x86_feature_detected!` reports, forcible to scalar
-//! with `CHEHAB_SIMD=0`), then snapshotted by `NttTables` and `Evaluator`
-//! at construction so a session's arithmetic is uniform.
+//! with `CHEHAB_SIMD=0`). The lane lives in one place, the modulus chain:
+//! `ModulusChain::new` reads the policy once and every limb's `NttTables`
+//! holds it, and every transform and payload kernel on the chain's
+//! stripes runs through `NttTables::run` on that lane. No kernel takes a
+//! policy, and no evaluator keeps one, so a session's arithmetic is
+//! uniform for the life of its chain.
 //!
 //! Outputs are bit-identical on every instantiation by construction: a
 //! canonical representative is unique, every stored value is canonical, and
@@ -164,9 +168,10 @@ pub fn p_canonical(x: u64) -> u64 {
 ///
 /// Resolved once per process by [`SimdPolicy::global`] (runtime CPU feature
 /// detection, overridable with `CHEHAB_SIMD=0|1` or [`SimdPolicy::set_global`]
-/// for testing), then snapshotted by `NttTables` and `Evaluator` at
-/// construction. The scalar path is the bit-identity oracle: outputs are
-/// identical under every policy. Policies are ordered by lane width.
+/// for testing), then read once by each modulus chain (and each standalone
+/// `NttTables`) at construction. The scalar path is the bit-identity
+/// oracle: outputs are identical under every policy. Policies are ordered
+/// by lane width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdPolicy {
     /// Portable scalar kernels (the oracle and universal fallback).
@@ -226,7 +231,6 @@ impl SimdPolicy {
         }
         let resolved = match std::env::var("CHEHAB_SIMD").ok().as_deref() {
             Some("0") => SimdPolicy::Scalar,
-            Some("1") => SimdPolicy::detected(),
             _ => SimdPolicy::detected(),
         };
         GLOBAL_POLICY.store(resolved.encode(), Ordering::Relaxed);
@@ -1889,8 +1893,8 @@ mod tests {
     }
 
     /// One limb of the `k = 3` chain — Goldilocks, then each generic prime —
-    /// as the matrix below sees it: the prime kernels run under
-    /// ([`Limb::run`]) and the `u128` `%` arithmetic they are held to.
+    /// as the matrix below sees it: the modulus its kernels run under, on
+    /// any lane, and the `u128` `%` arithmetic they are held to.
     #[derive(Debug, Clone, Copy)]
     struct Prime<'a>(&'a Limb);
 
@@ -1903,8 +1907,16 @@ mod tests {
             self.0.modulus()
         }
 
+        /// Runs `kernel` under this limb's modulus on `policy`'s lane —
+        /// `NttTables::run`'s choice of modulus, with the lane as an
+        /// argument so one limb covers every lane.
         fn run(self, kernel: impl Kernel, policy: SimdPolicy) {
-            self.0.run(kernel, policy);
+            let (q, mu) = (self.q(), self.0.mu());
+            if self.0.is_goldilocks() {
+                dispatch(kernel, Goldilocks, policy);
+            } else {
+                dispatch(kernel, Barrett { q, mu }, policy);
+            }
         }
 
         /// The values a conditional subtract or a wrap fix-up is most

@@ -34,11 +34,6 @@ impl Ty {
             Ty::Vector(k) => k,
         }
     }
-
-    /// Returns `true` if this is a vector type.
-    pub fn is_vector(self) -> bool {
-        matches!(self, Ty::Vector(_))
-    }
 }
 
 impl fmt::Display for Ty {
@@ -170,11 +165,6 @@ impl Expr {
     /// Element-wise `a + b` on vectors.
     pub fn vec_add(a: Expr, b: Expr) -> Expr {
         Expr::VecBin(BinOp::Add, Box::new(a), Box::new(b))
-    }
-
-    /// Element-wise `a - b` on vectors.
-    pub fn vec_sub(a: Expr, b: Expr) -> Expr {
-        Expr::VecBin(BinOp::Sub, Box::new(a), Box::new(b))
     }
 
     /// Element-wise `a * b` on vectors.

@@ -55,6 +55,6 @@ pub use forward::Forward;
 pub use gru::GruEncoder;
 pub use layers::{Activation, LayerNorm, Linear, Mlp, Module};
 pub use matrix::Matrix;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use tensor::{Tape, Tensor, Var};
 pub use transformer::{TransformerConfig, TransformerEncoder};

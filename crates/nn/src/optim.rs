@@ -104,33 +104,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent (used by small tests and sanity checks).
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Tensor>,
-    learning_rate: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(params: Vec<Tensor>, learning_rate: f32) -> Self {
-        Sgd {
-            params,
-            learning_rate,
-        }
-    }
-
-    /// Applies one descent step.
-    pub fn step(&mut self) {
-        for p in &self.params {
-            let (mut value, grad) = (p.value_mut(), p.borrow_grad());
-            for (value, &grad) in value.data_mut().iter_mut().zip(grad.data()) {
-                *value += grad * -self.learning_rate;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,18 +127,6 @@ mod tests {
             optimizer.step();
         }
         assert!((x.value().get(0, 0) - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn sgd_minimizes_a_quadratic() {
-        let x = Tensor::parameter(Matrix::full(1, 1, 10.0));
-        let mut optimizer = Sgd::new(vec![x.clone()], 0.1);
-        for _ in 0..300 {
-            x.zero_grad();
-            quadratic_loss_backward(&x);
-            optimizer.step();
-        }
-        assert!((x.value().get(0, 0) - 3.0).abs() < 0.1);
     }
 
     #[test]

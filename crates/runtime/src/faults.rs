@@ -188,16 +188,6 @@ impl FaultPlan {
         }
     }
 
-    /// A plan that sleeps `spike` on every `period`-th dispatch.
-    pub fn latency_spikes(period: u64, spike: Duration) -> Self {
-        FaultPlan {
-            inner: Arc::new(PlanInner {
-                latency_every: Some((period.max(1), spike)),
-                ..PlanInner::default()
-            }),
-        }
-    }
-
     /// Arms `budget` forced queue-full rejections: the serving engine's
     /// submission paths report `QueueFull` until the budget is spent.
     pub fn force_queue_full(&self, budget: u64) {

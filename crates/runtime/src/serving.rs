@@ -186,18 +186,6 @@ impl<T> TrySubmitError<T> {
             | TrySubmitError::Shed(request) => request,
         }
     }
-
-    /// `true` for the transient [`TrySubmitError::QueueFull`] rejection
-    /// (worth retrying), `false` for the terminal shutdown and shed
-    /// rejections.
-    pub fn is_queue_full(&self) -> bool {
-        matches!(self, TrySubmitError::QueueFull(_))
-    }
-
-    /// `true` for the [`TrySubmitError::Shed`] admission-control rejection.
-    pub fn is_shed(&self) -> bool {
-        matches!(self, TrySubmitError::Shed(_))
-    }
 }
 
 impl<T> std::fmt::Display for TrySubmitError<T> {
@@ -451,12 +439,6 @@ impl<R> RequestHandle<R> {
     /// retrieve the result as usual.
     pub fn cancel(&self) {
         self.token.cancel();
-    }
-
-    /// The request's cancellation token (shared with the engine worker that
-    /// serves it).
-    pub fn cancellation_token(&self) -> &CancellationToken {
-        &self.token
     }
 
     /// Locks the result slot, recovering from std mutex poisoning: the
@@ -1431,7 +1413,6 @@ mod tests {
         let second = engine.try_submit(2).expect("queue has room");
         // Queue full now: the rejection carries the request back unchanged.
         let rejected = engine.try_submit(3).expect_err("queue is at capacity");
-        assert!(rejected.is_queue_full());
         assert_eq!(rejected, TrySubmitError::QueueFull(3));
         assert_eq!(rejected.into_request(), 3);
         drop(guard);
@@ -1519,7 +1500,6 @@ mod tests {
         assert_eq!(slow.wait(), "expired");
         let doomed = engine.submit(1).unwrap();
         doomed.cancel();
-        assert!(doomed.cancellation_token().is_cancelled());
         assert_eq!(doomed.wait(), "cancelled");
         let stats = engine.shutdown();
         assert_eq!(stats.resilience.cancelled, 1);
@@ -1560,8 +1540,7 @@ mod tests {
         // submission is provably infeasible, even at queue depth zero.
         assert_eq!(engine.submit(false).unwrap_err(), ServingError::Shed);
         let rejected = engine.try_submit(false).unwrap_err();
-        assert!(rejected.is_shed());
-        assert!(!rejected.is_queue_full());
+        assert_eq!(rejected, TrySubmitError::Shed(false));
         assert!(!rejected.into_request());
         let stats = engine.shutdown();
         assert_eq!(stats.resilience.shed, 2);
@@ -1588,7 +1567,7 @@ mod tests {
         let rejected = engine
             .submit_with_retry(1, 2, Duration::from_millis(1))
             .unwrap_err();
-        assert!(rejected.is_queue_full());
+        assert_eq!(rejected, TrySubmitError::QueueFull(1));
         engine.shutdown();
     }
 

@@ -36,11 +36,6 @@ impl RewriteEngine {
         }
     }
 
-    /// Creates an engine over a custom rule set.
-    pub fn with_rules(rules: Vec<Rule>) -> Self {
-        RewriteEngine { rules }
-    }
-
     /// The ordered rule catalog. The index of a rule in this slice is the id
     /// used by [`Match::rule_index`] and by the RL action space.
     pub fn rules(&self) -> &[Rule] {

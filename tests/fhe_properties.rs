@@ -385,11 +385,11 @@ fn keygen_and_encryption_draw_the_recorded_stream() {
         let mut enc = Encryptor::new(&ctx, &keygen.public_key());
         let first = enc.encrypt_values(&[1, 2, 3]).unwrap();
         let second = enc.encrypt_values(&[4]).unwrap();
-        let key = galois.switch_poly(1).expect("step 1 was requested");
+        let key = galois.switch_stripe(1).expect("step 1 was requested");
         let folds = [
             fold(first.payload().stripe()),
             fold(second.payload().stripe()),
-            fold(key.coeffs()),
+            fold(key),
         ];
         (limb_count, folds)
     });

@@ -90,8 +90,8 @@ fn k1_kernels_are_bit_identical_to_the_goldilocks_oracle() {
     let policies = available_policies("k1_kernels_are_bit_identical_to_the_goldilocks_oracle");
     let mut rng = ChaCha8Rng::seed_from_u64(0x9B5_0001);
     for degree in [8usize, 64, 512] {
-        let chain = ModulusChain::new(1, degree);
         for &policy in &policies {
+            let chain = ModulusChain::with_policy(1, degree, policy);
             let a = CtPayload::from_limb_stripe(random_residues(&mut rng, 2 * degree, MODULUS), 1);
             let b = CtPayload::from_limb_stripe(random_residues(&mut rng, 2 * degree, MODULUS), 1);
             let m = random_residues(&mut rng, degree, MODULUS);
@@ -99,7 +99,7 @@ fn k1_kernels_are_bit_identical_to_the_goldilocks_oracle() {
             let s1 = random_residues(&mut rng, degree, MODULUS);
 
             let mut out = vec![0u64; 2 * degree];
-            a.mul_eval2(&m, &mut out, policy, &chain);
+            a.mul_eval2(&m, &mut out, &chain);
             for i in 0..degree {
                 assert_eq!(out[i], p_mul(a.c0()[i], m[i]), "mul_eval2 c0 @{i}");
                 assert_eq!(out[degree + i], p_mul(a.c1()[i], m[i]), "mul_eval2 c1 @{i}");
@@ -107,7 +107,7 @@ fn k1_kernels_are_bit_identical_to_the_goldilocks_oracle() {
 
             // The fused tensor + key-switch kernel: c2 = a1·b1,
             // out0 = a0·b0 + c2·s0, out1 = a0·b1 + a1·b0 + c2·s1.
-            a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
+            a.mul_add_eval2(&b, &s0, &s1, &mut out, &chain);
             for i in 0..degree {
                 let c2 = p_mul(a.c1()[i], b.c1()[i]);
                 let want0 = p_add(p_mul(a.c0()[i], b.c0()[i]), p_mul(c2, s0[i]));
@@ -119,11 +119,11 @@ fn k1_kernels_are_bit_identical_to_the_goldilocks_oracle() {
                 assert_eq!(out[degree + i], want1, "mul_add_eval2 c1 @{i}");
             }
 
-            a.add2(&b, &mut out, policy, &chain);
+            a.add2(&b, &mut out, &chain);
             for (i, &got) in out.iter().enumerate() {
                 assert_eq!(got, p_add(a.stripe()[i], b.stripe()[i]), "add2 @{i}");
             }
-            a.sub2(&b, &mut out, policy, &chain);
+            a.sub2(&b, &mut out, &chain);
             for (i, &got) in out.iter().enumerate() {
                 assert_eq!(got, p_sub(a.stripe()[i], b.stripe()[i]), "sub2 @{i}");
             }
@@ -139,14 +139,14 @@ fn multi_limb_kernels_match_per_limb_oracles() {
     let mut rng = ChaCha8Rng::seed_from_u64(0x9B5_0002);
     for k in [2usize, 3] {
         for degree in [8usize, 64, 256] {
-            let chain = ModulusChain::new(k, degree);
             let half = k * degree;
             for &policy in &policies {
+                let chain = ModulusChain::with_policy(k, degree, policy);
                 let (a, m) = random_limb_payload(&mut rng, &chain);
                 let (b, _) = random_limb_payload(&mut rng, &chain);
 
                 let mut out = vec![0u64; 2 * half];
-                a.mul_eval2(&m, &mut out, policy, &chain);
+                a.mul_eval2(&m, &mut out, &chain);
                 for li in 0..k {
                     let q = chain.limb(li).modulus();
                     for j in 0..degree {
@@ -164,7 +164,7 @@ fn multi_limb_kernels_match_per_limb_oracles() {
                     }
                 }
 
-                a.add2(&b, &mut out, policy, &chain);
+                a.add2(&b, &mut out, &chain);
                 for li in 0..k {
                     let q = chain.limb(li).modulus();
                     for j in 0..degree {
@@ -173,7 +173,7 @@ fn multi_limb_kernels_match_per_limb_oracles() {
                         assert_eq!(out[half + i], naive_add(a.c1()[i], b.c1()[i], q));
                     }
                 }
-                a.sub2(&b, &mut out, policy, &chain);
+                a.sub2(&b, &mut out, &chain);
                 for li in 0..k {
                     let q = chain.limb(li).modulus();
                     for j in 0..degree {
@@ -183,7 +183,7 @@ fn multi_limb_kernels_match_per_limb_oracles() {
                     }
                 }
                 let mut neg = vec![0u64; 2 * half];
-                a.neg2(&mut neg, policy, &chain);
+                a.neg2(&mut neg, &chain);
                 for li in 0..k {
                     let q = chain.limb(li).modulus();
                     for j in 0..degree {

@@ -24,7 +24,8 @@
 //!    policy forced to scalar and to each vector back end
 //!    ([`SimdPolicy::set_global`], the test-side spelling of `CHEHAB_SIMD`),
 //!    at 1 and 4 threads under both schedulers. Only this test touches the
-//!    global policy; the others pass policies explicitly.
+//!    global policy; the others build one chain (or table set) per lane
+//!    with `with_policy`, and a kernel runs on its chain's lane.
 //!
 //! Every test runs each lane the CPU has and prints the ones it skips; on
 //! hardware without a vector lane the comparisons hold trivially — the
@@ -54,21 +55,28 @@ fn available_policies(test: &str) -> Vec<SimdPolicy> {
     have
 }
 
-/// Runs one payload kernel under the scalar policy and each of `vectors`
-/// and asserts bit-identity.
+/// The lane `chain`'s kernels run on.
+fn lane(chain: &ModulusChain) -> SimdPolicy {
+    chain.limb(0).ntt().expect("every limb has tables").policy()
+}
+
+/// Runs one payload kernel on the scalar chain `lanes[0]` and on each vector
+/// chain after it, and asserts bit-identity.
 fn assert_kernel_identical(
     label: &str,
     n: usize,
-    vectors: &[SimdPolicy],
-    kernel: impl Fn(SimdPolicy) -> Vec<u64>,
+    lanes: &[ModulusChain],
+    kernel: impl Fn(&ModulusChain) -> Vec<u64>,
 ) {
-    let scalar = kernel(SimdPolicy::Scalar);
-    for &policy in vectors {
+    let (scalar_chain, vectors) = lanes.split_first().expect("the scalar lane");
+    assert_eq!(lane(scalar_chain), SimdPolicy::Scalar);
+    let scalar = kernel(scalar_chain);
+    for chain in vectors {
         assert_eq!(
             scalar,
-            kernel(policy),
+            kernel(chain),
             "{label}: scalar and {} stripes diverged (n={n})",
-            policy.name()
+            lane(chain).name()
         );
     }
 }
@@ -87,73 +95,76 @@ fn random_limb_stripes(rng: &mut ChaCha8Rng, chain: &ModulusChain, stripes: usiz
 /// Every fused dual-component kernel is bit-identical between the scalar
 /// oracle and every vector policy the CPU has — random inputs, every degree
 /// from one four-wide vector up, under chains of one, two and three limbs
-/// (Goldilocks alone, then with one and two Barrett limbs).
+/// (Goldilocks alone, then with one and two Barrett limbs), one chain per
+/// lane: a kernel runs on its chain's lane.
 #[test]
 fn fused_payload_kernels_are_bit_identical_under_every_policy() {
     let policies = available_policies("fused_payload_kernels_are_bit_identical_under_every_policy");
-    let vectors = &policies[1..];
     let mut rng = ChaCha8Rng::seed_from_u64(0x51DE0);
     // Degrees must be powers of two (stripe invariant).
     for k in [1usize, 2, 3] {
         for n in [4usize, 8, 64, 1024] {
-            let chain = ModulusChain::new(k, n);
+            let lanes: Vec<ModulusChain> = (policies.iter())
+                .map(|&policy| ModulusChain::with_policy(k, n, policy))
+                .collect();
+            let chain = &lanes[0];
             let len = 2 * k * n;
             let payload = |rng: &mut ChaCha8Rng| {
-                CtPayload::from_limb_stripe(random_limb_stripes(rng, &chain, 2 * k), k)
+                CtPayload::from_limb_stripe(random_limb_stripes(rng, chain, 2 * k), k)
             };
             let a = payload(&mut rng);
             let b = payload(&mut rng);
-            let mult = random_limb_stripes(&mut rng, &chain, k);
-            let s0 = random_limb_stripes(&mut rng, &chain, k);
-            let s1 = random_limb_stripes(&mut rng, &chain, k);
+            let mult = random_limb_stripes(&mut rng, chain, k);
+            let s0 = random_limb_stripes(&mut rng, chain, k);
+            let s1 = random_limb_stripes(&mut rng, chain, k);
             // An arbitrary index permutation is enough for gather
             // equivalence (the real Galois permutations are a subset).
             let perm = GaloisPermutation::new((0..n).map(|i| ((i * 7 + 3) % n) as u32).collect());
-            let key = random_limb_stripes(&mut rng, &chain, k);
+            let key = random_limb_stripes(&mut rng, chain, k);
 
-            assert_kernel_identical("mul_eval2", n, vectors, |policy| {
+            assert_kernel_identical("mul_eval2", n, &lanes, |chain| {
                 let mut out = vec![0u64; len];
-                a.mul_eval2(&mult, &mut out, policy, &chain);
+                a.mul_eval2(&mult, &mut out, chain);
                 out
             });
-            assert_kernel_identical("mul_add_eval2", n, vectors, |policy| {
+            assert_kernel_identical("mul_add_eval2", n, &lanes, |chain| {
                 let mut out = vec![0u64; len];
-                a.mul_add_eval2(&b, &s0, &s1, &mut out, policy, &chain);
+                a.mul_add_eval2(&b, &s0, &s1, &mut out, chain);
                 out
             });
-            assert_kernel_identical("galois_eval2", n, vectors, |policy| {
+            assert_kernel_identical("galois_eval2", n, &lanes, |chain| {
                 let mut out = vec![0u64; len];
-                a.galois_eval2(&perm, &key, &mut out, policy, &chain);
+                a.galois_eval2(&perm, &key, &mut out, chain);
                 out
             });
-            assert_kernel_identical("add2", n, vectors, |policy| {
+            assert_kernel_identical("add2", n, &lanes, |chain| {
                 let mut out = vec![0u64; len];
-                a.add2(&b, &mut out, policy, &chain);
+                a.add2(&b, &mut out, chain);
                 out
             });
-            assert_kernel_identical("sub2", n, vectors, |policy| {
+            assert_kernel_identical("sub2", n, &lanes, |chain| {
                 let mut out = vec![0u64; len];
-                a.sub2(&b, &mut out, policy, &chain);
+                a.sub2(&b, &mut out, chain);
                 out
             });
-            assert_kernel_identical("neg2", n, vectors, |policy| {
+            assert_kernel_identical("neg2", n, &lanes, |chain| {
                 let mut out = vec![0u64; len];
-                a.neg2(&mut out, policy, &chain);
+                a.neg2(&mut out, chain);
                 out
             });
-            assert_kernel_identical("add_assign2", n, vectors, |policy| {
+            assert_kernel_identical("add_assign2", n, &lanes, |chain| {
                 let mut acc = a.clone();
-                acc.add_assign2(&b, policy, &chain);
+                acc.add_assign2(&b, chain);
                 acc.into_stripe()
             });
-            assert_kernel_identical("sub_assign2", n, vectors, |policy| {
+            assert_kernel_identical("sub_assign2", n, &lanes, |chain| {
                 let mut acc = a.clone();
-                acc.sub_assign2(&b, policy, &chain);
+                acc.sub_assign2(&b, chain);
                 acc.into_stripe()
             });
-            assert_kernel_identical("neg_assign2", n, vectors, |policy| {
+            assert_kernel_identical("neg_assign2", n, &lanes, |chain| {
                 let mut acc = a.clone();
-                acc.neg_assign2(policy, &chain);
+                acc.neg_assign2(chain);
                 acc.into_stripe()
             });
         }
