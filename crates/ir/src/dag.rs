@@ -267,6 +267,12 @@ impl TermGraph {
         self.nodes.is_empty()
     }
 
+    /// The node with id `id`: its operation and its operands' ids. A
+    /// matcher walks a term through it without building the tree.
+    pub fn node(&self, id: NodeId) -> &DagNode {
+        &self.nodes[id]
+    }
+
     /// Whether the term carries encrypted data
     /// ([`data_kind`](crate::data_kind) of its tree form).
     ///

@@ -5,7 +5,7 @@
 use crate::catalog::default_catalog;
 use crate::index::{MatchIndex, Site};
 use crate::rule::{Placement, Rule};
-use chehab_ir::{CostModel, Expr};
+use chehab_ir::{CostModel, Expr, NodeId};
 
 /// Identifies one concrete application site of one rule inside a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,25 +171,32 @@ impl RewriteEngine {
         while steps < max_steps {
             // Rule by rule, each rule's sites in preorder: the enumeration
             // order of `all_matches`.
-            let mut best: Option<(usize, Site, f64)> = None;
+            let mut best: Option<(usize, Site, NodeId, f64)> = None;
             for (rule, sites) in matches.by_rule().iter().enumerate() {
                 for &site in sites {
                     let candidate = index.successor(&matches, site);
                     let cost = index.cost(candidate, cost_model);
                     if cost < current_cost - 1e-9
-                        && best.is_none_or(|(_, _, best_cost)| cost < best_cost)
+                        && best.is_none_or(|(_, _, _, best_cost)| cost < best_cost)
                     {
-                        best = Some((rule, site, cost));
+                        best = Some((rule, site, candidate, cost));
                     }
                 }
             }
-            let Some((rule, site, cost)) = best else {
+            let Some((rule, site, candidate, cost)) = best else {
                 break;
             };
             current = self
                 .apply_at_path(&current, rule, &matches.path(site))
                 .expect("a scored candidate is a rule match at a valid path");
             matches = index.index(self, &current);
+            // The winner was scored from the graph matcher's replacement and
+            // built by the tree matcher: both must name the same program.
+            debug_assert_eq!(
+                matches.id(),
+                candidate,
+                "rule {rule}: the tree rewrite names the scored candidate"
+            );
             current_cost = cost;
             steps += 1;
         }

@@ -10,6 +10,12 @@
 //! successor state's id and cost come from re-interning the spine, without
 //! building its tree (`DESIGN.md`, "The compile path").
 //!
+//! A rule is tried on a new subterm only through
+//! [`Rule::rewrite_in`](crate::Rule::rewrite_in): a declarative rule matches
+//! the subterm's graph node, binding node ids, and interns its right-hand
+//! side, so trying it costs O(|pattern|) and clones nothing, matched or
+//! not. Only procedural rules read the subterm's tree.
+//!
 //! [`RewriteEngine::greedy_optimize`] and the RL rewrite environment both sit
 //! on it. The tree-walking [`RewriteEngine::matches`],
 //! [`RewriteEngine::applicability_mask`] and [`RewriteEngine::all_matches`]
@@ -190,8 +196,7 @@ fn rewrites_of(
         if rule.placement() != placement {
             continue;
         }
-        if let Some(rewritten) = rule.try_apply(node) {
-            let replacement = graph.intern_expr(&rewritten);
+        if let Some(replacement) = rule.rewrite_in(node, id, graph) {
             if replacement != id {
                 out.push((rule_index, replacement));
             }

@@ -4,8 +4,17 @@
 //! `?name`. Matching is *non-linear*: a metavariable that occurs several
 //! times in a pattern must bind structurally identical subexpressions, which
 //! is what rules such as factorization (`(+ (* ?a ?b) (* ?a ?c))`) rely on.
+//!
+//! A pattern matches in two places. [`Pattern::matches`] and
+//! [`Pattern::substitute`] work on [`Expr`] trees and bind cloned subtrees;
+//! they are the one-shot public API. On a [`TermGraph`] a pattern matches a
+//! node id and binds node ids, and the right-hand side is interned node by
+//! node: a repeated metavariable compares ids (hash-consing makes id
+//! equality structural equality), so neither side clones or walks a bound
+//! subterm. The match index uses the graph form (see
+//! [`Rule::rewrite_in`](crate::Rule::rewrite_in)).
 
-use chehab_ir::{BinOp, Expr};
+use chehab_ir::{BinOp, DagNode, DataKind, Expr, NodeId, TermGraph};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -153,6 +162,90 @@ impl Pattern {
         }
     }
 
+    /// Matches node `id` of `graph`, as [`Pattern::matches`] matches its
+    /// tree form, binding node ids and rotation steps into `bindings`.
+    pub(crate) fn matches_node<'p>(
+        &'p self,
+        graph: &TermGraph,
+        id: NodeId,
+        bindings: &mut NodeBindings<'p>,
+    ) -> bool {
+        match (self, graph.node(id)) {
+            (Pattern::Any(name), _) => bindings.nodes.bind(name, id),
+            (Pattern::Const(v), DagNode::Const(w)) => v == w,
+            (Pattern::AnyConst(name), DagNode::Const(_)) => bindings.nodes.bind(name, id),
+            (Pattern::AnyPlain(name), _) => {
+                graph.data_kind(id) != DataKind::Ciphertext && bindings.nodes.bind(name, id)
+            }
+            (Pattern::Bin(op, pa, pb), DagNode::Bin(eop, a, b))
+            | (Pattern::VecBin(op, pa, pb), DagNode::VecBin(eop, a, b)) => {
+                op == eop
+                    && pa.matches_node(graph, *a, bindings)
+                    && pb.matches_node(graph, *b, bindings)
+            }
+            (Pattern::Neg(pa), DagNode::Neg(a)) | (Pattern::VecNeg(pa), DagNode::VecNeg(a)) => {
+                pa.matches_node(graph, *a, bindings)
+            }
+            (Pattern::Vec(ps), DagNode::Vec(elems)) => {
+                ps.len() == elems.len()
+                    && ps
+                        .iter()
+                        .zip(elems)
+                        .all(|(p, e)| p.matches_node(graph, *e, bindings))
+            }
+            (Pattern::Rot(pa, name), DagNode::Rot(a, step)) => {
+                bindings.steps.bind(name, *step) && pa.matches_node(graph, *a, bindings)
+            }
+            _ => false,
+        }
+    }
+
+    /// Interns the pattern instantiated with `bindings` into `graph`,
+    /// children first, and returns its id: the nodes, ids and interning
+    /// order of [`TermGraph::intern_expr`] of [`Pattern::substitute`]'s tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns the name of the first unbound metavariable encountered.
+    pub(crate) fn intern_in(
+        &self,
+        bindings: &NodeBindings<'_>,
+        graph: &mut TermGraph,
+    ) -> Result<NodeId, String> {
+        let node = match self {
+            Pattern::Any(name) | Pattern::AnyConst(name) | Pattern::AnyPlain(name) => {
+                return bindings.nodes.get(name).ok_or_else(|| name.clone());
+            }
+            Pattern::Const(v) => DagNode::Const(*v),
+            Pattern::Bin(op, a, b) => DagNode::Bin(
+                *op,
+                a.intern_in(bindings, graph)?,
+                b.intern_in(bindings, graph)?,
+            ),
+            Pattern::Neg(a) => DagNode::Neg(a.intern_in(bindings, graph)?),
+            Pattern::Vec(elems) => DagNode::Vec(
+                elems
+                    .iter()
+                    .map(|p| p.intern_in(bindings, graph))
+                    .collect::<Result<_, _>>()?,
+            ),
+            Pattern::VecBin(op, a, b) => DagNode::VecBin(
+                *op,
+                a.intern_in(bindings, graph)?,
+                b.intern_in(bindings, graph)?,
+            ),
+            Pattern::VecNeg(a) => DagNode::VecNeg(a.intern_in(bindings, graph)?),
+            Pattern::Rot(a, name) => {
+                let step = bindings
+                    .steps
+                    .get(name)
+                    .ok_or_else(|| format!("@step:{name}"))?;
+                DagNode::Rot(a.intern_in(bindings, graph)?, step)
+            }
+        };
+        Ok(graph.intern(node))
+    }
+
     /// The metavariable names occurring in the pattern.
     pub fn metavariables(&self) -> Vec<String> {
         let mut out = Vec::new();
@@ -206,12 +299,43 @@ impl fmt::Display for Pattern {
     }
 }
 
+/// The bindings of a graph match ([`Pattern::matches_node`]): node ids and
+/// rotation steps by metavariable name.
+#[derive(Debug, Default)]
+pub(crate) struct NodeBindings<'p> {
+    nodes: Bound<'p, NodeId>,
+    steps: Bound<'p, i64>,
+}
+
+/// Values by name, in the order a match bound them. A rule binds a handful
+/// of names, so lookup is a linear scan.
+#[derive(Debug, Default)]
+struct Bound<'p, T>(Vec<(&'p str, T)>);
+
+impl<'p, T: Copy + PartialEq> Bound<'p, T> {
+    fn get(&self, name: &str) -> Option<T> {
+        self.0.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    }
+
+    /// Binds `name` to `value`, or checks that it is already bound to it.
+    fn bind(&mut self, name: &'p str, value: T) -> bool {
+        match self.get(name) {
+            Some(bound) => bound == value,
+            None => {
+                self.0.push((name, value));
+                true
+            }
+        }
+    }
+}
+
 /// Parses a pattern from an s-expression with `?name` metavariables.
 ///
 /// The grammar is the IR grammar of [`chehab_ir::parse`] extended with
 /// `?name` (any subexpression), `?name:const` (constant leaf), `?name:plain`
-/// (plaintext-only subexpression), and `(<< p ?s)` / `(>> p ?s)` for
-/// rotations with a symbolic step.
+/// (plaintext-only subexpression), and `(<< p ?s)` for rotations with a
+/// symbolic step. A pattern binds the step of a left rotation, so there is
+/// no `(>> p ?s)`: it is rejected rather than read as `<<`.
 ///
 /// # Errors
 ///
@@ -354,7 +478,11 @@ fn build_form(head: &str, mut args: Vec<Pattern>) -> Result<Pattern, String> {
             }
             Ok(Pattern::VecNeg(Box::new(args.pop().expect("len 1"))))
         }
-        "<<" | ">>" => {
+        ">>" => Err(
+            "`>>` is not a pattern form: a rotation pattern binds a left-rotation step, write `(<< p ?s)`"
+                .into(),
+        ),
+        "<<" => {
             if args.len() != 2 {
                 return Err(arity_err(2));
             }
@@ -477,6 +605,16 @@ mod tests {
     }
 
     #[test]
+    fn right_rotation_patterns_are_rejected() {
+        // The IR parser reads `(>> v 2)` as a rotation by -2; a pattern that
+        // accepted `>>` bound the step of `<<` instead and printed back as
+        // `<<`, so it is an error.
+        let err = parse_pattern("(VecAdd (>> ?a ?s) ?b)").unwrap_err();
+        assert!(err.contains(">>"), "{err}");
+        assert!(parse_pattern("(VecAdd (<< ?a ?s) ?b)").is_ok());
+    }
+
+    #[test]
     fn metavariables_are_listed_once() {
         let pat = parse_pattern("(+ (* ?a ?b) (* ?a ?c))").unwrap();
         assert_eq!(pat.metavariables(), vec!["a", "b", "c"]);
@@ -490,6 +628,7 @@ mod tests {
             "(+ ?a)",
             "(?? x)",
             "(<< ?v 3)",
+            "(>> ?v ?s)",
             "(Vec)",
             "(Frob ?a)",
             "x",

@@ -6,9 +6,18 @@
 //! matched node to its replacement). Procedural rules cover transformations
 //! whose shape depends on the matched node, such as whole-`Vec` vectorization
 //! or reduction-to-rotations.
+//!
+//! A rule is applied two ways. [`Rule::try_apply`] rewrites an [`Expr`] and
+//! returns the rewritten tree: the one-shot API, used to build the program a
+//! search accepts. [`Rule::rewrite_in`] rewrites a node of a [`TermGraph`]
+//! and returns the replacement's id: a declarative rule matches the node's
+//! id and interns its right-hand side, in O(|pattern|) whatever the size of
+//! the subterm, and a procedural rule runs its closure on the tree and
+//! interns the result. The match index tries rules only through
+//! `rewrite_in`; both give the same replacement, id for id.
 
-use crate::pattern::{parse_pattern, Pattern};
-use chehab_ir::Expr;
+use crate::pattern::{parse_pattern, NodeBindings, Pattern};
+use chehab_ir::{Expr, NodeId, TermGraph};
 use std::fmt;
 use std::sync::Arc;
 
@@ -143,20 +152,49 @@ impl Rule {
         match &self.body {
             RuleBody::Rewrite { lhs, rhs } => {
                 let bindings = lhs.matches(expr)?;
-                match rhs.substitute(&bindings) {
-                    Ok(e) => Some(e),
-                    Err(missing) => {
-                        debug_assert!(
-                            false,
-                            "rule `{}`: unbound metavariable `{missing}`",
-                            self.name
-                        );
-                        None
-                    }
-                }
+                self.instantiated(rhs.substitute(&bindings))
             }
             RuleBody::Procedural(f) => f(expr),
         }
+    }
+
+    /// Applies the rule at node `id` of `graph`, whose tree form is `node`,
+    /// and returns the id of the rewritten node (equal to `id` if the rewrite
+    /// changes nothing): the id, the new nodes and their interning order of
+    /// `graph.intern_expr(&self.try_apply(node)?)`.
+    ///
+    /// A declarative rule reads only the graph: its left-hand side binds node
+    /// ids and its right-hand side is interned node by node. A procedural
+    /// rule runs on `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not returned by `graph`.
+    pub fn rewrite_in(&self, node: &Expr, id: NodeId, graph: &mut TermGraph) -> Option<NodeId> {
+        match &self.body {
+            RuleBody::Rewrite { lhs, rhs } => {
+                let mut bindings = NodeBindings::default();
+                if !lhs.matches_node(graph, id, &mut bindings) {
+                    return None;
+                }
+                self.instantiated(rhs.intern_in(&bindings, graph))
+            }
+            RuleBody::Procedural(f) => f(node).map(|e| graph.intern_expr(&e)),
+        }
+    }
+
+    /// The right-hand side built from a match's bindings. A metavariable the
+    /// left-hand side does not bind is a catalog bug: [`Rule::rewrite`]
+    /// rejects it, except a rotation step, which only this catches.
+    fn instantiated<T>(&self, rhs: Result<T, String>) -> Option<T> {
+        rhs.map_err(|missing| {
+            debug_assert!(
+                false,
+                "rule `{}`: unbound metavariable `{missing}`",
+                self.name
+            );
+        })
+        .ok()
     }
 
     /// Returns `true` if the rule applies at the root of `expr` and actually

@@ -7,12 +7,19 @@
 //! preorder, so location indices agree), successor ids and cost bits must be
 //! the same — on fresh programs, and along a walk where most of every state
 //! is already in the memo.
+//!
+//! Below that, the index tries a rule only through `Rule::rewrite_in`, whose
+//! declarative rules match node ids on the graph; `Rule::try_apply` matches
+//! the tree. The two must return the same replacement id for every rule on
+//! every subterm, and grow the graph node for node alike.
 
+use chehab::benchsuite::full_suite;
 use chehab::datagen::{LlmLikeSynthesizer, RandomGenerator};
-use chehab::ir::{cleanup, CostModel, Expr};
+use chehab::ir::{cleanup, CostModel, Expr, TermGraph};
 use chehab::trs::{Match, MatchIndex, RewriteEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// Seeded programs of at most 200 nodes, alternating the structured
 /// synthesizer (the RL training distribution) and the uniform generator.
@@ -136,4 +143,82 @@ fn the_index_agrees_with_the_tree_walks_along_a_random_walk() {
                 .expect("every match applies");
         }
     }
+}
+
+/// Tries every rule on every distinct subterm of `programs` both ways —
+/// `rewrite_in` on one graph, `try_apply` then `intern_expr` on another —
+/// and checks that both return the same id (`None` included) and create the
+/// same nodes in the same order. Returns the number of rule tries.
+fn assert_graph_matcher_agrees(engine: &RewriteEngine, what: &str, programs: &[Expr]) -> usize {
+    let (mut graph, mut reference) = (TermGraph::new(), TermGraph::new());
+    let mut seen = HashSet::new();
+    let mut tries = 0;
+    for (p, program) in programs.iter().enumerate() {
+        let ids = graph.intern_preorder(program);
+        assert_eq!(ids, reference.intern_preorder(program), "{what} {p}");
+        for (&id, node) in ids.iter().zip(program.preorder()) {
+            if !seen.insert(id) {
+                continue;
+            }
+            for rule in engine.rules() {
+                let before = graph.len();
+                let found = rule.rewrite_in(node, id, &mut graph);
+                let expected = rule.try_apply(node).map(|e| reference.intern_expr(&e));
+                assert_eq!(found, expected, "{what} {p}: rule {rule} on {node}");
+                assert_eq!(graph.len(), reference.len(), "{what} {p}: rule {rule}");
+                for new in before..graph.len() {
+                    assert_eq!(graph.node(new), reference.node(new), "{what} {p}");
+                }
+                tries += 1;
+            }
+        }
+    }
+    tries
+}
+
+/// Each kernel before and after greedy rewriting, on one pair of graphs.
+fn assert_graph_matcher_agrees_on_kernels(keep: impl Fn(&str) -> bool) -> usize {
+    let engine = RewriteEngine::new();
+    let model = CostModel::default();
+    let mut kernels = 0;
+    for benchmark in full_suite() {
+        if keep(&benchmark.id()) {
+            let program = cleanup(benchmark.program());
+            let (optimized, _) = engine.greedy_optimize(&program, &model, 200);
+            assert_graph_matcher_agrees(&engine, &benchmark.id(), &[program, optimized]);
+            kernels += 1;
+        }
+    }
+    kernels
+}
+
+#[test]
+fn the_graph_matcher_agrees_with_the_tree_matcher_on_generated_programs() {
+    let engine = RewriteEngine::new();
+    let tries = assert_graph_matcher_agrees(&engine, "generated program", &generated_programs(300));
+    assert!(tries > 100_000, "{tries} rule tries");
+}
+
+#[test]
+fn the_graph_matcher_agrees_with_the_tree_matcher_on_a_sample_of_kernels() {
+    // Small kernels; the release sweep below takes all 46.
+    let sample = [
+        "Box Blur 3x3",
+        "Dot Product 8",
+        "Hamm. Dist. 4",
+        "L2 Distance 4",
+        "Mat. Mul. 3x3",
+        "Max 3",
+        "Sort 3",
+    ];
+    assert_eq!(
+        assert_graph_matcher_agrees_on_kernels(|id| sample.contains(&id)),
+        sample.len()
+    );
+}
+
+#[test]
+#[ignore = "kept out of the debug tier-1 run; CI sweeps every kernel in release: cargo test --release --test match_index -- --include-ignored"]
+fn the_graph_matcher_agrees_with_the_tree_matcher_on_every_kernel() {
+    assert_eq!(assert_graph_matcher_agrees_on_kernels(|_| true), 46);
 }
