@@ -33,9 +33,8 @@ use chehab_ir::{CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, 
 use chehab_runtime::{
     data_kinds, default_workers, lane_geometry, lock, BatchPolicy, CalibratedCostModel,
     CancellationToken, Counter, ExecOutcome, ExecResources, Executor, FaultPlan, Gauge,
-    LaneGeometry, MetricsRegistry, Register, RequestCoalescer, ResilienceStats, RunInputs,
-    Schedule, SchedulerKind, ServingConfig, ServingEngine, SpanEvent, TimingBreakdown, TraceSink,
-    DEFAULT_QUEUE_CAPACITY,
+    LaneGeometry, MetricsRegistry, Register, ResilienceStats, RunInputs, Schedule, SchedulerKind,
+    ServingConfig, ServingEngine, SpanEvent, TimingBreakdown, TraceSink, DEFAULT_QUEUE_CAPACITY,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -452,10 +451,6 @@ impl SessionMetrics {
                     "chehab_deadline_missed_total",
                     "Requests whose deadline expired across this session's engines",
                 ),
-                shed: registry.counter(
-                    "chehab_requests_shed_total",
-                    "Requests shed by admission control as deadline-infeasible",
-                ),
                 worker_panics: registry.counter(
                     "chehab_worker_panics_total",
                     "Serving-worker panics isolated across this session's engines",
@@ -663,23 +658,18 @@ impl FheSession {
     }
 
     /// Starts a persistent serving engine over this session:
-    /// [`FheSession::serve_with`] without hooks, keeping only the
-    /// [`chehab_runtime::ServingEngine`] surface.
+    /// [`FheSession::serve_with`] without hooks.
     pub fn serve(self: &Arc<Self>, options: &ExecOptions) -> FheServingEngine {
         self.serve_with(options, &ExecHooks::default())
-            .into_engine()
     }
 
-    /// Starts a lane-batching [`RequestCoalescer`] over this session:
+    /// Starts a lane-batching serving engine over this session:
     /// [`FheSession::serve_with`] without hooks, under `options.batching`
     /// (defaulting to [`BatchPolicy::default`] when unset) and — whatever
     /// `options.request_threads` says — one engine worker, which keeps
     /// batches maximal; intra-batch parallelism comes from
     /// `options.threads_per_request`.
-    pub fn serve_batched(
-        self: &Arc<Self>,
-        options: &ExecOptions,
-    ) -> RequestCoalescer<HashMap<String, i64>, Result<ExecutionReport, FheError>> {
+    pub fn serve_batched(self: &Arc<Self>, options: &ExecOptions) -> FheServingEngine {
         let policy = options.batching.unwrap_or_default();
         let options = options.with_request_threads(1).with_batching(policy);
         self.serve_with(&options, &ExecHooks::default())
@@ -712,19 +702,19 @@ impl FheSession {
     /// stop alone). `hooks.trace` and `hooks.faults` apply as documented on
     /// [`ExecHooks`].
     ///
-    /// `shutdown` drains in-flight work and reports the batching counters;
-    /// [`RequestCoalescer::engine`] exposes what the engine observes (queue,
-    /// gather, wall, outcome). What a run observes — op latencies, steals,
-    /// encryptions — is counted by the session ([`FheSession::stats`],
-    /// [`FheSession::metrics`]) and carried per run in each report's
-    /// `timing`; the handler records nothing. Requests that fail for any
-    /// reason (cancel, deadline, injected or organic panic) never feed the
-    /// session's cumulative calibration.
+    /// `shutdown` drains in-flight work and reports what the engine observes
+    /// (queue, gather, lane occupancy, wall, outcome, poisoned batches) as
+    /// [`chehab_runtime::ServingStats`]. What a run observes — op latencies,
+    /// steals, encryptions — is counted by the session
+    /// ([`FheSession::stats`], [`FheSession::metrics`]) and carried per run
+    /// in each report's `timing`; the handler records nothing. Requests that
+    /// fail for any reason (cancel, deadline, injected or organic panic)
+    /// never feed the session's cumulative calibration.
     pub fn serve_with(
         self: &Arc<Self>,
         options: &ExecOptions,
         hooks: &ExecHooks,
-    ) -> RequestCoalescer<HashMap<String, i64>, Result<ExecutionReport, FheError>> {
+    ) -> FheServingEngine {
         let batching = options
             .batching
             .map(|policy| policy.with_max_batch(self.lanes.lanes.min(policy.max_batch)));
@@ -735,18 +725,16 @@ impl FheSession {
         };
         let session = Arc::clone(self);
         let faults = hooks.faults.clone();
-        RequestCoalescer::over(
+        ServingEngine::batched(
             ServingConfig {
                 workers: options.request_threads,
                 queue_capacity: options.queue_capacity,
                 deadline: options.deadline,
-                shed_infeasible: false,
                 faults: hooks.faults.clone(),
                 trace: hooks.trace.clone(),
                 resilience: self.metrics.resilience.clone(),
             },
             policy,
-            policy.max_batch,
             move |batch: Vec<(u64, HashMap<String, i64>)>, token: Option<&CancellationToken>| {
                 let inputs: Vec<HashMap<String, i64>> =
                     batch.into_iter().map(|(_, inputs)| inputs).collect();
@@ -827,11 +815,10 @@ impl FheSession {
     /// The session's unified metrics registry, freshly synced: request,
     /// encryption and dataflow-steal counters bumped on the request path,
     /// the resilience counters (`chehab_requests_cancelled_total`,
-    /// `chehab_deadline_missed_total`, `chehab_requests_shed_total`,
-    /// `chehab_worker_panics_total`) bumped by this session's serving
-    /// engines, and the mirrored arena, NTT and Galois-key figures. Render it
-    /// with [`MetricsRegistry::render_text`] (or use the
-    /// [`FheSession::render_metrics`] shorthand).
+    /// `chehab_deadline_missed_total`, `chehab_worker_panics_total`) bumped
+    /// by this session's serving engines, and the mirrored arena, NTT and
+    /// Galois-key figures. Render it with [`MetricsRegistry::render_text`]
+    /// (or use the [`FheSession::render_metrics`] shorthand).
     pub fn metrics(&self) -> &MetricsRegistry {
         self.refresh_metrics();
         &self.metrics.registry

@@ -36,19 +36,15 @@
 //! under a [`BatchPolicy`] — a batch flushes when it reaches `max_batch`
 //! requests, when the oldest member has lingered `max_linger`, or early
 //! enough that no member misses its deadline waiting for stragglers — and an
-//! unbatched engine is simply [`BatchPolicy::solo`]. The
-//! [`RequestCoalescer`] is a thin adapter over that one engine: it wraps a
-//! plain batch handler with poisoned-batch isolation and reports the
-//! batch-size, linger-time and lane-occupancy histograms as
-//! [`CoalescerStats`].
+//! unbatched engine is simply [`BatchPolicy::solo`]. The same engine
+//! isolates a poisoned batch's offender and counts batch sizes, linger
+//! times and lane occupancy in its [`ServingStats`]; the
+//! [`RequestCoalescer`] is only its constructor for plain batch handlers.
 
-use crate::exec::lock;
-use crate::faults::CancellationToken;
 use crate::schedule::{Instr, Schedule};
-use crate::serving::{RequestHandle, ServingConfig, ServingEngine, ServingError, TrySubmitError};
-use crate::telemetry::Histogram;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use crate::serving::{
+    RequestHandle, ServingConfig, ServingEngine, ServingError, ServingStats, TrySubmitError,
+};
 use std::time::Duration;
 
 /// Gather policy of a [`ServingEngine`] worker: when a gathering batch stops
@@ -251,150 +247,42 @@ pub struct CoalescerConfig {
     /// Maximum queued (submitted but not yet gathered) requests before
     /// [`RequestCoalescer::submit`] blocks.
     pub queue_capacity: usize,
-    /// Lane capacity of the executor (users one ciphertext can carry),
-    /// denominating the lane-occupancy histogram.
+    /// Lane capacity of the executor (users one ciphertext can carry): the
+    /// policy's `max_batch` is clamped to it.
     pub lane_capacity: usize,
 }
 
-/// A point-in-time snapshot of one coalescer's batching counters.
-#[derive(Debug, Clone)]
-pub struct CoalescerStats {
-    /// Requests accepted so far.
-    pub submitted: u64,
-    /// Requests whose batch has executed.
-    pub completed: u64,
-    /// Batches flushed to the executor.
-    pub batches_formed: u64,
-    /// Batch-size distribution (recorded as raw counts, not durations).
-    pub batch_size: Histogram,
-    /// How long each flushed batch's first request lingered gathering.
-    pub linger: Histogram,
-    /// Lane occupancy per batch, in percent of the lane capacity (recorded
-    /// as raw percentages).
-    pub lane_occupancy: Histogram,
-    /// Batches whose handler panicked (or miscounted results) and were
-    /// re-tried member by member.
-    pub batch_panics: u64,
-    /// Solo re-executions run while isolating a poisoned batch's offender.
-    pub solo_retries: u64,
-    /// Wall-clock since the coalescer started.
-    pub elapsed: Duration,
-}
+/// A coalescer's stats are its engine's.
+pub type CoalescerStats = ServingStats;
 
-/// What only the batch-handler adapter observes: lane occupancy and the
-/// poisoned-batch isolation counters.
-#[derive(Default)]
-struct AdapterAgg {
-    lane_occupancy: Histogram,
-    batch_panics: u64,
-    solo_retries: u64,
-}
-
-/// The request coalescer: a thin adapter that runs a plain batch handler on
-/// the one [`ServingEngine`] (for FHE serving, a closure over
-/// `FheSession::run_batched` — see `chehab_core::FheSession::serve_with`).
-/// The engine gathers compatible requests under a [`BatchPolicy`] and
-/// scatters the per-user results to each caller's own [`RequestHandle`];
-/// everything the engine gives an unbatched request — deadlines, admission
-/// shedding, fault hooks, abandonment on worker death, outcome
-/// classification — applies to batched ones too.
-///
-/// The handler receives the whole batch as `(request id, request)` pairs
-/// and must return exactly one result per request, in order. A panicking
-/// (or miscounting) handler poisons the batch, but the members are not
-/// abandoned wholesale: each one is retried **solo** exactly once, so only
-/// the offending request's waiters re-raise while innocent batch-mates
-/// still get their results (the engine worker survives either way).
-/// Dropping a coalescer shuts it down gracefully (drains queued work,
-/// joins workers); call [`RequestCoalescer::shutdown`] to also retrieve
-/// the final stats.
-pub struct RequestCoalescer<T, R> {
-    engine: ServingEngine<T, R>,
-    adapter: Arc<Mutex<AdapterAgg>>,
-}
-
-impl<T, R> std::fmt::Debug for RequestCoalescer<T, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RequestCoalescer")
-            .field("engine", &self.engine)
-            .finish_non_exhaustive()
-    }
-}
+/// The request coalescer: the one [`ServingEngine`], built over a plain
+/// batch handler that takes the whole batch as `(request id, request)`
+/// pairs and returns one result per request, in order. The engine gathers
+/// compatible requests under a [`BatchPolicy`], scatters the per-user
+/// results to each caller's own [`RequestHandle`], and re-runs the members
+/// of a poisoned batch solo so that only the offender's waiters re-raise
+/// (see [`ServingEngine::batched`]). Dropping a coalescer shuts it down
+/// gracefully (drains queued work, joins workers); call
+/// [`RequestCoalescer::shutdown`] to also retrieve the final stats.
+#[derive(Debug)]
+pub struct RequestCoalescer<T, R>(ServingEngine<T, R>);
 
 impl<T: Clone + Send + 'static, R: Send + 'static> RequestCoalescer<T, R> {
     /// Starts a coalescer: an engine of `config.workers` threads that form
-    /// batches under `config.policy` and execute them through `handler`.
-    ///
-    /// Requests must be `Clone` so that a poisoned batch can be re-tried
-    /// member by member (see the type-level docs on panic isolation).
+    /// batches under `config.policy`, with `max_batch` clamped to
+    /// `config.lane_capacity`, and execute them through `handler`.
     pub fn new<F>(config: CoalescerConfig, handler: F) -> Self
     where
         F: Fn(Vec<(u64, T)>) -> Vec<R> + Send + Sync + 'static,
     {
-        Self::over(
+        let policy = config
+            .policy
+            .with_max_batch(config.policy.max_batch.min(config.lane_capacity));
+        RequestCoalescer(ServingEngine::batched(
             ServingConfig::sized(config.workers, config.queue_capacity),
-            config.policy,
-            config.lane_capacity,
+            policy,
             move |batch, _token| handler(batch),
-        )
-    }
-
-    /// Like [`RequestCoalescer::new`], over a full [`ServingConfig`]
-    /// (deadline, admission shedding, fault plan, shared sinks) and with a
-    /// token-aware handler: a batch of one receives its member's own
-    /// [`CancellationToken`] (see [`ServingEngine::batched`]).
-    /// `lane_capacity` (users one ciphertext can carry) denominates the
-    /// lane-occupancy histogram.
-    pub fn over<F>(
-        serving: ServingConfig,
-        policy: BatchPolicy,
-        lane_capacity: usize,
-        handler: F,
-    ) -> Self
-    where
-        F: Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<R> + Send + Sync + 'static,
-    {
-        let lane_capacity = lane_capacity.max(1);
-        let adapter = Arc::new(Mutex::new(AdapterAgg::default()));
-        let agg = Arc::clone(&adapter);
-        let engine = ServingEngine::batched(serving, policy, move |batch, token| {
-            let size = batch.len();
-            lock(&agg)
-                .lane_occupancy
-                .record_nanos((100 * size.min(lane_capacity) / lane_capacity) as u64);
-            // A panicking (or miscounting) handler poisons the whole batch:
-            // every member's inputs shared the ciphertext, so no member has
-            // a trustworthy result. Keep a clone around (only when a retry
-            // is meaningful, i.e. the batch has companions) so survivors
-            // can be re-run solo and only the offender's waiters re-raise.
-            let retry_pool = (size > 1).then(|| batch.clone());
-            let run = |batch: Vec<(u64, T)>, token| {
-                let expected = batch.len();
-                catch_unwind(AssertUnwindSafe(|| handler(batch, token)))
-                    .ok()
-                    .filter(|results| results.len() == expected)
-            };
-            if let Some(results) = run(batch, token) {
-                return results.into_iter().map(Some).collect();
-            }
-            let retries = retry_pool.unwrap_or_default();
-            {
-                let mut agg = lock(&agg);
-                agg.batch_panics += 1;
-                agg.solo_retries += retries.len() as u64;
-            }
-            if retries.is_empty() {
-                // A solo batch already isolates its offender: poison it.
-                return vec![None];
-            }
-            // Isolate the offender: each member runs alone, exactly once,
-            // under its own unwind guard.
-            retries
-                .into_iter()
-                .map(|member| run(vec![member], None).and_then(|mut results| results.pop()))
-                .collect()
-        });
-        RequestCoalescer { engine, adapter }
+        ))
     }
 }
 
@@ -404,67 +292,42 @@ impl<T, R> RequestCoalescer<T, R> {
     ///
     /// # Errors
     ///
-    /// [`ServingError::ShutDown`] once shutdown has started,
-    /// [`ServingError::Shed`] when admission control proves the deadline
-    /// infeasible.
+    /// [`ServingError::ShutDown`] once shutdown has started.
     pub fn submit(&self, request: T) -> Result<RequestHandle<R>, ServingError> {
-        self.engine.submit(request)
+        self.0.submit(request)
     }
 
     /// Non-blocking submission; see [`ServingEngine::try_submit`].
     ///
     /// # Errors
     ///
-    /// [`TrySubmitError::ShutDown`], [`TrySubmitError::QueueFull`] or
-    /// [`TrySubmitError::Shed`]; all carry the request back.
+    /// [`TrySubmitError::ShutDown`] or [`TrySubmitError::QueueFull`]; both
+    /// carry the request back.
     pub fn try_submit(&self, request: T) -> Result<RequestHandle<R>, TrySubmitError<T>> {
-        self.engine.try_submit(request)
+        self.0.try_submit(request)
     }
 
-    /// The engine this coalescer runs on (its [`ServingEngine::stats`]
-    /// carry the latency histograms and resilience counters).
-    pub fn engine(&self) -> &ServingEngine<T, R> {
-        &self.engine
-    }
-
-    /// Unwraps the engine, dropping the batching counters — how an
-    /// unbatched caller keeps only the [`ServingEngine`] surface.
-    pub fn into_engine(self) -> ServingEngine<T, R> {
-        self.engine
-    }
-
-    /// A point-in-time snapshot of the coalescer's batching counters.
+    /// A point-in-time snapshot of the engine's counters.
     pub fn stats(&self) -> CoalescerStats {
-        let engine = self.engine.stats();
-        let adapter = lock(&self.adapter);
-        CoalescerStats {
-            submitted: engine.submitted,
-            completed: engine.completed,
-            batches_formed: engine.latency.batch_size.count(),
-            batch_size: engine.latency.batch_size,
-            linger: engine.latency.linger,
-            lane_occupancy: adapter.lane_occupancy.clone(),
-            batch_panics: adapter.batch_panics,
-            solo_retries: adapter.solo_retries,
-            elapsed: engine.elapsed,
-        }
+        self.0.stats()
     }
 
     /// Stops intake, flushes and executes everything already queued, joins
     /// the engine workers, and returns the final stats. Concurrent
     /// submitters receive [`ServingError::ShutDown`].
-    pub fn shutdown(mut self) -> CoalescerStats {
-        self.engine.halt();
-        self.stats()
+    pub fn shutdown(self) -> CoalescerStats {
+        self.0.shutdown()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::lock;
     use crate::schedule::{data_kinds, lower_with_default_costs};
     use chehab_ir::{parse, CircuitDag, DagNode, DataKind};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
     use std::time::Instant;
 
     fn doubling_coalescer(policy: BatchPolicy, capacity: usize) -> RequestCoalescer<u64, u64> {
@@ -479,17 +342,16 @@ mod tests {
         )
     }
 
-    /// A doubling coalescer whose engine stamps `deadline` on every request:
-    /// the deadline is the engine's ([`ServingConfig::deadline`]), the
-    /// policy only says when a gathering batch flushes.
-    fn deadline_coalescer(policy: BatchPolicy, deadline: Duration) -> RequestCoalescer<u64, u64> {
-        RequestCoalescer::over(
+    /// A doubling engine that stamps `deadline` on every request: the
+    /// deadline is the engine's ([`ServingConfig::deadline`]), the policy
+    /// only says when a gathering batch flushes.
+    fn deadline_coalescer(policy: BatchPolicy, deadline: Duration) -> ServingEngine<u64, u64> {
+        ServingEngine::batched(
             ServingConfig {
                 deadline: Some(deadline),
                 ..ServingConfig::sized(1, 64)
             },
             policy,
-            policy.max_batch,
             |requests, _token| requests.into_iter().map(|(_, v)| v * 2).collect(),
         )
     }
@@ -583,7 +445,7 @@ mod tests {
         let first = coalescer.submit(1).unwrap();
         // Wait until the engine worker owns the first job, then fill the
         // queue back up to capacity.
-        while coalescer.engine().stats().queue_depth > 0 {
+        while coalescer.stats().queue_depth > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         let second = coalescer.try_submit(2).expect("queue has room");
@@ -594,7 +456,7 @@ mod tests {
         assert_eq!(first.wait(), 2);
         assert_eq!(second.wait(), 3);
         let mut coalescer = coalescer;
-        coalescer.engine.halt();
+        coalescer.0.halt();
         assert_eq!(
             coalescer.try_submit(9).unwrap_err(),
             TrySubmitError::ShutDown(9)

@@ -37,8 +37,10 @@
 //!    users into the slot lanes of shared ciphertexts (see the [`batching`
 //!    module](crate::RequestCoalescer) docs for why lane batching is
 //!    bit-exact per user), amortizing every homomorphic operation across
-//!    the whole batch. A [`RequestCoalescer`] is the thin adapter that
-//!    reports batching statistics and isolates a poisoned batch's offender.
+//!    the whole batch. The engine re-runs the members of a poisoned batch
+//!    alone, so only the offender fails, and counts batch sizes, linger and
+//!    lane occupancy in its [`ServingStats`]; a [`RequestCoalescer`] is
+//!    that engine built over a plain batch handler.
 //!
 //! The crate deliberately depends only on `chehab-ir` (for the circuit DAG
 //! and cost tables) and `chehab-fhe` (for the evaluator): `chehab-core`

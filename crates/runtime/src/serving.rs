@@ -62,14 +62,6 @@ pub struct ServingConfig {
     /// [`ResilienceSnapshot::deadline_missed`]. `None` (the default) runs
     /// every request to completion.
     pub deadline: Option<Duration>,
-    /// Admission control: when `true` and a deadline is configured,
-    /// submissions whose deadline is provably infeasible — projected
-    /// completion time from the measured mean request wall times the queue
-    /// backlog exceeds the deadline — are shed at the door
-    /// ([`ServingError::Shed`] / [`TrySubmitError::Shed`]) instead of
-    /// queued to fail late. Takes effect once at least one request has
-    /// completed (no calibration, no shedding).
-    pub shed_infeasible: bool,
     /// Optional deterministic fault-injection plan: submission-side faults
     /// (forced queue-full rejections, worker kills) draw from it. Executor
     /// faults are wired separately through
@@ -88,34 +80,29 @@ pub struct ServingConfig {
 /// Default bound of the request queue.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 
+/// The standard configuration: host-derived worker count, the default queue
+/// bound, no deadline, no faults, private sinks.
 impl Default for ServingConfig {
     fn default() -> Self {
-        ServingConfig::standard()
+        ServingConfig {
+            workers: default_workers(),
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
+            deadline: None,
+            faults: None,
+            trace: None,
+            resilience: ResilienceStats::default(),
+        }
     }
 }
 
 impl ServingConfig {
     /// The sizing-only constructor most callers want: `workers` threads, a
-    /// `queue_capacity`-bounded queue, no deadline, no shedding, no faults.
+    /// `queue_capacity`-bounded queue, no deadline, no faults.
     pub fn sized(workers: usize, queue_capacity: usize) -> Self {
         ServingConfig {
             workers,
             queue_capacity,
-            ..ServingConfig::standard()
-        }
-    }
-
-    /// The standard configuration: host-derived worker count, the default
-    /// queue bound, no resilience knobs engaged, private sinks.
-    pub fn standard() -> Self {
-        ServingConfig {
-            workers: default_workers(),
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            deadline: None,
-            shed_infeasible: false,
-            faults: None,
-            trace: None,
-            resilience: ResilienceStats::default(),
+            ..ServingConfig::default()
         }
     }
 }
@@ -136,22 +123,12 @@ pub enum ServingError {
     /// The engine is shutting down (or already shut down); no new requests
     /// are accepted.
     ShutDown,
-    /// Admission control shed the request: its deadline is provably
-    /// infeasible given the current queue backlog and the measured mean
-    /// request cost (see [`ServingConfig::shed_infeasible`]).
-    Shed,
 }
 
 impl std::fmt::Display for ServingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServingError::ShutDown => write!(f, "serving engine is shut down"),
-            ServingError::Shed => {
-                write!(
-                    f,
-                    "request shed: deadline infeasible at the current backlog"
-                )
-            }
         }
     }
 }
@@ -159,8 +136,8 @@ impl std::fmt::Display for ServingError {
 impl std::error::Error for ServingError {}
 
 /// Why a non-blocking submission was rejected. Both variants hand the
-/// request back to the caller, so an overloaded producer can retry, shed
-/// load, or route the request elsewhere without having cloned it.
+/// request back to the caller, so an overloaded producer can retry, drop
+/// the request, or route it elsewhere without having cloned it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrySubmitError<T> {
     /// The engine is shutting down (or already shut down); no new requests
@@ -169,21 +146,13 @@ pub enum TrySubmitError<T> {
     /// The queue is at capacity right now. Carries the rejected request;
     /// the blocking [`ServingEngine::submit`] would have waited instead.
     QueueFull(T),
-    /// Admission control shed the request: its deadline is provably
-    /// infeasible given the current queue backlog and the measured mean
-    /// request cost (see [`ServingConfig::shed_infeasible`]). Retrying
-    /// immediately is pointless; carrying the request back lets the caller
-    /// divert or drop it.
-    Shed(T),
 }
 
 impl<T> TrySubmitError<T> {
     /// Recovers the rejected request.
     pub fn into_request(self) -> T {
         match self {
-            TrySubmitError::ShutDown(request)
-            | TrySubmitError::QueueFull(request)
-            | TrySubmitError::Shed(request) => request,
+            TrySubmitError::ShutDown(request) | TrySubmitError::QueueFull(request) => request,
         }
     }
 }
@@ -193,19 +162,13 @@ impl<T> std::fmt::Display for TrySubmitError<T> {
         match self {
             TrySubmitError::ShutDown(_) => write!(f, "serving engine is shut down"),
             TrySubmitError::QueueFull(_) => write!(f, "serving queue is at capacity"),
-            TrySubmitError::Shed(_) => {
-                write!(
-                    f,
-                    "request shed: deadline infeasible at the current backlog"
-                )
-            }
         }
     }
 }
 
 impl<T: std::fmt::Debug> std::error::Error for TrySubmitError<T> {}
 
-/// Cumulative resilience counters of a serving engine: four [`Counter`]
+/// Cumulative resilience counters of a serving engine: three [`Counter`]
 /// cells the engine bumps as it classifies outcomes. The default cells are
 /// private; `chehab-core` hands every engine of a session the cells of the
 /// session's `MetricsRegistry`, so the exported series are the ones bumped.
@@ -215,8 +178,6 @@ pub struct ResilienceStats {
     pub cancelled: Counter,
     /// Requests whose deadline expired before they completed.
     pub deadline_missed: Counter,
-    /// Requests shed at submission by admission control.
-    pub shed: Counter,
     /// Isolated worker panics (panicking handlers, planned worker kills).
     pub worker_panics: Counter,
 }
@@ -227,7 +188,6 @@ impl ResilienceStats {
         ResilienceSnapshot {
             cancelled: self.cancelled.get(),
             deadline_missed: self.deadline_missed.get(),
-            shed: self.shed.get(),
             worker_panics: self.worker_panics.get(),
         }
     }
@@ -242,8 +202,6 @@ pub struct ResilienceSnapshot {
     pub cancelled: u64,
     /// Requests whose deadline expired before they completed.
     pub deadline_missed: u64,
-    /// Requests shed at submission by admission control.
-    pub shed: u64,
     /// Worker panics isolated by the engine (panicking handlers and planned
     /// worker kills).
     pub worker_panics: u64,
@@ -251,20 +209,15 @@ pub struct ResilienceSnapshot {
 
 /// Latency histograms of one engine's served traffic, snapshotted into
 /// [`ServingStats::latency`]: what the engine itself observes of a request
-/// (queue wait, gather, handler wall, outcome).
+/// (queue wait, handler wall, outcome).
 #[derive(Debug, Clone, Default)]
 pub struct LatencySnapshot {
-    /// Handler wall latency of each completed request.
+    /// Handler wall latency of each completed request (for a member of a
+    /// poisoned batch, its solo retries included).
     pub request_wall: Histogram,
     /// Time each request spent queued (submit to handler start, so it
     /// includes the time its batch lingered gathering).
     pub queue_wait: Histogram,
-    /// Size distribution of the batches the workers formed (recorded as raw
-    /// counts, not durations); its count is the number of handler calls. An
-    /// unbatched engine records 1 per request.
-    pub batch_size: Histogram,
-    /// How long each flushed batch's first request lingered gathering.
-    pub linger: Histogram,
     /// Handler wall latency split by outcome, labelled `"ok"`,
     /// `"cancelled"`, `"deadline_missed"` and `"panicked"` (always all four,
     /// some possibly empty), completing the per-outcome slice of the
@@ -273,6 +226,9 @@ pub struct LatencySnapshot {
 }
 
 /// A point-in-time snapshot of one engine's serving counters.
+///
+/// Every member of a batch is counted once in `completed`, `latency` and
+/// the trace, whatever retries ran; the batch-level fields count batches.
 #[derive(Debug, Clone)]
 pub struct ServingStats {
     /// Requests accepted by [`ServingEngine::submit`] so far.
@@ -290,8 +246,24 @@ pub struct ServingStats {
     pub elapsed: Duration,
     /// Latency histograms of the served traffic, recorded by the engine.
     pub latency: LatencySnapshot,
+    /// Batches flushed to the handler (solo retries are not batches). An
+    /// unbatched engine forms one per request.
+    pub batches_formed: u64,
+    /// Size distribution of the batches formed (recorded as raw counts, not
+    /// durations).
+    pub batch_size: Histogram,
+    /// How long each flushed batch's first request lingered gathering.
+    pub linger: Histogram,
+    /// Lane occupancy per batch, in percent of the policy's `max_batch`
+    /// (recorded as raw percentages): 100 for every batch of an unbatched
+    /// engine.
+    pub lane_occupancy: Histogram,
+    /// Batches whose handler panicked or miscounted its results.
+    pub batch_panics: u64,
+    /// Solo re-runs of the members of poisoned batches of two or more.
+    pub solo_retries: u64,
     /// Cumulative resilience counters: cancellations, missed deadlines,
-    /// shed submissions, isolated worker panics.
+    /// isolated worker panics.
     pub resilience: ResilienceSnapshot,
 }
 
@@ -581,18 +553,22 @@ struct QueueState<T, R> {
 }
 
 /// Engine-recorded histograms (wall + queue wait + per-outcome wall + batch
-/// formation); fixed footprint, so a long-lived engine never grows them with
-/// traffic. `request_wall`'s count is the engine's completed-request count.
+/// formation) and poisoned-batch counters; fixed footprint, so a long-lived
+/// engine never grows them with traffic. `request_wall`'s count is the
+/// engine's completed-request count, `batch_size`'s its batch count.
 #[derive(Default)]
 struct LatencyAgg {
     request_wall: Histogram,
     queue_wait: Histogram,
     batch_size: Histogram,
     linger: Histogram,
+    lane_occupancy: Histogram,
     ok: Histogram,
     cancelled: Histogram,
     deadline_missed: Histogram,
     panicked: Histogram,
+    batch_panics: u64,
+    solo_retries: u64,
 }
 
 impl LatencyAgg {
@@ -615,8 +591,9 @@ struct Shared<T, R> {
     not_full: Condvar,
     /// Signals a halting engine that a job served by its waiter finished.
     waiter_done: Condvar,
-    /// Completion counters, per-request latency and per-batch formation
-    /// histograms, recorded by the workers themselves.
+    /// Completion counters, per-request latency, per-batch formation
+    /// histograms and poisoned-batch counters, recorded by the workers
+    /// themselves.
     latency: Mutex<LatencyAgg>,
     /// The engine's configuration, with `workers`, `queue_capacity` and the
     /// policy's `max_batch` clamped to at least 1.
@@ -628,9 +605,8 @@ struct Shared<T, R> {
 
 /// The one handler shape the worker loop calls: a gathered batch of
 /// `(request id, request)` pairs plus, for a batch of one, its member's own
-/// cancellation token; one `Option<R>` per member back, in order.
-type BatchHandler<T, R> =
-    dyn Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<Option<R>> + Send + Sync;
+/// cancellation token; one `R` per member back, in order.
+type BatchHandler<T, R> = dyn Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<R> + Send + Sync;
 
 /// Serves the job with the given id on the calling thread if it is still
 /// queued (no-op once a worker has taken it): what a [`RequestHandle`] of an
@@ -662,7 +638,7 @@ impl<T, R> std::fmt::Debug for ServingEngine<T, R> {
     }
 }
 
-impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
+impl<T: Clone + Send + 'static, R: Send + 'static> ServingEngine<T, R> {
     /// Starts an unbatched engine: spawns `config.workers` persistent
     /// threads that drain the queue through `handler` (called with the
     /// request id and the request), one request per call — the
@@ -674,7 +650,7 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
         Self::batched(config, BatchPolicy::solo(), move |batch, _token| {
             batch
                 .into_iter()
-                .map(|(id, request)| Some(handler(id, request)))
+                .map(|(id, request)| handler(id, request))
                 .collect()
         })
     }
@@ -691,13 +667,14 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
     /// or expired request mid-flight; the members of a larger batch share
     /// their ciphertexts, so none can stop alone and the handler gets `None`.
     ///
-    /// The handler returns one entry per member, in order: `Some(result)`
-    /// fulfills that member's handle, `None` poisons it (its retrievers
-    /// re-raise, like a panicking handler). A handler that panics or
-    /// miscounts poisons every member of the batch; the worker survives
-    /// either way. [`RequestCoalescer`](crate::RequestCoalescer) wraps plain
-    /// `Vec<R>` batch handlers into this shape and isolates a poisoned
-    /// batch's offender.
+    /// The handler returns one result per member, in order. One that
+    /// panics or miscounts poisons the batch, and the worker survives
+    /// either way. A poisoned batch of one poisons its member's handle (its
+    /// retrievers re-raise). The members of a poisoned larger batch shared
+    /// their ciphertexts, so none has a trustworthy result: each runs once
+    /// more alone, under its own token, and only the offender's handle is
+    /// poisoned. That retry is why requests are `Clone` — a batch of two or
+    /// more is cloned before its handler runs.
     ///
     /// Under `max_batch = 1` a job needs no companions, so a caller that
     /// blocks on its handle while the job is still queued takes it off the
@@ -707,7 +684,7 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
     /// thread* serves.
     pub fn batched<F>(config: ServingConfig, policy: BatchPolicy, handler: F) -> Self
     where
-        F: Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<Option<R>> + Send + Sync + 'static,
+        F: Fn(Vec<(u64, T)>, Option<&CancellationToken>) -> Vec<R> + Send + Sync + 'static,
     {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
@@ -771,32 +748,6 @@ impl<T: Send + 'static, R: Send + 'static> ServingEngine<T, R> {
 }
 
 impl<T, R> ServingEngine<T, R> {
-    /// Admission-control check: `true` when the configured deadline is
-    /// provably infeasible at the given queue depth — the projected
-    /// completion time (the measured mean request wall times the batches
-    /// ahead of this request per worker) already exceeds the deadline.
-    /// Conservative by construction: with no completed request yet there is
-    /// no calibration, and nothing is shed.
-    fn infeasible(&self, queue_depth: usize) -> bool {
-        if !self.shared.config.shed_infeasible {
-            return false;
-        }
-        let Some(deadline) = self.shared.config.deadline else {
-            return false;
-        };
-        let mean = {
-            let latency = lock(&self.shared.latency);
-            latency.request_wall.mean()
-        };
-        let Some(mean) = mean else {
-            return false;
-        };
-        let drained_per_round = (self.shared.config.workers * self.shared.policy.max_batch) as f64;
-        let slots_ahead = (queue_depth + 1) as f64;
-        let projected = mean.mul_f64((slots_ahead / drained_per_round).ceil().max(1.0));
-        projected > deadline
-    }
-
     /// Enqueues one request and returns its handle.
     ///
     /// Blocks while the queue is at capacity (back-pressure on producers).
@@ -805,10 +756,7 @@ impl<T, R> ServingEngine<T, R> {
     ///
     /// Returns [`ServingError::ShutDown`] once [`ServingEngine::shutdown`]
     /// has started — including for submitters that were blocked on a full
-    /// queue when shutdown began. Returns [`ServingError::Shed`] (and bumps
-    /// the shed counter) when admission control proves the configured
-    /// deadline infeasible at the current backlog (see
-    /// [`ServingConfig::shed_infeasible`]).
+    /// queue when shutdown began.
     pub fn submit(&self, request: T) -> Result<RequestHandle<R>, ServingError> {
         let mut state = lock(&self.shared.state);
         loop {
@@ -824,25 +772,20 @@ impl<T, R> ServingEngine<T, R> {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        if self.infeasible(state.queue.len()) {
-            self.shared.config.resilience.shed.inc();
-            return Err(ServingError::Shed);
-        }
         Ok(self.enqueue(state, request))
     }
 
     /// Enqueues one request without ever blocking: where
     /// [`ServingEngine::submit`] would wait on a full queue, this hands the
     /// request straight back as [`TrySubmitError::QueueFull`], so overload
-    /// policy (retry, shed, divert) stays with the caller.
+    /// policy (retry, drop, divert) stays with the caller.
     ///
     /// # Errors
     ///
     /// [`TrySubmitError::ShutDown`] once shutdown has started,
     /// [`TrySubmitError::QueueFull`] while the queue is at capacity (or a
-    /// fault plan forces the rejection), [`TrySubmitError::Shed`] when
-    /// admission control proves the deadline infeasible; all three return
-    /// the request to the caller.
+    /// fault plan forces the rejection); both return the request to the
+    /// caller.
     pub fn try_submit(&self, request: T) -> Result<RequestHandle<R>, TrySubmitError<T>> {
         if let Some(plan) = &self.shared.config.faults {
             if plan.take_forced_queue_full() {
@@ -856,39 +799,7 @@ impl<T, R> ServingEngine<T, R> {
         if state.queue.len() >= self.shared.config.queue_capacity {
             return Err(TrySubmitError::QueueFull(request));
         }
-        if self.infeasible(state.queue.len()) {
-            self.shared.config.resilience.shed.inc();
-            return Err(TrySubmitError::Shed(request));
-        }
         Ok(self.enqueue(state, request))
-    }
-
-    /// [`ServingEngine::try_submit`] with bounded retry-with-backoff on the
-    /// transient [`TrySubmitError::QueueFull`] rejection: sleeps `backoff`,
-    /// doubling per attempt, for up to `attempts` total submissions.
-    /// Terminal rejections (shutdown, shed) and the final queue-full are
-    /// returned immediately — only transient overload is retried.
-    pub fn submit_with_retry(
-        &self,
-        request: T,
-        attempts: usize,
-        backoff: Duration,
-    ) -> Result<RequestHandle<R>, TrySubmitError<T>> {
-        let mut request = request;
-        let mut delay = backoff;
-        let attempts = attempts.max(1);
-        for attempt in 1..=attempts {
-            match self.try_submit(request) {
-                Ok(handle) => return Ok(handle),
-                Err(TrySubmitError::QueueFull(returned)) if attempt < attempts => {
-                    request = returned;
-                    std::thread::sleep(delay);
-                    delay = delay.saturating_mul(2);
-                }
-                Err(error) => return Err(error),
-            }
-        }
-        unreachable!("the final attempt either returned a handle or an error")
     }
 
     /// The shared tail of both submission paths: assigns the id, mints the
@@ -932,16 +843,17 @@ impl<T, R> ServingEngine<T, R> {
         // histogram's count) strictly before `submitted` keeps the snapshot
         // consistent (`completed <= submitted`) without holding both locks
         // at once.
-        let latency = {
-            let agg = lock(&self.shared.latency);
-            LatencySnapshot {
-                request_wall: agg.request_wall.clone(),
-                queue_wait: agg.queue_wait.clone(),
-                batch_size: agg.batch_size.clone(),
-                linger: agg.linger.clone(),
-                per_outcome: agg.per_outcome(),
-            }
+        let agg = lock(&self.shared.latency);
+        let latency = LatencySnapshot {
+            request_wall: agg.request_wall.clone(),
+            queue_wait: agg.queue_wait.clone(),
+            per_outcome: agg.per_outcome(),
         };
+        let batch_size = agg.batch_size.clone();
+        let linger = agg.linger.clone();
+        let lane_occupancy = agg.lane_occupancy.clone();
+        let (batch_panics, solo_retries) = (agg.batch_panics, agg.solo_retries);
+        drop(agg);
         let state = lock(&self.shared.state);
         ServingStats {
             submitted: state.submitted,
@@ -951,6 +863,12 @@ impl<T, R> ServingEngine<T, R> {
             workers: self.shared.config.workers,
             elapsed: self.shared.started.elapsed(),
             latency,
+            batches_formed: batch_size.count(),
+            batch_size,
+            linger,
+            lane_occupancy,
+            batch_panics,
+            solo_retries,
             resilience: self.shared.config.resilience.snapshot(),
         }
     }
@@ -1036,7 +954,7 @@ impl<T, R> Drop for FulfillGuard<'_, T, R> {
 /// until shutdown *and* an empty queue. Shutdown flushes the gathering
 /// batch immediately. Under [`BatchPolicy::solo`] the gather step is a
 /// no-op and this is a plain pop-execute-publish loop.
-fn worker_loop<T, R>(shared: &Shared<T, R>, worker: usize, handler: &BatchHandler<T, R>) {
+fn worker_loop<T: Clone, R>(shared: &Shared<T, R>, worker: usize, handler: &BatchHandler<T, R>) {
     let policy = shared.policy;
     // Trace track of this serving worker, allocated on its first served job
     // so idle workers leave no empty tracks in the export.
@@ -1116,8 +1034,10 @@ enum Server<'a> {
 }
 
 /// Runs the handler once for a batch already taken off the queue (and
-/// counted in `in_flight`), records it, and fulfills its members' handles.
-fn serve_batch<T, R>(
+/// counted in `in_flight`) — and, if that run is poisoned, each member of a
+/// larger batch once more alone — records it, and fulfills its members'
+/// handles.
+fn serve_batch<T: Clone, R>(
     shared: &Shared<T, R>,
     handler: &BatchHandler<T, R>,
     server: Server<'_>,
@@ -1139,19 +1059,34 @@ fn serve_batch<T, R>(
         }
     }
     let started = Instant::now();
-    // The members of a larger batch share their ciphertexts, so only a
-    // batch of one can stop on its member's own token.
-    let solo_token = (size == 1).then(|| &members[0].token);
     // A panicking (or miscounting) handler must not kill the worker (the
     // queue behind it would never drain) nor leave its waiters blocked
-    // forever: catch the unwind, poison the result slots, and let
-    // retrievers re-raise it.
-    let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        handler(requests, solo_token)
-    }))
-    .ok()
-    .filter(|results| results.len() == size)
-    .unwrap_or_else(|| members.iter().map(|_| None).collect());
+    // forever: catch the unwind and poison the run. A batch of one gets its
+    // member's own token; the members of a larger batch share their
+    // ciphertexts, so none can stop alone.
+    let run = |requests: Vec<(u64, T)>, token: Option<&CancellationToken>| {
+        let expected = requests.len();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(requests, token)))
+            .ok()
+            .filter(|results| results.len() == expected)
+    };
+    let retry_pool = (size > 1).then(|| requests.clone());
+    let solo_token = (size == 1).then(|| &members[0].token);
+    let results = run(requests, solo_token);
+    let poisoned = results.is_none();
+    let results: Vec<Option<R>> = match (results, retry_pool) {
+        (Some(results), _) => results.into_iter().map(Some).collect(),
+        (None, None) => vec![None],
+        // Isolate the offender: each member runs alone, exactly once, as
+        // the batch of one it now is.
+        (None, Some(pool)) => pool
+            .into_iter()
+            .zip(&members)
+            .map(|(request, member)| {
+                run(vec![request], Some(&member.token)).and_then(|mut result| result.pop())
+            })
+            .collect(),
+    };
     let elapsed = started.elapsed();
 
     // Book-keeping first: a waiter woken by the fulfill below must
@@ -1166,6 +1101,15 @@ fn serve_batch<T, R>(
     let mut latency = lock(&shared.latency);
     latency.batch_size.record_nanos(size as u64);
     latency.linger.record(linger);
+    latency
+        .lane_occupancy
+        .record_nanos((100 * size / shared.policy.max_batch) as u64);
+    if poisoned {
+        latency.batch_panics += 1;
+        if size > 1 {
+            latency.solo_retries += size as u64;
+        }
+    }
     for (member, result) in members.iter().zip(&results) {
         latency.request_wall.record(elapsed);
         latency.queue_wait.record(queue_wait(member));
@@ -1218,7 +1162,7 @@ mod tests {
     fn engine_with<F, T, R>(workers: usize, capacity: usize, handler: F) -> ServingEngine<T, R>
     where
         F: Fn(u64, T) -> R + Send + Sync + 'static,
-        T: Send + 'static,
+        T: Clone + Send + 'static,
         R: Send + 'static,
     {
         ServingEngine::new(ServingConfig::sized(workers, capacity), handler)
@@ -1486,13 +1430,13 @@ mod tests {
             ServingEngine::batched(config, BatchPolicy::solo(), |batch, token| {
                 let token: &CancellationToken = token.expect("a batch of one carries its token");
                 std::thread::sleep(Duration::from_millis(batch[0].1));
-                vec![Some(if token.is_cancelled() {
+                vec![if token.is_cancelled() {
                     "cancelled"
                 } else if token.deadline_expired() {
                     "expired"
                 } else {
                     "ok"
-                })]
+                }]
             });
         let fast = engine.submit(0).unwrap();
         assert_eq!(fast.wait(), "ok");
@@ -1520,55 +1464,68 @@ mod tests {
         assert_eq!(outcome("panicked"), 0);
     }
 
-    #[test]
-    fn infeasible_deadlines_are_shed_once_calibrated() {
-        let config = ServingConfig {
-            deadline: Some(Duration::from_millis(1)),
-            shed_infeasible: true,
-            ..ServingConfig::sized(1, 16)
-        };
-        let engine = ServingEngine::new(config, |_, slow: bool| {
-            if slow {
-                std::thread::sleep(Duration::from_millis(50));
-            }
+    /// Under a two-member policy whose batches flush only when full, a
+    /// poisoned batch re-runs each member alone: the offender's handle is
+    /// poisoned, its batch-mate gets its result, and each member is counted
+    /// once whatever retries ran.
+    fn the_offender_alone_is_poisoned<F>(handler: F)
+    where
+        F: Fn(Vec<(u64, u32)>) -> Vec<u32> + Send + Sync + 'static,
+    {
+        let policy = BatchPolicy::default()
+            .with_max_batch(2)
+            .with_max_linger(Duration::from_secs(60));
+        let engine = ServingEngine::batched(ServingConfig::sized(1, 8), policy, move |batch, _| {
+            handler(batch)
         });
-        // No calibration yet: the first (slow) request is admitted even
-        // though it is doomed to miss its 1ms deadline.
-        let calibrating = engine.submit(true).unwrap();
-        calibrating.wait();
-        // One ~50ms sample against a 1ms deadline: every further
-        // submission is provably infeasible, even at queue depth zero.
-        assert_eq!(engine.submit(false).unwrap_err(), ServingError::Shed);
-        let rejected = engine.try_submit(false).unwrap_err();
-        assert_eq!(rejected, TrySubmitError::Shed(false));
-        assert!(!rejected.into_request());
+        let bad = engine.submit(13).unwrap();
+        let mate = engine.submit(7).unwrap();
+        assert_eq!(bad.try_wait(), Err(RequestError::Panicked));
+        assert_eq!(mate.wait(), 14);
         let stats = engine.shutdown();
-        assert_eq!(stats.resilience.shed, 2);
-        assert_eq!(stats.completed, 1);
+        assert_eq!((stats.batches_formed, stats.completed), (1, 2));
+        assert_eq!((stats.batch_panics, stats.solo_retries), (1, 2));
+        assert_eq!(stats.resilience.worker_panics, 1);
+        assert_eq!(stats.latency.queue_wait.count(), 2);
+        let outcome = |label: &str| {
+            let labelled = stats.latency.per_outcome.iter().find(|(l, _)| l == label);
+            labelled.expect("every outcome is labelled").1.count()
+        };
+        assert_eq!((outcome("ok"), outcome("panicked")), (1, 1));
     }
 
     #[test]
-    fn submit_with_retry_rides_out_transient_queue_full() {
-        let plan = FaultPlan::new();
-        plan.force_queue_full(2);
-        let config = ServingConfig {
-            faults: Some(plan.clone()),
-            ..ServingConfig::sized(1, 4)
-        };
-        let engine = ServingEngine::new(config, |_, v: u32| v * 2);
-        // Two forced rejections, then the real (empty) queue admits it.
-        let handle = engine
-            .submit_with_retry(21, 5, Duration::from_millis(1))
-            .expect("retries outlast the forced rejections");
-        assert_eq!(handle.wait(), 42);
-        // With a budget longer than the attempts, the last rejection is
-        // returned to the caller.
-        plan.force_queue_full(10);
-        let rejected = engine
-            .submit_with_retry(1, 2, Duration::from_millis(1))
-            .unwrap_err();
-        assert_eq!(rejected, TrySubmitError::QueueFull(1));
-        engine.shutdown();
+    fn a_panicking_batch_poisons_only_its_offender() {
+        the_offender_alone_is_poisoned(|batch| {
+            assert!(batch.iter().all(|&(_, v)| v != 13), "unlucky batch");
+            batch.into_iter().map(|(_, v)| v * 2).collect()
+        });
+    }
+
+    #[test]
+    fn a_miscounting_batch_poisons_only_its_offender() {
+        // One result too few whenever the offender is in the batch.
+        the_offender_alone_is_poisoned(|batch| {
+            batch
+                .into_iter()
+                .filter(|&(_, v)| v != 13)
+                .map(|(_, v)| v * 2)
+                .collect()
+        });
+    }
+
+    #[test]
+    fn an_unbatched_engine_fills_every_lane_it_has() {
+        let engine = engine_with(2, 8, |_, v: u32| v + 1);
+        for v in 0..6 {
+            assert_eq!(engine.submit(v).unwrap().wait(), v + 1);
+        }
+        let stats = engine.shutdown();
+        assert_eq!(stats.batches_formed, stats.completed);
+        assert_eq!(stats.lane_occupancy.count(), stats.completed);
+        let full = Some(Duration::from_nanos(100));
+        assert_eq!(stats.lane_occupancy.max(), full);
+        assert_eq!(stats.lane_occupancy.mean(), full);
     }
 
     #[test]
@@ -1586,10 +1543,7 @@ mod tests {
             ..ServingConfig::sized(1, 8)
         };
         let engine = ServingEngine::batched(config, policy, |batch, _| {
-            batch
-                .into_iter()
-                .map(|(_, v): (u64, u32)| Some(v + 1))
-                .collect()
+            batch.into_iter().map(|(_, v): (u64, u32)| v + 1).collect()
         });
         // The lone worker draws the kill on the first job: its waiter must
         // resolve as abandoned, not block forever.

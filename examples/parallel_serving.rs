@@ -53,7 +53,7 @@ fn main() {
         trace: Some(Arc::clone(&sink)),
         ..ExecHooks::default()
     };
-    let engine = session.serve_with(&options, &hooks).into_engine();
+    let engine = session.serve_with(&options, &hooks);
     drop(hooks);
     let started = Instant::now();
     let handles: Vec<_> = requests

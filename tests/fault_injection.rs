@@ -257,21 +257,31 @@ fn a_seeded_fault_storm_never_hangs_and_non_faulted_outputs_are_exact() {
         let span = (session.schedule().instrs().len() * requests) as u64;
         let plan = FaultPlan::storm(0xC4A05, span.max(1), 2);
         plan.force_queue_full(2);
-        let engine = session
-            .serve_with(
-                &ExecOptions::new().with_request_threads(3),
-                &faulting(&plan),
-            )
-            .into_engine();
+        let engine = session.serve_with(
+            &ExecOptions::new().with_request_threads(3),
+            &faulting(&plan),
+        );
 
         let mut handles = Vec::new();
+        let mut rejections = 0;
         for inputs in &input_sets {
-            // Retry-with-backoff rides out the forced queue-full faults.
-            let handle = engine
-                .submit_with_retry(inputs.clone(), 8, Duration::from_millis(1))
-                .expect("retries outlast the forced queue-full budget");
+            // A forced queue-full hands the request back; submit it again.
+            let mut request = inputs.clone();
+            let handle = loop {
+                match engine.try_submit(request) {
+                    Ok(handle) => break handle,
+                    Err(TrySubmitError::QueueFull(returned)) => {
+                        assert_eq!(&returned, inputs, "{id}: the rejection hands it back");
+                        rejections += 1;
+                        request = returned;
+                    }
+                    Err(other) => panic!("{id}: unexpected rejection: {other}"),
+                }
+            };
             handles.push(handle);
         }
+        // Ten requests never fill the queue: both rejections were forced.
+        assert_eq!(rejections, 2, "{id}: the forced queue-full budget");
         // The last request is cancelled while the storm runs: it resolves
         // as cancelled, or normally if a worker had already finished it.
         handles[requests - 1].cancel();
@@ -339,7 +349,7 @@ fn a_killed_worker_abandons_its_request_without_hanging_waiters() {
             6 - abandoned,
             "the surviving worker drains the rest"
         );
-        let stats = engine.into_engine().shutdown();
+        let stats = engine.shutdown();
         assert!(stats.resilience.worker_panics >= 1);
         assert_eq!(
             metric(&session, "chehab_worker_panics_total"),
@@ -384,14 +394,12 @@ fn deadlines_resolve_requests_with_deadline_exceeded_and_are_counted() {
         let clean = session.run(&inputs_of(&benchmark, 3)).unwrap();
         assert!(clean.decryption_ok);
 
-        let (handle, engine) = if batched {
-            let coalescer = session.serve_batched(&tight.with_batching(two_lanes()));
-            let handle = coalescer.submit(inputs_of(&benchmark, 3)).unwrap();
-            (handle, coalescer.into_engine())
+        let engine = if batched {
+            session.serve_batched(&tight.with_batching(two_lanes()))
         } else {
-            let engine = session.serve(&tight);
-            (engine.submit(inputs_of(&benchmark, 3)).unwrap(), engine)
+            session.serve(&tight)
         };
+        let handle = engine.submit(inputs_of(&benchmark, 3)).unwrap();
         let error = handle.wait().expect_err("a 1ns deadline always expires");
         assert_eq!(error, FheError::DeadlineExceeded);
         let stats = engine.shutdown();
