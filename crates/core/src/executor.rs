@@ -687,7 +687,7 @@ impl FheSession {
     /// clamped to [`FheSession::batch_capacity`]; a batch-level
     /// [`FheError`] is replicated to every member's handle.
     ///
-    /// `submit` returns a handle immediately; `wait`/`try_poll` retrieve
+    /// `submit` returns a handle immediately; `wait`/`try_wait` receive
     /// that request's report, so callers observe submission order even when
     /// completions are out of order. With batching unset (and no trace sink
     /// or fault plan in `hooks`), `wait` on a request no worker has started

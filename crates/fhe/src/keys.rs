@@ -157,10 +157,10 @@ impl KeyGenerator {
     }
 
     /// Payload polynomials one key-switch key (the relinearization key or
-    /// one Galois key) samples and transforms: `2 * ceil(coeff_bits / 60)`,
-    /// mirroring real BFV keygen.
+    /// one Galois key) samples and transforms: two per digit of the RNS
+    /// gadget, which has one digit per limb of the payload chain.
     fn polys_per_key(&self) -> usize {
-        (2 * (self.params.coeff_modulus_bits as usize).div_ceil(60)).max(2)
+        2 * self.chain.limb_count()
     }
 
     /// Samples `keys · per_key` uniform payload polynomials across every

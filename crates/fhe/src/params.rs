@@ -222,7 +222,10 @@ impl BfvParameters {
     /// Approximate size of one Galois (rotation) key in bytes. Each key holds
     /// roughly `2 * ceil(coeff_bits / 60)` polynomials per decomposition
     /// digit, which is what makes shipping many rotation keys expensive
-    /// (Appendix B).
+    /// (Appendix B). This is the paper setup's nominal size, read off
+    /// `coeff_modulus_bits`: the keys keygen samples follow the payload
+    /// chain instead (two polynomials per limb), and the two meet once the
+    /// limb count is chosen from the circuit's modulus.
     pub fn galois_key_size_bytes(&self) -> usize {
         let digits = (self.coeff_modulus_bits as usize).div_ceil(60);
         2 * digits * self.poly_modulus_degree * (self.coeff_modulus_bits as usize).div_ceil(8)

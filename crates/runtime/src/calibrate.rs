@@ -10,7 +10,7 @@
 //! DSMC: replace a modeled per-particle cost with a measured one, keep the
 //! balancing machinery unchanged.
 
-use chehab_ir::{CostModel, OpCosts};
+use chehab_ir::OpCosts;
 use std::time::Duration;
 
 /// The operation categories the runtime times individually.
@@ -148,16 +148,6 @@ impl CalibratedCostModel {
             plaintext_op: fallback.plaintext_op,
         }
     }
-
-    /// Builds a full [`CostModel`] with calibrated operator costs and the
-    /// base model's term weights, ready to hand to the greedy or RL
-    /// optimizer.
-    pub fn to_cost_model(&self, base: &CostModel) -> CostModel {
-        CostModel {
-            op_costs: self.to_op_costs(&base.op_costs),
-            weights: base.weights,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -217,9 +207,7 @@ mod tests {
     #[test]
     fn empty_calibration_falls_back_to_the_static_model() {
         let cal = CalibratedCostModel::new();
-        let base = CostModel::default();
-        let model = cal.to_cost_model(&base);
-        assert_eq!(model.op_costs, base.op_costs);
-        assert_eq!(model.weights, base.weights);
+        let base = OpCosts::default();
+        assert_eq!(cal.to_op_costs(&base), base);
     }
 }

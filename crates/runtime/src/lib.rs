@@ -30,7 +30,8 @@
 //!    state lives across requests instead of being rebuilt per call. Every
 //!    worker runs submit → gather → handler(batch) → scatter under a
 //!    [`BatchPolicy`]; an unbatched request is a batch of one.
-//!    [`RequestHandle`]s give submit/wait/try_poll semantics and
+//!    Each [`RequestHandle`] is the receiver of its request's one-shot
+//!    result channel (a dropped sender is an abandoned request), and
 //!    [`ServingStats`] track queue depth and throughput.
 //! 4. **Cross-request SIMD batching**: with a larger [`BatchPolicy`] the
 //!    same engine gathers compatible requests and the handler packs many

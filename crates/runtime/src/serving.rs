@@ -19,14 +19,18 @@
 //!   `chehab_core::FheSession::serve_with`). An unbatched engine
 //!   ([`ServingEngine::new`]) is the `max_batch = 1, max_linger = 0` case:
 //!   every request is a batch of one;
-//! - [`RequestHandle::wait`] / [`RequestHandle::try_poll`] retrieve the
-//!   result of *that* request, so callers observe submission order even when
-//!   completions happen out of order. A caller that blocks on a request no
-//!   worker has started yet serves it itself (unbatched engines only): a
-//!   thread about to sleep does the work instead of handing it to a second
-//!   thread that has to be woken, and woken again to hand the result back —
-//!   two scheduler round trips per request, whose placement on a small guest
-//!   decided whether a closed loop ran on all of its cores or on one;
+//! - each request gets its own one-shot channel: the worker sends the result
+//!   (or a handler panic) down it, and [`RequestHandle::wait`] /
+//!   [`RequestHandle::try_wait`] receive *that* request's result, so callers
+//!   observe submission order even when completions happen out of order. A
+//!   sender dropped unsent (a dead worker, a halt with the job still queued)
+//!   is an abandoned request, never a hung waiter. A caller that blocks on
+//!   a request no worker has started yet serves it itself (unbatched
+//!   engines only): a thread about to sleep does the work instead of
+//!   handing it to a second thread that has to be woken, and woken again to
+//!   hand the result back — two scheduler round trips per request, whose
+//!   placement on a small guest decided whether a closed loop ran on all of
+//!   its cores or on one;
 //! - [`ServingEngine::shutdown`] stops intake, drains everything already
 //!   queued or in flight, joins the workers, and reports final
 //!   [`ServingStats`].
@@ -40,6 +44,7 @@ use crate::exec::lock;
 use crate::faults::{CancellationToken, FaultPlan};
 use crate::telemetry::{Counter, Histogram, SpanEvent, TraceSink};
 use std::collections::VecDeque;
+use std::sync::mpsc::{Receiver, RecvError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -218,11 +223,14 @@ pub struct LatencySnapshot {
     /// Time each request spent queued (submit to handler start, so it
     /// includes the time its batch lingered gathering).
     pub queue_wait: Histogram,
-    /// Handler wall latency split by outcome, labelled `"ok"`,
-    /// `"cancelled"`, `"deadline_missed"` and `"panicked"` (always all four,
-    /// some possibly empty), completing the per-outcome slice of the
-    /// `ServingStats` export.
-    pub per_outcome: Vec<(String, Histogram)>,
+    /// Handler wall latency of the requests that completed normally.
+    pub ok: Histogram,
+    /// Handler wall latency of the requests cancelled before completing.
+    pub cancelled: Histogram,
+    /// Handler wall latency of the requests that outlived their deadline.
+    pub deadline_missed: Histogram,
+    /// Handler wall latency of the requests whose handler panicked.
+    pub panicked: Histogram,
 }
 
 /// A point-in-time snapshot of one engine's serving counters.
@@ -280,85 +288,15 @@ impl ServingStats {
     }
 }
 
-/// Result cell shared between one request's worker and its handle.
-struct ResultSlot<R> {
-    value: Option<R>,
-    /// Set once the value has been handed out (`wait` or `try_poll`), so a
-    /// handle misuse panics instead of deadlocking.
-    taken: bool,
-    /// Set by the worker when the handler finished (even after the value is
-    /// taken), so `is_finished` stays meaningful.
-    finished: bool,
-    /// Set when the handler panicked instead of returning: there is no
-    /// value, and retrievers re-raise the panic instead of blocking forever.
-    poisoned: bool,
-    /// Set when the engine side disconnected before producing a value (a
-    /// worker died with the job in flight, or the engine halted with the
-    /// job still queued): there will never be a value, and retrievers get
-    /// [`RequestError::Abandoned`] instead of blocking forever.
-    abandoned: bool,
-}
-
-struct HandleShared<R> {
-    slot: Mutex<ResultSlot<R>>,
-    done: Condvar,
-}
-
-impl<R> HandleShared<R> {
-    /// A fresh, unfinished result cell.
-    fn new() -> Arc<Self> {
-        Arc::new(HandleShared {
-            slot: Mutex::new(ResultSlot {
-                value: None,
-                taken: false,
-                finished: false,
-                poisoned: false,
-                abandoned: false,
-            }),
-            done: Condvar::new(),
-        })
-    }
-
-    /// Worker side of completion: publishes the value (or, with `None`,
-    /// poisons the cell so retrievers re-raise instead of blocking forever),
-    /// marks the cell finished, and wakes every waiter.
-    fn fulfill(&self, value: Option<R>) {
-        {
-            let mut slot = lock(&self.slot);
-            match value {
-                Some(value) => slot.value = Some(value),
-                None => slot.poisoned = true,
-            }
-            slot.finished = true;
-        }
-        self.done.notify_all();
-    }
-
-    /// Engine side of abandonment: marks the cell as never-completing (a
-    /// no-op if the handler already fulfilled it) and wakes every waiter, so
-    /// a dying worker or a halting engine resolves outstanding handles with
-    /// an error instead of leaving waiters blocked.
-    fn disconnect(&self) {
-        {
-            let mut slot = lock(&self.slot);
-            if slot.finished {
-                return;
-            }
-            slot.abandoned = true;
-        }
-        self.done.notify_all();
-    }
-}
-
 /// Why a request's result will never arrive, from
 /// [`RequestHandle::try_wait`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestError {
     /// The request's handler panicked; the panic was isolated by the worker.
     Panicked,
-    /// The engine side disconnected before producing a result: the worker
-    /// serving the request died, or the engine was halted/dropped with the
-    /// request still queued behind dead workers.
+    /// The engine dropped the request's sender unsent: the worker serving
+    /// the request died, or the engine was halted/dropped with the request
+    /// still queued behind dead workers.
     Abandoned,
 }
 
@@ -375,15 +313,17 @@ impl std::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-/// The caller's side of one submitted request.
+/// The caller's side of one submitted request: the receiving end of the
+/// request's one-shot result channel.
 ///
-/// Exactly one of [`RequestHandle::wait`] / a successful
-/// [`RequestHandle::try_poll`] yields the result; polling again after the
-/// result was taken returns `None`, and waiting after it was taken panics
-/// (rather than blocking forever).
+/// [`RequestHandle::wait`] and [`RequestHandle::try_wait`] consume the
+/// handle, so a result is retrieved at most once. Dropping a handle
+/// discards its result; the engine still serves and counts the request.
 pub struct RequestHandle<R> {
     id: u64,
-    shared: Arc<HandleShared<R>>,
+    /// `None` when the handler panicked; disconnected without a message when
+    /// the engine dropped the sender unsent.
+    result: Receiver<Option<R>>,
     token: CancellationToken,
     /// The engine's [`ServeQueued`], when waiters serve their own jobs.
     serve_queued: Option<Arc<ServeQueued>>,
@@ -413,94 +353,24 @@ impl<R> RequestHandle<R> {
         self.token.cancel();
     }
 
-    /// Locks the result slot, recovering from std mutex poisoning: the
-    /// slot's own `poisoned` flag (set by the worker, never mid-update)
-    /// tracks handler panics, so a retriever that panicked while holding
-    /// the lock must not wedge every later accessor.
-    fn lock_slot(&self) -> std::sync::MutexGuard<'_, ResultSlot<R>> {
-        lock(&self.shared.slot)
-    }
-
-    /// Panics with the handler-panic message — with the slot guard already
-    /// released, so the panic cannot poison the mutex for other accessors.
-    fn raise_poisoned(&self, slot: std::sync::MutexGuard<'_, ResultSlot<R>>) -> ! {
-        drop(slot);
-        panic!("serving request {} panicked in its handler", self.id);
-    }
-
-    /// `true` once the request will never produce more: its handler finished
-    /// (including by panicking), or the engine side abandoned it.
-    pub fn is_finished(&self) -> bool {
-        let slot = self.lock_slot();
-        slot.finished || slot.abandoned
-    }
-
-    /// Returns the result if the request already completed, without
-    /// blocking; `None` while it is still queued or in flight, and `None`
-    /// forever after the result has been taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request's handler panicked (the panic is propagated to
-    /// the retriever, like `JoinHandle::join`), or if the engine side
-    /// abandoned the request. Use [`RequestHandle::try_wait`] for a
-    /// non-panicking retrieval.
-    pub fn try_poll(&self) -> Option<R> {
-        let mut slot = self.lock_slot();
-        if slot.poisoned {
-            self.raise_poisoned(slot);
-        }
-        if slot.abandoned {
-            let id = self.id;
-            drop(slot);
-            panic!("serving request {id} was abandoned by the engine");
-        }
-        let value = slot.value.take();
-        if value.is_some() {
-            slot.taken = true;
-        }
-        value
-    }
-
     /// Blocks until the request completes and returns its result, or an
     /// error when it never will: [`RequestError::Panicked`] if the handler
-    /// panicked, [`RequestError::Abandoned`] if the engine side disconnected
-    /// (worker death, or a halt with the request still queued behind dead
-    /// workers). Never blocks forever on a dead engine.
+    /// panicked, [`RequestError::Abandoned`] if the engine dropped the
+    /// request's sender unsent (worker death, or a halt with the request
+    /// still queued behind dead workers). Never blocks forever on a dead
+    /// engine.
     ///
     /// On an unbatched engine a request still in the queue is served right
     /// here, on the calling thread, instead of waiting for a worker to get
     /// to it (see [`ServingEngine::batched`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics only on misuse: the result was already taken by
-    /// [`RequestHandle::try_poll`] (the handle is single-shot).
     pub fn try_wait(self) -> Result<R, RequestError> {
         if let Some(serve_queued) = &self.serve_queued {
             serve_queued(self.id);
         }
-        let mut slot = self.lock_slot();
-        loop {
-            if slot.poisoned {
-                return Err(RequestError::Panicked);
-            }
-            if slot.abandoned {
-                return Err(RequestError::Abandoned);
-            }
-            if let Some(value) = slot.value.take() {
-                slot.taken = true;
-                return Ok(value);
-            }
-            if slot.taken {
-                drop(slot);
-                panic!("RequestHandle::wait called after try_poll already took the result");
-            }
-            slot = self
-                .shared
-                .done
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
+        match self.result.recv() {
+            Ok(Some(value)) => Ok(value),
+            Ok(None) => Err(RequestError::Panicked),
+            Err(RecvError) => Err(RequestError::Abandoned),
         }
     }
 
@@ -508,12 +378,11 @@ impl<R> RequestHandle<R> {
     ///
     /// # Panics
     ///
-    /// Panics if the result was already taken by [`RequestHandle::try_poll`]
-    /// (the handle is single-shot), if the request's handler panicked (the
-    /// panic is propagated to the retriever, like `JoinHandle::join`), or if
-    /// the engine side abandoned the request (worker death / halt) — never
-    /// blocks forever on a dead engine. Use [`RequestHandle::try_wait`] to
-    /// receive those terminal states as errors instead.
+    /// Panics if the request's handler panicked (the panic is propagated to
+    /// the retriever, like `JoinHandle::join`), or if the engine abandoned
+    /// the request (worker death / halt) — never blocks forever on a dead
+    /// engine. Use [`RequestHandle::try_wait`] to receive those terminal
+    /// states as errors instead.
     pub fn wait(self) -> R {
         let id = self.id;
         match self.try_wait() {
@@ -528,8 +397,8 @@ impl<R> RequestHandle<R> {
     }
 }
 
-/// One queued request: id, payload, the cell its result lands in, and the
-/// cancellation token shared with the caller's handle.
+/// One queued request: id, payload, the sender its result goes out on, and
+/// the cancellation token shared with the caller's handle.
 struct Job<T, R> {
     id: u64,
     request: T,
@@ -537,8 +406,10 @@ struct Job<T, R> {
 }
 
 /// The engine-side remainder of a job once its payload went to the handler.
+/// Dropping it unsent abandons the request.
 struct Member<R> {
-    handle: Arc<HandleShared<R>>,
+    /// `None` reports a handler panic; a send to a dropped handle is ignored.
+    result: SyncSender<Option<R>>,
     token: CancellationToken,
     /// When the job entered the queue — measured against the handler start,
     /// it is the request's queue wait.
@@ -554,33 +425,16 @@ struct QueueState<T, R> {
 
 /// Engine-recorded histograms (wall + queue wait + per-outcome wall + batch
 /// formation) and poisoned-batch counters; fixed footprint, so a long-lived
-/// engine never grows them with traffic. `request_wall`'s count is the
-/// engine's completed-request count, `batch_size`'s its batch count.
+/// engine never grows them with traffic. `latency.request_wall`'s count is
+/// the engine's completed-request count, `batch_size`'s its batch count.
 #[derive(Default)]
 struct LatencyAgg {
-    request_wall: Histogram,
-    queue_wait: Histogram,
+    latency: LatencySnapshot,
     batch_size: Histogram,
     linger: Histogram,
     lane_occupancy: Histogram,
-    ok: Histogram,
-    cancelled: Histogram,
-    deadline_missed: Histogram,
-    panicked: Histogram,
     batch_panics: u64,
     solo_retries: u64,
-}
-
-impl LatencyAgg {
-    /// The per-outcome histograms with their stable labels.
-    fn per_outcome(&self) -> Vec<(String, Histogram)> {
-        vec![
-            ("ok".to_string(), self.ok.clone()),
-            ("cancelled".to_string(), self.cancelled.clone()),
-            ("deadline_missed".to_string(), self.deadline_missed.clone()),
-            ("panicked".to_string(), self.panicked.clone()),
-        ]
-    }
 }
 
 struct Shared<T, R> {
@@ -802,10 +656,11 @@ impl<T, R> ServingEngine<T, R> {
         Ok(self.enqueue(state, request))
     }
 
-    /// The shared tail of both submission paths: assigns the id, mints the
-    /// handle pair and its deadline-stamped cancellation token, enqueues
-    /// the job, and wakes one worker. The caller has already established
-    /// that the queue has room and intake is open.
+    /// The shared tail of both submission paths: assigns the id, opens the
+    /// request's one-shot result channel, mints its deadline-stamped
+    /// cancellation token, enqueues the job, and wakes one worker. The
+    /// caller has already established that the queue has room and intake
+    /// is open.
     fn enqueue(
         &self,
         mut state: std::sync::MutexGuard<'_, QueueState<T, R>>,
@@ -813,7 +668,7 @@ impl<T, R> ServingEngine<T, R> {
     ) -> RequestHandle<R> {
         let id = state.submitted;
         state.submitted += 1;
-        let handle = HandleShared::new();
+        let (sender, result) = std::sync::mpsc::sync_channel(1);
         let token = match self.shared.config.deadline {
             Some(deadline) => CancellationToken::deadline_in(deadline),
             None => CancellationToken::new(),
@@ -822,7 +677,7 @@ impl<T, R> ServingEngine<T, R> {
             id,
             request,
             member: Member {
-                handle: Arc::clone(&handle),
+                result: sender,
                 token: token.clone(),
                 enqueued: Instant::now(),
             },
@@ -831,7 +686,7 @@ impl<T, R> ServingEngine<T, R> {
         self.shared.not_empty.notify_one();
         RequestHandle {
             id,
-            shared: handle,
+            result,
             token,
             serve_queued: self.serve_queued.clone(),
         }
@@ -844,11 +699,7 @@ impl<T, R> ServingEngine<T, R> {
         // consistent (`completed <= submitted`) without holding both locks
         // at once.
         let agg = lock(&self.shared.latency);
-        let latency = LatencySnapshot {
-            request_wall: agg.request_wall.clone(),
-            queue_wait: agg.queue_wait.clone(),
-            per_outcome: agg.per_outcome(),
-        };
+        let latency = agg.latency.clone();
         let batch_size = agg.batch_size.clone();
         let linger = agg.linger.clone();
         let lane_occupancy = agg.lane_occupancy.clone();
@@ -883,11 +734,10 @@ impl<T, R> ServingEngine<T, R> {
     }
 
     /// Idempotent part of shutdown: flips the flag, wakes everyone, joins,
-    /// waits out jobs their own waiters are serving, then resolves any
-    /// handle that can no longer complete. A job still queued after every
-    /// worker has exited (possible only when workers died) would leave its
-    /// waiter blocked forever — disconnect it so retrieval reports
-    /// [`RequestError::Abandoned`] instead.
+    /// waits out jobs their own waiters are serving, then drops any job
+    /// still queued after every worker has exited (possible only when
+    /// workers died): its dropped sender resolves the waiter with
+    /// [`RequestError::Abandoned`] instead of leaving it blocked forever.
     pub(crate) fn halt(&mut self) {
         lock(&self.shared.state).shutting_down = true;
         self.shared.not_empty.notify_all();
@@ -903,9 +753,7 @@ impl<T, R> ServingEngine<T, R> {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        while let Some(job) = state.queue.pop_front() {
-            job.member.handle.disconnect();
-        }
+        state.queue.clear();
     }
 }
 
@@ -915,15 +763,16 @@ impl<T, R> Drop for ServingEngine<T, R> {
     }
 }
 
-/// RAII companion of one in-flight batch: if the worker thread dies between
-/// popping the jobs and fulfilling their handles (a planned worker kill, or
-/// a genuine panic in the engine's own bookkeeping), the guard's drop runs
-/// during the unwind and disconnects every member's handle — the waiters get
-/// [`RequestError::Abandoned`] instead of blocking forever — and repairs the
-/// in-flight count so stats stay truthful.
+/// RAII companion of one in-flight batch: if the thread serving it dies
+/// between popping the jobs and sending their results (a planned worker
+/// kill, or a genuine panic in the engine's own bookkeeping), the guard's
+/// drop runs during the unwind, repairs the in-flight count so stats stay
+/// truthful, and counts the panic. The members drop after the guard, so
+/// their waiters wake to [`RequestError::Abandoned`] with the count already
+/// repaired.
 struct FulfillGuard<'a, T, R> {
     shared: &'a Shared<T, R>,
-    members: &'a [Member<R>],
+    size: usize,
     armed: bool,
 }
 
@@ -938,11 +787,8 @@ impl<T, R> Drop for FulfillGuard<'_, T, R> {
         if !self.armed {
             return;
         }
-        for member in self.members {
-            member.handle.disconnect();
-        }
         let mut state = lock(&self.shared.state);
-        state.in_flight = state.in_flight.saturating_sub(self.members.len());
+        state.in_flight = state.in_flight.saturating_sub(self.size);
         drop(state);
         self.shared.waiter_done.notify_all();
         self.shared.config.resilience.worker_panics.inc();
@@ -1035,8 +881,8 @@ enum Server<'a> {
 
 /// Runs the handler once for a batch already taken off the queue (and
 /// counted in `in_flight`) — and, if that run is poisoned, each member of a
-/// larger batch once more alone — records it, and fulfills its members'
-/// handles.
+/// larger batch once more alone — records it, and sends each member its
+/// result.
 fn serve_batch<T: Clone, R>(
     shared: &Shared<T, R>,
     handler: &BatchHandler<T, R>,
@@ -1046,11 +892,12 @@ fn serve_batch<T: Clone, R>(
     linger: Duration,
 ) {
     let size = members.len();
-    // From here to `disarm` the batch is this thread's responsibility:
-    // if it dies, the guard resolves every handle as abandoned.
+    // From here to `disarm` the batch is this thread's responsibility: if
+    // it dies, the guard repairs the counts and `members`, dropped after it,
+    // abandons every handle.
     let guard = FulfillGuard {
         shared,
-        members: &members,
+        size,
         armed: true,
     };
     if let (Some(plan), Server::Worker { index, .. }) = (&shared.config.faults, &server) {
@@ -1089,7 +936,7 @@ fn serve_batch<T: Clone, R>(
     };
     let elapsed = started.elapsed();
 
-    // Book-keeping first: a waiter woken by the fulfill below must
+    // Book-keeping first: a waiter woken by the send below must
     // already observe its request in the counters when it calls
     // `stats()` — the latency counters before `in_flight`, so that a halt
     // that sees nothing in flight reports everything completed.
@@ -1098,19 +945,19 @@ fn serve_batch<T: Clone, R>(
     // later (while the result sits unretrieved) is not miscounted.
     let resilience = &shared.config.resilience;
     let queue_wait = |member: &Member<R>| started.saturating_duration_since(member.enqueued);
-    let mut latency = lock(&shared.latency);
-    latency.batch_size.record_nanos(size as u64);
-    latency.linger.record(linger);
-    latency
-        .lane_occupancy
+    let mut agg = lock(&shared.latency);
+    agg.batch_size.record_nanos(size as u64);
+    agg.linger.record(linger);
+    agg.lane_occupancy
         .record_nanos((100 * size / shared.policy.max_batch) as u64);
     if poisoned {
-        latency.batch_panics += 1;
+        agg.batch_panics += 1;
         if size > 1 {
-            latency.solo_retries += size as u64;
+            agg.solo_retries += size as u64;
         }
     }
     for (member, result) in members.iter().zip(&results) {
+        let latency = &mut agg.latency;
         latency.request_wall.record(elapsed);
         latency.queue_wait.record(queue_wait(member));
         let outcome = if result.is_none() {
@@ -1127,7 +974,7 @@ fn serve_batch<T: Clone, R>(
         };
         outcome.record(elapsed);
     }
-    drop(latency);
+    drop(agg);
     lock(&shared.state).in_flight -= size;
     if let (Some(sink), Server::Worker { index, track }) = (shared.config.trace.as_deref(), server)
     {
@@ -1149,7 +996,7 @@ fn serve_batch<T: Clone, R>(
     }
 
     for (member, result) in members.iter().zip(results) {
-        member.handle.fulfill(result);
+        let _ = member.result.send(result);
     }
     guard.disarm();
 }
@@ -1234,9 +1081,10 @@ mod tests {
         assert_eq!(executed.load(Ordering::Relaxed), 20);
         assert!(stats.throughput_rps() > 0.0);
         assert!(stats.latency.request_wall.mean().unwrap() >= Duration::from_millis(5));
+        // Every sender was used before the workers exited, so none of these
+        // can block.
         for handle in handles {
-            assert!(handle.is_finished());
-            assert!(handle.try_poll().is_some());
+            assert_eq!(handle.try_wait(), Ok(()));
         }
     }
 
@@ -1257,27 +1105,29 @@ mod tests {
         assert_eq!(engine.submit(2).unwrap_err(), ServingError::ShutDown);
     }
 
+    /// A result sent to a dropped handle is discarded: the worker neither
+    /// dies nor blocks on it, every request is still counted, and the
+    /// engine keeps serving.
     #[test]
-    fn try_poll_is_none_until_completion_and_after_taking() {
-        let engine = engine_with(1, 4, |_, ms: u64| {
-            std::thread::sleep(Duration::from_millis(ms));
-            ms
-        });
-        let slow = engine.submit(100).unwrap();
-        let queued = engine.submit(1).unwrap();
-        // The single worker is busy with the slow request, so the queued one
-        // cannot have completed yet.
-        assert!(queued.try_poll().is_none());
-        assert_eq!(queued.wait(), 1);
-        let polled = loop {
-            if let Some(v) = slow.try_poll() {
-                break v;
+    fn a_dropped_handle_costs_nothing() {
+        // Under the default policy every job stays on the one worker, so it
+        // sends to every dropped handle itself.
+        for policy in [BatchPolicy::solo(), BatchPolicy::default()] {
+            let engine = ServingEngine::batched(ServingConfig::sized(1, 16), policy, |batch, _| {
+                batch.into_iter().map(|(_, v): (u64, u32)| v * 2).collect()
+            });
+            let kept: Vec<_> = (0..16)
+                .map(|v| (v, engine.submit(v).unwrap()))
+                .filter(|(v, _)| v % 2 == 0)
+                .collect();
+            for (v, handle) in kept {
+                assert_eq!(handle.wait(), v * 2);
             }
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        assert_eq!(polled, 100);
-        assert!(slow.try_poll().is_none(), "result is single-shot");
-        engine.shutdown();
+            assert_eq!(engine.submit(21).unwrap().wait(), 42);
+            let stats = engine.shutdown();
+            assert_eq!((stats.submitted, stats.completed), (17, 17));
+            assert_eq!(stats.resilience.worker_panics, 0);
+        }
     }
 
     #[test]
@@ -1381,24 +1231,13 @@ mod tests {
         // The worker survives the panic; the rest of the queue still drains
         // (by the worker, or by this waiter ahead of it).
         assert_eq!(good.wait(), 8);
-        while !bad.is_finished() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // Every retrieval attempt re-raises the handler panic with the
-        // intended message, and a panicking accessor does not wedge the
-        // handle for later ones (no std mutex poisoning leaks through).
-        for _ in 0..2 {
-            let reraised =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.try_poll()));
-            let message = *reraised
-                .expect_err("polling a panicked request re-raises")
-                .downcast::<String>()
-                .expect("panic message is a string");
-            assert!(message.contains("panicked in its handler"), "{message}");
-            assert!(bad.is_finished());
-        }
+        // Waiting re-raises the handler panic with the intended message.
         let reraised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.wait()));
-        assert!(reraised.is_err(), "waiting on a panicked request re-raises");
+        let message = *reraised
+            .expect_err("waiting on a panicked request re-raises")
+            .downcast::<String>()
+            .expect("panic message is a string");
+        assert!(message.contains("panicked in its handler"), "{message}");
         let stats = engine.shutdown();
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.in_flight, 0);
@@ -1449,19 +1288,11 @@ mod tests {
         assert_eq!(stats.resilience.cancelled, 1);
         assert_eq!(stats.resilience.deadline_missed, 1);
         assert_eq!(stats.resilience.worker_panics, 0);
-        let outcome = |label: &str| {
-            stats
-                .latency
-                .per_outcome
-                .iter()
-                .find(|(l, _)| l == label)
-                .map(|(_, h)| h.count())
-                .unwrap()
-        };
-        assert_eq!(outcome("ok"), 1);
-        assert_eq!(outcome("cancelled"), 1);
-        assert_eq!(outcome("deadline_missed"), 1);
-        assert_eq!(outcome("panicked"), 0);
+        let latency = &stats.latency;
+        assert_eq!(latency.ok.count(), 1);
+        assert_eq!(latency.cancelled.count(), 1);
+        assert_eq!(latency.deadline_missed.count(), 1);
+        assert_eq!(latency.panicked.count(), 0);
     }
 
     /// Under a two-member policy whose batches flush only when full, a
@@ -1487,11 +1318,8 @@ mod tests {
         assert_eq!((stats.batch_panics, stats.solo_retries), (1, 2));
         assert_eq!(stats.resilience.worker_panics, 1);
         assert_eq!(stats.latency.queue_wait.count(), 2);
-        let outcome = |label: &str| {
-            let labelled = stats.latency.per_outcome.iter().find(|(l, _)| l == label);
-            labelled.expect("every outcome is labelled").1.count()
-        };
-        assert_eq!((outcome("ok"), outcome("panicked")), (1, 1));
+        let latency = &stats.latency;
+        assert_eq!((latency.ok.count(), latency.panicked.count()), (1, 1));
     }
 
     #[test]
@@ -1549,10 +1377,9 @@ mod tests {
         // resolve as abandoned, not block forever.
         let doomed = engine.submit(1).unwrap();
         assert_eq!(doomed.try_wait(), Err(RequestError::Abandoned));
-        // A second job sits queued behind a dead pool; halt() disconnects
-        // it so its waiter resolves too.
+        // A second job sits queued behind a dead pool; halt() drops it, and
+        // with it its sender, so its waiter resolves too.
         let stranded = engine.submit(2).unwrap();
-        assert!(!stranded.is_finished() || stranded.is_finished()); // queued or already swept
         let stats = engine.shutdown();
         assert!(stats.resilience.worker_panics >= 1);
         assert_eq!(stranded.try_wait(), Err(RequestError::Abandoned));
@@ -1567,11 +1394,8 @@ mod tests {
             ..ServingConfig::sized(1, 8)
         };
         let engine = ServingEngine::new(config, |_, v: u32| v);
+        // The worker dies with the job: its dropped sender wakes the waiter.
         let doomed = engine.submit(7).unwrap();
-        // Spin until the worker has died with the job.
-        while !doomed.is_finished() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
         let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| doomed.wait()));
         let message = *raised
             .expect_err("waiting on an abandoned request panics")

@@ -83,7 +83,7 @@ fn main() {
     let session_stats = session.stats();
     let calibrated = session_stats
         .calibration
-        .to_cost_model(&chehab::ir::CostModel::default());
+        .to_op_costs(&chehab::ir::CostModel::default().op_costs);
     println!(
         "served {} requests in {elapsed:.2?} ({} workers, {:.1} req/s); keygen ran once for all \
          of them; calibrated ct-ct mul cost: {:.1} additions (from {} samples across the whole \
@@ -91,7 +91,7 @@ fn main() {
         serving.completed,
         serving.workers,
         serving.throughput_rps(),
-        calibrated.op_costs.vec_mul_ct_ct,
+        calibrated.vec_mul_ct_ct,
         session_stats.calibration.sample_count()
     );
 

@@ -249,11 +249,11 @@ fn timing_breakdown_reflects_the_schedule() {
     assert!(report.timing.per_op.sample_count() > 0);
     // The calibration measured at least additions and multiplications, so a
     // calibrated cost model can be derived.
-    let model = report
+    let op_costs = report
         .timing
         .per_op
-        .to_cost_model(&chehab::ir::CostModel::default());
-    assert!(model.op_costs.vec_mul_ct_ct > 0.0);
+        .to_op_costs(&chehab::ir::CostModel::default().op_costs);
+    assert!(op_costs.vec_mul_ct_ct > 0.0);
 
     // The session-level calibration is cumulative: every request (dataflow
     // and leveled alike) adds one sample set.

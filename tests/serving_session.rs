@@ -141,10 +141,10 @@ fn engine_shutdown_drains_in_flight_requests() {
     let stats = engine.shutdown();
     assert_eq!(stats.completed, 6);
     assert_eq!(stats.in_flight, 0);
+    // Every sender was used before the workers exited: none can block.
     for handle in handles {
-        assert!(handle.is_finished());
         let report = handle
-            .try_poll()
+            .try_wait()
             .expect("drained request has a result")
             .expect("drained request succeeded");
         assert!(report.decryption_ok);
