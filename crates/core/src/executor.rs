@@ -113,8 +113,8 @@ pub struct ExecOptions {
     /// runnable the instant its operands are written, ready ones ordered by
     /// calibrated critical-path priority) or [`SchedulerKind::Leveled`] (a
     /// level is released when the level below has retired). Outputs are
-    /// bit-identical either way; only the wall-clock differs, and
-    /// `timing.levels` is filled under the leveled rule alone.
+    /// bit-identical either way, and so is what the report's `timing`
+    /// records; only the wall-clock differs.
     pub scheduler: SchedulerKind,
     /// Cross-request SIMD batching policy of [`FheSession::run_batched`] and
     /// [`FheSession::serve_with`]: when set, compatible requests are
@@ -205,12 +205,14 @@ pub struct ExecHooks {
     /// Span sink. [`FheSession::run_batched`] records the `bind` /
     /// `execute` / `decrypt` phase spans of every chunk on one session track
     /// plus instruction-level spans (operation label, instruction index,
-    /// queue wait, steal provenance) on one track per
-    /// executor worker. [`FheSession::serve_with`] records one request-level
-    /// span per served job (with its queue wait) on one track per serving
-    /// worker — deliberately *not* instruction-level spans: each executor
-    /// run would allocate fresh worker tracks, unbounded over an open
-    /// request stream. Tracing only *observes* timings; reports are
+    /// queue wait, steal provenance) on one track per executor worker that
+    /// ran an instruction — drawn after the run from the report's `timing`,
+    /// the executor's one record, so a failed run (which returns no report)
+    /// records no instruction spans. [`FheSession::serve_with`] records one
+    /// request-level span per served job (with its queue wait) on one track
+    /// per serving worker — deliberately *not* instruction-level spans: each
+    /// executor run would allocate fresh worker tracks, unbounded over an
+    /// open request stream. Tracing only *observes* timings; reports are
     /// bit-identical to an untraced run. Keep a clone of the `Arc` and, once
     /// every other clone is dropped, export it with
     /// [`TraceSink::into_trace`].
@@ -1029,7 +1031,7 @@ impl FheSession {
                     cat: "session",
                     track,
                     start_ns: sink.offset_ns(started),
-                    dur_ns: u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX),
+                    dur_ns: nanos(dur),
                     instr: None,
                     queue_wait_ns: None,
                     stolen_from: None,
@@ -1059,7 +1061,6 @@ impl FheSession {
                 relin_keys: &self.relin_keys,
                 galois_keys: &self.galois_keys,
                 arenas: &self.arena_pool,
-                trace: hooks.trace.as_deref(),
                 lanes,
                 cancel: hooks.cancel.as_ref(),
                 faults: hooks.faults.as_ref(),
@@ -1069,15 +1070,17 @@ impl FheSession {
             // scheduled operations: bind spans the caller's preparation and
             // the encryptions, the server time (`timing.wall`) the rest.
             let outcome = execute(inputs, &resources);
-            let ended = Instant::now();
             self.metrics
                 .encryptions
                 .add(self.bind_plan.encryptions() as u64);
             let outcome = outcome?;
             let server_time = outcome.timing.wall;
-            let released = ended - server_time;
-            span("bind", bind_started, released - bind_started);
-            span("execute", released, server_time);
+            let barrier = outcome.timing.barrier;
+            span("bind", bind_started, barrier - bind_started);
+            span("execute", barrier, server_time);
+            if let Some(sink) = hooks.trace.as_deref() {
+                trace_instructions(sink, &self.schedule, &outcome.timing);
+            }
 
             // Scatter: each user reads its own lane window of the shared
             // output.
@@ -1156,6 +1159,37 @@ impl FheSession {
     }
 }
 
+/// Draws a run's instruction spans from its report: one track per worker
+/// that ran an instruction, one span per instruction on its worker's track.
+fn trace_instructions(sink: &TraceSink, schedule: &Schedule, timing: &TimingBreakdown) {
+    let workers = timing.workers.iter().max().map_or(0, |&w| w + 1);
+    let tracks: Vec<Option<usize>> = (0..workers)
+        .map(|w| {
+            timing
+                .workers
+                .contains(&w)
+                .then(|| sink.allocate_track(format!("executor worker {w}")))
+        })
+        .collect();
+    for (index, si) in schedule.instrs().iter().enumerate() {
+        sink.push(SpanEvent {
+            name: si.instr.label(),
+            cat: "instr",
+            track: tracks[timing.workers[index]].expect("the worker ran this instruction"),
+            start_ns: sink.offset_ns(timing.barrier + timing.starts[index]),
+            dur_ns: nanos(timing.instr_times[index]),
+            instr: Some(index),
+            queue_wait_ns: Some(nanos(timing.queue_waits[index])),
+            stolen_from: timing.stolen_from[index],
+        });
+    }
+}
+
+/// A span length in nanoseconds, saturating.
+fn nanos(span: Duration) -> u64 {
+    u64::try_from(span.as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// One user's lane `window` of a decrypted output's stored prefix: the part
 /// inside the prefix, zero beyond it (every slot past the prefix is zero).
 fn lane_window(stored: &[u64], window: Range<usize>) -> Vec<u64> {
@@ -1208,11 +1242,12 @@ pub struct ExecutionReport {
     pub galois_key_count: usize,
     /// `false` when the noise budget was exhausted and decryption failed.
     pub decryption_ok: bool,
-    /// Per-operation-kind timing breakdown — per-instruction spans, queue
-    /// waits and steals under either release rule, per-level walls under
-    /// the leveled one — including the measured latencies a
-    /// [`chehab_runtime::CalibratedCostModel`] feeds back into the
-    /// optimizer's cost model.
+    /// The executor's one record of the run: per instruction its worker,
+    /// start (an offset from `timing.barrier`), span, queue wait and steal
+    /// victim, the run's steals, and the measured per-operation-kind
+    /// latencies a [`chehab_runtime::CalibratedCostModel`] feeds back into
+    /// the optimizer's cost model. A trace's instruction spans are drawn
+    /// from it.
     pub timing: TimingBreakdown,
 }
 
@@ -1357,7 +1392,6 @@ mod tests {
         let report = run(&program, &[("w", 10)]);
         assert_eq!(report.outputs, vec![13]);
         assert_eq!(report.operation_stats.total(), 0);
-        assert!(report.timing.levels.is_empty());
     }
 
     #[test]
@@ -1395,10 +1429,9 @@ mod tests {
                 parallel.noise_budget_consumed,
                 sequential.noise_budget_consumed
             );
-            // The default parallel scheduler is dataflow: level-less timing,
-            // but one measured span and queue wait per instruction.
+            // The default parallel scheduler is dataflow, with one measured
+            // span and queue wait per instruction.
             assert_eq!(parallel.timing.scheduler, SchedulerKind::Dataflow);
-            assert!(parallel.timing.levels.is_empty());
             assert_eq!(
                 parallel.timing.instr_times.len(),
                 sequential.timing.instr_times.len()

@@ -23,14 +23,14 @@
 //!   the same peak of live buffers, on every request.
 //! - [`SchedulerKind::Leveled`]: when the whole level below has retired. A
 //!   per-level countdown replaces the barrier: the worker that retires a
-//!   level's last instruction stamps that level's [`LevelTiming`] and
-//!   injects the next level's range in schedule order — descending estimated
-//!   cost, longest-processing-time-first. Nothing is released to a local
-//!   deque, so nothing is ever stolen, and no priorities are read.
+//!   level's last instruction injects the next level's range in schedule
+//!   order — descending estimated cost, longest-processing-time-first.
+//!   Nothing is released to a local deque, so nothing is ever stolen, and
+//!   no priorities are read.
 //!
 //! Under either rule nothing is released before the run's input encryptions
-//! are all published: that barrier opens the state, and `timing.wall`
-//! starts there.
+//! are all published: that barrier opens the state, and `timing.wall` and
+//! every instruction's recorded start are measured from it.
 //!
 //! Results are bit-identical to the in-order walk at every worker count,
 //! rule and steal order: every homomorphic operation is a pure function of
@@ -58,33 +58,19 @@ pub enum SchedulerKind {
     Leveled,
 }
 
-/// Wall-clock of one level of a [`SchedulerKind::Leveled`] run.
-#[derive(Debug, Clone)]
-pub struct LevelTiming {
-    /// Level index.
-    pub level: usize,
-    /// Instructions executed in the level.
-    pub instructions: usize,
-    /// From the level's release to the retirement of its last instruction.
-    pub wall: Duration,
-}
-
-/// Per-instruction and per-operation-kind breakdown of one execution. Every
-/// run fills every field the same way; only `levels` depends on the rule.
+/// Per-instruction and per-operation-kind breakdown of one execution: the
+/// executor's one record of where, when and for how long every instruction
+/// ran. Every run fills every field the same way under either rule.
 #[derive(Debug, Clone)]
 pub struct TimingBreakdown {
     /// The release rule the run executed under.
     pub scheduler: SchedulerKind,
-    /// Worker threads used (the calling thread included).
-    pub threads: usize,
-    /// Wall-clock per level, in level order: one entry per schedule level
-    /// under [`SchedulerKind::Leveled`], empty under
-    /// [`SchedulerKind::Dataflow`] (there are no levels to time).
-    pub levels: Vec<LevelTiming>,
-    /// Wall-clock of the server side of the run: from the barrier — the
-    /// last input encryption published, the first instruction released —
-    /// until every worker has finished. The input encryptions before it are
-    /// the client's half of the run and are not counted.
+    /// The barrier: the last input encryption published, the first
+    /// instruction released. `wall` and `starts` are measured from it.
+    pub barrier: Instant,
+    /// Wall-clock of the server side of the run: from the barrier until
+    /// every worker has finished. The input encryptions before it are the
+    /// client's half of the run and are not counted.
     pub wall: Duration,
     /// Measured per-operation-kind latencies.
     pub per_op: CalibratedCostModel,
@@ -95,42 +81,57 @@ pub struct TimingBreakdown {
     /// instruction to the instant a worker started running it), indexed
     /// like [`Schedule::instrs`].
     pub queue_waits: Vec<Duration>,
+    /// When every instruction started, as an offset from `barrier`, indexed
+    /// like [`Schedule::instrs`]: with `instr_times`, one worker's
+    /// instructions are disjoint intervals inside `[0, wall]`.
+    pub starts: Vec<Duration>,
+    /// The worker (0 = the calling thread) that ran every instruction,
+    /// indexed like [`Schedule::instrs`].
+    pub workers: Vec<usize>,
+    /// The worker whose local deque every instruction was stolen from, if it
+    /// was, indexed like [`Schedule::instrs`].
+    pub stolen_from: Vec<Option<usize>>,
     /// Ready instructions taken from another worker's local deque (always
     /// zero under [`SchedulerKind::Leveled`], which fills no local deque).
     pub steals: u64,
 }
 
 impl TimingBreakdown {
-    /// A breakdown with nothing measured yet.
-    pub(crate) fn empty(threads: usize) -> Self {
+    /// A breakdown of `instructions` not yet run, under `scheduler`, with
+    /// its barrier at `barrier`.
+    pub(crate) fn new(scheduler: SchedulerKind, instructions: usize, barrier: Instant) -> Self {
         TimingBreakdown {
-            scheduler: SchedulerKind::default(),
-            threads,
-            levels: Vec::new(),
+            scheduler,
+            barrier,
             wall: Duration::ZERO,
             per_op: CalibratedCostModel::new(),
-            instr_times: Vec::new(),
-            queue_waits: Vec::new(),
+            instr_times: vec![Duration::ZERO; instructions],
+            queue_waits: vec![Duration::ZERO; instructions],
+            starts: vec![Duration::ZERO; instructions],
+            workers: vec![0; instructions],
+            stolen_from: vec![None; instructions],
             steals: 0,
         }
     }
 
-    /// A queue-wait percentile (`0.0..=1.0`) across this run's instructions,
-    /// `None` when the schedule has none.
-    pub fn queue_wait_percentile(&self, pct: f64) -> Option<Duration> {
-        percentile(&mut self.queue_waits.clone(), pct)
+    /// Records that `worker` ran instruction `index` from `started` for
+    /// `span`, after `wait` in the queues, taken from `stolen_from`'s deque
+    /// if it was stolen.
+    pub(crate) fn record(
+        &mut self,
+        index: usize,
+        worker: usize,
+        started: Instant,
+        span: Duration,
+        wait: Duration,
+        stolen_from: Option<usize>,
+    ) {
+        self.starts[index] = started.saturating_duration_since(self.barrier);
+        self.instr_times[index] = span;
+        self.queue_waits[index] = wait;
+        self.workers[index] = worker;
+        self.stolen_from[index] = stolen_from;
     }
-}
-
-/// The `pct`-percentile (`0.0..=1.0`) of an unsorted sample set, `None`
-/// when empty. Sorts in place.
-fn percentile(samples: &mut [Duration], pct: f64) -> Option<Duration> {
-    if samples.is_empty() {
-        return None;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() as f64 - 1.0) * pct.clamp(0.0, 1.0)).round() as usize;
-    Some(samples[rank.min(samples.len() - 1)])
 }
 
 /// A ready instruction travelling through the scheduler queues.
@@ -142,8 +143,11 @@ pub(crate) struct Ready {
     /// Index into [`Schedule::instrs`].
     pub(crate) index: usize,
     /// When the rule released the instruction (queue-wait epoch).
-    pub(crate) since: Instant,
+    since: Instant,
 }
+
+/// A popped instruction and the worker it was stolen from, if it was.
+pub(crate) type Popped = (Ready, Option<usize>);
 
 /// Everything the workers of one run share, behind one mutex: the ready
 /// queues, the release rule's counters and the outcome they accumulate. FHE
@@ -165,17 +169,13 @@ pub(crate) struct SchedState<'a> {
     injector: Vec<Ready>,
     /// Dataflow: remaining-dependency count per instruction.
     pending: Vec<usize>,
-    /// Leveled: instructions of the level in flight not yet retired. The
-    /// level's index is `timing.levels.len()`.
+    /// Leveled: the next level to release.
+    level: usize,
+    /// Leveled: instructions of the level in flight not yet retired.
     level_left: usize,
-    /// Leveled: when the level in flight was released.
-    level_started: Instant,
     /// Input encryptions not yet published: nothing is released before the
     /// last one is.
     inputs_left: usize,
-    /// When the first instructions were released: where `timing.wall`
-    /// starts.
-    pub(crate) released: Instant,
     /// Instructions not yet retired (termination condition).
     pub(crate) remaining: usize,
     /// Workers asleep on the condvar: nobody pays the wake-up syscall when
@@ -185,8 +185,9 @@ pub(crate) struct SchedState<'a> {
     pub(crate) failure: Option<FheError>,
     /// Homomorphic-operation counters, merged by each worker as it exits.
     pub(crate) stats: EvaluatorStats,
-    /// The breakdown under construction: spans and waits per retirement,
-    /// steals per pop, levels per countdown, the rest per exiting worker.
+    /// The breakdown under construction: the barrier when it opens, an
+    /// instruction's record per retirement, steals per pop, the rest per
+    /// exiting worker.
     pub(crate) timing: TimingBreakdown,
 }
 
@@ -210,20 +211,14 @@ impl<'a> SchedState<'a> {
             locals: (0..workers).map(|_| VecDeque::new()).collect(),
             injector: Vec::new(),
             pending: Vec::new(),
+            level: 0,
             level_left: 0,
-            level_started: now,
             inputs_left: inputs,
-            released: now,
             remaining: n,
             sleepers: 0,
             failure: None,
             stats: EvaluatorStats::default(),
-            timing: TimingBreakdown {
-                scheduler: rule,
-                instr_times: vec![Duration::ZERO; n],
-                queue_waits: vec![Duration::ZERO; n],
-                ..TimingBreakdown::empty(workers)
-            },
+            timing: TimingBreakdown::new(rule, n, now),
         };
         if inputs == 0 {
             state.open(now);
@@ -242,7 +237,7 @@ impl<'a> SchedState<'a> {
 
     /// The barrier: releases what the rule releases up front, at `now`.
     fn open(&mut self, now: Instant) {
-        self.released = now;
+        self.timing.barrier = now;
         match self.timing.scheduler {
             SchedulerKind::Dataflow => {
                 let n = self.schedule.instrs().len();
@@ -276,8 +271,9 @@ impl<'a> SchedState<'a> {
     /// injector (best at the end), then a steal from the back of the
     /// richest victim's deque. The second element is the steal provenance:
     /// `Some(victim)` when the instruction was taken from another worker's
-    /// deque, `None` for own/injector pops — recorded on trace spans.
-    pub(crate) fn pop(&mut self, worker: usize) -> Option<(Ready, Option<usize>)> {
+    /// deque, `None` for own/injector pops — recorded by
+    /// [`SchedState::retire`].
+    pub(crate) fn pop(&mut self, worker: usize) -> Option<Popped> {
         let popped = if let Some(ready) = self.locals[worker].pop_front() {
             (ready, None)
         } else if let Some(ready) = self.injector.pop() {
@@ -310,15 +306,15 @@ impl<'a> SchedState<'a> {
         deque.insert(pos, ready);
     }
 
-    /// Leveled: injects the next unstamped level, if the schedule has one.
-    /// Reversed, because `pop` takes from the end: the level drains in
-    /// schedule order, longest-processing-time-first.
+    /// Leveled: injects the next level, if the schedule has one. Reversed,
+    /// because `pop` takes from the end: the level drains in schedule
+    /// order, longest-processing-time-first.
     fn release_level(&mut self, now: Instant) {
-        let Some(range) = self.schedule.levels().get(self.timing.levels.len()) else {
+        let Some(range) = self.schedule.levels().get(self.level) else {
             return;
         };
+        self.level += 1;
         self.level_left = range.len();
-        self.level_started = now;
         self.injector.extend(range.clone().rev().map(|index| Ready {
             priority: 0.0,
             index,
@@ -326,13 +322,22 @@ impl<'a> SchedState<'a> {
         }));
     }
 
-    /// Records that `worker` ran instruction `index` after `wait` in the
-    /// queues for `span`, and releases what the rule now allows: under
-    /// dataflow every dependent whose count reaches zero (to `worker`'s own
-    /// deque), under leveled the next level once this one has drained.
-    pub(crate) fn retire(&mut self, worker: usize, index: usize, wait: Duration, span: Duration) {
-        self.timing.queue_waits[index] = wait;
-        self.timing.instr_times[index] = span;
+    /// Records that `worker` ran the instruction it popped as `(ready,
+    /// stolen_from)` from `started` for `span`, and releases what the rule
+    /// now allows: under dataflow every dependent whose count reaches zero
+    /// (to `worker`'s own deque), under leveled the next level once this
+    /// one has drained.
+    pub(crate) fn retire(
+        &mut self,
+        worker: usize,
+        (ready, stolen_from): Popped,
+        started: Instant,
+        span: Duration,
+    ) {
+        let index = ready.index;
+        let wait = started.saturating_duration_since(ready.since);
+        self.timing
+            .record(index, worker, started, span, wait, stolen_from);
         self.remaining -= 1;
         let now = Instant::now();
         match self.timing.scheduler {
@@ -348,12 +353,6 @@ impl<'a> SchedState<'a> {
             SchedulerKind::Leveled => {
                 self.level_left -= 1;
                 if self.level_left == 0 {
-                    let level = self.timing.levels.len();
-                    self.timing.levels.push(LevelTiming {
-                        level,
-                        instructions: self.schedule.levels()[level].len(),
-                        wall: now - self.level_started,
-                    });
                     self.release_level(now);
                 }
             }
@@ -430,7 +429,6 @@ mod tests {
         let n = schedule.instrs().len();
         assert_eq!(schedule.level_count(), 3);
         let priorities = schedule.critical_path_priorities(&CostModel::default().op_costs);
-        let tick = Duration::from_micros(1);
 
         for rule in [SchedulerKind::Dataflow, SchedulerKind::Leveled] {
             // Two input encryptions stand before the barrier: nothing is
@@ -443,14 +441,17 @@ mod tests {
             let mut order = Vec::new();
             // Two workers alternate; each holds its instruction in flight
             // until its next turn, so releases are observed one at a time.
-            let mut in_flight: [Option<usize>; 2] = [None, None];
+            let mut in_flight: [Option<(Popped, Instant)>; 2] = [None, None];
             while st.remaining > 0 {
                 for (worker, slot) in in_flight.iter_mut().enumerate() {
-                    if let Some(index) = slot.take() {
-                        st.retire(worker, index, tick, tick);
+                    if let Some((popped, started)) = slot.take() {
+                        let index = popped.0.index;
+                        st.retire(worker, popped, started, started.elapsed());
                         retired[index] = true;
+                        assert_eq!(st.timing.workers[index], worker, "{rule:?}");
                     }
-                    if let Some((item, _)) = st.pop(worker) {
+                    if let Some(popped) = st.pop(worker) {
+                        let item = popped.0;
                         let si = &schedule.instrs()[item.index];
                         let released = match rule {
                             SchedulerKind::Dataflow => (0..n)
@@ -463,7 +464,7 @@ mod tests {
                                 .all(|(other, &done)| other.level >= si.level || done),
                         };
                         assert!(released, "{rule:?} released {} too early", item.index);
-                        *slot = Some(item.index);
+                        *slot = Some((popped, Instant::now()));
                         order.push(item.index);
                     }
                 }
@@ -472,21 +473,10 @@ mod tests {
             let mut seen = order.clone();
             seen.sort_unstable();
             assert_eq!(seen, (0..n).collect::<Vec<_>>(), "{rule:?}: once each");
-            match rule {
-                SchedulerKind::Dataflow => assert!(st.timing.levels.is_empty()),
-                SchedulerKind::Leveled => {
-                    // Levels drain in schedule order and each is stamped by
-                    // its last retirement.
-                    assert_eq!(order, (0..n).collect::<Vec<_>>());
-                    let stamped: Vec<(usize, usize)> = st
-                        .timing
-                        .levels
-                        .iter()
-                        .map(|l| (l.level, l.instructions))
-                        .collect();
-                    assert_eq!(stamped, vec![(0, 2), (1, 2), (2, 1)]);
-                    assert_eq!(st.timing.steals, 0);
-                }
+            if rule == SchedulerKind::Leveled {
+                // Levels drain in schedule order, and nothing is stolen.
+                assert_eq!(order, (0..n).collect::<Vec<_>>());
+                assert_eq!(st.timing.steals, 0);
             }
         }
     }

@@ -35,7 +35,6 @@
 use crate::calibrate::{CalibratedCostModel, OpKind};
 use crate::dataflow::{SchedState, SchedulerKind, TimingBreakdown};
 use crate::schedule::{Instr, Schedule, ScheduledInstr, Slot};
-use crate::telemetry::{TraceBuffer, TraceSink};
 use chehab_fhe::{
     ArenaPool, Ciphertext, Encryptor, Evaluator, EvaluatorStats, FheContext, FheError, GaloisKeys,
     Plaintext, PolyArena, PublicKey, RelinKeys,
@@ -43,7 +42,7 @@ use chehab_fhe::{
 use chehab_ir::BinOp;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Timing category of a binary op on two ciphertext operands.
 fn ct_ct_kind(op: BinOp) -> OpKind {
@@ -411,13 +410,6 @@ pub struct ExecResources<'a> {
     /// out per worker per run and restored afterwards, so warm buffers
     /// survive across requests (the zero-allocation steady state).
     pub arenas: &'a ArenaPool,
-    /// Optional span sink: when set, every worker records instruction-level
-    /// spans (operation label, instruction index, queue wait, steal
-    /// provenance) into per-worker [`TraceBuffer`]s that flush here.
-    /// `None` (the default) disables tracing at the cost of one null
-    /// check per instruction — capture never perturbs results, only
-    /// observes timings.
-    pub trace: Option<&'a TraceSink>,
     /// Slot-lane layout of the execution (see [`crate::RequestCoalescer`]):
     /// `lanes` users' inputs share the ciphertexts, user `k` based at
     /// [`LaneGeometry::base`](crate::LaneGeometry::base)`(k)`; a solo
@@ -450,7 +442,8 @@ pub struct ExecOutcome {
     pub output: Register,
     /// Merged homomorphic-operation counters of all workers.
     pub stats: EvaluatorStats,
-    /// Per-instruction / per-op timing breakdown.
+    /// Per-instruction / per-op timing breakdown: where, when and for how
+    /// long every instruction ran.
     pub timing: TimingBreakdown,
 }
 
@@ -486,7 +479,8 @@ impl Executor {
     /// calling thread is worker 0, so a pool of one spawns nothing, pays no
     /// wake-up and encrypts the inputs in stream order. Whatever the pool,
     /// every input's payload is the one its stream index draws, and the
-    /// report's `timing.wall` starts at the barrier.
+    /// report's `timing.wall` and `timing.starts` are measured from the
+    /// barrier, `timing.barrier`.
     ///
     /// # Errors
     ///
@@ -548,7 +542,7 @@ impl Executor {
             .state
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        state.timing.wall = state.released.elapsed();
+        state.timing.wall = state.timing.barrier.elapsed();
         let result = match state.failure {
             Some(error) => Err(error),
             None => Ok((state.stats, state.timing)),
@@ -569,10 +563,10 @@ struct Run<'a> {
 
 impl Run<'_> {
     /// The worker loop: encrypt inputs until none is left to claim, then
-    /// pop → dispatch → span → publish and reap → retire (which releases
-    /// what the rule allows) → pop again, until the schedule has drained or
-    /// a worker failed. A worker out of inputs before the barrier sleeps in
-    /// its first pop. The scheduler lock is held from one instruction's
+    /// pop → dispatch → span → publish and reap → retire (which records the
+    /// instruction and releases what the rule allows) → pop again, until
+    /// the schedule has drained or a worker failed. A worker out of inputs
+    /// before the barrier sleeps in its first pop. The scheduler lock is held from one instruction's
     /// retirement to the next one's pop and never while an encryption or an
     /// instruction runs.
     fn work(&self, worker: usize) {
@@ -584,9 +578,6 @@ impl Run<'_> {
             });
         let mut evaluator = Evaluator::with_arena(res.ctx, arena);
         let mut calibration = CalibratedCostModel::new();
-        let mut tracer = res
-            .trace
-            .map(|sink| TraceBuffer::new(sink, format!("executor worker {worker}")));
         // A lock a peer died holding is recovered, not re-panicked on: that
         // peer's panic already ends the run when the scope joins it, and a
         // second panic here would only bury it.
@@ -606,34 +597,21 @@ impl Run<'_> {
                     .unwrap_or_else(PoisonError::into_inner);
                 st.sleepers -= 1;
             };
-            let Some((item, stolen_from)) = popped else {
+            let Some(popped) = popped else {
                 break;
             };
             drop(st);
 
-            let si = &self.schedule.instrs()[item.index];
-            let wait = item.since.elapsed();
-            let instr_started = Instant::now();
+            let si = &self.schedule.instrs()[popped.0.index];
+            let started = Instant::now();
             let result = dispatch_instr(si, self.rf, &mut evaluator, res, &mut calibration);
-            let span = instr_started.elapsed();
-            let result = result.map(|register| {
-                if let Some(tracer) = tracer.as_mut() {
-                    tracer.record(
-                        si.instr.label(),
-                        "instr",
-                        instr_started,
-                        span,
-                        Some(item.index),
-                        Some(wait),
-                        stolen_from,
-                    );
-                }
-                publish_and_reap(self.rf, si, register, &mut evaluator);
-            });
+            let span = started.elapsed();
+            let result =
+                result.map(|register| publish_and_reap(self.rf, si, register, &mut evaluator));
 
             st = lock(&self.state);
             match result {
-                Ok(()) => st.retire(worker, item.index, wait, span),
+                Ok(()) => st.retire(worker, popped, started, span),
                 Err(error) => st.fail(error),
             }
             // Every retirement can end the run or expose poppable work, and
@@ -694,23 +672,24 @@ pub fn execute_in_order(
         }
         failure.is_none()
     });
-    let released = Instant::now();
     let mut evaluator = Evaluator::with_arena(res.ctx, arena);
-    let mut timing = TimingBreakdown::empty(1);
-    for si in schedule.instrs() {
+    let instrs = schedule.instrs();
+    let mut timing = TimingBreakdown::new(SchedulerKind::default(), instrs.len(), Instant::now());
+    for (index, si) in instrs.iter().enumerate() {
         if failure.is_some() {
             break;
         }
         let started = Instant::now();
         match dispatch_instr(si, &rf, &mut evaluator, res, &mut timing.per_op) {
             Ok(register) => {
-                timing.instr_times.push(started.elapsed());
+                let span = started.elapsed();
+                timing.record(index, 0, started, span, Duration::ZERO, None);
                 publish_and_reap(&rf, si, register, &mut evaluator);
             }
             Err(error) => failure = Some(error),
         }
     }
-    timing.wall = released.elapsed();
+    timing.wall = timing.barrier.elapsed();
     let stats = evaluator.stats();
     res.arenas.restore(evaluator.take_arena());
     finish(rf, res, failure.map_or(Ok((stats, timing)), Err))

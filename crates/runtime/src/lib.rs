@@ -106,8 +106,6 @@
 //!     // No runtime `Pack` instructions in this schedule, so no zero
 //!     // ciphertext fallback is needed.
 //!     arenas: &arenas,
-//!     // Tracing off: the executor records no spans.
-//!     trace: None,
 //!     // One user owns the whole slot vector: a batch of one.
 //!     lanes: LaneGeometry { origin: 0, stride: ctx.slot_count(), lanes: 1 },
 //!     // No cancellation token or deadline: the request runs to completion.
@@ -121,6 +119,9 @@
 //!     Executor::new(2).execute(&schedule, inputs, &resources, SchedulerKind::Leveled, &[])?;
 //! let Register::Cipher(output) = outcome.output else { panic!("ciphertext output") };
 //! assert_eq!(ctx.decode(&decryptor.decrypt(&output)?, 2), vec![1 * 3 + 5 * 7, 2 * 4 + 6 * 8]);
+//! // The report places every instruction: its worker, and its start as an
+//! // offset from the barrier where the last input was published.
+//! assert_eq!(outcome.timing.workers.len(), schedule.instrs().len());
 //! # Ok::<(), chehab_fhe::FheError>(())
 //! ```
 
@@ -140,7 +141,7 @@ pub use batching::{
     lane_geometry, BatchPolicy, CoalescerConfig, CoalescerStats, LaneGeometry, RequestCoalescer,
 };
 pub use calibrate::{CalibratedCostModel, OpKind, OP_KINDS};
-pub use dataflow::{LevelTiming, SchedulerKind, TimingBreakdown};
+pub use dataflow::{SchedulerKind, TimingBreakdown};
 pub use exec::{
     execute_in_order, lock, ExecOutcome, ExecResources, Executor, PlainValue, Register,
     RegisterFile, RunInputs,
@@ -154,6 +155,4 @@ pub use serving::{
     ResilienceStats, ServingConfig, ServingEngine, ServingError, ServingStats, TrySubmitError,
     DEFAULT_QUEUE_CAPACITY,
 };
-pub use telemetry::{
-    Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, Trace, TraceBuffer, TraceSink,
-};
+pub use telemetry::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, Trace, TraceSink};

@@ -233,7 +233,11 @@ pub struct LatencySnapshot {
     pub panicked: Histogram,
 }
 
-/// A point-in-time snapshot of one engine's serving counters.
+/// A point-in-time snapshot of one engine's serving counters, except
+/// `resilience`: that reads the cells of [`ServingConfig::resilience`],
+/// which every engine handed the same cells shares — on the FHE path,
+/// `FheSession::serve_with` hands every engine the session's, so there
+/// `resilience` counts session-wide.
 ///
 /// Every member of a batch is counted once in `completed`, `latency` and
 /// the trace, whatever retries ran; the batch-level fields count batches.
@@ -271,7 +275,8 @@ pub struct ServingStats {
     /// Solo re-runs of the members of poisoned batches of two or more.
     pub solo_retries: u64,
     /// Cumulative resilience counters: cancellations, missed deadlines,
-    /// isolated worker panics.
+    /// isolated worker panics — of every engine sharing this engine's
+    /// [`ServingConfig::resilience`] cells (session-wide on the FHE path).
     pub resilience: ResilienceSnapshot,
 }
 

@@ -5,13 +5,14 @@
 //! module's cells; a stats struct is a snapshot of cells, never a second
 //! accumulator (`DESIGN.md` §1, "Who counts what"):
 //!
-//! - **Spans** ([`SpanEvent`] / [`TraceSink`] / [`TraceBuffer`]): when a
-//!   caller opts in by handing the executors a [`TraceSink`], every worker
-//!   records instruction-level spans (operation label, instruction index,
-//!   queue wait, steal provenance) into a private, lock-free
-//!   [`TraceBuffer`] that flushes to the sink once at the end of the run.
-//!   Tracing is **off by default**: with no sink installed the hot path pays
-//!   one pointer-null check per instruction.
+//! - **Spans** ([`SpanEvent`] / [`TraceSink`]): a view drawn from records
+//!   the layers keep anyway. The executor records nothing but its
+//!   [`TimingBreakdown`](crate::TimingBreakdown) — per instruction the
+//!   worker, the start (as an offset from the run's barrier), the span, the
+//!   queue wait and the steal victim — and a caller that opts in with a
+//!   [`TraceSink`] draws one instruction span per entry of that report, on
+//!   one track per worker, after the run. Tracing is **off by default**,
+//!   and the executor's hot path is the same either way.
 //! - **Chrome trace export** ([`Trace::to_chrome_json`]): a finished trace
 //!   serializes to the Chrome/Perfetto `traceEvents` JSON format (`ph:"X"`
 //!   duration events, one track per worker), loadable in `chrome://tracing`
@@ -170,8 +171,7 @@ impl Histogram {
             return None;
         }
         let pct = pct.clamp(0.0, 1.0);
-        // Nearest-rank on the ranked sample index, matching the convention
-        // of `TimingBreakdown::queue_wait_percentile`.
+        // Nearest-rank on the ranked sample index.
         let rank = ((self.count - 1) as f64 * pct).round() as u64;
         let mut seen = 0u64;
         for (index, &bucket) in self.buckets.iter().enumerate() {
@@ -432,7 +432,7 @@ pub struct SpanEvent {
     pub cat: &'static str,
     /// The track (Chrome-trace `tid`) the span belongs to — one per worker,
     /// allocated by [`TraceSink::allocate_track`], so spans on one track are
-    /// always recorded sequentially by a single thread and never overlap.
+    /// what one thread ran, one after the other, and never overlap.
     pub track: usize,
     /// Span start, in nanoseconds since the sink's epoch.
     pub start_ns: u64,
@@ -447,15 +447,12 @@ pub struct SpanEvent {
     pub stolen_from: Option<usize>,
 }
 
-/// The shared collection point of one traced run: executors' per-worker
-/// [`TraceBuffer`]s flush into it, and [`TraceSink::into_trace`] yields the
-/// finished [`Trace`].
+/// The shared collection point of a traced capture: spans are pushed into
+/// it, and [`TraceSink::into_trace`] yields the finished [`Trace`].
 ///
-/// A sink carries the run's epoch (the zero point of every span timestamp)
-/// and allocates one track per recording thread. It is installed by setting
-/// [`ExecResources::trace`](crate::ExecResources::trace) — when absent
-/// (the default), the executors skip all span recording at the cost of one
-/// null check per instruction.
+/// A sink carries the capture's epoch (the zero point of every span
+/// timestamp) and allocates one track per timeline: a session's phases, an
+/// executor worker's instructions, a serving worker's requests.
 #[derive(Debug)]
 pub struct TraceSink {
     epoch: Instant,
@@ -507,26 +504,13 @@ impl TraceSink {
         track
     }
 
-    /// Appends one span directly (used for session/request-level spans that
-    /// are recorded once, outside any per-worker buffer).
+    /// Appends one span.
     pub fn push(&self, event: SpanEvent) {
         self.shared
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .events
             .push(event);
-    }
-
-    /// Appends a batch of spans (one lock for a whole worker's buffer).
-    pub fn extend(&self, events: Vec<SpanEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        self.shared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .events
-            .extend(events);
     }
 
     /// Finishes the capture: returns the collected spans sorted by track and
@@ -542,67 +526,6 @@ impl TraceSink {
             events,
             tracks: shared.tracks,
         }
-    }
-}
-
-/// A per-worker span buffer: records locally with no synchronization and
-/// flushes to the shared [`TraceSink`] once, when dropped (or explicitly via
-/// [`TraceBuffer::flush`]).
-#[derive(Debug)]
-pub struct TraceBuffer<'a> {
-    sink: &'a TraceSink,
-    track: usize,
-    events: Vec<SpanEvent>,
-}
-
-impl<'a> TraceBuffer<'a> {
-    /// Opens a buffer on a freshly allocated track labelled `label`.
-    pub fn new(sink: &'a TraceSink, label: impl Into<String>) -> Self {
-        TraceBuffer {
-            track: sink.allocate_track(label),
-            sink,
-            events: Vec::new(),
-        }
-    }
-
-    /// The buffer's track id.
-    pub fn track(&self) -> usize {
-        self.track
-    }
-
-    /// Records one span that started at `started` and ran for `dur`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record(
-        &mut self,
-        name: &'static str,
-        cat: &'static str,
-        started: Instant,
-        dur: Duration,
-        instr: Option<usize>,
-        queue_wait: Option<Duration>,
-        stolen_from: Option<usize>,
-    ) {
-        self.events.push(SpanEvent {
-            name,
-            cat,
-            track: self.track,
-            start_ns: self.sink.offset_ns(started),
-            dur_ns: u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX),
-            instr,
-            queue_wait_ns: queue_wait.map(|w| u64::try_from(w.as_nanos()).unwrap_or(u64::MAX)),
-            stolen_from,
-        });
-    }
-
-    /// Flushes the buffered spans to the sink now (otherwise done on drop).
-    pub fn flush(&mut self) {
-        self.sink.extend(std::mem::take(&mut self.events));
-    }
-}
-
-impl Drop for TraceBuffer<'_> {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -809,32 +732,25 @@ mod tests {
     #[test]
     fn trace_sink_collects_sorted_spans_and_exports_chrome_json() {
         let sink = TraceSink::new();
-        let epoch = Instant::now();
+        let track = sink.allocate_track("worker-0");
+        // Pushed out of order: the finished trace sorts by start.
+        for (name, start_ns, dur_ns, instr) in [("add", 200_000, 10_000, 4), ("mul", 0, 120_000, 3)]
         {
-            let mut buffer = TraceBuffer::new(&sink, "worker-0");
-            buffer.record(
-                "mul",
-                "instr",
-                epoch,
-                Duration::from_micros(120),
-                Some(3),
-                Some(Duration::from_micros(4)),
-                Some(1),
-            );
-            buffer.record(
-                "add",
-                "instr",
-                epoch + Duration::from_micros(200),
-                Duration::from_micros(10),
-                Some(4),
-                None,
-                None,
-            );
-        } // drop flushes
+            sink.push(SpanEvent {
+                name,
+                cat: "instr",
+                track,
+                start_ns,
+                dur_ns,
+                instr: Some(instr),
+                queue_wait_ns: Some(4_000),
+                stolen_from: (instr == 3).then_some(1),
+            });
+        }
         let trace = sink.into_trace();
         assert_eq!(trace.events().len(), 2);
         assert_eq!(trace.track_labels(), &["worker-0".to_string()]);
-        assert!(trace.events()[0].start_ns <= trace.events()[1].start_ns);
+        assert_eq!(trace.events()[0].name, "mul");
 
         let json = trace.to_chrome_json();
         let value: Value = serde_json::from_str(&json).expect("export is valid JSON");

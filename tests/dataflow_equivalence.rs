@@ -208,12 +208,10 @@ fn adversarial_dag_drains_fully_without_deadlock() {
 
 /// Leveled is a release rule, not a barrier: on the adversarial uneven
 /// schedule at 2/4/8 threads no level-`l+1` instruction starts before the
-/// last level-`l` instruction finished (read off the traced spans), and the
-/// breakdown stamps every level once.
+/// last level-`l` instruction finished — read off the untraced report's
+/// per-instruction starts and spans.
 #[test]
 fn leveled_releases_a_level_only_after_the_one_below_has_finished() {
-    use chehab::compiler::{ExecHooks, TraceSink};
-    use std::sync::Arc;
     let (width, chain) = (24, 40);
     let session = adversarial_program(width, chain)
         .session(&test_params())
@@ -221,47 +219,30 @@ fn leveled_releases_a_level_only_after_the_one_below_has_finished() {
     let schedule = session.schedule();
     let inputs = adversarial_inputs(width, chain, 5);
     for threads in [2usize, 4, 8] {
-        let sink = Arc::new(TraceSink::new());
-        let hooks = ExecHooks {
-            trace: Some(Arc::clone(&sink)),
-            ..ExecHooks::default()
-        };
-        let sets = std::slice::from_ref(&inputs);
-        let report = session
-            .run_batched(sets, &leveled_options(threads), &hooks)
+        let timing = session
+            .run_parallel(&inputs, &leveled_options(threads))
             .unwrap()
-            .remove(0);
-        drop(hooks);
-        let trace = Arc::try_unwrap(sink).unwrap().into_trace();
+            .timing;
 
-        // Per level: the earliest start and the latest end of its spans.
-        let mut bounds = vec![(u64::MAX, 0u64); schedule.level_count()];
-        let mut spans = 0;
-        for event in trace.events().iter().filter(|e| e.cat == "instr") {
-            let level = schedule.instrs()[event.instr.expect("instruction index")].level;
-            let (first_start, last_end) = &mut bounds[level];
-            *first_start = (*first_start).min(event.start_ns);
-            *last_end = (*last_end).max(event.start_ns + event.dur_ns);
-            spans += 1;
+        // Per level: the earliest start and the latest end of its
+        // instructions, as offsets from the barrier.
+        let mut bounds = vec![(Duration::MAX, Duration::ZERO); schedule.level_count()];
+        for (index, si) in schedule.instrs().iter().enumerate() {
+            let (first_start, last_end) = &mut bounds[si.level];
+            let start = timing.starts[index];
+            *first_start = (*first_start).min(start);
+            *last_end = (*last_end).max(start + timing.instr_times[index]);
         }
-        assert_eq!(spans, schedule.instrs().len());
         for (level, pair) in bounds.windows(2).enumerate() {
             assert!(
                 pair[1].0 >= pair[0].1,
-                "{threads} threads: level {} started at {} ns, before level {level} \
-                 finished at {} ns",
+                "{threads} threads: level {} started at {:?}, before level {level} \
+                 finished at {:?}",
                 level + 1,
                 pair[1].0,
                 pair[0].1
             );
         }
-        let levels = &report.timing.levels;
-        assert_eq!(levels.len(), schedule.level_count());
-        assert!(levels.iter().enumerate().all(|(i, l)| l.level == i));
-        assert_eq!(
-            levels.iter().map(|l| l.instructions).sum::<usize>(),
-            schedule.instrs().len()
-        );
     }
 }
 

@@ -208,8 +208,7 @@ fn timing_breakdown_reflects_the_schedule() {
     let session = session_of(&benchmark);
     let schedule = session.schedule();
 
-    // Dataflow (the default): no levels, but per-instruction run spans and
-    // queue waits.
+    // Dataflow (the default): per-instruction run spans and queue waits.
     let dataflow = session
         .run_parallel(
             &inputs_of(&benchmark, 3),
@@ -217,11 +216,16 @@ fn timing_breakdown_reflects_the_schedule() {
         )
         .unwrap();
     assert_eq!(dataflow.timing.scheduler, SchedulerKind::Dataflow);
-    assert!(dataflow.timing.levels.is_empty());
     assert_eq!(dataflow.timing.instr_times.len(), schedule.instrs().len());
     assert_eq!(dataflow.timing.queue_waits.len(), schedule.instrs().len());
     assert!(dataflow.timing.wall > std::time::Duration::ZERO);
-    assert!(dataflow.timing.queue_wait_percentile(0.5).is_some());
+    // An instruction is released at or after the barrier and runs before
+    // the wall ends, so no queue wait outlasts the wall.
+    assert!(dataflow
+        .timing
+        .queue_waits
+        .iter()
+        .all(|&wait| wait <= dataflow.timing.wall));
 
     let report = session
         .run_parallel(
@@ -232,16 +236,6 @@ fn timing_breakdown_reflects_the_schedule() {
         )
         .unwrap();
     assert_eq!(report.timing.scheduler, SchedulerKind::Leveled);
-    assert_eq!(report.timing.levels.len(), schedule.level_count());
-    assert_eq!(
-        report
-            .timing
-            .levels
-            .iter()
-            .map(|l| l.instructions)
-            .sum::<usize>(),
-        schedule.instrs().len()
-    );
     assert_eq!(report.timing.steals, 0);
     assert_eq!(report.timing.queue_waits.len(), schedule.instrs().len());
     // One sample per instruction, not per evaluator call: packs and

@@ -241,6 +241,101 @@ fn a_pool_of_one_runs_on_the_calling_thread() {
     assert_eq!(*panicked_on.lock().unwrap(), vec![caller, caller]);
 }
 
+/// The trace is the report: at 1, 2 and 4 threads under both release rules,
+/// every instruction span of a traced run is the report's record of that
+/// instruction — on its worker's track, at the barrier plus its start
+/// offset, with its span, queue wait and steal victim — and the victims
+/// number the run's steals. An untraced report places every instruction
+/// too: one worker's instructions are disjoint intervals inside the wall.
+#[test]
+fn the_trace_is_the_report() {
+    use chehab::compiler::SchedulerKind;
+    let benchmark = benchsuite::by_id("Box Blur 3x3").expect("known benchmark id");
+    let compiled = Compiler::without_optimizer().compile(benchmark.id(), benchmark.program());
+    let session = compiled.session(&BfvParameters::insecure_test()).unwrap();
+    let instructions = session.schedule().instrs().len();
+    let inputs = [inputs_of(&benchmark, 21)];
+    let nanos = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap();
+    let cells = [SchedulerKind::Dataflow, SchedulerKind::Leveled]
+        .into_iter()
+        .flat_map(|rule| [1usize, 2, 4].map(move |threads| (rule, threads)));
+    for (scheduler, threads) in cells {
+        let context = format!("{scheduler:?} at {threads} threads");
+        let options = ExecOptions::sequential()
+            .with_threads_per_request(threads)
+            .with_scheduler(scheduler);
+
+        let (hooks, sink) = tracing_hooks();
+        let report = session.run_batched(&inputs, &options, &hooks).unwrap();
+        drop(hooks);
+        let sink = Arc::try_unwrap(sink).expect("the hooks held the only other sink clone");
+        let timing = &report[0].timing;
+        let expected: Vec<_> = (0..instructions)
+            .map(|i| {
+                let track = format!("executor worker {}", timing.workers[i]);
+                let start_ns = sink.offset_ns(timing.barrier + timing.starts[i]);
+                let wait = Some(nanos(timing.queue_waits[i]));
+                let span = nanos(timing.instr_times[i]);
+                (i, track, start_ns, span, wait, timing.stolen_from[i])
+            })
+            .collect();
+        let trace = sink.into_trace();
+        let labels = trace.track_labels();
+        let mut traced: Vec<_> = trace
+            .events()
+            .iter()
+            .filter(|e| e.cat == "instr")
+            .map(|e| {
+                let i = e.instr.expect("an instruction span names its instruction");
+                let track = labels[e.track].clone();
+                (
+                    i,
+                    track,
+                    e.start_ns,
+                    e.dur_ns,
+                    e.queue_wait_ns,
+                    e.stolen_from,
+                )
+            })
+            .collect();
+        traced.sort_unstable();
+        assert_eq!(traced, expected, "{context}");
+        let victims = timing.stolen_from.iter().flatten().count() as u64;
+        assert_eq!(victims, timing.steals, "{context}: one victim per steal");
+        for (i, victim) in timing.stolen_from.iter().enumerate() {
+            let worker = timing.workers[i];
+            assert_ne!(
+                *victim,
+                Some(worker),
+                "{context}: {worker} stole from itself"
+            );
+        }
+
+        let timing = session.run_parallel(&inputs[0], &options).unwrap().timing;
+        let mut placed: Vec<_> = (0..instructions)
+            .map(|i| {
+                let start = timing.starts[i];
+                (timing.workers[i], start, start + timing.instr_times[i])
+            })
+            .collect();
+        placed.sort_unstable();
+        for &(worker, _, end) in &placed {
+            assert!(worker < threads, "{context}: worker {worker}");
+            assert!(
+                end <= timing.wall,
+                "{context}: worker {worker} outlives the wall"
+            );
+        }
+        for pair in placed.windows(2) {
+            let ((worker, _, end), (next, start, _)) = (pair[0], pair[1]);
+            assert!(
+                worker != next || end <= start,
+                "{context}: worker {worker} ran two instructions at once"
+            );
+        }
+    }
+}
+
 /// Reads `chehab_dataflow_steals_total` out of a Prometheus text export.
 fn steals_total(text: &str) -> u64 {
     text.lines()
