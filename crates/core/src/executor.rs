@@ -368,9 +368,11 @@ pub struct SessionStats {
     /// *live* ciphertext input register of the session's bind plan (a
     /// scalar input that only feeds client-packed vectors is not one).
     pub encryptions_per_request: usize,
-    /// Cumulative measured per-operation-kind latencies across every request
-    /// served so far (unlike `ExecutionReport::timing.per_op`, which covers
-    /// one request).
+    /// Measured per-primitive latencies, folded from the instruction spans
+    /// of every successful run's `ExecutionReport::timing`
+    /// ([`CalibratedCostModel::record_run`]). Only the dataflow rule's
+    /// critical-path priorities read it (a pool larger than one); the
+    /// optimizer never does.
     pub calibration: CalibratedCostModel,
 }
 
@@ -526,7 +528,7 @@ pub struct FheSession {
     /// (r+1)·E` of the public key's stream (`E` the plan's encryptions per
     /// run), so no two runs of a session draw the same randomness.
     runs: AtomicU64,
-    /// Measured per-op latencies accumulated across every request served.
+    /// Per-primitive latencies folded from every successful run's report.
     /// Locked through the poison-recovering [`lock`]: a sum a panicking
     /// thread left half-merged is a slightly wrong statistic, never a
     /// reason to fail every later request.
@@ -1125,7 +1127,7 @@ impl FheSession {
             };
             span("decrypt", decrypt_started, decrypt_started.elapsed());
 
-            lock(&self.calibration).merge(&outcome.timing.per_op);
+            lock(&self.calibration).record_run(&self.schedule, &outcome.timing);
             self.metrics.requests.add(users as u64);
             self.metrics.steals.add(outcome.timing.steals);
             if batching.is_some() {
@@ -1244,10 +1246,10 @@ pub struct ExecutionReport {
     pub decryption_ok: bool,
     /// The executor's one record of the run: per instruction its worker,
     /// start (an offset from `timing.barrier`), span, queue wait and steal
-    /// victim, the run's steals, and the measured per-operation-kind
-    /// latencies a [`chehab_runtime::CalibratedCostModel`] feeds back into
-    /// the optimizer's cost model. A trace's instruction spans are drawn
-    /// from it.
+    /// victim, and the run's steals. A trace's instruction spans are drawn
+    /// from it, and the session folds its spans into its
+    /// [`chehab_runtime::CalibratedCostModel`], which prices the dataflow
+    /// rule's critical-path priorities.
     pub timing: TimingBreakdown,
 }
 

@@ -16,7 +16,8 @@
 //!   deque (the entry the victim would run last), counting every steal.
 //!   Priorities are the longest remaining dependency chain under a cost
 //!   table ([`Schedule::critical_path_priorities`]); sessions recompute them
-//!   from the accumulated [`CalibratedCostModel`] — the timer-augmented cost
+//!   from a [`CalibratedCostModel`](crate::CalibratedCostModel) folded from
+//!   the spans of earlier runs' breakdowns — the timer-augmented cost
 //!   function of McDoniel & Bientinesi applied to ready-queue ordering. A
 //!   pool of one has nothing to prioritise (no order changes its wall), so
 //!   it is given none and pops in schedule order — the same order, and so
@@ -37,7 +38,6 @@
 //! its operands, and a register is written exactly once before any
 //! dependent reads it.
 
-use crate::calibrate::CalibratedCostModel;
 use crate::schedule::Schedule;
 use chehab_fhe::{EvaluatorStats, FheError};
 use std::collections::VecDeque;
@@ -58,9 +58,9 @@ pub enum SchedulerKind {
     Leveled,
 }
 
-/// Per-instruction and per-operation-kind breakdown of one execution: the
-/// executor's one record of where, when and for how long every instruction
-/// ran. Every run fills every field the same way under either rule.
+/// Per-instruction breakdown of one execution: the executor's one record of
+/// where, when and for how long every instruction ran. Every run fills every
+/// field the same way under either rule.
 #[derive(Debug, Clone)]
 pub struct TimingBreakdown {
     /// The release rule the run executed under.
@@ -72,8 +72,6 @@ pub struct TimingBreakdown {
     /// every worker has finished. The input encryptions before it are the
     /// client's half of the run and are not counted.
     pub wall: Duration,
-    /// Measured per-operation-kind latencies.
-    pub per_op: CalibratedCostModel,
     /// Measured duration of every instruction, indexed like
     /// [`Schedule::instrs`].
     pub instr_times: Vec<Duration>,
@@ -104,7 +102,6 @@ impl TimingBreakdown {
             scheduler,
             barrier,
             wall: Duration::ZERO,
-            per_op: CalibratedCostModel::new(),
             instr_times: vec![Duration::ZERO; instructions],
             queue_waits: vec![Duration::ZERO; instructions],
             starts: vec![Duration::ZERO; instructions],

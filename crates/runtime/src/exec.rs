@@ -16,9 +16,11 @@
 //! loop with nothing spawned and nobody to wake.
 //!
 //! Every worker owns a private [`Evaluator`] (the shared [`FheContext`] is
-//! immutable) and a private [`CalibratedCostModel`]; both are merged when
-//! the worker exits, so the report carries exact operation counts and
-//! measured per-op-kind latencies with no synchronization on the hot path.
+//! immutable), whose operation counts are merged when the worker exits, so
+//! the report carries exact counts with no synchronization on the hot path.
+//! An instruction is timed once, by the worker loop around its dispatch;
+//! the span lands in the report's [`TimingBreakdown`], and nothing below
+//! the dispatch reads a clock.
 //!
 //! ## Arena-backed registers and last-use recycling
 //!
@@ -32,7 +34,6 @@
 //! request start and restored at the end, so a warm session executes whole
 //! request streams with zero fresh buffer allocations.
 
-use crate::calibrate::{CalibratedCostModel, OpKind};
 use crate::dataflow::{SchedState, SchedulerKind, TimingBreakdown};
 use crate::schedule::{Instr, Schedule, ScheduledInstr, Slot};
 use chehab_fhe::{
@@ -43,22 +44,6 @@ use chehab_ir::BinOp;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Timing category of a binary op on two ciphertext operands.
-fn ct_ct_kind(op: BinOp) -> OpKind {
-    match op {
-        BinOp::Add | BinOp::Sub => OpKind::Addition,
-        BinOp::Mul => OpKind::MulCtCt,
-    }
-}
-
-/// Timing category of a binary op with one plaintext operand.
-fn ct_pt_kind(op: BinOp) -> OpKind {
-    match op {
-        BinOp::Add | BinOp::Sub => OpKind::Addition,
-        BinOp::Mul => OpKind::MulCtPt,
-    }
-}
 
 /// A clear (client-side) value bound into the register file, with a
 /// per-request cache of its encoded [`Plaintext`].
@@ -442,8 +427,8 @@ pub struct ExecOutcome {
     pub output: Register,
     /// Merged homomorphic-operation counters of all workers.
     pub stats: EvaluatorStats,
-    /// Per-instruction / per-op timing breakdown: where, when and for how
-    /// long every instruction ran.
+    /// Per-instruction timing breakdown: where, when and for how long every
+    /// instruction ran.
     pub timing: TimingBreakdown,
 }
 
@@ -470,7 +455,7 @@ impl Executor {
     /// [`SchedulerKind::Dataflow`] a pool larger than one pops ready
     /// instructions in descending `priorities` order (one entry per
     /// instruction, e.g. from [`Schedule::critical_path_priorities`] under a
-    /// calibrated cost table). [`SchedulerKind::Leveled`] never reads them,
+    /// measured cost table). [`SchedulerKind::Leveled`] never reads them,
     /// and a pool of one needs none: no order changes its wall, so it may
     /// pass `&[]` and pop in schedule order.
     ///
@@ -577,7 +562,6 @@ impl Run<'_> {
                 self.publish_input(encrypted)
             });
         let mut evaluator = Evaluator::with_arena(res.ctx, arena);
-        let mut calibration = CalibratedCostModel::new();
         // A lock a peer died holding is recovered, not re-panicked on: that
         // peer's panic already ends the run when the scope joins it, and a
         // second panic here would only bury it.
@@ -604,7 +588,7 @@ impl Run<'_> {
 
             let si = &self.schedule.instrs()[popped.0.index];
             let started = Instant::now();
-            let result = dispatch_instr(si, self.rf, &mut evaluator, res, &mut calibration);
+            let result = dispatch_instr(si, self.rf, &mut evaluator, res);
             let span = started.elapsed();
             let result =
                 result.map(|register| publish_and_reap(self.rf, si, register, &mut evaluator));
@@ -622,7 +606,6 @@ impl Run<'_> {
             }
         }
         st.stats.merge(&evaluator.stats());
-        st.timing.per_op.merge(&calibration);
         drop(st);
         res.arenas.restore(evaluator.take_arena());
     }
@@ -680,7 +663,7 @@ pub fn execute_in_order(
             break;
         }
         let started = Instant::now();
-        match dispatch_instr(si, &rf, &mut evaluator, res, &mut timing.per_op) {
+        match dispatch_instr(si, &rf, &mut evaluator, res) {
             Ok(register) => {
                 let span = started.elapsed();
                 timing.record(index, 0, started, span, Duration::ZERO, None);
@@ -720,7 +703,9 @@ fn finish(
 /// Locks `mutex`, recovering the guard if a thread panicked holding it: a
 /// panic is isolated where it happened (and reported there), never
 /// re-raised by every later locker. For state whose every update leaves it
-/// usable — a register cell, the scheduler state, a statistics sum.
+/// usable — a register cell, the scheduler state, a statistics sum, a
+/// metrics table, a trace's spans, a fault plan's pending cancellations.
+/// The crate locks every mutex through it.
 pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -780,7 +765,6 @@ fn dispatch_instr(
     rf: &RegisterFile,
     evaluator: &mut Evaluator,
     res: &ExecResources<'_>,
-    calibration: &mut CalibratedCostModel,
 ) -> Result<Register, FheError> {
     if let Some(token) = res.cancel {
         token.check()?;
@@ -789,7 +773,7 @@ fn dispatch_instr(
         if let Some(plan) = res.faults {
             plan.before_instr();
         }
-        run_instr(si, rf, evaluator, res, calibration)
+        run_instr(si, rf, evaluator, res)
     }));
     match outcome {
         Ok(result) => result,
@@ -806,35 +790,25 @@ fn run_instr(
     rf: &RegisterFile,
     evaluator: &mut Evaluator,
     res: &ExecResources<'_>,
-    calibration: &mut CalibratedCostModel,
 ) -> Result<Register, FheError> {
     let result = match &si.instr {
         Instr::Bin { op, a, b } => match (rf.read(*a), rf.read(*b)) {
-            (Register::Cipher(x), Register::Cipher(y)) => {
-                let started = Instant::now();
-                let out = match op {
-                    BinOp::Add => evaluator.add(&x, &y),
-                    BinOp::Sub => evaluator.sub(&x, &y),
-                    BinOp::Mul => evaluator.multiply(&x, &y, res.relin_keys),
-                };
-                calibration.record(ct_ct_kind(*op), started.elapsed());
-                Register::cipher(out)
-            }
+            (Register::Cipher(x), Register::Cipher(y)) => Register::cipher(match op {
+                BinOp::Add => evaluator.add(&x, &y),
+                BinOp::Sub => evaluator.sub(&x, &y),
+                BinOp::Mul => evaluator.multiply(&x, &y, res.relin_keys),
+            }),
             (Register::Cipher(x), Register::Plain(p)) => {
                 let plain = p.encoded_in(res.ctx, evaluator.arena_mut())?;
-                let started = Instant::now();
-                let out = match op {
+                Register::cipher(match op {
                     BinOp::Add => evaluator.add_plain(&x, plain),
                     BinOp::Sub => evaluator.sub_plain(&x, plain),
                     BinOp::Mul => evaluator.multiply_plain(&x, plain),
-                };
-                calibration.record(ct_pt_kind(*op), started.elapsed());
-                Register::cipher(out)
+                })
             }
             (Register::Plain(p), Register::Cipher(y)) => {
                 let plain = p.encoded_in(res.ctx, evaluator.arena_mut())?;
-                let started = Instant::now();
-                let out = match op {
+                Register::cipher(match op {
                     BinOp::Add => evaluator.add_plain(&y, plain),
                     BinOp::Sub => {
                         // p - y = -(y - p), negated in place.
@@ -843,21 +817,14 @@ fn run_instr(
                         diff
                     }
                     BinOp::Mul => evaluator.multiply_plain(&y, plain),
-                };
-                calibration.record(ct_pt_kind(*op), started.elapsed());
-                Register::cipher(out)
+                })
             }
             (Register::Plain(_), Register::Plain(_)) => {
                 unreachable!("plaintext-only nodes are evaluated on the client")
             }
         },
         Instr::Neg { a } => match rf.read(*a) {
-            Register::Cipher(x) => {
-                let started = Instant::now();
-                let out = evaluator.negate(&x);
-                calibration.record(OpKind::Negation, started.elapsed());
-                Register::cipher(out)
-            }
+            Register::Cipher(x) => Register::cipher(evaluator.negate(&x)),
             Register::Plain(_) => unreachable!("plaintext-only nodes are evaluated on the client"),
         },
         Instr::Rot { a, parts } => match rf.read(*a) {
@@ -868,9 +835,7 @@ fn run_instr(
                 let mut current: Option<Ciphertext> = None;
                 for &part in parts {
                     let source = current.as_ref().unwrap_or(&x);
-                    let started = Instant::now();
                     let next = evaluator.rotate(source, part, res.galois_keys)?;
-                    calibration.record(OpKind::Rotation, started.elapsed());
                     if let Some(old) = current.replace(next) {
                         evaluator.recycle(old);
                     }
@@ -885,7 +850,6 @@ fn run_instr(
             Register::Plain(_) => unreachable!("plaintext-only nodes are evaluated on the client"),
         },
         Instr::Pack { elems, folds_plain } => {
-            let started = Instant::now();
             // Run-time packing: element i is moved to slot i with a
             // right-rotation and accumulated with in-place additions.
             let mut acc: Option<Ciphertext> = None;
@@ -943,7 +907,6 @@ fn run_instr(
                 evaluator.recycle_plain(plain);
                 packed = sum;
             }
-            calibration.record(OpKind::Pack, started.elapsed());
             Register::cipher(packed)
         }
     };

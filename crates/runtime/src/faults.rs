@@ -19,6 +19,7 @@
 //! explicit seed (or explicit builder calls), never from wall-clock time or
 //! an ambient RNG, so a fault storm replays identically across runs.
 
+use crate::exec::lock;
 use chehab_fhe::FheError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -217,11 +218,7 @@ impl FaultPlan {
     /// Registers `token` to be cancelled when the global dispatch counter
     /// reaches `index` (0-based). Several tokens may be registered.
     pub fn cancel_token_at(&self, index: u64, token: &CancellationToken) {
-        self.inner
-            .cancel_at
-            .lock()
-            .expect("fault plan lock")
-            .push((index, token.clone()));
+        lock(&self.inner.cancel_at).push((index, token.clone()));
     }
 
     /// Instructions dispatched under this plan so far, across all threads.
@@ -247,7 +244,7 @@ impl FaultPlan {
     pub fn before_instr(&self) {
         let index = self.inner.dispatched.fetch_add(1, Ordering::AcqRel);
         {
-            let pending = self.inner.cancel_at.lock().expect("fault plan lock");
+            let pending = lock(&self.inner.cancel_at);
             for (at, token) in pending.iter() {
                 if index >= *at {
                     token.cancel();

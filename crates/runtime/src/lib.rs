@@ -18,12 +18,13 @@
 //!    (the default) or level by level ([`SchedulerKind`]), bit-identical to
 //!    the in-order walk either way.
 //! 2. **Timer-augmented costs** (after McDoniel & Bientinesi, *A
-//!    Timer-Augmented Cost Function for Load Balanced DSMC*): the static
-//!    per-operator cost table the optimizer ranks rewrites with is replaced
-//!    by measured per-operation latencies ([`CalibratedCostModel`]), recorded
-//!    for free while executing — and fed straight back into the dataflow
+//!    Timer-Augmented Cost Function for Load Balanced DSMC*): the dataflow
 //!    rule's critical-path ready-queue priorities
-//!    ([`Schedule::critical_path_priorities`]).
+//!    ([`Schedule::critical_path_priorities`]) are computed under measured
+//!    per-primitive latencies ([`CalibratedCostModel`]) instead of the
+//!    static per-operator cost table. A session folds them from the
+//!    instruction spans every run's [`TimingBreakdown`] already carries, so
+//!    an operation is timed once; the optimizer keeps the static table.
 //! 3. **One request path** (the persistent-worker scheme of the same
 //!    two-level literature): a [`ServingEngine`] keeps one bounded request
 //!    queue drained by long-lived worker threads, so expensive per-program
@@ -103,8 +104,7 @@
 //!     public_key: &public_key,
 //!     relin_keys: &relin_keys,
 //!     galois_keys: &galois_keys,
-//!     // No runtime `Pack` instructions in this schedule, so no zero
-//!     // ciphertext fallback is needed.
+//!     // Worker evaluators check their buffers out of this pool.
 //!     arenas: &arenas,
 //!     // One user owns the whole slot vector: a batch of one.
 //!     lanes: LaneGeometry { origin: 0, stride: ctx.slot_count(), lanes: 1 },
@@ -140,7 +140,7 @@ pub mod telemetry;
 pub use batching::{
     lane_geometry, BatchPolicy, CoalescerConfig, CoalescerStats, LaneGeometry, RequestCoalescer,
 };
-pub use calibrate::{CalibratedCostModel, OpKind, OP_KINDS};
+pub use calibrate::CalibratedCostModel;
 pub use dataflow::{SchedulerKind, TimingBreakdown};
 pub use exec::{
     execute_in_order, lock, ExecOutcome, ExecResources, Executor, PlainValue, Register,

@@ -32,6 +32,7 @@
 //! order by construction, so a traced run decrypts to exactly the bytes an
 //! untraced run does.
 
+use crate::exec::lock;
 use serde_json::Value;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -312,10 +313,7 @@ impl MetricsRegistry {
     }
 
     fn cell_of(&self, name: &str, help: &str, kind: MetricKind) -> std::sync::Arc<AtomicU64> {
-        let mut entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut entries = lock(&self.entries);
         if let Some(entry) = entries.iter().find(|e| e.name == name) {
             assert_eq!(
                 entry.kind, kind,
@@ -363,10 +361,7 @@ impl MetricsRegistry {
     /// [`MetricsRegistry::counter`] / [`MetricsRegistry::gauge`], reading
     /// never registers: a misspelt name cannot conjure a zero series.
     pub fn value(&self, name: &str) -> Option<f64> {
-        let entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let entries = lock(&self.entries);
         let entry = entries.iter().find(|e| e.name == name)?;
         let raw = entry.cell.load(Ordering::Relaxed);
         Some(match entry.kind {
@@ -379,10 +374,7 @@ impl MetricsRegistry {
     /// format (`# HELP` / `# TYPE` preamble plus one `name value` sample
     /// line), sorted by metric name for deterministic output.
     pub fn render_text(&self) -> String {
-        let entries = self
-            .entries
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let entries = lock(&self.entries);
         let mut sorted: Vec<&MetricEntry> = entries.iter().collect();
         sorted.sort_by(|a, b| a.name.cmp(&b.name));
         let mut out = String::new();
@@ -493,10 +485,7 @@ impl TraceSink {
     /// Allocates the next track id and registers its display label.
     pub fn allocate_track(&self, label: impl Into<String>) -> usize {
         let track = self.next_track.fetch_add(1, Ordering::Relaxed);
-        let mut shared = self
-            .shared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut shared = lock(&self.shared);
         if shared.tracks.len() <= track {
             shared.tracks.resize(track + 1, String::new());
         }
@@ -506,11 +495,7 @@ impl TraceSink {
 
     /// Appends one span.
     pub fn push(&self, event: SpanEvent) {
-        self.shared
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .events
-            .push(event);
+        lock(&self.shared).events.push(event);
     }
 
     /// Finishes the capture: returns the collected spans sorted by track and

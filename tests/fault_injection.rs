@@ -393,6 +393,7 @@ fn deadlines_resolve_requests_with_deadline_exceeded_and_are_counted() {
         // Warm the session so one clean baseline exists.
         let clean = session.run(&inputs_of(&benchmark, 3)).unwrap();
         assert!(clean.decryption_ok);
+        let baseline = session.stats().calibration.sample_count();
 
         let engine = if batched {
             session.serve_batched(&tight.with_batching(two_lanes()))
@@ -408,6 +409,7 @@ fn deadlines_resolve_requests_with_deadline_exceeded_and_are_counted() {
         // The failed request fed neither the request counter nor the
         // calibration beyond the clean baseline.
         assert_eq!(session.stats().requests_served, 1);
+        assert_eq!(session.stats().calibration.sample_count(), baseline);
     }
 }
 

@@ -7,7 +7,7 @@
 use chehab::benchsuite::{self, Benchmark};
 use chehab::compiler::{CompiledProgram, Compiler, ExecOptions, FheSession};
 use chehab::fhe::BfvParameters;
-use chehab::runtime::Instr;
+use chehab::runtime::{CalibratedCostModel, Instr};
 use std::collections::HashMap;
 
 fn test_params() -> BfvParameters {
@@ -238,23 +238,84 @@ fn timing_breakdown_reflects_the_schedule() {
     assert_eq!(report.timing.scheduler, SchedulerKind::Leveled);
     assert_eq!(report.timing.steals, 0);
     assert_eq!(report.timing.queue_waits.len(), schedule.instrs().len());
-    // One sample per instruction, not per evaluator call: packs and
-    // multi-part rotations bundle several calls.
-    assert!(report.timing.per_op.sample_count() > 0);
-    // The calibration measured at least additions and multiplications, so a
+    // The session's calibration is folded from the report: one sample per
+    // primitive a single-primitive instruction performs (a k-part rotation
+    // is k), none for a pack, which rotates and adds.
+    let samples: f64 = schedule
+        .instrs()
+        .iter()
+        .filter(|si| !matches!(si.instr, Instr::Pack { .. }))
+        .map(|si| si.terms.adds + si.terms.rotations + si.terms.ct_ct_muls + si.terms.ct_pt_muls)
+        .sum();
+    let mut folded = CalibratedCostModel::new();
+    folded.record_run(schedule, &report.timing);
+    let per_request = folded.sample_count();
+    assert_eq!(per_request as f64, samples);
+    // The fold measured at least additions and multiplications, so a
     // calibrated cost model can be derived.
-    let op_costs = report
-        .timing
-        .per_op
-        .to_op_costs(&chehab::ir::CostModel::default().op_costs);
+    let op_costs = folded.to_op_costs(&chehab::ir::CostModel::default().op_costs);
     assert!(op_costs.vec_mul_ct_ct > 0.0);
 
     // The session-level calibration is cumulative: every request (dataflow
-    // and leveled alike) adds one sample set.
-    let per_request = report.timing.per_op.sample_count();
-    assert_eq!(dataflow.timing.per_op.sample_count(), per_request);
+    // and leveled alike) adds the schedule's samples.
     session.run(&inputs_of(&benchmark, 4)).unwrap();
     let stats = session.stats();
     assert_eq!(stats.requests_served, 3);
     assert_eq!(stats.calibration.sample_count(), 3 * per_request);
+}
+
+/// The session's calibration is exactly the fold of every successful
+/// report's instruction spans — no second clock, no other samples — at every
+/// pool size under both release rules.
+#[test]
+fn the_calibration_is_the_fold_of_the_reports() {
+    use chehab::compiler::SchedulerKind;
+    let fallback = chehab::ir::CostModel::default().op_costs;
+    let bits = |costs: &chehab::ir::OpCosts| {
+        [
+            costs.vec_add,
+            costs.vec_mul_ct_ct,
+            costs.vec_mul_ct_pt,
+            costs.rotation,
+            costs.scalar_op,
+            costs.plaintext_op,
+        ]
+        .map(f64::to_bits)
+    };
+    for (id, compiler) in [
+        ("Linear Reg. 4", Compiler::without_optimizer()),
+        ("Box Blur 3x3", Compiler::greedy()),
+    ] {
+        let benchmark = benchsuite::by_id(id).expect("known benchmark id");
+        let session = compiler
+            .compile(benchmark.id(), benchmark.program())
+            .session(&test_params())
+            .unwrap();
+        let mut folded = CalibratedCostModel::new();
+        let mut seed = 0;
+        for threads in [1usize, 2, 4] {
+            for scheduler in [SchedulerKind::Dataflow, SchedulerKind::Leveled] {
+                let options = ExecOptions::sequential()
+                    .with_threads_per_request(threads)
+                    .with_scheduler(scheduler);
+                seed += 1;
+                let report = session
+                    .run_parallel(&inputs_of(&benchmark, seed), &options)
+                    .unwrap();
+                folded.record_run(session.schedule(), &report.timing);
+                let calibration = session.stats().calibration;
+                assert_eq!(
+                    calibration.sample_count(),
+                    folded.sample_count(),
+                    "{id}: {scheduler:?} at {threads} threads"
+                );
+                assert_eq!(
+                    bits(&calibration.to_op_costs(&fallback)),
+                    bits(&folded.to_op_costs(&fallback)),
+                    "{id}: {scheduler:?} at {threads} threads"
+                );
+            }
+        }
+        assert!(folded.sample_count() > 0, "{id}");
+    }
 }
