@@ -301,33 +301,34 @@ impl CompiledProgram {
         self.layout_before_encryption
     }
 
-    /// The register slots the client binds before server-side execution:
-    /// plaintext subcircuits, encrypted scalar inputs, and (under the default
-    /// layout) leaf-only vectors packed before encryption.
-    fn prebound_mask(&self, kinds: &[DataKind]) -> Vec<bool> {
-        self.dag
-            .nodes()
-            .iter()
-            .enumerate()
+    /// Lowers the server-side portion of the circuit: every node's data
+    /// kind, the mask of the register slots the client binds before
+    /// server-side execution (plaintext subcircuits, encrypted scalar
+    /// inputs, and under the default layout leaf-only vectors packed before
+    /// encryption), and the leveled instruction schedule over the rest.
+    fn lower(&self) -> (Vec<DataKind>, Vec<bool>, Schedule) {
+        let kinds = data_kinds(&self.dag);
+        let nodes = self.dag.nodes();
+        let prebound: Vec<bool> = (nodes.iter().enumerate())
             .map(|(id, node)| {
                 kinds[id] == DataKind::Plaintext
                     || matches!(node, DagNode::CtVar(_))
                     || (self.layout_before_encryption
                         && matches!(node, DagNode::Vec(elems)
-                            if elems.iter().all(|&e| self.dag.nodes()[e].is_leaf())))
+                            if elems.iter().all(|&e| nodes[e].is_leaf())))
             })
-            .collect()
+            .collect();
+        let schedule = chehab_runtime::lower_with_default_costs(&self.dag, &prebound, |step| {
+            self.rotation_plan.realize(step)
+        });
+        (kinds, prebound, schedule)
     }
 
     /// Lowers the server-side portion of the circuit into a leveled
     /// instruction schedule (exposed so harnesses can inspect level widths
     /// when picking thread counts).
     pub fn schedule(&self) -> Schedule {
-        let kinds = data_kinds(&self.dag);
-        let prebound = self.prebound_mask(&kinds);
-        chehab_runtime::lower_with_default_costs(&self.dag, &prebound, |step| {
-            self.rotation_plan.realize(step)
-        })
+        self.lower().2
     }
 
     /// Builds the long-lived serving state of this program under `params`:
@@ -439,11 +440,11 @@ impl SessionMetrics {
             ),
             ntt_forward: registry.counter(
                 "chehab_ntt_forward_transforms_total",
-                "Forward NTT transforms executed by the session context",
+                "Forward NTT transforms executed by the session context, one per limb stripe",
             ),
             ntt_inverse: registry.counter(
                 "chehab_ntt_inverse_transforms_total",
-                "Inverse NTT transforms executed by the session context",
+                "Inverse NTT transforms executed by the session context, one per limb stripe",
             ),
             galois_keys: registry.gauge("chehab_galois_keys", "Galois keys held by the session"),
             resilience: ResilienceStats {
@@ -574,11 +575,7 @@ impl FheSession {
         let keygen_time = keygen_started.elapsed();
 
         let lowering_started = Instant::now();
-        let kinds = data_kinds(&program.dag);
-        let prebound = program.prebound_mask(&kinds);
-        let schedule = chehab_runtime::lower_with_default_costs(&program.dag, &prebound, |step| {
-            program.rotation_plan.realize(step)
-        });
+        let (kinds, prebound, schedule) = program.lower();
         // Lane geometry for cross-request SIMD batching: bound the slot
         // excursion of every register the server reads and size the stride
         // so one user's intermediates never leave its lane window.

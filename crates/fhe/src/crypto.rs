@@ -22,7 +22,7 @@ use crate::keys::{KeyGenerator, PublicKey, SecretKey};
 use crate::noise::NoiseModel;
 use crate::params::{BfvParameters, ParameterError};
 use crate::payload::CtPayload;
-use crate::poly::{galois_eval_permutation, NttTables};
+use crate::poly::galois_eval_permutation;
 use crate::rns::{ModulusChain, PlainModulus};
 use crate::simd::GaloisPermutation;
 use rand::SeedableRng;
@@ -187,25 +187,28 @@ impl FheContext {
         }))
     }
 
-    /// Cumulative NTT transform counts performed through the Goldilocks
-    /// limb's tables since construction (or the last
-    /// [`FheContext::reset_transform_counts`]). Telemetry for the NTT hot
-    /// path — sessions expose
-    /// it through their metrics registry — and the handle tests use to hold
-    /// the lazy NTT-domain representation to its promise that chains of
-    /// homomorphic operations transform each operand at most once.
+    /// Cumulative NTT transform counts performed through the tables of
+    /// every limb of the chain (one transform per limb stripe) since
+    /// construction (or the last [`FheContext::reset_transform_counts`]).
+    /// Telemetry for the NTT hot path — sessions expose it through their
+    /// metrics registry — and the handle tests use to hold the lazy
+    /// NTT-domain representation to its promise that chains of homomorphic
+    /// operations transform each operand at most once.
     pub fn transform_stats(&self) -> crate::poly::TransformStats {
-        self.goldilocks().transform_stats()
+        let mut total = crate::poly::TransformStats::default();
+        for limb in self.inner.chain.limbs() {
+            let stats = limb.tables().transform_stats();
+            total.forward += stats.forward;
+            total.inverse += stats.inverse;
+        }
+        total
     }
 
-    /// Resets the context's transform counters to zero.
+    /// Resets every limb's transform counters to zero.
     pub fn reset_transform_counts(&self) {
-        self.goldilocks().reset_transform_counts();
-    }
-
-    /// Limb 0's tables, which hold the context's transform counters.
-    fn goldilocks(&self) -> &NttTables {
-        self.inner.chain.limb(0).tables()
+        for limb in self.inner.chain.limbs() {
+            limb.tables().reset_transform_counts();
+        }
     }
 
     /// Number of batching slots.

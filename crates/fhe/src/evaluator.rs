@@ -39,8 +39,10 @@
 //!
 //! The evaluator owns a [`PolyArena`]: every output buffer (payload stripes
 //! *and* slot vectors) is taken from it, and dead ciphertexts are returned
-//! with [`Evaluator::recycle`] (the in-place `*_assign` variants overwrite
-//! their operand instead). A request stream running against a warm arena
+//! with [`Evaluator::recycle`]. Each operation has one, out-of-place form: an
+//! accumulating caller takes the fresh result and recycles the operand it
+//! replaces, so the result is drawn from the buffers the last step
+//! returned. A request stream running against a warm arena
 //! performs **zero fresh buffer allocations**: an arena checked out of a
 //! session's [`ArenaPool`](crate::ArenaPool) counts its misses and hits on
 //! that pool ([`ArenaPool::alloc_stats`](crate::ArenaPool::alloc_stats)),
@@ -142,12 +144,6 @@ impl Evaluator {
         std::mem::take(&mut self.arena)
     }
 
-    /// Replaces the evaluator's buffer arena (typically with a warm one
-    /// checked out of a session's [`crate::ArenaPool`]).
-    pub fn set_arena(&mut self, arena: PolyArena) {
-        self.arena = arena;
-    }
-
     /// Returns a dead ciphertext's buffers to the evaluator's arena: its
     /// slot vector always, its payload stripe when this ciphertext was the
     /// stripe's last referent. The next operation of matching size reuses
@@ -200,27 +196,6 @@ impl Evaluator {
             *slot = op(&t, 0, y);
         }
         out
-    }
-
-    /// Element-wise slot addition or subtraction in place (`a = a op b`,
-    /// where `op(x, 0) == x`): `a` first grows from the arena when `b` is
-    /// longer, and keeps its slots beyond `b`'s prefix as they are.
-    fn slot_binary_assign(
-        &mut self,
-        a: &mut Vec<u64>,
-        b: &[u64],
-        op: impl Fn(&PlainModulus, u64, u64) -> u64,
-    ) {
-        if b.len() > a.len() {
-            let mut grown = self.arena.take(b.len());
-            grown[..a.len()].copy_from_slice(a);
-            grown[a.len()..].fill(0);
-            self.arena.put(std::mem::replace(a, grown));
-        }
-        let t = *self.ctx.plain();
-        for (x, &y) in a.iter_mut().zip(b) {
-            *x = op(&t, *x, y);
-        }
     }
 
     /// The logical rotation `out[i] = a[(i + shift) mod n]` of a stored
@@ -311,36 +286,6 @@ impl Evaluator {
         }
     }
 
-    /// In-place ciphertext–ciphertext addition (`a += b`): no slot buffer is
-    /// allocated, and the payload stripe is updated in place when `a` is its
-    /// only referent (a shared stripe is replaced by an arena copy — never
-    /// mutated under an aliasing ciphertext).
-    pub fn add_assign(&mut self, a: &mut Ciphertext, b: &Ciphertext) {
-        self.stats.additions += 1;
-        self.slot_binary_assign(&mut a.slots, &b.slots, PlainModulus::add);
-        a.noise_consumed_bits = self.ctx.noise_model().combine(
-            a.noise_consumed_bits,
-            b.noise_consumed_bits,
-            self.ctx.noise_model().add_bits,
-        );
-        a.level = a.level.max(b.level);
-        self.payload_pointwise_assign(a, b, false);
-    }
-
-    /// In-place ciphertext–ciphertext subtraction (`a -= b`); see
-    /// [`Evaluator::add_assign`] for the aliasing contract.
-    pub fn sub_assign(&mut self, a: &mut Ciphertext, b: &Ciphertext) {
-        self.stats.additions += 1;
-        self.slot_binary_assign(&mut a.slots, &b.slots, PlainModulus::sub);
-        a.noise_consumed_bits = self.ctx.noise_model().combine(
-            a.noise_consumed_bits,
-            b.noise_consumed_bits,
-            self.ctx.noise_model().add_bits,
-        );
-        a.level = a.level.max(b.level);
-        self.payload_pointwise_assign(a, b, true);
-    }
-
     /// Ciphertext negation.
     pub fn negate(&mut self, a: &Ciphertext) -> Ciphertext {
         self.stats.negations += 1;
@@ -357,24 +302,6 @@ impl Evaluator {
             noise_consumed_bits: a.noise_consumed_bits + self.ctx.noise_model().negate_bits,
             key_id: a.key_id,
             level: a.level,
-        }
-    }
-
-    /// In-place ciphertext negation (`a = -a`); see
-    /// [`Evaluator::add_assign`] for the aliasing contract.
-    pub fn neg_assign(&mut self, a: &mut Ciphertext) {
-        self.stats.negations += 1;
-        let t = *self.ctx.plain();
-        for x in a.slots.iter_mut() {
-            *x = t.neg(*x);
-        }
-        a.noise_consumed_bits += self.ctx.noise_model().negate_bits;
-        if let Some(p) = Arc::get_mut(&mut a.payload) {
-            p.neg_assign2(self.ctx.chain());
-        } else {
-            let mut out = self.arena.take(a.payload.stripe().len());
-            a.payload.neg2(&mut out, self.ctx.chain());
-            a.payload = shared_like(out, &a.payload);
         }
     }
 
@@ -429,12 +356,6 @@ impl Evaluator {
             key_id: a.key_id,
             level: a.level.max(b.level) + 1,
         }
-    }
-
-    /// Ciphertext squaring (a slightly cheaper ct-ct multiplication; no
-    /// operand clone).
-    pub fn square(&mut self, a: &Ciphertext, relin: &RelinKeys) -> Ciphertext {
-        self.multiply(a, a, relin)
     }
 
     /// Ciphertext–plaintext multiplication.
@@ -530,26 +451,6 @@ impl Evaluator {
             a.payload.add2(&b.payload, &mut out, self.ctx.chain());
         }
         shared_like(out, &a.payload)
-    }
-
-    /// In-place variant of [`Evaluator::payload_pointwise`]: mutates `a`'s
-    /// stripe when uniquely owned, replaces it with an arena copy otherwise.
-    fn payload_pointwise_assign(&mut self, a: &mut Ciphertext, b: &Ciphertext, negate_b: bool) {
-        if let Some(p) = Arc::get_mut(&mut a.payload) {
-            if negate_b {
-                p.sub_assign2(&b.payload, self.ctx.chain());
-            } else {
-                p.add_assign2(&b.payload, self.ctx.chain());
-            }
-        } else {
-            let mut out = self.arena.take(a.payload.stripe().len());
-            if negate_b {
-                a.payload.sub2(&b.payload, &mut out, self.ctx.chain());
-            } else {
-                a.payload.add2(&b.payload, &mut out, self.ctx.chain());
-            }
-            a.payload = shared_like(out, &a.payload);
-        }
     }
 
     /// Tensor-product payload work used by ct-ct multiplication (see
@@ -678,43 +579,6 @@ mod tests {
             std::sync::Arc::ptr_eq(&a.payload, &sum.payload),
             "ct-pt addition must share the payload, not copy it"
         );
-        // The shared stripe protects aliased ciphertexts from in-place ops.
-        let b = f.enc.encrypt_values(&[1, 1]).unwrap();
-        let before = a.payload().clone();
-        let mut sum = sum;
-        f.eval.add_assign(&mut sum, &b);
-        assert_eq!(
-            a.payload(),
-            &before,
-            "in-place update of a shared stripe must copy-on-write"
-        );
-        assert_ne!(sum.payload(), &before);
-    }
-
-    #[test]
-    fn in_place_ops_match_their_allocating_counterparts() {
-        let mut f = setup();
-        let a = f.enc.encrypt_values(&[7, 8, 9]).unwrap();
-        let b = f.enc.encrypt_values(&[1, 2, 3]).unwrap();
-
-        let reference = f.eval.add(&a, &b);
-        let mut acc = f.eval.clone_ciphertext(&a);
-        f.eval.add_assign(&mut acc, &b);
-        assert_eq!(acc.slots, reference.slots);
-        assert_eq!(acc.payload(), reference.payload());
-        assert_eq!(acc.noise_consumed_bits(), reference.noise_consumed_bits());
-
-        let reference = f.eval.sub(&a, &b);
-        let mut acc = f.eval.clone_ciphertext(&a);
-        f.eval.sub_assign(&mut acc, &b);
-        assert_eq!(acc.slots, reference.slots);
-        assert_eq!(acc.payload(), reference.payload());
-
-        let reference = f.eval.negate(&a);
-        let mut acc = f.eval.clone_ciphertext(&a);
-        f.eval.neg_assign(&mut acc);
-        assert_eq!(acc.slots, reference.slots);
-        assert_eq!(acc.payload(), reference.payload());
     }
 
     #[test]
@@ -736,10 +600,6 @@ mod tests {
         );
         assert_eq!(read(&f.eval.add_plain(&long, &p)), [4, 2, 3, 4, 5, 0]);
         assert_eq!(read(&f.eval.multiply_plain(&long, &p)), [3, 0, 0, 0, 0, 0]);
-        // In place, the left operand grows to hold the longer right one.
-        let mut acc = f.eval.clone_ciphertext(&short);
-        f.eval.sub_assign(&mut acc, &long);
-        assert_eq!(read(&acc), [9, 18, t - 3, t - 4, t - 5, 0]);
     }
 
     #[test]
@@ -778,7 +638,7 @@ mod tests {
         let warm = f.eval.take_arena();
         let retained = warm.retained();
         assert_eq!(retained, 2, "recycle returns the slot vector and stripe");
-        f.eval.set_arena(warm);
+        f.eval = Evaluator::with_arena(&f.ctx, warm);
         // ...and the next multiply of identical shape is served entirely
         // from the pool (both buffers leave the arena, none is allocated).
         let second = f.eval.multiply(&a, &b, &f.relin);
@@ -887,13 +747,5 @@ mod tests {
         assert_eq!(stats.rotations, 1);
         assert_eq!(stats.ct_pt_multiplications, 1);
         assert_eq!(stats.total(), 4);
-    }
-
-    #[test]
-    fn square_matches_multiply_by_self() {
-        let mut f = setup();
-        let a = f.enc.encrypt_values(&[9]).unwrap();
-        let squared = f.eval.square(&a, &f.relin);
-        assert_eq!(f.dec.decrypt(&squared).unwrap().scalar(), 81);
     }
 }

@@ -15,9 +15,8 @@
 //! - [`CtPayload::mul_add_eval2`] — the full BFV ct-ct tensor product plus
 //!   relinearization (six ring products per coefficient, fused),
 //! - [`CtPayload::galois_eval2`] — Galois gather plus key-switch product,
-//! - [`CtPayload::add2`] / [`CtPayload::sub2`] / [`CtPayload::neg2`] and
-//!   their `_assign` variants — component-wise ring addition as one stripe
-//!   pass.
+//! - [`CtPayload::add2`] / [`CtPayload::sub2`] / [`CtPayload::neg2`] —
+//!   component-wise ring addition as one stripe pass.
 //!
 //! # RNS limb stripes
 //!
@@ -262,32 +261,6 @@ impl CtPayload {
             limb.run(simd::Neg { x, out });
         }
     }
-
-    /// In-place variant of [`CtPayload::add2`].
-    pub fn add_assign2(&mut self, other: &CtPayload, chain: &ModulusChain) {
-        assert_eq!(other.data.len(), self.data.len(), "operand stripe length");
-        for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
-            let (x, y) = (&mut self.data[r.clone()], &other.data[r]);
-            limb.run(simd::AddAssign { x, y });
-        }
-    }
-
-    /// In-place variant of [`CtPayload::sub2`].
-    pub fn sub_assign2(&mut self, other: &CtPayload, chain: &ModulusChain) {
-        assert_eq!(other.data.len(), self.data.len(), "operand stripe length");
-        for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
-            let (x, y) = (&mut self.data[r.clone()], &other.data[r]);
-            limb.run(simd::SubAssign { x, y });
-        }
-    }
-
-    /// In-place variant of [`CtPayload::neg2`].
-    pub fn neg_assign2(&mut self, chain: &ModulusChain) {
-        for (limb, r) in limb_stripes(self.data.len(), self.degree(), self.limbs, chain) {
-            let x = &mut self.data[r];
-            limb.run(simd::NegAssign { x });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -459,17 +432,6 @@ mod tests {
             let mut neg = vec![0u64; 2 * degree];
             a.neg2(&mut neg, &chain);
             assert_eq!(neg, negated);
-
-            // The in-place variants agree with the out-of-place ones.
-            let mut acc = a.clone();
-            acc.add_assign2(&b, &chain);
-            assert_eq!(acc.stripe(), &sum[..]);
-            let mut acc = a.clone();
-            acc.sub_assign2(&b, &chain);
-            assert_eq!(acc.stripe(), &diff[..]);
-            let mut acc = a.clone();
-            acc.neg_assign2(&chain);
-            assert_eq!(acc.stripe(), &neg[..]);
         }
     }
 
@@ -520,9 +482,6 @@ mod tests {
                     assert_eq!(sum[pos], expect, "limb {li}");
                 }
             }
-            let mut acc = a.clone();
-            acc.add_assign2(&b, chain);
-            assert_eq!(acc.stripe(), &sum[..]);
         }
     }
 
@@ -599,8 +558,6 @@ mod tests {
                 panics("add2", &|out| a.add2(&small, out, chain));
                 panics("sub2 output", &|out| a.sub2(&a, &mut out[..half], chain));
                 panics("neg2", &|out| a.neg2(&mut out[..half], chain));
-                panics("add_assign2", &|_| a.clone().add_assign2(&small, chain));
-                panics("sub_assign2", &|_| a.clone().sub_assign2(&small, chain));
             }
         }
     }

@@ -826,55 +826,6 @@ impl Pointwise for Neg<'_> {
     }
 }
 
-/// In-place [`Add`]: `x[i] += y[i]`.
-pub(crate) struct AddAssign<'a> {
-    pub x: &'a mut [u64],
-    pub y: &'a [u64],
-}
-
-impl Pointwise for AddAssign<'_> {
-    fn len(&self) -> usize {
-        same_len([self.x.len(), self.y.len()])
-    }
-    #[inline(always)]
-    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
-        let sum = m.add(L::load(self.x, i), L::load(self.y, i));
-        sum.store(self.x, i);
-    }
-}
-
-/// In-place [`Sub`]: `x[i] -= y[i]`.
-pub(crate) struct SubAssign<'a> {
-    pub x: &'a mut [u64],
-    pub y: &'a [u64],
-}
-
-impl Pointwise for SubAssign<'_> {
-    fn len(&self) -> usize {
-        same_len([self.x.len(), self.y.len()])
-    }
-    #[inline(always)]
-    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
-        let difference = m.sub(L::load(self.x, i), L::load(self.y, i));
-        difference.store(self.x, i);
-    }
-}
-
-/// In-place [`Neg`]: `x[i] = -x[i]`.
-pub(crate) struct NegAssign<'a> {
-    pub x: &'a mut [u64],
-}
-
-impl Pointwise for NegAssign<'_> {
-    fn len(&self) -> usize {
-        self.x.len()
-    }
-    #[inline(always)]
-    fn at<L: Lane, M: Modulus>(&mut self, m: M, i: usize) {
-        m.neg(L::load(self.x, i)).store(self.x, i);
-    }
-}
-
 /// `out[i] = x[i] mod q` for any words `x[i]` — how a sampled coefficient
 /// is lifted into a limb.
 pub(crate) struct Reduce<'a> {
@@ -2041,15 +1992,6 @@ mod tests {
                     assert_eq!(o0, difference, "sub {context}");
                     prime.run(Neg { x, out: &mut o0 }, policy);
                     assert_eq!(o0, negation, "neg {context}");
-                    o0.copy_from_slice(x);
-                    prime.run(AddAssign { x: &mut o0, y }, policy);
-                    assert_eq!(o0, sum, "add_assign {context}");
-                    o0.copy_from_slice(x);
-                    prime.run(SubAssign { x: &mut o0, y }, policy);
-                    assert_eq!(o0, difference, "sub_assign {context}");
-                    o0.copy_from_slice(x);
-                    prime.run(NegAssign { x: &mut o0 }, policy);
-                    assert_eq!(o0, negation, "neg_assign {context}");
 
                     // Reduction takes raw words, not residues.
                     let raw = &raw_words(n, 0xD1)[..];
@@ -2200,8 +2142,6 @@ mod tests {
         rejected!(|out, _o| Add { x: l, y: s, out });
         rejected!(|out, _o| Sub { x: s, y: l, out });
         rejected!(|out, _o| Neg { x: s, out });
-        rejected!(|x, _o| AddAssign { x, y: s });
-        rejected!(|x, _o| SubAssign { x, y: s });
         rejected!(|out, _o| Reduce { x: s, out });
         rejected!(|a, _o| Stage { a, twiddles: s, t: 4, butterfly: Inverse });
     }

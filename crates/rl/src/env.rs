@@ -298,6 +298,15 @@ impl RewriteEnv {
             .min(self.config.max_locations)
     }
 
+    /// [`RewriteEnv::location_count`] of every rule, in rule order (`END`
+    /// excluded): what PPO re-evaluates a stored action under.
+    pub fn location_counts(&self) -> Vec<usize> {
+        let matches = &self.facts(self.current).matches;
+        (0..self.rule_count())
+            .map(|rule| matches.of_rule(rule).len().min(self.config.max_locations))
+            .collect()
+    }
+
     /// Applies an action.
     ///
     /// Invalid actions (rule with no matches, or an out-of-range location)

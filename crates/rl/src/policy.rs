@@ -328,13 +328,7 @@ impl Policy {
             ActionSpaceKind::Flat => {
                 let stop_index = self.config.rule_count * self.config.max_locations;
                 let probs = Self::masked_distribution(logits.data(), |i| {
-                    if i == stop_index {
-                        true
-                    } else {
-                        let rule = i / self.config.max_locations;
-                        let loc = i % self.config.max_locations;
-                        rule_mask.get(rule).copied().unwrap_or(false) && loc < location_count(rule)
-                    }
+                    self.flat_legal(i, rule_mask, &location_count)
                 });
                 let index = Self::sample_index(&probs, rng, deterministic);
                 let action = if index == stop_index {
@@ -403,6 +397,23 @@ impl Policy {
         }
     }
 
+    /// Whether the flat head's output `i` is a legal action: `END`, or a
+    /// match location of an applicable rule. Sampling ([`Policy::act`]) and
+    /// re-evaluation ([`Policy::evaluate`]) mask by this one rule, so a PPO
+    /// ratio compares two probabilities of the same distribution.
+    fn flat_legal(
+        &self,
+        i: usize,
+        rule_mask: &[bool],
+        location_count: impl Fn(usize) -> usize,
+    ) -> bool {
+        let max_locations = self.config.max_locations;
+        let rule = i / max_locations;
+        i == self.config.rule_count * max_locations
+            || (rule_mask.get(rule).copied().unwrap_or(false)
+                && i % max_locations < location_count(rule))
+    }
+
     fn location_logits<V: Forward>(&self, embedding: &V, rule: usize) -> V {
         let mut one_hot = Matrix::zeros(1, self.config.rule_count + 1);
         one_hot.set(0, rule, 1.0);
@@ -415,17 +426,19 @@ impl Policy {
     /// the current parameters plus the value estimate. The encoder computes
     /// only what pooling reads (the `CLS` row of the last Transformer layer);
     /// values and parameter gradients are those of the all-rows evaluation,
-    /// bit for bit.
+    /// bit for bit. `rule_mask` and `location_counts` (entry `r`: what
+    /// `location_count(r)` reported to [`Policy::act`], for every rule) are
+    /// the ones the action was sampled under.
     pub fn evaluate<'t>(
         &self,
         tape: &'t Tape,
         obs: &[usize],
         action: Action,
         rule_mask: &[bool],
-        location_count_for_rule: usize,
+        location_counts: &[usize],
     ) -> ActionEvaluation<'t> {
         let embedding = self.encoder.encode(tape, obs);
-        self.evaluate_embedding(embedding, action, rule_mask, location_count_for_rule)
+        self.evaluate_embedding(embedding, action, rule_mask, location_counts)
     }
 
     /// [`Policy::evaluate`] with every position run through every encoder
@@ -437,10 +450,10 @@ impl Policy {
         obs: &[usize],
         action: Action,
         rule_mask: &[bool],
-        location_count_for_rule: usize,
+        location_counts: &[usize],
     ) -> ActionEvaluation<'t> {
         let embedding = self.encoder.encode_all_rows(tape, obs);
-        self.evaluate_embedding(embedding, action, rule_mask, location_count_for_rule)
+        self.evaluate_embedding(embedding, action, rule_mask, location_counts)
     }
 
     fn evaluate_embedding<'t>(
@@ -448,7 +461,7 @@ impl Policy {
         embedding: Var<'t>,
         action: Action,
         rule_mask: &[bool],
-        location_count_for_rule: usize,
+        location_counts: &[usize],
     ) -> ActionEvaluation<'t> {
         let value = self.critic.forward(&embedding);
         match self.config.action_space {
@@ -470,9 +483,7 @@ impl Policy {
                         }
                     }
                     Action::Apply { rule, location } => {
-                        let locations = location_count_for_rule
-                            .max(1)
-                            .min(self.config.max_locations);
+                        let locations = location_counts[rule].max(1).min(self.config.max_locations);
                         let loc_logits = self.location_logits(&embedding, rule);
                         let loc_probs = Self::masked_softmax(&loc_logits, |i| i < locations);
                         let log_loc_probs = loc_probs.ln();
@@ -498,12 +509,7 @@ impl Policy {
                 let stop_index = self.config.rule_count * self.config.max_locations;
                 let max_locations = self.config.max_locations;
                 let probs = Self::masked_softmax(&logits, |i| {
-                    if i == stop_index {
-                        true
-                    } else {
-                        let rule = i / max_locations;
-                        rule_mask.get(rule).copied().unwrap_or(false)
-                    }
+                    self.flat_legal(i, rule_mask, |rule| location_counts[rule])
                 });
                 let log_probs = probs.ln();
                 let entropy = probs.mul(&log_probs).sum().scale(-1.0);
@@ -844,7 +850,7 @@ mod tests {
         let mask = vec![true; 11];
         let sample = policy.act(&[5, 6], &mask, |_| 4, &mut rng, false);
         let tape = Tape::new();
-        let eval = policy.evaluate(&tape, &[5, 6], sample.action, &mask, 4);
+        let eval = policy.evaluate(&tape, &[5, 6], sample.action, &mask, &[4; 10]);
         assert!(eval.log_prob.get(0, 0) <= 0.0);
         assert!(eval.entropy.get(0, 0) >= 0.0);
     }
@@ -856,12 +862,8 @@ mod tests {
         let mask = vec![true; 11];
         let obs = [1usize, 2, 3, 4];
         let sample = policy.act(&obs, &mask, |_| 3, &mut rng, false);
-        let loc_count = match sample.action {
-            Action::Apply { .. } => 3,
-            Action::Stop => 0,
-        };
         let tape = Tape::new();
-        let eval = policy.evaluate(&tape, &obs, sample.action, &mask, loc_count);
+        let eval = policy.evaluate(&tape, &obs, sample.action, &mask, &[3; 10]);
         assert!(
             (eval.log_prob.get(0, 0) - sample.log_prob).abs() < 1e-4,
             "act and evaluate must agree on the action's log-probability"
@@ -882,7 +884,7 @@ mod tests {
                 location: 1,
             },
             &mask,
-            3,
+            &[3; 10],
         );
         eval.log_prob.scale(-1.0).backward();
         let nonzero = policy

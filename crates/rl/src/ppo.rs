@@ -69,8 +69,9 @@ pub struct Transition {
     pub action: Action,
     /// Rule applicability mask at the time of the action.
     pub rule_mask: Vec<bool>,
-    /// Number of match locations of the chosen rule (0 for `END`).
-    pub location_count: usize,
+    /// Number of match locations of each rule at the time of the action
+    /// (one entry per rule, `END` excluded).
+    pub location_counts: Vec<usize>,
     /// Log-probability of the action under the behaviour policy.
     pub log_prob: f32,
     /// Critic value estimate of the observation.
@@ -252,7 +253,7 @@ impl PpoLearner {
                 &t.observation,
                 t.action,
                 &t.rule_mask,
-                t.location_count,
+                &t.location_counts,
             );
             // ratio = exp(log_prob_new - log_prob_old)
             let ratio = eval.log_prob.sub(&scalar(t.log_prob)).exp();
@@ -314,7 +315,7 @@ mod tests {
                 observation: vec![0],
                 action: Action::Stop,
                 rule_mask: vec![true],
-                location_count: 0,
+                location_counts: Vec::new(),
                 log_prob: -0.1,
                 value,
                 reward,
@@ -338,7 +339,7 @@ mod tests {
                 observation: vec![0],
                 action: Action::Stop,
                 rule_mask: vec![true],
-                location_count: 0,
+                location_counts: Vec::new(),
                 log_prob: -0.1,
                 value: 0.0,
                 reward: i as f64,

@@ -2,7 +2,7 @@
 //! dataset of programs, experience is collected into a rollout buffer, and
 //! PPO updates the hierarchical (or flat) actor-critic policy.
 
-use crate::env::{Action, EnvConfig, ObservationTokenizer, RewriteEnv};
+use crate::env::{EnvConfig, ObservationTokenizer, RewriteEnv};
 use crate::policy::Policy;
 use crate::ppo::{PpoConfig, PpoLearner, RolloutBuffer, Transition, UpdateStats};
 use chehab_ir::Expr;
@@ -190,17 +190,14 @@ impl Trainer {
                     &mut rng,
                     false,
                 );
-                let location_count = match sample.action {
-                    Action::Apply { rule, .. } => env.location_count(rule),
-                    Action::Stop => 0,
-                };
+                let location_counts = env.location_counts();
                 let outcome = env.step(sample.action);
                 episode_rewards[env_idx] += outcome.reward;
                 buffer.push(Transition {
                     observation,
                     action: sample.action,
                     rule_mask,
-                    location_count,
+                    location_counts,
                     log_prob: sample.log_prob,
                     value: sample.value,
                     reward: outcome.reward,

@@ -72,22 +72,10 @@ impl PlainValue {
         &self.values
     }
 
-    /// The encoded plaintext, computed on first use and shared afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FheError`] from encoding (more values than slots).
-    pub fn encoded(&self, ctx: &FheContext) -> Result<&Plaintext, FheError> {
-        if let Some(plain) = self.encoded.get() {
-            return Ok(plain);
-        }
-        let plain = ctx.encode(&self.values)?;
-        Ok(self.encoded.get_or_init(|| plain))
-    }
-
-    /// [`PlainValue::encoded`] with the slot vector drawn from `arena` — the
-    /// form the executor uses so a warm request's plaintext encodes are
-    /// served by the pool and recycled when the register dies.
+    /// The encoded plaintext, computed on first use and shared afterwards,
+    /// with the slot vector drawn from `arena`, so a warm request's
+    /// plaintext encodes are served by the pool and recycled when the
+    /// register dies.
     ///
     /// # Errors
     ///
@@ -811,10 +799,11 @@ fn run_instr(
                 Register::cipher(match op {
                     BinOp::Add => evaluator.add_plain(&y, plain),
                     BinOp::Sub => {
-                        // p - y = -(y - p), negated in place.
-                        let mut diff = evaluator.sub_plain(&y, plain);
-                        evaluator.neg_assign(&mut diff);
-                        diff
+                        // p - y = -(y - p).
+                        let diff = evaluator.sub_plain(&y, plain);
+                        let negated = evaluator.negate(&diff);
+                        evaluator.recycle(diff);
+                        negated
                     }
                     BinOp::Mul => evaluator.multiply_plain(&y, plain),
                 })
@@ -851,7 +840,8 @@ fn run_instr(
         },
         Instr::Pack { elems, folds_plain } => {
             // Run-time packing: element i is moved to slot i with a
-            // right-rotation and accumulated with in-place additions.
+            // right-rotation and added to the accumulator, whose superseded
+            // value returns to the arena with the placed element.
             let mut acc: Option<Ciphertext> = None;
             // The plaintext accumulator spans every live lane: each user's
             // plaintext element is read at its lane base and placed at its
@@ -880,13 +870,15 @@ fn run_instr(
                         } else {
                             evaluator.rotate(&ct, -(slot as i64), res.galois_keys)?
                         };
-                        match &mut acc {
-                            None => acc = Some(placed),
+                        acc = Some(match acc.take() {
+                            None => placed,
                             Some(prev) => {
-                                evaluator.add_assign(prev, &placed);
+                                let sum = evaluator.add(&prev, &placed);
+                                evaluator.recycle(prev);
                                 evaluator.recycle(placed);
+                                sum
                             }
-                        }
+                        });
                     }
                 }
             }

@@ -12,6 +12,8 @@ use chehab::compiler::{
     ExecOptions, ExecutionReport, SchedulerKind,
 };
 use chehab::fhe::BfvParameters;
+use chehab::ir::{evaluate, parse, BinOp, CircuitDag, DataKind, Env};
+use chehab::runtime::{data_kinds, Instr};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -115,6 +117,64 @@ fn dataflow_matches_wavefront_on_every_kernel() {
                     "{context}: missing queue waits"
                 );
             }
+        }
+    }
+}
+
+/// A plaintext minus a ciphertext (run as `-(y - p)`) and run-time packs
+/// whose element 0 is a ciphertext and a plaintext: the in-order walk
+/// decrypts to the interpreter's slots, and each release rule at one and two
+/// workers matches the walk bit for bit.
+#[test]
+fn plain_minus_cipher_and_packing_match_the_interpreter() {
+    let source = "(VecAdd (Vec (- (pt p) a) (+ b c) (* a c)) (Vec (pt q) (* a b) (- 7 c)))";
+    let program = parse(source).unwrap();
+    let compiled = Compiler::without_optimizer().compile("plain minus cipher", &program);
+    let kinds = data_kinds(&CircuitDag::from_expr(compiled.circuit()).eliminate_dead_code());
+    let plain = |r: usize| kinds[r] == DataKind::Plaintext;
+    let session = compiled.session(&test_params()).unwrap();
+    let instrs = session.schedule().instrs();
+    let plain_minus_cipher = (instrs.iter())
+        .filter(
+            |si| matches!(si.instr, Instr::Bin { op: BinOp::Sub, a, b } if plain(a) && !plain(b)),
+        )
+        .count();
+    assert!(plain_minus_cipher > 0, "the schedule holds a plain − ct");
+    let pack_heads: Vec<bool> = (instrs.iter())
+        .filter_map(|si| match &si.instr {
+            Instr::Pack { elems, .. } => Some(plain(elems[0])),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        pack_heads.contains(&false),
+        "a pack starts with a ciphertext"
+    );
+    assert!(pack_heads.contains(&true), "a pack starts with a plaintext");
+
+    let inputs: HashMap<String, i64> = [("a", 3), ("b", 5), ("c", 11), ("p", 1), ("q", 2)]
+        .into_iter()
+        .map(|(name, value)| (name.to_string(), value))
+        .collect();
+    let mut env = Env::new();
+    for (name, &value) in &inputs {
+        env.bind(name.clone(), value);
+    }
+    let expected: Vec<u64> = evaluate(&program, &env)
+        .unwrap()
+        .slots()
+        .into_iter()
+        .take(compiled.output_slots())
+        .collect();
+    let reference = session.run_in_order(&inputs).unwrap();
+    assert!(reference.decryption_ok);
+    assert_eq!(reference.outputs[..expected.len()], expected[..]);
+    for options in [leveled_options, dataflow_options] {
+        for threads in [1usize, 2] {
+            let options = options(threads);
+            let context = format!("{:?} at {threads} threads", options.scheduler);
+            let report = session.run_parallel(&inputs, &options).unwrap();
+            assert_equivalent(&report, &reference, &context);
         }
     }
 }

@@ -124,6 +124,40 @@ fn multiply_rotate_multiply_chain_is_transform_free() {
     assert_eq!(ctx.transform_stats(), one_splat);
 }
 
+/// The context's counters cover every limb of the chain: a plaintext splat
+/// is one forward transform per limb stripe, so one ct-pt multiply counts
+/// `k` times at `k` limbs what it counts at one.
+#[test]
+fn transform_counts_cover_every_limb() {
+    let ct_pt_multiply = |limbs: usize| {
+        let params = BfvParameters::insecure_test().with_limb_count(limbs);
+        let ctx = FheContext::new(params).unwrap();
+        let keygen = KeyGenerator::new(ctx.params(), 7);
+        let mut encryptor = Encryptor::new(&ctx, &keygen.public_key());
+        let a = encryptor.encrypt_values(&[1, 2, 3]).unwrap();
+        ctx.reset_transform_counts();
+        let plain = ctx.encode(&[2, 2, 2]).unwrap();
+        let _ = Evaluator::new(&ctx).multiply_plain(&a, &plain);
+        ctx.transform_stats()
+    };
+    let one = ct_pt_multiply(1);
+    assert_eq!(
+        one,
+        TransformStats {
+            forward: 1,
+            inverse: 0
+        }
+    );
+    let three = ct_pt_multiply(3);
+    assert_eq!(
+        three,
+        TransformStats {
+            forward: 3 * one.forward,
+            inverse: 0
+        }
+    );
+}
+
 /// A plaintext first used under one context stays correct when reused
 /// under a context with a different payload degree: the Eval-splat cache
 /// must never serve a wrong-degree hit (it rebuilds an uncached splat at

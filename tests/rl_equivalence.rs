@@ -30,7 +30,7 @@ use chehab::ir::{cleanup, Expr};
 use chehab::nn::{Adam, Forward, Matrix, Module, Tape, Tensor, Var};
 use chehab::rl::{
     Action, ActionSample, Agent, AgentConfig, EnvConfig, ObservationTokenizer, Policy,
-    PolicyConfig, PolicySnapshot, PpoConfig, RolloutBuffer, Transition,
+    PolicyConfig, PolicySnapshot, PpoConfig, RewriteEnv, RolloutBuffer, Transition,
 };
 use chehab::trs::RewriteEngine;
 use rand::rngs::StdRng;
@@ -85,6 +85,12 @@ impl<'a> TreeEnv<'a> {
             .matches(&self.current, rule)
             .len()
             .min(self.config.max_locations)
+    }
+
+    fn location_counts(&self) -> Vec<usize> {
+        (0..self.engine.rule_count())
+            .map(|rule| self.location_count(rule))
+            .collect()
     }
 
     fn act(&self, policy: &Policy, rng: &mut StdRng, deterministic: bool) -> ActionSample {
@@ -295,7 +301,8 @@ fn reference_update(
             for &i in batch {
                 let t = &buffer.transitions[i];
                 let (obs, mask) = (&t.observation, &t.rule_mask);
-                let eval = policy.evaluate_all_rows(&tape, obs, t.action, mask, t.location_count);
+                let counts = &t.location_counts;
+                let eval = policy.evaluate_all_rows(&tape, obs, t.action, mask, counts);
                 let ratio = eval.log_prob.sub(&scalar(t.log_prob)).exp();
                 // clamp(x) = low + relu(x - low) - relu(x - high)
                 let (low, high) = (scalar(1.0 - clip), scalar(1.0 + clip));
@@ -356,16 +363,13 @@ fn reference_training(setup: &Setup) -> PolicySnapshot {
             }
             let (observation, rule_mask) = (env.observe(), env.rule_mask());
             let sample = env.act(&policy, &mut rng, false);
-            let location_count = match sample.action {
-                Action::Apply { rule, .. } => env.location_count(rule),
-                Action::Stop => 0,
-            };
+            let location_counts = env.location_counts();
             let reward = env.step(sample.action);
             buffer.push(Transition {
                 observation,
                 action: sample.action,
                 rule_mask,
-                location_count,
+                location_counts,
                 log_prob: sample.log_prob,
                 value: sample.value,
                 reward,
@@ -487,6 +491,47 @@ fn the_benchmark_agent_and_every_architecture_on_every_program() {
     }
 }
 
+/// PPO's ratio compares `evaluate`'s probability of a stored action with the
+/// one `act` sampled it at, so both must mask the same actions. Along
+/// episodes of `Dot Product 8`, under either action space, they agree on
+/// every sampled action's log-probability.
+#[test]
+fn act_and_evaluate_agree_on_every_sampled_log_prob() {
+    for flat in [false, true] {
+        let what = if flat { "flat" } else { "hierarchical" };
+        let (agent, parts) = untrained_agent(25, |c| if flat { c.flat() } else { c });
+        let policy = agent.policy();
+        let program = cleanup(porcupine::dot_product(8).program());
+        let mut env = RewriteEnv::new(
+            program.clone(),
+            Arc::clone(&parts.engine),
+            Arc::clone(&parts.tokenizer),
+            parts.config.env.clone(),
+        );
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut applied = 0;
+        for step in 0..24 {
+            if env.is_finished() {
+                env.reset(program.clone());
+            }
+            let (obs, mask) = (env.observe(), env.rule_mask());
+            let sample = policy.act(&obs, &mask, |r| env.location_count(r), &mut rng, false);
+            let tape = Tape::new();
+            let eval = policy.evaluate(&tape, &obs, sample.action, &mask, &env.location_counts());
+            let gap = (eval.log_prob.get(0, 0) - sample.log_prob).abs();
+            assert!(
+                gap < 1e-5,
+                "{what}, step {step}: act and evaluate differ by {gap}"
+            );
+            if let Action::Apply { .. } = sample.action {
+                applied += 1;
+            }
+            env.step(sample.action);
+        }
+        assert!(applied > 0, "{what}: the episodes apply rules");
+    }
+}
+
 #[test]
 fn a_repeated_compile_is_not_served_from_a_previous_one() {
     // The memo belongs to one `optimize` call: a second compile of the same
@@ -530,9 +575,10 @@ fn accumulation_order_is_part_of_the_tape_contract() {
     let (agent, _) = untrained_agent(24, |c| c);
     let policy = agent.policy();
     let mask = vec![true; policy.config().rule_count + 1];
+    let counts = vec![3; policy.config().rule_count];
     let gradients = |tape: &Tape, obs: &[usize], action: Action| -> Vec<Vec<u32>> {
         policy.zero_grad();
-        let eval = policy.evaluate(tape, obs, action, &mask, 3);
+        let eval = policy.evaluate(tape, obs, action, &mask, &counts);
         let loss = eval.log_prob.add(&eval.value.mul(&eval.entropy));
         loss.backward();
         let bits = |p: &Tensor| p.borrow_grad().data().iter().map(|v| v.to_bits()).collect();

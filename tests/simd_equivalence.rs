@@ -152,21 +152,6 @@ fn fused_payload_kernels_are_bit_identical_under_every_policy() {
                 a.neg2(&mut out, chain);
                 out
             });
-            assert_kernel_identical("add_assign2", n, &lanes, |chain| {
-                let mut acc = a.clone();
-                acc.add_assign2(&b, chain);
-                acc.into_stripe()
-            });
-            assert_kernel_identical("sub_assign2", n, &lanes, |chain| {
-                let mut acc = a.clone();
-                acc.sub_assign2(&b, chain);
-                acc.into_stripe()
-            });
-            assert_kernel_identical("neg_assign2", n, &lanes, |chain| {
-                let mut acc = a.clone();
-                acc.neg_assign2(chain);
-                acc.into_stripe()
-            });
         }
     }
 }
