@@ -380,9 +380,9 @@ pub struct SessionStats {
 /// The session's named metric handles, registered once at session build on
 /// the session-owned [`MetricsRegistry`]. Every handle is bumped by the
 /// layer that observes its fact — the request path here, the serving
-/// engines through `resilience` — except the arena, NTT and Galois-key
-/// handles: those facts live in `chehab-fhe`, below the crate that defines
-/// the cells, so they are mirrored in each time the registry is read.
+/// engines through `resilience`, the Galois-key gauge once at build — except
+/// the arena and NTT handles: those facts live in `chehab-fhe`, below the
+/// crate that defines the cells, so they are mirrored in at every read.
 #[derive(Debug)]
 struct SessionMetrics {
     registry: MetricsRegistry,
@@ -396,15 +396,17 @@ struct SessionMetrics {
     arena_retained: Gauge,
     ntt_forward: Counter,
     ntt_inverse: Counter,
-    galois_keys: Gauge,
     /// Shared with every serving engine this session starts, so the
     /// exported series aggregate across engines.
     resilience: ResilienceStats,
 }
 
 impl SessionMetrics {
-    fn new() -> Self {
+    fn new(galois_keys: usize) -> Self {
         let registry = MetricsRegistry::new();
+        registry
+            .gauge("chehab_galois_keys", "Galois keys held by the session")
+            .set(galois_keys as f64);
         SessionMetrics {
             requests: registry.counter(
                 "chehab_requests_served_total",
@@ -446,7 +448,6 @@ impl SessionMetrics {
                 "chehab_ntt_inverse_transforms_total",
                 "Inverse NTT transforms executed by the session context, one per limb stripe",
             ),
-            galois_keys: registry.gauge("chehab_galois_keys", "Galois keys held by the session"),
             resilience: ResilienceStats {
                 cancelled: registry.counter(
                     "chehab_requests_cancelled_total",
@@ -603,6 +604,7 @@ impl FheSession {
             ctx.plain_modulus(),
         );
         let lowering_time = lowering_started.elapsed();
+        let metrics = SessionMetrics::new(galois_keys.key_count());
 
         Ok(FheSession {
             program: program.clone(),
@@ -619,7 +621,7 @@ impl FheSession {
             lowering_time,
             runs: AtomicU64::new(0),
             calibration: Mutex::new(CalibratedCostModel::new()),
-            metrics: SessionMetrics::new(),
+            metrics,
         })
     }
 
@@ -704,9 +706,10 @@ impl FheSession {
     /// [`ExecHooks`].
     ///
     /// `shutdown` drains in-flight work and reports what the engine observes
-    /// (queue, gather, lane occupancy, wall, outcome, poisoned batches) as
-    /// [`chehab_runtime::ServingStats`]. What a run observes — op latencies,
-    /// steals, encryptions — is counted by the session
+    /// (queue, gather, lane occupancy, wall, poisoned batches) as
+    /// [`chehab_runtime::ServingStats`]; a request's outcome is counted in
+    /// the session's registry cells, shared by all its engines. What a run
+    /// observes — op latencies, steals, encryptions — is counted by the session
     /// ([`FheSession::stats`], [`FheSession::metrics`]) and carried per run
     /// in each report's `timing`; the handler records nothing. Requests that
     /// fail for any reason (cancel, deadline, injected or organic panic)
@@ -797,10 +800,10 @@ impl FheSession {
     }
 
     /// Mirrors into the registry what is counted *below* the runtime crate:
-    /// the arena pool's allocation counters, the context's NTT transform
-    /// counts and the Galois-key count live in `chehab-fhe`, which cannot
-    /// see `telemetry` to count into its cells itself. Everything else is
-    /// bumped live by the layer that observes it and needs no sync.
+    /// the arena pool's allocation counters and the context's NTT transform
+    /// counts live in `chehab-fhe`, which cannot see `telemetry` to count
+    /// into its cells itself. Everything else is bumped live by the layer
+    /// that observes it, or set once at session build, and needs no sync.
     fn refresh_metrics(&self) {
         let m = &self.metrics;
         let arena = self.arena_pool.alloc_stats();
@@ -810,16 +813,16 @@ impl FheSession {
         let transforms = self.ctx.transform_stats();
         m.ntt_forward.store(transforms.forward);
         m.ntt_inverse.store(transforms.inverse);
-        m.galois_keys.set(self.galois_keys.key_count() as f64);
     }
 
     /// The session's unified metrics registry, freshly synced: request,
     /// encryption and dataflow-steal counters bumped on the request path,
     /// the resilience counters (`chehab_requests_cancelled_total`,
     /// `chehab_deadline_missed_total`, `chehab_worker_panics_total`) bumped
-    /// by this session's serving engines, and the mirrored arena, NTT and
-    /// Galois-key figures. Render it with [`MetricsRegistry::render_text`]
-    /// (or use the [`FheSession::render_metrics`] shorthand).
+    /// by this session's serving engines, the mirrored arena and NTT
+    /// figures, and the Galois-key count set at session build. Render it
+    /// with [`MetricsRegistry::render_text`] (or use the
+    /// [`FheSession::render_metrics`] shorthand).
     pub fn metrics(&self) -> &MetricsRegistry {
         self.refresh_metrics();
         &self.metrics.registry
@@ -1148,7 +1151,6 @@ impl FheSession {
                         - noise_consumed)
                         .max(0.0),
                     operation_stats: outcome.stats,
-                    galois_key_count: self.galois_keys.key_count(),
                     decryption_ok,
                     timing,
                 });
@@ -1237,8 +1239,6 @@ pub struct ExecutionReport {
     pub noise_budget_remaining: f64,
     /// Homomorphic operations executed, by category.
     pub operation_stats: EvaluatorStats,
-    /// Number of Galois keys generated for the run.
-    pub galois_key_count: usize,
     /// `false` when the noise budget was exhausted and decryption failed.
     pub decryption_ok: bool,
     /// The executor's one record of the run: per instruction its worker,

@@ -61,9 +61,9 @@ pub use chehab_runtime::{Histogram, MetricsRegistry, Trace, TraceSink};
 // The resilience surface of the session API ([`ExecHooks::cancel`],
 // [`ExecHooks::faults`], [`ExecOptions::with_deadline`]), re-exported for
 // the same reason: deadline/cancellation tokens, deterministic fault plans,
-// the snapshot of the resilience counters (session-wide: every engine a
-// session starts bumps the session's registry cells), and the handle-side
-// error type for abandoned or panicked requests.
+// and the handle-side error type for abandoned or panicked requests. The
+// outcome counters are the session's registry cells, read with
+// `MetricsRegistry::value` (every engine a session starts bumps them).
 pub use chehab_runtime::{
-    CancellationToken, FaultPlan, RequestError, ResilienceSnapshot, ServingError, TrySubmitError,
+    CancellationToken, FaultPlan, RequestError, ServingError, TrySubmitError,
 };

@@ -37,7 +37,7 @@
 //! requests, when the oldest member has lingered `max_linger`, or early
 //! enough that no member misses its deadline waiting for stragglers — and an
 //! unbatched engine is simply [`BatchPolicy::solo`]. The same engine
-//! isolates a poisoned batch's offender and counts batch sizes, linger
+//! isolates a poisoned batch's offender and counts batches, linger
 //! times and lane occupancy in its [`ServingStats`]; the
 //! [`RequestCoalescer`] is only its constructor for plain batch handlers.
 
@@ -368,9 +368,8 @@ mod tests {
         assert_eq!(stats.submitted, 10);
         assert_eq!(stats.completed, 10);
         assert!(stats.batches_formed >= 3, "max_batch 4 forces >= 3 batches");
-        assert_eq!(stats.batch_size.count(), stats.batches_formed);
-        assert!(stats.batch_size.max().unwrap() <= Duration::from_nanos(4));
         assert_eq!(stats.lane_occupancy.count(), stats.batches_formed);
+        assert!(stats.lane_occupancy.max().unwrap() <= Duration::from_nanos(100));
     }
 
     #[test]
@@ -403,7 +402,8 @@ mod tests {
         assert_eq!(handle.wait(), 42);
         let stats = coalescer.shutdown();
         assert_eq!(stats.batches_formed, 1);
-        assert_eq!(stats.batch_size.max(), Some(Duration::from_nanos(1)));
+        // One member of 64 lanes: 1 % occupancy.
+        assert_eq!(stats.lane_occupancy.max(), Some(Duration::from_nanos(1)));
     }
 
     #[test]
@@ -562,7 +562,8 @@ mod tests {
             stats.batches_formed >= 4,
             "bursts separated by > linger cannot share one batch"
         );
-        assert_eq!(stats.batch_size.count(), stats.batches_formed);
+        assert_eq!(stats.lane_occupancy.count(), stats.batches_formed);
+        assert!(stats.lane_occupancy.max().unwrap() <= Duration::from_nanos(100));
     }
 
     #[test]
@@ -592,7 +593,8 @@ mod tests {
             stats.batches_formed, 5,
             "each trickle request flushes alone"
         );
-        assert_eq!(stats.batch_size.max(), Some(Duration::from_nanos(1)));
+        // One member of 16 lanes: 100 / 16 = 6 % occupancy.
+        assert_eq!(stats.lane_occupancy.max(), Some(Duration::from_nanos(6)));
     }
 
     #[test]

@@ -383,8 +383,9 @@ pub struct ExecResources<'a> {
     /// out per worker per run and restored afterwards, so warm buffers
     /// survive across requests (the zero-allocation steady state).
     pub arenas: &'a ArenaPool,
-    /// Slot-lane layout of the execution (see [`crate::RequestCoalescer`]):
-    /// `lanes` users' inputs share the ciphertexts, user `k` based at
+    /// Slot-lane layout of the execution ([`crate::LaneGeometry`], as
+    /// `chehab_core::FheSession::run_batched` places users): `lanes` users'
+    /// inputs share the ciphertexts, user `k` based at
     /// [`LaneGeometry::base`](crate::LaneGeometry::base)`(k)`; a solo
     /// request is the `lanes = 1` case. Only [`Instr::Pack`]'s
     /// plaintext-element path consults it (plaintext values must be
@@ -839,9 +840,11 @@ fn run_instr(
             Register::Plain(_) => unreachable!("plaintext-only nodes are evaluated on the client"),
         },
         Instr::Pack { elems, folds_plain } => {
-            // Run-time packing: element i is moved to slot i with a
-            // right-rotation and added to the accumulator, whose superseded
+            // Run-time packing: element i > 0 is moved to slot i with a
+            // right-rotation and added to the accumulator — the first time,
+            // to element 0's register, read in place — whose superseded
             // value returns to the arena with the placed element.
+            let mut first: Option<Arc<Ciphertext>> = None;
             let mut acc: Option<Ciphertext> = None;
             // The plaintext accumulator spans every live lane: each user's
             // plaintext element is read at its lane base and placed at its
@@ -864,41 +867,45 @@ fn run_instr(
                                 values.values().get(base).copied().unwrap_or(0);
                         }
                     }
+                    Register::Cipher(ct) if slot == 0 => first = Some(ct),
                     Register::Cipher(ct) => {
-                        let placed = if slot == 0 {
-                            evaluator.clone_ciphertext(&ct)
-                        } else {
-                            evaluator.rotate(&ct, -(slot as i64), res.galois_keys)?
+                        let placed = evaluator.rotate(&ct, -(slot as i64), res.galois_keys)?;
+                        let Some(prev) = acc.as_ref().or(first.as_deref()) else {
+                            acc = Some(placed);
+                            continue;
                         };
-                        acc = Some(match acc.take() {
-                            None => placed,
-                            Some(prev) => {
-                                let sum = evaluator.add(&prev, &placed);
-                                evaluator.recycle(prev);
-                                evaluator.recycle(placed);
-                                sum
-                            }
-                        });
+                        let sum = evaluator.add(prev, &placed);
+                        if let Some(superseded) = acc.replace(sum) {
+                            evaluator.recycle(superseded);
+                        }
+                        evaluator.recycle(placed);
                     }
                 }
             }
             // Lowering emits `Pack` only for a ciphertext-kind vector, which
             // has a ciphertext element by `data_kinds`' definition.
-            let Some(mut packed) = acc else {
+            let Some(sum) = acc.as_ref().or(first.as_deref()) else {
                 unreachable!("plaintext-only nodes are evaluated on the client")
             };
             // Whether the plaintext addition is issued is the schedule's
             // decision, never the request's: elements that all happen to
             // read zero cost the same operations as any other values.
-            if *folds_plain {
+            let packed = if *folds_plain {
                 // The packing plaintext is transient — encoded from the
                 // arena, added, and recycled within this one instruction.
                 let plain = res.ctx.encode_in(&plain_slots, evaluator.arena_mut())?;
-                let sum = evaluator.add_plain(&packed, &plain);
-                evaluator.recycle(packed);
+                let packed = evaluator.add_plain(sum, &plain);
+                if let Some(superseded) = acc {
+                    evaluator.recycle(superseded);
+                }
                 evaluator.recycle_plain(plain);
-                packed = sum;
-            }
+                packed
+            } else if let Some(packed) = acc {
+                packed
+            } else {
+                // Element 0 alone: the output register needs its own copy.
+                evaluator.clone_ciphertext(sum)
+            };
             Register::cipher(packed)
         }
     };

@@ -151,8 +151,7 @@ pub use schedule::{
     data_kinds, lower_with_default_costs, CostTerms, Instr, Schedule, ScheduledInstr, Slot,
 };
 pub use serving::{
-    default_workers, LatencySnapshot, RequestError, RequestHandle, ResilienceSnapshot,
-    ResilienceStats, ServingConfig, ServingEngine, ServingError, ServingStats, TrySubmitError,
-    DEFAULT_QUEUE_CAPACITY,
+    default_workers, LatencySnapshot, RequestError, RequestHandle, ResilienceStats, ServingConfig,
+    ServingEngine, ServingError, ServingStats, TrySubmitError, DEFAULT_QUEUE_CAPACITY,
 };
 pub use telemetry::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, Trace, TraceSink};

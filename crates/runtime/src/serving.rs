@@ -63,9 +63,9 @@ pub struct ServingConfig {
     /// stamped `now + deadline` at enqueue, so a gathering batch flushes
     /// before a member's deadline, a request that outlives it stops
     /// executing mid-flight (when the handler threads the token into the
-    /// executors) and is counted in
-    /// [`ResilienceSnapshot::deadline_missed`]. `None` (the default) runs
-    /// every request to completion.
+    /// executors) and is counted in the `deadline_missed` cell of
+    /// [`ServingConfig::resilience`]. `None` (the default) runs every
+    /// request to completion.
     pub deadline: Option<Duration>,
     /// Optional deterministic fault-injection plan: submission-side faults
     /// (forced queue-full rejections, worker kills) draw from it. Executor
@@ -173,13 +173,15 @@ impl<T> std::fmt::Display for TrySubmitError<T> {
 
 impl<T: std::fmt::Debug> std::error::Error for TrySubmitError<T> {}
 
-/// Cumulative resilience counters of a serving engine: three [`Counter`]
-/// cells the engine bumps as it classifies outcomes. The default cells are
-/// private; `chehab-core` hands every engine of a session the cells of the
-/// session's `MetricsRegistry`, so the exported series are the ones bumped.
+/// The one count of each request outcome: three [`Counter`] cells the
+/// engine bumps as it classifies requests. Clones share the cells; the
+/// default ones are private, and `chehab-core` hands every engine of a
+/// session the session's `MetricsRegistry` cells, so those series count
+/// across its engines and are the ones bumped.
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceStats {
-    /// Requests cancelled before completing.
+    /// Requests cancelled (explicitly, via [`RequestHandle::cancel`] or a
+    /// fault plan) before completing.
     pub cancelled: Counter,
     /// Requests whose deadline expired before they completed.
     pub deadline_missed: Counter,
@@ -187,34 +189,9 @@ pub struct ResilienceStats {
     pub worker_panics: Counter,
 }
 
-impl ResilienceStats {
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> ResilienceSnapshot {
-        ResilienceSnapshot {
-            cancelled: self.cancelled.get(),
-            deadline_missed: self.deadline_missed.get(),
-            worker_panics: self.worker_panics.get(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`ResilienceStats`], carried in
-/// [`ServingStats::resilience`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResilienceSnapshot {
-    /// Requests cancelled (explicitly, via [`RequestHandle::cancel`] or a
-    /// fault plan) before completing.
-    pub cancelled: u64,
-    /// Requests whose deadline expired before they completed.
-    pub deadline_missed: u64,
-    /// Worker panics isolated by the engine (panicking handlers and planned
-    /// worker kills).
-    pub worker_panics: u64,
-}
-
-/// Latency histograms of one engine's served traffic, snapshotted into
+/// Latency histograms of one engine's served traffic, carried in
 /// [`ServingStats::latency`]: what the engine itself observes of a request
-/// (queue wait, handler wall, outcome).
+/// (queue wait, handler wall).
 #[derive(Debug, Clone, Default)]
 pub struct LatencySnapshot {
     /// Handler wall latency of each completed request (for a member of a
@@ -223,25 +200,15 @@ pub struct LatencySnapshot {
     /// Time each request spent queued (submit to handler start, so it
     /// includes the time its batch lingered gathering).
     pub queue_wait: Histogram,
-    /// Handler wall latency of the requests that completed normally.
-    pub ok: Histogram,
-    /// Handler wall latency of the requests cancelled before completing.
-    pub cancelled: Histogram,
-    /// Handler wall latency of the requests that outlived their deadline.
-    pub deadline_missed: Histogram,
-    /// Handler wall latency of the requests whose handler panicked.
-    pub panicked: Histogram,
 }
 
-/// A point-in-time snapshot of one engine's serving counters, except
-/// `resilience`: that reads the cells of [`ServingConfig::resilience`],
-/// which every engine handed the same cells shares — on the FHE path,
-/// `FheSession::serve_with` hands every engine the session's, so there
-/// `resilience` counts session-wide.
+/// What one engine observed: the accumulator its workers record into, and
+/// the snapshot [`ServingEngine::stats`] returns. A request's outcome is
+/// counted in [`ServingConfig::resilience`], not here.
 ///
 /// Every member of a batch is counted once in `completed`, `latency` and
 /// the trace, whatever retries ran; the batch-level fields count batches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServingStats {
     /// Requests accepted by [`ServingEngine::submit`] so far.
     pub submitted: u64,
@@ -258,12 +225,9 @@ pub struct ServingStats {
     pub elapsed: Duration,
     /// Latency histograms of the served traffic, recorded by the engine.
     pub latency: LatencySnapshot,
-    /// Batches flushed to the handler (solo retries are not batches). An
-    /// unbatched engine forms one per request.
+    /// Batches flushed to the handler (solo retries are not batches): the
+    /// count of `lane_occupancy`. An unbatched engine forms one per request.
     pub batches_formed: u64,
-    /// Size distribution of the batches formed (recorded as raw counts, not
-    /// durations).
-    pub batch_size: Histogram,
     /// How long each flushed batch's first request lingered gathering.
     pub linger: Histogram,
     /// Lane occupancy per batch, in percent of the policy's `max_batch`
@@ -274,10 +238,6 @@ pub struct ServingStats {
     pub batch_panics: u64,
     /// Solo re-runs of the members of poisoned batches of two or more.
     pub solo_retries: u64,
-    /// Cumulative resilience counters: cancellations, missed deadlines,
-    /// isolated worker panics — of every engine sharing this engine's
-    /// [`ServingConfig::resilience`] cells (session-wide on the FHE path).
-    pub resilience: ResilienceSnapshot,
 }
 
 impl ServingStats {
@@ -428,20 +388,6 @@ struct QueueState<T, R> {
     in_flight: usize,
 }
 
-/// Engine-recorded histograms (wall + queue wait + per-outcome wall + batch
-/// formation) and poisoned-batch counters; fixed footprint, so a long-lived
-/// engine never grows them with traffic. `latency.request_wall`'s count is
-/// the engine's completed-request count, `batch_size`'s its batch count.
-#[derive(Default)]
-struct LatencyAgg {
-    latency: LatencySnapshot,
-    batch_size: Histogram,
-    linger: Histogram,
-    lane_occupancy: Histogram,
-    batch_panics: u64,
-    solo_retries: u64,
-}
-
 struct Shared<T, R> {
     state: Mutex<QueueState<T, R>>,
     /// Signals workers that the queue gained a job (or shutdown started).
@@ -450,10 +396,9 @@ struct Shared<T, R> {
     not_full: Condvar,
     /// Signals a halting engine that a job served by its waiter finished.
     waiter_done: Condvar,
-    /// Completion counters, per-request latency, per-batch formation
-    /// histograms and poisoned-batch counters, recorded by the workers
-    /// themselves.
-    latency: Mutex<LatencyAgg>,
+    /// What the workers record of each batch and request; fixed footprint,
+    /// so a long-lived engine never grows it with traffic.
+    stats: Mutex<ServingStats>,
     /// The engine's configuration, with `workers`, `queue_capacity` and the
     /// policy's `max_batch` clamped to at least 1.
     config: ServingConfig,
@@ -555,7 +500,7 @@ impl<T: Clone + Send + 'static, R: Send + 'static> ServingEngine<T, R> {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             waiter_done: Condvar::new(),
-            latency: Mutex::new(LatencyAgg::default()),
+            stats: Mutex::new(ServingStats::default()),
             config: ServingConfig {
                 workers: config.workers.max(1),
                 queue_capacity: config.queue_capacity.max(1),
@@ -699,33 +644,20 @@ impl<T, R> ServingEngine<T, R> {
 
     /// A point-in-time snapshot of the engine's serving counters.
     pub fn stats(&self) -> ServingStats {
-        // Both counts are monotone, so reading the completions (the wall
-        // histogram's count) strictly before `submitted` keeps the snapshot
-        // consistent (`completed <= submitted`) without holding both locks
-        // at once.
-        let agg = lock(&self.shared.latency);
-        let latency = agg.latency.clone();
-        let batch_size = agg.batch_size.clone();
-        let linger = agg.linger.clone();
-        let lane_occupancy = agg.lane_occupancy.clone();
-        let (batch_panics, solo_retries) = (agg.batch_panics, agg.solo_retries);
-        drop(agg);
+        // Both counts are monotone, so reading the completions strictly
+        // before `submitted` keeps the snapshot consistent (`completed <=
+        // submitted`) without holding both locks at once.
+        let recorded = lock(&self.shared.stats).clone();
         let state = lock(&self.shared.state);
         ServingStats {
             submitted: state.submitted,
-            completed: latency.request_wall.count(),
+            completed: recorded.latency.request_wall.count(),
             queue_depth: state.queue.len(),
             in_flight: state.in_flight,
             workers: self.shared.config.workers,
             elapsed: self.shared.started.elapsed(),
-            latency,
-            batches_formed: batch_size.count(),
-            batch_size,
-            linger,
-            lane_occupancy,
-            batch_panics,
-            solo_retries,
-            resilience: self.shared.config.resilience.snapshot(),
+            batches_formed: recorded.lane_occupancy.count(),
+            ..recorded
         }
     }
 
@@ -950,36 +882,32 @@ fn serve_batch<T: Clone, R>(
     // later (while the result sits unretrieved) is not miscounted.
     let resilience = &shared.config.resilience;
     let queue_wait = |member: &Member<R>| started.saturating_duration_since(member.enqueued);
-    let mut agg = lock(&shared.latency);
-    agg.batch_size.record_nanos(size as u64);
-    agg.linger.record(linger);
-    agg.lane_occupancy
+    let mut stats = lock(&shared.stats);
+    stats.linger.record(linger);
+    stats
+        .lane_occupancy
         .record_nanos((100 * size / shared.policy.max_batch) as u64);
     if poisoned {
-        agg.batch_panics += 1;
+        stats.batch_panics += 1;
         if size > 1 {
-            agg.solo_retries += size as u64;
+            stats.solo_retries += size as u64;
         }
     }
     for (member, result) in members.iter().zip(&results) {
-        let latency = &mut agg.latency;
-        latency.request_wall.record(elapsed);
-        latency.queue_wait.record(queue_wait(member));
+        stats.latency.request_wall.record(elapsed);
+        stats.latency.queue_wait.record(queue_wait(member));
         let outcome = if result.is_none() {
-            resilience.worker_panics.inc();
-            &mut latency.panicked
+            &resilience.worker_panics
         } else if member.token.is_cancelled() {
-            resilience.cancelled.inc();
-            &mut latency.cancelled
+            &resilience.cancelled
         } else if member.token.deadline_expired() {
-            resilience.deadline_missed.inc();
-            &mut latency.deadline_missed
+            &resilience.deadline_missed
         } else {
-            &mut latency.ok
+            continue;
         };
-        outcome.record(elapsed);
+        outcome.inc();
     }
-    drop(agg);
+    drop(stats);
     lock(&shared.state).in_flight -= size;
     if let (Some(sink), Server::Worker { index, track }) = (shared.config.trace.as_deref(), server)
     {
@@ -1047,21 +975,21 @@ mod tests {
         engine.shutdown();
     }
 
-    /// A thread that panics holding the engine's latency aggregate poisons
+    /// A thread that panics holding the engine's stats accumulator poisons
     /// it; `stats()` — which snapshots it — and the next request — whose
     /// completion records into it — still succeed instead of re-raising
     /// that panic.
     #[test]
-    fn a_poisoned_latency_aggregate_does_not_cascade() {
+    fn a_poisoned_stats_accumulator_does_not_cascade() {
         let engine: ServingEngine<u32, u32> = engine_with(1, 4, |_, v| v * 2);
         assert_eq!(engine.submit(1).unwrap().wait(), 2);
         let shared = Arc::clone(&engine.shared);
         let panicked = std::thread::spawn(move || {
-            let _held = lock(&shared.latency);
-            panic!("poisoning the latency aggregate on purpose");
+            let _held = lock(&shared.stats);
+            panic!("poisoning the stats accumulator on purpose");
         })
         .join();
-        assert!(panicked.is_err() && engine.shared.latency.is_poisoned());
+        assert!(panicked.is_err() && engine.shared.stats.is_poisoned());
 
         assert_eq!(engine.stats().completed, 1);
         assert_eq!(engine.submit(4).unwrap().wait(), 8);
@@ -1118,7 +1046,9 @@ mod tests {
         // Under the default policy every job stays on the one worker, so it
         // sends to every dropped handle itself.
         for policy in [BatchPolicy::solo(), BatchPolicy::default()] {
-            let engine = ServingEngine::batched(ServingConfig::sized(1, 16), policy, |batch, _| {
+            let config = ServingConfig::sized(1, 16);
+            let panics = config.resilience.worker_panics.clone();
+            let engine = ServingEngine::batched(config, policy, |batch, _| {
                 batch.into_iter().map(|(_, v): (u64, u32)| v * 2).collect()
             });
             let kept: Vec<_> = (0..16)
@@ -1131,7 +1061,7 @@ mod tests {
             assert_eq!(engine.submit(21).unwrap().wait(), 42);
             let stats = engine.shutdown();
             assert_eq!((stats.submitted, stats.completed), (17, 17));
-            assert_eq!(stats.resilience.worker_panics, 0);
+            assert_eq!(panics.get(), 0);
         }
     }
 
@@ -1268,6 +1198,7 @@ mod tests {
             deadline: Some(Duration::from_millis(5)),
             ..ServingConfig::sized(1, 8)
         };
+        let resilience = config.resilience.clone();
         // A token-aware handler: reports how the token looked when it ran.
         // Every batch of one carries its member's own token.
         let engine: ServingEngine<u64, &'static str> =
@@ -1289,15 +1220,10 @@ mod tests {
         let doomed = engine.submit(1).unwrap();
         doomed.cancel();
         assert_eq!(doomed.wait(), "cancelled");
-        let stats = engine.shutdown();
-        assert_eq!(stats.resilience.cancelled, 1);
-        assert_eq!(stats.resilience.deadline_missed, 1);
-        assert_eq!(stats.resilience.worker_panics, 0);
-        let latency = &stats.latency;
-        assert_eq!(latency.ok.count(), 1);
-        assert_eq!(latency.cancelled.count(), 1);
-        assert_eq!(latency.deadline_missed.count(), 1);
-        assert_eq!(latency.panicked.count(), 0);
+        assert_eq!(engine.shutdown().completed, 3);
+        assert_eq!(resilience.cancelled.get(), 1);
+        assert_eq!(resilience.deadline_missed.get(), 1);
+        assert_eq!(resilience.worker_panics.get(), 0);
     }
 
     /// Under a two-member policy whose batches flush only when full, a
@@ -1311,9 +1237,9 @@ mod tests {
         let policy = BatchPolicy::default()
             .with_max_batch(2)
             .with_max_linger(Duration::from_secs(60));
-        let engine = ServingEngine::batched(ServingConfig::sized(1, 8), policy, move |batch, _| {
-            handler(batch)
-        });
+        let config = ServingConfig::sized(1, 8);
+        let panics = config.resilience.worker_panics.clone();
+        let engine = ServingEngine::batched(config, policy, move |batch, _| handler(batch));
         let bad = engine.submit(13).unwrap();
         let mate = engine.submit(7).unwrap();
         assert_eq!(bad.try_wait(), Err(RequestError::Panicked));
@@ -1321,10 +1247,8 @@ mod tests {
         let stats = engine.shutdown();
         assert_eq!((stats.batches_formed, stats.completed), (1, 2));
         assert_eq!((stats.batch_panics, stats.solo_retries), (1, 2));
-        assert_eq!(stats.resilience.worker_panics, 1);
+        assert_eq!(panics.get(), 1);
         assert_eq!(stats.latency.queue_wait.count(), 2);
-        let latency = &stats.latency;
-        assert_eq!((latency.ok.count(), latency.panicked.count()), (1, 1));
     }
 
     #[test]
@@ -1375,6 +1299,7 @@ mod tests {
             faults: Some(plan.clone()),
             ..ServingConfig::sized(1, 8)
         };
+        let panics = config.resilience.worker_panics.clone();
         let engine = ServingEngine::batched(config, policy, |batch, _| {
             batch.into_iter().map(|(_, v): (u64, u32)| v + 1).collect()
         });
@@ -1385,8 +1310,8 @@ mod tests {
         // A second job sits queued behind a dead pool; halt() drops it, and
         // with it its sender, so its waiter resolves too.
         let stranded = engine.submit(2).unwrap();
-        let stats = engine.shutdown();
-        assert!(stats.resilience.worker_panics >= 1);
+        engine.shutdown();
+        assert!(panics.get() >= 1);
         assert_eq!(stranded.try_wait(), Err(RequestError::Abandoned));
     }
 

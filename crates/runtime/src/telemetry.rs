@@ -19,13 +19,17 @@
 //!   or <https://ui.perfetto.dev>.
 //! - **Latency histograms** ([`Histogram`]): fixed-footprint log-bucketed
 //!   histograms with mergeable buckets and p50/p95/p99/max readouts; the
-//!   serving engine records per-request wall and queue-wait latency into
-//!   them (see [`ServingStats::latency`](crate::ServingStats::latency)).
+//!   serving engine records per-request wall and queue-wait latency, and
+//!   per-batch linger and lane occupancy, into the ones of its one
+//!   accumulator, a [`ServingStats`](crate::ServingStats) that
+//!   `ServingEngine::stats` clones.
 //! - **Metrics registry** ([`MetricsRegistry`] / [`Counter`] / [`Gauge`]):
 //!   named handles with a Prometheus-style text exposition
 //!   ([`MetricsRegistry::render_text`]): the one export surface of a
-//!   session's counters (requests, encryptions, dataflow steals, resilience
-//!   outcomes, arena fresh/reuse, NTT transforms).
+//!   session's counters (requests, encryptions, dataflow steals, arena
+//!   fresh/reuse, NTT transforms, Galois keys) and the one count of each
+//!   request outcome: the [`ResilienceStats`](crate::ResilienceStats) cells
+//!   every engine of the session bumps.
 //!
 //! Trace capture never perturbs results: spans only *observe* timings, and
 //! the executors' outputs are bit-identical at every worker count and steal

@@ -30,13 +30,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         inputs.insert(format!("b_{i}"), 2 * i + 1);
         expected += (i + 1) * (2 * i + 1);
     }
-    let report = compiled.session(&params)?.run(&inputs)?;
+    let session = compiled.session(&params)?;
+    let report = session.run(&inputs)?;
     println!("== {}", dot.id());
     println!(
         "  result {} (expected {expected}); {} rotations over {} Galois keys (budget {})",
         report.outputs[0],
         report.operation_stats.rotations,
-        report.galois_key_count,
+        session.stats().galois_key_count,
         compiled.rotation_plan().budget,
     );
     println!(

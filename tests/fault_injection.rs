@@ -302,7 +302,10 @@ fn a_seeded_fault_storm_never_hangs_and_non_faulted_outputs_are_exact() {
         assert!(failed <= 2, "{id}: {failed} failures from 2 panic points");
         let stats = engine.shutdown();
         assert_eq!(stats.completed, requests as u64, "{id}: zero hangs");
-        assert_eq!(stats.resilience.worker_panics as usize, failed);
+        assert_eq!(
+            metric(&session, "chehab_worker_panics_total") as usize,
+            failed
+        );
 
         // The storm's panics were isolated: the engine survived, and the
         // session still serves clean requests afterwards.
@@ -349,12 +352,8 @@ fn a_killed_worker_abandons_its_request_without_hanging_waiters() {
             6 - abandoned,
             "the surviving worker drains the rest"
         );
-        let stats = engine.shutdown();
-        assert!(stats.resilience.worker_panics >= 1);
-        assert_eq!(
-            metric(&session, "chehab_worker_panics_total"),
-            stats.resilience.worker_panics
-        );
+        engine.shutdown();
+        assert!(metric(&session, "chehab_worker_panics_total") >= 1);
     }
 }
 
@@ -377,6 +376,47 @@ fn a_worker_panic_is_counted_in_the_registry_cell_itself() {
     assert!(matches!(error, FheError::WorkerPanic { .. }), "{error:?}");
     assert!(panics.get() >= 1);
     assert_eq!(engine.shutdown().completed, 1);
+}
+
+/// Every engine of a session counts its requests' outcomes in the session's
+/// cells, once: two engines — the unbatched shape `serve` builds and the
+/// lane-batching shape of `serve_batched`, each under its own fault plan —
+/// each serve one request whose executor panics and one cancelled request.
+/// The session's series equal the error handles of both engines, while each
+/// engine's stats count only the requests it served.
+#[test]
+fn two_engines_count_outcomes_once_in_the_session_cells() {
+    let (session, benchmark) = session_for("Dot Product 8");
+    let last = session.schedule().instrs().len() as u64 - 1;
+    let solo = ExecOptions::sequential();
+    let (mut cancelled, mut panicked) = (0, 0);
+    for options in [solo, solo.with_batching(two_lanes())] {
+        // The panic falls on the last instruction, after the whole run.
+        let engine = session.serve_with(&options, &faulting(&FaultPlan::panic_at(&[last])));
+        let panicking = engine.submit(inputs_of(&benchmark, 1)).unwrap();
+        let panic = panicking.wait().expect_err("the injected panic fails it");
+        assert!(matches!(panic, FheError::WorkerPanic { .. }), "{panic:?}");
+        panicked += 1;
+        // Each request runs alone (a batch of one carries its own token),
+        // so the cancellation reaches the executor.
+        let doomed = engine.submit(inputs_of(&benchmark, 2)).unwrap();
+        doomed.cancel();
+        match doomed.wait() {
+            Err(FheError::Cancelled) => cancelled += 1,
+            // A worker that finished before the cancel landed.
+            Ok(report) => assert!(report.decryption_ok),
+            Err(other) => panic!("unexpected error: {other}"),
+        }
+        let stats = engine.shutdown();
+        assert_eq!((stats.submitted, stats.completed), (2, 2));
+        assert_eq!(stats.latency.request_wall.count(), 2);
+    }
+    assert!(cancelled >= 1, "a cancel lands before its run completes");
+    assert_eq!(
+        metric(&session, "chehab_requests_cancelled_total"),
+        cancelled
+    );
+    assert_eq!(metric(&session, "chehab_worker_panics_total"), panicked);
 }
 
 /// Deadlines flow end to end, batched or not: a serving engine with an
@@ -403,8 +443,7 @@ fn deadlines_resolve_requests_with_deadline_exceeded_and_are_counted() {
         let handle = engine.submit(inputs_of(&benchmark, 3)).unwrap();
         let error = handle.wait().expect_err("a 1ns deadline always expires");
         assert_eq!(error, FheError::DeadlineExceeded);
-        let stats = engine.shutdown();
-        assert_eq!(stats.resilience.deadline_missed, 1);
+        assert_eq!(engine.shutdown().completed, 1);
         assert_eq!(metric(&session, "chehab_deadline_missed_total"), 1);
         // The failed request fed neither the request counter nor the
         // calibration beyond the clean baseline.
