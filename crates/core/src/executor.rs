@@ -687,8 +687,11 @@ impl FheSession {
     /// [`FheSession::run_batched`] with `options.threads_per_request`
     /// workers under `options.scheduler`, and scatters the per-user reports
     /// to their [`chehab_runtime::RequestHandle`]s. The batch bound is
-    /// clamped to [`FheSession::batch_capacity`]; a batch-level
-    /// [`FheError`] is replicated to every member's handle.
+    /// clamped to [`FheSession::batch_capacity`]. A batch-level
+    /// [`FheError`] is the result of every member, except that a
+    /// [`FheError::WorkerPanic`](chehab_fhe::FheError::WorkerPanic) poisons
+    /// a batch of two or more: the engine re-runs each member alone, under
+    /// its own token, so only the offender's handle gets the panic.
     ///
     /// `submit` returns a handle immediately; `wait`/`try_wait` receive
     /// that request's report, so callers observe submission order even when
@@ -707,8 +710,9 @@ impl FheSession {
     ///
     /// `shutdown` drains in-flight work and reports what the engine observes
     /// (queue, gather, lane occupancy, wall, poisoned batches) as
-    /// [`chehab_runtime::ServingStats`]; a request's outcome is counted in
-    /// the session's registry cells, shared by all its engines. What a run
+    /// [`chehab_runtime::ServingStats`]; a request's outcome is counted once,
+    /// by the engine from the result its handle receives, in the session's
+    /// registry cells, shared by all its engines. What a run
     /// observes — op latencies, steals, encryptions — is counted by the session
     /// ([`FheSession::stats`], [`FheSession::metrics`]) and carried per run
     /// in each report's `timing`; the handler records nothing. Requests that
@@ -749,16 +753,7 @@ impl FheSession {
                 };
                 match session.run_batched(&inputs, &exec, &hooks) {
                     Ok(reports) => reports.into_iter().map(Ok).collect(),
-                    Err(error) => {
-                        // Instruction-level panics are isolated inside the
-                        // executor and surface as a clean `Err` return,
-                        // invisible to the engine's own handler-panic
-                        // accounting — count them here.
-                        if let FheError::WorkerPanic { .. } = &error {
-                            session.metrics.resilience.worker_panics.inc();
-                        }
-                        inputs.iter().map(|_| Err(error.clone())).collect()
-                    }
+                    Err(error) => inputs.iter().map(|_| Err(error.clone())).collect(),
                 }
             },
         )

@@ -62,11 +62,6 @@ impl RotationKeyPlan {
             naf_decomposition(step)
         }
     }
-
-    /// Number of physical rotations executed for `step`.
-    pub fn rotation_count(&self, step: i64) -> usize {
-        self.realize(step).len()
-    }
 }
 
 /// Selects rotation keys for the steps used by a program.
@@ -223,7 +218,7 @@ mod tests {
         // least as many rotations as a keyed one.
         assert!(plan.key_count() <= steps.len());
         assert!(!plan.decompositions.is_empty());
-        let total_rotations: usize = steps.iter().map(|&s| plan.rotation_count(s)).sum();
+        let total_rotations: usize = steps.iter().map(|&s| plan.realize(s).len()).sum();
         assert!(
             total_rotations >= steps.len(),
             "decomposition can only add rotations"

@@ -53,14 +53,6 @@ impl Layout {
     pub fn order(&self) -> &[Symbol] {
         &self.order
     }
-
-    /// The packed-input vector expression this layout corresponds to
-    /// (a `Vec` of the ciphertext inputs in slot order). The client performs
-    /// this packing before encryption, exactly as both compilers assume
-    /// (Section 7.3).
-    pub fn input_vector(&self) -> Expr {
-        Expr::Vec(self.order.iter().map(|v| Expr::CtVar(v.clone())).collect())
-    }
 }
 
 /// Statistics of one packing run.
@@ -296,7 +288,8 @@ mod tests {
         assert_eq!(layout.len(), 3);
         assert_eq!(layout.slot(&"a".into()), Some(0));
         assert_eq!(layout.slot(&"c".into()), Some(2));
-        assert_eq!(layout.input_vector(), parse("(Vec a b c)").unwrap());
+        let order: Vec<Symbol> = ["a", "b", "c"].map(Symbol::from).into();
+        assert_eq!(layout.order(), order);
     }
 
     #[test]

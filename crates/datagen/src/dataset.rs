@@ -71,21 +71,6 @@ impl Dataset {
         true
     }
 
-    /// Removes every expression whose canonical form matches one of
-    /// `benchmarks` (benchmark exclusion, Section 6); returns how many were
-    /// removed.
-    pub fn exclude_benchmarks<'a>(
-        &mut self,
-        benchmarks: impl IntoIterator<Item = &'a Expr>,
-    ) -> usize {
-        let excluded: HashSet<String> = benchmarks.into_iter().map(canonical_form).collect();
-        let before = self.exprs.len();
-        self.exprs
-            .retain(|e| !excluded.contains(&canonical_form(e)));
-        self.canonical.retain(|c| !excluded.contains(c));
-        before - self.exprs.len()
-    }
-
     /// Splits the dataset into a training and a validation set, placing every
     /// `1/holdout_every`-th expression in the validation set.
     pub fn split(&self, holdout_every: usize) -> (Vec<Expr>, Vec<Expr>) {
@@ -185,14 +170,13 @@ mod tests {
     }
 
     #[test]
-    fn benchmark_exclusion_removes_matching_programs() {
+    fn alpha_equivalent_programs_are_inserted_once() {
         let mut dataset = Dataset::new(DataSource::LlmLike);
-        dataset.insert(parse("(+ (* a b) (* c d))").unwrap());
-        dataset.insert(parse("(Vec (+ a b) (+ c d))").unwrap());
-        let benchmark = parse("(+ (* x y) (* z w))").unwrap(); // alpha-equivalent to the first
-        let removed = dataset.exclude_benchmarks([&benchmark]);
-        assert_eq!(removed, 1);
-        assert_eq!(dataset.len(), 1);
+        assert!(dataset.insert(parse("(+ (* a b) (* c d))").unwrap()));
+        assert!(dataset.insert(parse("(Vec (+ a b) (+ c d))").unwrap()));
+        let renamed = parse("(+ (* x y) (* z w))").unwrap(); // alpha-equivalent to the first
+        assert!(!dataset.insert(renamed));
+        assert_eq!(dataset.len(), 2);
     }
 
     #[test]

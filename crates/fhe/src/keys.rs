@@ -77,7 +77,6 @@ impl RelinKeys {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GaloisKeys {
     id: u64,
-    key_size_bytes: usize,
     /// The Eval-form key-switch stripe of every generated nonzero step.
     switch: BTreeMap<i64, Vec<u64>>,
 }
@@ -98,13 +97,6 @@ impl GaloisKeys {
     /// Number of individual rotation keys generated.
     pub fn key_count(&self) -> usize {
         self.switch.len()
-    }
-
-    /// Total approximate size of the key set in bytes. This is the quantity
-    /// the rotation-key-selection pass bounds: each key is several megabytes
-    /// under the paper's parameters.
-    pub fn total_size_bytes(&self) -> usize {
-        self.key_count() * self.key_size_bytes
     }
 }
 
@@ -264,7 +256,6 @@ impl KeyGenerator {
         let switch = steps.into_iter().zip(keys).collect();
         GaloisKeys {
             id: self.id,
-            key_size_bytes: self.params.galois_key_size_bytes(),
             switch,
         }
     }
@@ -365,6 +356,7 @@ mod tests {
         let big = BfvParameters::default_128();
         let small_keys = KeyGenerator::new(&small, 1).galois_keys(&[1]);
         let big_keys = KeyGenerator::new(&big, 1).galois_keys(&[1]);
-        assert!(big_keys.total_size_bytes() > small_keys.total_size_bytes());
+        assert_eq!(big_keys.key_count(), small_keys.key_count());
+        assert!(big.galois_key_size_bytes() > small.galois_key_size_bytes());
     }
 }

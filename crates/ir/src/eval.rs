@@ -34,22 +34,6 @@ impl Value {
             Value::Vector(v) => v.clone(),
         }
     }
-
-    /// Returns the scalar payload, if this is a scalar.
-    pub fn as_scalar(&self) -> Option<u64> {
-        match self {
-            Value::Scalar(v) => Some(*v),
-            Value::Vector(_) => None,
-        }
-    }
-
-    /// Returns the vector payload, if this is a vector.
-    pub fn as_vector(&self) -> Option<&[u64]> {
-        match self {
-            Value::Scalar(_) => None,
-            Value::Vector(v) => Some(v),
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -438,9 +422,8 @@ mod tests {
 
     #[test]
     fn value_accessors() {
-        assert_eq!(Value::Scalar(4).as_scalar(), Some(4));
-        assert_eq!(Value::Scalar(4).as_vector(), None);
-        assert_eq!(Value::Vector(vec![1, 2]).as_vector(), Some(&[1u64, 2][..]));
+        assert_eq!(Value::Scalar(4).slots(), [4]);
+        assert_eq!(Value::Vector(vec![1, 2]).slots(), [1, 2]);
         assert_eq!(Value::Vector(vec![1, 2]).to_string(), "[1, 2]");
     }
 }

@@ -52,16 +52,6 @@ impl Matrix {
         (rows.checked_mul(cols) == Some(data.len())).then_some(Matrix { rows, cols, data })
     }
 
-    /// Builds a single-row matrix.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        let cols = data.len();
-        Matrix {
-            rows: 1,
-            cols,
-            data,
-        }
-    }
-
     /// Xavier/Glorot-uniform initialization.
     pub fn xavier(rows: usize, cols: usize, rng: &mut impl Rng) -> Self {
         let limit = (6.0 / (rows + cols) as f32).sqrt();
@@ -535,7 +525,7 @@ mod tests {
     #[test]
     fn broadcasting_adds_the_bias_to_every_row() {
         let a = Matrix::zeros(3, 2);
-        let bias = Matrix::row_vector(vec![1.0, -1.0]);
+        let bias = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
         let out = a.add_row_broadcast(&bias);
         for r in 0..3 {
             assert_eq!(out.get(r, 0), 1.0);

@@ -59,11 +59,6 @@ impl Adam {
         self.learning_rate
     }
 
-    /// Updates the learning rate (e.g. for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.learning_rate = lr;
-    }
-
     /// Applies one update using the gradients currently accumulated on the
     /// parameters, then leaves the gradients untouched (call
     /// `Module::zero_grad` before the next forward pass).
@@ -145,11 +140,10 @@ mod tests {
     }
 
     #[test]
-    fn learning_rate_can_be_adjusted() {
+    fn the_optimizer_keeps_its_learning_rate_and_parameters() {
         let x = Tensor::parameter(Matrix::full(1, 1, 0.0));
-        let mut optimizer = Adam::new(vec![x.clone()], 0.1);
-        optimizer.set_learning_rate(0.01);
-        assert_eq!(optimizer.learning_rate(), 0.01);
+        let optimizer = Adam::new(vec![x.clone()], 0.1);
+        assert_eq!(optimizer.learning_rate(), 0.1);
         assert_eq!(optimizer.params().len(), 1);
     }
 }

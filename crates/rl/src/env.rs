@@ -248,19 +248,9 @@ impl RewriteEnv {
         self.finished
     }
 
-    /// Number of actions taken so far.
-    pub fn steps_taken(&self) -> usize {
-        self.steps
-    }
-
-    /// Total number of rule actions (the `END` action has index
-    /// [`RewriteEnv::stop_action`]).
+    /// Total number of rule actions; the `END` action is the index after
+    /// them.
     pub fn rule_count(&self) -> usize {
-        self.engine.rule_count()
-    }
-
-    /// The index of the `END` action in the rule head.
-    pub fn stop_action(&self) -> usize {
         self.engine.rule_count()
     }
 
@@ -400,7 +390,7 @@ mod tests {
         let env = make_env("(Vec (+ a b) (+ c d))");
         let mask = env.rule_mask();
         assert_eq!(mask.len(), env.rule_count() + 1);
-        assert!(mask[env.stop_action()], "END is always valid");
+        assert!(mask[env.rule_count()], "END is always valid");
         assert!(mask.iter().filter(|&&m| m).count() > 1, "some rule applies");
     }
 
@@ -473,7 +463,7 @@ mod tests {
         env.step(Action::Apply { rule, location: 0 });
         let obs = env.reset(parse("(* x y)").unwrap());
         assert_eq!(obs.len(), env.observation_len());
-        assert_eq!(env.steps_taken(), 0);
+        assert_eq!(env.steps, 0);
         assert!(!env.is_finished());
     }
 
@@ -483,7 +473,7 @@ mod tests {
         let comm = RewriteEngine::new().rule_index("add-comm").unwrap();
         assert!(env.location_count(comm) <= env.max_locations());
         assert!(env.location_count(comm) >= 1);
-        assert_eq!(env.location_count(env.stop_action()), 0);
+        assert_eq!(env.location_count(env.rule_count()), 0);
     }
 
     #[test]

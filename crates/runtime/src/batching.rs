@@ -43,7 +43,8 @@
 
 use crate::schedule::{Instr, Schedule};
 use crate::serving::{
-    RequestHandle, ServingConfig, ServingEngine, ServingError, ServingStats, TrySubmitError,
+    Classify, RequestHandle, ServingConfig, ServingEngine, ServingError, ServingStats,
+    TrySubmitError,
 };
 use std::time::Duration;
 
@@ -267,7 +268,7 @@ pub type CoalescerStats = ServingStats;
 #[derive(Debug)]
 pub struct RequestCoalescer<T, R>(ServingEngine<T, R>);
 
-impl<T: Clone + Send + 'static, R: Send + 'static> RequestCoalescer<T, R> {
+impl<T: Clone + Send + 'static, R: Classify + Send + 'static> RequestCoalescer<T, R> {
     /// Starts a coalescer: an engine of `config.workers` threads that form
     /// batches under `config.policy`, with `max_batch` clamped to
     /// `config.lane_capacity`, and execute them through `handler`.

@@ -71,30 +71,19 @@ impl CancellationToken {
         self.inner.cancelled.store(true, Ordering::Release);
     }
 
-    /// Whether [`cancel`](CancellationToken::cancel) has been called on any
-    /// clone. Does **not** consider the deadline.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Acquire)
-    }
-
     /// The token's deadline, if one was set at construction.
     pub fn deadline(&self) -> Option<Instant> {
         self.inner.deadline
-    }
-
-    /// Whether the token's deadline (if any) has already passed.
-    pub fn deadline_expired(&self) -> bool {
-        self.inner.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// The dispatch-time check: `Err(Cancelled)` if the token was cancelled,
     /// `Err(DeadlineExceeded)` if its deadline has passed, `Ok(())` otherwise.
     /// Explicit cancellation wins over deadline expiry when both hold.
     pub fn check(&self) -> Result<(), FheError> {
-        if self.is_cancelled() {
+        if self.inner.cancelled.load(Ordering::Acquire) {
             return Err(FheError::Cancelled);
         }
-        if self.deadline_expired() {
+        if self.inner.deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(FheError::DeadlineExceeded);
         }
         Ok(())
@@ -272,14 +261,12 @@ mod tests {
         let clone = token.clone();
         assert!(token.check().is_ok());
         clone.cancel();
-        assert!(token.is_cancelled());
         assert_eq!(token.check(), Err(FheError::Cancelled));
     }
 
     #[test]
     fn an_expired_deadline_reports_deadline_exceeded() {
         let token = CancellationToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert!(token.deadline_expired());
         assert_eq!(token.check(), Err(FheError::DeadlineExceeded));
         // Explicit cancellation takes precedence over the expired deadline.
         token.cancel();
@@ -301,9 +288,9 @@ mod tests {
         let token = CancellationToken::new();
         plan.cancel_token_at(1, &token);
         plan.before_instr(); // index 0
-        assert!(!token.is_cancelled());
+        assert_eq!(token.check(), Ok(()));
         plan.before_instr(); // index 1: cancels the token
-        assert!(token.is_cancelled());
+        assert_eq!(token.check(), Err(FheError::Cancelled));
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             plan.before_instr() // index 2: planned panic
         }));

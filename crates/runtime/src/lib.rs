@@ -40,7 +40,8 @@
 //!    module](crate::RequestCoalescer) docs for why lane batching is
 //!    bit-exact per user), amortizing every homomorphic operation across
 //!    the whole batch. The engine re-runs the members of a poisoned batch
-//!    alone, so only the offender fails, and counts batch sizes, linger and
+//!    (a handler panic, or a result that reports one) alone, so only the
+//!    offender fails, and counts batch sizes, linger and
 //!    lane occupancy in its [`ServingStats`]; a [`RequestCoalescer`] is
 //!    that engine built over a plain batch handler.
 //!
@@ -151,7 +152,8 @@ pub use schedule::{
     data_kinds, lower_with_default_costs, CostTerms, Instr, Schedule, ScheduledInstr, Slot,
 };
 pub use serving::{
-    default_workers, LatencySnapshot, RequestError, RequestHandle, ResilienceStats, ServingConfig,
-    ServingEngine, ServingError, ServingStats, TrySubmitError, DEFAULT_QUEUE_CAPACITY,
+    default_workers, Classify, LatencySnapshot, Outcome, RequestError, RequestHandle,
+    ResilienceStats, ServingConfig, ServingEngine, ServingError, ServingStats, TrySubmitError,
+    DEFAULT_QUEUE_CAPACITY,
 };
 pub use telemetry::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, Trace, TraceSink};

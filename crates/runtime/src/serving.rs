@@ -26,11 +26,7 @@
 //!   sender dropped unsent (a dead worker, a halt with the job still queued)
 //!   is an abandoned request, never a hung waiter. A caller that blocks on
 //!   a request no worker has started yet serves it itself (unbatched
-//!   engines only): a thread about to sleep does the work instead of
-//!   handing it to a second thread that has to be woken, and woken again to
-//!   hand the result back — two scheduler round trips per request, whose
-//!   placement on a small guest decided whether a closed loop ran on all of
-//!   its cores or on one;
+//!   engines only), instead of two hand-offs between threads;
 //! - [`ServingEngine::shutdown`] stops intake, drains everything already
 //!   queued or in flight, joins the workers, and reports final
 //!   [`ServingStats`].
@@ -43,6 +39,7 @@ use crate::batching::BatchPolicy;
 use crate::exec::lock;
 use crate::faults::{CancellationToken, FaultPlan};
 use crate::telemetry::{Counter, Histogram, SpanEvent, TraceSink};
+use chehab_fhe::FheError;
 use std::collections::VecDeque;
 use std::sync::mpsc::{Receiver, RecvError, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -61,11 +58,9 @@ pub struct ServingConfig {
     pub queue_capacity: usize,
     /// Per-request deadline: each submission's [`CancellationToken`] is
     /// stamped `now + deadline` at enqueue, so a gathering batch flushes
-    /// before a member's deadline, a request that outlives it stops
+    /// before a member's deadline, and a request that outlives it stops
     /// executing mid-flight (when the handler threads the token into the
-    /// executors) and is counted in the `deadline_missed` cell of
-    /// [`ServingConfig::resilience`]. `None` (the default) runs every
-    /// request to completion.
+    /// executors). `None` (the default) runs every request to completion.
     pub deadline: Option<Duration>,
     /// Optional deterministic fault-injection plan: submission-side faults
     /// (forced queue-full rejections, worker kills) draw from it. Executor
@@ -174,20 +169,58 @@ impl<T> std::fmt::Display for TrySubmitError<T> {
 impl<T: std::fmt::Debug> std::error::Error for TrySubmitError<T> {}
 
 /// The one count of each request outcome: three [`Counter`] cells the
-/// engine bumps as it classifies requests. Clones share the cells; the
-/// default ones are private, and `chehab-core` hands every engine of a
-/// session the session's `MetricsRegistry` cells, so those series count
-/// across its engines and are the ones bumped.
+/// engine bumps once per request, from the [`Outcome`] of the value its
+/// handle receives. Clones share the cells; the default ones are private,
+/// and `chehab-core` hands every engine of a session the session's
+/// `MetricsRegistry` cells, so those series count across its engines.
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceStats {
-    /// Requests cancelled (explicitly, via [`RequestHandle::cancel`] or a
-    /// fault plan) before completing.
+    /// Requests whose result reports [`Outcome::Cancelled`].
     pub cancelled: Counter,
-    /// Requests whose deadline expired before they completed.
+    /// Requests whose result reports [`Outcome::DeadlineMissed`].
     pub deadline_missed: Counter,
-    /// Isolated worker panics (panicking handlers, planned worker kills).
+    /// Requests whose handler panicked, whose result reports
+    /// [`Outcome::Panicked`], or whose worker was killed serving them.
     pub worker_panics: Counter,
 }
+
+/// How a request ended, as the value its handle receives says.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// The handler produced a result (an error of no kind below included).
+    Served,
+    /// The request was cancelled before it finished.
+    Cancelled,
+    /// The request's deadline expired before it finished.
+    DeadlineMissed,
+    /// A worker panicked running the request.
+    Panicked,
+}
+
+/// A handler result the engine can classify: the one place a request's
+/// [`Outcome`] is read. A plain value is [`Outcome::Served`] through the
+/// provided method, so its impl is an empty block.
+pub trait Classify {
+    /// The outcome this result reports.
+    fn outcome(&self) -> Outcome {
+        Outcome::Served
+    }
+}
+
+impl<T> Classify for Result<T, FheError> {
+    fn outcome(&self) -> Outcome {
+        match self {
+            Err(FheError::Cancelled) => Outcome::Cancelled,
+            Err(FheError::DeadlineExceeded) => Outcome::DeadlineMissed,
+            Err(FheError::WorkerPanic { .. }) => Outcome::Panicked,
+            _ => Outcome::Served,
+        }
+    }
+}
+
+impl Classify for () {}
+impl Classify for u32 {}
+impl Classify for u64 {}
 
 /// Latency histograms of one engine's served traffic, carried in
 /// [`ServingStats::latency`]: what the engine itself observes of a request
@@ -234,7 +267,8 @@ pub struct ServingStats {
     /// (recorded as raw percentages): 100 for every batch of an unbatched
     /// engine.
     pub lane_occupancy: Histogram,
-    /// Batches whose handler panicked or miscounted its results.
+    /// Poisoned batches: the handler panicked, miscounted its results, or
+    /// returned a member result that reports [`Outcome::Panicked`].
     pub batch_panics: u64,
     /// Solo re-runs of the members of poisoned batches of two or more.
     pub solo_retries: u64,
@@ -269,9 +303,7 @@ impl std::fmt::Display for RequestError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RequestError::Panicked => write!(f, "request panicked in its handler"),
-            RequestError::Abandoned => {
-                write!(f, "request was abandoned by the serving engine")
-            }
+            RequestError::Abandoned => write!(f, "request was abandoned by the engine"),
         }
     }
 }
@@ -350,15 +382,8 @@ impl<R> RequestHandle<R> {
     /// states as errors instead.
     pub fn wait(self) -> R {
         let id = self.id;
-        match self.try_wait() {
-            Ok(value) => value,
-            Err(RequestError::Panicked) => {
-                panic!("serving request {id} panicked in its handler")
-            }
-            Err(RequestError::Abandoned) => {
-                panic!("serving request {id} was abandoned by the engine")
-            }
-        }
+        self.try_wait()
+            .unwrap_or_else(|error| panic!("serving request {id}: {error}"))
     }
 }
 
@@ -442,7 +467,7 @@ impl<T, R> std::fmt::Debug for ServingEngine<T, R> {
     }
 }
 
-impl<T: Clone + Send + 'static, R: Send + 'static> ServingEngine<T, R> {
+impl<T: Clone + Send + 'static, R: Classify + Send + 'static> ServingEngine<T, R> {
     /// Starts an unbatched engine: spawns `config.workers` persistent
     /// threads that drain the queue through `handler` (called with the
     /// request id and the request), one request per call — the
@@ -472,13 +497,13 @@ impl<T: Clone + Send + 'static, R: Send + 'static> ServingEngine<T, R> {
     /// their ciphertexts, so none can stop alone and the handler gets `None`.
     ///
     /// The handler returns one result per member, in order. One that
-    /// panics or miscounts poisons the batch, and the worker survives
-    /// either way. A poisoned batch of one poisons its member's handle (its
-    /// retrievers re-raise). The members of a poisoned larger batch shared
-    /// their ciphertexts, so none has a trustworthy result: each runs once
-    /// more alone, under its own token, and only the offender's handle is
-    /// poisoned. That retry is why requests are `Clone` — a batch of two or
-    /// more is cloned before its handler runs.
+    /// panics, miscounts, or returns a result that reports
+    /// [`Outcome::Panicked`] poisons the batch; the worker survives. A batch
+    /// of one sends its member what it got (a handler panic re-raises in
+    /// its retrievers). The members of a poisoned larger batch shared their
+    /// ciphertexts, so each runs once more alone, under its own token (hence
+    /// `T: Clone`), and only the offender's handle gets the failure. Each
+    /// request's outcome is counted once, from what its handle receives.
     ///
     /// Under `max_batch = 1` a job needs no companions, so a caller that
     /// blocks on its handle while the job is still queued takes it off the
@@ -535,7 +560,7 @@ impl<T: Clone + Send + 'static, R: Send + 'static> ServingEngine<T, R> {
                 serve_batch(
                     &shared,
                     &*handler,
-                    Server::Waiter,
+                    None,
                     vec![(job.id, job.request)],
                     vec![job.member],
                     Duration::ZERO,
@@ -562,19 +587,14 @@ impl<T, R> ServingEngine<T, R> {
     /// has started — including for submitters that were blocked on a full
     /// queue when shutdown began.
     pub fn submit(&self, request: T) -> Result<RequestHandle<R>, ServingError> {
-        let mut state = lock(&self.shared.state);
-        loop {
-            if state.shutting_down {
-                return Err(ServingError::ShutDown);
-            }
-            if state.queue.len() < self.shared.config.queue_capacity {
-                break;
-            }
-            state = self
-                .shared
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+        let capacity = self.shared.config.queue_capacity;
+        let state = (self.shared.not_full)
+            .wait_while(lock(&self.shared.state), |state| {
+                !state.shutting_down && state.queue.len() >= capacity
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        if state.shutting_down {
+            return Err(ServingError::ShutDown);
         }
         Ok(self.enqueue(state, request))
     }
@@ -619,10 +639,8 @@ impl<T, R> ServingEngine<T, R> {
         let id = state.submitted;
         state.submitted += 1;
         let (sender, result) = std::sync::mpsc::sync_channel(1);
-        let token = match self.shared.config.deadline {
-            Some(deadline) => CancellationToken::deadline_in(deadline),
-            None => CancellationToken::new(),
-        };
+        let deadline = self.shared.config.deadline;
+        let token = deadline.map_or_else(CancellationToken::new, CancellationToken::deadline_in);
         state.queue.push_back(Job {
             id,
             request,
@@ -682,15 +700,11 @@ impl<T, R> ServingEngine<T, R> {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        let mut state = lock(&self.shared.state);
-        while state.in_flight > 0 {
-            state = self
-                .shared
-                .waiter_done
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        state.queue.clear();
+        (self.shared.waiter_done)
+            .wait_while(lock(&self.shared.state), |state| state.in_flight > 0)
+            .unwrap_or_else(PoisonError::into_inner)
+            .queue
+            .clear();
     }
 }
 
@@ -704,31 +718,22 @@ impl<T, R> Drop for ServingEngine<T, R> {
 /// between popping the jobs and sending their results (a planned worker
 /// kill, or a genuine panic in the engine's own bookkeeping), the guard's
 /// drop runs during the unwind, repairs the in-flight count so stats stay
-/// truthful, and counts the panic. The members drop after the guard, so
-/// their waiters wake to [`RequestError::Abandoned`] with the count already
-/// repaired.
+/// truthful, and counts a worker panic per abandoned member. The members
+/// drop after the guard, so their waiters wake to
+/// [`RequestError::Abandoned`] with the count already repaired.
 struct FulfillGuard<'a, T, R> {
     shared: &'a Shared<T, R>,
     size: usize,
-    armed: bool,
-}
-
-impl<T, R> FulfillGuard<'_, T, R> {
-    fn disarm(mut self) {
-        self.armed = false;
-    }
 }
 
 impl<T, R> Drop for FulfillGuard<'_, T, R> {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
         let mut state = lock(&self.shared.state);
         state.in_flight = state.in_flight.saturating_sub(self.size);
         drop(state);
         self.shared.waiter_done.notify_all();
-        self.shared.config.resilience.worker_panics.inc();
+        let panics = &self.shared.config.resilience.worker_panics;
+        panics.add(self.size as u64);
     }
 }
 
@@ -737,7 +742,11 @@ impl<T, R> Drop for FulfillGuard<'_, T, R> {
 /// until shutdown *and* an empty queue. Shutdown flushes the gathering
 /// batch immediately. Under [`BatchPolicy::solo`] the gather step is a
 /// no-op and this is a plain pop-execute-publish loop.
-fn worker_loop<T: Clone, R>(shared: &Shared<T, R>, worker: usize, handler: &BatchHandler<T, R>) {
+fn worker_loop<T: Clone, R: Classify>(
+    shared: &Shared<T, R>,
+    worker: usize,
+    handler: &BatchHandler<T, R>,
+) {
     let policy = shared.policy;
     // Trace track of this serving worker, allocated on its first served job
     // so idle workers leave no empty tracks in the export.
@@ -796,48 +805,32 @@ fn worker_loop<T: Clone, R>(shared: &Shared<T, R>, worker: usize, handler: &Batc
         shared.not_full.notify_all();
         let linger = gather_start.elapsed();
 
-        let server = Server::Worker {
-            index: worker,
-            track: &mut track,
-        };
-        serve_batch(shared, handler, server, requests, members, linger);
+        let worker = Some((worker, &mut track));
+        serve_batch(shared, handler, worker, requests, members, linger);
     }
-}
-
-/// The thread serving a batch.
-enum Server<'a> {
-    /// One of the engine's workers, with its lazily allocated trace track.
-    Worker {
-        index: usize,
-        track: &'a mut Option<usize>,
-    },
-    /// The caller blocked on the job's handle (engines without a fault plan
-    /// or a trace sink only, so neither applies to it).
-    Waiter,
 }
 
 /// Runs the handler once for a batch already taken off the queue (and
 /// counted in `in_flight`) — and, if that run is poisoned, each member of a
-/// larger batch once more alone — records it, and sends each member its
-/// result.
-fn serve_batch<T: Clone, R>(
+/// larger batch once more alone — records it, counts each member's outcome
+/// from the value it is sent, and sends it. `worker` is the serving
+/// worker's index and lazily allocated trace track; `None` is the caller
+/// blocked on the job's handle (engines without a fault plan or a trace
+/// sink only, so neither applies to it).
+fn serve_batch<T: Clone, R: Classify>(
     shared: &Shared<T, R>,
     handler: &BatchHandler<T, R>,
-    server: Server<'_>,
+    worker: Option<(usize, &mut Option<usize>)>,
     requests: Vec<(u64, T)>,
     members: Vec<Member<R>>,
     linger: Duration,
 ) {
     let size = members.len();
-    // From here to `disarm` the batch is this thread's responsibility: if
-    // it dies, the guard repairs the counts and `members`, dropped after it,
-    // abandons every handle.
-    let guard = FulfillGuard {
-        shared,
-        size,
-        armed: true,
-    };
-    if let (Some(plan), Server::Worker { index, .. }) = (&shared.config.faults, &server) {
+    // Until the guard is forgotten the batch is this thread's
+    // responsibility: if it dies, the guard repairs the counts and
+    // `members`, dropped after it, abandons every handle.
+    let guard = FulfillGuard { shared, size };
+    if let (Some(plan), Some((index, _))) = (&shared.config.faults, &worker) {
         if plan.take_worker_kill() {
             panic!("injected fault: serving worker {index} killed");
         }
@@ -857,19 +850,22 @@ fn serve_batch<T: Clone, R>(
     let retry_pool = (size > 1).then(|| requests.clone());
     let solo_token = (size == 1).then(|| &members[0].token);
     let results = run(requests, solo_token);
-    let poisoned = results.is_none();
-    let results: Vec<Option<R>> = match (results, retry_pool) {
-        (Some(results), _) => results.into_iter().map(Some).collect(),
-        (None, None) => vec![None],
+    // So does a member result that reports a worker panic: an executor
+    // panic fails every member of the shared run.
+    let poisoned = results
+        .as_ref()
+        .is_none_or(|results| results.iter().any(|r| r.outcome() == Outcome::Panicked));
+    let results: Vec<Option<R>> = match retry_pool {
         // Isolate the offender: each member runs alone, exactly once, as
         // the batch of one it now is.
-        (None, Some(pool)) => pool
+        Some(pool) if poisoned => pool
             .into_iter()
             .zip(&members)
             .map(|(request, member)| {
                 run(vec![request], Some(&member.token)).and_then(|mut result| result.pop())
             })
             .collect(),
+        _ => results.map_or_else(|| vec![None], |r| r.into_iter().map(Some).collect()),
     };
     let elapsed = started.elapsed();
 
@@ -877,9 +873,6 @@ fn serve_batch<T: Clone, R>(
     // already observe its request in the counters when it calls
     // `stats()` — the latency counters before `in_flight`, so that a halt
     // that sees nothing in flight reports everything completed.
-    // Classify each outcome while it is fresh: the token states are read
-    // immediately after the handler returns, so a deadline that expires
-    // later (while the result sits unretrieved) is not miscounted.
     let resilience = &shared.config.resilience;
     let queue_wait = |member: &Member<R>| started.saturating_duration_since(member.enqueued);
     let mut stats = lock(&shared.stats);
@@ -896,21 +889,16 @@ fn serve_batch<T: Clone, R>(
     for (member, result) in members.iter().zip(&results) {
         stats.latency.request_wall.record(elapsed);
         stats.latency.queue_wait.record(queue_wait(member));
-        let outcome = if result.is_none() {
-            &resilience.worker_panics
-        } else if member.token.is_cancelled() {
-            &resilience.cancelled
-        } else if member.token.deadline_expired() {
-            &resilience.deadline_missed
-        } else {
-            continue;
-        };
-        outcome.inc();
+        match result.as_ref().map_or(Outcome::Panicked, R::outcome) {
+            Outcome::Served => {}
+            Outcome::Cancelled => resilience.cancelled.inc(),
+            Outcome::DeadlineMissed => resilience.deadline_missed.inc(),
+            Outcome::Panicked => resilience.worker_panics.inc(),
+        }
     }
     drop(stats);
     lock(&shared.state).in_flight -= size;
-    if let (Some(sink), Server::Worker { index, track }) = (shared.config.trace.as_deref(), server)
-    {
+    if let (Some(sink), Some((index, track))) = (shared.config.trace.as_deref(), worker) {
         let track =
             *track.get_or_insert_with(|| sink.allocate_track(format!("serving worker {index}")));
         for member in &members {
@@ -931,7 +919,7 @@ fn serve_batch<T: Clone, R>(
     for (member, result) in members.iter().zip(results) {
         let _ = member.result.send(result);
     }
-    guard.disarm();
+    std::mem::forget(guard);
 }
 
 #[cfg(test)]
@@ -939,11 +927,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    impl Classify for (u64, u64) {}
+    impl Classify for std::thread::ThreadId {}
+
     fn engine_with<F, T, R>(workers: usize, capacity: usize, handler: F) -> ServingEngine<T, R>
     where
         F: Fn(u64, T) -> R + Send + Sync + 'static,
         T: Clone + Send + 'static,
-        R: Send + 'static,
+        R: Classify + Send + 'static,
     {
         ServingEngine::new(ServingConfig::sized(workers, capacity), handler)
     }
@@ -953,11 +944,8 @@ mod tests {
         // Earlier submissions sleep longer, so with 4 workers the completion
         // order inverts the submission order — handles must still pair each
         // submission with its own result.
-        let completion_order = Arc::new(Mutex::new(Vec::new()));
-        let order = Arc::clone(&completion_order);
         let engine = engine_with(4, 16, move |id, sleep_ms: u64| {
             std::thread::sleep(Duration::from_millis(sleep_ms));
-            lock(&order).push(id);
             (id, sleep_ms * 2)
         });
         let handles: Vec<_> = (0..4)
@@ -967,12 +955,7 @@ mod tests {
             assert_eq!(handle.id(), i as u64);
             assert_eq!(handle.wait(), (i as u64, (4 - i as u64) * 40 * 2));
         }
-        let order = lock(&completion_order);
-        assert_eq!(order.len(), 4);
-        // On a multi-core host the sleeps force inversion; on a single-core
-        // host thread preemption still runs all four concurrently.
-        drop(order);
-        engine.shutdown();
+        assert_eq!(engine.shutdown().completed, 4);
     }
 
     /// A thread that panics holding the engine's stats accumulator poisons
@@ -1023,18 +1006,10 @@ mod tests {
 
     #[test]
     fn submission_after_shutdown_is_rejected() {
-        let engine: ServingEngine<u32, u32> = engine_with(1, 4, |_, v| v);
-        let handle = engine.submit(7).unwrap();
-        assert_eq!(handle.wait(), 7);
-        // Shutdown via an aliased engine reference is not possible (it takes
-        // self), so exercise the error through a second engine.
-        let stats = engine.shutdown();
-        assert_eq!(stats.completed, 1);
-
-        let engine: ServingEngine<u32, u32> = engine_with(1, 4, |_, v| v);
-        drop(engine.submit(1).unwrap());
-        let mut engine = engine;
+        let mut engine: ServingEngine<u32, u32> = engine_with(1, 4, |_, v| v);
+        assert_eq!(engine.submit(7).unwrap().wait(), 7);
         engine.halt();
+        assert_eq!(engine.stats().completed, 1);
         assert_eq!(engine.submit(2).unwrap_err(), ServingError::ShutDown);
     }
 
@@ -1191,84 +1166,108 @@ mod tests {
         engine.shutdown();
     }
 
+    /// An outcome is counted from the value the handle receives, not from
+    /// the token: a cancelled request whose handler ran it to a result
+    /// anyway counts as served.
     #[test]
     fn cancelled_and_expired_requests_are_classified_per_outcome() {
-        use crate::faults::CancellationToken;
         let config = ServingConfig {
             deadline: Some(Duration::from_millis(5)),
             ..ServingConfig::sized(1, 8)
         };
         let resilience = config.resilience.clone();
-        // A token-aware handler: reports how the token looked when it ran.
-        // Every batch of one carries its member's own token.
-        let engine: ServingEngine<u64, &'static str> =
+        // A handler shaped like the FHE one: it sleeps, then (when asked)
+        // stops on its member's token the way an executor does.
+        let engine: ServingEngine<(u64, bool), Result<u64, FheError>> =
             ServingEngine::batched(config, BatchPolicy::solo(), |batch, token| {
-                let token: &CancellationToken = token.expect("a batch of one carries its token");
-                std::thread::sleep(Duration::from_millis(batch[0].1));
-                vec![if token.is_cancelled() {
-                    "cancelled"
-                } else if token.deadline_expired() {
-                    "expired"
-                } else {
-                    "ok"
-                }]
+                let token = token.expect("a batch of one carries its token");
+                let (_, (sleep_ms, checked)) = batch[0];
+                std::thread::sleep(Duration::from_millis(sleep_ms));
+                let stopped = if checked { token.check() } else { Ok(()) };
+                vec![stopped.map(|()| sleep_ms)]
             });
-        let fast = engine.submit(0).unwrap();
-        assert_eq!(fast.wait(), "ok");
-        let slow = engine.submit(20).unwrap();
-        assert_eq!(slow.wait(), "expired");
-        let doomed = engine.submit(1).unwrap();
+        assert_eq!(engine.submit((0, true)).unwrap().wait(), Ok(0));
+        let slow = engine.submit((20, true)).unwrap();
+        assert_eq!(slow.wait(), Err(FheError::DeadlineExceeded));
+        let doomed = engine.submit((1, true)).unwrap();
         doomed.cancel();
-        assert_eq!(doomed.wait(), "cancelled");
-        assert_eq!(engine.shutdown().completed, 3);
+        assert_eq!(doomed.wait(), Err(FheError::Cancelled));
+        let finished = engine.submit((1, false)).unwrap();
+        finished.cancel();
+        assert_eq!(finished.wait(), Ok(1));
+        assert_eq!(engine.shutdown().completed, 4);
         assert_eq!(resilience.cancelled.get(), 1);
         assert_eq!(resilience.deadline_missed.get(), 1);
         assert_eq!(resilience.worker_panics.get(), 0);
     }
 
-    /// Under a two-member policy whose batches flush only when full, a
-    /// poisoned batch re-runs each member alone: the offender's handle is
-    /// poisoned, its batch-mate gets its result, and each member is counted
-    /// once whatever retries ran.
-    fn the_offender_alone_is_poisoned<F>(handler: F)
+    /// A poisoned batch of requests 13 and 7 (flushed only when full)
+    /// re-runs each member alone, under its own token, counting each once
+    /// whatever retries ran: returns both results and the panics counted.
+    fn a_poisoned_batch_reruns<F, R>(handler: F) -> ([Result<R, RequestError>; 2], u64)
     where
-        F: Fn(Vec<(u64, u32)>) -> Vec<u32> + Send + Sync + 'static,
+        F: Fn(Vec<(u64, u32)>) -> Vec<R> + Send + Sync + 'static,
+        R: Classify + Send + 'static,
     {
         let policy = BatchPolicy::default()
             .with_max_batch(2)
             .with_max_linger(Duration::from_secs(60));
         let config = ServingConfig::sized(1, 8);
         let panics = config.resilience.worker_panics.clone();
-        let engine = ServingEngine::batched(config, policy, move |batch, _| handler(batch));
+        let engine = ServingEngine::batched(config, policy, move |batch, token| {
+            assert_eq!(
+                token.is_some(),
+                batch.len() == 1,
+                "a solo run has its token"
+            );
+            handler(batch)
+        });
         let bad = engine.submit(13).unwrap();
         let mate = engine.submit(7).unwrap();
-        assert_eq!(bad.try_wait(), Err(RequestError::Panicked));
-        assert_eq!(mate.wait(), 14);
+        let results = [bad.try_wait(), mate.try_wait()];
         let stats = engine.shutdown();
         assert_eq!((stats.batches_formed, stats.completed), (1, 2));
         assert_eq!((stats.batch_panics, stats.solo_retries), (1, 2));
-        assert_eq!(panics.get(), 1);
         assert_eq!(stats.latency.queue_wait.count(), 2);
+        (results, panics.get())
     }
 
     #[test]
     fn a_panicking_batch_poisons_only_its_offender() {
-        the_offender_alone_is_poisoned(|batch| {
+        let results = a_poisoned_batch_reruns(|batch| {
             assert!(batch.iter().all(|&(_, v)| v != 13), "unlucky batch");
-            batch.into_iter().map(|(_, v)| v * 2).collect()
+            batch.into_iter().map(|(_, v)| v * 2).collect::<Vec<_>>()
         });
+        assert_eq!(results, ([Err(RequestError::Panicked), Ok(14)], 1));
     }
 
     #[test]
     fn a_miscounting_batch_poisons_only_its_offender() {
         // One result too few whenever the offender is in the batch.
-        the_offender_alone_is_poisoned(|batch| {
+        let results = a_poisoned_batch_reruns(|batch| {
+            let kept = batch.into_iter().filter(|&(_, v)| v != 13);
+            kept.map(|(_, v)| v * 2).collect::<Vec<_>>()
+        });
+        assert_eq!(results, ([Err(RequestError::Panicked), Ok(14)], 1));
+    }
+
+    /// A batch whose results report a worker panic (an executor panic fails
+    /// the whole shared run) is poisoned like one whose handler panics:
+    /// each handle gets its member's solo result.
+    #[test]
+    fn a_batch_whose_results_report_a_panic_reruns_each_member_alone() {
+        let results = a_poisoned_batch_reruns(|batch| {
+            let shared = batch.len() > 1;
+            let panic = || FheError::WorkerPanic {
+                message: "the shared run".into(),
+            };
+            let result = |v: u32| if shared { Err(panic()) } else { Ok(v * 2) };
             batch
                 .into_iter()
-                .filter(|&(_, v)| v != 13)
-                .map(|(_, v)| v * 2)
-                .collect()
+                .map(|(_, v)| result(v))
+                .collect::<Vec<_>>()
         });
+        assert_eq!(results, ([Ok(Ok(26)), Ok(Ok(14))], 0));
     }
 
     #[test]
@@ -1311,7 +1310,8 @@ mod tests {
         // with it its sender, so its waiter resolves too.
         let stranded = engine.submit(2).unwrap();
         engine.shutdown();
-        assert!(panics.get() >= 1);
+        // One kill abandons one member; a job dropped at halt is no panic.
+        assert_eq!(panics.get(), 1);
         assert_eq!(stranded.try_wait(), Err(RequestError::Abandoned));
     }
 

@@ -141,11 +141,6 @@ impl Rule {
         self.placement
     }
 
-    /// Returns `true` if the rule is declarative (pattern-based).
-    pub fn is_declarative(&self) -> bool {
-        matches!(self.body, RuleBody::Rewrite { .. })
-    }
-
     /// Attempts to apply the rule at the root of `expr`, returning the
     /// rewritten node on success.
     pub fn try_apply(&self, expr: &Expr) -> Option<Expr> {
@@ -256,7 +251,7 @@ mod tests {
         });
         assert_eq!(rule.try_apply(&Expr::Const(3)), Some(Expr::Const(6)));
         assert_eq!(rule.try_apply(&parse("x").unwrap()), None);
-        assert!(!rule.is_declarative());
+        assert!(matches!(rule.body, RuleBody::Procedural(_)));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use chehab::compiler::{
     FheSession, RequestError, TrySubmitError,
 };
 use chehab::fhe::{BfvParameters, FheError};
+use chehab::runtime::ServingStats;
 use chehab::{benchsuite, benchsuite::Benchmark};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -353,7 +354,11 @@ fn a_killed_worker_abandons_its_request_without_hanging_waiters() {
             "the surviving worker drains the rest"
         );
         engine.shutdown();
-        assert!(metric(&session, "chehab_worker_panics_total") >= 1);
+        // One worker panic per abandoned member, whatever the batch size.
+        assert_eq!(
+            metric(&session, "chehab_worker_panics_total"),
+            abandoned as u64
+        );
     }
 }
 
@@ -471,4 +476,151 @@ fn forced_queue_full_rejects_a_batched_try_submit() {
         .expect("the budget is spent");
     assert!(handle.wait().unwrap().decryption_ok);
     assert_eq!(coalescer.shutdown().completed, 1);
+}
+
+/// What a handle received, as `RequestHandle::try_wait` returns it.
+type Received = Result<Result<ExecutionReport, FheError>, RequestError>;
+
+/// The session's outcome series: cancelled, deadline missed, worker panics.
+fn outcome_series(session: &FheSession) -> [u64; 3] {
+    [
+        "chehab_requests_cancelled_total",
+        "chehab_deadline_missed_total",
+        "chehab_worker_panics_total",
+    ]
+    .map(|name| metric(session, name))
+}
+
+/// The handles' results tallied by the same three kinds; a handle that
+/// never got a value (a handler panic, an abandoned request) is a worker
+/// panic.
+fn tally(received: &[Received]) -> [u64; 3] {
+    let mut kinds = [0; 3];
+    for result in received {
+        match result {
+            Ok(Err(FheError::Cancelled)) => kinds[0] += 1,
+            Ok(Err(FheError::DeadlineExceeded)) => kinds[1] += 1,
+            Ok(Err(FheError::WorkerPanic { .. })) | Err(_) => kinds[2] += 1,
+            Ok(_) => {}
+        }
+    }
+    kinds
+}
+
+/// Serves `n` requests through one engine whose batches fill: four lanes
+/// and a one-minute linger, so a batch flushes when full, at a member's
+/// deadline, or at shutdown. The members `cancel` picks are cancelled right
+/// after their own submission, while their batch lingers. Returns what each
+/// handle received, the engine's stats, and how far the session's outcome
+/// series moved.
+fn serve_filling_batches(
+    session: &Arc<FheSession>,
+    benchmark: &Benchmark,
+    n: usize,
+    options: ExecOptions,
+    plan: Option<FaultPlan>,
+    cancel: fn(usize) -> bool,
+) -> (Vec<Received>, ServingStats, [u64; 3]) {
+    let before = outcome_series(session);
+    let policy = BatchPolicy::default()
+        .with_max_batch(4)
+        .with_max_linger(Duration::from_secs(60));
+    let hooks = ExecHooks {
+        faults: plan,
+        ..ExecHooks::default()
+    };
+    let engine = session.serve_with(&options.with_batching(policy), &hooks);
+    let handles: Vec<_> = (0..n)
+        .map(|i| {
+            let handle = engine.submit(inputs_of(benchmark, 60 + i as u64)).unwrap();
+            if cancel(i) {
+                handle.cancel();
+            }
+            handle
+        })
+        .collect();
+    let stats = engine.shutdown();
+    let received = handles.into_iter().map(|h| h.try_wait()).collect();
+    let after = outcome_series(session);
+    let moved = [0, 1, 2].map(|k| after[k] - before[k]);
+    (received, stats, moved)
+}
+
+/// Each outcome series counts what the handles received, over a sweep of
+/// batch sizes 1–4 and four cases: no fault, executor panics, a cancelled
+/// subset and an expired deadline. A batch of two or more runs under no
+/// member's token, so a cancelled member whose shared run completed is
+/// served; an executor panic poisons the batch, and each member runs again
+/// alone under its own token.
+#[test]
+fn each_outcome_series_equals_the_handles_of_its_kind() {
+    let (session, benchmark) = session_for("Dot Product 8");
+    assert!(session.batch_capacity() >= 4, "four users fit one batch");
+    let solo = ExecOptions::sequential();
+    let expired = solo.with_deadline(Duration::from_nanos(1));
+    let none: fn(usize) -> bool = |_| false;
+    let even: fn(usize) -> bool = |i| i % 2 == 0;
+    for n in 1..=4 {
+        let cases = [
+            ("no fault", solo, None, none),
+            // The shared run panics at dispatch 0, the first solo retry at 1.
+            ("panic_at", solo, Some(FaultPlan::panic_at(&[0, 1])), none),
+            ("cancelled subset", solo, None, even),
+            ("expired deadline", expired, None, none),
+        ];
+        for (case, options, plan, cancel) in cases {
+            let (received, stats, series) =
+                serve_filling_batches(&session, &benchmark, n, options, plan, cancel);
+            let handles = tally(&received);
+            assert_eq!(series, handles, "{case}, {n} requests: series vs handles");
+            assert_eq!(stats.completed, n as u64, "{case}, {n} requests");
+            for result in &received {
+                if let Ok(Ok(report)) = result {
+                    assert!(report.decryption_ok, "{case}, {n} requests");
+                }
+            }
+            let lone = u64::from(n == 1);
+            match case {
+                "no fault" => assert_eq!(handles, [0, 0, 0]),
+                "panic_at" => {
+                    assert_eq!(handles, [0, 0, 1], "{n} requests");
+                    let retried = if n > 1 { n as u64 } else { 0 };
+                    assert_eq!((stats.batch_panics, stats.solo_retries), (1, retried));
+                }
+                "cancelled subset" => assert_eq!(handles, [lone, 0, 0], "{n} requests"),
+                _ => {
+                    // Batches form as the expired members flush; a member
+                    // that ran alone reports its deadline.
+                    assert_eq!((handles[0], handles[2]), (0, 0), "{n} requests");
+                    assert!(handles[1] >= lone, "{n} requests");
+                }
+            }
+        }
+    }
+}
+
+/// A batch of two lingers with the second member cancelled, and its shared
+/// run panics at its first dispatch: the batch is poisoned, the first
+/// member's solo retry serves it, and the second's stops on its cancelled
+/// token. No handle received a worker panic, so none is counted; one
+/// received `Cancelled`, so one is.
+#[test]
+fn an_executor_panic_in_a_batch_with_a_cancelled_member_counts_what_each_handle_gets() {
+    let (session, benchmark) = session_for("Dot Product 8");
+    let (received, stats, series) = serve_filling_batches(
+        &session,
+        &benchmark,
+        2,
+        ExecOptions::sequential(),
+        Some(FaultPlan::panic_at(&[0])),
+        |i| i == 1,
+    );
+    assert!(matches!(received[0], Ok(Ok(ref report)) if report.decryption_ok));
+    assert!(matches!(received[1], Ok(Err(FheError::Cancelled))));
+    assert_eq!(
+        series,
+        [1, 0, 0],
+        "cancelled 1, deadline missed 0, panics 0"
+    );
+    assert_eq!((stats.batch_panics, stats.solo_retries), (1, 2));
 }
