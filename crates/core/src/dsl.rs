@@ -161,11 +161,6 @@ impl DslProgram {
         &self.inputs
     }
 
-    /// Number of outputs registered so far.
-    pub fn output_count(&self) -> usize {
-        self.outputs.len()
-    }
-
     /// Lowers the program to CHEHAB IR: a single scalar expression for
     /// single-output programs, a `Vec` of outputs otherwise.
     ///
@@ -220,7 +215,7 @@ mod tests {
         let product = &a * &b;
         p.set_output(&sum);
         p.set_output(&product);
-        assert_eq!(p.output_count(), 2);
+        assert_eq!(p.outputs.len(), 2);
         assert_eq!(p.lower(), parse("(Vec (+ a b) (* a b))").unwrap());
     }
 

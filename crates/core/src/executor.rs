@@ -459,7 +459,7 @@ impl SessionMetrics {
                 ),
                 worker_panics: registry.counter(
                     "chehab_worker_panics_total",
-                    "Serving-worker panics isolated across this session's engines",
+                    "Requests abandoned by a serving-worker panic, or stranded behind dead workers at shutdown, across this session's engines",
                 ),
             },
             registry,

@@ -204,21 +204,6 @@ impl BfvParameters {
         f64::from(self.coeff_modulus_bits) - f64::from(self.plain_modulus_bits())
     }
 
-    /// Returns `true` if the total coefficient modulus respects the security
-    /// table for the chosen level.
-    pub fn is_standard_secure(&self) -> bool {
-        self.coeff_modulus_bits
-            <= self
-                .security_level
-                .max_coeff_modulus_bits(self.poly_modulus_degree)
-    }
-
-    /// Approximate size of one ciphertext in bytes (two polynomials of `n`
-    /// coefficients of `coeff_modulus_bits` bits each).
-    pub fn ciphertext_size_bytes(&self) -> usize {
-        2 * self.poly_modulus_degree * (self.coeff_modulus_bits as usize).div_ceil(8)
-    }
-
     /// Approximate size of one Galois (rotation) key in bytes. Each key holds
     /// roughly `2 * ceil(coeff_bits / 60)` polynomials per decomposition
     /// digit, which is what makes shipping many rotation keys expensive
@@ -249,7 +234,11 @@ mod tests {
         assert_eq!(p.slot_count(), 16384);
         assert_eq!(p.plain_modulus_bits(), 20);
         assert_eq!(p.fresh_noise_budget_bits(), 369.0);
-        assert!(p.is_standard_secure());
+        assert!(
+            p.coeff_modulus_bits
+                <= p.security_level
+                    .max_coeff_modulus_bits(p.poly_modulus_degree)
+        );
     }
 
     #[test]
@@ -299,8 +288,12 @@ mod tests {
     #[test]
     fn key_and_ciphertext_sizes_are_multi_megabyte_for_paper_parameters() {
         let p = BfvParameters::default_128();
-        assert!(p.ciphertext_size_bytes() > 1_000_000);
-        assert!(p.galois_key_size_bytes() > p.ciphertext_size_bytes());
+        // A ciphertext is two polynomials of `n` coefficients of
+        // `coeff_modulus_bits` bits each.
+        let ciphertext_bytes =
+            2 * p.poly_modulus_degree * (p.coeff_modulus_bits as usize).div_ceil(8);
+        assert!(ciphertext_bytes > 1_000_000);
+        assert!(p.galois_key_size_bytes() > ciphertext_bytes);
     }
 
     #[test]

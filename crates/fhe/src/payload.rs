@@ -272,7 +272,7 @@ mod tests {
     /// One `k`-limb chain at `degree` per lane the CPU has, scalar first:
     /// a kernel runs on its chain's lane.
     fn lanes(k: usize, degree: usize) -> Vec<ModulusChain> {
-        let policies = crate::simd::available_policies(module_path!());
+        let policies = crate::simd::tests::available_policies(module_path!());
         (policies.into_iter())
             .map(|policy| ModulusChain::with_policy(k, degree, policy))
             .collect()

@@ -705,7 +705,7 @@ mod tests {
     fn limb_ntt_pointwise_is_negacyclic_convolution() {
         let degree = 16usize;
         let policies =
-            crate::simd::available_policies("limb_ntt_pointwise_is_negacyclic_convolution");
+            crate::simd::tests::available_policies("limb_ntt_pointwise_is_negacyclic_convolution");
         for policy in policies {
             let chain = ModulusChain::with_policy(3, degree, policy);
             for (index, limb) in chain.limbs().iter().enumerate() {
@@ -776,7 +776,7 @@ mod tests {
     fn sampling_is_one_reduced_draw_per_coefficient_lifted_to_every_limb() {
         use rand::{RngCore, SeedableRng};
         use rand_chacha::ChaCha8Rng;
-        let policies = crate::simd::available_policies(
+        let policies = crate::simd::tests::available_policies(
             "sampling_is_one_reduced_draw_per_coefficient_lifted_to_every_limb",
         );
         let cases = [1usize, 3].map(|k| policies.iter().map(move |&policy| (k, policy)));
@@ -936,9 +936,9 @@ mod tests {
         let s0 = reduce(random_values(n, 15));
         let s1 = reduce(random_values(n, 16));
 
-        for policy in
-            crate::simd::available_policies("generic_chunk_kernels_match_reference_arithmetic")
-        {
+        for policy in crate::simd::tests::available_policies(
+            "generic_chunk_kernels_match_reference_arithmetic",
+        ) {
             let chain = ModulusChain::with_policy(2, 64, policy);
             let limb = chain.limb(1);
             let (mut o0, mut o1) = (vec![0u64; n], vec![0u64; n]);

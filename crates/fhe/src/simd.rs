@@ -261,18 +261,6 @@ impl SimdPolicy {
     }
 }
 
-/// Every policy whose lane this CPU has, scalar first; `test` names who
-/// asks when the skipped ones are printed.
-#[cfg(test)]
-pub(crate) fn available_policies(test: &str) -> Vec<SimdPolicy> {
-    let (have, lack): (Vec<_>, Vec<_>) =
-        SimdPolicy::ALL.into_iter().partition(|p| p.is_available());
-    if !lack.is_empty() {
-        println!("{test}: skipped {lack:?}, which this CPU does not have");
-    }
-    have
-}
-
 // ---------------------------------------------------------------------------
 // The lane axis
 // ---------------------------------------------------------------------------
@@ -1666,10 +1654,21 @@ mod x86 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rns::{Limb, ModulusChain};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Every policy whose lane this CPU has, scalar first; `test` names who
+    /// asks when the skipped ones are printed.
+    pub(crate) fn available_policies(test: &str) -> Vec<SimdPolicy> {
+        let (have, lack): (Vec<_>, Vec<_>) =
+            SimdPolicy::ALL.into_iter().partition(|p| p.is_available());
+        if !lack.is_empty() {
+            println!("{test}: skipped {lack:?}, which this CPU does not have");
+        }
+        have
+    }
 
     /// Deterministic pseudo-random u64s (full range — lazy inputs need not
     /// be canonical).

@@ -123,24 +123,6 @@ impl CircuitDag {
         self.nodes.is_empty()
     }
 
-    /// Number of non-leaf (operation) nodes after sharing.
-    pub fn operation_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_operation()).count()
-    }
-
-    /// Number of uses of each node (fan-out). Nodes with fan-out greater than
-    /// one are shared subexpressions.
-    pub fn use_counts(&self) -> Vec<usize> {
-        let mut uses = vec![0usize; self.nodes.len()];
-        for node in &self.nodes {
-            for op in node.operands() {
-                uses[op] += 1;
-            }
-        }
-        uses[self.output] += 1;
-        uses
-    }
-
     /// Removes nodes not reachable from the output (dead-code elimination)
     /// and returns the compacted DAG.
     pub fn eliminate_dead_code(&self) -> CircuitDag {
@@ -459,9 +441,12 @@ mod tests {
         let e = parse("(+ (* (* v1 v2) (* v3 v4)) (* (* v3 v4) (* v5 v6)))").unwrap();
         let dag = CircuitDag::from_expr(&e);
         // Tree has 9 operation nodes, but (* v3 v4) is shared: 8 distinct operations.
-        assert_eq!(dag.operation_count(), 6);
-        let shared = dag
-            .use_counts()
+        assert_eq!(dag.nodes().iter().filter(|n| n.is_operation()).count(), 6);
+        let mut uses = vec![0usize; dag.len()];
+        for op in dag.nodes().iter().flat_map(DagNode::operands) {
+            uses[op] += 1;
+        }
+        let shared = uses
             .iter()
             .zip(dag.nodes())
             .filter(|(uses, node)| **uses > 1 && !node.is_leaf())

@@ -54,11 +54,6 @@ impl Adam {
         &self.params
     }
 
-    /// Current learning rate.
-    pub fn learning_rate(&self) -> f32 {
-        self.learning_rate
-    }
-
     /// Applies one update using the gradients currently accumulated on the
     /// parameters, then leaves the gradients untouched (call
     /// `Module::zero_grad` before the next forward pass).
@@ -143,7 +138,7 @@ mod tests {
     fn the_optimizer_keeps_its_learning_rate_and_parameters() {
         let x = Tensor::parameter(Matrix::full(1, 1, 0.0));
         let optimizer = Adam::new(vec![x.clone()], 0.1);
-        assert_eq!(optimizer.learning_rate(), 0.1);
+        assert_eq!(optimizer.learning_rate, 0.1);
         assert_eq!(optimizer.params().len(), 1);
     }
 }

@@ -180,7 +180,8 @@ pub struct ResilienceStats {
     /// Requests whose result reports [`Outcome::DeadlineMissed`].
     pub deadline_missed: Counter,
     /// Requests whose handler panicked, whose result reports
-    /// [`Outcome::Panicked`], or whose worker was killed serving them.
+    /// [`Outcome::Panicked`], whose worker was killed serving them, or
+    /// that were still queued when shutdown found every worker dead.
     pub worker_panics: Counter,
 }
 
@@ -692,7 +693,8 @@ impl<T, R> ServingEngine<T, R> {
     /// waits out jobs their own waiters are serving, then drops any job
     /// still queued after every worker has exited (possible only when
     /// workers died): its dropped sender resolves the waiter with
-    /// [`RequestError::Abandoned`] instead of leaving it blocked forever.
+    /// [`RequestError::Abandoned`] instead of leaving it blocked forever,
+    /// and it counts as a worker panic, as a dying worker's members do.
     pub(crate) fn halt(&mut self) {
         lock(&self.shared.state).shutting_down = true;
         self.shared.not_empty.notify_all();
@@ -700,11 +702,14 @@ impl<T, R> ServingEngine<T, R> {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        (self.shared.waiter_done)
-            .wait_while(lock(&self.shared.state), |state| state.in_flight > 0)
-            .unwrap_or_else(PoisonError::into_inner)
-            .queue
-            .clear();
+        let stranded = std::mem::take(
+            &mut (self.shared.waiter_done)
+                .wait_while(lock(&self.shared.state), |state| state.in_flight > 0)
+                .unwrap_or_else(PoisonError::into_inner)
+                .queue,
+        );
+        let panics = &self.shared.config.resilience.worker_panics;
+        panics.add(stranded.len() as u64);
     }
 }
 
@@ -1310,8 +1315,9 @@ mod tests {
         // with it its sender, so its waiter resolves too.
         let stranded = engine.submit(2).unwrap();
         engine.shutdown();
-        // One kill abandons one member; a job dropped at halt is no panic.
-        assert_eq!(panics.get(), 1);
+        // One kill abandons one member and halt strands the other: each
+        // abandoned handle is one worker panic.
+        assert_eq!(panics.get(), 2);
         assert_eq!(stranded.try_wait(), Err(RequestError::Abandoned));
     }
 
