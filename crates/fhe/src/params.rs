@@ -30,6 +30,16 @@ pub enum ParameterError {
     /// The plaintext modulus is outside the `[2, 2^32)` range the slot
     /// reducer ([`PlainModulus`](crate::PlainModulus)) covers.
     PlainModulusOutOfRange(u64),
+    /// The coefficient modulus is larger than the Homomorphic Encryption
+    /// Standard allows at the declared security level.
+    CoeffModulusAboveSecurityBound {
+        /// The declared coefficient-modulus size in bits.
+        coeff_modulus_bits: u32,
+        /// The largest size the declared level allows at this degree.
+        max_bits: u32,
+        /// The declared level.
+        level: SecurityLevel,
+    },
 }
 
 impl fmt::Display for ParameterError {
@@ -54,6 +64,10 @@ impl fmt::Display for ParameterError {
             ParameterError::PlainModulusOutOfRange(t) => {
                 write!(f, "plaintext modulus {t} must be at least 2 and below 2^32")
             }
+            ParameterError::CoeffModulusAboveSecurityBound { coeff_modulus_bits, max_bits, level } => write!(
+                f,
+                "a {coeff_modulus_bits}-bit coefficient modulus exceeds the {max_bits} bits {level:?} allows at this degree"
+            ),
         }
     }
 }
@@ -105,8 +119,10 @@ pub struct BfvParameters {
     pub plain_modulus: u64,
     /// Total size of the coefficient modulus `q` in bits.
     pub coeff_modulus_bits: u32,
-    /// Targeted security level.
-    pub security_level: SecurityLevel,
+    /// The security level the parameters claim, which
+    /// [`BfvParameters::validate`] holds them to; `None` claims none (test
+    /// parameters).
+    pub security_level: Option<SecurityLevel>,
     /// Degree of the payload polynomials the execution engine actually
     /// multiplies to obtain BFV-shaped operation latencies. Smaller values
     /// speed the harness up without changing relative costs; `n` reproduces
@@ -130,20 +146,22 @@ impl BfvParameters {
             poly_modulus_degree: 16384,
             plain_modulus: 786_433, // 20-bit prime, 786433 = 1 + 2^18 * 3, and 786433 ≡ 1 (mod 32768)
             coeff_modulus_bits: 389,
-            security_level: SecurityLevel::Tc128,
+            security_level: Some(SecurityLevel::Tc128),
             payload_degree: 4096,
             limb_count: 1,
         }
     }
 
     /// Small parameters for tests: `n = 1024`, tiny (64-coefficient) payload
-    /// polynomials that still carry every operation's ring arithmetic.
+    /// polynomials that still carry every operation's ring arithmetic. They
+    /// claim no security level: a 120-bit modulus at `n = 1024` is far above
+    /// the 27 bits 128-bit security allows.
     pub fn insecure_test() -> Self {
         BfvParameters {
             poly_modulus_degree: 1024,
             plain_modulus: 786_433,
             coeff_modulus_bits: 120,
-            security_level: SecurityLevel::Tc128,
+            security_level: None,
             payload_degree: 64,
             limb_count: 1,
         }
@@ -183,6 +201,16 @@ impl BfvParameters {
         }
         if self.limb_count == 0 || self.limb_count > 8 {
             return Err(ParameterError::InvalidLimbCount(self.limb_count));
+        }
+        if let Some(level) = self.security_level {
+            let max_bits = level.max_coeff_modulus_bits(self.poly_modulus_degree);
+            if self.coeff_modulus_bits > max_bits {
+                return Err(ParameterError::CoeffModulusAboveSecurityBound {
+                    coeff_modulus_bits: self.coeff_modulus_bits,
+                    max_bits,
+                    level,
+                });
+            }
         }
         Ok(())
     }
@@ -234,11 +262,36 @@ mod tests {
         assert_eq!(p.slot_count(), 16384);
         assert_eq!(p.plain_modulus_bits(), 20);
         assert_eq!(p.fresh_noise_budget_bits(), 369.0);
-        assert!(
-            p.coeff_modulus_bits
-                <= p.security_level
-                    .max_coeff_modulus_bits(p.poly_modulus_degree)
+        assert_eq!(p.security_level, Some(SecurityLevel::Tc128));
+        for k in 1..=8 {
+            p.clone().with_limb_count(k).validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_modulus_above_the_declared_level_is_rejected() {
+        // 389 bits is within Tc128's 438 at n = 16384, not within Tc192's 300.
+        let p = BfvParameters {
+            security_level: Some(SecurityLevel::Tc192),
+            ..BfvParameters::default_128()
+        };
+        assert_eq!(
+            p.validate(),
+            Err(ParameterError::CoeffModulusAboveSecurityBound {
+                coeff_modulus_bits: 389,
+                max_bits: 300,
+                level: SecurityLevel::Tc192,
+            })
         );
+        // The test parameters claim no level; claiming one fails.
+        let claimed = BfvParameters {
+            security_level: Some(SecurityLevel::Tc128),
+            ..BfvParameters::insecure_test()
+        };
+        assert!(matches!(
+            claimed.validate(),
+            Err(ParameterError::CoeffModulusAboveSecurityBound { max_bits: 27, .. })
+        ));
     }
 
     #[test]

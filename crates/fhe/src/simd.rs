@@ -191,6 +191,14 @@ impl SimdPolicy {
     /// Every policy, narrowest lane first.
     pub const ALL: [SimdPolicy; 3] = [SimdPolicy::Scalar, SimdPolicy::Avx2, SimdPolicy::Avx512];
 
+    /// Every policy whose lane this CPU has, scalar first.
+    pub fn available() -> Vec<SimdPolicy> {
+        SimdPolicy::ALL
+            .into_iter()
+            .filter(|p| p.is_available())
+            .collect()
+    }
+
     /// `true` when this CPU can run the policy's lane.
     pub fn is_available(self) -> bool {
         match self {
@@ -1659,13 +1667,12 @@ pub(crate) mod tests {
     use crate::rns::{Limb, ModulusChain};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    /// Every policy whose lane this CPU has, scalar first; `test` names who
-    /// asks when the skipped ones are printed.
+    /// [`SimdPolicy::available`], printing the lanes it skips; `test` names
+    /// who asks.
     pub(crate) fn available_policies(test: &str) -> Vec<SimdPolicy> {
-        let (have, lack): (Vec<_>, Vec<_>) =
-            SimdPolicy::ALL.into_iter().partition(|p| p.is_available());
-        if !lack.is_empty() {
-            println!("{test}: skipped {lack:?}, which this CPU does not have");
+        let have = SimdPolicy::available();
+        for lane in SimdPolicy::ALL.iter().filter(|p| !have.contains(p)) {
+            println!("{test}: skipped {lane:?}, which this CPU does not have");
         }
         have
     }

@@ -169,9 +169,23 @@ impl OpClass {
 }
 
 impl OpCounts {
+    /// Counts one more node of `class`.
     pub(crate) fn record(&mut self, class: OpClass) {
-        let slot = match class {
-            OpClass::Free => return,
+        if let Some(slot) = self.slot(class) {
+            *slot += 1;
+        }
+    }
+
+    /// Counts one fewer node of `class`.
+    pub(crate) fn unrecord(&mut self, class: OpClass) {
+        if let Some(slot) = self.slot(class) {
+            *slot -= 1;
+        }
+    }
+
+    fn slot(&mut self, class: OpClass) -> Option<&mut usize> {
+        Some(match class {
+            OpClass::Free => return None,
             OpClass::ScalarAddSub => &mut self.scalar_add_sub,
             OpClass::ScalarMulCtCt => &mut self.scalar_mul_ct_ct,
             OpClass::ScalarMulCtPt => &mut self.scalar_mul_ct_pt,
@@ -183,8 +197,7 @@ impl OpCounts {
             OpClass::Rotation => &mut self.rotations,
             OpClass::PlaintextOp => &mut self.plaintext_ops,
             OpClass::Pack => &mut self.packs,
-        };
-        *slot += 1;
+        })
     }
 }
 

@@ -10,13 +10,15 @@
 //! persistent interner that many terms share, with every analysis the cost
 //! function needs attached to each node when it is interned. The greedy
 //! rewriter scores its candidates on one such graph instead of on cloned
-//! trees (see `DESIGN.md`, "The compile path").
+//! trees (see `DESIGN.md`, "The compile path"). It keeps one of its terms
+//! *live* — the circuit a search stands on — with a use count per node, so a
+//! rewrite of that circuit is priced by the nodes it adds and removes.
 
 use crate::analysis::{DataKind, OpClass, OpCounts};
 use crate::cost::{CostBreakdown, CostModel};
 use crate::expr::{BinOp, Expr};
+use crate::hash::WordMap;
 use crate::symbol::Symbol;
-use std::collections::HashMap;
 
 /// Identifier of a node inside a [`CircuitDag`].
 pub type NodeId = usize;
@@ -190,6 +192,36 @@ struct NodeAttrs {
     mult_depth: usize,
 }
 
+impl NodeAttrs {
+    /// The attributes of `node`, given its operands'. The one place they are
+    /// computed: [`TermGraph::intern`] stores them, and
+    /// [`TermGraph::rewrite_cost`] reads them off nodes it never interns.
+    fn of(node: &DagNode, operand: impl Fn(NodeId) -> NodeAttrs) -> NodeAttrs {
+        let mut kind = match node {
+            DagNode::CtVar(_) => DataKind::Ciphertext,
+            _ => DataKind::Plaintext,
+        };
+        let (mut depth, mut mult_depth) = (0, 0);
+        node.for_each_operand(|o| {
+            let attrs = operand(o);
+            kind = kind.join(attrs.kind);
+            depth = depth.max(attrs.depth);
+            mult_depth = mult_depth.max(attrs.mult_depth);
+        });
+        let class = OpClass::of(node, kind, |o| operand(o).kind);
+        NodeAttrs {
+            kind,
+            class,
+            depth: depth + usize::from(node.is_operation()),
+            mult_depth: mult_depth + usize::from(class.is_ct_ct_mul()),
+        }
+    }
+}
+
+/// Stands for a node [`TermGraph::rewrite_cost`] has not interned, as the
+/// operand of its fresh parent. No interned id reaches it.
+const FRESH: NodeId = NodeId::MAX;
+
 /// A persistent hash-consed term graph: an interner that any number of
 /// expressions share, so structurally identical subterms — within one
 /// expression or across many — are one node with one id.
@@ -206,6 +238,11 @@ struct NodeAttrs {
 ///
 /// The graph only grows: ids stay valid for its whole life, which is what
 /// lets a caller memoise per-subterm work under them.
+///
+/// One root at a time is *live* ([`TermGraph::set_live`]): the graph keeps
+/// a use count per node of that circuit and the circuit's [`OpCounts`], and
+/// [`TermGraph::rewrite_cost`] prices a rewrite of it from the nodes the
+/// rewrite adds and removes, without interning the rewritten term.
 ///
 /// # Examples
 ///
@@ -225,7 +262,16 @@ struct NodeAttrs {
 pub struct TermGraph {
     nodes: Vec<DagNode>,
     attrs: Vec<NodeAttrs>,
-    interned: HashMap<DagNode, NodeId>,
+    interned: WordMap<DagNode, NodeId>,
+    // The live circuit: its root, each node's number of uses in it (operand
+    // slots of live nodes, plus one for the root; live means nonzero) and
+    // its operation counts.
+    live_root: Option<NodeId>,
+    uses: Vec<u32>,
+    live: OpCounts,
+    // The previous use count of every change `acquire` and `release` made
+    // since the log was last cleared, so a priced rewrite can be undone.
+    undo: Vec<(NodeId, u32)>,
     // Scratch of the reachable-set walk: `seen[id] == epoch` marks a node
     // visited by the current walk, so no walk clears or allocates.
     seen: Vec<u64>,
@@ -289,25 +335,9 @@ impl TermGraph {
         if let Some(&id) = self.interned.get(&node) {
             return id;
         }
-        let mut kind = match node {
-            DagNode::CtVar(_) => DataKind::Ciphertext,
-            _ => DataKind::Plaintext,
-        };
-        let (mut depth, mut mult_depth) = (0, 0);
-        node.for_each_operand(|o| {
-            let operand = self.attrs[o];
-            kind = kind.join(operand.kind);
-            depth = depth.max(operand.depth);
-            mult_depth = mult_depth.max(operand.mult_depth);
-        });
-        let class = OpClass::of(&node, kind, |o| self.attrs[o].kind);
         let id = self.nodes.len();
-        self.attrs.push(NodeAttrs {
-            kind,
-            class,
-            depth: depth + usize::from(node.is_operation()),
-            mult_depth: mult_depth + usize::from(class.is_ct_ct_mul()),
-        });
+        self.attrs.push(NodeAttrs::of(&node, |o| self.attrs[o]));
+        self.uses.push(0);
         self.nodes.push(node.clone());
         self.interned.insert(node, id);
         id
@@ -368,7 +398,13 @@ impl TermGraph {
     ///
     /// Panics if node `id` has no `index`-th operand.
     pub fn with_operand(&mut self, id: NodeId, index: usize, operand: NodeId) -> NodeId {
-        let node = match (&self.nodes[id], index) {
+        let node = self.replaced(id, index, operand);
+        self.intern(node)
+    }
+
+    /// Node `id` with its `index`-th operand replaced by `operand`.
+    fn replaced(&self, id: NodeId, index: usize, operand: NodeId) -> DagNode {
+        match (&self.nodes[id], index) {
             (DagNode::Bin(op, _, b), 0) => DagNode::Bin(*op, operand, *b),
             (DagNode::Bin(op, a, _), 1) => DagNode::Bin(*op, *a, operand),
             (DagNode::VecBin(op, _, b), 0) => DagNode::VecBin(*op, operand, *b),
@@ -382,8 +418,7 @@ impl TermGraph {
                 DagNode::Vec(elems)
             }
             (node, i) => panic!("with_operand: {node:?} has no operand {i}"),
-        };
-        self.intern(node)
+        }
     }
 
     /// Per-category operation counts of the circuit rooted at `root`: every
@@ -427,6 +462,117 @@ impl TermGraph {
     /// ([`CostModel::cost`] of its tree form, bit for bit).
     pub fn cost(&mut self, root: NodeId, model: &CostModel) -> f64 {
         self.breakdown(root, model).total
+    }
+
+    /// Makes the circuit rooted at `root` the live one. The move is
+    /// incremental: `root` takes a use, counting down to the nodes already
+    /// live, then the previous root gives its use up, counting down to the
+    /// nodes still live.
+    pub fn set_live(&mut self, root: NodeId) {
+        self.acquire(root);
+        if let Some(previous) = self.live_root.replace(root) {
+            self.release(previous);
+        }
+        self.undo.clear();
+    }
+
+    /// The cost under `model` of the live circuit with one subterm replaced:
+    /// [`TermGraph::cost`] of the rewritten circuit's interned root, bit for
+    /// bit, with nothing interned.
+    ///
+    /// `spine` names the replaced subterm by its ancestors, bottom-up: a pair
+    /// `(ancestor, child)` says the subterm so far is operand `child` of node
+    /// `ancestor`, and the last ancestor is the live root (an empty spine
+    /// replaces the root). `replacement` is the new subterm's id. Copies of
+    /// the ancestors are looked up until the first one the graph lacks; every
+    /// copy above it is fresh too, with its attributes from the same
+    /// computation [`TermGraph::intern`] stores. The classes of the nodes the
+    /// rewrite brings to life are counted, those of the nodes it kills
+    /// uncounted, and every use count it changed is put back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no circuit is live, or if an ancestor has no such child.
+    pub fn rewrite_cost(
+        &mut self,
+        spine: &[(NodeId, usize)],
+        replacement: NodeId,
+        model: &CostModel,
+    ) -> f64 {
+        let old_root = self
+            .live_root
+            .expect("rewrite_cost prices a rewrite of the live circuit");
+        debug_assert!(
+            spine.last().is_none_or(|&(root, _)| root == old_root),
+            "the spine ends at the live root"
+        );
+        let live = self.live;
+        // The rewritten subterm so far: its id while the graph has it, then
+        // the attributes of its fresh copy.
+        let mut known = Some(replacement);
+        let mut fresh = None;
+        for &(ancestor, child) in spine {
+            let node = self.replaced(ancestor, child, known.unwrap_or(FRESH));
+            if known.is_some() {
+                known = self.interned.get(&node).copied();
+                if known.is_some() {
+                    continue;
+                }
+            }
+            let attrs = NodeAttrs::of(&node, |o| match o {
+                FRESH => fresh.expect("a fresh operand was priced below"),
+                _ => self.attrs[o],
+            });
+            self.live.record(attrs.class);
+            node.for_each_operand(|o| {
+                if o != FRESH {
+                    self.acquire(o);
+                }
+            });
+            fresh = Some(attrs);
+        }
+        let root = match known {
+            Some(id) => {
+                self.acquire(id);
+                self.attrs[id]
+            }
+            None => fresh.expect("a missed ancestor is fresh"),
+        };
+        self.release(old_root);
+        let cost = model.weigh(&self.live, root.depth, root.mult_depth).total;
+        self.live = live;
+        while let Some((id, uses)) = self.undo.pop() {
+            self.uses[id] = uses;
+        }
+        cost
+    }
+
+    /// One more use of `id` in the live circuit: a node that comes alive is
+    /// counted and takes a use of each operand.
+    fn acquire(&mut self, id: NodeId) {
+        self.stack.push(id);
+        while let Some(id) = self.stack.pop() {
+            self.undo.push((id, self.uses[id]));
+            self.uses[id] += 1;
+            if self.uses[id] == 1 {
+                self.live.record(self.attrs[id].class);
+                self.nodes[id].for_each_operand(|o| self.stack.push(o));
+            }
+        }
+    }
+
+    /// One fewer use of `id` in the live circuit: a node that dies is
+    /// uncounted and gives up its use of each operand.
+    fn release(&mut self, id: NodeId) {
+        self.stack.push(id);
+        while let Some(id) = self.stack.pop() {
+            self.undo.push((id, self.uses[id]));
+            self.uses[id] -= 1;
+            if self.uses[id] == 0 {
+                self.live.unrecord(self.attrs[id].class);
+                self.nodes[id].for_each_operand(|o| self.stack.push(o));
+            }
+        }
     }
 }
 
@@ -527,14 +673,19 @@ mod tests {
         (0..count).map(|i| gen.expr(1 + i % 6)).collect()
     }
 
+    /// The default model and a depth-heavy one.
+    fn models() -> [CostModel; 2] {
+        use crate::cost::CostWeights;
+        [
+            CostModel::default(),
+            CostModel::with_weights(CostWeights::new(1.0, 50.0, 50.0)),
+        ]
+    }
+
     #[test]
     fn graph_attributes_equal_the_tree_analyses() {
         use crate::analysis::{circuit_depth, count_ops, data_kind, multiplicative_depth};
-        use crate::cost::CostWeights;
-        let models = [
-            CostModel::default(),
-            CostModel::with_weights(CostWeights::new(1.0, 50.0, 50.0)),
-        ];
+        let models = models();
         // One graph for every program: a root's analyses must not see the
         // other terms the graph holds.
         let mut graph = TermGraph::new();
@@ -584,6 +735,63 @@ mod tests {
                 let replaced = program.replace_at(&path, replacement.clone()).unwrap();
                 assert_eq!(id, graph.intern_expr(&replaced), "{program:?} at {path:?}");
             }
+        }
+    }
+
+    /// The live counts are what a full walk from the live root counts.
+    fn assert_live_counts(graph: &mut TermGraph, root: NodeId) {
+        assert_eq!(graph.live_root, Some(root));
+        let walked = graph.count_ops(root);
+        assert_eq!(graph.live, walked, "live root {root}");
+    }
+
+    #[test]
+    fn a_priced_rewrite_costs_what_its_interned_tree_costs() {
+        let models = models();
+        let programs = generated_programs(0xbead, 301);
+        let mut graph = TermGraph::new();
+        for (program, replacement) in programs.iter().zip(&programs[1..]) {
+            let root = graph.intern_expr(program);
+            graph.set_live(root);
+            assert_live_counts(&mut graph, root);
+            let uses = graph.uses.clone();
+            let new_subterm = graph.intern_expr(replacement);
+            let paths = program.paths();
+            let mut rewritten = Vec::with_capacity(paths.len());
+            for (path, _) in &paths {
+                let spine: Vec<(NodeId, usize)> = (0..path.len())
+                    .rev()
+                    .map(|cut| {
+                        let ancestor = program.at_path(&path[..cut]).unwrap();
+                        (graph.intern_expr(ancestor), path[cut])
+                    })
+                    .collect();
+                let len = graph.len();
+                let prices = models
+                    .each_ref()
+                    .map(|model| graph.rewrite_cost(&spine, new_subterm, model));
+                assert_eq!(graph.len(), len, "pricing interns nothing");
+                let tree = program.replace_at(path, replacement.clone()).unwrap();
+                let id = graph.intern_expr(&tree);
+                for (model, price) in models.iter().zip(prices) {
+                    assert_eq!(
+                        price.to_bits(),
+                        graph.cost(id, model).to_bits(),
+                        "{program:?} at {path:?}"
+                    );
+                }
+                rewritten.push(id);
+            }
+            assert_eq!(
+                graph.uses[..uses.len()],
+                uses,
+                "pricing puts every use back"
+            );
+            assert_live_counts(&mut graph, root);
+            // Move once more, onto a rewritten circuit, before the next program.
+            let moved = rewritten[rewritten.len() / 2];
+            graph.set_live(moved);
+            assert_live_counts(&mut graph, moved);
         }
     }
 

@@ -44,6 +44,7 @@ mod cost;
 mod dag;
 mod eval;
 mod expr;
+mod hash;
 mod parser;
 mod passes;
 mod symbol;
@@ -60,6 +61,7 @@ pub use eval::{
     DEFAULT_PLAIN_MODULUS,
 };
 pub use expr::{BinOp, Expr, Ty, TypeError};
+pub use hash::{WordHasher, WordMap};
 pub use parser::{parse, ParseError};
 pub use passes::{cleanup, constant_fold, merge_rotations};
 pub use symbol::Symbol;

@@ -5,7 +5,7 @@
 use crate::catalog::default_catalog;
 use crate::index::{MatchIndex, Site};
 use crate::rule::{Placement, Rule};
-use chehab_ir::{CostModel, Expr, NodeId};
+use chehab_ir::{CostModel, Expr};
 
 /// Identifies one concrete application site of one rule inside a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -154,9 +154,10 @@ impl RewriteEngine {
     ///
     /// Candidates are scored on one [`MatchIndex`] shared by the whole search
     /// rather than materialised as trees (`DESIGN.md`, "The compile path"):
-    /// a rule's outcome is memoised per distinct subterm, a candidate is the
-    /// replacement's id with the ancestors of the rewritten node re-interned
-    /// up to the root, and only each step's winner is built as an [`Expr`].
+    /// a rule's outcome is memoised per distinct subterm, a candidate is
+    /// priced by the nodes it adds to and removes from the current circuit
+    /// ([`MatchIndex::price`]), and only each step's winner is interned and
+    /// built as an [`Expr`].
     pub fn greedy_optimize(
         &self,
         expr: &Expr,
@@ -166,26 +167,27 @@ impl RewriteEngine {
         let mut index = MatchIndex::new();
         let mut current = expr.clone();
         let mut matches = index.index(self, &current);
+        index.set_live(&matches);
         let mut current_cost = index.cost(matches.id(), cost_model);
         let mut steps = 0;
         while steps < max_steps {
             // Rule by rule, each rule's sites in preorder: the enumeration
             // order of `all_matches`.
-            let mut best: Option<(usize, Site, NodeId, f64)> = None;
+            let mut best: Option<(usize, Site, f64)> = None;
             for (rule, sites) in matches.by_rule().iter().enumerate() {
                 for &site in sites {
-                    let candidate = index.successor(&matches, site);
-                    let cost = index.cost(candidate, cost_model);
+                    let cost = index.price(&matches, site, cost_model);
                     if cost < current_cost - 1e-9
-                        && best.is_none_or(|(_, _, _, best_cost)| cost < best_cost)
+                        && best.is_none_or(|(_, _, best_cost)| cost < best_cost)
                     {
-                        best = Some((rule, site, candidate, cost));
+                        best = Some((rule, site, cost));
                     }
                 }
             }
-            let Some((rule, site, candidate, cost)) = best else {
+            let Some((rule, site, cost)) = best else {
                 break;
             };
+            let candidate = index.successor(&matches, site);
             current = self
                 .apply_at_path(&current, rule, &matches.path(site))
                 .expect("a scored candidate is a rule match at a valid path");
@@ -197,6 +199,7 @@ impl RewriteEngine {
                 candidate,
                 "rule {rule}: the tree rewrite names the scored candidate"
             );
+            index.set_live(&matches);
             current_cost = cost;
             steps += 1;
         }

@@ -6,9 +6,12 @@
 //! states differ only along one root-to-node spine. A [`MatchIndex`] interns
 //! every program it is shown into one [`TermGraph`] and remembers, per
 //! subterm id, what each rule rewrites that subterm into; indexing a state
-//! ([`MatchIndex::index`]) is then one preorder walk of memo lookups, and a
-//! successor state's id and cost come from re-interning the spine, without
-//! building its tree (`DESIGN.md`, "The compile path").
+//! ([`MatchIndex::index`]) is then one preorder walk of memo lookups. A
+//! successor state is never built as a tree to be judged: its cost is priced
+//! against the current state's use counts from the nodes the rewrite adds and
+//! removes, interning nothing ([`MatchIndex::price`]), and its id comes from
+//! re-interning the spine ([`MatchIndex::successor`]) once it is chosen
+//! (`DESIGN.md`, "The compile path").
 //!
 //! A rule is tried on a new subterm only through
 //! [`Rule::rewrite_in`](crate::Rule::rewrite_in): a declarative rule matches
@@ -23,8 +26,7 @@
 
 use crate::engine::RewriteEngine;
 use crate::rule::Placement;
-use chehab_ir::{CostModel, Expr, NodeId, TermGraph};
-use std::collections::HashMap;
+use chehab_ir::{CostModel, Expr, NodeId, TermGraph, WordMap};
 
 /// One rule match of an indexed program: the preorder position of the node
 /// the rule rewrites and the id of what it rewrites it into.
@@ -74,22 +76,29 @@ impl ProgramMatches {
 
     /// The child-index path from the root to a match.
     pub fn path(&self, site: Site) -> Vec<usize> {
-        let mut path = Vec::new();
-        let mut at = site.position;
-        while at != 0 {
-            let (parent, child) = self.parents[at];
-            path.push(child);
-            at = parent;
-        }
+        let mut path: Vec<usize> = self.spine(site).map(|(_, child)| child).collect();
         path.reverse();
         path
+    }
+
+    /// The ancestors of a match, bottom-up: each one's id and which of its
+    /// children the path goes through.
+    fn spine(&self, site: Site) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+        let mut at = site.position;
+        std::iter::from_fn(move || {
+            (at != 0).then(|| {
+                let (parent, child) = self.parents[at];
+                at = parent;
+                (self.ids[parent], child)
+            })
+        })
     }
 }
 
 /// Subterm id → `(rule, replacement id)` of every rule that rewrites it into
 /// something else, in rule order. Looked up by key only: no decision depends
 /// on a hash map's iteration order.
-type Rewrites = HashMap<NodeId, Vec<(usize, NodeId)>>;
+type Rewrites = WordMap<NodeId, Vec<(usize, NodeId)>>;
 
 /// A shared term graph plus the per-subterm rule outcomes found on it.
 ///
@@ -103,6 +112,8 @@ pub struct MatchIndex {
     anywhere: Rewrites,
     /// Outcomes of the `RootOnly` rules, for terms seen as a whole program.
     root_only: Rewrites,
+    /// Scratch: the spine of the site being priced.
+    spine: Vec<(NodeId, usize)>,
 }
 
 impl MatchIndex {
@@ -163,19 +174,46 @@ impl MatchIndex {
     /// as [`ProgramMatches::id`] — from re-interning the ancestors of the
     /// rewritten node up to the root, without building the tree.
     pub fn successor(&mut self, program: &ProgramMatches, site: Site) -> NodeId {
-        let (mut root, mut at) = (site.replacement, site.position);
-        while at != 0 {
-            let (parent, child) = program.parents[at];
-            root = self.graph.with_operand(program.ids[parent], child, root);
-            at = parent;
-        }
-        root
+        program
+            .spine(site)
+            .fold(site.replacement, |root, (ancestor, child)| {
+                self.graph.with_operand(ancestor, child, root)
+            })
     }
 
     /// The cost of the program with id `root`, bit-identical to
     /// [`CostModel::cost`] of its tree.
     pub fn cost(&mut self, root: NodeId, cost_model: &CostModel) -> f64 {
         self.graph.cost(root, cost_model)
+    }
+
+    /// Makes `program` the state [`MatchIndex::price`] prices rewrites of
+    /// ([`TermGraph::set_live`]: a move costs what changed since the last).
+    pub fn set_live(&mut self, program: &ProgramMatches) {
+        self.graph.set_live(program.id());
+    }
+
+    /// The cost of the program that applying the match at `site` yields —
+    /// [`MatchIndex::cost`] of its [`MatchIndex::successor`], bit for bit —
+    /// priced from the nodes the rewrite adds to and removes from `program`
+    /// ([`TermGraph::rewrite_cost`]), which must be live. A release build
+    /// interns nothing; a debug build interns the successor and checks the
+    /// price against its full cost.
+    pub fn price(&mut self, program: &ProgramMatches, site: Site, cost_model: &CostModel) -> f64 {
+        self.spine.clear();
+        self.spine.extend(program.spine(site));
+        let price = self
+            .graph
+            .rewrite_cost(&self.spine, site.replacement, cost_model);
+        debug_assert_eq!(
+            price.to_bits(),
+            {
+                let successor = self.successor(program, site);
+                self.cost(successor, cost_model).to_bits()
+            },
+            "the priced rewrite costs what its interned successor costs"
+        );
+        price
     }
 }
 

@@ -29,13 +29,12 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 
-/// Every policy whose lane this CPU has, scalar first; `test` names who
-/// asks when the skipped ones are printed.
+/// [`SimdPolicy::available`], printing the lanes it skips; `test` names who
+/// asks.
 fn available_policies(test: &str) -> Vec<SimdPolicy> {
-    let (have, lack): (Vec<_>, Vec<_>) =
-        SimdPolicy::ALL.into_iter().partition(|p| p.is_available());
-    if !lack.is_empty() {
-        println!("{test}: skipped {lack:?}, which this CPU does not have");
+    let have = SimdPolicy::available();
+    for lane in SimdPolicy::ALL.iter().filter(|p| !have.contains(p)) {
+        println!("{test}: skipped {lane:?}, which this CPU does not have");
     }
     have
 }
