@@ -2,10 +2,11 @@
 # Every structural check CI makes, as one command: .github/structure-checks.sh
 # (from any directory). It checks each row of .github/structure-checks.tsv,
 # whose header gives the columns, then that each `pub fn` in the non-test part
-# of crates/*/src (crates/bench excluded) is named as a whole word in crates
-# src examples tests benchmark/src, outside a `fn <name>` definition and its
-# own file's test module, or is listed with a reason in
-# .github/uncalled-pub-fn-allow.tsv. Exits 1, naming each failure.
+# of crates/*/src (crates/bench excluded) is used in crates src examples tests
+# benchmark/src outside its own file's test module, or is listed with a reason
+# in .github/uncalled-pub-fn-allow.tsv. A use is a call (`name(`, `name::<`)
+# or a path (`::name`) outside comments and string literals, and not the
+# `fn name(` that defines it. Exits 1, naming each failure.
 set -uo pipefail
 shopt -s globstar
 cd "$(dirname "$0")/.."
@@ -55,14 +56,33 @@ while IFS=$'\t' read -r bound scope flavour regex paths sample why; do
   esac || { fail "$row: $count matching lines, allowed $bound"; sed 's/^/    /' <<<"$found" | head -20; }
 done <.github/structure-checks.tsv
 
-# A use is any whole word but the one after `fn`.
+# A use is a call or a path in a line's code: `strip` blanks its string and
+# char literals (a string may run on over lines: `instr`) and drops its `//`
+# comment.
 awk "$TEST_PART"'
+  function strip(line,    out, n, i, c, j) {
+    if (!instr && line !~ /["\047]/) { sub(/\/\/.*/, "", line); return line }
+    out = ""; n = length(line)
+    for (i = 1; i <= n; i++) {
+      c = substr(line, i, 1)
+      if (instr) { if (c == "\\") i++; else if (c == "\"") instr = 0; continue }
+      if (c == "\"") { instr = 1; out = out " "; continue }
+      if (c == "/" && substr(line, i + 1, 1) == "/") break
+      if (c == "\047" && substr(line, i + 1, 1) == "\\" && (j = index(substr(line, i + 3), "\047"))) { i += j + 2; c = " " }
+      else if (c == "\047" && substr(line, i + 2, 1) == "\047") { i += 2; c = " " }
+      out = out c }
+    return out }
   NR == FNR { if (!/^#/) allowed[$2, $1] = 1; next }
-  FNR == 1 { lib = FILENAME ~ /^crates\/[^\/]+\/src\/.*\.rs$/ && FILENAME !~ /^crates\/bench\// }
+  FNR == 1 { lib = FILENAME ~ /^crates\/[^\/]+\/src\/.*\.rs$/ && FILENAME !~ /^crates\/bench\//; instr = 0 }
   lib && !intest && match($0, /^[[:space:]]*pub (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*/) {
     name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name); def[FILENAME ":" FNR] = name }
-  { words = $0; gsub(/[^A-Za-z0-9_]+/, " ", words); n = split(words, w, " ")
-    for (i = 1; i <= n; i++) if (i == 1 || w[i - 1] != "fn") { used[w[i]]++; if (intest) own[FILENAME, w[i]]++ } }
+  { code = strip($0)
+    while (match(code, /[A-Za-z_][A-Za-z0-9_]*(\(|::<)|::[A-Za-z_][A-Za-z0-9_]*/)) {
+      before = substr(code, 1, RSTART - 1); name = substr(code, RSTART, RLENGTH)
+      code = substr(code, RSTART + RLENGTH)
+      if (before ~ /(^|[^A-Za-z0-9_])fn[[:space:]]+$/) continue
+      sub(/^::/, "", name); sub(/(\(|::<)$/, "", name)
+      used[name]++; if (intest) own[FILENAME, name]++ } }
   END {
     for (at in def) {
       file = at; sub(/:[0-9]+$/, "", file); name = def[at]

@@ -61,11 +61,6 @@ impl Benchmark {
         &self.name
     }
 
-    /// The instance label (e.g. `"32"` or `"3x3"`).
-    pub fn size_label(&self) -> &str {
-        &self.size_label
-    }
-
     /// The full identifier as it appears in the paper's figures
     /// (e.g. `"Dot Product 32"`).
     pub fn id(&self) -> String {

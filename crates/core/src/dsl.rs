@@ -156,11 +156,6 @@ impl DslProgram {
         value * value
     }
 
-    /// Declared inputs in declaration order, with their encryption status.
-    pub fn inputs(&self) -> &[(String, bool)] {
-        &self.inputs
-    }
-
     /// Lowers the program to CHEHAB IR: a single scalar expression for
     /// single-output programs, a `Vec` of outputs otherwise.
     ///
@@ -202,8 +197,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(lowered, expected);
-        assert_eq!(p.inputs().len(), 10);
-        assert!(p.inputs().iter().all(|(_, encrypted)| *encrypted));
+        assert_eq!(p.inputs.len(), 10);
+        assert!(p.inputs.iter().all(|(_, encrypted)| *encrypted));
     }
 
     #[test]

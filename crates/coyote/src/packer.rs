@@ -91,11 +91,6 @@ impl LanePacker {
         self.stats
     }
 
-    /// The layout in use.
-    pub fn layout(&self) -> &Layout {
-        &self.layout
-    }
-
     /// Builds the vector whose lane `i` holds the value of `lanes[i].1` and
     /// whose other lanes are zero.
     pub fn pack(&mut self, lanes: &[(usize, Expr)]) -> Expr {

@@ -71,22 +71,6 @@ impl Dataset {
         true
     }
 
-    /// Splits the dataset into a training and a validation set, placing every
-    /// `1/holdout_every`-th expression in the validation set.
-    pub fn split(&self, holdout_every: usize) -> (Vec<Expr>, Vec<Expr>) {
-        let holdout_every = holdout_every.max(2);
-        let mut train = Vec::new();
-        let mut valid = Vec::new();
-        for (i, e) in self.exprs.iter().enumerate() {
-            if i % holdout_every == 0 {
-                valid.push(e.clone());
-            } else {
-                train.push(e.clone());
-            }
-        }
-        (train, valid)
-    }
-
     /// Writes the dataset to a text file, one s-expression per line (the
     /// format the paper's released dataset uses).
     ///
@@ -191,14 +175,6 @@ mod tests {
         let random = generate_random_dataset(200, 1);
         assert!(random.len() >= 190);
         assert_eq!(random.source(), DataSource::Random);
-    }
-
-    #[test]
-    fn split_partitions_without_overlap() {
-        let dataset = generate_llm_like_dataset(100, 2);
-        let (train, valid) = dataset.split(5);
-        assert_eq!(train.len() + valid.len(), dataset.len());
-        assert!(valid.len() >= dataset.len() / 6);
     }
 
     #[test]

@@ -89,11 +89,6 @@ impl GaloisKeys {
         self.switch.get(&step).map(Vec::as_slice)
     }
 
-    /// The rotation steps covered by this key set.
-    pub fn steps(&self) -> impl Iterator<Item = i64> + '_ {
-        self.switch.keys().copied()
-    }
-
     /// Number of individual rotation keys generated.
     pub fn key_count(&self) -> usize {
         self.switch.len()
@@ -313,7 +308,7 @@ mod tests {
         let params = BfvParameters::insecure_test();
         let mut keygen = KeyGenerator::new(&params, 3);
         let keys = keygen.galois_keys(&[4, 1, -1, 0, 1]);
-        assert_eq!(keys.steps().collect::<Vec<_>>(), [-1, 1, 4]);
+        assert_eq!(keys.switch.keys().copied().collect::<Vec<_>>(), [-1, 1, 4]);
         assert!(keys.switch_stripe(2).is_none());
         assert_eq!(keys.key_count(), 3, "step 0 does not generate a key");
     }

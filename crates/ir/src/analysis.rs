@@ -88,11 +88,6 @@ impl OpCounts {
         self.scalar_mul_ct_ct + self.vec_mul_ct_ct
     }
 
-    /// All ciphertext–plaintext multiplications (scalar + vector).
-    pub fn ct_pt_muls(&self) -> usize {
-        self.scalar_mul_ct_pt + self.vec_mul_ct_pt
-    }
-
     /// Total number of ciphertext operations of any kind.
     pub fn total_ciphertext_ops(&self) -> usize {
         self.scalar_add_sub

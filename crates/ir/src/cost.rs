@@ -7,7 +7,7 @@
 //! multiplicative depth. Operator latencies and the three weights are plain
 //! data so experiments can sweep them (Table 1).
 
-use crate::analysis::{count_ops, OpCounts};
+use crate::analysis::OpCounts;
 use crate::dag::TermGraph;
 use crate::expr::Expr;
 
@@ -121,11 +121,6 @@ impl CostModel {
             + counts.plaintext_ops as f64 * c.plaintext_op
     }
 
-    /// `C_ops(e)`: summed operator latencies of every node in the tree.
-    pub fn ops_cost(&self, expr: &Expr) -> f64 {
-        self.ops_cost_of_counts(&count_ops(expr))
-    }
-
     /// The weighted sum of the three cost terms of one circuit.
     pub(crate) fn weigh(&self, counts: &OpCounts, depth: usize, mult: usize) -> CostBreakdown {
         let ops_cost = self.ops_cost_of_counts(counts);
@@ -214,7 +209,7 @@ mod tests {
     fn plaintext_only_work_is_free_by_default() {
         let model = CostModel::default();
         let e = parse("(+ (pt a) (* (pt b) 3))").unwrap();
-        assert_eq!(model.ops_cost(&e), 0.0);
+        assert_eq!(model.breakdown(&e).ops_cost, 0.0);
     }
 
     #[test]

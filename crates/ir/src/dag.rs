@@ -158,27 +158,6 @@ impl CircuitDag {
             output: remap[self.output],
         }
     }
-
-    /// Per-node circuit depth (operation nodes add one; `Vec` packing does
-    /// not), indexed by node id.
-    pub fn depths(&self) -> Vec<usize> {
-        let mut depth = vec![0usize; self.nodes.len()];
-        for (id, node) in self.nodes.iter().enumerate() {
-            let child_max = node
-                .operands()
-                .into_iter()
-                .map(|o| depth[o])
-                .max()
-                .unwrap_or(0);
-            depth[id] = child_max + usize::from(node.is_operation());
-        }
-        depth
-    }
-
-    /// Circuit depth of the whole DAG.
-    pub fn depth(&self) -> usize {
-        self.depths()[self.output]
-    }
 }
 
 /// What [`TermGraph`] knows about a node the moment it is interned. Every
@@ -345,46 +324,48 @@ impl TermGraph {
 
     /// Interns an expression and returns the id of its root.
     pub fn intern_expr(&mut self, expr: &Expr) -> NodeId {
-        self.intern_tree(expr, &mut Vec::new())
-    }
-
-    /// Interns an expression and returns the id of *every* tree node, in the
-    /// preorder of [`Expr::paths`] (so index 0 is the root). Repeated
-    /// subtrees appear once per occurrence, with the same id.
-    pub fn intern_preorder(&mut self, expr: &Expr) -> Vec<NodeId> {
-        let mut ids = Vec::new();
-        self.intern_tree(expr, &mut ids);
-        ids
-    }
-
-    fn intern_tree(&mut self, expr: &Expr, preorder: &mut Vec<NodeId>) -> NodeId {
-        let slot = preorder.len();
-        preorder.push(0);
         let node = match expr {
             Expr::CtVar(s) => DagNode::CtVar(s.clone()),
             Expr::PtVar(s) => DagNode::PtVar(s.clone()),
             Expr::Const(v) => DagNode::Const(*v),
-            Expr::Bin(op, a, b) => {
-                let (a, b) = (self.intern_tree(a, preorder), self.intern_tree(b, preorder));
-                DagNode::Bin(*op, a, b)
-            }
-            Expr::Neg(a) => DagNode::Neg(self.intern_tree(a, preorder)),
-            Expr::Vec(elems) => DagNode::Vec(
-                elems
-                    .iter()
-                    .map(|e| self.intern_tree(e, preorder))
-                    .collect(),
-            ),
+            Expr::Bin(op, a, b) => DagNode::Bin(*op, self.intern_expr(a), self.intern_expr(b)),
+            Expr::Neg(a) => DagNode::Neg(self.intern_expr(a)),
+            Expr::Vec(elems) => DagNode::Vec(elems.iter().map(|e| self.intern_expr(e)).collect()),
             Expr::VecBin(op, a, b) => {
-                let (a, b) = (self.intern_tree(a, preorder), self.intern_tree(b, preorder));
-                DagNode::VecBin(*op, a, b)
+                DagNode::VecBin(*op, self.intern_expr(a), self.intern_expr(b))
             }
-            Expr::VecNeg(a) => DagNode::VecNeg(self.intern_tree(a, preorder)),
-            Expr::Rot(a, s) => DagNode::Rot(self.intern_tree(a, preorder), *s),
+            Expr::VecNeg(a) => DagNode::VecNeg(self.intern_expr(a)),
+            Expr::Rot(a, s) => DagNode::Rot(self.intern_expr(a), *s),
         };
-        let id = self.intern(node);
-        preorder[slot] = id;
-        id
+        self.intern(node)
+    }
+
+    /// The tree form of term `root`, and the id of every tree node in the
+    /// preorder of [`Expr::paths`] (index 0 is `root`; a shared subterm
+    /// appears once per occurrence, with the same id). Reads the graph only:
+    /// interning the tree would return `root`.
+    pub fn expr_preorder(&self, root: NodeId) -> (Expr, Vec<NodeId>) {
+        let mut ids = Vec::new();
+        let expr = self.tree(root, &mut ids);
+        (expr, ids)
+    }
+
+    fn tree(&self, id: NodeId, preorder: &mut Vec<NodeId>) -> Expr {
+        preorder.push(id);
+        let mut boxed = |operand: NodeId| Box::new(self.tree(operand, preorder));
+        match &self.nodes[id] {
+            DagNode::CtVar(s) => Expr::CtVar(s.clone()),
+            DagNode::PtVar(s) => Expr::PtVar(s.clone()),
+            DagNode::Const(v) => Expr::Const(*v),
+            DagNode::Bin(op, a, b) => Expr::Bin(*op, boxed(*a), boxed(*b)),
+            DagNode::Neg(a) => Expr::Neg(boxed(*a)),
+            DagNode::Vec(elems) => {
+                Expr::Vec(elems.iter().map(|&e| self.tree(e, preorder)).collect())
+            }
+            DagNode::VecBin(op, a, b) => Expr::VecBin(*op, boxed(*a), boxed(*b)),
+            DagNode::VecNeg(a) => Expr::VecNeg(boxed(*a)),
+            DagNode::Rot(a, s) => Expr::Rot(boxed(*a), *s),
+        }
     }
 
     /// Interns a copy of node `id` whose `index`-th operand is `operand`
@@ -613,13 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_matches_tree_depth_without_sharing() {
-        let e = parse("(* (+ a b) (* c d))").unwrap();
-        let dag = CircuitDag::from_expr(&e);
-        assert_eq!(dag.depth(), crate::analysis::circuit_depth(&e));
-    }
-
-    #[test]
     fn dead_code_elimination_is_a_no_op_for_reachable_dags() {
         let e = parse("(+ (* a b) c)").unwrap();
         let dag = CircuitDag::from_expr(&e);
@@ -690,8 +664,15 @@ mod tests {
         // other terms the graph holds.
         let mut graph = TermGraph::new();
         for program in generated_programs(0x5eed, 300) {
-            let ids = graph.intern_preorder(&program);
+            let root = graph.intern_expr(&program);
+            let (tree, ids) = graph.expr_preorder(root);
+            assert_eq!(
+                tree, program,
+                "a term reads back out of the graph as itself"
+            );
+            assert_eq!(ids.len(), program.node_count(), "{program:?}");
             for (id, subterm) in ids.iter().zip(program.preorder()) {
+                assert_eq!(*id, graph.intern_expr(subterm), "{subterm:?}");
                 assert_eq!(graph.data_kind(*id), data_kind(subterm), "{subterm:?}");
                 assert_eq!(
                     graph.circuit_depth(*id),
@@ -704,15 +685,10 @@ mod tests {
                     "{subterm:?}"
                 );
             }
-            assert_eq!(graph.count_ops(ids[0]), count_ops(&program), "{program:?}");
-            assert_eq!(
-                ids[0],
-                graph.intern_expr(&program),
-                "interning is idempotent"
-            );
+            assert_eq!(graph.count_ops(root), count_ops(&program), "{program:?}");
             for model in &models {
                 assert_eq!(
-                    graph.cost(ids[0], model).to_bits(),
+                    graph.cost(root, model).to_bits(),
                     model.cost(&program).to_bits(),
                     "{program:?}"
                 );

@@ -172,11 +172,6 @@ impl Expr {
         Expr::VecBin(BinOp::Mul, Box::new(a), Box::new(b))
     }
 
-    /// Element-wise negation.
-    pub fn vec_neg(a: Expr) -> Expr {
-        Expr::VecNeg(Box::new(a))
-    }
-
     /// Rotates (shifts) the vector `a` left by `steps` slots (negative steps
     /// shift right), filling vacated slots with zero.
     pub fn rot(a: Expr, steps: i64) -> Expr {

@@ -156,11 +156,6 @@ impl GruEncoder {
     pub fn infer(&self, token_ids: &[usize]) -> Matrix {
         self.last_hidden((), token_ids)
     }
-
-    /// The dimension of the pooled embedding.
-    pub fn embedding_dim(&self) -> usize {
-        self.hidden_dim
-    }
 }
 
 /// Stacks `1 × d` values into an `n × d` value while preserving gradient
@@ -209,7 +204,7 @@ mod tests {
         let tape = Tape::new();
         assert_eq!(enc.encode(&tape, &[1, 2, 3]).shape(), (1, 24));
         assert_eq!(enc.encode(&tape, &[1; 40]).shape(), (1, 24));
-        assert_eq!(enc.embedding_dim(), 24);
+        assert_eq!(enc.hidden_dim, 24);
     }
 
     #[test]

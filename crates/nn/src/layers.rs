@@ -73,11 +73,6 @@ impl Linear {
             .add_bias(&V::param(x.tape(), &self.bias))
     }
 
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.weight.shape().0
-    }
-
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.weight.shape().1
@@ -209,7 +204,7 @@ mod tests {
         let out = layer.forward(&Matrix::zeros(5, 4));
         assert_eq!((out.rows(), out.cols()), (5, 3));
         assert_eq!(layer.parameter_count(), 4 * 3 + 3);
-        assert_eq!(layer.in_dim(), 4);
+        assert_eq!(layer.weight.shape().0, 4);
         assert_eq!(layer.out_dim(), 3);
     }
 

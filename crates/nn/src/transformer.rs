@@ -251,11 +251,6 @@ impl TransformerEncoder {
     pub fn infer(&self, token_ids: &[usize]) -> Matrix {
         self.run::<Matrix>((), token_ids, true).row(0)
     }
-
-    /// The embedding dimension of the pooled representation.
-    pub fn embedding_dim(&self) -> usize {
-        self.config.model_dim
-    }
 }
 
 impl Module for TransformerEncoder {

@@ -121,7 +121,6 @@ pub struct StepOutcome {
 /// first time an episode reaches it.
 #[derive(Debug, Clone)]
 struct StateFacts {
-    program: Expr,
     cost: f64,
     tokens: Vec<usize>,
     matches: ProgramMatches,
@@ -129,11 +128,13 @@ struct StateFacts {
 
 /// The rewrite environment over one program.
 ///
-/// The environment looks at each program state once: rule matches come from
-/// a [`MatchIndex`] (one rule outcome per distinct subterm), and a state's
-/// tokens, cost and match lists are kept under its [`RewriteEnv::state_id`]
-/// for as long as the environment stays on the same initial program —
-/// across [`RewriteEnv::restart`]s, until the next [`RewriteEnv::reset`].
+/// The environment looks at each program state once: a state is its id in a
+/// [`MatchIndex`]'s term graph ([`RewriteEnv::state_id`]), a step names the
+/// next one by [`MatchIndex::successor`] without rebuilding it, and the
+/// first visit reads its tree, rule matches and cost out of the index. The
+/// tokens, cost and match lists are kept under the id for as long as the
+/// environment stays on the same initial program — across
+/// [`RewriteEnv::restart`]s, until the next [`RewriteEnv::reset`].
 #[derive(Debug, Clone)]
 pub struct RewriteEnv {
     engine: Arc<RewriteEngine>,
@@ -176,7 +177,8 @@ impl RewriteEnv {
     pub fn reset(&mut self, program: Expr) -> Vec<usize> {
         self.index = MatchIndex::new();
         self.states.clear();
-        self.initial = self.learn(program);
+        self.initial = self.index.intern(&program);
+        self.learn(self.initial);
         self.restart();
         self.observe()
     }
@@ -189,36 +191,35 @@ impl RewriteEnv {
         self.finished = false;
     }
 
-    /// Records the facts of a program state and returns its id.
-    fn learn(&mut self, program: Expr) -> NodeId {
-        let matches = self.index.index(&self.engine, &program);
-        let id = matches.id();
-        let cost = self.index.cost(id, &self.config.cost_model);
-        let tokens = self.tokenizer.encode(&program, self.config.observation_len);
+    /// Records the facts of the program state with id `state`.
+    fn learn(&mut self, state: NodeId) {
+        let matches = self.index.index(&self.engine, state);
+        let cost = self.index.cost(state, &self.config.cost_model);
+        let tokens = self
+            .tokenizer
+            .encode(matches.program(), self.config.observation_len);
         self.states.insert(
-            id,
+            state,
             StateFacts {
-                program,
                 cost,
                 tokens,
                 matches,
             },
         );
-        id
     }
 
     fn facts(&self, state: NodeId) -> &StateFacts {
         &self.states[&state]
     }
 
-    /// The current program.
-    pub fn current(&self) -> &Expr {
-        &self.facts(self.current).program
-    }
-
-    /// The program the episode started from.
-    pub fn initial(&self) -> &Expr {
-        &self.facts(self.initial).program
+    /// The program of a state the environment has reached since the initial
+    /// program was set, by its [`RewriteEnv::state_id`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no episode on this initial program has reached `state`.
+    pub fn program(&self, state: NodeId) -> &Expr {
+        self.facts(state).matches.program()
     }
 
     /// Identifies the current program state: equal programs have equal ids,
@@ -252,16 +253,6 @@ impl RewriteEnv {
     /// them.
     pub fn rule_count(&self) -> usize {
         self.engine.rule_count()
-    }
-
-    /// Maximum number of addressable locations.
-    pub fn max_locations(&self) -> usize {
-        self.config.max_locations
-    }
-
-    /// Observation length in tokens.
-    pub fn observation_len(&self) -> usize {
-        self.config.observation_len
     }
 
     /// The current observation: the program's token-id sequence.
@@ -345,21 +336,13 @@ impl RewriteEnv {
 
     /// The state that applying `rule` at its `location`-th match leads to
     /// (`None` if the rule has fewer matches). Its id comes from the index;
-    /// the program itself is built only the first time the state is reached.
+    /// its facts are read out of the index the first time it is reached.
     fn successor(&mut self, rule: usize, location: usize) -> Option<NodeId> {
         let from = &self.states[&self.current];
         let site = *from.matches.of_rule(rule).get(location)?;
         let next = self.index.successor(&from.matches, site);
         if !self.states.contains_key(&next) {
-            let program = self
-                .engine
-                .apply_at_path(&from.program, rule, &from.matches.path(site))
-                .expect("an indexed match is a rule match at a valid path");
-            let learned = self.learn(program);
-            debug_assert_eq!(
-                learned, next,
-                "spine re-interning names the rewritten program"
-            );
+            self.learn(next);
         }
         Some(next)
     }
@@ -382,7 +365,7 @@ mod tests {
     #[test]
     fn observation_has_the_configured_length() {
         let env = make_env("(Vec (+ a b) (+ c d))");
-        assert_eq!(env.observe().len(), env.observation_len());
+        assert_eq!(env.observe().len(), env.config.observation_len);
     }
 
     #[test]
@@ -410,11 +393,11 @@ mod tests {
     fn invalid_actions_are_penalized_and_leave_the_state_unchanged() {
         let mut env = make_env("(Vec (+ a b) (+ c d))");
         let rule = RewriteEngine::new().rule_index("rot-merge").unwrap();
-        let before = env.current().clone();
+        let before = env.state_id();
         let outcome = env.step(Action::Apply { rule, location: 0 });
         assert!(!outcome.valid);
         assert!(outcome.reward < 0.0);
-        assert_eq!(env.current(), &before);
+        assert_eq!(env.state_id(), before);
     }
 
     #[test]
@@ -462,7 +445,7 @@ mod tests {
         let rule = RewriteEngine::new().rule_index("add-vectorize-2").unwrap();
         env.step(Action::Apply { rule, location: 0 });
         let obs = env.reset(parse("(* x y)").unwrap());
-        assert_eq!(obs.len(), env.observation_len());
+        assert_eq!(obs.len(), env.config.observation_len);
         assert_eq!(env.steps, 0);
         assert!(!env.is_finished());
     }
@@ -471,7 +454,7 @@ mod tests {
     fn location_count_is_clamped() {
         let env = make_env("(+ (+ (+ (+ a b) (+ c d)) (+ e f)) (+ g h))");
         let comm = RewriteEngine::new().rule_index("add-comm").unwrap();
-        assert!(env.location_count(comm) <= env.max_locations());
+        assert!(env.location_count(comm) <= env.config.max_locations);
         assert!(env.location_count(comm) >= 1);
         assert_eq!(env.location_count(env.rule_count()), 0);
     }
@@ -487,6 +470,6 @@ mod tests {
             Arc::new(tokenizer),
             EnvConfig::default(),
         );
-        assert_eq!(env.observe().len(), env.observation_len());
+        assert_eq!(env.observe().len(), env.config.observation_len);
     }
 }

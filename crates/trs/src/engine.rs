@@ -156,8 +156,10 @@ impl RewriteEngine {
     /// rather than materialised as trees (`DESIGN.md`, "The compile path"):
     /// a rule's outcome is memoised per distinct subterm, a candidate is
     /// priced by the nodes it adds to and removes from the current circuit
-    /// ([`MatchIndex::price`]), and only each step's winner is interned and
-    /// built as an [`Expr`].
+    /// ([`MatchIndex::price`]), and a state is its id in the index's term
+    /// graph: each step's winner is named by [`MatchIndex::successor`] and
+    /// its tree read out of the graph by [`MatchIndex::index`], not rebuilt
+    /// by applying the rule.
     pub fn greedy_optimize(
         &self,
         expr: &Expr,
@@ -165,45 +167,32 @@ impl RewriteEngine {
         max_steps: usize,
     ) -> (Expr, usize) {
         let mut index = MatchIndex::new();
-        let mut current = expr.clone();
-        let mut matches = index.index(self, &current);
+        let input = index.intern(expr);
+        let mut matches = index.index(self, input);
         index.set_live(&matches);
         let mut current_cost = index.cost(matches.id(), cost_model);
         let mut steps = 0;
         while steps < max_steps {
             // Rule by rule, each rule's sites in preorder: the enumeration
             // order of `all_matches`.
-            let mut best: Option<(usize, Site, f64)> = None;
-            for (rule, sites) in matches.by_rule().iter().enumerate() {
-                for &site in sites {
-                    let cost = index.price(&matches, site, cost_model);
-                    if cost < current_cost - 1e-9
-                        && best.is_none_or(|(_, _, best_cost)| cost < best_cost)
-                    {
-                        best = Some((rule, site, cost));
-                    }
+            let mut best: Option<(Site, f64)> = None;
+            for &site in matches.by_rule().iter().flatten() {
+                let cost = index.price(&matches, site, cost_model);
+                if cost < current_cost - 1e-9 && best.is_none_or(|(_, best_cost)| cost < best_cost)
+                {
+                    best = Some((site, cost));
                 }
             }
-            let Some((rule, site, cost)) = best else {
+            let Some((site, cost)) = best else {
                 break;
             };
-            let candidate = index.successor(&matches, site);
-            current = self
-                .apply_at_path(&current, rule, &matches.path(site))
-                .expect("a scored candidate is a rule match at a valid path");
-            matches = index.index(self, &current);
-            // The winner was scored from the graph matcher's replacement and
-            // built by the tree matcher: both must name the same program.
-            debug_assert_eq!(
-                matches.id(),
-                candidate,
-                "rule {rule}: the tree rewrite names the scored candidate"
-            );
+            let next = index.successor(&matches, site);
+            matches = index.index(self, next);
             index.set_live(&matches);
             current_cost = cost;
             steps += 1;
         }
-        (current, steps)
+        (matches.program().clone(), steps)
     }
 }
 

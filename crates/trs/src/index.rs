@@ -3,15 +3,17 @@
 //!
 //! Every optimizer asks the same questions of a program state — which rules
 //! apply, where, what would the rewritten program cost — and successive
-//! states differ only along one root-to-node spine. A [`MatchIndex`] interns
-//! every program it is shown into one [`TermGraph`] and remembers, per
-//! subterm id, what each rule rewrites that subterm into; indexing a state
-//! ([`MatchIndex::index`]) is then one preorder walk of memo lookups. A
-//! successor state is never built as a tree to be judged: its cost is priced
-//! against the current state's use counts from the nodes the rewrite adds and
-//! removes, interning nothing ([`MatchIndex::price`]), and its id comes from
-//! re-interning the spine ([`MatchIndex::successor`]) once it is chosen
-//! (`DESIGN.md`, "The compile path").
+//! states differ only along one root-to-node spine. A [`MatchIndex`] keeps
+//! every state of a search in one [`TermGraph`], where a state *is* its node
+//! id, and remembers, per subterm id, what each rule rewrites that subterm
+//! into. The search's input is interned once ([`MatchIndex::intern`]); every
+//! later state is named by re-interning the spine of the rewrite that leads
+//! to it ([`MatchIndex::successor`]), and indexing a state
+//! ([`MatchIndex::index`]) reads its tree and preorder ids out of the graph
+//! in one walk, then looks each subterm up in the memo. No rewrite is
+//! replayed on a tree. A successor's cost is priced against the current
+//! state's use counts from the nodes the rewrite adds and removes, interning
+//! nothing ([`MatchIndex::price`]; `DESIGN.md`, "The compile path").
 //!
 //! A rule is tried on a new subterm only through
 //! [`Rule::rewrite_in`](crate::Rule::rewrite_in): a declarative rule matches
@@ -21,8 +23,9 @@
 //!
 //! [`RewriteEngine::greedy_optimize`] and the RL rewrite environment both sit
 //! on it. The tree-walking [`RewriteEngine::matches`],
-//! [`RewriteEngine::applicability_mask`] and [`RewriteEngine::all_matches`]
-//! stay as the public one-shot API and as the index's oracle in tests.
+//! [`RewriteEngine::applicability_mask`], [`RewriteEngine::all_matches`] and
+//! [`RewriteEngine::apply_at_path`] stay as the public one-shot API and as
+//! the index's oracle in tests.
 
 use crate::engine::RewriteEngine;
 use crate::rule::Placement;
@@ -36,10 +39,12 @@ pub struct Site {
     replacement: NodeId,
 }
 
-/// The matches of every rule in one program state, as
-/// [`MatchIndex::index`] found them.
+/// One program state as [`MatchIndex::index`] read it: its tree and the
+/// matches of every rule in it.
 #[derive(Debug, Clone)]
 pub struct ProgramMatches {
+    /// The program, read out of the term graph.
+    program: Expr,
     /// Graph id of every tree node, in the preorder of [`Expr::paths`].
     ids: Vec<NodeId>,
     /// Per preorder position: the parent's position and which child of it
@@ -56,6 +61,11 @@ impl ProgramMatches {
     /// ids, so it identifies the program *state*.
     pub fn id(&self) -> NodeId {
         self.ids[0]
+    }
+
+    /// The program this state is.
+    pub fn program(&self) -> &Expr {
+        &self.program
     }
 
     /// Per rule, its matches in preorder.
@@ -122,15 +132,23 @@ impl MatchIndex {
         Self::default()
     }
 
-    /// Finds every match of every rule of `engine` in `expr`. Rules are tried
-    /// only on subterms this index has not seen before.
-    pub fn index(&mut self, engine: &RewriteEngine, expr: &Expr) -> ProgramMatches {
-        let ids = self.graph.intern_preorder(expr);
+    /// Interns `program`, the input of a search, and returns its id. Every
+    /// later state of the search is named by [`MatchIndex::successor`].
+    pub fn intern(&mut self, program: &Expr) -> NodeId {
+        self.graph.intern_expr(program)
+    }
+
+    /// Finds every match of every rule of `engine` in the program with id
+    /// `root`, reading its tree and the id of every tree node out of the
+    /// graph in one walk. Rules are tried only on subterms this index has not
+    /// seen before.
+    pub fn index(&mut self, engine: &RewriteEngine, root: NodeId) -> ProgramMatches {
+        let (program, ids) = self.graph.expr_preorder(root);
         let mut parents = Vec::with_capacity(ids.len());
         let mut by_rule = vec![Vec::new(); engine.rule_count()];
         // open[d] = position of the node at depth d on the path being walked.
         let mut open: Vec<usize> = Vec::new();
-        expr.for_each_path(&mut |path, node| {
+        program.for_each_path(&mut |path, node| {
             let position = parents.len();
             open.truncate(path.len());
             parents.push((
@@ -154,8 +172,8 @@ impl MatchIndex {
         let graph = &mut self.graph;
         let hits = self
             .root_only
-            .entry(ids[0])
-            .or_insert_with(|| rewrites_of(engine, expr, ids[0], graph, Placement::RootOnly));
+            .entry(root)
+            .or_insert_with(|| rewrites_of(engine, &program, root, graph, Placement::RootOnly));
         for &(rule, replacement) in hits.iter() {
             by_rule[rule].push(Site {
                 position: 0,
@@ -163,16 +181,17 @@ impl MatchIndex {
             });
         }
         ProgramMatches {
+            program,
             ids,
             parents,
             by_rule,
         }
     }
 
-    /// The id of the program that applying the match at `site` yields —
-    /// what indexing the [`RewriteEngine::apply_at_path`] result would return
-    /// as [`ProgramMatches::id`] — from re-interning the ancestors of the
-    /// rewritten node up to the root, without building the tree.
+    /// The id of the program that applying the match at `site` yields, from
+    /// re-interning the ancestors of the rewritten node up to the root: the
+    /// state [`MatchIndex::index`] then reads out. Equal programs have equal
+    /// ids, so a state reached twice is recognised without building it.
     pub fn successor(&mut self, program: &ProgramMatches, site: Site) -> NodeId {
         program
             .spine(site)

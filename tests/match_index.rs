@@ -1,12 +1,13 @@
 //! The match index answers what the tree-walking engine API answers.
 //!
 //! `MatchIndex` memoises rule outcomes per distinct subterm on one shared
-//! term graph and names successor states by re-interning a spine; the
-//! one-shot `RewriteEngine::{applicability_mask, matches, all_matches,
-//! apply_at_occurrence}` walk the tree every time. Masks, match lists (in
-//! preorder, so location indices agree), successor ids and cost bits must be
-//! the same — on fresh programs, and along a walk where most of every state
-//! is already in the memo.
+//! term graph, names successor states by re-interning a spine, and reads a
+//! state's tree out of the graph by its id; the one-shot
+//! `RewriteEngine::{applicability_mask, matches, all_matches,
+//! apply_at_occurrence}` walk and rebuild the tree every time. Masks, match
+//! lists (in preorder, so location indices agree), successor trees and ids
+//! and cost bits must be the same — on fresh programs, and along a walk where
+//! most of every state is already in the memo.
 //!
 //! Below that, the index tries a rule only through `Rule::rewrite_in`, whose
 //! declarative rules match node ids on the graph; `Rule::try_apply` matches
@@ -50,7 +51,9 @@ fn assert_same_facts(
     model: &CostModel,
     program: &Expr,
 ) -> Vec<Match> {
-    let indexed = index.index(engine, program);
+    let root = index.intern(program);
+    let indexed = index.index(engine, root);
+    assert_eq!(indexed.program(), program, "{what}: the indexed tree");
     let expected = engine.all_matches(program);
     let mut found = Vec::new();
     for (rule_index, sites) in indexed.by_rule().iter().enumerate() {
@@ -82,23 +85,26 @@ fn assert_same_facts(
         model.cost(program).to_bits(),
         "{what}: cost"
     );
-    // Every match leads where apply_at_occurrence leads, under the id the
-    // index predicts without building the tree.
+    // Every match leads where apply_at_occurrence leads: the index predicts
+    // the successor's id without building the tree, and reads out the tree
+    // the rule rewrite builds.
     for (rule, sites) in indexed.by_rule().iter().enumerate() {
         for (occurrence, &site) in sites.iter().enumerate().take(2) {
             let next = engine
                 .apply_at_occurrence(program, rule, occurrence)
                 .expect("an indexed match applies");
             let predicted = index.successor(&indexed, site);
+            let successor = format!("{what}: successor of rule {rule} at occurrence {occurrence}");
+            assert_eq!(index.intern(&next), predicted, "{successor}");
             assert_eq!(
-                index.index(engine, &next).id(),
-                predicted,
-                "{what}: successor of rule {rule} at occurrence {occurrence}"
+                index.index(engine, predicted).program(),
+                &next,
+                "{successor}"
             );
             assert_eq!(
                 index.cost(predicted, model).to_bits(),
                 model.cost(&next).to_bits(),
-                "{what}: successor cost"
+                "{successor}: cost"
             );
         }
     }
@@ -154,8 +160,9 @@ fn assert_graph_matcher_agrees(engine: &RewriteEngine, what: &str, programs: &[E
     let mut seen = HashSet::new();
     let mut tries = 0;
     for (p, program) in programs.iter().enumerate() {
-        let ids = graph.intern_preorder(program);
-        assert_eq!(ids, reference.intern_preorder(program), "{what} {p}");
+        let root = graph.intern_expr(program);
+        assert_eq!(root, reference.intern_expr(program), "{what} {p}");
+        let (_, ids) = graph.expr_preorder(root);
         for (&id, node) in ids.iter().zip(program.preorder()) {
             if !seen.insert(id) {
                 continue;
