@@ -6,7 +6,10 @@
 # benchmark/src outside its own file's test module, or is listed with a reason
 # in .github/uncalled-pub-fn-allow.tsv. A use is a call (`name(`, `name::<`)
 # or a path (`::name`) outside comments and string literals, and not the
-# `fn name(` that defines it. Exits 1, naming each failure.
+# `fn name(` that defines it. A use inside the body of a `pub fn` that is
+# itself uncalled does not count: the scan repeats until no more functions
+# drop out. A use is still matched by bare name, so a call to a same-named
+# function or method of another type counts. Exits 1, naming each failure.
 set -uo pipefail
 shopt -s globstar
 cd "$(dirname "$0")/.."
@@ -58,7 +61,9 @@ done <.github/structure-checks.tsv
 
 # A use is a call or a path in a line's code: `strip` blanks its string and
 # char literals (a string may run on over lines: `instr`) and drops its `//`
-# comment.
+# comment. `cur` is the `pub fn` whose body the line is in (its body ends when
+# the brace depth is back at `top`); `from[cur, name]` counts the uses made
+# there, which END discounts once `cur` is found uncalled.
 awk "$TEST_PART"'
   function strip(line,    out, n, i, c, j) {
     if (!instr && line !~ /["\047]/) { sub(/\/\/.*/, "", line); return line }
@@ -73,22 +78,32 @@ awk "$TEST_PART"'
       out = out c }
     return out }
   NR == FNR { if (!/^#/) allowed[$2, $1] = 1; next }
-  FNR == 1 { lib = FILENAME ~ /^crates\/[^\/]+\/src\/.*\.rs$/ && FILENAME !~ /^crates\/bench\//; instr = 0 }
+  FNR == 1 { lib = FILENAME ~ /^crates\/[^\/]+\/src\/.*\.rs$/ && FILENAME !~ /^crates\/bench\//; instr = depth = 0; cur = "" }
   lib && !intest && match($0, /^[[:space:]]*pub (const |unsafe )*fn [A-Za-z_][A-Za-z0-9_]*/) {
-    name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name); def[FILENAME ":" FNR] = name }
-  { code = strip($0)
+    name = substr($0, RSTART, RLENGTH); sub(/.* /, "", name)
+    cur = FILENAME ":" FNR; def[cur] = name; top = depth; inbody = 0 }
+  { code = strip($0); opens = gsub(/\{/, "{", code); depth += opens - gsub(/\}/, "}", code)
+    if (intest) cur = ""
     while (match(code, /[A-Za-z_][A-Za-z0-9_]*(\(|::<)|::[A-Za-z_][A-Za-z0-9_]*/)) {
       before = substr(code, 1, RSTART - 1); name = substr(code, RSTART, RLENGTH)
       code = substr(code, RSTART + RLENGTH)
       if (before ~ /(^|[^A-Za-z0-9_])fn[[:space:]]+$/) continue
       sub(/^::/, "", name); sub(/(\(|::<)$/, "", name)
-      used[name]++; if (intest) own[FILENAME, name]++ } }
+      used[name]++; if (intest) own[FILENAME, name]++; if (cur != "") from[cur, name]++ }
+    if (cur != "") { if (depth > top) inbody = 1; else if (inbody || opens) cur = "" } }
   END {
-    for (at in def) {
-      file = at; sub(/:[0-9]+$/, "", file); name = def[at]
-      if (used[name] - own[file, name] > 0) continue
-      if ((file, name) in allowed) { delete allowed[file, name]; continue }
-      printf "FAIL %s: pub fn %s is called nowhere; delete it or list it, with a reason, in .github/uncalled-pub-fn-allow.tsv\n", at, name; bad = 1 }
+    do {
+      dropped = 0
+      for (at in def) {
+        if ((at in dead) || (at in kept)) continue
+        file = at; sub(/:[0-9]+$/, "", file); name = def[at]; n = used[name] - own[file, name]
+        for (d in dead) n -= from[d, name]
+        if (n > 0) continue
+        if ((file, name) in allowed) { kept[at] = 1; delete allowed[file, name]; continue }
+        dead[at] = 1; dropped = 1 }
+    } while (dropped)
+    for (at in dead) {
+      printf "FAIL %s: pub fn %s is called nowhere; delete it or list it, with a reason, in .github/uncalled-pub-fn-allow.tsv\n", at, def[at]; bad = 1 }
     for (k in allowed) {
       split(k, e, SUBSEP); printf "FAIL uncalled-pub-fn-allow.tsv: %s in %s is called, or gone; drop its line\n", e[2], e[1]; bad = 1 }
     exit bad || broken }' FS='\t' .github/uncalled-pub-fn-allow.tsv $(find crates src examples tests benchmark/src -type f | sort) | sort ||

@@ -17,9 +17,8 @@ fn main() {
         ("BPE", TokenizationKind::Bpe),
     ] {
         let trained = train_agent(&AgentTrainingOptions {
-            timesteps: config.timesteps,
             tokenization,
-            ..AgentTrainingOptions::default()
+            ..config.training()
         });
         println!(
             "\n{label}: {} timesteps in {:.1}s (final mean reward {:.2})",

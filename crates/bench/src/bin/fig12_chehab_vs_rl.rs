@@ -1,64 +1,23 @@
-//! Figure 12: execution time of circuits produced by the original CHEHAB
-//! (greedy term rewriting) versus CHEHAB RL.
+//! Figure 12: execution time of circuits produced by CHEHAB RL versus the
+//! original CHEHAB (greedy term rewriting).
 //!
 //! Usage: `cargo run --release -p chehab-bench --bin fig12_chehab_vs_rl -- [--full] [--timesteps N]`
 
-use chehab_bench::{measure, ms, write_csv, CompilerUnderTest, HarnessConfig};
-use chehab_core::training::{train_agent, AgentTrainingOptions};
-use std::sync::Arc;
+use chehab_bench::CompilerUnderTest::{ChehabGreedy, ChehabRl};
+use chehab_bench::{exit_if_incorrect, Figure, HarnessConfig, Metric, Side};
+use chehab_core::training::train_agent;
 
 fn main() {
     let config = HarnessConfig::from_args();
-    let params = config.params();
-    println!("== Figure 12: CHEHAB (greedy) vs CHEHAB RL");
-    let trained = train_agent(&AgentTrainingOptions {
-        timesteps: config.timesteps,
-        ..AgentTrainingOptions::default()
-    });
-
-    println!(
-        "{:<22} {:>14} {:>16} {:>10}",
-        "benchmark", "CHEHAB (ms)", "CHEHAB RL (ms)", "speedup"
-    );
-    let mut rows = Vec::new();
-    let mut greedy_exec = Vec::new();
-    let mut rl_exec = Vec::new();
-    for benchmark in config.benchmarks() {
-        let greedy = measure(
-            &benchmark,
-            &CompilerUnderTest::ChehabGreedy,
-            &params,
-            config.runs,
-        );
-        let rl = measure(
-            &benchmark,
-            &CompilerUnderTest::ChehabRl(Arc::clone(&trained.agent)),
-            &params,
-            config.runs,
-        );
-        let speedup = ms(greedy.exec_time) / ms(rl.exec_time).max(1e-9);
-        println!(
-            "{:<22} {:>14.3} {:>16.3} {:>9.2}x",
-            benchmark.id(),
-            ms(greedy.exec_time),
-            ms(rl.exec_time),
-            speedup
-        );
-        rows.push(format!(
-            "{},{:.3},{:.3},{:.3}",
-            benchmark.id(),
-            ms(greedy.exec_time),
-            ms(rl.exec_time),
-            speedup
-        ));
-        greedy_exec.push(ms(greedy.exec_time));
-        rl_exec.push(ms(rl.exec_time));
+    let trained = train_agent(&config.training());
+    let pairs = Figure {
+        title: "Figure 12: CHEHAB RL vs CHEHAB (greedy)".into(),
+        csv: "fig12_chehab_vs_rl",
+        subject: Side(ChehabRl(trained.agent), "CHEHAB RL", "chehab_rl"),
+        baseline: Side(ChehabGreedy, "CHEHAB", "chehab"),
+        metric: Metric::Execution,
+        ratio: "speedup",
     }
-    let geomean = chehab_bench::geometric_mean_ratio(&greedy_exec, &rl_exec);
-    println!("\ngeometric-mean speedup of CHEHAB RL over greedy CHEHAB: {geomean:.2}x");
-    let _ = write_csv(
-        "fig12_chehab_vs_rl",
-        "benchmark,chehab_ms,chehab_rl_ms,speedup",
-        &rows,
-    );
+    .run(&config);
+    exit_if_incorrect(pairs.iter().flatten());
 }

@@ -13,9 +13,8 @@ fn main() {
     let mut finals = Vec::new();
     for (label, flat) in [("hierarchical", false), ("flat", true)] {
         let trained = train_agent(&AgentTrainingOptions {
-            timesteps: config.timesteps,
             flat_action_space: flat,
-            ..AgentTrainingOptions::default()
+            ..config.training()
         });
         println!(
             "\n{label}: final mean reward {:.3} over {} episodes",

@@ -4,74 +4,32 @@
 //!
 //! Usage: `cargo run --release -p chehab-bench --bin fig8_llm_vs_random -- [--timesteps N]`
 
-use chehab_bench::{measure, ms, write_csv, CompilerUnderTest, HarnessConfig};
+use chehab_bench::CompilerUnderTest::ChehabRl;
+use chehab_bench::{exit_if_incorrect, Figure, HarnessConfig, Metric, Side};
 use chehab_core::training::{train_agent, AgentTrainingOptions};
 use chehab_datagen::DataSource;
-use std::sync::Arc;
 
 fn main() {
     let config = HarnessConfig::from_args();
-    let params = config.params();
-    println!("== Figure 8: LLM-style vs random training data");
-    let llm = train_agent(&AgentTrainingOptions {
-        timesteps: config.timesteps,
-        data_source: DataSource::LlmLike,
-        ..AgentTrainingOptions::default()
-    });
-    let random = train_agent(&AgentTrainingOptions {
-        timesteps: config.timesteps,
-        data_source: DataSource::Random,
-        ..AgentTrainingOptions::default()
+    let [llm, random] = [DataSource::LlmLike, DataSource::Random].map(|data_source| {
+        train_agent(&AgentTrainingOptions {
+            data_source,
+            ..config.training()
+        })
     });
     println!(
-        "final mean episode reward: LLM-style {:.2}, random {:.2}\n",
+        "final mean episode reward: LLM-style {:.2}, random {:.2}",
         llm.report.final_mean_reward(),
         random.report.final_mean_reward()
     );
-
-    println!(
-        "{:<22} {:>14} {:>14} {:>10}",
-        "benchmark", "LLM data (ms)", "random (ms)", "speedup"
-    );
-    let mut rows = Vec::new();
-    let mut llm_exec = Vec::new();
-    let mut random_exec = Vec::new();
-    for benchmark in config.benchmarks() {
-        let m_llm = measure(
-            &benchmark,
-            &CompilerUnderTest::ChehabRl(Arc::clone(&llm.agent)),
-            &params,
-            config.runs,
-        );
-        let m_random = measure(
-            &benchmark,
-            &CompilerUnderTest::ChehabRl(Arc::clone(&random.agent)),
-            &params,
-            config.runs,
-        );
-        let speedup = ms(m_random.exec_time) / ms(m_llm.exec_time).max(1e-9);
-        println!(
-            "{:<22} {:>14.3} {:>14.3} {:>9.2}x",
-            benchmark.id(),
-            ms(m_llm.exec_time),
-            ms(m_random.exec_time),
-            speedup
-        );
-        rows.push(format!(
-            "{},{:.3},{:.3},{:.3}",
-            benchmark.id(),
-            ms(m_llm.exec_time),
-            ms(m_random.exec_time),
-            speedup
-        ));
-        llm_exec.push(ms(m_llm.exec_time));
-        random_exec.push(ms(m_random.exec_time));
+    let pairs = Figure {
+        title: "Figure 8: LLM-style vs random training data".into(),
+        csv: "fig8_llm_vs_random",
+        subject: Side(ChehabRl(llm.agent), "LLM data", "llm"),
+        baseline: Side(ChehabRl(random.agent), "random", "random"),
+        metric: Metric::Execution,
+        ratio: "speedup",
     }
-    let geomean = chehab_bench::geometric_mean_ratio(&random_exec, &llm_exec);
-    println!("\ngeometric-mean speedup of LLM-style training data: {geomean:.2}x");
-    let _ = write_csv(
-        "fig8_llm_vs_random",
-        "benchmark,llm_ms,random_ms,speedup",
-        &rows,
-    );
+    .run(&config);
+    exit_if_incorrect(pairs.iter().flatten());
 }

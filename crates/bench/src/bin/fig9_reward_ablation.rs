@@ -4,69 +4,28 @@
 //!
 //! Usage: `cargo run --release -p chehab-bench --bin fig9_reward_ablation -- [--timesteps N]`
 
-use chehab_bench::{measure, ms, write_csv, CompilerUnderTest, HarnessConfig};
+use chehab_bench::CompilerUnderTest::ChehabRl;
+use chehab_bench::{exit_if_incorrect, Figure, HarnessConfig, Metric, Side};
 use chehab_core::training::{train_agent, AgentTrainingOptions};
 use chehab_rl::RewardConfig;
-use std::sync::Arc;
 
 fn main() {
     let config = HarnessConfig::from_args();
-    let params = config.params();
-    println!("== Figure 9: step+terminal vs step-only reward");
-    let combined = train_agent(&AgentTrainingOptions {
-        timesteps: config.timesteps,
-        reward: RewardConfig::default(),
-        ..AgentTrainingOptions::default()
-    });
-    let step_only = train_agent(&AgentTrainingOptions {
-        timesteps: config.timesteps,
-        reward: RewardConfig::step_only(),
-        ..AgentTrainingOptions::default()
-    });
-
-    println!(
-        "{:<22} {:>18} {:>14} {:>10}",
-        "benchmark", "step+terminal (ms)", "step only (ms)", "ratio"
-    );
-    let mut rows = Vec::new();
-    let mut combined_exec = Vec::new();
-    let mut step_exec = Vec::new();
-    for benchmark in config.benchmarks() {
-        let m_combined = measure(
-            &benchmark,
-            &CompilerUnderTest::ChehabRl(Arc::clone(&combined.agent)),
-            &params,
-            config.runs,
-        );
-        let m_step = measure(
-            &benchmark,
-            &CompilerUnderTest::ChehabRl(Arc::clone(&step_only.agent)),
-            &params,
-            config.runs,
-        );
-        let ratio = ms(m_step.exec_time) / ms(m_combined.exec_time).max(1e-9);
-        println!(
-            "{:<22} {:>18.3} {:>14.3} {:>9.2}x",
-            benchmark.id(),
-            ms(m_combined.exec_time),
-            ms(m_step.exec_time),
-            ratio
-        );
-        rows.push(format!(
-            "{},{:.3},{:.3},{:.3}",
-            benchmark.id(),
-            ms(m_combined.exec_time),
-            ms(m_step.exec_time),
-            ratio
-        ));
-        combined_exec.push(ms(m_combined.exec_time));
-        step_exec.push(ms(m_step.exec_time));
+    let [combined, step_only] =
+        [RewardConfig::default(), RewardConfig::step_only()].map(|reward| {
+            train_agent(&AgentTrainingOptions {
+                reward,
+                ..config.training()
+            })
+        });
+    let pairs = Figure {
+        title: "Figure 9: step+terminal vs step-only reward".into(),
+        csv: "fig9_reward_ablation",
+        subject: Side(ChehabRl(combined.agent), "step+terminal", "step_terminal"),
+        baseline: Side(ChehabRl(step_only.agent), "step only", "step_only"),
+        metric: Metric::Execution,
+        ratio: "ratio",
     }
-    let geomean = chehab_bench::geometric_mean_ratio(&step_exec, &combined_exec);
-    println!("\ngeometric-mean benefit of the terminal reward: {geomean:.3}x");
-    let _ = write_csv(
-        "fig9_reward_ablation",
-        "benchmark,step_terminal_ms,step_only_ms,ratio",
-        &rows,
-    );
+    .run(&config);
+    exit_if_incorrect(pairs.iter().flatten());
 }

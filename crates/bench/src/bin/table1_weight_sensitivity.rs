@@ -5,11 +5,11 @@
 //! Usage: `cargo run --release -p chehab-bench --bin table1_weight_sensitivity -- [--timesteps N]`
 
 use chehab_bench::{
-    geometric_mean_ratio, measure, ms, write_csv, CompilerUnderTest, HarnessConfig,
+    exit_if_incorrect, measure, summarize_pairs, write_csv, CompilerUnderTest, HarnessConfig,
+    Measurement,
 };
 use chehab_core::training::{train_agent, AgentTrainingOptions};
 use chehab_ir::CostWeights;
-use std::sync::Arc;
 
 fn main() {
     let config = HarnessConfig::from_args();
@@ -21,45 +21,42 @@ fn main() {
         ("(1,100,100)", CostWeights::new(1.0, 100.0, 100.0)),
         ("(1,150,150)", CostWeights::new(1.0, 150.0, 150.0)),
     ];
+    let measured: Vec<Vec<Measurement>> = weight_sets
+        .iter()
+        .map(|(label, weights)| {
+            println!("training agent with weights {label}...");
+            let trained = train_agent(&AgentTrainingOptions {
+                cost_weights: *weights,
+                ..config.training()
+            });
+            let compiler = CompilerUnderTest::ChehabRl(trained.agent);
+            let benchmarks = config.benchmarks();
+            benchmarks
+                .iter()
+                .map(|b| measure(b, &compiler, &params, config.runs))
+                .collect()
+        })
+        .collect();
 
-    // Measure every configuration on the benchmark subset.
-    let mut exec_by_weights: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
-    for (label, weights) in weight_sets {
-        println!("training agent with weights {label}...");
-        let trained = train_agent(&AgentTrainingOptions {
-            timesteps: config.timesteps,
-            cost_weights: weights,
-            ..AgentTrainingOptions::default()
-        });
-        let compiler = CompilerUnderTest::ChehabRl(Arc::clone(&trained.agent));
-        let mut exec = Vec::new();
-        let mut noise = Vec::new();
-        for benchmark in config.benchmarks() {
-            let m = measure(&benchmark, &compiler, &params, config.runs);
-            exec.push(ms(m.exec_time));
-            noise.push(m.noise_consumed);
-        }
-        exec_by_weights.push((label.to_string(), exec, noise));
-    }
-
-    let (baseline_label, baseline_exec, baseline_noise) = exec_by_weights[0].clone();
-    println!(
-        "\n{:<14} {:>22} {:>20}",
-        "weights", "exec time (x vs (1,1,1))", "noise (x vs (1,1,1))"
-    );
-    let mut rows = Vec::new();
-    for (label, exec, noise) in &exec_by_weights {
-        let exec_ratio = geometric_mean_ratio(exec, &baseline_exec);
-        let noise_ratio = geometric_mean_ratio(noise, &baseline_noise);
-        println!("{label:<14} {exec_ratio:>22.3} {noise_ratio:>20.3}");
-        rows.push(format!("{label},{exec_ratio:.4},{noise_ratio:.4}"));
-    }
-    println!(
-        "\n(baseline: {baseline_label}; values above 1 mean slower / noisier than the default)"
-    );
+    // A variant against the default is each kernel's pair [default, variant]:
+    // above 1, the variant is slower / noisier.
+    let rows: Vec<String> = weight_sets
+        .iter()
+        .zip(&measured)
+        .map(|((label, _), variant)| {
+            let pairs: Vec<[Measurement; 2]> = measured[0]
+                .iter()
+                .zip(variant)
+                .map(|(default, variant)| [default.clone(), variant.clone()])
+                .collect();
+            let [exec, _, noise] = summarize_pairs(&pairs, weight_sets[0].0, label);
+            format!("{label},{exec:.4},{noise:.4}")
+        })
+        .collect();
     let _ = write_csv(
         "table1_weight_sensitivity",
         "weights,exec_ratio,noise_ratio",
         &rows,
     );
+    exit_if_incorrect(measured.iter().flatten());
 }

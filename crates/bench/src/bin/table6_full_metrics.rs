@@ -6,10 +6,10 @@
 //! Usage: `cargo run --release -p chehab-bench --bin table6_full_metrics -- [--full] [--runs N] [--timesteps N]`
 
 use chehab_bench::{
-    measure, print_measurements, write_csv, CompilerUnderTest, HarnessConfig,
-    MEASUREMENT_CSV_HEADER,
+    exit_if_incorrect, measure, print_measurements, summarize_pairs, write_csv, CompilerUnderTest,
+    HarnessConfig, Measurement, MEASUREMENT_CSV_HEADER,
 };
-use chehab_core::training::{train_agent, AgentTrainingOptions};
+use chehab_core::training::train_agent;
 use std::sync::Arc;
 
 fn main() {
@@ -23,10 +23,7 @@ fn main() {
         "training the CHEHAB RL agent ({} timesteps)...",
         config.timesteps
     );
-    let trained = train_agent(&AgentTrainingOptions {
-        timesteps: config.timesteps,
-        ..AgentTrainingOptions::default()
-    });
+    let trained = train_agent(&config.training());
     println!(
         "agent trained on {} synthesized programs in {:.1}s\n",
         trained.dataset_size, trained.report.wall_clock_seconds
@@ -50,12 +47,10 @@ fn main() {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("could not write CSV: {e}"),
     }
-    chehab_bench::summarize_vs_baseline(&measurements, "CHEHAB RL", "Coyote");
-    if let Some(m) = measurements.iter().find(|m| !m.correct) {
-        eprintln!(
-            "error: {} compiled by {} did not decrypt to the reference outputs",
-            m.benchmark, m.compiler
-        );
-        std::process::exit(1);
-    }
+    let rl_coyote: Vec<[Measurement; 2]> = measurements
+        .chunks(compilers.len())
+        .map(|m| [m[1].clone(), m[2].clone()])
+        .collect();
+    summarize_pairs(&rl_coyote, compilers[1].label(), compilers[2].label());
+    exit_if_incorrect(&measurements);
 }

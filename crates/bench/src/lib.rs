@@ -8,11 +8,17 @@
 //! Every binary accepts a few command-line flags (see [`HarnessConfig`]) to
 //! scale the run between a quick smoke test and a full-suite evaluation, and
 //! writes its rows as CSV into `results/`.
+//!
+//! A figure that compares two compilers (Figures 5–9 and 12) is data, a
+//! [`Figure`], over the one comparison [`Figure::run`]. Every binary that
+//! measures circuits ends in [`exit_if_incorrect`]: a ratio of two timings
+//! stands only for circuits that decrypt to the interpreter's outputs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use chehab_benchsuite::Benchmark;
+use chehab_core::training::AgentTrainingOptions;
 use chehab_core::{
     external_compile_stats, output_slots_of, select_rotation_keys, CompiledProgram, Compiler,
     ExecutionReport,
@@ -105,6 +111,14 @@ impl HarnessConfig {
             eprintln!("error: {e}\nusage: {program} {}", Self::USAGE);
             std::process::exit(2)
         })
+    }
+
+    /// The default agent training options at this run's `--timesteps`.
+    pub fn training(&self) -> AgentTrainingOptions {
+        AgentTrainingOptions {
+            timesteps: self.timesteps,
+            ..AgentTrainingOptions::default()
+        }
     }
 
     /// The BFV parameters used for execution measurements.
@@ -276,41 +290,23 @@ pub fn measure(
         .enumerate()
         .map(|(i, v)| (v.to_string(), (i as i64 % 7) + 1))
         .collect();
-    let expected = {
-        let mut env = chehab_ir::Env::new();
-        for (k, v) in &inputs {
-            env.bind(k.clone(), *v);
-        }
-        chehab_ir::evaluate(benchmark.program(), &env)
-            .map(|v| {
-                v.slots()
-                    .into_iter()
-                    .take(benchmark.output_slots())
-                    .collect::<Vec<_>>()
-            })
-            .unwrap_or_default()
-    };
+    let mut env = chehab_ir::Env::new();
+    env.bind_all(benchmark.program(), |v| inputs[v.as_str()]);
+    let mut expected = chehab_ir::evaluate(benchmark.program(), &env)
+        .map(|v| v.slots())
+        .unwrap_or_default();
+    expected.truncate(benchmark.output_slots());
 
     let session = compiled
         .session(params)
         .unwrap_or_else(|e| panic!("{}: session construction failed: {e}", benchmark.id()));
-    let mut reports: Vec<ExecutionReport> = Vec::with_capacity(runs);
-    for _ in 0..runs.max(1) {
-        match session.run(&inputs) {
-            Ok(report) => reports.push(report),
-            Err(e) => panic!("{}: execution failed: {e}", benchmark.id()),
-        }
-    }
+    let mut reports: Vec<ExecutionReport> = (0..runs.max(1))
+        .map(|_| session.run(&inputs))
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| panic!("{}: execution failed: {e}", benchmark.id()));
     reports.sort_by_key(|r| r.server_time);
     let median = reports[reports.len() / 2].clone();
-    let correct = median.decryption_ok
-        && median
-            .outputs
-            .iter()
-            .take(expected.len())
-            .copied()
-            .collect::<Vec<_>>()
-            == expected;
+    let correct = median.decryption_ok && median.outputs.starts_with(&expected);
 
     Measurement {
         benchmark: benchmark.id(),
@@ -399,14 +395,10 @@ pub fn print_measurements(measurements: &[Measurement]) -> Vec<String> {
             m.ct_ct_muls,
             m.ct_pt_muls,
             m.rotations,
-            if m.decryption_ok {
-                if m.correct {
-                    "yes"
-                } else {
-                    "NO"
-                }
-            } else {
-                "budget!"
+            match (m.decryption_ok, m.correct) {
+                (false, _) => "budget!",
+                (true, true) => "yes",
+                (true, false) => "NO",
             }
         );
         rows.push(format!(
@@ -428,43 +420,153 @@ pub fn print_measurements(measurements: &[Measurement]) -> Vec<String> {
     rows
 }
 
-/// Prints the geometric-mean comparison line used by Figures 5–7 and writes
-/// nothing; returns (exec ratio, compile ratio, noise ratio) of
-/// `baseline / subject` so values above 1 mean the subject wins.
-pub fn summarize_vs_baseline(
-    measurements: &[Measurement],
-    subject: &str,
-    baseline: &str,
-) -> (f64, f64, f64) {
-    let mut subject_exec = Vec::new();
-    let mut baseline_exec = Vec::new();
-    let mut subject_compile = Vec::new();
-    let mut baseline_compile = Vec::new();
-    let mut subject_noise = Vec::new();
-    let mut baseline_noise = Vec::new();
-    let by_benchmark: HashMap<&str, Vec<&Measurement>> =
-        measurements.iter().fold(HashMap::new(), |mut acc, m| {
-            acc.entry(m.benchmark.as_str()).or_default().push(m);
-            acc
-        });
-    for group in by_benchmark.values() {
-        let find = |label: &str| group.iter().find(|m| m.compiler == label);
-        if let (Some(s), Some(b)) = (find(subject), find(baseline)) {
-            subject_exec.push(s.exec_time.as_secs_f64());
-            baseline_exec.push(b.exec_time.as_secs_f64());
-            subject_compile.push(s.compile_time.as_secs_f64());
-            baseline_compile.push(b.compile_time.as_secs_f64());
-            subject_noise.push(s.noise_consumed);
-            baseline_noise.push(b.noise_consumed);
+/// What a [`Figure`] compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// Median execution time over `--runs` runs, in milliseconds.
+    Execution,
+    /// Compilation time of one run, in milliseconds.
+    Compilation,
+    /// Noise budget one run consumes, in bits; the CSV adds whether each
+    /// side's output decrypted.
+    Noise,
+}
+
+impl Metric {
+    const ALL: [Metric; 3] = [Metric::Execution, Metric::Compilation, Metric::Noise];
+
+    fn value(self, m: &Measurement) -> f64 {
+        match self {
+            Metric::Execution => ms(m.exec_time),
+            Metric::Compilation => ms(m.compile_time),
+            Metric::Noise => m.noise_consumed,
         }
     }
-    let exec = geometric_mean_ratio(&baseline_exec, &subject_exec);
-    let compile = geometric_mean_ratio(&baseline_compile, &subject_compile);
-    let noise = geometric_mean_ratio(&baseline_noise, &subject_noise);
+
+    /// Its unit, and the decimals its values are written with.
+    fn unit(self) -> (&'static str, usize) {
+        match self {
+            Metric::Noise => ("bits", 1),
+            _ => ("ms", 3),
+        }
+    }
+}
+
+/// One side of a [`Figure`]: a compiler, its name in the table (and in its
+/// [`Measurement::compiler`]) and the stem of its CSV columns (`<stem>_ms`,
+/// `<stem>_bits`, `<stem>_ok`).
+pub struct Side(pub CompilerUnderTest, pub &'static str, pub &'static str);
+
+/// A figure that compares two compilers kernel by kernel on one metric
+/// (Figures 5–9 and 12).
+pub struct Figure {
+    /// The heading printed above the table.
+    pub title: String,
+    /// The CSV's name under `results/`, without `.csv`.
+    pub csv: &'static str,
+    /// The compiler the figure is about.
+    pub subject: Side,
+    /// The compiler it is compared with.
+    pub baseline: Side,
+    /// What is compared.
+    pub metric: Metric,
+    /// The name of the baseline ÷ subject column.
+    pub ratio: &'static str,
+}
+
+impl Figure {
+    /// Measures `[subject, baseline]` on each of `benchmarks` in order and
+    /// prints each pair's table row as it is measured; returns the pairs
+    /// (each measurement named by its side's label) and their CSV rows.
+    pub fn compare(
+        &self,
+        benchmarks: &[Benchmark],
+        params: &BfvParameters,
+        runs: usize,
+    ) -> (Vec<[Measurement; 2]>, Vec<String>) {
+        let (metric, sides) = (self.metric, [&self.subject, &self.baseline]);
+        let (unit, p) = metric.unit();
+        let [s, b] = sides.map(|Side(_, label, _)| format!("{label} ({unit})"));
+        println!("\n== {}", self.title);
+        println!("{:<22} {s:>20} {b:>20} {:>10}", "benchmark", self.ratio);
+        benchmarks
+            .iter()
+            .map(|benchmark| {
+                let pair = sides.map(|Side(compiler, label, _)| Measurement {
+                    compiler: label.to_string(),
+                    ..measure(benchmark, compiler, params, runs)
+                });
+                let [s, b] = pair.each_ref().map(|m| metric.value(m));
+                let ratio = b / s.max(1e-9);
+                let id = benchmark.id();
+                println!("{id:<22} {s:>20.p$} {b:>20.p$} {ratio:>9.2}x");
+                let mut row = format!("{id},{s:.p$},{b:.p$},{ratio:.3}");
+                if metric == Metric::Noise {
+                    row += &format!(",{},{}", pair[0].decryption_ok, pair[1].decryption_ok);
+                }
+                (pair, row)
+            })
+            .unzip()
+    }
+
+    /// Runs the figure under `config`: [`Figure::compare`] over its kernels
+    /// (`config.runs` runs for [`Metric::Execution`], one otherwise), then
+    /// writes `results/<csv>.csv`, prints [`summarize_pairs`] and returns
+    /// the pairs.
+    pub fn run(&self, config: &HarnessConfig) -> Vec<[Measurement; 2]> {
+        let runs = match self.metric {
+            Metric::Execution => config.runs,
+            _ => 1,
+        };
+        let (pairs, rows) = self.compare(&config.benchmarks(), &config.params(), runs);
+        let (Side(_, s, s_stem), Side(_, b, b_stem)) = (&self.subject, &self.baseline);
+        let (unit, _) = self.metric.unit();
+        let mut header = format!("benchmark,{s_stem}_{unit},{b_stem}_{unit},{}", self.ratio);
+        if self.metric == Metric::Noise {
+            header += &format!(",{s_stem}_ok,{b_stem}_ok");
+        }
+        match write_csv(self.csv, &header, &rows) {
+            Ok(path) => println!("\nwrote {}", path.display()),
+            Err(e) => eprintln!("could not write CSV: {e}"),
+        }
+        summarize_pairs(&pairs, s, b);
+        pairs
+    }
+}
+
+/// Prints and returns the geometric means over `pairs` (each
+/// `[subject, baseline]`) of baseline ÷ subject execution time, compilation
+/// time and consumed noise, in that order: above 1, the subject wins.
+pub fn summarize_pairs(pairs: &[[Measurement; 2]], subject: &str, baseline: &str) -> [f64; 3] {
+    let means = Metric::ALL.map(|metric| {
+        let side = |i: usize| -> Vec<f64> { pairs.iter().map(|p| metric.value(&p[i])).collect() };
+        geometric_mean_ratio(&side(1), &side(0))
+    });
+    let [exec, compile, noise] = means;
     println!(
         "\ngeometric means ({baseline} / {subject}): execution {exec:.2}x, compilation {compile:.2}x, consumed noise {noise:.2}x"
     );
-    (exec, compile, noise)
+    means
+}
+
+/// The first of `measurements` whose circuit did not decrypt to the
+/// interpreter's outputs.
+pub fn first_incorrect<'a>(
+    measurements: impl IntoIterator<Item = &'a Measurement>,
+) -> Option<&'a Measurement> {
+    measurements.into_iter().find(|m| !m.correct)
+}
+
+/// Exits with status 1, naming it, if any of `measurements` is
+/// [`first_incorrect`]: every binary that measures circuits ends here.
+pub fn exit_if_incorrect<'a>(measurements: impl IntoIterator<Item = &'a Measurement>) {
+    if let Some(m) = first_incorrect(measurements) {
+        eprintln!(
+            "error: {} compiled by {} did not decrypt to the reference outputs",
+            m.benchmark, m.compiler
+        );
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
@@ -563,5 +665,95 @@ mod tests {
         let m = measure(&benchmark, &CompilerUnderTest::Coyote(config), &params, 1);
         assert!(m.correct);
         assert!(m.rotations > 0 || m.ct_pt_muls > 0);
+    }
+
+    /// `Initial` against greedy CHEHAB on `metric`, written to no file.
+    fn initial_vs_greedy(metric: Metric) -> Figure {
+        Figure {
+            title: "Initial vs CHEHAB".into(),
+            csv: "unused",
+            subject: Side(CompilerUnderTest::Initial, "Initial", "initial"),
+            baseline: Side(CompilerUnderTest::ChehabGreedy, "CHEHAB", "chehab"),
+            metric,
+            ratio: "ratio",
+        }
+    }
+
+    /// The first two kernels of the quick suite, in suite order.
+    fn two_kernels() -> Vec<Benchmark> {
+        HarnessConfig::default().benchmarks()[..2].to_vec()
+    }
+
+    #[test]
+    fn a_comparison_pairs_each_kernel_in_suite_order_and_rows_hold_baseline_over_subject() {
+        let kernels = two_kernels();
+        let params = BfvParameters::insecure_test();
+        for metric in Metric::ALL {
+            let (pairs, rows) = initial_vs_greedy(metric).compare(&kernels, &params, 1);
+            assert_eq!(pairs.len(), kernels.len());
+            assert_eq!(rows.len(), kernels.len());
+            for ((kernel, [s, b]), row) in kernels.iter().zip(&pairs).zip(&rows) {
+                assert_eq!((&s.benchmark, &b.benchmark), (&kernel.id(), &kernel.id()));
+                assert_eq!(
+                    (s.compiler.as_str(), b.compiler.as_str()),
+                    ("Initial", "CHEHAB")
+                );
+                let ratio = metric.value(b) / metric.value(s).max(1e-9);
+                assert_eq!(row.split(',').nth(3), Some(format!("{ratio:.3}").as_str()));
+                assert_eq!(
+                    row.split(',').count(),
+                    if metric == Metric::Noise { 6 } else { 4 }
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_summary_pairs_by_position_even_under_one_label() {
+        let kernels = two_kernels();
+        let params = BfvParameters::insecure_test();
+        let mut twins = initial_vs_greedy(Metric::Execution);
+        twins.subject = Side(CompilerUnderTest::ChehabGreedy, "CHEHAB", "first");
+        for figure in [initial_vs_greedy(Metric::Execution), twins] {
+            let (pairs, _) = figure.compare(&kernels, &params, 1);
+            let side =
+                |i: usize| -> Vec<f64> { pairs.iter().map(|p| ms(p[i].exec_time)).collect() };
+            let [exec, ..] = summarize_pairs(&pairs, figure.subject.1, figure.baseline.1);
+            assert_eq!(exec, geometric_mean_ratio(&side(1), &side(0)));
+        }
+    }
+
+    /// A measurement of `benchmark` whose correctness is `correct`.
+    fn measured(benchmark: &str, correct: bool) -> Measurement {
+        Measurement {
+            benchmark: benchmark.into(),
+            compiler: "CHEHAB RL".into(),
+            compile_time: Duration::from_millis(1),
+            exec_time: Duration::from_millis(1),
+            noise_consumed: 10.0,
+            decryption_ok: true,
+            depth: 1,
+            mult_depth: 0,
+            ct_ct_muls: 0,
+            ct_pt_muls: 0,
+            rotations: 0,
+            additions: 1,
+            correct,
+        }
+    }
+
+    #[test]
+    fn the_shared_check_names_the_first_incorrect_measurement() {
+        let ms = [
+            measured("a", true),
+            measured("b", false),
+            measured("c", false),
+        ];
+        assert_eq!(
+            first_incorrect(&ms).map(|m| m.benchmark.as_str()),
+            Some("b")
+        );
+        assert!(first_incorrect(&ms[..1]).is_none());
+        assert!(first_incorrect(&[]).is_none());
     }
 }
