@@ -8,8 +8,11 @@
 # or a path (`::name`) outside comments and string literals, and not the
 # `fn name(` that defines it. A use inside the body of a `pub fn` that is
 # itself uncalled does not count: the scan repeats until no more functions
-# drop out. A use is still matched by bare name, so a call to a same-named
-# function or method of another type counts. Exits 1, naming each failure.
+# drop out. Nor does a use inside the body of a `pub fn` of the same name, so
+# two same-named functions that only call each other (a wrapper forwarding to
+# the method it shadows) are both uncalled. Otherwise a use is matched by bare
+# name, so a call to a same-named function or method of another type counts.
+# Exits 1, naming each failure.
 set -uo pipefail
 shopt -s globstar
 cd "$(dirname "$0")/.."
@@ -62,8 +65,9 @@ done <.github/structure-checks.tsv
 # A use is a call or a path in a line's code: `strip` blanks its string and
 # char literals (a string may run on over lines: `instr`) and drops its `//`
 # comment. `cur` is the `pub fn` whose body the line is in (its body ends when
-# the brace depth is back at `top`); `from[cur, name]` counts the uses made
-# there, which END discounts once `cur` is found uncalled.
+# the brace depth is back at `top`); a use of its own name there is skipped,
+# and `from[cur, name]` counts the other uses made there, which END discounts
+# once `cur` is found uncalled.
 awk "$TEST_PART"'
   function strip(line,    out, n, i, c, j) {
     if (!instr && line !~ /["\047]/) { sub(/\/\/.*/, "", line); return line }
@@ -89,6 +93,7 @@ awk "$TEST_PART"'
       code = substr(code, RSTART + RLENGTH)
       if (before ~ /(^|[^A-Za-z0-9_])fn[[:space:]]+$/) continue
       sub(/^::/, "", name); sub(/(\(|::<)$/, "", name)
+      if (cur != "" && def[cur] == name) continue
       used[name]++; if (intest) own[FILENAME, name]++; if (cur != "") from[cur, name]++ }
     if (cur != "") { if (depth > top) inbody = 1; else if (inbody || opens) cur = "" } }
   END {

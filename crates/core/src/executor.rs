@@ -29,12 +29,12 @@ use chehab_fhe::{
     ArenaPool, BfvParameters, Decryptor, EvaluatorStats, FheContext, FheError, GaloisKeys,
     KeyGenerator, RelinKeys,
 };
-use chehab_ir::{CircuitDag, CircuitSummary, CostModel, DagNode, DataKind, Expr, Ty};
+use chehab_ir::{CircuitDag, CircuitSummary, DagNode, DataKind, Expr, Ty};
 use chehab_runtime::{
-    data_kinds, default_workers, lane_geometry, lock, BatchPolicy, CalibratedCostModel,
-    CancellationToken, Counter, ExecOutcome, ExecResources, Executor, FaultPlan, Gauge,
-    LaneGeometry, MetricsRegistry, Register, ResilienceStats, RunInputs, Schedule, SchedulerKind,
-    ServingConfig, ServingEngine, SpanEvent, TimingBreakdown, TraceSink, DEFAULT_QUEUE_CAPACITY,
+    data_kinds, default_workers, lane_geometry, lock, BatchPolicy, CancellationToken, Counter,
+    ExecOutcome, ExecResources, Executor, FaultPlan, Gauge, LaneGeometry, MetricsRegistry,
+    Register, ResilienceStats, RunInputs, Schedule, SchedulerKind, ServingConfig, ServingEngine,
+    SpanEvent, TimingBreakdown, TraceSink, DEFAULT_QUEUE_CAPACITY,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -111,7 +111,7 @@ pub struct ExecOptions {
     /// The release rule of the one executor: barrier-free
     /// [`SchedulerKind::Dataflow`] (the default — an instruction becomes
     /// runnable the instant its operands are written, ready ones ordered by
-    /// calibrated critical-path priority) or [`SchedulerKind::Leveled`] (a
+    /// the schedule's critical-path priority) or [`SchedulerKind::Leveled`] (a
     /// level is released when the level below has retired). Outputs are
     /// bit-identical either way, and so is what the report's `timing`
     /// records; only the wall-clock differs.
@@ -318,7 +318,7 @@ impl CompiledProgram {
                             if elems.iter().all(|&e| nodes[e].is_leaf())))
             })
             .collect();
-        let schedule = chehab_runtime::lower_with_default_costs(&self.dag, &prebound, |step| {
+        let schedule = Schedule::lower(&self.dag, &prebound, |step| {
             self.rotation_plan.realize(step)
         });
         (kinds, prebound, schedule)
@@ -332,10 +332,10 @@ impl CompiledProgram {
     }
 
     /// Builds the long-lived serving state of this program under `params`:
-    /// FHE context, public/relinearization/Galois keys, the leveled
-    /// instruction schedule, and a cumulative timing calibration. Key
-    /// generation and schedule lowering happen exactly once here, no matter
-    /// how many requests the session serves afterwards.
+    /// FHE context, public/relinearization/Galois keys and the leveled
+    /// instruction schedule. Key generation and schedule lowering happen
+    /// exactly once here, no matter how many requests the session serves
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -369,12 +369,6 @@ pub struct SessionStats {
     /// *live* ciphertext input register of the session's bind plan (a
     /// scalar input that only feeds client-packed vectors is not one).
     pub encryptions_per_request: usize,
-    /// Measured per-primitive latencies, folded from the instruction spans
-    /// of every successful run's `ExecutionReport::timing`
-    /// ([`CalibratedCostModel::record_run`]). Only the dataflow rule's
-    /// critical-path priorities read it (a pool larger than one); the
-    /// optimizer never does.
-    pub calibration: CalibratedCostModel,
 }
 
 /// The session's named metric handles, registered once at session build on
@@ -468,8 +462,7 @@ impl SessionMetrics {
 }
 
 /// Everything one compiled program shares across executions under fixed
-/// parameters: FHE context, key material, the leveled schedule, and a
-/// cumulative timing calibration.
+/// parameters: FHE context, key material and the leveled schedule.
 ///
 /// A session is built **once** per `(program, parameters)` pair by
 /// [`CompiledProgram::session`]; every request served through it afterwards
@@ -530,11 +523,6 @@ pub struct FheSession {
     /// (r+1)·E` of the public key's stream (`E` the plan's encryptions per
     /// run), so no two runs of a session draw the same randomness.
     runs: AtomicU64,
-    /// Per-primitive latencies folded from every successful run's report.
-    /// Locked through the poison-recovering [`lock`]: a sum a panicking
-    /// thread left half-merged is a slightly wrong statistic, never a
-    /// reason to fail every later request.
-    calibration: Mutex<CalibratedCostModel>,
     /// The session-owned metrics registry and its named handles (see
     /// [`FheSession::metrics`]).
     metrics: SessionMetrics,
@@ -620,7 +608,6 @@ impl FheSession {
             keygen_time,
             lowering_time,
             runs: AtomicU64::new(0),
-            calibration: Mutex::new(CalibratedCostModel::new()),
             metrics,
         })
     }
@@ -642,10 +629,10 @@ impl FheSession {
 
     /// Serves one request with `options.threads_per_request` workers under
     /// `options.scheduler` — by default the barrier-free dataflow rule
-    /// with critical-path priorities recomputed from the session's
-    /// accumulated calibration. Results are bit-identical to
-    /// [`FheSession::run`] at every worker count and scheduler. A solo
-    /// request is a batch of one of [`FheSession::run_batched`].
+    /// with the schedule's critical-path priorities. Results are
+    /// bit-identical to [`FheSession::run`] at every worker count and
+    /// scheduler. A solo request is a batch of one of
+    /// [`FheSession::run_batched`].
     ///
     /// # Errors
     ///
@@ -713,11 +700,10 @@ impl FheSession {
     /// [`chehab_runtime::ServingStats`]; a request's outcome is counted once,
     /// by the engine from the result its handle receives, in the session's
     /// registry cells, shared by all its engines. What a run
-    /// observes — op latencies, steals, encryptions — is counted by the session
-    /// ([`FheSession::stats`], [`FheSession::metrics`]) and carried per run
-    /// in each report's `timing`; the handler records nothing. Requests that
-    /// fail for any reason (cancel, deadline, injected or organic panic)
-    /// never feed the session's cumulative calibration.
+    /// observes — steals, encryptions — is counted by the session
+    /// ([`FheSession::stats`], [`FheSession::metrics`]), its op latencies
+    /// are carried per run in each report's `timing`, and the handler
+    /// records nothing.
     pub fn serve_with(
         self: &Arc<Self>,
         options: &ExecOptions,
@@ -782,7 +768,7 @@ impl FheSession {
     }
 
     /// Point-in-time session statistics: one-time setup costs, requests
-    /// served, and the cumulative timing calibration.
+    /// served, Galois keys held and encryptions per run.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             keygen_time: self.keygen_time,
@@ -790,7 +776,6 @@ impl FheSession {
             requests_served: self.metrics.requests.get(),
             galois_key_count: self.galois_keys.key_count(),
             encryptions_per_request: self.bind_plan.encryptions(),
-            calibration: lock(&self.calibration).clone(),
         }
     }
 
@@ -877,26 +862,11 @@ impl FheSession {
         res: &ExecResources<'_>,
         options: &ExecOptions,
     ) -> Result<ExecOutcome, FheError> {
-        // Only a dataflow pool larger than one reads priorities: critical
-        // paths under the *calibrated* cost table, so the ready queue ranks
-        // instructions by measured hardware cost, sharpening as the session
-        // accumulates samples (static estimates on a cold one). A pool of
-        // one pops in schedule order: no order changes its wall, and a fixed
-        // one keeps its peak of live buffers fixed.
-        let prioritised =
-            options.scheduler == SchedulerKind::Dataflow && options.threads_per_request > 1;
-        let priorities = if prioritised {
-            let costs = lock(&self.calibration).to_op_costs(&CostModel::default().op_costs);
-            self.schedule.critical_path_priorities(&costs)
-        } else {
-            Vec::new()
-        };
         Executor::new(options.threads_per_request).execute(
             &self.schedule,
             inputs,
             res,
             options.scheduler,
-            &priorities,
         )
     }
 
@@ -914,9 +884,7 @@ impl FheSession {
     /// chunk size, worker count and scheduler; each user's report carries
     /// the chunk's shared server time and operation stats (the whole point:
     /// one execution, many users). `hooks` trace, cancel or fault the call
-    /// as documented on [`ExecHooks`]; a cancelled or faulted chunk
-    /// contributes **nothing** to the session's cumulative calibration
-    /// (partial timings would skew the cost feedback loop).
+    /// as documented on [`ExecHooks`].
     ///
     /// # Errors
     ///
@@ -1122,7 +1090,6 @@ impl FheSession {
             };
             span("decrypt", decrypt_started, decrypt_started.elapsed());
 
-            lock(&self.calibration).record_run(&self.schedule, &outcome.timing);
             self.metrics.requests.add(users as u64);
             self.metrics.steals.add(outcome.timing.steals);
             if batching.is_some() {
@@ -1239,9 +1206,7 @@ pub struct ExecutionReport {
     /// The executor's one record of the run: per instruction its worker,
     /// start (an offset from `timing.barrier`), span, queue wait and steal
     /// victim, and the run's steals. A trace's instruction spans are drawn
-    /// from it, and the session folds its spans into its
-    /// [`chehab_runtime::CalibratedCostModel`], which prices the dataflow
-    /// rule's critical-path priorities.
+    /// from it.
     pub timing: TimingBreakdown,
 }
 
@@ -1435,34 +1400,6 @@ mod tests {
                 parallel.timing.instr_times.len()
             );
         }
-    }
-
-    /// A thread that panics holding the calibration lock poisons it; the
-    /// next run — which reads it for priorities and merges into it — and
-    /// `stats()` still succeed instead of re-raising that panic.
-    #[test]
-    fn a_poisoned_calibration_lock_does_not_cascade() {
-        let program = compile_raw("(VecAdd (VecMul (Vec a b) (Vec c d)) (Vec e f))", true);
-        let session = Arc::new(program.session(&BfvParameters::insecure_test()).unwrap());
-        let poisoner = Arc::clone(&session);
-        let panicked = std::thread::spawn(move || {
-            let _held = poisoner.calibration.lock();
-            panic!("poisoning the calibration lock on purpose");
-        })
-        .join();
-        assert!(panicked.is_err() && session.calibration.is_poisoned());
-
-        let inputs: HashMap<String, i64> = ["a", "b", "c", "d", "e", "f"]
-            .iter()
-            .zip(1..)
-            .map(|(name, value)| (name.to_string(), value))
-            .collect();
-        let options = ExecOptions::sequential().with_threads_per_request(2);
-        let report = session.run_parallel(&inputs, &options).unwrap();
-        // (a·c + e, b·d + f)
-        assert_eq!(report.outputs, vec![8, 14]);
-        assert_eq!(session.stats().requests_served, 1);
-        assert!(session.stats().calibration.sample_count() > 0);
     }
 
     /// The scatter's windows: two users at a lane stride of 4 read exactly

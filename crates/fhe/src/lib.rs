@@ -15,8 +15,8 @@
 //!   ct-ct-mul > rotation > addition ordering the paper's cost model
 //!   assumes. Payloads are kept lazily in NTT (Eval) form across whole
 //!   operation chains (see [`poly`]), so the steady-state work is pointwise
-//!   and transform-free — the timer-augmented cost calibration, not a
-//!   static table, carries the measured magnitudes;
+//!   and transform-free (the `kernel_timer` test prints the measured
+//!   magnitudes; compiler and scheduler price with the static table);
 //! * **noise**: an analytic invariant-noise model reproduces the consumed
 //!   noise budgets of Table 6 (369-bit fresh budget under the paper's
 //!   parameters, ct-ct multiplications costing tens of bits).

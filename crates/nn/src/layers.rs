@@ -72,11 +72,6 @@ impl Linear {
         x.matmul(&V::param(x.tape(), &self.weight))
             .add_bias(&V::param(x.tape(), &self.bias))
     }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.weight.shape().1
-    }
 }
 
 impl Module for Linear {
@@ -141,11 +136,6 @@ impl Mlp {
         }
         h
     }
-
-    /// Output dimension of the final layer.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("at least one layer").out_dim()
-    }
 }
 
 impl Module for Mlp {
@@ -204,8 +194,7 @@ mod tests {
         let out = layer.forward(&Matrix::zeros(5, 4));
         assert_eq!((out.rows(), out.cols()), (5, 3));
         assert_eq!(layer.parameter_count(), 4 * 3 + 3);
-        assert_eq!(layer.weight.shape().0, 4);
-        assert_eq!(layer.out_dim(), 3);
+        assert_eq!(layer.weight.shape(), (4, 3));
     }
 
     #[test]
@@ -215,7 +204,6 @@ mod tests {
         let out = mlp.forward(&Matrix::zeros(2, 8));
         assert_eq!((out.rows(), out.cols()), (2, 4));
         assert_eq!(mlp.parameters().len(), 4);
-        assert_eq!(mlp.out_dim(), 4);
     }
 
     #[test]

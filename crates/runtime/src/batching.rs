@@ -325,7 +325,7 @@ impl<T, R> RequestCoalescer<T, R> {
 mod tests {
     use super::*;
     use crate::exec::lock;
-    use crate::schedule::{data_kinds, lower_with_default_costs};
+    use crate::schedule::data_kinds;
     use chehab_ir::{parse, CircuitDag, DagNode, DataKind};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Mutex};
@@ -689,7 +689,7 @@ mod tests {
         let expr = parse(source).unwrap();
         let dag = CircuitDag::from_expr(&expr).eliminate_dead_code();
         let prebound = client_prebound(&dag);
-        let schedule = lower_with_default_costs(&dag, &prebound, |step| vec![step]);
+        let schedule = Schedule::lower(&dag, &prebound, |step| vec![step]);
         let mut widths = vec![0usize; dag.len()];
         let prebound_widths: Vec<usize> = (0..dag.len())
             .map(|id| {

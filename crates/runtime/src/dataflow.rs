@@ -14,14 +14,11 @@
 //!   idle worker pops its own deque from the front (highest priority), then
 //!   the injector, then **steals** from the back of the richest victim's
 //!   deque (the entry the victim would run last), counting every steal.
-//!   Priorities are the longest remaining dependency chain under a cost
-//!   table ([`Schedule::critical_path_priorities`]); sessions recompute them
-//!   from a [`CalibratedCostModel`](crate::CalibratedCostModel) folded from
-//!   the spans of earlier runs' breakdowns — the timer-augmented cost
-//!   function of McDoniel & Bientinesi applied to ready-queue ordering. A
+//!   Priorities are the longest remaining dependency chain under the static
+//!   cost table, computed once at lowering ([`Schedule::priorities`]). A
 //!   pool of one has nothing to prioritise (no order changes its wall), so
-//!   it is given none and pops in schedule order — the same order, and so
-//!   the same peak of live buffers, on every request.
+//!   it reads none and pops in schedule order — the same order, and so the
+//!   same peak of live buffers, on every request.
 //! - [`SchedulerKind::Leveled`]: when the whole level below has retired. A
 //!   per-level countdown replaces the barrier: the worker that retires a
 //!   level's last instruction injects the next level's range in schedule
@@ -153,9 +150,9 @@ pub(crate) type Popped = (Ready, Option<usize>);
 /// is what matters here.
 pub(crate) struct SchedState<'a> {
     schedule: &'a Schedule,
-    /// One priority per instruction, read only under
-    /// [`SchedulerKind::Dataflow`]; an instruction past the end ranks 0.0,
-    /// so an empty table pops ready instructions in schedule order.
+    /// The schedule's priorities for a dataflow pool of more than one
+    /// worker, else empty: an instruction past the end ranks 0.0, so an
+    /// empty table pops ready instructions in schedule order.
     priorities: &'a [f64],
     /// Per-worker local deques, each sorted by descending priority (owners
     /// pop the front, thieves steal the back).
@@ -196,15 +193,19 @@ impl<'a> SchedState<'a> {
     pub(crate) fn new(
         schedule: &'a Schedule,
         rule: SchedulerKind,
-        priorities: &'a [f64],
         workers: usize,
         inputs: usize,
     ) -> Self {
         let n = schedule.instrs().len();
         let now = Instant::now();
+        let prioritised = rule == SchedulerKind::Dataflow && workers > 1;
         let mut state = SchedState {
             schedule,
-            priorities,
+            priorities: if prioritised {
+                schedule.priorities()
+            } else {
+                &[]
+            },
             locals: (0..workers).map(|_| VecDeque::new()).collect(),
             injector: Vec::new(),
             pending: Vec::new(),
@@ -366,8 +367,7 @@ impl<'a> SchedState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::lower_with_default_costs;
-    use chehab_ir::{parse, CircuitDag, CostModel};
+    use chehab_ir::{parse, CircuitDag};
 
     /// Two chains of different depth under one sum: three levels, the first
     /// two of them two instructions wide.
@@ -382,13 +382,13 @@ mod tests {
             .iter()
             .map(|n| n.is_leaf() || matches!(n, chehab_ir::DagNode::Vec(_)))
             .collect();
-        lower_with_default_costs(&dag, &prebound, |step| vec![step])
+        Schedule::lower(&dag, &prebound, |step| vec![step])
     }
 
     #[test]
     fn local_deques_stay_priority_sorted_and_steals_take_the_back() {
         let schedule = two_chains();
-        let mut st = SchedState::new(&schedule, SchedulerKind::Dataflow, &[0.0; 5], 2, 0);
+        let mut st = SchedState::new(&schedule, SchedulerKind::Dataflow, 2, 0);
         while st.pop(0).is_some() {}
         let at = Instant::now();
         for (priority, index) in [(1.0, 0), (5.0, 1), (3.0, 2)] {
@@ -425,12 +425,11 @@ mod tests {
         let schedule = two_chains();
         let n = schedule.instrs().len();
         assert_eq!(schedule.level_count(), 3);
-        let priorities = schedule.critical_path_priorities(&CostModel::default().op_costs);
 
         for rule in [SchedulerKind::Dataflow, SchedulerKind::Leveled] {
             // Two input encryptions stand before the barrier: nothing is
             // released until the last one is published.
-            let mut st = SchedState::new(&schedule, rule, &priorities, 2, 2);
+            let mut st = SchedState::new(&schedule, rule, 2, 2);
             st.input_published();
             assert!(st.pop(0).is_none() && st.pop(1).is_none(), "{rule:?}");
             st.input_published();

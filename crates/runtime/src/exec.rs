@@ -442,11 +442,9 @@ impl Executor {
     /// from the barrier where the last of them is published, they run the
     /// schedule, releasing instructions under `scheduler`. Under
     /// [`SchedulerKind::Dataflow`] a pool larger than one pops ready
-    /// instructions in descending `priorities` order (one entry per
-    /// instruction, e.g. from [`Schedule::critical_path_priorities`] under a
-    /// measured cost table). [`SchedulerKind::Leveled`] never reads them,
-    /// and a pool of one needs none: no order changes its wall, so it may
-    /// pass `&[]` and pop in schedule order.
+    /// instructions in descending [`Schedule::priorities`] order.
+    /// [`SchedulerKind::Leveled`] never reads them, and a pool of one pops
+    /// in schedule order: no order changes its wall.
     ///
     /// The pool is `threads` clamped to what the rule can use (the widest
     /// level under leveled, the instruction count under dataflow). The
@@ -468,41 +466,28 @@ impl Executor {
     ///
     /// Panics if `inputs.registers` does not cover the schedule's slots, if
     /// the schedule references a slot that is neither pre-bound, encrypted
-    /// nor produced at an earlier level, or if a dataflow run on more than
-    /// one worker gets fewer priorities than instructions. All three checks
-    /// run up front on the calling thread: misuse must never reach the pool.
+    /// nor produced at an earlier level. Both checks run up front on the
+    /// calling thread: misuse must never reach the pool.
     pub fn execute(
         &self,
         schedule: &Schedule,
         mut inputs: RunInputs,
         res: &ExecResources<'_>,
         scheduler: SchedulerKind,
-        priorities: &[f64],
     ) -> Result<ExecOutcome, FheError> {
         let rf = register_file(schedule, &mut inputs);
-        let instructions = schedule.instrs().len();
         let useful = match scheduler {
             SchedulerKind::Leveled => schedule.max_width(),
-            SchedulerKind::Dataflow => instructions,
+            SchedulerKind::Dataflow => schedule.instrs().len(),
         };
         let workers = self.threads.min(useful).max(1);
-        assert!(
-            scheduler == SchedulerKind::Leveled || workers == 1 || priorities.len() >= instructions,
-            "need one priority per instruction"
-        );
         let encryptions = inputs.encryptions.len();
         let run = Run {
             schedule,
             rf: &rf,
             res,
             inputs: InputPhase::new(&inputs),
-            state: Mutex::new(SchedState::new(
-                schedule,
-                scheduler,
-                priorities,
-                workers,
-                encryptions,
-            )),
+            state: Mutex::new(SchedState::new(schedule, scheduler, workers, encryptions)),
             work_available: Condvar::new(),
         };
         std::thread::scope(|scope| {

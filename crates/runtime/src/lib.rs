@@ -17,14 +17,13 @@
 //!    instructions by barrier-free dependency counting with work stealing
 //!    (the default) or level by level ([`SchedulerKind`]), bit-identical to
 //!    the in-order walk either way.
-//! 2. **Timer-augmented costs** (after McDoniel & Bientinesi, *A
-//!    Timer-Augmented Cost Function for Load Balanced DSMC*): the dataflow
-//!    rule's critical-path ready-queue priorities
-//!    ([`Schedule::critical_path_priorities`]) are computed under measured
-//!    per-primitive latencies ([`CalibratedCostModel`]) instead of the
-//!    static per-operator cost table. A session folds them from the
-//!    instruction spans every run's [`TimingBreakdown`] already carries, so
-//!    an operation is timed once; the optimizer keeps the static table.
+//! 2. **Critical-path priorities, fixed at lowering**: the dataflow rule's
+//!    ready queues rank instructions by their longest remaining dependency
+//!    chain ([`Schedule::priorities`]), priced under the same static
+//!    per-operator cost table as the optimizer and computed once, like the
+//!    dependency counts. Timer-calibrated costs (after McDoniel &
+//!    Bientinesi) were measured against them and bought no time the
+//!    benchmark can see (`DESIGN.md` §1), so none are kept.
 //! 3. **One request path** (the persistent-worker scheme of the same
 //!    two-level literature): a [`ServingEngine`] keeps one bounded request
 //!    queue drained by long-lived worker threads, so expensive per-program
@@ -59,8 +58,7 @@
 //! use chehab_fhe::{BfvParameters, Decryptor, FheContext, KeyGenerator};
 //! use chehab_ir::{parse, CircuitDag};
 //! use chehab_runtime::{
-//!     lower_with_default_costs, ExecResources, Executor, LaneGeometry, Register, RunInputs,
-//!     SchedulerKind,
+//!     ExecResources, Executor, LaneGeometry, Register, RunInputs, Schedule, SchedulerKind,
 //! };
 //!
 //! // (a*b) + (c*d): the two multiplications share a level.
@@ -96,7 +94,7 @@
 //!     }
 //! }
 //!
-//! let schedule = lower_with_default_costs(&dag, &prebound, |step| vec![step]);
+//! let schedule = Schedule::lower(&dag, &prebound, |step| vec![step]);
 //! assert_eq!(schedule.level_count(), 2);
 //!
 //! let arenas = chehab_fhe::ArenaPool::new();
@@ -114,10 +112,8 @@
 //!     // No fault injection.
 //!     faults: None,
 //! };
-//! // Level by level on two workers, which encrypt the two inputs first; the
-//! // leveled rule reads no priorities.
-//! let outcome =
-//!     Executor::new(2).execute(&schedule, inputs, &resources, SchedulerKind::Leveled, &[])?;
+//! // Level by level on two workers, which encrypt the two inputs first.
+//! let outcome = Executor::new(2).execute(&schedule, inputs, &resources, SchedulerKind::Leveled)?;
 //! let Register::Cipher(output) = outcome.output else { panic!("ciphertext output") };
 //! assert_eq!(ctx.decode(&decryptor.decrypt(&output)?, 2), vec![1 * 3 + 5 * 7, 2 * 4 + 6 * 8]);
 //! // The report places every instruction: its worker, and its start as an
@@ -130,7 +126,6 @@
 #![warn(missing_docs)]
 
 mod batching;
-mod calibrate;
 mod dataflow;
 mod exec;
 mod faults;
@@ -141,16 +136,13 @@ pub mod telemetry;
 pub use batching::{
     lane_geometry, BatchPolicy, CoalescerConfig, CoalescerStats, LaneGeometry, RequestCoalescer,
 };
-pub use calibrate::CalibratedCostModel;
 pub use dataflow::{SchedulerKind, TimingBreakdown};
 pub use exec::{
     execute_in_order, lock, ExecOutcome, ExecResources, Executor, PlainValue, Register,
     RegisterFile, RunInputs,
 };
 pub use faults::{CancellationToken, FaultPlan};
-pub use schedule::{
-    data_kinds, lower_with_default_costs, CostTerms, Instr, Schedule, ScheduledInstr, Slot,
-};
+pub use schedule::{data_kinds, Instr, Schedule, ScheduledInstr, Slot};
 pub use serving::{
     default_workers, Classify, LatencySnapshot, Outcome, RequestError, RequestHandle,
     ResilienceStats, ServingConfig, ServingEngine, ServingError, ServingStats, TrySubmitError,

@@ -17,10 +17,9 @@
 //! barrier-free release rule
 //! ([`SchedulerKind::Dataflow`](crate::SchedulerKind)) consumes: the
 //! per-instruction remaining-dependency count ([`Schedule::dep_counts`]) and
-//! the transpose of the operand graph ([`Schedule::dependents`]), plus
-//! additive [`CostTerms`] per instruction so critical-path priorities can be
-//! recomputed under any (e.g. timer-calibrated) cost table without
-//! re-lowering.
+//! the transpose of the operand graph ([`Schedule::dependents`]), plus each
+//! instruction's critical-path priority ([`Schedule::priorities`]), priced
+//! once here under the static cost model like the level order.
 
 use chehab_ir::{BinOp, CircuitDag, CostModel, DagNode, DataKind, NodeId, OpCosts};
 use std::ops::Range;
@@ -100,34 +99,6 @@ impl Instr {
     }
 }
 
-/// The additive cost composition of one instruction: how many of each
-/// primitive operation it performs. Its cost under *any* [`OpCosts`] table is
-/// the dot product [`CostTerms::cost`], which is what lets critical-path
-/// priorities be recomputed under a timer-calibrated table
-/// ([`crate::CalibratedCostModel::to_op_costs`]) without re-lowering the
-/// schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CostTerms {
-    /// Vector additions / subtractions / negations.
-    pub adds: f64,
-    /// Realized rotation steps.
-    pub rotations: f64,
-    /// Ciphertext–ciphertext multiplications.
-    pub ct_ct_muls: f64,
-    /// Ciphertext–plaintext multiplications.
-    pub ct_pt_muls: f64,
-}
-
-impl CostTerms {
-    /// The instruction cost under a concrete per-operator cost table.
-    pub fn cost(&self, costs: &OpCosts) -> f64 {
-        self.adds * costs.vec_add
-            + self.rotations * costs.rotation
-            + self.ct_ct_muls * costs.vec_mul_ct_ct
-            + self.ct_pt_muls * costs.vec_mul_ct_pt
-    }
-}
-
 /// An instruction bound to its destination register and wavefront level.
 #[derive(Debug, Clone)]
 pub struct ScheduledInstr {
@@ -139,8 +110,6 @@ pub struct ScheduledInstr {
     pub level: usize,
     /// Estimated cost under the static cost model, used for load balancing.
     pub est_cost: f64,
-    /// Additive cost composition, for re-costing under calibrated tables.
-    pub terms: CostTerms,
 }
 
 /// A leveled instruction schedule for one compiled circuit.
@@ -163,6 +132,9 @@ pub struct Schedule {
     /// slot whose count reaches zero at run time (each consumer decrements
     /// once on completion) is dead: its buffers can return to the arena.
     consumer_counts: Vec<usize>,
+    /// Per instruction index: its critical-path priority, `est_cost` plus
+    /// the costliest chain of dependents below it.
+    priorities: Vec<f64>,
 }
 
 impl Schedule {
@@ -172,13 +144,13 @@ impl Schedule {
     /// `prebound` marks the register slots the client binds before execution
     /// (leaves, plaintext subcircuits, client-packed vectors); every other
     /// node becomes an instruction. `realize` maps a rotation step to the key
-    /// sequence that implements it. `costs` supplies the per-operator
-    /// estimates used to order instructions within a level.
+    /// sequence that implements it. Every instruction is priced under
+    /// [`CostModel::default`]'s operator costs, which order each level and
+    /// the dataflow rule's ready queues.
     pub fn lower(
         dag: &CircuitDag,
         prebound: &[bool],
         realize: impl Fn(i64) -> Vec<i64>,
-        costs: &OpCosts,
     ) -> Schedule {
         assert_eq!(
             prebound.len(),
@@ -186,6 +158,7 @@ impl Schedule {
             "prebound mask must cover every node"
         );
         let kinds = data_kinds(dag);
+        let costs = CostModel::default().op_costs;
         // `level_of[id]` = wavefront level producing slot `id`; pre-bound
         // slots are available before level 0.
         let mut level_of: Vec<Option<usize>> = vec![None; dag.len()];
@@ -223,13 +196,12 @@ impl Schedule {
                     }),
                 },
             };
-            let terms = cost_terms(&instr, &kinds);
+            let est_cost = est_cost(&instr, &kinds, &costs);
             instrs.push(ScheduledInstr {
                 dst: id,
                 instr,
                 level,
-                est_cost: terms.cost(costs),
-                terms,
+                est_cost,
             });
         }
 
@@ -278,6 +250,16 @@ impl Schedule {
             }
             dep_counts[index] = producers;
         }
+        // Dependents have strictly larger indices, so one reverse pass
+        // settles every chain.
+        let mut priorities = vec![0.0; instrs.len()];
+        for index in (0..instrs.len()).rev() {
+            let downstream = dependents[index]
+                .iter()
+                .map(|&d| priorities[d])
+                .fold(0.0, f64::max);
+            priorities[index] = instrs[index].est_cost + downstream;
+        }
 
         Schedule {
             instrs,
@@ -287,6 +269,7 @@ impl Schedule {
             dep_counts,
             dependents,
             consumer_counts,
+            priorities,
         }
     }
 
@@ -353,37 +336,13 @@ impl Schedule {
         &self.consumer_counts
     }
 
-    /// Per-instruction costs under an arbitrary cost table (e.g. a
-    /// timer-calibrated one), via the stored [`CostTerms`].
-    pub fn instr_costs(&self, costs: &OpCosts) -> Vec<f64> {
-        self.instrs.iter().map(|i| i.terms.cost(costs)).collect()
-    }
-
-    /// Critical-path priorities under a cost table: `priority[i]` is the
-    /// cost of the most expensive dependency chain *starting at* instruction
-    /// `i` (inclusive). The dataflow rule pops ready instructions in
+    /// Critical-path priorities: `priorities()[i]` is the cost of the most
+    /// expensive dependency chain *starting at* instruction `i` (inclusive).
+    /// A dataflow pool of more than one worker pops ready instructions in
     /// descending priority order — the classic critical-path-first list
-    /// scheduling heuristic — and sessions recompute these from the
-    /// accumulated [`crate::CalibratedCostModel`] so priorities track
-    /// measured hardware costs as calibration accumulates.
-    pub fn critical_path_priorities(&self, costs: &OpCosts) -> Vec<f64> {
-        self.chain_costs(&self.instr_costs(costs))
-    }
-
-    /// `chain[i] = cost[i] + max(chain[d] for d in dependents(i))`, the
-    /// downstream critical-path cost of every instruction.
-    fn chain_costs(&self, costs: &[f64]) -> Vec<f64> {
-        let mut chain = costs.to_vec();
-        // Dependents have strictly larger indices, so one reverse pass
-        // settles every chain.
-        for i in (0..chain.len()).rev() {
-            let downstream = self.dependents[i]
-                .iter()
-                .map(|&d| chain[d])
-                .fold(0.0, f64::max);
-            chain[i] = costs[i] + downstream;
-        }
-        chain
+    /// scheduling heuristic.
+    pub fn priorities(&self) -> &[f64] {
+        &self.priorities
     }
 
     /// The true critical-path (barrier-free, infinitely wide) makespan of
@@ -440,51 +399,22 @@ pub fn data_kinds(dag: &CircuitDag) -> Vec<DataKind> {
     kinds
 }
 
-/// The additive cost composition of one instruction (how many primitives it
-/// performs); its estimated cost under any table is `terms.cost(costs)`.
-fn cost_terms(instr: &Instr, kinds: &[DataKind]) -> CostTerms {
+/// The estimated cost of one instruction under a per-operator cost table.
+fn est_cost(instr: &Instr, kinds: &[DataKind], costs: &OpCosts) -> f64 {
     let is_ct = |slot: Slot| kinds[slot] == DataKind::Ciphertext;
     match instr {
         Instr::Bin { op, a, b } => match (op, is_ct(*a) && is_ct(*b)) {
-            (BinOp::Mul, true) => CostTerms {
-                ct_ct_muls: 1.0,
-                ..CostTerms::default()
-            },
-            (BinOp::Mul, false) => CostTerms {
-                ct_pt_muls: 1.0,
-                ..CostTerms::default()
-            },
-            (BinOp::Add | BinOp::Sub, _) => CostTerms {
-                adds: 1.0,
-                ..CostTerms::default()
-            },
+            (BinOp::Mul, true) => costs.vec_mul_ct_ct,
+            (BinOp::Mul, false) => costs.vec_mul_ct_pt,
+            (BinOp::Add | BinOp::Sub, _) => costs.vec_add,
         },
-        Instr::Neg { .. } => CostTerms {
-            adds: 1.0,
-            ..CostTerms::default()
-        },
-        Instr::Rot { parts, .. } => CostTerms {
-            rotations: parts.len().max(1) as f64,
-            ..CostTerms::default()
-        },
+        Instr::Neg { .. } => costs.vec_add,
+        Instr::Rot { parts, .. } => parts.len().max(1) as f64 * costs.rotation,
         Instr::Pack { elems, .. } => {
             let ciphers = elems.iter().filter(|&&e| is_ct(e)).count() as f64;
-            CostTerms {
-                rotations: ciphers,
-                adds: ciphers + 1.0,
-                ..CostTerms::default()
-            }
+            ciphers * costs.rotation + (ciphers + 1.0) * costs.vec_add
         }
     }
-}
-
-/// Convenience: lowers with the default static cost model's operator costs.
-pub fn lower_with_default_costs(
-    dag: &CircuitDag,
-    prebound: &[bool],
-    realize: impl Fn(i64) -> Vec<i64>,
-) -> Schedule {
-    Schedule::lower(dag, prebound, realize, &CostModel::default().op_costs)
 }
 
 #[cfg(test)]
@@ -513,7 +443,7 @@ mod tests {
         let expr = parse(source).unwrap();
         let dag = CircuitDag::from_expr(&expr).eliminate_dead_code();
         let prebound = client_prebound(&dag);
-        let schedule = lower_with_default_costs(&dag, &prebound, |step| vec![step]);
+        let schedule = Schedule::lower(&dag, &prebound, |step| vec![step]);
         (dag, schedule)
     }
 
@@ -586,12 +516,7 @@ mod tests {
         let expr = parse("(<< (VecMul (Vec a b c d) (Vec e f g h)) 3)").unwrap();
         let dag = CircuitDag::from_expr(&expr).eliminate_dead_code();
         let prebound = client_prebound(&dag);
-        let schedule = Schedule::lower(
-            &dag,
-            &prebound,
-            |step| vec![4, -(4 - step)],
-            &OpCosts::default(),
-        );
+        let schedule = Schedule::lower(&dag, &prebound, |step| vec![4, -(4 - step)]);
         let rot = schedule
             .instrs()
             .iter()
@@ -698,31 +623,11 @@ mod tests {
     }
 
     #[test]
-    fn cost_terms_recost_under_any_table() {
-        let (_, schedule) = schedule_of(
-            "(VecAdd (VecMul (Vec a b) (Vec c d)) (<< (VecMul (Vec e f) (Vec g h)) 1))",
-        );
-        let base = OpCosts::default();
-        let est: Vec<f64> = schedule.instrs().iter().map(|i| i.est_cost).collect();
-        assert_eq!(schedule.instr_costs(&base), est);
-        let doubled = OpCosts {
-            vec_add: 2.0 * base.vec_add,
-            vec_mul_ct_ct: 2.0 * base.vec_mul_ct_ct,
-            vec_mul_ct_pt: 2.0 * base.vec_mul_ct_pt,
-            rotation: 2.0 * base.rotation,
-            ..base
-        };
-        for (a, b) in schedule.instr_costs(&doubled).iter().zip(&est) {
-            assert!((a - 2.0 * b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn critical_path_priorities_decrease_along_chains() {
+    fn priorities_decrease_along_chains() {
         let (_, schedule) = schedule_of(
             "(VecAdd (VecAdd (VecMul (Vec a0 a1) (Vec b0 b1)) (<< (VecMul (Vec a0 a1) (Vec b0 b1)) 1)) (VecMul (Vec c0 c1) (Vec d0 d1)))",
         );
-        let priorities = schedule.critical_path_priorities(&CostModel::default().op_costs);
+        let priorities = schedule.priorities();
         for (index, deps) in schedule.dependents().iter().enumerate() {
             for &d in deps {
                 assert!(

@@ -4,7 +4,7 @@
 //!
 //! Serving traffic is open-ended: requests arrive one at a time, the caller
 //! wants a handle back immediately, and the expensive per-program state
-//! (keys, leveled schedule, calibration) must stay alive between requests
+//! (keys, leveled schedule, buffer arenas) must stay alive between requests
 //! instead of being rebuilt per call. A [`ServingEngine`] provides exactly
 //! that shape:
 //!

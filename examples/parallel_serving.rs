@@ -80,19 +80,12 @@ fn main() {
     let elapsed = started.elapsed();
 
     let serving = engine.shutdown();
-    let session_stats = session.stats();
-    let calibrated = session_stats
-        .calibration
-        .to_op_costs(&chehab::ir::CostModel::default().op_costs);
     println!(
         "served {} requests in {elapsed:.2?} ({} workers, {:.1} req/s); keygen ran once for all \
-         of them; calibrated ct-ct mul cost: {:.1} additions (from {} samples across the whole \
-         session)",
+         of them",
         serving.completed,
         serving.workers,
         serving.throughput_rps(),
-        calibrated.vec_mul_ct_ct,
-        session_stats.calibration.sample_count()
     );
 
     // Shutdown released the engine's clone of the sink: one span per request.

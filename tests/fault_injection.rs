@@ -108,8 +108,7 @@ fn cancellation_stops_a_dataflow_request_mid_flight() {
         dispatched < total,
         "cancelled request dispatched all {total} instructions"
     );
-    // A cancelled request leaves no trace in the cumulative calibration.
-    assert_eq!(session.stats().calibration.sample_count(), 0);
+    // A cancelled request is not counted as served.
     assert_eq!(session.stats().requests_served, 0);
 
     // The session remains fully serviceable afterwards.
@@ -438,7 +437,6 @@ fn deadlines_resolve_requests_with_deadline_exceeded_and_are_counted() {
         // Warm the session so one clean baseline exists.
         let clean = session.run(&inputs_of(&benchmark, 3)).unwrap();
         assert!(clean.decryption_ok);
-        let baseline = session.stats().calibration.sample_count();
 
         let engine = if batched {
             session.serve_batched(&tight.with_batching(two_lanes()))
@@ -450,10 +448,8 @@ fn deadlines_resolve_requests_with_deadline_exceeded_and_are_counted() {
         assert_eq!(error, FheError::DeadlineExceeded);
         assert_eq!(engine.shutdown().completed, 1);
         assert_eq!(metric(&session, "chehab_deadline_missed_total"), 1);
-        // The failed request fed neither the request counter nor the
-        // calibration beyond the clean baseline.
+        // The failed request did not feed the request counter.
         assert_eq!(session.stats().requests_served, 1);
-        assert_eq!(session.stats().calibration.sample_count(), baseline);
     }
 }
 

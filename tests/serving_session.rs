@@ -210,13 +210,11 @@ fn session_stats_expose_setup_costs_and_schedule_shape() {
     let session = compiled.session(&params).unwrap();
     let before = session.stats();
     assert_eq!(before.requests_served, 0);
-    assert_eq!(before.calibration.sample_count(), 0);
     assert!(before.lowering_time > std::time::Duration::ZERO);
 
     session.run(&inputs_of(&benchmark, 5)).unwrap();
     let after = session.stats();
     assert_eq!(after.requests_served, 1);
-    assert!(after.calibration.sample_count() > 0);
     // The one-time costs are set at construction and never re-paid.
     assert_eq!(after.keygen_time, before.keygen_time);
     assert_eq!(after.lowering_time, before.lowering_time);
