@@ -2,14 +2,25 @@
 //! weights `(w_ops, w_depth, w_mult)`; every variant is reported relative to
 //! the default `(1, 1, 1)`.
 //!
+//! `ops_ratio` is the clock-free column: the geometric mean, over kernels, of
+//! the operations the variant's circuit executes (ciphertext multiplications,
+//! rotations, additions) over the default's. Read it before `exec_ratio`: at
+//! the quick settings the execution ratios read 0.81–1.30 for identical code,
+//! so an `exec_ratio` inside that band says nothing on its own.
+//!
 //! Usage: `cargo run --release -p chehab-bench --bin table1_weight_sensitivity -- [--timesteps N]`
 
 use chehab_bench::{
-    exit_if_incorrect, measure, summarize_pairs, write_csv, CompilerUnderTest, HarnessConfig,
-    Measurement,
+    exit_if_incorrect, geometric_mean_ratio, measure, summarize_pairs, write_csv,
+    CompilerUnderTest, HarnessConfig, Measurement,
 };
 use chehab_core::training::{train_agent, AgentTrainingOptions};
 use chehab_ir::CostWeights;
+
+/// The homomorphic operations a measured circuit executes.
+fn executed_ops(m: &Measurement) -> f64 {
+    (m.ct_ct_muls + m.ct_pt_muls + m.rotations + m.additions) as f64
+}
 
 fn main() {
     let config = HarnessConfig::from_args();
@@ -39,7 +50,8 @@ fn main() {
         .collect();
 
     // A variant against the default is each kernel's pair [default, variant]:
-    // above 1, the variant is slower / noisier.
+    // above 1, the variant is slower / noisier / executes more operations.
+    let ops = |side: &[Measurement]| -> Vec<f64> { side.iter().map(executed_ops).collect() };
     let rows: Vec<String> = weight_sets
         .iter()
         .zip(&measured)
@@ -50,12 +62,14 @@ fn main() {
                 .map(|(default, variant)| [default.clone(), variant.clone()])
                 .collect();
             let [exec, _, noise] = summarize_pairs(&pairs, weight_sets[0].0, label);
-            format!("{label},{exec:.4},{noise:.4}")
+            let ops_ratio = geometric_mean_ratio(&ops(variant), &ops(&measured[0]));
+            println!("executed operations ({label} / default): {ops_ratio:.2}x");
+            format!("{label},{exec:.4},{noise:.4},{ops_ratio:.4}")
         })
         .collect();
     let _ = write_csv(
         "table1_weight_sensitivity",
-        "weights,exec_ratio,noise_ratio",
+        "weights,exec_ratio,noise_ratio,ops_ratio",
         &rows,
     );
     exit_if_incorrect(measured.iter().flatten());

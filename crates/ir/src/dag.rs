@@ -16,7 +16,7 @@
 
 use crate::analysis::{DataKind, OpClass, OpCounts};
 use crate::cost::{CostBreakdown, CostModel};
-use crate::expr::{BinOp, Expr};
+use crate::expr::{type_of, BinOp, Expr, Former, Ty, TypeError};
 use crate::hash::WordMap;
 use crate::symbol::Symbol;
 
@@ -52,6 +52,31 @@ impl DagNode {
         let mut out = Vec::new();
         self.for_each_operand(|o| out.push(o));
         out
+    }
+
+    /// Operand `index` of this node, in the order of [`DagNode::operands`]
+    /// (and of [`Expr::paths`]), or `None` past the last.
+    pub fn operand(&self, index: usize) -> Option<NodeId> {
+        match (self, index) {
+            (DagNode::Bin(_, a, _) | DagNode::VecBin(_, a, _), 0) => Some(*a),
+            (DagNode::Bin(_, _, b) | DagNode::VecBin(_, _, b), 1) => Some(*b),
+            (DagNode::Neg(a) | DagNode::VecNeg(a) | DagNode::Rot(a, _), 0) => Some(*a),
+            (DagNode::Vec(elems), i) => elems.get(i).copied(),
+            _ => None,
+        }
+    }
+
+    /// The node's constructor, without its operands: what typing reads.
+    fn former(&self) -> Former {
+        match self {
+            DagNode::CtVar(_) | DagNode::PtVar(_) | DagNode::Const(_) => Former::Leaf,
+            DagNode::Bin(op, _, _) => Former::Bin(*op),
+            DagNode::Neg(_) => Former::Neg,
+            DagNode::Vec(_) => Former::Vec,
+            DagNode::VecBin(op, _, _) => Former::VecBin(*op),
+            DagNode::VecNeg(_) => Former::VecNeg,
+            DagNode::Rot(_, _) => Former::Rot,
+        }
     }
 
     fn for_each_operand(&self, mut f: impl FnMut(NodeId)) {
@@ -169,6 +194,7 @@ struct NodeAttrs {
     class: OpClass,
     depth: usize,
     mult_depth: usize,
+    ty: Result<Ty, TypeError>,
 }
 
 impl NodeAttrs {
@@ -193,6 +219,10 @@ impl NodeAttrs {
             class,
             depth: depth + usize::from(node.is_operation()),
             mult_depth: mult_depth + usize::from(class.is_ct_ct_mul()),
+            ty: type_of(
+                node.former(),
+                (0..).map_while(|i| node.operand(i)).map(|o| operand(o).ty),
+            ),
         }
     }
 }
@@ -208,12 +238,13 @@ const FRESH: NodeId = NodeId::MAX;
 /// Ids are assigned in interning order and operands are always interned
 /// before their users, so the graph is topologically ordered like a
 /// [`CircuitDag`], and nothing observable depends on hash-map iteration.
-/// Each node carries its [`DataKind`], circuit depth and multiplicative
-/// depth from the moment it is interned; [`TermGraph::cost`] of a root is one
-/// walk over the nodes reachable from it. The tree analyses
+/// Each node carries its [`DataKind`], type, circuit depth and
+/// multiplicative depth from the moment it is interned; [`TermGraph::cost`]
+/// of a root is one walk over the nodes reachable from it. The tree analyses
 /// ([`circuit_depth`](crate::circuit_depth),
 /// [`multiplicative_depth`](crate::multiplicative_depth),
-/// [`data_kind`](crate::data_kind)) agree with the graph's on every term.
+/// [`data_kind`](crate::data_kind), [`Expr::ty`]) agree with the graph's on
+/// every term.
 ///
 /// The graph only grows: ids stay valid for its whole life, which is what
 /// lets a caller memoise per-subterm work under them.
@@ -291,6 +322,11 @@ impl TermGraph {
         self.attrs[id].kind
     }
 
+    /// The term's type ([`Expr::ty`] of its tree form, error included).
+    pub fn ty(&self, id: NodeId) -> Result<Ty, TypeError> {
+        self.attrs[id].ty
+    }
+
     /// Circuit depth of the term ([`circuit_depth`](crate::circuit_depth) of
     /// its tree form).
     pub fn circuit_depth(&self, id: NodeId) -> usize {
@@ -340,28 +376,18 @@ impl TermGraph {
         self.intern(node)
     }
 
-    /// The tree form of term `root`, and the id of every tree node in the
-    /// preorder of [`Expr::paths`] (index 0 is `root`; a shared subterm
-    /// appears once per occurrence, with the same id). Reads the graph only:
-    /// interning the tree would return `root`.
-    pub fn expr_preorder(&self, root: NodeId) -> (Expr, Vec<NodeId>) {
-        let mut ids = Vec::new();
-        let expr = self.tree(root, &mut ids);
-        (expr, ids)
-    }
-
-    fn tree(&self, id: NodeId, preorder: &mut Vec<NodeId>) -> Expr {
-        preorder.push(id);
-        let mut boxed = |operand: NodeId| Box::new(self.tree(operand, preorder));
-        match &self.nodes[id] {
+    /// The tree form of term `root`: a shared subterm is copied once per
+    /// occurrence. Reads the graph only: interning the tree would return
+    /// `root`.
+    pub fn expr(&self, root: NodeId) -> Expr {
+        let boxed = |operand: NodeId| Box::new(self.expr(operand));
+        match &self.nodes[root] {
             DagNode::CtVar(s) => Expr::CtVar(s.clone()),
             DagNode::PtVar(s) => Expr::PtVar(s.clone()),
             DagNode::Const(v) => Expr::Const(*v),
             DagNode::Bin(op, a, b) => Expr::Bin(*op, boxed(*a), boxed(*b)),
             DagNode::Neg(a) => Expr::Neg(boxed(*a)),
-            DagNode::Vec(elems) => {
-                Expr::Vec(elems.iter().map(|&e| self.tree(e, preorder)).collect())
-            }
+            DagNode::Vec(elems) => Expr::Vec(elems.iter().map(|&e| self.expr(e)).collect()),
             DagNode::VecBin(op, a, b) => Expr::VecBin(*op, boxed(*a), boxed(*b)),
             DagNode::VecNeg(a) => Expr::VecNeg(boxed(*a)),
             DagNode::Rot(a, s) => Expr::Rot(boxed(*a), *s),
@@ -461,10 +487,10 @@ impl TermGraph {
     /// [`TermGraph::cost`] of the rewritten circuit's interned root, bit for
     /// bit, with nothing interned.
     ///
-    /// `spine` names the replaced subterm by its ancestors, bottom-up: a pair
-    /// `(ancestor, child)` says the subterm so far is operand `child` of node
-    /// `ancestor`, and the last ancestor is the live root (an empty spine
-    /// replaces the root). `replacement` is the new subterm's id. Copies of
+    /// `spine` names the replaced subterm by its ancestors, from the live
+    /// root down: a pair `(ancestor, child)` says the path goes on through
+    /// operand `child` of node `ancestor`, and the first ancestor is the live
+    /// root (an empty spine replaces the root). `replacement` is the new subterm's id. Copies of
     /// the ancestors are looked up until the first one the graph lacks; every
     /// copy above it is fresh too, with its attributes from the same
     /// computation [`TermGraph::intern`] stores. The classes of the nodes the
@@ -484,15 +510,15 @@ impl TermGraph {
             .live_root
             .expect("rewrite_cost prices a rewrite of the live circuit");
         debug_assert!(
-            spine.last().is_none_or(|&(root, _)| root == old_root),
-            "the spine ends at the live root"
+            spine.first().is_none_or(|&(root, _)| root == old_root),
+            "the spine starts at the live root"
         );
         let live = self.live;
         // The rewritten subterm so far: its id while the graph has it, then
         // the attributes of its fresh copy.
         let mut known = Some(replacement);
         let mut fresh = None;
-        for &(ancestor, child) in spine {
+        for &(ancestor, child) in spine.iter().rev() {
             let node = self.replaced(ancestor, child, known.unwrap_or(FRESH));
             if known.is_some() {
                 known = self.interned.get(&node).copied();
@@ -663,24 +689,27 @@ mod tests {
         // One graph for every program: a root's analyses must not see the
         // other terms the graph holds.
         let mut graph = TermGraph::new();
+        // Subterms whose type is an error, and well-typed ones.
+        let mut typed = [0; 2];
         for program in generated_programs(0x5eed, 300) {
             let root = graph.intern_expr(&program);
-            let (tree, ids) = graph.expr_preorder(root);
             assert_eq!(
-                tree, program,
+                graph.expr(root),
+                program,
                 "a term reads back out of the graph as itself"
             );
-            assert_eq!(ids.len(), program.node_count(), "{program:?}");
-            for (id, subterm) in ids.iter().zip(program.preorder()) {
-                assert_eq!(*id, graph.intern_expr(subterm), "{subterm:?}");
-                assert_eq!(graph.data_kind(*id), data_kind(subterm), "{subterm:?}");
+            for subterm in program.preorder() {
+                let id = graph.intern_expr(subterm);
+                assert_eq!(graph.ty(id), subterm.ty(), "{subterm:?}");
+                typed[usize::from(subterm.is_well_typed())] += 1;
+                assert_eq!(graph.data_kind(id), data_kind(subterm), "{subterm:?}");
                 assert_eq!(
-                    graph.circuit_depth(*id),
+                    graph.circuit_depth(id),
                     circuit_depth(subterm),
                     "{subterm:?}"
                 );
                 assert_eq!(
-                    graph.multiplicative_depth(*id),
+                    graph.multiplicative_depth(id),
                     multiplicative_depth(subterm),
                     "{subterm:?}"
                 );
@@ -694,6 +723,7 @@ mod tests {
                 );
             }
         }
+        assert!(typed.iter().all(|&n| n > 100), "{typed:?}");
     }
 
     #[test]
@@ -736,7 +766,6 @@ mod tests {
             let mut rewritten = Vec::with_capacity(paths.len());
             for (path, _) in &paths {
                 let spine: Vec<(NodeId, usize)> = (0..path.len())
-                    .rev()
                     .map(|cut| {
                         let ancestor = program.at_path(&path[..cut]).unwrap();
                         (graph.intern_expr(ancestor), path[cut])

@@ -367,48 +367,16 @@ impl Expr {
     /// a vector operator to a scalar, a rotation to a scalar, or a `Vec`
     /// constructor contains a non-scalar element.
     pub fn ty(&self) -> Result<Ty, TypeError> {
-        match self {
-            Expr::CtVar(_) | Expr::PtVar(_) | Expr::Const(_) => Ok(Ty::Scalar),
-            Expr::Bin(op, a, b) => {
-                let (ta, tb) = (a.ty()?, b.ty()?);
-                if ta != Ty::Scalar || tb != Ty::Scalar {
-                    return Err(TypeError::ScalarOpOnVector { op: *op });
-                }
-                Ok(Ty::Scalar)
-            }
-            Expr::Neg(a) => {
-                if a.ty()? != Ty::Scalar {
-                    return Err(TypeError::ScalarNegOnVector);
-                }
-                Ok(Ty::Scalar)
-            }
-            Expr::Vec(elems) => {
-                if elems.is_empty() {
-                    return Err(TypeError::EmptyVec);
-                }
-                for e in elems {
-                    if e.ty()? != Ty::Scalar {
-                        return Err(TypeError::NestedVector);
-                    }
-                }
-                Ok(Ty::Vector(elems.len()))
-            }
-            Expr::VecBin(op, a, b) => {
-                let (ta, tb) = (a.ty()?, b.ty()?);
-                match (ta, tb) {
-                    (Ty::Vector(x), Ty::Vector(y)) => Ok(Ty::Vector(x.max(y))),
-                    _ => Err(TypeError::VectorOpOnScalar { op: *op }),
-                }
-            }
-            Expr::VecNeg(a) => match a.ty()? {
-                Ty::Vector(k) => Ok(Ty::Vector(k)),
-                Ty::Scalar => Err(TypeError::VectorNegOnScalar),
-            },
-            Expr::Rot(a, _) => match a.ty()? {
-                Ty::Vector(k) => Ok(Ty::Vector(k)),
-                Ty::Scalar => Err(TypeError::RotationOnScalar),
-            },
-        }
+        let former = match self {
+            Expr::CtVar(_) | Expr::PtVar(_) | Expr::Const(_) => Former::Leaf,
+            Expr::Bin(op, _, _) => Former::Bin(*op),
+            Expr::Neg(_) => Former::Neg,
+            Expr::Vec(_) => Former::Vec,
+            Expr::VecBin(op, _, _) => Former::VecBin(*op),
+            Expr::VecNeg(_) => Former::VecNeg,
+            Expr::Rot(_, _) => Former::Rot,
+        };
+        type_of(former, (0..).map_while(|i| self.child(i)).map(Expr::ty))
     }
 
     /// Returns `true` if the expression type-checks.
@@ -417,8 +385,67 @@ impl Expr {
     }
 }
 
+/// What typing reads of a node: its constructor, without its operands.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Former {
+    Leaf,
+    Bin(BinOp),
+    Neg,
+    Vec,
+    VecBin(BinOp),
+    VecNeg,
+    Rot,
+}
+
+/// The type of a node built by `former` from operands whose types
+/// `operands` yields in order: the one typing rule of [`Expr::ty`] and
+/// [`TermGraph::ty`](crate::TermGraph::ty). An operand's type is read only
+/// when the rule reaches it, so the first error in preorder wins.
+pub(crate) fn type_of(
+    former: Former,
+    mut operands: impl Iterator<Item = Result<Ty, TypeError>>,
+) -> Result<Ty, TypeError> {
+    let mut next = || operands.next().expect("an operand per the former's arity");
+    match former {
+        Former::Leaf => Ok(Ty::Scalar),
+        Former::Bin(op) => match (next()?, next()?) {
+            (Ty::Scalar, Ty::Scalar) => Ok(Ty::Scalar),
+            _ => Err(TypeError::ScalarOpOnVector { op }),
+        },
+        Former::Neg => match next()? {
+            Ty::Scalar => Ok(Ty::Scalar),
+            Ty::Vector(_) => Err(TypeError::ScalarNegOnVector),
+        },
+        Former::Vec => {
+            let mut len = 0;
+            for element in operands {
+                if element? != Ty::Scalar {
+                    return Err(TypeError::NestedVector);
+                }
+                len += 1;
+            }
+            match len {
+                0 => Err(TypeError::EmptyVec),
+                len => Ok(Ty::Vector(len)),
+            }
+        }
+        Former::VecBin(op) => match (next()?, next()?) {
+            (Ty::Vector(x), Ty::Vector(y)) => Ok(Ty::Vector(x.max(y))),
+            _ => Err(TypeError::VectorOpOnScalar { op }),
+        },
+        Former::VecNeg => match next()? {
+            Ty::Vector(k) => Ok(Ty::Vector(k)),
+            Ty::Scalar => Err(TypeError::VectorNegOnScalar),
+        },
+        Former::Rot => match next()? {
+            Ty::Vector(k) => Ok(Ty::Vector(k)),
+            Ty::Scalar => Err(TypeError::RotationOnScalar),
+        },
+    }
+}
+
 /// Errors produced by [`Expr::ty`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypeError {
     /// A scalar binary operator was applied to a vector operand.
     ScalarOpOnVector {

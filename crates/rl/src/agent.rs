@@ -142,7 +142,7 @@ impl Agent {
         }
         let best = best.expect("at least one rollout");
         OptimizationOutcome {
-            optimized: env.program(best.best).clone(),
+            optimized: env.program(best.best),
             initial_cost: env.initial_cost(),
             final_cost: best.cost,
             steps: best.rewrites,

@@ -131,10 +131,10 @@ struct StateFacts {
 /// The environment looks at each program state once: a state is its id in a
 /// [`MatchIndex`]'s term graph ([`RewriteEnv::state_id`]), a step names the
 /// next one by [`MatchIndex::successor`] without rebuilding it, and the
-/// first visit reads its tree, rule matches and cost out of the index. The
-/// tokens, cost and match lists are kept under the id for as long as the
-/// environment stays on the same initial program — across
-/// [`RewriteEnv::restart`]s, until the next [`RewriteEnv::reset`].
+/// first visit reads its per-rule match counts and cost out of the index and
+/// its tree, once, to tokenize it. The tokens, cost and counts are kept under
+/// the id for as long as the environment stays on the same initial program —
+/// across [`RewriteEnv::restart`]s, until the next [`RewriteEnv::reset`].
 #[derive(Debug, Clone)]
 pub struct RewriteEnv {
     engine: Arc<RewriteEngine>,
@@ -197,7 +197,7 @@ impl RewriteEnv {
         let cost = self.index.cost(state, &self.config.cost_model);
         let tokens = self
             .tokenizer
-            .encode(matches.program(), self.config.observation_len);
+            .encode(&self.index.expr(state), self.config.observation_len);
         self.states.insert(
             state,
             StateFacts {
@@ -213,13 +213,18 @@ impl RewriteEnv {
     }
 
     /// The program of a state the environment has reached since the initial
-    /// program was set, by its [`RewriteEnv::state_id`].
+    /// program was set, by its [`RewriteEnv::state_id`], read out of the
+    /// index's term graph.
     ///
     /// # Panics
     ///
     /// Panics if no episode on this initial program has reached `state`.
-    pub fn program(&self, state: NodeId) -> &Expr {
-        self.facts(state).matches.program()
+    pub fn program(&self, state: NodeId) -> Expr {
+        assert!(
+            self.states.contains_key(&state),
+            "state {state} not reached"
+        );
+        self.index.expr(state)
     }
 
     /// Identifies the current program state: equal programs have equal ids,
@@ -274,8 +279,7 @@ impl RewriteEnv {
     pub fn location_count(&self, rule: usize) -> usize {
         self.facts(self.current)
             .matches
-            .of_rule(rule)
-            .len()
+            .count(rule)
             .min(self.config.max_locations)
     }
 
@@ -284,7 +288,7 @@ impl RewriteEnv {
     pub fn location_counts(&self) -> Vec<usize> {
         let matches = &self.facts(self.current).matches;
         (0..self.rule_count())
-            .map(|rule| matches.of_rule(rule).len().min(self.config.max_locations))
+            .map(|rule| matches.count(rule).min(self.config.max_locations))
             .collect()
     }
 
@@ -339,8 +343,8 @@ impl RewriteEnv {
     /// its facts are read out of the index the first time it is reached.
     fn successor(&mut self, rule: usize, location: usize) -> Option<NodeId> {
         let from = &self.states[&self.current];
-        let site = *from.matches.of_rule(rule).get(location)?;
-        let next = self.index.successor(&from.matches, site);
+        let site = self.index.site(&from.matches, rule, location)?;
+        let next = self.index.successor(&site);
         if !self.states.contains_key(&next) {
             self.learn(next);
         }

@@ -9,7 +9,7 @@
 //! id of the corresponding RL action.
 
 use crate::rule::{Rule, RuleCategory};
-use chehab_ir::{BinOp, Expr};
+use chehab_ir::{BinOp, DagNode, NodeId, TermGraph, Ty};
 
 /// Builds the full, ordered rule catalog used by CHEHAB RL.
 ///
@@ -418,8 +418,8 @@ fn procedural_vectorization(rules: &mut Vec<Rule>) {
     use RuleCategory::Vectorization as V;
     for op in BinOp::ALL {
         let full_name = format!("{}-vectorize-full", op_word(op));
-        rules.push(Rule::procedural(&full_name, V, move |e| {
-            vectorize_full(e, op)
+        rules.push(Rule::procedural(&full_name, V, move |graph, id| {
+            vectorize_full(graph, id, op)
         }));
     }
     rules.push(Rule::procedural(
@@ -429,8 +429,8 @@ fn procedural_vectorization(rules: &mut Vec<Rule>) {
     ));
     for op in BinOp::ALL {
         let partial_name = format!("{}-vectorize-partial", op_word(op));
-        rules.push(Rule::procedural(&partial_name, V, move |e| {
-            vectorize_partial(e, op)
+        rules.push(Rule::procedural(&partial_name, V, move |graph, id| {
+            vectorize_partial(graph, id, op)
         }));
     }
 }
@@ -504,152 +504,153 @@ fn op_word(op: BinOp) -> &'static str {
 
 // ---------------------------------------------------------------------------
 // Procedural rule bodies
+//
+// Each body reads the matched node by id, rejects on its shape before reading
+// anything else, and interns its result children first, left to right: the
+// order `TermGraph::intern_expr` interns the rewritten tree in, so the ids
+// are the ones interning that tree would give.
 // ---------------------------------------------------------------------------
 
 /// `(Vec (op a0 b0) ... (op ak bk))` with every element an application of
 /// `op` (and at least two elements) becomes
 /// `(VecOp (Vec a0 ... ak) (Vec b0 ... bk))`.
-fn vectorize_full(expr: &Expr, op: BinOp) -> Option<Expr> {
-    let Expr::Vec(elems) = expr else { return None };
+fn vectorize_full(graph: &mut TermGraph, id: NodeId, op: BinOp) -> Option<NodeId> {
+    let DagNode::Vec(elems) = graph.node(id) else {
+        return None;
+    };
     if elems.len() < 2 {
         return None;
     }
     let mut lhs = Vec::with_capacity(elems.len());
     let mut rhs = Vec::with_capacity(elems.len());
-    for e in elems {
-        match e {
-            Expr::Bin(eop, a, b) if *eop == op => {
-                lhs.push((**a).clone());
-                rhs.push((**b).clone());
+    for &e in elems {
+        match *graph.node(e) {
+            DagNode::Bin(eop, a, b) if eop == op => {
+                lhs.push(a);
+                rhs.push(b);
             }
             _ => return None,
         }
     }
-    Some(Expr::VecBin(
-        op,
-        Box::new(Expr::Vec(lhs)),
-        Box::new(Expr::Vec(rhs)),
-    ))
+    let lhs = graph.intern(DagNode::Vec(lhs));
+    let rhs = graph.intern(DagNode::Vec(rhs));
+    Some(graph.intern(DagNode::VecBin(op, lhs, rhs)))
 }
 
 /// `(Vec (- a0) ... (- ak))` becomes `(VecNeg (Vec a0 ... ak))`.
-fn vectorize_neg_full(expr: &Expr) -> Option<Expr> {
-    let Expr::Vec(elems) = expr else { return None };
+fn vectorize_neg_full(graph: &mut TermGraph, id: NodeId) -> Option<NodeId> {
+    let DagNode::Vec(elems) = graph.node(id) else {
+        return None;
+    };
     if elems.len() < 2 {
         return None;
     }
     let mut inner = Vec::with_capacity(elems.len());
-    for e in elems {
-        match e {
-            Expr::Neg(a) => inner.push((**a).clone()),
+    for &e in elems {
+        match *graph.node(e) {
+            DagNode::Neg(a) => inner.push(a),
             _ => return None,
         }
     }
-    Some(Expr::VecNeg(Box::new(Expr::Vec(inner))))
+    let inner = graph.intern(DagNode::Vec(inner));
+    Some(graph.intern(DagNode::VecNeg(inner)))
 }
 
 /// Non-isomorphic vectorization (Appendix E): if at least two elements of a
 /// `Vec` apply `op` and at least one does not, vectorize the matching
 /// elements, keep the non-matching elements in the first operand vector, and
 /// pad the second operand vector with the identity element of `op`.
-fn vectorize_partial(expr: &Expr, op: BinOp) -> Option<Expr> {
-    let Expr::Vec(elems) = expr else { return None };
+fn vectorize_partial(graph: &mut TermGraph, id: NodeId, op: BinOp) -> Option<NodeId> {
+    let DagNode::Vec(elems) = graph.node(id) else {
+        return None;
+    };
     if elems.len() < 2 {
         return None;
     }
-    let matching = elems
+    // Per element: its first operand vector entry, and its second one (`None`
+    // for the identity padding).
+    let split: Vec<(NodeId, Option<NodeId>)> = elems
         .iter()
-        .filter(|e| matches!(e, Expr::Bin(eop, _, _) if *eop == op))
-        .count();
-    if matching < 2 || matching == elems.len() {
+        .map(|&e| match *graph.node(e) {
+            DagNode::Bin(eop, a, b) if eop == op => (a, Some(b)),
+            _ => (e, None),
+        })
+        .collect();
+    let matching = split.iter().filter(|(_, b)| b.is_some()).count();
+    if matching < 2 || matching == split.len() {
         return None;
     }
-    let identity = Expr::Const(op.identity());
-    let mut lhs = Vec::with_capacity(elems.len());
-    let mut rhs = Vec::with_capacity(elems.len());
-    for e in elems {
-        match e {
-            Expr::Bin(eop, a, b) if *eop == op => {
-                lhs.push((**a).clone());
-                rhs.push((**b).clone());
-            }
-            other => {
-                lhs.push(other.clone());
-                rhs.push(identity.clone());
-            }
-        }
-    }
-    Some(Expr::VecBin(
-        op,
-        Box::new(Expr::Vec(lhs)),
-        Box::new(Expr::Vec(rhs)),
-    ))
+    let lhs = graph.intern(DagNode::Vec(split.iter().map(|&(a, _)| a).collect()));
+    let identity = graph.intern(DagNode::Const(op.identity()));
+    let rhs = split.iter().map(|&(_, b)| b.unwrap_or(identity)).collect();
+    let rhs = graph.intern(DagNode::Vec(rhs));
+    Some(graph.intern(DagNode::VecBin(op, lhs, rhs)))
 }
 
 /// Merges nested rotations with the same direction.
-fn rot_merge(expr: &Expr) -> Option<Expr> {
-    let Expr::Rot(inner, outer_step) = expr else {
+fn rot_merge(graph: &mut TermGraph, id: NodeId) -> Option<NodeId> {
+    let DagNode::Rot(inner, outer_step) = *graph.node(id) else {
         return None;
     };
-    let Expr::Rot(base, inner_step) = inner.as_ref() else {
+    let DagNode::Rot(base, inner_step) = *graph.node(inner) else {
         return None;
     };
-    if (*outer_step >= 0) != (*inner_step >= 0) {
+    if (outer_step >= 0) != (inner_step >= 0) {
         return None;
     }
     let combined = outer_step + inner_step;
     Some(if combined == 0 {
-        (**base).clone()
+        base
     } else {
-        Expr::Rot(base.clone(), combined)
+        graph.intern(DagNode::Rot(base, combined))
     })
 }
 
 /// Removes zero-step rotations.
-fn rot_zero(expr: &Expr) -> Option<Expr> {
-    match expr {
-        Expr::Rot(inner, 0) => Some((**inner).clone()),
+fn rot_zero(graph: &mut TermGraph, id: NodeId) -> Option<NodeId> {
+    match *graph.node(id) {
+        DagNode::Rot(inner, 0) => Some(inner),
         _ => None,
     }
 }
 
 /// `(VecMul v (Vec 1 1 ...))` (or commuted) becomes `v`.
-fn vec_mul_ones(expr: &Expr) -> Option<Expr> {
-    let Expr::VecBin(BinOp::Mul, a, b) = expr else {
+fn vec_mul_ones(graph: &mut TermGraph, id: NodeId) -> Option<NodeId> {
+    let DagNode::VecBin(BinOp::Mul, a, b) = *graph.node(id) else {
         return None;
     };
-    if is_const_splat(b, 1) {
-        return Some((**a).clone());
+    if is_const_splat(graph, b, 1) {
+        return Some(a);
     }
-    if is_const_splat(a, 1) {
-        return Some((**b).clone());
+    if is_const_splat(graph, a, 1) {
+        return Some(b);
     }
     None
 }
 
 /// `(VecAdd v (Vec 0 0 ...))`, its commuted form, and `(VecSub v zeros)`
 /// become `v`.
-fn vec_add_zeros(expr: &Expr) -> Option<Expr> {
-    match expr {
-        Expr::VecBin(BinOp::Add, a, b) => {
-            if is_const_splat(b, 0) {
-                Some((**a).clone())
-            } else if is_const_splat(a, 0) {
-                Some((**b).clone())
+fn vec_add_zeros(graph: &mut TermGraph, id: NodeId) -> Option<NodeId> {
+    match *graph.node(id) {
+        DagNode::VecBin(BinOp::Add, a, b) => {
+            if is_const_splat(graph, b, 0) {
+                Some(a)
+            } else if is_const_splat(graph, a, 0) {
+                Some(b)
             } else {
                 None
             }
         }
-        Expr::VecBin(BinOp::Sub, a, b) if is_const_splat(b, 0) => Some((**a).clone()),
+        DagNode::VecBin(BinOp::Sub, a, b) if is_const_splat(graph, b, 0) => Some(a),
         _ => None,
     }
 }
 
-fn is_const_splat(expr: &Expr, value: i64) -> bool {
-    match expr {
-        Expr::Vec(elems) => elems
+fn is_const_splat(graph: &TermGraph, id: NodeId, value: i64) -> bool {
+    match graph.node(id) {
+        DagNode::Vec(elems) => elems
             .iter()
-            .all(|e| matches!(e, Expr::Const(v) if *v == value)),
+            .all(|&e| matches!(graph.node(e), DagNode::Const(v) if *v == value)),
         _ => false,
     }
 }
@@ -661,65 +662,57 @@ fn is_const_splat(expr: &Expr, value: i64) -> bool {
 /// `VecMul`; otherwise the terms themselves are packed. The rule changes the
 /// node's type from scalar to vector, so it is restricted to the program
 /// root, where only the declared output slots are observed.
-fn reduce_sum_rotations(expr: &Expr) -> Option<Expr> {
+fn reduce_sum_rotations(graph: &mut TermGraph, id: NodeId) -> Option<NodeId> {
+    // Terms must be scalars (a sum of vectors is not a reduction): a scalar
+    // addition types as a scalar exactly when each of its terms does.
+    if !matches!(graph.node(id), DagNode::Bin(BinOp::Add, _, _)) || graph.ty(id) != Ok(Ty::Scalar) {
+        return None;
+    }
     let mut terms = Vec::new();
-    flatten_sum(expr, &mut terms);
+    flatten_sum(graph, id, &mut terms);
     if terms.len() < 4 {
         return None;
     }
-    // Terms must be scalars (a sum of vectors is not a reduction).
-    if terms
+    let products: Option<Vec<(NodeId, NodeId)>> = terms
         .iter()
-        .any(|t| !matches!(t.ty(), Ok(chehab_ir::Ty::Scalar)))
-    {
-        return None;
-    }
-    let all_products = terms
-        .iter()
-        .all(|t| matches!(t, Expr::Bin(BinOp::Mul, _, _)));
-    let packed = if all_products {
-        let mut lhs = Vec::with_capacity(terms.len());
-        let mut rhs = Vec::with_capacity(terms.len());
-        for t in &terms {
-            if let Expr::Bin(BinOp::Mul, a, b) = t {
-                lhs.push((**a).clone());
-                rhs.push((**b).clone());
-            }
+        .map(|&t| match *graph.node(t) {
+            DagNode::Bin(BinOp::Mul, a, b) => Some((a, b)),
+            _ => None,
+        })
+        .collect();
+    let packed = match products {
+        Some(products) => {
+            let lhs = graph.intern(DagNode::Vec(products.iter().map(|p| p.0).collect()));
+            let rhs = graph.intern(DagNode::Vec(products.iter().map(|p| p.1).collect()));
+            graph.intern(DagNode::VecBin(BinOp::Mul, lhs, rhs))
         }
-        Expr::VecBin(
-            BinOp::Mul,
-            Box::new(Expr::Vec(lhs)),
-            Box::new(Expr::Vec(rhs)),
-        )
-    } else {
-        Expr::Vec(terms.clone())
+        None => graph.intern(DagNode::Vec(terms.clone())),
     };
-    Some(rotate_add_reduce(packed, terms.len()))
+    Some(rotate_add_reduce(graph, packed, terms.len()))
 }
 
-fn flatten_sum(expr: &Expr, terms: &mut Vec<Expr>) {
-    match expr {
-        Expr::Bin(BinOp::Add, a, b) => {
-            flatten_sum(a, terms);
-            flatten_sum(b, terms);
+/// The terms of the sum rooted at `id`, left to right: every maximal operand
+/// that is not itself a scalar addition.
+fn flatten_sum(graph: &TermGraph, id: NodeId, terms: &mut Vec<NodeId>) {
+    match *graph.node(id) {
+        DagNode::Bin(BinOp::Add, a, b) => {
+            flatten_sum(graph, a, terms);
+            flatten_sum(graph, b, terms);
         }
-        other => terms.push(other.clone()),
+        _ => terms.push(id),
     }
 }
 
 /// Builds the log-depth rotate-and-add tree that sums the first `len` slots
 /// of `packed` into slot 0 (zero-fill shift semantics make the padding slots
 /// contribute nothing).
-fn rotate_add_reduce(packed: Expr, len: usize) -> Expr {
+fn rotate_add_reduce(graph: &mut TermGraph, packed: NodeId, len: usize) -> NodeId {
     let mut width = len.next_power_of_two();
     let mut acc = packed;
     while width > 1 {
         let half = (width / 2) as i64;
-        acc = Expr::VecBin(
-            BinOp::Add,
-            Box::new(acc.clone()),
-            Box::new(Expr::Rot(Box::new(acc), half)),
-        );
+        let rotated = graph.intern(DagNode::Rot(acc, half));
+        acc = graph.intern(DagNode::VecBin(BinOp::Add, acc, rotated));
         width /= 2;
     }
     acc
@@ -730,71 +723,61 @@ fn rotate_add_reduce(packed: Expr, len: usize) -> Expr {
 /// followed by one rotate-and-add, replacing `2k` scalar multiplications and
 /// `k` scalar additions with one vector multiplication, one rotation and one
 /// vector addition.
-fn reduce_product_pairs(expr: &Expr) -> Option<Expr> {
-    let Expr::Vec(elems) = expr else { return None };
+fn reduce_product_pairs(graph: &mut TermGraph, id: NodeId) -> Option<NodeId> {
+    let DagNode::Vec(elems) = graph.node(id) else {
+        return None;
+    };
     if elems.len() < 2 {
         return None;
     }
-    let mut first_l = Vec::new();
-    let mut first_r = Vec::new();
-    let mut second_l = Vec::new();
-    let mut second_r = Vec::new();
-    for e in elems {
-        let Expr::Bin(BinOp::Add, p, q) = e else {
+    let k = elems.len();
+    let mut lhs = vec![0; 2 * k];
+    let mut rhs = vec![0; 2 * k];
+    for (i, &e) in elems.iter().enumerate() {
+        let DagNode::Bin(BinOp::Add, p, q) = *graph.node(e) else {
             return None;
         };
-        let Expr::Bin(BinOp::Mul, a, b) = p.as_ref() else {
+        let DagNode::Bin(BinOp::Mul, a, b) = *graph.node(p) else {
             return None;
         };
-        let Expr::Bin(BinOp::Mul, c, d) = q.as_ref() else {
+        let DagNode::Bin(BinOp::Mul, c, d) = *graph.node(q) else {
             return None;
         };
-        first_l.push((**a).clone());
-        first_r.push((**b).clone());
-        second_l.push((**c).clone());
-        second_r.push((**d).clone());
+        (lhs[i], rhs[i], lhs[k + i], rhs[k + i]) = (a, b, c, d);
     }
-    let k = elems.len() as i64;
-    let mut lhs = first_l;
-    lhs.extend(second_l);
-    let mut rhs = first_r;
-    rhs.extend(second_r);
-    let packed = Expr::VecBin(
-        BinOp::Mul,
-        Box::new(Expr::Vec(lhs)),
-        Box::new(Expr::Vec(rhs)),
-    );
-    Some(Expr::VecBin(
-        BinOp::Add,
-        Box::new(packed.clone()),
-        Box::new(Expr::Rot(Box::new(packed), k)),
-    ))
+    let lhs = graph.intern(DagNode::Vec(lhs));
+    let rhs = graph.intern(DagNode::Vec(rhs));
+    let packed = graph.intern(DagNode::VecBin(BinOp::Mul, lhs, rhs));
+    let rotated = graph.intern(DagNode::Rot(packed, k as i64));
+    Some(graph.intern(DagNode::VecBin(BinOp::Add, packed, rotated)))
 }
 
 /// Folds an operation whose operands are literal constants.
-fn const_fold_node(expr: &Expr) -> Option<Expr> {
-    match expr {
-        Expr::Bin(op, a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Const(x), Expr::Const(y)) => Some(Expr::Const(match op {
-                BinOp::Add => x.wrapping_add(*y),
-                BinOp::Sub => x.wrapping_sub(*y),
-                BinOp::Mul => x.wrapping_mul(*y),
-            })),
-            _ => None,
-        },
-        Expr::Neg(a) => match a.as_ref() {
-            Expr::Const(x) => Some(Expr::Const(x.wrapping_neg())),
-            _ => None,
-        },
+fn const_fold_node(graph: &mut TermGraph, id: NodeId) -> Option<NodeId> {
+    let constant = |operand: NodeId| match *graph.node(operand) {
+        DagNode::Const(v) => Some(v),
         _ => None,
-    }
+    };
+    let folded = match *graph.node(id) {
+        DagNode::Bin(op, a, b) => {
+            let (x, y) = (constant(a)?, constant(b)?);
+            match op {
+                BinOp::Add => x.wrapping_add(y),
+                BinOp::Sub => x.wrapping_sub(y),
+                BinOp::Mul => x.wrapping_mul(y),
+            }
+        }
+        DagNode::Neg(a) => constant(a)?.wrapping_neg(),
+        _ => return None,
+    };
+    Some(graph.intern(DagNode::Const(folded)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rule::Placement;
-    use chehab_ir::{count_ops, equivalent_on_live_slots, parse, Env};
+    use chehab_ir::{count_ops, equivalent_on_live_slots, parse, Env, Expr};
     use std::collections::HashSet;
 
     #[test]

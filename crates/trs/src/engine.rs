@@ -3,9 +3,11 @@
 //! original (non-RL) CHEHAB compiler as a baseline.
 
 use crate::catalog::default_catalog;
-use crate::index::{MatchIndex, Site};
+use crate::index::MatchIndex;
+use crate::pattern::{shape_of, SHAPES};
 use crate::rule::{Placement, Rule};
-use chehab_ir::{CostModel, Expr};
+use chehab_ir::{CostModel, DagNode, Expr, NodeId, TermGraph};
+use std::ops::Range;
 
 /// Identifies one concrete application site of one rule inside a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,6 +22,9 @@ pub struct Match {
 #[derive(Debug)]
 pub struct RewriteEngine {
     rules: Vec<Rule>,
+    /// Per node shape, the `Anywhere` rules that may rewrite a node of that
+    /// shape, in rule order: every rule a match could come from.
+    anywhere_by_shape: Vec<Vec<usize>>,
 }
 
 impl Default for RewriteEngine {
@@ -31,8 +36,19 @@ impl Default for RewriteEngine {
 impl RewriteEngine {
     /// Creates an engine over the [`default_catalog`].
     pub fn new() -> Self {
+        let rules = default_catalog();
+        let anywhere_by_shape = (0..SHAPES)
+            .map(|shape| {
+                let fits = |rule: &Rule| {
+                    rule.placement() == Placement::Anywhere
+                        && rule.shape().is_none_or(|s| s == shape)
+                };
+                (0..rules.len()).filter(|&r| fits(&rules[r])).collect()
+            })
+            .collect();
         RewriteEngine {
-            rules: default_catalog(),
+            rules,
+            anywhere_by_shape,
         }
     }
 
@@ -40,6 +56,12 @@ impl RewriteEngine {
     /// used by [`Match::rule_index`] and by the RL action space.
     pub fn rules(&self) -> &[Rule] {
         &self.rules
+    }
+
+    /// The `Anywhere` rules that may rewrite `node`, in rule order: every
+    /// other rule fails on its shape.
+    pub(crate) fn anywhere_rules(&self, node: &DagNode) -> &[usize] {
+        &self.anywhere_by_shape[shape_of(node)]
     }
 
     /// Number of rules in the catalog.
@@ -62,35 +84,24 @@ impl RewriteEngine {
     ///
     /// Panics if `rule_index` is out of range.
     pub fn matches(&self, expr: &Expr, rule_index: usize) -> Vec<Vec<usize>> {
-        let rule = &self.rules[rule_index];
-        match rule.placement() {
-            Placement::RootOnly => {
-                if rule.applies(expr) {
-                    vec![Vec::new()]
-                } else {
-                    Vec::new()
-                }
-            }
-            Placement::Anywhere => expr
-                .paths()
-                .into_iter()
-                .filter(|(_, node)| rule.applies(node))
-                .map(|(path, _)| path)
-                .collect(),
-        }
+        let mut paths = Vec::new();
+        self.for_each_match(expr, rule_index..rule_index + 1, |_, path| {
+            paths.push(path.to_vec());
+            true
+        });
+        paths
     }
 
     /// Returns, for every rule, whether it applies anywhere in `expr`.
     /// This is the action mask the RL policy uses to exclude invalid rules.
     pub fn applicability_mask(&self, expr: &Expr) -> Vec<bool> {
-        let paths = expr.paths();
-        self.rules
-            .iter()
-            .map(|rule| match rule.placement() {
-                Placement::RootOnly => rule.applies(expr),
-                Placement::Anywhere => paths.iter().any(|(_, node)| rule.applies(node)),
-            })
-            .collect()
+        let mut mask = vec![false; self.rules.len()];
+        // A rule's first match decides it: the walk stops trying the rule.
+        self.for_each_match(expr, 0..self.rules.len(), |rule, _| {
+            mask[rule] = true;
+            false
+        });
+        mask
     }
 
     /// Enumerates every `(rule, location)` pair that applies to `expr`,
@@ -100,19 +111,68 @@ impl RewriteEngine {
         // One walk tests every rule at each node; bucketing by rule restores
         // the rule-major order.
         let mut by_rule = vec![Vec::new(); self.rules.len()];
-        expr.for_each_path(&mut |path, node| {
-            for (rule, paths) in self.rules.iter().zip(&mut by_rule) {
-                let placed = rule.placement() == Placement::Anywhere || path.is_empty();
-                if placed && rule.applies(node) {
-                    paths.push(path.to_vec());
-                }
-            }
+        self.for_each_match(expr, 0..self.rules.len(), |rule, path| {
+            by_rule[rule].push(path.to_vec());
+            true
         });
         let mut out = Vec::new();
         for (rule_index, paths) in by_rule.into_iter().enumerate() {
             out.extend(paths.into_iter().map(|path| Match { rule_index, path }));
         }
         out
+    }
+
+    /// Calls `found(rule, path)` for every rule of `rules` at every node of
+    /// `expr` where its placement allows it and it rewrites the node into a
+    /// different term ([`Rule::changes`]): in preorder, and at one node in
+    /// rule order. Once `found` returns `false` for a rule, the rule is not
+    /// tried again. The tree is walked node by node; beside it, `expr` is
+    /// interned once into a scratch graph, where a procedural rule runs on
+    /// the node's id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rules` reaches past the catalog.
+    fn for_each_match(
+        &self,
+        expr: &Expr,
+        rules: Range<usize>,
+        mut found: impl FnMut(usize, &[usize]) -> bool,
+    ) {
+        fn visit(
+            node: &Expr,
+            id: NodeId,
+            graph: &mut TermGraph,
+            path: &mut Vec<usize>,
+            rules: &mut Vec<(usize, &Rule)>,
+            found: &mut impl FnMut(usize, &[usize]) -> bool,
+        ) {
+            rules.retain(|&(rule_index, rule)| {
+                let placed = rule.placement() == Placement::Anywhere || path.is_empty();
+                // Kept unless it matches here and `found` is done with it.
+                !placed || !rule.changes(node, id, graph) || found(rule_index, path)
+            });
+            for (child, operand) in node.children().into_iter().enumerate() {
+                let operand_id = graph
+                    .node(id)
+                    .operand(child)
+                    .expect("an interned node has its tree's operands");
+                path.push(child);
+                visit(operand, operand_id, graph, path, rules, found);
+                path.pop();
+            }
+        }
+        let mut rules: Vec<(usize, &Rule)> = rules.clone().zip(&self.rules[rules]).collect();
+        let mut graph = TermGraph::new();
+        let root = graph.intern_expr(expr);
+        visit(
+            expr,
+            root,
+            &mut graph,
+            &mut Vec::new(),
+            &mut rules,
+            &mut found,
+        );
     }
 
     /// Applies `rule_index` at its `occurrence`-th match (0-based) and
@@ -154,12 +214,12 @@ impl RewriteEngine {
     ///
     /// Candidates are scored on one [`MatchIndex`] shared by the whole search
     /// rather than materialised as trees (`DESIGN.md`, "The compile path"):
-    /// a rule's outcome is memoised per distinct subterm, a candidate is
-    /// priced by the nodes it adds to and removes from the current circuit
-    /// ([`MatchIndex::price`]), and a state is its id in the index's term
-    /// graph: each step's winner is named by [`MatchIndex::successor`] and
-    /// its tree read out of the graph by [`MatchIndex::index`], not rebuilt
-    /// by applying the rule.
+    /// a rule's outcome and match counts are kept per distinct subterm, a
+    /// state's candidates are found by one descent of the graph and priced by
+    /// the nodes each adds to and removes from the current circuit
+    /// ([`MatchIndex::cheapest`]), and a state is its id in the index's term
+    /// graph: each step's winner is named by [`MatchIndex::successor`], and
+    /// only the final state is read out of the graph as a tree.
     pub fn greedy_optimize(
         &self,
         expr: &Expr,
@@ -173,26 +233,21 @@ impl RewriteEngine {
         let mut current_cost = index.cost(matches.id(), cost_model);
         let mut steps = 0;
         while steps < max_steps {
-            // Rule by rule, each rule's sites in preorder: the enumeration
-            // order of `all_matches`.
-            let mut best: Option<(Site, f64)> = None;
-            for &site in matches.by_rule().iter().flatten() {
-                let cost = index.price(&matches, site, cost_model);
-                if cost < current_cost - 1e-9 && best.is_none_or(|(_, best_cost)| cost < best_cost)
-                {
-                    best = Some((site, cost));
-                }
-            }
-            let Some((site, cost)) = best else {
+            // The cheapest candidate, the first in `all_matches` order among
+            // equals, is the one the strict improvement test below keeps.
+            let Some((site, cost)) = index
+                .cheapest(&matches, cost_model)
+                .filter(|&(_, cost)| cost < current_cost - 1e-9)
+            else {
                 break;
             };
-            let next = index.successor(&matches, site);
+            let next = index.successor(&site);
             matches = index.index(self, next);
             index.set_live(&matches);
             current_cost = cost;
             steps += 1;
         }
-        (matches.program().clone(), steps)
+        (index.expr(matches.id()), steps)
     }
 }
 
@@ -208,6 +263,19 @@ mod tests {
         let idx = engine.rule_index("add-comm").unwrap();
         let paths = engine.matches(&expr, idx);
         assert_eq!(paths, vec![vec![], vec![0], vec![1]]);
+    }
+
+    #[test]
+    fn identity_rewrites_do_not_count_as_matches() {
+        let engine = RewriteEngine::new();
+        let idx = engine.rule_index("add-comm").unwrap();
+        // x + x commutes to itself, so the rule matches syntactically but
+        // produces no change and is not reported.
+        assert!(engine.matches(&parse("(+ x x)").unwrap(), idx).is_empty());
+        assert_eq!(
+            engine.matches(&parse("(+ x y)").unwrap(), idx),
+            vec![Vec::<usize>::new()]
+        );
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! The ordered rule catalog doubles as the action space of the CHEHAB RL
 //! agent; the engine's greedy best-improvement optimizer is the original
 //! (non-RL) CHEHAB baseline used in the Figure 12 ablation. Both searches
-//! stand on a [`MatchIndex`]: one rule outcome per distinct subterm, one set
-//! of matches per program state.
+//! stand on a [`MatchIndex`]: rule outcomes and per-rule match counts per
+//! distinct subterm, computed once, from which a program state's matches are
+//! read by descending the term graph.
 //!
 //! ## Example
 //!

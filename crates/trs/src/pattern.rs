@@ -47,7 +47,43 @@ pub enum Pattern {
     Rot(Box<Pattern>, String),
 }
 
+/// Number of node shapes ([`shape_of`]).
+pub(crate) const SHAPES: usize = 13;
+
+/// A node's shape: its operation (and operator), the part of it a pattern's
+/// root is matched against first. Shapes index [`SHAPES`]-long tables.
+pub(crate) fn shape_of(node: &DagNode) -> usize {
+    match node {
+        DagNode::CtVar(_) => 0,
+        DagNode::PtVar(_) => 1,
+        DagNode::Const(_) => 2,
+        DagNode::Bin(op, _, _) => 3 + *op as usize,
+        DagNode::Neg(_) => 6,
+        DagNode::Vec(_) => 7,
+        DagNode::VecBin(op, _, _) => 8 + *op as usize,
+        DagNode::VecNeg(_) => 11,
+        DagNode::Rot(_, _) => 12,
+    }
+}
+
 impl Pattern {
+    /// The [`shape_of`] every node this pattern matches has, or `None` if
+    /// nodes of any shape may match.
+    pub(crate) fn shape(&self) -> Option<usize> {
+        // A node of the root's shape; its operands do not matter.
+        let node = match self {
+            Pattern::Any(_) | Pattern::AnyPlain(_) => return None,
+            Pattern::Const(_) | Pattern::AnyConst(_) => DagNode::Const(0),
+            Pattern::Bin(op, _, _) => DagNode::Bin(*op, 0, 0),
+            Pattern::Neg(_) => DagNode::Neg(0),
+            Pattern::Vec(_) => DagNode::Vec(Vec::new()),
+            Pattern::VecBin(op, _, _) => DagNode::VecBin(*op, 0, 0),
+            Pattern::VecNeg(_) => DagNode::VecNeg(0),
+            Pattern::Rot(_, _) => DagNode::Rot(0, 0),
+        };
+        Some(shape_of(&node))
+    }
+
     /// Shorthand for a metavariable.
     pub fn var(name: &str) -> Pattern {
         Pattern::Any(name.to_string())

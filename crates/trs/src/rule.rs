@@ -7,14 +7,19 @@
 //! whose shape depends on the matched node, such as whole-`Vec` vectorization
 //! or reduction-to-rotations.
 //!
-//! A rule is applied two ways. [`Rule::try_apply`] rewrites an [`Expr`] and
-//! returns the rewritten tree: the one-shot API, used to build the program a
-//! search accepts. [`Rule::rewrite_in`] rewrites a node of a [`TermGraph`]
-//! and returns the replacement's id: a declarative rule matches the node's
-//! id and interns its right-hand side, in O(|pattern|) whatever the size of
-//! the subterm, and a procedural rule runs its closure on the tree and
-//! interns the result. The match index tries rules only through
-//! `rewrite_in`; both give the same replacement, id for id.
+//! A rule is applied two ways. [`Rule::rewrite_in`] rewrites a node of a
+//! [`TermGraph`] and returns the replacement's id: a declarative rule matches
+//! the node's id and interns its right-hand side, in O(|pattern|) whatever
+//! the size of the subterm, and a procedural rule is a function of the graph
+//! and the node's id, which reads the node's operands by id and interns its
+//! result node by node, in the order [`TermGraph::intern_expr`] would intern
+//! the rewritten tree. [`Rule::try_apply`] rewrites an [`Expr`] and returns
+//! the rewritten tree: the one-shot API, which runs a procedural rule on a
+//! scratch graph. The match index tries rules only through `rewrite_in`;
+//! both give the same replacement, id for id. The engine's tree walks
+//! ([`RewriteEngine::matches`](crate::RewriteEngine::matches) and its
+//! siblings) decide a declarative rule with the tree matcher, the reference
+//! the index's graph matcher is tested against.
 
 use crate::pattern::{parse_pattern, NodeBindings, Pattern};
 use chehab_ir::{Expr, NodeId, TermGraph};
@@ -61,7 +66,9 @@ pub enum Placement {
     RootOnly,
 }
 
-type ProceduralFn = dyn Fn(&Expr) -> Option<Expr> + Send + Sync;
+/// A procedural rule's body: the id of what it rewrites node `id` of the
+/// graph into, or `None` where it does not apply.
+type ProceduralFn = dyn Fn(&mut TermGraph, NodeId) -> Option<NodeId> + Send + Sync;
 
 #[derive(Clone)]
 enum RuleBody {
@@ -105,12 +112,15 @@ impl Rule {
         }
     }
 
-    /// Builds a procedural rule from a closure that either rewrites the node
-    /// or returns `None` when it does not apply.
+    /// Builds a procedural rule from a closure that either rewrites node `id`
+    /// of the graph, returning the id of the interned replacement, or returns
+    /// `None` when it does not apply. It interns its result in the order
+    /// [`TermGraph::intern_expr`] would intern the rewritten tree, so ids do
+    /// not depend on which of the two built it.
     pub fn procedural(
         name: &str,
         category: RuleCategory,
-        f: impl Fn(&Expr) -> Option<Expr> + Send + Sync + 'static,
+        f: impl Fn(&mut TermGraph, NodeId) -> Option<NodeId> + Send + Sync + 'static,
     ) -> Rule {
         Rule {
             name: name.to_string(),
@@ -141,31 +151,47 @@ impl Rule {
         self.placement
     }
 
+    /// The shape ([`shape_of`](crate::pattern::shape_of)) of every node the
+    /// rule rewrites, when it is known without trying the rule: a
+    /// declarative rule's left-hand side fixes it, a procedural rule's body
+    /// does not.
+    pub(crate) fn shape(&self) -> Option<usize> {
+        match &self.body {
+            RuleBody::Rewrite { lhs, .. } => lhs.shape(),
+            RuleBody::Procedural(_) => None,
+        }
+    }
+
     /// Attempts to apply the rule at the root of `expr`, returning the
-    /// rewritten node on success.
+    /// rewritten node on success. A procedural rule runs on a scratch graph
+    /// holding `expr`, and its result is read back out as a tree.
     pub fn try_apply(&self, expr: &Expr) -> Option<Expr> {
         match &self.body {
             RuleBody::Rewrite { lhs, rhs } => {
                 let bindings = lhs.matches(expr)?;
                 self.instantiated(rhs.substitute(&bindings))
             }
-            RuleBody::Procedural(f) => f(expr),
+            RuleBody::Procedural(f) => {
+                let mut graph = TermGraph::new();
+                let id = graph.intern_expr(expr);
+                f(&mut graph, id).map(|rewritten| graph.expr(rewritten))
+            }
         }
     }
 
-    /// Applies the rule at node `id` of `graph`, whose tree form is `node`,
-    /// and returns the id of the rewritten node (equal to `id` if the rewrite
-    /// changes nothing): the id, the new nodes and their interning order of
-    /// `graph.intern_expr(&self.try_apply(node)?)`.
+    /// Applies the rule at node `id` of `graph` and returns the id of the
+    /// rewritten node (equal to `id` if the rewrite changes nothing): the id,
+    /// the new nodes and their interning order of
+    /// `graph.intern_expr(&self.try_apply(&graph.expr(id))?)`.
     ///
-    /// A declarative rule reads only the graph: its left-hand side binds node
-    /// ids and its right-hand side is interned node by node. A procedural
-    /// rule runs on `node`.
+    /// Both kinds of rule read only the graph: a declarative rule's left-hand
+    /// side binds node ids and its right-hand side is interned node by node;
+    /// a procedural rule reads the node's operands by id.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not returned by `graph`.
-    pub fn rewrite_in(&self, node: &Expr, id: NodeId, graph: &mut TermGraph) -> Option<NodeId> {
+    pub fn rewrite_in(&self, id: NodeId, graph: &mut TermGraph) -> Option<NodeId> {
         match &self.body {
             RuleBody::Rewrite { lhs, rhs } => {
                 let mut bindings = NodeBindings::default();
@@ -174,7 +200,20 @@ impl Rule {
                 }
                 self.instantiated(rhs.intern_in(&bindings, graph))
             }
-            RuleBody::Procedural(f) => f(node).map(|e| graph.intern_expr(&e)),
+            RuleBody::Procedural(f) => f(graph, id),
+        }
+    }
+
+    /// Whether the rule rewrites `node`, at the root, into a different term;
+    /// `id` is `node` interned in `graph`. A declarative rule is decided on
+    /// the tree ([`Rule::try_apply`]), by the tree matcher, so a caller that
+    /// compares against [`Rule::rewrite_in`] checks one matcher against the
+    /// other; a procedural rule, whose one body both share, runs on `id`,
+    /// where a different term is a different id.
+    pub(crate) fn changes(&self, node: &Expr, id: NodeId, graph: &mut TermGraph) -> bool {
+        match &self.body {
+            RuleBody::Rewrite { .. } => self.try_apply(node).is_some_and(|e| &e != node),
+            RuleBody::Procedural(f) => f(graph, id).is_some_and(|rewritten| rewritten != id),
         }
     }
 
@@ -190,12 +229,6 @@ impl Rule {
             );
         })
         .ok()
-    }
-
-    /// Returns `true` if the rule applies at the root of `expr` and actually
-    /// changes it.
-    pub fn applies(&self, expr: &Expr) -> bool {
-        self.try_apply(expr).is_some_and(|e| &e != expr)
     }
 }
 
@@ -227,7 +260,7 @@ impl fmt::Display for Rule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chehab_ir::parse;
+    use chehab_ir::{parse, DagNode};
 
     #[test]
     fn declarative_rule_applies_and_rewrites() {
@@ -238,34 +271,22 @@ mod tests {
             "(* ?a (+ ?b ?c))",
         );
         let e = parse("(+ (* x y) (* x z))").unwrap();
-        assert!(rule.applies(&e));
         assert_eq!(rule.try_apply(&e).unwrap(), parse("(* x (+ y z))").unwrap());
-        assert!(!rule.applies(&parse("(+ (* x y) (* w z))").unwrap()));
+        assert!(rule
+            .try_apply(&parse("(+ (* x y) (* w z))").unwrap())
+            .is_none());
     }
 
     #[test]
     fn procedural_rule_applies_conditionally() {
-        let rule = Rule::procedural("double-const", RuleCategory::Simplification, |e| match e {
-            Expr::Const(v) => Some(Expr::Const(v * 2)),
+        let double = |graph: &mut TermGraph, id| match *graph.node(id) {
+            DagNode::Const(v) => Some(graph.intern(DagNode::Const(v * 2))),
             _ => None,
-        });
+        };
+        let rule = Rule::procedural("double-const", RuleCategory::Simplification, double);
         assert_eq!(rule.try_apply(&Expr::Const(3)), Some(Expr::Const(6)));
         assert_eq!(rule.try_apply(&parse("x").unwrap()), None);
         assert!(matches!(rule.body, RuleBody::Procedural(_)));
-    }
-
-    #[test]
-    fn identity_rewrites_do_not_count_as_applying() {
-        let rule = Rule::rewrite(
-            "add-comm",
-            RuleCategory::Transformation,
-            "(+ ?a ?b)",
-            "(+ ?b ?a)",
-        );
-        // x + x commutes to itself, so the rule "applies" syntactically but
-        // produces no change and is reported as not applicable.
-        assert!(!rule.applies(&parse("(+ x x)").unwrap()));
-        assert!(rule.applies(&parse("(+ x y)").unwrap()));
     }
 
     #[test]
@@ -293,7 +314,7 @@ mod tests {
 
     #[test]
     fn root_only_marks_placement() {
-        let rule = Rule::procedural("r", RuleCategory::Rotation, |_| None).root_only();
+        let rule = Rule::procedural("r", RuleCategory::Rotation, |_, _| None).root_only();
         assert_eq!(rule.placement(), Placement::RootOnly);
     }
 }

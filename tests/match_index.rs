@@ -1,23 +1,27 @@
 //! The match index answers what the tree-walking engine API answers.
 //!
-//! `MatchIndex` memoises rule outcomes per distinct subterm on one shared
-//! term graph, names successor states by re-interning a spine, and reads a
+//! `MatchIndex` keeps rule outcomes and per-rule match counts per distinct
+//! subterm on one shared term graph, finds a state's matches by descending
+//! the graph, names successor states by re-interning a spine, and reads a
 //! state's tree out of the graph by its id; the one-shot
 //! `RewriteEngine::{applicability_mask, matches, all_matches,
 //! apply_at_occurrence}` walk and rebuild the tree every time. Masks, match
 //! lists (in preorder, so location indices agree), successor trees and ids
-//! and cost bits must be the same — on fresh programs, and along a walk where
-//! most of every state is already in the memo.
+//! and cost bits must be the same — on fresh programs, along a walk where
+//! most of every state is already in the index, and on a tree that repeats
+//! one subterm many times.
 //!
-//! Below that, the index tries a rule only through `Rule::rewrite_in`, whose
-//! declarative rules match node ids on the graph; `Rule::try_apply` matches
-//! the tree. The two must return the same replacement id for every rule on
-//! every subterm, and grow the graph node for node alike.
+//! Below that, the index tries a rule only through `Rule::rewrite_in`, which
+//! reads the graph; `Rule::try_apply` matches a declarative rule on the tree
+//! and runs a procedural one on a scratch graph, whose result is read back
+//! out as a tree. The two must return the same replacement id for every rule
+//! on every subterm, and grow the graph node for node alike — which holds a
+//! procedural rule to interning its result in `intern_expr` order.
 
 use chehab::benchsuite::full_suite;
 use chehab::datagen::{LlmLikeSynthesizer, RandomGenerator};
-use chehab::ir::{cleanup, CostModel, Expr, TermGraph};
-use chehab::trs::{Match, MatchIndex, RewriteEngine};
+use chehab::ir::{cleanup, parse, BinOp, CostModel, Expr, TermGraph};
+use chehab::trs::{Match, MatchIndex, RewriteEngine, Site};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -53,15 +57,25 @@ fn assert_same_facts(
 ) -> Vec<Match> {
     let root = index.intern(program);
     let indexed = index.index(engine, root);
-    assert_eq!(indexed.program(), program, "{what}: the indexed tree");
+    assert_eq!(&index.expr(root), program, "{what}: the indexed tree");
     let expected = engine.all_matches(program);
-    let mut found = Vec::new();
-    for (rule_index, sites) in indexed.by_rule().iter().enumerate() {
-        found.extend(sites.iter().map(|&site| Match {
-            rule_index,
-            path: indexed.path(site),
-        }));
-    }
+    // Per rule, the sites the index finds by descent, in location order.
+    let sites: Vec<Vec<Site>> = (0..engine.rule_count())
+        .map(|rule| {
+            assert!(index.site(&indexed, rule, indexed.count(rule)).is_none());
+            (0..indexed.count(rule))
+                .map(|k| index.site(&indexed, rule, k).expect("k < count"))
+                .collect()
+        })
+        .collect();
+    let found: Vec<Match> = (sites.iter().enumerate())
+        .flat_map(|(rule_index, sites)| {
+            sites.iter().map(move |site| Match {
+                rule_index,
+                path: site.path(),
+            })
+        })
+        .collect();
     assert_eq!(found, expected, "{what}: all_matches");
     assert_eq!(
         indexed.rule_mask(),
@@ -70,16 +84,11 @@ fn assert_same_facts(
     );
     // `matches` rule by rule, for every rule that matches and a few that
     // do not (each call is a full tree walk).
-    for rule in (0..engine.rule_count()).filter(|r| !indexed.of_rule(*r).is_empty() || r % 16 == 0)
-    {
-        let paths: Vec<Vec<usize>> = indexed
-            .of_rule(rule)
-            .iter()
-            .map(|&site| indexed.path(site))
-            .collect();
+    for rule in (0..engine.rule_count()).filter(|r| indexed.count(*r) > 0 || r % 16 == 0) {
+        let paths: Vec<Vec<usize>> = sites[rule].iter().map(Site::path).collect();
         assert_eq!(paths, engine.matches(program, rule), "{what}: rule {rule}");
     }
-    assert!(indexed.of_rule(engine.rule_count()).is_empty());
+    assert_eq!(indexed.count(engine.rule_count()), 0);
     assert_eq!(
         index.cost(indexed.id(), model).to_bits(),
         model.cost(program).to_bits(),
@@ -88,19 +97,16 @@ fn assert_same_facts(
     // Every match leads where apply_at_occurrence leads: the index predicts
     // the successor's id without building the tree, and reads out the tree
     // the rule rewrite builds.
-    for (rule, sites) in indexed.by_rule().iter().enumerate() {
-        for (occurrence, &site) in sites.iter().enumerate().take(2) {
+    for (rule, sites) in sites.iter().enumerate() {
+        for (occurrence, site) in sites.iter().enumerate().take(2) {
             let next = engine
                 .apply_at_occurrence(program, rule, occurrence)
                 .expect("an indexed match applies");
-            let predicted = index.successor(&indexed, site);
+            let predicted = index.successor(site);
             let successor = format!("{what}: successor of rule {rule} at occurrence {occurrence}");
             assert_eq!(index.intern(&next), predicted, "{successor}");
-            assert_eq!(
-                index.index(engine, predicted).program(),
-                &next,
-                "{successor}"
-            );
+            index.index(engine, predicted);
+            assert_eq!(index.expr(predicted), next, "{successor}");
             assert_eq!(
                 index.cost(predicted, model).to_bits(),
                 model.cost(&next).to_bits(),
@@ -151,6 +157,41 @@ fn the_index_agrees_with_the_tree_walks_along_a_random_walk() {
     }
 }
 
+/// The shape `reduce-sum-rotations` leaves: a rotate-and-add tree over one
+/// packed product, which the program's tree repeats 64 times while its graph
+/// holds it once. Every occurrence is a distinct match location, so each
+/// rule's count and each of its sites must be what the tree walk finds.
+#[test]
+fn the_index_counts_every_occurrence_of_a_shared_subterm() {
+    let engine = RewriteEngine::new();
+    let sum = (1..33).fold("(* a0 b0)".to_string(), |sum, i| {
+        format!("(+ {sum} (* a{i} b{i}))")
+    });
+    let reduce = engine.rule_index("reduce-sum-rotations").unwrap();
+    let program = engine
+        .apply_at_occurrence(&parse(&sum).unwrap(), reduce, 0)
+        .expect("a sum of 33 products reduces");
+    let packed = (program.preorder().into_iter())
+        .filter(|node| matches!(node, Expr::VecBin(BinOp::Mul, _, _)))
+        .count();
+    assert_eq!(packed, 64, "the packed product, once per slot of 64");
+    let mut index = MatchIndex::new();
+    let root = index.intern(&program);
+    let indexed = index.index(&engine, root);
+    let mut most = 0;
+    for rule in 0..engine.rule_count() {
+        let expected = engine.matches(&program, rule);
+        assert_eq!(indexed.count(rule), expected.len(), "rule {rule}");
+        for (k, path) in expected.iter().enumerate() {
+            let site = index.site(&indexed, rule, k).expect("k < count");
+            assert_eq!(&site.path(), path, "rule {rule}, location {k}");
+        }
+        assert!(index.site(&indexed, rule, expected.len()).is_none());
+        most = most.max(expected.len());
+    }
+    assert!(most >= 64, "some rule matches every occurrence: {most}");
+}
+
 /// Tries every rule on every distinct subterm of `programs` both ways —
 /// `rewrite_in` on one graph, `try_apply` then `intern_expr` on another —
 /// and checks that both return the same id (`None` included) and create the
@@ -162,14 +203,14 @@ fn assert_graph_matcher_agrees(engine: &RewriteEngine, what: &str, programs: &[E
     for (p, program) in programs.iter().enumerate() {
         let root = graph.intern_expr(program);
         assert_eq!(root, reference.intern_expr(program), "{what} {p}");
-        let (_, ids) = graph.expr_preorder(root);
-        for (&id, node) in ids.iter().zip(program.preorder()) {
+        for node in program.preorder() {
+            let id = graph.intern_expr(node);
             if !seen.insert(id) {
                 continue;
             }
             for rule in engine.rules() {
                 let before = graph.len();
-                let found = rule.rewrite_in(node, id, &mut graph);
+                let found = rule.rewrite_in(id, &mut graph);
                 let expected = rule.try_apply(node).map(|e| reference.intern_expr(&e));
                 assert_eq!(found, expected, "{what} {p}: rule {rule} on {node}");
                 assert_eq!(graph.len(), reference.len(), "{what} {p}: rule {rule}");
