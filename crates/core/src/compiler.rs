@@ -132,7 +132,7 @@ impl Compiler {
                 let search = SearchCounters {
                     actions: steps,
                     distinct_states: steps + 1,
-                    policy_evaluations: 0,
+                    ..SearchCounters::default()
                 };
                 (optimized, steps, search)
             }
@@ -142,6 +142,7 @@ impl Compiler {
                     actions: outcome.actions,
                     distinct_states: outcome.distinct_states,
                     policy_evaluations: outcome.policy_evaluations,
+                    encoded_rows: outcome.encoded_rows,
                 };
                 (outcome.optimized, outcome.steps, search)
             }

@@ -58,6 +58,10 @@ pub struct SearchCounters {
     pub distinct_states: usize,
     /// Forward passes of the policy network (0 without an RL agent).
     pub policy_evaluations: usize,
+    /// First-layer encoder rows the policy computed: one per distinct (token
+    /// id, position) among the evaluated observations (0 without an RL
+    /// agent, and for a GRU encoder).
+    pub encoded_rows: usize,
 }
 
 /// Compile-time statistics of a compiled program.

@@ -79,7 +79,8 @@ impl DagNode {
         }
     }
 
-    fn for_each_operand(&self, mut f: impl FnMut(NodeId)) {
+    /// Calls `f` on each operand id, in operand order.
+    pub(crate) fn for_each_operand(&self, mut f: impl FnMut(NodeId)) {
         match self {
             DagNode::CtVar(_) | DagNode::PtVar(_) | DagNode::Const(_) => {}
             DagNode::Bin(_, a, b) | DagNode::VecBin(_, a, b) => {

@@ -6,7 +6,7 @@ use crate::gru::GruEncoder;
 use crate::layers::Module;
 use crate::matrix::Matrix;
 use crate::tensor::{Tape, Tensor, Var};
-use crate::transformer::TransformerEncoder;
+use crate::transformer::{EncoderRows, TransformerEncoder};
 
 /// A Transformer or GRU encoder behind one interface, shared by the RL
 /// policy and the autoencoder ablation.
@@ -41,6 +41,16 @@ impl SequenceEncoder {
     pub fn infer(&self, tokens: &[usize]) -> Matrix {
         match self {
             SequenceEncoder::Transformer(t) => t.infer(tokens),
+            SequenceEncoder::Gru(g) => g.infer(tokens),
+        }
+    }
+
+    /// [`SequenceEncoder::infer`], reading a Transformer's first-layer rows
+    /// from `rows` where they are ([`TransformerEncoder::infer_with`]); a GRU
+    /// reads its whole sequence in order and keeps nothing there.
+    pub fn infer_with(&self, rows: &mut EncoderRows, tokens: &[usize]) -> Matrix {
+        match self {
+            SequenceEncoder::Transformer(t) => t.infer_with(rows, tokens),
             SequenceEncoder::Gru(g) => g.infer(tokens),
         }
     }

@@ -57,4 +57,4 @@ pub use layers::{Activation, LayerNorm, Linear, Mlp, Module};
 pub use matrix::Matrix;
 pub use optim::Adam;
 pub use tensor::{Tape, Tensor, Var};
-pub use transformer::{TransformerConfig, TransformerEncoder};
+pub use transformer::{EncoderRows, TransformerConfig, TransformerEncoder};

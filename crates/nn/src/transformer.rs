@@ -103,6 +103,12 @@ impl MultiHeadAttention {
         let q = self.query.forward(queries);
         let k = self.key.forward(context);
         let v = self.value.forward(context);
+        self.attend(&q, &k, &v)
+    }
+
+    /// Attention over projected rows: query rows `q`, key rows `k` and value
+    /// rows `v`.
+    fn attend<V: Forward>(&self, q: &V, k: &V, v: &V) -> V {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut heads = Vec::with_capacity(self.num_heads);
         for h in 0..self.num_heads {
@@ -156,7 +162,13 @@ impl EncoderLayer {
         let normed = self.norm1.forward(x);
         let cls = cls_only.then(|| (x.row(0), normed.row(0)));
         let (x, queries) = cls.as_ref().map_or((x, &normed), |(x, q)| (x, q));
-        let x = x.add(&self.attention.forward(queries, &normed));
+        self.feed_forward(x, &self.attention.forward(queries, &normed))
+    }
+
+    /// The rest of the layer once its input rows `x` have `attended`: the
+    /// residual, then the feed-forward block with its residual.
+    fn feed_forward<V: Forward>(&self, x: &V, attended: &V) -> V {
+        let x = x.add(attended);
         let ffn = self
             .ffn_out
             .forward(&self.ffn_in.forward(&self.norm2.forward(&x)).relu());
@@ -208,15 +220,21 @@ impl TransformerEncoder {
         &self.config
     }
 
-    /// The encoder stack over a token-id sequence; with `cls_only` the last
-    /// layer (and so the final norm) keeps position 0 only.
-    fn run<V: Forward>(&self, on: V::Tape, token_ids: &[usize], cls_only: bool) -> V {
-        let ids: Vec<usize> = token_ids
+    /// The ids the encoder reads of a sequence: truncated to `max_len`, each
+    /// clamped to the vocabulary.
+    fn clamped(&self, token_ids: &[usize]) -> Vec<usize> {
+        token_ids
             .iter()
             .copied()
             .take(self.config.max_len)
             .map(|id| id.min(self.config.vocab_size - 1))
-            .collect();
+            .collect()
+    }
+
+    /// The encoder stack over a token-id sequence; with `cls_only` the last
+    /// layer (and so the final norm) keeps position 0 only.
+    fn run<V: Forward>(&self, on: V::Tape, token_ids: &[usize], cls_only: bool) -> V {
+        let ids = self.clamped(token_ids);
         let embedded = V::gather_rows(&V::param(on, &self.embedding), &ids);
         let pos = self
             .positional
@@ -250,6 +268,133 @@ impl TransformerEncoder {
     /// tape.
     pub fn infer(&self, token_ids: &[usize]) -> Matrix {
         self.run::<Matrix>((), token_ids, true).row(0)
+    }
+
+    /// [`TransformerEncoder::infer`], bit for bit, reading the first layer's
+    /// rows from `rows` where an earlier call under the same weights
+    /// computed them. The rows this sequence is the first to need are
+    /// computed in one batch and kept there.
+    pub fn infer_with(&self, rows: &mut EncoderRows, token_ids: &[usize]) -> Matrix {
+        let Some((first, rest)) = self.layers.split_first() else {
+            return self.infer(token_ids);
+        };
+        let slots = rows.slots(self, &self.clamped(token_ids));
+        let (key, value) = (rows.key.gather(&slots), rows.value.gather(&slots));
+        let (input, query) = if rest.is_empty() {
+            // The only layer is the last one: its `CLS` row alone goes on.
+            let input = rows.input.gather(&slots[..1]);
+            let query = (first.attention.query).forward(&first.norm1.forward(&input));
+            (input, query)
+        } else {
+            (rows.input.gather(&slots), rows.query.gather(&slots))
+        };
+        let mut h = first.feed_forward(&input, &first.attention.attend(&query, &key, &value));
+        for (i, layer) in rest.iter().enumerate() {
+            h = layer.forward(&h, i + 1 == rest.len());
+        }
+        self.final_norm.forward(&h).row(0)
+    }
+}
+
+/// A slot of [`EncoderRows`] nothing has filled.
+const MISSING: u32 = u32::MAX;
+
+/// Rows of one width, appended one after another.
+#[derive(Debug, Default)]
+struct RowStore {
+    width: usize,
+    data: Vec<f32>,
+}
+
+impl RowStore {
+    fn push(&mut self, rows: &Matrix) {
+        self.width = rows.cols();
+        self.data.extend_from_slice(rows.data());
+    }
+
+    /// The rows at `slots`, in that order.
+    fn gather(&self, slots: &[u32]) -> Matrix {
+        let mut data = Vec::with_capacity(slots.len() * self.width);
+        for &slot in slots {
+            data.extend_from_slice(&self.data[slot as usize * self.width..][..self.width]);
+        }
+        Matrix::from_vec(slots.len(), self.width, data)
+    }
+}
+
+/// The first Transformer layer's rows, kept per (token id, position).
+///
+/// Before attention mixes positions, a row of the first layer — the token's
+/// embedding plus its positional encoding, and that row's key, value and (in
+/// a stack of more than one layer) query projections — is a function of its
+/// token id and position alone, and every kernel computes a row the same way
+/// whatever other rows it is computed with. So a row computed for one
+/// sequence is the row another sequence needs at the same (id, position),
+/// bit for bit. [`TransformerEncoder::infer_with`] looks each row up here and
+/// computes only the missing ones.
+///
+/// A table holds rows of one encoder under the weights it had when they were
+/// computed: make a new one for another encoder, or once the weights change.
+/// Nothing else keeps rows between calls.
+#[derive(Debug, Default)]
+pub struct EncoderRows {
+    /// Per `id * max_len + position`, the row's index in the stores, or
+    /// [`MISSING`]. Sized by the first encoder that uses the table.
+    slots: Vec<u32>,
+    input: RowStore,
+    key: RowStore,
+    value: RowStore,
+    /// Empty in a one-layer encoder, whose query is its `CLS` row's alone.
+    query: RowStore,
+    computed: usize,
+}
+
+impl EncoderRows {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// First-layer rows computed into this table so far: one per distinct
+    /// (clamped token id, position) among the sequences it served.
+    pub fn computed(&self) -> usize {
+        self.computed
+    }
+
+    /// The index of each position's row, computing the missing ones in one
+    /// batch. `encoder` has at least one layer.
+    fn slots(&mut self, encoder: &TransformerEncoder, ids: &[usize]) -> Vec<u32> {
+        let (first, queries) = (&encoder.layers[0], encoder.layers.len() > 1);
+        let config = encoder.config;
+        let cells = config.vocab_size * config.max_len;
+        if self.slots.is_empty() {
+            self.slots = vec![MISSING; cells];
+        }
+        assert_eq!(self.slots.len(), cells, "rows of another encoder");
+        let cell = |position: usize, id: usize| id * config.max_len + position;
+        let missing: Vec<usize> = (0..ids.len())
+            .filter(|&p| self.slots[cell(p, ids[p])] == MISSING)
+            .collect();
+        if !missing.is_empty() {
+            let missing_ids: Vec<usize> = missing.iter().map(|&p| ids[p]).collect();
+            let input = (encoder.embedding.borrow_value().gather_rows(&missing_ids))
+                .add(&encoder.positional.gather_rows(&missing));
+            let normed = first.norm1.forward(&input);
+            self.input.push(&input);
+            self.key.push(&first.attention.key.forward(&normed));
+            self.value.push(&first.attention.value.forward(&normed));
+            if queries {
+                self.query.push(&first.attention.query.forward(&normed));
+            }
+            for &p in &missing {
+                self.slots[cell(p, ids[p])] =
+                    u32::try_from(self.computed).expect("fewer rows than u32::MAX");
+                self.computed += 1;
+            }
+        }
+        (0..ids.len())
+            .map(|p| self.slots[cell(p, ids[p])])
+            .collect()
     }
 }
 

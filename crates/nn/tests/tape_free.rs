@@ -9,9 +9,13 @@
 //! tape. Every comparison is on `f32::to_bits`, never within a tolerance:
 //! compile-time rollouts take an arg-max over these numbers, and the trained
 //! weights must not depend on which path ran.
+//!
+//! A compile also keeps the Transformer's first-layer rows per (token id,
+//! position) across the observations it evaluates (`EncoderRows`): one
+//! table serving every sequence below must give each of them the same bits.
 
 use chehab_nn::{
-    Activation, Forward, GruEncoder, Matrix, Mlp, Module, Tape, TransformerConfig,
+    Activation, EncoderRows, Forward, GruEncoder, Matrix, Mlp, Module, Tape, TransformerConfig,
     TransformerEncoder, Var,
 };
 use rand::{Rng, SeedableRng};
@@ -61,6 +65,8 @@ fn transformer_inference_is_bit_identical_to_the_taped_forward() {
             },
             &mut rng,
         );
+        // One table for the whole gallery, as for one compile's observations.
+        let mut rows = EncoderRows::new();
         for ids in sequences(&mut rng) {
             let what = format!(
                 "{num_layers} layers, {num_heads} heads, {} tokens",
@@ -84,10 +90,53 @@ fn transformer_inference_is_bit_identical_to_the_taped_forward() {
             let inferred = encoder.infer(&ids);
             assert_eq!((inferred.rows(), inferred.cols()), (1, 16));
             assert_eq!(bits(&inferred), all_rows, "{what}: infer");
+            let from_table = encoder.infer_with(&mut rows, &ids);
+            assert_eq!(bits(&from_table), all_rows, "{what}: infer_with");
             assert_eq!(cls_row, all_rows, "{what}: encode");
             assert_eq!(cls_row_grads, all_rows_grads, "{what}: gradients");
         }
+        // Every sequence again, now that the table holds every row of it.
+        let computed = rows.computed();
+        for ids in sequences(&mut ChaCha8Rng::seed_from_u64(11)) {
+            let reference = encoder.encode(&Tape::new(), &ids).value();
+            assert_eq!(
+                bits(&encoder.infer_with(&mut rows, &ids)),
+                bits(&reference),
+                "{num_layers} layers, {num_heads} heads, {} tokens: from a full table",
+                ids.len()
+            );
+        }
+        assert!(computed > 0);
     }
+}
+
+#[test]
+fn a_row_table_computes_each_token_at_each_position_once() {
+    let mut rng = ChaCha8Rng::seed_from_u64(15);
+    let encoder = TransformerEncoder::new(
+        TransformerConfig {
+            max_len: MAX_LEN,
+            ..TransformerConfig::small(VOCAB)
+        },
+        &mut rng,
+    );
+    let mut rows = EncoderRows::new();
+    let gallery = sequences(&mut rng);
+    let mut distinct = std::collections::HashSet::new();
+    for ids in &gallery {
+        encoder.infer_with(&mut rows, ids);
+        let clamped = ids.iter().map(|&id| id.min(VOCAB - 1));
+        distinct.extend(clamped.take(encoder.config().max_len).enumerate());
+        assert_eq!(rows.computed(), distinct.len());
+    }
+    for ids in &gallery {
+        encoder.infer_with(&mut rows, ids);
+    }
+    assert_eq!(
+        rows.computed(),
+        distinct.len(),
+        "a second pass computes nothing"
+    );
 }
 
 #[test]
@@ -135,5 +184,11 @@ fn inference_follows_the_weights_it_borrows() {
     assert_eq!(
         bits(&after),
         bits(&encoder.encode(&Tape::new(), &ids).value())
+    );
+    // A row table holds rows of the weights it was filled under; a table
+    // made after the step follows the new weights.
+    assert_eq!(
+        bits(&encoder.infer_with(&mut EncoderRows::new(), &ids)),
+        bits(&after)
     );
 }

@@ -10,12 +10,25 @@
 //!
 //! Those rollouts start from the same program and keep walking into states
 //! they — or an earlier rollout — have already been in, so one `optimize`
-//! call looks at each state once and runs the network once per distinct
-//! observation (`DESIGN.md`, "The compile path").
+//! call pays for each observation only where it is new (`DESIGN.md`, "The
+//! compile path"):
+//!
+//! * a state is looked at once: its cost, rule matches and observation
+//!   tokens (an ICI walk of the state's term graph that stops at the
+//!   observation length) are kept under its term-graph id;
+//! * the network runs once per distinct observation, its outputs kept per
+//!   observation;
+//! * within those runs, a Transformer's first-layer row is computed once per
+//!   distinct (token id, position), kept in the call's
+//!   [`EncoderRows`]; most of an observation's rows are some earlier one's.
+//!
+//! Everything is kept for the call only: nothing is stored in the [`Policy`]
+//! or the [`Agent`], so a weight change shows in the next compile.
 
 use crate::env::{Action, EnvConfig, ObservationTokenizer, RewriteEnv};
 use crate::policy::{Policy, PolicyOutputs};
 use chehab_ir::{Expr, NodeId};
+use chehab_nn::EncoderRows;
 use chehab_trs::RewriteEngine;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,6 +77,9 @@ pub struct OptimizationOutcome {
     /// Forward passes of the policy network actually run (one per distinct
     /// observation; `actions` minus this many were answered from the memo).
     pub policy_evaluations: usize,
+    /// First-layer encoder rows actually computed: one per distinct (token
+    /// id, position) among the evaluated observations (0 for a GRU encoder).
+    pub encoded_rows: usize,
 }
 
 /// A trained policy packaged for compile-time use.
@@ -73,6 +89,14 @@ pub struct Agent {
     engine: Arc<RewriteEngine>,
     tokenizer: Arc<ObservationTokenizer>,
     config: AgentConfig,
+}
+
+/// What one `optimize` call keeps of the network's work: the outputs per
+/// distinct observation, and the encoder rows they were computed from.
+#[derive(Default)]
+struct Network {
+    outputs: HashMap<Vec<usize>, PolicyOutputs>,
+    rows: EncoderRows,
 }
 
 /// The best state one rollout saw, and how it got there.
@@ -116,8 +140,9 @@ impl Agent {
     ///
     /// The rollouts start from the same program and revisit each other's
     /// states, so they share one memo for the call: the environment keeps
-    /// each state's tokens, rule matches and cost, and the network's outputs
-    /// are kept per distinct observation. Both die with the call — the
+    /// each state's tokens, rule matches and cost, the network's outputs are
+    /// kept per distinct observation, and the encoder's first-layer rows per
+    /// distinct (token id, position). All of it dies with the call — the
     /// weights may change before the next one, and a repeated compile must
     /// cost what the first did.
     pub fn optimize(&self, program: &Expr) -> OptimizationOutcome {
@@ -127,7 +152,7 @@ impl Agent {
             Arc::clone(&self.tokenizer),
             self.config.env.clone(),
         );
-        let mut network = HashMap::new();
+        let mut network = Network::default();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut best: Option<Rollout> = None;
         let mut actions = 0;
@@ -149,14 +174,15 @@ impl Agent {
             rollouts,
             actions,
             distinct_states: env.distinct_states(),
-            policy_evaluations: network.len(),
+            policy_evaluations: network.outputs.len(),
+            encoded_rows: network.rows.computed(),
         }
     }
 
     fn rollout(
         &self,
         env: &mut RewriteEnv,
-        network: &mut HashMap<Vec<usize>, PolicyOutputs>,
+        network: &mut Network,
         deterministic: bool,
         rng: &mut StdRng,
     ) -> Rollout {
@@ -169,9 +195,10 @@ impl Agent {
         let mut rewrites = 0;
         let mut visited = HashSet::from([env.state_id()]);
         while !env.is_finished() {
-            let outputs = network
+            let Network { outputs, rows } = network;
+            let outputs = outputs
                 .entry(env.observe())
-                .or_insert_with_key(|observation| self.policy.infer(observation));
+                .or_insert_with_key(|observation| self.policy.infer(observation, rows));
             let (action, _) = self.policy.choose(
                 outputs,
                 &env.rule_mask(),

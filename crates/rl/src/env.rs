@@ -9,7 +9,7 @@
 //!   reward proportional to the total improvement (Section 5.3.2).
 
 use crate::reward::RewardConfig;
-use chehab_ir::{BpeTokenizer, CostModel, Expr, NodeId, Vocabulary};
+use chehab_ir::{BpeTokenizer, CostModel, Expr, NodeId, TermGraph, Vocabulary};
 use chehab_trs::{MatchIndex, ProgramMatches, RewriteEngine};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,14 +51,30 @@ impl ObservationTokenizer {
         }
     }
 
-    /// Encodes a program into a fixed-length token-id sequence.
+    /// Encodes a program into a fixed-length token-id sequence. ICI ids are
+    /// read off a term graph, the way the environment reads its states: the
+    /// program is interned into one first.
     pub fn encode(&self, expr: &Expr, max_len: usize) -> Vec<usize> {
         match self {
-            ObservationTokenizer::Ici(v) => v.encode_expr(expr, max_len),
+            ObservationTokenizer::Ici(v) => {
+                let mut graph = TermGraph::new();
+                let root = graph.intern_expr(expr);
+                v.encode_graph(&graph, root, max_len)
+            }
             ObservationTokenizer::Bpe {
                 tokenizer,
                 vocabulary,
             } => vocabulary.encode(&tokenizer.tokenize_expr(expr), max_len),
+        }
+    }
+
+    /// [`ObservationTokenizer::encode`] of the state with id `state` of
+    /// `index`: ICI ids from a walk of the index's graph that stops at
+    /// `max_len`, BPE ids from the state's text.
+    fn encode_state(&self, index: &MatchIndex, state: NodeId, max_len: usize) -> Vec<usize> {
+        match self {
+            ObservationTokenizer::Ici(v) => v.encode_graph(index.graph(), state, max_len),
+            ObservationTokenizer::Bpe { .. } => self.encode(&index.expr(state), max_len),
         }
     }
 }
@@ -132,7 +148,8 @@ struct StateFacts {
 /// [`MatchIndex`]'s term graph ([`RewriteEnv::state_id`]), a step names the
 /// next one by [`MatchIndex::successor`] without rebuilding it, and the
 /// first visit reads its per-rule match counts and cost out of the index and
-/// its tree, once, to tokenize it. The tokens, cost and counts are kept under
+/// its ICI tokens off the graph (a BPE observation reads its tree, for the
+/// text). The tokens, cost and counts are kept under
 /// the id for as long as the environment stays on the same initial program —
 /// across [`RewriteEnv::restart`]s, until the next [`RewriteEnv::reset`].
 #[derive(Debug, Clone)]
@@ -197,7 +214,7 @@ impl RewriteEnv {
         let cost = self.index.cost(state, &self.config.cost_model);
         let tokens = self
             .tokenizer
-            .encode(&self.index.expr(state), self.config.observation_len);
+            .encode_state(&self.index, state, self.config.observation_len);
         self.states.insert(
             state,
             StateFacts {

@@ -10,8 +10,8 @@
 
 use crate::env::Action;
 use chehab_nn::{
-    Activation, Forward, GruEncoder, Matrix, Mlp, Module, SequenceEncoder, Tape, Tensor,
-    TransformerConfig, TransformerEncoder, Var,
+    Activation, EncoderRows, Forward, GruEncoder, Matrix, Mlp, Module, SequenceEncoder, Tape,
+    Tensor, TransformerConfig, TransformerEncoder, Var,
 };
 use rand::Rng;
 use serde_json::{Error, Value};
@@ -268,9 +268,16 @@ impl Policy {
     }
 
     /// Runs the network on an observation, without a tape: everything about
-    /// a decision that depends on the observation only.
-    pub fn infer(&self, obs: &[usize]) -> PolicyOutputs {
-        let embedding = self.encoder.infer(obs);
+    /// a decision that depends on the observation only. A Transformer
+    /// encoder reads its first layer's rows from `rows` where an earlier
+    /// observation under the same weights computed them, and keeps the ones
+    /// it computes there ([`EncoderRows`]); the outputs are those of a fresh
+    /// table, bit for bit.
+    pub fn infer(&self, obs: &[usize], rows: &mut EncoderRows) -> PolicyOutputs {
+        self.outputs(self.encoder.infer_with(rows, obs))
+    }
+
+    fn outputs(&self, embedding: Matrix) -> PolicyOutputs {
         let logits = self.first_head_logits(&embedding);
         PolicyOutputs { embedding, logits }
     }
@@ -344,8 +351,9 @@ impl Policy {
         }
     }
 
-    /// Samples an action for an observation: [`Policy::infer`], the
-    /// critic, then [`Policy::choose`] (same arguments).
+    /// Samples an action for an observation: the network's outputs (those
+    /// of [`Policy::infer`]), the critic, then [`Policy::choose`] (same
+    /// arguments).
     pub fn act(
         &self,
         obs: &[usize],
@@ -354,7 +362,7 @@ impl Policy {
         rng: &mut impl Rng,
         deterministic: bool,
     ) -> ActionSample {
-        let outputs = self.infer(obs);
+        let outputs = self.outputs(self.encoder.infer(obs));
         let value = self.critic_value(&outputs.embedding);
         let (action, log_prob) =
             self.choose(&outputs, rule_mask, location_count, rng, deterministic);

@@ -141,6 +141,11 @@ impl MatchIndex {
         self.graph.expr(root)
     }
 
+    /// The term graph every state of the search is a node of.
+    pub fn graph(&self) -> &TermGraph {
+        &self.graph
+    }
+
     /// Finds how many matches every rule of `engine` has in the program with
     /// id `root`. Rules are tried only on ids this index has not reached
     /// before, in the preorder of their first occurrence.

@@ -71,8 +71,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let search = compiled.stats().search;
     println!(
-        "search: {} actions over {} distinct states, {} policy evaluations",
-        search.actions, search.distinct_states, search.policy_evaluations
+        "search: {} actions over {} distinct states, {} policy evaluations, {} encoder rows",
+        search.actions, search.distinct_states, search.policy_evaluations, search.encoded_rows
     );
 
     let mut inputs = HashMap::new();

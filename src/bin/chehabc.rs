@@ -150,8 +150,11 @@ fn print_report(program: &Expr, compiled: &CompiledProgram) {
     );
     println!("rewrite steps:      {}", stats.optimizer_steps);
     println!(
-        "search:             {} actions over {} distinct states, {} policy evaluations",
-        stats.search.actions, stats.search.distinct_states, stats.search.policy_evaluations
+        "search:             {} actions over {} distinct states, {} policy evaluations, {} encoder rows",
+        stats.search.actions,
+        stats.search.distinct_states,
+        stats.search.policy_evaluations,
+        stats.search.encoded_rows
     );
     println!("compile time:       {:?}", stats.compile_time);
     println!(

@@ -11,6 +11,10 @@
 //! most of every state is already in the index, and on a tree that repeats
 //! one subterm many times.
 //!
+//! The RL environment reads a state's ICI tokens off the same graph, with a
+//! walk that stops once the observation is full: at every length they must
+//! be the ids of the state's tree (`Vocabulary::encode_expr`).
+//!
 //! Below that, the index tries a rule only through `Rule::rewrite_in`, which
 //! reads the graph; `Rule::try_apply` matches a declarative rule on the tree
 //! and runs a procedural one on a scratch graph, whose result is read back
@@ -20,7 +24,10 @@
 
 use chehab::benchsuite::full_suite;
 use chehab::datagen::{LlmLikeSynthesizer, RandomGenerator};
-use chehab::ir::{cleanup, parse, BinOp, CostModel, Expr, TermGraph};
+use chehab::ir::{
+    cleanup, parse, BinOp, CostModel, Expr, TermGraph, Vocabulary, MAX_ICI_CONSTANTS,
+    MAX_ICI_VARIABLES,
+};
 use chehab::trs::{Match, MatchIndex, RewriteEngine, Site};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,6 +53,20 @@ fn generated_programs(count: usize) -> Vec<Expr> {
     programs
 }
 
+/// Checks that the ICI ids of state `id`, read off the index's graph, are
+/// those of its tree `program`: truncated, just fitting and padded.
+fn assert_same_tokens(what: &str, index: &MatchIndex, id: usize, program: &Expr) {
+    let vocabulary = Vocabulary::ici();
+    let full = 2 * program.node_count() + 8;
+    for len in [0, 1, 2, 7, 96, full] {
+        assert_eq!(
+            vocabulary.encode_graph(index.graph(), id, len),
+            vocabulary.encode_expr(program, len),
+            "{what}: {len} tokens"
+        );
+    }
+}
+
 /// Checks every fact of `program` the index reports against the engine's
 /// tree walks, and returns the engine's matches.
 fn assert_same_facts(
@@ -58,6 +79,7 @@ fn assert_same_facts(
     let root = index.intern(program);
     let indexed = index.index(engine, root);
     assert_eq!(&index.expr(root), program, "{what}: the indexed tree");
+    assert_same_tokens(what, index, root, program);
     let expected = engine.all_matches(program);
     // Per rule, the sites the index finds by descent, in location order.
     let sites: Vec<Vec<Site>> = (0..engine.rule_count())
@@ -107,6 +129,7 @@ fn assert_same_facts(
             assert_eq!(index.intern(&next), predicted, "{successor}");
             index.index(engine, predicted);
             assert_eq!(index.expr(predicted), next, "{successor}");
+            assert_same_tokens(&successor, index, predicted, &next);
             assert_eq!(
                 index.cost(predicted, model).to_bits(),
                 model.cost(&next).to_bits(),
@@ -154,6 +177,30 @@ fn the_index_agrees_with_the_tree_walks_along_a_random_walk() {
                 .apply_at_path(&current, m.rule_index, &m.path)
                 .expect("every match applies");
         }
+    }
+}
+
+/// Past what the ICI vocabulary reserves: more identifiers and constants
+/// than it has ids for, and rotation steps that are no bucket of their own.
+#[test]
+fn graph_tokens_rename_and_bucket_as_the_tree_tokens_do() {
+    let engine = RewriteEngine::new();
+    let model = CostModel::default();
+    let terms = (0..MAX_ICI_VARIABLES.max(MAX_ICI_CONSTANTS) + 5)
+        .map(|i| format!("(* x{i} {})", 2 + i))
+        .fold("(pt w)".to_string(), |sum, term| {
+            format!("(+ {sum} {term})")
+        });
+    let rotated = "(- (<< (Vec a b c) 1000) (>> (<< (Vec a b c) 5000) 8192))";
+    let sources = [
+        terms.as_str(),
+        rotated,
+        "(VecAdd (<< (Vec a 0) 0) (VecNeg (>> (Vec 1 b) 3)))",
+    ];
+    for (i, source) in sources.into_iter().enumerate() {
+        let program = parse(source).unwrap();
+        let what = format!("program {i}");
+        assert_same_facts(&what, &engine, &mut MatchIndex::new(), &model, &program);
     }
 }
 

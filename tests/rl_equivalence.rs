@@ -1,14 +1,17 @@
 //! Differential test of the RL compile path.
 //!
 //! `Agent::optimize` looks at each program state once (a match index over a
-//! shared term graph, one memo per call) and runs the policy without an
-//! autodiff tape, computing only the `CLS` row of the last Transformer layer.
-//! The reference below is the search it replaced, written over the public
-//! API only: every rollout re-tokenizes, re-masks and re-matches the program
-//! by walking its tree, costs it from scratch, and runs the whole network on
-//! the tape (`Policy::act_on_tape`). Both must return the identical program
-//! and cost bits — which holds only if every logit, every RNG draw and every
-//! location index along every rollout agree, not just the final cost.
+//! shared term graph, one memo per call), reads its ICI tokens off the graph,
+//! and runs the policy without an autodiff tape, computing only the `CLS`
+//! row of the last Transformer layer and each first-layer row once per
+//! (token, position) in the call. The reference below is the search it
+//! replaced, written over the public API only: every rollout tokenizes its
+//! program's tree (`Vocabulary::encode_expr`), re-masks and re-matches it by
+//! walking the tree, costs it from scratch, and runs the whole network on the
+//! tape (`Policy::act_on_tape`). Both must return the identical program and
+//! cost bits — which holds only if every token, every logit, every RNG draw
+//! and every location index along every rollout agree, not just the final
+//! cost.
 //!
 //! The same reference environment, driven by the same taped `act`, also
 //! stands in for `Trainer::train`'s experience collection, and the PPO update
@@ -26,15 +29,17 @@
 use chehab::benchsuite::{coyote_kernels, porcupine};
 use chehab::compiler::training::{train_agent, AgentTrainingOptions};
 use chehab::datagen::{generate_llm_like_dataset, LlmLikeSynthesizer};
-use chehab::ir::{cleanup, Expr};
+use chehab::ir::{cleanup, Expr, TermGraph, MAX_ICI_VARIABLES};
 use chehab::nn::{Adam, Forward, Matrix, Module, Tape, Tensor, Var};
 use chehab::rl::{
-    Action, ActionSample, Agent, AgentConfig, EnvConfig, ObservationTokenizer, Policy,
-    PolicyConfig, PolicySnapshot, PpoConfig, RewriteEnv, RolloutBuffer, Transition,
+    Action, ActionSample, Agent, AgentConfig, EncoderArch, EnvConfig, ObservationTokenizer,
+    OptimizationOutcome, Policy, PolicyConfig, PolicySnapshot, PpoConfig, RewriteEnv,
+    RolloutBuffer, Transition,
 };
 use chehab::trs::RewriteEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The rewrite MDP of `chehab_rl::RewriteEnv`, one tree walk per question.
@@ -70,8 +75,12 @@ impl<'a> TreeEnv<'a> {
     }
 
     fn observe(&self) -> Vec<usize> {
-        self.tokenizer
-            .encode(&self.current, self.config.observation_len)
+        match self.tokenizer {
+            ObservationTokenizer::Ici(vocabulary) => {
+                vocabulary.encode_expr(&self.current, self.config.observation_len)
+            }
+            bpe => bpe.encode(&self.current, self.config.observation_len),
+        }
     }
 
     fn rule_mask(&self) -> Vec<bool> {
@@ -142,12 +151,21 @@ struct Parts {
     config: AgentConfig,
 }
 
-/// The rollouts of `Agent::optimize` before it shared anything between them:
-/// the best program any rollout saw, first rollout winning ties.
-fn reference_optimize(policy: &Policy, parts: &Parts, program: &Expr) -> (Expr, f64) {
+/// What the reference search found: the best program any rollout saw
+/// (first rollout winning ties), its cost, and every observation it
+/// evaluated the policy on.
+struct Reference {
+    best: Expr,
+    cost: f64,
+    observations: HashSet<Vec<usize>>,
+}
+
+/// The rollouts of `Agent::optimize` before it shared anything between them.
+fn reference_optimize(policy: &Policy, parts: &Parts, program: &Expr) -> Reference {
     let model = &parts.config.env.cost_model;
     let mut rng = StdRng::seed_from_u64(parts.config.seed);
     let mut best: Option<(Expr, f64)> = None;
+    let mut observations = HashSet::new();
     for rollout in 0..=parts.config.sampled_rollouts {
         let mut env = TreeEnv::new(
             program.clone(),
@@ -157,6 +175,7 @@ fn reference_optimize(policy: &Policy, parts: &Parts, program: &Expr) -> (Expr, 
         );
         let (mut best_seen, mut best_cost) = (program.clone(), env.initial_cost);
         while !env.finished {
+            observations.insert(env.observe());
             let sample = env.act(policy, &mut rng, rollout == 0);
             env.step(sample.action);
             if env.current_cost < best_cost {
@@ -168,20 +187,34 @@ fn reference_optimize(policy: &Policy, parts: &Parts, program: &Expr) -> (Expr, 
             best = Some((best_seen, cost));
         }
     }
-    best.expect("at least one rollout")
+    let (best, cost) = best.expect("at least one rollout");
+    Reference {
+        best,
+        cost,
+        observations,
+    }
 }
 
-fn assert_same_compile(what: &str, agent: &Agent, parts: &Parts, program: &Expr) {
-    let (expected, expected_cost) = reference_optimize(agent.policy(), parts, program);
+fn assert_same_compile(
+    what: &str,
+    agent: &Agent,
+    parts: &Parts,
+    program: &Expr,
+) -> OptimizationOutcome {
+    let expected = reference_optimize(agent.policy(), parts, program);
     let outcome = agent.optimize(program);
-    assert_eq!(outcome.optimized, expected, "{what}: optimized circuit");
+    assert_eq!(
+        outcome.optimized, expected.best,
+        "{what}: optimized circuit"
+    );
     assert_eq!(
         outcome.final_cost.to_bits(),
-        expected_cost.to_bits(),
+        expected.cost.to_bits(),
         "{what}: final cost"
     );
     assert!(outcome.policy_evaluations <= outcome.actions, "{what}");
     assert!(outcome.distinct_states <= outcome.actions + 1, "{what}");
+    outcome
 }
 
 /// The programs the benchmark compiles: `rl_datagen_k3`'s seeded draw from
@@ -440,6 +473,91 @@ fn untrained_gru_and_flat_agents_compile_like_the_reference() {
     }
 }
 
+/// A deeper Transformer: its first layer computes every position's query
+/// too, and is not the `CLS`-only last layer.
+fn two_layer_transformer(config: PolicyConfig) -> PolicyConfig {
+    PolicyConfig {
+        encoder: EncoderArch::Transformer {
+            layers: 2,
+            heads: 4,
+        },
+        ..config
+    }
+}
+
+#[test]
+fn an_untrained_two_layer_transformer_agent_compiles_like_the_reference() {
+    let (agent, parts) = untrained_agent(27, two_layer_transformer);
+    for (what, program) in programs().iter().skip(1).step_by(8) {
+        assert_same_compile(&format!("2 layers, {what}"), &agent, &parts, program);
+    }
+}
+
+/// The census of the row table: one row per distinct (token, position) among
+/// the observations the policy was evaluated on — the reference search's,
+/// which are the agent's.
+#[test]
+fn encoded_rows_count_the_distinct_tokens_at_each_position() {
+    let (agent, parts) = untrained_agent(28, |c| c);
+    let program = cleanup(porcupine::dot_product(8).program());
+    let observations = reference_optimize(agent.policy(), &parts, &program).observations;
+    let outcome = agent.optimize(&program);
+    let pairs: HashSet<(usize, usize)> = (observations.iter())
+        .flat_map(|obs| obs.iter().copied().enumerate())
+        .collect();
+    assert_eq!(outcome.policy_evaluations, observations.len());
+    assert_eq!(outcome.encoded_rows, pairs.len());
+    let rows = observations.len() * parts.config.env.observation_len;
+    assert!(
+        pairs.len() < rows,
+        "{} rows for {rows} observed",
+        pairs.len()
+    );
+}
+
+/// Nothing an `optimize` call keeps outlives it: after a weight change the
+/// next compile is the reference's under the new weights.
+#[test]
+fn a_compile_after_a_weight_change_follows_the_new_weights() {
+    for (layers, configure) in [
+        (1, (|c| c) as fn(PolicyConfig) -> PolicyConfig),
+        (2, two_layer_transformer),
+    ] {
+        let (agent, parts) = untrained_agent(29, configure);
+        let program = cleanup(porcupine::dot_product(8).program());
+        let before = agent.optimize(&program);
+        for p in agent.policy().parameters() {
+            p.set_value(p.value().map(|v| v * 1.5 + 0.01));
+        }
+        let what = format!("{layers} layers, new weights");
+        let after = assert_same_compile(&what, &agent, &parts, &program);
+        assert!(before.encoded_rows > 0 && after.encoded_rows > 0, "{what}");
+    }
+}
+
+/// The ICI ids the environment reads off the term graph are those of the
+/// state's tree, at every length, on the benchmark's programs and one with
+/// more identifiers than the vocabulary reserves.
+#[test]
+fn graph_tokens_are_the_tree_tokens_of_every_program() {
+    let vocabulary = chehab::ir::Vocabulary::ici();
+    let wide = (0..MAX_ICI_VARIABLES + 8).fold("(* x y)".to_string(), |sum, i| {
+        format!("(+ {sum} (* a{i} 7{i}))")
+    });
+    let wide = ("wide".to_string(), chehab::ir::parse(&wide).unwrap());
+    for (what, program) in programs().into_iter().chain([wide]) {
+        let mut graph = TermGraph::new();
+        let root = graph.intern_expr(&program);
+        for len in [1, 8, 96, 4 * program.node_count()] {
+            assert_eq!(
+                vocabulary.encode_graph(&graph, root, len),
+                vocabulary.encode_expr(&program, len),
+                "{what}, {len} tokens"
+            );
+        }
+    }
+}
+
 #[test]
 #[ignore = "the taped tree-walking reference needs a release build: cargo test --release --test rl_equivalence -- --include-ignored"]
 fn the_benchmark_agent_and_every_architecture_on_every_program() {
@@ -484,10 +602,12 @@ fn the_benchmark_agent_and_every_architecture_on_every_program() {
     }
     let (gru, gru_parts) = untrained_agent(21, |c| c.with_gru(2));
     let (flat, flat_parts) = untrained_agent(22, PolicyConfig::flat);
+    let (deep, deep_parts) = untrained_agent(27, two_layer_transformer);
     for (what, program) in programs() {
         assert_same_compile(&what, &trained.agent, &setup.parts, &program);
         assert_same_compile(&format!("gru, {what}"), &gru, &gru_parts, &program);
         assert_same_compile(&format!("flat, {what}"), &flat, &flat_parts, &program);
+        assert_same_compile(&format!("2 layers, {what}"), &deep, &deep_parts, &program);
     }
 }
 
@@ -543,6 +663,8 @@ fn a_repeated_compile_is_not_served_from_a_previous_one() {
     assert_eq!(first.policy_evaluations, second.policy_evaluations);
     assert_eq!(first.distinct_states, second.distinct_states);
     assert_eq!(first.actions, second.actions);
+    assert!(first.encoded_rows > 0);
+    assert_eq!(first.encoded_rows, second.encoded_rows);
     assert_eq!(first.optimized, second.optimized);
 }
 
