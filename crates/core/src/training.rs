@@ -167,9 +167,11 @@ pub fn train_agent(options: &AgentTrainingOptions) -> TrainedAgent {
             seed: options.seed,
         },
     );
-    // The Arc shares the (single-threaded) agent between compiler handles,
-    // not across threads: `Policy` parameters are `Rc`-shared handles without
-    // Sync, and compile-time inference happens on the calling thread.
+    // The Arc shares the agent between compiler handles, not across threads:
+    // `Policy` parameters are `Rc`-shared handles without Sync, and
+    // compile-time inference happens on the calling thread. Training's PPO
+    // threads never touch this policy's handles: each builds its own replica
+    // from snapshots of the weights.
     #[allow(clippy::arc_with_non_send_sync)]
     TrainedAgent {
         agent: Arc::new(agent),

@@ -28,7 +28,8 @@ pub trait Module {
         self.parameters().iter().map(Tensor::value).collect()
     }
 
-    /// Restores a snapshot produced by [`Module::state`].
+    /// Restores a snapshot produced by [`Module::state`], copying each
+    /// matrix into the parameter's value in place.
     ///
     /// # Panics
     ///
@@ -37,7 +38,8 @@ pub trait Module {
         let params = self.parameters();
         assert_eq!(params.len(), state.len(), "state length mismatch");
         for (p, m) in params.iter().zip(state) {
-            p.set_value(m.clone());
+            assert_eq!(p.shape(), (m.rows(), m.cols()), "state shape mismatch");
+            p.value_mut().data_mut().copy_from_slice(m.data());
         }
     }
 

@@ -56,5 +56,5 @@ pub use gru::GruEncoder;
 pub use layers::{Activation, LayerNorm, Linear, Mlp, Module};
 pub use matrix::Matrix;
 pub use optim::Adam;
-pub use tensor::{Tape, Tensor, Var};
+pub use tensor::{GradientLog, Tape, Tensor, Var};
 pub use transformer::{EncoderRows, TransformerConfig, TransformerEncoder};

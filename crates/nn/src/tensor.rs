@@ -18,11 +18,18 @@
 //! **Contributions are formed apart:** each one is computed on its own, from
 //! `+0`, and then added to the gradient; a gradient is never used as the
 //! running sum of a product.
+//!
+//! Because a parameter's contribution is formed apart, it can also be kept
+//! apart: [`Var::backward_into`] appends each one to a [`GradientLog`] in the
+//! order the pass forms it, and [`GradientLog::replay`] adds them later —
+//! on another thread's parameters, after other passes' logs — with the
+//! same additions in the same order as [`Var::backward`].
 
 use crate::forward::Forward;
 use crate::matrix::{self, add_each, Matrix, Scratch};
 use std::borrow::Cow;
 use std::cell::{Ref, RefCell, RefMut};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -95,6 +102,11 @@ impl Tensor {
 
     fn grad_mut(&self) -> RefMut<'_, Matrix> {
         self.inner.grad.borrow_mut()
+    }
+
+    /// What identifies the parameter among its clones' and others'.
+    fn address(&self) -> *const Parameter {
+        Rc::as_ptr(&self.inner)
     }
 
     /// Shape `(rows, cols)`.
@@ -277,21 +289,171 @@ impl<'a> Earlier<'a> {
     }
 }
 
+/// Where a backward pass puts the contributions to parameters.
+enum Sink<'a> {
+    /// Added to each parameter's gradient.
+    Gradients,
+    /// Appended to a log, the tape's parameter `p` named `slots[p]`.
+    Log(&'a [usize], &'a mut GradientLog),
+}
+
 /// The gradients a node's backward pass adds to: those of earlier nodes.
-struct Targets<'a> {
+struct Targets<'a, 's> {
     nodes: &'a [Node],
     params: &'a [Tensor],
     grads: &'a mut [f32],
+    sink: &'a mut Sink<'s>,
 }
 
-impl Targets<'_> {
+impl Targets<'_, '_> {
     /// Runs `add` on the gradient of node `id`, if it has one.
     fn of(&mut self, id: usize, add: impl FnOnce(&mut [f32])) {
         let node = &self.nodes[id];
-        match node.op {
+        match (node.op, &mut *self.sink) {
             _ if !node.needs_grad => {}
-            Op::Param(p) => add(self.params[p].grad_mut().data_mut()),
+            (Op::Param(p), Sink::Gradients) => add(self.params[p].grad_mut().data_mut()),
+            (Op::Param(p), Sink::Log(slots, log)) => log.record(slots[p], node.len(), add),
             _ => add(&mut self.grads[node.at..node.at + node.len()]),
+        }
+    }
+
+    /// Adds `aᵀ · g` (`a` is `m × k`, `g` is `m × n`) to the gradient of node
+    /// `id`. A logged parameter keeps the product of a single row of `a` as
+    /// its two factors.
+    fn of_product(
+        &mut self,
+        id: usize,
+        (a, g): (&[f32], &[f32]),
+        (k, n): (usize, usize),
+        scratch: &mut Scratch,
+    ) {
+        match (self.nodes[id].op, &mut *self.sink) {
+            (Op::Param(p), Sink::Log(slots, log)) if a.len() == k => {
+                log.record_outer(slots[p], a, g)
+            }
+            _ => self.of(id, |t| scratch.matmul_tn(a, g, t, k, n)),
+        }
+    }
+}
+
+/// One logged contribution; its numbers follow the previous entry's in
+/// [`GradientLog::values`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Entry {
+    /// `len` numbers, added to the parameter from element `first` on.
+    Span {
+        param: usize,
+        first: usize,
+        len: usize,
+    },
+    /// `k` numbers `a` and `n` numbers `g`: the `k × n` product `aᵀ · g` of
+    /// a single row `a`, which [`Scratch::matmul_tn`] would have formed row
+    /// by row from `+0` (no row for a zero `a[i]`) and added.
+    Outer { param: usize, k: usize, n: usize },
+}
+
+/// The contributions of backward passes to parameters, kept apart instead of
+/// added: [`Var::backward_into`] appends each one in the order the pass forms
+/// it, naming its parameter by position in a list, and
+/// [`GradientLog::replay`] adds them to the gradients of a list in that
+/// order. Replaying the logs of several passes one after another performs
+/// exactly the additions one pass over all of them would have made in that
+/// order, whichever thread and whichever copy of the parameters each pass
+/// ran on.
+///
+/// A contribution is kept as the numbers that decide its bits: the nonzero
+/// stretch of a formed contribution, or the two factors of a product with one
+/// row (a dense `Linear` weight gradient of a single input row), multiplied
+/// out on replay. A formed product is `+0 + a·g` where the replay adds `a·g`;
+/// the two differ only in the sign of a zero, and a gradient starts at `+0`,
+/// so it is never `-0` and adding either zero leaves every bit as it was.
+#[derive(Debug, Default, Clone)]
+pub struct GradientLog {
+    entries: Vec<Entry>,
+    values: Vec<f32>,
+}
+
+impl GradientLog {
+    /// An empty log.
+    pub fn new() -> GradientLog {
+        GradientLog::default()
+    }
+
+    /// Forgets every contribution and keeps the buffers.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.values.clear();
+    }
+
+    /// Appends the contribution `add` forms on a zeroed gradient of `len`
+    /// entries for parameter `param`. Its `±0` ends are dropped, and all of it
+    /// if nothing else is left: a gradient starts at `+0`, so it is never
+    /// `-0`, and adding `±0` to it changes no bit.
+    fn record(&mut self, param: usize, len: usize, add: impl FnOnce(&mut [f32])) {
+        let at = self.values.len();
+        self.values.resize(at + len, 0.0);
+        add(&mut self.values[at..]);
+        let formed = &self.values[at..];
+        let Some(first) = formed.iter().position(|&v| v != 0.0) else {
+            self.values.truncate(at);
+            return;
+        };
+        let end = formed
+            .iter()
+            .rposition(|&v| v != 0.0)
+            .map_or(len, |last| last + 1);
+        if first > 0 {
+            self.values.copy_within(at + first..at + end, at);
+        }
+        self.values.truncate(at + end - first);
+        self.entries.push(Entry::Span {
+            param,
+            first,
+            len: end - first,
+        });
+    }
+
+    /// Appends the product `aᵀ · g` of one row `a` for parameter `param`, as
+    /// its factors; nothing if `a` is all zeros (no row would be formed).
+    fn record_outer(&mut self, param: usize, a: &[f32], g: &[f32]) {
+        if a.iter().all(|&v| v == 0.0) {
+            return;
+        }
+        self.values.extend_from_slice(a);
+        self.values.extend_from_slice(g);
+        let (k, n) = (a.len(), g.len());
+        self.entries.push(Entry::Outer { param, k, n });
+    }
+
+    /// Adds every contribution, in the order it was recorded, to the gradient
+    /// of `params[position]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a recorded position or range is outside `params`.
+    pub fn replay(&self, params: &[Tensor]) {
+        let mut values = &self.values[..];
+        for &entry in &self.entries {
+            match entry {
+                Entry::Span { param, first, len } => {
+                    let (contribution, rest) = values.split_at(len);
+                    let mut grad = params[param].grad_mut();
+                    let target = &mut grad.data_mut()[first..first + len];
+                    add_each(target, contribution.iter().copied());
+                    values = rest;
+                }
+                Entry::Outer { param, k, n } => {
+                    let (a, rest) = values.split_at(k);
+                    let (g, rest) = rest.split_at(n);
+                    let mut grad = params[param].grad_mut();
+                    for (&a, row) in a.iter().zip(grad.data_mut().chunks_exact_mut(n)) {
+                        if a != 0.0 {
+                            add_each(row, g.iter().map(|g| a * g));
+                        }
+                    }
+                    values = rest;
+                }
+            }
         }
     }
 }
@@ -318,6 +480,8 @@ struct Recording {
     order: Vec<usize>,
     stack: Vec<(usize, usize)>,
     seen: Vec<bool>,
+    /// The position in a logged pass's list of each entry of `params`.
+    slots: Vec<usize>,
 }
 
 impl Recording {
@@ -389,22 +553,46 @@ impl Recording {
         }
     }
 
-    fn backward(&mut self, root: usize) {
+    /// Backpropagates from `root` into the parameters' gradients, or into
+    /// `log` under each parameter's position in its list.
+    fn backward(&mut self, root: usize, log: Option<(&[Tensor], &mut GradientLog)>) {
         assert_eq!(
             (self.nodes[root].rows, self.nodes[root].cols),
             (1, 1),
             "backward() must be called on a scalar loss"
         );
-        if let Op::Param(p) = self.nodes[root].op {
-            self.params[p].grad_mut().data_mut()[0] = 1.0;
-            return;
+        if let Some((list, _)) = &log {
+            let position: HashMap<_, _> = list
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.address(), i))
+                .collect();
+            self.slots.clear();
+            self.slots.extend(self.params.iter().map(|p| {
+                *position
+                    .get(&p.address())
+                    .expect("every parameter on the tape is in the list")
+            }));
         }
-        self.post_order(root);
+        match self.nodes[root].op {
+            Op::Param(_) => self.order.clear(),
+            _ => self.post_order(root),
+        }
         self.grads.clear();
         self.grads.resize(self.values.len(), 0.0);
-        self.grads[self.nodes[root].at] = 1.0;
+        let mut sink = match log {
+            None => Sink::Gradients,
+            Some((_, log)) => Sink::Log(&self.slots, log),
+        };
         let (nodes, params, lists) = (&self.nodes[..], &self.params[..], &self.lists[..]);
         let (values, grads, scratch) = (&self.values[..], &mut self.grads, &mut self.scratch);
+        let mut seed = Targets {
+            nodes,
+            params,
+            grads,
+            sink: &mut sink,
+        };
+        seed.of(root, |t| t[0] += 1.0);
         let earlier = Earlier {
             nodes,
             params,
@@ -420,6 +608,7 @@ impl Recording {
                 nodes,
                 params,
                 grads: before,
+                sink: &mut sink,
             };
             match node.op {
                 Op::Constant | Op::Param(_) => unreachable!("leaves are not visited"),
@@ -449,13 +638,13 @@ impl Recording {
                     let (k, n) = (nodes[a].cols, node.cols);
                     let (va, vb) = (earlier.value(a), earlier.value(b));
                     targets.of(a, |t| scratch.matmul_nt(g, &vb, t, n, k));
-                    targets.of(b, |t| scratch.matmul_tn(&va, g, t, k, n));
+                    targets.of_product(b, (&va, g), (k, n), scratch);
                 }
                 Op::MatmulNt(a, b) => {
                     let (k, n) = (nodes[a].cols, node.cols);
                     let (va, vb) = (earlier.value(a), earlier.value(b));
                     targets.of(a, |t| scratch.matmul(g, &vb, t, n, k));
-                    targets.of(b, |t| scratch.matmul_tn(g, &va, t, n, k));
+                    targets.of_product(b, (g, &va), (n, k), scratch);
                 }
                 Op::AddBias(a, bias) => {
                     targets.of(a, |t| add_each(t, g.iter().copied()));
@@ -683,7 +872,21 @@ impl<'t> Var<'t> {
     ///
     /// Panics if the value is not `1 × 1`.
     pub fn backward(&self) {
-        self.tape.recording.borrow_mut().backward(self.id);
+        self.tape.recording.borrow_mut().backward(self.id, None);
+    }
+
+    /// Backpropagates from this (scalar) value like [`Var::backward`], but
+    /// appends every contribution to a parameter to `log`, naming the
+    /// parameter by its position in `params`, and leaves every gradient as it
+    /// is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the value is not `1 × 1`, or if the value depends on a
+    /// parameter `params` does not hold.
+    pub fn backward_into(&self, params: &[Tensor], log: &mut GradientLog) {
+        let mut recording = self.tape.recording.borrow_mut();
+        recording.backward(self.id, Some((params, log)));
     }
 
     /// Records an operation reading `self` (and whatever `fill` reads).
@@ -1042,6 +1245,82 @@ mod tests {
         let g = x.grad();
         assert!((g.get(0, 0) - 2.0 / 3.0).abs() < 1e-5);
         assert!((g.get(0, 1) + 4.0 / 3.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn replayed_logs_make_the_additions_of_one_pass_over_both() {
+        // One pass over loss = (a + b) + c, three reads of x: x receives c's
+        // 1, then b's -1e8 (absorbing the 1), then a's 1e8, and reads 0.
+        let x = Tensor::parameter(Matrix::full(1, 1, 1.0));
+        let tape = Tape::new();
+        let read = |k: f32| tape.param(&x).scale(k);
+        let (a, b, c) = (read(1e8), read(-1e8), read(1.0));
+        a.add(&b).add(&c).backward();
+        assert_eq!(x.grad().get(0, 0).to_bits(), 0f32.to_bits());
+
+        // c on one tape and a + b on another, logged and replayed in that
+        // order: the same three additions.
+        x.zero_grad();
+        let params = std::slice::from_ref(&x);
+        let (mut first, mut second) = (GradientLog::new(), GradientLog::new());
+        let tape = Tape::new();
+        tape.param(&x)
+            .scale(1.0)
+            .sum()
+            .backward_into(params, &mut first);
+        let tape = Tape::new();
+        let read = |k: f32| tape.param(&x).scale(k);
+        read(1e8)
+            .add(&read(-1e8))
+            .backward_into(params, &mut second);
+        assert_eq!(
+            x.grad().get(0, 0).to_bits(),
+            0f32.to_bits(),
+            "nothing added yet"
+        );
+        assert_eq!((first.entries.len(), second.entries.len()), (1, 2));
+        first.replay(params);
+        second.replay(params);
+        // (Had the second log been summed before it was added, x would
+        // read 1 + (-1e8 + 1e8) = 1.)
+        assert_eq!(x.grad().get(0, 0).to_bits(), 0f32.to_bits());
+    }
+
+    #[test]
+    fn a_log_keeps_only_what_a_contribution_can_change() {
+        // Rows 0 and 2 of a gathered table get nothing: a contribution is
+        // logged from its first to its last nonzero entry, and an all-zero
+        // one not at all.
+        let table = Tensor::parameter(Matrix::from_vec(4, 1, vec![1.0, 2.0, 3.0, 4.0]));
+        let unused = Tensor::parameter(Matrix::full(1, 1, -1.0));
+        let params = [table.clone(), unused.clone()];
+        let tape = Tape::new();
+        let rows = Var::gather_rows(&tape.param(&table), &[1, 3]);
+        let dead = tape.param(&unused).relu();
+        let mut log = GradientLog::new();
+        rows.sum().add(&dead.sum()).backward_into(&params, &mut log);
+        let span = Entry::Span {
+            param: 0,
+            first: 1,
+            len: 3,
+        };
+        assert_eq!(log.entries, [span]);
+        assert_eq!(log.values, [1.0, 0.0, 1.0]);
+        log.replay(&params);
+        assert_eq!(table.grad().data(), &[0.0, 1.0, 0.0, 1.0]);
+        assert_eq!(unused.grad().data(), &[0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "every parameter on the tape is in the list")]
+    fn a_logged_pass_names_every_parameter_it_reaches() {
+        let (x, y) = (
+            Tensor::parameter(Matrix::zeros(1, 1)),
+            Tensor::parameter(Matrix::zeros(1, 1)),
+        );
+        let tape = Tape::new();
+        let loss = tape.param(&x).add(&tape.param(&y));
+        loss.backward_into(std::slice::from_ref(&x), &mut GradientLog::new());
     }
 
     #[test]

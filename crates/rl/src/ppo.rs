@@ -2,8 +2,11 @@
 //! generalized advantage estimation, and the clipped-surrogate update.
 
 use crate::env::Action;
-use crate::policy::Policy;
-use chehab_nn::{Adam, Forward, Matrix, Module, Tape, Var};
+use crate::policy::{Policy, PolicyConfig, PolicySnapshot};
+use chehab_nn::{Adam, Forward, GradientLog, Matrix, Module, Tape, Tensor, Var};
+use std::ops::Range;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread;
 
 /// PPO hyper-parameters (defaults follow Table 4 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,17 +179,30 @@ pub struct UpdateStats {
     pub entropy: f32,
 }
 
-/// The PPO learner: owns the optimizer state for a policy and the tape its
-/// minibatches are differentiated on.
+/// The PPO learner: owns the optimizer state for a policy, and the tape the
+/// calling thread differentiates its share of each minibatch on.
+///
+/// A minibatch is differentiated one sample per tape, on a pool of threads
+/// opened once per [`PpoLearner::update`]: the calling thread on the policy
+/// itself, each other thread on a replica built from the policy's snapshot
+/// and refreshed after every Adam step. A sample's backward pass logs its
+/// contributions to the parameters instead of adding them, and the caller
+/// adds the logs to the policy's gradients from the minibatch's last sample
+/// down to its first — the order one tape holding the whole minibatch would
+/// have added them in — so the trained weights do not depend on the number
+/// of threads (`DESIGN.md` §3).
 #[derive(Debug)]
 pub struct PpoLearner {
     config: PpoConfig,
     optimizer: Adam,
     tape: Tape,
+    /// Threads differentiating a minibatch, the caller included.
+    workers: usize,
 }
 
 impl PpoLearner {
-    /// Creates a learner for `policy`.
+    /// Creates a learner for `policy`, differentiating on as many threads as
+    /// the host runs in parallel (at most one per sample of a minibatch).
     pub fn new(policy: &Policy, config: PpoConfig) -> Self {
         let optimizer = Adam::new(policy.parameters(), config.learning_rate)
             .with_grad_clip(config.max_grad_norm);
@@ -194,7 +210,17 @@ impl PpoLearner {
             config,
             optimizer,
             tape: Tape::new(),
+            workers: thread::available_parallelism().map_or(1, |n| n.get()),
         }
+    }
+
+    /// Differentiates on `workers` threads (at least one, the caller): how
+    /// the equivalence suite holds the trained weights equal at every pool
+    /// size.
+    #[doc(hidden)]
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers.max(1);
+        self
     }
 
     /// The learner's configuration.
@@ -209,82 +235,275 @@ impl PpoLearner {
         if n == 0 {
             return UpdateStats::default();
         }
-        let mut stats = UpdateStats::default();
-        let mut updates = 0usize;
-        for _ in 0..self.config.update_epochs {
-            let mut start = 0;
-            while start < n {
-                let end = (start + self.config.batch_size).min(n);
-                let batch: Vec<usize> = (start..end).collect();
-                let s = self.update_minibatch(policy, buffer, &batch);
-                stats.policy_loss += s.policy_loss;
-                stats.value_loss += s.value_loss;
-                stats.entropy += s.entropy;
-                updates += 1;
-                start = end;
+        let size = self.config.batch_size.clamp(1, n);
+        let params = policy.parameters();
+        let pool = Pool::new(policy, buffer, self.config, size);
+        let (config, optimizer, tape) = (&self.config, &mut self.optimizer, &mut self.tape);
+        thread::scope(|scope| {
+            for _ in 1..self.workers.min(size) {
+                scope.spawn(|| pool.work());
             }
+            let _close = Close(&pool);
+            let mut stats = UpdateStats::default();
+            let mut updates = 0usize;
+            for _ in 0..config.update_epochs {
+                for start in (0..n).step_by(size) {
+                    let s = pool.minibatch(policy, &params, tape, start..n.min(start + size));
+                    optimizer.step();
+                    pool.publish(&params);
+                    stats.policy_loss += s.policy_loss;
+                    stats.value_loss += s.value_loss;
+                    stats.entropy += s.entropy;
+                    updates += 1;
+                }
+            }
+            if updates > 0 {
+                stats.policy_loss /= updates as f32;
+                stats.value_loss /= updates as f32;
+                stats.entropy /= updates as f32;
+            }
+            stats
+        })
+    }
+}
+
+/// The minibatches of one update, shared by the threads differentiating them.
+struct Pool<'a> {
+    buffer: &'a RolloutBuffer,
+    config: PpoConfig,
+    /// What the replicas are built from.
+    policy: PolicyConfig,
+    state: Mutex<Round>,
+    /// Wakes the workers: a minibatch is posted, or the pool is closed.
+    posted: Condvar,
+    /// Wakes the caller: a sample is differentiated, or the pool is closed.
+    finished: Condvar,
+}
+
+/// The minibatch being differentiated.
+struct Round {
+    /// The policy's weights; a worker copies them into its replica whenever
+    /// `version` moves past the one it copied.
+    weights: Vec<Matrix>,
+    version: usize,
+    /// The minibatch's transitions.
+    batch: Range<usize>,
+    /// Samples not yet claimed: the next claim takes sample `unclaimed - 1`.
+    unclaimed: usize,
+    /// Each sample of the minibatch, once differentiated (one slot per
+    /// sample of the largest minibatch).
+    done: Vec<Option<Sample>>,
+    /// Logs already replayed, for the next samples.
+    spare: Vec<GradientLog>,
+    /// The update is over, or a thread of it panicked.
+    closed: bool,
+}
+
+/// A differentiated sample: its contributions to the parameters, and its
+/// policy, value and entropy terms.
+struct Sample {
+    log: GradientLog,
+    losses: [f32; 3],
+}
+
+/// Closes the pool when dropped — at the end of the update, or when a thread
+/// panics — so that no thread waits for one that is gone.
+struct Close<'p, 'a>(&'p Pool<'a>);
+
+impl Drop for Close<'_, '_> {
+    fn drop(&mut self) {
+        lock(&self.0.state).closed = true;
+        self.0.posted.notify_all();
+        self.0.finished.notify_all();
+    }
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<'a> Pool<'a> {
+    fn new(policy: &Policy, buffer: &'a RolloutBuffer, config: PpoConfig, size: usize) -> Self {
+        Pool {
+            buffer,
+            config,
+            policy: *policy.config(),
+            state: Mutex::new(Round {
+                weights: policy.state(),
+                version: 0,
+                batch: 0..0,
+                unclaimed: 0,
+                done: (0..size).map(|_| None).collect(),
+                spare: Vec::new(),
+                closed: false,
+            }),
+            posted: Condvar::new(),
+            finished: Condvar::new(),
         }
-        if updates > 0 {
-            stats.policy_loss /= updates as f32;
-            stats.value_loss /= updates as f32;
-            stats.entropy /= updates as f32;
-        }
-        stats
     }
 
-    fn update_minibatch(
-        &mut self,
+    /// Claims the next unclaimed sample (the minibatch's last one first),
+    /// differentiates it on `policy` with the lock released, and files it.
+    fn take<'p>(
+        &'p self,
+        mut round: MutexGuard<'p, Round>,
         policy: &Policy,
-        buffer: &RolloutBuffer,
-        batch: &[usize],
+        params: &[Tensor],
+        tape: &mut Tape,
+    ) -> MutexGuard<'p, Round> {
+        round.unclaimed -= 1;
+        let index = round.unclaimed;
+        let (i, count) = (round.batch.start + index, round.batch.len());
+        let mut log = round.spare.pop().unwrap_or_default();
+        drop(round);
+        let losses = self.differentiate(policy, params, tape, i, count, &mut log);
+        let mut round = lock(&self.state);
+        round.done[index] = Some(Sample { log, losses });
+        self.finished.notify_one();
+        round
+    }
+
+    /// Copies the weights of the last Adam step out for the replicas.
+    fn publish(&self, params: &[Tensor]) {
+        let mut round = lock(&self.state);
+        for (weights, p) in round.weights.iter_mut().zip(params) {
+            weights.data_mut().copy_from_slice(p.borrow_value().data());
+        }
+        round.version += 1;
+    }
+
+    /// A worker thread: differentiates the samples it claims on a replica of
+    /// the policy until the pool closes.
+    fn work(&self) {
+        let _close = Close(self);
+        let (weights, mut version) = {
+            let round = lock(&self.state);
+            (round.weights.clone(), round.version)
+        };
+        let snapshot = PolicySnapshot {
+            config: self.policy,
+            weights,
+        };
+        let replica = Policy::from_snapshot(&snapshot).expect("a snapshot fits its own policy");
+        let params = replica.parameters();
+        let mut tape = Tape::new();
+        let mut round = lock(&self.state);
+        while !round.closed {
+            if round.unclaimed == 0 {
+                round = self
+                    .posted
+                    .wait(round)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            if round.version != version {
+                replica.load_state(&round.weights);
+                version = round.version;
+            }
+            round = self.take(round, &replica, &params, &mut tape);
+        }
+    }
+
+    /// The caller's part of a minibatch: posts it, differentiates samples
+    /// alongside the workers, and adds every sample's log to the policy's
+    /// gradients from the last sample down to the first, each as soon as the
+    /// ones after it are in.
+    fn minibatch(
+        &self,
+        policy: &Policy,
+        params: &[Tensor],
+        tape: &mut Tape,
+        batch: Range<usize>,
     ) -> UpdateStats {
-        // The whole minibatch goes on the tape before the one backward pass:
-        // that is what fixes the order in which the samples' gradients are
-        // summed into each parameter.
-        self.tape.clear();
-        let tape = &self.tape;
         policy.zero_grad();
-        let scalar = |value: f32| tape.constant(Matrix::full(1, 1, value));
-        let mut sums: Option<[Var<'_>; 3]> = None;
-        for &i in batch {
-            let t = &buffer.transitions[i];
-            let eval = policy.evaluate(
-                tape,
-                &t.observation,
-                t.action,
-                &t.rule_mask,
-                &t.location_counts,
-            );
-            // ratio = exp(log_prob_new - log_prob_old)
-            let ratio = eval.log_prob.sub(&scalar(t.log_prob)).exp();
-            let clipped = clamp(
-                &ratio,
-                1.0 - self.config.clip_range as f32,
-                1.0 + self.config.clip_range as f32,
-            );
-            let advantage = scalar(buffer.advantage(i) as f32);
-            let policy_loss = min(&ratio.mul(&advantage), &clipped.mul(&advantage)).scale(-1.0);
-            let value_diff = eval.value.sub(&scalar(buffer.return_at(i) as f32));
-            let losses = [policy_loss, value_diff.mul(&value_diff), eval.entropy];
-            sums = Some(match sums {
-                None => losses,
-                Some(sums) => [0, 1, 2].map(|k| sums[k].add(&losses[k])),
-            });
+        let count = batch.len();
+        let mut losses = vec![[0.0f32; 3]; count];
+        let mut round = lock(&self.state);
+        round.batch = batch;
+        round.unclaimed = count;
+        self.posted.notify_all();
+        let mut next = count;
+        while next > 0 {
+            if let Some(sample) = round.done[next - 1].take() {
+                drop(round);
+                sample.log.replay(params);
+                next -= 1;
+                losses[next] = sample.losses;
+                round = lock(&self.state);
+                round.spare.push(sample.log);
+            } else if round.unclaimed > 0 {
+                round = self.take(round, policy, params, tape);
+            } else {
+                assert!(!round.closed, "a PPO worker thread panicked");
+                round = self
+                    .finished
+                    .wait(round)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
-        let count = batch.len().max(1) as f32;
-        let [policy_loss, value_loss, entropy] = sums
-            .expect("non-empty batch")
-            .map(|sum| sum.scale(1.0 / count));
-        let total = policy_loss
-            .add(&value_loss.scale(self.config.value_coefficient))
-            .sub(&entropy.scale(self.config.entropy_coefficient));
-        total.backward();
-        self.optimizer.step();
+        drop(round);
+        // The terms summed in sample order, then scaled: what the one tape
+        // of the whole minibatch would have read off its loss nodes.
+        let mean = 1.0 / count as f32;
+        let sum = |k: usize| {
+            losses
+                .iter()
+                .map(|l| l[k])
+                .reduce(|a, b| a + b)
+                .unwrap_or(0.0)
+        };
         UpdateStats {
-            policy_loss: policy_loss.get(0, 0),
-            value_loss: value_loss.get(0, 0),
-            entropy: entropy.get(0, 0),
+            policy_loss: sum(0) * mean,
+            value_loss: sum(1) * mean,
+            entropy: sum(2) * mean,
         }
+    }
+
+    /// Differentiates transition `i`'s share of the loss of its minibatch
+    /// of `count` on `tape`, logging its contributions to `params` (those
+    /// of `policy`): returns its policy, value and entropy terms.
+    fn differentiate(
+        &self,
+        policy: &Policy,
+        params: &[Tensor],
+        tape: &mut Tape,
+        i: usize,
+        count: usize,
+        log: &mut GradientLog,
+    ) -> [f32; 3] {
+        tape.clear();
+        let tape = &*tape;
+        let (config, buffer) = (&self.config, self.buffer);
+        let scalar = |value: f32| tape.constant(Matrix::full(1, 1, value));
+        let t = &buffer.transitions[i];
+        let eval = policy.evaluate(
+            tape,
+            &t.observation,
+            t.action,
+            &t.rule_mask,
+            &t.location_counts,
+        );
+        // ratio = exp(log_prob_new - log_prob_old)
+        let ratio = eval.log_prob.sub(&scalar(t.log_prob)).exp();
+        let clipped = clamp(
+            &ratio,
+            1.0 - config.clip_range as f32,
+            1.0 + config.clip_range as f32,
+        );
+        let advantage = scalar(buffer.advantage(i) as f32);
+        let policy_loss = min(&ratio.mul(&advantage), &clipped.mul(&advantage)).scale(-1.0);
+        let value_diff = eval.value.sub(&scalar(buffer.return_at(i) as f32));
+        let losses = [policy_loss, value_diff.mul(&value_diff), eval.entropy];
+        // The minibatch's loss with this sample's terms for its three sums:
+        // on one tape of the whole minibatch the sample gets these seeds, and
+        // its nodes are visited in this order (entropy, value, policy).
+        let [policy_loss, value_loss, entropy] = losses.map(|l| l.scale(1.0 / count as f32));
+        let total = policy_loss
+            .add(&value_loss.scale(config.value_coefficient))
+            .sub(&entropy.scale(config.entropy_coefficient));
+        log.clear();
+        total.backward_into(params, log);
+        losses.map(|l| l.get(0, 0))
     }
 }
 

@@ -22,8 +22,9 @@ pub struct TrainerConfig {
     /// Environment configuration (reward, step limit, observation length).
     pub env: EnvConfig,
     /// Number of logical environments cycled through round-robin when
-    /// collecting experience (the paper uses 8 parallel workers; collection
-    /// here is sequential but interleaves the same number of episodes).
+    /// collecting experience, one episode each. The paper collects on 8
+    /// parallel workers; collection here runs on one thread (only the PPO
+    /// update is spread over threads), and `chehab_core::training` uses 4.
     pub num_envs: usize,
     /// RNG seed.
     pub seed: u64,

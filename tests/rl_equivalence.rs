@@ -30,11 +30,11 @@ use chehab::benchsuite::{coyote_kernels, porcupine};
 use chehab::compiler::training::{train_agent, AgentTrainingOptions};
 use chehab::datagen::{generate_llm_like_dataset, LlmLikeSynthesizer};
 use chehab::ir::{cleanup, Expr, TermGraph, MAX_ICI_VARIABLES};
-use chehab::nn::{Adam, Forward, Matrix, Module, Tape, Tensor, Var};
+use chehab::nn::{Adam, Forward, GradientLog, Matrix, Module, Tape, Tensor, Var};
 use chehab::rl::{
     Action, ActionSample, Agent, AgentConfig, EncoderArch, EnvConfig, ObservationTokenizer,
-    OptimizationOutcome, Policy, PolicyConfig, PolicySnapshot, PpoConfig, RewriteEnv,
-    RolloutBuffer, Transition,
+    OptimizationOutcome, Policy, PolicyConfig, PolicySnapshot, PpoConfig, PpoLearner, RewriteEnv,
+    RolloutBuffer, Transition, UpdateStats,
 };
 use chehab::trs::RewriteEngine;
 use rand::rngs::StdRng;
@@ -313,18 +313,21 @@ fn policy_config(parts: &Parts) -> PolicyConfig {
     )
 }
 
-/// `PpoLearner::update`, written out: the clipped surrogate, value loss and
-/// entropy bonus of each minibatch summed on a fresh tape over the all-rows
-/// evaluation of every sample, one backward pass, one Adam step.
+/// `PpoLearner::update`, written out on one thread: the clipped surrogate,
+/// value loss and entropy bonus of each minibatch summed on a fresh tape over
+/// the all-rows evaluation of every sample, one backward pass, one Adam step;
+/// the statistics read off the minibatch's loss nodes and averaged.
 fn reference_update(
     policy: &Policy,
     optimizer: &mut Adam,
     ppo: &PpoConfig,
     buffer: &mut RolloutBuffer,
-) {
+) -> UpdateStats {
     buffer.compute_advantages(ppo.gamma, ppo.gae_lambda);
     let clip = ppo.clip_range as f32;
     let indices: Vec<usize> = (0..buffer.len()).collect();
+    let mut stats = [0.0f32; 3];
+    let mut updates = 0;
     for _ in 0..ppo.update_epochs {
         for batch in indices.chunks(ppo.batch_size) {
             let tape = Tape::new();
@@ -365,7 +368,36 @@ fn reference_update(
                 .sub(&entropy.scale(ppo.entropy_coefficient))
                 .backward();
             optimizer.step();
+            for (sum, loss) in stats.iter_mut().zip([policy_loss, value_loss, entropy]) {
+                *sum += loss.get(0, 0);
+            }
+            updates += 1;
         }
+    }
+    let [policy_loss, value_loss, entropy] = stats.map(|sum| sum / updates as f32);
+    UpdateStats {
+        policy_loss,
+        value_loss,
+        entropy,
+    }
+}
+
+/// One step of `Trainer::train`'s experience collection on the
+/// tree-walking environment.
+fn collect(env: &mut TreeEnv, policy: &Policy, rng: &mut StdRng) -> Transition {
+    let (observation, rule_mask) = (env.observe(), env.rule_mask());
+    let sample = env.act(policy, rng, false);
+    let location_counts = env.location_counts();
+    let reward = env.step(sample.action);
+    Transition {
+        observation,
+        action: sample.action,
+        rule_mask,
+        location_counts,
+        log_prob: sample.log_prob,
+        value: sample.value,
+        reward,
+        done: env.finished,
     }
 }
 
@@ -394,20 +426,7 @@ fn reference_training(setup: &Setup) -> PolicySnapshot {
             if env.finished {
                 *env = draw(&mut rng);
             }
-            let (observation, rule_mask) = (env.observe(), env.rule_mask());
-            let sample = env.act(&policy, &mut rng, false);
-            let location_counts = env.location_counts();
-            let reward = env.step(sample.action);
-            buffer.push(Transition {
-                observation,
-                action: sample.action,
-                rule_mask,
-                location_counts,
-                log_prob: sample.log_prob,
-                value: sample.value,
-                reward,
-                done: env.finished,
-            });
+            buffer.push(collect(env, &policy, &mut rng));
             collected += 1;
         }
         if buffer.len() >= ppo.steps_per_update || collected >= setup.timesteps {
@@ -459,6 +478,100 @@ fn a_trained_agent_has_the_reference_weights_and_compiles_like_the_reference() {
     for (what, program) in programs().iter().step_by(3) {
         assert_same_compile(what, &trained.agent, &setup.parts, program);
     }
+}
+
+fn buffer_of(transitions: &[Transition]) -> RolloutBuffer {
+    let mut buffer = RolloutBuffer::new();
+    for t in transitions {
+        buffer.push(t.clone());
+    }
+    buffer
+}
+
+fn stats_bits(stats: UpdateStats) -> [u32; 3] {
+    [stats.policy_loss, stats.value_loss, stats.entropy].map(f32::to_bits)
+}
+
+/// `PpoLearner` differentiates each sample on its own tape, on as many
+/// threads as it is given, and adds the samples' logged contributions to the
+/// gradients from the last sample down: at 1–4 threads, the weights and
+/// statistics of an update over 32 transitions of `observation_len` tokens in
+/// minibatches of 32 and 16, and over 8 of them in minibatches of 1 (a
+/// replica refresh after every sample), are the one-tape reference's, bit for
+/// bit, for a Transformer and for a GRU policy. The GRU reads every weight
+/// once per position, so each sample contributes to one parameter many times
+/// over.
+fn assert_updates_match_the_reference(observation_len: usize) {
+    let mut setup = setup(&AgentTrainingOptions::tiny());
+    setup.env.observation_len = observation_len;
+    for (arch, encoder) in [
+        ("transformer", setup.policy.encoder),
+        ("gru", EncoderArch::Gru { layers: 2 }),
+    ] {
+        let config = PolicyConfig {
+            observation_len,
+            encoder,
+            ..setup.policy
+        };
+        let initial = Policy::new(config, &mut StdRng::seed_from_u64(31)).snapshot();
+        let behaviour = Policy::from_snapshot(&initial).unwrap();
+        let parts = &setup.parts;
+        let draw = |k: usize| {
+            let program = setup.dataset[k].clone();
+            TreeEnv::new(program, &parts.engine, &parts.tokenizer, &setup.env)
+        };
+        let (mut rng, mut env) = (StdRng::seed_from_u64(32), draw(0));
+        let transitions: Vec<Transition> = (0..32)
+            .map(|k| {
+                if env.finished {
+                    env = draw(k);
+                }
+                collect(&mut env, &behaviour, &mut rng)
+            })
+            .collect();
+        let stops = transitions.iter().filter(|t| t.action == Action::Stop);
+        assert!(
+            (1..32).contains(&stops.count()),
+            "{arch}: both kinds of action"
+        );
+        for (batch_size, transitions) in [
+            (32, &transitions[..]),
+            (16, &transitions),
+            (1, &transitions[..8]),
+        ] {
+            let ppo = PpoConfig {
+                batch_size,
+                update_epochs: 1,
+                ..PpoConfig::small()
+            };
+            let reference = Policy::from_snapshot(&initial).unwrap();
+            let mut optimizer = Adam::new(reference.parameters(), ppo.learning_rate)
+                .with_grad_clip(ppo.max_grad_norm);
+            let mut buffer = buffer_of(transitions);
+            let expected_stats = reference_update(&reference, &mut optimizer, &ppo, &mut buffer);
+            let expected = snapshot_bits(&reference.snapshot());
+            assert_ne!(
+                expected,
+                snapshot_bits(&initial),
+                "{arch}: the update moves"
+            );
+            for workers in 1..=4 {
+                let what = format!("{arch}, minibatches of {batch_size}, {workers} threads");
+                let policy = Policy::from_snapshot(&initial).unwrap();
+                let mut learner = PpoLearner::new(&policy, ppo).with_workers(workers);
+                let stats = learner.update(&policy, &mut buffer_of(transitions));
+                assert!(snapshot_bits(&policy.snapshot()) == expected, "{what}");
+                assert_eq!(stats_bits(stats), stats_bits(expected_stats), "{what}");
+            }
+        }
+    }
+}
+
+/// Short observations keep the debug build quick; the release sweep below
+/// runs the benchmark's 96 tokens.
+#[test]
+fn a_ppo_update_on_any_number_of_threads_is_the_one_tape_update() {
+    assert_updates_match_the_reference(12);
 }
 
 /// The GRU encoder and the flat action space take other paths through the
@@ -576,6 +689,7 @@ fn the_benchmark_agent_and_every_architecture_on_every_program() {
         snapshot_bits(&reference_training(&setup)),
         "tape-free act and CLS-row updates train the reference policy"
     );
+    assert_updates_match_the_reference(setup.env.observation_len);
     // The GRU encoder and the flat head take other paths through `evaluate`.
     for (what, other) in [
         (
@@ -691,6 +805,26 @@ fn accumulation_order_is_part_of_the_tape_contract() {
         three_consumer_gradient(&Tape::new()).to_bits(),
         0f32.to_bits()
     );
+    // A parameter read three times receives the three contributions itself.
+    // Logged instead of added, and replayed, they reach it in the same order
+    // and leave the same zero.
+    for logged in [false, true] {
+        let x = Tensor::parameter(Matrix::full(1, 1, 1.0));
+        let tape = Tape::new();
+        let read = |k: f32| tape.param(&x).scale(k);
+        let (c, a, b) = (read(1.0), read(1e8), read(-1e8));
+        let loss = a.add(&b).add(&c);
+        if logged {
+            let mut log = GradientLog::new();
+            let params = std::slice::from_ref(&x);
+            loss.backward_into(params, &mut log);
+            assert_eq!(x.grad().get(0, 0).to_bits(), 0f32.to_bits());
+            log.replay(params);
+        } else {
+            loss.backward();
+        }
+        assert_eq!(x.grad().get(0, 0).to_bits(), 0f32.to_bits(), "{logged}");
+    }
 
     // A cleared tape is a fresh one: the same evaluation leaves the same
     // gradient bits whether its buffers are new or still hold another graph.
