@@ -106,8 +106,9 @@ pub struct ExecOptions {
     /// `[1, 8]` (see [`chehab_runtime::default_workers`]).
     pub request_threads: usize,
     /// Worker threads inside each request's scheduled execution, the calling
-    /// thread included (1 = nothing is spawned; more helps schedules with
-    /// instruction-level parallelism).
+    /// thread included (1 = the calling thread alone; the others are parked
+    /// helpers of [`chehab_fhe::pool`], spawned once per process, and help
+    /// schedules with instruction-level parallelism).
     pub threads_per_request: usize,
     /// Bound of the serving queue of [`FheSession::serve_with`]: `submit`
     /// blocks while this many requests are already queued.

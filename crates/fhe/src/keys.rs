@@ -21,11 +21,13 @@
 //! construction (the public key's three), [`KeyGenerator::relin_keys`],
 //! [`KeyGenerator::galois_keys`] (every requested key at once) — samples and
 //! transforms its polynomials as one batch on up to the host's available
-//! parallelism, the calling thread included. Polynomial `i` of a batch is
-//! drawn at a fixed offset of the generator's ChaCha8 stream, so every key,
-//! and every later draw, is bit for bit the one a single thread draws. This
-//! is the crate's one use of threads: key generation runs once per session,
-//! off the request path, where evaluation stays on the thread that calls it.
+//! parallelism: the calling thread and parked helpers of
+//! [`crate::pool`]. Polynomial `i` of a batch is drawn at a fixed offset of
+//! the generator's ChaCha8 stream, so every key, and every later draw, is
+//! bit for bit the one a single thread draws. No evaluation operation uses
+//! a thread besides the one that calls it: key generation runs once per
+//! session, off the request path, and the pool's other user is the
+//! runtime's executor, one level up, whose request workers are its helpers.
 
 use crate::arena::PolyArena;
 use crate::params::BfvParameters;
@@ -35,6 +37,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
+use std::sync::{Mutex, PoisonError};
 
 /// The secret key (simulation placeholder identified by its seed).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,10 +162,12 @@ impl KeyGenerator {
     /// Polynomial `i` draws words `start + i·2·payload_degree` onwards of
     /// the generator's stream (`start` its position on entry; each draws
     /// `payload_degree` 64-bit values), and the stream resumes after the
-    /// last one, so the batch splits into contiguous runs across up to
-    /// `workers` scoped threads — the caller is the first — without moving
-    /// a bit. Every buffer is taken from the arena on the calling thread,
-    /// before any worker starts: workers allocate nothing.
+    /// last one, so the batch splits into contiguous runs, one per worker
+    /// of up to `workers` (the caller and pool helpers). A worker claims
+    /// runs off one counter until none is left, and each run starts at its
+    /// own offset, so no bit depends on who claims it. Every buffer is
+    /// taken from the arena on the calling thread, before any worker
+    /// starts: workers allocate nothing.
     fn sample_batch(&mut self, keys: usize, per_key: usize, kept: usize) -> Vec<Vec<u64>> {
         let count = keys * per_key;
         if count == 0 {
@@ -191,14 +196,14 @@ impl KeyGenerator {
                 chain.forward_limbs(buf);
             }
         };
-        std::thread::scope(|scope| {
-            let sample_run = &sample_run;
-            let mut runs = polys.chunks_mut(run_len).zip(&mut scratch).enumerate();
-            let (_, (own, own_scratch)) = runs.next().expect("a batch has a polynomial");
-            for (w, (run, scratch)) in runs {
-                scope.spawn(move || sample_run(w * run_len, run, scratch));
-            }
-            sample_run(0, own, own_scratch);
+        let helpers = scratch.len() - 1;
+        let runs = Mutex::new(polys.chunks_mut(run_len).zip(&mut scratch).enumerate());
+        crate::pool::broadcast(helpers, &|_| loop {
+            let claimed = runs.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((r, (run, scratch))) = claimed else {
+                break;
+            };
+            sample_run(r * run_len, run, scratch);
         });
         self.rng
             .set_word_pos(start + count as u128 * words_per_poly);

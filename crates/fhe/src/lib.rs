@@ -43,9 +43,10 @@
 //! # Ok::<(), chehab_fhe::FheError>(())
 //! ```
 
-// `deny` rather than `forbid`: the `simd` module alone opts back in for the
-// stable `std::arch` intrinsics behind runtime feature detection; everything
-// else in the crate stays unsafe-free.
+// `deny` rather than `forbid`: two modules opt back in, `simd` for the
+// stable `std::arch` intrinsics behind runtime feature detection and `pool`
+// to hand a borrowed task to a parked thread; everything else in the crate
+// stays unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -57,6 +58,7 @@ mod noise;
 mod params;
 pub mod payload;
 pub mod poly;
+pub mod pool;
 pub mod rns;
 pub mod simd;
 

@@ -1,5 +1,5 @@
-//! The executor: one `std::thread` worker loop that encrypts a run's inputs,
-//! then runs a schedule's instructions as the scheduler state releases them.
+//! The executor: one worker loop that encrypts a run's inputs, then runs a
+//! schedule's instructions as the scheduler state releases them.
 //!
 //! [`Executor::execute`] owns the only worker loop of the crate. A run has
 //! two phases in that one loop. First the workers encrypt the run's input
@@ -12,8 +12,9 @@
 //! business: it pops from the scheduler state (`dataflow.rs`), whose
 //! [`SchedulerKind`] release rule decides when a finished instruction makes
 //! others runnable — dependency counts reaching zero, or a whole level
-//! retiring. The calling thread is worker 0, so a pool of one is the same
-//! loop with nothing spawned and nobody to wake.
+//! retiring. The calling thread is worker 0 and the others are parked
+//! helpers of `chehab_fhe::pool`, never a thread spawned for the request,
+//! so a pool of one is the same loop with nobody to wake.
 //!
 //! Every worker owns a private [`Evaluator`] (the shared [`FheContext`] is
 //! immutable), whose operation counts are merged when the worker exits, so
@@ -448,11 +449,11 @@ impl Executor {
     ///
     /// The pool is `threads` clamped to what the rule can use (the widest
     /// level under leveled, the instruction count under dataflow). The
-    /// calling thread is worker 0, so a pool of one spawns nothing, pays no
-    /// wake-up and encrypts the inputs in stream order. Whatever the pool,
-    /// every input's payload is the one its stream index draws, and the
-    /// report's `timing.wall` and `timing.starts` are measured from the
-    /// barrier, `timing.barrier`.
+    /// calling thread is worker 0, so a pool of one hands nothing to a
+    /// helper, pays no wake-up and encrypts the inputs in stream order.
+    /// Whatever the pool, every input's payload is the one its stream index
+    /// draws, and the report's `timing.wall` and `timing.starts` are
+    /// measured from the barrier, `timing.barrier`.
     ///
     /// # Errors
     ///
@@ -490,13 +491,7 @@ impl Executor {
             state: Mutex::new(SchedState::new(schedule, scheduler, workers, encryptions)),
             work_available: Condvar::new(),
         };
-        std::thread::scope(|scope| {
-            let run = &run;
-            for worker in 1..workers {
-                scope.spawn(move || run.work(worker));
-            }
-            run.work(0);
-        });
+        chehab_fhe::pool::broadcast(workers - 1, &|worker| run.work(worker));
         let mut state = run
             .state
             .into_inner()
@@ -537,7 +532,7 @@ impl Run<'_> {
             });
         let mut evaluator = Evaluator::with_arena(res.ctx, arena);
         // A lock a peer died holding is recovered, not re-panicked on: that
-        // peer's panic already ends the run when the scope joins it, and a
+        // peer's panic already ends the run when the pool joins it, and a
         // second panic here would only bury it.
         let mut st = lock(&self.state);
         loop {
@@ -685,7 +680,7 @@ pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Moves a run's pre-bound registers into its register file, after
-/// checking (on the calling thread, before any worker spawns) that every
+/// checking (on the calling thread, before any worker starts) that every
 /// instruction's operand is pre-bound, encrypted in the input phase or the
 /// destination of an earlier-level instruction. Panics otherwise.
 fn register_file(schedule: &Schedule, inputs: &mut RunInputs) -> RegisterFile {
@@ -733,7 +728,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// plan's dispatch hook, and isolates panics — injected or genuine — behind
 /// `catch_unwind`, converting them into [`FheError::WorkerPanic`] so they
 /// flow through the ordinary error/abort machinery (which wakes peer
-/// workers and restores arenas) instead of stranding scoped threads.
+/// workers and restores arenas) instead of stranding helper threads.
 fn dispatch_instr(
     si: &ScheduledInstr,
     rf: &RegisterFile,
